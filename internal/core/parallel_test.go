@@ -87,3 +87,38 @@ func TestScanParallelSmallDB(t *testing.T) {
 		t.Fatalf("tiny db: %d != %d", got.Index, serial.Index)
 	}
 }
+
+// The index asks the shared wedge tree for widened frontier envelopes while
+// parallel scans build and read the same tree's widened cache. Run under
+// -race: the frontier must be the same before, during and after the scans
+// populate the cache, for mirror and rotation-limited trees too.
+func TestFrontierEnvelopesDuringParallelScan(t *testing.T) {
+	db, q := parallelTestDB(4, 120, 40)
+	const R, K = 3, 8
+	for _, opts := range []Options{DefaultOptions(), {Mirror: true, MaxShift: -1}, {MaxShift: 5}} {
+		rs := NewRotationSet(q, opts, nil)
+		want := rs.Tree().FrontierEnvelopes(K, R)
+		done := make(chan ScanResult)
+		go func() {
+			done <- ScanParallel(rs, wedge.DTW{R: R}, Wedge, SearcherConfig{}, db, 4, nil)
+		}()
+		var got ScanResult
+		for scanning := true; scanning; {
+			select {
+			case got = <-done:
+				scanning = false
+			default:
+			}
+			envs := rs.Tree().FrontierEnvelopes(K, R)
+			for i := range want {
+				if !ts.Equal(envs[i].U, want[i].U, 0) || !ts.Equal(envs[i].L, want[i].L, 0) {
+					t.Fatalf("%+v: frontier envelope %d changed while scanning", opts, i)
+				}
+			}
+		}
+		serial := NewSearcher(rs, wedge.DTW{R: R}, Wedge, SearcherConfig{}).Scan(db, nil)
+		if got.Index != serial.Index {
+			t.Fatalf("%+v: parallel scan answers %d, serial %d", opts, got.Index, serial.Index)
+		}
+	}
+}

@@ -27,7 +27,21 @@ func DTWEA(q, c []float64, R int, r float64, cnt *stats.Tally) (float64, bool) {
 	return dtwBanded(q, c, R, r, cnt)
 }
 
-// dtwBanded is the shared rolling-row DP behind DTW and DTWEA.
+// dtwBanded is the shared rolling-row DP behind DTW and DTWEA, at band cost:
+// O(n·R) cells, O(R) scratch.
+//
+// The rows are band-local: each holds the 2R+1 band cells of one DP row plus
+// a sentinel on the right, column j of row i at slot j-(i-R). Moving down a
+// row shifts the band one column right, so cell (i,j) at slot s finds its
+// predecessors (i-1,j-1) at slot s and (i-1,j) at slot s+1 of the previous
+// row; (i,j-1) is the cell just computed and stays in a register, +Inf at
+// the start of a row. Both rows start +Inf. A row only ever writes cells
+// inside the matrix, and a slot left of the matrix in row i was left of it
+// in rows i-1 and i-2 as well, so the sentinel and every out-of-matrix slot
+// a cell can read stay +Inf with no per-row clearing. A virtual 0 at cell
+// (-1,-1) (slot R of the row above row 0, overwritten by row 1) seeds the
+// recurrence, so (0,0), the first row and the first column need no special
+// case.
 //
 //lbkeogh:hotpath
 func dtwBanded(q, c []float64, R int, r float64, cnt *stats.Tally) (float64, bool) {
@@ -44,18 +58,26 @@ func dtwBanded(q, c []float64, R int, r float64, cnt *stats.Tally) (float64, boo
 		r2 = r * r
 	}
 
-	// Two rolling rows over the banded DP matrix, borrowed from the shared
-	// pool so the kernel allocates nothing per call. Cells outside the band
-	// are +Inf. Row i covers columns [i-R, i+R] ∩ [0, n-1].
-	rows := borrowDTWRows(n)
-	defer rows.release()
-	prev, curr := rows.prev, rows.curr
-	for j := range prev {
-		prev[j] = math.Inf(1)
+	w := 2*R + 2
+	var stack [stackRowSlots]float64
+	buf := stack[:]
+	var pooled *dtwRows
+	if 2*w > len(buf) {
+		pooled = borrowDTWRows(2 * w)
+		buf = pooled.buf
 	}
+	// Both rows live in one slice and swap by offset, which costs the
+	// compiler fewer bounds checks per row than swapping two slices.
+	rows := buf[:2*w]
+	for s := range rows {
+		rows[s] = math.Inf(1)
+	}
+	rows[R] = 0
+	prev, curr := 0, w // row offsets in rows
 
 	var steps int64
-	for i := 0; i < n; i++ {
+	var total float64
+	for i, qi := range q {
 		lo := i - R
 		if lo < 0 {
 			lo = 0
@@ -64,44 +86,43 @@ func dtwBanded(q, c []float64, R int, r float64, cnt *stats.Tally) (float64, boo
 		if hi > n-1 {
 			hi = n - 1
 		}
+		// Cell k of this row's in-matrix band is column lo+k at slot s0+k.
+		band := c[lo : hi+1]
+		s0 := lo - (i - R)
+		us, cs := prev+s0+1, curr+s0
+		up := rows[us : us+len(band)]
+		out := rows[cs : cs+len(band)]
+		diag, left := rows[us-1], math.Inf(1)
 		rowMin := math.Inf(1)
-		for j := range curr {
-			curr[j] = math.Inf(1)
-		}
-		for j := lo; j <= hi; j++ {
-			d := q[i] - c[j]
+		for k, cj := range band {
+			d := qi - cj
 			cost := d * d
-			steps++
-			var best float64
-			switch {
-			case i == 0 && j == 0:
-				best = 0
-			case i == 0:
-				best = curr[j-1]
-			case j == 0:
-				best = prev[j]
-			default:
-				best = prev[j]
-				if prev[j-1] < best {
-					best = prev[j-1]
-				}
-				if curr[j-1] < best {
-					best = curr[j-1]
-				}
+			best := up[k]
+			if diag < best {
+				best = diag
 			}
-			curr[j] = cost + best
-			if curr[j] < rowMin {
-				rowMin = curr[j]
+			if left < best {
+				best = left
+			}
+			diag = up[k]
+			left = cost + best
+			out[k] = left
+			if left < rowMin {
+				rowMin = left
 			}
 		}
+		steps += int64(len(band))
+		total = left // the last row ends at cell (n-1, n-1)
 		if rowMin > r2 {
-			cnt.Add(steps)
-			return Inf, true
+			total = math.Inf(1) // abandon: no path can finish below r
+			break
 		}
 		prev, curr = curr, prev
 	}
+	if pooled != nil {
+		pooled.release()
+	}
 	cnt.Add(steps)
-	total := prev[n-1]
 	if total > r2 {
 		return Inf, true
 	}

@@ -23,7 +23,8 @@ func bytesToSeries(data []byte) (q, c []float64) {
 
 // FuzzDTW checks metric-flavoured invariants of the banded DTW kernel on
 // arbitrary inputs: non-negative, zero on identity, symmetric, bounded above
-// by the Euclidean distance, finite.
+// by the Euclidean distance, finite — and bit-identity with the reference
+// kernels of reference_test.go.
 func FuzzDTW(f *testing.F) {
 	f.Add([]byte("hello world hello world!"), uint8(2))
 	f.Add(make([]byte, 40), uint8(0))
@@ -33,6 +34,7 @@ func FuzzDTW(f *testing.F) {
 			return
 		}
 		R := int(rSeed) % len(q)
+		checkDTWAgainstOracles(t, q, c, R)
 		d := DTW(q, c, R, nil)
 		if d < 0 || math.IsNaN(d) || math.IsInf(d, 0) {
 			t.Fatalf("DTW = %v", d)
@@ -50,7 +52,8 @@ func FuzzDTW(f *testing.F) {
 }
 
 // FuzzLCSS checks the LCSS similarity stays within [0, n], is symmetric and
-// maximal on identity.
+// maximal on identity, and agrees with the reference kernels of
+// reference_test.go in similarity and step count.
 func FuzzLCSS(f *testing.F) {
 	f.Add([]byte("abcdefghijklmnopqrstuvwx"), uint8(3), uint8(32))
 	f.Fuzz(func(t *testing.T, data []byte, dSeed, eSeed uint8) {
@@ -60,6 +63,7 @@ func FuzzLCSS(f *testing.F) {
 		}
 		delta := int(dSeed) % len(q)
 		eps := float64(eSeed) / 64
+		checkLCSSAgainstOracles(t, q, c, delta, eps)
 		sim := LCSS(q, c, delta, eps, nil)
 		if sim < 0 || sim > len(q) {
 			t.Fatalf("LCSS = %d outside [0,%d]", sim, len(q))

@@ -13,6 +13,15 @@ import (
 // delta < 0 means an unconstrained matching window. The result is an integer
 // in [0, n] returned as int; use LCSSDist for the normalized distance form.
 //
+// The DP runs at band cost, O(n·delta) cells and O(delta) scratch, over the
+// same band-local rolling rows as dtwBanded (column j of row i at slot
+// j-(i-delta), rows and columns 1-based with an all-zero row and column 0).
+// Outside the band a row is flat: left of it the value the previous row
+// had there, right of it the band's last cell. The first is exactly the
+// first cell's diagonal predecessor, so it is carried in a scalar; the
+// second is stored once per row in the slot right of the band, where the
+// next row's last cell reads it.
+//
 //lbkeogh:hotpath
 func LCSS(q, c []float64, delta int, eps float64, cnt *stats.Tally) int {
 	checkSameLength(q, c)
@@ -23,57 +32,61 @@ func LCSS(q, c []float64, delta int, eps float64, cnt *stats.Tally) int {
 	if delta < 0 || delta > n-1 {
 		delta = n - 1
 	}
-	// Rolling rows from the shared pool: prev must start all-zero (row 0 of
-	// the DP), curr is rewritten for every row.
-	rows := borrowLCSSRows(n + 1)
-	defer rows.release()
-	prev, curr := rows.prev, rows.curr
-	for j := range prev {
-		prev[j] = 0
+	w := 2*delta + 2
+	var stack [stackRowSlots]int
+	buf := stack[:]
+	var pooled *lcssRows
+	if 2*w > len(buf) {
+		pooled = borrowLCSSRows(2 * w)
+		buf = pooled.buf
+		for s := range buf {
+			buf[s] = 0
+		}
 	}
+	rows := buf[:2*w]
+	prev, curr := 0, w // row offsets in rows, swapped per row
 	var steps int64
-	for i := 1; i <= n; i++ {
+	sim := 0
+	for i, qi := range q {
+		// Row i+1 of the DP; its band is columns lo+1..hi+1.
 		lo := i - delta
-		if lo < 1 {
-			lo = 1
+		if lo < 0 {
+			lo = 0
 		}
 		hi := i + delta
-		if hi > n {
-			hi = n
+		if hi > n-1 {
+			hi = n - 1
 		}
-		for j := range curr {
-			curr[j] = 0
-		}
-		// Carry the best-so-far from the left edge of the band so the
-		// recurrence max(curr[j-1], ...) still sees matches made at smaller j
-		// in earlier rows.
-		if lo > 1 {
-			curr[lo-1] = prev[lo-1]
-		}
-		for j := lo; j <= hi; j++ {
-			steps++
-			d := q[i-1] - c[j-1]
+		band := c[lo : hi+1]
+		s0 := lo - (i - delta)
+		us, cs := prev+s0+1, curr+s0
+		up := rows[us : us+len(band)]
+		out := rows[cs : cs+len(band)]
+		diag := rows[us-1]
+		left := diag
+		for k, cj := range band {
+			d := qi - cj
 			if d < 0 {
 				d = -d
 			}
 			if d <= eps {
-				curr[j] = prev[j-1] + 1
-			} else {
-				curr[j] = prev[j]
-				if curr[j-1] > curr[j] {
-					curr[j] = curr[j-1]
-				}
+				left = diag + 1
+			} else if up[k] > left {
+				left = up[k]
 			}
+			diag = up[k]
+			out[k] = left
 		}
-		// Propagate to the right of the band so prev[j] lookups next row see
-		// the running maximum.
-		for j := hi + 1; j <= n; j++ {
-			curr[j] = curr[hi]
-		}
+		rows[cs+len(band)] = left
+		steps += int64(len(band))
+		sim = left // the last row ends at cell (n, n)
 		prev, curr = curr, prev
 	}
+	if pooled != nil {
+		pooled.release()
+	}
 	cnt.Add(steps)
-	return prev[n]
+	return sim
 }
 
 // LCSSDist converts LCSS similarity to a distance in [0, 1]:

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"lbkeogh/internal/stats"
 	"lbkeogh/internal/ts"
 )
 
@@ -78,6 +79,127 @@ func naiveLCSS(q, c []float64, delta int, eps float64) int {
 		}
 	}
 	return dp[n][n]
+}
+
+// refDTWBanded is the full-width rolling-row kernel that dtwBanded replaced,
+// kept verbatim (minus the row pool) as the oracle for distance, abandon
+// flag and step count: every row refilled to +Inf, explicit first-row and
+// first-column cases.
+func refDTWBanded(q, c []float64, R int, r float64) (dist float64, abandoned bool, steps int64) {
+	n := len(q)
+	if n == 0 {
+		return 0, false, 0
+	}
+	if R < 0 || R > n-1 {
+		R = n - 1
+	}
+	r2 := math.Inf(1)
+	if r >= 0 {
+		r2 = r * r
+	}
+	prev, curr := make([]float64, n), make([]float64, n)
+	for j := range prev {
+		prev[j] = math.Inf(1)
+	}
+	for i := 0; i < n; i++ {
+		lo := i - R
+		if lo < 0 {
+			lo = 0
+		}
+		hi := i + R
+		if hi > n-1 {
+			hi = n - 1
+		}
+		rowMin := math.Inf(1)
+		for j := range curr {
+			curr[j] = math.Inf(1)
+		}
+		for j := lo; j <= hi; j++ {
+			d := q[i] - c[j]
+			cost := d * d
+			steps++
+			var best float64
+			switch {
+			case i == 0 && j == 0:
+				best = 0
+			case i == 0:
+				best = curr[j-1]
+			case j == 0:
+				best = prev[j]
+			default:
+				best = prev[j]
+				if prev[j-1] < best {
+					best = prev[j-1]
+				}
+				if curr[j-1] < best {
+					best = curr[j-1]
+				}
+			}
+			curr[j] = cost + best
+			if curr[j] < rowMin {
+				rowMin = curr[j]
+			}
+		}
+		if rowMin > r2 {
+			return Inf, true, steps
+		}
+		prev, curr = curr, prev
+	}
+	total := prev[n-1]
+	if total > r2 {
+		return Inf, true, steps
+	}
+	return math.Sqrt(total), false, steps
+}
+
+// refLCSS is the full-width rolling-row kernel that LCSS replaced, kept
+// verbatim (minus the row pool): every row zeroed, the left-edge carry
+// copied in, the band's last cell propagated to the row's end.
+func refLCSS(q, c []float64, delta int, eps float64) (sim int, steps int64) {
+	n := len(q)
+	if n == 0 {
+		return 0, 0
+	}
+	if delta < 0 || delta > n-1 {
+		delta = n - 1
+	}
+	prev, curr := make([]int, n+1), make([]int, n+1)
+	for i := 1; i <= n; i++ {
+		lo := i - delta
+		if lo < 1 {
+			lo = 1
+		}
+		hi := i + delta
+		if hi > n {
+			hi = n
+		}
+		for j := range curr {
+			curr[j] = 0
+		}
+		if lo > 1 {
+			curr[lo-1] = prev[lo-1]
+		}
+		for j := lo; j <= hi; j++ {
+			steps++
+			d := q[i-1] - c[j-1]
+			if d < 0 {
+				d = -d
+			}
+			if d <= eps {
+				curr[j] = prev[j-1] + 1
+			} else {
+				curr[j] = prev[j]
+				if curr[j-1] > curr[j] {
+					curr[j] = curr[j-1]
+				}
+			}
+		}
+		for j := hi + 1; j <= n; j++ {
+			curr[j] = curr[hi]
+		}
+		prev, curr = curr, prev
+	}
+	return prev[n], steps
 }
 
 func abs(x int) int {
@@ -189,5 +311,94 @@ func TestNoNaNLeaks(t *testing.T) {
 				t.Fatalf("non-finite distance %v", v)
 			}
 		}
+	}
+}
+
+// sameBits reports bit-identity, which is what the band-local kernels owe
+// the ones they replaced: same arithmetic in the same order.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// checkDTWAgainstOracles pins dtwBanded to refDTWBanded for distance,
+// abandon flag and step count at every threshold around the true distance,
+// and to the full-matrix DP of DTWPath for the distance.
+func checkDTWAgainstOracles(t *testing.T, q, c []float64, R int) {
+	t.Helper()
+	full, _ := DTWPath(q, c, R)
+	if got := DTW(q, c, R, nil); !sameBits(got, full) {
+		t.Fatalf("n=%d R=%d: DTW %v != full-matrix %v", len(q), R, got, full)
+	}
+	for _, r := range []float64{-1, 0, math.Nextafter(full, 0), math.Nextafter(full, math.Inf(1)), math.Inf(1)} {
+		var cnt stats.Tally
+		got, gotAb := dtwBanded(q, c, R, r, &cnt)
+		want, wantAb, wantSteps := refDTWBanded(q, c, R, r)
+		if !sameBits(got, want) || gotAb != wantAb || cnt.Steps() != wantSteps {
+			t.Fatalf("n=%d R=%d r=%v: got (%v, %v, %d steps), reference (%v, %v, %d steps)",
+				len(q), R, r, got, gotAb, cnt.Steps(), want, wantAb, wantSteps)
+		}
+		if (r < 0 || math.IsInf(r, 1)) && gotAb {
+			t.Fatalf("n=%d R=%d r=%v: abandoned with abandoning disabled", len(q), R, r)
+		}
+	}
+}
+
+// checkLCSSAgainstOracles pins LCSS to refLCSS for similarity and step count
+// and to the full-matrix naiveLCSS for the similarity.
+func checkLCSSAgainstOracles(t *testing.T, q, c []float64, delta int, eps float64) {
+	t.Helper()
+	var cnt stats.Tally
+	got := LCSS(q, c, delta, eps, &cnt)
+	want, wantSteps := refLCSS(q, c, delta, eps)
+	if got != want || cnt.Steps() != wantSteps {
+		t.Fatalf("n=%d delta=%d eps=%v: got %d in %d steps, reference %d in %d steps",
+			len(q), delta, eps, got, cnt.Steps(), want, wantSteps)
+	}
+	if full := naiveLCSS(q, c, delta, eps); got != full {
+		t.Fatalf("n=%d delta=%d eps=%v: LCSS %d != full-matrix %d", len(q), delta, eps, got, full)
+	}
+}
+
+// TestBandedKernelsMatchReference is the differential table for the
+// band-local kernels: short and odd lengths, every band regime (none, narrow,
+// one short of full, full, clamped from above and below — the wide ones take
+// the pooled-rows path from n=64 up), and constant series, where every cell
+// of a row ties.
+func TestBandedKernelsMatchReference(t *testing.T) {
+	rng := ts.NewRand(106)
+	constant := func(n int, v float64) []float64 {
+		s := make([]float64, n)
+		for i := range s {
+			s[i] = v
+		}
+		return s
+	}
+	for _, n := range []int{1, 2, 3, 7, 64, 251, 256} {
+		pairs := [][2][]float64{
+			{ts.RandomWalk(rng, n), ts.RandomWalk(rng, n)},
+			{ts.RandomSeries(rng, n), ts.RandomSeries(rng, n)},
+			{constant(n, 1.5), constant(n, 1.5)},
+			{constant(n, -2), ts.RandomSeries(rng, n)},
+		}
+		for _, R := range []int{0, 1, 5, n - 2, n - 1, n + 3, -1} {
+			for _, p := range pairs {
+				checkDTWAgainstOracles(t, p[0], p[1], R)
+				for _, eps := range []float64{0, 0.25, 1} {
+					checkLCSSAgainstOracles(t, p[0], p[1], R, eps)
+				}
+			}
+		}
+	}
+}
+
+// The kernels run thousands of times per rotation-invariant comparison; at
+// the paper's band they must not touch the heap.
+func TestBandedKernelsDoNotAllocate(t *testing.T) {
+	rng := ts.NewRand(107)
+	q, c := ts.RandomWalk(rng, 256), ts.RandomWalk(rng, 256)
+	var cnt stats.Tally
+	if a := testing.AllocsPerRun(100, func() { dtwBanded(q, c, 5, 3, &cnt) }); a > 0 {
+		t.Errorf("dtwBanded(n=256, R=5) allocates %v times per call", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { LCSS(q, c, 5, 0.5, &cnt) }); a > 0 {
+		t.Errorf("LCSS(n=256, delta=5) allocates %v times per call", a)
 	}
 }

@@ -2,51 +2,48 @@ package dist
 
 import "sync"
 
-// Pooled DP-row scratch for the DTW and LCSS kernels. The two rolling rows
-// were the kernels' only per-call heap allocations; at thousands of kernel
-// invocations per rotation-invariant comparison, pooling them keeps the
-// //lbkeogh:hotpath bodies allocation-free on the steady state. Each borrow
-// reslices to the requested length and grows (amortized) only when a longer
-// series arrives.
+// DP-row scratch for the DTW and LCSS kernels. Both kernels keep their two
+// band-local rolling rows (2R+2 slots each) in a stack array of stackRowSlots
+// slots, enough for R <= 31; only a wider band borrows from the pools below,
+// so the //lbkeogh:hotpath bodies stay allocation-free at any radius. Each
+// borrow reslices to the requested length and grows (amortized) only when a
+// wider band arrives.
+
+const stackRowSlots = 128
 
 type dtwRows struct {
-	prev, curr []float64
+	buf []float64
 }
 
 var dtwRowsPool = sync.Pool{New: func() any { return new(dtwRows) }}
 
-// borrowDTWRows returns two float64 rows of length n. Contents are
-// unspecified; dtwBanded fully initializes both before reading.
+// borrowDTWRows returns a float64 buffer of length n (both rows). Contents
+// are unspecified; dtwBanded initializes the buffer before reading.
 func borrowDTWRows(n int) *dtwRows {
 	r := dtwRowsPool.Get().(*dtwRows)
-	if cap(r.prev) < n {
-		r.prev = make([]float64, n)
-		r.curr = make([]float64, n)
+	if cap(r.buf) < n {
+		r.buf = make([]float64, n)
 	}
-	r.prev = r.prev[:n]
-	r.curr = r.curr[:n]
+	r.buf = r.buf[:n]
 	return r
 }
 
 func (r *dtwRows) release() { dtwRowsPool.Put(r) }
 
 type lcssRows struct {
-	prev, curr []int
+	buf []int
 }
 
 var lcssRowsPool = sync.Pool{New: func() any { return new(lcssRows) }}
 
-// borrowLCSSRows returns two int rows of length n. Contents are
-// unspecified; LCSS zeroes prev before the first row and rewrites curr
-// per row.
+// borrowLCSSRows returns an int buffer of length n (both rows). Contents
+// are unspecified; LCSS zeroes the buffer before reading.
 func borrowLCSSRows(n int) *lcssRows {
 	r := lcssRowsPool.Get().(*lcssRows)
-	if cap(r.prev) < n {
-		r.prev = make([]int, n)
-		r.curr = make([]int, n)
+	if cap(r.buf) < n {
+		r.buf = make([]int, n)
 	}
-	r.prev = r.prev[:n]
-	r.curr = r.curr[:n]
+	r.buf = r.buf[:n]
 	return r
 }
 

@@ -113,7 +113,9 @@ func (e Envelope) Contains(s []float64, tol float64) bool {
 // clamped at the series boundaries. R <= 0 returns a copy of e.
 //
 // The expansion runs in O(n) using a monotonic-deque sliding-window
-// max/min rather than the naive O(nR) scan; the result is identical.
+// max/min rather than the naive O(nR) scan; the result is identical. U and
+// L share one result buffer, and the deque is a ring on the stack for
+// R <= 31 (it never holds more than the 2R+1 samples of one window).
 //
 //lbkeogh:hotpath
 func (e Envelope) ExpandDTW(R int) Envelope {
@@ -124,48 +126,67 @@ func (e Envelope) ExpandDTW(R int) Envelope {
 	if R > n-1 {
 		R = n - 1
 	}
-	return Envelope{
-		U: slidingMax(e.U, R, true),
-		L: slidingMax(e.L, R, false),
+	var stack [64]windowEntry
+	ring := stack[:]
+	if size := len(ring); size < 2*R+2 {
+		for size < 2*R+2 {
+			size *= 2
+		}
+		ring = make([]windowEntry, size) //lint:ignore hotalloc scratch ring for a band too wide for the stack, one per expansion
 	}
+	buf := make([]float64, 2*n) //lint:ignore hotalloc result buffer, one per expansion
+	half := len(buf) / 2        // n, written so the split below needs no bounds check
+	x := Envelope{U: buf[:half:half], L: buf[half:]}
+	slidingMax(x.U, e.U, R, true, ring)
+	slidingMax(x.L, e.L, R, false, ring)
+	return x
+}
+
+// windowEntry is one live sample of slidingMax's deque.
+type windowEntry struct {
+	i int
+	v float64
 }
 
 // slidingMax computes out[i] = max (or min) of s[max(0,i-R) .. min(n-1,i+R)]
-// with a monotonic index deque. The max/min selection is branched inline
-// rather than through a closure so the inner loop stays call-free.
+// with a monotonic deque kept in ring, whose length is a power of two above
+// 2R+1. The max/min selection is branched inline rather than through a
+// closure so the inner loop stays call-free.
 //
 //lbkeogh:hotpath
-func slidingMax(s []float64, R int, wantMax bool) []float64 {
+func slidingMax(out, s []float64, R int, wantMax bool, ring []windowEntry) {
 	n := len(s)
-	out := make([]float64, n) //lint:ignore hotalloc result buffer, one per expansion
-	if n == 0 {
-		return out
+	mask := len(ring) - 1
+	if mask < 0 || len(out) != n {
+		panic(fmt.Sprintf("envelope: slidingMax out %d vs s %d, ring %d", len(out), n, len(ring)))
 	}
-	deque := make([]int, 0, n) //lint:ignore hotalloc scratch deque, one per expansion
+	// Live entries are ring[head&mask] .. ring[(tail-1)&mask], front first.
+	head, tail := 0, 0
 	// Window for position i is [i-R, i+R]; advance right edge j.
 	j := 0
-	for i := 0; i < n; i++ {
+	for i := range out {
 		hi := i + R
 		if hi > n-1 {
 			hi = n - 1
 		}
 		for ; j <= hi; j++ {
-			for len(deque) > 0 {
-				last := s[deque[len(deque)-1]]
-				if wantMax && s[j] < last || !wantMax && s[j] > last {
+			v := s[j]
+			for tail > head {
+				last := ring[(tail-1)&mask].v
+				if wantMax && v < last || !wantMax && v > last {
 					break
 				}
-				deque = deque[:len(deque)-1]
+				tail--
 			}
-			deque = append(deque, j) //lint:ignore hotalloc deque capacity n is preallocated; never grows
+			ring[tail&mask] = windowEntry{i: j, v: v}
+			tail++
 		}
-		lo := i - R
-		for len(deque) > 0 && deque[0] < lo {
-			deque = deque[1:]
+		// Sample hi >= i is live, so the front never runs off the deque.
+		for ring[head&mask].i < i-R {
+			head++
 		}
-		out[i] = s[deque[0]]
+		out[i] = ring[head&mask].v
 	}
-	return out
 }
 
 // LBKeogh is EA_LB_Keogh from Table 5 of the paper: the early-abandoning

@@ -175,30 +175,40 @@ func TestExpandDTWWidens(t *testing.T) {
 	}
 }
 
-// The deque-based expansion must match a naive O(nR) reference.
+// The deque-based expansion must match a naive O(nR) reference exactly, at
+// narrow bands (deque ring on the stack) and wide ones (ring on the heap),
+// and on monotone and constant series, where the deque fills a whole window
+// or collapses to one entry.
 func TestExpandDTWMatchesNaive(t *testing.T) {
 	rng := ts.NewRand(10)
 	for trial := 0; trial < 20; trial++ {
 		n := 30 + trial
-		s := ts.RandomSeries(rng, n)
-		e := New(s)
-		R := trial % 7
-		got := e.ExpandDTW(R)
-		for i := 0; i < n; i++ {
-			lo, hi := i-R, i+R
-			if lo < 0 {
-				lo = 0
-			}
-			if hi > n-1 {
-				hi = n - 1
-			}
-			u, l := math.Inf(-1), math.Inf(1)
-			for j := lo; j <= hi; j++ {
-				u = math.Max(u, s[j])
-				l = math.Min(l, s[j])
-			}
-			if math.Abs(got.U[i]-u) > 1e-12 || math.Abs(got.L[i]-l) > 1e-12 {
-				t.Fatalf("trial %d i=%d: deque (%v,%v) naive (%v,%v)", trial, i, got.U[i], got.L[i], u, l)
+		random := ts.RandomSeries(rng, n)
+		rising, falling, flat := make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := range rising {
+			rising[i], falling[i], flat[i] = float64(i), float64(-i), 2.5
+		}
+		for _, s := range [][]float64{random, rising, falling, flat} {
+			e := New(s)
+			for _, R := range []int{trial % 7, n / 2, n - 1, n + 5} {
+				got := e.ExpandDTW(R)
+				for i := 0; i < n; i++ {
+					lo, hi := i-R, i+R
+					if lo < 0 {
+						lo = 0
+					}
+					if hi > n-1 {
+						hi = n - 1
+					}
+					u, l := math.Inf(-1), math.Inf(1)
+					for j := lo; j <= hi; j++ {
+						u = math.Max(u, s[j])
+						l = math.Min(l, s[j])
+					}
+					if math.Float64bits(got.U[i]) != math.Float64bits(u) || math.Float64bits(got.L[i]) != math.Float64bits(l) {
+						t.Fatalf("trial %d R=%d i=%d: deque (%v,%v) naive (%v,%v)", trial, R, i, got.U[i], got.L[i], u, l)
+					}
+				}
 			}
 		}
 	}

@@ -73,7 +73,7 @@
 // (dist.Euclidean, dist.EuclideanEA, dtwBanded, dist.LCSS), the envelope
 // lower bounds (envelope.LBKeogh, envelope.LCSSUpperBound), the envelope
 // builders (envelope.New, Merge, ExpandDTW, slidingMax) and the H-Merge
-// traversal (wedge.(*Tree).SearchObs). The annotation is a standalone
+// traversal (wedge.(*Tree).SearchTraced). The annotation is a standalone
 // directive line in the function's doc comment:
 //
 //	// dtwBanded computes ...
@@ -81,10 +81,12 @@
 //	//lbkeogh:hotpath
 //	func dtwBanded(...)
 //
-// hotalloc then keeps those bodies allocation-free. Where an allocation is
-// intentional — a result buffer handed to the caller, per-search scratch
-// amortized over a whole traversal — the site carries a suppression
-// directive with a reason (see below), which doubles as documentation.
+// hotalloc then keeps those bodies allocation-free: the banded kernels keep
+// their rolling rows, and ExpandDTW its deque, in fixed stack arrays. Where
+// an allocation is intentional — a result buffer handed to the caller,
+// per-search scratch amortized over a whole traversal, the deque of a band
+// too wide for the stack — the site carries a suppression directive with a
+// reason (see below), which doubles as documentation.
 //
 // # The //lbkeogh:rootspace convention
 //
@@ -114,7 +116,7 @@
 // Following the staticcheck convention, a finding is suppressed in place
 // with a directive naming the analyzers and a mandatory reason:
 //
-//	out := make([]float64, n) //lint:ignore hotalloc result buffer, one per build
+//	buf := make([]float64, 2*n) //lint:ignore hotalloc result buffer, one per expansion
 //
 // A standalone //lint:ignore line suppresses the line below it; the
 // file-wide form is //lint:file-ignore. The analyzer list is

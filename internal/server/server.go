@@ -280,6 +280,8 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 func (s *Server) Stats() lbkeogh.SearchStats {
 	s.mu.Lock()
 	out := s.agg
+	// record grows and updates this slice in place under the lock
+	out.WedgePrunesByLevel = append([]int64(nil), out.WedgePrunesByLevel...)
 	s.mu.Unlock()
 	if out.Rotations > 0 {
 		out.PruneRate = 1 - float64(out.FullDistEvals)/float64(out.Rotations)

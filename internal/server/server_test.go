@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"lbkeogh"
+	"lbkeogh/internal/obs"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -145,11 +147,23 @@ func TestServerBadRequests(t *testing.T) {
 	}
 }
 
-// TestServerDeadline exercises the 504 path: a deliberately hopeless
-// deadline on a brute-force DTW scan. The cancelled search's undisposed
-// rotations must land in the server aggregate's CancelledMembers bucket.
+// pastDeadline is a BeforeSearchHook for the 504 tests: it holds the admitted
+// request long past any deadline the test sets (1-2 ms), so the search is
+// always cancelled before its first comparison, however fast the kernels are.
+func pastDeadline() { time.Sleep(50 * time.Millisecond) }
+
+// TestServerDeadline exercises the 504 path: the request's 1 ms deadline
+// expires while the hook holds it, before the search runs. Such a request
+// contributes nothing to the aggregate — no comparison, no rotation, no
+// cancelled member (see SearchStats.Reconciles; a search cancelled mid-scan,
+// whose undisposed rotations fill CancelledMembers, is
+// TestServerCancelledMidScan) — and the session it checked out goes back to
+// the pool usable.
 func TestServerDeadline(t *testing.T) {
-	srv, ts := newTestServer(t, Config{DB: lbkeogh.SyntheticProjectilePoints(11, 150, 64)})
+	srv, ts := newTestServer(t, Config{
+		DB:               lbkeogh.SyntheticProjectilePoints(11, 150, 64),
+		BeforeSearchHook: pastDeadline,
+	})
 	code, _, raw := post(t, ts, "/v1/search", `{"query_index":0,"measure":"dtw","strategy":"brute","timeout_ms":1}`)
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504 (%s)", code, raw)
@@ -158,75 +172,119 @@ func TestServerDeadline(t *testing.T) {
 		t.Fatalf("error body should mention the deadline: %s", raw)
 	}
 	agg := srv.Stats()
-	if agg.CancelledMembers == 0 || !agg.Reconciles() {
-		t.Fatalf("aggregate after timeout: %+v", agg)
+	if agg.Comparisons != 0 || agg.Rotations != 0 || agg.CancelledMembers != 0 || !agg.Reconciles() {
+		t.Fatalf("a search cancelled before its first comparison must contribute nothing: %+v", agg)
 	}
-	if srv.timeouts.Load() == 0 {
-		t.Fatal("timeout counter not bumped")
+	if srv.timeouts.Load() != 1 {
+		t.Fatalf("timeout counter = %d, want 1", srv.timeouts.Load())
 	}
 	// The pooled session survived the cancellation: the same spec without a
-	// deadline must succeed (and reuse the session).
+	// deadline (10 s by default, so the hook's hold is harmless) must succeed
+	// and reuse the session.
 	code, sr, raw := post(t, ts, "/v1/search", `{"query_index":0,"measure":"dtw","strategy":"brute"}`)
 	if code != http.StatusOK || !sr.PoolHit || sr.Results[0].Index != 0 {
 		t.Fatalf("post-timeout reuse: status %d pool_hit %v %+v (%s)", code, sr.PoolHit, sr.Results, raw)
 	}
+	if agg := srv.Stats(); agg.Comparisons == 0 || !agg.Reconciles() {
+		t.Fatalf("aggregate after the served search: %+v", agg)
+	}
+}
+
+// TestServerCancelledMidScan cancels a request at a known point inside its
+// scan — the pooled session carries a tracer that cancels the request's own
+// context on the first abandoned rotation, so no clock is involved — and
+// checks the handler's books: 503, and the rotations the search never
+// disposed of merged into the server aggregate's CancelledMembers bucket.
+func TestServerCancelledMidScan(t *testing.T) {
+	srv, _ := newTestServer(t, Config{DB: lbkeogh.SyntheticProjectilePoints(11, 150, 64)})
+	const body = `{"query_index":0,"measure":"dtw","strategy":"early_abandon"}`
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	// Park a session for the request's spec whose query cancels ctx mid-scan.
+	_, spec, _, err := srv.parse(httptest.NewRequest(http.MethodPost, "/v1/search", strings.NewReader(body)), kindNearest, srv.cfg.DB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, _, err := srv.pool.Checkout(spec, func() (*lbkeogh.Query, error) {
+		return lbkeogh.NewQuery(spec.Series, lbkeogh.DTW(spec.R),
+			lbkeogh.WithStrategy(lbkeogh.EarlyAbandonSearch),
+			lbkeogh.WithTracer(obs.FuncTracer{Abandon: func(int) { cancel() }}))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.pool.Checkin(sess)
+
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/v1/search", strings.NewReader(body)).WithContext(ctx)
+	srv.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "cancelled") {
+		t.Fatalf("status %d, want 503 search cancelled (%s)", rec.Code, rec.Body)
+	}
+	agg := srv.Stats()
+	if agg.Comparisons == 0 || agg.CancelledMembers == 0 || !agg.Reconciles() {
+		t.Fatalf("aggregate after a mid-scan cancellation: %+v", agg)
+	}
+	if disposed := agg.Rotations - agg.CancelledMembers; disposed <= 0 {
+		t.Fatalf("cancelled before anything was disposed of — not mid-scan: %+v", agg)
+	}
+	if srv.timeouts.Load() != 1 {
+		t.Fatalf("timeout counter = %d, want 1", srv.timeouts.Load())
+	}
 }
 
 // TestServerConcurrentSaturation drives the admission controller from 12
-// parallel clients against a single in-flight slot with a one-deep queue:
-// some requests must succeed, the overflow must be shed with 429, and the
-// books must balance. Run under -race this doubles as the serving layer's
-// data-race check.
+// parallel clients against a single in-flight slot with a one-deep queue.
+// The first request admitted blocks in the hook until every request that
+// must be shed has been, so the overlap is guaranteed, not timed: exactly two
+// requests succeed (the holder and the one queued behind it), ten are shed
+// with 429, and the books balance. Run under -race this doubles as the
+// serving layer's data-race check.
 func TestServerConcurrentSaturation(t *testing.T) {
+	gate := make(chan struct{})
 	srv, ts := newTestServer(t, Config{
-		DB:          lbkeogh.SyntheticProjectilePoints(13, 120, 64),
-		MaxInflight: 1,
-		MaxQueue:    1,
+		DB:               lbkeogh.SyntheticProjectilePoints(13, 120, 64),
+		MaxInflight:      1,
+		MaxQueue:         1,
+		BeforeSearchHook: func() { <-gate },
 	})
+	var once sync.Once
+	open := func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(open) // a failed assertion must not leave requests parked
 	const clients = 12
-	codes := make([]int, clients)
-	var start, done sync.WaitGroup
-	start.Add(1)
-	done.Add(clients)
+	codes := make(chan int, clients)
 	for i := 0; i < clients; i++ {
-		go func(i int) {
-			defer done.Done()
-			start.Wait()
-			// brute DTW is slow enough (tens of ms) that simultaneous
-			// requests genuinely overlap even on one CPU.
+		go func() {
 			resp, err := http.Post(ts.URL+"/v1/search", "application/json",
 				strings.NewReader(`{"query_index":0,"measure":"dtw","strategy":"brute"}`))
 			if err != nil {
 				t.Error(err)
+				codes <- 0
 				return
 			}
 			io.Copy(io.Discard, resp.Body) //nolint:errcheck
 			resp.Body.Close()
-			codes[i] = resp.StatusCode
-		}(i)
+			codes <- resp.StatusCode
+		}()
 	}
-	start.Done()
-	done.Wait()
-	var ok200, rej429, other int
-	for _, c := range codes {
-		switch c {
-		case http.StatusOK:
-			ok200++
-		case http.StatusTooManyRequests:
-			rej429++
-		default:
-			other++
+	// One request holds the slot inside the hook and one waits in the queue;
+	// neither can answer before the gate opens, so the first ten answers are
+	// the sheds.
+	for i := 0; i < clients-2; i++ {
+		if c := <-codes; c != http.StatusTooManyRequests {
+			t.Fatalf("answer %d while the slot is held: status %d, want 429", i, c)
 		}
 	}
-	if other != 0 {
-		t.Fatalf("unexpected statuses: %v", codes)
-	}
-	if ok200 == 0 || rej429 == 0 {
-		t.Fatalf("want both successes and 429s under saturation, got %d ok / %d rejected", ok200, rej429)
+	open()
+	for i := 0; i < 2; i++ {
+		if c := <-codes; c != http.StatusOK {
+			t.Fatalf("admitted request: status %d, want 200", c)
+		}
 	}
 	ad := srv.adm.Stats()
-	if ad.Rejected != int64(rej429) {
-		t.Fatalf("admission counted %d rejections, clients saw %d", ad.Rejected, rej429)
+	if ad.Rejected != clients-2 {
+		t.Fatalf("admission counted %d rejections, clients saw %d", ad.Rejected, clients-2)
 	}
 	if ad.Inflight != 0 || ad.Waiting != 0 {
 		t.Fatalf("gauges not drained: %+v", ad)
@@ -312,9 +370,10 @@ func TestServerDefaultTimeoutApplies(t *testing.T) {
 	// A tiny server-wide default deadline must bound requests that ask for
 	// nothing — and clamp ones that ask for more than the maximum.
 	_, ts := newTestServer(t, Config{
-		DB:             lbkeogh.SyntheticProjectilePoints(17, 150, 64),
-		DefaultTimeout: time.Millisecond,
-		MaxTimeout:     2 * time.Millisecond,
+		DB:               lbkeogh.SyntheticProjectilePoints(17, 150, 64),
+		DefaultTimeout:   time.Millisecond,
+		MaxTimeout:       2 * time.Millisecond,
+		BeforeSearchHook: pastDeadline,
 	})
 	if code, _, raw := post(t, ts, "/v1/search", `{"query_index":0,"measure":"dtw","strategy":"brute"}`); code != http.StatusGatewayTimeout {
 		t.Fatalf("default deadline: status %d, want 504 (%s)", code, raw)

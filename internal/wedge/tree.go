@@ -109,7 +109,9 @@ func (t *Tree) Envelope(node int) envelope.Envelope { return t.env[node] }
 
 // envelopesFor returns the per-node envelopes widened by radius, building and
 // caching them on first use (the paper widens wedges by the Sakoe-Chiba R for
-// DTW, Figure 13).
+// DTW, Figure 13). Only the leaves are widened; an internal node is the Merge
+// of its widened children, which is bit-identical to widening its own
+// envelope because a sliding max distributes over max (and min over min).
 func (t *Tree) envelopesFor(radius int, cnt *stats.Tally) []envelope.Envelope {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -117,9 +119,13 @@ func (t *Tree) envelopesFor(radius int, cnt *stats.Tally) []envelope.Envelope {
 		return e
 	}
 	out := make([]envelope.Envelope, len(t.env))
-	for i, e := range t.env {
-		out[i] = e.ExpandDTW(radius)
-		cnt.Add(int64(e.Len()))
+	for id, node := range t.dend.Nodes {
+		if node.Left < 0 {
+			out[id] = t.env[id].ExpandDTW(radius)
+		} else {
+			out[id] = envelope.Merge(out[node.Left], out[node.Right])
+		}
+		cnt.Add(int64(t.Len()))
 	}
 	t.expanded[radius] = out
 	return out

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"lbkeogh/internal/dist"
+	"lbkeogh/internal/envelope"
 	"lbkeogh/internal/stats"
 	"lbkeogh/internal/ts"
 )
@@ -284,5 +285,99 @@ func TestDynamicKRearmsAfterChangeDuringProbe(t *testing.T) {
 	}
 	if !d.probing {
 		t.Fatal("controller should have re-armed a probe after mid-probe change")
+	}
+}
+
+// sameEnvelope reports whether two envelopes agree exactly, sample for sample.
+func sameEnvelope(a, b envelope.Envelope) bool {
+	return ts.Equal(a.U, b.U, 0) && ts.Equal(a.L, b.L, 0)
+}
+
+// The widened tree is built by widening the leaves and merging upward; every
+// node must come out exactly equal to widening that node's own envelope, the
+// set-up must cost what it always did (one step per sample per node, charged
+// to the first comparison only, and to nobody when the index's uncharged
+// FrontierEnvelopes call built the radius first), and FrontierEnvelopes must
+// hand the index the same envelopes whether or not a scan ran before it.
+func TestWidenedEnvelopesMatchExpandDTW(t *testing.T) {
+	const n = 24
+	rng := ts.NewRand(20)
+	base := ts.RandomWalk(rng, n)
+	rotations := func(s []float64, shifts ...int) [][]float64 {
+		var out [][]float64
+		for _, k := range shifts {
+			out = append(out, ts.Rotate(s, k))
+		}
+		return out
+	}
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	random := make([][]float64, 13)
+	for i := range random {
+		random[i] = ts.RandomWalk(rng, n)
+	}
+	cases := []struct {
+		name    string
+		members [][]float64
+	}{
+		{"m=1", [][]float64{base}},
+		{"m=2", random[:2]},
+		{"random", random},
+		{"rotations", rotations(base, all...)},
+		{"mirror", append(rotations(base, all...), rotations(ts.Mirror(base), all...)...)},
+		{"rotation-limited", rotations(base, 0, 1, 2, 3, n-3, n-2, n-1)},
+	}
+	q := ts.RandomWalk(rng, n)
+	for _, tc := range cases {
+		members := tc.members
+		m := len(members)
+		for _, R := range []int{0, 1, 5, n - 1} {
+			build := func() *Tree {
+				return Build(members, func(i, j int) float64 {
+					return dist.Euclidean(members[i], members[j], nil)
+				}, nil)
+			}
+			// steps the first and the second search of a tree are charged
+			charged := func(tree *Tree) (first, second int64) {
+				var a, b stats.Tally
+				tree.Search(q, DTW{R: R}, m, -1, LIFO, &a)
+				tree.Search(q, DTW{R: R}, m, -1, LIFO, &b)
+				return a.Steps(), b.Steps()
+			}
+			setup := int64(0)
+			if R > 0 { // radius 0 is the base tree, paid for by Build
+				setup = int64((2*m - 1) * n)
+			}
+
+			scanned := build()
+			first, second := charged(scanned)
+			if got := first - second; got != setup {
+				t.Errorf("%s R=%d: first search charged %d widening steps, want %d", tc.name, R, got, setup)
+			}
+			envs := scanned.envelopesFor(R, nil)
+			for id := range envs {
+				if want := scanned.Envelope(id).ExpandDTW(R); !sameEnvelope(envs[id], want) {
+					t.Fatalf("%s R=%d: node %d differs from its own envelope widened", tc.name, R, id)
+				}
+			}
+
+			fresh := build()
+			for K := 1; K <= m; K++ {
+				before, after := fresh.FrontierEnvelopes(K, R), scanned.FrontierEnvelopes(K, R)
+				if len(before) != len(after) {
+					t.Fatalf("%s R=%d K=%d: %d envelopes before a scan, %d after", tc.name, R, K, len(before), len(after))
+				}
+				for i := range before {
+					if !sameEnvelope(before[i], after[i]) {
+						t.Fatalf("%s R=%d K=%d: envelope %d depends on whether a scan ran first", tc.name, R, K, i)
+					}
+				}
+			}
+			if f, s := charged(fresh); f != s || s != second {
+				t.Errorf("%s R=%d: searches after FrontierEnvelopes charged %d then %d steps, want %d both times", tc.name, R, f, s, second)
+			}
+		}
 	}
 }

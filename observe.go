@@ -109,6 +109,13 @@ type HistogramBucket struct {
 
 // Reconciles reports whether the snapshot's outcome buckets account for
 // every rotation covered — true for any record maintained by this library.
+//
+// Rotations are counted per comparison started. A search cancelled mid-scan
+// adds the in-progress comparison's undisposed rotations to CancelledMembers
+// and nothing for the candidates it never reached. A search whose context is
+// already done before its first comparison (a deadline that expired while
+// the request waited) therefore contributes nothing at all — no comparison,
+// no rotation, no cancelled member — and the identity holds as 0 = 0.
 func (s SearchStats) Reconciles() bool {
 	return s.Rotations == s.FullDistEvals+s.EarlyAbandons+
 		s.WedgePrunedMembers+s.WedgeLeafLBPrunes+s.FFTRejectedMembers+
