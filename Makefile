@@ -1,7 +1,6 @@
 GO ?= go
-BENCH_DIR ?= bench
 
-.PHONY: all build vet lint bce-baseline test race race-concurrency bench bench-json bench-record bench-compare load-record smoke ingest-smoke govulncheck ci clean
+.PHONY: all build vet lint bce-baseline test race race-concurrency bench smoke ingest-smoke govulncheck ci clean
 
 all: build
 
@@ -30,45 +29,21 @@ race:
 	$(GO) test -race ./...
 
 # Focused race pass over the concurrency-heavy packages (server admission and
-# session pooling, open-loop load generation, streaming ingest, rolling
-# telemetry windows): -count=2 reruns shake out init-order-dependent
-# interleavings that a single -race pass can miss.
+# session pooling, streaming ingest, rolling telemetry windows): -count=2
+# reruns shake out init-order-dependent interleavings that a single -race pass
+# can miss.
 race-concurrency:
-	$(GO) test -race -count=2 ./internal/server/... ./internal/loadgen/... ./internal/stream/... ./internal/obs/...
+	$(GO) test -race -count=2 ./internal/server/... ./internal/stream/... ./internal/obs/...
 
-# Short benchmark pass: one iteration of every benchmark, no unit tests.
+# Short benchmark pass: one iteration of every benchmark, no unit tests. It
+# checks that they run; a performance number comes from the repo benchmark
+# (`bash benchmark/run.sh --workload <w>`, see benchmark/README.md).
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# Machine-readable per-strategy report (steps, prune rates, wall time) as
-# $(BENCH_DIR)/BENCH_<date>.json, plus a disk-resident segment-store block at
-# m=100k (ingest throughput, mmap size, index fetch fraction).
-# Fails (non-zero, no JSON written) if any strategy's step accounting or the
-# segment store's disk-read accounting does not reconcile; see cmd/benchrun.
-bench-json:
-	$(GO) run ./cmd/benchrun -fig none -maxm 500 -queries 3 -segment-m 100000 -bench-out $(BENCH_DIR)
-
-# Append a fresh point to the committed bench trajectory. Same run as
-# bench-json; the separate name marks the intent: record a point you mean to
-# commit, so bench-compare always has a previous point to diff against.
-bench-record: bench-json
-
-# Diff the two most recent $(BENCH_DIR)/BENCH_*.json reports (steps, wall
-# time, search p50/p99 per strategy). Fails when the trajectory has fewer
-# than 2 points or a strategy's search-stage p99 regressed >25%. Also prints
-# the LOAD_*.json capacity trajectory when shapeload has recorded one.
-bench-compare:
-	$(GO) run ./cmd/benchrun -compare $(BENCH_DIR)
-
-# Record a capacity point: boot a synthetic shapeserver, run the shapeload
-# saturation search against it, and write $(BENCH_DIR)/LOAD_<date>.json.
-# Knobs (addr, workload size, SLO) live in the script.
-load-record:
-	./scripts/load-record.sh $(BENCH_DIR)
-
-# Observability smoke test: start benchrun -serve, curl /metrics and
-# /debug/lbkeogh, assert both answer 200 with parseable content. Part 5 runs
-# the segment-store ingest smoke (ingest-smoke below).
+# Serving smoke test: boot shapeserver, drive search/top-K/deadline/drain and
+# an EXPLAIN search whose plan must reconcile with /metrics. Part 3 runs the
+# segment-store ingest smoke (ingest-smoke below).
 smoke:
 	./scripts/smoke.sh
 
@@ -89,5 +64,6 @@ govulncheck:
 
 ci: build vet lint race race-concurrency bench smoke govulncheck
 
+# Removes what the repo benchmark builds; nothing committed lives there.
 clean:
-	rm -rf $(BENCH_DIR)
+	rm -rf .bench_build

@@ -9,10 +9,6 @@
 //	benchrun -fig table8             # Table 8 (classification error)
 //	benchrun -fig exponent           # the O(n^1.06) empirical-complexity fit
 //	benchrun -fig all                # everything at the default scale
-//	benchrun -fig none -stats-json - # per-strategy pruning breakdowns as JSON
-//	benchrun -fig none -bench-out .  # machine-readable BENCH_<date>.json
-//	benchrun -compare .              # diff the two most recent BENCH files
-//	benchrun -fig 19 -serve :8080    # /metrics, /debug/lbkeogh and pprof live
 //
 // Each figure prints the same series the paper plots: the ratio of
 // num_steps per comparison against brute force (figures 19–23), the
@@ -35,47 +31,23 @@ import (
 
 func main() {
 	var (
-		fig     = flag.String("fig", "all", "which experiment: 19|20|21|22|23|24|table8|exponent|landmark|mixedbag|sampling|occlusion|chaincode|probes|all")
-		maxM    = flag.Int("maxm", 2000, "largest database size for the efficiency sweeps")
-		queries = flag.Int("queries", 5, "queries to average per point (paper: 50)")
-		nProj   = flag.Int("n", 251, "series length for projectile points (paper: 251)")
-		nHet    = flag.Int("nhet", 256, "series length for the heterogeneous dataset (paper: 1024)")
-		nLC     = flag.Int("nlc", 256, "series length for light curves")
-		scale   = flag.Float64("scale", 1.0, "table 8 per-class instance-count multiplier")
-		rBand   = flag.Int("r", 5, "Sakoe-Chiba radius for DTW figures")
-		seed    = flag.Int64("seed", 2006, "base RNG seed")
-		format  = flag.String("format", "table", "output format for figure series: table | csv")
-
-		serve     = flag.String("serve", "", "serve /metrics (Prometheus text), /debug/lbkeogh (live trace dashboard), /debug/vars and /debug/pprof/ on this address (e.g. :8080) and keep running after the experiments")
-		statsJSON = flag.String("stats-json", "", "write per-strategy pruning breakdowns as JSON to this file (\"-\" for stdout)")
-		segmentM  = flag.Int("segment-m", 0, "also benchmark a disk-resident segment store at this size (bulk ingest, mmap, index fetch fraction); 0 disables")
-		benchOut  = flag.String("bench-out", "", "write a machine-readable BENCH_<date>.json (steps, prune rates, stage latencies, wall time) into this directory")
-		compare   = flag.String("compare", "", "diff the two most recent BENCH_*.json files in this directory, then exit")
-		logLevel  = flag.String("log-level", "info", "stderr diagnostic log level: debug, info, warn, error")
+		fig      = flag.String("fig", "all", "which experiment: 19|20|21|22|23|24|table8|exponent|landmark|mixedbag|sampling|occlusion|chaincode|probes|all")
+		maxM     = flag.Int("maxm", 2000, "largest database size for the efficiency sweeps")
+		queries  = flag.Int("queries", 5, "queries to average per point (paper: 50)")
+		nProj    = flag.Int("n", 251, "series length for projectile points (paper: 251)")
+		nHet     = flag.Int("nhet", 256, "series length for the heterogeneous dataset (paper: 1024)")
+		nLC      = flag.Int("nlc", 256, "series length for light curves")
+		scale    = flag.Float64("scale", 1.0, "table 8 per-class instance-count multiplier")
+		rBand    = flag.Int("r", 5, "Sakoe-Chiba radius for DTW figures")
+		seed     = flag.Int64("seed", 2006, "base RNG seed")
+		format   = flag.String("format", "table", "output format for figure series: table | csv")
+		logLevel = flag.String("log-level", "info", "stderr diagnostic log level: debug, info, warn, error")
 	)
 	flag.Parse()
 	outputFormat = *format
 	// Result tables go to stdout; diagnostics go to stderr as structured
 	// text log lines, so scripted callers can separate the two streams.
 	diag := ops.NewLogger(os.Stderr, "text", *logLevel)
-
-	if *compare != "" {
-		if err := compareBench(*compare); err != nil {
-			diag.Error("bench comparison failed", "dir", *compare, "error", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	var live *liveObs
-	if *serve != "" {
-		live = newLiveObs()
-		if err := serveObs(*serve, live); err != nil {
-			diag.Error("serve failed", "addr", *serve, "error", err)
-			os.Exit(1)
-		}
-		fmt.Printf("serving /metrics, /debug/lbkeogh, /debug/vars and /debug/pprof/ on %s\n", *serve)
-	}
 
 	run := func(name string, fn func() error) {
 		if *fig != "all" && *fig != name {
@@ -250,76 +222,14 @@ func main() {
 	})
 
 	if !ran(*fig) {
-		diag.Error("unknown -fig (want 19|20|21|22|23|24|table8|exponent|none|all)", "fig", *fig)
+		diag.Error("unknown -fig (want 19|20|21|22|23|24|table8|exponent|all)", "fig", *fig)
 		os.Exit(2)
-	}
-
-	if *statsJSON != "" || *benchOut != "" || *serve != "" {
-		fmt.Println("==> Instrumented per-strategy scan (pruning breakdowns)")
-		rep, err := collectStats(min(*maxM, 500), *nProj, *queries, *seed, live)
-		if err != nil {
-			diag.Error("instrumented scan failed", "error", err)
-			os.Exit(1)
-		}
-		broken := 0
-		for _, s := range rep.Strategies {
-			if !s.Reconciles || !s.StepsMatchCounter {
-				broken++
-			}
-			fmt.Printf("   %-14s steps=%-12d prune_rate=%.4f reconciles=%v (%.2fs)\n",
-				s.Strategy, s.Steps, s.Stats.PruneRate, s.Reconciles && s.StepsMatchCounter, s.WallSeconds)
-		}
-		if *statsJSON != "" {
-			// The stats report is diagnostic output: write it even when
-			// reconciliation failed, so the failure can be inspected.
-			if err := writeReport(rep, *statsJSON); err != nil {
-				diag.Error("stats-json write failed", "path", *statsJSON, "error", err)
-				os.Exit(1)
-			}
-		}
-		if broken > 0 {
-			// The bench JSON is a quality gate artifact; a report whose
-			// accounting does not reconcile must fail the run, not be
-			// archived as if it were a valid measurement.
-			diag.Error("step reconciliation failed; not writing bench JSON",
-				"broken", broken, "strategies", len(rep.Strategies))
-			os.Exit(1)
-		}
-		if *segmentM > 0 {
-			fmt.Println("==> Segment-store scan (mmap-backed, index fetch fraction)")
-			sr, err := collectSegmentBench(*segmentM, 64, *queries, *seed)
-			if err != nil {
-				diag.Error("segment bench failed", "error", err)
-				os.Exit(1)
-			}
-			printSegmentReport(sr)
-			if !sr.ReadsReconcile {
-				// Same admissibility standard as the step counters: a fetch
-				// count the stats layer cannot reproduce is not a measurement.
-				diag.Error("segment disk-read accounting does not reconcile; not writing bench JSON")
-				os.Exit(1)
-			}
-			rep.Segment = sr
-		}
-		if *benchOut != "" {
-			path, err := writeBenchJSON(rep, *benchOut)
-			if err != nil {
-				diag.Error("bench-out write failed", "dir", *benchOut, "error", err)
-				os.Exit(1)
-			}
-			fmt.Printf("   wrote %s\n", path)
-		}
-	}
-
-	if *serve != "" {
-		fmt.Printf("experiments done; still serving on %s (interrupt to stop)\n", *serve)
-		select {}
 	}
 }
 
 func ran(fig string) bool {
 	switch fig {
-	case "all", "none", "19", "20", "21", "22", "23", "24", "table8", "exponent",
+	case "all", "19", "20", "21", "22", "23", "24", "table8", "exponent",
 		"landmark", "mixedbag", "sampling", "occlusion", "chaincode", "probes":
 		return true
 	}

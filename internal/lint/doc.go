@@ -21,8 +21,8 @@
 //	             the atomic *stats.Counter, flushed once per comparison.
 //	nilsink      Exported pointer-receiver methods on the stats/obs sink
 //	             types (stats.Counter, stats.Tally, obs.SearchStats,
-//	             obs.Histogram, obs.Counter) must begin with a nil-receiver
-//	             guard: a nil sink is the documented uninstrumented mode.
+//	             obs.Histogram) must begin with a nil-receiver guard: a nil
+//	             sink is the documented uninstrumented mode.
 //	floateq      ==/!= on floating-point operands is forbidden in
 //	             internal/dist, internal/envelope and internal/wedge
 //	             (tests included). Use epsilon helpers, or math.IsInf and
@@ -38,9 +38,8 @@
 //	             call ctx.Err() on every iteration — cancellation polls are
 //	             amortized behind an integer checkpoint counter (the
 //	             internal/cancel.Checker shape).
-//	metricnames  Metric names registered through obs.Registry or written
-//	             through ops.Write* are snake_case, namespaced, and keep
-//	             counter/unit suffixes last.
+//	metricnames  Metric names written through ops.Write* are snake_case,
+//	             namespaced, and keep counter/unit suffixes last.
 //	atomicmix    A struct field accessed through sync/atomic anywhere must
 //	             be accessed through sync/atomic everywhere (typed atomics
 //	             make the mistake unrepresentable); values containing sync

@@ -10,8 +10,7 @@ import (
 )
 
 // MetricNames returns the metricnames analyzer, enforcing the exposition
-// naming contract on every metric registered through internal/obs or written
-// through internal/obs/ops:
+// naming contract on every metric written through internal/obs/ops:
 //
 //  1. Names are snake_case: [a-z0-9_], starting with a letter, no doubled or
 //     trailing underscores.
@@ -27,7 +26,7 @@ import (
 func MetricNames() *Analyzer {
 	a := &Analyzer{
 		Name: "metricnames",
-		Doc: "metric names registered via obs.Registry or written via ops.Write* are " +
+		Doc: "metric names written via ops.Write* are " +
 			"snake_case, lbkeogh_/shapeserver_-namespaced, counter-suffixed with _total, " +
 			"and use base units (_seconds, _bytes) placed last",
 	}
@@ -53,16 +52,13 @@ type metricRegistrar struct {
 	kind    string
 }
 
-// metricRegistrars maps types.Func.FullName of every registration and
-// exposition entry point to its name-argument slot.
+// metricRegistrars maps types.Func.FullName of every exposition entry point
+// to its name-argument slot.
 var metricRegistrars = map[string]metricRegistrar{
-	"(*lbkeogh/internal/obs.Registry).Counter":     {0, "counter"},
-	"(*lbkeogh/internal/obs.Registry).Histogram":   {0, "histogram"},
-	"(*lbkeogh/internal/obs.Registry).SearchStats": {0, "stats"},
-	"lbkeogh/internal/obs/ops.WriteFamily":         {1, "family"},
-	"lbkeogh/internal/obs/ops.WriteCounter":        {1, "counter"},
-	"lbkeogh/internal/obs/ops.WriteGaugeInt":       {1, "gauge"},
-	"lbkeogh/internal/obs/ops.WriteGaugeFloat":     {1, "gauge"},
+	"lbkeogh/internal/obs/ops.WriteFamily":     {1, "family"},
+	"lbkeogh/internal/obs/ops.WriteCounter":    {1, "counter"},
+	"lbkeogh/internal/obs/ops.WriteGaugeInt":   {1, "gauge"},
+	"lbkeogh/internal/obs/ops.WriteGaugeFloat": {1, "gauge"},
 }
 
 func checkMetricCall(pass *Pass, call *ast.CallExpr) {

@@ -15,7 +15,6 @@ var DefaultNilSinkTypes = []string{
 	"lbkeogh/internal/stats.Tally",
 	"lbkeogh/internal/obs.SearchStats",
 	"lbkeogh/internal/obs.Histogram",
-	"lbkeogh/internal/obs.Counter",
 }
 
 // NilSink returns the nilsink analyzer for the given "pkgpath.Type" names:

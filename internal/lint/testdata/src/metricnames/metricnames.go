@@ -1,31 +1,14 @@
 // Package metricnames is the golden fixture for the metricnames analyzer:
-// every metric name handed to the obs registry or the ops exposition helpers
-// must be snake_case, carry the lbkeogh_/shapeserver_ namespace, end counters
-// in _total, and keep base units (_seconds, _bytes) last.
+// every metric name handed to the ops exposition helpers must be snake_case,
+// carry the lbkeogh_/shapeserver_ namespace, end counters in _total, and keep
+// base units (_seconds, _bytes) last.
 package metricnames
 
 import (
 	"io"
 
-	"lbkeogh/internal/obs"
 	"lbkeogh/internal/obs/ops"
 )
-
-// Register covers the registry entry points; the first block is the clean
-// counterpart that must stay silent.
-func Register(r *obs.Registry, st *obs.SearchStats) {
-	r.Counter("lbkeogh_good_total", "well-formed counter")
-	r.Histogram("shapeserver_step_seconds", "well-formed histogram")
-	r.SearchStats("lbkeogh_search", "well-formed stats prefix", st)
-
-	r.Counter("lbkeogh_requests", "counter without the suffix")    // want `counter "lbkeogh_requests" must end in _total`
-	r.Histogram("lbkeogh_wait_total", "histogram claiming _total") // want `must not end in _total`
-	r.Counter("requests_total", "no namespace")                    // want `lacks the lbkeogh_ or shapeserver_ namespace prefix`
-	r.Counter("lbkeogh_BadName_total", "camel case")               // want `is not snake_case`
-	r.Counter("lbkeogh__doubled_total", "doubled underscore")      // want `is not snake_case`
-	r.Histogram("lbkeogh_latency_ms", "scaled unit")               // want `use base units`
-	r.Histogram("lbkeogh_seconds_wait", "unit not last")           // want `buries the unit "seconds"`
-}
 
 // Expose covers the exposition helpers, including the kind read from
 // WriteFamily's literal argument.
@@ -39,6 +22,11 @@ func Expose(w io.Writer) {
 	ops.WriteGaugeInt(w, "shapeserver_depth_total", "gauge claiming _total", 1) // want `gauge "shapeserver_depth_total" must not end in _total`
 	ops.WriteFamily(w, "lbkeogh_batch", "counter", "kind from the literal")     // want `counter "lbkeogh_batch" must end in _total`
 	ops.WriteGaugeFloat(w, "lbkeogh_heap_kb", "scaled unit", 1)                 // want `use base units`
+	ops.WriteFamily(w, "lbkeogh_wait_total", "histogram", "claiming _total")    // want `must not end in _total`
+	ops.WriteCounter(w, "requests_total", "no namespace", 1)                    // want `lacks the lbkeogh_ or shapeserver_ namespace prefix`
+	ops.WriteCounter(w, "lbkeogh_BadName_total", "camel case", 1)               // want `is not snake_case`
+	ops.WriteCounter(w, "lbkeogh__doubled_total", "doubled underscore", 1)      // want `is not snake_case`
+	ops.WriteFamily(w, "lbkeogh_seconds_wait", "histogram", "unit not last")    // want `buries the unit "seconds"`
 }
 
 // Dynamic names are out of scope: only string literals are checked.

@@ -1,14 +1,13 @@
 // Package expofmt parses the Prometheus text exposition format (0.0.4) with
 // OpenMetrics exemplar suffixes — the exact dialect every /metrics surface in
-// this repository emits. It began life as a test-only helper pinning the
-// exemplar round-trip; it is now a supported package because the load
-// generator (internal/loadgen) scrapes a live server through it to
-// cross-validate client-observed load numbers against the server's own RED
-// windows. The parser is deliberately strict: every sample's family must be
-// preceded by its # HELP and # TYPE lines, sample lines must be
-// `name[{labels}] value`, and exemplars must be `# {labels} value
-// [timestamp]` — a malformed exposition is an error, never a silent skip,
-// because a scrape that parses loosely cannot be trusted to verify anything.
+// this repository emits. Tests scrape the library's and the server's /metrics
+// through it to pin the exemplar round-trip and to reconcile cumulative
+// counters against what a client saw. The parser is deliberately strict:
+// every sample's family must be preceded by its # HELP and # TYPE lines,
+// sample lines must be `name[{labels}] value`, and exemplars must be
+// `# {labels} value [timestamp]` — a malformed exposition is an error, never
+// a silent skip, because a scrape that parses loosely cannot be trusted to
+// verify anything.
 package expofmt
 
 import (
@@ -204,46 +203,4 @@ func (e *Exposition) Counter(name string, labels map[string]string) int64 {
 		return 0
 	}
 	return int64(v)
-}
-
-// HistogramQuantile computes the nearest-rank q-quantile from family name's
-// cumulative `_bucket` samples whose labels contain match. The returned
-// bound is in the family's native unit (the `le` values); a quantile landing
-// in the +Inf bucket reports math.Inf(1). ok is false when the histogram is
-// absent or empty.
-func (e *Exposition) HistogramQuantile(name string, match map[string]string, q float64) (bound float64, ok bool) {
-	type bkt struct {
-		le  float64
-		cum float64
-	}
-	var buckets []bkt
-	for _, s := range e.Find(name + "_bucket") {
-		if !s.matches(match) {
-			continue
-		}
-		le, err := parseValue(s.Labels["le"])
-		if err != nil {
-			return 0, false
-		}
-		buckets = append(buckets, bkt{le: le, cum: s.Value})
-	}
-	if len(buckets) == 0 {
-		return 0, false
-	}
-	// Buckets are emitted in ascending le order with +Inf last; the last
-	// cumulative count is the total.
-	total := buckets[len(buckets)-1].cum
-	if total <= 0 {
-		return 0, false
-	}
-	rank := math.Floor(q*total + 0.5)
-	if rank < 1 {
-		rank = 1
-	}
-	for _, b := range buckets {
-		if b.cum >= rank {
-			return b.le, true
-		}
-	}
-	return math.Inf(1), true
 }

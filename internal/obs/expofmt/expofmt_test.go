@@ -78,26 +78,6 @@ func TestParseExemplar(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	e, err := Parse(wellFormed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 10 observations: ranks 1..4 land in le=0.001, 5..9 in le=0.002, 10 in +Inf.
-	if p50, ok := e.HistogramQuantile("demo_latency_seconds", nil, 0.50); !ok || p50 != 0.002 {
-		t.Fatalf("p50 = %v,%v want 0.002", p50, ok)
-	}
-	if p10, ok := e.HistogramQuantile("demo_latency_seconds", nil, 0.10); !ok || p10 != 0.001 {
-		t.Fatalf("p10 = %v,%v want 0.001", p10, ok)
-	}
-	if p99, ok := e.HistogramQuantile("demo_latency_seconds", nil, 0.99); !ok || !math.IsInf(p99, 1) {
-		t.Fatalf("p99 = %v,%v want +Inf", p99, ok)
-	}
-	if _, ok := e.HistogramQuantile("demo_latency_seconds", map[string]string{"endpoint": "nope"}, 0.5); ok {
-		t.Fatal("quantile over a nonexistent labelset reported ok")
-	}
-}
-
 func TestParseErrors(t *testing.T) {
 	cases := []struct {
 		name string

@@ -110,14 +110,31 @@ func (h *Histogram) Buckets() []HistogramBucket {
 	return out
 }
 
-// cumulative returns every bucket's cumulative count (Prometheus `le`
-// semantics), including empty buckets, plus sum and count.
-func (h *Histogram) cumulative() ([HistogramBuckets + 1]int64, int64, int64) {
-	var cum [HistogramBuckets + 1]int64
-	var running int64
-	for i := range h.counts {
-		running += h.counts[i].Load()
-		cum[i] = running
+// BucketQuantile returns the nearest-rank q-quantile of a histogram snapshot
+// (buckets in ascending bound order, as Buckets returns them) at bucket
+// resolution: the inclusive upper bound of the bucket holding the
+// round(q·count)-th smallest observation, -1 when that is the overflow
+// bucket, 0 when there are no observations. Every bucket-resolution quantile
+// in the repository goes through here, so two views of the same
+// distribution cannot disagree on the bucket.
+func BucketQuantile(buckets []HistogramBucket, q float64) int64 {
+	var total int64
+	for _, b := range buckets {
+		total += b.Count
 	}
-	return cum, h.sum.Load(), h.count.Load()
+	if total == 0 {
+		return 0
+	}
+	rank := int64(q*float64(total) + 0.5)
+	if rank < 1 {
+		rank = 1
+	}
+	var cum int64
+	for _, b := range buckets {
+		cum += b.Count
+		if cum >= rank {
+			return b.UpperBound
+		}
+	}
+	return -1
 }

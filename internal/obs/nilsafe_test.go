@@ -61,16 +61,6 @@ func TestNilHistogramIsANoOpSink(t *testing.T) {
 	}
 }
 
-func TestNilCounterIsANoOpSink(t *testing.T) {
-	assertNilCallSafe(t, (*Counter)(nil))
-	var c *Counter
-	c.Inc()
-	c.Add(4)
-	if got := c.Value(); got != 0 {
-		t.Fatalf("nil Counter.Value() = %d, want 0", got)
-	}
-}
-
 // TestZeroFuncTracerIsSafe exercises the value-receiver tracer adapter: a
 // zero FuncTracer (all hook fields nil) must swallow every event.
 func TestZeroFuncTracerIsSafe(t *testing.T) {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"strings"
 	"sync"
 	"testing"
 )
@@ -36,10 +35,6 @@ func TestNilSinkIsSafeAndFree(t *testing.T) {
 	var h *Histogram
 	if allocs := testing.AllocsPerRun(100, func() { h.Observe(42) }); allocs != 0 {
 		t.Fatalf("nil histogram allocated %.1f times per run, want 0", allocs)
-	}
-	var c *Counter
-	if allocs := testing.AllocsPerRun(100, func() { c.Add(1) }); allocs != 0 {
-		t.Fatalf("nil counter allocated %.1f times per run, want 0", allocs)
 	}
 }
 
@@ -176,53 +171,6 @@ func TestSearchStatsConcurrent(t *testing.T) {
 	if !sn.Reconciles() {
 		t.Fatalf("concurrent updates broke reconciliation: %+v", sn)
 	}
-}
-
-func TestRegistryPrometheusText(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("lbkeogh_test_total", "a counter")
-	c.Add(7)
-	h := r.Histogram("lbkeogh_test_steps", "a histogram")
-	h.Observe(3)
-	h.Observe(300)
-	var st SearchStats
-	st.AddComparison(2)
-	st.CountFullDist()
-	st.CountAbandon()
-	st.CountWedgePrune(0, 0)
-	r.SearchStats("lbkeogh_test_search", "a search record", &st)
-
-	var sb strings.Builder
-	if err := r.WriteMetrics(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		"# TYPE lbkeogh_test_total counter\nlbkeogh_test_total 7\n",
-		"# TYPE lbkeogh_test_steps histogram\n",
-		`lbkeogh_test_steps_bucket{le="4"} 1`,
-		`lbkeogh_test_steps_bucket{le="+Inf"} 2`,
-		"lbkeogh_test_steps_sum 303",
-		"lbkeogh_test_steps_count 2",
-		"lbkeogh_test_search_comparisons 1",
-		"lbkeogh_test_search_rotations 2",
-		"lbkeogh_test_search_full_dist_evals 1",
-		"lbkeogh_test_search_early_abandons 1",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics output missing %q\n---\n%s", want, out)
-		}
-	}
-	if names := r.sortedStatNames(); len(names) != 3 || names[0] != "lbkeogh_test_search" {
-		t.Fatalf("sortedStatNames = %v", names)
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration should panic")
-		}
-	}()
-	r.Counter("lbkeogh_test_total", "dup")
 }
 
 func TestFuncTracer(t *testing.T) {

@@ -56,8 +56,8 @@ var classNames = [numClasses]string{"ok", "client", "rejected", "timeout", "serv
 func ErrorClass(status int) string { return classNames[classIndex(status)] }
 
 // ClassNames returns the error-class label vocabulary in emission order, so
-// layers that pre-create one counter per class (the serving telemetry, the
-// load generator's cross-validation) share this exact vocabulary.
+// layers that pre-create one counter per class (the serving telemetry) share
+// this exact vocabulary.
 func ClassNames() []string { return append([]string(nil), classNames[:]...) }
 
 func classIndex(status int) int {
@@ -219,28 +219,14 @@ func (r *RED) Snapshot() REDSnapshot {
 	if out.Window > 0 {
 		out.RatePerSec = float64(out.Requests) / out.Window.Seconds()
 	}
-	out.P50NS = bucketQuantile(out.Buckets, out.Requests, 0.50)
-	out.P90NS = bucketQuantile(out.Buckets, out.Requests, 0.90)
-	out.P99NS = bucketQuantile(out.Buckets, out.Requests, 0.99)
-	return out
-}
-
-// bucketQuantile returns the upper bound (ns) of the bucket the q-quantile
-// falls in; -1 means overflow, 0 means no observations.
-func bucketQuantile(buckets [obs.HistogramBuckets + 1]int64, total int64, q float64) int64 {
-	if total <= 0 {
-		return 0
-	}
-	rank := int64(q*float64(total) + 0.5)
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i := range buckets {
-		cum += buckets[i]
-		if cum >= rank {
-			return obs.BucketBound(i)
+	var buckets []obs.HistogramBucket
+	for b, c := range out.Buckets {
+		if c != 0 {
+			buckets = append(buckets, obs.HistogramBucket{UpperBound: obs.BucketBound(b), Count: c})
 		}
 	}
-	return -1
+	out.P50NS = obs.BucketQuantile(buckets, 0.50)
+	out.P90NS = obs.BucketQuantile(buckets, 0.90)
+	out.P99NS = obs.BucketQuantile(buckets, 0.99)
+	return out
 }

@@ -64,44 +64,16 @@ func (l *StageLatencies) Snapshot() []StageLatency {
 		if h.Count() == 0 {
 			continue
 		}
+		buckets := h.Buckets()
 		out = append(out, StageLatency{
 			Stage:   s.String(),
 			Count:   h.Count(),
 			SumNS:   h.Sum(),
-			Buckets: h.Buckets(),
-			P50NS:   Quantile(h, 0.50),
-			P90NS:   Quantile(h, 0.90),
-			P99NS:   Quantile(h, 0.99),
+			Buckets: buckets,
+			P50NS:   obs.BucketQuantile(buckets, 0.50),
+			P90NS:   obs.BucketQuantile(buckets, 0.90),
+			P99NS:   obs.BucketQuantile(buckets, 0.99),
 		})
 	}
 	return out
-}
-
-// Quantile returns the q-quantile of a power-of-two histogram at bucket
-// resolution: the inclusive upper bound of the bucket where the cumulative
-// count first reaches q·count, or -1 when it lands in the overflow bucket.
-// q outside (0, 1] is clamped; an empty histogram reports 0.
-func Quantile(h *obs.Histogram, q float64) int64 {
-	total := h.Count()
-	if total == 0 {
-		return 0
-	}
-	if q <= 0 {
-		q = 1e-9
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := int64(q * float64(total))
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for _, b := range h.Buckets() {
-		cum += b.Count
-		if cum >= target {
-			return b.UpperBound
-		}
-	}
-	return -1
 }

@@ -305,13 +305,23 @@ func TestStageLatenciesSnapshotAndQuantile(t *testing.T) {
 		t.Error("snapshot after Reset must be empty")
 	}
 
+	// Three samples: nearest rank puts p50 on the middle one (rank 2), the
+	// same bucket ops.RED reports for the same data; flooring q·count would
+	// land on the smallest.
+	for _, ns := range []int64{1, 100, 10000} {
+		lat.Observe(StageKernel, ns)
+	}
+	if p50 := lat.Snapshot()[0].P50NS; p50 != 128 {
+		t.Errorf("3-sample p50 = %d, want 128 (the middle sample's bucket)", p50)
+	}
+
 	var overflow obs.Histogram
 	overflow.Observe(1 << 62)
-	if got := Quantile(&overflow, 0.5); got != -1 {
+	if got := obs.BucketQuantile(overflow.Buckets(), 0.5); got != -1 {
 		t.Errorf("overflow quantile = %d, want -1", got)
 	}
 	var empty obs.Histogram
-	if got := Quantile(&empty, 0.5); got != 0 {
+	if got := obs.BucketQuantile(empty.Buckets(), 0.5); got != 0 {
 		t.Errorf("empty quantile = %d, want 0", got)
 	}
 	var nilLat *StageLatencies

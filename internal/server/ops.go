@@ -54,8 +54,7 @@ type telemetry struct {
 	// reqTotals counts every terminal request outcome since process start,
 	// by endpoint and error class. Unlike the rolling windows these are
 	// cumulative, so an external scraper can delta two scrapes and compare
-	// against its own accounting exactly — the seam shapeload's client/server
-	// cross-validation hangs off.
+	// against its own accounting exactly (TestAdmissionSemanticsOverHTTP).
 	reqTotals map[string]map[string]*atomic.Int64
 }
 
@@ -148,7 +147,7 @@ func (t *telemetry) writeMetrics(w io.Writer) {
 	}
 
 	ops.WriteFamily(w, "shapeserver_endpoint_requests_total", "counter",
-		"Terminal request outcomes since process start, by endpoint and error class (the cumulative counters shapeload cross-validates against).")
+		"Terminal request outcomes since process start, by endpoint and error class (cumulative: delta two scrapes to reconcile against a client's own tally).")
 	for _, ep := range eps {
 		for _, class := range ops.ClassNames() {
 			fmt.Fprintf(w, "shapeserver_endpoint_requests_total{endpoint=%q,class=%q} %d\n",

@@ -14,6 +14,8 @@ import (
 
 	"lbkeogh"
 	"lbkeogh/internal/obs"
+	"lbkeogh/internal/obs/expofmt"
+	"lbkeogh/internal/obs/ops"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -291,6 +293,153 @@ func TestServerConcurrentSaturation(t *testing.T) {
 	}
 	if agg := srv.Stats(); !agg.Reconciles() {
 		t.Fatalf("aggregate does not reconcile after concurrent load: %+v", agg)
+	}
+}
+
+// searchClassTotals reads the cumulative per-class outcome counters of the
+// search endpoint off one /metrics scrape.
+func searchClassTotals(exp *expofmt.Exposition) (classes map[string]int64, total int64) {
+	classes = map[string]int64{}
+	for _, s := range exp.Find("shapeserver_endpoint_requests_total") {
+		if s.Labels["endpoint"] == "search" {
+			classes[s.Labels["class"]] = int64(s.Value)
+			total += int64(s.Value)
+		}
+	}
+	return classes, total
+}
+
+// waitAdmission polls /livez until the admission gauges read inflight and
+// waiting (or the deadline kills the test).
+func waitAdmission(t *testing.T, ts *httptest.Server, inflight, waiting int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		_, body := getStatus(t, ts.URL+"/livez")
+		var h healthResponse
+		if err := json.Unmarshal([]byte(body), &h); err != nil {
+			t.Fatalf("/livez: %v\n%s", err, body)
+		}
+		if h.Admission.Inflight == inflight && h.Admission.Waiting == waiting {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for inflight %d / waiting %d (have %d / %d)",
+				inflight, waiting, h.Admission.Inflight, h.Admission.Waiting)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestAdmissionSemanticsOverHTTP drives the server past its admission bounds
+// over HTTP and pins the full contract: queue-full requests get 429 with
+// Retry-After, queued requests whose deadline expires get 504, released
+// requests complete, and afterwards the cumulative /metrics counters agree
+// exactly with the ten outcomes the client saw.
+func TestAdmissionSemanticsOverHTTP(t *testing.T) {
+	started := make(chan struct{}, 2) // one send per admitted search
+	gate := make(chan struct{})
+	_, ts := newTestServer(t, Config{
+		DB:          lbkeogh.SyntheticProjectilePoints(3, 12, 32),
+		MaxInflight: 2,
+		MaxQueue:    2,
+		BeforeSearchHook: func() {
+			started <- struct{}{}
+			<-gate
+		},
+	})
+	var once sync.Once
+	open := func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(open) // a failed assertion must not leave requests parked
+
+	type answer struct {
+		code       int
+		retryAfter string
+	}
+	search := func(body string) answer {
+		resp, err := http.Post(ts.URL+"/v1/search", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return answer{}
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()
+		return answer{resp.StatusCode, resp.Header.Get("Retry-After")}
+	}
+	before := scrapeMetrics(t, ts)
+	beforeClasses, beforeTotal := searchClassTotals(before)
+
+	// Two requests fill the in-flight slots and block inside the hook.
+	blockers := make(chan answer, 2)
+	for i := 0; i < 2; i++ {
+		go func() { blockers <- search(`{"query_index":0,"timeout_ms":10000}`) }()
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case <-started:
+		case <-time.After(5 * time.Second):
+			t.Fatal("blockers never reached the search hook")
+		}
+	}
+
+	// Two more requests with short deadlines occupy the wait queue.
+	queued := make(chan answer, 2)
+	for i := 0; i < 2; i++ {
+		go func() { queued <- search(`{"query_index":1,"timeout_ms":400}`) }()
+	}
+	waitAdmission(t, ts, 2, 2)
+
+	// With slots and queue full, further requests are shed immediately.
+	for i := 0; i < 6; i++ {
+		a := search(`{"query_index":2,"timeout_ms":400}`)
+		if a.code != http.StatusTooManyRequests {
+			t.Fatalf("shed request %d: status %d, want 429", i, a.code)
+		}
+		if a.retryAfter == "" {
+			t.Errorf("429 without Retry-After")
+		}
+	}
+
+	// The queued pair's deadlines expire while still waiting.
+	for i := 0; i < 2; i++ {
+		if a := <-queued; a.code != http.StatusGatewayTimeout {
+			t.Fatalf("queued request: status %d, want 504", a.code)
+		}
+	}
+
+	// Release the gate; the blocked pair completes normally.
+	open()
+	for i := 0; i < 2; i++ {
+		if a := <-blockers; a.code != http.StatusOK {
+			t.Fatalf("released request: status %d, want 200", a.code)
+		}
+	}
+	waitAdmission(t, ts, 0, 0)
+
+	// The server records a request's terminal outcome after writing its
+	// response, so a client that has just read its last body can race a
+	// scrape by a scheduler quantum: poll until all ten outcomes are counted.
+	var after *expofmt.Exposition
+	var afterClasses map[string]int64
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		after = scrapeMetrics(t, ts)
+		var afterTotal int64
+		afterClasses, afterTotal = searchClassTotals(after)
+		if afterTotal-beforeTotal >= 10 || time.Now().After(deadline) {
+			break
+		}
+	}
+	want := map[string]int64{"ok": 2, "rejected": 6, "timeout": 2}
+	for _, class := range ops.ClassNames() {
+		if d := afterClasses[class] - beforeClasses[class]; d != want[class] {
+			t.Errorf("search class %q delta = %d, want %d", class, d, want[class])
+		}
+	}
+	if d := after.Counter("shapeserver_admitted_total", nil) - before.Counter("shapeserver_admitted_total", nil); d != 2 {
+		t.Errorf("admitted delta = %d, want 2", d)
+	}
+	if d := after.Counter("shapeserver_rejected_total", nil) - before.Counter("shapeserver_rejected_total", nil); d != 6 {
+		t.Errorf("rejected delta = %d, want 6", d)
 	}
 }
 

@@ -194,6 +194,7 @@ func TestMetricsHandlerServesPrometheusText(t *testing.T) {
 	}
 	body := rec.Body.String()
 	for _, want := range []string{
+		"# HELP test_query_comparisons ",
 		"# TYPE test_query_comparisons counter",
 		"test_query_comparisons 20",
 		"# TYPE test_query_comparison_steps histogram",

@@ -1,26 +1,18 @@
 #!/bin/sh
-# Observability and serving smoke test. Part 1: run benchrun -serve on a
-# tiny workload, then assert that /metrics serves parseable Prometheus text,
-# /debug/lbkeogh serves the dashboard, and the Chrome trace export is
-# well-formed. Part 2: boot shapeserver on a synthetic database, exercise
-# nearest-neighbour and top-K search plus a deliberately timed-out request,
-# check the structured request log correlates with response trace IDs, the
-# profiling ring serves captures, and /readyz flips while the server drains
-# gracefully on SIGTERM. Part 3: boot a fresh shapeserver and fire a short
-# shapeload burst at it, asserting the SLO report is written, parses, and
-# the client's request counts reconciled against the server's /metrics
-# counters (shapeload exits non-zero when they disagree). Part 4: boot a
-# shapeserver, run an EXPLAIN search, and assert the plan parses, its stage
-# waterfall reconciles exactly with the /metrics pruning-waterfall counter
-# deltas, and /debug/index serves the index-health report.
+# Serving smoke test. Part 1: boot shapeserver on a synthetic database,
+# exercise nearest-neighbour and top-K search plus a deliberately timed-out
+# request, check the structured request log correlates with response trace
+# IDs, the profiling ring serves captures, and /readyz flips while the server
+# drains gracefully on SIGTERM. Part 2: boot a shapeserver, run an EXPLAIN
+# search, and assert the plan parses, its stage waterfall reconciles exactly
+# with the /metrics pruning-waterfall counter deltas, and /debug/index serves
+# the index-health report. Part 3: the segment-store ingest smoke.
 set -eu
 
 GO=${GO:-go}
 tmp=$(mktemp -d)
-pid=""
 spid=""
 cleanup() {
-	[ -n "$pid" ] && kill "$pid" 2>/dev/null || true
 	[ -n "$spid" ] && kill "$spid" 2>/dev/null || true
 	rm -rf "$tmp"
 }
@@ -31,73 +23,12 @@ if ! command -v curl >/dev/null 2>&1; then
 	exit 1
 fi
 
-$GO build -o "$tmp/benchrun" ./cmd/benchrun
-
-# Try a few ports in case one is taken; wait for the post-experiment
-# "still serving" line so the instrumented scan has populated the logs.
-ok=""
-for try in 0 1 2 3 4; do
-	addr="127.0.0.1:$((18621 + try))"
-	"$tmp/benchrun" -fig none -maxm 100 -queries 2 -serve "$addr" >"$tmp/serve.log" 2>&1 &
-	pid=$!
-	i=0
-	while [ $i -lt 100 ]; do
-		if ! kill -0 "$pid" 2>/dev/null; then
-			break # died; likely the port was in use
-		fi
-		if grep -q "still serving" "$tmp/serve.log"; then
-			ok=1
-			break
-		fi
-		sleep 0.2
-		i=$((i + 1))
-	done
-	[ -n "$ok" ] && break
-	kill "$pid" 2>/dev/null || true
-	wait "$pid" 2>/dev/null || true
-	pid=""
-done
-if [ -z "$ok" ]; then
-	echo "smoke: benchrun -serve failed to start" >&2
-	cat "$tmp/serve.log" >&2
-	exit 1
-fi
-
 fail() {
 	echo "smoke: $1" >&2
 	exit 1
 }
 
-curl -fsS "http://$addr/metrics" >"$tmp/metrics.txt" ||
-	fail "/metrics did not answer 200"
-grep -q '^# HELP lbkeogh_wedge_comparisons ' "$tmp/metrics.txt" ||
-	fail "/metrics is missing the wedge HELP line"
-grep -q '^# TYPE lbkeogh_wedge_comparisons counter$' "$tmp/metrics.txt" ||
-	fail "/metrics is missing the wedge TYPE line"
-grep -q 'stage_latency_ns_bucket{stage="hmerge"' "$tmp/metrics.txt" ||
-	fail "/metrics is missing the hmerge stage-latency histogram"
-
-curl -fsS "http://$addr/debug/lbkeogh" >"$tmp/dash.html" ||
-	fail "/debug/lbkeogh did not answer 200"
-grep -q '<h1>lbkeogh observability</h1>' "$tmp/dash.html" ||
-	fail "dashboard HTML is missing its heading"
-grep -q 'trace log: lbkeogh_wedge' "$tmp/dash.html" ||
-	fail "dashboard is missing the wedge trace log"
-
-curl -fsS "http://$addr/debug/lbkeogh?log=lbkeogh_wedge&format=chrome" >"$tmp/trace.json" ||
-	fail "Chrome trace export did not answer 200"
-grep -q '"traceEvents"' "$tmp/trace.json" ||
-	fail "Chrome trace export is missing traceEvents"
-grep -q '"name":"hmerge"' "$tmp/trace.json" ||
-	fail "Chrome trace export is missing hmerge spans"
-if command -v python3 >/dev/null 2>&1; then
-	python3 -m json.tool "$tmp/trace.json" >/dev/null ||
-		fail "Chrome trace export is not valid JSON"
-fi
-
-echo "smoke: ok ($addr: /metrics, /debug/lbkeogh, chrome export)"
-
-# ---- Part 2: the shapeserver serving layer -------------------------------
+# ---- Part 1: the shapeserver serving layer -------------------------------
 
 $GO build -o "$tmp/shapeserver" ./cmd/shapeserver
 
@@ -219,69 +150,7 @@ grep -q '"msg":"drained"' "$tmp/shapeserver.log" ||
 
 echo "smoke: ok ($saddr: search, topk, pool hit, 504 deadline, log correlation, profiles, readyz drain)"
 
-# ---- Part 3: shapeload capacity burst ------------------------------------
-
-$GO build -o "$tmp/shapeload" ./cmd/shapeload
-
-lok=""
-for try in 0 1 2 3 4; do
-	laddr="127.0.0.1:$((18711 + try))"
-	"$tmp/shapeserver" -addr "$laddr" -synthetic 200,128 -seed 7 \
-		>"$tmp/loadserver.log" 2>&1 &
-	spid=$!
-	i=0
-	while [ $i -lt 100 ]; do
-		if ! kill -0 "$spid" 2>/dev/null; then
-			break # died; likely the port was in use
-		fi
-		if curl -fsS "http://$laddr/readyz" >/dev/null 2>&1; then
-			lok=1
-			break
-		fi
-		sleep 0.2
-		i=$((i + 1))
-	done
-	[ -n "$lok" ] && break
-	kill "$spid" 2>/dev/null || true
-	wait "$spid" 2>/dev/null || true
-	spid=""
-done
-[ -n "$lok" ] || {
-	echo "smoke: shapeserver for the load burst failed to start" >&2
-	cat "$tmp/loadserver.log" >&2
-	exit 1
-}
-
-# A ~2s mixed burst well under capacity. shapeload itself exits non-zero if
-# the client/server counter reconciliation fails, so the burst succeeding is
-# already the cross-validation assertion; the greps below pin the artifact.
-"$tmp/shapeload" -target "http://$laddr" -mode fixed -qps 40 -duration 2s \
-	-mix search=2,topk=1,range=1 -repeat 0.5 -timeout 2s \
-	-out "$tmp/loadbench" >"$tmp/shapeload.log" 2>&1 ||
-	{
-		cat "$tmp/shapeload.log" >&2
-		fail "shapeload burst failed (client/server counters disagree?)"
-	}
-report=$(ls "$tmp"/loadbench/LOAD_*.json 2>/dev/null | head -1)
-[ -n "$report" ] ||
-	fail "shapeload wrote no LOAD_*.json report"
-if command -v python3 >/dev/null 2>&1; then
-	python3 -m json.tool "$report" >/dev/null ||
-		fail "SLO report is not valid JSON"
-fi
-grep -q '"counts_agree": true' "$report" ||
-	fail "SLO report does not record client/server count agreement"
-grep -q '"offered_qps": 40' "$report" ||
-	fail "SLO report is missing the offered load"
-grep -q '"p99_ms"' "$report" ||
-	fail "SLO report is missing latency quantiles"
-
-kill -TERM "$spid" 2>/dev/null || true
-wait "$spid" 2>/dev/null || true
-spid=""
-
-echo "smoke: ok ($laddr: shapeload burst, SLO report written, client/server counts reconcile)"
-# ---- Part 4: query EXPLAIN and index introspection -----------------------
+# ---- Part 2: query EXPLAIN and index introspection -----------------------
 
 eok=""
 for try in 0 1 2 3 4; do
@@ -383,6 +252,6 @@ spid=""
 
 echo "smoke: ok ($eaddr: explain plan reconciles with /metrics, /debug/index serves)"
 
-# ---- Part 5: segment-store ingest, serve, compact ------------------------
+# ---- Part 3: segment-store ingest, serve, compact ------------------------
 
 ./scripts/ingest-smoke.sh || fail "segment-store ingest smoke failed"

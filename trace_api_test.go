@@ -400,7 +400,7 @@ func TestDebugHandlerRoutes(t *testing.T) {
 		t.Fatalf("dashboard: status %d", rr.Code)
 	}
 	body := rr.Body.String()
-	for _, want := range []string{"<h1>lbkeogh observability</h1>", "test_query", "hmerge"} {
+	for _, want := range []string{"<h1>lbkeogh observability</h1>", "trace log: test_query", "hmerge"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("dashboard HTML is missing %q", want)
 		}
@@ -416,8 +416,14 @@ func TestDebugHandlerRoutes(t *testing.T) {
 	if err := json.Unmarshal(rr.Body.Bytes(), &all); err != nil {
 		t.Fatalf("chrome export is not valid JSON: %v", err)
 	}
-	if len(all.TraceEvents) == 0 {
-		t.Fatal("chrome export has no events")
+	hmerge := 0
+	for _, e := range all.TraceEvents {
+		if e.Name == "hmerge" {
+			hmerge++
+		}
+	}
+	if hmerge == 0 {
+		t.Fatalf("chrome export of the whole log has no hmerge spans (%d events)", len(all.TraceEvents))
 	}
 
 	rr = get("/debug/lbkeogh?log=test_query&trace=" + strconv.FormatInt(tr.ID, 10) + "&format=jsonl")
