@@ -25,8 +25,12 @@ bce-baseline:
 test:
 	$(GO) test ./...
 
+# The second line holds the pread segment reader (the fallback behind the
+# lbkeogh_pread tag, which nothing else compiles) to the same index-path
+# oracle and store tests as the mmap reader.
 race:
 	$(GO) test -race ./...
+	$(GO) test -tags lbkeogh_pread . ./internal/segment/... ./internal/index/...
 
 # Focused race pass over the concurrency-heavy packages (server admission and
 # session pooling, streaming ingest, rolling telemetry windows): -count=2

@@ -386,44 +386,38 @@ func TestIndexSearchRange(t *testing.T) {
 func TestFileBackedIndex(t *testing.T) {
 	n := 48
 	db := demoDB(50, 60, n)
-	path := filepath.Join(t.TempDir(), "db.lbks")
-	if err := WriteSeriesFile(path, db); err != nil {
+	dir := filepath.Join(t.TempDir(), "store")
+	if err := WriteSegmentStore(dir, db, 8); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := OpenIndexFile(path, 8)
+	// Exactness and accounting over a reopened store are
+	// TestIndexPathOracle's; this holds the persist/reopen pair's contract.
+	ix, err := OpenSegmentIndex(dir, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ix.Close()
 	if ix.Len() != 60 || ix.Dims() != 8 {
-		t.Fatalf("file index metadata (%d,%d)", ix.Len(), ix.Dims())
+		t.Fatalf("reopened index metadata (%d,%d)", ix.Len(), ix.Dims())
 	}
-	// Exactness against the in-memory linear scan, for ED and DTW.
-	for _, m := range []Measure{Euclidean(), DTW(3)} {
-		q, _ := NewQuery(ts.Rotate(db[17], 9), m)
-		want, err := q.Search(db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		q2, _ := NewQuery(ts.Rotate(db[17], 9), m)
-		ix.ResetDiskReads()
-		got, err := ix.Search(q2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Index != want.Index || math.Abs(got.Dist-want.Dist) > 1e-9 {
-			t.Fatalf("%s: file index (%d,%v) != scan (%d,%v)", m.Name(), got.Index, got.Dist, want.Index, want.Dist)
-		}
-		if ix.DiskReads() == 0 || ix.DiskReads() >= ix.Len() {
-			t.Fatalf("%s: disk reads = %d of %d", m.Name(), ix.DiskReads(), ix.Len())
-		}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
 	}
 	// Validation paths.
-	if _, err := OpenIndexFile(filepath.Join(t.TempDir(), "missing"), 8); err == nil {
-		t.Fatal("want error for missing file")
+	if err := WriteSegmentStore(dir, db, 8); err == nil {
+		t.Fatal("want error for a directory that already holds a store")
 	}
-	if _, err := OpenIndexFile(path, 0); err == nil {
+	fresh := filepath.Join(t.TempDir(), "fresh")
+	if err := WriteSegmentStore(fresh, nil, 8); err == nil {
+		t.Fatal("want error for empty db")
+	}
+	if err := WriteSegmentStore(fresh, db, 0); err == nil {
 		t.Fatal("want error for dims < 1")
+	}
+	if err := WriteSegmentStore(fresh, []Series{db[0], db[1][:n-1]}, 8); err == nil {
+		t.Fatal("want error for ragged db")
+	}
+	if _, err := OpenSegmentIndex(fresh, 8); err == nil {
+		t.Fatal("a failed write must not leave an openable store")
 	}
 	// In-memory index Close is a no-op.
 	mem, _ := NewIndex(db, 4)

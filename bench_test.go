@@ -165,13 +165,13 @@ func benchIndexSearch(b *testing.B, dtw bool, dims int) {
 	var reads int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.Store().ResetReads()
+		ix.ResetReads()
 		if dtw {
 			ix.SearchDTW(rs, 5, 0, nil)
 		} else {
 			ix.SearchED(rs, nil)
 		}
-		reads += ix.Store().Reads()
+		reads += ix.Reads()
 	}
 	b.ReportMetric(float64(reads)/float64(b.N)/float64(len(benchData.projDB)), "fetched-fraction")
 }
@@ -320,9 +320,9 @@ func BenchmarkAblationIndexWedges(b *testing.B) {
 		b.Run(map[bool]string{true: "K" + itoa(k)}[true], func(b *testing.B) {
 			var reads int
 			for i := 0; i < b.N; i++ {
-				ix.Store().ResetReads()
+				ix.ResetReads()
 				ix.SearchDTW(rs, 5, k, nil)
-				reads += ix.Store().Reads()
+				reads += ix.Reads()
 			}
 			b.ReportMetric(float64(reads)/float64(b.N)/float64(len(benchData.projDB)), "fetched-fraction")
 		})

@@ -35,8 +35,8 @@
 // For datasets that do not fit in memory, NewIndex builds a compressed
 // rotation-invariant index (Fourier magnitudes in a VP-tree, PAA means in an
 // R-tree) that answers the same 1-NN and range queries exactly while
-// fetching only a small fraction of the objects; WriteSeriesFile and
-// OpenIndexFile persist the collection to a real file-backed store.
+// fetching only a small fraction of the objects; WriteSegmentStore persists
+// the collection as an on-disk segment store and OpenSegmentIndex reopens it.
 //
 // Beyond search, the data-mining subroutines the paper motivates are built
 // in: ClosestPair (motif discovery), Cluster (hierarchical clustering under

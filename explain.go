@@ -85,21 +85,15 @@ func (b *BoundSampler) WriteMetrics(w io.Writer) {
 	ops.WriteFamily(w, "lbkeogh_explain_bound_tightness_ratio", "histogram",
 		"Distribution of lower bound / true rotation-invariant distance, per bound (1 = perfectly tight).")
 	for _, bt := range snap.Bounds {
-		var cum int64
+		buckets := make([]ops.HistogramBucket, len(bt.Buckets))
 		for i, bk := range bt.Buckets {
-			cum += bk.Count
-			le := fmt.Sprintf("%.2f", float64(i+1)*explain.RatioBucketWidth)
-			if i == len(bt.Buckets)-1 {
-				le = "+Inf"
-			}
-			fmt.Fprintf(w, "lbkeogh_explain_bound_tightness_ratio_bucket{bound=%q,le=%q} %d", bt.Bound, le, cum)
+			buckets[i] = ops.HistogramBucket{LE: fmt.Sprintf("%.2f", float64(i+1)*explain.RatioBucketWidth), Count: bk.Count}
 			if bk.ExemplarTraceID != 0 {
-				fmt.Fprintf(w, " # {trace_id=\"%d\"} %s", bk.ExemplarTraceID, ops.FormatFloat(bk.ExemplarValue))
+				buckets[i].Exemplar = fmt.Sprintf("{trace_id=\"%d\"} %s", bk.ExemplarTraceID, ops.FormatFloat(bk.ExemplarValue))
 			}
-			fmt.Fprintf(w, "\n")
 		}
-		fmt.Fprintf(w, "lbkeogh_explain_bound_tightness_ratio_sum{bound=%q} %s\n", bt.Bound, ops.FormatFloat(bt.SumRatio))
-		fmt.Fprintf(w, "lbkeogh_explain_bound_tightness_ratio_count{bound=%q} %d\n", bt.Bound, bt.Samples)
+		ops.WriteHistogram(w, "lbkeogh_explain_bound_tightness_ratio", fmt.Sprintf("bound=%q", bt.Bound),
+			buckets, ops.FormatFloat(bt.SumRatio), false)
 	}
 }
 

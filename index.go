@@ -3,8 +3,6 @@ package lbkeogh
 import (
 	"fmt"
 
-	"lbkeogh/internal/core"
-	"lbkeogh/internal/diskstore"
 	"lbkeogh/internal/index"
 	"lbkeogh/internal/obs"
 	"lbkeogh/internal/segment"
@@ -12,7 +10,8 @@ import (
 )
 
 // Index is the exact disk-backed rotation-invariant index of Section 4.2:
-// the full-resolution series live in a (simulated) disk store while a
+// the full-resolution series live in a store — a segment store on disk
+// (OpenSegmentIndex) or, for NewIndex, memory standing in for one — while a
 // D-dimensional compressed representation — rotation-invariant Fourier
 // magnitudes plus PAA means — stays in memory. Queries are answered exactly;
 // the index only decides which objects must be fetched for verification.
@@ -20,7 +19,7 @@ type Index struct {
 	ix     *index.Index
 	n      int
 	m      int
-	closer func() error // set for file-backed indexes
+	closer func() error // set for segment-backed indexes
 	seg    *segment.DB  // set for segment-backed indexes
 	obs    obs.SearchStats
 	tracer Tracer
@@ -55,16 +54,15 @@ func (ix *Index) Stats() SearchStats {
 // SetTraceLog attaches a TraceLog (nil detaches): every subsequent query
 // records a span trace — index probe, per-candidate disk fetch, and the
 // verification comparisons — sampled and screened for slow queries by the
-// log. File-backed stores additionally feed per-record read durations into
-// the log's disk_read histogram. Not safe to call concurrently with
-// queries.
+// log, and every fetch's duration feeds the log's disk_read histogram. Not
+// safe to call concurrently with queries.
 func (ix *Index) SetTraceLog(t *TraceLog) {
 	ix.tlog = t
 	ix.ix.SetTraceLog(t.inner())
 }
 
-// ResetStats zeroes the instrumentation record (the DiskReads counter of
-// the underlying store is independent; see ResetDiskReads).
+// ResetStats zeroes the instrumentation record (the DiskReads counter is
+// independent; see ResetDiskReads).
 func (ix *Index) ResetStats() { ix.obs.Reset() }
 
 // SetTracer installs a Tracer receiving per-fetch and verification-search
@@ -98,40 +96,38 @@ func NewIndex(db []Series, dims int) (*Index, error) {
 	return out, nil
 }
 
-// WriteSeriesFile persists db as an on-disk series file that OpenIndexFile
-// can index later. All series must share one length.
-func WriteSeriesFile(path string, db []Series) error {
-	return diskstore.Write(path, db)
-}
-
-// OpenIndexFile opens a series file written by WriteSeriesFile and builds a
-// rotation-invariant index over it, with full-resolution data staying on
-// disk: queries fetch only the records their compressed bounds cannot
-// exclude. Call Close when done.
-func OpenIndexFile(path string, dims int) (*Index, error) {
-	store, err := diskstore.Open(path)
-	if err != nil {
-		return nil, err
+// WriteSegmentStore persists db as a segment store in dir, which must not
+// already hold one, computing the dims-dimensional feature columns
+// OpenSegmentIndex reuses (dims is clamped to half the series length). All
+// series must share one length.
+func WriteSegmentStore(dir string, db []Series, dims int) error {
+	if len(db) == 0 {
+		return fmt.Errorf("lbkeogh: empty database")
 	}
 	if dims < 1 {
-		store.Close()
-		return nil, fmt.Errorf("lbkeogh: dims must be >= 1, got %d", dims)
+		return fmt.Errorf("lbkeogh: dims must be >= 1, got %d", dims)
 	}
-	if dims > store.SeriesLen()/2 {
-		dims = store.SeriesLen() / 2
+	if _, ok, err := segment.LoadManifest(dir); err != nil {
+		return err
+	} else if ok {
+		return fmt.Errorf("lbkeogh: %s already holds a segment store", dir)
 	}
-	inner, err := index.BuildFromStore(store, store.SeriesLen(), dims)
+	n := len(db[0])
+	b, err := segment.NewBulkWriter(dir, n, min(dims, n/2), int64(len(db)))
 	if err != nil {
-		store.Close()
-		return nil, err
+		return err
 	}
-	out := &Index{ix: inner, n: store.SeriesLen(), m: store.Len(), closer: store.Close}
-	out.initObserver()
-	return out, nil
+	for i, s := range db {
+		if err := b.Add(s, int64(i)); err != nil {
+			b.Abort()
+			return err
+		}
+	}
+	return b.Close()
 }
 
 // OpenSegmentIndex opens a memory-mapped segment store directory (written by
-// shapeingest, diskstore.Migrate, or the server's ingest API) and builds a
+// WriteSegmentStore, shapeingest or the server's ingest API) and builds a
 // rotation-invariant index over the generation current at open time. The
 // stored feature columns — FFT magnitudes and PAA means computed once at
 // ingest — are reused directly, so the build never re-reads the raw series;
@@ -169,7 +165,7 @@ func OpenSegmentIndex(dir string, dims int) (*Index, error) {
 	return out, nil
 }
 
-// Close releases the resources of a file-backed index; it is a no-op for
+// Close releases the resources of a segment-backed index; it is a no-op for
 // in-memory indexes.
 func (ix *Index) Close() error {
 	if ix.closer != nil {
@@ -184,13 +180,12 @@ func (ix *Index) Len() int { return ix.m }
 // Dims returns the retained compressed dimensionality.
 func (ix *Index) Dims() int { return ix.ix.D() }
 
-// DiskReads reports how many full series have been fetched from the
-// simulated disk since the last ResetDiskReads — the metric of the paper's
-// Figure 24.
-func (ix *Index) DiskReads() int { return ix.ix.Store().Reads() }
+// DiskReads reports how many full series have been fetched from the store
+// since the last ResetDiskReads — the metric of the paper's Figure 24.
+func (ix *Index) DiskReads() int { return ix.ix.Reads() }
 
 // ResetDiskReads zeroes the disk-access counter.
-func (ix *Index) ResetDiskReads() { ix.ix.Store().ResetReads() }
+func (ix *Index) ResetDiskReads() { ix.ix.ResetReads() }
 
 // SearchRange returns every indexed series whose exact rotation-invariant
 // distance to the query is strictly below radius, in ascending database
@@ -235,19 +230,8 @@ func (ix *Index) Search(q *Query) (SearchResult, error) {
 		r = ix.ix.SearchDTW(q.rs, kern.R, 0, &q.counter)
 	default:
 		// No admissible compressed bound implemented: exact fallback that
-		// still fetches everything once.
-		best := index.Result{Index: -1, Dist: -1}
-		sc := core.NewSearcher(q.rs, q.searcher.Kernel(), core.Wedge, core.SearcherConfig{Obs: &ix.obs})
-		bestDist := -1.0
-		for i := 0; i < ix.m; i++ {
-			series := ix.ix.Fetch(i)
-			m := sc.MatchSeries(series, bestDist, &q.counter)
-			if m.Found() && (best.Index < 0 || m.Dist < best.Dist) {
-				best = index.Result{Index: i, Dist: m.Dist, Member: m.Member}
-				bestDist = m.Dist
-			}
-		}
-		r = best
+		// fetches everything once.
+		r = ix.ix.SearchScan(q.rs, kern, &q.counter)
 	}
 	if r.Index < 0 {
 		return SearchResult{}, fmt.Errorf("lbkeogh: index search found no result")

@@ -1,0 +1,160 @@
+package lbkeogh
+
+import (
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+
+	"lbkeogh/internal/ts"
+)
+
+// oracleDB is the small seeded collection the index-path table runs on: a
+// prime series length (no power-of-two FFT, uneven PAA segments) and one
+// constant series.
+func oracleDB() []Series {
+	db := demoDB(17, 40, 47)
+	db[7] = make(Series, 47)
+	return db
+}
+
+// TestIndexPathOracle is the index-path slice of the differential oracle:
+// every store kind x measure x query kind answers exactly what the flat scan
+// answers over the same rows, the instrumentation reconciles, a fetch is
+// counted once everywhere it is reported (the disk_read stage histogram
+// included), every query is traced, and num_steps is pinned per cell so a
+// refactor that moves a step count fails here rather than in review.
+func TestIndexPathOracle(t *testing.T) {
+	db := oracleDB()
+	dir := filepath.Join(t.TempDir(), "store")
+	if err := WriteSegmentStore(dir, db, 8); err != nil {
+		t.Fatal(err)
+	}
+	stores := []struct {
+		name string
+		open func() (*Index, error)
+	}{
+		{"mem", func() (*Index, error) { return NewIndex(db, 8) }},
+		{"segment", func() (*Index, error) { return OpenSegmentIndex(dir, 8) }},
+	}
+	measures := []struct {
+		name   string
+		m      Measure
+		radius float64
+	}{
+		{"ed", Euclidean(), 3.0},
+		{"dtw5", DTW(5), 2.0},
+		{"lcss", LCSS(2, 0.3), 0.5},
+	}
+	queries := []Series{ts.Rotate(db[3], 11), ts.Rotate(db[21], 30), db[7]}
+
+	// Steps (summed over the cell's queries, query construction included)
+	// and fetches per cell, recorded at commit 0bf7dc8.
+	type pin struct{ steps, reads int64 }
+	want := map[string]pin{
+		"mem/ed/search":       {41247, 17},
+		"mem/ed/range":        {20104, 26},
+		"mem/dtw5/search":     {253701, 38},
+		"mem/dtw5/range":      {428762, 101},
+		"mem/lcss/search":     {244874, 120},
+		"mem/lcss/range":      {12972, 0},
+		"segment/ed/search":   {41247, 17},
+		"segment/ed/range":    {20104, 26},
+		"segment/dtw5/search": {253701, 38},
+		"segment/dtw5/range":  {428762, 101},
+		"segment/lcss/search": {244874, 120},
+		"segment/lcss/range":  {12972, 0},
+	}
+
+	got := map[string]pin{}
+	for _, st := range stores {
+		ix, err := st.open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ix.Close()
+		tlog := NewTraceLog()
+		ix.SetTraceLog(tlog)
+		var traced, fetched int64
+		for _, ms := range measures {
+			for _, kind := range []string{"search", "range"} {
+				cell := st.name + "/" + ms.name + "/" + kind
+				ix.ResetStats()
+				ix.ResetDiskReads()
+				var steps int64
+				for qi, qs := range queries {
+					flat, _ := NewQuery(qs, ms.m)
+					q, _ := NewQuery(qs, ms.m)
+					var res, ref []SearchResult
+					var err, refErr error
+					if kind == "search" {
+						var r, f SearchResult
+						r, err = ix.Search(q)
+						f, refErr = flat.Search(db)
+						res, ref = []SearchResult{r}, []SearchResult{f}
+					} else {
+						res, err = ix.SearchRange(q, ms.radius)
+						ref, refErr = flat.SearchRange(db, ms.radius)
+						// The scan answers in distance order, the index in row order.
+						sort.Slice(ref, func(a, b int) bool { return ref[a].Index < ref[b].Index })
+					}
+					if refErr != nil {
+						t.Fatalf("%s q%d: flat scan: %v", cell, qi, refErr)
+					}
+					if ms.name == "lcss" && kind == "range" {
+						if err == nil || !strings.Contains(err.Error(), "supports Euclidean and DTW") {
+							t.Fatalf("%s q%d: err = %v, want the unsupported-measure error", cell, qi, err)
+						}
+					} else {
+						if err != nil {
+							t.Fatalf("%s q%d: %v", cell, qi, err)
+						}
+						if len(res) != len(ref) {
+							t.Fatalf("%s q%d: %d answers, flat scan %d", cell, qi, len(res), len(ref))
+						}
+						for i := range res {
+							if res[i].Index != ref[i].Index || res[i].Dist != ref[i].Dist {
+								t.Fatalf("%s q%d answer %d: index (%d,%v) != flat (%d,%v)",
+									cell, qi, i, res[i].Index, res[i].Dist, ref[i].Index, ref[i].Dist)
+							}
+						}
+					}
+					if err == nil {
+						traced++
+					}
+					s := ix.Stats()
+					if !s.Reconciles() {
+						t.Fatalf("%s q%d: stats do not reconcile: %+v", cell, qi, s)
+					}
+					if s.DiskReads != int64(ix.DiskReads()) || s.DiskReads != s.IndexFetches {
+						t.Fatalf("%s q%d: Stats.DiskReads=%d DiskReads()=%d Stats.IndexFetches=%d",
+							cell, qi, s.DiskReads, ix.DiskReads(), s.IndexFetches)
+					}
+					steps += q.Steps()
+				}
+				got[cell] = pin{steps, int64(ix.DiskReads())}
+				fetched += int64(ix.DiskReads())
+			}
+		}
+		if finished, _ := tlog.Totals(); finished != traced {
+			t.Errorf("%s: %d traces finished for %d index queries", st.name, finished, traced)
+		}
+		var diskReads int64
+		for _, sl := range ix.Stats().StageLatencies {
+			if sl.Stage == "disk_read" {
+				diskReads = sl.Count
+			}
+		}
+		if diskReads != fetched {
+			t.Errorf("%s: disk_read histogram counts %d fetches of %d", st.name, diskReads, fetched)
+		}
+	}
+	for cell, g := range got {
+		if w, ok := want[cell]; !ok || g != w {
+			t.Errorf("%q: {%d, %d}, pinned {%d, %d}", cell, g.steps, g.reads, w.steps, w.reads)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("%d cells ran, %d pinned", len(got), len(want))
+	}
+}

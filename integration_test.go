@@ -59,11 +59,11 @@ func TestEndToEndAnthropologyWorkflow(t *testing.T) {
 	labels = append(labels, labels[motifOriginal])
 
 	// 3. Persist the collection and open a disk-backed index.
-	path := filepath.Join(t.TempDir(), "collection.lbks")
-	if err := WriteSeriesFile(path, db); err != nil {
+	dir := filepath.Join(t.TempDir(), "collection")
+	if err := WriteSegmentStore(dir, db, 16); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := OpenIndexFile(path, 16)
+	ix, err := OpenSegmentIndex(dir, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

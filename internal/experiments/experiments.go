@@ -241,12 +241,12 @@ func DiskAccesses(cfg DiskConfig) ([]DiskCurve, error) {
 		var edReads, dtwReads int
 		for _, q := range queries {
 			rs := core.NewRotationSet(q, core.DefaultOptions(), nil)
-			ix.Store().ResetReads()
+			ix.ResetReads()
 			ix.SearchED(rs, nil)
-			edReads += ix.Store().Reads()
-			ix.Store().ResetReads()
+			edReads += ix.Reads()
+			ix.ResetReads()
 			ix.SearchDTW(rs, cfg.R, 0, nil)
-			dtwReads += ix.Store().Reads()
+			dtwReads += ix.Reads()
 		}
 		ed.Fraction[di] = float64(edReads) / float64(cfg.M*cfg.Queries)
 		dtw.Fraction[di] = float64(dtwReads) / float64(cfg.M*cfg.Queries)

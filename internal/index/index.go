@@ -1,19 +1,19 @@
 // Package index implements the disk-based exact rotation-invariant index of
 // Section 4.2 (Table 7): a compressed, memory-resident representation of
 // every database series — rotation-invariant Fourier magnitudes for
-// Euclidean queries, PAA means for DTW queries — plus a simulated disk store
-// that counts how many full series had to be fetched for exact verification.
+// Euclidean queries, PAA means for DTW queries — over a store of the
+// full-resolution series, counting how many had to be fetched for exact
+// verification.
 //
 // Disk accesses, not CPU, are the metric of Figure 24 ("the fraction of
-// items that must be retrieved from disk"), so the store counts every fetch;
-// an object is fetched at most once per query.
+// items that must be retrieved from disk"), so every fetch is counted — here
+// and nowhere else; an object is fetched at most once per query.
 package index
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"lbkeogh/internal/core"
 	"lbkeogh/internal/fourier"
@@ -26,47 +26,32 @@ import (
 	"lbkeogh/internal/wedge"
 )
 
-// SeriesStore abstracts the disk-resident collection of full-resolution
-// series: the in-memory simulation below for experiments, or a real
-// file-backed store (internal/diskstore) for persistent indexes.
+// SeriesStore is the disk-resident collection of full-resolution series
+// (internal/segment's DB). Counting and timing its fetches is the index's
+// job, not the store's.
 type SeriesStore interface {
-	// Fetch retrieves one full series, counting the access.
+	// Fetch retrieves one full series.
 	Fetch(id int) []float64
 	// Len returns the collection size.
 	Len() int
-	// Reads reports fetches since the last ResetReads.
-	Reads() int
-	// ResetReads zeroes the access counter.
-	ResetReads()
+	// LinkTrace hands over the ID of a just-retained query trace, which
+	// exists only once the query has finished, so a store that keeps deferred
+	// fetch exemplars can stamp this query's slow/cold fetches with it.
+	LinkTrace(id int64)
 }
 
-// Store simulates the disk-resident collection of full-resolution series.
-type Store struct {
-	series [][]float64
-	reads  int
-}
+// memStore keeps the collection in memory — the "disk" of the Figure 24
+// experiments, where only the number of fetches matters.
+type memStore [][]float64
 
-// NewStore wraps db as the on-disk collection.
-func NewStore(db [][]float64) *Store { return &Store{series: db} }
-
-// Fetch retrieves one full series, counting the disk access.
-func (s *Store) Fetch(id int) []float64 {
-	s.reads++
-	return s.series[id]
-}
-
-// Reads reports the number of fetches since the last ResetReads.
-func (s *Store) Reads() int { return s.reads }
-
-// ResetReads zeroes the access counter.
-func (s *Store) ResetReads() { s.reads = 0 }
-
-// Len returns the collection size.
-func (s *Store) Len() int { return len(s.series) }
+func (s memStore) Fetch(id int) []float64 { return s[id] }
+func (s memStore) Len() int               { return len(s) }
+func (memStore) LinkTrace(int64)          {}
 
 // Index is the compressed in-memory representation plus the store.
 type Index struct {
 	store SeriesStore
+	reads int // fetches since the last ResetReads
 	n     int // series length
 	d     int // retained dimensionality D
 
@@ -79,107 +64,50 @@ type Index struct {
 	obs    *obs.SearchStats // nil: the no-op sink
 	tracer obs.Tracer       // nil: untraced
 	tlog   *trace.Log       // nil: no trace recording
-	rec    *trace.Recorder  // the in-flight query's recorder, nil otherwise
-}
-
-// fetchHooker is implemented by stores that can report each record fetch as
-// it happens, with its duration (internal/diskstore does).
-type fetchHooker interface {
-	SetFetchHook(func(id int, dur time.Duration))
-}
-
-// traceLinker is implemented by stores whose storage-plane observability
-// keeps deferred fetch exemplars (internal/segment's DB with a storeobs
-// recorder attached): trace IDs exist only once a trace is finished and
-// retained, so the index hands the ID back after the fact and the store
-// stamps its pending slow/cold fetch exemplars with it.
-type traceLinker interface {
-	LinkTrace(id int64)
 }
 
 // SetObserver installs an instrumentation record and tracer used by every
-// subsequent query: index-level candidate/fetch counts, the verification
-// searches' pruning breakdowns, and per-record disk-read events when the
-// store supports them. Either argument may be nil. Not safe to call
-// concurrently with queries.
+// subsequent query: index-level candidate/fetch/disk-read counts and the
+// verification searches' pruning breakdowns. Either argument may be nil. Not
+// safe to call concurrently with queries.
 func (ix *Index) SetObserver(st *obs.SearchStats, tr obs.Tracer) {
 	ix.obs = st
 	ix.tracer = tr
-	ix.installFetchHook()
 }
 
 // SetTraceLog attaches (or with nil detaches) a trace log: every subsequent
 // query records a span trace — index probe, per-candidate fetch, and the
 // verification comparisons — which the log samples and screens for slow
-// queries. Disk-read durations additionally feed the log's disk_read stage
-// histogram when the store supports fetch hooks. Not safe to call
-// concurrently with queries.
-func (ix *Index) SetTraceLog(l *trace.Log) {
-	ix.tlog = l
-	ix.installFetchHook()
-}
+// queries; each fetch's duration also feeds the log's disk_read stage
+// histogram. Not safe to call concurrently with queries.
+func (ix *Index) SetTraceLog(l *trace.Log) { ix.tlog = l }
 
-func (ix *Index) installFetchHook() {
-	h, ok := ix.store.(fetchHooker)
-	if !ok {
-		return
-	}
-	if ix.obs == nil && ix.tracer == nil && ix.tlog == nil {
-		h.SetFetchHook(nil)
-		return
-	}
-	st, tlog := ix.obs, ix.tlog
-	h.SetFetchHook(func(id int, dur time.Duration) {
-		st.CountDiskRead()
-		tlog.ObserveStage(trace.StageDiskRead, int64(dur))
-	})
-}
+// Reads reports the number of full series fetched since the last ResetReads.
+func (ix *Index) Reads() int { return ix.reads }
 
-// Fetch retrieves one full series for verification, charging the access to
-// the observer. Stores without a fetch hook have their reads charged here so
-// DiskReads stays meaningful for the simulated store too.
-func (ix *Index) Fetch(id int) []float64 {
+// ResetReads zeroes the fetch counter.
+func (ix *Index) ResetReads() { ix.reads = 0 }
+
+// fetch retrieves one full series for verification. It is the only place a
+// fetch is counted and timed: one interval is both the trace's fetch span
+// and the disk_read stage sample.
+func (ix *Index) fetch(rec *trace.Recorder, id int) []float64 {
+	ix.reads++
 	ix.obs.CountIndexCandidate()
 	ix.obs.CountIndexFetch()
+	ix.obs.CountDiskRead()
 	obs.TraceFetch(ix.tracer, id)
-	if _, hooked := ix.store.(fetchHooker); !hooked {
-		ix.obs.CountDiskRead()
-	}
-	sp := ix.rec.Begin(trace.StageFetch, id)
+	start := rec.Now()
 	series := ix.store.Fetch(id)
-	ix.rec.End(sp)
+	dur := rec.Now() - start
+	rec.Emit(trace.StageFetch, id, start, dur)
+	ix.tlog.ObserveStage(trace.StageDiskRead, dur)
 	return series
 }
 
-// startTrace begins one query's trace (a nil log yields a nil recorder, the
-// no-op path) and snapshots the counters for the whole-trace delta.
-func (ix *Index) startTrace(label string, searcher *core.Searcher) (*trace.Recorder, obs.Counts) {
-	rec := ix.tlog.StartTrace(label)
-	ix.rec = rec
-	searcher.SetRecorder(rec)
-	return rec, ix.obs.Counts()
-}
-
-// finishTrace completes the query's trace with the counter deltas as the
-// whole-trace attributes, and — when the trace was retained and the store
-// keeps deferred fetch exemplars — links the new trace ID to the query's
-// slow/cold store fetches.
-func (ix *Index) finishTrace(rec *trace.Recorder, before obs.Counts) {
-	id := ix.tlog.Finish(rec, ix.obs.Counts().Sub(before))
-	ix.rec = nil
-	if id != 0 {
-		if tl, ok := ix.store.(traceLinker); ok {
-			tl.LinkTrace(id)
-		}
-	}
-}
-
-func (ix *Index) searcherConfig() core.SearcherConfig {
-	return core.SearcherConfig{Obs: ix.obs, Tracer: ix.tracer}
-}
-
-// Build constructs the index over db with D retained dimensions per object
-// (the paper sweeps D in {4, 8, 16, 32}). All series must share one length.
+// Build constructs the index over db, held in memory, with D retained
+// dimensions per object (the paper sweeps D in {4, 8, 16, 32}). All series
+// must share one length.
 func Build(db [][]float64, D int) *Index {
 	if len(db) == 0 {
 		panic("index: empty database")
@@ -193,33 +121,7 @@ func Build(db [][]float64, D int) *Index {
 	if D < 1 {
 		panic("index: D must be positive")
 	}
-	return buildFeatures(NewStore(db), n, D, db)
-}
-
-// BuildFromStore constructs the index over an already-stored collection of
-// series of length n, streaming each record once to compute the compressed
-// features. The feature-building pass is excluded from read accounting.
-func BuildFromStore(store SeriesStore, n, D int) (*Index, error) {
-	if store.Len() == 0 {
-		return nil, fmt.Errorf("index: empty store")
-	}
-	if D < 1 {
-		return nil, fmt.Errorf("index: D must be positive")
-	}
-	db := make([][]float64, store.Len())
-	for i := range db {
-		s := store.Fetch(i)
-		if len(s) != n {
-			return nil, fmt.Errorf("index: stored series %d length %d != %d", i, len(s), n)
-		}
-		db[i] = s
-	}
-	store.ResetReads()
-	return buildFeatures(store, n, D, db), nil
-}
-
-func buildFeatures(store SeriesStore, n, D int, db [][]float64) *Index {
-	ix := &Index{store: store, n: n, d: D}
+	ix := &Index{store: memStore(db), n: n, d: D}
 	ix.mags = make([][]float64, len(db))
 	ix.paas = make([][]float64, len(db))
 	for i, s := range db {
@@ -287,9 +189,6 @@ func (ix *Index) dtwBound(boxes []paa.Box) func(lo, hi []float64) float64 {
 	}
 }
 
-// Store exposes the backing store (for read accounting).
-func (ix *Index) Store() SeriesStore { return ix.store }
-
 // D returns the retained dimensionality.
 func (ix *Index) D() int { return ix.d }
 
@@ -300,122 +199,121 @@ type Result struct {
 	Member core.Member
 }
 
-// SearchED answers an exact 1-NN rotation-invariant Euclidean query: the
-// VP-tree over magnitude features enumerates candidates best-first; each
-// candidate whose feature bound beats the best-so-far is fetched from disk
-// and verified exactly with H-Merge. No false dismissals: the feature
-// distance lower-bounds the rotation-invariant distance, and subtrees are
-// pruned only on that bound.
-func (ix *Index) SearchED(rs *core.RotationSet, cnt *stats.Counter) Result {
-	qmag := fourier.Magnitudes(rs.Base(), ix.d)
-	searcher := core.NewSearcher(rs, wedge.ED{}, core.Wedge, ix.searcherConfig())
-	rec, before := ix.startTrace("index_search_ed", searcher)
-	best := Result{Index: -1, Dist: math.Inf(1)}
-	probe := rec.Begin(trace.StageVPProbe, -1)
-	ix.vpt.Search(qmag, math.Inf(1), func(id int, fd, bsf float64) float64 {
-		series := ix.Fetch(id)
-		m := searcher.MatchSeries(series, bsf, cnt)
-		if m.Found() && m.Dist < bsf {
-			best = Result{Index: id, Dist: m.Dist, Member: m.Member}
-			return m.Dist
+// walk enumerates one query's candidates: it calls visit(id, bound, r) for
+// every object its compressed bound cannot exclude at the current radius r
+// and continues with the radius visit returns — the shape vptree.Search and
+// rtree.Search share.
+type walk func(r float64, visit func(id int, bound, r float64) float64)
+
+// probe is the one index query path: trace the query, fetch each object
+// candidates proposes and verify it exactly with H-Merge under kern. With
+// nearest set the radius shrinks to the best-so-far and only the best match
+// is kept; otherwise it stays at r and every match below it is kept, in
+// ascending index order. No false dismissals: a walk skips an object only
+// on an admissible bound that reaches the radius.
+func (ix *Index) probe(label string, stage trace.Stage, rs *core.RotationSet, kern wedge.Kernel,
+	candidates walk, r float64, nearest bool, cnt *stats.Counter) []Result {
+	searcher := core.NewSearcher(rs, kern, core.Wedge, core.SearcherConfig{Obs: ix.obs, Tracer: ix.tracer})
+	rec := ix.tlog.StartTrace(label)
+	searcher.SetRecorder(rec)
+	before := ix.obs.Counts()
+	var out []Result
+	span := rec.Begin(stage, -1)
+	candidates(r, func(id int, _, r float64) float64 {
+		m := searcher.MatchSeries(ix.fetch(rec, id), r, cnt)
+		if !m.Found() { // found means strictly below r
+			return r
 		}
-		return bsf
+		hit := Result{Index: id, Dist: m.Dist, Member: m.Member}
+		if !nearest {
+			out = append(out, hit)
+			return r
+		}
+		out = append(out[:0], hit)
+		return m.Dist
 	})
-	rec.End(probe)
-	ix.finishTrace(rec, before)
-	return best
+	rec.End(span)
+	// The trace ID exists only once the trace is finished and retained.
+	if id := ix.tlog.Finish(rec, ix.obs.Counts().Sub(before)); id != 0 {
+		ix.store.LinkTrace(id)
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].Index < out[b].Index })
+	return out
+}
+
+// first unwraps a nearest probe's answer; Index is -1 when nothing matched.
+func first(rs []Result) Result {
+	if len(rs) == 0 {
+		return Result{Index: -1, Dist: math.Inf(1)}
+	}
+	return rs[0]
+}
+
+// vpWalk enumerates candidates best-first from the VP-tree over magnitude
+// features, whose distance lower-bounds the rotation-invariant Euclidean
+// distance.
+func (ix *Index) vpWalk(rs *core.RotationSet) walk {
+	qmag := fourier.Magnitudes(rs.Base(), ix.d)
+	return func(r float64, visit func(int, float64, float64) float64) { ix.vpt.Search(qmag, r, visit) }
+}
+
+// rtWalk enumerates candidates best-first from the R-tree: each object's PAA
+// means are lower-bounded against the K DTW-expanded envelopes of the
+// query's wedge set. wedges selects K, clamped to the rotation count; 0
+// picks one envelope per rotation (classic per-rotation LB_Keogh boxes):
+// index-space bounds are cheap relative to a disk fetch, and fat merged
+// wedges prune dramatically worse here — see BenchmarkAblationIndexWedges.
+func (ix *Index) rtWalk(rs *core.RotationSet, R, wedges int) walk {
+	if wedges <= 0 || wedges > rs.Members() {
+		wedges = rs.Members()
+	}
+	envs := rs.Tree().FrontierEnvelopes(wedges, R)
+	boxes := make([]paa.Box, len(envs))
+	for i, e := range envs {
+		boxes[i] = paa.ReduceEnvelope(e, ix.d)
+	}
+	bound := ix.dtwBound(boxes)
+	return func(r float64, visit func(int, float64, float64) float64) { ix.rt.Search(bound, r, visit) }
+}
+
+// scanWalk proposes every object in index order: the walk for measures with
+// no admissible compressed bound.
+func (ix *Index) scanWalk(r float64, visit func(int, float64, float64) float64) {
+	for id := range ix.mags {
+		r = visit(id, 0, r)
+	}
+}
+
+// SearchED answers an exact 1-NN rotation-invariant Euclidean query,
+// fetching only the objects whose magnitude-feature bound beats the
+// best-so-far.
+func (ix *Index) SearchED(rs *core.RotationSet, cnt *stats.Counter) Result {
+	return first(ix.probe("index_search_ed", trace.StageVPProbe, rs, wedge.ED{}, ix.vpWalk(rs), math.Inf(1), true, cnt))
 }
 
 // RangeED returns every database object whose exact rotation-invariant
 // Euclidean distance to the query is strictly below r, in ascending index
 // order. Only objects whose magnitude-feature bound is below r are fetched.
 func (ix *Index) RangeED(rs *core.RotationSet, r float64, cnt *stats.Counter) []Result {
-	qmag := fourier.Magnitudes(rs.Base(), ix.d)
-	searcher := core.NewSearcher(rs, wedge.ED{}, core.Wedge, ix.searcherConfig())
-	rec, before := ix.startTrace("index_range_ed", searcher)
-	var out []Result
-	probe := rec.Begin(trace.StageVPProbe, -1)
-	ix.vpt.Search(qmag, r, func(id int, fd, bsf float64) float64 {
-		series := ix.Fetch(id)
-		m := searcher.MatchSeries(series, r, cnt)
-		if m.Found() {
-			out = append(out, Result{Index: id, Dist: m.Dist, Member: m.Member})
-		}
-		return bsf // fixed radius: never shrink
-	})
-	rec.End(probe)
-	ix.finishTrace(rec, before)
-	sort.Slice(out, func(a, b int) bool { return out[a].Index < out[b].Index })
-	return out
+	return ix.probe("index_range_ed", trace.StageVPProbe, rs, wedge.ED{}, ix.vpWalk(rs), r, false, cnt)
+}
+
+// SearchDTW answers an exact 1-NN rotation-invariant DTW query with band R,
+// verifying candidates until the smallest outstanding PAA envelope bound
+// reaches the best-so-far. wedges is rtWalk's K.
+func (ix *Index) SearchDTW(rs *core.RotationSet, R int, wedges int, cnt *stats.Counter) Result {
+	return first(ix.probe("index_search_dtw", trace.StageRTreeProbe, rs, wedge.DTW{R: R}, ix.rtWalk(rs, R, wedges), math.Inf(1), true, cnt))
 }
 
 // RangeDTW is the DTW analogue of RangeED, using the PAA envelope bounds in
 // index space.
 func (ix *Index) RangeDTW(rs *core.RotationSet, R int, wedges int, r float64, cnt *stats.Counter) []Result {
-	if wedges <= 0 {
-		wedges = rs.Members()
-	}
-	if wedges > rs.Members() {
-		wedges = rs.Members()
-	}
-	envs := rs.Tree().FrontierEnvelopes(wedges, R)
-	boxes := make([]paa.Box, len(envs))
-	for i, e := range envs {
-		boxes[i] = paa.ReduceEnvelope(e, ix.d)
-	}
-	searcher := core.NewSearcher(rs, wedge.DTW{R: R}, core.Wedge, ix.searcherConfig())
-	rec, before := ix.startTrace("index_range_dtw", searcher)
-	var out []Result
-	probe := rec.Begin(trace.StageRTreeProbe, -1)
-	ix.rt.Search(ix.dtwBound(boxes), r, func(id int, lb, bsf float64) float64 {
-		series := ix.Fetch(id)
-		m := searcher.MatchSeries(series, r, cnt)
-		if m.Found() {
-			out = append(out, Result{Index: id, Dist: m.Dist, Member: m.Member})
-		}
-		return bsf // fixed radius
-	})
-	rec.End(probe)
-	ix.finishTrace(rec, before)
-	sort.Slice(out, func(a, b int) bool { return out[a].Index < out[b].Index })
-	return out
+	return ix.probe("index_range_dtw", trace.StageRTreeProbe, rs, wedge.DTW{R: R}, ix.rtWalk(rs, R, wedges), r, false, cnt)
 }
 
-// SearchDTW answers an exact 1-NN rotation-invariant DTW query with band R.
-// In index space each object's PAA means are lower-bounded against the K
-// DTW-expanded envelopes of the query's wedge set; candidates are verified
-// best-first until the smallest outstanding bound reaches the best-so-far.
-// wedges selects K (clamped to the rotation count); 0 picks a default.
-func (ix *Index) SearchDTW(rs *core.RotationSet, R int, wedges int, cnt *stats.Counter) Result {
-	if wedges <= 0 {
-		// Default: one envelope per rotation (classic per-rotation LB_Keogh
-		// boxes). Index-space bounds are cheap relative to a disk fetch, and
-		// fat merged wedges prune dramatically worse here — see the
-		// BenchmarkAblationIndexWedges ablation.
-		wedges = rs.Members()
-	}
-	if wedges > rs.Members() {
-		wedges = rs.Members()
-	}
-	envs := rs.Tree().FrontierEnvelopes(wedges, R)
-	boxes := make([]paa.Box, len(envs))
-	for i, e := range envs {
-		boxes[i] = paa.ReduceEnvelope(e, ix.d)
-	}
-	searcher := core.NewSearcher(rs, wedge.DTW{R: R}, core.Wedge, ix.searcherConfig())
-	rec, before := ix.startTrace("index_search_dtw", searcher)
-	best := Result{Index: -1, Dist: math.Inf(1)}
-	probe := rec.Begin(trace.StageRTreeProbe, -1)
-	ix.rt.Search(ix.dtwBound(boxes), math.Inf(1), func(id int, lb, bsf float64) float64 {
-		series := ix.Fetch(id)
-		m := searcher.MatchSeries(series, bsf, cnt)
-		if m.Found() && m.Dist < bsf {
-			best = Result{Index: id, Dist: m.Dist, Member: m.Member}
-			return m.Dist
-		}
-		return bsf
-	})
-	rec.End(probe)
-	ix.finishTrace(rec, before)
-	return best
+// SearchScan answers an exact 1-NN query under a kernel the index has no
+// compressed bound for (LCSS): every object is fetched once and verified,
+// traced and counted like the pruning paths.
+func (ix *Index) SearchScan(rs *core.RotationSet, kern wedge.Kernel, cnt *stats.Counter) Result {
+	return first(ix.probe("index_search_scan", trace.StageSearch, rs, kern, ix.scanWalk, math.Inf(1), true, cnt))
 }

@@ -41,7 +41,7 @@ func TestSearchEDExact(t *testing.T) {
 		q := ts.ZNorm(ts.AddNoise(rng, db[trial*3], 0.05))
 		rs := core.NewRotationSet(q, core.DefaultOptions(), nil)
 		wantIdx, wantDist := linearScan(rs, db, wedge.ED{})
-		ix.Store().ResetReads()
+		ix.ResetReads()
 		got := ix.SearchED(rs, nil)
 		if got.Index != wantIdx || math.Abs(got.Dist-wantDist) > 1e-9 {
 			t.Fatalf("trial %d: index (%d,%v) != linear (%d,%v)", trial, got.Index, got.Dist, wantIdx, wantDist)
@@ -56,9 +56,9 @@ func TestSearchEDPrunesReads(t *testing.T) {
 	rng := ts.NewRand(4)
 	q := ts.ZNorm(ts.AddNoise(rng, db[0], 0.02))
 	rs := core.NewRotationSet(q, core.DefaultOptions(), nil)
-	ix.Store().ResetReads()
+	ix.ResetReads()
 	ix.SearchED(rs, nil)
-	if r := ix.Store().Reads(); r >= 200 {
+	if r := ix.Reads(); r >= 200 {
 		t.Fatalf("index read everything: %d of 200", r)
 	}
 }
@@ -73,7 +73,7 @@ func TestSearchEDReadsShrinkWithD(t *testing.T) {
 	for _, D := range []int{4, 32} {
 		ix := Build(db, D)
 		ix.SearchED(rs, nil)
-		reads[D] = ix.Store().Reads()
+		reads[D] = ix.Reads()
 	}
 	if reads[32] > reads[4] {
 		t.Fatalf("higher D should not read more: D=4 %d, D=32 %d", reads[4], reads[32])
@@ -105,7 +105,7 @@ func TestSearchDTWPrunesReads(t *testing.T) {
 	q := ts.ZNorm(ts.AddNoise(rng, db[0], 0.02))
 	rs := core.NewRotationSet(q, core.DefaultOptions(), nil)
 	ix.SearchDTW(rs, 3, 16, nil)
-	if r := ix.Store().Reads(); r >= 150 {
+	if r := ix.Reads(); r >= 150 {
 		t.Fatalf("DTW index read everything: %d of 150", r)
 	}
 }
@@ -165,13 +165,13 @@ func TestRangeEDExact(t *testing.T) {
 		}
 	}
 	// Fewer fetches than the database when the radius is selective.
-	ix.Store().ResetReads()
+	ix.ResetReads()
 	tight := ix.RangeED(rs, nn.Dist*1.05, nil)
 	if len(tight) < 1 {
 		t.Fatal("tight range should still contain the NN")
 	}
-	if ix.Store().Reads() >= len(db) {
-		t.Fatalf("tight range fetched everything: %d", ix.Store().Reads())
+	if ix.Reads() >= len(db) {
+		t.Fatalf("tight range fetched everything: %d", ix.Reads())
 	}
 }
 
@@ -200,54 +200,58 @@ func TestRangeDTWExact(t *testing.T) {
 }
 
 func TestStoreAccounting(t *testing.T) {
-	s := NewStore([][]float64{{1}, {2}})
-	if s.Len() != 2 || s.Reads() != 0 {
-		t.Fatal("fresh store state wrong")
+	db := syntheticDB(41, 30, 32)
+	ix := Build(db, 8)
+	rs := core.NewRotationSet(db[2], core.DefaultOptions(), nil)
+	if ix.Reads() != 0 {
+		t.Fatal("fresh index has reads")
 	}
-	s.Fetch(0)
-	s.Fetch(1)
-	if s.Reads() != 2 {
-		t.Fatalf("reads = %d, want 2", s.Reads())
+	// The bound-less walk fetches every object exactly once.
+	if got := ix.SearchScan(rs, wedge.ED{}, nil); got.Index != 2 || ix.Reads() != len(db) {
+		t.Fatalf("scan found %d with %d reads, want 2 with %d", got.Index, ix.Reads(), len(db))
 	}
-	s.ResetReads()
-	if s.Reads() != 0 {
+	ix.SearchED(rs, nil)
+	if r := ix.Reads(); r <= len(db) || r >= 2*len(db) {
+		t.Fatalf("reads = %d after a pruned search on top of %d", r, len(db))
+	}
+	ix.ResetReads()
+	if ix.Reads() != 0 {
 		t.Fatal("reset failed")
 	}
 }
 
-func TestBuildFromStore(t *testing.T) {
+func TestBuildFromColumns(t *testing.T) {
 	n := 32
 	db := syntheticDB(31, 25, n)
-	store := NewStore(db)
-	ix, err := BuildFromStore(store, n, 8)
+	direct := Build(db, 8)
+	ix, err := BuildFromColumns(memStore(db), n, 8, direct.mags, direct.paas)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ix.D() != 8 {
 		t.Fatalf("D = %d", ix.D())
 	}
-	if store.Reads() != 0 {
-		t.Fatalf("feature-building reads not reset: %d", store.Reads())
-	}
 	// Same answers as the direct build.
-	direct := Build(db, 8)
 	rng := ts.NewRand(32)
 	q := ts.ZNorm(ts.AddNoise(rng, db[3], 0.05))
 	rs := core.NewRotationSet(q, core.DefaultOptions(), nil)
 	a := ix.SearchED(rs, nil)
 	b := direct.SearchED(rs, nil)
-	if a.Index != b.Index || math.Abs(a.Dist-b.Dist) > 1e-12 {
-		t.Fatalf("store-built index disagrees: (%d,%v) vs (%d,%v)", a.Index, a.Dist, b.Index, b.Dist)
+	if a.Index != b.Index || a.Dist != b.Dist || ix.Reads() != direct.Reads() {
+		t.Fatalf("column-built index disagrees: (%d,%v) vs (%d,%v)", a.Index, a.Dist, b.Index, b.Dist)
 	}
 	// Validation.
-	if _, err := BuildFromStore(NewStore(nil), n, 8); err == nil {
+	if _, err := BuildFromColumns(memStore(nil), n, 8, nil, nil); err == nil {
 		t.Fatal("want error for empty store")
 	}
-	if _, err := BuildFromStore(store, n, 0); err == nil {
+	if _, err := BuildFromColumns(memStore(db), n, 0, direct.mags, direct.paas); err == nil {
 		t.Fatal("want error for D < 1")
 	}
-	if _, err := BuildFromStore(store, n+1, 8); err == nil {
-		t.Fatal("want error for length mismatch")
+	if _, err := BuildFromColumns(memStore(db), n, 8, direct.mags[1:], direct.paas); err == nil {
+		t.Fatal("want error for a missing feature row")
+	}
+	if _, err := BuildFromColumns(memStore(db), n, 4, direct.mags, direct.paas); err == nil {
+		t.Fatal("want error for feature rows of the wrong width")
 	}
 }
 

@@ -59,6 +59,7 @@ var metricRegistrars = map[string]metricRegistrar{
 	"lbkeogh/internal/obs/ops.WriteCounter":    {1, "counter"},
 	"lbkeogh/internal/obs/ops.WriteGaugeInt":   {1, "gauge"},
 	"lbkeogh/internal/obs/ops.WriteGaugeFloat": {1, "gauge"},
+	"lbkeogh/internal/obs/ops.WriteHistogram":  {1, "histogram"},
 }
 
 func checkMetricCall(pass *Pass, call *ast.CallExpr) {

@@ -17,6 +17,7 @@ func Expose(w io.Writer) {
 	ops.WriteGaugeInt(w, "shapeserver_depth", "fine", 1)
 	ops.WriteGaugeFloat(w, "lbkeogh_ratio", "fine", 0.5)
 	ops.WriteFamily(w, "lbkeogh_hist_seconds", "histogram", "fine")
+	ops.WriteHistogram(w, "lbkeogh_hist_seconds", "", nil, "0", false)
 
 	ops.WriteCounter(w, "shapeserver_drops", "counter without the suffix", 1)   // want `counter "shapeserver_drops" must end in _total`
 	ops.WriteGaugeInt(w, "shapeserver_depth_total", "gauge claiming _total", 1) // want `gauge "shapeserver_depth_total" must not end in _total`
@@ -27,6 +28,7 @@ func Expose(w io.Writer) {
 	ops.WriteCounter(w, "lbkeogh_BadName_total", "camel case", 1)               // want `is not snake_case`
 	ops.WriteCounter(w, "lbkeogh__doubled_total", "doubled underscore", 1)      // want `is not snake_case`
 	ops.WriteFamily(w, "lbkeogh_seconds_wait", "histogram", "unit not last")    // want `buries the unit "seconds"`
+	ops.WriteHistogram(w, "lbkeogh_wait_ms", "", nil, "0", false)               // want `use base units`
 }
 
 // Dynamic names are out of scope: only string literals are checked.

@@ -1,7 +1,6 @@
 package ops
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"runtime/metrics"
@@ -69,25 +68,14 @@ func writeRuntimeHistogram(w io.Writer, name, help string, h *metrics.Float64His
 	WriteFamily(w, name, "histogram", help)
 	// Buckets[i] .. Buckets[i+1] bound Counts[i]; the first boundary may be
 	// -Inf and the last +Inf.
-	var cum uint64
-	prev := uint64(0)
+	buckets := make([]HistogramBucket, 0, len(h.Counts)+1)
+	var overflow int64
 	for i, c := range h.Counts {
-		cum += c
-		upper := h.Buckets[i+1]
-		if math.IsInf(upper, 1) {
-			break // folded into the +Inf bucket below
+		if upper := h.Buckets[i+1]; math.IsInf(upper, 1) {
+			overflow += int64(c)
+		} else {
+			buckets = append(buckets, HistogramBucket{LE: FormatFloat(upper), Count: int64(c)})
 		}
-		if cum == prev && i > 0 {
-			continue
-		}
-		fmt.Fprintf(w, "%s_bucket{le=\"%s\"} %d\n", name, FormatFloat(upper), cum)
-		prev = cum
 	}
-	var total uint64
-	for _, c := range h.Counts {
-		total += c
-	}
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, total)
-	fmt.Fprintf(w, "%s_sum %s\n", name, FormatFloat(math.NaN()))
-	fmt.Fprintf(w, "%s_count %d\n", name, total)
+	WriteHistogram(w, name, "", append(buckets, HistogramBucket{Count: overflow}), FormatFloat(math.NaN()), true)
 }

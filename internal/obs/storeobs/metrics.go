@@ -128,41 +128,21 @@ func formatQuantileNS(ns int64) string {
 // interior buckets that add nothing are skipped unless they carry an
 // exemplar, the overflow bucket folds into +Inf, and durations are seconds.
 func writeHistogram(w io.Writer, name, labels string, h *obs.Histogram, ex *[obs.HistogramBuckets + 1]fetchExemplar) {
-	counts := make(map[int64]int64)
+	var buckets [obs.HistogramBuckets + 1]ops.HistogramBucket
+	for i := range buckets {
+		buckets[i].LE = ops.FormatFloat(float64(obs.BucketBound(i)) / 1e9)
+		if ex != nil && ex[i].traceID != 0 {
+			buckets[i].Exemplar = fmt.Sprintf("{trace_id=\"%d\"} %s %s",
+				ex[i].traceID, ops.FormatFloat(float64(ex[i].durNS)/1e9),
+				ops.FormatFloat(float64(ex[i].wall.UnixNano())/1e9))
+		}
+	}
 	for _, b := range h.Buckets() {
-		counts[b.UpperBound] = b.Count
-	}
-	var cum, prev int64
-	for i := 0; i < obs.HistogramBuckets; i++ {
-		bound := obs.BucketBound(i)
-		cum += counts[bound]
-		var e fetchExemplar
-		if ex != nil {
-			e = ex[i]
+		i := obs.HistogramBuckets // bound -1: the overflow bucket
+		if b.UpperBound >= 0 {
+			i = obs.BucketIndex(b.UpperBound)
 		}
-		if cum == prev && i > 0 && e.traceID == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "%s_bucket{%s,le=%q} %d", name, labels, ops.FormatFloat(float64(bound)/1e9), cum)
-		writeFetchExemplar(w, e)
-		fmt.Fprintln(w)
-		prev = cum
+		buckets[i].Count = b.Count
 	}
-	total := cum + counts[-1]
-	fmt.Fprintf(w, "%s_bucket{%s,le=\"+Inf\"} %d", name, labels, total)
-	if ex != nil {
-		writeFetchExemplar(w, ex[obs.HistogramBuckets])
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%s_sum{%s} %s\n", name, labels, ops.FormatFloat(float64(h.Sum())/1e9))
-	fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, total)
-}
-
-func writeFetchExemplar(w io.Writer, e fetchExemplar) {
-	if e.traceID == 0 {
-		return
-	}
-	fmt.Fprintf(w, " # {trace_id=\"%d\"} %s %s",
-		e.traceID, ops.FormatFloat(float64(e.durNS)/1e9),
-		ops.FormatFloat(float64(e.wall.UnixNano())/1e9))
+	ops.WriteHistogram(w, name, labels, buckets[:], ops.FormatFloat(float64(h.Sum())/1e9), true)
 }

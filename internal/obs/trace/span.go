@@ -37,8 +37,8 @@ const (
 	StageRTreeProbe
 	// StageFetch covers one full-resolution record fetch for verification.
 	StageFetch
-	// StageDiskRead covers one physical record read in the disk store
-	// (histogram-only; the store observes latency but records no spans).
+	// StageDiskRead covers one record read from the series store
+	// (histogram-only: the index feeds it each fetch span's duration).
 	StageDiskRead
 	// StageMonitorFilter covers one full-window filter pass of a stream
 	// monitor (histogram-only).

@@ -179,9 +179,8 @@ func (s *Snapshot) Features() (mags, paas [][]float64) {
 // Ingest and Compact can swap the live set with a single atomic pointer
 // store: in-flight readers keep their generation mapped until they finish.
 //
-// DB implements the index.SeriesStore contract (Fetch/Len/Reads/ResetReads)
-// plus SetFetchHook, so the index layer's disk-read accounting reconciles
-// exactly with the store's own counters.
+// DB implements the index.SeriesStore contract (Fetch/Len/LinkTrace); Reads
+// is the store's own count of Fetch calls, whoever made them.
 type DB struct {
 	dir  string
 	dims int // requested feature dims for the first segment of an empty store
@@ -198,8 +197,6 @@ type DB struct {
 	compactions     atomic.Int64
 	ingestedRecords atomic.Int64
 	busy            atomic.Int64 // in-flight Ingest/Compact operations
-
-	hook atomic.Pointer[func(id int, dur time.Duration)]
 
 	// obs, when set, is the storage observability recorder (storeobs): the
 	// fetch path loads it once per Fetch — the one nil check the disabled
@@ -355,9 +352,9 @@ func (db *DB) Dims() int {
 // Generation returns the current manifest generation.
 func (db *DB) Generation() int64 { return db.cur.Load().gen }
 
-// Fetch returns a private copy of record id's series, counting the read and
-// firing the fetch hook — the index.SeriesStore contract (panic on a bad
-// ID, like diskstore.Fetch). The copy is safe to hold across compactions.
+// Fetch returns a private copy of record id's series, counting the read —
+// the index.SeriesStore contract (panic on a bad ID). The copy is safe to
+// hold across compactions.
 func (db *DB) Fetch(id int) []float64 {
 	start := time.Now()
 	s := db.Acquire()
@@ -377,12 +374,8 @@ func (db *DB) Fetch(id int) []float64 {
 	out := make([]float64, len(v))
 	copy(out, v)
 	db.reads.Add(1)
-	dur := time.Since(start)
-	if h := db.hook.Load(); h != nil {
-		(*h)(id, dur)
-	}
 	if rec != nil {
-		rec.ObserveFetch(cold, dur)
+		rec.ObserveFetch(cold, time.Since(start))
 	}
 	return out
 }
@@ -392,17 +385,6 @@ func (db *DB) Reads() int { return int(db.reads.Load()) }
 
 // ResetReads zeroes the fetch counter.
 func (db *DB) ResetReads() { db.reads.Store(0) }
-
-// SetFetchHook installs a per-fetch observer (id, latency), mirroring
-// diskstore.SetFetchHook so the index layer's accounting path is identical
-// for both stores. Pass nil to remove.
-func (db *DB) SetFetchHook(h func(id int, dur time.Duration)) {
-	if h == nil {
-		db.hook.Store(nil)
-		return
-	}
-	db.hook.Store(&h)
-}
 
 // Busy reports whether an Ingest or Compact is in flight (the /readyz
 // "ingesting" reason).

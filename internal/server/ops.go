@@ -243,40 +243,21 @@ func (t *telemetry) writeMetrics(w io.Writer) {
 // buckets where the cumulative count does not change are skipped unless they
 // carry an exemplar.
 func writeREDHistogram(w io.Writer, name, endpoint string, snap ops.REDSnapshot) {
-	exemplars := map[int64]ops.BucketExemplar{}
-	for _, ex := range snap.Exemplars {
-		exemplars[ex.UpperBoundNS] = ex
-	}
-	var cum, prev int64
+	var buckets [len(snap.Buckets)]ops.HistogramBucket
 	for i, c := range snap.Buckets {
-		bound := obs.BucketBound(i)
-		if bound < 0 {
-			break // overflow folds into +Inf
-		}
-		cum += c
-		ex, hasEx := exemplars[bound]
-		if cum == prev && i > 0 && !hasEx {
-			continue
-		}
-		fmt.Fprintf(w, "%s_bucket{endpoint=%q,le=%q} %d", name, endpoint, ops.FormatFloat(float64(bound)/1e9), cum)
-		if hasEx {
-			fmt.Fprintf(w, " # {trace_id=\"%d\"} %s %s",
-				ex.TraceID, ops.FormatFloat(float64(ex.DurNS)/1e9),
-				ops.FormatFloat(float64(ex.Wall.UnixNano())/1e9))
-		}
-		fmt.Fprintln(w)
-		prev = cum
+		buckets[i] = ops.HistogramBucket{LE: ops.FormatFloat(float64(obs.BucketBound(i)) / 1e9), Count: c}
 	}
-	total := cum + snap.Buckets[len(snap.Buckets)-1]
-	fmt.Fprintf(w, "%s_bucket{endpoint=%q,le=\"+Inf\"} %d", name, endpoint, total)
-	if ex, ok := exemplars[-1]; ok {
-		fmt.Fprintf(w, " # {trace_id=\"%d\"} %s %s",
+	for _, ex := range snap.Exemplars {
+		i := len(buckets) - 1 // bound -1: the overflow bucket
+		if ex.UpperBoundNS >= 0 {
+			i = obs.BucketIndex(ex.UpperBoundNS)
+		}
+		buckets[i].Exemplar = fmt.Sprintf("{trace_id=\"%d\"} %s %s",
 			ex.TraceID, ops.FormatFloat(float64(ex.DurNS)/1e9),
 			ops.FormatFloat(float64(ex.Wall.UnixNano())/1e9))
 	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%s_sum{endpoint=%q} %s\n", name, endpoint, ops.FormatFloat(float64(snap.DurSumNS)/1e9))
-	fmt.Fprintf(w, "%s_count{endpoint=%q} %d\n", name, endpoint, total)
+	ops.WriteHistogram(w, name, fmt.Sprintf("endpoint=%q", endpoint), buckets[:],
+		ops.FormatFloat(float64(snap.DurSumNS)/1e9), true)
 }
 
 // panel renders the rolling windows as a dashboard section for

@@ -186,28 +186,22 @@ type Result struct {
 // returns precisely what brute force over all members would, as long as the
 // caller treats Dist = +Inf as "no member beats r".
 func (t *Tree) Search(q []float64, k Kernel, K int, r float64, traversal Traversal, cnt *stats.Tally) Result {
-	return t.SearchObs(q, k, K, r, traversal, cnt, nil, nil)
+	return t.SearchTraced(q, k, K, r, traversal, cnt, nil, nil, nil, nil)
 }
 
-// SearchObs is Search with instrumentation: every rotation the walk disposes
-// of is attributed to exactly one outcome on st (internal-wedge prune
-// weighted by subtree size, singleton-wedge LB prune, early abandon, or full
-// distance evaluation), and tr receives per-wedge trace events. Both st and
-// tr may be nil; the nil path costs one branch per event.
-func (t *Tree) SearchObs(q []float64, k Kernel, K int, r float64, traversal Traversal, cnt *stats.Tally, st *obs.SearchStats, tr obs.Tracer) Result {
-	return t.SearchTraced(q, k, K, r, traversal, cnt, st, tr, nil, nil)
-}
-
-// SearchTraced is SearchObs plus span recording and cooperative
-// cancellation: the H-Merge walk, the exact kernel evaluations at surviving
-// leaves and the per-level node-visit counts land in the goroutine-confined
-// arena ar, which the caller flushes into its trace recorder after the
-// comparison. The walk polls chk once per wedge visit — a cancellation is
-// observed within one checkpoint interval of visits, at which point every
-// undisposed member is attributed to the cancelled bucket and the Result
-// comes back Aborted. ar and chk may be nil (or disarmed) — the untraced,
-// uncancellable path costs one predictable branch per event, like the nil
-// st/tr paths.
+// SearchTraced is Search with instrumentation, span recording and
+// cooperative cancellation. Every rotation the walk disposes of is
+// attributed to exactly one outcome on st (internal-wedge prune weighted by
+// subtree size, singleton-wedge LB prune, early abandon, or full distance
+// evaluation), and tr receives per-wedge trace events. The H-Merge walk, the
+// exact kernel evaluations at surviving leaves and the per-level node-visit
+// counts land in the goroutine-confined arena ar, which the caller flushes
+// into its trace recorder after the comparison. The walk polls chk once per
+// wedge visit — a cancellation is observed within one checkpoint interval of
+// visits, at which point every undisposed member is attributed to the
+// cancelled bucket and the Result comes back Aborted. st, tr, ar and chk may
+// each be nil (or disarmed) — the nil path costs one predictable branch per
+// event.
 //
 //lbkeogh:hotpath
 func (t *Tree) SearchTraced(q []float64, k Kernel, K int, r float64, traversal Traversal, cnt *stats.Tally, st *obs.SearchStats, tr obs.Tracer, ar *trace.Arena, chk *cancel.Checker) Result {

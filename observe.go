@@ -6,9 +6,11 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 
 	"lbkeogh/internal/obs"
+	"lbkeogh/internal/obs/ops"
 )
 
 // SearchStats is a point-in-time snapshot of a query's (or index's, or
@@ -212,38 +214,33 @@ func WriteMetrics(w io.Writer, name string, s SearchStats) {
 	if len(s.StepsHistogram) > 0 {
 		fmt.Fprintf(w, "# HELP %s_comparison_steps Per-comparison num_steps distribution.\n", name)
 		fmt.Fprintf(w, "# TYPE %s_comparison_steps histogram\n", name)
-		var cum, total int64
-		for _, b := range s.StepsHistogram {
-			total += b.Count
-		}
-		for _, b := range s.StepsHistogram {
-			if b.UpperBound < 0 {
-				continue // overflow bucket folds into +Inf
-			}
-			cum += b.Count
-			fmt.Fprintf(w, "%s_comparison_steps_bucket{le=\"%d\"} %d\n", name, b.UpperBound, cum)
-		}
-		fmt.Fprintf(w, "%s_comparison_steps_bucket{le=\"+Inf\"} %d\n", name, total)
-		fmt.Fprintf(w, "%s_comparison_steps_sum %d\n%s_comparison_steps_count %d\n",
-			name, s.StepsHistogramSum, name, total)
+		ops.WriteHistogram(w, name+"_comparison_steps", "", expoBuckets(s.StepsHistogram),
+			strconv.FormatInt(s.StepsHistogramSum, 10), false)
 	}
 	if len(s.StageLatencies) > 0 {
 		fmt.Fprintf(w, "# HELP %s_stage_latency_ns Per-stage query latency in nanoseconds.\n", name)
 		fmt.Fprintf(w, "# TYPE %s_stage_latency_ns histogram\n", name)
 		for _, sl := range s.StageLatencies {
-			var cum int64
-			for _, b := range sl.Buckets {
-				if b.UpperBound < 0 {
-					continue
-				}
-				cum += b.Count
-				fmt.Fprintf(w, "%s_stage_latency_ns_bucket{stage=%q,le=\"%d\"} %d\n", name, sl.Stage, b.UpperBound, cum)
-			}
-			fmt.Fprintf(w, "%s_stage_latency_ns_bucket{stage=%q,le=\"+Inf\"} %d\n", name, sl.Stage, sl.Count)
-			fmt.Fprintf(w, "%s_stage_latency_ns_sum{stage=%q} %d\n", name, sl.Stage, sl.SumNS)
-			fmt.Fprintf(w, "%s_stage_latency_ns_count{stage=%q} %d\n", name, sl.Stage, sl.Count)
+			ops.WriteHistogram(w, name+"_stage_latency_ns", fmt.Sprintf("stage=%q", sl.Stage), expoBuckets(sl.Buckets),
+				strconv.FormatInt(sl.SumNS, 10), false)
 		}
 	}
+}
+
+// expoBuckets lays a snapshot's non-empty buckets out for ops.WriteHistogram:
+// the finite bounds in order, then the overflow bucket (UpperBound -1),
+// whether or not the snapshot has one.
+func expoBuckets(in []HistogramBucket) []ops.HistogramBucket {
+	out := make([]ops.HistogramBucket, 0, len(in)+1)
+	var overflow int64
+	for _, b := range in {
+		if b.UpperBound < 0 {
+			overflow += b.Count
+			continue
+		}
+		out = append(out, ops.HistogramBucket{LE: strconv.FormatInt(b.UpperBound, 10), Count: b.Count})
+	}
+	return append(out, ops.HistogramBucket{Count: overflow})
 }
 
 // expvar publication bookkeeping (expvar.Publish panics on duplicates).
