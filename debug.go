@@ -243,7 +243,7 @@ func buildDebugTrace(logName string, tr trace.Trace) debugTrace {
 		if row.WidthPct < 0.25 {
 			row.WidthPct = 0.25 // keep hair-thin spans visible
 		}
-		if !sp.Attrs.IsZero() {
+		if sp.Attrs != (Counts{}) {
 			if b, err := json.Marshal(sp.Attrs); err == nil {
 				row.Attrs = string(b)
 			}

@@ -61,7 +61,10 @@
 // consumer the sink is a nil pointer and costs only a branch. WithTracer
 // attaches per-event callbacks (wedge visits, abandons, K changes, fetches),
 // and MetricsHandler / PublishExpvar export live counters in Prometheus text
-// and expvar form.
+// and expvar form. SearchStats, Counts, KChange, HistogramBucket and
+// StageLatency are aliases of the internal/obs types every layer fills in:
+// internal/obs owns the record, the list of its counters and the table that
+// names their metric families, so the public API carries no copy of them.
 //
 // # Static analysis
 //

@@ -46,8 +46,8 @@ func (ix *Index) initObserver() {
 // When a TraceLog is attached, the snapshot additionally carries the log's
 // per-stage latency summaries.
 func (ix *Index) Stats() SearchStats {
-	s := statsFromSnapshot(ix.obs.Snapshot())
-	s.StageLatencies = stageLatenciesFromInternal(ix.tlog.inner().Latencies().Snapshot())
+	s := ix.obs.Snapshot()
+	s.StageLatencies = ix.tlog.inner().Latencies().Snapshot()
 	return s
 }
 

@@ -202,44 +202,26 @@ func (s *Searcher) CurrentK() int {
 // Match.Dist is +Inf when every rotation provably exceeds r. The num_steps
 // spent are charged to cnt.
 func (s *Searcher) MatchSeries(x []float64, r float64, cnt *stats.Counter) Match {
-	if s.exp != nil {
-		return s.matchSeriesExplained(x, r, cnt)
-	}
-	if s.rec != nil {
-		return s.matchSeriesTraced(x, r, cnt)
-	}
-	return s.matchSeries(x, r, cnt, nil)
-}
-
-// matchSeriesExplained wraps one comparison with explain sampling: the op
-// decides whether to measure the full bound waterfall for this candidate
-// (never charging the query's counters), and under attribution the
-// comparison's own counter delta is recorded for the plan's survivor
-// annotations.
-func (s *Searcher) matchSeriesExplained(x []float64, r float64, cnt *stats.Counter) Match {
-	s.exp.BeforeComparison(x, r)
-	if !s.exp.Attribution() {
-		if s.rec != nil {
-			return s.matchSeriesTraced(x, r, cnt)
-		}
+	if s.exp == nil && s.rec == nil {
 		return s.matchSeries(x, r, cnt, nil)
 	}
-	before := s.obs.Counts()
-	var m Match
-	if s.rec != nil {
-		m = s.matchSeriesTraced(x, r, cnt)
-	} else {
-		m = s.matchSeries(x, r, cnt, nil)
+	// Observed: explain sampling first decides whether to measure the full
+	// bound waterfall for this candidate (never charging the query's
+	// counters). A sampler with neither recorder nor attribution wants no
+	// counter delta and stops there.
+	attributed := false
+	if s.exp != nil {
+		s.exp.BeforeComparison(x, r)
+		attributed = s.exp.Attribution()
 	}
-	s.exp.RecordComparison(s.obs.Counts().Sub(before), m.Dist, m.Found(), m.Aborted())
-	return m
-}
-
-// matchSeriesTraced wraps one comparison in a span carrying the counter
-// deltas it caused, with the hot-path spans (H-Merge walk, kernel evals)
-// staged through a stack-owned arena and flushed once per comparison —
-// the span analogue of the stats.Tally discipline.
-func (s *Searcher) matchSeriesTraced(x []float64, r float64, cnt *stats.Counter) Match {
+	if s.rec == nil && !attributed {
+		return s.matchSeries(x, r, cnt, nil)
+	}
+	// One span per comparison carrying the counter delta it caused, the
+	// hot-path spans (H-Merge walk, kernel evals) staged through a
+	// stack-owned arena and flushed once — the span analogue of the
+	// stats.Tally discipline. The same delta annotates the plan's survivors.
+	// A nil recorder makes the span calls no-ops and leaves the arena disarmed.
 	before := s.obs.Counts()
 	comp := s.rec.Begin(trace.StageComparison, s.ref)
 	s.ref++
@@ -247,7 +229,11 @@ func (s *Searcher) matchSeriesTraced(x []float64, r float64, cnt *stats.Counter)
 	ar.Init(s.rec)
 	m := s.matchSeries(x, r, cnt, &ar)
 	s.rec.FlushArena(&ar, comp)
-	s.rec.EndAttrs(comp, s.obs.Counts().Sub(before))
+	delta := s.obs.Counts().Sub(before)
+	s.rec.EndAttrs(comp, delta)
+	if attributed {
+		s.exp.RecordComparison(delta, m.Dist, m.Found(), m.Aborted())
+	}
 	return m
 }
 

@@ -1,0 +1,132 @@
+package obs
+
+import (
+	"reflect"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// counterBumps names, per Counts field, the SearchStats call that feeds it.
+// A new counter needs a row here too: the guard below fails on a field
+// without one.
+var counterBumps = map[string]func(*SearchStats){
+	"Comparisons":        func(s *SearchStats) { s.AddComparison(0) },
+	"Rotations":          func(s *SearchStats) { s.AddComparison(3) },
+	"Steps":              func(s *SearchStats) { s.AddSteps(3) },
+	"FullDistEvals":      func(s *SearchStats) { s.CountFullDist() },
+	"EarlyAbandons":      func(s *SearchStats) { s.AddOutcomes(0, 3) },
+	"WedgeNodeVisits":    func(s *SearchStats) { s.CountNodeVisit() },
+	"WedgeLeafVisits":    func(s *SearchStats) { s.CountLeafVisit() },
+	"WedgePrunedMembers": func(s *SearchStats) { s.CountWedgePrune(1, 3) },
+	"WedgeLeafLBPrunes":  func(s *SearchStats) { s.CountLeafLBPrune() },
+	"FFTRejects":         func(s *SearchStats) { s.CountFFTReject(0) },
+	"FFTRejectedMembers": func(s *SearchStats) { s.CountFFTReject(3) },
+	"FFTFallbacks":       func(s *SearchStats) { s.CountFFTFallback() },
+	"CancelledMembers":   func(s *SearchStats) { s.CountCancelled(3) },
+	"IndexCandidates":    func(s *SearchStats) { s.CountIndexCandidate() },
+	"IndexFetches":       func(s *SearchStats) { s.CountIndexFetch() },
+	"DiskReads":          func(s *SearchStats) { s.CountDiskRead() },
+	"KChanges":           func(s *SearchStats) { s.RecordKChange(1, 2) },
+}
+
+// outcomeBuckets are the counters that dispose of rotations: the right-hand
+// side of the Reconciles identity.
+var outcomeBuckets = map[string]bool{
+	"FullDistEvals": true, "EarlyAbandons": true, "WedgePrunedMembers": true,
+	"WedgeLeafLBPrunes": true, "FFTRejectedMembers": true, "CancelledMembers": true,
+}
+
+var snakeCase = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
+
+// TestCountsFieldGuard walks Counts by reflection and holds every site that
+// must know about a counter to the struct's own field list, so a counter
+// added without one of them fails here rather than in review.
+func TestCountsFieldGuard(t *testing.T) {
+	typ := reflect.TypeOf(Counts{})
+	if typ.NumField() != numCounters {
+		t.Fatalf("Counts has %d fields, numCounters = %d", typ.NumField(), numCounters)
+	}
+	var distinct Counts
+	for i := 0; i < typ.NumField(); i++ {
+		if typ.Field(i).Type.Kind() != reflect.Int64 {
+			t.Fatalf("Counts.%s is %s, want int64", typ.Field(i).Name, typ.Field(i).Type)
+		}
+		reflect.ValueOf(&distinct).Elem().Field(i).SetInt(int64(100 + i))
+	}
+
+	// One metrics-table row per field, keyed by its JSON tag, visited in order.
+	var keys []string
+	distinct.Each(func(key, help string, v int64) {
+		i := len(keys)
+		keys = append(keys, key)
+		if i >= typ.NumField() {
+			return
+		}
+		f := typ.Field(i)
+		if tag, _, _ := strings.Cut(f.Tag.Get("json"), ","); key != tag {
+			t.Errorf("metrics row %d has key %q, want %s's JSON tag %q", i, key, f.Name, tag)
+		}
+		if !snakeCase.MatchString(key) {
+			t.Errorf("metrics key %q is not snake_case", key)
+		}
+		if help == "" {
+			t.Errorf("metrics row %q has no help text", key)
+		}
+		if v != int64(100+i) {
+			t.Errorf("Each(%q) = %d, want %s = %d", key, v, f.Name, 100+i)
+		}
+	})
+	if len(keys) != typ.NumField() {
+		t.Errorf("Each visited %d rows for %d fields", len(keys), typ.NumField())
+	}
+	seen := map[string]bool{}
+	for _, k := range keys {
+		if seen[k] {
+			t.Errorf("metrics key %q appears twice", k)
+		}
+		seen[k] = true
+	}
+
+	// Add and Sub cover every field.
+	if got := (Counts{}).Add(distinct); got != distinct {
+		t.Errorf("0 + c = %+v, want %+v", got, distinct)
+	}
+	if got := distinct.Add(distinct).Sub(distinct); got != distinct {
+		t.Errorf("c + c - c = %+v, want %+v", got, distinct)
+	}
+	if got := distinct.Sub(distinct); got != (Counts{}) {
+		t.Errorf("c - c = %+v, want zero", got)
+	}
+
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		// The record's matching call reaches Counts() and Snapshot(), and
+		// Reset clears it.
+		bump := counterBumps[name]
+		if bump == nil {
+			t.Errorf("no SearchStats call listed for Counts.%s", name)
+			continue
+		}
+		var st SearchStats
+		bump(&st)
+		if got := reflect.ValueOf(st.Counts()).Field(i).Int(); got == 0 {
+			t.Errorf("Counts().%s = 0 after its Count*/Add* call", name)
+		}
+		if got := reflect.ValueOf(st.Snapshot().Counts).Field(i).Int(); got == 0 {
+			t.Errorf("Snapshot().%s = 0 after its Count*/Add* call", name)
+		}
+		st.Reset()
+		if got := st.Counts(); got != (Counts{}) {
+			t.Errorf("Reset left %+v behind after bumping %s", got, name)
+		}
+
+		// Only Rotations and the outcome buckets take part in the identity.
+		var one Counts
+		reflect.ValueOf(&one).Elem().Field(i).SetInt(1)
+		inIdentity := name == "Rotations" || outcomeBuckets[name]
+		if one.Reconciles() == inIdentity {
+			t.Errorf("Counts{%s: 1}.Reconciles() = %v; in the identity: %v", name, one.Reconciles(), inIdentity)
+		}
+	}
+}

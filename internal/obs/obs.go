@@ -250,72 +250,79 @@ func (s *SearchStats) Reset() {
 	if s == nil {
 		return
 	}
-	s.comparisons.Store(0)
-	s.rotations.Store(0)
-	s.steps.Store(0)
-	s.fullDistEvals.Store(0)
-	s.earlyAbandons.Store(0)
-	s.wedgeNodeVisits.Store(0)
-	s.wedgeLeafVisits.Store(0)
-	s.wedgePrunedMembers.Store(0)
-	s.wedgeLeafLBPrunes.Store(0)
+	for _, a := range s.counters() {
+		a.Store(0)
+	}
 	for i := range s.wedgePruneByLevel {
 		s.wedgePruneByLevel[i].Store(0)
 	}
-	s.fftRejects.Store(0)
-	s.fftRejectedMembers.Store(0)
-	s.fftFallbacks.Store(0)
-	s.cancelledMembers.Store(0)
-	s.indexCandidates.Store(0)
-	s.indexFetches.Store(0)
-	s.diskReads.Store(0)
-	s.kChanges.Store(0)
 	s.stepsHist.Reset()
 	s.mu.Lock()
 	s.kTraj = nil
 	s.mu.Unlock()
 }
 
-// Snapshot is a point-in-time copy of a SearchStats record, in plain values
-// suitable for JSON export. Derived rates are included so dashboards need no
-// arithmetic.
+// StageLatency is one pipeline stage's latency summary: exact observation
+// count and nanosecond sum, the non-empty power-of-two buckets, and
+// bucket-resolution quantiles (the bucket upper bound each quantile falls
+// in; -1 means the overflow bucket).
+type StageLatency struct {
+	Stage   string            `json:"stage"`
+	Count   int64             `json:"count"`
+	SumNS   int64             `json:"sum_ns"`
+	Buckets []HistogramBucket `json:"buckets,omitempty"`
+	P50NS   int64             `json:"p50_ns"`
+	P90NS   int64             `json:"p90_ns"`
+	P99NS   int64             `json:"p99_ns"`
+}
+
+// Snapshot is a point-in-time copy of a query's (or index's, or monitor's,
+// or server's) instrumentation record in plain values suitable for JSON
+// export: where the search spent its num_steps and how each rotation was
+// disposed of. The embedded outcome buckets reconcile (Counts.Reconciles), so
+// pruning rates per bound can be read off directly — the breakdown the
+// paper's Tables 1–3 and Section 5.3 are about.
 type Snapshot struct {
-	Comparisons int64 `json:"comparisons"`
-	Rotations   int64 `json:"rotations"`
-	Steps       int64 `json:"steps"`
+	Counts
 
-	FullDistEvals int64 `json:"full_dist_evals"`
-	EarlyAbandons int64 `json:"early_abandons"`
-
-	WedgeNodeVisits    int64   `json:"wedge_node_visits"`
-	WedgeLeafVisits    int64   `json:"wedge_leaf_visits"`
-	WedgePrunedMembers int64   `json:"wedge_pruned_members"`
-	WedgeLeafLBPrunes  int64   `json:"wedge_leaf_lb_prunes"`
+	// WedgePrunesByLevel breaks the internal-wedge prunes down by dendrogram
+	// depth (0 = root).
 	WedgePrunesByLevel []int64 `json:"wedge_prunes_by_level,omitempty"`
 
-	FFTRejects         int64 `json:"fft_rejects"`
-	FFTRejectedMembers int64 `json:"fft_rejected_members"`
-	FFTFallbacks       int64 `json:"fft_fallbacks"`
-
-	CancelledMembers int64 `json:"cancelled_members,omitempty"`
-
-	IndexCandidates int64 `json:"index_candidates"`
-	IndexFetches    int64 `json:"index_fetches"`
-	DiskReads       int64 `json:"disk_reads"`
-
-	KChanges    int64     `json:"k_changes"`
+	// KTrajectory is the (bounded) sequence of the KChanges adjustments.
 	KTrajectory []KChange `json:"k_trajectory,omitempty"`
 
 	// PruneRate is the fraction of rotations disposed of without a full
-	// distance evaluation; StepsPerComparison the paper's per-comparison cost.
+	// distance evaluation; StepsPerComparison the paper's per-comparison
+	// cost metric. Derived (see SnapshotOf) so dashboards need no arithmetic.
 	PruneRate          float64 `json:"prune_rate"`
 	StepsPerComparison float64 `json:"steps_per_comparison"`
 
-	StepsHistogram []HistogramBucket `json:"steps_histogram,omitempty"`
-	// StepsHistogramSum is the exact sum of all observed per-comparison
-	// num_steps values — the Prometheus `_sum` of the histogram above, which
-	// the bucket bounds alone cannot reconstruct.
-	StepsHistogramSum int64 `json:"steps_histogram_sum,omitempty"`
+	// StepsHistogram is the per-comparison num_steps distribution over
+	// fixed power-of-two buckets (non-empty buckets only);
+	// StepsHistogramSum its exact sum of observations, which the bucket
+	// bounds alone cannot reconstruct. It can differ from Steps: the
+	// histogram only sees per-comparison costs, while Steps also counts
+	// work outside any comparison.
+	StepsHistogram    []HistogramBucket `json:"steps_histogram,omitempty"`
+	StepsHistogramSum int64             `json:"steps_histogram_sum,omitempty"`
+
+	// StageLatencies holds per-stage wall-clock latency summaries, present
+	// when a trace log is attached to the source.
+	StageLatencies []StageLatency `json:"stage_latencies,omitempty"`
+}
+
+// SnapshotOf lifts a counter record or delta into a Snapshot with the derived
+// rates filled in — the one place they are computed.
+func SnapshotOf(c Counts) Snapshot {
+	snap := Snapshot{Counts: c}
+	if c.Rotations > 0 {
+		snap.PruneRate = 1 - float64(c.FullDistEvals)/float64(c.Rotations)
+	}
+	if c.Comparisons > 0 {
+		snap.StepsPerComparison = float64(c.Steps) / float64(c.Comparisons)
+	}
+	return snap
 }
 
 // Snapshot returns a consistent-enough copy for reporting (individual fields
@@ -325,25 +332,7 @@ func (s *SearchStats) Snapshot() Snapshot {
 	if s == nil {
 		return Snapshot{}
 	}
-	snap := Snapshot{
-		Comparisons:        s.comparisons.Load(),
-		Rotations:          s.rotations.Load(),
-		Steps:              s.steps.Load(),
-		FullDistEvals:      s.fullDistEvals.Load(),
-		EarlyAbandons:      s.earlyAbandons.Load(),
-		WedgeNodeVisits:    s.wedgeNodeVisits.Load(),
-		WedgeLeafVisits:    s.wedgeLeafVisits.Load(),
-		WedgePrunedMembers: s.wedgePrunedMembers.Load(),
-		WedgeLeafLBPrunes:  s.wedgeLeafLBPrunes.Load(),
-		FFTRejects:         s.fftRejects.Load(),
-		FFTRejectedMembers: s.fftRejectedMembers.Load(),
-		FFTFallbacks:       s.fftFallbacks.Load(),
-		CancelledMembers:   s.cancelledMembers.Load(),
-		IndexCandidates:    s.indexCandidates.Load(),
-		IndexFetches:       s.indexFetches.Load(),
-		DiskReads:          s.diskReads.Load(),
-		KChanges:           s.kChanges.Load(),
-	}
+	snap := SnapshotOf(s.Counts())
 	maxLevel := -1
 	for i := range s.wedgePruneByLevel {
 		if s.wedgePruneByLevel[i].Load() != 0 {
@@ -361,21 +350,7 @@ func (s *SearchStats) Snapshot() Snapshot {
 		snap.KTrajectory = append([]KChange(nil), s.kTraj...)
 	}
 	s.mu.Unlock()
-	if snap.Rotations > 0 {
-		snap.PruneRate = 1 - float64(snap.FullDistEvals)/float64(snap.Rotations)
-	}
-	if snap.Comparisons > 0 {
-		snap.StepsPerComparison = float64(snap.Steps) / float64(snap.Comparisons)
-	}
 	snap.StepsHistogram = s.stepsHist.Buckets()
 	snap.StepsHistogramSum = s.stepsHist.Sum()
 	return snap
-}
-
-// Reconciles reports whether the outcome buckets account for every rotation
-// covered — the invariant all four strategies maintain.
-func (sn Snapshot) Reconciles() bool {
-	return sn.Rotations == sn.FullDistEvals+sn.EarlyAbandons+
-		sn.WedgePrunedMembers+sn.WedgeLeafLBPrunes+sn.FFTRejectedMembers+
-		sn.CancelledMembers
 }

@@ -192,7 +192,7 @@ func TestNilSinksAreNoOps(t *testing.T) {
 	if s := r.Snapshot(); s.Requests != 0 {
 		t.Error("nil RED snapshot not empty")
 	}
-	if s := p.Snapshot(); !s.Counts.IsZero() {
+	if s := p.Snapshot(); s.Counts != (obs.Counts{}) {
 		t.Error("nil PruneWindow snapshot not empty")
 	}
 	if c := prof.Captures(); c != nil {

@@ -100,7 +100,7 @@ func (p *PruneWindow) Snapshot() PruneSnapshot {
 	p.mu.Unlock()
 	out.KChanges = out.Counts.KChanges
 	if rot := out.Counts.Rotations; rot > 0 {
-		out.PruneRate = 1 - float64(out.Counts.FullDistEvals)/float64(rot)
+		out.PruneRate = obs.SnapshotOf(out.Counts).PruneRate
 		out.FFTRejectRate = float64(out.Counts.FFTRejectedMembers) / float64(rot)
 		deepest := -1
 		for l, v := range levels {

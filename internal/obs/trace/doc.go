@@ -19,9 +19,10 @@
 //
 // Spans carry obs.Counts deltas as attributes, so a comparison span's
 // attrs satisfy the same reconciliation identity as the query's SearchStats
-// (Rotations = FullDistEvals + EarlyAbandons + WedgePrunedMembers +
-// WedgeLeafLBPrunes + FFTRejectedMembers), and summing the comparison
-// spans of a trace reproduces the query's record.
+// (obs.Counts.Reconciles: Rotations = FullDistEvals + EarlyAbandons +
+// WedgePrunedMembers + WedgeLeafLBPrunes + FFTRejectedMembers +
+// CancelledMembers), and summing the comparison spans of a trace reproduces
+// the query's record.
 //
 // # Sampling and slow-query capture
 //

@@ -35,7 +35,7 @@ func spanArgs(sp Span) map[string]any {
 	if sp.Ref >= 0 {
 		args["ref"] = sp.Ref
 	}
-	if !sp.Attrs.IsZero() {
+	if sp.Attrs != (obs.Counts{}) {
 		args["counts"] = sp.Attrs
 	}
 	if len(sp.VisitsByLevel) > 0 {

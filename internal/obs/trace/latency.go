@@ -39,33 +39,20 @@ func (l *StageLatencies) Reset() {
 	}
 }
 
-// StageLatency is one stage's latency summary: exact count and sum, the
-// non-empty buckets, and bucket-resolution quantiles (each quantile reports
-// the upper bound of the bucket it falls in, -1 for the overflow bucket).
-type StageLatency struct {
-	Stage   string                `json:"stage"`
-	Count   int64                 `json:"count"`
-	SumNS   int64                 `json:"sum_ns"`
-	Buckets []obs.HistogramBucket `json:"buckets,omitempty"`
-	P50NS   int64                 `json:"p50_ns"`
-	P90NS   int64                 `json:"p90_ns"`
-	P99NS   int64                 `json:"p99_ns"`
-}
-
 // Snapshot summarizes every stage with at least one observation, in stage
 // order.
-func (l *StageLatencies) Snapshot() []StageLatency {
+func (l *StageLatencies) Snapshot() []obs.StageLatency {
 	if l == nil {
 		return nil
 	}
-	var out []StageLatency
+	var out []obs.StageLatency
 	for s := Stage(0); s < NumStages; s++ {
 		h := &l.hist[s]
 		if h.Count() == 0 {
 			continue
 		}
 		buckets := h.Buckets()
-		out = append(out, StageLatency{
+		out = append(out, obs.StageLatency{
 			Stage:   s.String(),
 			Count:   h.Count(),
 			SumNS:   h.Sum(),

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"time"
 
 	"lbkeogh"
@@ -47,7 +48,7 @@ type SearchRequest struct {
 
 	// K is the neighbour count for /v1/topk (default 1); Threshold the
 	// strict distance cutoff for /v1/range (required there); Parallel the
-	// worker count for /v1/search (0 or 1: serial).
+	// worker count for /v1/search (0 or 1: serial; clamped to GOMAXPROCS).
 	K         int     `json:"k,omitempty"`
 	Threshold float64 `json:"threshold,omitempty"`
 	Parallel  int     `json:"parallel,omitempty"`
@@ -159,6 +160,10 @@ func (s *Server) parse(r *http.Request, kind searchKind, rows []lbkeogh.Series) 
 	if req.TimeoutMS < 0 {
 		return req, QuerySpec{}, 0, fmt.Errorf("timeout_ms must be >= 0")
 	}
+	// One admitted request holds one in-flight slot whatever it asks for:
+	// workers beyond the schedulable CPUs would only add goroutines and
+	// per-worker searchers.
+	req.Parallel = min(req.Parallel, runtime.GOMAXPROCS(0))
 	radius := 5
 	if req.R != nil {
 		radius = *req.R

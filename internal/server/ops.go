@@ -94,32 +94,7 @@ func (t *telemetry) observeRequest(endpoint string, status int, dur time.Duratio
 // pruning-power windows.
 func (t *telemetry) observeSearch(strategy string, status int, dur time.Duration, traceID int64, delta lbkeogh.SearchStats) {
 	t.strategies[strategy].Observe(status, dur, traceID)
-	t.prune[strategy].Observe(countsFromStats(delta), delta.WedgePrunesByLevel)
-}
-
-// countsFromStats converts a public per-request stats delta to the internal
-// plain-counter form the ops windows aggregate (ops must not import the root
-// package, so the conversion lives on the serving side).
-func countsFromStats(d lbkeogh.SearchStats) obs.Counts {
-	return obs.Counts{
-		Comparisons:        d.Comparisons,
-		Rotations:          d.Rotations,
-		Steps:              d.Steps,
-		FullDistEvals:      d.FullDistEvals,
-		EarlyAbandons:      d.EarlyAbandons,
-		WedgeNodeVisits:    d.WedgeNodeVisits,
-		WedgeLeafVisits:    d.WedgeLeafVisits,
-		WedgePrunedMembers: d.WedgePrunedMembers,
-		WedgeLeafLBPrunes:  d.WedgeLeafLBPrunes,
-		FFTRejects:         d.FFTRejects,
-		FFTRejectedMembers: d.FFTRejectedMembers,
-		FFTFallbacks:       d.FFTFallbacks,
-		CancelledMembers:   d.CancelledMembers,
-		IndexCandidates:    d.IndexCandidates,
-		IndexFetches:       d.IndexFetches,
-		DiskReads:          d.DiskReads,
-		KChanges:           d.KChanges,
-	}
+	t.prune[strategy].Observe(delta.Counts, delta.WedgePrunesByLevel)
 }
 
 func sortedKeys[V any](m map[string]V) []string {

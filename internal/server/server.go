@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"lbkeogh"
+	"lbkeogh/internal/obs"
 	"lbkeogh/internal/obs/explain"
 	"lbkeogh/internal/obs/ops"
 	"lbkeogh/internal/obs/storeobs"
@@ -162,8 +163,11 @@ type Server struct {
 	compactOps  atomic.Int64 // /v1/compact requests that merged segments
 	mutationsIn atomic.Int64 // in-flight ingest/compact handlers (readyz reason)
 
-	mu  sync.Mutex
-	agg lbkeogh.SearchStats // per-request deltas, summed
+	// Per-request deltas, summed: the scalar counters and the per-level wedge
+	// prunes (the same pair an ops.PruneWindow slot keeps).
+	mu        sync.Mutex
+	agg       obs.Counts
+	aggLevels []int64
 }
 
 // New validates the database and builds the server.
@@ -279,16 +283,10 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // DebugHandler.
 func (s *Server) Stats() lbkeogh.SearchStats {
 	s.mu.Lock()
-	out := s.agg
-	// record grows and updates this slice in place under the lock
-	out.WedgePrunesByLevel = append([]int64(nil), out.WedgePrunesByLevel...)
+	out := obs.SnapshotOf(s.agg)
+	// record grows and updates aggLevels in place under the lock
+	out.WedgePrunesByLevel = append([]int64(nil), s.aggLevels...)
 	s.mu.Unlock()
-	if out.Rotations > 0 {
-		out.PruneRate = 1 - float64(out.FullDistEvals)/float64(out.Rotations)
-	}
-	if out.Comparisons > 0 {
-		out.StepsPerComparison = float64(out.Steps) / float64(out.Comparisons)
-	}
 	if s.cfg.TraceLog != nil {
 		out.StageLatencies = s.cfg.TraceLog.StageLatencies()
 	}
@@ -299,29 +297,12 @@ func (s *Server) Stats() lbkeogh.SearchStats {
 func (s *Server) record(d lbkeogh.SearchStats) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	a := &s.agg
-	a.Comparisons += d.Comparisons
-	a.Rotations += d.Rotations
-	a.Steps += d.Steps
-	a.FullDistEvals += d.FullDistEvals
-	a.EarlyAbandons += d.EarlyAbandons
-	a.WedgeNodeVisits += d.WedgeNodeVisits
-	a.WedgeLeafVisits += d.WedgeLeafVisits
-	a.WedgePrunedMembers += d.WedgePrunedMembers
-	a.WedgeLeafLBPrunes += d.WedgeLeafLBPrunes
-	a.FFTRejects += d.FFTRejects
-	a.FFTRejectedMembers += d.FFTRejectedMembers
-	a.FFTFallbacks += d.FFTFallbacks
-	a.CancelledMembers += d.CancelledMembers
-	a.IndexCandidates += d.IndexCandidates
-	a.IndexFetches += d.IndexFetches
-	a.DiskReads += d.DiskReads
-	a.KChanges += d.KChanges
-	for len(a.WedgePrunesByLevel) < len(d.WedgePrunesByLevel) {
-		a.WedgePrunesByLevel = append(a.WedgePrunesByLevel, 0)
+	s.agg = s.agg.Add(d.Counts)
+	for len(s.aggLevels) < len(d.WedgePrunesByLevel) {
+		s.aggLevels = append(s.aggLevels, 0)
 	}
 	for i, v := range d.WedgePrunesByLevel {
-		a.WedgePrunesByLevel[i] += v
+		s.aggLevels[i] += v
 	}
 }
 
@@ -437,7 +418,7 @@ func (s *Server) writeStoreMetrics(w io.Writer) {
 // to the rotations counter — the same reconciliation a single request's
 // stats satisfy.
 func (s *Server) writeWaterfallMetrics(w io.Writer) {
-	wf := explain.FromCounts(countsFromStats(s.Stats()))
+	wf := explain.FromCounts(s.Stats().Counts)
 	ops.WriteCounter(w, "shapeserver_pruning_waterfall_rotations_total",
 		"Rotations covered by served searches (waterfall denominator).", wf.Rotations)
 	ops.WriteFamily(w, "shapeserver_pruning_waterfall_members_total", "counter",

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -530,4 +532,55 @@ func TestServerDefaultTimeoutApplies(t *testing.T) {
 	if code, _, raw := post(t, ts, "/v1/search", `{"query_index":0,"measure":"dtw","strategy":"brute","timeout_ms":60000}`); code != http.StatusGatewayTimeout {
 		t.Fatalf("clamped deadline: status %d, want 504 (%s)", code, raw)
 	}
+}
+
+// TestServerParallelClamped pins the body's parallel knob: whatever worker
+// count a request asks for, it is clamped to GOMAXPROCS before the search,
+// answers exactly like the serial path, reconciles, and leaves no goroutine
+// behind.
+func TestServerParallelClamped(t *testing.T) {
+	srv, ts := newTestServer(t, Config{DB: lbkeogh.SyntheticProjectilePoints(11, 300, 32)})
+	code, serial, raw := post(t, ts, "/v1/search", `{"series":`+seriesJSON(srv.cfg.DB[3], 0.01)+`}`)
+	if code != http.StatusOK {
+		t.Fatalf("serial: status %d (%s)", code, raw)
+	}
+	baseline := runtime.NumGoroutine() // after the keep-alive connection exists
+	for _, parallel := range []int{2, 1 << 30} {
+		body := fmt.Sprintf(`{"series":%s,"parallel":%d}`, seriesJSON(srv.cfg.DB[3], 0.01), parallel)
+		req, _, _, err := srv.parse(httptest.NewRequest(http.MethodPost, "/v1/search", strings.NewReader(body)), kindNearest, srv.cfg.DB)
+		if err != nil || req.Parallel > runtime.GOMAXPROCS(0) {
+			t.Fatalf("parallel %d parsed to %d workers (err %v), GOMAXPROCS %d", parallel, req.Parallel, err, runtime.GOMAXPROCS(0))
+		}
+		code, sr, raw := post(t, ts, "/v1/search", body)
+		if code != http.StatusOK {
+			t.Fatalf("parallel %d: status %d (%s)", parallel, code, raw)
+		}
+		if !reflect.DeepEqual(sr.Results, serial.Results) {
+			t.Errorf("parallel %d answered %+v, serial %+v", parallel, sr.Results, serial.Results)
+		}
+		// The parallel scan re-checks the rows before its answer for an
+		// equal-distance tie, so it runs a few comparisons more than serial.
+		if !sr.Stats.Reconciles() || sr.Stats.Comparisons < serial.Stats.Comparisons {
+			t.Errorf("parallel %d stats: reconciles %v, %d comparisons (serial %d)",
+				parallel, sr.Stats.Reconciles(), sr.Stats.Comparisons, serial.Stats.Comparisons)
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Errorf("%d goroutines after the parallel searches, %d before", n, baseline)
+	}
+}
+
+// seriesJSON renders row shifted by delta, so the query is near but not equal
+// to a database row.
+func seriesJSON(row lbkeogh.Series, delta float64) string {
+	shifted := make([]float64, len(row))
+	for i, v := range row {
+		shifted[i] = v + delta*float64(i%3)
+	}
+	raw, _ := json.Marshal(shifted)
+	return string(raw)
 }

@@ -2,7 +2,9 @@ package lbkeogh_test
 
 import (
 	"encoding/json"
+	"expvar"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
@@ -207,6 +209,50 @@ func TestMetricsHandlerServesPrometheusText(t *testing.T) {
 	}
 }
 
+// TestScrapeDuringParallelSearch scrapes MetricsHandler and the expvar
+// publication while a parallel search is feeding the same record — the
+// documented live-telemetry use, and the root package's share of
+// `make race-concurrency`.
+func TestScrapeDuringParallelSearch(t *testing.T) {
+	db := obsTestDB(t, 201, 64)
+	q, db := db[0], db[1:]
+	query, err := lbkeogh.NewQuery(q, lbkeogh.Euclidean())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := lbkeogh.MetricsHandler(map[string]lbkeogh.StatsSource{"live_query": query})
+	lbkeogh.PublishExpvar("lbkeogh_test_live", query)
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		for i := 0; i < 5 && err == nil; i++ {
+			_, err = query.SearchParallel(db, 2)
+		}
+		done <- err
+	}()
+	for searching := true; searching; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			searching = false
+		default:
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		if !strings.Contains(rec.Body.String(), "# TYPE live_query_comparisons counter") {
+			t.Fatalf("scrape lost the comparisons family:\n%s", rec.Body.String())
+		}
+		if !json.Valid([]byte(expvar.Get("lbkeogh_test_live").String())) {
+			t.Fatal("expvar publication is not JSON")
+		}
+	}
+	if st := query.Stats(); !st.Reconciles() || st.Comparisons < 5*int64(len(db)) {
+		t.Fatalf("final stats: reconciles %v, %d comparisons", st.Reconciles(), st.Comparisons)
+	}
+}
+
 func TestStatsJSONRoundTrip(t *testing.T) {
 	db := obsTestDB(t, 21, 64)
 	q, db := db[0], db[1:]
@@ -228,4 +274,20 @@ func TestStatsJSONRoundTrip(t *testing.T) {
 	if back.Comparisons != 20 || !back.Reconciles() {
 		t.Fatalf("round-tripped stats wrong: %+v", back)
 	}
+}
+
+// TestReadmeListsEveryCounter holds README §Observability's "SearchStats
+// fields" table to the metrics table the code emits from: a counter added to
+// lbkeogh.Counts without a documented row fails here.
+func TestReadmeListsEveryCounter(t *testing.T) {
+	raw, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	readme := string(raw)
+	lbkeogh.Counts{}.Each(func(key, _ string, _ int64) {
+		if row := "| `" + key + "` | `<prefix>_" + key + "` |"; !strings.Contains(readme, row) {
+			t.Errorf("README.md has no SearchStats fields row starting %q", row)
+		}
+	})
 }

@@ -271,8 +271,8 @@ func (q *Query) ResetSteps() { q.counter.Reset() }
 // construction cost — it covers matching only. When a TraceLog is attached,
 // the snapshot additionally carries the log's per-stage latency summaries.
 func (q *Query) Stats() SearchStats {
-	s := statsFromSnapshot(q.obs.Snapshot())
-	s.StageLatencies = stageLatenciesFromInternal(q.tlog.Latencies().Snapshot())
+	s := q.obs.Snapshot()
+	s.StageLatencies = q.tlog.Latencies().Snapshot()
 	return s
 }
 

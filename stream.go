@@ -52,8 +52,8 @@ func (mo *Monitor) Steps() int64 { return mo.m.Steps() }
 // attached, the snapshot additionally carries the monitor_filter latency
 // summary.
 func (mo *Monitor) Stats() SearchStats {
-	s := statsFromSnapshot(mo.m.Stats().Snapshot())
-	s.StageLatencies = stageLatenciesFromInternal(mo.tlog.inner().Latencies().Snapshot())
+	s := mo.m.Stats().Snapshot()
+	s.StageLatencies = mo.tlog.inner().Latencies().Snapshot()
 	return s
 }
 

@@ -117,7 +117,7 @@ func summarize(tr trace.Trace) TraceSummary {
 		Slow:         tr.Slow,
 		Spans:        len(tr.Spans),
 		DroppedSpans: tr.Dropped,
-		Stats:        statsFromCounts(tr.Attrs),
+		Stats:        obs.SnapshotOf(tr.Attrs),
 	}
 }
 
@@ -149,7 +149,7 @@ func (t *TraceLog) SlowThreshold() time.Duration { return t.inner().SlowThreshol
 // traced query (sampled away or not), in stage order, stages with at least
 // one observation only.
 func (t *TraceLog) StageLatencies() []StageLatency {
-	return stageLatenciesFromInternal(t.inner().Latencies().Snapshot())
+	return t.inner().Latencies().Snapshot()
 }
 
 // WriteChromeTrace writes the identified trace in Chrome trace-event JSON —
@@ -188,74 +188,4 @@ func (t *TraceLog) WriteTraceJSONL(w io.Writer, id int64) error {
 		return fmt.Errorf("lbkeogh: trace %d not retained", id)
 	}
 	return trace.WriteJSONL(w, tr)
-}
-
-// StageLatency is one pipeline stage's latency summary: exact observation
-// count and nanosecond sum, the non-empty power-of-two buckets, and
-// bucket-resolution quantiles (the bucket upper bound each quantile falls
-// in; -1 means the overflow bucket).
-type StageLatency struct {
-	Stage   string            `json:"stage"`
-	Count   int64             `json:"count"`
-	SumNS   int64             `json:"sum_ns"`
-	Buckets []HistogramBucket `json:"buckets,omitempty"`
-	P50NS   int64             `json:"p50_ns"`
-	P90NS   int64             `json:"p90_ns"`
-	P99NS   int64             `json:"p99_ns"`
-}
-
-func stageLatenciesFromInternal(in []trace.StageLatency) []StageLatency {
-	if len(in) == 0 {
-		return nil
-	}
-	out := make([]StageLatency, len(in))
-	for i, sl := range in {
-		pub := StageLatency{
-			Stage: sl.Stage,
-			Count: sl.Count,
-			SumNS: sl.SumNS,
-			P50NS: sl.P50NS,
-			P90NS: sl.P90NS,
-			P99NS: sl.P99NS,
-		}
-		if len(sl.Buckets) > 0 {
-			pub.Buckets = make([]HistogramBucket, len(sl.Buckets))
-			for j, b := range sl.Buckets {
-				pub.Buckets[j] = HistogramBucket{UpperBound: b.UpperBound, Count: b.Count}
-			}
-		}
-		out[i] = pub
-	}
-	return out
-}
-
-// statsFromCounts lifts a per-trace (or per-span) counter delta into the
-// public record; the same Reconciles identity holds for the result.
-func statsFromCounts(c obs.Counts) SearchStats {
-	s := SearchStats{
-		Comparisons:        c.Comparisons,
-		Rotations:          c.Rotations,
-		Steps:              c.Steps,
-		FullDistEvals:      c.FullDistEvals,
-		EarlyAbandons:      c.EarlyAbandons,
-		WedgeNodeVisits:    c.WedgeNodeVisits,
-		WedgeLeafVisits:    c.WedgeLeafVisits,
-		WedgePrunedMembers: c.WedgePrunedMembers,
-		WedgeLeafLBPrunes:  c.WedgeLeafLBPrunes,
-		FFTRejects:         c.FFTRejects,
-		FFTRejectedMembers: c.FFTRejectedMembers,
-		FFTFallbacks:       c.FFTFallbacks,
-		CancelledMembers:   c.CancelledMembers,
-		IndexCandidates:    c.IndexCandidates,
-		IndexFetches:       c.IndexFetches,
-		DiskReads:          c.DiskReads,
-		KChanges:           c.KChanges,
-	}
-	if c.Rotations > 0 {
-		s.PruneRate = 1 - float64(c.FullDistEvals)/float64(c.Rotations)
-	}
-	if c.Comparisons > 0 {
-		s.StepsPerComparison = float64(c.Steps) / float64(c.Comparisons)
-	}
-	return s
 }

@@ -363,11 +363,11 @@ type staticStats lbkeogh.SearchStats
 func (s staticStats) Stats() lbkeogh.SearchStats { return lbkeogh.SearchStats(s) }
 
 func TestPublishExpvarRepublishIsNoop(t *testing.T) {
-	src := staticStats{Comparisons: 1}
+	src := staticStats{Counts: lbkeogh.Counts{Comparisons: 1}}
 	lbkeogh.PublishExpvar("lbkeogh_test_republish", src)
 	// A second publication under the same name must not panic (expvar.Publish
 	// panics on duplicates; the wrapper must swallow the re-publish).
-	lbkeogh.PublishExpvar("lbkeogh_test_republish", staticStats{Comparisons: 2})
+	lbkeogh.PublishExpvar("lbkeogh_test_republish", staticStats{Counts: lbkeogh.Counts{Comparisons: 2}})
 }
 
 func TestMetricsHandlerEmptyAndNilSources(t *testing.T) {
