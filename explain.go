@@ -110,8 +110,8 @@ func (q *Query) SetBoundSampler(b *BoundSampler) {
 // tightness aggregate (measuring every few comparisons), from which Explain
 // builds the structured plan of the most recent search. EXPLAIN mode costs
 // roughly one extra waterfall measurement per explain.DefaultOpInterval
-// comparisons plus one Counts snapshot per comparison; leave it off outside
-// diagnostics. Not safe to call concurrently with searches.
+// comparisons plus one recorded counter delta per comparison; leave it off
+// outside diagnostics. Not safe to call concurrently with searches.
 //
 // Parallel searches (SearchParallel*) bypass the per-comparison hooks — the
 // plan still carries the reconciling stage waterfall, but no survivor

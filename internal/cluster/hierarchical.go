@@ -10,7 +10,6 @@
 package cluster
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -201,35 +200,57 @@ func (d *Dendrogram) Leaves(node int) []int {
 	return out
 }
 
-// frontierHeap orders nodes by descending merge height so that Frontier
-// always splits the "fattest" cluster next.
-type frontierHeap struct {
-	ids     []int
-	heights []float64
+// cutNode is one entry of Frontier's heap: a dendrogram node and the height
+// it is ordered by.
+type cutNode struct {
+	id     int
+	height float64
 }
 
-func (h *frontierHeap) Len() int { return len(h.ids) }
-func (h *frontierHeap) Less(i, j int) bool {
-	if h.heights[i] != h.heights[j] {
-		return h.heights[i] > h.heights[j]
+// cutBefore orders nodes by descending merge height so that Frontier always
+// splits the "fattest" cluster next.
+func cutBefore(a, b cutNode) bool {
+	if a.height != b.height {
+		return a.height > b.height
 	}
-	return h.ids[i] > h.ids[j] // deterministic tie-break: later merges first
+	return a.id > b.id // deterministic tie-break: later merges first
 }
-func (h *frontierHeap) Swap(i, j int) {
-	h.ids[i], h.ids[j] = h.ids[j], h.ids[i]
-	h.heights[i], h.heights[j] = h.heights[j], h.heights[i]
+
+// cutPush and cutPop are the standard library heap's Push and Pop over a
+// typed slice — the same sift sequence, so the heap's array order (which
+// Frontier returns, and which decides H-Merge's visit order) is what it
+// always was, without an interface box per call.
+func cutPush(h []cutNode, x cutNode) []cutNode {
+	h = append(h, x)
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !cutBefore(h[j], h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	return h
 }
-func (h *frontierHeap) Push(x any) {
-	p := x.([2]float64)
-	h.ids = append(h.ids, int(p[0]))
-	h.heights = append(h.heights, p[1])
-}
-func (h *frontierHeap) Pop() any {
-	n := len(h.ids) - 1
-	id := h.ids[n]
-	h.ids = h.ids[:n]
-	h.heights = h.heights[:n]
-	return id
+
+func cutPop(h []cutNode) ([]cutNode, cutNode) {
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && cutBefore(h[r], h[j]) {
+			j = r
+		}
+		if !cutBefore(h[j], h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	return h[:n], h[n]
 }
 
 // Frontier returns the node indices of the K-cluster cut of the dendrogram:
@@ -244,22 +265,25 @@ func (d *Dendrogram) Frontier(k int) []int {
 	if k > d.NLeaves {
 		k = d.NLeaves
 	}
-	h := &frontierHeap{}
-	heap.Push(h, [2]float64{float64(d.Root()), d.Nodes[d.Root()].Height})
-	for h.Len() < k {
-		id := heap.Pop(h).(int)
-		n := d.Nodes[id]
+	h := make([]cutNode, 0, k+1)
+	h = cutPush(h, cutNode{d.Root(), d.Nodes[d.Root()].Height})
+	for len(h) < k {
+		var top cutNode
+		h, top = cutPop(h)
+		n := d.Nodes[top.id]
 		if n.Left < 0 {
 			// A leaf cannot be split; keep it and stop if everything left is
 			// a leaf. (Cannot occur for k <= NLeaves, but keep it safe.)
-			heap.Push(h, [2]float64{float64(id), -1})
+			h = cutPush(h, cutNode{top.id, -1})
 			break
 		}
-		heap.Push(h, [2]float64{float64(n.Left), d.Nodes[n.Left].Height})
-		heap.Push(h, [2]float64{float64(n.Right), d.Nodes[n.Right].Height})
+		h = cutPush(h, cutNode{n.Left, d.Nodes[n.Left].Height})
+		h = cutPush(h, cutNode{n.Right, d.Nodes[n.Right].Height})
 	}
-	out := make([]int, len(h.ids))
-	copy(out, h.ids)
+	out := make([]int, len(h))
+	for i, c := range h {
+		out[i] = c.id
+	}
 	return out
 }
 

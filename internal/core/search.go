@@ -94,6 +94,14 @@ type Searcher struct {
 	chk       *cancel.Checker  // nil: uncancellable
 	exp       *explain.Op      // nil: no explain sampling
 	expCtx    *explain.QueryContext
+
+	// steps and scratch are everything a comparison would otherwise allocate,
+	// lock or atomically add to per candidate: the plain step and outcome
+	// tallies matchSeries flushes once per comparison, and H-Merge's working
+	// memory.
+	//lint:ignore tallyescape a Searcher is confined to one goroutine; a stack Tally would escape through the Kernel interface and cost an allocation per comparison
+	steps   stats.Tally
+	scratch wedge.Scratch
 }
 
 // SearcherConfig tunes a Searcher beyond its strategy.
@@ -138,12 +146,13 @@ func NewSearcher(rs *RotationSet, kernel wedge.Kernel, strategy Strategy, cfg Se
 		obs:       cfg.Obs,
 		tracer:    cfg.Tracer,
 	}
-	if s.obs != nil || s.tracer != nil {
-		s.dyn.SetChangeHook(func(oldK, newK int) {
-			s.obs.RecordKChange(oldK, newK)
-			obs.TraceKChange(s.tracer, oldK, newK)
-		})
-	}
+	s.dyn.SetChangeHook(func(oldK, newK int) {
+		// Fires after the comparison's flush: the record counts the change
+		// itself, the tally carries it into the comparison's traced delta.
+		s.scratch.Counts.KChanges++
+		s.obs.RecordKChange(oldK, newK)
+		obs.TraceKChange(s.tracer, oldK, newK)
+	})
 	if strategy == FFTFilter {
 		s.queryMag = fourier.Magnitudes(rs.Base(), rs.Len()/2)
 	}
@@ -202,7 +211,14 @@ func (s *Searcher) CurrentK() int {
 // Match.Dist is +Inf when every rotation provably exceeds r. The num_steps
 // spent are charged to cnt.
 func (s *Searcher) MatchSeries(x []float64, r float64, cnt *stats.Counter) Match {
-	if s.exp == nil && s.rec == nil {
+	rec := s.rec
+	if rec.Full() {
+		// Saturated: no span of this comparison could be kept, so it pays
+		// for none — no clock reads, no arena — exactly as if untraced.
+		rec.Drop()
+		rec = nil
+	}
+	if s.exp == nil && rec == nil {
 		return s.matchSeries(x, r, cnt, nil)
 	}
 	// Observed: explain sampling first decides whether to measure the full
@@ -214,7 +230,7 @@ func (s *Searcher) MatchSeries(x []float64, r float64, cnt *stats.Counter) Match
 		s.exp.BeforeComparison(x, r)
 		attributed = s.exp.Attribution()
 	}
-	if s.rec == nil && !attributed {
+	if rec == nil && !attributed {
 		return s.matchSeries(x, r, cnt, nil)
 	}
 	// One span per comparison carrying the counter delta it caused, the
@@ -222,95 +238,107 @@ func (s *Searcher) MatchSeries(x []float64, r float64, cnt *stats.Counter) Match
 	// stack-owned arena and flushed once — the span analogue of the
 	// stats.Tally discipline. The same delta annotates the plan's survivors.
 	// A nil recorder makes the span calls no-ops and leaves the arena disarmed.
-	before := s.obs.Counts()
-	comp := s.rec.Begin(trace.StageComparison, s.ref)
+	comp := rec.Begin(trace.StageComparison, s.ref)
 	s.ref++
 	var ar trace.Arena
-	ar.Init(s.rec)
+	ar.Init(rec)
 	m := s.matchSeries(x, r, cnt, &ar)
-	s.rec.FlushArena(&ar, comp)
-	delta := s.obs.Counts().Sub(before)
-	s.rec.EndAttrs(comp, delta)
+	rec.FlushArena(&ar, comp)
+	delta := s.scratch.Counts // what matchSeries just flushed: this comparison alone
+	rec.EndAttrs(comp, delta)
 	if attributed {
 		s.exp.RecordComparison(delta, m.Dist, m.Found(), m.Aborted())
 	}
 	return m
 }
 
+// matchSeries is one comparison. The strategies spend their steps on, and
+// attribute every rotation in, the searcher's scratch with plain increments;
+// the shared records are touched once, here, after the comparison — and
+// before the dynamic-K controller sees it, because a K change is stamped
+// with the record's comparison count.
 func (s *Searcher) matchSeries(x []float64, r float64, cnt *stats.Counter, ar *trace.Arena) Match {
 	s.rs.checkLen(x)
-	s.obs.AddComparison(int64(s.rs.Members()))
-	var local stats.Tally
+	sc := &s.scratch
+	s.steps.Reset()
+	sc.Counts = obs.Counts{Comparisons: 1, Rotations: int64(s.rs.Members())}
 	var m Match
 	switch s.strategy {
 	case BruteForce:
-		m = s.matchBrute(x, r, &local)
+		m = s.matchBrute(x, r)
 	case EarlyAbandon:
-		m = s.matchEarlyAbandon(x, r, &local)
+		m = s.matchEarlyAbandon(x, r)
 	case FFTFilter:
-		m = s.matchFFT(x, r, &local, ar)
+		m = s.matchFFT(x, r, ar)
 	default:
-		m = s.matchWedge(x, r, &local, ar)
+		m = s.matchWedge(x, r, ar)
 	}
-	cnt.Add(local.Steps())
-	s.obs.AddSteps(local.Steps())
-	s.obs.ObserveComparisonSteps(local.Steps())
+	steps := s.steps.Steps()
+	sc.Counts.Steps = steps
+	cnt.Add(steps)
+	s.obs.AddCounts(&sc.Counts, &sc.PruneByLevel)
+	s.obs.ObserveComparisonSteps(steps)
+	// A cancelled comparison must not feed the dynamic-K controller: its
+	// partial step count would bias the wedge-set size and leave the query in
+	// a different adaptive state than an uncancelled run.
+	if s.strategy == Wedge && s.fixedK <= 0 && !m.aborted {
+		s.dyn.Observe(steps, m.found)
+	}
 	return m
 }
 
-func (s *Searcher) matchBrute(x []float64, r float64, cnt *stats.Tally) Match {
+func (s *Searcher) matchBrute(x []float64, r float64) Match {
+	sc := &s.scratch
 	best := math.Inf(1)
 	bestIdx := -1
 	for i := 0; i < s.rs.Members(); i++ {
 		if s.chk.Stop() != nil {
-			s.obs.AddOutcomes(int64(i), 0)
-			s.obs.CountCancelled(int64(s.rs.Members() - i))
+			sc.Counts.FullDistEvals = int64(i)
+			sc.Counts.CancelledMembers = int64(s.rs.Members() - i)
 			return Match{Dist: math.Inf(1), aborted: true}
 		}
-		d, _ := s.kernel.Distance(x, s.rs.Member(i), -1, cnt)
+		d, _ := s.kernel.Distance(x, s.rs.Member(i), -1, &s.steps)
 		if d < best {
 			best, bestIdx = d, i
 		}
 	}
-	s.obs.AddOutcomes(int64(s.rs.Members()), 0)
+	sc.Counts.FullDistEvals = int64(s.rs.Members())
 	if r >= 0 && best >= r {
 		return Match{Dist: math.Inf(1)}
 	}
 	return Match{Dist: best, Member: s.rs.MemberID(bestIdx), found: true}
 }
 
-func (s *Searcher) matchEarlyAbandon(x []float64, r float64, cnt *stats.Tally) Match {
+func (s *Searcher) matchEarlyAbandon(x []float64, r float64) Match {
+	sc := &s.scratch
 	best := math.Inf(1)
 	if r >= 0 {
 		best = r
 	}
 	bestIdx := -1
-	var fullDist, abandons int64 // batched into the record once per comparison
 	for i := 0; i < s.rs.Members(); i++ {
 		if s.chk.Stop() != nil {
-			s.obs.AddOutcomes(fullDist, abandons)
-			s.obs.CountCancelled(int64(s.rs.Members() - i))
+			sc.Counts.CancelledMembers = int64(s.rs.Members() - i)
 			return Match{Dist: math.Inf(1), aborted: true}
 		}
-		d, abandoned := s.kernel.Distance(x, s.rs.Member(i), best, cnt)
+		d, abandoned := s.kernel.Distance(x, s.rs.Member(i), best, &s.steps)
 		if abandoned {
-			abandons++
+			sc.Counts.EarlyAbandons++
 			obs.TraceAbandon(s.tracer, i)
 			continue
 		}
-		fullDist++
+		sc.Counts.FullDistEvals++
 		if d < best {
 			best, bestIdx = d, i
 		}
 	}
-	s.obs.AddOutcomes(fullDist, abandons)
 	if bestIdx < 0 {
 		return Match{Dist: math.Inf(1)}
 	}
 	return Match{Dist: best, Member: s.rs.MemberID(bestIdx), found: true}
 }
 
-func (s *Searcher) matchFFT(x []float64, r float64, cnt *stats.Tally, ar *trace.Arena) Match {
+func (s *Searcher) matchFFT(x []float64, r float64, ar *trace.Arena) Match {
 	// The magnitude filter only applies under a finite threshold; an
 	// unbounded match (r < 0) neither computes the bound nor pays for it.
 	if r >= 0 {
@@ -318,38 +346,32 @@ func (s *Searcher) matchFFT(x []float64, r float64, cnt *stats.Tally, ar *trace.
 		// plus the magnitude-space Euclidean distance.
 		ft0 := ar.Now()
 		n := s.rs.Len()
-		cnt.Add(int64(float64(n)*math.Log2(float64(n))) + int64(len(s.queryMag)))
+		s.steps.Add(int64(float64(n)*math.Log2(float64(n))) + int64(len(s.queryMag)))
 		xmag := fourier.Magnitudes(x, n/2)
 		rejected := fourier.LowerBoundED(s.queryMag, xmag) >= r
 		ar.Emit(trace.StageFFT, -1, ft0, ar.Now()-ft0)
 		if rejected {
-			s.obs.CountFFTReject(int64(s.rs.Members()))
+			s.scratch.Counts.FFTRejects = 1
+			s.scratch.Counts.FFTRejectedMembers = int64(s.rs.Members())
 			return Match{Dist: math.Inf(1)}
 		}
 	}
-	s.obs.CountFFTFallback()
-	return s.matchEarlyAbandon(x, r, cnt)
+	s.scratch.Counts.FFTFallbacks = 1
+	return s.matchEarlyAbandon(x, r)
 }
 
-func (s *Searcher) matchWedge(x []float64, r float64, cnt *stats.Tally, ar *trace.Arena) Match {
+func (s *Searcher) matchWedge(x []float64, r float64, ar *trace.Arena) Match {
 	K := s.fixedK
 	if K <= 0 {
 		K = s.dyn.K()
 	}
 	env := ar.Begin(trace.StageEnvelope, -1)
-	res := s.rs.tree.SearchTraced(x, s.kernel, K, r, s.traversal, cnt, s.obs, s.tracer, ar, s.chk)
+	res := s.rs.tree.SearchTraced(x, s.kernel, K, r, s.traversal, &s.steps, &s.scratch, s.tracer, ar, s.chk)
 	ar.End(env)
 	if res.Aborted {
-		// A cancelled comparison must not feed the dynamic-K controller:
-		// its partial step count would bias the wedge-set size and leave the
-		// query in a different adaptive state than an uncancelled run.
 		return Match{Dist: math.Inf(1), aborted: true}
 	}
-	improved := res.BestMember >= 0
-	if s.fixedK <= 0 {
-		s.dyn.Observe(res.Steps, improved)
-	}
-	if !improved {
+	if res.BestMember < 0 {
 		return Match{Dist: math.Inf(1)}
 	}
 	return Match{Dist: res.Dist, Member: s.rs.MemberID(res.BestMember), found: true}

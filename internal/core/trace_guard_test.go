@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"lbkeogh/internal/obs"
 	"lbkeogh/internal/obs/trace"
 	"lbkeogh/internal/stats"
 	"lbkeogh/internal/ts"
@@ -39,6 +40,7 @@ func scanDirect(b *testing.B) {
 	rs, db := guardSetup()
 	s := NewSearcher(rs, wedge.ED{}, Wedge, SearcherConfig{})
 	var cnt stats.Counter
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.matchSeries(db[i%len(db)], -1, &cnt, nil)
@@ -73,9 +75,27 @@ func scanNilExplain(b *testing.B) {
 	}
 }
 
+// scanSaturated is the production entry point with a recorder whose span
+// buffer is already full — what all but the first ~100 comparisons of a
+// traced server request see. It must cost what a nil recorder costs.
+func scanSaturated(b *testing.B) {
+	rs, db := guardSetup()
+	s := NewSearcher(rs, wedge.ED{}, Wedge, SearcherConfig{})
+	rec := trace.NewRecorder("bench", 1)
+	rec.Begin(trace.StageSearch, -1)
+	s.SetRecorder(rec)
+	var cnt stats.Counter
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.MatchSeries(db[i%len(db)], -1, &cnt)
+	}
+}
+
 func BenchmarkMatchSeriesUntraced(b *testing.B)    { scanDirect(b) }
 func BenchmarkMatchSeriesNilRecorder(b *testing.B) { scanNilRecorder(b) }
 func BenchmarkMatchSeriesNilExplain(b *testing.B)  { scanNilExplain(b) }
+func BenchmarkMatchSeriesSaturated(b *testing.B)   { scanSaturated(b) }
 
 // BenchmarkMatchSeriesTraced shows the cost of full span recording, for
 // comparison; it is not subject to the 2% guard.
@@ -85,9 +105,36 @@ func BenchmarkMatchSeriesTraced(b *testing.B) {
 	rec := trace.NewRecorder("bench", trace.DefaultSpanCap)
 	s.SetRecorder(rec)
 	var cnt stats.Counter
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.MatchSeries(db[i%len(db)], -1, &cnt)
+	}
+}
+
+// TestMatchSeriesDoesNotAllocate holds the comparison to its scratch: in the
+// steady state of a scan — best-so-far found, wedge-set size settled —
+// MatchSeries allocates nothing: not the H-Merge stack, not a step tally
+// escaping through the Kernel interface, not a frontier slice.
+func TestMatchSeriesDoesNotAllocate(t *testing.T) {
+	rs, db := guardSetup()
+	for _, kernel := range []wedge.Kernel{wedge.ED{}, wedge.DTW{R: 5}} {
+		s := NewSearcher(rs, kernel, Wedge, SearcherConfig{Obs: new(obs.SearchStats)})
+		var cnt stats.Counter
+		best := s.Scan(db, &cnt).Dist
+		visits := s.obs.Counts().WedgeNodeVisits
+		rescan := func() {
+			for _, x := range db {
+				s.MatchSeries(x, best, &cnt) // nothing beats the best: no probe restarts
+			}
+		}
+		rescan() // lets a probe the scan left running finish
+		if allocs := testing.AllocsPerRun(10, rescan); allocs != 0 {
+			t.Errorf("%s: %v allocations per %d-comparison scan, want 0", kernel.Name(), allocs, len(db))
+		}
+		if s.obs.Counts().WedgeNodeVisits == visits {
+			t.Errorf("%s: the rescans never descended a wedge; the test measures nothing", kernel.Name())
+		}
 	}
 }
 
@@ -114,6 +161,7 @@ func TestNilRecorderOverheadGuard(t *testing.T) {
 	testing.Benchmark(scanDirect)
 	testing.Benchmark(scanNilRecorder)
 	testing.Benchmark(scanNilExplain)
+	testing.Benchmark(scanSaturated)
 	direct := best(scanDirect)
 	nilRec := best(scanNilRecorder)
 	ratio := nilRec / direct
@@ -129,6 +177,14 @@ func TestNilRecorderOverheadGuard(t *testing.T) {
 	t.Logf("untraced %.0f ns/op, nil-explain %.0f ns/op, ratio %.4f", direct, nilExp, ratio)
 	if ratio > 1.02 {
 		t.Errorf("disabled-explain path is %.2f%% slower than untraced search, budget is 2%%",
+			(ratio-1)*100)
+	}
+	// A recorder with no room left is as good as none.
+	saturated := best(scanSaturated)
+	ratio = saturated / direct
+	t.Logf("untraced %.0f ns/op, saturated-recorder %.0f ns/op, ratio %.4f", direct, saturated, ratio)
+	if ratio > 1.02 {
+		t.Errorf("saturated-recorder path is %.2f%% slower than untraced search, budget is 2%%",
 			(ratio-1)*100)
 	}
 }

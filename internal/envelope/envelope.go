@@ -67,12 +67,21 @@ func Merge(a, b Envelope) Envelope {
 		panic(fmt.Sprintf("envelope: Merge length mismatch U %d/%d L %d/%d",
 			len(au), len(bu), len(al), len(bl)))
 	}
-	n := len(au)
-	u := make([]float64, n) //lint:ignore hotalloc result buffer, one per merge
-	l := make([]float64, n) //lint:ignore hotalloc result buffer, one per merge
-	for i := range u {
-		u[i] = math.Max(au[i], bu[i])
-		l[i] = math.Min(al[i], bl[i])
+	// Two result buffers, not ExpandDTW's one split in two: with a tree's
+	// 2m-1 envelopes all in the doubled size class, a DTW scan's peak RSS
+	// measured 10 % higher for ~7 % off this function.
+	u := make([]float64, len(au)) //lint:ignore hotalloc result buffer, one per merge
+	l := make([]float64, len(au)) //lint:ignore hotalloc result buffer, one per merge
+	// Plain compares, not math.Max/Min: envelopes are finite (NaN is rejected
+	// at the API boundary), so the special-case handling buys nothing here.
+	for i := range au {
+		u[i], l[i] = au[i], al[i]
+		if bu[i] > u[i] {
+			u[i] = bu[i]
+		}
+		if bl[i] < l[i] {
+			l[i] = bl[i]
+		}
 	}
 	return Envelope{U: u, L: l}
 }

@@ -21,6 +21,7 @@ import (
 	"math"
 	"math/bits"
 	"math/cmplx"
+	"sync"
 )
 
 // BoundName is the stable stage tag for the Fourier-magnitude bound in
@@ -105,33 +106,60 @@ func fftPow2InPlace(a []complex128, inverse bool) {
 	}
 }
 
-// bluestein computes an arbitrary-length DFT as a convolution with a chirp,
-// evaluated with a power-of-two FFT of length >= 2n-1.
-func bluestein(x []complex128) []complex128 {
-	n := len(x)
+// chirpPlan is the part of Bluestein's algorithm that depends only on the
+// length n: the chirp and the transform of the chirp filter. Read-only once
+// built.
+type chirpPlan struct {
+	chirp  []complex128 // chirp[k] = exp(-iπ k²/n)
+	filter []complex128 // FFT of the zero-padded conjugate chirp, length m
+}
+
+// chirpPlans caches one plan per transform length. A process transforms a
+// handful of lengths (its series length, and whatever the experiments sweep),
+// so the cache is never evicted.
+var chirpPlans sync.Map // int -> *chirpPlan
+
+func chirpPlanFor(n int) *chirpPlan {
+	if p, ok := chirpPlans.Load(n); ok {
+		return p.(*chirpPlan)
+	}
 	m := 1
 	for m < 2*n-1 {
 		m <<= 1
 	}
-	// chirp[k] = exp(-iπ k²/n); k² mod 2n avoids precision loss for large k.
+	// k² mod 2n avoids precision loss for large k.
 	chirp := make([]complex128, n)
 	for k := 0; k < n; k++ {
 		kk := (int64(k) * int64(k)) % int64(2*n)
 		chirp[k] = cmplx.Rect(1, -math.Pi*float64(kk)/float64(n))
 	}
-	a := make([]complex128, m)
-	b := make([]complex128, m)
+	filter := make([]complex128, m)
 	for k := 0; k < n; k++ {
-		a[k] = x[k] * chirp[k]
-		b[k] = cmplx.Conj(chirp[k])
+		filter[k] = cmplx.Conj(chirp[k])
 	}
 	for k := 1; k < n; k++ {
-		b[m-k] = cmplx.Conj(chirp[k])
+		filter[m-k] = cmplx.Conj(chirp[k])
+	}
+	fftPow2InPlace(filter, false)
+	p, _ := chirpPlans.LoadOrStore(n, &chirpPlan{chirp: chirp, filter: filter})
+	return p.(*chirpPlan)
+}
+
+// bluestein computes an arbitrary-length DFT as a convolution with a chirp,
+// evaluated with a power-of-two FFT of length >= 2n-1. The chirp and its
+// filter's transform come from the per-length plan, so a call costs two
+// FFTs, not three.
+func bluestein(x []complex128) []complex128 {
+	n := len(x)
+	plan := chirpPlanFor(n)
+	chirp, m := plan.chirp, len(plan.filter)
+	a := make([]complex128, m)
+	for k := 0; k < n; k++ {
+		a[k] = x[k] * chirp[k]
 	}
 	fftPow2InPlace(a, false)
-	fftPow2InPlace(b, false)
-	for i := range a {
-		a[i] *= b[i]
+	for i, f := range plan.filter {
+		a[i] *= f
 	}
 	fftPow2InPlace(a, true)
 	out := make([]complex128, n)

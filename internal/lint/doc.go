@@ -82,10 +82,11 @@
 //
 // hotalloc then keeps those bodies allocation-free: the banded kernels keep
 // their rolling rows, and ExpandDTW its deque, in fixed stack arrays. Where
-// an allocation is intentional — a result buffer handed to the caller,
-// per-search scratch amortized over a whole traversal, the deque of a band
-// too wide for the stack — the site carries a suppression directive with a
-// reason (see below), which doubles as documentation.
+// an allocation is intentional — a result buffer handed to the caller, the
+// deque of a band too wide for the stack — or only syntactic (H-Merge pushes
+// onto a stack its scratch sized once per query), the site carries a
+// suppression directive with a reason (see below), which doubles as
+// documentation.
 //
 // # The //lbkeogh:rootspace convention
 //

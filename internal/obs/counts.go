@@ -3,11 +3,12 @@ package obs
 import "sync/atomic"
 
 // Counts is the scalar half of the instrumentation record, and the only
-// place its counters are listed: a plain-value copy cheap enough to take
-// before and after a single comparison (one atomic load per field, no
-// allocation), attached to trace spans as a delta, summed by the serving
-// layer, and embedded in Snapshot. All counters are cumulative since the
-// record was created or last reset. Adding a counter means a field here, a
+// place its counters are listed: a plain value the search hot paths tally
+// one comparison into before publishing it (AddCounts), attached to trace
+// spans as that comparison's delta, loaded from the record before and after
+// an operation (one atomic load per field, no allocation), summed by the
+// serving layer, and embedded in Snapshot. All counters are cumulative since
+// the record was created or last reset. Adding a counter means a field here, a
 // slot in fields, counters and counterDocs, and — if it disposes of
 // rotations — a term in Reconciles; TestCountsFieldGuard fails on a miss.
 type Counts struct {
@@ -127,6 +128,33 @@ func (s *SearchStats) Counts() (c Counts) {
 		*dst[i] = a.Load()
 	}
 	return c
+}
+
+// AddCounts adds one comparison's locally tallied counters to the record:
+// the search hot paths count into a goroutine-confined Counts (and per-level
+// prune tally, which may be nil) with plain increments and publish them here
+// once, so a comparison touches only the shared atomics it actually moved.
+// The flushed levels are zeroed for the next comparison; c is left as it is,
+// because it doubles as the comparison's delta for trace spans and EXPLAIN.
+func (s *SearchStats) AddCounts(c *Counts, levels *[MaxPruneLevels]int64) {
+	if s == nil {
+		return
+	}
+	dst := s.counters()
+	for i, p := range c.fields() {
+		if *p != 0 {
+			dst[i].Add(*p)
+		}
+	}
+	if levels == nil {
+		return
+	}
+	for i, v := range levels {
+		if v != 0 {
+			s.wedgePruneByLevel[i].Add(v)
+			levels[i] = 0
+		}
+	}
 }
 
 // Add returns the field-wise sum c + other.

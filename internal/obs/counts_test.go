@@ -15,15 +15,15 @@ var counterBumps = map[string]func(*SearchStats){
 	"Rotations":          func(s *SearchStats) { s.AddComparison(3) },
 	"Steps":              func(s *SearchStats) { s.AddSteps(3) },
 	"FullDistEvals":      func(s *SearchStats) { s.CountFullDist() },
-	"EarlyAbandons":      func(s *SearchStats) { s.AddOutcomes(0, 3) },
+	"EarlyAbandons":      func(s *SearchStats) { s.CountAbandon() },
 	"WedgeNodeVisits":    func(s *SearchStats) { s.CountNodeVisit() },
 	"WedgeLeafVisits":    func(s *SearchStats) { s.CountLeafVisit() },
 	"WedgePrunedMembers": func(s *SearchStats) { s.CountWedgePrune(1, 3) },
-	"WedgeLeafLBPrunes":  func(s *SearchStats) { s.CountLeafLBPrune() },
-	"FFTRejects":         func(s *SearchStats) { s.CountFFTReject(0) },
-	"FFTRejectedMembers": func(s *SearchStats) { s.CountFFTReject(3) },
-	"FFTFallbacks":       func(s *SearchStats) { s.CountFFTFallback() },
-	"CancelledMembers":   func(s *SearchStats) { s.CountCancelled(3) },
+	"WedgeLeafLBPrunes":  func(s *SearchStats) { s.AddCounts(&Counts{WedgeLeafLBPrunes: 1}, nil) },
+	"FFTRejects":         func(s *SearchStats) { s.AddCounts(&Counts{FFTRejects: 1}, nil) },
+	"FFTRejectedMembers": func(s *SearchStats) { s.AddCounts(&Counts{FFTRejectedMembers: 3}, nil) },
+	"FFTFallbacks":       func(s *SearchStats) { s.AddCounts(&Counts{FFTFallbacks: 1}, nil) },
+	"CancelledMembers":   func(s *SearchStats) { s.AddCounts(&Counts{CancelledMembers: 3}, nil) },
 	"IndexCandidates":    func(s *SearchStats) { s.CountIndexCandidate() },
 	"IndexFetches":       func(s *SearchStats) { s.CountIndexFetch() },
 	"DiskReads":          func(s *SearchStats) { s.CountDiskRead() },
@@ -86,6 +86,23 @@ func TestCountsFieldGuard(t *testing.T) {
 			t.Errorf("metrics key %q appears twice", k)
 		}
 		seen[k] = true
+	}
+
+	// AddCounts flushes every field (and the levels, which it clears), twice
+	// over to show it adds rather than stores, and leaves its source alone.
+	var flushed SearchStats
+	levels := [MaxPruneLevels]int64{0: 2, MaxPruneLevels - 1: 5}
+	src := distinct
+	flushed.AddCounts(&src, &levels)
+	flushed.AddCounts(&src, &levels)
+	if got := flushed.Counts(); got != distinct.Add(distinct) || src != distinct {
+		t.Errorf("AddCounts twice = %+v (source %+v), want 2 x %+v", got, src, distinct)
+	}
+	if got := flushed.Snapshot().WedgePrunesByLevel; len(got) != MaxPruneLevels || got[0] != 2 || got[MaxPruneLevels-1] != 5 {
+		t.Errorf("AddCounts levels = %v, want 2 at the root and 5 in the last slot, once", got)
+	}
+	if levels != [MaxPruneLevels]int64{} {
+		t.Errorf("AddCounts left levels %v behind", levels)
 	}
 
 	// Add and Sub cover every field.

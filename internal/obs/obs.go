@@ -32,6 +32,19 @@ import (
 // fits in memory).
 const MaxPruneLevels = 32
 
+// PruneLevel folds a dendrogram depth into its slot of a per-level
+// breakdown: negative depths into the root's, depths at or beyond
+// MaxPruneLevels into the last.
+func PruneLevel(level int) int {
+	if level < 0 {
+		return 0
+	}
+	if level >= MaxPruneLevels {
+		return MaxPruneLevels - 1
+	}
+	return level
+}
+
 // maxKTrajectory caps the recorded dynamic-K trajectory so adversarially
 // jittery controllers cannot grow the record without bound.
 const maxKTrajectory = 1024
@@ -117,17 +130,6 @@ func (s *SearchStats) CountAbandon() {
 	}
 }
 
-// AddOutcomes batches per-rotation outcome counts — fullDist exact
-// evaluations plus abandons early abandons — into two atomic adds, so the
-// per-rotation hot loops stay free of shared-cacheline traffic.
-func (s *SearchStats) AddOutcomes(fullDist, abandons int64) {
-	if s == nil {
-		return
-	}
-	s.fullDistEvals.Add(fullDist)
-	s.earlyAbandons.Add(abandons)
-}
-
 // CountNodeVisit records one internal wedge whose children were explored.
 func (s *SearchStats) CountNodeVisit() {
 	if s != nil {
@@ -149,47 +151,7 @@ func (s *SearchStats) CountWedgePrune(level int, members int64) {
 		return
 	}
 	s.wedgePrunedMembers.Add(members)
-	if level < 0 {
-		level = 0
-	}
-	if level >= MaxPruneLevels {
-		level = MaxPruneLevels - 1
-	}
-	s.wedgePruneByLevel[level].Add(1)
-}
-
-// CountLeafLBPrune records one rotation excluded by its singleton-wedge LB.
-func (s *SearchStats) CountLeafLBPrune() {
-	if s != nil {
-		s.wedgeLeafLBPrunes.Add(1)
-	}
-}
-
-// CountFFTReject records one comparison rejected whole by the
-// Fourier-magnitude bound, covering members rotations.
-func (s *SearchStats) CountFFTReject(members int64) {
-	if s == nil {
-		return
-	}
-	s.fftRejects.Add(1)
-	s.fftRejectedMembers.Add(members)
-}
-
-// CountCancelled records members rotations left undisposed when a
-// cancellation checkpoint aborted a comparison mid-walk, keeping the
-// outcome buckets reconciled under cooperative cancellation.
-func (s *SearchStats) CountCancelled(members int64) {
-	if s != nil {
-		s.cancelledMembers.Add(members)
-	}
-}
-
-// CountFFTFallback records one comparison the magnitude bound could not
-// reject.
-func (s *SearchStats) CountFFTFallback() {
-	if s != nil {
-		s.fftFallbacks.Add(1)
-	}
+	s.wedgePruneByLevel[PruneLevel(level)].Add(1)
 }
 
 // CountIndexCandidate records one index candidate surviving its compressed

@@ -16,9 +16,7 @@ func TestNilSinkIsSafeAndFree(t *testing.T) {
 		st.CountNodeVisit()
 		st.CountLeafVisit()
 		st.CountWedgePrune(3, 4)
-		st.CountLeafLBPrune()
-		st.CountFFTReject(8)
-		st.CountFFTFallback()
+		st.AddCounts(&Counts{FFTRejects: 1, FFTRejectedMembers: 8}, &[MaxPruneLevels]int64{3: 1})
 		st.CountIndexCandidate()
 		st.CountIndexFetch()
 		st.CountDiskRead()
@@ -45,8 +43,7 @@ func TestSnapshotReconciles(t *testing.T) {
 	st.CountFullDist()
 	st.CountAbandon()
 	st.CountWedgePrune(2, 4)
-	st.CountLeafLBPrune()
-	st.CountFFTReject(2)
+	st.AddCounts(&Counts{WedgeLeafLBPrunes: 1, FFTRejects: 1, FFTRejectedMembers: 2}, nil)
 	sn := st.Snapshot()
 	if sn.Rotations != 10 {
 		t.Fatalf("Rotations = %d, want 10", sn.Rotations)

@@ -9,8 +9,7 @@ import (
 // arenaCap bounds the spans one arena (one comparison) can hold. A wedge
 // search emits one envelope span, one H-Merge span and one kernel span per
 // surviving leaf, so the cap keeps the waterfall informative for typical
-// comparisons while bounding the worst case; overflow is counted, and the
-// kernel aggregate fields keep counting past it.
+// comparisons while bounding the worst case; overflow is counted.
 const arenaCap = 24
 
 // Arena is the goroutine-confined scratch buffer for hot-path span
@@ -26,10 +25,6 @@ type Arena struct {
 	dropped int64
 	visits  [obs.MaxPruneLevels]int64
 	visited bool
-	// KernelNS / KernelEvals aggregate exact-kernel time and count across
-	// every evaluation, including those past the span cap.
-	KernelNS    int64
-	KernelEvals int64
 }
 
 // Init arms the arena against the recorder's anchor. A nil recorder leaves
@@ -90,21 +85,9 @@ func (a *Arena) End(slot int) {
 }
 
 // Kernel records one exact kernel evaluation started at t0 (a prior Now
-// call) against member ref, feeding both the span buffer and the aggregate
-// counters.
+// call) against member ref.
 func (a *Arena) Kernel(ref int, t0 int64) {
-	if !a.armed() {
-		return
-	}
-	dur := a.Now() - t0
-	a.KernelNS += dur
-	a.KernelEvals++
-	if a.n == arenaCap {
-		a.dropped++
-		return
-	}
-	a.spans[a.n] = Span{Parent: -1, Stage: StageKernel, Ref: int32(ref), Start: t0, Dur: dur}
-	a.n++
+	a.Emit(StageKernel, ref, t0, a.Now()-t0)
 }
 
 // CountVisit charges one H-Merge internal-node visit at the given
@@ -113,13 +96,7 @@ func (a *Arena) CountVisit(level int) {
 	if !a.armed() {
 		return
 	}
-	if level < 0 {
-		level = 0
-	}
-	if level >= obs.MaxPruneLevels {
-		level = obs.MaxPruneLevels - 1
-	}
-	a.visits[level]++
+	a.visits[obs.PruneLevel(level)]++
 	a.visited = true
 }
 
@@ -144,8 +121,6 @@ func (a *Arena) visitsByLevel() []int64 {
 func (a *Arena) reset() {
 	a.n = 0
 	a.dropped = 0
-	a.KernelNS = 0
-	a.KernelEvals = 0
 	if a.visited {
 		a.visits = [obs.MaxPruneLevels]int64{}
 		a.visited = false

@@ -73,6 +73,21 @@ func (r *Recorder) Dropped() int64 {
 	return r.dropped
 }
 
+// Full reports whether the span buffer is at its cap: nothing further can be
+// recorded, so a caller may skip the work of producing spans altogether —
+// clock reads, arena staging, counter deltas — provided it reports what it
+// skipped through Drop. A nil recorder is not full; it is absent.
+func (r *Recorder) Full() bool {
+	return r != nil && len(r.spans) == cap(r.spans)
+}
+
+// Drop counts one span the caller did not offer because the recorder is Full.
+func (r *Recorder) Drop() {
+	if r != nil {
+		r.dropped++
+	}
+}
+
 // Begin opens a span of the given stage, nested under the innermost open
 // span. It returns a no-op SpanID on a nil or saturated recorder.
 func (r *Recorder) Begin(stage Stage, ref int) SpanID {

@@ -51,8 +51,8 @@ func (c *Counter) Reset() {
 // accumulator for the kernel-facing hot paths, where an atomic add per
 // distance evaluation would dominate the cost of short early-abandoned
 // kernels. A Tally must never be shared across goroutines; owners keep one
-// on the stack and flush it into a Counter (or an obs record) once per
-// comparison. A nil *Tally records nothing, mirroring Counter's contract.
+// on the stack (or in scratch confined to their goroutine, as wedge.Scratch
+// is) and flush it into a Counter (or an obs record) once per comparison. A nil *Tally records nothing, mirroring Counter's contract.
 type Tally struct {
 	steps int64
 }

@@ -179,6 +179,46 @@ type Result struct {
 	Aborted bool
 }
 
+// Scratch is the working memory H-Merge needs per comparison, kept between
+// comparisons so that one costs its bound steps and nothing else: no
+// allocation, no lock, no shared cache line. Its owner (a core.Searcher, or
+// Search's throwaway) is a single goroutine; a Scratch must never be shared.
+//
+// Counts and PruneByLevel accumulate how the searches run with this scratch
+// disposed of each rotation; the owner reads and clears them between
+// comparisons and flushes them into the shared record
+// (obs.SearchStats.AddCounts). The rest is cached per-query state: the tree's
+// envelopes widened for the kernel's radius, the frontier cut for the last K
+// used, and the traversal's stack and queue. (The step tally travels beside
+// the scratch, not in it: a pointer into the scratch handed to a Kernel would
+// force Search's throwaway onto the heap.)
+type Scratch struct {
+	Counts       obs.Counts
+	PruneByLevel [obs.MaxPruneLevels]int64
+
+	tree     *Tree
+	radius   int
+	envs     []envelope.Envelope
+	k        int   // the K frontier was cut for
+	frontier []int // nil before the first search of a tree
+	stack    []int
+	pq       boundHeap
+}
+
+// prepare points the scratch at tree t, radius and K. The widened envelopes
+// are fetched once per tree and radius — so the search that first builds them
+// is charged the build on steps, as ever — and the frontier once per change
+// of K; a steady-state comparison takes neither lock.
+func (sc *Scratch) prepare(t *Tree, radius, K int, steps *stats.Tally) {
+	if sc.tree != t || sc.radius != radius {
+		sc.tree, sc.radius, sc.frontier = t, radius, nil
+		sc.envs = t.envelopesFor(radius, steps)
+	}
+	if sc.k != K || sc.frontier == nil {
+		sc.k, sc.frontier = K, t.frontierFor(K)
+	}
+}
+
 // Search runs H-Merge (Table 6): it returns the exact minimum distance from
 // q to any member of the tree, provided that minimum is strictly below r
 // (r < 0 or +Inf means unbounded). K is the wedge-set size to start from;
@@ -186,30 +226,36 @@ type Result struct {
 // returns precisely what brute force over all members would, as long as the
 // caller treats Dist = +Inf as "no member beats r".
 func (t *Tree) Search(q []float64, k Kernel, K int, r float64, traversal Traversal, cnt *stats.Tally) Result {
-	return t.SearchTraced(q, k, K, r, traversal, cnt, nil, nil, nil, nil)
+	var sc Scratch
+	var steps stats.Tally
+	res := t.SearchTraced(q, k, K, r, traversal, &steps, &sc, nil, nil, nil)
+	cnt.Add(res.Steps)
+	return res
 }
 
-// SearchTraced is Search with instrumentation, span recording and
-// cooperative cancellation. Every rotation the walk disposes of is
-// attributed to exactly one outcome on st (internal-wedge prune weighted by
-// subtree size, singleton-wedge LB prune, early abandon, or full distance
-// evaluation), and tr receives per-wedge trace events. The H-Merge walk, the
-// exact kernel evaluations at surviving leaves and the per-level node-visit
-// counts land in the goroutine-confined arena ar, which the caller flushes
-// into its trace recorder after the comparison. The walk polls chk once per
-// wedge visit — a cancellation is observed within one checkpoint interval of
+// SearchTraced is Search over a caller-owned scratch, with span recording
+// and cooperative cancellation. The steps the walk spends are added to steps
+// (never nil: Result.Steps is read off it), and every rotation it disposes
+// of is attributed to exactly one outcome in sc.Counts (internal-wedge prune
+// weighted by subtree size, singleton-wedge LB prune, early abandon, or full
+// distance evaluation); tr receives per-wedge trace events. The H-Merge walk, the exact kernel
+// evaluations at surviving leaves and the per-level node-visit counts land
+// in the goroutine-confined arena ar, which the caller flushes into its
+// trace recorder after the comparison. The walk polls chk once per wedge
+// visit — a cancellation is observed within one checkpoint interval of
 // visits, at which point every undisposed member is attributed to the
-// cancelled bucket and the Result comes back Aborted. st, tr, ar and chk may
+// cancelled bucket and the Result comes back Aborted. tr, ar and chk may
 // each be nil (or disarmed) — the nil path costs one predictable branch per
 // event.
 //
 //lbkeogh:hotpath
-func (t *Tree) SearchTraced(q []float64, k Kernel, K int, r float64, traversal Traversal, cnt *stats.Tally, st *obs.SearchStats, tr obs.Tracer, ar *trace.Arena, chk *cancel.Checker) Result {
+func (t *Tree) SearchTraced(q []float64, k Kernel, K int, r float64, traversal Traversal, steps *stats.Tally, sc *Scratch, tr obs.Tracer, ar *trace.Arena, chk *cancel.Checker) Result {
 	if len(q) != t.Len() {
 		panic(fmt.Sprintf("wedge: query length %d != member length %d", len(q), t.Len()))
 	}
-	var local stats.Tally
-	envs := t.envelopesFor(k.Radius(), &local)
+	steps0 := steps.Steps()
+	sc.prepare(t, k.Radius(), K, steps)
+	envs, st := sc.envs, &sc.Counts
 
 	best := math.Inf(1)
 	if r >= 0 {
@@ -218,19 +264,19 @@ func (t *Tree) SearchTraced(q []float64, k Kernel, K int, r float64, traversal T
 	bestMember := -1
 
 	visitLeaf := func(id int) { //lint:ignore hotalloc non-escaping closure, invoked directly below
-		st.CountLeafVisit()
+		st.WedgeLeafVisits++
 		if k.LeafLBIsExact() {
 			// For Euclidean, LB against the singleton wedge IS the distance;
 			// compute it once via the kernel's exact path.
 			kt0 := ar.Now()
-			d, abandoned := k.Distance(q, t.members[id], best, &local)
+			d, abandoned := k.Distance(q, t.members[id], best, steps)
 			ar.Kernel(id, kt0)
 			if abandoned {
-				st.CountAbandon()
+				st.EarlyAbandons++
 				obs.TraceAbandon(tr, id)
 				return
 			}
-			st.CountFullDist()
+			st.FullDistEvals++
 			if d < best {
 				best, bestMember = d, id
 			}
@@ -238,21 +284,21 @@ func (t *Tree) SearchTraced(q []float64, k Kernel, K int, r float64, traversal T
 		}
 		// For warped measures: cheap LB first (classic LB_Keogh), then the
 		// full distance only if the bound cannot prune.
-		lb, abandoned := k.LowerBound(q, envs[id], best, &local)
+		lb, abandoned := k.LowerBound(q, envs[id], best, steps)
 		if abandoned || lb >= best {
-			st.CountLeafLBPrune()
+			st.WedgeLeafLBPrunes++
 			obs.TraceWedgeVisit(tr, id, t.depth[id], lb, true)
 			return
 		}
 		kt0 := ar.Now()
-		d, abandoned := k.Distance(q, t.members[id], best, &local)
+		d, abandoned := k.Distance(q, t.members[id], best, steps)
 		ar.Kernel(id, kt0)
 		if abandoned {
-			st.CountAbandon()
+			st.EarlyAbandons++
 			obs.TraceAbandon(tr, id)
 			return
 		}
-		st.CountFullDist()
+		st.FullDistEvals++
 		if d < best {
 			best, bestMember = d, id
 		}
@@ -260,40 +306,42 @@ func (t *Tree) SearchTraced(q []float64, k Kernel, K int, r float64, traversal T
 	// pruneNode attributes all rotations under an internal or frontier wedge
 	// to the wedge-LB-prune bucket at the wedge's dendrogram level.
 	pruneNode := func(id int, lb float64) { //lint:ignore hotalloc non-escaping closure, invoked directly below
-		st.CountWedgePrune(t.depth[id], int64(t.dend.Nodes[id].Size))
+		st.WedgePrunedMembers += int64(t.dend.Nodes[id].Size)
+		sc.PruneByLevel[obs.PruneLevel(t.depth[id])]++
 		obs.TraceWedgeVisit(tr, id, t.depth[id], lb, true)
 	}
 
-	frontier := t.frontierFor(K)
+	frontier := sc.frontier
 	hm := ar.Begin(trace.StageHMerge, -1)
 	aborted := false
 	switch traversal {
 	case BestFirst:
-		var pq boundHeap
+		pq := &sc.pq
+		*pq = (*pq)[:0]
 		for fi, id := range frontier {
 			if chk.Stop() != nil {
 				// Cancelled while seeding: everything not yet bounded plus
 				// everything already queued is undisposed.
 				for _, rest := range frontier[fi:] {
-					st.CountCancelled(int64(t.dend.Nodes[rest].Size))
+					st.CancelledMembers += int64(t.dend.Nodes[rest].Size)
 				}
-				for _, it := range pq {
-					st.CountCancelled(int64(t.dend.Nodes[it.id].Size))
+				for _, it := range *pq {
+					st.CancelledMembers += int64(t.dend.Nodes[it.id].Size)
 				}
 				aborted = true
 				break
 			}
-			lb, abandoned := k.LowerBound(q, envs[id], best, &local)
+			lb, abandoned := k.LowerBound(q, envs[id], best, steps)
 			if !abandoned && lb < best {
 				pq.push(boundItem{id: id, lb: lb})
 			} else {
 				pruneNode(id, lb)
 			}
 		}
-		for !aborted && len(pq) > 0 {
+		for !aborted && len(*pq) > 0 {
 			if chk.Stop() != nil {
-				for _, it := range pq {
-					st.CountCancelled(int64(t.dend.Nodes[it.id].Size))
+				for _, it := range *pq {
+					st.CancelledMembers += int64(t.dend.Nodes[it.id].Size)
 				}
 				aborted = true
 				break
@@ -303,7 +351,7 @@ func (t *Tree) SearchTraced(q []float64, k Kernel, K int, r float64, traversal T
 				// Smallest outstanding bound cannot improve: done. Everything
 				// still queued is excluded by its (stale) bound.
 				pruneNode(it.id, it.lb)
-				for _, rest := range pq {
+				for _, rest := range *pq {
 					pruneNode(rest.id, rest.lb)
 				}
 				break
@@ -313,7 +361,7 @@ func (t *Tree) SearchTraced(q []float64, k Kernel, K int, r float64, traversal T
 				visitLeaf(it.id)
 				continue
 			}
-			st.CountNodeVisit()
+			st.WedgeNodeVisits++
 			ar.CountVisit(t.depth[it.id])
 			obs.TraceWedgeVisit(tr, it.id, t.depth[it.id], it.lb, false)
 			// Left then right, without materializing a child slice per visit.
@@ -322,7 +370,7 @@ func (t *Tree) SearchTraced(q []float64, k Kernel, K int, r float64, traversal T
 				if c == 1 {
 					ch = node.Right
 				}
-				lb, abandoned := k.LowerBound(q, envs[ch], best, &local)
+				lb, abandoned := k.LowerBound(q, envs[ch], best, steps)
 				if !abandoned && lb < best {
 					pq.push(boundItem{id: ch, lb: lb})
 				} else {
@@ -331,15 +379,17 @@ func (t *Tree) SearchTraced(q []float64, k Kernel, K int, r float64, traversal T
 			}
 		}
 	default: // LIFO, the paper's Table 6
-		stack := make([]int, len(frontier), 2*len(frontier)+2) //lint:ignore hotalloc per-search scratch, amortized over the traversal
-		copy(stack, frontier)
+		// The stack grows to a walk's high-water mark (at most one entry per
+		// member: it holds disjoint unvisited subtrees) and is handed back
+		// to the scratch below, so a searcher's later walks reuse it.
+		stack := append(sc.stack[:0], frontier...) //lint:ignore hotalloc grows a few times over a scratch's life, not per search
 		for len(stack) > 0 {
 			if chk.Stop() != nil {
 				// Cancelled mid-walk: every member under a node still on the
 				// stack is undisposed (pops either dispose or push children,
 				// so the stack is exactly the undisposed partition).
 				for _, rest := range stack {
-					st.CountCancelled(int64(t.dend.Nodes[rest].Size))
+					st.CancelledMembers += int64(t.dend.Nodes[rest].Size)
 				}
 				aborted = true
 				break
@@ -351,27 +401,28 @@ func (t *Tree) SearchTraced(q []float64, k Kernel, K int, r float64, traversal T
 				visitLeaf(id)
 				continue
 			}
-			lb, abandoned := k.LowerBound(q, envs[id], best, &local)
+			lb, abandoned := k.LowerBound(q, envs[id], best, steps)
 			if abandoned || lb >= best {
 				pruneNode(id, lb) // prune the whole wedge
 				continue
 			}
-			st.CountNodeVisit()
+			st.WedgeNodeVisits++
 			ar.CountVisit(t.depth[id])
 			obs.TraceWedgeVisit(tr, id, t.depth[id], lb, false)
-			stack = append(stack, node.Left, node.Right) //lint:ignore hotalloc bounded by the dendrogram size; grows a few times at most
+			stack = append(stack, node.Left, node.Right) //lint:ignore hotalloc grows a few times over a scratch's life, not per search
 		}
+		sc.stack = stack[:0]
 	}
 
 	ar.End(hm)
-	cnt.Add(local.Steps())
+	spent := steps.Steps() - steps0
 	if aborted {
-		return Result{Dist: math.Inf(1), BestMember: -1, Steps: local.Steps(), Aborted: true}
+		return Result{Dist: math.Inf(1), BestMember: -1, Steps: spent, Aborted: true}
 	}
 	if bestMember < 0 {
-		return Result{Dist: math.Inf(1), BestMember: -1, Steps: local.Steps()}
+		return Result{Dist: math.Inf(1), BestMember: -1, Steps: spent}
 	}
-	return Result{Dist: best, BestMember: bestMember, Steps: local.Steps()}
+	return Result{Dist: best, BestMember: bestMember, Steps: spent}
 }
 
 type boundItem struct {

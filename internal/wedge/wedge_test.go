@@ -7,6 +7,7 @@ import (
 
 	"lbkeogh/internal/dist"
 	"lbkeogh/internal/envelope"
+	"lbkeogh/internal/obs"
 	"lbkeogh/internal/stats"
 	"lbkeogh/internal/ts"
 )
@@ -378,6 +379,57 @@ func TestWidenedEnvelopesMatchExpandDTW(t *testing.T) {
 			if f, s := charged(fresh); f != s || s != second {
 				t.Errorf("%s R=%d: searches after FrontierEnvelopes charged %d then %d steps, want %d both times", tc.name, R, f, s, second)
 			}
+		}
+	}
+}
+
+// TestScratchReuseMatchesFreshSearch drives one Scratch through searches that
+// change K, traversal, kernel radius and even the tree — everything its
+// cached envelopes and frontier depend on — and holds each result, step count
+// and outcome tally to a throwaway-scratch Search of the same arguments.
+func TestScratchReuseMatchesFreshSearch(t *testing.T) {
+	treeA, _ := buildRandomTree(21, 16, 32)
+	treeB, _ := buildRandomTree(22, 9, 32)
+	// Widen each tree once up front, so neither side of a comparison below
+	// is the one charged for building the envelopes.
+	for _, tree := range []*Tree{treeA, treeB} {
+		tree.FrontierEnvelopes(1, 3)
+	}
+	rng := ts.NewRand(23)
+	var sc Scratch
+	for trial := 0; trial < 200; trial++ {
+		tree := treeA
+		if trial%7 == 3 {
+			tree = treeB
+		}
+		var k Kernel = ED{}
+		if trial%5 >= 3 {
+			k = DTW{R: 3}
+		}
+		K := trial * 5 % (tree.MaxK() + 2) // 0 and MaxK+1 included: Frontier clamps them
+		tr := Traversal(trial % 2)
+		q := ts.RandomWalk(rng, 32)
+		r := -1.0
+		if trial%3 == 0 {
+			r = 4
+		}
+
+		var fresh Scratch
+		var freshSteps, steps stats.Tally
+		want := tree.SearchTraced(q, k, K, r, tr, &freshSteps, &fresh, nil, nil, nil)
+		sc.Counts = obs.Counts{}
+		sc.PruneByLevel = [obs.MaxPruneLevels]int64{}
+		got := tree.SearchTraced(q, k, K, r, tr, &steps, &sc, nil, nil, nil)
+		if got != want {
+			t.Fatalf("trial %d: reused scratch %+v, fresh %+v", trial, got, want)
+		}
+		if steps.Steps() != want.Steps || sc.Counts != fresh.Counts || sc.PruneByLevel != fresh.PruneByLevel {
+			t.Fatalf("trial %d: reused tallies (%d steps, %+v, %v), fresh (%d, %+v, %v)", trial,
+				steps.Steps(), sc.Counts, sc.PruneByLevel, want.Steps, fresh.Counts, fresh.PruneByLevel)
+		}
+		if members := int64(tree.Members()); sc.Counts.FullDistEvals+sc.Counts.EarlyAbandons+
+			sc.Counts.WedgePrunedMembers+sc.Counts.WedgeLeafLBPrunes != members {
+			t.Fatalf("trial %d: outcomes %+v do not cover %d members", trial, sc.Counts, members)
 		}
 	}
 }
