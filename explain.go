@@ -135,24 +135,23 @@ func (q *Query) rearmExplain() {
 	q.searcher.SetExplain(q.exp)
 }
 
-// beginExplainOp resets the explain op for one operation and snapshots the
-// counters its waterfall will be derived from.
+// beginExplainOp resets the explain op for one operation.
 func (q *Query) beginExplainOp() {
 	if q.exp == nil {
 		return
 	}
 	q.exp.Reset()
-	q.expBefore = q.obs.Counts()
 	q.expValid = false
 }
 
-// endExplainOp captures the operation's counter delta and correlates the
-// sampler exemplars with the finished trace (tid 0 = untraced).
-func (q *Query) endExplainOp(tid int64) {
+// endExplainOp keeps the operation's counter delta, from which the plan's
+// waterfall is derived, and correlates the sampler exemplars with the
+// finished trace (tid 0 = untraced).
+func (q *Query) endExplainOp(tid int64, delta obs.Counts) {
 	if q.exp == nil {
 		return
 	}
-	q.expDelta = q.obs.Counts().Sub(q.expBefore)
+	q.expDelta = delta
 	q.expTraceID = tid
 	q.expValid = true
 	q.exp.FinishTrace(tid)

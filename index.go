@@ -207,11 +207,7 @@ func (ix *Index) SearchRange(q *Query, radius float64) ([]SearchResult, error) {
 	default:
 		return nil, fmt.Errorf("lbkeogh: range search supports Euclidean and DTW measures, not %s", q.measure.Name())
 	}
-	out := make([]SearchResult, len(rs))
-	for i, r := range rs {
-		out[i] = SearchResult{Index: r.Index, Dist: r.Dist, Rotation: q.rotation(r.Member)}
-	}
-	return out, nil
+	return q.results(rs), nil
 }
 
 // Search answers the query exactly against the indexed database: same

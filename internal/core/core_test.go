@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -314,7 +315,11 @@ func TestScanTopK(t *testing.T) {
 	}
 	rs := NewRotationSet(q, DefaultOptions(), nil)
 	s := NewSearcher(rs, wedge.ED{}, Wedge, SearcherConfig{})
-	top := s.ScanTopK(db, 5, nil)
+	c := NewCollector(5, math.Inf(1))
+	if err := s.ScanInto(context.Background(), db, c, nil); err != nil {
+		t.Fatal(err)
+	}
+	top := c.Results()
 	if len(top) != 5 {
 		t.Fatalf("got %d results, want 5", len(top))
 	}

@@ -41,8 +41,11 @@ func ScanParallelContext(ctx context.Context, rs *RotationSet, kernel wedge.Kern
 		workers = len(db)
 	}
 	if workers <= 1 {
-		s := NewSearcher(rs, kernel, strategy, cfg)
-		return s.ScanContext(ctx, db, cnt)
+		c := NewCollector(1, math.Inf(1))
+		if err := NewSearcher(rs, kernel, strategy, cfg).ScanInto(ctx, db, c, cnt); err != nil {
+			return ScanResult{Index: -1, Dist: math.Inf(1)}, err
+		}
+		return c.Best(), nil
 	}
 	if ctx == nil {
 		ctx = context.Background()

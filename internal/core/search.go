@@ -214,7 +214,7 @@ func (s *Searcher) MatchSeries(x []float64, r float64, cnt *stats.Counter) Match
 	rec := s.rec
 	if rec.Full() {
 		// Saturated: no span of this comparison could be kept, so it pays
-		// for none — no clock reads, no arena — exactly as if untraced.
+		// for none — no clock reads — exactly as if untraced.
 		rec.Drop()
 		rec = nil
 	}
@@ -233,17 +233,13 @@ func (s *Searcher) MatchSeries(x []float64, r float64, cnt *stats.Counter) Match
 	if rec == nil && !attributed {
 		return s.matchSeries(x, r, cnt, nil)
 	}
-	// One span per comparison carrying the counter delta it caused, the
-	// hot-path spans (H-Merge walk, kernel evals) staged through a
-	// stack-owned arena and flushed once — the span analogue of the
-	// stats.Tally discipline. The same delta annotates the plan's survivors.
-	// A nil recorder makes the span calls no-ops and leaves the arena disarmed.
-	comp := rec.Begin(trace.StageComparison, s.ref)
+	// One span per comparison carrying the counter delta it caused; the
+	// hot-path spans (H-Merge walk, kernel evals) nest beneath it by call
+	// order, under the comparison's quota. The same delta annotates the
+	// plan's survivors. A nil recorder makes the span calls no-ops.
+	comp := rec.BeginComparison(s.ref)
 	s.ref++
-	var ar trace.Arena
-	ar.Init(rec)
-	m := s.matchSeries(x, r, cnt, &ar)
-	rec.FlushArena(&ar, comp)
+	m := s.matchSeries(x, r, cnt, rec)
 	delta := s.scratch.Counts // what matchSeries just flushed: this comparison alone
 	rec.EndAttrs(comp, delta)
 	if attributed {
@@ -257,7 +253,7 @@ func (s *Searcher) MatchSeries(x []float64, r float64, cnt *stats.Counter) Match
 // the shared records are touched once, here, after the comparison — and
 // before the dynamic-K controller sees it, because a K change is stamped
 // with the record's comparison count.
-func (s *Searcher) matchSeries(x []float64, r float64, cnt *stats.Counter, ar *trace.Arena) Match {
+func (s *Searcher) matchSeries(x []float64, r float64, cnt *stats.Counter, rec *trace.Recorder) Match {
 	s.rs.checkLen(x)
 	sc := &s.scratch
 	s.steps.Reset()
@@ -269,9 +265,9 @@ func (s *Searcher) matchSeries(x []float64, r float64, cnt *stats.Counter, ar *t
 	case EarlyAbandon:
 		m = s.matchEarlyAbandon(x, r)
 	case FFTFilter:
-		m = s.matchFFT(x, r, ar)
+		m = s.matchFFT(x, r, rec)
 	default:
-		m = s.matchWedge(x, r, ar)
+		m = s.matchWedge(x, r, rec)
 	}
 	steps := s.steps.Steps()
 	sc.Counts.Steps = steps
@@ -338,18 +334,18 @@ func (s *Searcher) matchEarlyAbandon(x []float64, r float64) Match {
 	return Match{Dist: best, Member: s.rs.MemberID(bestIdx), found: true}
 }
 
-func (s *Searcher) matchFFT(x []float64, r float64, ar *trace.Arena) Match {
+func (s *Searcher) matchFFT(x []float64, r float64, rec *trace.Recorder) Match {
 	// The magnitude filter only applies under a finite threshold; an
 	// unbounded match (r < 0) neither computes the bound nor pays for it.
 	if r >= 0 {
 		// Cost model from Section 5.3: n·log2(n) steps for the transform,
 		// plus the magnitude-space Euclidean distance.
-		ft0 := ar.Now()
+		ft0 := rec.Now()
 		n := s.rs.Len()
 		s.steps.Add(int64(float64(n)*math.Log2(float64(n))) + int64(len(s.queryMag)))
 		xmag := fourier.Magnitudes(x, n/2)
 		rejected := fourier.LowerBoundED(s.queryMag, xmag) >= r
-		ar.Emit(trace.StageFFT, -1, ft0, ar.Now()-ft0)
+		rec.Emit(trace.StageFFT, -1, ft0, rec.Now()-ft0)
 		if rejected {
 			s.scratch.Counts.FFTRejects = 1
 			s.scratch.Counts.FFTRejectedMembers = int64(s.rs.Members())
@@ -360,14 +356,12 @@ func (s *Searcher) matchFFT(x []float64, r float64, ar *trace.Arena) Match {
 	return s.matchEarlyAbandon(x, r)
 }
 
-func (s *Searcher) matchWedge(x []float64, r float64, ar *trace.Arena) Match {
+func (s *Searcher) matchWedge(x []float64, r float64, rec *trace.Recorder) Match {
 	K := s.fixedK
 	if K <= 0 {
 		K = s.dyn.K()
 	}
-	env := ar.Begin(trace.StageEnvelope, -1)
-	res := s.rs.tree.SearchTraced(x, s.kernel, K, r, s.traversal, &s.steps, &s.scratch, s.tracer, ar, s.chk)
-	ar.End(env)
+	res := s.rs.tree.SearchTraced(x, s.kernel, K, r, s.traversal, &s.steps, &s.scratch, s.tracer, rec, s.chk)
 	if res.Aborted {
 		return Match{Dist: math.Inf(1), aborted: true}
 	}
@@ -377,142 +371,112 @@ func (s *Searcher) matchWedge(x []float64, r float64, ar *trace.Arena) Match {
 	return Match{Dist: res.Dist, Member: s.rs.MemberID(res.BestMember), found: true}
 }
 
-// ScanResult is the outcome of a database scan: the nearest neighbour's
-// index, its exact rotation-invariant distance and the best rotation.
+// ScanResult is one hit of a database scan: the matched series' index, its
+// exact rotation-invariant distance and the best rotation.
 type ScanResult struct {
 	Index  int
 	Dist   float64
 	Member Member
 }
 
+// Collector is the keep policy of a database scan: the k nearest matches
+// strictly below a limit (k = 0: every match below it). Nearest neighbour is
+// k = 1 under +Inf, top-K is k under +Inf, a range query is k = 0 under its
+// threshold — one policy, because all three differ only in when the
+// abandoning threshold starts to shrink.
+type Collector struct {
+	k     int
+	limit float64
+	res   []ScanResult // k > 0: ascending distance, ties in offer order
+}
+
+// NewCollector returns an empty collector keeping the k nearest matches
+// strictly below limit (k <= 0: all of them).
+func NewCollector(k int, limit float64) *Collector {
+	return &Collector{k: max(k, 0), limit: limit}
+}
+
+// Radius is the abandoning threshold for the next comparison: only a match
+// strictly below it would be kept. It never rises.
+func (c *Collector) Radius() float64 {
+	if c.k > 0 && len(c.res) == c.k {
+		return c.res[c.k-1].Dist
+	}
+	return c.limit
+}
+
+// Offer keeps series i's match if it beats Radius, evicting the k-th.
+func (c *Collector) Offer(i int, m Match) {
+	if !m.Found() || !(m.Dist < c.Radius()) { // a NaN limit keeps nothing
+		return
+	}
+	r := ScanResult{Index: i, Dist: m.Dist, Member: m.Member}
+	if c.k == 0 {
+		c.res = append(c.res, r) // unbounded: ordered once, by Results
+		return
+	}
+	pos := len(c.res)
+	for pos > 0 && c.res[pos-1].Dist > r.Dist {
+		pos--
+	}
+	if len(c.res) < c.k {
+		c.res = append(c.res, ScanResult{})
+	}
+	copy(c.res[pos+1:], c.res[pos:])
+	c.res[pos] = r
+}
+
+// Results returns what was kept in ascending distance order, equal distances
+// in offer order.
+func (c *Collector) Results() []ScanResult {
+	if c.k == 0 {
+		sort.SliceStable(c.res, func(a, b int) bool { return c.res[a].Dist < c.res[b].Dist })
+	}
+	return c.res
+}
+
+// Best returns the nearest match kept; Index is -1 (and Dist +Inf) when
+// nothing was.
+func (c *Collector) Best() ScanResult {
+	if rs := c.Results(); len(rs) > 0 {
+		return rs[0]
+	}
+	return ScanResult{Index: -1, Dist: math.Inf(1)}
+}
+
 // Scan is Search_Database_for_Rotated_Match (Table 3): a linear scan that
 // finds the database series with the smallest rotation-invariant distance to
 // the query, propagating the best-so-far as the early-abandon threshold.
 func (s *Searcher) Scan(db [][]float64, cnt *stats.Counter) ScanResult {
-	r, _ := s.ScanContext(context.Background(), db, cnt) // uncancellable: never errs
-	return r
+	c := NewCollector(1, math.Inf(1))
+	_ = s.ScanInto(context.Background(), db, c, cnt) // uncancellable: never errs
+	return c.Best()
 }
 
-// beginScan installs a checkpoint for one context-bounded scan and reports
-// an already-expired context before any work is done. The returned checker
-// is nil (free) for uncancellable contexts.
-func (s *Searcher) beginScan(ctx context.Context) (*cancel.Checker, error) {
+// ScanInto is the database loop: every series of db is matched under c's
+// current radius and offered to c. The loop polls a cancellation checkpoint
+// once per comparison (and the strategy loops poll it per rotation or wedge
+// visit), so ctx.Err() is returned within one checkpoint interval of the
+// cancellation — c then holds a partial answer to discard. An already-expired
+// ctx returns before any work is done; an uncancellable one costs nothing.
+func (s *Searcher) ScanInto(ctx context.Context, db [][]float64, c *Collector, cnt *stats.Counter) error {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	chk := cancel.New(ctx, CancelCheckInterval)
 	s.chk = chk
-	return chk, nil
-}
-
-// endScan detaches the scan's checkpoint.
-func (s *Searcher) endScan() { s.chk = nil }
-
-// ScanContext is Scan bounded by ctx: the loop polls a cancellation
-// checkpoint once per comparison (and the strategy loops poll it per
-// rotation or wedge visit), so ctx.Err() is returned within one checkpoint
-// interval of the cancellation. An already-expired ctx returns immediately
-// without scanning. An uncancelled ScanContext is bit-identical to Scan.
-func (s *Searcher) ScanContext(ctx context.Context, db [][]float64, cnt *stats.Counter) (ScanResult, error) {
-	none := ScanResult{Index: -1, Dist: math.Inf(1)}
-	chk, err := s.beginScan(ctx)
-	if err != nil {
-		return none, err
-	}
-	defer s.endScan()
-	best := none
+	defer func() { s.chk = nil }()
 	for i, x := range db {
 		if err := chk.Stop(); err != nil {
-			return none, err
+			return err
 		}
-		m := s.MatchSeries(x, best.Dist, cnt)
+		m := s.MatchSeries(x, c.Radius(), cnt)
 		if err := chk.Err(); err != nil {
-			return none, err
+			return err
 		}
-		if m.Found() && m.Dist < best.Dist {
-			best = ScanResult{Index: i, Dist: m.Dist, Member: m.Member}
-		}
+		c.Offer(i, m)
 	}
-	return best, nil
-}
-
-// ScanTopK returns the k nearest database series in ascending distance
-// order, using the k-th best as the abandoning threshold.
-func (s *Searcher) ScanTopK(db [][]float64, k int, cnt *stats.Counter) []ScanResult {
-	rs, _ := s.ScanTopKContext(context.Background(), db, k, cnt) // uncancellable: never errs
-	return rs
-}
-
-// ScanTopKContext is ScanTopK bounded by ctx, with the same checkpoint
-// semantics as ScanContext.
-func (s *Searcher) ScanTopKContext(ctx context.Context, db [][]float64, k int, cnt *stats.Counter) ([]ScanResult, error) {
-	if k < 1 {
-		k = 1
-	}
-	chk, err := s.beginScan(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer s.endScan()
-	var heapRes []ScanResult // sorted ascending, max len k
-	threshold := func() float64 {
-		if len(heapRes) < k {
-			return math.Inf(1)
-		}
-		return heapRes[len(heapRes)-1].Dist
-	}
-	for i, x := range db {
-		if err := chk.Stop(); err != nil {
-			return nil, err
-		}
-		m := s.MatchSeries(x, threshold(), cnt)
-		if err := chk.Err(); err != nil {
-			return nil, err
-		}
-		if !m.Found() || m.Dist >= threshold() {
-			continue
-		}
-		r := ScanResult{Index: i, Dist: m.Dist, Member: m.Member}
-		pos := len(heapRes)
-		for pos > 0 && heapRes[pos-1].Dist > r.Dist {
-			pos--
-		}
-		heapRes = append(heapRes, ScanResult{})
-		copy(heapRes[pos+1:], heapRes[pos:])
-		heapRes[pos] = r
-		if len(heapRes) > k {
-			heapRes = heapRes[:k]
-		}
-	}
-	return heapRes, nil
-}
-
-// ScanRangeContext returns every database series whose rotation-invariant
-// distance is strictly below threshold, in ascending distance order (ties
-// towards the lower index), bounded by ctx with the same checkpoint
-// semantics as ScanContext. The fixed threshold serves as the early-abandon
-// bound for every comparison.
-func (s *Searcher) ScanRangeContext(ctx context.Context, db [][]float64, threshold float64, cnt *stats.Counter) ([]ScanResult, error) {
-	chk, err := s.beginScan(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer s.endScan()
-	var out []ScanResult
-	for i, x := range db {
-		if err := chk.Stop(); err != nil {
-			return nil, err
-		}
-		m := s.MatchSeries(x, threshold, cnt)
-		if err := chk.Err(); err != nil {
-			return nil, err
-		}
-		if m.Found() && m.Dist < threshold {
-			out = append(out, ScanResult{Index: i, Dist: m.Dist, Member: m.Member})
-		}
-	}
-	sort.SliceStable(out, func(a, b int) bool { return out[a].Dist < out[b].Dist })
-	return out, nil
+	return nil
 }

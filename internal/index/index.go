@@ -192,12 +192,8 @@ func (ix *Index) dtwBound(boxes []paa.Box) func(lo, hi []float64) float64 {
 // D returns the retained dimensionality.
 func (ix *Index) D() int { return ix.d }
 
-// Result is an exact nearest-neighbour answer.
-type Result struct {
-	Index  int
-	Dist   float64
-	Member core.Member
-}
+// Result is one exact answer of an index query.
+type Result = core.ScanResult
 
 // walk enumerates one query's candidates: it calls visit(id, bound, r) for
 // every object its compressed bound cannot exclude at the current radius r
@@ -206,47 +202,34 @@ type Result struct {
 type walk func(r float64, visit func(id int, bound, r float64) float64)
 
 // probe is the one index query path: trace the query, fetch each object
-// candidates proposes and verify it exactly with H-Merge under kern. With
-// nearest set the radius shrinks to the best-so-far and only the best match
-// is kept; otherwise it stays at r and every match below it is kept, in
-// ascending index order. No false dismissals: a walk skips an object only
-// on an admissible bound that reaches the radius.
+// candidates proposes, verify it exactly with H-Merge under kern and offer
+// the match to c, whose radius — shrinking for a nearest query, fixed for a
+// range — is what the walk continues with. No false dismissals: a walk skips
+// an object only on an admissible bound that reaches the radius.
 func (ix *Index) probe(label string, stage trace.Stage, rs *core.RotationSet, kern wedge.Kernel,
-	candidates walk, r float64, nearest bool, cnt *stats.Counter) []Result {
+	candidates walk, c *core.Collector, cnt *stats.Counter) *core.Collector {
 	searcher := core.NewSearcher(rs, kern, core.Wedge, core.SearcherConfig{Obs: ix.obs, Tracer: ix.tracer})
 	rec := ix.tlog.StartTrace(label)
 	searcher.SetRecorder(rec)
 	before := ix.obs.Counts()
-	var out []Result
 	span := rec.Begin(stage, -1)
-	candidates(r, func(id int, _, r float64) float64 {
-		m := searcher.MatchSeries(ix.fetch(rec, id), r, cnt)
-		if !m.Found() { // found means strictly below r
-			return r
-		}
-		hit := Result{Index: id, Dist: m.Dist, Member: m.Member}
-		if !nearest {
-			out = append(out, hit)
-			return r
-		}
-		out = append(out[:0], hit)
-		return m.Dist
+	candidates(c.Radius(), func(id int, _, r float64) float64 {
+		c.Offer(id, searcher.MatchSeries(ix.fetch(rec, id), r, cnt))
+		return c.Radius()
 	})
 	rec.End(span)
 	// The trace ID exists only once the trace is finished and retained.
 	if id := ix.tlog.Finish(rec, ix.obs.Counts().Sub(before)); id != 0 {
 		ix.store.LinkTrace(id)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Index < out[b].Index })
-	return out
+	return c
 }
 
-// first unwraps a nearest probe's answer; Index is -1 when nothing matched.
-func first(rs []Result) Result {
-	if len(rs) == 0 {
-		return Result{Index: -1, Dist: math.Inf(1)}
-	}
-	return rs[0]
+// byIndex reads a range probe's answer out in ascending index order.
+func byIndex(c *core.Collector) []Result {
+	out := c.Results()
+	sort.Slice(out, func(a, b int) bool { return out[a].Index < out[b].Index })
+	return out
 }
 
 // vpWalk enumerates candidates best-first from the VP-tree over magnitude
@@ -288,32 +271,32 @@ func (ix *Index) scanWalk(r float64, visit func(int, float64, float64) float64) 
 // fetching only the objects whose magnitude-feature bound beats the
 // best-so-far.
 func (ix *Index) SearchED(rs *core.RotationSet, cnt *stats.Counter) Result {
-	return first(ix.probe("index_search_ed", trace.StageVPProbe, rs, wedge.ED{}, ix.vpWalk(rs), math.Inf(1), true, cnt))
+	return ix.probe("index_search_ed", trace.StageVPProbe, rs, wedge.ED{}, ix.vpWalk(rs), core.NewCollector(1, math.Inf(1)), cnt).Best()
 }
 
 // RangeED returns every database object whose exact rotation-invariant
 // Euclidean distance to the query is strictly below r, in ascending index
 // order. Only objects whose magnitude-feature bound is below r are fetched.
 func (ix *Index) RangeED(rs *core.RotationSet, r float64, cnt *stats.Counter) []Result {
-	return ix.probe("index_range_ed", trace.StageVPProbe, rs, wedge.ED{}, ix.vpWalk(rs), r, false, cnt)
+	return byIndex(ix.probe("index_range_ed", trace.StageVPProbe, rs, wedge.ED{}, ix.vpWalk(rs), core.NewCollector(0, r), cnt))
 }
 
 // SearchDTW answers an exact 1-NN rotation-invariant DTW query with band R,
 // verifying candidates until the smallest outstanding PAA envelope bound
 // reaches the best-so-far. wedges is rtWalk's K.
 func (ix *Index) SearchDTW(rs *core.RotationSet, R int, wedges int, cnt *stats.Counter) Result {
-	return first(ix.probe("index_search_dtw", trace.StageRTreeProbe, rs, wedge.DTW{R: R}, ix.rtWalk(rs, R, wedges), math.Inf(1), true, cnt))
+	return ix.probe("index_search_dtw", trace.StageRTreeProbe, rs, wedge.DTW{R: R}, ix.rtWalk(rs, R, wedges), core.NewCollector(1, math.Inf(1)), cnt).Best()
 }
 
 // RangeDTW is the DTW analogue of RangeED, using the PAA envelope bounds in
 // index space.
 func (ix *Index) RangeDTW(rs *core.RotationSet, R int, wedges int, r float64, cnt *stats.Counter) []Result {
-	return ix.probe("index_range_dtw", trace.StageRTreeProbe, rs, wedge.DTW{R: R}, ix.rtWalk(rs, R, wedges), r, false, cnt)
+	return byIndex(ix.probe("index_range_dtw", trace.StageRTreeProbe, rs, wedge.DTW{R: R}, ix.rtWalk(rs, R, wedges), core.NewCollector(0, r), cnt))
 }
 
 // SearchScan answers an exact 1-NN query under a kernel the index has no
 // compressed bound for (LCSS): every object is fetched once and verified,
 // traced and counted like the pruning paths.
 func (ix *Index) SearchScan(rs *core.RotationSet, kern wedge.Kernel, cnt *stats.Counter) Result {
-	return first(ix.probe("index_search_scan", trace.StageSearch, rs, kern, ix.scanWalk, math.Inf(1), true, cnt))
+	return ix.probe("index_search_scan", trace.StageSearch, rs, kern, ix.scanWalk, core.NewCollector(1, math.Inf(1)), cnt).Best()
 }

@@ -11,11 +11,12 @@
 // A Recorder accumulates the Spans of one trace against a monotonic anchor;
 // it is single-goroutine (a Query already is) and a nil *Recorder is a
 // valid no-op sink costing one branch per call, mirroring the nil
-// *obs.SearchStats contract. Hot paths never touch the Recorder directly:
-// they write into a goroutine-confined Arena — the span analogue of
-// stats.Tally — which the owner flushes into the Recorder once per
-// comparison. Span nesting is reconstructed at flush time by interval
-// containment, so the hot loop stays free of parent bookkeeping.
+// *obs.SearchStats contract. Hot paths record into it directly — Begin/End
+// around a stage, Emit for an already-timed interval — and nesting falls out
+// of call order through its open-span stack. One comparison may record at
+// most a fixed quota of spans beneath its own (BeginComparison), so a walk
+// that reaches many leaves cannot eat the trace; a recorder at its span cap
+// is Full, which callers treat as absent.
 //
 // Spans carry obs.Counts deltas as attributes, so a comparison span's
 // attrs satisfy the same reconciliation identity as the query's SearchStats

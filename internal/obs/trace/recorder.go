@@ -11,6 +11,13 @@ import (
 // recorder does all its allocation up front.
 const DefaultSpanCap = 512
 
+// comparisonQuota bounds the spans one comparison may record beneath its
+// own. A wedge search emits one H-Merge span and one kernel span per leaf it
+// reaches, and a loose Euclidean walk reaches most of them: unbounded, the
+// first handful of comparisons would eat the whole trace. The quota keeps the
+// waterfall informative for typical comparisons; overflow is counted.
+const comparisonQuota = 24
+
 // Recorder accumulates the spans of one trace. It is single-goroutine by
 // design — a Query already is, and parallel scans record only their root
 // span — and a nil *Recorder is a valid no-op sink everywhere: every method
@@ -26,6 +33,14 @@ type Recorder struct {
 	spans   []Span
 	stack   []int32 // indices of open spans
 	dropped int64
+
+	comparison SpanID // the open BeginComparison span; -1 outside one
+	quota      int    // spans that comparison may still record beneath itself
+
+	// H-Merge internal-node visits per dendrogram level since the last
+	// EndVisits. They live here, not in the walk's scratch, so the walk's hot
+	// loop carries no extra indexing of its own.
+	visits [obs.MaxPruneLevels]int64
 }
 
 // SpanID refers to an open span within its recorder. The zero value is not
@@ -42,10 +57,11 @@ func NewRecorder(label string, spanCap int) *Recorder {
 		spanCap = DefaultSpanCap
 	}
 	return &Recorder{
-		anchor: time.Now(),
-		label:  label,
-		spans:  make([]Span, 0, spanCap),
-		stack:  make([]int32, 0, 8),
+		anchor:     time.Now(),
+		label:      label,
+		spans:      make([]Span, 0, spanCap),
+		stack:      make([]int32, 0, 8),
+		comparison: -1,
 	}
 }
 
@@ -75,8 +91,8 @@ func (r *Recorder) Dropped() int64 {
 
 // Full reports whether the span buffer is at its cap: nothing further can be
 // recorded, so a caller may skip the work of producing spans altogether —
-// clock reads, arena staging, counter deltas — provided it reports what it
-// skipped through Drop. A nil recorder is not full; it is absent.
+// clock reads, counter deltas — provided it reports what it skipped through
+// Drop. A nil recorder is not full; it is absent.
 func (r *Recorder) Full() bool {
 	return r != nil && len(r.spans) == cap(r.spans)
 }
@@ -88,29 +104,47 @@ func (r *Recorder) Drop() {
 	}
 }
 
-// Begin opens a span of the given stage, nested under the innermost open
-// span. It returns a no-op SpanID on a nil or saturated recorder.
-func (r *Recorder) Begin(stage Stage, ref int) SpanID {
-	if r == nil {
-		return -1
-	}
-	if len(r.spans) == cap(r.spans) {
+// push appends one span under the innermost open span. A trace at its cap,
+// or an open comparison that has spent its quota, drops the span and counts
+// it: -1 comes back.
+func (r *Recorder) push(stage Stage, ref int, start, dur int64) int32 {
+	inComparison := r.comparison >= 0
+	if len(r.spans) == cap(r.spans) || (inComparison && r.quota == 0) {
 		r.dropped++
 		return -1
+	}
+	if inComparison {
+		r.quota--
 	}
 	parent := int32(-1)
 	if n := len(r.stack); n > 0 {
 		parent = r.stack[n-1]
 	}
-	id := int32(len(r.spans))
-	r.spans = append(r.spans, Span{
-		Parent: parent,
-		Stage:  stage,
-		Ref:    int32(ref),
-		Start:  r.Now(),
-	})
-	r.stack = append(r.stack, id)
+	r.spans = append(r.spans, Span{Parent: parent, Stage: stage, Ref: int32(ref), Start: start, Dur: dur})
+	return int32(len(r.spans) - 1)
+}
+
+// Begin opens a span of the given stage, nested under the innermost open
+// span. It returns a no-op SpanID on a nil recorder or a dropped span.
+func (r *Recorder) Begin(stage Stage, ref int) SpanID {
+	if r == nil {
+		return -1
+	}
+	id := r.push(stage, ref, r.Now(), 0)
+	if id >= 0 {
+		r.stack = append(r.stack, id)
+	}
 	return SpanID(id)
+}
+
+// BeginComparison opens the span of one comparison and puts everything
+// recorded beneath it, until its EndAttrs, under comparisonQuota.
+func (r *Recorder) BeginComparison(ref int) SpanID {
+	id := r.Begin(StageComparison, ref)
+	if id >= 0 {
+		r.comparison, r.quota = id, comparisonQuota
+	}
+	return id
 }
 
 // End closes the span opened by Begin. Ending a no-op SpanID is a no-op.
@@ -126,6 +160,9 @@ func (r *Recorder) EndAttrs(id SpanID, attrs obs.Counts) {
 	sp := &r.spans[id]
 	sp.Dur = r.Now() - sp.Start
 	sp.Attrs = attrs
+	if id == r.comparison {
+		r.comparison = -1
+	}
 	// Pop the open stack down to (and including) this span; mismatched End
 	// order unwinds rather than corrupting parentage.
 	for n := len(r.stack); n > 0; n-- {
@@ -140,18 +177,42 @@ func (r *Recorder) EndAttrs(id SpanID, attrs obs.Counts) {
 // Emit records an already-timed span (start and dur in anchor nanoseconds)
 // as a child of the innermost open span.
 func (r *Recorder) Emit(stage Stage, ref int, start, dur int64) {
+	if r != nil {
+		r.push(stage, ref, start, dur)
+	}
+}
+
+// CountVisit charges one H-Merge internal-node visit at the given dendrogram
+// level to the walk in progress.
+func (r *Recorder) CountVisit(level int) {
 	if r == nil {
 		return
 	}
-	if len(r.spans) == cap(r.spans) {
-		r.dropped++
+	r.visits[obs.PruneLevel(level)]++
+}
+
+// EndVisits is End for an H-Merge span: the visits counted since the last
+// call become its VisitsByLevel (the non-empty prefix) and are cleared —
+// also when the span itself was dropped, so they never leak into the next
+// walk's.
+func (r *Recorder) EndVisits(id SpanID) {
+	if r == nil {
 		return
 	}
-	parent := int32(-1)
-	if n := len(r.stack); n > 0 {
-		parent = r.stack[n-1]
+	r.End(id)
+	top := -1
+	for i, v := range r.visits {
+		if v != 0 {
+			top = i
+		}
 	}
-	r.spans = append(r.spans, Span{Parent: parent, Stage: stage, Ref: int32(ref), Start: start, Dur: dur})
+	if top < 0 {
+		return
+	}
+	if id >= 0 {
+		r.spans[id].VisitsByLevel = append([]int64(nil), r.visits[:top+1]...)
+	}
+	r.visits = [obs.MaxPruneLevels]int64{}
 }
 
 // Spans returns the recorded spans (shared slice; callers must not mutate).
@@ -160,66 +221,4 @@ func (r *Recorder) Spans() []Span {
 		return nil
 	}
 	return r.spans
-}
-
-// FlushArena copies the arena's completed spans into the recorder as
-// descendants of the given span, reconstructing nesting by interval
-// containment (an arena records a flat span list to stay allocation-free in
-// the hot path). The arena's per-level visit counts are attached to its
-// H-Merge span, if any. The arena is reset for reuse.
-func (r *Recorder) FlushArena(a *Arena, under SpanID) {
-	if r == nil || a == nil || a.n == 0 {
-		if a != nil {
-			a.reset()
-		}
-		return
-	}
-	r.dropped += a.dropped
-	// Arena spans are completed in End order, so a span's enclosing spans
-	// complete after it. Walk in arena order; for each span the parent is
-	// the latest already-flushed arena span that contains it — but since
-	// containers flush later, scan the remaining (unflushed) spans instead:
-	// the tightest container wins. n is small (<= arenaCap), O(n²) is fine.
-	base := int32(under)
-	var idx [arenaCap]int32
-	// First pass: append spans, remembering their recorder indices.
-	for i := 0; i < a.n; i++ {
-		if len(r.spans) == cap(r.spans) {
-			r.dropped++
-			idx[i] = -1
-			continue
-		}
-		sp := a.spans[i]
-		sp.Parent = base
-		if sp.Stage == StageHMerge {
-			sp.VisitsByLevel = a.visitsByLevel()
-		}
-		idx[i] = int32(len(r.spans))
-		r.spans = append(r.spans, sp)
-	}
-	// Second pass: tighten parentage by containment among the arena spans.
-	for i := 0; i < a.n; i++ {
-		if idx[i] < 0 {
-			continue
-		}
-		bestDur := int64(-1)
-		for j := 0; j < a.n; j++ {
-			if i == j || idx[j] < 0 {
-				continue
-			}
-			if !a.spans[j].contains(a.spans[i]) {
-				continue
-			}
-			// Identical intervals would parent each other; break the tie
-			// towards the earlier span so nesting stays acyclic.
-			if a.spans[j].Start == a.spans[i].Start && a.spans[j].Dur == a.spans[i].Dur && j > i {
-				continue
-			}
-			if bestDur < 0 || a.spans[j].Dur < bestDur {
-				bestDur = a.spans[j].Dur
-				r.spans[idx[i]].Parent = idx[j]
-			}
-		}
-	}
-	a.reset()
 }

@@ -22,8 +22,10 @@ const (
 	// StageComparison covers one MatchSeries call: one database series
 	// matched against every admitted rotation.
 	StageComparison
-	// StageEnvelope covers widened-envelope construction/lookup inside a
-	// traversal (cache hits are near-zero-duration spans).
+	// StageEnvelope covers a searcher fetching its wedge tree's envelopes
+	// widened for the kernel's radius: once per query, in its first
+	// comparison. The first DTW/LCSS query to use a tree pays the real build;
+	// every other fetch is a cache hit, a near-zero-duration span.
 	StageEnvelope
 	// StageHMerge covers the H-Merge traversal of one comparison.
 	StageHMerge
@@ -104,9 +106,3 @@ type Span struct {
 
 // End returns the span's end offset in nanoseconds.
 func (s Span) End() int64 { return s.Start + s.Dur }
-
-// contains reports whether s fully covers other's interval — the relation
-// arena flushing uses to reconstruct nesting.
-func (s Span) contains(other Span) bool {
-	return s.Start <= other.Start && other.End() <= s.End()
-}

@@ -80,95 +80,126 @@ func TestNilRecorderIsNoop(t *testing.T) {
 	if id := r.Begin(StageSearch, -1); id != -1 {
 		t.Fatalf("nil Begin = %d, want -1", id)
 	}
+	if id := r.BeginComparison(0); id != -1 {
+		t.Fatalf("nil BeginComparison = %d, want -1", id)
+	}
 	r.End(-1)
 	r.EndAttrs(0, obs.Counts{})
 	r.Emit(StageKernel, 0, 0, 1)
-	r.FlushArena(nil, -1)
+	r.CountVisit(3)
+	r.EndVisits(0)
+	r.Drop()
+	if r.Full() {
+		t.Error("a nil recorder is absent, not full")
+	}
 	if r.Now() != 0 || r.Dropped() != 0 || r.Spans() != nil || r.Label() != "" {
 		t.Error("nil recorder accessors must return zero values")
 	}
 }
 
-func TestArenaFlushReconstructsNesting(t *testing.T) {
+// The hot path records straight into the recorder, in call order: the walk
+// opens under the comparison, kernels are emitted under the walk.
+func TestHotPathSpansNestByCallOrder(t *testing.T) {
 	r := NewRecorder("search", 64)
-	comp := r.Begin(StageComparison, 0)
-	var ar Arena
-	ar.Init(r)
-	// Synthetic intervals: kernel ⊂ hmerge ⊂ envelope, emitted inner-first
-	// (completion order), exactly as the search hot path does.
-	ar.Emit(StageKernel, 7, 10, 5)
-	ar.Emit(StageHMerge, -1, 5, 20)
-	ar.Emit(StageEnvelope, -1, 0, 40)
-	ar.CountVisit(0)
-	ar.CountVisit(1)
-	ar.CountVisit(1)
-	r.FlushArena(&ar, comp)
-	r.End(comp)
+	comp := r.BeginComparison(0)
+	env := r.Begin(StageEnvelope, -1)
+	r.End(env)
+	hm := r.Begin(StageHMerge, -1)
+	r.CountVisit(0)
+	r.CountVisit(1)
+	r.CountVisit(1)
+	r.Emit(StageKernel, 7, r.Now(), 5)
+	r.EndVisits(hm)
+	r.EndAttrs(comp, obs.Counts{Comparisons: 1})
 
 	spans := r.Spans()
 	if len(spans) != 4 {
 		t.Fatalf("got %d spans, want 4", len(spans))
 	}
-	kernel, hmerge, envelope := spans[1], spans[2], spans[3]
-	if kernel.Stage != StageKernel || kernel.Parent != 2 {
-		t.Errorf("kernel parent = %d, want 2 (the hmerge span)", kernel.Parent)
-	}
-	if hmerge.Stage != StageHMerge || hmerge.Parent != 3 {
-		t.Errorf("hmerge parent = %d, want 3 (the envelope span)", hmerge.Parent)
-	}
+	envelope, hmerge, kernel := spans[env], spans[hm], spans[3]
 	if envelope.Stage != StageEnvelope || envelope.Parent != int32(comp) {
 		t.Errorf("envelope parent = %d, want %d (the comparison)", envelope.Parent, comp)
+	}
+	if hmerge.Stage != StageHMerge || hmerge.Parent != int32(comp) {
+		t.Errorf("hmerge parent = %d, want %d (the comparison, beside the envelope)", hmerge.Parent, comp)
+	}
+	if kernel.Stage != StageKernel || kernel.Parent != int32(hm) {
+		t.Errorf("kernel parent = %d, want %d (the hmerge span)", kernel.Parent, hm)
 	}
 	if got := hmerge.VisitsByLevel; len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Errorf("hmerge VisitsByLevel = %v, want [1 2]", got)
 	}
-	if kernel.VisitsByLevel != nil || envelope.VisitsByLevel != nil {
+	if kernel.VisitsByLevel != nil || envelope.VisitsByLevel != nil || spans[comp].VisitsByLevel != nil {
 		t.Error("visit counts must attach to the hmerge span only")
 	}
-	if ar.n != 0 || ar.visited {
-		t.Error("flush must reset the arena")
+
+	// The counts were cleared: a walk that visits nothing carries none, and a
+	// walk whose span was dropped does not leak its visits into the next.
+	hm2 := r.Begin(StageHMerge, -1)
+	r.EndVisits(hm2)
+	if spans = r.Spans(); spans[hm2].VisitsByLevel != nil {
+		t.Errorf("second walk inherited visits %v", spans[hm2].VisitsByLevel)
+	}
+	r.CountVisit(2)
+	r.EndVisits(-1)
+	hm3 := r.Begin(StageHMerge, -1)
+	r.EndVisits(hm3)
+	if spans = r.Spans(); spans[hm3].VisitsByLevel != nil {
+		t.Errorf("visits of a dropped walk leaked: %v", spans[hm3].VisitsByLevel)
 	}
 }
 
-func TestArenaBeginEndReservesSlot(t *testing.T) {
-	r := NewRecorder("search", 64)
-	var ar Arena
-	ar.Init(r)
-	slot := ar.Begin(StageEnvelope, -1)
-	if slot != 0 {
-		t.Fatalf("first Begin slot = %d, want 0", slot)
+// One comparison may record comparisonQuota spans beneath its own, so a walk
+// that reaches many leaves cannot eat the trace.
+func TestComparisonQuota(t *testing.T) {
+	r := NewRecorder("search", 256)
+	root := r.Begin(StageSearch, -1)
+	comp := r.BeginComparison(0)
+	hm := r.Begin(StageHMerge, -1) // 1 of the quota
+	for i := 1; i < comparisonQuota+3; i++ {
+		r.Emit(StageKernel, i, r.Now(), 1)
 	}
-	// Saturate the remaining capacity with kernels; the reserved slot must
-	// survive and still close correctly.
-	for i := 0; i < arenaCap+3; i++ {
-		ar.Kernel(i, ar.Now())
+	if over := r.Begin(StageFFT, -1); over != -1 {
+		t.Errorf("Begin past the quota = %d, want -1", over)
 	}
-	ar.End(slot)
-	if ar.spans[slot].Stage != StageEnvelope || ar.spans[slot].Dur <= 0 {
-		t.Errorf("reserved slot not closed: %+v", ar.spans[slot])
+	if got, want := len(r.Spans()), 2+comparisonQuota; got != want {
+		t.Fatalf("recorded %d spans, want %d (root, comparison and the quota)", got, want)
 	}
-	if ar.dropped != 4 { // arenaCap-1 kernels fit after the reservation
-		t.Errorf("dropped = %d, want 4", ar.dropped)
+	if got := r.Dropped(); got != 4 {
+		t.Errorf("Dropped = %d, want 4 (three kernels and the fft span)", got)
 	}
-	ar.End(-1) // no-op
-}
+	if last := r.Spans()[len(r.Spans())-1]; last.Ref != comparisonQuota-1 {
+		t.Errorf("last kept kernel has ref %d, want %d: the 25th descendant is the first dropped", last.Ref, comparisonQuota-1)
+	}
+	time.Sleep(time.Microsecond)
+	r.EndVisits(hm)
+	if sp := r.Spans()[hm]; sp.Dur <= 0 {
+		t.Errorf("an hmerge span opened before the quota ran out must still close: %+v", sp)
+	}
+	r.EndAttrs(comp, obs.Counts{})
 
-func TestArenaDisarmed(t *testing.T) {
-	var ar Arena // Init never called: disarmed
-	if ar.Begin(StageEnvelope, -1) != -1 {
-		t.Error("disarmed Begin must return -1")
+	// Lifted: the next comparison, and spans outside any, record again.
+	r.Emit(StageFetch, 1, r.Now(), 1)
+	comp2 := r.BeginComparison(1)
+	r.Emit(StageKernel, 0, r.Now(), 1)
+	r.EndAttrs(comp2, obs.Counts{})
+	spans := r.Spans()
+	if n := len(spans); n != 5+comparisonQuota {
+		t.Fatalf("after the quota lifted: %d spans, want %d", n, 5+comparisonQuota)
 	}
-	ar.Emit(StageKernel, 0, 0, 1)
-	ar.Kernel(0, 0)
-	ar.CountVisit(1)
-	ar.End(0)
-	if ar.n != 0 || ar.visited {
-		t.Errorf("disarmed arena recorded state: %+v", ar)
+	if spans[comp2].Parent != int32(root) || spans[len(spans)-1].Parent != int32(comp2) {
+		t.Error("spans after the quota lifted are mis-parented")
 	}
-	var nilArena *Arena
-	nilArena.Init(NewRecorder("x", 4))
-	if nilArena.Now() != 0 {
-		t.Error("nil arena Now must be 0")
+	if r.Dropped() != 4 {
+		t.Errorf("Dropped moved to %d after the quota lifted", r.Dropped())
+	}
+
+	// Outside a comparison only the trace's own cap applies.
+	for i := 0; i < 2*comparisonQuota; i++ {
+		r.Emit(StageFetch, i, r.Now(), 1)
+	}
+	if r.Dropped() != 4 {
+		t.Errorf("spans outside a comparison were charged a quota: Dropped = %d", r.Dropped())
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"runtime"
 	"time"
@@ -238,41 +239,63 @@ func (s *Server) buildQuery(spec QuerySpec) (*lbkeogh.Query, error) {
 	return q, nil
 }
 
+// request is one /v1 request's identity and its single exit.
+type request struct {
+	s     *Server
+	ep    string
+	began time.Time
+	lg    *slog.Logger // carries request_id and endpoint; handlers narrow it as they learn more
+}
+
+// begin opens every /v1 request: it assigns the request ID (echoed in the
+// X-Request-ID header), derives the request logger, and answers the two
+// refusals no endpoint body needs to see — 405 for anything but POST, 503
+// once the server is draining. ok is false when begin already answered.
+func (s *Server) begin(w http.ResponseWriter, r *http.Request, ep string) (rq *request, ok bool) {
+	rq = &request{s: s, ep: ep, began: time.Now()}
+	rid := s.tel.ids.Next()
+	w.Header().Set("X-Request-ID", rid)
+	rq.lg = s.tel.logger.With("request_id", rid, "endpoint", ep)
+	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
+		writeError(w, http.StatusMethodNotAllowed, "use POST")
+		rq.finish(http.StatusMethodNotAllowed, 0, "method not allowed", "method", r.Method)
+		return rq, false
+	}
+	if s.Draining() {
+		s.drained.Add(1)
+		writeError(w, http.StatusServiceUnavailable, "server is draining")
+		rq.finish(http.StatusServiceUnavailable, 0, "refused: draining")
+		return rq, false
+	}
+	return rq, true
+}
+
+// finish is every terminal outcome's single exit: one RED observation and
+// one log line per request (traceID 0 when it ran no traced search).
+func (rq *request) finish(status int, traceID int64, msg string, attrs ...any) {
+	rq.s.tel.observeRequest(rq.ep, status, time.Since(rq.began), traceID)
+	attrs = append(attrs, "status", status, "dur_ms", float64(time.Since(rq.began).Microseconds())/1000)
+	if status >= 400 {
+		rq.lg.Warn(msg, attrs...)
+	} else {
+		rq.lg.Info(msg, attrs...)
+	}
+}
+
 // searchEndpoint returns the handler for one /v1 endpoint: admission, pool
 // checkout, the deadline-bounded search, and the stats-bearing response.
-// Every terminal outcome is logged with the request ID (echoed in the
-// X-Request-ID header) and folded into the endpoint's rolling RED window.
+// Every terminal outcome is logged with the request ID and folded into the
+// endpoint's rolling RED window.
 func (s *Server) searchEndpoint(kind searchKind) http.HandlerFunc {
 	ep := endpointName(kind)
 	return func(w http.ResponseWriter, r *http.Request) {
-		began := time.Now()
-		rid := s.tel.ids.Next()
-		w.Header().Set("X-Request-ID", rid)
-		lg := s.tel.logger.With("request_id", rid, "endpoint", ep)
-		ctx := ops.WithLogger(r.Context(), lg)
-		// finish is every terminal outcome's single exit: one RED
-		// observation and one log line per request.
-		finish := func(status int, traceID int64, msg string, attrs ...any) {
-			s.tel.observeRequest(ep, status, time.Since(began), traceID)
-			attrs = append(attrs, "status", status, "dur_ms", float64(time.Since(began).Microseconds())/1000)
-			if status >= 400 {
-				lg.Warn(msg, attrs...)
-			} else {
-				lg.Info(msg, attrs...)
-			}
-		}
-		if r.Method != http.MethodPost {
-			w.Header().Set("Allow", http.MethodPost)
-			writeError(w, http.StatusMethodNotAllowed, "use POST")
-			finish(http.StatusMethodNotAllowed, 0, "method not allowed", "method", r.Method)
+		rq, ok := s.begin(w, r, ep)
+		if !ok {
 			return
 		}
-		if s.Draining() {
-			s.drained.Add(1)
-			writeError(w, http.StatusServiceUnavailable, "server is draining")
-			finish(http.StatusServiceUnavailable, 0, "refused: draining")
-			return
-		}
+		finish := rq.finish
+		ctx := ops.WithLogger(r.Context(), rq.lg)
 		// Pin this request's database view: in store mode a refcounted
 		// snapshot whose mappings survive any concurrent compaction; the
 		// search, query_index resolution, and labels all read one generation.
@@ -289,7 +312,7 @@ func (s *Server) searchEndpoint(kind searchKind) http.HandlerFunc {
 			finish(http.StatusBadRequest, 0, "bad request", "error", err.Error())
 			return
 		}
-		lg = lg.With("strategy", spec.Strategy, "measure", spec.Measure)
+		rq.lg = rq.lg.With("strategy", spec.Strategy, "measure", spec.Measure)
 		ctx, cancel := context.WithTimeout(ctx, timeout)
 		defer cancel()
 
@@ -322,7 +345,7 @@ func (s *Server) searchEndpoint(kind searchKind) http.HandlerFunc {
 			return
 		}
 		if !hit {
-			lg.Debug("built fresh query session")
+			rq.lg.Debug("built fresh query session")
 		}
 		// A cancelled search leaves the session reusable (the library
 		// guarantees its adaptive state is not polluted), so it goes back to

@@ -47,39 +47,20 @@ type CompactResponse struct {
 }
 
 // mutationEndpoint wraps a store-mutation handler with the checks and
-// accounting every mutation shares: POST-only, 409 without a store, 503 while
-// draining, the in-flight mutation gauge (surfaced by /readyz as "ingesting"),
-// and one RED observation + log line per terminal outcome.
+// accounting every mutation shares: the request prologue (POST-only, 503
+// while draining), 409 without a store, the in-flight mutation gauge
+// (surfaced by /readyz as "ingesting"), and one RED observation + log line
+// per terminal outcome.
 func (s *Server) mutationEndpoint(ep string, body func(w http.ResponseWriter, r *http.Request, finish func(status int, msg string, attrs ...any))) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		began := time.Now()
-		rid := s.tel.ids.Next()
-		w.Header().Set("X-Request-ID", rid)
-		lg := s.tel.logger.With("request_id", rid, "endpoint", ep)
-		finish := func(status int, msg string, attrs ...any) {
-			s.tel.observeRequest(ep, status, time.Since(began), 0)
-			attrs = append(attrs, "status", status, "dur_ms", float64(time.Since(began).Microseconds())/1000)
-			if status >= 400 {
-				lg.Warn(msg, attrs...)
-			} else {
-				lg.Info(msg, attrs...)
-			}
-		}
-		if r.Method != http.MethodPost {
-			w.Header().Set("Allow", http.MethodPost)
-			writeError(w, http.StatusMethodNotAllowed, "use POST")
-			finish(http.StatusMethodNotAllowed, "method not allowed", "method", r.Method)
+		rq, ok := s.begin(w, r, ep)
+		if !ok {
 			return
 		}
+		finish := func(status int, msg string, attrs ...any) { rq.finish(status, 0, msg, attrs...) }
 		if s.store == nil {
 			writeError(w, http.StatusConflict, "server is not store-backed: %s requires -segments mode", r.URL.Path)
 			finish(http.StatusConflict, "refused: no store")
-			return
-		}
-		if s.Draining() {
-			s.drained.Add(1)
-			writeError(w, http.StatusServiceUnavailable, "server is draining")
-			finish(http.StatusServiceUnavailable, "refused: draining")
 			return
 		}
 		s.mutationsIn.Add(1)

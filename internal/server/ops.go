@@ -59,7 +59,7 @@ type telemetry struct {
 }
 
 func newTelemetry(cfg Config) *telemetry {
-	wcfg := ops.WindowConfig{Slots: cfg.WindowSlots, SlotDur: cfg.WindowSlotDur}
+	var wcfg ops.WindowConfig // the ops defaults: 60 slots of 1s, a smoothly rolling minute
 	t := &telemetry{
 		logger:     ops.Or(cfg.Logger),
 		ids:        ops.NewIDSource(),

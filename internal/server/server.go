@@ -72,11 +72,6 @@ type Config struct {
 	// non-error).
 	SLO ops.SLO
 
-	// WindowSlots and WindowSlotDur size the rolling telemetry windows
-	// (default 60 slots of 1s — a smoothly rolling minute).
-	WindowSlots   int
-	WindowSlotDur time.Duration
-
 	// Profiler, when set, is browsable at /debug/profiles. The server does
 	// not start or stop it; the owning process does.
 	Profiler *ops.Profiler

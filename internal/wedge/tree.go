@@ -207,12 +207,15 @@ type Scratch struct {
 
 // prepare points the scratch at tree t, radius and K. The widened envelopes
 // are fetched once per tree and radius — so the search that first builds them
-// is charged the build on steps, as ever — and the frontier once per change
-// of K; a steady-state comparison takes neither lock.
-func (sc *Scratch) prepare(t *Tree, radius, K int, steps *stats.Tally) {
+// is charged the build on steps, as ever, and its trace holds the one
+// envelope span — and the frontier once per change of K; a steady-state
+// comparison takes neither lock.
+func (sc *Scratch) prepare(t *Tree, radius, K int, steps *stats.Tally, rec *trace.Recorder) {
 	if sc.tree != t || sc.radius != radius {
 		sc.tree, sc.radius, sc.frontier = t, radius, nil
+		env := rec.Begin(trace.StageEnvelope, -1)
 		sc.envs = t.envelopesFor(radius, steps)
+		rec.End(env)
 	}
 	if sc.k != K || sc.frontier == nil {
 		sc.k, sc.frontier = K, t.frontierFor(K)
@@ -238,23 +241,22 @@ func (t *Tree) Search(q []float64, k Kernel, K int, r float64, traversal Travers
 // (never nil: Result.Steps is read off it), and every rotation it disposes
 // of is attributed to exactly one outcome in sc.Counts (internal-wedge prune
 // weighted by subtree size, singleton-wedge LB prune, early abandon, or full
-// distance evaluation); tr receives per-wedge trace events. The H-Merge walk, the exact kernel
-// evaluations at surviving leaves and the per-level node-visit counts land
-// in the goroutine-confined arena ar, which the caller flushes into its
-// trace recorder after the comparison. The walk polls chk once per wedge
-// visit — a cancellation is observed within one checkpoint interval of
-// visits, at which point every undisposed member is attributed to the
-// cancelled bucket and the Result comes back Aborted. tr, ar and chk may
-// each be nil (or disarmed) — the nil path costs one predictable branch per
-// event.
+// distance evaluation); tr receives per-wedge trace events. The H-Merge walk,
+// the exact kernel evaluations at surviving leaves and the per-level
+// node-visit counts are recorded into rec, nested under whatever span the
+// caller holds open. The walk polls chk once per wedge visit — a cancellation
+// is observed within one checkpoint interval of visits, at which point every
+// undisposed member is attributed to the cancelled bucket and the Result
+// comes back Aborted. tr, rec and chk may each be nil — the nil path costs
+// one predictable branch per event.
 //
 //lbkeogh:hotpath
-func (t *Tree) SearchTraced(q []float64, k Kernel, K int, r float64, traversal Traversal, steps *stats.Tally, sc *Scratch, tr obs.Tracer, ar *trace.Arena, chk *cancel.Checker) Result {
+func (t *Tree) SearchTraced(q []float64, k Kernel, K int, r float64, traversal Traversal, steps *stats.Tally, sc *Scratch, tr obs.Tracer, rec *trace.Recorder, chk *cancel.Checker) Result {
 	if len(q) != t.Len() {
 		panic(fmt.Sprintf("wedge: query length %d != member length %d", len(q), t.Len()))
 	}
 	steps0 := steps.Steps()
-	sc.prepare(t, k.Radius(), K, steps)
+	sc.prepare(t, k.Radius(), K, steps, rec)
 	envs, st := sc.envs, &sc.Counts
 
 	best := math.Inf(1)
@@ -268,9 +270,9 @@ func (t *Tree) SearchTraced(q []float64, k Kernel, K int, r float64, traversal T
 		if k.LeafLBIsExact() {
 			// For Euclidean, LB against the singleton wedge IS the distance;
 			// compute it once via the kernel's exact path.
-			kt0 := ar.Now()
+			kt0 := rec.Now()
 			d, abandoned := k.Distance(q, t.members[id], best, steps)
-			ar.Kernel(id, kt0)
+			rec.Emit(trace.StageKernel, id, kt0, rec.Now()-kt0)
 			if abandoned {
 				st.EarlyAbandons++
 				obs.TraceAbandon(tr, id)
@@ -290,9 +292,9 @@ func (t *Tree) SearchTraced(q []float64, k Kernel, K int, r float64, traversal T
 			obs.TraceWedgeVisit(tr, id, t.depth[id], lb, true)
 			return
 		}
-		kt0 := ar.Now()
+		kt0 := rec.Now()
 		d, abandoned := k.Distance(q, t.members[id], best, steps)
-		ar.Kernel(id, kt0)
+		rec.Emit(trace.StageKernel, id, kt0, rec.Now()-kt0)
 		if abandoned {
 			st.EarlyAbandons++
 			obs.TraceAbandon(tr, id)
@@ -312,7 +314,7 @@ func (t *Tree) SearchTraced(q []float64, k Kernel, K int, r float64, traversal T
 	}
 
 	frontier := sc.frontier
-	hm := ar.Begin(trace.StageHMerge, -1)
+	hm := rec.Begin(trace.StageHMerge, -1)
 	aborted := false
 	switch traversal {
 	case BestFirst:
@@ -362,7 +364,7 @@ func (t *Tree) SearchTraced(q []float64, k Kernel, K int, r float64, traversal T
 				continue
 			}
 			st.WedgeNodeVisits++
-			ar.CountVisit(t.depth[it.id])
+			rec.CountVisit(t.depth[it.id])
 			obs.TraceWedgeVisit(tr, it.id, t.depth[it.id], it.lb, false)
 			// Left then right, without materializing a child slice per visit.
 			for c := 0; c < 2; c++ {
@@ -407,14 +409,14 @@ func (t *Tree) SearchTraced(q []float64, k Kernel, K int, r float64, traversal T
 				continue
 			}
 			st.WedgeNodeVisits++
-			ar.CountVisit(t.depth[id])
+			rec.CountVisit(t.depth[id])
 			obs.TraceWedgeVisit(tr, id, t.depth[id], lb, false)
 			stack = append(stack, node.Left, node.Right) //lint:ignore hotalloc grows a few times over a scratch's life, not per search
 		}
 		sc.stack = stack[:0]
 	}
 
-	ar.End(hm)
+	rec.EndVisits(hm)
 	spent := steps.Steps() - steps0
 	if aborted {
 		return Result{Dist: math.Inf(1), BestMember: -1, Steps: spent, Aborted: true}

@@ -160,7 +160,6 @@ type Query struct {
 	exp        *explain.Op
 	expSink    *explain.Recorder
 	explainOn  bool
-	expBefore  obs.Counts
 	expDelta   obs.Counts
 	expTraceID int64
 	expValid   bool
@@ -211,35 +210,35 @@ func NewQuery(series Series, m Measure, opts ...QueryOption) (*Query, error) {
 	return q, nil
 }
 
-// startTrace begins one traced operation: a recorder with a root span of the
-// given stage, attached to the searcher so comparisons record under it. On
-// an untraced query everything is nil/no-op.
-func (q *Query) startTrace(label string, stage trace.Stage) (*trace.Recorder, trace.SpanID, obs.Counts) {
-	q.beginExplainOp()
+// startTrace begins one observed operation: a recorder with a root search
+// span, attached to the searcher so comparisons record under it, the explain
+// op reset, and the one counter snapshot both are measured against. On a
+// query with neither a trace log nor explain state everything is nil/no-op.
+func (q *Query) startTrace(label string) (*trace.Recorder, trace.SpanID, obs.Counts) {
 	rec := q.tlog.StartTrace(label)
-	if rec == nil {
+	if rec == nil && q.exp == nil {
 		return nil, -1, obs.Counts{}
 	}
+	q.beginExplainOp()
 	before := q.obs.Counts()
-	root := rec.Begin(stage, -1)
+	root := rec.Begin(trace.StageSearch, -1)
 	q.searcher.SetRecorder(rec)
 	return rec, root, before
 }
 
-// finishTrace closes the root span with the operation's counter deltas and
+// finishTrace closes the root span with the operation's counter delta and
 // hands the trace to the log for sampling and slow-query screening. The
-// explain op (when armed) finishes here too, so its waterfall delta and
+// explain op (when armed) finishes on the same delta, so its waterfall and
 // exemplar correlation cover exactly the traced operation.
 func (q *Query) finishTrace(rec *trace.Recorder, root trace.SpanID, before obs.Counts) {
-	var tid int64
-	if rec != nil {
-		q.searcher.SetRecorder(nil)
-		delta := q.obs.Counts().Sub(before)
-		rec.EndAttrs(root, delta)
-		q.lastTraceID = q.tlog.Finish(rec, delta)
-		tid = q.lastTraceID
+	if rec == nil && q.exp == nil {
+		return
 	}
-	q.endExplainOp(tid)
+	q.searcher.SetRecorder(nil)
+	delta := q.obs.Counts().Sub(before)
+	rec.EndAttrs(root, delta)
+	q.lastTraceID = q.tlog.Finish(rec, delta)
+	q.endExplainOp(q.lastTraceID, delta)
 }
 
 // LastTraceID returns the retained trace ID of the query's most recently
@@ -302,7 +301,7 @@ func (q *Query) Distance(x Series) (float64, Rotation, error) {
 	if err := q.checkSeries(x); err != nil {
 		return 0, Rotation{}, err
 	}
-	rec, root, before := q.startTrace("distance", trace.StageSearch)
+	rec, root, before := q.startTrace("distance")
 	m := q.searcher.MatchSeries(x, -1, &q.counter)
 	q.finishTrace(rec, root, before)
 	return m.Dist, q.rotation(m.Member), nil
@@ -316,7 +315,7 @@ func (q *Query) Match(x Series, threshold float64) (dist float64, rot Rotation, 
 	if err := q.checkSeries(x); err != nil {
 		return 0, Rotation{}, false, err
 	}
-	rec, root, before := q.startTrace("match", trace.StageSearch)
+	rec, root, before := q.startTrace("match")
 	m := q.searcher.MatchSeries(x, threshold, &q.counter)
 	q.finishTrace(rec, root, before)
 	if !m.Found() {
@@ -359,6 +358,47 @@ func checkCtx(ctx context.Context) (context.Context, error) {
 	return ctx, ctx.Err()
 }
 
+// search is the bracket every database search runs in: an expired context
+// fails first, then a malformed database, and only then does run — the scan
+// proper — execute, inside the operation's trace; its hits come back as
+// public results.
+func (q *Query) search(ctx context.Context, db []Series, label string, run func(context.Context) ([]core.ScanResult, error)) ([]SearchResult, error) {
+	ctx, err := checkCtx(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if err := q.validateDB(db); err != nil {
+		return nil, err
+	}
+	rec, root, before := q.startTrace(label)
+	rs, err := run(ctx)
+	q.finishTrace(rec, root, before)
+	if err != nil {
+		return nil, err
+	}
+	return q.results(rs), nil
+}
+
+// results translates internal hits — a scan's or an index probe's — into
+// public ones.
+func (q *Query) results(rs []core.ScanResult) []SearchResult {
+	out := make([]SearchResult, len(rs))
+	for i, r := range rs {
+		out[i] = SearchResult{Index: r.Index, Dist: r.Dist, Rotation: q.rotation(r.Member)}
+	}
+	return out
+}
+
+// scan is the serial search: the query's own searcher over db, keeping the k
+// nearest strictly below limit (k = 0: all of them).
+func (q *Query) scan(ctx context.Context, db []Series, label string, k int, limit float64) ([]SearchResult, error) {
+	return q.search(ctx, db, label, func(ctx context.Context) ([]core.ScanResult, error) {
+		c := core.NewCollector(k, limit)
+		err := q.searcher.ScanInto(ctx, db, c, &q.counter)
+		return c.Results(), err
+	})
+}
+
 // Search scans db linearly and returns the exact nearest neighbour under
 // the query's measure and invariances (Table 3 of the paper, with the
 // query's strategy deciding how each comparison is accelerated).
@@ -374,20 +414,14 @@ func (q *Query) Search(db []Series) (SearchResult, error) {
 // SearchStats.CancelledMembers, so the stats record still reconciles. With
 // an uncancelled ctx the result is identical to Search.
 func (q *Query) SearchContext(ctx context.Context, db []Series) (SearchResult, error) {
-	ctx, err := checkCtx(ctx)
+	rs, err := q.scan(ctx, db, "search", 1, math.Inf(1))
 	if err != nil {
 		return SearchResult{}, err
 	}
-	if err := q.validateDB(db); err != nil {
-		return SearchResult{}, err
+	if len(rs) == 0 { // no series at a finite distance
+		return SearchResult{Index: -1, Dist: math.Inf(1)}, nil
 	}
-	rec, root, before := q.startTrace("search", trace.StageSearch)
-	r, err := q.searcher.ScanContext(ctx, db, &q.counter)
-	q.finishTrace(rec, root, before)
-	if err != nil {
-		return SearchResult{}, err
-	}
-	return SearchResult{Index: r.Index, Dist: r.Dist, Rotation: q.rotation(r.Member)}, nil
+	return rs[0], nil
 }
 
 // SearchParallel is Search distributed across the given number of worker
@@ -404,33 +438,27 @@ func (q *Query) SearchParallel(db []Series, workers int) (SearchResult, error) {
 // one checkpoint interval; the workers are joined before the error returns,
 // so a cancelled search leaks no goroutines and leaves the query reusable.
 func (q *Query) SearchParallelContext(ctx context.Context, db []Series, workers int) (SearchResult, error) {
-	ctx, err := checkCtx(ctx)
-	if err != nil {
-		return SearchResult{}, err
-	}
-	if err := q.validateDB(db); err != nil {
-		return SearchResult{}, err
-	}
 	// Parallel scans record the root span only: a Recorder is
 	// single-goroutine, and the per-worker searchers are built from the
 	// config, recorder-less.
-	rec, root, before := q.startTrace("search_parallel", trace.StageSearch)
-	r, err := core.ScanParallelContext(ctx, q.rs, q.measure.kern, q.strategy, q.searchCfg, db, workers, &q.counter)
-	q.finishTrace(rec, root, before)
+	rs, err := q.search(ctx, db, "search_parallel", func(ctx context.Context) ([]core.ScanResult, error) {
+		r, err := core.ScanParallelContext(ctx, q.rs, q.measure.kern, q.strategy, q.searchCfg, db, workers, &q.counter)
+		return []core.ScanResult{r}, err
+	})
 	if err != nil {
 		return SearchResult{}, err
 	}
-	if r.Index < 0 {
+	if rs[0].Index < 0 {
 		// Unreachable through the public API: validateDB guarantees a
 		// non-empty database of query-length series, and an uncancelled
 		// exact scan of such a database always yields a finite minimum.
 		return SearchResult{}, fmt.Errorf("lbkeogh: internal invariant violated: uncancelled parallel scan over %d series returned no result", len(db))
 	}
-	return SearchResult{Index: r.Index, Dist: r.Dist, Rotation: q.rotation(r.Member)}, nil
+	return rs[0], nil
 }
 
 // SearchTopK returns the k exact nearest neighbours in ascending distance
-// order (k is clamped to len(db)).
+// order (k is clamped to [1, len(db)]).
 func (q *Query) SearchTopK(db []Series, k int) ([]SearchResult, error) {
 	return q.SearchTopKContext(context.Background(), db, k)
 }
@@ -438,33 +466,13 @@ func (q *Query) SearchTopK(db []Series, k int) ([]SearchResult, error) {
 // SearchTopKContext is SearchTopK bounded by ctx, with the same cancellation
 // semantics as SearchContext.
 func (q *Query) SearchTopKContext(ctx context.Context, db []Series, k int) ([]SearchResult, error) {
-	ctx, err := checkCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if err := q.validateDB(db); err != nil {
-		return nil, err
-	}
-	if k > len(db) {
-		k = len(db)
-	}
-	rec, root, before := q.startTrace("search_topk", trace.StageSearch)
-	rs, err := q.searcher.ScanTopKContext(ctx, db, k, &q.counter)
-	q.finishTrace(rec, root, before)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]SearchResult, len(rs))
-	for i, r := range rs {
-		out[i] = SearchResult{Index: r.Index, Dist: r.Dist, Rotation: q.rotation(r.Member)}
-	}
-	return out, nil
+	return q.scan(ctx, db, "search_topk", max(1, min(k, len(db))), math.Inf(1))
 }
 
 // SearchRange returns every database series whose exact rotation-invariant
-// distance is strictly below threshold, in ascending distance order. The
-// threshold doubles as the early-abandoning bound, so tight ranges are far
-// cheaper than a full nearest-neighbour scan.
+// distance is strictly below threshold, in ascending distance order (ties
+// towards the lower index). The threshold doubles as the early-abandoning
+// bound, so tight ranges are far cheaper than a full nearest-neighbour scan.
 func (q *Query) SearchRange(db []Series, threshold float64) ([]SearchResult, error) {
 	return q.SearchRangeContext(context.Background(), db, threshold)
 }
@@ -472,22 +480,5 @@ func (q *Query) SearchRange(db []Series, threshold float64) ([]SearchResult, err
 // SearchRangeContext is SearchRange bounded by ctx, with the same
 // cancellation semantics as SearchContext.
 func (q *Query) SearchRangeContext(ctx context.Context, db []Series, threshold float64) ([]SearchResult, error) {
-	ctx, err := checkCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if err := q.validateDB(db); err != nil {
-		return nil, err
-	}
-	rec, root, before := q.startTrace("search_range", trace.StageSearch)
-	rs, err := q.searcher.ScanRangeContext(ctx, db, threshold, &q.counter)
-	q.finishTrace(rec, root, before)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]SearchResult, len(rs))
-	for i, r := range rs {
-		out[i] = SearchResult{Index: r.Index, Dist: r.Dist, Rotation: q.rotation(r.Member)}
-	}
-	return out, nil
+	return q.scan(ctx, db, "search_range", 0, threshold)
 }

@@ -12,16 +12,6 @@ import (
 // TraceOption customizes NewTraceLog.
 type TraceOption func(*trace.Config)
 
-// WithTraceCapacity sets the sampled-trace ring size (default 64).
-func WithTraceCapacity(n int) TraceOption {
-	return func(c *trace.Config) { c.Capacity = n }
-}
-
-// WithSlowTraceCapacity sets the slow-trace ring size (default 32).
-func WithSlowTraceCapacity(n int) TraceOption {
-	return func(c *trace.Config) { c.SlowCapacity = n }
-}
-
 // WithSampleRate sets the probability a completed trace is retained in the
 // sampled ring (default 0.25; >= 1 keeps everything; <= 0 keeps only slow
 // traces). Sampling never affects slow-query capture or the latency
@@ -45,18 +35,6 @@ func WithSlowThreshold(d time.Duration) TraceOption {
 		}
 		c.SlowThreshold = d
 	}
-}
-
-// WithTraceSpanCap bounds the spans recorded per trace (default 512); spans
-// beyond the cap are dropped and counted, never reallocated.
-func WithTraceSpanCap(n int) TraceOption {
-	return func(c *trace.Config) { c.SpanCap = n }
-}
-
-// WithTraceSeed seeds the sampling RNG. The default seed is fixed, so runs
-// are reproducible unless a varying seed is supplied.
-func WithTraceSeed(seed uint64) TraceOption {
-	return func(c *trace.Config) { c.Seed = seed }
 }
 
 // TraceLog collects query-lifecycle traces: per-stage latency histograms

@@ -74,8 +74,9 @@ func eventContains(outer, inner chromeEvent) bool {
 
 // TestChromeExportNestsStagesAndReconciles is the issue's acceptance check: a
 // traced Query.Search exports a Chrome trace-event JSON whose span tree nests
-// envelope -> H-Merge -> kernel stages, and whose per-span counter attributes
-// satisfy the same Reconciles identity as SearchStats.
+// comparison -> H-Merge -> kernel stages (the query's one envelope fetch
+// beside the first walk), and whose per-span counter attributes satisfy the
+// same Reconciles identity as SearchStats.
 func TestChromeExportNestsStagesAndReconciles(t *testing.T) {
 	_, tlog, tr := tracedSearch(t)
 	var buf bytes.Buffer
@@ -133,9 +134,17 @@ func TestChromeExportNestsStagesAndReconciles(t *testing.T) {
 		}
 	}
 	requireNested("comparison", "search")
-	requireNested("envelope", "comparison")
-	requireNested("hmerge", "envelope")
+	requireNested("hmerge", "comparison")
 	requireNested("kernel", "hmerge")
+	// The envelopes are fetched once per query: one span, in the first
+	// comparison, over before that comparison's walk begins.
+	if n := len(byStage["envelope"]); n != 1 {
+		t.Fatalf("%d envelope spans, want 1 per query", n)
+	}
+	env, firstComp, firstWalk := byStage["envelope"][0], byStage["comparison"][0], byStage["hmerge"][0]
+	if !eventContains(firstComp, env) || env.Ts+env.Dur > firstWalk.Ts+1e-6 {
+		t.Fatalf("envelope span %+v is not in the first comparison %+v before its walk %+v", env, firstComp, firstWalk)
+	}
 
 	// Counter attributes: the root reconciles, every comparison reconciles,
 	// and the comparisons sum back to the root — the SearchStats identity.
@@ -445,5 +454,64 @@ func TestDebugHandlerRoutes(t *testing.T) {
 	}
 	if rr := get("/debug/lbkeogh?log=test_query&format=jsonl"); rr.Code != 400 {
 		t.Errorf("jsonl without trace id: status %d, want 400", rr.Code)
+	}
+}
+
+// TestTraceCompositionPinned pins what one retained trace is made of — span
+// count, drops and spans per stage — for two fixed scans. The composition
+// depends on the walk (which comparisons reach which leaves), not the clock,
+// so a change that moves a literal here has changed what a trace records.
+func TestTraceCompositionPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		db      []lbkeogh.Series
+		measure lbkeogh.Measure
+		spans   int
+		dropped int64
+		stages  map[string]int
+	}{
+		{"ed", lbkeogh.SyntheticProjectilePoints(7, 4097, 251), lbkeogh.Euclidean(), 512, 5654,
+			map[string]int{"search": 1, "comparison": 85, "envelope": 1, "hmerge": 84, "kernel": 341}},
+		{"dtw5", lbkeogh.SyntheticHeterogeneous(7, 1025, 256), lbkeogh.DTW(5), 512, 893,
+			map[string]int{"search": 1, "comparison": 170, "envelope": 1, "hmerge": 169, "kernel": 171}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tlog := lbkeogh.NewTraceLog(lbkeogh.WithSampleRate(1))
+			q, err := lbkeogh.NewQuery(tc.db[0], tc.measure, lbkeogh.WithTraceLog(tlog))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := q.Search(tc.db[1:]); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := tlog.WriteTraceJSONL(&buf, q.LastTraceID()); err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+			var header struct {
+				Spans   int   `json:"spans"`
+				Dropped int64 `json:"dropped"`
+			}
+			if err := json.Unmarshal([]byte(lines[0]), &header); err != nil {
+				t.Fatal(err)
+			}
+			if header.Spans != tc.spans || header.Dropped != tc.dropped {
+				t.Errorf("trace holds %d spans / %d dropped, want %d / %d", header.Spans, header.Dropped, tc.spans, tc.dropped)
+			}
+			stages := map[string]int{}
+			for _, ln := range lines[1:] {
+				var sp struct {
+					Stage string `json:"stage"`
+				}
+				if err := json.Unmarshal([]byte(ln), &sp); err != nil {
+					t.Fatal(err)
+				}
+				stages[sp.Stage]++
+			}
+			if !reflect.DeepEqual(stages, tc.stages) {
+				t.Errorf("spans per stage = %v, want %v", stages, tc.stages)
+			}
+		})
 	}
 }
