@@ -34,11 +34,12 @@ race:
 
 # Focused race pass over the concurrency-heavy packages (server admission and
 # session pooling, streaming ingest, rolling telemetry windows, the parallel
-# scan's shared best-so-far, and the root package's MetricsHandler /
-# PublishExpvar over a live Query): -count=2 reruns shake out
-# init-order-dependent interleavings that a single -race pass can miss.
+# scan's shared best-so-far, the matrix pool every concurrent query build
+# shares, and the root package's MetricsHandler / PublishExpvar over a live
+# Query): -count=2 reruns shake out init-order-dependent interleavings that a
+# single -race pass can miss.
 race-concurrency:
-	$(GO) test -race -count=2 . ./internal/server/... ./internal/stream/... ./internal/obs/... ./internal/core/...
+	$(GO) test -race -count=2 . ./internal/server/... ./internal/stream/... ./internal/obs/... ./internal/core/... ./internal/wedge/... ./internal/cluster/...
 
 # Short benchmark pass: one iteration of every benchmark, no unit tests. It
 # checks that they run; a performance number comes from the repo benchmark

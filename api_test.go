@@ -3,6 +3,7 @@ package lbkeogh
 import (
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"lbkeogh/internal/ts"
@@ -27,6 +28,15 @@ func TestNewQueryValidation(t *testing.T) {
 	}
 	if _, err := NewQuery([]float64{1, 2, 3, 4}, Euclidean(), WithMaxRotationDegrees(200)); err == nil {
 		t.Fatal("want error for degree limit >= 180")
+	}
+	// A non-finite sample used to reach the clustering and die there with an
+	// index panic (no distance compares < NaN).
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		series := ts.RandomWalk(ts.NewRand(1), 32)
+		series[17] = bad
+		if _, err := NewQuery(series, Euclidean()); err == nil || !strings.Contains(err.Error(), "sample 17") {
+			t.Fatalf("want an error naming sample 17 for a %v sample, got %v", bad, err)
+		}
 	}
 }
 

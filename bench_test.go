@@ -412,12 +412,27 @@ func BenchmarkKernelFFTMagnitudes(b *testing.B) {
 	}
 }
 
+// A query's set-up cost (Section 4.1): rotation views, circulant profiles,
+// distance matrix, NN-chain and node envelopes. n251 is the size every
+// repo-benchmark workload builds per op.
 func BenchmarkKernelRotationSetBuild(b *testing.B) {
-	rng := ts.NewRand(5)
-	x := ts.RandomWalk(rng, 251)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.NewRotationSet(x, core.DefaultOptions(), nil)
+	for _, c := range []struct {
+		name string
+		n    int
+		opts core.Options
+	}{
+		{"n251", 251, core.DefaultOptions()},
+		{"n251_mirror", 251, core.Options{Mirror: true, MaxShift: -1}},
+		{"n1024", 1024, core.DefaultOptions()},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			x := ts.RandomWalk(ts.NewRand(5), c.n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				core.NewRotationSet(x, c.opts, nil)
+			}
+		})
 	}
 }
 

@@ -147,11 +147,12 @@ func OpenSegmentIndex(dir string, dims int) (*Index, error) {
 		store.Close()
 		return nil, fmt.Errorf("lbkeogh: segment store %s is empty", dir)
 	}
-	// Pin the open-time generation: the index's feature rows are views into
-	// these mappings, so they must outlive every query.
+	// Pin the open-time generation: the index's feature rows, and every
+	// series a query fetches for verification, are views into these
+	// mappings, so they must outlive every query.
 	snap := store.Acquire()
 	mags, paas := snap.Features()
-	inner, err := index.BuildFromColumns(store, store.SeriesLen(), store.Dims(), mags, paas)
+	inner, err := index.BuildFromColumns(store.Pinned(snap), store.SeriesLen(), store.Dims(), mags, paas)
 	if err != nil {
 		snap.Release()
 		store.Close()

@@ -64,6 +64,14 @@ func Agglomerative(m int, d func(i, j int) float64, linkage Linkage) *Dendrogram
 		panic("cluster: need at least one item")
 	}
 	matrix := make([]float64, m*m)
+	FillMatrix(matrix, m, d)
+	return AgglomerativeMatrix(matrix, m, linkage)
+}
+
+// FillMatrix writes d(i, j), i < j, to entries (i, j) and (j, i) of the
+// row-major m×m matrix. The diagonal is left alone: AgglomerativeMatrix
+// never reads it.
+func FillMatrix(matrix []float64, m int, d func(i, j int) float64) {
 	for i := 0; i < m; i++ {
 		for j := i + 1; j < m; j++ {
 			v := d(i, j)
@@ -71,11 +79,12 @@ func Agglomerative(m int, d func(i, j int) float64, linkage Linkage) *Dendrogram
 			matrix[j*m+i] = v
 		}
 	}
-	return AgglomerativeMatrix(matrix, m, linkage)
 }
 
-// AgglomerativeMatrix clusters m items from a row-major m×m distance matrix.
-// The matrix is consumed (overwritten) during clustering.
+// AgglomerativeMatrix clusters m items from a row-major m×m distance matrix,
+// which must be symmetric; the diagonal is ignored. The matrix is consumed
+// (overwritten) during clustering. Distances must be finite: a neighbour
+// search that finds nothing below +Inf, or compares against NaN, panics.
 func AgglomerativeMatrix(matrix []float64, m int, linkage Linkage) *Dendrogram {
 	if m <= 0 {
 		panic("cluster: need at least one item")
@@ -92,22 +101,22 @@ func AgglomerativeMatrix(matrix []float64, m int, linkage Linkage) *Dendrogram {
 	}
 
 	// active[c] is the dendrogram node currently representing matrix slot c;
-	// size[c] its leaf count; alive[c] whether slot c is still a cluster.
+	// size[c] its leaf count, 0 once the slot is retired. A live slot's row
+	// holds +Inf on the diagonal and in every retired slot's column, so the
+	// neighbour search below is a bare scan of the row: no entry it must skip
+	// can win a strict <.
 	active := make([]int, m)
 	size := make([]int, m)
-	alive := make([]bool, m)
 	for i := range active {
-		active[i] = i
-		size[i] = 1
-		alive[i] = true
+		active[i], size[i] = i, 1
+		matrix[i*m+i] = math.Inf(1)
 	}
-	nAlive := m
 
 	chain := make([]int, 0, m)
-	for nAlive > 1 {
+	for nAlive := m; nAlive > 1; nAlive-- {
 		if len(chain) == 0 {
-			for i := 0; i < m; i++ {
-				if alive[i] {
+			for i, s := range size {
+				if s > 0 {
 					chain = append(chain, i)
 					break
 				}
@@ -115,29 +124,26 @@ func AgglomerativeMatrix(matrix []float64, m int, linkage Linkage) *Dendrogram {
 		}
 		for {
 			tip := chain[len(chain)-1]
-			// Find the nearest alive neighbour of tip, preferring the
+			row := matrix[tip*m : tip*m+m]
+			// Find the nearest live neighbour of tip, preferring the
 			// previous chain element on ties (required for termination).
-			var prev = -1
+			prev, best, bestDist := -1, -1, math.Inf(1)
 			if len(chain) >= 2 {
 				prev = chain[len(chain)-2]
+				best, bestDist = prev, row[prev]
 			}
-			best, bestDist := -1, math.Inf(1)
-			if prev >= 0 {
-				best, bestDist = prev, matrix[tip*m+prev]
-			}
-			for j := 0; j < m; j++ {
-				if j == tip || !alive[j] {
-					continue
-				}
-				if v := matrix[tip*m+j]; v < bestDist {
+			for j, v := range row {
+				if v < bestDist {
 					best, bestDist = j, v
 				}
 			}
-			if best == prev && prev >= 0 {
+			if best < 0 || math.IsNaN(bestDist) {
+				panic(fmt.Sprintf("cluster: non-finite distance: cluster %d has no nearest neighbour (NaN or +Inf in its matrix row)", active[tip]))
+			}
+			if best == prev {
 				// Reciprocal nearest neighbours: merge tip and prev.
 				chain = chain[:len(chain)-2]
-				mergeClusters(dd, matrix, m, active, size, alive, tip, prev, bestDist, linkage)
-				nAlive--
+				mergeClusters(dd, matrix, m, active, size, tip, prev, bestDist, linkage)
 				break
 			}
 			chain = append(chain, best)
@@ -146,7 +152,7 @@ func AgglomerativeMatrix(matrix []float64, m int, linkage Linkage) *Dendrogram {
 	return dd
 }
 
-func mergeClusters(dd *Dendrogram, matrix []float64, m int, active, size []int, alive []bool, a, b int, h float64, linkage Linkage) {
+func mergeClusters(dd *Dendrogram, matrix []float64, m int, active, size []int, a, b int, h float64, linkage Linkage) {
 	newID := len(dd.Nodes)
 	dd.Nodes = append(dd.Nodes, Node{
 		Left:   active[a],
@@ -154,10 +160,11 @@ func mergeClusters(dd *Dendrogram, matrix []float64, m int, active, size []int, 
 		Height: h,
 		Size:   size[a] + size[b],
 	})
-	// Reuse slot a for the merged cluster; retire slot b.
+	// Reuse slot a for the merged cluster; retire slot b, whose column goes
+	// to +Inf in every live row (its own row is never scanned again).
 	na, nb := float64(size[a]), float64(size[b])
-	for k := 0; k < m; k++ {
-		if !alive[k] || k == a || k == b {
+	for k, sk := range size {
+		if sk == 0 || k == a || k == b {
 			continue
 		}
 		dak := matrix[a*m+k]
@@ -173,10 +180,12 @@ func mergeClusters(dd *Dendrogram, matrix []float64, m int, active, size []int, 
 		}
 		matrix[a*m+k] = v
 		matrix[k*m+a] = v
+		matrix[k*m+b] = math.Inf(1)
 	}
+	matrix[a*m+b] = math.Inf(1)
 	active[a] = newID
 	size[a] += size[b]
-	alive[b] = false
+	size[b] = 0
 }
 
 // Root returns the index of the root node.

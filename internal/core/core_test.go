@@ -113,11 +113,14 @@ func TestCirculantDistancesExact(t *testing.T) {
 	} {
 		q := ts.RandomWalk(rng, 17)
 		rs := NewRotationSet(q, opts, nil)
-		for i := 0; i < rs.Members(); i++ {
-			for j := 0; j < rs.Members(); j++ {
+		same, cross := profilesOf(q, opts.Mirror)
+		m := rs.Members()
+		matrix := make([]float64, m*m)
+		fillCirculant(matrix, rs.ids, same, cross)
+		for i := 0; i < m; i++ {
+			for j := 0; j < m; j++ {
 				want := dist.Euclidean(rs.Member(i), rs.Member(j), nil)
-				got := rs.memberDistance(i, j)
-				if math.Abs(got-want) > 1e-9 {
+				if got := matrix[i*m+j]; math.Abs(got-want) > 1e-9 {
 					t.Fatalf("opts %+v rows (%d,%d): profile %v != direct %v", opts, i, j, got, want)
 				}
 			}

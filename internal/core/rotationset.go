@@ -48,16 +48,16 @@ type Member struct {
 // with its wedge hierarchy. Building one costs O(n²) — the set-up cost the
 // paper charges against the wedge strategy — but it is built once per query
 // and amortized over the whole database scan.
+//
+// The rows are not copies: rotation s of x is the window [s, s+n) of x‖x, so
+// every row is a view (cap == len) of one doubled buffer, two with Mirror.
+// They alias each other and Base; nothing may write through them.
 type RotationSet struct {
 	base    []float64
 	n       int
 	members [][]float64
 	ids     []Member
 	tree    *wedge.Tree
-
-	// Circulant distance profiles (see NewRotationSet).
-	profSame  []float64
-	profCross []float64
 
 	// SetupSteps is the num_steps charged for construction (circulant
 	// distance profile + envelope building).
@@ -87,81 +87,112 @@ func NewRotationSetTraced(base []float64, opts Options, cnt *stats.Counter, rec 
 	var local stats.Tally
 	rotSpan := rec.Begin(trace.StageRotationMatrix, -1)
 
-	// Which shifts are admitted?
 	shifts := allowedShifts(n, opts.MaxShift)
-	if len(shifts) == 0 {
-		panic("core: rotation limit admits no rotations")
-	}
-
-	rs := &RotationSet{base: ts.Clone(base), n: n}
-	for _, s := range shifts {
-		rs.members = append(rs.members, ts.Rotate(base, s))
-		rs.ids = append(rs.ids, Member{Shift: s})
-	}
-	var mirrored []float64
+	halves := [][]float64{doubled(base)}
 	if opts.Mirror {
-		mirrored = ts.Mirror(base)
+		halves = append(halves, doubled(ts.Mirror(base)))
+	}
+	rs := &RotationSet{base: halves[0][:n:n], n: n}
+	rs.members = make([][]float64, 0, len(halves)*len(shifts))
+	rs.ids = make([]Member, 0, cap(rs.members))
+	for h, dbl := range halves {
 		for _, s := range shifts {
-			rs.members = append(rs.members, ts.Rotate(mirrored, s))
-			rs.ids = append(rs.ids, Member{Shift: s, Mirrored: true})
+			rs.members = append(rs.members, dbl[s:s+n:s+n])
+			rs.ids = append(rs.ids, Member{Shift: s, Mirrored: h == 1})
 		}
 	}
 
-	// Circulant distance profiles.
-	// same[l]  = ED(base, rotate(base, l)) — also the distance between two
-	//            mirrored rotations at relative shift l.
-	// cross[s] = ED(rot_i(base), rot_j(mirror)) for (i - j + n - 1) mod n = s.
-	same := make([]float64, n)
-	for l := 1; l < n; l++ {
-		var acc float64
-		for t := 0; t < n; t++ {
-			d := base[t] - base[(t+l)%n]
-			acc += d * d
-		}
-		same[l] = math.Sqrt(acc)
-		local.Add(int64(n))
-	}
-	var cross []float64
-	if opts.Mirror {
-		cross = make([]float64, n)
-		for s := 0; s < n; s++ {
-			var acc float64
-			for t := 0; t < n; t++ {
-				d := base[t] - base[((s-t)%n+n)%n]
-				acc += d * d
-			}
-			cross[s] = math.Sqrt(acc)
-			local.Add(int64(n))
-		}
-	}
-
-	rs.profSame = same
-	rs.profCross = cross
+	same, cross := circulantProfiles(halves)
+	local.Add(int64(n) * int64(n-1+len(cross)))
 	rec.End(rotSpan)
 	wedgeSpan := rec.Begin(trace.StageWedgeBuild, -1)
-	rs.tree = wedge.Build(rs.members, rs.memberDistance, &local)
+	rs.tree = wedge.BuildFilled(rs.members, func(matrix []float64) { fillCirculant(matrix, rs.ids, same, cross) }, &local)
 	rec.End(wedgeSpan)
 	rs.SetupSteps = local.Steps()
 	cnt.Add(local.Steps())
 	return rs
 }
 
-// memberDistance returns the Euclidean distance between rotation-matrix rows
-// i and j via the O(1) circulant profile lookups.
-func (rs *RotationSet) memberDistance(i, j int) float64 {
-	a, b := rs.ids[i], rs.ids[j]
-	n := rs.n
-	if a.Mirrored == b.Mirrored {
-		return rs.profSame[((a.Shift-b.Shift)%n+n)%n]
+// circulantProfiles returns, for halves = {base‖base} or {base‖base,
+// mirror‖mirror}, the two rows the whole distance matrix is read out of:
+//
+//	same[l]  = ED(base, rotate(base, l)) — also the distance between two
+//	           mirrored rotations at relative shift l.
+//	cross[s] = ED(rot_i(base), rot_j(mirror)) for (i - j + n - 1) mod n = s
+//	           (nil without a mirror half).
+//
+// Each entry is one in-order pass over base against a window of a half.
+func circulantProfiles(halves [][]float64) (same, cross []float64) {
+	n := len(halves[0]) / 2
+	base := halves[0][:n]
+	same = make([]float64, n)
+	for l := 1; l < n; l++ {
+		same[l] = euclideanInOrder(base, halves[0][l:])
 	}
-	if a.Mirrored {
-		a, b = b, a
+	if len(halves) > 1 {
+		cross = make([]float64, n)
+		for s := range cross {
+			cross[s] = euclideanInOrder(base, halves[1][n-1-s:])
+		}
 	}
-	return rs.profCross[((a.Shift-b.Shift+n-1)%n+n)%n]
+	return same, cross
+}
+
+// doubled returns x‖x, of which every rotation of x is a window.
+func doubled(x []float64) []float64 {
+	return append(append(make([]float64, 0, 2*len(x)), x...), x...)
+}
+
+// euclideanInOrder is ED(x, y[:len(x)]) accumulated strictly left to right:
+// the profiles' bits, and through them the dendrogram, depend on the order.
+func euclideanInOrder(x, y []float64) float64 {
+	y = y[:len(x)]
+	var acc float64
+	for t, v := range x {
+		d := v - y[t]
+		acc += d * d
+	}
+	return math.Sqrt(acc)
+}
+
+// fillCirculant writes the distance between rotation-matrix rows i and j,
+// i < j, to entries (i, j) and (j, i) of the m×m matrix by profile lookup:
+// same[(sᵢ−sⱼ) mod n] within a half, cross[(sᵢ−sⱼ+n−1) mod n] from a plain
+// row to a mirrored one. The direction matters: same[l] and same[n−l] sum
+// the same terms in a different order and may differ in the last bit.
+func fillCirculant(matrix []float64, ids []Member, same, cross []float64) {
+	n, m := len(same), len(ids)
+	if m == n && cross == nil {
+		// Every rotation, no mirror (sᵢ = i): entry (i, j) is same[n−|i−j|],
+		// so row i is a window of one symmetric lookup row.
+		look := make([]float64, 2*n-1)
+		for l := 1; l < n; l++ {
+			look[n-1-l], look[n-1+l] = same[n-l], same[n-l]
+		}
+		for i := 0; i < n; i++ {
+			copy(matrix[i*n:(i+1)*n], look[n-1-i:])
+		}
+		return
+	}
+	for i, a := range ids {
+		for j := i + 1; j < m; j++ {
+			d, prof := a.Shift-ids[j].Shift, same
+			if a.Mirrored != ids[j].Mirrored { // i < j: a is the plain row
+				d, prof = d+n-1, cross
+			}
+			if d < 0 {
+				d += n
+			} else if d >= n {
+				d -= n
+			}
+			matrix[i*m+j], matrix[j*m+i] = prof[d], prof[d]
+		}
+	}
 }
 
 // allowedShifts lists the admitted circular shifts: all of 0..n-1, or the
-// window [-maxShift, maxShift] when limited.
+// window [-maxShift, maxShift] when limited — which never wraps onto itself,
+// because maxShift < n/2.
 func allowedShifts(n, maxShift int) []int {
 	if maxShift < 0 || maxShift >= n/2 {
 		out := make([]int, n)
@@ -170,21 +201,11 @@ func allowedShifts(n, maxShift int) []int {
 		}
 		return out
 	}
-	var out []int
+	out := make([]int, 0, 2*maxShift+1)
 	for s := -maxShift; s <= maxShift; s++ {
-		out = append(out, ((s%n)+n)%n)
+		out = append(out, (s+n)%n)
 	}
-	// Deduplicate (maxShift == 0 yields a single shift; the window never
-	// wraps onto itself because maxShift < n/2).
-	seen := map[int]bool{}
-	uniq := out[:0]
-	for _, s := range out {
-		if !seen[s] {
-			seen[s] = true
-			uniq = append(uniq, s)
-		}
-	}
-	return uniq
+	return out
 }
 
 // Len returns the series length n.

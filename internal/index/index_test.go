@@ -2,9 +2,12 @@ package index
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"lbkeogh/internal/core"
+	"lbkeogh/internal/obs"
+	"lbkeogh/internal/obs/trace"
 	"lbkeogh/internal/stats"
 	"lbkeogh/internal/ts"
 	"lbkeogh/internal/wedge"
@@ -282,5 +285,55 @@ func TestSearchChargesSteps(t *testing.T) {
 	ix.SearchED(rs, &cnt)
 	if cnt.Steps() == 0 {
 		t.Fatal("verification steps not charged")
+	}
+}
+
+// fleetingStore hands every Fetch the same buffer, poisoned first: a row is
+// valid only until the next Fetch, the tightest lifetime a store of views
+// (segment.Pinned, whose rows die with the snapshot) could impose.
+type fleetingStore struct {
+	db  [][]float64
+	buf []float64
+}
+
+func (s *fleetingStore) Fetch(id int) []float64 {
+	for i := range s.buf {
+		s.buf[i] = math.NaN()
+	}
+	copy(s.buf, s.db[id])
+	return s.buf
+}
+func (s *fleetingStore) Len() int      { return len(s.db) }
+func (*fleetingStore) LinkTrace(int64) {}
+
+// Nothing in a probe keeps a fetched row past the comparison it was fetched
+// for — not the collector, not the trace, not the observers — so a store may
+// return views instead of copies.
+func TestProbeDoesNotRetainFetchedRows(t *testing.T) {
+	n := 32
+	db := syntheticDB(51, 40, n)
+	direct := Build(db, 8)
+	fleeting, err := BuildFromColumns(&fleetingStore{db: db, buf: make([]float64, n)}, n, 8, direct.mags, direct.paas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st obs.SearchStats
+	tlog := trace.NewLog(trace.Config{SampleRate: 1})
+	fleeting.SetObserver(&st, nil)
+	fleeting.SetTraceLog(tlog)
+	rng := ts.NewRand(52)
+	for _, opts := range []core.Options{core.DefaultOptions(), {Mirror: true, MaxShift: 3}} {
+		rs := core.NewRotationSet(ts.ZNorm(ts.AddNoise(rng, db[7], 0.05)), opts, nil)
+		for name, search := range map[string]func(*Index) []Result{
+			"SearchED":   func(ix *Index) []Result { return []Result{ix.SearchED(rs, nil)} },
+			"SearchDTW":  func(ix *Index) []Result { return []Result{ix.SearchDTW(rs, 3, 0, nil)} },
+			"SearchScan": func(ix *Index) []Result { return []Result{ix.SearchScan(rs, wedge.LCSS{Delta: 3, Eps: 0.5}, nil)} },
+			"RangeED":    func(ix *Index) []Result { return ix.RangeED(rs, 4, nil) },
+			"RangeDTW":   func(ix *Index) []Result { return ix.RangeDTW(rs, 3, 0, 3, nil) },
+		} {
+			if got, want := search(fleeting), search(direct); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %+v over fleeting rows: %+v, over stable rows %+v", name, opts, got, want)
+			}
+		}
 	}
 }

@@ -179,8 +179,9 @@ func (s *Snapshot) Features() (mags, paas [][]float64) {
 // Ingest and Compact can swap the live set with a single atomic pointer
 // store: in-flight readers keep their generation mapped until they finish.
 //
-// DB implements the index.SeriesStore contract (Fetch/Len/LinkTrace); Reads
-// is the store's own count of Fetch calls, whoever made them.
+// DB implements the index.SeriesStore contract (Fetch/Len/LinkTrace), and so
+// does its Pinned view; Reads is the store's own count of fetches through
+// either, whoever made them.
 type DB struct {
 	dir  string
 	dims int // requested feature dims for the first segment of an empty store
@@ -354,31 +355,64 @@ func (db *DB) Generation() int64 { return db.cur.Load().gen }
 
 // Fetch returns a private copy of record id's series, counting the read —
 // the index.SeriesStore contract (panic on a bad ID). The copy is safe to
-// hold across compactions.
+// hold across compactions, and costs an Acquire/Release pair and an
+// allocation per call; a reader that already holds a snapshot for as long as
+// it reads fetches through Pinned instead.
 func (db *DB) Fetch(id int) []float64 {
-	start := time.Now()
 	s := db.Acquire()
 	// Deferred, not inline: a record-access panic (backend I/O error) must
 	// not leak the snapshot reference and pin retired segments forever.
 	defer s.Release()
+	v := db.fetch(s, id)
+	out := make([]float64, len(v))
+	copy(out, v)
+	return out
+}
+
+// fetch is one counted read of record id through s, which the caller holds:
+// the row comes back as a view into s's mappings. The clock is read only
+// when a storage observer wants the fetch classified and timed.
+func (db *DB) fetch(s *Snapshot, id int) []float64 {
 	if id < 0 || id >= s.total {
 		panic(fmt.Sprintf("segment: fetch id %d out of range [0,%d)", id, s.total))
 	}
 	rec := db.obs.Load() // the disabled-observability path pays this nil check only
+	var start time.Time
 	cold := false
 	r, li := s.locate(id)
 	if rec != nil {
+		start = time.Now()
 		cold = !r.rawCovered(li)
 	}
 	v := r.Series(li)
-	out := make([]float64, len(v))
-	copy(out, v)
 	db.reads.Add(1)
 	if rec != nil {
 		rec.ObserveFetch(cold, time.Since(start))
 	}
-	return out
+	return v
 }
+
+// Pinned is the store as one held snapshot shows it — the index.SeriesStore
+// of an index built over that snapshot. Its Fetch counts and observes a read
+// exactly as DB.Fetch does but returns the row as a view, not a copy: it is
+// valid only until the snapshot is released, and only to read.
+type Pinned struct {
+	db   *DB
+	snap *Snapshot
+}
+
+// Pinned returns the store as seen through snap, which the caller has
+// acquired from db and must hold for as long as the result is in use.
+func (db *DB) Pinned(snap *Snapshot) Pinned { return Pinned{db: db, snap: snap} }
+
+// Fetch returns record id's series as a view into the pinned snapshot.
+func (p Pinned) Fetch(id int) []float64 { return p.db.fetch(p.snap, id) }
+
+// Len returns the pinned snapshot's record count.
+func (p Pinned) Len() int { return p.snap.total }
+
+// LinkTrace forwards to DB.LinkTrace.
+func (p Pinned) LinkTrace(id int64) { p.db.LinkTrace(id) }
 
 // Reads returns the number of record fetches since the last reset.
 func (db *DB) Reads() int { return int(db.reads.Load()) }

@@ -360,3 +360,80 @@ func TestManifestRecovery(t *testing.T) {
 		})
 	}
 }
+
+// Pinned.Fetch is DB.Fetch minus the Acquire/Release pair and the copy: same
+// rows, same reads count, same cold/warm classification, same range panic —
+// and rows that stay readable through a compaction because the pin outlives
+// it.
+func TestPinnedFetchMatchesFetch(t *testing.T) {
+	dir := t.TempDir()
+	bulkStore(t, dir, 100, 40)
+
+	// The access sequence of one store, read through fetch, as the storage
+	// observer classifies it.
+	run := func(fetch func(db *DB) func(id int) []float64) (cold, fetches int64, reads int) {
+		db, err := OpenDB(dir, testD)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		rec := storeobs.NewRecorder(storeobs.Config{})
+		db.SetObserver(rec)
+		f := fetch(db)
+		for pass := 0; pass < 2; pass++ {
+			for id := 0; id < 100; id += 3 {
+				if !floatsEqual(f(id), testSeries(id, testN)) {
+					t.Fatalf("fetch(%d) mismatch", id)
+				}
+			}
+		}
+		tot := rec.Totals()
+		return tot.ColdFetches, tot.Fetches(), db.Reads()
+	}
+	wantCold, wantFetches, wantReads := run(func(db *DB) func(int) []float64 { return db.Fetch })
+	gotCold, gotFetches, gotReads := run(func(db *DB) func(int) []float64 {
+		snap := db.Acquire()
+		t.Cleanup(snap.Release)
+		return db.Pinned(snap).Fetch
+	})
+	if gotCold != wantCold || gotFetches != wantFetches || gotReads != wantReads {
+		t.Fatalf("pinned: cold %d fetches %d reads %d; DB.Fetch: %d %d %d",
+			gotCold, gotFetches, gotReads, wantCold, wantFetches, wantReads)
+	}
+
+	db, err := OpenDB(dir, testD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	snap := db.Acquire()
+	defer snap.Release()
+	pin := db.Pinned(snap)
+	if pin.Len() != 100 {
+		t.Fatalf("pinned Len = %d", pin.Len())
+	}
+	row := pin.Fetch(41)
+	if canViewFloats && snap.segs[0].ZeroCopy() && &row[0] != &pin.Fetch(41)[0] {
+		t.Fatal("pinned Fetch copies under a zero-copy backend")
+	}
+	if &db.Fetch(41)[0] == &db.Fetch(41)[0] {
+		t.Fatal("DB.Fetch no longer returns a private copy")
+	}
+	ingestBatch(t, db, 100, 20)
+	if _, err := db.Compact(0); err != nil {
+		t.Fatal(err)
+	}
+	if pin.Len() != 100 || !floatsEqual(row, testSeries(41, testN)) || !floatsEqual(pin.Fetch(99), testSeries(99, testN)) {
+		t.Fatal("pinned rows did not survive a compaction under the pin")
+	}
+	for _, fetch := range []func(int) []float64{db.Fetch, pin.Fetch} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "out of range [0,") {
+					t.Errorf("bad id: panic %q, want the range message", msg)
+				}
+			}()
+			fetch(-1)
+		}()
+	}
+}

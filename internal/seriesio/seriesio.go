@@ -7,6 +7,7 @@ package seriesio
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -43,6 +44,9 @@ func ReadCSV(path string) ([]int, [][]float64, error) {
 			v, err := strconv.ParseFloat(strings.TrimSpace(fstr), 64)
 			if err != nil {
 				return nil, nil, fmt.Errorf("%s:%d: bad value %d: %v", path, line, i, err)
+			}
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, nil, fmt.Errorf("%s:%d: value %d is %v; every sample must be finite", path, line, i, v)
 			}
 			row[i] = v
 		}

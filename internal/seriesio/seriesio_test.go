@@ -38,6 +38,9 @@ func TestReadCSVErrors(t *testing.T) {
 		{"x,1,2\n3,4,5\n", "bad label"},
 		{"1,2,zzz\n3,4,5\n", "bad value"},
 		{"1,2,3\n", "at least 2 rows"},
+		{"1,2,3\n4,5,NaN\n", "db.csv:2: value 1 is NaN"},
+		{"1,-Inf,3\n4,5,6\n", "db.csv:1: value 0 is -Inf"},
+		{"1,2,3\n\n4,inf,6\n", "db.csv:3: value 0 is +Inf"},
 	}
 	for _, c := range cases {
 		if _, _, err := ReadCSV(write(t, c.content)); err == nil || !strings.Contains(err.Error(), c.wantSub) {

@@ -50,6 +50,18 @@ type Tree struct {
 // every node's envelope — the O(n²) set-up cost the paper charges to the
 // wedge strategy — is recorded on cnt (one step per sample merged).
 func Build(members [][]float64, distFn func(i, j int) float64, cnt *stats.Tally) *Tree {
+	return BuildFilled(members, func(matrix []float64) { cluster.FillMatrix(matrix, len(members), distFn) }, cnt)
+}
+
+// matrixPool recycles BuildFilled's distance matrices (*[]float64): each is
+// fully overwritten by fill and consumed by the clustering before it returns.
+var matrixPool sync.Pool
+
+// BuildFilled is Build for a caller that can write the distance matrix
+// faster than one distFn call per pair: fill must set every off-diagonal
+// entry of the row-major m×m matrix (m = len(members)), symmetrically. The
+// matrix arrives holding garbage, not zeros.
+func BuildFilled(members [][]float64, fill func(matrix []float64), cnt *stats.Tally) *Tree {
 	if len(members) == 0 {
 		panic("wedge: Build requires at least one member")
 	}
@@ -60,7 +72,15 @@ func Build(members [][]float64, distFn func(i, j int) float64, cnt *stats.Tally)
 		}
 	}
 	m := len(members)
-	dend := cluster.Agglomerative(m, distFn, cluster.Average)
+	buf, _ := matrixPool.Get().(*[]float64)
+	if buf == nil || cap(*buf) < m*m {
+		buf = new([]float64)
+		*buf = make([]float64, m*m)
+	}
+	matrix := (*buf)[:m*m]
+	fill(matrix)
+	dend := cluster.AgglomerativeMatrix(matrix, m, cluster.Average)
+	matrixPool.Put(buf)
 
 	env := make([]envelope.Envelope, len(dend.Nodes))
 	for i := 0; i < m; i++ {

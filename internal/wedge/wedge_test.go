@@ -2,6 +2,8 @@ package wedge
 
 import (
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -201,6 +203,33 @@ func TestBuildChargesSetupCost(t *testing.T) {
 	if cnt.Steps() != int64(7*32) { // m-1 merges, n steps each
 		t.Fatalf("setup steps = %d, want %d", cnt.Steps(), 7*32)
 	}
+}
+
+// The distance matrix comes from a pool shared by every build in the process
+// and arrives dirty: builds of different sizes racing each other must each
+// raise the tree a lone build over a fresh matrix raises.
+func TestBuildConcurrentSharesMatrixPool(t *testing.T) {
+	sizes := []int{5, 40, 17, 64, 9, 33}
+	want := make([]*Tree, len(sizes))
+	for i, m := range sizes {
+		want[i], _ = buildRandomTree(int64(30+i), m, 16)
+	}
+	var wg sync.WaitGroup
+	for g := range sizes {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for b := 0; b < 40; b++ {
+				i := (g + b) % len(sizes)
+				got, _ := buildRandomTree(int64(30+i), sizes[i], 16)
+				if !reflect.DeepEqual(got.dend, want[i].dend) || !reflect.DeepEqual(got.env, want[i].env) {
+					t.Errorf("goroutine %d build %d (m=%d): tree differs from the serial build", g, b, sizes[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestKernelMetadata(t *testing.T) {

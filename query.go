@@ -175,6 +175,11 @@ func NewQuery(series Series, m Measure, opts ...QueryOption) (*Query, error) {
 	if len(series) < 2 {
 		return nil, fmt.Errorf("lbkeogh: query series needs >= 2 samples, got %d", len(series))
 	}
+	for i, v := range series {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("lbkeogh: query sample %d is %v; every sample must be finite", i, v)
+		}
+	}
 	cfg := queryConfig{maxShift: -1, intervals: 5}
 	for _, o := range opts {
 		o(&cfg)
