@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint bce-baseline test race race-concurrency bench smoke ingest-smoke govulncheck ci clean
+.PHONY: all build vet lint bce-baseline test race race-concurrency pins bench smoke ingest-smoke govulncheck ci clean
 
 all: build
 
@@ -41,6 +41,14 @@ race:
 race-concurrency:
 	$(GO) test -race -count=2 . ./internal/server/... ./internal/stream/... ./internal/obs/... ./internal/core/... ./internal/wedge/... ./internal/cluster/...
 
+# The pinned step tables (one scan's whole stats record, the index-path
+# oracle's steps per cell, the collector's scans, a trace's composition) run
+# three times over: a pin that moves between runs of one binary is not a pin.
+# Nothing the dynamic-K controller decides may depend on a clock, a map order
+# or a goroutine schedule.
+pins:
+	$(GO) test -count=3 -run 'TestPinned|TestIndexPathOracle|TestCollectorScanInto|TestTraceCompositionPinned' . ./internal/core
+
 # Short benchmark pass: one iteration of every benchmark, no unit tests. It
 # checks that they run; a performance number comes from the repo benchmark
 # (`bash benchmark/run.sh --workload <w>`, see benchmark/README.md).
@@ -68,7 +76,7 @@ govulncheck:
 		echo "govulncheck not installed; skipping"; \
 	fi
 
-ci: build vet lint race race-concurrency bench smoke govulncheck
+ci: build vet lint race race-concurrency pins bench smoke govulncheck
 
 # Removes what the repo benchmark builds; nothing committed lives there.
 clean:

@@ -18,6 +18,7 @@ package lbkeogh
 //   BenchmarkKernel*    — raw distance kernels and bounds
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -199,30 +200,48 @@ func BenchmarkTable8Classification(b *testing.B) {
 
 // --- Ablations ----------------------------------------------------------------
 
-// Dynamic K against pinned wedge-set sizes (design decision 3).
+// Dynamic K against a sweep of pinned wedge-set sizes (design decision 3),
+// on the figures' 512 projectile points, on scan-ed's shape (16 000 of them)
+// and on scan-dtw's (4 096 heterogeneous shapes under DTW(5)): the sweep
+// shows where the cheapest K sits at each size and how close the controller
+// comes to it without being told. Four held-out queries per case — one
+// query's cheapest K says little about the next one's.
 func BenchmarkAblationDynamicK(b *testing.B) {
-	loadBenchData()
-	db, query := benchData.projDB, benchData.projQuery
-	for _, cfg := range []struct {
+	const queries = 4
+	for _, tc := range []struct {
 		name   string
-		fixedK int
+		family func(seed int64, m, n int) [][]float64
+		m, n   int
+		kernel wedge.Kernel
 	}{
-		{"dynamic", 0},
-		{"K1", 1},
-		{"Ksqrt", int(math.Sqrt(251))},
-		{"Kmax", 251},
+		{"ed-m512", synth.ProjectilePoints, 512, 251, wedge.ED{}},
+		{"ed-m16000", synth.ProjectilePoints, 16000, 251, wedge.ED{}},
+		{"dtw5-m4096", synth.Heterogeneous, 4096, 256, wedge.DTW{R: 5}},
 	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			var steps int64
-			for i := 0; i < b.N; i++ {
-				var cnt stats.Counter
-				rs := core.NewRotationSet(query, core.DefaultOptions(), &cnt)
-				s := core.NewSearcher(rs, wedge.ED{}, core.Wedge, core.SearcherConfig{FixedK: cfg.fixedK})
-				s.Scan(db, &cnt)
-				steps += cnt.Steps()
+		var db [][]float64 // generated by the first sub-benchmark that runs
+		for _, fixedK := range []int{0, 1, 2, 4, 8, 16, 32, tc.n} {
+			name := "dynamic"
+			if fixedK > 0 {
+				name = fmt.Sprintf("K%d", fixedK)
 			}
-			b.ReportMetric(float64(steps)/float64(b.N)/float64(len(db)), "steps/comparison")
-		})
+			b.Run(tc.name+"/"+name, func(b *testing.B) {
+				if db == nil {
+					db = tc.family(2006, tc.m+queries, tc.n)
+					b.ResetTimer()
+				}
+				var steps int64
+				for i := 0; i < b.N; i++ {
+					for _, query := range db[tc.m:] {
+						var cnt stats.Counter
+						rs := core.NewRotationSet(query, core.DefaultOptions(), &cnt)
+						s := core.NewSearcher(rs, tc.kernel, core.Wedge, core.SearcherConfig{FixedK: fixedK})
+						s.Scan(db[:tc.m], &cnt)
+						steps += cnt.Steps()
+					}
+				}
+				b.ReportMetric(float64(steps)/float64(b.N)/float64(queries*tc.m), "steps/comparison")
+			})
+		}
 	}
 }
 

@@ -14,7 +14,10 @@ import (
 // prune breakdown, each dynamic-K change with the comparison it was stamped
 // at, and the Steps total including set-up (for DTW that includes the
 // widened-wedge build charged to the first comparison). A change that moves
-// any of them has changed what a comparison does, not only what it costs.
+// any of them has changed what a comparison does, not only what it costs —
+// as the windowed dynamic-K controller did: the neighbour and its distance
+// are 23903a4's, everything that depends on K was re-pinned with it
+// (CHANGES.md PR 21 lists old -> new).
 func TestPinnedScanRecord(t *testing.T) {
 	for _, tc := range []struct {
 		measure lbkeogh.Measure
@@ -25,26 +28,26 @@ func TestPinnedScanRecord(t *testing.T) {
 		traj    []lbkeogh.KChange
 	}{
 		{
-			measure: lbkeogh.Euclidean(), index: 330, steps: 74517,
+			measure: lbkeogh.Euclidean(), index: 330, steps: 70179,
 			counts: obs.Counts{
-				Comparisons: 400, Rotations: 18800, Steps: 70193,
-				FullDistEvals: 21, EarlyAbandons: 1009,
-				WedgeNodeVisits: 538, WedgeLeafVisits: 1030, WedgePrunedMembers: 17770,
+				Comparisons: 400, Rotations: 18800, Steps: 65855,
+				FullDistEvals: 16, EarlyAbandons: 285,
+				WedgeNodeVisits: 444, WedgeLeafVisits: 301, WedgePrunedMembers: 18499,
 				KChanges: 5,
 			},
-			levels: []int64{0, 341, 360, 577, 577, 240, 45},
-			traj:   []lbkeogh.KChange{{Comparison: 8, From: 2, To: 29}, {Comparison: 19, From: 29, To: 39}, {Comparison: 30, From: 39, To: 8}, {Comparison: 64, From: 8, To: 2}, {Comparison: 338, From: 2, To: 11}},
+			levels: []int64{0, 53, 377, 1655, 810, 483, 9},
+			traj:   []lbkeogh.KChange{{Comparison: 64, From: 2, To: 3}, {Comparison: 96, From: 3, To: 5}, {Comparison: 128, From: 5, To: 7}, {Comparison: 343, From: 7, To: 10}, {Comparison: 375, From: 10, To: 15}},
 		},
 		{
-			measure: lbkeogh.DTW(5), index: 330, steps: 2359039,
+			measure: lbkeogh.DTW(5), index: 330, steps: 2929062,
 			counts: obs.Counts{
-				Comparisons: 400, Rotations: 18800, Steps: 2354715,
-				FullDistEvals: 13, EarlyAbandons: 13795,
-				WedgeNodeVisits: 1365, WedgeLeafVisits: 18630, WedgePrunedMembers: 170, WedgeLeafLBPrunes: 4822,
-				KChanges: 6,
+				Comparisons: 400, Rotations: 18800, Steps: 2924738,
+				FullDistEvals: 12, EarlyAbandons: 13804,
+				WedgeNodeVisits: 14343, WedgeLeafVisits: 16002, WedgePrunedMembers: 2798, WedgeLeafLBPrunes: 2186,
+				KChanges: 5,
 			},
-			levels: []int64{0, 0, 0, 2, 28, 36, 13},
-			traj:   []lbkeogh.KChange{{Comparison: 8, From: 2, To: 38}, {Comparison: 19, From: 38, To: 43}, {Comparison: 29, From: 43, To: 44}, {Comparison: 49, From: 44, To: 47}, {Comparison: 57, From: 47, To: 37}, {Comparison: 91, From: 37, To: 47}},
+			levels: []int64{0, 1, 22, 72, 477, 425, 64},
+			traj:   []lbkeogh.KChange{{Comparison: 64, From: 2, To: 3}, {Comparison: 96, From: 3, To: 5}, {Comparison: 320, From: 5, To: 7}, {Comparison: 352, From: 7, To: 10}, {Comparison: 384, From: 10, To: 15}},
 		},
 	} {
 		db := lbkeogh.SyntheticProjectilePoints(19, 401, 47)

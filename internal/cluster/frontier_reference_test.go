@@ -114,9 +114,20 @@ func refFrontier(d *Dendrogram, k int) []int {
 
 func checkFrontierAgainstReference(t *testing.T, name string, d *Dendrogram) {
 	t.Helper()
+	var ks []int
 	for k := 0; k <= d.NLeaves+1; k++ {
 		if got, want := d.Frontier(k), refFrontier(d, k); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: Frontier(%d) = %v, reference %v", name, k, got, want)
+		}
+		if k%3 != 1 {
+			ks = append(ks, k)
+		}
+	}
+	// One walk through an ascending list stops at each cut a walk of its own
+	// would have reached.
+	for i, got := range d.Frontiers(ks) {
+		if want := refFrontier(d, ks[i]); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Frontiers(%v)[%d] = %v, reference %v", name, ks, i, got, want)
 		}
 	}
 }

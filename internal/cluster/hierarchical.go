@@ -267,31 +267,34 @@ func cutPop(h []cutNode) ([]cutNode, cutNode) {
 // into its children until K nodes remain. This reproduces the wedge sets of
 // Figure 10 — W(K) for K = 1 is the root wedge, W(m) is the individual
 // leaves. K is clamped to [1, NLeaves].
-func (d *Dendrogram) Frontier(k int) []int {
-	if k < 1 {
-		k = 1
-	}
-	if k > d.NLeaves {
-		k = d.NLeaves
-	}
-	h := make([]cutNode, 0, k+1)
+func (d *Dendrogram) Frontier(k int) []int { return d.Frontiers([]int{k})[0] }
+
+// Frontiers returns Frontier(k) for every k of ks, which must ascend, in one
+// walk from the root: the cut for a larger K continues the splitting where
+// the cut for a smaller one stopped.
+func (d *Dendrogram) Frontiers(ks []int) [][]int {
+	out := make([][]int, len(ks))
+	h := make([]cutNode, 0, min(ks[len(ks)-1], d.NLeaves)+1)
 	h = cutPush(h, cutNode{d.Root(), d.Nodes[d.Root()].Height})
-	for len(h) < k {
-		var top cutNode
-		h, top = cutPop(h)
-		n := d.Nodes[top.id]
-		if n.Left < 0 {
-			// A leaf cannot be split; keep it and stop if everything left is
-			// a leaf. (Cannot occur for k <= NLeaves, but keep it safe.)
-			h = cutPush(h, cutNode{top.id, -1})
-			break
+	for i, k := range ks {
+		k = min(max(k, 1), d.NLeaves)
+		for len(h) < k {
+			var top cutNode
+			h, top = cutPop(h)
+			n := d.Nodes[top.id]
+			if n.Left < 0 {
+				// A leaf cannot be split; keep it and stop if everything left is
+				// a leaf. (Cannot occur for k <= NLeaves, but keep it safe.)
+				h = cutPush(h, cutNode{top.id, -1})
+				break
+			}
+			h = cutPush(h, cutNode{n.Left, d.Nodes[n.Left].Height})
+			h = cutPush(h, cutNode{n.Right, d.Nodes[n.Right].Height})
 		}
-		h = cutPush(h, cutNode{n.Left, d.Nodes[n.Left].Height})
-		h = cutPush(h, cutNode{n.Right, d.Nodes[n.Right].Height})
-	}
-	out := make([]int, len(h))
-	for i, c := range h {
-		out[i] = c.id
+		out[i] = make([]int, len(h))
+		for j, c := range h {
+			out[i][j] = c.id
+		}
 	}
 	return out
 }

@@ -111,8 +111,10 @@ type SearcherConfig struct {
 	// FixedK, when > 0, pins the wedge-set size instead of running the
 	// dynamic controller — used by the ablation benches.
 	FixedK int
-	// ProbeIntervals is the dynamic controller's single parameter (paper: 5).
-	// <= 0 selects 5.
+	// ProbeIntervals is the dynamic controller's single parameter (paper: 5):
+	// the resolution of its K ladder, whose rungs are maxK^(1/(2·intervals))
+	// apart (see wedge.NewDynamicK). The paper found 3..20 indistinguishable
+	// and so does this controller. <= 0 selects 5.
 	ProbeIntervals int
 	// Obs, when non-nil, receives the structured pruning/cost record of
 	// every comparison. It is safe to share one record across the searchers
@@ -145,6 +147,9 @@ func NewSearcher(rs *RotationSet, kernel wedge.Kernel, strategy Strategy, cfg Se
 		dyn:       wedge.NewDynamicK(rs.Members(), intervals),
 		obs:       cfg.Obs,
 		tracer:    cfg.Tracer,
+	}
+	if strategy == Wedge && cfg.FixedK <= 0 {
+		rs.tree.CutFrontiers(s.dyn.Ladder())
 	}
 	s.dyn.SetChangeHook(func(oldK, newK int) {
 		// Fires after the comparison's flush: the record counts the change
@@ -278,7 +283,7 @@ func (s *Searcher) matchSeries(x []float64, r float64, cnt *stats.Counter, rec *
 	// partial step count would bias the wedge-set size and leave the query in
 	// a different adaptive state than an uncancelled run.
 	if s.strategy == Wedge && s.fixedK <= 0 && !m.aborted {
-		s.dyn.Observe(steps, m.found)
+		s.dyn.Observe(steps)
 	}
 	return m
 }

@@ -112,10 +112,11 @@ func BenchmarkMatchSeriesTraced(b *testing.B) {
 	}
 }
 
-// TestMatchSeriesDoesNotAllocate holds the comparison to its scratch: in the
-// steady state of a scan — best-so-far found, wedge-set size settled —
-// MatchSeries allocates nothing: not the H-Merge stack, not a step tally
-// escaping through the Kernel interface, not a frontier slice.
+// TestMatchSeriesDoesNotAllocate holds the comparison to its scratch: once a
+// scan has found its best-so-far, MatchSeries allocates nothing: not the
+// H-Merge stack, not a step tally escaping through the Kernel interface, and
+// not a frontier cut — not even the first time the dynamic-K controller puts
+// a rung on trial or moves to it, because NewSearcher cut the whole ladder.
 func TestMatchSeriesDoesNotAllocate(t *testing.T) {
 	rs, db := guardSetup()
 	for _, kernel := range []wedge.Kernel{wedge.ED{}, wedge.DTW{R: 5}} {
@@ -123,14 +124,26 @@ func TestMatchSeriesDoesNotAllocate(t *testing.T) {
 		var cnt stats.Counter
 		best := s.Scan(db, &cnt).Dist
 		visits := s.obs.Counts().WedgeNodeVisits
+		usedK := make([]bool, rs.Members()+1)
 		rescan := func() {
 			for _, x := range db {
-				s.MatchSeries(x, best, &cnt) // nothing beats the best: no probe restarts
+				usedK[s.dyn.K()] = true
+				s.MatchSeries(x, best, &cnt)
 			}
 		}
-		rescan() // lets a probe the scan left running finish
+		rescan() // grows the H-Merge stack to its high-water mark
+		clear(usedK)
 		if allocs := testing.AllocsPerRun(10, rescan); allocs != 0 {
 			t.Errorf("%s: %v allocations per %d-comparison scan, want 0", kernel.Name(), allocs, len(db))
+		}
+		distinct := 0
+		for _, used := range usedK {
+			if used {
+				distinct++
+			}
+		}
+		if distinct < 2 {
+			t.Errorf("%s: the measured rescans ran at one K; the test must cross a change of K", kernel.Name())
 		}
 		if s.obs.Counts().WedgeNodeVisits == visits {
 			t.Errorf("%s: the rescans never descended a wedge; the test measures nothing", kernel.Name())

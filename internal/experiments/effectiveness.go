@@ -268,8 +268,9 @@ func ChainCodeBaseline(seed int64, classes, perClass, size, sigLen int) (*ChainC
 }
 
 // ProbeSensitivityResult reports wedge-search cost as a function of the
-// dynamic-K controller's single parameter (the probe interval count). The
-// paper reports any value in 3..20 stays within 4% (Section 5.3).
+// dynamic-K controller's single parameter (the paper's probe interval count,
+// which sets the resolution of the controller's K ladder). The paper reports
+// any value in 3..20 stays within 4% (Section 5.3).
 type ProbeSensitivityResult struct {
 	Intervals []int
 	Steps     []float64 // steps per comparison

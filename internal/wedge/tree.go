@@ -163,6 +163,24 @@ func (t *Tree) frontierFor(k int) []int {
 	return f
 }
 
+// CutFrontiers cuts and caches the dendrogram at every K of ks, which must
+// ascend, in one walk. A searcher whose controller moves among a fixed ladder
+// of sizes calls it once, so that no comparison pays for (or allocates) a
+// cut, and the cache holds the ladder's cuts rather than one per K ever
+// tried.
+func (t *Tree) CutFrontiers(ks []int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, k := range ks {
+		if _, ok := t.frontier[k]; !ok {
+			for i, cut := range t.dend.Frontiers(ks) {
+				t.frontier[ks[i]] = cut
+			}
+			return
+		}
+	}
+}
+
 // MaxK returns the largest meaningful wedge-set size (one wedge per member).
 func (t *Tree) MaxK() int { return len(t.members) }
 

@@ -246,78 +246,6 @@ func TestKernelMetadata(t *testing.T) {
 	}
 }
 
-func TestDynamicKStartsAtTwo(t *testing.T) {
-	d := NewDynamicK(100, 5)
-	if d.K() != 2 {
-		t.Fatalf("initial K = %d, want 2", d.K())
-	}
-	d = NewDynamicK(1, 5)
-	if d.K() != 1 {
-		t.Fatalf("clamped initial K = %d, want 1", d.K())
-	}
-}
-
-func TestDynamicKProbesAndSettles(t *testing.T) {
-	d := NewDynamicK(64, 5)
-	// No change: K stays.
-	d.Observe(100, false)
-	if d.K() != 2 {
-		t.Fatal("K should not move without a best-so-far change")
-	}
-	// Change triggers probing over candidates; make the largest candidate
-	// the clear winner and check the controller settles on it.
-	d.Observe(100, true)
-	if !d.probing {
-		t.Fatal("probe should have started")
-	}
-	cands := append([]int{}, d.candidates...)
-	wantK := 0
-	for _, k := range cands {
-		if k > wantK {
-			wantK = k
-		}
-	}
-	for range cands {
-		k := d.K()
-		d.Observe(int64(1000-k), false) // cheapest at largest K
-	}
-	if d.probing {
-		t.Fatal("probe should have finished")
-	}
-	if d.Current() != wantK {
-		t.Fatalf("settled K = %d, want %d", d.Current(), wantK)
-	}
-}
-
-func TestDynamicKCandidatesInRange(t *testing.T) {
-	for _, intervals := range []int{1, 3, 5, 20} {
-		for _, maxK := range []int{1, 2, 7, 100} {
-			d := NewDynamicK(maxK, intervals)
-			d.curK = (maxK + 1) / 2
-			for _, k := range d.candidateKs() {
-				if k < 1 || k > maxK {
-					t.Fatalf("candidate %d outside [1,%d]", k, maxK)
-				}
-			}
-		}
-	}
-}
-
-func TestDynamicKRearmsAfterChangeDuringProbe(t *testing.T) {
-	d := NewDynamicK(32, 3)
-	d.Observe(10, true) // start probe
-	if !d.probing {
-		t.Fatal("probe should have started")
-	}
-	n := len(d.candidates)
-	for i := 0; i < n; i++ {
-		d.Observe(int64(50-i), i == 0) // change during probe
-	}
-	if !d.probing {
-		t.Fatal("controller should have re-armed a probe after mid-probe change")
-	}
-}
-
 // sameEnvelope reports whether two envelopes agree exactly, sample for sample.
 func sameEnvelope(a, b envelope.Envelope) bool {
 	return ts.Equal(a.U, b.U, 0) && ts.Equal(a.L, b.L, 0)

@@ -104,8 +104,8 @@ func WithStrategy(s Strategy) QueryOption {
 }
 
 // WithFixedWedgeCount pins the wedge-set size K instead of adapting it
-// dynamically. Intended for experiments; the dynamic controller is almost
-// always at least as good.
+// dynamically. Intended for experiments: the dynamic controller comes within
+// a tenth of the best fixed K's steps without being told where it is.
 func WithFixedWedgeCount(k int) QueryOption {
 	return func(c *queryConfig) { c.fixedK = k }
 }
