@@ -35,11 +35,12 @@ race:
 # Focused race pass over the concurrency-heavy packages (server admission and
 # session pooling, streaming ingest, rolling telemetry windows, the parallel
 # scan's shared best-so-far, the matrix pool every concurrent query build
-# shares, and the root package's MetricsHandler / PublishExpvar over a live
-# Query): -count=2 reruns shake out init-order-dependent interleavings that a
-# single -race pass can miss.
+# shares, the index every in-flight server session probes at once, and the
+# root package's MetricsHandler / PublishExpvar over a live Query): -count=2
+# reruns shake out init-order-dependent interleavings that a single -race pass
+# can miss.
 race-concurrency:
-	$(GO) test -race -count=2 . ./internal/server/... ./internal/stream/... ./internal/obs/... ./internal/core/... ./internal/wedge/... ./internal/cluster/...
+	$(GO) test -race -count=2 . ./internal/server/... ./internal/stream/... ./internal/obs/... ./internal/core/... ./internal/wedge/... ./internal/cluster/... ./internal/index/... ./internal/vptree/...
 
 # The pinned step tables (one scan's whole stats record, the index-path
 # oracle's steps per cell, the collector's scans, a trace's composition) run

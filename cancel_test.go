@@ -314,3 +314,71 @@ func TestSearchContextNilContext(t *testing.T) {
 		t.Fatalf("nil-ctx search %+v != Search %+v", got, want)
 	}
 }
+
+// TestIndexSearchContextCancellation is the cancellation contract through the
+// index probe: an already-expired context does no work; a trip mid-probe
+// returns ctx.Err() within one checkpoint interval with the undisposed
+// rotations in CancelledMembers, so the record reconciles; the query stays
+// reusable and the shared index answers the next query as if nothing happened.
+func TestIndexSearchContextCancellation(t *testing.T) {
+	const n = 512
+	db := demoDB(14, 12, n)
+	ix, err := NewIndex(db, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, _ := NewQuery(db[0], Euclidean())
+	want, err := fresh.Search(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	done, cancelFn := context.WithCancel(context.Background())
+	cancelFn()
+	q, _ := NewQuery(db[0], Euclidean())
+	if _, err := ix.SearchContext(done, q); err != context.Canceled {
+		t.Fatalf("search: want context.Canceled, got %v", err)
+	}
+	if _, err := ix.SearchTopKContext(done, q, 3); err != context.Canceled {
+		t.Fatalf("topk: want context.Canceled, got %v", err)
+	}
+	if _, err := ix.SearchRangeContext(done, q, 10); err != context.Canceled {
+		t.Fatalf("range: want context.Canceled, got %v", err)
+	}
+	if st := q.Stats(); st.Comparisons != 0 || st.IndexFetches != 0 || ix.DiskReads() != 0 || ix.Stats().Comparisons != 0 {
+		t.Fatalf("pre-cancelled index searches still worked: query %+v, index read %d", st, ix.DiskReads())
+	}
+
+	// One singleton wedge per rotation, so the walk checkpoints at rotation
+	// granularity (see TestSearchContextMidScanPromptness) and the trip lands
+	// inside the first fetched candidate's comparison.
+	q, _ = NewQuery(db[0], Euclidean(), WithFixedWedgeCount(n))
+	const after = 4 // trip on the 5th ctx.Err() poll
+	if _, err := ix.SearchContext(newFlipCtx(after), q); err != context.Canceled {
+		t.Fatalf("mid-probe: want context.Canceled, got %v", err)
+	}
+	st := q.Stats()
+	if !st.Reconciles() || st.CancelledMembers == 0 || st.IndexFetches == 0 || st.IndexFetches != int64(ix.DiskReads()) {
+		t.Fatalf("cancelled-probe stats: %+v (index read %d)", st, ix.DiskReads())
+	}
+	if disposed, bound := st.Rotations-st.CancelledMembers, int64((after+1)*core.CancelCheckInterval); disposed > bound {
+		t.Fatalf("disposed %d rotations before stopping, want <= %d (of %d)", disposed, bound, st.Rotations)
+	}
+	if cum := ix.Stats(); cum.Counts != st.Counts {
+		t.Fatalf("index record %+v, the cancelled query's %+v", cum.Counts, st.Counts)
+	}
+
+	// The cancelled query, and the index under another query, still answer.
+	for name, again := range map[string]*Query{"cancelled query": q, "fresh query": fresh} {
+		got, err := ix.Search(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Index != want.Index || math.Float64bits(got.Dist) != math.Float64bits(want.Dist) {
+			t.Fatalf("%s after the cancellation: %+v, want %+v", name, got, want)
+		}
+	}
+	if !ix.Stats().Reconciles() {
+		t.Fatalf("index record after the cancellation: %+v", ix.Stats().Counts)
+	}
+}

@@ -43,7 +43,7 @@ func main() {
 		radius   = flag.Float64("radius", -1, "range query: report all matches within this distance (with -indexed)")
 		parallel = flag.Int("parallel", 1, "worker goroutines for the linear scan (0 = GOMAXPROCS)")
 		emitStat = flag.Bool("stats", false, "print the search's pruning breakdown as JSON after the results")
-		explain  = flag.Bool("explain", false, "run the search in EXPLAIN mode and print the structured plan (stage waterfall, bound tightness, survivors) as JSON; not supported with -indexed")
+		explain  = flag.Bool("explain", false, "run the search in EXPLAIN mode and print the structured plan (stage waterfall, bound tightness, survivors) as JSON")
 		health   = flag.Bool("index-health", false, "print the index structural health report (VP-tree, R-tree, wedge hierarchy) as JSON; builds the index if -indexed is off")
 		pprofOn  = flag.String("pprof", "", "serve /metrics (Prometheus text), /debug/vars and /debug/pprof/ on this address and block after the search")
 		serveOn  = flag.String("serve", "", "like -pprof, but additionally trace the search (every query sampled) and serve the live /debug/lbkeogh dashboard")
@@ -108,10 +108,6 @@ func main() {
 		os.Exit(1)
 	}
 	if *explain {
-		if *indexed {
-			fmt.Fprintln(os.Stderr, "shapesearch: -explain is not supported with -indexed (the index runs its own searchers)")
-			os.Exit(2)
-		}
 		q.SetExplain(true)
 	}
 
@@ -199,11 +195,7 @@ func main() {
 		emitJSON("-index-health", report)
 	}
 	if *emitStat {
-		st := q.Stats()
-		if statIx != nil {
-			st = statIx.Stats() // indexed searches record into the index
-		}
-		emitJSON("-stats", st)
+		emitJSON("-stats", q.Stats()) // an indexed search runs through the query too
 	}
 	if addr != "" {
 		fmt.Printf("search done; serving /metrics, /debug/lbkeogh and /debug/pprof/ on %s (interrupt to stop)\n", addr)

@@ -228,12 +228,12 @@ func (q *Query) Explain() *ExplainPlan {
 		SampledComparisons: q.exp.LocalSamples(),
 		Tightness:          q.exp.LocalTightness(),
 	}
-	for i, c := range q.exp.Comparisons() {
+	for _, c := range q.exp.Comparisons() {
 		if !c.Found {
 			continue
 		}
 		plan.Survivors = append(plan.Survivors, ExplainSurvivor{
-			Index:      i,
+			Index:      c.Ref,
 			Dist:       c.Dist,
 			AdmittedBy: admittedBy(c.Delta),
 		})

@@ -1,8 +1,11 @@
 package lbkeogh
 
 import (
+	"context"
 	"fmt"
+	"math"
 
+	"lbkeogh/internal/core"
 	"lbkeogh/internal/index"
 	"lbkeogh/internal/obs"
 	"lbkeogh/internal/segment"
@@ -15,6 +18,11 @@ import (
 // D-dimensional compressed representation — rotation-invariant Fourier
 // magnitudes plus PAA means — stays in memory. Queries are answered exactly;
 // the index only decides which objects must be fetched for verification.
+//
+// An Index is safe for concurrent use by distinct Query values: searching
+// changes nothing in it but atomic counters, so one index serves any number
+// of goroutines, each with its own query (a Query itself is not safe for
+// concurrent use). Attach a trace log (SetTraceLog) before sharing it.
 type Index struct {
 	ix     *index.Index
 	n      int
@@ -22,7 +30,6 @@ type Index struct {
 	closer func() error // set for segment-backed indexes
 	seg    *segment.DB  // set for segment-backed indexes
 	obs    obs.SearchStats
-	tracer Tracer
 	tlog   *TraceLog
 }
 
@@ -33,29 +40,26 @@ type Index struct {
 // do not Close it directly.
 func (ix *Index) SegmentStore() *segment.DB { return ix.seg }
 
-// initObserver wires the index's instrumentation record (and any tracer)
-// into the internal layer; called at construction and by SetTracer.
-// Tracer aliases the internal interface, so no adapter is needed.
-func (ix *Index) initObserver() {
-	ix.ix.SetObserver(&ix.obs, ix.tracer)
-}
-
 // Stats returns a snapshot of the index's instrumentation record,
 // cumulative over every query answered: index-level candidate and fetch
-// counts, disk reads, and the verification searches' pruning breakdowns.
-// When a TraceLog is attached, the snapshot additionally carries the log's
-// per-stage latency summaries.
+// counts, disk reads, and the verification searches' pruning counters. Each
+// search also lands on its own query's record (Query.Stats), which alone
+// carries the per-level prune breakdown, the steps histogram and the dynamic-K
+// trajectory. When a TraceLog is attached, the snapshot additionally carries
+// the log's per-stage latency summaries.
 func (ix *Index) Stats() SearchStats {
 	s := ix.obs.Snapshot()
 	s.StageLatencies = ix.tlog.inner().Latencies().Snapshot()
 	return s
 }
 
-// SetTraceLog attaches a TraceLog (nil detaches): every subsequent query
-// records a span trace — index probe, per-candidate disk fetch, and the
-// verification comparisons — sampled and screened for slow queries by the
-// log, and every fetch's duration feeds the log's disk_read histogram. Not
-// safe to call concurrently with queries.
+// SetTraceLog attaches a TraceLog (nil detaches): every fetch's duration
+// feeds the log's disk_read histogram, and every subsequent search by a query
+// that carries no trace log of its own records its span trace — index probe,
+// per-candidate disk fetch, and the verification comparisons — here, sampled
+// and screened for slow queries by the log. A query built WithTraceLog
+// records the same spans into its own log, under its search span. Not safe to
+// call concurrently with queries.
 func (ix *Index) SetTraceLog(t *TraceLog) {
 	ix.tlog = t
 	ix.ix.SetTraceLog(t.inner())
@@ -64,13 +68,6 @@ func (ix *Index) SetTraceLog(t *TraceLog) {
 // ResetStats zeroes the instrumentation record (the DiskReads counter is
 // independent; see ResetDiskReads).
 func (ix *Index) ResetStats() { ix.obs.Reset() }
-
-// SetTracer installs a Tracer receiving per-fetch and verification-search
-// events (nil removes it). Not safe to call concurrently with queries.
-func (ix *Index) SetTracer(t Tracer) {
-	ix.tracer = t
-	ix.initObserver()
-}
 
 // NewIndex builds an index over db, keeping dims compressed dimensions per
 // object (the paper evaluates dims in {4, 8, 16, 32}). All series must share
@@ -92,7 +89,7 @@ func NewIndex(db []Series, dims int) (*Index, error) {
 		dims = n / 2
 	}
 	out := &Index{ix: index.Build(db, dims), n: n, m: len(db)}
-	out.initObserver()
+	out.ix.SetObserver(&out.obs)
 	return out, nil
 }
 
@@ -162,7 +159,7 @@ func OpenSegmentIndex(dir string, dims int) (*Index, error) {
 		snap.Release()
 		return store.Close()
 	}}
-	out.initObserver()
+	out.ix.SetObserver(&out.obs)
 	return out, nil
 }
 
@@ -188,50 +185,91 @@ func (ix *Index) DiskReads() int { return ix.ix.Reads() }
 // ResetDiskReads zeroes the disk-access counter.
 func (ix *Index) ResetDiskReads() { ix.ix.ResetReads() }
 
-// SearchRange returns every indexed series whose exact rotation-invariant
-// distance to the query is strictly below radius, in ascending database
-// order — the "range" search of the paper's Section 3. Supports the
-// Euclidean and DTW measures.
-func (ix *Index) SearchRange(q *Query, radius float64) ([]SearchResult, error) {
-	if q.Len() != ix.n {
-		return nil, fmt.Errorf("lbkeogh: query length %d != indexed length %d", q.Len(), ix.n)
+// probe is every index search: Query.search's bracket around the internal
+// probe, which runs through the query's own searcher — so under its strategy,
+// options, adaptive state and statistics — keeping the k nearest strictly
+// below limit (k = 0: all of them).
+func (ix *Index) probe(ctx context.Context, q *Query, label string, k int, limit float64) ([]SearchResult, error) {
+	check := func() error {
+		if q.Len() != ix.n {
+			return fmt.Errorf("lbkeogh: query length %d != indexed length %d", q.Len(), ix.n)
+		}
+		return nil
 	}
-	if radius <= 0 {
-		return nil, fmt.Errorf("lbkeogh: radius must be positive")
+	res, err := q.search(ctx, label, check, func(ctx context.Context) ([]core.ScanResult, error) {
+		c := core.NewCollector(k, limit)
+		err := ix.ix.Probe(ctx, label, q.searcher, 0, c, &q.counter)
+		return c.Results(), err
+	})
+	// The trace is the query's: its ID exists only now, once it is finished
+	// and retained, for the store to stamp this search's fetches with.
+	if q.lastTraceID != 0 {
+		ix.ix.LinkTrace(q.lastTraceID)
 	}
-	var rs []index.Result
-	switch kern := q.searcher.Kernel().(type) {
-	case wedge.ED:
-		rs = ix.ix.RangeED(q.rs, radius, &q.counter)
-	case wedge.DTW:
-		rs = ix.ix.RangeDTW(q.rs, kern.R, 0, radius, &q.counter)
-	default:
-		return nil, fmt.Errorf("lbkeogh: range search supports Euclidean and DTW measures, not %s", q.measure.Name())
-	}
-	return q.results(rs), nil
+	return res, err
 }
 
 // Search answers the query exactly against the indexed database: same
 // result as Query.Search over the same data, but touching only the objects
 // whose compressed lower bound cannot rule them out. Supports the Euclidean
 // and DTW measures (LCSS queries fall back to a full scan).
+//
+// The search runs through the query's own searcher: its strategy and options
+// (WithFixedWedgeCount, WithBestFirstTraversal, WithTracer, WithTraceLog,
+// SetExplain) apply, and its steps and statistics land on q.Steps and
+// q.Stats as well as on the index's cumulative record.
+//
+// Ties: candidates are verified in the order the index proposes them, not in
+// database order, so among rows at exactly the same distance (duplicates) the
+// one reported — or, for top-K and range, their relative order — may differ
+// from the flat scan's "lowest index first". Distances never differ.
 func (ix *Index) Search(q *Query) (SearchResult, error) {
-	if q.Len() != ix.n {
-		return SearchResult{}, fmt.Errorf("lbkeogh: query length %d != indexed length %d", q.Len(), ix.n)
+	return ix.SearchContext(context.Background(), q)
+}
+
+// SearchContext is Search bounded by ctx, with Query.SearchContext's
+// cancellation semantics: ctx.Err() within one checkpoint interval, the
+// undisposed rotations reported in CancelledMembers, the query reusable and
+// the index untouched; an already-expired ctx does no work.
+func (ix *Index) SearchContext(ctx context.Context, q *Query) (SearchResult, error) {
+	rs, err := ix.probe(ctx, q, "index_search", 1, math.Inf(1))
+	if err != nil {
+		return SearchResult{}, err
 	}
-	var r index.Result
-	switch kern := q.searcher.Kernel().(type) {
-	case wedge.ED:
-		r = ix.ix.SearchED(q.rs, &q.counter)
-	case wedge.DTW:
-		r = ix.ix.SearchDTW(q.rs, kern.R, 0, &q.counter)
-	default:
-		// No admissible compressed bound implemented: exact fallback that
-		// fetches everything once.
-		r = ix.ix.SearchScan(q.rs, kern, &q.counter)
-	}
-	if r.Index < 0 {
+	if len(rs) == 0 {
 		return SearchResult{}, fmt.Errorf("lbkeogh: index search found no result")
 	}
-	return SearchResult{Index: r.Index, Dist: r.Dist, Rotation: q.rotation(r.Member)}, nil
+	return rs[0], nil
+}
+
+// SearchTopK returns the k exact nearest indexed series in ascending distance
+// order (k is clamped to [1, Len()]) — Query.SearchTopK through the index.
+func (ix *Index) SearchTopK(q *Query, k int) ([]SearchResult, error) {
+	return ix.SearchTopKContext(context.Background(), q, k)
+}
+
+// SearchTopKContext is SearchTopK bounded by ctx (see SearchContext).
+func (ix *Index) SearchTopKContext(ctx context.Context, q *Query, k int) ([]SearchResult, error) {
+	return ix.probe(ctx, q, "index_search_topk", max(1, min(k, ix.m)), math.Inf(1))
+}
+
+// SearchRange returns every indexed series whose exact rotation-invariant
+// distance to the query is strictly below radius, in ascending distance
+// order like Query.SearchRange — the "range" search of the paper's Section 3.
+// Supports the Euclidean and DTW measures.
+func (ix *Index) SearchRange(q *Query, radius float64) ([]SearchResult, error) {
+	return ix.SearchRangeContext(context.Background(), q, radius)
+}
+
+// SearchRangeContext is SearchRange bounded by ctx (see SearchContext).
+func (ix *Index) SearchRangeContext(ctx context.Context, q *Query, radius float64) ([]SearchResult, error) {
+	if radius <= 0 {
+		return nil, fmt.Errorf("lbkeogh: radius must be positive")
+	}
+	switch q.searcher.Kernel().(type) {
+	case wedge.ED, wedge.DTW:
+	default:
+		return nil, fmt.Errorf("lbkeogh: range search supports Euclidean and DTW measures, not %s", q.measure.Name())
+	}
+	return ix.probe(ctx, q, "index_search_range", 0, radius)
 }

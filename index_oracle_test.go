@@ -2,7 +2,6 @@ package lbkeogh
 
 import (
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
@@ -97,9 +96,7 @@ func TestIndexPathOracle(t *testing.T) {
 						res, ref = []SearchResult{r}, []SearchResult{f}
 					} else {
 						res, err = ix.SearchRange(q, ms.radius)
-						ref, refErr = flat.SearchRange(db, ms.radius)
-						// The scan answers in distance order, the index in row order.
-						sort.Slice(ref, func(a, b int) bool { return ref[a].Index < ref[b].Index })
+						ref, refErr = flat.SearchRange(db, ms.radius) // both in distance order
 					}
 					if refErr != nil {
 						t.Fatalf("%s q%d: flat scan: %v", cell, qi, refErr)

@@ -172,6 +172,10 @@ func (s *Searcher) SetRecorder(rec *trace.Recorder) {
 	s.ref = 0
 }
 
+// Recorder returns the attached span recorder (nil: untraced), under whose
+// open span an index probe nests its own.
+func (s *Searcher) Recorder() *trace.Recorder { return s.rec }
+
 // SetExplain attaches (or, with nil, detaches) explain state: sampled
 // bound-waterfall measurement before comparisons and, when the op has
 // attribution on, per-comparison counter-delta recording. Like the recorder,
@@ -199,6 +203,17 @@ func (s *Searcher) SetCancelChecker(chk *cancel.Checker) { s.chk = chk }
 
 // Kernel returns the searcher's distance kernel.
 func (s *Searcher) Kernel() wedge.Kernel { return s.kernel }
+
+// RotationSet returns the query's rotation set.
+func (s *Searcher) RotationSet() *RotationSet { return s.rs }
+
+// Stats returns the record the searcher's comparisons are flushed into (nil:
+// the no-op sink); an index probe counts its fetches on it too.
+func (s *Searcher) Stats() *obs.SearchStats { return s.obs }
+
+// Tracer returns the searcher's event tracer (nil: untraced), which an index
+// probe reports its fetches to.
+func (s *Searcher) Tracer() obs.Tracer { return s.tracer }
 
 // Strategy returns the searcher's strategy.
 func (s *Searcher) Strategy() Strategy { return s.strategy }
@@ -242,13 +257,14 @@ func (s *Searcher) MatchSeries(x []float64, r float64, cnt *stats.Counter) Match
 	// hot-path spans (H-Merge walk, kernel evals) nest beneath it by call
 	// order, under the comparison's quota. The same delta annotates the
 	// plan's survivors. A nil recorder makes the span calls no-ops.
-	comp := rec.BeginComparison(s.ref)
+	ref := s.ref
 	s.ref++
+	comp := rec.BeginComparison(ref)
 	m := s.matchSeries(x, r, cnt, rec)
 	delta := s.scratch.Counts // what matchSeries just flushed: this comparison alone
 	rec.EndAttrs(comp, delta)
 	if attributed {
-		s.exp.RecordComparison(delta, m.Dist, m.Found(), m.Aborted())
+		s.exp.RecordComparison(ref, delta, m.Dist, m.Found(), m.Aborted())
 	}
 	return m
 }
@@ -465,23 +481,48 @@ func (s *Searcher) Scan(db [][]float64, cnt *stats.Counter) ScanResult {
 // cancellation — c then holds a partial answer to discard. An already-expired
 // ctx returns before any work is done; an uncancellable one costs nothing.
 func (s *Searcher) ScanInto(ctx context.Context, db [][]float64, c *Collector, cnt *stats.Counter) error {
+	if err := s.Begin(ctx); err != nil {
+		return err
+	}
+	defer s.End()
+	for i, x := range db {
+		if err := s.Offer(i, x, c, cnt); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Begin opens one pass of candidates — a scan's rows or an index probe's
+// fetches — under ctx: it fails with ctx.Err() when ctx has already expired
+// and otherwise attaches the pass's cancellation checkpoint, which End
+// detaches.
+func (s *Searcher) Begin(ctx context.Context) error {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 	}
-	chk := cancel.New(ctx, CancelCheckInterval)
-	s.chk = chk
-	defer func() { s.chk = nil }()
-	for i, x := range db {
-		if err := chk.Stop(); err != nil {
-			return err
-		}
-		m := s.MatchSeries(x, c.Radius(), cnt)
-		if err := chk.Err(); err != nil {
-			return err
-		}
-		c.Offer(i, m)
+	s.chk = cancel.New(ctx, CancelCheckInterval)
+	return nil
+}
+
+// End closes the pass Begin opened.
+func (s *Searcher) End() { s.chk = nil }
+
+// Offer is one candidate of a pass: the checkpoint is polled, series x —
+// database row i, which the comparison's span and EXPLAIN record are named
+// after — is matched under c's current radius and the match offered to c. A
+// comparison the cancellation cut short is discarded, not offered.
+func (s *Searcher) Offer(i int, x []float64, c *Collector, cnt *stats.Counter) error {
+	if err := s.chk.Stop(); err != nil {
+		return err
 	}
+	s.ref = i
+	m := s.MatchSeries(x, c.Radius(), cnt)
+	if err := s.chk.Err(); err != nil {
+		return err
+	}
+	c.Offer(i, m)
 	return nil
 }

@@ -11,9 +11,11 @@
 package index
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"lbkeogh/internal/core"
 	"lbkeogh/internal/fourier"
@@ -48,12 +50,16 @@ func (s memStore) Fetch(id int) []float64 { return s[id] }
 func (s memStore) Len() int               { return len(s) }
 func (memStore) LinkTrace(int64)          {}
 
-// Index is the compressed in-memory representation plus the store.
+// Index is the compressed in-memory representation plus the store. Once
+// configured (SetObserver, SetTraceLog) it is safe for concurrent probes, each
+// through its own searcher: the feature columns and trees are immutable, and
+// a probe writes nothing here but the fetch counter and the observer record,
+// both atomic.
 type Index struct {
 	store SeriesStore
-	reads int // fetches since the last ResetReads
-	n     int // series length
-	d     int // retained dimensionality D
+	reads atomic.Int64 // fetches since the last ResetReads
+	n     int          // series length
+	d     int          // retained dimensionality D
 
 	mags [][]float64 // Fourier magnitude features (rotation invariant)
 	vpt  *vptree.Tree
@@ -61,49 +67,33 @@ type Index struct {
 	rt   *rtree.Tree // R-tree over the PAA points (ref [37])
 	segW []float64   // PAA segment widths (the bound weights)
 
-	obs    *obs.SearchStats // nil: the no-op sink
-	tracer obs.Tracer       // nil: untraced
-	tlog   *trace.Log       // nil: no trace recording
+	obs  *obs.SearchStats // nil: the no-op sink
+	tlog *trace.Log       // nil: no trace recording
 }
 
-// SetObserver installs an instrumentation record and tracer used by every
-// subsequent query: index-level candidate/fetch/disk-read counts and the
-// verification searches' pruning breakdowns. Either argument may be nil. Not
-// safe to call concurrently with queries.
-func (ix *Index) SetObserver(st *obs.SearchStats, tr obs.Tracer) {
-	ix.obs = st
-	ix.tracer = tr
-}
+// SetObserver installs (or with nil removes) the index's cumulative
+// instrumentation record: every probe's counter delta is added to it,
+// whichever searcher ran it. Call it before the index is shared: it is not
+// safe concurrently with queries.
+func (ix *Index) SetObserver(st *obs.SearchStats) { ix.obs = st }
 
-// SetTraceLog attaches (or with nil detaches) a trace log: every subsequent
-// query records a span trace — index probe, per-candidate fetch, and the
-// verification comparisons — which the log samples and screens for slow
-// queries; each fetch's duration also feeds the log's disk_read stage
-// histogram. Not safe to call concurrently with queries.
+// SetTraceLog attaches (or with nil detaches) a trace log: every fetch's
+// duration feeds its disk_read stage histogram, and a probe whose searcher
+// carries no recorder of its own records its span trace — index probe,
+// per-candidate fetch, and the verification comparisons — into it. Call it
+// before the index is shared: it is not safe concurrently with queries.
 func (ix *Index) SetTraceLog(l *trace.Log) { ix.tlog = l }
 
 // Reads reports the number of full series fetched since the last ResetReads.
-func (ix *Index) Reads() int { return ix.reads }
+func (ix *Index) Reads() int { return int(ix.reads.Load()) }
 
 // ResetReads zeroes the fetch counter.
-func (ix *Index) ResetReads() { ix.reads = 0 }
+func (ix *Index) ResetReads() { ix.reads.Store(0) }
 
-// fetch retrieves one full series for verification. It is the only place a
-// fetch is counted and timed: one interval is both the trace's fetch span
-// and the disk_read stage sample.
-func (ix *Index) fetch(rec *trace.Recorder, id int) []float64 {
-	ix.reads++
-	ix.obs.CountIndexCandidate()
-	ix.obs.CountIndexFetch()
-	ix.obs.CountDiskRead()
-	obs.TraceFetch(ix.tracer, id)
-	start := rec.Now()
-	series := ix.store.Fetch(id)
-	dur := rec.Now() - start
-	rec.Emit(trace.StageFetch, id, start, dur)
-	ix.tlog.ObserveStage(trace.StageDiskRead, dur)
-	return series
-}
+// LinkTrace hands the store the ID of a retained trace a caller recorded a
+// probe under (see SeriesStore.LinkTrace); a probe that records its own trace
+// does this itself.
+func (ix *Index) LinkTrace(id int64) { ix.store.LinkTrace(id) }
 
 // Build constructs the index over db, held in memory, with D retained
 // dimensions per object (the paper sweeps D in {4, 8, 16, 32}). All series
@@ -198,30 +188,91 @@ type Result = core.ScanResult
 // walk enumerates one query's candidates: it calls visit(id, bound, r) for
 // every object its compressed bound cannot exclude at the current radius r
 // and continues with the radius visit returns — the shape vptree.Search and
-// rtree.Search share.
+// rtree.Search share. No bound is below -Inf, so that radius ends the walk.
 type walk func(r float64, visit func(id int, bound, r float64) float64)
 
-// probe is the one index query path: trace the query, fetch each object
-// candidates proposes, verify it exactly with H-Merge under kern and offer
-// the match to c, whose radius — shrinking for a nearest query, fixed for a
-// range — is what the walk continues with. No false dismissals: a walk skips
-// an object only on an admissible bound that reaches the radius.
-func (ix *Index) probe(label string, stage trace.Stage, rs *core.RotationSet, kern wedge.Kernel,
-	candidates walk, c *core.Collector, cnt *stats.Counter) *core.Collector {
-	searcher := core.NewSearcher(rs, kern, core.Wedge, core.SearcherConfig{Obs: ix.obs, Tracer: ix.tracer})
-	rec := ix.tlog.StartTrace(label)
-	searcher.SetRecorder(rec)
-	before := ix.obs.Counts()
+// Probe is the one index query path: each object the walk for s's kernel
+// proposes — the VP-tree's under the Euclidean kernel, the R-tree's with
+// wedges envelopes (see rtWalk) under DTW, every object under a kernel with
+// no compressed bound — is fetched, verified exactly by s and offered to c,
+// whose radius — shrinking for a nearest or top-K query, fixed for a range —
+// is what the walk continues with. No false dismissals: a walk skips an
+// object only on an admissible bound that reaches the radius.
+//
+// The probe is s's pass (core.Searcher.Begin/Offer), so it honours s's
+// strategy, wedge-set size, traversal, tracer and EXPLAIN state, carries its
+// adaptive state on, spends its steps on cnt and its outcomes — candidates
+// and fetches included — on s's record, and stops with ctx.Err() within one
+// cancellation checkpoint interval of ctx expiring, c then holding a partial
+// answer to discard. Spans nest under the span s's recorder has open; a
+// searcher without one is traced into the index's own log under label.
+func (ix *Index) Probe(ctx context.Context, label string, s *core.Searcher, wedges int, c *core.Collector, cnt *stats.Counter) error {
+	if err := s.Begin(ctx); err != nil {
+		return err
+	}
+	defer s.End()
+	rs := s.RotationSet()
+	stage, candidates := trace.StageSearch, walk(ix.scanWalk)
+	switch kern := s.Kernel().(type) {
+	case wedge.ED:
+		stage, candidates = trace.StageVPProbe, ix.vpWalk(rs)
+	case wedge.DTW:
+		stage, candidates = trace.StageRTreeProbe, ix.rtWalk(rs, kern.R, wedges)
+	}
+	st, rec := s.Stats(), s.Recorder()
+	own := rec == nil
+	if own {
+		rec = ix.tlog.StartTrace(label)
+		s.SetRecorder(rec)
+		defer s.SetRecorder(nil)
+	}
+	before := st.Counts()
 	span := rec.Begin(stage, -1)
-	candidates(c.Radius(), func(id int, _, r float64) float64 {
-		c.Offer(id, searcher.MatchSeries(ix.fetch(rec, id), r, cnt))
+	var fetched int64
+	var err error
+	candidates(c.Radius(), func(id int, _, _ float64) float64 {
+		fetched++
+		if err = s.Offer(id, ix.fetch(s.Tracer(), rec, id), c, cnt); err != nil {
+			return math.Inf(-1)
+		}
 		return c.Radius()
 	})
 	rec.End(span)
-	// The trace ID exists only once the trace is finished and retained.
-	if id := ix.tlog.Finish(rec, ix.obs.Counts().Sub(before)); id != 0 {
-		ix.store.LinkTrace(id)
+	// A fetch is counted here and nowhere else, once per probe.
+	ix.reads.Add(fetched)
+	st.AddCounts(&obs.Counts{IndexCandidates: fetched, IndexFetches: fetched, DiskReads: fetched}, nil)
+	delta := st.Counts().Sub(before)
+	if st != ix.obs {
+		ix.obs.AddCounts(&delta, nil)
 	}
+	if own {
+		// The trace ID exists only once the trace is finished and retained.
+		if id := ix.tlog.Finish(rec, delta); id != 0 {
+			ix.store.LinkTrace(id)
+		}
+	}
+	return err
+}
+
+// fetch retrieves one full series for verification. It is the only place a
+// fetch is timed: one interval is both the trace's fetch span and the
+// disk_read stage sample.
+func (ix *Index) fetch(tr obs.Tracer, rec *trace.Recorder, id int) []float64 {
+	obs.TraceFetch(tr, id)
+	start := rec.Now()
+	series := ix.store.Fetch(id)
+	dur := rec.Now() - start
+	rec.Emit(trace.StageFetch, id, start, dur)
+	ix.tlog.ObserveStage(trace.StageDiskRead, dur)
+	return series
+}
+
+// probeDefault is Probe through the searcher the rotation-set–taking queries
+// share: H-Merge under kern with the dynamic wedge-set size, recording
+// straight into the index's observer, uncancellable.
+func (ix *Index) probeDefault(label string, rs *core.RotationSet, kern wedge.Kernel, wedges int, c *core.Collector, cnt *stats.Counter) *core.Collector {
+	s := core.NewSearcher(rs, kern, core.Wedge, core.SearcherConfig{Obs: ix.obs})
+	_ = ix.Probe(context.Background(), label, s, wedges, c, cnt) // uncancellable: never errs
 	return c
 }
 
@@ -262,41 +313,43 @@ func (ix *Index) rtWalk(rs *core.RotationSet, R, wedges int) walk {
 // scanWalk proposes every object in index order: the walk for measures with
 // no admissible compressed bound.
 func (ix *Index) scanWalk(r float64, visit func(int, float64, float64) float64) {
-	for id := range ix.mags {
+	for id := 0; id < len(ix.mags) && !math.IsInf(r, -1); id++ {
 		r = visit(id, 0, r)
 	}
 }
+
+func nearest() *core.Collector { return core.NewCollector(1, math.Inf(1)) }
 
 // SearchED answers an exact 1-NN rotation-invariant Euclidean query,
 // fetching only the objects whose magnitude-feature bound beats the
 // best-so-far.
 func (ix *Index) SearchED(rs *core.RotationSet, cnt *stats.Counter) Result {
-	return ix.probe("index_search_ed", trace.StageVPProbe, rs, wedge.ED{}, ix.vpWalk(rs), core.NewCollector(1, math.Inf(1)), cnt).Best()
+	return ix.probeDefault("index_search_ed", rs, wedge.ED{}, 0, nearest(), cnt).Best()
 }
 
 // RangeED returns every database object whose exact rotation-invariant
 // Euclidean distance to the query is strictly below r, in ascending index
 // order. Only objects whose magnitude-feature bound is below r are fetched.
 func (ix *Index) RangeED(rs *core.RotationSet, r float64, cnt *stats.Counter) []Result {
-	return byIndex(ix.probe("index_range_ed", trace.StageVPProbe, rs, wedge.ED{}, ix.vpWalk(rs), core.NewCollector(0, r), cnt))
+	return byIndex(ix.probeDefault("index_range_ed", rs, wedge.ED{}, 0, core.NewCollector(0, r), cnt))
 }
 
 // SearchDTW answers an exact 1-NN rotation-invariant DTW query with band R,
 // verifying candidates until the smallest outstanding PAA envelope bound
 // reaches the best-so-far. wedges is rtWalk's K.
 func (ix *Index) SearchDTW(rs *core.RotationSet, R int, wedges int, cnt *stats.Counter) Result {
-	return ix.probe("index_search_dtw", trace.StageRTreeProbe, rs, wedge.DTW{R: R}, ix.rtWalk(rs, R, wedges), core.NewCollector(1, math.Inf(1)), cnt).Best()
+	return ix.probeDefault("index_search_dtw", rs, wedge.DTW{R: R}, wedges, nearest(), cnt).Best()
 }
 
 // RangeDTW is the DTW analogue of RangeED, using the PAA envelope bounds in
 // index space.
 func (ix *Index) RangeDTW(rs *core.RotationSet, R int, wedges int, r float64, cnt *stats.Counter) []Result {
-	return byIndex(ix.probe("index_range_dtw", trace.StageRTreeProbe, rs, wedge.DTW{R: R}, ix.rtWalk(rs, R, wedges), core.NewCollector(0, r), cnt))
+	return byIndex(ix.probeDefault("index_range_dtw", rs, wedge.DTW{R: R}, wedges, core.NewCollector(0, r), cnt))
 }
 
 // SearchScan answers an exact 1-NN query under a kernel the index has no
 // compressed bound for (LCSS): every object is fetched once and verified,
 // traced and counted like the pruning paths.
 func (ix *Index) SearchScan(rs *core.RotationSet, kern wedge.Kernel, cnt *stats.Counter) Result {
-	return ix.probe("index_search_scan", trace.StageSearch, rs, kern, ix.scanWalk, core.NewCollector(1, math.Inf(1)), cnt).Best()
+	return ix.probeDefault("index_search_scan", rs, kern, 0, nearest(), cnt).Best()
 }

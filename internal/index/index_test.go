@@ -1,8 +1,11 @@
 package index
 
 import (
+	"context"
 	"math"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
 	"lbkeogh/internal/core"
@@ -209,8 +212,9 @@ func TestStoreAccounting(t *testing.T) {
 	if ix.Reads() != 0 {
 		t.Fatal("fresh index has reads")
 	}
-	// The bound-less walk fetches every object exactly once.
-	if got := ix.SearchScan(rs, wedge.ED{}, nil); got.Index != 2 || ix.Reads() != len(db) {
+	// The bound-less walk — the one a kernel without a compressed bound gets —
+	// fetches every object exactly once.
+	if got := ix.SearchScan(rs, wedge.LCSS{Delta: 3, Eps: 0.5}, nil); got.Index != 2 || ix.Reads() != len(db) {
 		t.Fatalf("scan found %d with %d reads, want 2 with %d", got.Index, ix.Reads(), len(db))
 	}
 	ix.SearchED(rs, nil)
@@ -319,7 +323,7 @@ func TestProbeDoesNotRetainFetchedRows(t *testing.T) {
 	}
 	var st obs.SearchStats
 	tlog := trace.NewLog(trace.Config{SampleRate: 1})
-	fleeting.SetObserver(&st, nil)
+	fleeting.SetObserver(&st)
 	fleeting.SetTraceLog(tlog)
 	rng := ts.NewRand(52)
 	for _, opts := range []core.Options{core.DefaultOptions(), {Mirror: true, MaxShift: 3}} {
@@ -335,5 +339,55 @@ func TestProbeDoesNotRetainFetchedRows(t *testing.T) {
 				t.Errorf("%s %+v over fleeting rows: %+v, over stable rows %+v", name, opts, got, want)
 			}
 		}
+	}
+}
+
+// One index serves concurrent probes, each through its caller's searcher:
+// GOMAXPROCS goroutines (at least four) with distinct queries, every answer
+// the flat scan's, the shared observer and trace log written only atomically.
+// Run under -race (make race-concurrency).
+func TestProbeConcurrentSearchers(t *testing.T) {
+	n := 48
+	db := syntheticDB(61, 200, n)
+	ix := Build(db, 8)
+	var cum obs.SearchStats
+	ix.SetObserver(&cum)
+	ix.SetTraceLog(trace.NewLog(trace.Config{SampleRate: 1}))
+	workers := max(4, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	fetched := make([]int64, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := ts.NewRand(int64(70 + w))
+			for round := 0; round < 8; round++ {
+				q := ts.ZNorm(ts.AddNoise(rng, db[(w*31+round)%len(db)], 0.05))
+				rs := core.NewRotationSet(q, core.DefaultOptions(), nil)
+				wantIdx, wantDist := linearScan(rs, db, wedge.ED{})
+				var st obs.SearchStats
+				s := core.NewSearcher(rs, wedge.ED{}, core.Wedge, core.SearcherConfig{Obs: &st})
+				c := nearest()
+				if err := ix.Probe(context.Background(), "test", s, 0, c, nil); err != nil {
+					t.Errorf("worker %d round %d: %v", w, round, err)
+				}
+				if got := c.Best(); got.Index != wantIdx || math.Abs(got.Dist-wantDist) > 1e-9 {
+					t.Errorf("worker %d round %d: index (%d,%v) != linear (%d,%v)", w, round, got.Index, got.Dist, wantIdx, wantDist)
+				}
+				counts := st.Counts()
+				if !counts.Reconciles() || counts.IndexFetches == 0 || counts.IndexFetches != counts.Comparisons {
+					t.Errorf("worker %d round %d: searcher record %+v", w, round, counts)
+				}
+				fetched[w] += counts.IndexFetches
+			}
+		}(w)
+	}
+	wg.Wait()
+	var total int64
+	for _, f := range fetched {
+		total += f
+	}
+	if got := cum.Counts(); int64(ix.Reads()) != total || got.IndexFetches != total || !got.Reconciles() {
+		t.Fatalf("%d fetches by the searchers' records, Reads() %d, the index record %+v", total, ix.Reads(), got)
 	}
 }

@@ -293,7 +293,7 @@ func TestOpSamplingAndReset(t *testing.T) {
 	op := NewOp(qc, sink, true)
 	for i := 0; i < 5; i++ {
 		op.BeforeComparison(members[i%len(members)], -1)
-		op.RecordComparison(obs.Counts{Rotations: 16}, float64(i), true, false)
+		op.RecordComparison(i, obs.Counts{Rotations: 16}, float64(i), true, false)
 	}
 	if got := sink.Snapshot().Sampled; got != 5 {
 		t.Fatalf("sink sampled %d, want 5", got)

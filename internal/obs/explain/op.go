@@ -9,11 +9,12 @@ import "lbkeogh/internal/obs"
 const DefaultOpInterval = 4
 
 // Comparison is the per-candidate record an attributing Op keeps: the
-// counter delta the comparison spent (from which the admitting bound is
-// derived), the resulting distance, and the match flags. Its slice index in
-// Op.Comparisons is the comparison ordinal — the database index for serial
-// scans.
+// candidate's reference (its database index in a scan or an index probe, the
+// comparison ordinal otherwise), the counter delta the comparison spent (from
+// which the admitting bound is derived), the resulting distance, and the
+// match flags.
 type Comparison struct {
+	Ref     int        `json:"ref"`
 	Delta   obs.Counts `json:"delta"`
 	Dist    float64    `json:"dist"`
 	Found   bool       `json:"found"`
@@ -71,11 +72,11 @@ func (o *Op) BeforeComparison(x []float64, r float64) {
 
 // RecordComparison records one finished comparison's delta and outcome;
 // no-op unless attribution is on.
-func (o *Op) RecordComparison(delta obs.Counts, dist float64, found, aborted bool) {
+func (o *Op) RecordComparison(ref int, delta obs.Counts, dist float64, found, aborted bool) {
 	if !o.attribution {
 		return
 	}
-	o.comps = append(o.comps, Comparison{Delta: delta, Dist: dist, Found: found, Aborted: aborted})
+	o.comps = append(o.comps, Comparison{Ref: ref, Delta: delta, Dist: dist, Found: found, Aborted: aborted})
 }
 
 // Reset clears per-query state for reuse across searches on the same query.

@@ -158,8 +158,8 @@ func TestServerDebugIndex(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &rep); err != nil {
 		t.Fatalf("/debug/index JSON: %v\n%s", err, body)
 	}
-	if rep.Dims != introspectDims {
-		t.Errorf("dims = %d, want %d", rep.Dims, introspectDims)
+	if rep.Dims != serveDims {
+		t.Errorf("dims = %d, want %d", rep.Dims, serveDims)
 	}
 	if rep.Index.Objects != 20 || rep.Index.VPTree.Points != 20 || rep.Index.RTree.Points != 20 {
 		t.Errorf("tree point counts = %d/%d/%d, want 20 each",

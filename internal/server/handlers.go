@@ -406,30 +406,45 @@ func (s *Server) searchEndpoint(kind searchKind) http.HandlerFunc {
 	}
 }
 
+// runSearch executes the request's search and makes the server's one routing
+// decision, read off the request and never set by a user: a Euclidean query
+// under the wedge strategy on one goroutine goes through the serving index —
+// a VP-tree probe over magnitude features whose survivors the session's own
+// searcher verifies, so the answer, the adaptive state, the trace and the
+// per-request stats are the flat scan's, minus the rows the bound excluded.
+// Everything else scans rows flat: DTW (the index's PAA bound fetches most of
+// the database and loses to a scan), LCSS (no compressed bound), the brute /
+// early-abandon / fft ablation strategies (a request for one is a request for
+// that scan), parallel searches, and store mode (no index per generation).
 func (s *Server) runSearch(ctx context.Context, q *lbkeogh.Query, kind searchKind, req SearchRequest, rows []lbkeogh.Series) ([]lbkeogh.SearchResult, error) {
+	indexed := s.ix != nil && req.Measure == "euclidean" && req.Strategy == "wedge" && req.Parallel <= 1
 	switch kind {
 	case kindTopK:
-		k := req.K
-		if k <= 0 {
-			k = 1
+		k := max(req.K, 1)
+		if indexed {
+			return s.ix.SearchTopKContext(ctx, q, k)
 		}
 		return q.SearchTopKContext(ctx, rows, k)
 	case kindRange:
+		if indexed {
+			return s.ix.SearchRangeContext(ctx, q, req.Threshold)
+		}
 		return q.SearchRangeContext(ctx, rows, req.Threshold)
-	default:
-		if req.Parallel > 1 { // serial unless explicitly parallel
-			res, err := q.SearchParallelContext(ctx, rows, req.Parallel)
-			if err != nil {
-				return nil, err
-			}
-			return []lbkeogh.SearchResult{res}, nil
-		}
-		res, err := q.SearchContext(ctx, rows)
-		if err != nil {
-			return nil, err
-		}
-		return []lbkeogh.SearchResult{res}, nil
 	}
+	var res lbkeogh.SearchResult
+	var err error
+	switch {
+	case indexed:
+		res, err = s.ix.SearchContext(ctx, q)
+	case req.Parallel > 1: // serial unless explicitly parallel
+		res, err = q.SearchParallelContext(ctx, rows, req.Parallel)
+	default:
+		res, err = q.SearchContext(ctx, rows)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return []lbkeogh.SearchResult{res}, nil
 }
 
 func (s *Server) hits(results []lbkeogh.SearchResult, labels []int) []Hit {

@@ -15,19 +15,16 @@ import (
 	"lbkeogh"
 )
 
-// introspectDims is the compressed dimensionality the introspection index is
-// built with — the paper's default operating point (D = 8).
-const introspectDims = 8
-
-// introspectMaxRows caps how many rows the introspection index is built over.
-// The report measures structural health (tree balance, overlap, merge
-// quality), which a uniform stride sample preserves, so a million-shape store
-// never pays a million-row index build for a debug endpoint.
+// introspectMaxRows caps how many rows store mode's introspection index is
+// built over. The report measures structural health (tree balance, overlap,
+// merge quality), which a uniform stride sample preserves, so a million-shape
+// store never pays a million-row index build for a debug endpoint.
 const introspectMaxRows = 20000
 
-// IndexReport is the /debug/index body: the index structures' health plus a
-// representative wedge hierarchy (the one a query for database row 0 builds,
-// since wedge sets are per-query).
+// IndexReport is the /debug/index body: the health of the index that serves
+// (static mode) or of one built over a sample of the store (store mode, which
+// scans flat), plus a representative wedge hierarchy (the one a query for
+// database row 0 builds, since wedge sets are per-query).
 type IndexReport struct {
 	Dims int `json:"dims"`
 	Rows int `json:"rows"` // rows the report was built over
@@ -39,20 +36,6 @@ type IndexReport struct {
 	Wedge       lbkeogh.WedgeTreeStats `json:"wedge"`
 }
 
-// introspectRows picks the rows the report is built over: the whole database
-// when it fits, else a uniform stride sample of the pinned view.
-func introspectRows(rows []lbkeogh.Series) (sample []lbkeogh.Series, sampledFrom int) {
-	if len(rows) <= introspectMaxRows {
-		return rows, 0
-	}
-	stride := (len(rows) + introspectMaxRows - 1) / introspectMaxRows
-	sample = make([]lbkeogh.Series, 0, len(rows)/stride+1)
-	for i := 0; i < len(rows); i += stride {
-		sample = append(sample, rows[i])
-	}
-	return sample, len(rows)
-}
-
 // buildIntrospection builds the report over the current database view.
 func (s *Server) buildIntrospection() (IndexReport, error) {
 	view := s.acquireView()
@@ -60,10 +43,20 @@ func (s *Server) buildIntrospection() (IndexReport, error) {
 	if len(view.rows) == 0 {
 		return IndexReport{}, fmt.Errorf("store is empty: nothing to introspect")
 	}
-	rows, sampledFrom := introspectRows(view.rows)
-	ix, err := lbkeogh.NewIndex(rows, introspectDims)
-	if err != nil {
-		return IndexReport{}, fmt.Errorf("building introspection index: %w", err)
+	ix, rows, sampledFrom := s.ix, view.rows, 0
+	if ix == nil {
+		if len(rows) > introspectMaxRows { // a uniform stride sample of the pinned view
+			sampledFrom = len(rows)
+			stride := (len(rows) + introspectMaxRows - 1) / introspectMaxRows
+			rows = make([]lbkeogh.Series, 0, sampledFrom/stride+1)
+			for i := 0; i < sampledFrom; i += stride {
+				rows = append(rows, view.rows[i])
+			}
+		}
+		var err error
+		if ix, err = lbkeogh.NewIndex(rows, serveDims); err != nil {
+			return IndexReport{}, fmt.Errorf("building introspection index: %w", err)
+		}
 	}
 	q, err := lbkeogh.NewQuery(rows[0], lbkeogh.Euclidean())
 	if err != nil {
@@ -90,9 +83,10 @@ func (s *Server) invalidateIntrospection() {
 	s.ixMu.Unlock()
 }
 
-// handleDebugIndex serves the lazily built index-health report as JSON. The
-// first request pays the index build; later ones are free until an ingest or
-// compaction moves the store generation, which invalidates the cache.
+// handleDebugIndex serves the lazily built index-health report as JSON. In
+// store mode the first request pays an index build; later ones are free until
+// an ingest or compaction moves the store generation, which invalidates the
+// cache.
 func (s *Server) handleDebugIndex(w http.ResponseWriter, r *http.Request) {
 	s.ixMu.Lock()
 	stale := !s.ixBuilt

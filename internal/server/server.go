@@ -125,6 +125,16 @@ func (c *Config) fillDefaults() {
 	}
 }
 
+// serveDims is the compressed dimensionality of the index a static-mode
+// server answers through. A constant, not a setting: on the benchmark's
+// serve-mix (4 096 × 251 points; EXPERIMENTS.md "Wall clock — the server
+// answers through its index") dims 8 / 16 / 32 measured 459 / 634 / 668
+// ops/s, 852 k / 620 k / 509 k steps per request and 135.9 / 136.9 / 138.9 MB
+// peak RSS — the throughput curve has flattened by 16, resident memory has
+// not, and nothing has a second value to ask for. NewIndex clamps it to half
+// the series length.
+const serveDims = 16
+
 // Server serves rotation-invariant shape searches over one database.
 // Create with New, mount Handler, and call BeginDrain before shutting the
 // http.Server down so in-flight requests finish while new ones get 503s.
@@ -138,12 +148,17 @@ type Server struct {
 	mux      *http.ServeMux
 	tel      *telemetry
 
+	// ix is the index over Config.DB that static mode answers through, built
+	// once by New and shared by every in-flight session; nil in store mode,
+	// which scans its snapshots flat.
+	ix *lbkeogh.Index
+
 	// sampler is the server-owned bound-tightness sink, armed on every
 	// pooled query session (nil when ExplainSampleInterval < 0).
 	sampler *lbkeogh.BoundSampler
 
-	// Lazily built index introspection report behind /debug/index,
-	// invalidated when the store generation moves.
+	// Lazily built index introspection report behind /debug/index (store
+	// mode), invalidated when the store generation moves.
 	ixMu     sync.Mutex
 	ixBuilt  bool
 	ixGen    int64
@@ -208,6 +223,16 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.ExplainSampleInterval > 0 {
 		s.sampler = lbkeogh.NewBoundSampler(cfg.ExplainSampleInterval)
+	}
+	if s.store == nil {
+		// The database is fixed for the life of the process: compute its
+		// magnitude features and raise the tree over them once, here, and no
+		// request ever compares against a row the bound could have excluded.
+		ix, err := lbkeogh.NewIndex(cfg.DB, serveDims)
+		if err != nil {
+			return nil, fmt.Errorf("server: indexing the database: %w", err)
+		}
+		s.ix = ix
 	}
 	s.mux = s.buildMux()
 	return s, nil

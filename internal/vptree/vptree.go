@@ -10,7 +10,6 @@
 package vptree
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -124,18 +123,51 @@ type pqItem struct {
 	node  int
 }
 
+// pq is a hand-rolled min-heap on bound. container/heap boxes every pqItem
+// in an interface on Push and Pop — an allocation per node on the path every
+// indexed Euclidean query takes; the explicit sifts are container/heap's own
+// (the same comparisons in the same order), so subtrees of equal bound pop in
+// the order they always did and the candidate sequence is unchanged.
 type pq []pqItem
 
-func (h pq) Len() int           { return len(h) }
-func (h pq) Less(i, j int) bool { return h[i].bound < h[j].bound }
-func (h pq) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *pq) Push(x any)        { *h = append(*h, x.(pqItem)) }
-func (h *pq) Pop() any {
-	old := *h
-	n := len(old) - 1
-	it := old[n]
-	*h = old[:n]
-	return it
+func (h *pq) push(it pqItem) {
+	*h = append(*h, it)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if s[parent].bound <= s[i].bound {
+			break
+		}
+		s[parent], s[i] = s[i], s[parent]
+		i = parent
+	}
+}
+
+func (h *pq) pop() pqItem {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s = s[:n]
+	*h = s
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		min := i
+		if l < n && s[l].bound < s[min].bound {
+			min = l
+		}
+		if r < n && s[r].bound < s[min].bound {
+			min = r
+		}
+		if min == i {
+			break
+		}
+		s[i], s[min] = s[min], s[i]
+		i = min
+	}
+	return top
 }
 
 // Search drives a best-first nearest-neighbour search from query feature
@@ -146,12 +178,14 @@ func (h *pq) Pop() any {
 // the final best-so-far.
 //
 // bsf0 seeds the best-so-far (+Inf for an unbounded search). Subtrees whose
-// lower bound reaches the best-so-far are pruned without visiting.
+// lower bound reaches the best-so-far are pruned without visiting, so a visit
+// that returns -Inf ends the search.
 func (t *Tree) Search(q []float64, bsf0 float64, visit func(id int, featureDist, bsf float64) float64) float64 {
 	bsf := bsf0
-	h := &pq{{bound: 0, node: t.root}}
-	for h.Len() > 0 {
-		it := heap.Pop(h).(pqItem)
+	var buf [32]pqItem // the frontier of a selective search fits; a wide one grows off it
+	h := append(pq(buf[:0]), pqItem{bound: 0, node: t.root})
+	for len(h) > 0 {
+		it := h.pop()
 		if it.bound >= bsf {
 			break // smallest outstanding bound cannot improve
 		}
@@ -177,8 +211,8 @@ func (t *Tree) Search(q []float64, bsf0 float64, visit func(id int, featureDist,
 		if outerBound < 0 {
 			outerBound = 0
 		}
-		heap.Push(h, pqItem{bound: innerBound, node: nd.inner})
-		heap.Push(h, pqItem{bound: outerBound, node: nd.outer})
+		h.push(pqItem{bound: innerBound, node: nd.inner})
+		h.push(pqItem{bound: outerBound, node: nd.outer})
 	}
 	return bsf
 }

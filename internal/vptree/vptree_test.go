@@ -1,7 +1,9 @@
 package vptree
 
 import (
+	"container/heap"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -159,5 +161,105 @@ func TestSearchExactProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refPQ and refSearch are Search as it was spelled over container/heap, kept
+// as the reference for the typed heap's pop order.
+type refPQ []pqItem
+
+func (h refPQ) Len() int           { return len(h) }
+func (h refPQ) Less(i, j int) bool { return h[i].bound < h[j].bound }
+func (h refPQ) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refPQ) Push(x any)        { *h = append(*h, x.(pqItem)) }
+func (h *refPQ) Pop() any {
+	old := *h
+	n := len(old) - 1
+	it := old[n]
+	*h = old[:n]
+	return it
+}
+
+func refSearch(t *Tree, q []float64, bsf float64, visit func(id int, fd, bsf float64) float64) {
+	h := &refPQ{{bound: 0, node: t.root}}
+	for h.Len() > 0 {
+		it := heap.Pop(h).(pqItem)
+		if it.bound >= bsf {
+			break
+		}
+		nd := t.nodes[it.node]
+		if nd.vp < 0 {
+			for _, id := range nd.items {
+				if fd := euclid(q, t.points[id]); fd < bsf {
+					bsf = visit(id, fd, bsf)
+				}
+			}
+			continue
+		}
+		dq := euclid(q, t.points[nd.vp])
+		if dq < bsf {
+			bsf = visit(nd.vp, dq, bsf)
+		}
+		heap.Push(h, pqItem{bound: math.Max(it.bound, math.Max(dq-nd.median, 0)), node: nd.inner})
+		heap.Push(h, pqItem{bound: math.Max(it.bound, math.Max(nd.median-dq, 0)), node: nd.outer})
+	}
+}
+
+// The typed heap pops subtrees in container/heap's order — equal bounds
+// included, which integer-valued points with duplicates make plentiful — so
+// the sequence of candidates a search proposes did not move with it.
+func TestSearchPopOrderMatchesContainerHeap(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := ts.NewRand(seed)
+		pts := make([][]float64, 400)
+		for i := range pts {
+			pts[i] = []float64{float64(rng.Intn(6)), float64(rng.Intn(6)), float64(rng.Intn(6))}
+		}
+		tree := New(pts, 1+int(seed)%5, seed)
+		q := []float64{float64(rng.Intn(6)), float64(rng.Intn(6)), float64(rng.Intn(6))}
+		for _, shrink := range []bool{true, false} {
+			var got, want []int
+			collect := func(seq *[]int) func(int, float64, float64) float64 {
+				return func(id int, fd, bsf float64) float64 {
+					*seq = append(*seq, id)
+					if shrink {
+						return math.Min(bsf, fd+0.5)
+					}
+					return bsf
+				}
+			}
+			tree.Search(q, 4, collect(&got))
+			refSearch(tree, q, 4, collect(&want))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d shrink %v: candidate sequence %v, container/heap's %v", seed, shrink, got, want)
+			}
+			if len(want) == 0 {
+				t.Fatalf("seed %d: nothing visited", seed)
+			}
+		}
+	}
+}
+
+// A search allocates for the growth of its frontier only, not per node: an
+// exhaustive walk of ~500 nodes pushed two boxed items per node before.
+func TestSearchDoesNotAllocatePerNode(t *testing.T) {
+	pts := randomPoints(11, 2000, 8)
+	tree := New(pts, 4, 5)
+	q := ts.RandomSeries(ts.NewRand(12), 8)
+	visit := func(id int, fd, bsf float64) float64 { return bsf }
+	if allocs := testing.AllocsPerRun(20, func() { tree.Search(q, math.Inf(1), visit) }); allocs > 8 {
+		t.Fatalf("exhaustive search over %d nodes allocated %v times", len(tree.nodes), allocs)
+	}
+}
+
+func TestSearchStopsOnNegativeInfinity(t *testing.T) {
+	tree := New(randomPoints(13, 300, 4), 4, 2)
+	visits := 0
+	tree.Search(ts.RandomSeries(ts.NewRand(14), 4), math.Inf(1), func(int, float64, float64) float64 {
+		visits++
+		return math.Inf(-1)
+	})
+	if visits != 1 {
+		t.Fatalf("a visit returning -Inf was followed by %d more", visits-1)
 	}
 }

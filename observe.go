@@ -56,9 +56,9 @@ type StageLatency = obs.StageLatency
 // evaluated, OnAbandon when an exact distance computation was cut short,
 // OnKChange when the dynamic controller settles on a new wedge-set size,
 // and OnFetch when an indexed search retrieves a full-resolution object.
-// Install one with WithTracer (queries), Index.SetTracer, or
-// Monitor.SetTracer. Implementations must be safe for concurrent calls when
-// used with SearchParallel.
+// Install one with WithTracer (queries — an Index search reports to the
+// tracer of the query it runs through) or Monitor.SetTracer. Implementations
+// must be safe for concurrent calls when used with SearchParallel.
 //
 // Tracer is an alias of the internal interface, so a single implementation
 // satisfies every layer and the public API needs no adapter types.

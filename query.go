@@ -363,16 +363,18 @@ func checkCtx(ctx context.Context) (context.Context, error) {
 	return ctx, ctx.Err()
 }
 
-// search is the bracket every database search runs in: an expired context
-// fails first, then a malformed database, and only then does run — the scan
-// proper — execute, inside the operation's trace; its hits come back as
-// public results.
-func (q *Query) search(ctx context.Context, db []Series, label string, run func(context.Context) ([]core.ScanResult, error)) ([]SearchResult, error) {
+// search is the bracket every database search runs in, flat or indexed: an
+// expired context fails first, then whatever check finds malformed (the
+// database, or the query against an index), and only then does run — the scan
+// or probe proper — execute, inside the operation's trace; its hits come back
+// as public results.
+func (q *Query) search(ctx context.Context, label string, check func() error, run func(context.Context) ([]core.ScanResult, error)) ([]SearchResult, error) {
+	q.lastTraceID = 0 // an operation refused below records no trace
 	ctx, err := checkCtx(ctx)
 	if err != nil {
 		return nil, err
 	}
-	if err := q.validateDB(db); err != nil {
+	if err := check(); err != nil {
 		return nil, err
 	}
 	rec, root, before := q.startTrace(label)
@@ -397,7 +399,7 @@ func (q *Query) results(rs []core.ScanResult) []SearchResult {
 // scan is the serial search: the query's own searcher over db, keeping the k
 // nearest strictly below limit (k = 0: all of them).
 func (q *Query) scan(ctx context.Context, db []Series, label string, k int, limit float64) ([]SearchResult, error) {
-	return q.search(ctx, db, label, func(ctx context.Context) ([]core.ScanResult, error) {
+	return q.search(ctx, label, func() error { return q.validateDB(db) }, func(ctx context.Context) ([]core.ScanResult, error) {
 		c := core.NewCollector(k, limit)
 		err := q.searcher.ScanInto(ctx, db, c, &q.counter)
 		return c.Results(), err
@@ -446,7 +448,7 @@ func (q *Query) SearchParallelContext(ctx context.Context, db []Series, workers 
 	// Parallel scans record the root span only: a Recorder is
 	// single-goroutine, and the per-worker searchers are built from the
 	// config, recorder-less.
-	rs, err := q.search(ctx, db, "search_parallel", func(ctx context.Context) ([]core.ScanResult, error) {
+	rs, err := q.search(ctx, "search_parallel", func() error { return q.validateDB(db) }, func(ctx context.Context) ([]core.ScanResult, error) {
 		r, err := core.ScanParallelContext(ctx, q.rs, q.measure.kern, q.strategy, q.searchCfg, db, workers, &q.counter)
 		return []core.ScanResult{r}, err
 	})

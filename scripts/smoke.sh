@@ -72,14 +72,21 @@ grep -q '"status": "ok"' "$tmp/health.json" ||
 	fail "healthz is not ok"
 
 # Nearest neighbour: a database row queried against the database matches
-# itself at distance 0, and the response carries the pruning stats. Capture
-# the response headers too, for the request-log correlation check below.
+# itself at distance 0, and the response carries the pruning stats — a
+# Euclidean wedge request is answered through the serving index, so it
+# compares exactly the rows it fetched, fewer than the 400 a scan would.
+# Capture the response headers too, for the request-log correlation check
+# below.
 curl -fsS -D "$tmp/hdrs.txt" "http://$saddr/v1/search" -d '{"query_index":3}' >"$tmp/search.json" ||
 	fail "/v1/search did not answer 200"
 grep -q '"index": 3' "$tmp/search.json" ||
 	fail "/v1/search did not return the self-match"
-grep -q '"comparisons": 400' "$tmp/search.json" ||
+grep -Eq '"comparisons": [1-9][0-9]{0,2},' "$tmp/search.json" ||
 	fail "/v1/search response is missing its SearchStats"
+grep -q '"comparisons": 400,' "$tmp/search.json" &&
+	fail "/v1/search compared every row: it did not go through the serving index"
+grep -Eq '"index_fetches": [1-9]' "$tmp/search.json" ||
+	fail "/v1/search response reports no index fetches"
 
 # Structured request log: the X-Request-ID header and the response trace_id
 # must land together on one JSON log line.
