@@ -282,7 +282,7 @@ func TestStepsAccounting(t *testing.T) {
 	}
 }
 
-func TestFixedWedgeAndBestFirstOptionsExact(t *testing.T) {
+func TestFixedWedgeCountOptionExact(t *testing.T) {
 	db := demoDB(9, 15, 48)
 	query := ts.Rotate(db[4], 9)
 	ref, _ := NewQuery(query, Euclidean())
@@ -293,8 +293,7 @@ func TestFixedWedgeAndBestFirstOptionsExact(t *testing.T) {
 	for _, opts := range [][]QueryOption{
 		{WithFixedWedgeCount(1)},
 		{WithFixedWedgeCount(48)},
-		{WithBestFirstTraversal()},
-		{WithFixedWedgeCount(7), WithBestFirstTraversal()},
+		{WithFixedWedgeCount(7)},
 	} {
 		q, err := NewQuery(query, Euclidean(), opts...)
 		if err != nil {

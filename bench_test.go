@@ -13,8 +13,8 @@ package lbkeogh
 //   BenchmarkFigure23*  — light curves, DTW
 //   BenchmarkFigure24*  — disk accesses through the compressed index
 //   BenchmarkTable8*    — 1-NN classification
-//   BenchmarkAblation*  — dynamic K, traversal order, wedge clustering,
-//                         early abandoning, index wedge count
+//   BenchmarkAblation*  — dynamic K, wedge clustering, early abandoning,
+//                         index wedge count
 //   BenchmarkKernel*    — raw distance kernels and bounds
 
 import (
@@ -242,28 +242,6 @@ func BenchmarkAblationDynamicK(b *testing.B) {
 				b.ReportMetric(float64(steps)/float64(b.N)/float64(queries*tc.m), "steps/comparison")
 			})
 		}
-	}
-}
-
-// LIFO (paper) vs best-first traversal (design decision 4).
-func BenchmarkAblationTraversal(b *testing.B) {
-	loadBenchData()
-	db, query := benchData.projDB, benchData.projQuery
-	for _, cfg := range []struct {
-		name string
-		tr   wedge.Traversal
-	}{{"lifo", wedge.LIFO}, {"bestfirst", wedge.BestFirst}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			var steps int64
-			for i := 0; i < b.N; i++ {
-				var cnt stats.Counter
-				rs := core.NewRotationSet(query, core.DefaultOptions(), &cnt)
-				s := core.NewSearcher(rs, wedge.ED{}, core.Wedge, core.SearcherConfig{Traversal: cfg.tr})
-				s.Scan(db, &cnt)
-				steps += cnt.Steps()
-			}
-			b.ReportMetric(float64(steps)/float64(b.N)/float64(len(db)), "steps/comparison")
-		})
 	}
 }
 

@@ -215,9 +215,9 @@ func (ix *Index) probe(ctx context.Context, q *Query, label string, k int, limit
 // and DTW measures (LCSS queries fall back to a full scan).
 //
 // The search runs through the query's own searcher: its strategy and options
-// (WithFixedWedgeCount, WithBestFirstTraversal, WithTracer, WithTraceLog,
-// SetExplain) apply, and its steps and statistics land on q.Steps and
-// q.Stats as well as on the index's cumulative record.
+// (WithFixedWedgeCount, WithTracer, WithTraceLog, SetExplain) apply, and its
+// steps and statistics land on q.Steps and q.Stats as well as on the index's
+// cumulative record.
 //
 // Ties: candidates are verified in the order the index proposes them, not in
 // database order, so among rows at exactly the same distance (duplicates) the

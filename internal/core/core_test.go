@@ -401,7 +401,7 @@ func TestStrategiesExactProperty(t *testing.T) {
 }
 
 func TestStrategyString(t *testing.T) {
-	if BruteForce.String() != "brute" || EarlyAbandon.String() != "early-abandon" ||
+	if BruteForce.String() != "brute" || EarlyAbandon.String() != "early_abandon" ||
 		FFTFilter.String() != "fft" || Wedge.String() != "wedge" {
 		t.Fatal("Strategy.String broken")
 	}

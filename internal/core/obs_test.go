@@ -9,29 +9,26 @@ import (
 )
 
 // TestPruningCountsReconcile is the accounting contract of the obs layer:
-// for every strategy (and both H-Merge traversal orders), each rotation
-// covered by a comparison lands in exactly one outcome bucket, and the steps
-// recorded in the stats record equal the steps charged to the caller's
-// counter.
+// for every strategy, each rotation covered by a comparison lands in exactly
+// one outcome bucket, and the steps recorded in the stats record equal the
+// steps charged to the caller's counter.
 func TestPruningCountsReconcile(t *testing.T) {
 	db, q := parallelTestDB(11, 120, 48)
 	rs := NewRotationSet(q, DefaultOptions(), nil)
 	cases := []struct {
-		name      string
-		strategy  Strategy
-		traversal wedge.Traversal
+		name     string
+		strategy Strategy
 	}{
-		{"brute", BruteForce, wedge.LIFO},
-		{"early-abandon", EarlyAbandon, wedge.LIFO},
-		{"fft", FFTFilter, wedge.LIFO},
-		{"wedge-lifo", Wedge, wedge.LIFO},
-		{"wedge-bestfirst", Wedge, wedge.BestFirst},
+		{"brute", BruteForce},
+		{"early-abandon", EarlyAbandon},
+		{"fft", FFTFilter},
+		{"wedge-lifo", Wedge},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			st := &obs.SearchStats{}
 			var cnt stats.Counter
-			s := NewSearcher(rs, wedge.ED{}, c.strategy, SearcherConfig{Obs: st, Traversal: c.traversal})
+			s := NewSearcher(rs, wedge.ED{}, c.strategy, SearcherConfig{Obs: st})
 			s.Scan(db, &cnt)
 			sn := st.Snapshot()
 			if sn.Comparisons != int64(len(db)) {

@@ -49,7 +49,7 @@ func (s Strategy) String() string {
 	case BruteForce:
 		return "brute"
 	case EarlyAbandon:
-		return "early-abandon"
+		return "early_abandon"
 	case FFTFilter:
 		return "fft"
 	case Wedge:
@@ -80,20 +80,19 @@ func (m Match) Aborted() bool { return m.aborted }
 // fixed kernel and strategy. It carries the dynamic-K state across calls so
 // a database scan behaves exactly as in the paper.
 type Searcher struct {
-	rs        *RotationSet
-	kernel    wedge.Kernel
-	strategy  Strategy
-	traversal wedge.Traversal
-	dyn       *wedge.DynamicK
-	fixedK    int // > 0 disables the dynamic controller (ablation)
-	queryMag  []float64
-	obs       *obs.SearchStats // nil: the no-op sink
-	tracer    obs.Tracer       // nil: untraced
-	rec       *trace.Recorder  // nil: no span recording
-	ref       int              // comparison ordinal within the current trace
-	chk       *cancel.Checker  // nil: uncancellable
-	exp       *explain.Op      // nil: no explain sampling
-	expCtx    *explain.QueryContext
+	rs       *RotationSet
+	kernel   wedge.Kernel
+	strategy Strategy
+	dyn      *wedge.DynamicK
+	fixedK   int // > 0 disables the dynamic controller (ablation)
+	queryMag []float64
+	obs      *obs.SearchStats // nil: the no-op sink
+	tracer   obs.Tracer       // nil: untraced
+	rec      *trace.Recorder  // nil: no span recording
+	ref      int              // comparison ordinal within the current trace
+	chk      *cancel.Checker  // nil: uncancellable
+	exp      *explain.Op      // nil: no explain sampling
+	expCtx   *explain.QueryContext
 
 	// steps and scratch are everything a comparison would otherwise allocate,
 	// lock or atomically add to per candidate: the plain step and outcome
@@ -106,8 +105,6 @@ type Searcher struct {
 
 // SearcherConfig tunes a Searcher beyond its strategy.
 type SearcherConfig struct {
-	// Traversal selects the H-Merge visit order (default LIFO, as the paper).
-	Traversal wedge.Traversal
 	// FixedK, when > 0, pins the wedge-set size instead of running the
 	// dynamic controller — used by the ablation benches.
 	FixedK int
@@ -139,14 +136,13 @@ func NewSearcher(rs *RotationSet, kernel wedge.Kernel, strategy Strategy, cfg Se
 		intervals = 5
 	}
 	s := &Searcher{
-		rs:        rs,
-		kernel:    kernel,
-		strategy:  strategy,
-		traversal: cfg.Traversal,
-		fixedK:    cfg.FixedK,
-		dyn:       wedge.NewDynamicK(rs.Members(), intervals),
-		obs:       cfg.Obs,
-		tracer:    cfg.Tracer,
+		rs:       rs,
+		kernel:   kernel,
+		strategy: strategy,
+		fixedK:   cfg.FixedK,
+		dyn:      wedge.NewDynamicK(rs.Members(), intervals),
+		obs:      cfg.Obs,
+		tracer:   cfg.Tracer,
 	}
 	if strategy == Wedge && cfg.FixedK <= 0 {
 		rs.tree.CutFrontiers(s.dyn.Ladder())
@@ -382,7 +378,7 @@ func (s *Searcher) matchWedge(x []float64, r float64, rec *trace.Recorder) Match
 	if K <= 0 {
 		K = s.dyn.K()
 	}
-	res := s.rs.tree.SearchTraced(x, s.kernel, K, r, s.traversal, &s.steps, &s.scratch, s.tracer, rec, s.chk)
+	res := s.rs.tree.SearchTraced(x, s.kernel, K, r, &s.steps, &s.scratch, s.tracer, rec, s.chk)
 	if res.Aborted {
 		return Match{Dist: math.Inf(1), aborted: true}
 	}

@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 
 	"lbkeogh/internal/core"
@@ -200,11 +199,11 @@ type walk func(r float64, visit func(id int, bound, r float64) float64)
 // object only on an admissible bound that reaches the radius.
 //
 // The probe is s's pass (core.Searcher.Begin/Offer), so it honours s's
-// strategy, wedge-set size, traversal, tracer and EXPLAIN state, carries its
-// adaptive state on, spends its steps on cnt and its outcomes — candidates
-// and fetches included — on s's record, and stops with ctx.Err() within one
-// cancellation checkpoint interval of ctx expiring, c then holding a partial
-// answer to discard. Spans nest under the span s's recorder has open; a
+// strategy, wedge-set size, tracer and EXPLAIN state, carries its adaptive
+// state on, spends its steps on cnt and its outcomes — candidates and fetches
+// included — on s's record, and stops with ctx.Err() within one cancellation
+// checkpoint interval of ctx expiring, c then holding a partial answer to
+// discard. Spans nest under the span s's recorder has open; a
 // searcher without one is traced into the index's own log under label.
 func (ix *Index) Probe(ctx context.Context, label string, s *core.Searcher, wedges int, c *core.Collector, cnt *stats.Counter) error {
 	if err := s.Begin(ctx); err != nil {
@@ -276,13 +275,6 @@ func (ix *Index) probeDefault(label string, rs *core.RotationSet, kern wedge.Ker
 	return c
 }
 
-// byIndex reads a range probe's answer out in ascending index order.
-func byIndex(c *core.Collector) []Result {
-	out := c.Results()
-	sort.Slice(out, func(a, b int) bool { return out[a].Index < out[b].Index })
-	return out
-}
-
 // vpWalk enumerates candidates best-first from the VP-tree over magnitude
 // features, whose distance lower-bounds the rotation-invariant Euclidean
 // distance.
@@ -327,29 +319,9 @@ func (ix *Index) SearchED(rs *core.RotationSet, cnt *stats.Counter) Result {
 	return ix.probeDefault("index_search_ed", rs, wedge.ED{}, 0, nearest(), cnt).Best()
 }
 
-// RangeED returns every database object whose exact rotation-invariant
-// Euclidean distance to the query is strictly below r, in ascending index
-// order. Only objects whose magnitude-feature bound is below r are fetched.
-func (ix *Index) RangeED(rs *core.RotationSet, r float64, cnt *stats.Counter) []Result {
-	return byIndex(ix.probeDefault("index_range_ed", rs, wedge.ED{}, 0, core.NewCollector(0, r), cnt))
-}
-
 // SearchDTW answers an exact 1-NN rotation-invariant DTW query with band R,
 // verifying candidates until the smallest outstanding PAA envelope bound
 // reaches the best-so-far. wedges is rtWalk's K.
 func (ix *Index) SearchDTW(rs *core.RotationSet, R int, wedges int, cnt *stats.Counter) Result {
 	return ix.probeDefault("index_search_dtw", rs, wedge.DTW{R: R}, wedges, nearest(), cnt).Best()
-}
-
-// RangeDTW is the DTW analogue of RangeED, using the PAA envelope bounds in
-// index space.
-func (ix *Index) RangeDTW(rs *core.RotationSet, R int, wedges int, r float64, cnt *stats.Counter) []Result {
-	return byIndex(ix.probeDefault("index_range_dtw", rs, wedge.DTW{R: R}, wedges, core.NewCollector(0, r), cnt))
-}
-
-// SearchScan answers an exact 1-NN query under a kernel the index has no
-// compressed bound for (LCSS): every object is fetched once and verified,
-// traced and counted like the pruning paths.
-func (ix *Index) SearchScan(rs *core.RotationSet, kern wedge.Kernel, cnt *stats.Counter) Result {
-	return ix.probeDefault("index_search_scan", rs, kern, 0, nearest(), cnt).Best()
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 
@@ -135,6 +136,20 @@ func TestSearchWithMirrorAndLimit(t *testing.T) {
 	}
 }
 
+// rangeProbe answers a range query — every object strictly below r under
+// kern — through the default searcher, in ascending index order.
+func rangeProbe(ix *Index, rs *core.RotationSet, kern wedge.Kernel, r float64) []Result {
+	out := ix.probeDefault("test_range", rs, kern, 0, core.NewCollector(0, r), nil).Results()
+	sort.Slice(out, func(a, b int) bool { return out[a].Index < out[b].Index })
+	return out
+}
+
+// scanProbe answers a 1-NN query under a kernel the index has no compressed
+// bound for: the walk that proposes every object.
+func scanProbe(ix *Index, rs *core.RotationSet, kern wedge.Kernel) Result {
+	return ix.probeDefault("test_scan", rs, kern, 0, nearest(), nil).Best()
+}
+
 // bruteRange is the reference: every item with exact RED < r.
 func bruteRange(rs *core.RotationSet, db [][]float64, kern wedge.Kernel, r float64) map[int]float64 {
 	s := core.NewSearcher(rs, kern, core.BruteForce, core.SearcherConfig{})
@@ -160,7 +175,7 @@ func TestRangeEDExact(t *testing.T) {
 	nn := s.Scan(db, nil)
 	r := nn.Dist * 2
 	want := bruteRange(rs, db, wedge.ED{}, r)
-	got := ix.RangeED(rs, r, nil)
+	got := rangeProbe(ix, rs, wedge.ED{}, r)
 	if len(got) != len(want) {
 		t.Fatalf("range returned %d items, want %d", len(got), len(want))
 	}
@@ -172,7 +187,7 @@ func TestRangeEDExact(t *testing.T) {
 	}
 	// Fewer fetches than the database when the radius is selective.
 	ix.ResetReads()
-	tight := ix.RangeED(rs, nn.Dist*1.05, nil)
+	tight := rangeProbe(ix, rs, wedge.ED{}, nn.Dist*1.05)
 	if len(tight) < 1 {
 		t.Fatal("tight range should still contain the NN")
 	}
@@ -193,7 +208,7 @@ func TestRangeDTWExact(t *testing.T) {
 	nn := s.Scan(db, nil)
 	r := nn.Dist * 2
 	want := bruteRange(rs, db, wedge.DTW{R: R}, r)
-	got := ix.RangeDTW(rs, R, 0, r, nil)
+	got := rangeProbe(ix, rs, wedge.DTW{R: R}, r)
 	if len(got) != len(want) {
 		t.Fatalf("DTW range returned %d items, want %d", len(got), len(want))
 	}
@@ -214,7 +229,7 @@ func TestStoreAccounting(t *testing.T) {
 	}
 	// The bound-less walk — the one a kernel without a compressed bound gets —
 	// fetches every object exactly once.
-	if got := ix.SearchScan(rs, wedge.LCSS{Delta: 3, Eps: 0.5}, nil); got.Index != 2 || ix.Reads() != len(db) {
+	if got := scanProbe(ix, rs, wedge.LCSS{Delta: 3, Eps: 0.5}); got.Index != 2 || ix.Reads() != len(db) {
 		t.Fatalf("scan found %d with %d reads, want 2 with %d", got.Index, ix.Reads(), len(db))
 	}
 	ix.SearchED(rs, nil)
@@ -329,11 +344,11 @@ func TestProbeDoesNotRetainFetchedRows(t *testing.T) {
 	for _, opts := range []core.Options{core.DefaultOptions(), {Mirror: true, MaxShift: 3}} {
 		rs := core.NewRotationSet(ts.ZNorm(ts.AddNoise(rng, db[7], 0.05)), opts, nil)
 		for name, search := range map[string]func(*Index) []Result{
-			"SearchED":   func(ix *Index) []Result { return []Result{ix.SearchED(rs, nil)} },
-			"SearchDTW":  func(ix *Index) []Result { return []Result{ix.SearchDTW(rs, 3, 0, nil)} },
-			"SearchScan": func(ix *Index) []Result { return []Result{ix.SearchScan(rs, wedge.LCSS{Delta: 3, Eps: 0.5}, nil)} },
-			"RangeED":    func(ix *Index) []Result { return ix.RangeED(rs, 4, nil) },
-			"RangeDTW":   func(ix *Index) []Result { return ix.RangeDTW(rs, 3, 0, 3, nil) },
+			"SearchED":  func(ix *Index) []Result { return []Result{ix.SearchED(rs, nil)} },
+			"SearchDTW": func(ix *Index) []Result { return []Result{ix.SearchDTW(rs, 3, 0, nil)} },
+			"scan LCSS": func(ix *Index) []Result { return []Result{scanProbe(ix, rs, wedge.LCSS{Delta: 3, Eps: 0.5})} },
+			"range ED":  func(ix *Index) []Result { return rangeProbe(ix, rs, wedge.ED{}, 4) },
+			"range DTW": func(ix *Index) []Result { return rangeProbe(ix, rs, wedge.DTW{R: 3}, 3) },
 		} {
 			if got, want := search(fleeting), search(direct); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s %+v over fleeting rows: %+v, over stable rows %+v", name, opts, got, want)

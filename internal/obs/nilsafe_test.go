@@ -39,8 +39,7 @@ func assertNilCallSafe(t *testing.T, nilPtr any) {
 func TestNilSearchStatsIsANoOpSink(t *testing.T) {
 	assertNilCallSafe(t, (*SearchStats)(nil))
 	var s *SearchStats
-	s.AddComparison(3)
-	s.CountWedgePrune(2, 5)
+	s.AddCounts(&Counts{Comparisons: 1, Rotations: 3, WedgePrunedMembers: 5}, &[MaxPruneLevels]int64{2: 1})
 	if got := s.Snapshot(); !reflect.DeepEqual(got, Snapshot{}) {
 		t.Fatalf("nil SearchStats.Snapshot() = %+v, want zero", got)
 	}

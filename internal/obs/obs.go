@@ -91,88 +91,11 @@ type SearchStats struct {
 	kTraj []KChange
 }
 
-// AddComparison records one rotation-invariant comparison covering members
-// rotations.
-func (s *SearchStats) AddComparison(members int64) {
-	if s == nil {
-		return
-	}
-	s.comparisons.Add(1)
-	s.rotations.Add(members)
-}
-
-// AddSteps charges n num_steps.
-func (s *SearchStats) AddSteps(n int64) {
-	if s != nil {
-		s.steps.Add(n)
-	}
-}
-
 // ObserveComparisonSteps records one comparison's num_steps in the
 // fixed-bucket histogram.
 func (s *SearchStats) ObserveComparisonSteps(n int64) {
 	if s != nil {
 		s.stepsHist.Observe(n)
-	}
-}
-
-// CountFullDist records one exact distance computed to completion.
-func (s *SearchStats) CountFullDist() {
-	if s != nil {
-		s.fullDistEvals.Add(1)
-	}
-}
-
-// CountAbandon records one exact distance abandoned early.
-func (s *SearchStats) CountAbandon() {
-	if s != nil {
-		s.earlyAbandons.Add(1)
-	}
-}
-
-// CountNodeVisit records one internal wedge whose children were explored.
-func (s *SearchStats) CountNodeVisit() {
-	if s != nil {
-		s.wedgeNodeVisits.Add(1)
-	}
-}
-
-// CountLeafVisit records one rotation reached individually by H-Merge.
-func (s *SearchStats) CountLeafVisit() {
-	if s != nil {
-		s.wedgeLeafVisits.Add(1)
-	}
-}
-
-// CountWedgePrune records an internal-wedge LB prune at the given dendrogram
-// level (root = 0) that excluded members rotations at once.
-func (s *SearchStats) CountWedgePrune(level int, members int64) {
-	if s == nil {
-		return
-	}
-	s.wedgePrunedMembers.Add(members)
-	s.wedgePruneByLevel[PruneLevel(level)].Add(1)
-}
-
-// CountIndexCandidate records one index candidate surviving its compressed
-// bound.
-func (s *SearchStats) CountIndexCandidate() {
-	if s != nil {
-		s.indexCandidates.Add(1)
-	}
-}
-
-// CountIndexFetch records one full-resolution fetch for exact verification.
-func (s *SearchStats) CountIndexFetch() {
-	if s != nil {
-		s.indexFetches.Add(1)
-	}
-}
-
-// CountDiskRead records one record read charged by the backing store.
-func (s *SearchStats) CountDiskRead() {
-	if s != nil {
-		s.diskReads.Add(1)
 	}
 }
 

@@ -8,18 +8,12 @@ import (
 func TestNilSinkIsSafeAndFree(t *testing.T) {
 	var st *SearchStats
 	exercise := func() {
-		st.AddComparison(8)
-		st.AddSteps(100)
+		st.AddCounts(&Counts{
+			Comparisons: 1, Rotations: 8, Steps: 100, FullDistEvals: 1, EarlyAbandons: 1,
+			WedgeNodeVisits: 1, WedgeLeafVisits: 1, WedgePrunedMembers: 4, FFTRejects: 1, FFTRejectedMembers: 8,
+			IndexCandidates: 1, IndexFetches: 1, DiskReads: 1,
+		}, &[MaxPruneLevels]int64{3: 2})
 		st.ObserveComparisonSteps(100)
-		st.CountFullDist()
-		st.CountAbandon()
-		st.CountNodeVisit()
-		st.CountLeafVisit()
-		st.CountWedgePrune(3, 4)
-		st.AddCounts(&Counts{FFTRejects: 1, FFTRejectedMembers: 8}, &[MaxPruneLevels]int64{3: 1})
-		st.CountIndexCandidate()
-		st.CountIndexFetch()
-		st.CountDiskRead()
 		st.RecordKChange(4, 8)
 		st.Reset()
 	}
@@ -38,12 +32,11 @@ func TestNilSinkIsSafeAndFree(t *testing.T) {
 
 func TestSnapshotReconciles(t *testing.T) {
 	var st SearchStats
-	st.AddComparison(10) // 10 rotations to account for
-	st.CountFullDist()
-	st.CountFullDist()
-	st.CountAbandon()
-	st.CountWedgePrune(2, 4)
-	st.AddCounts(&Counts{WedgeLeafLBPrunes: 1, FFTRejects: 1, FFTRejectedMembers: 2}, nil)
+	st.AddCounts(&Counts{
+		Comparisons: 1, Rotations: 10, // 10 rotations to account for
+		FullDistEvals: 2, EarlyAbandons: 1, WedgePrunedMembers: 4,
+		WedgeLeafLBPrunes: 1, FFTRejects: 1, FFTRejectedMembers: 2,
+	}, &[MaxPruneLevels]int64{2: 1})
 	sn := st.Snapshot()
 	if sn.Rotations != 10 {
 		t.Fatalf("Rotations = %d, want 10", sn.Rotations)
@@ -152,10 +145,8 @@ func TestSearchStatsConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				st.AddComparison(4)
-				st.CountFullDist()
-				st.CountAbandon()
-				st.CountWedgePrune(1, 2)
+				st.AddCounts(&Counts{Comparisons: 1, Rotations: 4, FullDistEvals: 1, EarlyAbandons: 1, WedgePrunedMembers: 2},
+					&[MaxPruneLevels]int64{1: 1})
 				st.ObserveComparisonSteps(int64(i + 1))
 			}
 		}()

@@ -117,6 +117,21 @@ func TestServerExplainTopKAndRange(t *testing.T) {
 	}
 }
 
+// TestServerExplainPlanNamesRequestStrategy: a plan spells its strategy the
+// way the request, the log line and the strategy window do.
+func TestServerExplainPlanNamesRequestStrategy(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, strategy := range []string{"wedge", "brute", "early_abandon", "fft"} {
+		code, sr, raw := post(t, ts, "/v1/search", `{"query_index":1,"explain":true,"strategy":"`+strategy+`"}`)
+		if code != http.StatusOK || sr.Plan == nil {
+			t.Fatalf("%s: status %d plan %v (%s)", strategy, code, sr.Plan, raw)
+		}
+		if sr.Plan.Strategy != strategy {
+			t.Errorf("request strategy %q, plan strategy %q", strategy, sr.Plan.Strategy)
+		}
+	}
+}
+
 // TestServerExplainSamplerMetrics: the server-owned sampler feeds from
 // ordinary (non-explain) requests and its families appear on /metrics.
 func TestServerExplainSamplerMetrics(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"lbkeogh"
+	"lbkeogh/internal/obs"
 	"lbkeogh/internal/obs/ops"
 	"lbkeogh/internal/segment"
 )
@@ -368,7 +369,9 @@ func (s *Server) searchEndpoint(kind searchKind) http.HandlerFunc {
 		elapsed := time.Since(start)
 		stats := q.Stats()
 		stats.StageLatencies = nil // log-global, not per-request; see /metrics
-		s.record(stats)
+		var levels [obs.MaxPruneLevels]int64
+		copy(levels[:], stats.WedgePrunesByLevel)
+		s.stats.AddCounts(&stats.Counts, &levels)
 		traceID := q.LastTraceID()
 		searchDone := func(status int, msg string, attrs ...any) {
 			s.tel.observeSearch(spec.Strategy, status, elapsed, traceID, stats)

@@ -1,0 +1,259 @@
+package server
+
+import (
+	"net/http"
+	"net/http/httptest"
+	"sort"
+	"strings"
+	"testing"
+
+	"lbkeogh"
+	"lbkeogh/internal/obs"
+	"lbkeogh/internal/obs/expofmt"
+)
+
+// metricsInventory lists what a scrape is made of — one `family · type ·
+// {label keys}` line per distinct combination, sorted — and nothing of what it
+// measured. The two process-stat families are left out: they exist on Linux
+// only.
+func metricsInventory(exp *expofmt.Exposition) string {
+	seen := map[string]bool{}
+	for _, s := range exp.Samples {
+		fam := s.Name
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			if base := strings.TrimSuffix(fam, suffix); base != fam && exp.Types[base] == "histogram" {
+				fam = base
+			}
+		}
+		if fam == "shapeserver_page_faults_total" || fam == "shapeserver_rss_bytes" {
+			continue
+		}
+		var keys []string
+		for k := range s.Labels {
+			if k != "le" { // every histogram has it; its _sum and _count do not
+				keys = append(keys, k)
+			}
+		}
+		sort.Strings(keys)
+		seen[fam+" · "+exp.Types[fam]+" · {"+strings.Join(keys, ",")+"}"] = true
+	}
+	lines := make([]string, 0, len(seen))
+	for l := range seen {
+		lines = append(lines, l)
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n") + "\n"
+}
+
+// TestMetricsInventoryPinned pins the families, types and label keys /metrics
+// serves after one fixed session — a search, a top-K, a range, a refused
+// request and an EXPLAIN search — in static and in store mode, and holds every
+// shapeserver_<counter> family to the sum of that counter over the responses'
+// own stats: the server's cumulative record is its requests' deltas and
+// nothing else. Both goldens were captured at 2c81433, before the server's
+// aggregate became an obs.SearchStats.
+func TestMetricsInventoryPinned(t *testing.T) {
+	session := func(t *testing.T, ts *httptest.Server, golden string) {
+		var sum obs.Counts
+		for _, rq := range []struct {
+			path, body string
+			want       int
+		}{
+			{"/v1/search", `{"query_index":1}`, http.StatusOK},
+			{"/v1/topk", `{"query_index":2,"k":3}`, http.StatusOK},
+			{"/v1/range", `{"query_index":3,"threshold":2}`, http.StatusOK},
+			{"/v1/search", `{}`, http.StatusBadRequest},
+			{"/v1/search", `{"query_index":4,"measure":"dtw","r":2,"explain":true}`, http.StatusOK},
+		} {
+			code, sr, raw := post(t, ts, rq.path, rq.body)
+			if code != rq.want {
+				t.Fatalf("%s %s: status %d, want %d (%s)", rq.path, rq.body, code, rq.want, raw)
+			}
+			sum = sum.Add(sr.Stats.Counts)
+		}
+		if sum.Comparisons == 0 || sum.WedgePrunedMembers == 0 || !sum.Reconciles() {
+			t.Fatalf("the session's summed stats %+v", sum)
+		}
+		exp := scrapeMetrics(t, ts)
+		sum.Each(func(key, _ string, want int64) {
+			if v, ok := exp.Value("shapeserver_"+key, nil); !ok || int64(v) != want {
+				t.Errorf("shapeserver_%s = %v (present %v), the responses' stats sum to %d", key, v, ok, want)
+			}
+		})
+		var levels int64
+		for _, s := range exp.Find("shapeserver_wedge_prunes_by_level") {
+			levels += int64(s.Value)
+		}
+		if levels == 0 {
+			t.Error("no shapeserver_wedge_prunes_by_level sample after wedge searches")
+		}
+		if got := metricsInventory(exp); got != golden {
+			t.Errorf("/metrics inventory:\n%s\nwant:\n%s", got, golden)
+		}
+	}
+	t.Run("static", func(t *testing.T) {
+		_, ts := newTestServer(t, Config{TraceLog: lbkeogh.NewTraceLog(lbkeogh.WithSampleRate(1))})
+		session(t, ts, staticInventoryGolden)
+	})
+	t.Run("store", func(t *testing.T) {
+		_, _, _, ts := newObservedStoreServer(t, Config{TraceLog: lbkeogh.NewTraceLog(lbkeogh.WithSampleRate(1))})
+		if code, raw := postJSON(t, ts, "/v1/ingest", ingestBody(storeRows(7, 20, 32)), nil); code != http.StatusOK {
+			t.Fatalf("ingest: status %d body %s", code, raw)
+		}
+		session(t, ts, storeInventoryGolden)
+	})
+}
+
+const staticInventoryGolden = `lbkeogh_explain_comparisons_seen_total · counter · {}
+lbkeogh_explain_sampled_kernel_kills_total · counter · {}
+lbkeogh_explain_sampled_survivors_total · counter · {}
+lbkeogh_explain_samples_total · counter · {}
+lbkeogh_runtime_gc_cycles_total · counter · {}
+lbkeogh_runtime_gc_pause_seconds · histogram · {}
+lbkeogh_runtime_goroutines · gauge · {}
+lbkeogh_runtime_heap_bytes · gauge · {}
+lbkeogh_runtime_sched_latency_seconds · histogram · {}
+lbkeogh_runtime_total_bytes · gauge · {}
+shapeserver_admitted_total · counter · {}
+shapeserver_cancelled_members · counter · {}
+shapeserver_comparisons · counter · {}
+shapeserver_disk_reads · counter · {}
+shapeserver_drained_total · counter · {}
+shapeserver_draining · gauge · {}
+shapeserver_early_abandons · counter · {}
+shapeserver_endpoint_requests_total · counter · {class,endpoint}
+shapeserver_fft_fallbacks · counter · {}
+shapeserver_fft_rejected_members · counter · {}
+shapeserver_fft_rejects · counter · {}
+shapeserver_full_dist_evals · counter · {}
+shapeserver_index_candidates · counter · {}
+shapeserver_index_fetches · counter · {}
+shapeserver_inflight · gauge · {}
+shapeserver_k_changes · counter · {}
+shapeserver_pool_evictions_total · counter · {}
+shapeserver_pool_hits_total · counter · {}
+shapeserver_pool_idle · gauge · {}
+shapeserver_pool_misses_total · counter · {}
+shapeserver_pruning_waterfall_cancelled_total · counter · {}
+shapeserver_pruning_waterfall_members_total · counter · {stage}
+shapeserver_pruning_waterfall_rotations_total · counter · {}
+shapeserver_pruning_waterfall_survivors_total · counter · {}
+shapeserver_queue_waiting · gauge · {}
+shapeserver_rejected_total · counter · {}
+shapeserver_request_duration_seconds · histogram · {endpoint}
+shapeserver_requests_total · counter · {}
+shapeserver_rotations · counter · {}
+shapeserver_slo_error_burn_rate · gauge · {endpoint}
+shapeserver_slo_latency_burn_rate · gauge · {endpoint}
+shapeserver_slo_latency_objective_seconds · gauge · {}
+shapeserver_stage_latency_ns · histogram · {stage}
+shapeserver_steps · counter · {}
+shapeserver_timeouts_total · counter · {}
+shapeserver_wedge_leaf_lb_prunes · counter · {}
+shapeserver_wedge_leaf_visits · counter · {}
+shapeserver_wedge_node_visits · counter · {}
+shapeserver_wedge_pruned_members · counter · {}
+shapeserver_wedge_prunes_by_level · counter · {level}
+shapeserver_window_errors · gauge · {class,endpoint}
+shapeserver_window_fft_reject_rate · gauge · {strategy}
+shapeserver_window_k_changes · gauge · {strategy}
+shapeserver_window_level_prune_fraction · gauge · {level,strategy}
+shapeserver_window_prune_rate · gauge · {strategy}
+shapeserver_window_request_rate · gauge · {endpoint}
+shapeserver_window_requests · gauge · {endpoint}
+shapeserver_window_rotations · gauge · {strategy}
+shapeserver_window_strategy_p99_seconds · gauge · {strategy}
+shapeserver_window_strategy_requests · gauge · {strategy}
+`
+
+const storeInventoryGolden = `lbkeogh_explain_comparisons_seen_total · counter · {}
+lbkeogh_explain_sampled_kernel_kills_total · counter · {}
+lbkeogh_explain_sampled_survivors_total · counter · {}
+lbkeogh_explain_samples_total · counter · {}
+lbkeogh_runtime_gc_cycles_total · counter · {}
+lbkeogh_runtime_gc_pause_seconds · histogram · {}
+lbkeogh_runtime_goroutines · gauge · {}
+lbkeogh_runtime_heap_bytes · gauge · {}
+lbkeogh_runtime_sched_latency_seconds · histogram · {}
+lbkeogh_runtime_total_bytes · gauge · {}
+lbkeogh_store_column_read_bytes_total · counter · {column}
+lbkeogh_store_column_reads_total · counter · {column}
+lbkeogh_store_faulted_pages_total · counter · {}
+lbkeogh_store_fetch_duration_seconds · histogram · {temperature}
+lbkeogh_store_fetches_total · counter · {temperature}
+lbkeogh_store_journal_events_total · counter · {kind}
+lbkeogh_store_read_amplification · gauge · {}
+lbkeogh_store_read_duration_seconds · histogram · {column,temperature}
+lbkeogh_store_requested_bytes_total · counter · {}
+lbkeogh_store_residency_age_seconds · gauge · {}
+lbkeogh_store_residency_sampled_bytes · gauge · {}
+lbkeogh_store_residency_supported · gauge · {}
+lbkeogh_store_resident_bytes · gauge · {}
+lbkeogh_store_window_fetch_p99_seconds · gauge · {temperature}
+lbkeogh_store_window_fetches · gauge · {temperature}
+shapeserver_admitted_total · counter · {}
+shapeserver_cancelled_members · counter · {}
+shapeserver_comparisons · counter · {}
+shapeserver_disk_reads · counter · {}
+shapeserver_drained_total · counter · {}
+shapeserver_draining · gauge · {}
+shapeserver_early_abandons · counter · {}
+shapeserver_endpoint_requests_total · counter · {class,endpoint}
+shapeserver_fft_fallbacks · counter · {}
+shapeserver_fft_rejected_members · counter · {}
+shapeserver_fft_rejects · counter · {}
+shapeserver_full_dist_evals · counter · {}
+shapeserver_index_candidates · counter · {}
+shapeserver_index_fetches · counter · {}
+shapeserver_inflight · gauge · {}
+shapeserver_k_changes · counter · {}
+shapeserver_pool_evictions_total · counter · {}
+shapeserver_pool_hits_total · counter · {}
+shapeserver_pool_idle · gauge · {}
+shapeserver_pool_misses_total · counter · {}
+shapeserver_pruning_waterfall_cancelled_total · counter · {}
+shapeserver_pruning_waterfall_members_total · counter · {stage}
+shapeserver_pruning_waterfall_rotations_total · counter · {}
+shapeserver_pruning_waterfall_survivors_total · counter · {}
+shapeserver_queue_waiting · gauge · {}
+shapeserver_rejected_total · counter · {}
+shapeserver_request_duration_seconds · histogram · {endpoint}
+shapeserver_requests_total · counter · {}
+shapeserver_rotations · counter · {}
+shapeserver_segment_file_bytes · gauge · {segment}
+shapeserver_segment_last_access_age_seconds · gauge · {segment}
+shapeserver_segment_read_bytes_total · counter · {segment}
+shapeserver_segment_reads_total · counter · {segment}
+shapeserver_segment_touched_fraction · gauge · {segment}
+shapeserver_slo_error_burn_rate · gauge · {endpoint}
+shapeserver_slo_latency_burn_rate · gauge · {endpoint}
+shapeserver_slo_latency_objective_seconds · gauge · {}
+shapeserver_stage_latency_ns · histogram · {stage}
+shapeserver_steps · counter · {}
+shapeserver_store_busy · gauge · {}
+shapeserver_store_compactions_total · counter · {}
+shapeserver_store_generation · gauge · {}
+shapeserver_store_ingested_records_total · counter · {}
+shapeserver_store_ingests_total · counter · {}
+shapeserver_store_mapped_bytes · gauge · {}
+shapeserver_store_reads_total · counter · {}
+shapeserver_store_records · gauge · {}
+shapeserver_store_segment_records · gauge · {segment}
+shapeserver_store_segments · gauge · {}
+shapeserver_timeouts_total · counter · {}
+shapeserver_wedge_leaf_lb_prunes · counter · {}
+shapeserver_wedge_leaf_visits · counter · {}
+shapeserver_wedge_node_visits · counter · {}
+shapeserver_wedge_pruned_members · counter · {}
+shapeserver_wedge_prunes_by_level · counter · {level}
+shapeserver_window_errors · gauge · {class,endpoint}
+shapeserver_window_fft_reject_rate · gauge · {strategy}
+shapeserver_window_k_changes · gauge · {strategy}
+shapeserver_window_level_prune_fraction · gauge · {level,strategy}
+shapeserver_window_prune_rate · gauge · {strategy}
+shapeserver_window_request_rate · gauge · {endpoint}
+shapeserver_window_requests · gauge · {endpoint}
+shapeserver_window_rotations · gauge · {strategy}
+shapeserver_window_strategy_p99_seconds · gauge · {strategy}
+shapeserver_window_strategy_requests · gauge · {strategy}
+`

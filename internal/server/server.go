@@ -173,11 +173,9 @@ type Server struct {
 	compactOps  atomic.Int64 // /v1/compact requests that merged segments
 	mutationsIn atomic.Int64 // in-flight ingest/compact handlers (readyz reason)
 
-	// Per-request deltas, summed: the scalar counters and the per-level wedge
-	// prunes (the same pair an ops.PruneWindow slot keeps).
-	mu        sync.Mutex
-	agg       obs.Counts
-	aggLevels []int64
+	// stats is the cumulative search record: every served request's delta,
+	// flushed in by searchEndpoint.
+	stats obs.SearchStats
 }
 
 // New validates the database and builds the server.
@@ -302,28 +300,11 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // lbkeogh.StatsSource, so it plugs straight into MetricsHandler and
 // DebugHandler.
 func (s *Server) Stats() lbkeogh.SearchStats {
-	s.mu.Lock()
-	out := obs.SnapshotOf(s.agg)
-	// record grows and updates aggLevels in place under the lock
-	out.WedgePrunesByLevel = append([]int64(nil), s.aggLevels...)
-	s.mu.Unlock()
+	out := s.stats.Snapshot()
 	if s.cfg.TraceLog != nil {
 		out.StageLatencies = s.cfg.TraceLog.StageLatencies()
 	}
 	return out
-}
-
-// record folds one request's stats delta into the server aggregate.
-func (s *Server) record(d lbkeogh.SearchStats) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.agg = s.agg.Add(d.Counts)
-	for len(s.aggLevels) < len(d.WedgePrunesByLevel) {
-		s.aggLevels = append(s.aggLevels, 0)
-	}
-	for i, v := range d.WedgePrunesByLevel {
-		s.aggLevels[i] += v
-	}
 }
 
 func (s *Server) buildMux() *http.ServeMux {

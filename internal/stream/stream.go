@@ -148,8 +148,11 @@ func (m *Monitor) Push(v float64) []Match {
 	}
 	w := m.window()
 	var out []Match
-	var local stats.Tally // kernel-facing scratch, flushed below
-	m.obs.AddComparison(int64(m.tree.Members()))
+	// The window's steps, outcomes and per-level prunes are tallied here with
+	// plain increments and flushed into the shared record once, below.
+	var local stats.Tally
+	var levels [obs.MaxPruneLevels]int64
+	counts := obs.Counts{Comparisons: 1, Rotations: int64(m.tree.Members())}
 
 	// Depth-first over the wedge hierarchy with threshold pruning.
 	d := m.tree.Dendrogram()
@@ -159,14 +162,14 @@ func (m *Monitor) Push(v float64) []Match {
 		stack = stack[:len(stack)-1]
 		node := d.Nodes[id]
 		if node.Left < 0 {
-			m.obs.CountLeafVisit()
+			counts.WedgeLeafVisits++
 			dd, abandoned := m.kernel.Distance(w, m.tree.Member(id), m.threshold, &local)
 			if abandoned {
-				m.obs.CountAbandon()
+				counts.EarlyAbandons++
 				obs.TraceAbandon(m.trace, id)
 				continue
 			}
-			m.obs.CountFullDist()
+			counts.FullDistEvals++
 			if dd < m.threshold {
 				out = append(out, Match{End: m.seen - 1, Pattern: id, Dist: dd})
 			}
@@ -174,18 +177,19 @@ func (m *Monitor) Push(v float64) []Match {
 		}
 		lb, abandoned := m.kernel.LowerBound(w, m.envs[id], m.threshold, &local)
 		if abandoned || lb >= m.threshold {
-			m.obs.CountWedgePrune(m.tree.Depth(id), int64(node.Size))
+			counts.WedgePrunedMembers += int64(node.Size)
+			levels[obs.PruneLevel(m.tree.Depth(id))]++
 			obs.TraceWedgeVisit(m.trace, id, m.tree.Depth(id), lb, true)
 			continue
 		}
-		m.obs.CountNodeVisit()
+		counts.WedgeNodeVisits++
 		obs.TraceWedgeVisit(m.trace, id, m.tree.Depth(id), lb, false)
 		stack = append(stack, node.Left, node.Right)
 	}
-	delta := local.Steps()
-	m.steps.Add(delta)
-	m.obs.AddSteps(delta)
-	m.obs.ObserveComparisonSteps(delta)
+	counts.Steps = local.Steps()
+	m.steps.Add(counts.Steps)
+	m.obs.AddCounts(&counts, &levels)
+	m.obs.ObserveComparisonSteps(counts.Steps)
 	if m.tlog != nil {
 		m.tlog.ObserveStage(trace.StageMonitorFilter, int64(time.Since(t0)))
 	}

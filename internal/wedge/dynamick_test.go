@@ -154,7 +154,7 @@ func hmergeScan(tree *Tree, db [][]float64, nextK func() int, observe func(steps
 	var steps stats.Tally
 	best, at = math.Inf(1), -1
 	for i, x := range db {
-		res := tree.SearchTraced(x, ED{}, nextK(), best, LIFO, &steps, &sc, nil, nil, nil)
+		res := tree.SearchTraced(x, ED{}, nextK(), best, &steps, &sc, nil, nil, nil)
 		if res.BestMember >= 0 {
 			best, at = res.Dist, i
 		}

@@ -13,17 +13,13 @@ import (
 	"lbkeogh/internal/stats"
 )
 
-// Traversal selects the H-Merge frontier/children visit order.
+// Traversal and LIFO are what is left of a visit-order option: H-Merge walks
+// depth-first with a stack, as in the paper's Table 6, and nothing else.
+// benchmark/ still passes LIFO to Search; a benchmark-only PR retires both.
 type Traversal int
 
-const (
-	// LIFO visits wedges depth-first with a stack, as in the paper's Table 6.
-	LIFO Traversal = iota
-	// BestFirst visits wedges in ascending lower-bound order with a priority
-	// queue, terminating as soon as the smallest outstanding bound meets the
-	// best-so-far. Used by the traversal-order ablation.
-	BestFirst
-)
+// LIFO is the only Traversal.
+const LIFO Traversal = 0
 
 // Tree is the hierarchically nested wedge structure built over a set of
 // candidate series (in the paper: the rotations of the query). Node indexing
@@ -227,9 +223,9 @@ type Result struct {
 // comparisons and flushes them into the shared record
 // (obs.SearchStats.AddCounts). The rest is cached per-query state: the tree's
 // envelopes widened for the kernel's radius, the frontier cut for the last K
-// used, and the traversal's stack and queue. (The step tally travels beside
-// the scratch, not in it: a pointer into the scratch handed to a Kernel would
-// force Search's throwaway onto the heap.)
+// used, and the walk's stack. (The step tally travels beside the scratch, not
+// in it: a pointer into the scratch handed to a Kernel would force Search's
+// throwaway onto the heap.)
 type Scratch struct {
 	Counts       obs.Counts
 	PruneByLevel [obs.MaxPruneLevels]int64
@@ -240,7 +236,6 @@ type Scratch struct {
 	k        int   // the K frontier was cut for
 	frontier []int // nil before the first search of a tree
 	stack    []int
-	pq       boundHeap
 }
 
 // prepare points the scratch at tree t, radius and K. The widened envelopes
@@ -262,14 +257,13 @@ func (sc *Scratch) prepare(t *Tree, radius, K int, steps *stats.Tally, rec *trac
 
 // Search runs H-Merge (Table 6): it returns the exact minimum distance from
 // q to any member of the tree, provided that minimum is strictly below r
-// (r < 0 or +Inf means unbounded). K is the wedge-set size to start from;
-// traversal selects stack vs best-first order. The result is exact: H-Merge
-// returns precisely what brute force over all members would, as long as the
-// caller treats Dist = +Inf as "no member beats r".
-func (t *Tree) Search(q []float64, k Kernel, K int, r float64, traversal Traversal, cnt *stats.Tally) Result {
+// (r < 0 or +Inf means unbounded). K is the wedge-set size to start from. The
+// result is exact: H-Merge returns precisely what brute force over all members
+// would, as long as the caller treats Dist = +Inf as "no member beats r".
+func (t *Tree) Search(q []float64, k Kernel, K int, r float64, _ Traversal, cnt *stats.Tally) Result {
 	var sc Scratch
 	var steps stats.Tally
-	res := t.SearchTraced(q, k, K, r, traversal, &steps, &sc, nil, nil, nil)
+	res := t.SearchTraced(q, k, K, r, &steps, &sc, nil, nil, nil)
 	cnt.Add(res.Steps)
 	return res
 }
@@ -289,7 +283,7 @@ func (t *Tree) Search(q []float64, k Kernel, K int, r float64, traversal Travers
 // one predictable branch per event.
 //
 //lbkeogh:hotpath
-func (t *Tree) SearchTraced(q []float64, k Kernel, K int, r float64, traversal Traversal, steps *stats.Tally, sc *Scratch, tr obs.Tracer, rec *trace.Recorder, chk *cancel.Checker) Result {
+func (t *Tree) SearchTraced(q []float64, k Kernel, K int, r float64, steps *stats.Tally, sc *Scratch, tr obs.Tracer, rec *trace.Recorder, chk *cancel.Checker) Result {
 	if len(q) != t.Len() {
 		panic(fmt.Sprintf("wedge: query length %d != member length %d", len(q), t.Len()))
 	}
@@ -303,32 +297,54 @@ func (t *Tree) SearchTraced(q []float64, k Kernel, K int, r float64, traversal T
 	}
 	bestMember := -1
 
-	visitLeaf := func(id int) { //lint:ignore hotalloc non-escaping closure, invoked directly below
-		st.WedgeLeafVisits++
-		if k.LeafLBIsExact() {
-			// For Euclidean, LB against the singleton wedge IS the distance;
-			// compute it once via the kernel's exact path.
-			kt0 := rec.Now()
-			d, abandoned := k.Distance(q, t.members[id], best, steps)
-			rec.Emit(trace.StageKernel, id, kt0, rec.Now()-kt0)
-			if abandoned {
-				st.EarlyAbandons++
-				obs.TraceAbandon(tr, id)
-				return
+	hm := rec.Begin(trace.StageHMerge, -1)
+	aborted := false
+	// The stack grows to a walk's high-water mark (at most one entry per
+	// member: it holds disjoint unvisited subtrees) and is handed back to the
+	// scratch below, so a searcher's later walks reuse it.
+	stack := append(sc.stack[:0], sc.frontier...) //lint:ignore hotalloc grows a few times over a scratch's life, not per search
+	for len(stack) > 0 {
+		if chk.Stop() != nil {
+			// Cancelled mid-walk: every member under a node still on the
+			// stack is undisposed (pops either dispose or push children,
+			// so the stack is exactly the undisposed partition).
+			for _, rest := range stack {
+				st.CancelledMembers += int64(t.dend.Nodes[rest].Size)
 			}
-			st.FullDistEvals++
-			if d < best {
-				best, bestMember = d, id
-			}
-			return
+			aborted = true
+			break
 		}
-		// For warped measures: cheap LB first (classic LB_Keogh), then the
-		// full distance only if the bound cannot prune.
-		lb, abandoned := k.LowerBound(q, envs[id], best, steps)
-		if abandoned || lb >= best {
-			st.WedgeLeafLBPrunes++
-			obs.TraceWedgeVisit(tr, id, t.depth[id], lb, true)
-			return
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		node := t.dend.Nodes[id]
+		if node.Left >= 0 {
+			lb, abandoned := k.LowerBound(q, envs[id], best, steps)
+			if abandoned || lb >= best {
+				// Prune the whole wedge: every rotation under it goes to the
+				// wedge-LB-prune bucket at the wedge's dendrogram level.
+				st.WedgePrunedMembers += int64(node.Size)
+				sc.PruneByLevel[obs.PruneLevel(t.depth[id])]++
+				obs.TraceWedgeVisit(tr, id, t.depth[id], lb, true)
+				continue
+			}
+			st.WedgeNodeVisits++
+			rec.CountVisit(t.depth[id])
+			obs.TraceWedgeVisit(tr, id, t.depth[id], lb, false)
+			stack = append(stack, node.Left, node.Right) //lint:ignore hotalloc grows a few times over a scratch's life, not per search
+			continue
+		}
+		st.WedgeLeafVisits++
+		// For Euclidean, LB against the singleton wedge IS the distance, so
+		// the kernel's exact path computes it once. For warped measures: cheap
+		// LB first (classic LB_Keogh), then the full distance only if the
+		// bound cannot prune.
+		if !k.LeafLBIsExact() {
+			lb, abandoned := k.LowerBound(q, envs[id], best, steps)
+			if abandoned || lb >= best {
+				st.WedgeLeafLBPrunes++
+				obs.TraceWedgeVisit(tr, id, t.depth[id], lb, true)
+				continue
+			}
 		}
 		kt0 := rec.Now()
 		d, abandoned := k.Distance(q, t.members[id], best, steps)
@@ -336,181 +352,19 @@ func (t *Tree) SearchTraced(q []float64, k Kernel, K int, r float64, traversal T
 		if abandoned {
 			st.EarlyAbandons++
 			obs.TraceAbandon(tr, id)
-			return
+			continue
 		}
 		st.FullDistEvals++
 		if d < best {
 			best, bestMember = d, id
 		}
 	}
-	// pruneNode attributes all rotations under an internal or frontier wedge
-	// to the wedge-LB-prune bucket at the wedge's dendrogram level.
-	pruneNode := func(id int, lb float64) { //lint:ignore hotalloc non-escaping closure, invoked directly below
-		st.WedgePrunedMembers += int64(t.dend.Nodes[id].Size)
-		sc.PruneByLevel[obs.PruneLevel(t.depth[id])]++
-		obs.TraceWedgeVisit(tr, id, t.depth[id], lb, true)
-	}
-
-	frontier := sc.frontier
-	hm := rec.Begin(trace.StageHMerge, -1)
-	aborted := false
-	switch traversal {
-	case BestFirst:
-		pq := &sc.pq
-		*pq = (*pq)[:0]
-		for fi, id := range frontier {
-			if chk.Stop() != nil {
-				// Cancelled while seeding: everything not yet bounded plus
-				// everything already queued is undisposed.
-				for _, rest := range frontier[fi:] {
-					st.CancelledMembers += int64(t.dend.Nodes[rest].Size)
-				}
-				for _, it := range *pq {
-					st.CancelledMembers += int64(t.dend.Nodes[it.id].Size)
-				}
-				aborted = true
-				break
-			}
-			lb, abandoned := k.LowerBound(q, envs[id], best, steps)
-			if !abandoned && lb < best {
-				pq.push(boundItem{id: id, lb: lb})
-			} else {
-				pruneNode(id, lb)
-			}
-		}
-		for !aborted && len(*pq) > 0 {
-			if chk.Stop() != nil {
-				for _, it := range *pq {
-					st.CancelledMembers += int64(t.dend.Nodes[it.id].Size)
-				}
-				aborted = true
-				break
-			}
-			it := pq.pop()
-			if it.lb >= best {
-				// Smallest outstanding bound cannot improve: done. Everything
-				// still queued is excluded by its (stale) bound.
-				pruneNode(it.id, it.lb)
-				for _, rest := range *pq {
-					pruneNode(rest.id, rest.lb)
-				}
-				break
-			}
-			node := t.dend.Nodes[it.id]
-			if node.Left < 0 {
-				visitLeaf(it.id)
-				continue
-			}
-			st.WedgeNodeVisits++
-			rec.CountVisit(t.depth[it.id])
-			obs.TraceWedgeVisit(tr, it.id, t.depth[it.id], it.lb, false)
-			// Left then right, without materializing a child slice per visit.
-			for c := 0; c < 2; c++ {
-				ch := node.Left
-				if c == 1 {
-					ch = node.Right
-				}
-				lb, abandoned := k.LowerBound(q, envs[ch], best, steps)
-				if !abandoned && lb < best {
-					pq.push(boundItem{id: ch, lb: lb})
-				} else {
-					pruneNode(ch, lb)
-				}
-			}
-		}
-	default: // LIFO, the paper's Table 6
-		// The stack grows to a walk's high-water mark (at most one entry per
-		// member: it holds disjoint unvisited subtrees) and is handed back
-		// to the scratch below, so a searcher's later walks reuse it.
-		stack := append(sc.stack[:0], frontier...) //lint:ignore hotalloc grows a few times over a scratch's life, not per search
-		for len(stack) > 0 {
-			if chk.Stop() != nil {
-				// Cancelled mid-walk: every member under a node still on the
-				// stack is undisposed (pops either dispose or push children,
-				// so the stack is exactly the undisposed partition).
-				for _, rest := range stack {
-					st.CancelledMembers += int64(t.dend.Nodes[rest].Size)
-				}
-				aborted = true
-				break
-			}
-			id := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			node := t.dend.Nodes[id]
-			if node.Left < 0 {
-				visitLeaf(id)
-				continue
-			}
-			lb, abandoned := k.LowerBound(q, envs[id], best, steps)
-			if abandoned || lb >= best {
-				pruneNode(id, lb) // prune the whole wedge
-				continue
-			}
-			st.WedgeNodeVisits++
-			rec.CountVisit(t.depth[id])
-			obs.TraceWedgeVisit(tr, id, t.depth[id], lb, false)
-			stack = append(stack, node.Left, node.Right) //lint:ignore hotalloc grows a few times over a scratch's life, not per search
-		}
-		sc.stack = stack[:0]
-	}
+	sc.stack = stack[:0]
 
 	rec.EndVisits(hm)
 	spent := steps.Steps() - steps0
-	if aborted {
-		return Result{Dist: math.Inf(1), BestMember: -1, Steps: spent, Aborted: true}
-	}
-	if bestMember < 0 {
-		return Result{Dist: math.Inf(1), BestMember: -1, Steps: spent}
+	if aborted || bestMember < 0 {
+		return Result{Dist: math.Inf(1), BestMember: -1, Steps: spent, Aborted: aborted}
 	}
 	return Result{Dist: best, BestMember: bestMember, Steps: spent}
-}
-
-type boundItem struct {
-	id int
-	lb float64
-}
-
-// boundHeap is a hand-rolled min-heap on lb. container/heap would box every
-// boundItem in an interface on Push and Pop; the explicit sift keeps the
-// best-first traversal allocation-free apart from amortized slice growth.
-type boundHeap []boundItem
-
-func (h *boundHeap) push(it boundItem) {
-	*h = append(*h, it)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if s[parent].lb <= s[i].lb {
-			break
-		}
-		s[parent], s[i] = s[i], s[parent]
-		i = parent
-	}
-}
-
-func (h *boundHeap) pop() boundItem {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && s[l].lb < s[min].lb {
-			min = l
-		}
-		if r < n && s[r].lb < s[min].lb {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		s[i], s[min] = s[min], s[i]
-		i = min
-	}
-	return top
 }

@@ -61,12 +61,10 @@ func TestSearchMatchesBruteForceED(t *testing.T) {
 		q := ts.RandomWalk(rng, 40)
 		want, wantIdx := bruteMin(q, members, ED{})
 		for _, K := range []int{1, 2, 4, 8, 16} {
-			for _, tr := range []Traversal{LIFO, BestFirst} {
-				res := tree.Search(q, ED{}, K, -1, tr, nil)
-				if math.Abs(res.Dist-want) > 1e-9 || res.BestMember != wantIdx {
-					t.Fatalf("K=%d tr=%d: H-Merge (%v,%d) != brute (%v,%d)",
-						K, tr, res.Dist, res.BestMember, want, wantIdx)
-				}
+			res := tree.Search(q, ED{}, K, -1, LIFO, nil)
+			if math.Abs(res.Dist-want) > 1e-9 || res.BestMember != wantIdx {
+				t.Fatalf("K=%d: H-Merge (%v,%d) != brute (%v,%d)",
+					K, res.Dist, res.BestMember, want, wantIdx)
 			}
 		}
 	}
@@ -150,20 +148,19 @@ func TestSearchStepsLessThanBruteForceOnClusteredData(t *testing.T) {
 	}
 }
 
-// Property: H-Merge is exact for arbitrary K, traversal and kernel.
+// Property: H-Merge is exact for arbitrary K and kernel.
 func TestSearchExactnessProperty(t *testing.T) {
 	tree, members := buildRandomTree(11, 14, 24)
 	rng := ts.NewRand(12)
-	f := func(kSeed, trSeed, kernSeed uint8) bool {
+	f := func(kSeed, kernSeed uint8) bool {
 		q := ts.RandomWalk(rng, 24)
 		K := 1 + int(kSeed)%14
-		tr := Traversal(int(trSeed) % 2)
 		var kern Kernel = ED{}
 		if kernSeed%2 == 1 {
 			kern = DTW{R: 1 + int(kernSeed)%4}
 		}
 		want, _ := bruteMin(q, members, kern)
-		res := tree.Search(q, kern, K, -1, tr, nil)
+		res := tree.Search(q, kern, K, -1, LIFO, nil)
 		return math.Abs(res.Dist-want) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -341,7 +338,7 @@ func TestWidenedEnvelopesMatchExpandDTW(t *testing.T) {
 }
 
 // TestScratchReuseMatchesFreshSearch drives one Scratch through searches that
-// change K, traversal, kernel radius and even the tree — everything its
+// change K, kernel radius and even the tree — everything its
 // cached envelopes and frontier depend on — and holds each result, step count
 // and outcome tally to a throwaway-scratch Search of the same arguments.
 func TestScratchReuseMatchesFreshSearch(t *testing.T) {
@@ -364,7 +361,6 @@ func TestScratchReuseMatchesFreshSearch(t *testing.T) {
 			k = DTW{R: 3}
 		}
 		K := trial * 5 % (tree.MaxK() + 2) // 0 and MaxK+1 included: Frontier clamps them
-		tr := Traversal(trial % 2)
 		q := ts.RandomWalk(rng, 32)
 		r := -1.0
 		if trial%3 == 0 {
@@ -373,10 +369,10 @@ func TestScratchReuseMatchesFreshSearch(t *testing.T) {
 
 		var fresh Scratch
 		var freshSteps, steps stats.Tally
-		want := tree.SearchTraced(q, k, K, r, tr, &freshSteps, &fresh, nil, nil, nil)
+		want := tree.SearchTraced(q, k, K, r, &freshSteps, &fresh, nil, nil, nil)
 		sc.Counts = obs.Counts{}
 		sc.PruneByLevel = [obs.MaxPruneLevels]int64{}
-		got := tree.SearchTraced(q, k, K, r, tr, &steps, &sc, nil, nil, nil)
+		got := tree.SearchTraced(q, k, K, r, &steps, &sc, nil, nil, nil)
 		if got != want {
 			t.Fatalf("trial %d: reused scratch %+v, fresh %+v", trial, got, want)
 		}

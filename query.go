@@ -10,7 +10,6 @@ import (
 	"lbkeogh/internal/obs/explain"
 	"lbkeogh/internal/obs/trace"
 	"lbkeogh/internal/stats"
-	"lbkeogh/internal/wedge"
 )
 
 // Series is a 1-D signal: a shape's centroid-distance signature, a folded
@@ -69,7 +68,6 @@ type queryConfig struct {
 	maxDeg    float64
 	strategy  Strategy
 	fixedK    int
-	traversal wedge.Traversal
 	intervals int
 	tracer    Tracer
 	tlog      *TraceLog
@@ -108,12 +106,6 @@ func WithStrategy(s Strategy) QueryOption {
 // a tenth of the best fixed K's steps without being told where it is.
 func WithFixedWedgeCount(k int) QueryOption {
 	return func(c *queryConfig) { c.fixedK = k }
-}
-
-// WithBestFirstTraversal switches H-Merge from the paper's stack order to
-// best-first lower-bound order (an ablation; usually a small improvement).
-func WithBestFirstTraversal() QueryOption {
-	return func(c *queryConfig) { c.traversal = wedge.BestFirst }
 }
 
 // WithTracer installs a Tracer receiving fine-grained search events (wedge
@@ -200,7 +192,6 @@ func NewQuery(series Series, m Measure, opts ...QueryOption) (*Query, error) {
 	q := &Query{measure: m, n: len(series), tlog: cfg.tlog.inner()}
 	q.strategy = cfg.strategy.internal()
 	q.searchCfg = core.SearcherConfig{
-		Traversal:      cfg.traversal,
 		FixedK:         cfg.fixedK,
 		ProbeIntervals: cfg.intervals,
 		Obs:            &q.obs,
