@@ -61,10 +61,9 @@
 // JSON-serialisable snapshot whose Reconciles method verifies that every
 // rotation was either fully evaluated or pruned by exactly one mechanism.
 // Collection uses atomic counters and is safe under SearchParallel; with no
-// consumer the sink is a nil pointer and costs only a branch. WithTracer
-// attaches per-event callbacks (wedge visits, abandons, K changes, fetches),
-// and MetricsHandler / PublishExpvar export live counters in Prometheus text
-// and expvar form. SearchStats, Counts, KChange, HistogramBucket and
+// consumer the sink is a nil pointer and costs only a branch.
+// MetricsHandler / PublishExpvar export live counters in Prometheus text and
+// expvar form. SearchStats, Counts, KChange, HistogramBucket and
 // StageLatency are aliases of the internal/obs types every layer fills in:
 // internal/obs owns the record, the list of its counters and the table that
 // names their metric families, so the public API carries no copy of them.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"lbkeogh/internal/obs"
+	"lbkeogh/internal/obs/trace"
 	"lbkeogh/internal/stats"
 	"lbkeogh/internal/wedge"
 )
@@ -158,37 +159,71 @@ func TestMatchFFTUnboundedSkipsTransform(t *testing.T) {
 	}
 }
 
-// TestTracerReceivesEvents wires a FuncTracer through a wedge scan and
-// checks the hook counts line up with the stats record.
-func TestTracerReceivesEvents(t *testing.T) {
-	db, q := parallelTestDB(15, 80, 40)
+// TestSpansCrossCheckRecord holds a scan's spans to its stats record: with
+// nothing dropped, the H-Merge spans' per-level visits sum to WedgeNodeVisits
+// and there is one kernel span per exact distance evaluation, full or
+// abandoned. Rotations are few enough that no comparison exceeds its span
+// quota.
+func TestSpansCrossCheckRecord(t *testing.T) {
+	db, q := parallelTestDB(15, 80, 16)
 	rs := NewRotationSet(q, DefaultOptions(), nil)
-	var visits, prunes, abandons int64
-	tr := &obs.FuncTracer{
-		WedgeVisit: func(node, level int, lb float64, pruned bool) {
-			if pruned {
-				prunes++
-			} else {
-				visits++
+	for _, kern := range []wedge.Kernel{wedge.ED{}, wedge.DTW{R: 2}} {
+		st := &obs.SearchStats{}
+		rec := trace.NewRecorder("scan", 1<<14)
+		s := NewSearcher(rs, kern, Wedge, SearcherConfig{Obs: st})
+		s.SetRecorder(rec)
+		s.Scan(db, nil)
+		if rec.Dropped() != 0 {
+			t.Fatalf("%T: %d spans dropped; the cross-check needs all of them", kern, rec.Dropped())
+		}
+		var visits, kernels int64
+		for _, sp := range rec.Spans() {
+			switch sp.Stage {
+			case trace.StageHMerge:
+				for _, v := range sp.VisitsByLevel {
+					visits += v
+				}
+			case trace.StageKernel:
+				kernels++
 			}
-		},
-		Abandon: func(member int) { abandons++ },
+		}
+		sn := st.Snapshot()
+		if visits != sn.WedgeNodeVisits {
+			t.Fatalf("%T: H-Merge spans hold %d visits, the record %d", kern, visits, sn.WedgeNodeVisits)
+		}
+		if want := sn.FullDistEvals + sn.EarlyAbandons; kernels != want || kernels == 0 {
+			t.Fatalf("%T: %d kernel spans, the record %d full + %d abandoned", kern, kernels, sn.FullDistEvals, sn.EarlyAbandons)
+		}
 	}
+}
+
+// TestKTrajectoryChains holds the record's dynamic-K trajectory to the
+// controller it narrates: below the trajectory's cap every K change has an
+// entry, every entry is a move, each starts where the previous one ended —
+// the first where the searcher started — and the last ends at CurrentK.
+func TestKTrajectoryChains(t *testing.T) {
+	db, q := parallelTestDB(16, 3000, 64)
+	rs := NewRotationSet(q, DefaultOptions(), nil)
 	st := &obs.SearchStats{}
-	var cnt stats.Counter
-	NewSearcher(rs, wedge.ED{}, Wedge, SearcherConfig{Obs: st, Tracer: tr}).Scan(db, &cnt)
+	s := NewSearcher(rs, wedge.ED{}, Wedge, SearcherConfig{Obs: st})
+	k0 := s.CurrentK()
+	s.Scan(db, nil)
 	sn := st.Snapshot()
-	if visits != sn.WedgeNodeVisits {
-		t.Fatalf("tracer saw %d unpruned wedge visits, stats %d", visits, sn.WedgeNodeVisits)
+	traj := sn.KTrajectory
+	if len(traj) == 0 || len(traj) >= 1024 {
+		t.Fatalf("%d K changes: the scan must move K, and stay below the trajectory cap", len(traj))
 	}
-	if abandons != sn.EarlyAbandons {
-		t.Fatalf("tracer saw %d abandons, stats %d", abandons, sn.EarlyAbandons)
+	if sn.KChanges != int64(len(traj)) {
+		t.Fatalf("KChanges %d, trajectory entries %d", sn.KChanges, len(traj))
 	}
-	var pruneEvents int64
-	for _, v := range sn.WedgePrunesByLevel {
-		pruneEvents += v
+	from := k0
+	for i, c := range traj {
+		if c.From == c.To || c.From != from {
+			t.Fatalf("entry %d %+v: want a move from %d", i, c, from)
+		}
+		from = c.To
 	}
-	if prunes != pruneEvents {
-		t.Fatalf("tracer saw %d prunes, stats %d", prunes, pruneEvents)
+	if from != s.CurrentK() {
+		t.Fatalf("the trajectory ends at K %d, the searcher is at %d", from, s.CurrentK())
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 
-	"lbkeogh/internal/cancel"
 	"lbkeogh/internal/stats"
 	"lbkeogh/internal/wedge"
 )
@@ -27,12 +26,12 @@ func ScanParallel(rs *RotationSet, kernel wedge.Kernel, strategy Strategy, cfg S
 	return r
 }
 
-// ScanParallelContext is ScanParallel bounded by ctx. Every worker owns its
-// cancellation checkpoint (a checker, like the searcher it feeds, is
-// single-goroutine) and polls it per comparison, so a cancellation stops
-// all workers within one checkpoint interval each; the WaitGroup then joins
-// them before the error is returned — a cancelled scan leaks no goroutines.
-// An uncancelled ScanParallelContext is identical to ScanParallel.
+// ScanParallelContext is ScanParallel bounded by ctx. Every worker opens its
+// own searcher's pass with Begin, so each owns its cancellation checkpoint
+// and polls it per comparison: a cancellation stops all workers within one
+// checkpoint interval each, and the WaitGroup then joins them before the
+// error is returned — a cancelled scan leaks no goroutines. An uncancelled
+// ScanParallelContext is identical to ScanParallel.
 func ScanParallelContext(ctx context.Context, rs *RotationSet, kernel wedge.Kernel, strategy Strategy, cfg SearcherConfig, db [][]float64, workers int, cnt *stats.Counter) (ScanResult, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -67,10 +66,14 @@ func ScanParallelContext(ctx context.Context, rs *RotationSet, kernel wedge.Kern
 			// Workers share cnt (atomic) and any cfg.Obs record directly;
 			// MatchSeries flushes its stack-local counter once per series, so
 			// the shared atomics are touched O(1) times per comparison. Each
-			// worker owns its checkpoint (single-goroutine, like the searcher).
+			// comparison is offered to a one-slot collector whose limit is the
+			// worker's copy of the global best-so-far.
 			searcher := NewSearcher(rs, kernel, strategy, cfg)
-			chk := cancel.New(ctx, CancelCheckInterval)
-			searcher.SetCancelChecker(chk)
+			if searcher.Begin(ctx) != nil {
+				return
+			}
+			defer searcher.End()
+			c := NewCollector(1, math.Inf(1))
 			for {
 				mu.Lock()
 				lo := next
@@ -85,19 +88,17 @@ func ScanParallelContext(ctx context.Context, rs *RotationSet, kernel wedge.Kern
 					hi = len(db)
 				}
 				for i := lo; i < hi; i++ {
-					if chk.Stop() != nil {
+					c.limit, c.res = threshold, c.res[:0]
+					if searcher.Offer(i, db[i], c, cnt) != nil {
 						return
 					}
-					m := searcher.MatchSeries(db[i], threshold, cnt)
-					if chk.Err() != nil {
-						return
-					}
-					if !m.Found() {
+					if len(c.res) == 0 {
 						continue
 					}
+					m := c.res[0]
 					mu.Lock()
 					if m.Dist < best.Dist || (m.Dist == best.Dist && i < best.Index) {
-						best = ScanResult{Index: i, Dist: m.Dist, Member: m.Member}
+						best = m
 					}
 					threshold = best.Dist
 					mu.Unlock()
@@ -119,7 +120,10 @@ func ScanParallelContext(ctx context.Context, rs *RotationSet, kernel wedge.Kern
 	// threshold comparison is strict). Resolve by re-checking all earlier
 	// items at an epsilon-loosened threshold.
 	searcher := NewSearcher(rs, kernel, strategy, cfg)
-	searcher.SetCancelChecker(cancel.New(ctx, CancelCheckInterval))
+	if err := searcher.Begin(ctx); err != nil {
+		return ScanResult{Index: -1, Dist: math.Inf(1)}, err
+	}
+	defer searcher.End()
 	for i := 0; i < best.Index; i++ {
 		if err := ctx.Err(); err != nil {
 			return ScanResult{Index: -1, Dist: math.Inf(1)}, err

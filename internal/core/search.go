@@ -87,10 +87,9 @@ type Searcher struct {
 	fixedK   int // > 0 disables the dynamic controller (ablation)
 	queryMag []float64
 	obs      *obs.SearchStats // nil: the no-op sink
-	tracer   obs.Tracer       // nil: untraced
 	rec      *trace.Recorder  // nil: no span recording
 	ref      int              // comparison ordinal within the current trace
-	chk      *cancel.Checker  // nil: uncancellable
+	chk      *cancel.Checker  // nil: uncancellable; Begin attaches, End detaches
 	exp      *explain.Op      // nil: no explain sampling
 	expCtx   *explain.QueryContext
 
@@ -117,9 +116,6 @@ type SearcherConfig struct {
 	// every comparison. It is safe to share one record across the searchers
 	// of a parallel scan.
 	Obs *obs.SearchStats
-	// Tracer, when non-nil, receives fine-grained search events (wedge
-	// visits, abandons, dynamic-K changes).
-	Tracer obs.Tracer
 }
 
 // NewSearcher builds a Searcher. FFTFilter requires a Euclidean kernel;
@@ -142,18 +138,10 @@ func NewSearcher(rs *RotationSet, kernel wedge.Kernel, strategy Strategy, cfg Se
 		fixedK:   cfg.FixedK,
 		dyn:      wedge.NewDynamicK(rs.Members(), intervals),
 		obs:      cfg.Obs,
-		tracer:   cfg.Tracer,
 	}
 	if strategy == Wedge && cfg.FixedK <= 0 {
 		rs.tree.CutFrontiers(s.dyn.Ladder())
 	}
-	s.dyn.SetChangeHook(func(oldK, newK int) {
-		// Fires after the comparison's flush: the record counts the change
-		// itself, the tally carries it into the comparison's traced delta.
-		s.scratch.Counts.KChanges++
-		s.obs.RecordKChange(oldK, newK)
-		obs.TraceKChange(s.tracer, oldK, newK)
-	})
 	if strategy == FFTFilter {
 		s.queryMag = fourier.Magnitudes(rs.Base(), rs.Len()/2)
 	}
@@ -189,14 +177,6 @@ func (s *Searcher) ExplainContext() *explain.QueryContext {
 	return s.expCtx
 }
 
-// SetCancelChecker attaches (or, with nil, detaches) a cooperative
-// cancellation checkpoint. Like the Searcher itself, the checker is
-// single-goroutine: attach it to at most one searcher. While attached, the
-// strategy loops poll it per rotation (or per wedge visit) and abort the
-// comparison once it trips; the undisposed rotations are attributed to the
-// cancelled outcome bucket so the record still reconciles.
-func (s *Searcher) SetCancelChecker(chk *cancel.Checker) { s.chk = chk }
-
 // Kernel returns the searcher's distance kernel.
 func (s *Searcher) Kernel() wedge.Kernel { return s.kernel }
 
@@ -206,10 +186,6 @@ func (s *Searcher) RotationSet() *RotationSet { return s.rs }
 // Stats returns the record the searcher's comparisons are flushed into (nil:
 // the no-op sink); an index probe counts its fetches on it too.
 func (s *Searcher) Stats() *obs.SearchStats { return s.obs }
-
-// Tracer returns the searcher's event tracer (nil: untraced), which an index
-// probe reports its fetches to.
-func (s *Searcher) Tracer() obs.Tracer { return s.tracer }
 
 // Strategy returns the searcher's strategy.
 func (s *Searcher) Strategy() Strategy { return s.strategy }
@@ -293,9 +269,16 @@ func (s *Searcher) matchSeries(x []float64, r float64, cnt *stats.Counter, rec *
 	s.obs.ObserveComparisonSteps(steps)
 	// A cancelled comparison must not feed the dynamic-K controller: its
 	// partial step count would bias the wedge-set size and leave the query in
-	// a different adaptive state than an uncancelled run.
+	// a different adaptive state than an uncancelled run. A move of the
+	// settled K lands after the flush: the record counts the change itself,
+	// the tally carries it into the comparison's traced delta.
 	if s.strategy == Wedge && s.fixedK <= 0 && !m.aborted {
+		old := s.dyn.Current()
 		s.dyn.Observe(steps)
+		if k := s.dyn.Current(); k != old {
+			sc.Counts.KChanges++
+			s.obs.RecordKChange(old, k)
+		}
 	}
 	return m
 }
@@ -337,7 +320,6 @@ func (s *Searcher) matchEarlyAbandon(x []float64, r float64) Match {
 		d, abandoned := s.kernel.Distance(x, s.rs.Member(i), best, &s.steps)
 		if abandoned {
 			sc.Counts.EarlyAbandons++
-			obs.TraceAbandon(s.tracer, i)
 			continue
 		}
 		sc.Counts.FullDistEvals++
@@ -378,7 +360,7 @@ func (s *Searcher) matchWedge(x []float64, r float64, rec *trace.Recorder) Match
 	if K <= 0 {
 		K = s.dyn.K()
 	}
-	res := s.rs.tree.SearchTraced(x, s.kernel, K, r, &s.steps, &s.scratch, s.tracer, rec, s.chk)
+	res := s.rs.tree.SearchTraced(x, s.kernel, K, r, &s.steps, &s.scratch, rec, s.chk)
 	if res.Aborted {
 		return Match{Dist: math.Inf(1), aborted: true}
 	}

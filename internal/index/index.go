@@ -199,7 +199,7 @@ type walk func(r float64, visit func(id int, bound, r float64) float64)
 // object only on an admissible bound that reaches the radius.
 //
 // The probe is s's pass (core.Searcher.Begin/Offer), so it honours s's
-// strategy, wedge-set size, tracer and EXPLAIN state, carries its adaptive
+// strategy, wedge-set size and EXPLAIN state, carries its adaptive
 // state on, spends its steps on cnt and its outcomes — candidates and fetches
 // included — on s's record, and stops with ctx.Err() within one cancellation
 // checkpoint interval of ctx expiring, c then holding a partial answer to
@@ -231,7 +231,7 @@ func (ix *Index) Probe(ctx context.Context, label string, s *core.Searcher, wedg
 	var err error
 	candidates(c.Radius(), func(id int, _, _ float64) float64 {
 		fetched++
-		if err = s.Offer(id, ix.fetch(s.Tracer(), rec, id), c, cnt); err != nil {
+		if err = s.Offer(id, ix.fetch(rec, id), c, cnt); err != nil {
 			return math.Inf(-1)
 		}
 		return c.Radius()
@@ -256,8 +256,7 @@ func (ix *Index) Probe(ctx context.Context, label string, s *core.Searcher, wedg
 // fetch retrieves one full series for verification. It is the only place a
 // fetch is timed: one interval is both the trace's fetch span and the
 // disk_read stage sample.
-func (ix *Index) fetch(tr obs.Tracer, rec *trace.Recorder, id int) []float64 {
-	obs.TraceFetch(tr, id)
+func (ix *Index) fetch(rec *trace.Recorder, id int) []float64 {
 	start := rec.Now()
 	series := ix.store.Fetch(id)
 	dur := rec.Now() - start

@@ -59,22 +59,3 @@ func TestNilHistogramIsANoOpSink(t *testing.T) {
 		t.Fatalf("nil Histogram.Buckets() = %v, want nil", got)
 	}
 }
-
-// TestZeroFuncTracerIsSafe exercises the value-receiver tracer adapter: a
-// zero FuncTracer (all hook fields nil) must swallow every event.
-func TestZeroFuncTracerIsSafe(t *testing.T) {
-	var tr FuncTracer
-	tr.OnWedgeVisit(1, 2, 3.5, true)
-	tr.OnAbandon(4)
-	tr.OnKChange(8, 16)
-	tr.OnFetch(9)
-}
-
-// TestTraceHelpersWithNilTracer exercises the package-level guards: a nil
-// Tracer interface must never be invoked.
-func TestTraceHelpersWithNilTracer(t *testing.T) {
-	TraceWedgeVisit(nil, 1, 2, 3.5, true)
-	TraceAbandon(nil, 4)
-	TraceKChange(nil, 8, 16)
-	TraceFetch(nil, 9)
-}

@@ -17,8 +17,7 @@
 // Everything here is safe for concurrent use: counters are atomics, the
 // histogram buckets are atomics, and the dynamic-K trajectory is guarded by
 // a small mutex on a bounded slice. A nil *SearchStats is a valid no-op sink
-// everywhere — uninstrumented hot paths pay one predictable branch per call
-// — and the same nil contract applies to the Tracer helpers in this package.
+// everywhere — uninstrumented hot paths pay one predictable branch per call.
 package obs
 
 import (

@@ -160,27 +160,3 @@ func TestSearchStatsConcurrent(t *testing.T) {
 		t.Fatalf("concurrent updates broke reconciliation: %+v", sn)
 	}
 }
-
-func TestFuncTracer(t *testing.T) {
-	var visits, abandons, kchanges, fetches int
-	tr := &FuncTracer{
-		WedgeVisit: func(node, level int, lb float64, pruned bool) { visits++ },
-		Abandon:    func(member int) { abandons++ },
-		KChange:    func(oldK, newK int) { kchanges++ },
-		Fetch:      func(id int) { fetches++ },
-	}
-	TraceWedgeVisit(tr, 1, 0, 0.5, true)
-	TraceAbandon(tr, 3)
-	TraceKChange(tr, 4, 8)
-	TraceFetch(tr, 9)
-	if visits != 1 || abandons != 1 || kchanges != 1 || fetches != 1 {
-		t.Fatalf("events = %d %d %d %d", visits, abandons, kchanges, fetches)
-	}
-	// nil tracer and partially populated FuncTracer are both no-ops.
-	TraceWedgeVisit(nil, 0, 0, 0, false)
-	empty := &FuncTracer{}
-	empty.OnWedgeVisit(0, 0, 0, false)
-	empty.OnAbandon(0)
-	empty.OnKChange(0, 0)
-	empty.OnFetch(0)
-}

@@ -177,6 +177,9 @@ func (s *Server) parse(r *http.Request, kind searchKind, rows []lbkeogh.Series) 
 	maxDeg := -1.0
 	if req.MaxDegrees != nil {
 		maxDeg = *req.MaxDegrees
+		if !(maxDeg >= 0 && maxDeg < 180) {
+			return req, QuerySpec{}, 0, fmt.Errorf("max_degrees %v outside [0, 180)", maxDeg)
+		}
 	}
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
@@ -360,7 +363,7 @@ func (s *Server) searchEndpoint(kind searchKind) http.HandlerFunc {
 		}
 
 		if hook := s.cfg.BeforeSearchHook; hook != nil {
-			hook()
+			ctx = hook(ctx)
 		}
 		q := sess.Q
 		q.ResetStats() // per-request delta: the response carries only this search

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"lbkeogh"
@@ -116,6 +117,33 @@ func TestServerAnswersThroughIndexLikeFlatLibrary(t *testing.T) {
 	}
 }
 
+// TestServerMaxDegreesRange holds max_degrees to the library's range: a value
+// outside [0, 180) is the client's error, named as such, not a request for
+// every rotation; one inside it answers as WithMaxRotationDegrees does.
+func TestServerMaxDegreesRange(t *testing.T) {
+	db := lbkeogh.SyntheticProjectilePoints(5, 40, 48)
+	_, srv := newTestServer(t, Config{DB: db})
+	for _, c := range []struct {
+		deg  float64
+		want int
+	}{{-5, http.StatusBadRequest}, {180, http.StatusBadRequest}, {0, http.StatusOK}, {40, http.StatusOK}} {
+		code, sr, text := post(t, srv, "/v1/search", fmt.Sprintf(`{"query_index":3,"max_degrees":%v}`, c.deg))
+		if code != c.want {
+			t.Fatalf("max_degrees %v: status %d, want %d (%s)", c.deg, code, c.want, text)
+		}
+		if code != http.StatusOK {
+			if !strings.Contains(text, "max_degrees") {
+				t.Fatalf("max_degrees %v: the error does not name the field: %s", c.deg, text)
+			}
+			continue
+		}
+		want := flatAnswer(t, db, db[3], "search", 0, 0, lbkeogh.WithMaxRotationDegrees(c.deg))[0]
+		if h := sr.Results[0]; h.Index != want.Index || !closeRel(h.Dist, want.Dist) || h.Shift != want.Rotation.Shift {
+			t.Fatalf("max_degrees %v: %+v, the library %+v", c.deg, h, want)
+		}
+	}
+}
+
 // On a database with duplicated rows the distances are the flat scan's and
 // only rows at exactly the same distance may differ in index: the probe
 // verifies in the order the index proposes, and "lowest index wins" is the
@@ -191,63 +219,44 @@ func TestServerFlatRequestsStayFlat(t *testing.T) {
 }
 
 // TestServerCancelledMidProbe is TestServerCancelledMidScan's twin on the
-// index path, again without a clock. Cancelled by the BeforeSearchHook — after
-// admission and checkout, before the search — the request does no work at
-// all; cancelled by the session's tracer on the probe's second fetch it stops
-// mid-probe with books that reconcile. Either way the answer is 503, the
-// session goes back to the pool usable, and the shared index serves the next
-// request as if nothing had happened.
+// index path, again without a clock. Handed a context that is cancelled from
+// its first poll on, the request does no work at all; handed one cancelled
+// from its sixteenth, it stops mid-probe, a few fetches in, with books that
+// reconcile. Either way the answer is 503, the session goes back to the pool
+// usable, and the shared index serves the next request as if nothing had
+// happened.
 func TestServerCancelledMidProbe(t *testing.T) {
 	const body = `{"query_index":0,"k":5}`
-	var beforeSearch func()
+	var polls atomic.Int64 // the search context's poll budget; 0: uncancelled
 	srv, ts := newTestServer(t, Config{
-		DB:               lbkeogh.SyntheticProjectilePoints(11, 150, 64),
-		BeforeSearchHook: func() { beforeSearch() },
+		DB: lbkeogh.SyntheticProjectilePoints(11, 150, 64),
+		BeforeSearchHook: func(ctx context.Context) context.Context {
+			if n := polls.Load(); n > 0 {
+				return cancelAtPoll(ctx, n)
+			}
+			return ctx
+		},
 	})
-	serve := func(ctx context.Context) *httptest.ResponseRecorder {
+	serve := func() *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/topk", strings.NewReader(body)).WithContext(ctx))
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/topk", strings.NewReader(body)))
 		return rec
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	beforeSearch = cancel
-	if rec := serve(ctx); rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "cancelled") {
+	polls.Store(1)
+	if rec := serve(); rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "cancelled") {
 		t.Fatalf("cancelled before the probe: status %d (%s)", rec.Code, rec.Body)
 	}
 	if agg := srv.Stats(); agg.Counts != (obs.Counts{}) || srv.ix.DiskReads() != 0 {
 		t.Fatalf("a probe cancelled before it started did work: %+v, %d fetches", agg.Counts, srv.ix.DiskReads())
 	}
 
-	// Replace the pooled session with one whose tracer cancels mid-probe.
-	beforeSearch = func() {}
-	ctx, cancel = context.WithCancel(context.Background())
-	defer cancel()
-	_, spec, _, err := srv.parse(httptest.NewRequest(http.MethodPost, "/v1/topk", strings.NewReader(body)), kindTopK, srv.cfg.DB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, hit, err := srv.pool.Checkout(spec, func() (*lbkeogh.Query, error) {
-		return nil, fmt.Errorf("the cancelled request's session should be pooled")
-	})
-	if err != nil || !hit {
-		t.Fatalf("checkout: hit %v, %v", hit, err)
-	}
-	fetches := 0
-	sess.Q, err = lbkeogh.NewQuery(spec.Series, lbkeogh.Euclidean(), lbkeogh.WithTracer(obs.FuncTracer{Fetch: func(int) {
-		if fetches++; fetches == 2 {
-			cancel()
-		}
-	}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.pool.Checkin(sess)
-	if rec := serve(ctx); rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "cancelled") {
+	polls.Store(16)
+	if rec := serve(); rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "cancelled") {
 		t.Fatalf("cancelled mid-probe: status %d (%s)", rec.Code, rec.Body)
 	}
 	agg := srv.Stats()
-	if agg.Comparisons == 0 || agg.IndexFetches < 2 || agg.IndexFetches >= 150 || !agg.Reconciles() {
+	if agg.Comparisons == 0 || agg.CancelledMembers == 0 || agg.IndexFetches < 2 || agg.IndexFetches >= 150 || !agg.Reconciles() {
 		t.Fatalf("aggregate after a mid-probe cancellation: %+v", agg.Counts)
 	}
 	if srv.timeouts.Load() != 2 {
@@ -255,11 +264,12 @@ func TestServerCancelledMidProbe(t *testing.T) {
 	}
 
 	// The session and the index both survive: the same request, uncancelled.
+	polls.Store(0)
 	code, sr, raw := post(t, ts, "/v1/topk", body)
 	if code != http.StatusOK || !sr.PoolHit || len(sr.Results) != 5 || sr.Results[0].Index != 0 {
 		t.Fatalf("after the cancellations: status %d pool_hit %v %+v (%s)", code, sr.PoolHit, sr.Results, raw)
 	}
-	want := flatAnswer(t, srv.cfg.DB, spec.Series, "topk", 5, 0)
+	want := flatAnswer(t, srv.cfg.DB, srv.cfg.DB[0], "topk", 5, 0)
 	for i, h := range sr.Results {
 		if h.Index != want[i].Index || !closeRel(h.Dist, want[i].Dist) {
 			t.Fatalf("hit %d after the cancellations: %+v, the flat library %+v", i, h, want[i])

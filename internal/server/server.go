@@ -9,6 +9,7 @@
 package server
 
 import (
+	"context"
 	"expvar"
 	"fmt"
 	"io"
@@ -94,12 +95,14 @@ type Config struct {
 	ExplainSampleInterval int
 
 	// BeforeSearchHook, when non-nil, runs after a request is admitted and
-	// its session checked out, immediately before the search executes. It is
-	// a test seam: integration tests block inside it to hold in-flight slots
-	// open and pin the admission-control semantics (429 on queue overflow,
-	// 504 on queued-deadline expiry) deterministically. Leave nil in
+	// its session checked out, immediately before the search executes, and
+	// the context it returns is the search's. It is a test seam: integration
+	// tests block inside it to hold in-flight slots open and pin the
+	// admission-control semantics (429 on queue overflow, 504 on
+	// queued-deadline expiry), or wrap the request's context to cancel the
+	// search at a fixed checkpoint, deterministically. Leave nil in
 	// production.
-	BeforeSearchHook func()
+	BeforeSearchHook func(context.Context) context.Context
 }
 
 func (c *Config) fillDefaults() {

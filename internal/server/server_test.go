@@ -11,11 +11,11 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"lbkeogh"
-	"lbkeogh/internal/obs"
 	"lbkeogh/internal/obs/expofmt"
 	"lbkeogh/internal/obs/ops"
 )
@@ -154,7 +154,32 @@ func TestServerBadRequests(t *testing.T) {
 // pastDeadline is a BeforeSearchHook for the 504 tests: it holds the admitted
 // request long past any deadline the test sets (1-2 ms), so the search is
 // always cancelled before its first comparison, however fast the kernels are.
-func pastDeadline() { time.Sleep(50 * time.Millisecond) }
+func pastDeadline(ctx context.Context) context.Context {
+	time.Sleep(50 * time.Millisecond)
+	return ctx
+}
+
+// pollBudget is a request context whose Err reports context.Canceled from its
+// n-th poll on: a cancellation at a fixed checkpoint of the search, with no
+// clock and no hook inside the library.
+type pollBudget struct {
+	context.Context
+	left atomic.Int64
+}
+
+// cancelAtPoll wraps ctx in a pollBudget of n polls.
+func cancelAtPoll(ctx context.Context, n int64) context.Context {
+	c := &pollBudget{Context: ctx}
+	c.left.Store(n)
+	return c
+}
+
+func (c *pollBudget) Err() error {
+	if c.left.Add(-1) <= 0 {
+		return context.Canceled
+	}
+	return c.Context.Err()
+}
 
 // TestServerDeadline exercises the 504 path: the request's 1 ms deadline
 // expires while the hook holds it, before the search runs. Such a request
@@ -195,34 +220,18 @@ func TestServerDeadline(t *testing.T) {
 }
 
 // TestServerCancelledMidScan cancels a request at a known point inside its
-// scan — the pooled session carries a tracer that cancels the request's own
-// context on the first abandoned rotation, so no clock is involved — and
-// checks the handler's books: 503, and the rotations the search never
+// scan — the hook hands the search a context that reports itself cancelled
+// from its eighth poll on, a few comparisons in, so no clock is involved —
+// and checks the handler's books: 503, and the rotations the search never
 // disposed of merged into the server aggregate's CancelledMembers bucket.
 func TestServerCancelledMidScan(t *testing.T) {
-	srv, _ := newTestServer(t, Config{DB: lbkeogh.SyntheticProjectilePoints(11, 150, 64)})
-	const body = `{"query_index":0,"measure":"dtw","strategy":"early_abandon"}`
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	// Park a session for the request's spec whose query cancels ctx mid-scan.
-	_, spec, _, err := srv.parse(httptest.NewRequest(http.MethodPost, "/v1/search", strings.NewReader(body)), kindNearest, srv.cfg.DB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, _, err := srv.pool.Checkout(spec, func() (*lbkeogh.Query, error) {
-		return lbkeogh.NewQuery(spec.Series, lbkeogh.DTW(spec.R),
-			lbkeogh.WithStrategy(lbkeogh.EarlyAbandonSearch),
-			lbkeogh.WithTracer(obs.FuncTracer{Abandon: func(int) { cancel() }}))
+	srv, _ := newTestServer(t, Config{
+		DB:               lbkeogh.SyntheticProjectilePoints(11, 150, 64),
+		BeforeSearchHook: func(ctx context.Context) context.Context { return cancelAtPoll(ctx, 8) },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.pool.Checkin(sess)
-
+	const body = `{"query_index":0,"measure":"dtw","strategy":"early_abandon"}`
 	rec := httptest.NewRecorder()
-	req := httptest.NewRequest(http.MethodPost, "/v1/search", strings.NewReader(body)).WithContext(ctx)
-	srv.Handler().ServeHTTP(rec, req)
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/search", strings.NewReader(body)))
 	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "cancelled") {
 		t.Fatalf("status %d, want 503 search cancelled (%s)", rec.Code, rec.Body)
 	}
@@ -248,10 +257,13 @@ func TestServerCancelledMidScan(t *testing.T) {
 func TestServerConcurrentSaturation(t *testing.T) {
 	gate := make(chan struct{})
 	srv, ts := newTestServer(t, Config{
-		DB:               lbkeogh.SyntheticProjectilePoints(13, 120, 64),
-		MaxInflight:      1,
-		MaxQueue:         1,
-		BeforeSearchHook: func() { <-gate },
+		DB:          lbkeogh.SyntheticProjectilePoints(13, 120, 64),
+		MaxInflight: 1,
+		MaxQueue:    1,
+		BeforeSearchHook: func(ctx context.Context) context.Context {
+			<-gate
+			return ctx
+		},
 	})
 	var once sync.Once
 	open := func() { once.Do(func() { close(gate) }) }
@@ -345,9 +357,10 @@ func TestAdmissionSemanticsOverHTTP(t *testing.T) {
 		DB:          lbkeogh.SyntheticProjectilePoints(3, 12, 32),
 		MaxInflight: 2,
 		MaxQueue:    2,
-		BeforeSearchHook: func() {
+		BeforeSearchHook: func(ctx context.Context) context.Context {
 			started <- struct{}{}
 			<-gate
+			return ctx
 		},
 	})
 	var once sync.Once

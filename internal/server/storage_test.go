@@ -6,6 +6,7 @@ package server
 // pinned snapshot, or compaction could never unlink merged-away segments.
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -199,12 +200,13 @@ func TestDebugStorageDisabledOutsideStoreObs(t *testing.T) {
 // would keep the old generation's readers open forever.
 func TestHandlerPanicReleasesSnapshot(t *testing.T) {
 	panics := make(chan struct{}, 1)
-	dir, _, _, ts := newObservedStoreServer(t, Config{BeforeSearchHook: func() {
+	dir, _, _, ts := newObservedStoreServer(t, Config{BeforeSearchHook: func(ctx context.Context) context.Context {
 		select {
 		case <-panics:
 			panic("injected handler failure")
 		default:
 		}
+		return ctx
 	}})
 	for seed := int64(41); seed <= 42; seed++ {
 		if code, raw := postJSON(t, ts, "/v1/ingest", ingestBody(storeRows(seed, 5, 24)), nil); code != http.StatusOK {

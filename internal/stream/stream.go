@@ -50,7 +50,6 @@ type Monitor struct {
 
 	steps stats.Counter   // cumulative num_steps; Push flushes a stack-local Tally
 	obs   obs.SearchStats // per-window pruning breakdowns
-	trace obs.Tracer      // nil: untraced
 	tlog  *trace.Log      // nil: no filter-latency histograms
 }
 
@@ -104,10 +103,6 @@ func (m *Monitor) Steps() int64 { return m.steps.Steps() }
 // one "comparison", each pattern either wedge-pruned, abandoned, or fully
 // evaluated.
 func (m *Monitor) Stats() *obs.SearchStats { return &m.obs }
-
-// SetTracer installs a tracer receiving per-wedge filter events (nil
-// removes it).
-func (m *Monitor) SetTracer(t obs.Tracer) { m.trace = t }
 
 // SetTraceLog attaches a trace log whose monitor_filter stage histogram
 // receives the wall duration of every full-window filter pass (nil removes
@@ -166,7 +161,6 @@ func (m *Monitor) Push(v float64) []Match {
 			dd, abandoned := m.kernel.Distance(w, m.tree.Member(id), m.threshold, &local)
 			if abandoned {
 				counts.EarlyAbandons++
-				obs.TraceAbandon(m.trace, id)
 				continue
 			}
 			counts.FullDistEvals++
@@ -179,11 +173,9 @@ func (m *Monitor) Push(v float64) []Match {
 		if abandoned || lb >= m.threshold {
 			counts.WedgePrunedMembers += int64(node.Size)
 			levels[obs.PruneLevel(m.tree.Depth(id))]++
-			obs.TraceWedgeVisit(m.trace, id, m.tree.Depth(id), lb, true)
 			continue
 		}
 		counts.WedgeNodeVisits++
-		obs.TraceWedgeVisit(m.trace, id, m.tree.Depth(id), lb, false)
 		stack = append(stack, node.Left, node.Right)
 	}
 	counts.Steps = local.Steps()

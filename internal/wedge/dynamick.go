@@ -43,8 +43,6 @@ type DynamicK struct {
 	n      int   // comparisons into the current window; < 0 while resting
 	sum    int64 // steps spent in the current window
 	bar    int64 // the incumbent's window sum: what a neighbour must beat
-
-	onChange func(oldK, newK int) // observability hook; nil when untraced
 }
 
 // NewDynamicK returns a controller over wedge-set sizes 1..maxK. intervals
@@ -77,10 +75,6 @@ func (d *DynamicK) K() int { return d.ladder[d.cur+d.step] }
 // Current returns the controller's settled K (ignoring any trial in flight).
 func (d *DynamicK) Current() int { return d.ladder[d.cur] }
 
-// SetChangeHook installs a callback fired whenever the settled K moves to a
-// different value (a neighbour on trial does not fire it). Pass nil to remove.
-func (d *DynamicK) SetChangeHook(f func(oldK, newK int)) { d.onChange = f }
-
 // Observe records the steps of the comparison that used K().
 func (d *DynamicK) Observe(steps int64) {
 	if d.n++; d.n <= 0 {
@@ -97,12 +91,8 @@ func (d *DynamicK) Observe(steps int64) {
 		d.lost++
 		d.race(-d.step)
 	case d.n == window: // the neighbour won: move, and keep climbing
-		old := d.Current()
 		d.cur += d.step
 		d.bar, d.dir, d.lost = d.sum, d.step, 1 // the rung just left has lost
-		if d.onChange != nil {
-			d.onChange(old, d.Current())
-		}
 		d.race(d.step)
 	}
 }

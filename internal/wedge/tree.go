@@ -263,7 +263,7 @@ func (sc *Scratch) prepare(t *Tree, radius, K int, steps *stats.Tally, rec *trac
 func (t *Tree) Search(q []float64, k Kernel, K int, r float64, _ Traversal, cnt *stats.Tally) Result {
 	var sc Scratch
 	var steps stats.Tally
-	res := t.SearchTraced(q, k, K, r, &steps, &sc, nil, nil, nil)
+	res := t.SearchTraced(q, k, K, r, &steps, &sc, nil, nil)
 	cnt.Add(res.Steps)
 	return res
 }
@@ -273,17 +273,16 @@ func (t *Tree) Search(q []float64, k Kernel, K int, r float64, _ Traversal, cnt 
 // (never nil: Result.Steps is read off it), and every rotation it disposes
 // of is attributed to exactly one outcome in sc.Counts (internal-wedge prune
 // weighted by subtree size, singleton-wedge LB prune, early abandon, or full
-// distance evaluation); tr receives per-wedge trace events. The H-Merge walk,
-// the exact kernel evaluations at surviving leaves and the per-level
-// node-visit counts are recorded into rec, nested under whatever span the
-// caller holds open. The walk polls chk once per wedge visit — a cancellation
-// is observed within one checkpoint interval of visits, at which point every
-// undisposed member is attributed to the cancelled bucket and the Result
-// comes back Aborted. tr, rec and chk may each be nil — the nil path costs
-// one predictable branch per event.
+// distance evaluation). The H-Merge walk, the exact kernel evaluations at
+// surviving leaves and the per-level node-visit counts are recorded into rec,
+// nested under whatever span the caller holds open. The walk polls chk once
+// per wedge visit — a cancellation is observed within one checkpoint interval
+// of visits, at which point every undisposed member is attributed to the
+// cancelled bucket and the Result comes back Aborted. rec and chk may each be
+// nil — the nil path costs one predictable branch per event.
 //
 //lbkeogh:hotpath
-func (t *Tree) SearchTraced(q []float64, k Kernel, K int, r float64, steps *stats.Tally, sc *Scratch, tr obs.Tracer, rec *trace.Recorder, chk *cancel.Checker) Result {
+func (t *Tree) SearchTraced(q []float64, k Kernel, K int, r float64, steps *stats.Tally, sc *Scratch, rec *trace.Recorder, chk *cancel.Checker) Result {
 	if len(q) != t.Len() {
 		panic(fmt.Sprintf("wedge: query length %d != member length %d", len(q), t.Len()))
 	}
@@ -324,12 +323,10 @@ func (t *Tree) SearchTraced(q []float64, k Kernel, K int, r float64, steps *stat
 				// wedge-LB-prune bucket at the wedge's dendrogram level.
 				st.WedgePrunedMembers += int64(node.Size)
 				sc.PruneByLevel[obs.PruneLevel(t.depth[id])]++
-				obs.TraceWedgeVisit(tr, id, t.depth[id], lb, true)
 				continue
 			}
 			st.WedgeNodeVisits++
 			rec.CountVisit(t.depth[id])
-			obs.TraceWedgeVisit(tr, id, t.depth[id], lb, false)
 			stack = append(stack, node.Left, node.Right) //lint:ignore hotalloc grows a few times over a scratch's life, not per search
 			continue
 		}
@@ -342,7 +339,6 @@ func (t *Tree) SearchTraced(q []float64, k Kernel, K int, r float64, steps *stat
 			lb, abandoned := k.LowerBound(q, envs[id], best, steps)
 			if abandoned || lb >= best {
 				st.WedgeLeafLBPrunes++
-				obs.TraceWedgeVisit(tr, id, t.depth[id], lb, true)
 				continue
 			}
 		}
@@ -351,7 +347,6 @@ func (t *Tree) SearchTraced(q []float64, k Kernel, K int, r float64, steps *stat
 		rec.Emit(trace.StageKernel, id, kt0, rec.Now()-kt0)
 		if abandoned {
 			st.EarlyAbandons++
-			obs.TraceAbandon(tr, id)
 			continue
 		}
 		st.FullDistEvals++

@@ -369,10 +369,10 @@ func TestScratchReuseMatchesFreshSearch(t *testing.T) {
 
 		var fresh Scratch
 		var freshSteps, steps stats.Tally
-		want := tree.SearchTraced(q, k, K, r, &freshSteps, &fresh, nil, nil, nil)
+		want := tree.SearchTraced(q, k, K, r, &freshSteps, &fresh, nil, nil)
 		sc.Counts = obs.Counts{}
 		sc.PruneByLevel = [obs.MaxPruneLevels]int64{}
-		got := tree.SearchTraced(q, k, K, r, &steps, &sc, nil, nil, nil)
+		got := tree.SearchTraced(q, k, K, r, &steps, &sc, nil, nil)
 		if got != want {
 			t.Fatalf("trial %d: reused scratch %+v, fresh %+v", trial, got, want)
 		}

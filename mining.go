@@ -23,7 +23,7 @@ type Motif struct {
 // miningConfig reuses the query options that make sense for whole-collection
 // operations (strategy and K tuning are internal to the scan).
 func miningConfig(opts []QueryOption) (core.Options, error) {
-	cfg := queryConfig{maxShift: -1, intervals: 5}
+	cfg := queryConfig{maxShift: -1}
 	for _, o := range opts {
 		o(&cfg)
 	}

@@ -27,8 +27,8 @@ import (
 // reset.
 //
 // SearchStats and the four types below are aliases of the internal record
-// every layer fills in, exactly as Tracer and IndexHealth are: the public
-// API needs no copy of the field list and no conversion.
+// every layer fills in, exactly as IndexHealth is: the public API needs no
+// copy of the field list and no conversion.
 type SearchStats = obs.Snapshot
 
 // Counts is the scalar-counter record embedded in SearchStats (and carried
@@ -50,23 +50,6 @@ type HistogramBucket = obs.HistogramBucket
 // bucket-resolution quantiles (the bucket upper bound each quantile falls
 // in; -1 means the overflow bucket).
 type StageLatency = obs.StageLatency
-
-// Tracer receives fine-grained search events for debugging admissibility
-// and pruning behavior: OnWedgeVisit for every wedge whose lower bound was
-// evaluated, OnAbandon when an exact distance computation was cut short,
-// OnKChange when the dynamic controller settles on a new wedge-set size,
-// and OnFetch when an indexed search retrieves a full-resolution object.
-// Install one with WithTracer (queries — an Index search reports to the
-// tracer of the query it runs through) or Monitor.SetTracer. Implementations
-// must be safe for concurrent calls when used with SearchParallel.
-//
-// Tracer is an alias of the internal interface, so a single implementation
-// satisfies every layer and the public API needs no adapter types.
-type Tracer = obs.Tracer
-
-// Compile-time check: the alias really is the interface the internal layers
-// consume (a Tracer value is an obs.Tracer value with no conversion).
-var _ obs.Tracer = Tracer(nil)
 
 // StatsSource is anything exposing an instrumentation snapshot: *Query,
 // *Index and *Monitor all qualify.

@@ -80,49 +80,6 @@ func TestQueryStatsCoverParallelSearch(t *testing.T) {
 	}
 }
 
-func TestQueryTracerEvents(t *testing.T) {
-	db := obsTestDB(t, 31, 64)
-	q, db := db[0], db[1:]
-	var abandons, kchanges int
-	tr := traceFns{
-		abandon: func(int) { abandons++ },
-		kchange: func(int, int) { kchanges++ },
-	}
-	query, err := lbkeogh.NewQuery(q, lbkeogh.Euclidean(), lbkeogh.WithTracer(tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := query.Search(db); err != nil {
-		t.Fatal(err)
-	}
-	st := query.Stats()
-	if int64(abandons) != st.EarlyAbandons {
-		t.Fatalf("tracer saw %d abandons, stats %d", abandons, st.EarlyAbandons)
-	}
-	if int64(kchanges) != st.KChanges {
-		t.Fatalf("tracer saw %d K changes, stats %d", kchanges, st.KChanges)
-	}
-}
-
-// traceFns is a minimal Tracer for tests.
-type traceFns struct {
-	abandon func(int)
-	kchange func(int, int)
-}
-
-func (t traceFns) OnWedgeVisit(node, level int, lb float64, pruned bool) {}
-func (t traceFns) OnAbandon(member int) {
-	if t.abandon != nil {
-		t.abandon(member)
-	}
-}
-func (t traceFns) OnKChange(oldK, newK int) {
-	if t.kchange != nil {
-		t.kchange(oldK, newK)
-	}
-}
-func (t traceFns) OnFetch(id int) {}
-
 func TestIndexStatsCountFetches(t *testing.T) {
 	db := obsTestDB(t, 61, 64)
 	q, db := db[0], db[1:]

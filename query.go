@@ -63,14 +63,12 @@ type Rotation struct {
 
 // queryConfig collects the functional options.
 type queryConfig struct {
-	mirror    bool
-	maxShift  int // -1 unlimited, -2 "use maxDeg"
-	maxDeg    float64
-	strategy  Strategy
-	fixedK    int
-	intervals int
-	tracer    Tracer
-	tlog      *TraceLog
+	mirror   bool
+	maxShift int // -1 unlimited, -2 "use maxDeg"
+	maxDeg   float64
+	strategy Strategy
+	fixedK   int
+	tlog     *TraceLog
 }
 
 // QueryOption customizes NewQuery.
@@ -106,13 +104,6 @@ func WithStrategy(s Strategy) QueryOption {
 // a tenth of the best fixed K's steps without being told where it is.
 func WithFixedWedgeCount(k int) QueryOption {
 	return func(c *queryConfig) { c.fixedK = k }
-}
-
-// WithTracer installs a Tracer receiving fine-grained search events (wedge
-// visits, early abandons, dynamic-K changes). Tracing is for debugging and
-// pruning analysis; it slows the hot path in proportion to the event rate.
-func WithTracer(t Tracer) QueryOption {
-	return func(c *queryConfig) { c.tracer = t }
 }
 
 // WithTraceLog attaches a TraceLog: the query's construction and every
@@ -172,7 +163,7 @@ func NewQuery(series Series, m Measure, opts ...QueryOption) (*Query, error) {
 			return nil, fmt.Errorf("lbkeogh: query sample %d is %v; every sample must be finite", i, v)
 		}
 	}
-	cfg := queryConfig{maxShift: -1, intervals: 5}
+	cfg := queryConfig{maxShift: -1}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -191,12 +182,7 @@ func NewQuery(series Series, m Measure, opts ...QueryOption) (*Query, error) {
 	}
 	q := &Query{measure: m, n: len(series), tlog: cfg.tlog.inner()}
 	q.strategy = cfg.strategy.internal()
-	q.searchCfg = core.SearcherConfig{
-		FixedK:         cfg.fixedK,
-		ProbeIntervals: cfg.intervals,
-		Obs:            &q.obs,
-		Tracer:         cfg.tracer, // Tracer aliases obs.Tracer: no conversion
-	}
+	q.searchCfg = core.SearcherConfig{FixedK: cfg.fixedK, Obs: &q.obs}
 	rec := q.tlog.StartTrace("build")
 	buildSpan := rec.Begin(trace.StageBuild, -1)
 	q.rs = core.NewRotationSetTraced(series, core.Options{Mirror: cfg.mirror, MaxShift: maxShift}, &q.counter, rec)

@@ -68,10 +68,6 @@ func (mo *Monitor) SetTraceLog(t *TraceLog) {
 // ResetStats zeroes the instrumentation record.
 func (mo *Monitor) ResetStats() { mo.m.Stats().Reset() }
 
-// SetTracer installs a Tracer receiving per-wedge filter events (nil
-// removes it). Not safe to call concurrently with Push.
-func (mo *Monitor) SetTracer(t Tracer) { mo.m.SetTracer(t) }
-
 // Push consumes one stream value and returns any patterns matching the
 // window ending at it.
 func (mo *Monitor) Push(v float64) []StreamMatch {

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"lbkeogh"
-	"lbkeogh/internal/obs"
 	"lbkeogh/internal/obs/expofmt"
 )
 
@@ -236,21 +235,6 @@ func TestTraceLogStageLatencies(t *testing.T) {
 	if len(q.Stats().StageLatencies) == 0 {
 		t.Error("Query.Stats() does not surface stage latencies with a TraceLog attached")
 	}
-}
-
-// Tracer must be a true alias of the internal interface: one implementation
-// satisfies every layer, with no conversion and no adapter types.
-func TestTracerIsAliasOfInternalInterface(t *testing.T) {
-	pub := reflect.TypeOf((*lbkeogh.Tracer)(nil)).Elem()
-	internal := reflect.TypeOf((*obs.Tracer)(nil)).Elem()
-	if pub != internal {
-		t.Fatalf("lbkeogh.Tracer (%v) is not an alias of obs.Tracer (%v)", pub, internal)
-	}
-	// Assignability both ways without conversion, checked by compilation.
-	var ft obs.FuncTracer
-	var asPublic lbkeogh.Tracer = &ft
-	var asInternal obs.Tracer = asPublic
-	_ = asInternal
 }
 
 // parseExposition parses a /metrics body through internal/obs/expofmt — the
