@@ -21,12 +21,12 @@
 //	curl -s localhost:8321/metrics
 //
 // The process emits a structured request log (JSON by default; see -log and
-// -log-level), binds the listener before the database load so /livez answers
-// immediately (/readyz stays 503 until the database is in), and keeps a
-// continuous-profiling ring at /debug/profiles (see -profile-interval). The
-// live dashboard is at /debug/lbkeogh (traces downloadable as Chrome
-// trace-event JSON for ui.perfetto.dev), expvar at /debug/vars, and pprof at
-// /debug/pprof/.
+// -log-level) and binds the listener before the database load so /livez
+// answers immediately (/readyz stays 503 until the database is in). The live
+// dashboard is at /debug/lbkeogh (traces downloadable as Chrome trace-event
+// JSON for ui.perfetto.dev), expvar at /debug/vars, and CPU and heap profiles,
+// taken on demand, at /debug/pprof/. The server starts no background
+// telemetry goroutine.
 package main
 
 import (
@@ -59,7 +59,6 @@ func main() {
 		segments    = flag.String("segments", "", "memory-mapped segment store directory (see shapeingest); enables /v1/ingest and /v1/compact")
 		segDims     = flag.Int("segment-dims", 8, "feature dims for segments created by online ingest into an empty store")
 		segVerify   = flag.Bool("verify-on-open", false, "recompute every segment section CRC while mapping the store (faults the whole file in; default trusts shapeingest -verify and checks headers only)")
-		resEvery    = flag.Duration("residency-interval", 30*time.Second, "page-residency (mincore) sampling interval in segment mode; 0 disables the sampler")
 		journalSize = flag.Int("journal-size", 512, "storage event journal ring size in segment mode")
 		synthetic   = flag.String("synthetic", "", "generate a synthetic database instead: m,n (series,samples)")
 		seed        = flag.Int64("seed", 42, "synthetic dataset seed")
@@ -74,9 +73,6 @@ func main() {
 		traceSample = flag.Float64("trace-sample", 1.0, "fraction of non-slow traces the trace log retains")
 		logFormat   = flag.String("log", "json", "structured log format: json or text")
 		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error")
-		profEvery   = flag.Duration("profile-interval", 60*time.Second, "continuous-profiling capture interval (0 disables the ring)")
-		profCPU     = flag.Duration("profile-cpu", 2*time.Second, "CPU profile duration per capture round")
-		profKeep    = flag.Int("profile-keep", 16, "profile captures retained in the ring")
 		expSample   = flag.Int("explain-sample-interval", 0, "measure the full bound waterfall for one in N comparisons (0 = default 512, negative disables the sampler)")
 	)
 	flag.Parse()
@@ -173,20 +169,9 @@ func main() {
 	if !*notrace {
 		tlog = lbkeogh.NewTraceLog(lbkeogh.WithSampleRate(*traceSample))
 	}
-	var profiler *ops.Profiler
-	if *profEvery > 0 {
-		profiler = ops.NewProfiler(ops.ProfilerConfig{
-			Interval:    *profEvery,
-			CPUDuration: *profCPU,
-			MaxCaptures: *profKeep,
-			Logger:      logger,
-		})
-		profiler.Start()
-		defer profiler.Stop()
-	}
 	// Storage-plane observability (segment mode): every fetch and lifecycle
-	// event flows into the recorder, and the mincore sampler keeps the
-	// /debug/storage residency heatmap current off the query path.
+	// event flows into the recorder behind /debug/storage and the
+	// lbkeogh_store_* families.
 	var storeRec *storeobs.Recorder
 	if store != nil {
 		storeRec = storeobs.NewRecorder(storeobs.Config{
@@ -194,11 +179,6 @@ func main() {
 			Logger:      logger,
 		})
 		store.SetObserver(storeRec)
-		if *resEvery > 0 {
-			sampler := storeobs.NewSampler(storeRec, segment.ProbeResidency(store), *resEvery)
-			sampler.Start()
-			defer sampler.Stop()
-		}
 	}
 	srv, err := server.New(server.Config{
 		DB:             db,
@@ -212,7 +192,6 @@ func main() {
 		MaxTimeout:     *maxTO,
 		TraceLog:       tlog,
 		Logger:         logger,
-		Profiler:       profiler,
 
 		ExplainSampleInterval: *expSample,
 	})
@@ -228,7 +207,7 @@ func main() {
 	}
 	logger.Info("serving",
 		"series", size, "series_len", srv.Len(), "addr", ln.Addr().String(),
-		"endpoints", "/v1/search /v1/topk /v1/range /v1/ingest /v1/compact /livez /readyz /metrics /debug/lbkeogh /debug/index /debug/storage /debug/profiles")
+		"endpoints", "/v1/search /v1/topk /v1/range /v1/ingest /v1/compact /livez /readyz /metrics /debug/lbkeogh /debug/index /debug/storage /debug/pprof/")
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

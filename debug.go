@@ -25,7 +25,7 @@ import (
 // trace. Query parameters select machine-readable exports instead of HTML:
 // ?log=<name>&format=chrome downloads every retained trace of that log as a
 // Chrome trace-event file (Perfetto-loadable); adding &trace=<id> narrows to
-// one trace; &format=jsonl emits one span per line. Either map may be nil.
+// one trace. Either map may be nil.
 func DebugHandler(stats map[string]StatsSource, logs map[string]*TraceLog) http.Handler {
 	return DebugHandlerWithPanels(stats, logs)
 }
@@ -64,40 +64,25 @@ func serveTraceExport(w http.ResponseWriter, r *http.Request, t *TraceLog) {
 		http.Error(w, "unknown trace log", http.StatusNotFound)
 		return
 	}
-	format := r.URL.Query().Get("format")
-	if format == "" {
-		format = "chrome"
+	if format := r.URL.Query().Get("format"); format != "" && format != "chrome" {
+		http.Error(w, "format must be chrome", http.StatusBadRequest)
+		return
 	}
+	w.Header().Set("Content-Type", "application/json")
 	idStr := r.URL.Query().Get("trace")
-	switch format {
-	case "chrome":
-		w.Header().Set("Content-Type", "application/json")
-		if idStr == "" {
-			if err := t.WriteChromeTraces(w); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-			return
+	if idStr == "" {
+		if err := t.WriteChromeTraces(w); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
-		id, err := strconv.ParseInt(idStr, 10, 64)
-		if err != nil {
-			http.Error(w, "bad trace id", http.StatusBadRequest)
-			return
-		}
-		if err := t.WriteChromeTrace(w, id); err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-		}
-	case "jsonl":
-		id, err := strconv.ParseInt(idStr, 10, 64)
-		if err != nil {
-			http.Error(w, "jsonl export needs a trace id", http.StatusBadRequest)
-			return
-		}
-		w.Header().Set("Content-Type", "application/jsonl")
-		if err := t.WriteTraceJSONL(w, id); err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-		}
-	default:
-		http.Error(w, "format must be chrome or jsonl", http.StatusBadRequest)
+		return
+	}
+	id, err := strconv.ParseInt(idStr, 10, 64)
+	if err != nil {
+		http.Error(w, "bad trace id", http.StatusBadRequest)
+		return
+	}
+	if err := t.WriteChromeTrace(w, id); err != nil {
+		http.Error(w, err.Error(), http.StatusNotFound)
 	}
 }
 
@@ -141,7 +126,6 @@ type debugTrace struct {
 	Dropped   int64
 	Truncated int // rows hidden beyond maxWaterfallRows
 	ChromeURL string
-	JSONLURL  string
 	Rows      []debugSpanRow
 }
 
@@ -213,7 +197,6 @@ func buildDebugTrace(logName string, tr trace.Trace) debugTrace {
 		Slow:      tr.Slow,
 		Dropped:   tr.Dropped,
 		ChromeURL: fmt.Sprintf("?log=%s&trace=%d&format=chrome", logName, tr.ID),
-		JSONLURL:  fmt.Sprintf("?log=%s&trace=%d&format=jsonl", logName, tr.ID),
 	}
 	total := tr.DurNS
 	if total <= 0 {
@@ -335,7 +318,7 @@ slow threshold {{.SlowThreshold}} &middot;
 <summary>#{{.ID}} {{.Label}} &middot; {{.Start}} &middot;
 {{if .Slow}}<span class="slow">{{.Dur}}</span>{{else}}{{.Dur}}{{end}}
 &middot; {{len .Rows}} spans{{if .Dropped}} ({{.Dropped}} dropped){{end}}
-&middot; <a href="{{.ChromeURL}}">chrome</a> <a href="{{.JSONLURL}}">jsonl</a></summary>
+&middot; <a href="{{.ChromeURL}}">chrome</a></summary>
 <table>
 <tr><th class="l">stage</th><th>ref</th><th>dur</th><th class="l wf">waterfall</th><th class="l">attrs</th></tr>
 {{range .Rows}}

@@ -55,11 +55,12 @@ type metricRegistrar struct {
 // metricRegistrars maps types.Func.FullName of every exposition entry point
 // to its name-argument slot.
 var metricRegistrars = map[string]metricRegistrar{
-	"lbkeogh/internal/obs/ops.WriteFamily":     {1, "family"},
-	"lbkeogh/internal/obs/ops.WriteCounter":    {1, "counter"},
-	"lbkeogh/internal/obs/ops.WriteGaugeInt":   {1, "gauge"},
-	"lbkeogh/internal/obs/ops.WriteGaugeFloat": {1, "gauge"},
-	"lbkeogh/internal/obs/ops.WriteHistogram":  {1, "histogram"},
+	"lbkeogh/internal/obs/ops.WriteFamily":            {1, "family"},
+	"lbkeogh/internal/obs/ops.WriteCounter":           {1, "counter"},
+	"lbkeogh/internal/obs/ops.WriteGaugeInt":          {1, "gauge"},
+	"lbkeogh/internal/obs/ops.WriteGaugeFloat":        {1, "gauge"},
+	"lbkeogh/internal/obs/ops.WriteHistogram":         {1, "histogram"},
+	"lbkeogh/internal/obs/ops.WriteDurationHistogram": {1, "histogram"},
 }
 
 func checkMetricCall(pass *Pass, call *ast.CallExpr) {

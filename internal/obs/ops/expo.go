@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"time"
+
+	"lbkeogh/internal/obs"
 )
 
 // WriteFamily writes one family's # HELP and # TYPE header in Prometheus
@@ -69,6 +72,37 @@ func WriteHistogram(w io.Writer, name, labels string, buckets []HistogramBucket,
 		fmt.Fprintln(w)
 	}
 	fmt.Fprintf(w, "%s_sum%s %s\n%s_count%s %d\n", name, braced, sum, name, braced, cum)
+}
+
+// WriteDurationHistogram writes one obs.Histogram of nanosecond durations as
+// a histogram series in seconds — the one renderer of every duration family
+// that carries exemplars. ex, when non-nil, holds each bucket's exemplar text
+// (FormatExemplar; empty for none), indexed like the histogram with the
+// overflow bucket last. Interior buckets that add nothing and carry no
+// exemplar are elided.
+func WriteDurationHistogram(w io.Writer, name, labels string, h *obs.Histogram, ex *[obs.HistogramBuckets + 1]string) {
+	var buckets [obs.HistogramBuckets + 1]HistogramBucket
+	for i := range buckets {
+		buckets[i].LE = FormatFloat(float64(obs.BucketBound(i)) / 1e9)
+		if ex != nil {
+			buckets[i].Exemplar = ex[i]
+		}
+	}
+	for _, b := range h.Buckets() {
+		i := obs.HistogramBuckets // bound -1: the overflow bucket
+		if b.UpperBound >= 0 {
+			i = obs.BucketIndex(b.UpperBound)
+		}
+		buckets[i].Count = b.Count
+	}
+	WriteHistogram(w, name, labels, buckets[:], FormatFloat(float64(h.Sum())/1e9), true)
+}
+
+// FormatExemplar renders a trace-ID exemplar in OpenMetrics form: the label
+// set, the traced observation's duration in seconds and its wall time.
+func FormatExemplar(traceID, durNS int64, wall time.Time) string {
+	return fmt.Sprintf("{trace_id=\"%d\"} %s %s", traceID,
+		FormatFloat(float64(durNS)/1e9), FormatFloat(float64(wall.UnixNano())/1e9))
 }
 
 // FormatFloat renders a sample value the exposition parsers accept,

@@ -1,13 +1,9 @@
 package ops
 
 import (
-	"archive/tar"
 	"bytes"
-	"compress/gzip"
 	"context"
-	"io"
 	"log/slog"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -184,24 +180,13 @@ func TestPruneWindow(t *testing.T) {
 func TestNilSinksAreNoOps(t *testing.T) {
 	var r *RED
 	var p *PruneWindow
-	var prof *Profiler
 	r.Observe(200, time.Second, 1)
 	p.Observe(obs.Counts{Rotations: 1}, nil)
-	prof.Start()
-	prof.Stop()
 	if s := r.Snapshot(); s.Requests != 0 {
 		t.Error("nil RED snapshot not empty")
 	}
 	if s := p.Snapshot(); s.Counts != (obs.Counts{}) {
 		t.Error("nil PruneWindow snapshot not empty")
-	}
-	if c := prof.Captures(); c != nil {
-		t.Error("nil Profiler has captures")
-	}
-	rr := httptest.NewRecorder()
-	prof.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/profiles", nil))
-	if rr.Code != 404 {
-		t.Errorf("nil profiler handler: status %d, want 404", rr.Code)
 	}
 }
 
@@ -221,79 +206,6 @@ func TestRuntimeMetricsExposition(t *testing.T) {
 			t.Errorf("runtime exposition is missing %q\n%s", want, out)
 		}
 	}
-}
-
-func TestProfilerRingAndHandler(t *testing.T) {
-	p := NewProfiler(ProfilerConfig{Interval: time.Hour, MaxCaptures: 3})
-	p.Start()
-	defer p.Stop()
-	// Start takes an immediate heap capture; add more via the internal hook
-	// to exercise ring eviction without waiting for the interval.
-	for i := 0; i < 4; i++ {
-		p.captureHeap()
-	}
-	caps := p.Captures()
-	if len(caps) != 3 {
-		t.Fatalf("ring holds %d captures, want 3 (bounded)", len(caps))
-	}
-	if caps[0].ID != 3 || caps[2].ID != 5 {
-		t.Fatalf("ring kept wrong captures: %+v", caps)
-	}
-
-	h := p.Handler()
-	get := func(target string) *httptest.ResponseRecorder {
-		rr := httptest.NewRecorder()
-		h.ServeHTTP(rr, httptest.NewRequest("GET", target, nil))
-		return rr
-	}
-	rr := get("/debug/profiles")
-	if rr.Code != 200 || !strings.Contains(rr.Body.String(), "heap") {
-		t.Fatalf("list: status %d body %q", rr.Code, rr.Body.String())
-	}
-	rr = get("/debug/profiles?id=5")
-	if rr.Code != 200 || rr.Body.Len() == 0 {
-		t.Fatalf("download: status %d, %d bytes", rr.Code, rr.Body.Len())
-	}
-	if rr := get("/debug/profiles?id=1"); rr.Code != 404 {
-		t.Errorf("evicted capture: status %d, want 404", rr.Code)
-	}
-	if rr := get("/debug/profiles?id=x"); rr.Code != 400 {
-		t.Errorf("bad id: status %d, want 400", rr.Code)
-	}
-
-	// The bundle is a valid tar.gz holding every retained capture.
-	rr = get("/debug/profiles?bundle=1")
-	if rr.Code != 200 {
-		t.Fatalf("bundle: status %d", rr.Code)
-	}
-	gz, err := gzip.NewReader(rr.Body)
-	if err != nil {
-		t.Fatalf("bundle is not gzip: %v", err)
-	}
-	tr := tar.NewReader(gz)
-	n := 0
-	for {
-		hdr, err := tr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("bundle tar: %v", err)
-		}
-		if !strings.HasSuffix(hdr.Name, ".pprof") {
-			t.Errorf("bundle entry %q is not a .pprof", hdr.Name)
-		}
-		n++
-	}
-	if n != 3 {
-		t.Errorf("bundle holds %d entries, want 3", n)
-	}
-
-	// Double Start must not launch a second loop (observable as idempotent
-	// Stop/Start without panic or extra captures).
-	p.Start()
-	p.Stop()
-	p.Stop()
 }
 
 func TestIDSourceIsUniqueAndConcurrent(t *testing.T) {

@@ -91,7 +91,6 @@ type redSlot struct {
 	epoch    int64
 	requests int64
 	classes  [numClasses]int64
-	durSumNS int64
 	buckets  [obs.HistogramBuckets + 1]int64
 }
 
@@ -145,7 +144,6 @@ func (r *RED) Observe(status int, dur time.Duration, traceID int64) {
 	s := r.slot(now)
 	s.requests++
 	s.classes[classIndex(status)]++
-	s.durSumNS += ns
 	s.buckets[b]++
 	if traceID != 0 {
 		r.exemplars[b] = Exemplar{TraceID: traceID, DurNS: ns, Wall: now}
@@ -170,11 +168,9 @@ type REDSnapshot struct {
 	Classes  map[string]int64
 	// RatePerSec is Requests spread over the window.
 	RatePerSec float64
-	// DurSumNS sums every observed duration; Buckets holds the
-	// non-cumulative per-bucket counts indexed like obs.Histogram (bound
-	// obs.BucketBound(i), overflow last).
-	DurSumNS int64
-	Buckets  [obs.HistogramBuckets + 1]int64
+	// Buckets holds the non-cumulative per-bucket duration counts indexed
+	// like obs.Histogram (bound obs.BucketBound(i), overflow last).
+	Buckets [obs.HistogramBuckets + 1]int64
 	// Bucket-resolution quantiles: the bucket upper bound (ns) the quantile
 	// falls in, -1 for the overflow bucket, 0 when the window is empty.
 	P50NS, P90NS, P99NS int64
@@ -200,7 +196,6 @@ func (r *RED) Snapshot() REDSnapshot {
 			continue
 		}
 		out.Requests += s.requests
-		out.DurSumNS += s.durSumNS
 		for c := 0; c < numClasses; c++ {
 			if s.classes[c] != 0 {
 				out.Classes[classNames[c]] += s.classes[c]
@@ -229,4 +224,18 @@ func (r *RED) Snapshot() REDSnapshot {
 	out.P90NS = obs.BucketQuantile(buckets, 0.90)
 	out.P99NS = obs.BucketQuantile(buckets, 0.99)
 	return out
+}
+
+// ExemplarText indexes the snapshot's exemplars by histogram bucket, rendered
+// by FormatExemplar for WriteDurationHistogram.
+func (s REDSnapshot) ExemplarText() *[obs.HistogramBuckets + 1]string {
+	var out [obs.HistogramBuckets + 1]string
+	for _, ex := range s.Exemplars {
+		i := obs.HistogramBuckets // bound -1: the overflow bucket
+		if ex.UpperBoundNS >= 0 {
+			i = obs.BucketIndex(ex.UpperBoundNS)
+		}
+		out[i] = FormatExemplar(ex.TraceID, ex.DurNS, ex.Wall)
+	}
+	return &out
 }

@@ -3,7 +3,6 @@ package storeobs
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"lbkeogh/internal/obs"
 	"lbkeogh/internal/obs/ops"
@@ -12,10 +11,9 @@ import (
 // WriteMetrics emits the lbkeogh_store_* families in Prometheus/OpenMetrics
 // text form: cold/warm fetch counters and duration histograms (with trace
 // exemplars on slow/cold buckets), per-column read histograms and totals,
-// read-amplification accounting, the rolling fetch window, the latest
-// residency sample, and the journal's per-kind event counters. Per-segment
-// families are the server's (shapeserver_segment_*); this is the
-// store-process view.
+// read-amplification accounting, the rolling fetch window, and the journal's
+// per-kind event counters. Per-segment families are the server's
+// (shapeserver_segment_*); this is the store-process view.
 func (r *Recorder) WriteMetrics(w io.Writer) {
 	if r == nil {
 		return
@@ -30,9 +28,8 @@ func (r *Recorder) WriteMetrics(w io.Writer) {
 	ops.WriteFamily(w, "lbkeogh_store_fetch_duration_seconds", "histogram",
 		"Store fetch wall time by temperature; slow and cold buckets carry exemplars linking to retained trace IDs.")
 	for temp := numTemps - 1; temp >= 0; temp-- { // cold first
-		ex := r.exemplars(temp)
-		writeHistogram(w, "lbkeogh_store_fetch_duration_seconds",
-			fmt.Sprintf("temperature=%q", tempNames[temp]), &r.fetchHist[temp], &ex)
+		ops.WriteDurationHistogram(w, "lbkeogh_store_fetch_duration_seconds",
+			fmt.Sprintf("temperature=%q", tempNames[temp]), &r.fetchHist[temp], r.exemplars(temp))
 	}
 
 	ops.WriteFamily(w, "lbkeogh_store_read_duration_seconds", "histogram",
@@ -43,7 +40,7 @@ func (r *Recorder) WriteMetrics(w io.Writer) {
 			if h.Count() == 0 {
 				continue
 			}
-			writeHistogram(w, "lbkeogh_store_read_duration_seconds",
+			ops.WriteDurationHistogram(w, "lbkeogh_store_read_duration_seconds",
 				fmt.Sprintf("column=%q,temperature=%q", columnNames[col], tempNames[temp]), h, nil)
 		}
 	}
@@ -83,29 +80,6 @@ func (r *Recorder) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "lbkeogh_store_window_fetch_p99_seconds{temperature=\"cold\"} %s\n", formatQuantileNS(coldSnap.P99NS))
 	fmt.Fprintf(w, "lbkeogh_store_window_fetch_p99_seconds{temperature=\"warm\"} %s\n", formatQuantileNS(warmSnap.P99NS))
 
-	res, resAt := r.Residency()
-	supported := int64(0)
-	var resident, mapped int64
-	if residencySupported(res) {
-		supported = 1
-		for _, s := range res {
-			resident += s.ResidentBytes
-			mapped += s.MappedBytes
-		}
-	}
-	ops.WriteGaugeInt(w, "lbkeogh_store_residency_supported",
-		"1 when the latest page-residency sample measured at least one segment (mincore over an mmap backend); 0 before the first sample or where unsupported.", supported)
-	ops.WriteGaugeInt(w, "lbkeogh_store_resident_bytes",
-		"Resident bytes across live segment mappings at the latest residency sample.", resident)
-	ops.WriteGaugeInt(w, "lbkeogh_store_residency_sampled_bytes",
-		"Mapped bytes covered by the latest residency sample.", mapped)
-	age := float64(0)
-	if !resAt.IsZero() {
-		age = time.Since(resAt).Seconds()
-	}
-	ops.WriteGaugeFloat(w, "lbkeogh_store_residency_age_seconds",
-		"Seconds since the latest residency sample (0 before the first).", age)
-
 	ops.WriteFamily(w, "lbkeogh_store_journal_events_total", "counter",
 		"Storage event journal entries by kind; reconciles with the store's ingest/compaction counters.")
 	counts := r.Journal().Counts()
@@ -121,28 +95,4 @@ func formatQuantileNS(ns int64) string {
 		ns = obs.BucketBound(obs.HistogramBuckets - 1)
 	}
 	return ops.FormatFloat(float64(ns) / 1e9)
-}
-
-// writeHistogram emits one cumulative histogram series from an obs.Histogram
-// in the repo's exposition style (see writeREDHistogram in internal/server):
-// interior buckets that add nothing are skipped unless they carry an
-// exemplar, the overflow bucket folds into +Inf, and durations are seconds.
-func writeHistogram(w io.Writer, name, labels string, h *obs.Histogram, ex *[obs.HistogramBuckets + 1]fetchExemplar) {
-	var buckets [obs.HistogramBuckets + 1]ops.HistogramBucket
-	for i := range buckets {
-		buckets[i].LE = ops.FormatFloat(float64(obs.BucketBound(i)) / 1e9)
-		if ex != nil && ex[i].traceID != 0 {
-			buckets[i].Exemplar = fmt.Sprintf("{trace_id=\"%d\"} %s %s",
-				ex[i].traceID, ops.FormatFloat(float64(ex[i].durNS)/1e9),
-				ops.FormatFloat(float64(ex[i].wall.UnixNano())/1e9))
-		}
-	}
-	for _, b := range h.Buckets() {
-		i := obs.HistogramBuckets // bound -1: the overflow bucket
-		if b.UpperBound >= 0 {
-			i = obs.BucketIndex(b.UpperBound)
-		}
-		buckets[i].Count = b.Count
-	}
-	ops.WriteHistogram(w, name, labels, buckets[:], ops.FormatFloat(float64(h.Sum())/1e9), true)
 }

@@ -12,9 +12,12 @@
 //     actually faulted),
 //   - rolling cold/warm fetch windows reusing the ops.RED machinery, with
 //     deferred trace-ID exemplars (LinkTrace) for slow and cold fetches,
-//   - a bounded structured storage event journal (Journal),
-//   - a periodic page-residency sampler (Sampler) that never runs on the
-//     query path.
+//   - a bounded structured storage event journal (Journal).
+//
+// "Cold" means first touched since the recorder attached, not "faulted from
+// disk": a page the kernel evicted and a later read faults back in counts as
+// warm. Eviction shows as warm latency rising together with the process's
+// major page faults (shapeserver_page_faults_total{kind="major"}).
 //
 // Everything is nil-safe: a nil *Recorder, *SegmentAccount, or *Journal is a
 // no-op sink, so the disabled path through the segment store costs exactly
@@ -203,8 +206,8 @@ type Config struct {
 
 // Recorder aggregates storage-plane telemetry for one segment store: the
 // per-segment accounts, cumulative cold/warm histograms, rolling fetch
-// windows, read-amplification totals, the event journal, and the latest
-// residency sample. A nil *Recorder is a no-op sink everywhere.
+// windows, read-amplification totals and the event journal. A nil *Recorder
+// is a no-op sink everywhere.
 type Recorder struct {
 	slowNS int64
 	window [numTemps]*ops.RED
@@ -222,10 +225,6 @@ type Recorder struct {
 
 	exMu sync.Mutex
 	ex   [numTemps][obs.HistogramBuckets + 1]fetchExemplar
-
-	resMu sync.Mutex
-	res   []SegmentResidency
-	resAt time.Time
 }
 
 // NewRecorder builds a Recorder.
@@ -370,18 +369,18 @@ func (r *Recorder) LinkTrace(id int64) {
 	r.exMu.Unlock()
 }
 
-// exemplars snapshots the linked exemplar slots for one temperature, indexed
-// by histogram bucket. Unlinked (pending or never-stamped) slots are zero.
-func (r *Recorder) exemplars(t int) [obs.HistogramBuckets + 1]fetchExemplar {
-	var out [obs.HistogramBuckets + 1]fetchExemplar
+// exemplars renders the linked exemplar slots for one temperature, indexed
+// by histogram bucket. Unlinked (pending or never-stamped) slots are empty.
+func (r *Recorder) exemplars(t int) *[obs.HistogramBuckets + 1]string {
+	var out [obs.HistogramBuckets + 1]string
 	r.exMu.Lock()
-	for b := range r.ex[t] {
-		if !r.ex[t][b].pending && r.ex[t][b].traceID != 0 {
-			out[b] = r.ex[t][b]
+	for b, ex := range r.ex[t] {
+		if !ex.pending && ex.traceID != 0 {
+			out[b] = ops.FormatExemplar(ex.traceID, ex.durNS, ex.wall)
 		}
 	}
 	r.exMu.Unlock()
-	return out
+	return &out
 }
 
 // observeColumnRead folds one backend read into the recorder-level

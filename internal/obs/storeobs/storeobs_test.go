@@ -2,7 +2,6 @@ package storeobs
 
 import (
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -149,7 +148,6 @@ func TestWriteMetricsParses(t *testing.T) {
 	r.ObserveFetch(false, 40*time.Microsecond)
 	r.LinkTrace(7)
 	r.Journal().Record(Event{Kind: EventSegmentCreated, Segment: "seg-000001.lbseg"})
-	r.setResidency([]SegmentResidency{{Segment: "seg-000001.lbseg", MappedBytes: 2 * PageSize, ResidentBytes: PageSize}}, time.Now())
 
 	var sb strings.Builder
 	r.WriteMetrics(&sb)
@@ -169,61 +167,9 @@ func TestWriteMetricsParses(t *testing.T) {
 			t.Fatalf("journal family missing kind %q", kind)
 		}
 	}
-	if v, ok := exp.Value("lbkeogh_store_residency_supported", nil); !ok || v != 1 {
-		t.Fatalf("residency_supported = %v,%v, want 1", v, ok)
-	}
-	if v, ok := exp.Value("lbkeogh_store_resident_bytes", nil); !ok || v != PageSize {
-		t.Fatalf("resident_bytes = %v, want %d", v, PageSize)
-	}
 	if v, ok := exp.Value("lbkeogh_store_read_amplification", nil); !ok || v <= 0 {
 		t.Fatalf("read_amplification = %v, want > 0", v)
 	}
-}
-
-func TestResidencyUnsupportedIsNotZeros(t *testing.T) {
-	r := NewRecorder(Config{})
-	r.setResidency([]SegmentResidency{
-		{Segment: "a.lbseg", Err: "residency unsupported on this backend"},
-	}, time.Now())
-	var sb strings.Builder
-	r.WriteMetrics(&sb)
-	exp, err := expofmt.Parse(sb.String())
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	if v, _ := exp.Value("lbkeogh_store_residency_supported", nil); v != 0 {
-		t.Fatalf("unsupported sample reported supported=%v", v)
-	}
-	sr := SegmentResidency{Segment: "a.lbseg", Err: "nope", MappedBytes: 100}
-	if sr.Fraction() != 0 {
-		t.Fatal("errored sample has a non-zero fraction")
-	}
-}
-
-func TestSampler(t *testing.T) {
-	r := NewRecorder(Config{})
-	var calls atomic.Int64
-	s := NewSampler(r, func() []SegmentResidency {
-		calls.Add(1)
-		return []SegmentResidency{{Segment: "s.lbseg", MappedBytes: 10, ResidentBytes: 5}}
-	}, 5*time.Millisecond)
-	s.Start()
-	res, at := r.Residency()
-	if len(res) != 1 || at.IsZero() {
-		t.Fatal("Start did not take an immediate sample")
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for calls.Load() < 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	s.Stop()
-	if calls.Load() < 2 {
-		t.Fatalf("sampler ticked %d times, want >= 2", calls.Load())
-	}
-	s.Stop() // idempotent
-	var nils *Sampler
-	nils.Start()
-	nils.Stop()
 }
 
 func TestNilRecorderIsNoop(t *testing.T) {

@@ -45,8 +45,9 @@
 //
 // # Export
 //
-// WriteChrome emits the Chrome trace-event format (load the file at
-// ui.perfetto.dev or chrome://tracing); WriteJSONL emits one self-describing
-// JSON object per span for jq/duckdb-style analysis. The public package
-// mounts both, plus a live waterfall, under /debug/lbkeogh.
+// WriteChrome is the one export: the Chrome trace-event format, one track per
+// trace (load the file at ui.perfetto.dev or chrome://tracing). Every event
+// carries its span index and parent in its args, so the same file also feeds
+// jq/duckdb-style analysis. The public package mounts it, plus a live
+// waterfall, under /debug/lbkeogh.
 package trace

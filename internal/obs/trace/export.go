@@ -29,9 +29,10 @@ type chromeTraceFile struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// spanArgs converts a span's metadata to trace-event args (nil when empty).
-func spanArgs(sp Span) map[string]any {
-	args := map[string]any{}
+// spanArgs converts span i's position in its trace and its metadata to
+// trace-event args.
+func spanArgs(i int, sp Span) map[string]any {
+	args := map[string]any{"span": i, "parent": sp.Parent}
 	if sp.Ref >= 0 {
 		args["ref"] = sp.Ref
 	}
@@ -41,97 +42,29 @@ func spanArgs(sp Span) map[string]any {
 	if len(sp.VisitsByLevel) > 0 {
 		args["visits_by_level"] = sp.VisitsByLevel
 	}
-	if len(args) == 0 {
-		return nil
-	}
 	return args
 }
 
-// WriteChrome renders the trace in Chrome trace-event JSON — loadable by
-// Perfetto (ui.perfetto.dev) and chrome://tracing.
-func WriteChrome(w io.Writer, tr Trace) error {
-	events := make([]chromeEvent, 0, len(tr.Spans)+1)
-	rootArgs := map[string]any{"trace_id": tr.ID, "counts": tr.Attrs}
-	if tr.Dropped > 0 {
-		rootArgs["dropped_spans"] = tr.Dropped
-	}
-	events = append(events, chromeEvent{
-		Name: tr.Label, Ph: "X", Ts: 0, Dur: float64(tr.DurNS) / 1e3,
-		Pid: 1, Tid: tr.ID, Args: rootArgs,
-	})
-	for _, sp := range tr.Spans {
-		events = append(events, chromeEvent{
-			Name: sp.Stage.String(),
-			Ph:   "X",
-			Ts:   float64(sp.Start) / 1e3,
-			Dur:  float64(sp.Dur) / 1e3,
-			Pid:  1,
-			Tid:  tr.ID,
-			Args: spanArgs(sp),
-		})
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(chromeTraceFile{TraceEvents: events, DisplayTimeUnit: "ns"})
-}
-
-// jsonlSpan is one span line of the JSONL export: flat, self-describing,
-// one JSON object per line, suitable for jq/duckdb post-processing.
-type jsonlSpan struct {
-	TraceID int64      `json:"trace_id"`
-	Label   string     `json:"label"`
-	Span    int        `json:"span"`
-	Parent  int32      `json:"parent"`
-	Stage   string     `json:"stage"`
-	Ref     int32      `json:"ref"`
-	StartNS int64      `json:"start_ns"`
-	DurNS   int64      `json:"dur_ns"`
-	Attrs   obs.Counts `json:"attrs,omitempty"`
-	Visits  []int64    `json:"visits_by_level,omitempty"`
-}
-
-// WriteJSONL renders every span of the trace as one JSON object per line,
-// preceded by a header line describing the trace itself.
-func WriteJSONL(w io.Writer, tr Trace) error {
-	enc := json.NewEncoder(w)
-	header := struct {
-		TraceID int64      `json:"trace_id"`
-		Label   string     `json:"label"`
-		DurNS   int64      `json:"dur_ns"`
-		Slow    bool       `json:"slow"`
-		Spans   int        `json:"spans"`
-		Dropped int64      `json:"dropped,omitempty"`
-		Attrs   obs.Counts `json:"attrs"`
-	}{tr.ID, tr.Label, tr.DurNS, tr.Slow, len(tr.Spans), tr.Dropped, tr.Attrs}
-	if err := enc.Encode(header); err != nil {
-		return err
-	}
-	for i, sp := range tr.Spans {
-		if err := enc.Encode(jsonlSpan{
-			TraceID: tr.ID, Label: tr.Label, Span: i, Parent: sp.Parent,
-			Stage: sp.Stage.String(), Ref: sp.Ref, StartNS: sp.Start, DurNS: sp.Dur,
-			Attrs: sp.Attrs, Visits: sp.VisitsByLevel,
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteChromeAll renders several traces into one trace-event file, one tid
-// per trace so they stack as separate tracks.
-func WriteChromeAll(w io.Writer, traces []Trace) error {
+// WriteChrome renders traces in Chrome trace-event JSON — loadable by
+// Perfetto (ui.perfetto.dev) and chrome://tracing — one track (tid) per
+// trace. Each trace is a root event named label#id, whose args carry the
+// trace ID, its counts and its dropped-span count, followed by one event per
+// span in recording order; a span's args carry its index in the trace and
+// its parent's (-1 directly under the root), so the tree is recoverable
+// without reading interval containment.
+func WriteChrome(w io.Writer, traces []Trace) error {
 	var events []chromeEvent
 	for _, tr := range traces {
-		rootArgs := map[string]any{"trace_id": tr.ID, "counts": tr.Attrs}
 		events = append(events, chromeEvent{
 			Name: fmt.Sprintf("%s#%d", tr.Label, tr.ID), Ph: "X",
-			Ts: 0, Dur: float64(tr.DurNS) / 1e3, Pid: 1, Tid: tr.ID, Args: rootArgs,
+			Ts: 0, Dur: float64(tr.DurNS) / 1e3, Pid: 1, Tid: tr.ID,
+			Args: map[string]any{"trace_id": tr.ID, "counts": tr.Attrs, "dropped_spans": tr.Dropped},
 		})
-		for _, sp := range tr.Spans {
+		for i, sp := range tr.Spans {
 			events = append(events, chromeEvent{
 				Name: sp.Stage.String(), Ph: "X",
 				Ts: float64(sp.Start) / 1e3, Dur: float64(sp.Dur) / 1e3,
-				Pid: 1, Tid: tr.ID, Args: spanArgs(sp),
+				Pid: 1, Tid: tr.ID, Args: spanArgs(i, sp),
 			})
 		}
 	}

@@ -1,10 +1,8 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 	"time"
 
@@ -395,7 +393,7 @@ func sampleTrace() Trace {
 
 func TestWriteChrome(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteChrome(&buf, sampleTrace()); err != nil {
+	if err := WriteChrome(&buf, []Trace{sampleTrace()}); err != nil {
 		t.Fatal(err)
 	}
 	var f chromeTraceFile
@@ -406,8 +404,11 @@ func TestWriteChrome(t *testing.T) {
 		t.Fatalf("got %d events, want 4", len(f.TraceEvents))
 	}
 	root := f.TraceEvents[0]
-	if root.Name != "search" || root.Ph != "X" || root.Dur != 100 { // 100_000ns = 100µs
+	if root.Name != "search#7" || root.Ph != "X" || root.Dur != 100 { // 100_000ns = 100µs
 		t.Errorf("root event = %+v", root)
+	}
+	if root.Args["trace_id"] != float64(7) || root.Args["dropped_spans"] != float64(0) || root.Args["counts"] == nil {
+		t.Errorf("root args = %v, want the trace id, its counts and its drops", root.Args)
 	}
 	kernel := f.TraceEvents[3]
 	if kernel.Name != "kernel" || kernel.Ts != 2 || kernel.Dur != 10 {
@@ -419,41 +420,20 @@ func TestWriteChrome(t *testing.T) {
 	if f.TraceEvents[1].Args["counts"] == nil {
 		t.Error("comparison event must carry its counts arg")
 	}
-	if f.TraceEvents[2].Args["visits_by_level"] == nil {
+	hmerge := f.TraceEvents[2]
+	if hmerge.Args["visits_by_level"] == nil {
 		t.Error("hmerge event must carry visits_by_level")
 	}
-}
-
-func TestWriteJSONL(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, sampleTrace()); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(&buf)
-	var lines []map[string]any
-	for sc.Scan() {
-		var m map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
-			t.Fatalf("line %d is not valid JSON: %v", len(lines)+1, err)
-		}
-		lines = append(lines, m)
-	}
-	if len(lines) != 4 { // header + 3 spans
-		t.Fatalf("got %d lines, want 4", len(lines))
-	}
-	if lines[0]["spans"] != float64(3) || lines[0]["slow"] != true {
-		t.Errorf("header = %v", lines[0])
-	}
-	if lines[2]["stage"] != "hmerge" || lines[2]["parent"] != float64(0) {
-		t.Errorf("second span line = %v", lines[2])
+	if hmerge.Args["span"] != float64(1) || hmerge.Args["parent"] != float64(0) {
+		t.Errorf("hmerge args = %v, want span 1 under parent 0", hmerge.Args)
 	}
 }
 
-func TestWriteChromeAll(t *testing.T) {
+func TestWriteChromeTracks(t *testing.T) {
 	a, b := sampleTrace(), sampleTrace()
 	b.ID = 8
 	var buf bytes.Buffer
-	if err := WriteChromeAll(&buf, []Trace{a, b}); err != nil {
+	if err := WriteChrome(&buf, []Trace{a, b}); err != nil {
 		t.Fatal(err)
 	}
 	var f chromeTraceFile
@@ -463,8 +443,8 @@ func TestWriteChromeAll(t *testing.T) {
 	if len(f.TraceEvents) != 8 {
 		t.Fatalf("got %d events, want 8", len(f.TraceEvents))
 	}
-	if !strings.HasPrefix(f.TraceEvents[0].Name, "search#") {
-		t.Errorf("multi-trace root name = %q, want a #id suffix", f.TraceEvents[0].Name)
+	if f.TraceEvents[0].Name != "search#7" || f.TraceEvents[4].Name != "search#8" {
+		t.Errorf("root names = %q, %q, want a #id suffix", f.TraceEvents[0].Name, f.TraceEvents[4].Name)
 	}
 	tids := map[int64]bool{}
 	for _, e := range f.TraceEvents {

@@ -39,8 +39,6 @@ func (b *mmapBackend) zeroCopy() bool { return true }
 
 func (b *mmapBackend) mappedBytes() int64 { return int64(len(b.data)) }
 
-func (b *mmapBackend) mapping() []byte { return b.data }
-
 func (b *mmapBackend) close() error {
 	if b.data == nil {
 		return nil

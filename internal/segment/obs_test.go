@@ -1,7 +1,6 @@
 package segment
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -123,32 +122,6 @@ func TestColdWarmDeterministicAcrossBackends(t *testing.T) {
 	}
 	if pread1 == 0 {
 		t.Fatal("no cold fetches on a fresh store")
-	}
-}
-
-func TestResidencyPreadUnsupported(t *testing.T) {
-	dir := t.TempDir()
-	bulkStore(t, dir, 8, 8)
-	db, err := OpenDB(dir, testD, WithoutDataCRC(), WithPread())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	s := db.Acquire()
-	defer s.Release()
-	if _, err := s.segs[0].Residency(); !errors.Is(err, ErrResidencyUnsupported) {
-		t.Fatalf("pread residency error = %v, want ErrResidencyUnsupported", err)
-	}
-	// The probe reports the error string, never zeros that read as evicted.
-	samples := ProbeResidency(db)()
-	if len(samples) != 1 {
-		t.Fatalf("probe returned %d samples, want 1", len(samples))
-	}
-	if samples[0].Err == "" {
-		t.Fatal("unsupported sample carries no error")
-	}
-	if samples[0].MappedBytes != 0 || samples[0].ResidentBytes != 0 {
-		t.Fatalf("unsupported sample carries byte counts: %+v", samples[0])
 	}
 }
 

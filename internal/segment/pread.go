@@ -39,8 +39,6 @@ func (b *preadBackend) zeroCopy() bool { return false }
 
 func (b *preadBackend) mappedBytes() int64 { return 0 }
 
-func (b *preadBackend) mapping() []byte { return nil }
-
 func (b *preadBackend) close() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()

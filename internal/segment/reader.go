@@ -26,9 +26,6 @@ type backend interface {
 	zeroCopy() bool
 	// mappedBytes is the size of the live mapping (0 for pread).
 	mappedBytes() int64
-	// mapping exposes the live mapping for page-residency probes (nil for
-	// pread — residency is then unmeasurable, not zero).
-	mapping() []byte
 	close() error
 }
 
@@ -49,8 +46,8 @@ func WithoutDataCRC() OpenOption {
 
 // WithPread forces the positioned-read backend even where mmap is available
 // — the same code path as non-Unix platforms and the lbkeogh_pread build
-// tag. Used by tests pinning cold/warm classification determinism and the
-// residency-unsupported path without cross-compiling.
+// tag. Used by tests pinning cold/warm classification determinism without
+// cross-compiling.
 func WithPread() OpenOption {
 	return func(c *openConfig) { c.forcePread = true }
 }

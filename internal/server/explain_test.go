@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"lbkeogh/internal/obs"
 	"lbkeogh/internal/obs/explain"
 	"lbkeogh/internal/obs/expofmt"
 )
@@ -24,22 +25,33 @@ func scrapeMetrics(t *testing.T, ts *httptest.Server) *expofmt.Exposition {
 	return exp
 }
 
+// waterfallCounters rebuilds the server's cumulative pruning waterfall from
+// the shapeserver_<counter> outcome families, the way a dashboard would:
+// every stage is one counter or the sum of two.
 func waterfallCounters(t *testing.T, ts *httptest.Server) (rot, surv, canc int64, stages map[string]int64) {
 	t.Helper()
 	exp := scrapeMetrics(t, ts)
+	counter := func(key string) int64 { return exp.Counter("shapeserver_"+key, nil) }
+	wf := explain.FromCounts(obs.Counts{
+		Rotations:          counter("rotations"),
+		FullDistEvals:      counter("full_dist_evals"),
+		EarlyAbandons:      counter("early_abandons"),
+		WedgePrunedMembers: counter("wedge_pruned_members"),
+		WedgeLeafLBPrunes:  counter("wedge_leaf_lb_prunes"),
+		FFTRejectedMembers: counter("fft_rejected_members"),
+		CancelledMembers:   counter("cancelled_members"),
+	})
 	stages = map[string]int64{}
-	for _, s := range exp.Find("shapeserver_pruning_waterfall_members_total") {
-		stages[s.Labels["stage"]] = int64(s.Value)
+	for _, st := range wf.Eliminated {
+		stages[st.Stage] = st.Members
 	}
-	return exp.Counter("shapeserver_pruning_waterfall_rotations_total", nil),
-		exp.Counter("shapeserver_pruning_waterfall_survivors_total", nil),
-		exp.Counter("shapeserver_pruning_waterfall_cancelled_total", nil),
-		stages
+	return wf.Rotations, wf.Survivors, wf.Cancelled, stages
 }
 
 // TestServerExplainSearch: an explain:true request returns a plan whose
 // waterfall reconciles exactly with the response's own per-request stats AND
-// with the /metrics waterfall counter deltas for that request.
+// with the waterfall the /metrics outcome counters' deltas give for that
+// request.
 func TestServerExplainSearch(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	rot0, surv0, canc0, st0 := waterfallCounters(t, ts)
@@ -77,7 +89,7 @@ func TestServerExplainSearch(t *testing.T) {
 		t.Error("1-NN explain plan has no survivor annotations")
 	}
 
-	// The /metrics waterfall counters moved by exactly this search.
+	// The /metrics outcome counters moved by exactly this search.
 	rot1, surv1, canc1, st1 := waterfallCounters(t, ts)
 	if rot1-rot0 != wf.Rotations || surv1-surv0 != wf.Survivors || canc1-canc0 != wf.Cancelled {
 		t.Errorf("metrics deltas rot/surv/canc %d/%d/%d != plan %d/%d/%d",

@@ -299,7 +299,16 @@ func TestServerTracedIndexRequestTellsItsStory(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := tlog.WriteTraceJSONL(&buf, sr.TraceID); err != nil {
+	if err := tlog.WriteChromeTrace(&buf, sr.TraceID); err != nil {
+		t.Fatal(err)
+	}
+	var file struct {
+		TraceEvents []struct {
+			Name string
+			Args struct{ Span, Parent int }
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
 		t.Fatal(err)
 	}
 	type span struct {
@@ -307,15 +316,8 @@ func TestServerTracedIndexRequestTellsItsStory(t *testing.T) {
 		Stage        string
 	}
 	var spans []span
-	for i, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
-		if i == 0 {
-			continue // the trace header
-		}
-		var sp span
-		if err := json.Unmarshal([]byte(line), &sp); err != nil {
-			t.Fatalf("span line %d: %v", i, err)
-		}
-		spans = append(spans, sp)
+	for _, e := range file.TraceEvents[1:] { // the root event is the trace, not a span
+		spans = append(spans, span{e.Args.Span, e.Args.Parent, e.Name})
 	}
 	probe, fetches := -1, int64(0)
 	for _, sp := range spans {

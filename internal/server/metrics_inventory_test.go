@@ -3,6 +3,8 @@ package server
 import (
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -51,7 +53,11 @@ func metricsInventory(exp *expofmt.Exposition) string {
 // shapeserver_<counter> family to the sum of that counter over the responses'
 // own stats: the server's cumulative record is its requests' deltas and
 // nothing else. Both goldens were captured at 2c81433, before the server's
-// aggregate became an obs.SearchStats.
+// aggregate became an obs.SearchStats, and have since only lost lines: the
+// page-residency sampler's lbkeogh_store_residency_* and
+// lbkeogh_store_resident_bytes (page faults against RSS and mapped bytes
+// answer the same question), then the four derived pruning-waterfall
+// families (explain.FromCounts over the outcome counters above).
 func TestMetricsInventoryPinned(t *testing.T) {
 	session := func(t *testing.T, ts *httptest.Server, golden string) {
 		var sum obs.Counts
@@ -80,6 +86,19 @@ func TestMetricsInventoryPinned(t *testing.T) {
 				t.Errorf("shapeserver_%s = %v (present %v), the responses' stats sum to %d", key, v, ok, want)
 			}
 		})
+		// The request-duration histogram is cumulative: every terminal request
+		// is in it, whichever class it ended in.
+		for _, ep := range telemetryEndpoints {
+			var served int64
+			for _, s := range exp.Find("shapeserver_endpoint_requests_total") {
+				if s.Labels["endpoint"] == ep {
+					served += int64(s.Value)
+				}
+			}
+			if n := exp.Counter("shapeserver_request_duration_seconds_count", map[string]string{"endpoint": ep}); n != served {
+				t.Errorf("shapeserver_request_duration_seconds_count{endpoint=%q} = %d, shapeserver_endpoint_requests_total sums to %d", ep, n, served)
+			}
+		}
 		var levels int64
 		for _, s := range exp.Find("shapeserver_wedge_prunes_by_level") {
 			levels += int64(s.Value)
@@ -102,6 +121,64 @@ func TestMetricsInventoryPinned(t *testing.T) {
 		}
 		session(t, ts, storeInventoryGolden)
 	})
+}
+
+// TestReadmeMetricFamiliesServed holds README.md to what /metrics serves:
+// every inline-backticked shapeserver_… or lbkeogh_… token must name a family
+// of the inventories TestMetricsInventoryPinned pins (a histogram's _bucket,
+// _sum and _count count as the histogram), be a prefix of one when written
+// `prefix_*` or a bare `prefix_`, or sit on the allowlist below.
+func TestReadmeMetricFamiliesServed(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	types := map[string]string{}
+	for _, golden := range []string{staticInventoryGolden, storeInventoryGolden} {
+		for _, line := range strings.Split(strings.TrimSpace(golden), "\n") {
+			parts := strings.Split(line, " · ")
+			types[parts[0]] = parts[1]
+		}
+	}
+	allowed := map[string]bool{
+		// The process-stat pair: Linux only, so metricsInventory leaves it out.
+		"shapeserver_page_faults_total": true,
+		"shapeserver_rss_bytes":         true,
+		// Written once the bound sampler has measured a comparison, which the
+		// pinned session's default interval never reaches.
+		"lbkeogh_explain_bound_tightness_ratio": true,
+		// The pread segment reader's build tag, not a family.
+		"lbkeogh_pread": true,
+	}
+	served := func(tok string) bool {
+		if prefix, ok := strings.CutSuffix(tok, "*"); ok || strings.HasSuffix(tok, "_") {
+			for fam := range types {
+				if strings.HasPrefix(fam, prefix) {
+					return true
+				}
+			}
+			return false
+		}
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			if base, ok := strings.CutSuffix(tok, suffix); ok && types[base] == "histogram" {
+				return true
+			}
+		}
+		return types[tok] != "" || allowed[tok]
+	}
+	tokens := regexp.MustCompile("`((?:shapeserver|lbkeogh)_[^`\n]*)`").FindAllStringSubmatch(string(readme), -1)
+	if len(tokens) == 0 {
+		t.Fatal("README.md names no metric family")
+	}
+	for _, m := range tokens {
+		tok := m[1]
+		if i := strings.IndexAny(tok, "{ \t"); i >= 0 {
+			tok = tok[:i]
+		}
+		if !served(tok) {
+			t.Errorf("README.md names %q, which /metrics does not serve", m[1])
+		}
+	}
 }
 
 const staticInventoryGolden = `lbkeogh_explain_comparisons_seen_total · counter · {}
@@ -134,10 +211,6 @@ shapeserver_pool_evictions_total · counter · {}
 shapeserver_pool_hits_total · counter · {}
 shapeserver_pool_idle · gauge · {}
 shapeserver_pool_misses_total · counter · {}
-shapeserver_pruning_waterfall_cancelled_total · counter · {}
-shapeserver_pruning_waterfall_members_total · counter · {stage}
-shapeserver_pruning_waterfall_rotations_total · counter · {}
-shapeserver_pruning_waterfall_survivors_total · counter · {}
 shapeserver_queue_waiting · gauge · {}
 shapeserver_rejected_total · counter · {}
 shapeserver_request_duration_seconds · histogram · {endpoint}
@@ -185,10 +258,6 @@ lbkeogh_store_journal_events_total · counter · {kind}
 lbkeogh_store_read_amplification · gauge · {}
 lbkeogh_store_read_duration_seconds · histogram · {column,temperature}
 lbkeogh_store_requested_bytes_total · counter · {}
-lbkeogh_store_residency_age_seconds · gauge · {}
-lbkeogh_store_residency_sampled_bytes · gauge · {}
-lbkeogh_store_residency_supported · gauge · {}
-lbkeogh_store_resident_bytes · gauge · {}
 lbkeogh_store_window_fetch_p99_seconds · gauge · {temperature}
 lbkeogh_store_window_fetches · gauge · {temperature}
 shapeserver_admitted_total · counter · {}
@@ -211,10 +280,6 @@ shapeserver_pool_evictions_total · counter · {}
 shapeserver_pool_hits_total · counter · {}
 shapeserver_pool_idle · gauge · {}
 shapeserver_pool_misses_total · counter · {}
-shapeserver_pruning_waterfall_cancelled_total · counter · {}
-shapeserver_pruning_waterfall_members_total · counter · {stage}
-shapeserver_pruning_waterfall_rotations_total · counter · {}
-shapeserver_pruning_waterfall_survivors_total · counter · {}
 shapeserver_queue_waiting · gauge · {}
 shapeserver_rejected_total · counter · {}
 shapeserver_request_duration_seconds · histogram · {endpoint}

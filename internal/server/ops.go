@@ -35,9 +35,10 @@ func endpointName(kind searchKind) string {
 }
 
 // telemetry is the server's operational-telemetry state: the request logger,
-// the request-ID source, and the rolling RED / SLO / pruning-power windows.
-// Everything here is request-rate accounting — one Observe per finished
-// request, nothing on the comparison hot path.
+// the request-ID source, the cumulative request counts and latency
+// histograms, and the rolling RED / SLO / pruning-power windows. Everything
+// here is request-rate accounting — one Observe per finished request,
+// nothing on the comparison hot path.
 type telemetry struct {
 	logger *slog.Logger
 	ids    *ops.IDSource
@@ -52,10 +53,13 @@ type telemetry struct {
 	prune      map[string]*ops.PruneWindow
 
 	// reqTotals counts every terminal request outcome since process start,
-	// by endpoint and error class. Unlike the rolling windows these are
+	// by endpoint and error class, and durations holds the same requests'
+	// latencies per endpoint. Unlike the rolling windows these are
 	// cumulative, so an external scraper can delta two scrapes and compare
-	// against its own accounting exactly (TestAdmissionSemanticsOverHTTP).
+	// against its own accounting exactly (TestAdmissionSemanticsOverHTTP),
+	// and Prometheus never reads an expiring slot as a counter reset.
 	reqTotals map[string]map[string]*atomic.Int64
+	durations map[string]*obs.Histogram
 }
 
 func newTelemetry(cfg Config) *telemetry {
@@ -68,9 +72,11 @@ func newTelemetry(cfg Config) *telemetry {
 		strategies: map[string]*ops.RED{},
 		prune:      map[string]*ops.PruneWindow{},
 		reqTotals:  map[string]map[string]*atomic.Int64{},
+		durations:  map[string]*obs.Histogram{},
 	}
 	for _, ep := range telemetryEndpoints {
 		t.endpoints[ep] = ops.NewRED(wcfg)
+		t.durations[ep] = &obs.Histogram{}
 		t.reqTotals[ep] = map[string]*atomic.Int64{}
 		for _, class := range ops.ClassNames() {
 			t.reqTotals[ep][class] = &atomic.Int64{}
@@ -83,11 +89,12 @@ func newTelemetry(cfg Config) *telemetry {
 	return t
 }
 
-// observeRequest folds one terminal request outcome into its endpoint window
-// and the cumulative endpoint/class totals.
+// observeRequest folds one terminal request outcome into its endpoint window,
+// the cumulative endpoint/class totals and the endpoint's latency histogram.
 func (t *telemetry) observeRequest(endpoint string, status int, dur time.Duration, traceID int64) {
 	t.endpoints[endpoint].Observe(status, dur, traceID)
 	t.reqTotals[endpoint][ops.ErrorClass(status)].Add(1)
+	t.durations[endpoint].Observe(dur.Nanoseconds())
 }
 
 // observeSearch folds one executed search into its strategy's RED and
@@ -116,9 +123,10 @@ func (t *telemetry) writeMetrics(w io.Writer) {
 	}
 
 	ops.WriteFamily(w, "shapeserver_request_duration_seconds", "histogram",
-		"Request latency over the trailing window, by endpoint; buckets carry trace-ID exemplars.")
+		"Request latency since process start, by endpoint; buckets carry the rolling window's trace-ID exemplars.")
 	for _, ep := range eps {
-		writeREDHistogram(w, "shapeserver_request_duration_seconds", ep, snaps[ep])
+		ops.WriteDurationHistogram(w, "shapeserver_request_duration_seconds",
+			fmt.Sprintf("endpoint=%q", ep), t.durations[ep], snaps[ep].ExemplarText())
 	}
 
 	ops.WriteFamily(w, "shapeserver_endpoint_requests_total", "counter",
@@ -213,28 +221,6 @@ func (t *telemetry) writeMetrics(w io.Writer) {
 	ops.WriteRuntimeMetrics(w)
 }
 
-// writeREDHistogram emits one endpoint's cumulative latency buckets in
-// seconds, attaching the window's exemplars OpenMetrics-style. Interior
-// buckets where the cumulative count does not change are skipped unless they
-// carry an exemplar.
-func writeREDHistogram(w io.Writer, name, endpoint string, snap ops.REDSnapshot) {
-	var buckets [len(snap.Buckets)]ops.HistogramBucket
-	for i, c := range snap.Buckets {
-		buckets[i] = ops.HistogramBucket{LE: ops.FormatFloat(float64(obs.BucketBound(i)) / 1e9), Count: c}
-	}
-	for _, ex := range snap.Exemplars {
-		i := len(buckets) - 1 // bound -1: the overflow bucket
-		if ex.UpperBoundNS >= 0 {
-			i = obs.BucketIndex(ex.UpperBoundNS)
-		}
-		buckets[i].Exemplar = fmt.Sprintf("{trace_id=\"%d\"} %s %s",
-			ex.TraceID, ops.FormatFloat(float64(ex.DurNS)/1e9),
-			ops.FormatFloat(float64(ex.Wall.UnixNano())/1e9))
-	}
-	ops.WriteHistogram(w, name, fmt.Sprintf("endpoint=%q", endpoint), buckets[:],
-		ops.FormatFloat(float64(snap.DurSumNS)/1e9), true)
-}
-
 // panel renders the rolling windows as a dashboard section for
 // /debug/lbkeogh.
 func (t *telemetry) panel() lbkeogh.DebugPanel {
@@ -325,6 +311,5 @@ var telemetryPanelTemplate = template.Must(template.New("telemetry").Parse(`
 </table>
 {{end}}
 <p class="meta">quantiles are bucket-resolution (power-of-two bounds) &middot;
-exemplars on /metrics link latency buckets to retained traces &middot;
-<a href="/debug/profiles">continuous profiling ring</a></p>
+exemplars on /metrics link latency buckets to retained traces</p>
 `))

@@ -22,7 +22,6 @@ import (
 
 	"lbkeogh"
 	"lbkeogh/internal/obs"
-	"lbkeogh/internal/obs/explain"
 	"lbkeogh/internal/obs/ops"
 	"lbkeogh/internal/obs/storeobs"
 	"lbkeogh/internal/segment"
@@ -73,17 +72,12 @@ type Config struct {
 	// non-error).
 	SLO ops.SLO
 
-	// Profiler, when set, is browsable at /debug/profiles. The server does
-	// not start or stop it; the owning process does.
-	Profiler *ops.Profiler
-
 	// StoreObs, when set alongside Store, is the storage-plane recorder the
 	// owning process attached to the store (segment.DB.SetObserver). The
 	// server surfaces it: its metric families join /metrics, per-segment
 	// heat joins the shapeserver_segment_* families, and /debug/storage
-	// renders the segment heatmap, residency, and the event journal. The
-	// server never creates or samples it — the process owns the recorder
-	// and any residency Sampler.
+	// renders the segment heatmap and the event journal. The server never
+	// creates it — the process owns the recorder.
 	StoreObs *storeobs.Recorder
 
 	// ExplainSampleInterval is the bound-tightness sampling interval: one of
@@ -332,7 +326,6 @@ func (s *Server) buildMux() *http.ServeMux {
 	mux.Handle("/metrics", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		lbkeogh.MetricsHandler(sources).ServeHTTP(w, r)
 		s.writeServerMetrics(w)
-		s.writeWaterfallMetrics(w)
 		if s.sampler != nil {
 			s.sampler.WriteMetrics(w)
 		}
@@ -345,7 +338,6 @@ func (s *Server) buildMux() *http.ServeMux {
 	mux.Handle("/debug/lbkeogh", lbkeogh.DebugHandlerWithPanels(sources, logs, s.tel.panel(), s.explainPanel()))
 	mux.HandleFunc("/debug/index", s.handleDebugIndex)
 	mux.HandleFunc("/debug/storage", s.handleDebugStorage)
-	mux.Handle("/debug/profiles", s.cfg.Profiler.Handler())
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -414,24 +406,4 @@ func (s *Server) writeStoreMetrics(w io.Writer) {
 		ops.WriteGaugeInt(w, "shapeserver_rss_bytes",
 			"Resident set size (stays well under mapped bytes when serving from page cache).", ps.RSSBytes)
 	}
-}
-
-// writeWaterfallMetrics appends the cumulative pruning-waterfall breakdown:
-// every rotation covered by every served search, attributed to the stage
-// that disposed of it. The stage members plus survivors plus cancelled sum
-// to the rotations counter — the same reconciliation a single request's
-// stats satisfy.
-func (s *Server) writeWaterfallMetrics(w io.Writer) {
-	wf := explain.FromCounts(s.Stats().Counts)
-	ops.WriteCounter(w, "shapeserver_pruning_waterfall_rotations_total",
-		"Rotations covered by served searches (waterfall denominator).", wf.Rotations)
-	ops.WriteFamily(w, "shapeserver_pruning_waterfall_members_total", "counter",
-		"Rotations eliminated per waterfall stage across served searches.")
-	for _, st := range wf.Eliminated {
-		fmt.Fprintf(w, "shapeserver_pruning_waterfall_members_total{stage=%q} %d\n", st.Stage, st.Members)
-	}
-	ops.WriteCounter(w, "shapeserver_pruning_waterfall_survivors_total",
-		"Rotations that survived every stage into a full distance evaluation.", wf.Survivors)
-	ops.WriteCounter(w, "shapeserver_pruning_waterfall_cancelled_total",
-		"Rotations left undisposed by cancelled searches.", wf.Cancelled)
 }

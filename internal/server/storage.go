@@ -1,7 +1,7 @@
 package server
 
 // This file is the storage-plane dashboard: /debug/storage renders the
-// segment heatmap (per-segment access recency × page residency), the
+// segment heatmap (per-segment access recency × first-touch coverage), the
 // cold/warm fetch split, and the storage event journal collected by the
 // storeobs recorder the process attached to the segment store. The same
 // recorder's per-segment aggregates are exposed on /metrics as the
@@ -24,8 +24,8 @@ import (
 const storageJournalTail = 64
 
 // StorageSegment is one row of the /debug/storage heatmap: a live segment
-// file joined across the store manifest (records), the access accountant
-// (reads, bytes, first-touch pages), and the residency sampler.
+// file joined across the store manifest (records) and the access accountant
+// (reads, bytes, first-touch pages).
 type StorageSegment struct {
 	Segment   string `json:"segment"`
 	Records   int64  `json:"records"`
@@ -42,26 +42,19 @@ type StorageSegment struct {
 	TouchedPages    int64   `json:"touched_pages"`
 	TouchedFraction float64 `json:"touched_fraction"`
 
-	// ResidentFraction is the page-cache axis, -1 when residency sampling is
-	// unsupported (non-Linux or pread fallback) — never a fake zero.
-	ResidentBytes    int64   `json:"resident_bytes"`
-	ResidentFraction float64 `json:"resident_fraction"`
-
 	LastAccess time.Time `json:"last_access"`
 	AgeSeconds float64   `json:"age_seconds"` // since LastAccess; -1 if never read
 }
 
 // StorageReport is the ?format=json body of /debug/storage.
 type StorageReport struct {
-	Generation         int64            `json:"generation"`
-	Records            int64            `json:"records"`
-	Totals             storeobs.Totals  `json:"totals"`
-	ReadAmplification  float64          `json:"read_amplification"`
-	ResidencySupported bool             `json:"residency_supported"`
-	ResidencyAt        time.Time        `json:"residency_at"`
-	Segments           []StorageSegment `json:"segments"`
-	Orphans            []string         `json:"orphans,omitempty"`
-	JournalCounts      map[string]int64 `json:"journal_counts"`
+	Generation        int64            `json:"generation"`
+	Records           int64            `json:"records"`
+	Totals            storeobs.Totals  `json:"totals"`
+	ReadAmplification float64          `json:"read_amplification"`
+	Segments          []StorageSegment `json:"segments"`
+	Orphans           []string         `json:"orphans,omitempty"`
+	JournalCounts     map[string]int64 `json:"journal_counts"`
 	// Journal is the tail of the event ring, oldest first.
 	Journal []storeobs.Event `json:"journal"`
 }
@@ -82,37 +75,22 @@ func (s *Server) buildStorageReport() StorageReport {
 	for _, seg := range st.Segments {
 		records[seg.File] = seg.Records
 	}
-	resSamples, resAt := s.storeObs.Residency()
-	rep.ResidencyAt = resAt
-	resident := make(map[string]storeobs.SegmentResidency, len(resSamples))
-	for _, r := range resSamples {
-		resident[r.Segment] = r
-		if r.Err == "" {
-			rep.ResidencySupported = true
-		}
-	}
-
 	now := time.Now()
 	for _, acct := range s.storeObs.Segments() {
 		row := StorageSegment{
-			Segment:          acct.Segment,
-			Records:          records[acct.Segment],
-			FileBytes:        acct.FileBytes,
-			Reads:            acct.Reads,
-			ReadBytes:        acct.Bytes,
-			TotalReads:       acct.TotalReads(),
-			Pages:            acct.Pages,
-			TouchedPages:     acct.TouchedPages,
-			ResidentFraction: -1,
-			LastAccess:       acct.LastAccess,
-			AgeSeconds:       -1,
+			Segment:      acct.Segment,
+			Records:      records[acct.Segment],
+			FileBytes:    acct.FileBytes,
+			Reads:        acct.Reads,
+			ReadBytes:    acct.Bytes,
+			TotalReads:   acct.TotalReads(),
+			Pages:        acct.Pages,
+			TouchedPages: acct.TouchedPages,
+			LastAccess:   acct.LastAccess,
+			AgeSeconds:   -1,
 		}
 		if acct.Pages > 0 {
 			row.TouchedFraction = float64(acct.TouchedPages) / float64(acct.Pages)
-		}
-		if r, ok := resident[acct.Segment]; ok && r.Err == "" {
-			row.ResidentBytes = r.ResidentBytes
-			row.ResidentFraction = r.Fraction()
 		}
 		if !acct.LastAccess.IsZero() {
 			row.AgeSeconds = now.Sub(acct.LastAccess).Seconds()
@@ -187,23 +165,6 @@ func (s *Server) writeSegmentMetrics(w io.Writer) {
 		fmt.Fprintf(w, "shapeserver_segment_touched_fraction{segment=%q} %s\n",
 			seg.Segment, ops.FormatFloat(seg.TouchedFraction))
 	}
-	if rep.ResidencySupported {
-		ops.WriteFamily(w, "shapeserver_segment_resident_bytes", "gauge",
-			"Bytes of each segment's mapping resident in the page cache (mincore sample).")
-		for _, seg := range rep.Segments {
-			if seg.ResidentFraction >= 0 {
-				fmt.Fprintf(w, "shapeserver_segment_resident_bytes{segment=%q} %d\n", seg.Segment, seg.ResidentBytes)
-			}
-		}
-		ops.WriteFamily(w, "shapeserver_segment_resident_fraction", "gauge",
-			"Fraction of each segment's mapping resident in the page cache.")
-		for _, seg := range rep.Segments {
-			if seg.ResidentFraction >= 0 {
-				fmt.Fprintf(w, "shapeserver_segment_resident_fraction{segment=%q} %s\n",
-					seg.Segment, ops.FormatFloat(seg.ResidentFraction))
-			}
-		}
-	}
 	ops.WriteFamily(w, "shapeserver_segment_last_access_age_seconds", "gauge",
 		"Seconds since each segment was last read (absent until first read).")
 	for _, seg := range rep.Segments {
@@ -217,12 +178,8 @@ func (s *Server) writeSegmentMetrics(w io.Writer) {
 // storageFuncs are the template helpers: heat colors for the two heatmap
 // axes and human-readable sizes/ages.
 var storageFuncs = template.FuncMap{
-	// heat maps a [0,1] fraction onto a cold-to-hot background; negative
-	// (unsupported/never) renders neutral gray.
+	// heat maps a [0,1] fraction onto a cold-to-hot background.
 	"heat": func(f float64) template.CSS {
-		if f < 0 {
-			return "background:#eee;color:#777"
-		}
 		if f > 1 {
 			f = 1
 		}
@@ -250,12 +207,7 @@ var storageFuncs = template.FuncMap{
 		hue := 210 * (1 - f)
 		return template.CSS(fmt.Sprintf("background:hsl(%.0f,70%%,85%%)", hue))
 	},
-	"pct": func(f float64) string {
-		if f < 0 {
-			return "n/a"
-		}
-		return fmt.Sprintf("%.1f%%", 100*f)
-	},
+	"pct": func(f float64) string { return fmt.Sprintf("%.1f%%", 100*f) },
 	"bytes": func(b int64) string {
 		switch {
 		case b >= 1<<30:
@@ -311,7 +263,6 @@ th.l, td.l { text-align: left; }
 cold fetches {{.Totals.ColdFetches}} &middot; warm fetches {{.Totals.WarmFetches}} &middot;
 requested {{bytes .Totals.RequestedBytes}} &middot; faulted pages {{.Totals.FaultedPages}} &middot;
 read amplification {{printf "%.2f" .ReadAmplification}}&times;
-{{if not .ResidencySupported}} &middot; residency sampling unsupported on this platform/backend{{else if not .ResidencyAt.IsZero}} &middot; residency sampled {{wall .ResidencyAt}}{{end}}
 &middot; <a href="?format=json">json</a> &middot; <a href="?format=jsonl">journal jsonl</a>
 </p>
 
@@ -319,17 +270,16 @@ read amplification {{printf "%.2f" .ReadAmplification}}&times;
 <table>
 <tr><th class="l">segment</th><th>records</th><th>file</th><th>reads</th>
 <th>raw</th><th>fft</th><th>paa</th><th>meta</th>
-<th>touched pages</th><th>resident</th><th>last read</th></tr>
+<th>touched pages</th><th>last read</th></tr>
 {{range .Segments}}
 <tr><td class="l">{{.Segment}}</td><td>{{.Records}}</td><td>{{bytes .FileBytes}}</td><td>{{.TotalReads}}</td>
 <td>{{index .Reads 0}}</td><td>{{index .Reads 1}}</td><td>{{index .Reads 2}}</td><td>{{index .Reads 3}}</td>
 <td style="{{heat .TouchedFraction}}">{{.TouchedPages}}/{{.Pages}} ({{pct .TouchedFraction}})</td>
-<td style="{{heat .ResidentFraction}}">{{pct .ResidentFraction}}</td>
 <td style="{{recency .AgeSeconds}}">{{ago .AgeSeconds}}</td></tr>
 {{end}}
 </table>
-<p class="meta">touched = pages first-faulted by reads since the segment was opened (cold-read coverage) &middot;
-resident = mincore sample of the mapping &middot; colors run cold (blue) to hot (red), gray = unsupported/never</p>
+<p class="meta">touched = pages first-touched by reads since the segment was opened (cold-read coverage) &middot;
+colors run cold (blue) to hot (red), gray = never read</p>
 {{if .Orphans}}<p class="meta">orphaned segment files ignored at open: {{range .Orphans}}{{.}} {{end}}</p>{{end}}
 
 <h2>compaction &amp; ingest timeline</h2>

@@ -2,11 +2,11 @@
 # Serving smoke test. Part 1: boot shapeserver on a synthetic database,
 # exercise nearest-neighbour and top-K search plus a deliberately timed-out
 # request, check the structured request log correlates with response trace
-# IDs, the profiling ring serves captures, and /readyz flips while the server
-# drains gracefully on SIGTERM. Part 2: boot a shapeserver, run an EXPLAIN
-# search, and assert the plan parses, its stage waterfall reconciles exactly
-# with the /metrics pruning-waterfall counter deltas, and /debug/index serves
-# the index-health report. Part 3: the segment-store ingest smoke.
+# IDs, and /readyz flips while the server drains gracefully on SIGTERM.
+# Part 2: boot a shapeserver, run an EXPLAIN search, and assert the plan
+# parses, its stage waterfall reconciles exactly with the deltas of the
+# /metrics outcome counters, and /debug/index serves the index-health report.
+# Part 3: the segment-store ingest smoke.
 set -eu
 
 GO=${GO:-go}
@@ -39,7 +39,7 @@ sok=""
 for try in 0 1 2 3 4; do
 	saddr="127.0.0.1:$((18651 + try))"
 	"$tmp/shapeserver" -addr "$saddr" -synthetic 400,128 -seed 7 \
-		-drain-wait 2s -profile-interval 1s -profile-cpu 200ms \
+		-drain-wait 2s \
 		>"$tmp/shapeserver.log" 2>&1 &
 	spid=$!
 	i=0
@@ -128,12 +128,6 @@ grep -q '^shapeserver_timeouts_total 1$' "$tmp/smetrics.txt" ||
 curl -fsS "http://$saddr/debug/lbkeogh" >/dev/null ||
 	fail "shapeserver dashboard did not answer 200"
 
-# The profiling ring captures a heap profile immediately on start.
-curl -fsS "http://$saddr/debug/profiles" >"$tmp/profiles.html" ||
-	fail "/debug/profiles did not answer 200"
-grep -q 'heap' "$tmp/profiles.html" ||
-	fail "/debug/profiles lists no heap capture"
-
 # Graceful shutdown: SIGTERM flips /readyz to 503 (the -drain-wait window),
 # then the process drains and reports it in the log.
 kill -TERM "$spid"
@@ -155,7 +149,7 @@ spid=""
 grep -q '"msg":"drained"' "$tmp/shapeserver.log" ||
 	fail "shapeserver did not report a clean drain"
 
-echo "smoke: ok ($saddr: search, topk, pool hit, 504 deadline, log correlation, profiles, readyz drain)"
+echo "smoke: ok ($saddr: search, topk, pool hit, 504 deadline, log correlation, readyz drain)"
 
 # ---- Part 2: query EXPLAIN and index introspection -----------------------
 
@@ -188,8 +182,9 @@ done
 	exit 1
 }
 
-# Snapshot the pruning-waterfall counters, run one EXPLAIN search, snapshot
-# again: the plan's stage counts must equal the counter deltas exactly.
+# Snapshot the outcome counters, run one EXPLAIN search, snapshot again: each
+# of the plan's stage counts must equal the delta of one counter or the sum
+# of two.
 curl -fsS "http://$eaddr/metrics" >"$tmp/wf_before.txt" ||
 	fail "explain server /metrics did not answer 200"
 curl -fsS "http://$eaddr/v1/search" -d '{"query_index":5,"explain":true}' >"$tmp/explain.json" ||
@@ -203,36 +198,46 @@ grep -q '"waterfall":' "$tmp/explain.json" ||
 	fail "explain plan carries no waterfall"
 grep -q '"admitted_by":' "$tmp/explain.json" ||
 	fail "explain plan carries no survivor annotations"
-grep -q '^# TYPE shapeserver_pruning_waterfall_members_total counter$' "$tmp/wf_after.txt" ||
-	fail "/metrics is missing the pruning-waterfall family"
+grep -q '^# TYPE shapeserver_rotations counter$' "$tmp/wf_after.txt" ||
+	fail "/metrics is missing the outcome counters"
 
 if command -v python3 >/dev/null 2>&1; then
-	python3 - "$tmp/explain.json" "$tmp/wf_before.txt" "$tmp/wf_after.txt" <<'PY' || fail "explain plan does not reconcile with the /metrics waterfall deltas"
+	python3 - "$tmp/explain.json" "$tmp/wf_before.txt" "$tmp/wf_after.txt" <<'PY' || fail "explain plan does not reconcile with the /metrics outcome counter deltas"
 import json, sys
 
 plan = json.load(open(sys.argv[1]))["plan"]
 wf = plan["waterfall"]
 
+# Only these exact names: exemplar-bearing histogram lines end in a float
+# timestamp, not an integer.
+names = ("rotations", "full_dist_evals", "fft_rejected_members",
+         "wedge_pruned_members", "wedge_leaf_lb_prunes", "early_abandons",
+         "cancelled_members")
+
 def counters(path):
     out = {}
     for line in open(path):
-        if line.startswith("shapeserver_pruning_waterfall_"):
-            name, value = line.rsplit(None, 1)
-            out[name] = out.get(name, 0) + int(value)
+        name, _, value = line.partition(" ")
+        key = name.removeprefix("shapeserver_")
+        if key != name and key in names:
+            out[key] = int(value)
     return out
 
 before, after = counters(sys.argv[2]), counters(sys.argv[3])
-def delta(name):
-    return after.get(name, 0) - before.get(name, 0)
+d = {n: after[n] - before[n] for n in names}
 
 stages = {s["stage"]: s["members"] for s in wf["eliminated"]}
 eliminated = sum(stages.values())
 total = eliminated + wf["survivors"] + wf.get("cancelled", 0)
 assert total == wf["rotations"], f"plan waterfall does not reconcile: {wf}"
-assert delta("shapeserver_pruning_waterfall_rotations_total") == wf["rotations"]
-assert delta("shapeserver_pruning_waterfall_survivors_total") == wf["survivors"]
+assert d["rotations"] == wf["rotations"], f"rotations delta {d} != plan {wf}"
+assert d["full_dist_evals"] == wf["survivors"], f"survivor delta {d} != plan {wf}"
+assert d["cancelled_members"] == wf.get("cancelled", 0), f"cancelled delta {d} != plan {wf}"
+derived = {"fft": d["fft_rejected_members"], "paa": 0,
+           "envelope": d["wedge_pruned_members"] + d["wedge_leaf_lb_prunes"],
+           "kernel": d["early_abandons"]}
 for stage, members in stages.items():
-    got = delta('shapeserver_pruning_waterfall_members_total{stage="%s"}' % stage)
+    got = derived[stage]
     assert got == members, f"stage {stage}: metrics delta {got} != plan {members}"
 print(f"explain waterfall reconciles: {wf['rotations']} rotations, "
       f"{eliminated} eliminated, {wf['survivors']} survivors")

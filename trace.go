@@ -132,13 +132,15 @@ func (t *TraceLog) StageLatencies() []StageLatency {
 
 // WriteChromeTrace writes the identified trace in Chrome trace-event JSON —
 // load the output at ui.perfetto.dev or chrome://tracing to see the span
-// waterfall. The trace must still be retained in a ring.
+// waterfall. Every span event's args carry its index and its parent's, for
+// jq-style analysis of the same file. The trace must still be retained in a
+// ring.
 func (t *TraceLog) WriteChromeTrace(w io.Writer, id int64) error {
 	tr, ok := t.inner().Get(id)
 	if !ok {
 		return fmt.Errorf("lbkeogh: trace %d not retained", id)
 	}
-	return trace.WriteChrome(w, tr)
+	return trace.WriteChrome(w, []trace.Trace{tr})
 }
 
 // WriteChromeTraces writes every retained trace (sampled then slow, minus
@@ -155,15 +157,5 @@ func (t *TraceLog) WriteChromeTraces(w io.Writer) error {
 			traces = append(traces, tr)
 		}
 	}
-	return trace.WriteChromeAll(w, traces)
-}
-
-// WriteTraceJSONL writes the identified trace as JSON Lines: a header object
-// followed by one flat span object per line, for jq-style analysis.
-func (t *TraceLog) WriteTraceJSONL(w io.Writer, id int64) error {
-	tr, ok := t.inner().Get(id)
-	if !ok {
-		return fmt.Errorf("lbkeogh: trace %d not retained", id)
-	}
-	return trace.WriteJSONL(w, tr)
+	return trace.WriteChrome(w, traces)
 }

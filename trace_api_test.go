@@ -106,17 +106,9 @@ func TestChromeExportNestsStagesAndReconciles(t *testing.T) {
 		}
 	}
 
-	// The root event duplicates the search span; take the shorter "search"
-	// event as the search span proper.
-	search := byStage["search"][0]
-	for _, e := range byStage["search"][1:] {
-		if e.Dur < search.Dur {
-			search = e
-		}
-	}
-
-	// Span-tree nesting, checked structurally by interval containment (the
-	// Chrome format has no parent field — nesting IS containment per track).
+	// Span-tree nesting, checked structurally by interval containment: a
+	// Chrome viewer reads nesting off containment per track, whatever the
+	// events' parent args say.
 	requireNested := func(innerStage, outerStage string) {
 		t.Helper()
 		for _, in := range byStage[innerStage] {
@@ -419,15 +411,18 @@ func TestDebugHandlerRoutes(t *testing.T) {
 		t.Fatalf("chrome export of the whole log has no hmerge spans (%d events)", len(all.TraceEvents))
 	}
 
-	rr = get("/debug/lbkeogh?log=test_query&trace=" + strconv.FormatInt(tr.ID, 10) + "&format=jsonl")
+	rr = get("/debug/lbkeogh?log=test_query&trace=" + strconv.FormatInt(tr.ID, 10) + "&format=chrome")
 	if rr.Code != 200 {
-		t.Fatalf("jsonl export: status %d: %s", rr.Code, rr.Body.String())
+		t.Fatalf("one-trace chrome export: status %d: %s", rr.Code, rr.Body.String())
 	}
-	for i, line := range strings.Split(strings.TrimSpace(rr.Body.String()), "\n") {
-		var m map[string]any
-		if err := json.Unmarshal([]byte(line), &m); err != nil {
-			t.Fatalf("jsonl line %d is not valid JSON: %v", i+1, err)
-		}
+	var one struct {
+		TraceEvents []chromeEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(rr.Body.Bytes(), &one); err != nil {
+		t.Fatalf("one-trace chrome export is not valid JSON: %v", err)
+	}
+	if len(one.TraceEvents) != tr.Spans+1 {
+		t.Fatalf("one-trace chrome export holds %d events, want the root and %d spans", len(one.TraceEvents), tr.Spans)
 	}
 
 	if rr := get("/debug/lbkeogh?log=nope"); rr.Code != 404 {
@@ -436,8 +431,8 @@ func TestDebugHandlerRoutes(t *testing.T) {
 	if rr := get("/debug/lbkeogh?log=test_query&format=bogus"); rr.Code != 400 {
 		t.Errorf("bad format: status %d, want 400", rr.Code)
 	}
-	if rr := get("/debug/lbkeogh?log=test_query&format=jsonl"); rr.Code != 400 {
-		t.Errorf("jsonl without trace id: status %d, want 400", rr.Code)
+	if rr := get("/debug/lbkeogh?log=test_query&trace=" + strconv.FormatInt(tr.ID, 10) + "&format=jsonl"); rr.Code != 400 {
+		t.Errorf("jsonl export: status %d, want 400 (the Chrome export is the one format)", rr.Code)
 	}
 }
 
@@ -472,29 +467,26 @@ func TestTraceCompositionPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			if err := tlog.WriteTraceJSONL(&buf, q.LastTraceID()); err != nil {
+			if err := tlog.WriteChromeTrace(&buf, q.LastTraceID()); err != nil {
 				t.Fatal(err)
 			}
-			lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-			var header struct {
-				Spans   int   `json:"spans"`
-				Dropped int64 `json:"dropped"`
+			var file struct {
+				TraceEvents []chromeEvent `json:"traceEvents"`
 			}
-			if err := json.Unmarshal([]byte(lines[0]), &header); err != nil {
+			if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
 				t.Fatal(err)
 			}
-			if header.Spans != tc.spans || header.Dropped != tc.dropped {
-				t.Errorf("trace holds %d spans / %d dropped, want %d / %d", header.Spans, header.Dropped, tc.spans, tc.dropped)
+			var dropped int64
+			if err := json.Unmarshal(file.TraceEvents[0].Args["dropped_spans"], &dropped); err != nil {
+				t.Fatalf("root event carries no dropped_spans: %v", err)
+			}
+			spans := file.TraceEvents[1:]
+			if len(spans) != tc.spans || dropped != tc.dropped {
+				t.Errorf("trace holds %d spans / %d dropped, want %d / %d", len(spans), dropped, tc.spans, tc.dropped)
 			}
 			stages := map[string]int{}
-			for _, ln := range lines[1:] {
-				var sp struct {
-					Stage string `json:"stage"`
-				}
-				if err := json.Unmarshal([]byte(ln), &sp); err != nil {
-					t.Fatal(err)
-				}
-				stages[sp.Stage]++
+			for _, e := range spans {
+				stages[e.Name]++
 			}
 			if !reflect.DeepEqual(stages, tc.stages) {
 				t.Errorf("spans per stage = %v, want %v", stages, tc.stages)
