@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"lbkeogh/internal/obs"
@@ -130,25 +131,41 @@ func TestScanParallelSharedStats(t *testing.T) {
 }
 
 // TestMatchFFTUnboundedSkipsTransform is the cost-accounting fix: with no
-// threshold (r < 0) the magnitude filter can never reject, so the FFT
-// strategy must neither compute nor charge the transform — its cost equals
-// plain early abandoning.
+// threshold (r < 0, or +Inf as a scan's first comparison has) the magnitude
+// filter can never reject, so the FFT strategy must neither compute nor
+// charge the transform — its cost equals plain early abandoning, and the
+// comparison still counts as a fallback.
 func TestMatchFFTUnboundedSkipsTransform(t *testing.T) {
 	db, q := parallelTestDB(14, 1, 64)
 	x := db[0]
 	rs := NewRotationSet(q, DefaultOptions(), nil)
 
-	var fftCnt, eaCnt stats.Counter
 	fft := NewSearcher(rs, wedge.ED{}, FFTFilter, SearcherConfig{})
 	ea := NewSearcher(rs, wedge.ED{}, EarlyAbandon, SearcherConfig{})
-	mf := fft.MatchSeries(x, -1, &fftCnt)
-	me := ea.MatchSeries(x, -1, &eaCnt)
-	if mf.Dist != me.Dist {
-		t.Fatalf("distances differ: fft %v vs early-abandon %v", mf.Dist, me.Dist)
+	var me Match
+	for _, r := range []float64{-1, math.Inf(1)} {
+		var fftCnt, eaCnt stats.Counter
+		mf := fft.MatchSeries(x, r, &fftCnt)
+		me = ea.MatchSeries(x, r, &eaCnt)
+		if mf.Dist != me.Dist { //lint:ignore floateq both strategies run the one early-abandoning kernel
+			t.Fatalf("r=%v: distances differ: fft %v vs early-abandon %v", r, mf.Dist, me.Dist)
+		}
+		if fftCnt.Steps() != eaCnt.Steps() {
+			t.Fatalf("r=%v: unbounded FFT match charged %d steps, early abandon %d — transform should be skipped",
+				r, fftCnt.Steps(), eaCnt.Steps())
+		}
 	}
-	if fftCnt.Steps() != eaCnt.Steps() {
-		t.Fatalf("unbounded FFT match charged %d steps, early abandon %d — transform should be skipped",
-			fftCnt.Steps(), eaCnt.Steps())
+
+	// A one-row scan is one comparison under the collector's +Inf radius.
+	st := &obs.SearchStats{}
+	var scanCnt, eaScanCnt stats.Counter
+	NewSearcher(rs, wedge.ED{}, FFTFilter, SearcherConfig{Obs: st}).Scan(db, &scanCnt)
+	ea.Scan(db, &eaScanCnt)
+	if scanCnt.Steps() != eaScanCnt.Steps() {
+		t.Fatalf("an fft scan's first comparison charged %d steps, early abandon %d", scanCnt.Steps(), eaScanCnt.Steps())
+	}
+	if sn := st.Snapshot(); sn.FFTFallbacks != 1 || sn.FFTRejects != 0 || !sn.Reconciles() {
+		t.Fatalf("first comparison's record: %+v", sn)
 	}
 
 	// With a finite threshold the transform is charged again.

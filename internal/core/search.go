@@ -335,8 +335,9 @@ func (s *Searcher) matchEarlyAbandon(x []float64, r float64) Match {
 
 func (s *Searcher) matchFFT(x []float64, r float64, rec *trace.Recorder) Match {
 	// The magnitude filter only applies under a finite threshold; an
-	// unbounded match (r < 0) neither computes the bound nor pays for it.
-	if r >= 0 {
+	// unbounded match (r < 0 or +Inf, as a scan's first comparisons are)
+	// neither computes the bound nor pays for it.
+	if r >= 0 && !math.IsInf(r, 1) {
 		// Cost model from Section 5.3: n·log2(n) steps for the transform,
 		// plus the magnitude-space Euclidean distance.
 		ft0 := rec.Now()

@@ -160,11 +160,11 @@ func TestDTWEAConsistent(t *testing.T) {
 	q := ts.RandomSeries(rng, 64)
 	c := ts.RandomSeries(rng, 64)
 	full := DTW(q, c, 5, nil)
-	got, abandoned := DTWEA(q, c, 5, full+0.1, nil)
+	got, abandoned := DTWEA(q, c, 5, full+0.1, nil, nil)
 	if abandoned || math.Abs(got-full) > 1e-9 {
 		t.Fatalf("EA with slack threshold: got (%v,%v), want (%v,false)", got, abandoned, full)
 	}
-	_, abandoned = DTWEA(q, c, 5, full*0.5, nil)
+	_, abandoned = DTWEA(q, c, 5, full*0.5, nil, nil)
 	if !abandoned {
 		t.Fatal("EA with tight threshold should abandon")
 	}
@@ -176,7 +176,7 @@ func TestDTWEAAbandonSavesSteps(t *testing.T) {
 	c := ts.AddNoise(rng, ts.RandomSeries(rng, 128), 3)
 	var full, ea stats.Tally
 	DTW(q, c, 5, &full)
-	_, abandoned := DTWEA(q, c, 5, 0.5, &ea)
+	_, abandoned := DTWEA(q, c, 5, 0.5, nil, &ea)
 	if !abandoned {
 		t.Skip("series unexpectedly close")
 	}

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"math"
 
 	"lbkeogh/internal/stats"
@@ -16,15 +17,22 @@ import (
 // abandoning possible in DTWEA; the paper notes (footnote 2) that the elegant
 // recursive form cannot abandon early.
 func DTW(q, c []float64, R int, cnt *stats.Tally) float64 {
-	d, _ := dtwBanded(q, c, R, -1, cnt)
+	d, _ := dtwBanded(q, c, R, -1, nil, cnt)
 	return d
 }
 
 // DTWEA is the early-abandoning form of DTW: as soon as every cell of a DP
 // row exceeds r², no warping path can finish below r, so the computation
 // abandons and returns (Inf, true). r < 0 disables abandoning.
-func DTWEA(q, c []float64, R int, r float64, cnt *stats.Tally) (float64, bool) {
-	return dtwBanded(q, c, R, r, cnt)
+//
+// cb, when non-nil, is a suffix bound of length len(q)+1 — cb[i] no more
+// than any path's cost over rows i..n-1, cb[n] = 0, as
+// envelope.LBKeoghSuffix leaves it against c's wedge widened by R — and
+// the row test becomes rowMin + cb[i+1] > r²: the rows still to come are
+// charged what they must at least cost instead of nothing. A nil cb is the
+// plain row test.
+func DTWEA(q, c []float64, R int, r float64, cb []float64, cnt *stats.Tally) (float64, bool) {
+	return dtwBanded(q, c, R, r, cb, cnt)
 }
 
 // dtwBanded is the shared rolling-row DP behind DTW and DTWEA, at band cost:
@@ -43,12 +51,22 @@ func DTWEA(q, c []float64, R int, r float64, cnt *stats.Tally) (float64, bool) {
 // recurrence, so (0,0), the first row and the first column need no special
 // case.
 //
+// Row i's abandon test adds rest[i] = cb[i+1], the bound on rows i+1..; a
+// nil cb leaves rest empty, and the test is the plain rowMin > r².
+//
 //lbkeogh:hotpath
-func dtwBanded(q, c []float64, R int, r float64, cnt *stats.Tally) (float64, bool) {
+func dtwBanded(q, c []float64, R int, r float64, cb []float64, cnt *stats.Tally) (float64, bool) {
 	checkSameLength(q, c)
 	n := len(q)
 	if n == 0 {
 		return 0, false
+	}
+	var rest []float64
+	if cb != nil {
+		if len(cb) != n+1 {
+			panic(fmt.Sprintf("dist: DTW suffix bound length %d, want %d", len(cb), n+1))
+		}
+		rest = cb[1:]
 	}
 	if R < 0 || R > n-1 {
 		R = n - 1
@@ -113,6 +131,9 @@ func dtwBanded(q, c []float64, R int, r float64, cnt *stats.Tally) (float64, boo
 		}
 		steps += int64(len(band))
 		total = left // the last row ends at cell (n-1, n-1)
+		if i < len(rest) {
+			rowMin += rest[i]
+		}
 		if rowMin > r2 {
 			total = math.Inf(1) // abandon: no path can finish below r
 			break

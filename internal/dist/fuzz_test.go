@@ -24,7 +24,11 @@ func bytesToSeries(data []byte) (q, c []float64) {
 // FuzzDTW checks metric-flavoured invariants of the banded DTW kernel on
 // arbitrary inputs: non-negative, zero on identity, symmetric, bounded above
 // by the Euclidean distance, finite — and bit-identity with the reference
-// kernels of reference_test.go.
+// kernels of reference_test.go. Under the suffix bound a DTW leaf hands it
+// (LB_Keogh against c widened by R), a threshold one ulp above the distance
+// never abandons and the kept result is DTW's bits: the bound's reverse-order
+// sums never overtake the DP's forward ones. The decoded samples are
+// multiples of 1/32, so every sum here is exact.
 func FuzzDTW(f *testing.F) {
 	f.Add([]byte("hello world hello world!"), uint8(2))
 	f.Add(make([]byte, 40), uint8(0))
@@ -47,6 +51,13 @@ func FuzzDTW(f *testing.F) {
 		}
 		if ed := Euclidean(q, c, nil); d > ed+1e-9 {
 			t.Fatalf("DTW %v exceeds ED %v", d, ed)
+		}
+		got, abandoned := DTWEA(q, c, R, math.Nextafter(d, math.Inf(1)), suffixBound(q, c, R), nil)
+		if abandoned {
+			t.Fatalf("R=%d: the suffix bound abandoned a DTW of %v under r one ulp above it", R, d)
+		}
+		if !sameBits(got, d) {
+			t.Fatalf("R=%d: DTWEA with the suffix bound = %v, DTW = %v", R, got, d)
 		}
 	})
 }

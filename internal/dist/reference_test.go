@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"lbkeogh/internal/envelope"
 	"lbkeogh/internal/stats"
 	"lbkeogh/internal/ts"
 )
@@ -84,8 +85,9 @@ func naiveLCSS(q, c []float64, delta int, eps float64) int {
 // refDTWBanded is the full-width rolling-row kernel that dtwBanded replaced,
 // kept verbatim (minus the row pool) as the oracle for distance, abandon
 // flag and step count: every row refilled to +Inf, explicit first-row and
-// first-column cases.
-func refDTWBanded(q, c []float64, R int, r float64) (dist float64, abandoned bool, steps int64) {
+// first-column cases. A non-nil cb adds the suffix bound on the rows below
+// to each row's abandon test.
+func refDTWBanded(q, c []float64, R int, r float64, cb []float64) (dist float64, abandoned bool, steps int64) {
 	n := len(q)
 	if n == 0 {
 		return 0, false, 0
@@ -139,6 +141,9 @@ func refDTWBanded(q, c []float64, R int, r float64) (dist float64, abandoned boo
 			if curr[j] < rowMin {
 				rowMin = curr[j]
 			}
+		}
+		if cb != nil {
+			rowMin += cb[i+1]
 		}
 		if rowMin > r2 {
 			return Inf, true, steps
@@ -282,7 +287,7 @@ func TestEAEquivalenceProperty(t *testing.T) {
 		c := ts.RandomWalk(rng, n)
 		R := int(rSeed) % 6
 		full := DTW(q, c, R, nil)
-		got, abandoned := DTWEA(q, c, R, full*(1+1e-9)+1e-9, nil)
+		got, abandoned := DTWEA(q, c, R, full*(1+1e-9)+1e-9, nil, nil)
 		if abandoned || math.Abs(got-full) > 1e-9 {
 			return false
 		}
@@ -318,25 +323,40 @@ func TestNoNaNLeaks(t *testing.T) {
 // the ones they replaced: same arithmetic in the same order.
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
+// suffixBound is the cb a DTW leaf hands dtwBanded: LB_Keogh of q against
+// c's envelope widened by R, as suffix sums.
+func suffixBound(q, c []float64, R int) []float64 {
+	cb := make([]float64, len(q)+1)
+	envelope.LBKeoghSuffix(q, envelope.Envelope{U: c, L: c}.ExpandDTW(R), -1, cb, nil)
+	return cb
+}
+
 // checkDTWAgainstOracles pins dtwBanded to refDTWBanded for distance,
 // abandon flag and step count at every threshold around the true distance,
-// and to the full-matrix DP of DTWPath for the distance.
+// without and with the suffix bound, and to the full-matrix DP of DTWPath
+// for the distance. A comparison the suffix bound does not abandon ends on
+// the same bits as one without it.
 func checkDTWAgainstOracles(t *testing.T, q, c []float64, R int) {
 	t.Helper()
 	full, _ := DTWPath(q, c, R)
 	if got := DTW(q, c, R, nil); !sameBits(got, full) {
 		t.Fatalf("n=%d R=%d: DTW %v != full-matrix %v", len(q), R, got, full)
 	}
-	for _, r := range []float64{-1, 0, math.Nextafter(full, 0), math.Nextafter(full, math.Inf(1)), math.Inf(1)} {
-		var cnt stats.Tally
-		got, gotAb := dtwBanded(q, c, R, r, &cnt)
-		want, wantAb, wantSteps := refDTWBanded(q, c, R, r)
-		if !sameBits(got, want) || gotAb != wantAb || cnt.Steps() != wantSteps {
-			t.Fatalf("n=%d R=%d r=%v: got (%v, %v, %d steps), reference (%v, %v, %d steps)",
-				len(q), R, r, got, gotAb, cnt.Steps(), want, wantAb, wantSteps)
-		}
-		if (r < 0 || math.IsInf(r, 1)) && gotAb {
-			t.Fatalf("n=%d R=%d r=%v: abandoned with abandoning disabled", len(q), R, r)
+	for _, cb := range [][]float64{nil, suffixBound(q, c, R)} {
+		for _, r := range []float64{-1, 0, math.Nextafter(full, 0), math.Nextafter(full, math.Inf(1)), math.Inf(1)} {
+			var cnt stats.Tally
+			got, gotAb := dtwBanded(q, c, R, r, cb, &cnt)
+			want, wantAb, wantSteps := refDTWBanded(q, c, R, r, cb)
+			if !sameBits(got, want) || gotAb != wantAb || cnt.Steps() != wantSteps {
+				t.Fatalf("n=%d R=%d r=%v cb=%t: got (%v, %v, %d steps), reference (%v, %v, %d steps)",
+					len(q), R, r, cb != nil, got, gotAb, cnt.Steps(), want, wantAb, wantSteps)
+			}
+			if (r < 0 || math.IsInf(r, 1)) && gotAb {
+				t.Fatalf("n=%d R=%d r=%v cb=%t: abandoned with abandoning disabled", len(q), R, r, cb != nil)
+			}
+			if !gotAb && !sameBits(got, full) {
+				t.Fatalf("n=%d R=%d r=%v cb=%t: kept %v, DTW is %v", len(q), R, r, cb != nil, got, full)
+			}
 		}
 	}
 }
@@ -395,8 +415,12 @@ func TestBandedKernelsDoNotAllocate(t *testing.T) {
 	rng := ts.NewRand(107)
 	q, c := ts.RandomWalk(rng, 256), ts.RandomWalk(rng, 256)
 	var cnt stats.Tally
-	if a := testing.AllocsPerRun(100, func() { dtwBanded(q, c, 5, 3, &cnt) }); a > 0 {
+	if a := testing.AllocsPerRun(100, func() { dtwBanded(q, c, 5, 3, nil, &cnt) }); a > 0 {
 		t.Errorf("dtwBanded(n=256, R=5) allocates %v times per call", a)
+	}
+	cb := suffixBound(q, c, 5)
+	if a := testing.AllocsPerRun(100, func() { dtwBanded(q, c, 5, 3, cb, &cnt) }); a > 0 {
+		t.Errorf("dtwBanded(n=256, R=5) with a suffix bound allocates %v times per call", a)
 	}
 	if a := testing.AllocsPerRun(100, func() { LCSS(q, c, 5, 0.5, &cnt) }); a > 0 {
 		t.Errorf("LCSS(n=256, delta=5) allocates %v times per call", a)

@@ -119,7 +119,10 @@ func (e Envelope) Contains(s []float64, tol float64) bool {
 //
 //	DTW_U[i] = max(U[i-R] .. U[i+R]),  DTW_L[i] = min(L[i-R] .. L[i+R])
 //
-// clamped at the series boundaries. R <= 0 returns a copy of e.
+// clamped at the series boundaries. R = 0 returns a copy of e. R < 0 is the
+// unconstrained path, as it is for dist.DTW and dist.LCSS, and widens by
+// n-1 like any R >= n-1: every measure normalises its radius the same way,
+// or a wedge would be narrower than the paths it must bound.
 //
 // The expansion runs in O(n) using a monotonic-deque sliding-window
 // max/min rather than the naive O(nR) scan; the result is identical. U and
@@ -129,10 +132,7 @@ func (e Envelope) Contains(s []float64, tol float64) bool {
 //lbkeogh:hotpath
 func (e Envelope) ExpandDTW(R int) Envelope {
 	n := len(e.U)
-	if R < 0 {
-		R = 0
-	}
-	if R > n-1 {
+	if R < 0 || R > n-1 {
 		R = n - 1
 	}
 	var stack [64]windowEntry
@@ -239,6 +239,52 @@ func LBKeogh(q []float64, e Envelope, r float64, cnt *stats.Tally) (float64, boo
 		}
 	}
 	cnt.Add(int64(len(q)))
+	return math.Sqrt(acc), false
+}
+
+// LBKeoghSuffix is LBKeogh accumulated from the last position back, leaving
+// its running sums in cb (length len(q)+1): cb[i] is the squared bound over
+// positions i..n-1 and cb[n] = 0. Against a wedge widened by the band R,
+// cb[i] lower-bounds what rows i.. of any banded DTW path must still add, so
+// it is what dtwBanded's row test can charge the rows it has not computed.
+// It is one pass, one store per position. Abandoning (on the suffix sum
+// exceeding r², r < 0 never) and steps (one per position examined) are
+// LBKeogh's; an abandoned call leaves cb[0..i] unwritten.
+//
+//lbkeogh:hotpath
+//lbkeogh:rootspace
+//lbkeogh:lowerbound
+func LBKeoghSuffix(q []float64, e Envelope, r float64, cb []float64, cnt *stats.Tally) (float64, bool) {
+	// The cb test is spelled len(cb)-1 != n, and its end stored before the
+	// slice, so that the prove pass sees every index below in bounds.
+	u, l := e.U, e.L
+	n := len(q)
+	if len(u) != n || len(l) != n || len(cb)-1 != n {
+		panic(fmt.Sprintf("envelope: LBKeoghSuffix length mismatch q %d vs U %d L %d cb %d", n, len(u), len(l), len(cb)))
+	}
+	r2 := math.Inf(1)
+	if r >= 0 {
+		r2 = r * r
+	}
+	cb[len(cb)-1] = 0
+	sums := cb[:len(cb)-1]
+	var acc float64
+	for i := n - 1; i >= 0; i-- {
+		v := q[i]
+		if v > u[i] {
+			d := v - u[i]
+			acc += d * d
+		} else if v < l[i] {
+			d := v - l[i]
+			acc += d * d
+		}
+		sums[i] = acc
+		if acc > r2 {
+			cnt.Add(int64(n - i))
+			return math.Inf(1), true
+		}
+	}
+	cnt.Add(int64(n))
 	return math.Sqrt(acc), false
 }
 

@@ -280,3 +280,76 @@ func TestLBKeoghAdmissibleProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// LBKeoghSuffix is LBKeogh summed from the end: cb[i] is the squared bound
+// over positions i.. (computed here term by term in the same order), cb[n]
+// is 0, cb[0] is the squared result, and the value agrees with LBKeogh's.
+// Abandoning is LBKeogh's — on the running sum exceeding r² — and charges
+// the positions examined, counted from the end.
+func TestLBKeoghSuffix(t *testing.T) {
+	rng := ts.NewRand(13)
+	const n = 40
+	cb := make([]float64, n+1)
+	for trial := 0; trial < 30; trial++ {
+		e := New(randomSet(int64(trial+700), 3, n)...).ExpandDTW(trial % 5)
+		q := ts.RandomWalk(rng, n)
+		for i := range cb {
+			cb[i] = math.NaN()
+		}
+		var cnt stats.Tally
+		lb, abandoned := LBKeoghSuffix(q, e, -1, cb, &cnt)
+		if abandoned || cnt.Steps() != n {
+			t.Fatalf("unbounded suffix LB abandoned=%v after %d steps", abandoned, cnt.Steps())
+		}
+		var acc float64
+		if cb[n] != 0 { //lint:ignore floateq the end of the suffix is stored as the constant 0
+			t.Fatalf("cb[n] = %v, want 0", cb[n])
+		}
+		for i := n - 1; i >= 0; i-- {
+			if q[i] > e.U[i] {
+				acc += (q[i] - e.U[i]) * (q[i] - e.U[i])
+			} else if q[i] < e.L[i] {
+				acc += (q[i] - e.L[i]) * (q[i] - e.L[i])
+			}
+			if math.Float64bits(cb[i]) != math.Float64bits(acc) {
+				t.Fatalf("cb[%d] = %v, suffix sum %v", i, cb[i], acc)
+			}
+		}
+		if math.Float64bits(lb) != math.Float64bits(math.Sqrt(cb[0])) {
+			t.Fatalf("LB %v != sqrt(cb[0]) %v", lb, math.Sqrt(cb[0]))
+		}
+		if fwd, _ := LBKeogh(q, e, -1, nil); math.Abs(lb-fwd) > 1e-12*(1+fwd) {
+			t.Fatalf("suffix LB %v, LBKeogh %v", lb, fwd)
+		}
+		if lb > 0 {
+			if got, ab := LBKeoghSuffix(q, e, math.Nextafter(lb, math.Inf(1)), cb, nil); ab || math.Float64bits(got) != math.Float64bits(lb) {
+				t.Fatalf("threshold above the bound: (%v, %v), want %v", got, ab, lb)
+			}
+		}
+	}
+	// Abandon: only the last position lies outside a flat zero wedge.
+	z := New(make([]float64, n))
+	q := make([]float64, n)
+	q[n-1] = 10
+	var cnt stats.Tally
+	if lb, abandoned := LBKeoghSuffix(q, z, 1, cb, &cnt); !abandoned || !math.IsInf(lb, 1) || cnt.Steps() != 1 {
+		t.Fatalf("want abandonment after 1 step, got (%v, %v) after %d", lb, abandoned, cnt.Steps())
+	}
+	if a := testing.AllocsPerRun(100, func() { LBKeoghSuffix(q, z, -1, cb, &cnt) }); a > 0 {
+		t.Errorf("LBKeoghSuffix allocates %v times per call", a)
+	}
+}
+
+// A negative radius is the unconstrained path, for ExpandDTW as for
+// dist.DTW: it widens by n-1, never less.
+func TestExpandDTWNegativeIsUnconstrained(t *testing.T) {
+	s := []float64{3, -1, 4, 1, 5}
+	e := New(s)
+	want := e.ExpandDTW(len(s) - 1)
+	for _, R := range []int{-1, -7} {
+		got := e.ExpandDTW(R)
+		if !ts.Equal(got.U, want.U, 0) || !ts.Equal(got.L, want.L, 0) {
+			t.Fatalf("R=%d: %v/%v, want the full-window %v/%v", R, got.U, got.L, want.U, want.L)
+		}
+	}
+}

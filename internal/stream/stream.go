@@ -79,7 +79,7 @@ func NewMonitor(patterns [][]float64, kern wedge.Kernel, threshold float64) (*Mo
 	envs := make([]envelope.Envelope, len(d.Nodes))
 	for id := range d.Nodes {
 		envs[id] = tree.Envelope(id)
-		if r := kern.Radius(); r > 0 {
+		if r := kern.Radius(); r != 0 {
 			envs[id] = envs[id].ExpandDTW(r)
 		}
 	}

@@ -40,13 +40,39 @@ type Kernel interface {
 	// the Sakoe-Chiba band R for DTW, the matching window delta for LCSS.
 	Radius() int
 
-	// LeafLBIsExact reports whether LowerBound against a singleton wedge
-	// equals Distance exactly (true for Euclidean), letting H-Merge skip the
-	// redundant exact computation at leaves.
-	LeafLBIsExact() bool
+	// Leaf is H-Merge's whole cascade at a singleton wedge: member c, env
+	// its envelope widened by Radius, r the threshold (r < 0: unbounded), cb
+	// scratch of length len(q)+1 the kernel may overwrite. It returns c's
+	// exact distance and LeafExact, or +Inf and the stage that disposed of c.
+	Leaf(q, c []float64, env envelope.Envelope, r float64, cb []float64, cnt *stats.Tally) (float64, LeafOutcome)
 
 	// Name identifies the kernel in diagnostics.
 	Name() string
+}
+
+// LeafOutcome is how a Kernel's Leaf disposed of one member.
+type LeafOutcome uint8
+
+const (
+	// LeafExact: the exact distance was computed.
+	LeafExact LeafOutcome = iota
+	// LeafLBPruned: the lower bound against the member's wedge reached r.
+	LeafLBPruned
+	// LeafAbandoned: the exact kernel abandoned above r.
+	LeafAbandoned
+)
+
+// distanceOutcome maps an exact kernel's abandon flag onto a LeafOutcome.
+func distanceOutcome(d float64, abandoned bool) (float64, LeafOutcome) {
+	if abandoned {
+		return d, LeafAbandoned
+	}
+	return d, LeafExact
+}
+
+// lbPrunes reports whether a lower bound disposes of a member under r.
+func lbPrunes(lb float64, abandoned bool, r float64) bool {
+	return abandoned || (r >= 0 && lb >= r)
 }
 
 // ED is the Euclidean-distance kernel.
@@ -70,9 +96,13 @@ func (ED) LowerBound(q []float64, env envelope.Envelope, r float64, cnt *stats.T
 // Radius implements Kernel.
 func (ED) Radius() int { return 0 }
 
-// LeafLBIsExact implements Kernel: LB_Keogh against a singleton wedge
-// degenerates to the Euclidean distance.
-func (ED) LeafLBIsExact() bool { return true }
+// Leaf implements Kernel: LB_Keogh against a singleton wedge degenerates to
+// the Euclidean distance, so the leaf computes that distance once.
+//
+//lbkeogh:hotpath
+func (ED) Leaf(q, c []float64, _ envelope.Envelope, r float64, _ []float64, cnt *stats.Tally) (float64, LeafOutcome) {
+	return distanceOutcome(dist.EuclideanEA(q, c, r, cnt))
+}
 
 // Name implements Kernel.
 func (ED) Name() string { return "euclidean" }
@@ -86,7 +116,7 @@ type DTW struct {
 //
 //lbkeogh:hotpath
 func (k DTW) Distance(q, c []float64, r float64, cnt *stats.Tally) (float64, bool) {
-	return dist.DTWEA(q, c, k.R, r, cnt)
+	return dist.DTWEA(q, c, k.R, r, nil, cnt)
 }
 
 // LowerBound implements Kernel using LB_KeoghDTW (Proposition 2); env must
@@ -101,12 +131,33 @@ func (k DTW) LowerBound(q []float64, env envelope.Envelope, r float64, cnt *stat
 // Radius implements Kernel.
 func (k DTW) Radius() int { return k.R }
 
-// LeafLBIsExact implements Kernel: a singleton DTW wedge still only lower
-// bounds the warped distance.
-func (DTW) LeafLBIsExact() bool { return false }
+// Leaf implements Kernel: LB_Keogh against the member's wedge widened by R,
+// accumulated from the last position back so that cb keeps its suffix sums,
+// then the banded DTW charging every row it has not reached cb's bound on
+// the rest (rowMin + cb[i+1] > r² abandons; DESIGN.md §6). Both stages test
+// against r widened by suffixSlack: a sum taken in reverse order may round
+// a few ulps above the DP's forward one, and a member tied with r to within
+// that must not be dismissed. A distance in [r, r·slack] comes back
+// LeafExact, and H-Merge's d < best keeps it out.
+//
+//lbkeogh:hotpath
+func (k DTW) Leaf(q, c []float64, env envelope.Envelope, r float64, cb []float64, cnt *stats.Tally) (float64, LeafOutcome) {
+	r *= suffixSlack(len(q))
+	if lb, abandoned := envelope.LBKeoghSuffix(q, env, r, cb, cnt); lbPrunes(lb, abandoned, r) {
+		return dist.Inf, LeafLBPruned
+	}
+	return distanceOutcome(dist.DTWEA(q, c, k.R, r, cb, cnt))
+}
 
 // Name implements Kernel.
 func (k DTW) Name() string { return "dtw" }
+
+// suffixSlack is the factor that covers the rounding between DTW.Leaf's
+// reverse-order suffix sums and the DP's forward-order path sums over n
+// positions: each of the two sums is within (2n)·2⁻⁵³ of the exact one
+// (relative, non-negative terms), so squared thresholds 8(n+1)·2⁻⁵³ apart,
+// 4(n+1)·2⁻⁵³ in root space, cannot be crossed by rounding alone.
+func suffixSlack(n int) float64 { return 1 + float64(4*(n+1))*0x1p-53 }
 
 // LCSS is the Longest-Common-SubSequence kernel in normalized distance form
 // 1 - LCSS/n, with matching window Delta and threshold Eps.
@@ -151,8 +202,15 @@ func (k LCSS) LowerBound(q []float64, env envelope.Envelope, r float64, cnt *sta
 // Radius implements Kernel.
 func (k LCSS) Radius() int { return k.Delta }
 
-// LeafLBIsExact implements Kernel.
-func (LCSS) LeafLBIsExact() bool { return false }
+// Leaf implements Kernel: the match-count bound, then the distance.
+//
+//lbkeogh:hotpath
+func (k LCSS) Leaf(q, c []float64, env envelope.Envelope, r float64, _ []float64, cnt *stats.Tally) (float64, LeafOutcome) {
+	if lb, abandoned := k.LowerBound(q, env, r, cnt); lbPrunes(lb, abandoned, r) {
+		return dist.Inf, LeafLBPruned
+	}
+	return distanceOutcome(k.Distance(q, c, r, cnt))
+}
 
 // Name implements Kernel.
 func (k LCSS) Name() string { return "lcss" }

@@ -223,9 +223,9 @@ type Result struct {
 // comparisons and flushes them into the shared record
 // (obs.SearchStats.AddCounts). The rest is cached per-query state: the tree's
 // envelopes widened for the kernel's radius, the frontier cut for the last K
-// used, and the walk's stack. (The step tally travels beside the scratch, not
-// in it: a pointer into the scratch handed to a Kernel would force Search's
-// throwaway onto the heap.)
+// used, the walk's stack, and the leaf kernel's per-position buffer. (The
+// step tally travels beside the scratch, not in it: a pointer into the
+// scratch handed to a Kernel would force Search's throwaway onto the heap.)
 type Scratch struct {
 	Counts       obs.Counts
 	PruneByLevel [obs.MaxPruneLevels]int64
@@ -236,19 +236,25 @@ type Scratch struct {
 	k        int   // the K frontier was cut for
 	frontier []int // nil before the first search of a tree
 	stack    []int
+	cb       []float64 // Kernel.Leaf's scratch, len(q)+1
 }
 
 // prepare points the scratch at tree t, radius and K. The widened envelopes
 // are fetched once per tree and radius — so the search that first builds them
 // is charged the build on steps, as ever, and its trace holds the one
-// envelope span — and the frontier once per change of K; a steady-state
-// comparison takes neither lock.
+// envelope span — the leaf buffer once per tree, and the frontier once per
+// change of K; a steady-state comparison takes neither lock nor allocates.
 func (sc *Scratch) prepare(t *Tree, radius, K int, steps *stats.Tally, rec *trace.Recorder) {
 	if sc.tree != t || sc.radius != radius {
 		sc.tree, sc.radius, sc.frontier = t, radius, nil
 		env := rec.Begin(trace.StageEnvelope, -1)
 		sc.envs = t.envelopesFor(radius, steps)
 		rec.End(env)
+		if n := t.Len() + 1; cap(sc.cb) < n {
+			sc.cb = make([]float64, n)
+		} else {
+			sc.cb = sc.cb[:n]
+		}
 	}
 	if sc.k != K || sc.frontier == nil {
 		sc.k, sc.frontier = K, t.frontierFor(K)
@@ -288,7 +294,7 @@ func (t *Tree) SearchTraced(q []float64, k Kernel, K int, r float64, steps *stat
 	}
 	steps0 := steps.Steps()
 	sc.prepare(t, k.Radius(), K, steps, rec)
-	envs, st := sc.envs, &sc.Counts
+	envs, st, cb := sc.envs, &sc.Counts, sc.cb
 
 	best := math.Inf(1)
 	if r >= 0 {
@@ -331,21 +337,18 @@ func (t *Tree) SearchTraced(q []float64, k Kernel, K int, r float64, steps *stat
 			continue
 		}
 		st.WedgeLeafVisits++
-		// For Euclidean, LB against the singleton wedge IS the distance, so
-		// the kernel's exact path computes it once. For warped measures: cheap
-		// LB first (classic LB_Keogh), then the full distance only if the
-		// bound cannot prune.
-		if !k.LeafLBIsExact() {
-			lb, abandoned := k.LowerBound(q, envs[id], best, steps)
-			if abandoned || lb >= best {
-				st.WedgeLeafLBPrunes++
-				continue
-			}
-		}
+		// The kernel runs its leaf cascade in one call: the distance for
+		// Euclidean (LB against a singleton wedge IS the distance), bound then
+		// distance for the warped measures. A leaf the bound prunes emits no
+		// kernel span.
 		kt0 := rec.Now()
-		d, abandoned := k.Distance(q, t.members[id], best, steps)
+		d, out := k.Leaf(q, t.members[id], envs[id], best, cb, steps)
+		if out == LeafLBPruned {
+			st.WedgeLeafLBPrunes++
+			continue
+		}
 		rec.Emit(trace.StageKernel, id, kt0, rec.Now()-kt0)
-		if abandoned {
+		if out == LeafAbandoned {
 			st.EarlyAbandons++
 			continue
 		}

@@ -230,15 +230,15 @@ func TestBuildConcurrentSharesMatrixPool(t *testing.T) {
 }
 
 func TestKernelMetadata(t *testing.T) {
-	if (ED{}).Name() != "euclidean" || !(ED{}).LeafLBIsExact() || (ED{}).Radius() != 0 {
+	if (ED{}).Name() != "euclidean" || (ED{}).Radius() != 0 {
 		t.Fatal("ED kernel metadata wrong")
 	}
 	k := DTW{R: 7}
-	if k.Name() != "dtw" || k.LeafLBIsExact() || k.Radius() != 7 {
+	if k.Name() != "dtw" || k.Radius() != 7 {
 		t.Fatal("DTW kernel metadata wrong")
 	}
 	l := LCSS{Delta: 3, Eps: 0.5}
-	if l.Name() != "lcss" || l.LeafLBIsExact() || l.Radius() != 3 {
+	if l.Name() != "lcss" || l.Radius() != 3 {
 		t.Fatal("LCSS kernel metadata wrong")
 	}
 }
@@ -383,6 +383,36 @@ func TestScratchReuseMatchesFreshSearch(t *testing.T) {
 		if members := int64(tree.Members()); sc.Counts.FullDistEvals+sc.Counts.EarlyAbandons+
 			sc.Counts.WedgePrunedMembers+sc.Counts.WedgeLeafLBPrunes != members {
 			t.Fatalf("trial %d: outcomes %+v do not cover %d members", trial, sc.Counts, members)
+		}
+	}
+}
+
+// TestKernelLeafCascade holds every kernel's Leaf to its exact distance: an
+// unbounded leaf returns Distance bit for bit, a threshold just above it
+// never disposes of the member, and one below it always does, by the bound
+// or by the exact kernel. A threshold above the distance must find it even
+// for the DTW leaf, whose abandon test charges the rows still to come.
+func TestKernelLeafCascade(t *testing.T) {
+	rng := ts.NewRand(17)
+	const n = 48
+	cb := make([]float64, n+1)
+	for _, k := range []Kernel{ED{}, DTW{R: 0}, DTW{R: 4}, DTW{R: -1}, LCSS{Delta: 3, Eps: 0.5}} {
+		for trial := 0; trial < 40; trial++ {
+			q, c := ts.RandomWalk(rng, n), ts.RandomWalk(rng, n)
+			env := envelope.Envelope{U: c, L: c}.ExpandDTW(k.Radius())
+			want, _ := k.Distance(q, c, -1, nil)
+			got, out := k.Leaf(q, c, env, -1, cb, nil)
+			if out != LeafExact || got != want { //lint:ignore floateq the leaf must run the very kernel Distance does
+				t.Fatalf("%s unbounded leaf = %v (%d), want %v", k.Name(), got, out, want)
+			}
+			if got, out := k.Leaf(q, c, env, math.Nextafter(want, math.Inf(1)), cb, nil); out != LeafExact || got != want { //lint:ignore floateq as above
+				t.Fatalf("%s leaf under r just above %v = %v (%d)", k.Name(), want, got, out)
+			}
+			if want > 0 {
+				if _, out := k.Leaf(q, c, env, want/2, cb, nil); out == LeafExact {
+					t.Fatalf("%s leaf kept a member at %v under r %v", k.Name(), want, want/2)
+				}
+			}
 		}
 	}
 }
