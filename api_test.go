@@ -164,6 +164,72 @@ func TestMatchThreshold(t *testing.T) {
 	}
 }
 
+// Every threshold-taking method over {−1, 0, NaN, +Inf}: Match answers 0
+// with "no" but refuses a negative or NaN threshold, the two range searches
+// refuse all three (the server's rule), and +Inf is legal everywhere. A
+// refusal spends no steps; a negative or NaN threshold used to run the
+// search unbounded, and Match then answered "yes".
+func TestThresholdDomain(t *testing.T) {
+	db := SyntheticProjectilePoints(3, 10, 64)
+	ix, err := NewIndex(db, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := db[5]
+	ref, _ := NewQuery(db[0], Euclidean())
+	d, _, err := ref.Distance(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	methods := []struct {
+		name string
+		run  func(q *Query, threshold float64) (hits int, err error)
+	}{
+		{"Match", func(q *Query, threshold float64) (int, error) {
+			got, _, ok, err := q.Match(x, threshold)
+			if ok && got != d {
+				t.Errorf("Match(%v) = %v, Distance %v", threshold, got, d)
+			}
+			if ok {
+				return 1, err
+			}
+			return 0, err
+		}},
+		{"Query.SearchRange", func(q *Query, threshold float64) (int, error) {
+			hits, err := q.SearchRange(db, threshold)
+			return len(hits), err
+		}},
+		{"Index.SearchRange", func(q *Query, threshold float64) (int, error) {
+			hits, err := ix.SearchRange(q, threshold)
+			return len(hits), err
+		}},
+	}
+	for _, tc := range []struct {
+		threshold float64
+		want      [3]int // hits per method; -1: an error
+	}{
+		{-1, [3]int{-1, -1, -1}},
+		{0, [3]int{0, -1, -1}},
+		{math.NaN(), [3]int{-1, -1, -1}},
+		{math.Inf(1), [3]int{1, len(db), len(db)}},
+	} {
+		for i, m := range methods {
+			q, _ := NewQuery(db[0], Euclidean())
+			built := q.Steps() // the query's construction
+			hits, err := m.run(q, tc.threshold)
+			if err != nil {
+				hits = -1
+			}
+			if hits != tc.want[i] {
+				t.Errorf("%s(%v): %d hits (err %v), want %d", m.name, tc.threshold, hits, err, tc.want[i])
+			}
+			if spent := q.Steps() - built; err != nil && spent != 0 {
+				t.Errorf("%s(%v) refused after %d steps", m.name, tc.threshold, spent)
+			}
+		}
+	}
+}
+
 func TestSearchTopKOrdering(t *testing.T) {
 	db := demoDB(5, 25, 48)
 	q, _ := NewQuery(db[3], DTW(2))

@@ -92,13 +92,16 @@ func TestExplainPlanReconcilesAcrossStrategies(t *testing.T) {
 
 			// Top-K and range flavours must reconcile the same way.
 			q.ResetStats()
-			if _, err := q.SearchTopK(db, 4); err != nil {
+			top, err := q.SearchTopK(db, 4)
+			if err != nil {
 				t.Fatal(err)
 			}
 			assertPlanMatchesStats(t, q.Explain(), q.Stats())
 
+			// The query is db[0], so r.Dist is 0: the range reaches out to the
+			// fourth neighbour instead (a range threshold must be positive).
 			q.ResetStats()
-			if _, err := q.SearchRange(db, r.Dist*2); err != nil {
+			if _, err := q.SearchRange(db, top[3].Dist); err != nil {
 				t.Fatal(err)
 			}
 			assertPlanMatchesStats(t, q.Explain(), q.Stats())

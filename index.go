@@ -219,10 +219,12 @@ func (ix *Index) probe(ctx context.Context, q *Query, label string, k int, limit
 // steps and statistics land on q.Steps and q.Stats as well as on the index's
 // cumulative record.
 //
-// Ties: candidates are verified in the order the index proposes them, not in
-// database order, so among rows at exactly the same distance (duplicates) the
-// one reported — or, for top-K and range, their relative order — may differ
-// from the flat scan's "lowest index first". Distances never differ.
+// Ties: candidates are verified in ascending order of their compressed bound
+// (equal bounds by row), not in database order, so among rows at exactly the
+// same distance but with different bounds the one reported — or, for top-K
+// and range, their relative order — may differ from the flat scan's "lowest
+// index first". Duplicate rows share their bound and resolve to the lowest
+// index, as the scan does. Distances never differ.
 func (ix *Index) Search(q *Query) (SearchResult, error) {
 	return ix.SearchContext(context.Background(), q)
 }
@@ -256,15 +258,16 @@ func (ix *Index) SearchTopKContext(ctx context.Context, q *Query, k int) ([]Sear
 // SearchRange returns every indexed series whose exact rotation-invariant
 // distance to the query is strictly below radius, in ascending distance
 // order like Query.SearchRange — the "range" search of the paper's Section 3.
-// Supports the Euclidean and DTW measures.
+// Supports the Euclidean and DTW measures. The radius must be positive (+Inf:
+// every series); anything else is an error.
 func (ix *Index) SearchRange(q *Query, radius float64) ([]SearchResult, error) {
 	return ix.SearchRangeContext(context.Background(), q, radius)
 }
 
 // SearchRangeContext is SearchRange bounded by ctx (see SearchContext).
 func (ix *Index) SearchRangeContext(ctx context.Context, q *Query, radius float64) ([]SearchResult, error) {
-	if radius <= 0 {
-		return nil, fmt.Errorf("lbkeogh: radius must be positive")
+	if err := checkRangeThreshold(radius); err != nil {
+		return nil, err
 	}
 	switch q.searcher.Kernel().(type) {
 	case wedge.ED, wedge.DTW:

@@ -53,18 +53,21 @@ func TestIndexPathOracle(t *testing.T) {
 	// windowed one (CHANGES.md PR 21 lists old -> new). No cell makes 32
 	// comparisons per query, so every one of them runs at the starting K = 2.
 	// The dtw5 steps were re-pinned again when the DTW leaf began abandoning
-	// on its LB_Keogh suffix sums.
+	// on its LB_Keogh suffix sums. Both search rows were re-pinned when the
+	// trees began queueing points beside subtrees, verifying in exact
+	// ascending-bound order (ed {26423, 17}, dtw5 {257509, 38} before); a
+	// range keeps its fetches and steps, only their order moved.
 	type pin struct{ steps, reads int64 }
 	want := map[string]pin{
-		"mem/ed/search":       {26423, 17},
+		"mem/ed/search":       {19439, 3},
 		"mem/ed/range":        {20806, 26},
-		"mem/dtw5/search":     {257509, 38},
+		"mem/dtw5/search":     {170282, 15},
 		"mem/dtw5/range":      {406742, 101},
 		"mem/lcss/search":     {221672, 120},
 		"mem/lcss/range":      {12972, 0},
-		"segment/ed/search":   {26423, 17},
+		"segment/ed/search":   {19439, 3},
 		"segment/ed/range":    {20806, 26},
-		"segment/dtw5/search": {257509, 38},
+		"segment/dtw5/search": {170282, 15},
 		"segment/dtw5/range":  {406742, 101},
 		"segment/lcss/search": {221672, 120},
 		"segment/lcss/range":  {12972, 0},

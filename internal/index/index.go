@@ -185,9 +185,14 @@ func (ix *Index) D() int { return ix.d }
 type Result = core.ScanResult
 
 // walk enumerates one query's candidates: it calls visit(id, bound, r) for
-// every object its compressed bound cannot exclude at the current radius r
-// and continues with the radius visit returns — the shape vptree.Search and
-// rtree.Search share. No bound is below -Inf, so that radius ends the walk.
+// every object its compressed bound cannot exclude at the current radius r,
+// in ascending order of bound with ties by id, and continues with the radius
+// visit returns — the shape vptree.Search and rtree.Search share (their one
+// queue of subtrees and points is what makes the order exact; scanWalk's
+// bounds are all 0). So the first verified row is the one most likely to be
+// the answer, it sets the radius every later comparison abandons against,
+// and a nearest or top-K probe fetches exactly the rows bounded below its
+// answer. No bound is below -Inf, so that radius ends the walk.
 type walk func(r float64, visit func(id int, bound, r float64) float64)
 
 // Probe is the one index query path: each object the walk for s's kernel

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"lbkeogh/internal/core"
+	"lbkeogh/internal/fourier"
 	"lbkeogh/internal/obs"
 	"lbkeogh/internal/obs/trace"
 	"lbkeogh/internal/stats"
@@ -132,6 +133,69 @@ func TestSearchWithMirrorAndLimit(t *testing.T) {
 		got := ix.SearchED(rs, nil)
 		if got.Index != wantIdx || math.Abs(got.Dist-wantDist) > 1e-9 {
 			t.Fatalf("opts %+v: index (%d,%v) != linear (%d,%v)", opts, got.Index, got.Dist, wantIdx, wantDist)
+		}
+	}
+}
+
+// A probe fetches exactly the rows whose compressed bound is below its
+// answer — the nearest distance for 1-NN, the K-th for top-K — with a row
+// bounded at exactly that distance allowed either way. Fewer would be a
+// false dismissal; more, a fetch that verifying in ascending-bound order
+// never needs. The ED bound is the magnitude distance; the DTW bound is
+// whatever the R-tree walk proposes a row with when nothing stops it.
+func TestProbeFetchesOnlyRowsBoundedBelowTheAnswer(t *testing.T) {
+	n, D := 48, 8
+	db := syntheticDB(81, 200, n)
+	ix := Build(db, D)
+	kernels := []struct {
+		kern   wedge.Kernel
+		bounds func(rs *core.RotationSet) []float64
+	}{
+		{wedge.ED{}, func(rs *core.RotationSet) []float64 {
+			qmag := fourier.Magnitudes(rs.Base(), D)
+			out := make([]float64, len(db))
+			for i, mag := range ix.mags {
+				out[i] = fourier.LowerBoundED(qmag, mag)
+			}
+			return out
+		}},
+		{wedge.DTW{R: 3}, func(rs *core.RotationSet) []float64 {
+			out := make([]float64, len(db))
+			ix.rtWalk(rs, 3, 0)(math.Inf(1), func(id int, bound, r float64) float64 {
+				out[id] = bound
+				return r
+			})
+			return out
+		}},
+	}
+	rng := ts.NewRand(82)
+	for trial := 0; trial < 6; trial++ {
+		q := ts.ZNorm(ts.RandomWalk(rng, n))
+		if trial%2 == 0 {
+			q = ts.ZNorm(ts.AddNoise(rng, db[trial*37], 0.2))
+		}
+		rs := core.NewRotationSet(q, core.DefaultOptions(), nil)
+		for _, kc := range kernels {
+			bounds := kc.bounds(rs)
+			for _, k := range []int{1, 5} {
+				ix.ResetReads()
+				res := ix.probeDefault("test_topk", rs, kc.kern, 0, core.NewCollector(k, math.Inf(1)), nil).Results()
+				if wantIdx, wantDist := linearScan(rs, db, kc.kern); res[0].Index != wantIdx || math.Abs(res[0].Dist-wantDist) > 1e-9 {
+					t.Fatalf("trial %d %T k %d: nearest (%d,%v), linear (%d,%v)", trial, kc.kern, k, res[0].Index, res[0].Dist, wantIdx, wantDist)
+				}
+				dK := res[k-1].Dist
+				below, at := 0, 0
+				for _, lb := range bounds {
+					if lb < dK {
+						below++
+					} else if lb <= dK {
+						at++
+					}
+				}
+				if r := ix.Reads(); r < below || r > below+at {
+					t.Errorf("trial %d %T k %d: %d fetches, %d rows bounded below d_K = %v (%d more at it)", trial, kc.kern, k, r, below, dK, at)
+				}
+			}
 		}
 	}
 }

@@ -12,10 +12,11 @@
 package rtree
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
+
+	"lbkeogh/internal/browse"
 )
 
 type node struct {
@@ -128,72 +129,50 @@ func (t *Tree) Height() int {
 	return depth(t.root)
 }
 
-type pqItem struct {
-	bound float64
-	node  int
-}
-
-type pq []pqItem
-
-func (h pq) Len() int           { return len(h) }
-func (h pq) Less(i, j int) bool { return h[i].bound < h[j].bound }
-func (h pq) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *pq) Push(x any)        { *h = append(*h, x.(pqItem)) }
-func (h *pq) Pop() any {
-	old := *h
-	n := len(old) - 1
-	it := old[n]
-	*h = old[:n]
-	return it
-}
-
-// Search drives a best-first search. bound(lo, hi) must return an admissible
+// Search drives a best-first search that hands its caller the points in
+// exact ascending order of bound. bound(lo, hi) must return an admissible
 // lower bound of the query's distance to ANY point inside the box [lo, hi]
-// (for a single point, lo == hi == the point). Every point whose bound is
-// below the current best-so-far is passed to visit, which returns the
-// possibly-improved best-so-far; subtrees whose bound reaches it are pruned.
-// Search returns the final best-so-far.
+// (for a single point, lo == hi == the point), and must not fall from a box
+// to a box or point inside it (MinDistBox never does, rounding included).
+// Every point whose bound is below the current best-so-far is passed to
+// visit, which returns the possibly-improved best-so-far; subtrees whose
+// bound reaches it are pruned. Search returns the final best-so-far.
+//
+// Subtrees and points share one queue (package browse): a leaf's points are
+// queued under their bounds when it opens and visited only when they leave
+// the queue, so the visits are every point sorted by (bound, id), cut where
+// the bound reaches the shrinking best-so-far.
 func (t *Tree) Search(bound func(lo, hi []float64) float64, bsf0 float64, visit func(id int, lb, bsf float64) float64) float64 {
 	bsf := bsf0
-	h := &pq{{bound: bound(t.nodes[t.root].lo, t.nodes[t.root].hi), node: t.root}}
-	for h.Len() > 0 {
-		it := heap.Pop(h).(pqItem)
-		if it.bound >= bsf {
+	var buf [64]browse.Entry // the queue of a selective search fits; a wide one grows off it
+	h := browse.Queue(buf[:0])
+	if b := bound(t.nodes[t.root].lo, t.nodes[t.root].hi); b < bsf {
+		h.Push(browse.Subtree(b, t.root))
+	}
+	for len(h) > 0 {
+		e := h.Pop()
+		if e.Key >= bsf {
 			break // smallest outstanding bound cannot improve
 		}
-		nd := t.nodes[it.node]
+		ref, point := e.Target()
+		if point {
+			bsf = visit(ref, e.Key, bsf)
+			continue
+		}
+		nd := &t.nodes[ref]
 		if nd.left < 0 {
-			// Visit leaf points in ascending bound order: each visit can
-			// tighten the best-so-far and prune the rest of the leaf, so
-			// order matters for how many points reach the (expensive) visit.
-			type cand struct {
-				id int
-				lb float64
-			}
-			cands := make([]cand, 0, len(nd.items))
 			for _, id := range nd.items {
 				p := t.points[id]
 				if lb := bound(p, p); lb < bsf {
-					cands = append(cands, cand{id: id, lb: lb})
-				}
-			}
-			sort.Slice(cands, func(a, b int) bool {
-				if cands[a].lb != cands[b].lb {
-					return cands[a].lb < cands[b].lb
-				}
-				return cands[a].id < cands[b].id
-			})
-			for _, c := range cands {
-				if c.lb < bsf {
-					bsf = visit(c.id, c.lb, bsf)
+					h.Push(browse.Point(lb, id))
 				}
 			}
 			continue
 		}
-		for _, ch := range []int{nd.left, nd.right} {
-			c := t.nodes[ch]
+		for _, ch := range [2]int{nd.left, nd.right} {
+			c := &t.nodes[ch]
 			if b := bound(c.lo, c.hi); b < bsf {
-				heap.Push(h, pqItem{bound: b, node: ch})
+				h.Push(browse.Subtree(b, ch))
 			}
 		}
 	}

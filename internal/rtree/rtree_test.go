@@ -2,6 +2,8 @@ package rtree
 
 import (
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -223,5 +225,74 @@ func TestNNProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Search proposes what sorting every point by (bound, id) and proposing
+// while the bound is below the shrinking best-so-far proposes, in sequence:
+// on integer points with many duplicates and equal bounds, under an interval
+// query box (the DTW path's kind of query), with a best-so-far that shrinks
+// on every visit and with one that stays fixed.
+func TestSearchOrderIsSortedBounds(t *testing.T) {
+	w := []float64{1, 2, 3}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := ts.NewRand(seed)
+		pts := make([][]float64, 400)
+		for i := range pts {
+			pts[i] = []float64{float64(rng.Intn(6)), float64(rng.Intn(6)), float64(rng.Intn(6))}
+		}
+		tree := New(pts, 1+int(seed)%5)
+		qlo := []float64{float64(rng.Intn(5)), float64(rng.Intn(5)), float64(rng.Intn(5))}
+		qhi := []float64{qlo[0] + float64(rng.Intn(2)), qlo[1], qlo[2] + 1}
+		bound := func(lo, hi []float64) float64 { return MinDistBox(qlo, qhi, lo, hi, w) }
+		ids := make([]int, len(pts))
+		for i := range ids {
+			ids[i] = i
+		}
+		sort.SliceStable(ids, func(a, b int) bool { return bound(pts[ids[a]], pts[ids[a]]) < bound(pts[ids[b]], pts[ids[b]]) })
+		for _, shrink := range []bool{true, false} {
+			var got, want []int
+			collect := func(seq *[]int) func(int, float64, float64) float64 {
+				return func(id int, lb, bsf float64) float64 {
+					*seq = append(*seq, id)
+					if shrink {
+						return math.Min(bsf, lb+0.5)
+					}
+					return bsf
+				}
+			}
+			final := tree.Search(bound, 6, collect(&got))
+			visit, bsf := collect(&want), 6.0
+			for _, id := range ids {
+				lb := bound(pts[id], pts[id])
+				if lb >= bsf {
+					break
+				}
+				bsf = visit(id, lb, bsf)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d shrink %v: proposals %v, the sorted order's %v", seed, shrink, got, want)
+			}
+			if len(want) == 0 {
+				t.Fatalf("seed %d: nothing proposed", seed)
+			}
+			for _, id := range ids[len(got):] {
+				if bound(pts[id], pts[id]) < final {
+					t.Fatalf("seed %d shrink %v: point %d below the final radius %v was skipped", seed, shrink, id, final)
+				}
+			}
+		}
+	}
+}
+
+// A search allocates for the growth of its queue only, not per leaf or per
+// point: an exhaustive walk queues all 2000 points.
+func TestSearchDoesNotAllocatePerPoint(t *testing.T) {
+	pts := randomPoints(11, 2000, 4)
+	tree := New(pts, 8)
+	bound := pointBound(ts.RandomSeries(ts.NewRand(12), 4))
+	visit := func(id int, lb, bsf float64) float64 { return bsf }
+	if allocs := testing.AllocsPerRun(20, func() { tree.Search(bound, math.Inf(1), visit) }); allocs > 8 {
+		t.Fatalf("exhaustive search over %d points allocated %v times", len(pts), allocs)
 	}
 }

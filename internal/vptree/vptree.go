@@ -2,11 +2,11 @@
 // vectors, used to index the rotation-invariant Fourier-magnitude features
 // (Section 4.2, Table 7 of the paper, following Vlachos et al. [38]).
 //
-// The tree partitions the metric space with balls around vantage points;
-// search proceeds best-first over subtree lower bounds, so every feature
-// vector whose bound reaches the caller is accompanied by an admissible
-// lower bound of its true distance, and subtrees whose bound exceeds the
-// best-so-far are never touched.
+// The tree partitions the metric space with balls around vantage points.
+// Search queues subtrees and points in one best-first queue, so the caller
+// receives points in exact ascending order of feature distance — each with
+// that distance, an admissible lower bound of its true distance — and
+// nothing bounded at or above the best-so-far is touched.
 package vptree
 
 import (
@@ -14,6 +14,7 @@ import (
 	"math"
 	"sort"
 
+	"lbkeogh/internal/browse"
 	"lbkeogh/internal/ts"
 )
 
@@ -30,6 +31,12 @@ type Tree struct {
 	nodes    []node
 	root     int
 	leafSize int
+	// slack is the relative rounding margin of a subtree bound. A computed
+	// distance is within a relative (d/2+2)·2⁻⁵³ or so of the exact one, so
+	// the triangle-inequality bound |dq − median| can round above a
+	// contained point's computed distance by up to about
+	// (d+6)·2⁻⁵³·(dq + median); 4(d+4)·2⁻⁵³ covers that with room to spare.
+	slack float64
 }
 
 // New builds a tree over points (all the same dimensionality). leafSize
@@ -48,7 +55,7 @@ func New(points [][]float64, leafSize int, seed int64) *Tree {
 	if leafSize < 1 {
 		leafSize = 1
 	}
-	t := &Tree{points: points, leafSize: leafSize}
+	t := &Tree{points: points, leafSize: leafSize, slack: float64(4*(d+4)) * 0x1p-53}
 	ids := make([]int, len(points))
 	for i := range ids {
 		ids[i] = i
@@ -118,101 +125,64 @@ func euclid(a, b []float64) float64 {
 	return math.Sqrt(acc)
 }
 
-type pqItem struct {
-	bound float64
-	node  int
-}
-
-// pq is a hand-rolled min-heap on bound. container/heap boxes every pqItem
-// in an interface on Push and Pop — an allocation per node on the path every
-// indexed Euclidean query takes; the explicit sifts are container/heap's own
-// (the same comparisons in the same order), so subtrees of equal bound pop in
-// the order they always did and the candidate sequence is unchanged.
-type pq []pqItem
-
-func (h *pq) push(it pqItem) {
-	*h = append(*h, it)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if s[parent].bound <= s[i].bound {
-			break
-		}
-		s[parent], s[i] = s[i], s[parent]
-		i = parent
-	}
-}
-
-func (h *pq) pop() pqItem {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && s[l].bound < s[min].bound {
-			min = l
-		}
-		if r < n && s[r].bound < s[min].bound {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		s[i], s[min] = s[min], s[i]
-		i = min
-	}
-	return top
-}
-
-// Search drives a best-first nearest-neighbour search from query feature
-// vector q. For every candidate point whose admissible bound is below the
-// current best-so-far, visit(id, featureDist, bsf) is called with the exact
+// Search is a best-first nearest-neighbour search from query feature vector
+// q that hands its caller the points in exact ascending order of feature
+// distance. visit(id, featureDist, bsf) is called with the exact
 // feature-space distance (itself a lower bound of the true distance in our
 // usage) and must return the possibly-improved best-so-far. Search returns
 // the final best-so-far.
 //
-// bsf0 seeds the best-so-far (+Inf for an unbounded search). Subtrees whose
-// lower bound reaches the best-so-far are pruned without visiting, so a visit
-// that returns -Inf ends the search.
+// Subtrees and points share one queue (package browse): a leaf's items and a
+// vantage point are queued under their feature distance when the node opens,
+// and a point is visited only when it leaves the queue, so no point is
+// visited while a nearer one, or an unopened subtree that may hold one,
+// waits. The visits are therefore every point sorted by (featureDist, id),
+// cut where featureDist reaches the shrinking best-so-far: a 1-NN probe
+// visits exactly the points bounded below the answer (ties at equality
+// aside), which no exact search by the same bound can undercut.
+//
+// bsf0 seeds the best-so-far (+Inf for an unbounded search). Whatever is
+// bounded at or above the best-so-far is never queued, and the search ends
+// when the smallest queued key reaches it, so a visit that returns -Inf ends
+// the search.
 func (t *Tree) Search(q []float64, bsf0 float64, visit func(id int, featureDist, bsf float64) float64) float64 {
 	bsf := bsf0
-	var buf [32]pqItem // the frontier of a selective search fits; a wide one grows off it
-	h := append(pq(buf[:0]), pqItem{bound: 0, node: t.root})
+	var buf [64]browse.Entry // the queue of a selective search fits; a wide one grows off it
+	h := browse.Queue(buf[:0])
+	h.Push(browse.Subtree(0, t.root))
 	for len(h) > 0 {
-		it := h.pop()
-		if it.bound >= bsf {
+		e := h.Pop()
+		if e.Key >= bsf {
 			break // smallest outstanding bound cannot improve
 		}
-		nd := t.nodes[it.node]
+		ref, point := e.Target()
+		if point {
+			bsf = visit(ref, e.Key, bsf)
+			continue
+		}
+		nd := &t.nodes[ref]
 		if nd.vp < 0 {
 			for _, id := range nd.items {
-				fd := euclid(q, t.points[id])
-				if fd < bsf {
-					bsf = visit(id, fd, bsf)
+				if fd := euclid(q, t.points[id]); fd < bsf {
+					h.Push(browse.Point(fd, id))
 				}
 			}
 			continue
 		}
 		dq := euclid(q, t.points[nd.vp])
 		if dq < bsf {
-			bsf = visit(nd.vp, dq, bsf)
+			h.Push(browse.Point(dq, nd.vp))
 		}
-		innerBound := math.Max(it.bound, dq-nd.median)
-		outerBound := math.Max(it.bound, nd.median-dq)
-		if innerBound < 0 {
-			innerBound = 0
+		// The triangle inequality bounds a child's points by |dq − median|
+		// (never below the node's own bound), shaved by the rounding margin
+		// so that no computed point distance falls under its subtree's key.
+		slack := (dq + nd.median) * t.slack
+		if b := max(e.Key, dq-nd.median-slack); b < bsf {
+			h.Push(browse.Subtree(b, nd.inner))
 		}
-		if outerBound < 0 {
-			outerBound = 0
+		if b := max(e.Key, nd.median-dq-slack); b < bsf {
+			h.Push(browse.Subtree(b, nd.outer))
 		}
-		h.push(pqItem{bound: innerBound, node: nd.inner})
-		h.push(pqItem{bound: outerBound, node: nd.outer})
 	}
 	return bsf
 }

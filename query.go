@@ -292,10 +292,15 @@ func (q *Query) Distance(x Series) (float64, Rotation, error) {
 // Match tests whether any alignment of the query is strictly closer to x
 // than threshold; when it is, the exact distance and rotation are returned
 // with ok = true. This is the range-query primitive (and far cheaper than
-// Distance when the threshold is tight, thanks to early abandoning).
+// Distance when the threshold is tight, thanks to early abandoning). The
+// threshold must be non-negative (0 matches nothing, +Inf everything); a
+// negative or NaN one is an error.
 func (q *Query) Match(x Series, threshold float64) (dist float64, rot Rotation, ok bool, err error) {
 	if err := q.checkSeries(x); err != nil {
 		return 0, Rotation{}, false, err
+	}
+	if !(threshold >= 0) {
+		return 0, Rotation{}, false, fmt.Errorf("lbkeogh: match threshold must be >= 0, got %v", threshold)
 	}
 	rec, root, before := q.startTrace("match")
 	m := q.searcher.MatchSeries(x, threshold, &q.counter)
@@ -457,6 +462,7 @@ func (q *Query) SearchTopKContext(ctx context.Context, db []Series, k int) ([]Se
 // distance is strictly below threshold, in ascending distance order (ties
 // towards the lower index). The threshold doubles as the early-abandoning
 // bound, so tight ranges are far cheaper than a full nearest-neighbour scan.
+// It must be positive (+Inf: every series); anything else is an error.
 func (q *Query) SearchRange(db []Series, threshold float64) ([]SearchResult, error) {
 	return q.SearchRangeContext(context.Background(), db, threshold)
 }
@@ -464,5 +470,19 @@ func (q *Query) SearchRange(db []Series, threshold float64) ([]SearchResult, err
 // SearchRangeContext is SearchRange bounded by ctx, with the same
 // cancellation semantics as SearchContext.
 func (q *Query) SearchRangeContext(ctx context.Context, db []Series, threshold float64) ([]SearchResult, error) {
+	if err := checkRangeThreshold(threshold); err != nil {
+		return nil, err
+	}
 	return q.scan(ctx, db, "search_range", 0, threshold)
+}
+
+// checkRangeThreshold is the one rule of both range searches, and the one
+// the server applies to /v1/range: a threshold that is not positive — zero,
+// negative or NaN — asks for nothing a search could return, and the scan
+// would read a negative one as "unbounded".
+func checkRangeThreshold(threshold float64) error {
+	if !(threshold > 0) {
+		return fmt.Errorf("lbkeogh: range threshold must be > 0, got %v", threshold)
+	}
+	return nil
 }
