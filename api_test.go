@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"lbkeogh/internal/segment"
 	"lbkeogh/internal/ts"
 )
 
@@ -36,6 +37,72 @@ func TestNewQueryValidation(t *testing.T) {
 		series[17] = bad
 		if _, err := NewQuery(series, Euclidean()); err == nil || !strings.Contains(err.Error(), "sample 17") {
 			t.Fatalf("want an error naming sample 17 for a %v sample, got %v", bad, err)
+		}
+	}
+}
+
+// A database row with a non-finite sample is refused wherever rows enter an
+// index or a store, with an error naming the row and the sample. Such a row
+// used to reach the VP-tree, whose NaN bounds hid whole subtrees: over these
+// rows every index search failed with "found no result" while the flat scan
+// answered. A refused write leaves no store behind.
+func TestNonFiniteRowsRefused(t *testing.T) {
+	entries := []struct {
+		name string
+		add  func(t *testing.T, rows []Series) error
+	}{
+		{"NewIndex", func(t *testing.T, rows []Series) error {
+			_, err := NewIndex(rows, 8)
+			return err
+		}},
+		{"WriteSegmentStore", func(t *testing.T, rows []Series) error {
+			dir := filepath.Join(t.TempDir(), "store")
+			err := WriteSegmentStore(dir, rows, 8)
+			if _, openErr := OpenSegmentIndex(dir, 8); err != nil && openErr == nil {
+				t.Error("a refused write left an openable store")
+			}
+			return err
+		}},
+		{"DB.Ingest", func(t *testing.T, rows []Series) error {
+			db, err := segment.OpenDB(t.TempDir(), 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			_, err = db.Ingest(rows, nil)
+			if n := db.Len(); err != nil && n != 0 {
+				t.Errorf("a refused ingest published %d records", n)
+			}
+			return err
+		}},
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		rows := SyntheticProjectilePoints(3, 400, 64)
+		for i := 3; i < len(rows); i += 10 {
+			rows[i][5] = bad
+		}
+		for _, e := range entries {
+			err := e.add(t, rows)
+			if err == nil || !strings.Contains(err.Error(), " 3 sample 5 ") {
+				t.Errorf("%s with a %v sample: want an error naming row 3 sample 5, got %v", e.name, bad, err)
+			}
+		}
+	}
+}
+
+// NewMonitor refuses a NaN threshold, which used to pass the positivity
+// check and match nothing, and a non-finite pattern sample, which used to
+// panic in the clustering.
+func TestNewMonitorRefusesNonFinite(t *testing.T) {
+	patterns := SyntheticProjectilePoints(5, 8, 32)
+	if _, err := NewMonitor(patterns, Euclidean(), math.NaN()); err == nil {
+		t.Error("want an error for a NaN threshold")
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		ps := SyntheticProjectilePoints(5, 8, 32)
+		ps[3][7] = bad
+		if _, err := NewMonitor(ps, Euclidean(), 0.5); err == nil || !strings.Contains(err.Error(), "pattern 3 sample 7") {
+			t.Errorf("a %v pattern sample: want an error naming pattern 3 sample 7, got %v", bad, err)
 		}
 	}
 }

@@ -7,7 +7,7 @@
 // manifest swap.
 //
 // By default indexes are deferred (-defer-indexes): the load writes raw and
-// feature columns only, and the VP-tree/R-tree are built later — at server
+// feature columns only, and the VP-tree is built later — at server
 // start, on first query, or here with -defer-indexes=false, which reports
 // the build time separately. This is the two-phase pattern of large-scale
 // loaders: sequential ingest first, index construction off the load path.

@@ -33,10 +33,11 @@
 //	        lbkeogh.WithMaxRotationDegrees(15))
 //
 // For datasets that do not fit in memory, NewIndex builds a compressed
-// rotation-invariant index (Fourier magnitudes in a VP-tree, PAA means in an
-// R-tree) that answers the same 1-NN, top-K and range queries exactly while
-// fetching only a small fraction of the objects; WriteSegmentStore persists
-// the collection as an on-disk segment store and OpenSegmentIndex reopens it.
+// rotation-invariant index (Fourier magnitudes in a VP-tree, PAA means in a
+// column that a DTW search bounds and sorts) that answers the same 1-NN,
+// top-K and range queries exactly while fetching only the objects its bounds
+// cannot exclude; WriteSegmentStore persists the collection as an on-disk
+// segment store and OpenSegmentIndex reopens it.
 // An Index search runs through the Query it is given — its options, steps and
 // statistics — and one Index serves any number of goroutines, each with its
 // own Query.

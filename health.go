@@ -2,23 +2,18 @@ package lbkeogh
 
 import (
 	"lbkeogh/internal/index"
-	"lbkeogh/internal/rtree"
 	"lbkeogh/internal/vptree"
 	"lbkeogh/internal/wedge"
 )
 
 // IndexHealth is the structural self-report of a built Index: collection
-// sizes plus the health of the VP-tree (Euclidean path) and R-tree (DTW
-// path). See Index.Health.
+// sizes plus the health of the VP-tree (the Euclidean path; the DTW path
+// walks the PAA column and has no structure). See Index.Health.
 type IndexHealth = index.Health
 
 // VPTreeHealth reports on the vantage-point tree over Fourier-magnitude
 // features: shape, balance, and the vantage-ball radius distribution.
 type VPTreeHealth = vptree.Health
-
-// RTreeHealth reports on the R-tree over PAA points: shape, leaf occupancy,
-// and sibling-MBR overlap (the figure that predicts pruning power).
-type RTreeHealth = rtree.Health
 
 // WedgeTreeStats reports on a query's hierarchically nested wedge set: merge
 // quality and the envelope-area profile across candidate K cuts.
@@ -27,10 +22,9 @@ type WedgeTreeStats = wedge.TreeStats
 // WedgeKProfile is one candidate wedge-set size K in a WedgeTreeStats report.
 type WedgeKProfile = wedge.KProfile
 
-// Health walks the index structures once and returns their structural
-// report: VP-tree depth/balance/radius distribution, R-tree occupancy and
-// MBR overlap, plus the collection dimensions. Safe to call concurrently
-// with queries.
+// Health walks the VP-tree once and returns the structural report: its
+// depth/balance/radius distribution plus the collection dimensions. Safe to
+// call concurrently with queries.
 func (ix *Index) Health() IndexHealth { return ix.ix.Health() }
 
 // WedgeStats reports on the query's wedge hierarchy (the W-set the wedge

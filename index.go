@@ -71,20 +71,13 @@ func (ix *Index) ResetStats() { ix.obs.Reset() }
 
 // NewIndex builds an index over db, keeping dims compressed dimensions per
 // object (the paper evaluates dims in {4, 8, 16, 32}). All series must share
-// one length.
+// one length, and every sample must be finite: the error names the first
+// series and sample that is not.
 func NewIndex(db []Series, dims int) (*Index, error) {
-	if len(db) == 0 {
-		return nil, fmt.Errorf("lbkeogh: empty database")
+	if err := index.Validate(db, dims); err != nil {
+		return nil, fmt.Errorf("lbkeogh: %w", err)
 	}
 	n := len(db[0])
-	for i, s := range db {
-		if len(s) != n {
-			return nil, fmt.Errorf("lbkeogh: database series %d length %d != %d", i, len(s), n)
-		}
-	}
-	if dims < 1 {
-		return nil, fmt.Errorf("lbkeogh: dims must be >= 1, got %d", dims)
-	}
 	if dims > n/2 {
 		dims = n / 2
 	}

@@ -1,12 +1,10 @@
 package index
 
-import (
-	"lbkeogh/internal/rtree"
-	"lbkeogh/internal/vptree"
-)
+import "lbkeogh/internal/vptree"
 
 // Health is the index's structural self-report: the sizes of the compressed
-// representation plus the health of both index structures. It backs the
+// representation plus the health of its one tree, the VP-tree (a DTW probe
+// walks the PAA column, which has no structure to report). It backs the
 // /debug/index endpoint and the shapesearch -index-health flag.
 type Health struct {
 	// Objects is the collection size, Len the series length, D the retained
@@ -17,19 +15,15 @@ type Health struct {
 	// VPTree reports on the vantage-point tree over Fourier-magnitude
 	// features (the Euclidean query path).
 	VPTree vptree.Health `json:"vp_tree"`
-	// RTree reports on the R-tree over PAA points (the DTW query path).
-	RTree rtree.Health `json:"r_tree"`
 }
 
-// Health walks both index structures once and returns the combined report.
-// Safe to call concurrently with queries (the trees are immutable after
-// build).
+// Health walks the VP-tree once and returns the report. Safe to call
+// concurrently with queries (the tree is immutable after build).
 func (ix *Index) Health() Health {
 	return Health{
 		Objects: ix.store.Len(),
 		Len:     ix.n,
 		D:       ix.d,
 		VPTree:  ix.vpt.Inspect(),
-		RTree:   ix.rt.Inspect(),
 	}
 }

@@ -11,9 +11,11 @@
 package index
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"lbkeogh/internal/core"
@@ -21,8 +23,8 @@ import (
 	"lbkeogh/internal/obs"
 	"lbkeogh/internal/obs/trace"
 	"lbkeogh/internal/paa"
-	"lbkeogh/internal/rtree"
 	"lbkeogh/internal/stats"
+	"lbkeogh/internal/ts"
 	"lbkeogh/internal/vptree"
 	"lbkeogh/internal/wedge"
 )
@@ -51,7 +53,7 @@ func (memStore) LinkTrace(int64)          {}
 
 // Index is the compressed in-memory representation plus the store. Once
 // configured (SetObserver, SetTraceLog) it is safe for concurrent probes, each
-// through its own searcher: the feature columns and trees are immutable, and
+// through its own searcher: the feature columns and the tree are immutable, and
 // a probe writes nothing here but the fetch counter and the observer record,
 // both atomic.
 type Index struct {
@@ -62,8 +64,7 @@ type Index struct {
 
 	mags [][]float64 // Fourier magnitude features (rotation invariant)
 	vpt  *vptree.Tree
-	paas [][]float64 // PAA means for the DTW path
-	rt   *rtree.Tree // R-tree over the PAA points (ref [37])
+	paas [][]float64 // PAA means for the DTW path, walked whole by each probe
 	segW []float64   // PAA segment widths (the bound weights)
 
 	obs  *obs.SearchStats // nil: the no-op sink
@@ -94,30 +95,48 @@ func (ix *Index) ResetReads() { ix.reads.Store(0) }
 // does this itself.
 func (ix *Index) LinkTrace(id int64) { ix.store.LinkTrace(id) }
 
-// Build constructs the index over db, held in memory, with D retained
-// dimensions per object (the paper sweeps D in {4, 8, 16, 32}). All series
-// must share one length.
-func Build(db [][]float64, D int) *Index {
+// Validate reports why Build would refuse db with D retained dimensions: no
+// series, empty series, series of unequal length, a NaN or ±Inf sample
+// (every bound over its series would be NaN, so the VP-tree would never
+// propose it or the subtree filed under it), or D < 1. Nil means Build
+// accepts it.
+func Validate(db [][]float64, D int) error {
 	if len(db) == 0 {
-		panic("index: empty database")
+		return fmt.Errorf("empty database")
 	}
 	n := len(db[0])
+	if n == 0 {
+		return fmt.Errorf("database series have no samples")
+	}
 	for i, s := range db {
 		if len(s) != n {
-			panic(fmt.Sprintf("index: series %d length %d != %d", i, len(s), n))
+			return fmt.Errorf("database series %d length %d != %d", i, len(s), n)
+		}
+		if j := ts.NonFinite(s); j >= 0 {
+			return fmt.Errorf("database series %d sample %d is %v; every sample must be finite", i, j, s[j])
 		}
 	}
 	if D < 1 {
-		panic("index: D must be positive")
+		return fmt.Errorf("dims must be >= 1, got %d", D)
 	}
-	ix := &Index{store: memStore(db), n: n, d: D}
+	return nil
+}
+
+// Build constructs the index over db, held in memory, with D retained
+// dimensions per object (the paper sweeps D in {4, 8, 16, 32}). It panics on
+// what Validate refuses.
+func Build(db [][]float64, D int) *Index {
+	if err := Validate(db, D); err != nil {
+		panic("index: " + err.Error())
+	}
+	ix := &Index{store: memStore(db), n: len(db[0]), d: D}
 	ix.mags = make([][]float64, len(db))
 	ix.paas = make([][]float64, len(db))
 	for i, s := range db {
 		ix.mags[i] = fourier.Magnitudes(s, D)
 		ix.paas[i] = paa.Reduce(s, D)
 	}
-	ix.buildTrees()
+	ix.buildTree()
 	return ix
 }
 
@@ -145,37 +164,16 @@ func BuildFromColumns(store SeriesStore, n, D int, mags, paas [][]float64) (*Ind
 		}
 	}
 	ix := &Index{store: store, n: n, d: D, mags: mags, paas: paas}
-	ix.buildTrees()
+	ix.buildTree()
 	return ix, nil
 }
 
-// buildTrees raises the search structures over already-populated feature
-// columns.
-func (ix *Index) buildTrees() {
+// buildTree raises the VP-tree over the magnitude column and fixes the PAA
+// bound's segment widths. The PAA column needs no structure: a DTW probe
+// walks all of it (paaWalk).
+func (ix *Index) buildTree() {
 	ix.vpt = vptree.New(ix.mags, 16, 0x5eed)
-	ix.rt = rtree.New(ix.paas, 16)
-	bounds := paa.Bounds(ix.n, ix.d)
-	ix.segW = make([]float64, len(bounds)-1)
-	for s := range ix.segW {
-		ix.segW[s] = float64(bounds[s+1] - bounds[s])
-	}
-}
-
-// dtwBound returns the admissible R-tree bound function for a query wedge
-// set: the minimum, over the K envelope boxes, of the weighted MINDIST
-// between the box and a candidate MBR. For a single point it equals
-// paa.LowerBound, so pruning is exactly as tight as the linear compressed
-// scan while touching only O(log m) of the index.
-func (ix *Index) dtwBound(boxes []paa.Box) func(lo, hi []float64) float64 {
-	return func(lo, hi []float64) float64 {
-		best := math.Inf(1)
-		for _, bx := range boxes {
-			if d := rtree.MinDistBox(bx.Lo, bx.Hi, lo, hi, ix.segW); d < best {
-				best = d
-			}
-		}
-		return best
-	}
+	ix.segW = paa.Widths(ix.n, ix.d)
 }
 
 // D returns the retained dimensionality.
@@ -187,21 +185,21 @@ type Result = core.ScanResult
 // walk enumerates one query's candidates: it calls visit(id, bound, r) for
 // every object its compressed bound cannot exclude at the current radius r,
 // in ascending order of bound with ties by id, and continues with the radius
-// visit returns — the shape vptree.Search and rtree.Search share (their one
-// queue of subtrees and points is what makes the order exact; scanWalk's
-// bounds are all 0). So the first verified row is the one most likely to be
-// the answer, it sets the radius every later comparison abandons against,
-// and a nearest or top-K probe fetches exactly the rows bounded below its
-// answer. No bound is below -Inf, so that radius ends the walk.
+// visit returns — vptree.Search's shape (its one queue of subtrees and points
+// makes the order exact; paaWalk sorts; scanWalk's bounds are all 0). So the
+// first verified row is the one most likely to be the answer, it sets the
+// radius every later comparison abandons against, and a nearest or top-K
+// probe fetches exactly the rows bounded below its answer. No bound is below
+// -Inf, so that radius ends the walk.
 type walk func(r float64, visit func(id int, bound, r float64) float64)
 
 // Probe is the one index query path: each object the walk for s's kernel
-// proposes — the VP-tree's under the Euclidean kernel, the R-tree's with
-// wedges envelopes (see rtWalk) under DTW, every object under a kernel with
-// no compressed bound — is fetched, verified exactly by s and offered to c,
-// whose radius — shrinking for a nearest or top-K query, fixed for a range —
-// is what the walk continues with. No false dismissals: a walk skips an
-// object only on an admissible bound that reaches the radius.
+// proposes — the VP-tree's under the Euclidean kernel, the PAA column's
+// against wedges envelopes (see paaWalk) under DTW, every object under a
+// kernel with no compressed bound — is fetched, verified exactly by s and
+// offered to c, whose radius — shrinking for a nearest or top-K query, fixed
+// for a range — is what the walk continues with. No false dismissals: a walk
+// skips an object only on an admissible bound that reaches the radius.
 //
 // The probe is s's pass (core.Searcher.Begin/Offer), so it honours s's
 // strategy, wedge-set size and EXPLAIN state, carries its adaptive
@@ -221,7 +219,7 @@ func (ix *Index) Probe(ctx context.Context, label string, s *core.Searcher, wedg
 	case wedge.ED:
 		stage, candidates = trace.StageVPProbe, ix.vpWalk(rs)
 	case wedge.DTW:
-		stage, candidates = trace.StageRTreeProbe, ix.rtWalk(rs, kern.R, wedges)
+		stage, candidates = trace.StagePAAProbe, ix.paaWalk(rs, kern.R, wedges)
 	}
 	st, rec := s.Stats(), s.Recorder()
 	own := rec == nil
@@ -287,13 +285,18 @@ func (ix *Index) vpWalk(rs *core.RotationSet) walk {
 	return func(r float64, visit func(int, float64, float64) float64) { ix.vpt.Search(qmag, r, visit) }
 }
 
-// rtWalk enumerates candidates best-first from the R-tree: each object's PAA
-// means are lower-bounded against the K DTW-expanded envelopes of the
-// query's wedge set. wedges selects K, clamped to the rotation count; 0
-// picks one envelope per rotation (classic per-rotation LB_Keogh boxes):
-// index-space bounds are cheap relative to a disk fetch, and fat merged
-// wedges prune dramatically worse here — see BenchmarkAblationIndexWedges.
-func (ix *Index) rtWalk(rs *core.RotationSet, R, wedges int) walk {
+// paaWalk enumerates candidates in one sorted pass over the PAA column: each
+// object's means are lower-bounded against the K DTW-expanded envelopes of
+// the query's wedge set (paa.MinLowerBound), the objects bounded below the
+// starting radius are sorted by (bound, id), and they are proposed in that
+// order while the bound stays below the current radius. With DTW's loose
+// bound a probe fetches most of the store, so a tree over the column would
+// save few bound computations; the sort is the whole of the ordering.
+// wedges selects K, clamped to the rotation count; 0 picks one envelope per
+// rotation (classic per-rotation LB_Keogh boxes): index-space bounds are
+// cheap relative to a disk fetch, and fat merged wedges prune dramatically
+// worse here — see BenchmarkAblationIndexWedges.
+func (ix *Index) paaWalk(rs *core.RotationSet, R, wedges int) walk {
 	if wedges <= 0 || wedges > rs.Members() {
 		wedges = rs.Members()
 	}
@@ -302,8 +305,27 @@ func (ix *Index) rtWalk(rs *core.RotationSet, R, wedges int) walk {
 	for i, e := range envs {
 		boxes[i] = paa.ReduceEnvelope(e, ix.d)
 	}
-	bound := ix.dtwBound(boxes)
-	return func(r float64, visit func(int, float64, float64) float64) { ix.rt.Search(bound, r, visit) }
+	return func(r float64, visit func(int, float64, float64) float64) {
+		type candidate struct {
+			bound float64
+			id    int
+		}
+		cands := make([]candidate, 0, len(ix.paas))
+		for id, means := range ix.paas {
+			if lb := paa.MinLowerBound(means, boxes, ix.segW); lb < r {
+				cands = append(cands, candidate{lb, id})
+			}
+		}
+		slices.SortFunc(cands, func(a, b candidate) int {
+			return cmp.Or(cmp.Compare(a.bound, b.bound), cmp.Compare(a.id, b.id))
+		})
+		for _, c := range cands {
+			if c.bound >= r {
+				break // every later bound is at least as large
+			}
+			r = visit(c.id, c.bound, r)
+		}
+	}
 }
 
 // scanWalk proposes every object in index order: the walk for measures with
@@ -325,7 +347,7 @@ func (ix *Index) SearchED(rs *core.RotationSet, cnt *stats.Counter) Result {
 
 // SearchDTW answers an exact 1-NN rotation-invariant DTW query with band R,
 // verifying candidates until the smallest outstanding PAA envelope bound
-// reaches the best-so-far. wedges is rtWalk's K.
+// reaches the best-so-far. wedges is paaWalk's K.
 func (ix *Index) SearchDTW(rs *core.RotationSet, R int, wedges int, cnt *stats.Counter) Result {
 	return ix.probeDefault("index_search_dtw", rs, wedge.DTW{R: R}, wedges, nearest(), cnt).Best()
 }

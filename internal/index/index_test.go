@@ -8,11 +8,13 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"testing/quick"
 
 	"lbkeogh/internal/core"
 	"lbkeogh/internal/fourier"
 	"lbkeogh/internal/obs"
 	"lbkeogh/internal/obs/trace"
+	"lbkeogh/internal/paa"
 	"lbkeogh/internal/stats"
 	"lbkeogh/internal/ts"
 	"lbkeogh/internal/wedge"
@@ -105,6 +107,25 @@ func TestSearchDTWExact(t *testing.T) {
 	}
 }
 
+// A one-row index answers with its row under both walks, and a range below
+// the row's distance answers nothing.
+func TestSingleRowIndex(t *testing.T) {
+	rng := ts.NewRand(15)
+	db := [][]float64{ts.ZNorm(ts.RandomWalk(rng, 32))}
+	ix := Build(db, 4)
+	rs := core.NewRotationSet(ts.ZNorm(ts.RandomWalk(rng, 32)), core.DefaultOptions(), nil)
+	for _, kern := range []wedge.Kernel{wedge.ED{}, wedge.DTW{R: 2}} {
+		_, want := linearScan(rs, db, kern)
+		got := ix.probeDefault("test_single", rs, kern, 0, nearest(), nil).Best()
+		if got.Index != 0 || math.Abs(got.Dist-want) > 1e-9 {
+			t.Fatalf("%T: (%d,%v), want (0,%v)", kern, got.Index, got.Dist, want)
+		}
+		if hits := rangeProbe(ix, rs, kern, want/2); len(hits) != 0 {
+			t.Fatalf("%T: range %v found %+v", kern, want/2, hits)
+		}
+	}
+}
+
 func TestSearchDTWPrunesReads(t *testing.T) {
 	n := 64
 	db := syntheticDB(9, 150, n)
@@ -115,6 +136,217 @@ func TestSearchDTWPrunesReads(t *testing.T) {
 	ix.SearchDTW(rs, 3, 16, nil)
 	if r := ix.Reads(); r >= 150 {
 		t.Fatalf("DTW index read everything: %d of 150", r)
+	}
+}
+
+// randomRows is a database with no planted structure: independent
+// z-normalised random walks.
+func randomRows(seed int64, m, n int) [][]float64 {
+	rng := ts.NewRand(seed)
+	db := make([][]float64, m)
+	for i := range db {
+		db[i] = ts.RandomWalk(rng, n)
+	}
+	return db
+}
+
+// On unstructured rows and unrelated queries, across bands and wedge-set
+// sizes, the DTW walk finds the linear scan's nearest row.
+func TestSearchDTWMatchesLinearOnRandomRows(t *testing.T) {
+	n := 24
+	db := randomRows(51, 300, n)
+	ix := Build(db, 6)
+	rng := ts.NewRand(52)
+	for trial := 0; trial < 20; trial++ {
+		rs := core.NewRotationSet(ts.RandomWalk(rng, n), core.DefaultOptions(), nil)
+		R, wedges := trial%4, trial%3
+		wantIdx, wantDist := linearScan(rs, db, wedge.DTW{R: R})
+		got := ix.SearchDTW(rs, R, wedges, nil)
+		if got.Index != wantIdx || math.Abs(got.Dist-wantDist) > 1e-9 {
+			t.Fatalf("trial %d R=%d wedges=%d: index (%d,%v) != linear (%d,%v)", trial, R, wedges, got.Index, got.Dist, wantIdx, wantDist)
+		}
+	}
+}
+
+// Property: the DTW walk's answer is exact for random database sizes,
+// dimensionalities, bands and wedge-set sizes.
+func TestSearchDTWExactProperty(t *testing.T) {
+	n := 16
+	f := func(seed int64, mSeed, dSeed, rSeed, kSeed uint8) bool {
+		db := randomRows(seed, 2+int(mSeed)%60, n)
+		D, R, wedges := 1+int(dSeed)%(n/2), int(rSeed)%5, int(kSeed)%4
+		rs := core.NewRotationSet(ts.RandomWalk(ts.NewRand(seed+1), n), core.DefaultOptions(), nil)
+		wantIdx, wantDist := linearScan(rs, db, wedge.DTW{R: R})
+		got := Build(db, D).SearchDTW(rs, R, wedges, nil)
+		return got.Index == wantIdx && math.Abs(got.Dist-wantDist) < 1e-9
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Validate refuses each database Build panics on, naming why, and accepts a
+// well-formed one.
+func TestValidate(t *testing.T) {
+	for name, tc := range map[string]struct {
+		db [][]float64
+		D  int
+	}{
+		"empty":    {nil, 4},
+		"emptyRow": {[][]float64{{}}, 4},
+		"ragged":   {[][]float64{{1, 2}, {1}}, 1},
+		"badD":     {[][]float64{{1, 2}}, 0},
+		"nan":      {[][]float64{{1, 2}, {math.NaN(), 2}}, 1},
+		"inf":      {[][]float64{{1, math.Inf(-1)}}, 1},
+	} {
+		if err := Validate(tc.db, tc.D); err == nil {
+			t.Fatalf("%s: Validate accepted it", name)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: Build did not panic", name)
+				}
+			}()
+			Build(tc.db, tc.D)
+		}()
+	}
+	if err := Validate([][]float64{{1, 2}, {3, 4}}, 1); err != nil {
+		t.Fatalf("well-formed database refused: %v", err)
+	}
+}
+
+// The PAA walk, verifying each proposed row exactly, proposes fewer rows than
+// the database holds, and the rows it leaves out are bounded at or above the
+// answer it ends with.
+func TestPAAWalkPrunes(t *testing.T) {
+	n, D, R := 32, 8, 2
+	db := randomRows(53, 1000, n)
+	ix := Build(db, D)
+	rng := ts.NewRand(54)
+	rs := core.NewRotationSet(ts.ZNorm(ts.AddNoise(rng, db[17], 0.05)), core.DefaultOptions(), nil)
+	s := core.NewSearcher(rs, wedge.DTW{R: R}, core.BruteForce, core.SearcherConfig{})
+	proposed := map[int]bool{}
+	best := math.Inf(1)
+	ix.paaWalk(rs, R, 0)(best, func(id int, _, r float64) float64 {
+		proposed[id] = true
+		best = math.Min(r, s.MatchSeries(db[id], -1, nil).Dist)
+		return best
+	})
+	if len(proposed) >= len(db) {
+		t.Fatalf("no pruning: proposed %d of %d", len(proposed), len(db))
+	}
+	if _, want := linearScan(rs, db, wedge.DTW{R: R}); math.Abs(best-want) > 1e-9 {
+		t.Fatalf("walk ended at %v, linear scan's nearest %v", best, want)
+	}
+	var boxes []paa.Box
+	for _, env := range rs.Tree().FrontierEnvelopes(rs.Members(), R) {
+		boxes = append(boxes, paa.ReduceEnvelope(env, D))
+	}
+	for id, x := range db {
+		if proposed[id] {
+			continue
+		}
+		for _, bx := range boxes {
+			if lb := paa.LowerBound(paa.Reduce(x, D), bx, n); lb < best {
+				t.Fatalf("row %d skipped with bound %v below the answer %v", id, lb, best)
+			}
+		}
+	}
+}
+
+// The PAA walk proposes what sorting every row by (bound, id) and proposing
+// while the bound is below the current radius proposes, in sequence, each
+// with its bound: on integer rows with many duplicates and equal bounds, with
+// one envelope per rotation and with two merged ones, and with a radius that
+// shrinks on every visit and with one that stays fixed. The bounds are the
+// smallest paa.LowerBound against the wedge set's boxes, computed here.
+func TestPAAWalkOrderIsSortedBounds(t *testing.T) {
+	n, D, R := 8, 4, 1
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := ts.NewRand(seed)
+		intRow := func(lo, k int) []float64 {
+			x := make([]float64, n)
+			for i := range x {
+				x[i] = float64(lo + rng.Intn(k))
+			}
+			return x
+		}
+		db := make([][]float64, 400)
+		for i := range db {
+			if i < 300 {
+				db[i] = intRow(0, 8)
+			} else {
+				db[i] = db[rng.Intn(300)]
+			}
+		}
+		ix := Build(db, D)
+		rs := core.NewRotationSet(intRow(2, 4), core.DefaultOptions(), nil)
+		for _, wedges := range []int{0, 2} {
+			k := wedges
+			if k == 0 {
+				k = rs.Members()
+			}
+			var boxes []paa.Box
+			for _, env := range rs.Tree().FrontierEnvelopes(k, R) {
+				boxes = append(boxes, paa.ReduceEnvelope(env, D))
+			}
+			bounds := make([]float64, len(db))
+			for i, x := range db {
+				bounds[i] = math.Inf(1)
+				for _, bx := range boxes {
+					bounds[i] = math.Min(bounds[i], paa.LowerBound(paa.Reduce(x, D), bx, n))
+				}
+			}
+			ids := make([]int, len(db))
+			for i := range ids {
+				ids[i] = i
+			}
+			sort.SliceStable(ids, func(a, b int) bool { return bounds[ids[a]] < bounds[ids[b]] })
+			cut := len(ids) / 2
+			for cut < len(ids)-1 && !(bounds[ids[cut]] > 0) {
+				cut++
+			}
+			start := bounds[ids[cut]]
+			for _, shrink := range []bool{true, false} {
+				var got, want []int
+				var final float64
+				collect := func(seq *[]int) func(int, float64, float64) float64 {
+					return func(id int, lb, r float64) float64 {
+						if lb != bounds[id] {
+							t.Fatalf("seed %d wedges %d: row %d proposed with bound %v, want %v", seed, wedges, id, lb, bounds[id])
+						}
+						*seq = append(*seq, id)
+						if shrink {
+							r = math.Min(r, lb+0.5)
+						}
+						final = r
+						return r
+					}
+				}
+				final = start
+				ix.paaWalk(rs, R, wedges)(start, collect(&got))
+				gotFinal := final
+				visit, r := collect(&want), start
+				for _, id := range ids {
+					if bounds[id] >= r {
+						break
+					}
+					r = visit(id, bounds[id], r)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d wedges %d shrink %v: proposals %v, the sorted order's %v", seed, wedges, shrink, got, want)
+				}
+				if len(want) == 0 {
+					t.Fatalf("seed %d wedges %d: nothing proposed", seed, wedges)
+				}
+				for _, id := range ids[len(got):] {
+					if bounds[id] < gotFinal {
+						t.Fatalf("seed %d wedges %d shrink %v: row %d below the final radius %v was skipped", seed, wedges, shrink, id, gotFinal)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -137,16 +369,39 @@ func TestSearchWithMirrorAndLimit(t *testing.T) {
 	}
 }
 
-// A probe fetches exactly the rows whose compressed bound is below its
-// answer — the nearest distance for 1-NN, the K-th for top-K — with a row
-// bounded at exactly that distance allowed either way. Fewer would be a
+// recordingStore is memStore that logs the order rows are fetched in.
+type recordingStore struct {
+	memStore
+	fetched []int
+}
+
+func (s *recordingStore) Fetch(id int) []float64 {
+	s.fetched = append(s.fetched, id)
+	return s.memStore[id]
+}
+
+// A probe fetches the rows in ascending order of their compressed bound, ties
+// by row, and exactly the rows whose bound is below its answer — the nearest
+// distance for 1-NN, the K-th for top-K (a row bounded at exactly that
+// distance allowed either way), the radius for a range. Fewer would be a
 // false dismissal; more, a fetch that verifying in ascending-bound order
-// never needs. The ED bound is the magnitude distance; the DTW bound is
-// whatever the R-tree walk proposes a row with when nothing stops it.
+// never needs. The bounds are computed here from their definitions, not read
+// off the walks: the magnitude distance for ED, and for DTW the smallest
+// paa.LowerBound against the PAA boxes of the wedge set's per-rotation
+// DTW-expanded envelopes. A fifth of the rows duplicate others, so equal
+// bounds are common and the tie order is held too.
 func TestProbeFetchesOnlyRowsBoundedBelowTheAnswer(t *testing.T) {
-	n, D := 48, 8
+	n, D, R := 48, 8, 3
 	db := syntheticDB(81, 200, n)
-	ix := Build(db, D)
+	for i := 160; i < len(db); i++ {
+		db[i] = db[(i*7)%160]
+	}
+	direct := Build(db, D)
+	store := &recordingStore{memStore: db}
+	ix, err := BuildFromColumns(store, n, D, direct.mags, direct.paas)
+	if err != nil {
+		t.Fatal(err)
+	}
 	kernels := []struct {
 		kern   wedge.Kernel
 		bounds func(rs *core.RotationSet) []float64
@@ -154,17 +409,23 @@ func TestProbeFetchesOnlyRowsBoundedBelowTheAnswer(t *testing.T) {
 		{wedge.ED{}, func(rs *core.RotationSet) []float64 {
 			qmag := fourier.Magnitudes(rs.Base(), D)
 			out := make([]float64, len(db))
-			for i, mag := range ix.mags {
-				out[i] = fourier.LowerBoundED(qmag, mag)
+			for i, x := range db {
+				out[i] = fourier.LowerBoundED(qmag, fourier.Magnitudes(x, D))
 			}
 			return out
 		}},
-		{wedge.DTW{R: 3}, func(rs *core.RotationSet) []float64 {
+		{wedge.DTW{R: R}, func(rs *core.RotationSet) []float64 {
+			var boxes []paa.Box
+			for _, env := range rs.Tree().FrontierEnvelopes(rs.Members(), R) {
+				boxes = append(boxes, paa.ReduceEnvelope(env, D))
+			}
 			out := make([]float64, len(db))
-			ix.rtWalk(rs, 3, 0)(math.Inf(1), func(id int, bound, r float64) float64 {
-				out[id] = bound
-				return r
-			})
+			for i, x := range db {
+				out[i] = math.Inf(1)
+				for _, bx := range boxes {
+					out[i] = math.Min(out[i], paa.LowerBound(paa.Reduce(x, D), bx, n))
+				}
+			}
 			return out
 		}},
 	}
@@ -177,8 +438,23 @@ func TestProbeFetchesOnlyRowsBoundedBelowTheAnswer(t *testing.T) {
 		rs := core.NewRotationSet(q, core.DefaultOptions(), nil)
 		for _, kc := range kernels {
 			bounds := kc.bounds(rs)
+			order := make([]int, len(db))
+			for i := range order {
+				order[i] = i
+			}
+			sort.SliceStable(order, func(a, b int) bool { return bounds[order[a]] < bounds[order[b]] })
+			checkOrder := func(what string) {
+				t.Helper()
+				for i, id := range store.fetched {
+					if id != order[i] {
+						t.Errorf("trial %d %T %s: fetch %d is row %d (bound %v), the (bound, row) order's row %d (bound %v)",
+							trial, kc.kern, what, i, id, bounds[id], order[i], bounds[order[i]])
+						return
+					}
+				}
+			}
 			for _, k := range []int{1, 5} {
-				ix.ResetReads()
+				store.fetched = nil
 				res := ix.probeDefault("test_topk", rs, kc.kern, 0, core.NewCollector(k, math.Inf(1)), nil).Results()
 				if wantIdx, wantDist := linearScan(rs, db, kc.kern); res[0].Index != wantIdx || math.Abs(res[0].Dist-wantDist) > 1e-9 {
 					t.Fatalf("trial %d %T k %d: nearest (%d,%v), linear (%d,%v)", trial, kc.kern, k, res[0].Index, res[0].Dist, wantIdx, wantDist)
@@ -192,8 +468,38 @@ func TestProbeFetchesOnlyRowsBoundedBelowTheAnswer(t *testing.T) {
 						at++
 					}
 				}
-				if r := ix.Reads(); r < below || r > below+at {
-					t.Errorf("trial %d %T k %d: %d fetches, %d rows bounded below d_K = %v (%d more at it)", trial, kc.kern, k, r, below, dK, at)
+				if f := len(store.fetched); f < below || f > below+at {
+					t.Errorf("trial %d %T k %d: %d fetches, %d rows bounded below d_K = %v (%d more at it)", trial, kc.kern, k, f, below, dK, at)
+				}
+				checkOrder("top-k")
+			}
+			// A range at a radius equal to a row's (positive) bound: that row
+			// and every duplicate of it sit exactly at the cut and are not
+			// fetched.
+			cut := len(order) / 3
+			for cut < len(order)-1 && !(bounds[order[cut]] > 0) {
+				cut++
+			}
+			r := bounds[order[cut]]
+			store.fetched = nil
+			got := rangeProbe(ix, rs, kc.kern, r)
+			below := 0
+			for _, lb := range bounds {
+				if lb < r {
+					below++
+				}
+			}
+			if len(store.fetched) != below {
+				t.Errorf("trial %d %T range %v: %d fetches, %d rows bounded below it", trial, kc.kern, r, len(store.fetched), below)
+			}
+			checkOrder("range")
+			want := bruteRange(rs, db, kc.kern, r)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d %T range %v: %d results, brute force %d", trial, kc.kern, r, len(got), len(want))
+			}
+			for _, res := range got {
+				if wd, ok := want[res.Index]; !ok || math.Abs(res.Dist-wd) > 1e-9 {
+					t.Fatalf("trial %d %T range %v: row %d at %v, brute force %v (%v)", trial, kc.kern, r, res.Index, res.Dist, wd, ok)
 				}
 			}
 		}
@@ -346,6 +652,7 @@ func TestBuildPanics(t *testing.T) {
 		"empty":  func() { Build(nil, 4) },
 		"badD":   func() { Build([][]float64{{1, 2}}, 0) },
 		"ragged": func() { Build([][]float64{{1, 2}, {1}}, 1) },
+		"nan":    func() { Build([][]float64{{1, 2}, {1, math.NaN()}}, 1) },
 	} {
 		func() {
 			defer func() {

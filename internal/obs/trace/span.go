@@ -35,8 +35,8 @@ const (
 	StageFFT
 	// StageVPProbe covers one VP-tree probe of an indexed Euclidean query.
 	StageVPProbe
-	// StageRTreeProbe covers one R-tree probe of an indexed DTW query.
-	StageRTreeProbe
+	// StagePAAProbe covers one PAA-column walk of an indexed DTW query.
+	StagePAAProbe
 	// StageFetch covers one full-resolution record fetch for verification.
 	StageFetch
 	// StageDiskRead covers one record read from the series store
@@ -61,7 +61,7 @@ var stageNames = [NumStages]string{
 	StageKernel:         "kernel",
 	StageFFT:            "fft_screen",
 	StageVPProbe:        "vp_probe",
-	StageRTreeProbe:     "rtree_probe",
+	StagePAAProbe:       "paa_probe",
 	StageFetch:          "fetch",
 	StageDiskRead:       "disk_read",
 	StageMonitorFilter:  "monitor_filter",

@@ -98,18 +98,53 @@ func LowerBound(cMeans []float64, box Box, n int) float64 {
 	return math.Sqrt(acc)
 }
 
+// Widths returns the D segment widths of a length-n series (D clamped to n),
+// the weights LowerBound applies; MinLowerBound takes them precomputed.
+func Widths(n, D int) []float64 {
+	b := Bounds(n, D)
+	w := make([]float64, len(b)-1)
+	for s := range w {
+		w[s] = float64(b[s+1] - b[s])
+	}
+	return w
+}
+
 // MinLowerBound returns the smallest LowerBound of cMeans against each box —
 // the index-space bound against a whole wedge set W (the paper: "search for
 // the best match to K envelopes in the wedge set W"). The min of admissible
 // lower bounds is itself admissible for every member of every box.
 //
+// w is Widths(n, len(cMeans)), computed once by the caller: the bound runs
+// once per stored row and allocates nothing. The result is bit for bit the
+// minimum of the per-box LowerBound values: each box accumulates the same
+// terms in the same order, a box stops once its partial sum reaches the
+// smallest sum so far (every term is non-negative, so it cannot become the
+// minimum), and Sqrt, correctly rounded and monotone, is taken once at the
+// end.
+//
+//lbkeogh:rootspace
 //lbkeogh:lowerbound
-func MinLowerBound(cMeans []float64, boxes []Box, n int) float64 {
+func MinLowerBound(cMeans []float64, boxes []Box, w []float64) float64 {
 	best := math.Inf(1)
+	w = w[:len(cMeans)]
 	for _, bx := range boxes {
-		if lb := LowerBound(cMeans, bx, n); lb < best {
-			best = lb
+		lo, hi := bx.Lo[:len(cMeans)], bx.Hi[:len(cMeans)]
+		var acc float64
+		for s, c := range cMeans {
+			if c > hi[s] {
+				d := c - hi[s]
+				acc += w[s] * d * d
+			} else if c < lo[s] {
+				d := c - lo[s]
+				acc += w[s] * d * d
+			}
+			if acc >= best {
+				break
+			}
+		}
+		if acc < best {
+			best = acc
 		}
 	}
-	return best
+	return math.Sqrt(best)
 }

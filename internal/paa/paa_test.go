@@ -129,11 +129,37 @@ func TestMinLowerBound(t *testing.T) {
 	b := envelope.New(ts.RandomWalk(rng, n))
 	c := ts.RandomWalk(rng, n)
 	boxes := []Box{ReduceEnvelope(a, 8), ReduceEnvelope(b, 8)}
-	got := MinLowerBound(Reduce(c, 8), boxes, n)
+	got := MinLowerBound(Reduce(c, 8), boxes, Widths(n, 8))
 	la := LowerBound(Reduce(c, 8), boxes[0], n)
 	lb := LowerBound(Reduce(c, 8), boxes[1], n)
 	if got != math.Min(la, lb) {
 		t.Fatalf("MinLowerBound = %v, want min(%v,%v)", got, la, lb)
+	}
+}
+
+// Hand-computed values: a segment whose mean lies inside its box interval adds
+// nothing, one below or above it adds width·gap², and the bound is the
+// nearest box's, whatever the order of the boxes.
+func TestMinLowerBoundHandComputed(t *testing.T) {
+	w := []float64{2, 3}
+	far := Box{Lo: []float64{2, 3}, Hi: []float64{4, 5}}
+	near := Box{Lo: []float64{0, 0}, Hi: []float64{0.5, 0.5}}
+	for _, tc := range []struct {
+		means []float64
+		boxes []Box
+		want  float64
+	}{
+		{[]float64{3, 4}, []Box{far}, 0},                                // inside
+		{[]float64{1, 1}, []Box{far}, math.Sqrt(2*1 + 3*4)},             // below: gaps (1, 2)
+		{[]float64{5, 7}, []Box{far}, math.Sqrt(2*1 + 3*4)},             // above: gaps (1, 2)
+		{[]float64{3, 1}, []Box{far}, math.Sqrt(3 * 4)},                 // one segment inside
+		{[]float64{1, 1}, []Box{far, near}, math.Sqrt(2*0.25 + 3*0.25)}, // gaps (0.5, 0.5)
+		{[]float64{1, 1}, []Box{near, far}, math.Sqrt(2*0.25 + 3*0.25)},
+		{[]float64{1, 1}, nil, math.Inf(1)},
+	} {
+		if got := MinLowerBound(tc.means, tc.boxes, w); got != tc.want {
+			t.Fatalf("MinLowerBound(%v, %d boxes) = %v, want %v", tc.means, len(tc.boxes), got, tc.want)
+		}
 	}
 }
 

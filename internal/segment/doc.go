@@ -6,10 +6,11 @@
 // lives on disk and only the candidates an index cannot exclude are fetched.
 // This package makes that assumption real at scale: the cheap representations
 // the screening literature presumes — raw series for envelope bounds, Fourier
-// magnitudes for the FFT screen, PAA sketches for the R-tree — are laid out
-// as separate, sequentially scannable columns, computed once at ingest time,
-// and mapped (not loaded) at serve time, so a search touches pages rather
-// than a boot-time heap slice.
+// magnitudes for the FFT screen, PAA sketches for the DTW index walk — are
+// laid out as separate, sequentially scannable columns, computed once at
+// ingest time, and mapped (not loaded) at serve time, so a search touches
+// pages rather than a boot-time heap slice. Every sample written is finite
+// (Writer.AddPrecomputed refuses the rest).
 //
 // # Segment file format
 //

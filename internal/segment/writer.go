@@ -13,6 +13,7 @@ import (
 
 	"lbkeogh/internal/fourier"
 	"lbkeogh/internal/paa"
+	"lbkeogh/internal/ts"
 )
 
 // Features computes the per-record compressed columns a segment stores
@@ -103,13 +104,19 @@ func (w *Writer) Add(series []float64, label int64) error {
 	return w.AddPrecomputed(series, mags, paas, label)
 }
 
-// AddPrecomputed appends one record with caller-computed feature columns.
+// AddPrecomputed appends one record with caller-computed feature columns. A
+// series with a NaN or ±Inf sample is refused, naming the record (counted
+// from the start of this segment) and the sample: its bounds would be NaN,
+// and an index over the store would never propose it or its neighbours.
 func (w *Writer) AddPrecomputed(series, mags, paas []float64, label int64) error {
 	if w.done {
 		return fmt.Errorf("segment: writer already closed")
 	}
 	if len(series) != w.n {
 		return fmt.Errorf("segment: series length %d != %d", len(series), w.n)
+	}
+	if i := ts.NonFinite(series); i >= 0 {
+		return fmt.Errorf("segment: record %d sample %d is %v; every sample must be finite", w.count, i, series[i])
 	}
 	if len(mags) != w.d || len(paas) != w.d {
 		return fmt.Errorf("segment: feature lengths %d/%d != dims %d", len(mags), len(paas), w.d)

@@ -7,10 +7,11 @@ package seriesio
 import (
 	"bufio"
 	"fmt"
-	"math"
 	"os"
 	"strconv"
 	"strings"
+
+	"lbkeogh/internal/ts"
 )
 
 // ReadCSV parses the file at path into parallel label and series slices. A
@@ -45,10 +46,10 @@ func ReadCSV(path string) ([]int, [][]float64, error) {
 			if err != nil {
 				return nil, nil, fmt.Errorf("%s:%d: bad value %d: %v", path, line, i, err)
 			}
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, nil, fmt.Errorf("%s:%d: value %d is %v; every sample must be finite", path, line, i, v)
-			}
 			row[i] = v
+		}
+		if i := ts.NonFinite(row); i >= 0 {
+			return nil, nil, fmt.Errorf("%s:%d: value %d is %v; every sample must be finite", path, line, i, row[i])
 		}
 		labels = append(labels, label)
 		series = append(series, row)

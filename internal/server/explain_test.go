@@ -173,7 +173,7 @@ func TestServerExplainSamplerMetrics(t *testing.T) {
 }
 
 // TestServerDebugIndex: the introspection endpoint serves a stable JSON
-// report of the structural health of both index trees and the wedge
+// report of the structural health of the index's VP-tree and the wedge
 // hierarchy.
 func TestServerDebugIndex(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
@@ -188,9 +188,8 @@ func TestServerDebugIndex(t *testing.T) {
 	if rep.Dims != serveDims {
 		t.Errorf("dims = %d, want %d", rep.Dims, serveDims)
 	}
-	if rep.Index.Objects != 20 || rep.Index.VPTree.Points != 20 || rep.Index.RTree.Points != 20 {
-		t.Errorf("tree point counts = %d/%d/%d, want 20 each",
-			rep.Index.Objects, rep.Index.VPTree.Points, rep.Index.RTree.Points)
+	if rep.Index.Objects != 20 || rep.Index.VPTree.Points != 20 {
+		t.Errorf("object/tree point counts = %d/%d, want 20 each", rep.Index.Objects, rep.Index.VPTree.Points)
 	}
 	if rep.Wedge.Members == 0 || rep.Wedge.RootArea <= 0 || len(rep.Wedge.KProfiles) == 0 {
 		t.Errorf("wedge stats incomplete: %+v", rep.Wedge)

@@ -2,8 +2,8 @@ package server
 
 // This file holds index-health introspection and the explain dashboard
 // panel: /debug/index serves a structural report of the rotation-invariant
-// index built over the serving database (VP-tree shape, R-tree overlap,
-// wedge-hierarchy merge quality), and the /debug/lbkeogh explain panel
+// index built over the serving database (VP-tree shape, wedge-hierarchy
+// merge quality), and the /debug/lbkeogh explain panel
 // renders the bound-tightness sampler's aggregate.
 
 import (
@@ -16,8 +16,8 @@ import (
 )
 
 // introspectMaxRows caps how many rows store mode's introspection index is
-// built over. The report measures structural health (tree balance, overlap,
-// merge quality), which a uniform stride sample preserves, so a million-shape
+// built over. The report measures structural health (tree balance, merge
+// quality), which a uniform stride sample preserves, so a million-shape
 // store never pays a million-row index build for a debug endpoint.
 const introspectMaxRows = 20000
 

@@ -21,6 +21,7 @@ import (
 	"lbkeogh/internal/obs"
 	"lbkeogh/internal/obs/trace"
 	"lbkeogh/internal/stats"
+	"lbkeogh/internal/ts"
 	"lbkeogh/internal/wedge"
 )
 
@@ -68,9 +69,12 @@ func NewMonitor(patterns [][]float64, kern wedge.Kernel, threshold float64) (*Mo
 		if len(p) != n {
 			return nil, fmt.Errorf("stream: pattern %d length %d != %d", i, len(p), n)
 		}
+		if j := ts.NonFinite(p); j >= 0 {
+			return nil, fmt.Errorf("stream: pattern %d sample %d is %v; every sample must be finite", i, j, p[j])
+		}
 	}
-	if threshold <= 0 {
-		return nil, fmt.Errorf("stream: threshold must be positive")
+	if !(threshold > 0) {
+		return nil, fmt.Errorf("stream: threshold %v must be positive", threshold)
 	}
 	tree := wedge.Build(patterns, func(i, j int) float64 {
 		return dist.Euclidean(patterns[i], patterns[j], nil)

@@ -146,6 +146,19 @@ func Equal(a, b []float64, tol float64) bool {
 	return true
 }
 
+// NonFinite returns the index of the first NaN or ±Inf sample of s, or -1
+// when every sample is finite. Every place a series enters a query, an index,
+// a store or a monitor rejects what it finds: one non-finite sample makes
+// every distance and bound over its series NaN, and NaN compares false.
+func NonFinite(s []float64) int {
+	for i, v := range s {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return i
+		}
+	}
+	return -1
+}
+
 // MinMax returns the minimum and maximum values of s. It panics on empty
 // input, since there is no sensible zero answer.
 func MinMax(s []float64) (lo, hi float64) {

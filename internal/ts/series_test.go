@@ -191,3 +191,14 @@ func TestAddNoiseZeroSigma(t *testing.T) {
 		t.Fatal("sigma=0 noise must be identity")
 	}
 }
+
+func TestNonFinite(t *testing.T) {
+	if i := NonFinite([]float64{1, -2, 0, math.MaxFloat64}); i != -1 {
+		t.Fatalf("finite series: NonFinite = %d, want -1", i)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if i := NonFinite([]float64{1, 2, bad, 3, bad}); i != 2 {
+			t.Fatalf("%v at 2 and 4: NonFinite = %d, want 2", bad, i)
+		}
+	}
+}

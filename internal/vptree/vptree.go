@@ -14,7 +14,6 @@ import (
 	"math"
 	"sort"
 
-	"lbkeogh/internal/browse"
 	"lbkeogh/internal/ts"
 )
 
@@ -113,9 +112,6 @@ func (t *Tree) build(ids []int, rng interface{ Intn(int) int }) int {
 	return idx
 }
 
-// Size returns the number of indexed points.
-func (t *Tree) Size() int { return len(t.points) }
-
 func euclid(a, b []float64) float64 {
 	var acc float64
 	for i := range a {
@@ -132,7 +128,7 @@ func euclid(a, b []float64) float64 {
 // usage) and must return the possibly-improved best-so-far. Search returns
 // the final best-so-far.
 //
-// Subtrees and points share one queue (package browse): a leaf's items and a
+// Subtrees and points share one queue (type queue): a leaf's items and a
 // vantage point are queued under their feature distance when the node opens,
 // and a point is visited only when it leaves the queue, so no point is
 // visited while a nearer one, or an unopened subtree that may hold one,
@@ -147,41 +143,41 @@ func euclid(a, b []float64) float64 {
 // the search.
 func (t *Tree) Search(q []float64, bsf0 float64, visit func(id int, featureDist, bsf float64) float64) float64 {
 	bsf := bsf0
-	var buf [64]browse.Entry // the queue of a selective search fits; a wide one grows off it
-	h := browse.Queue(buf[:0])
-	h.Push(browse.Subtree(0, t.root))
+	var buf [64]entry // the queue of a selective search fits; a wide one grows off it
+	h := queue(buf[:0])
+	h.push(subtree(0, t.root))
 	for len(h) > 0 {
-		e := h.Pop()
-		if e.Key >= bsf {
+		e := h.pop()
+		if e.key >= bsf {
 			break // smallest outstanding bound cannot improve
 		}
-		ref, point := e.Target()
-		if point {
-			bsf = visit(ref, e.Key, bsf)
+		ref, isPoint := e.target()
+		if isPoint {
+			bsf = visit(ref, e.key, bsf)
 			continue
 		}
 		nd := &t.nodes[ref]
 		if nd.vp < 0 {
 			for _, id := range nd.items {
 				if fd := euclid(q, t.points[id]); fd < bsf {
-					h.Push(browse.Point(fd, id))
+					h.push(point(fd, id))
 				}
 			}
 			continue
 		}
 		dq := euclid(q, t.points[nd.vp])
 		if dq < bsf {
-			h.Push(browse.Point(dq, nd.vp))
+			h.push(point(dq, nd.vp))
 		}
 		// The triangle inequality bounds a child's points by |dq − median|
 		// (never below the node's own bound), shaved by the rounding margin
 		// so that no computed point distance falls under its subtree's key.
 		slack := (dq + nd.median) * t.slack
-		if b := max(e.Key, dq-nd.median-slack); b < bsf {
-			h.Push(browse.Subtree(b, nd.inner))
+		if b := max(e.key, dq-nd.median-slack); b < bsf {
+			h.push(subtree(b, nd.inner))
 		}
-		if b := max(e.Key, nd.median-dq-slack); b < bsf {
-			h.Push(browse.Subtree(b, nd.outer))
+		if b := max(e.key, nd.median-dq-slack); b < bsf {
+			h.push(subtree(b, nd.outer))
 		}
 	}
 	return bsf

@@ -10,6 +10,7 @@ import (
 	"lbkeogh/internal/obs/explain"
 	"lbkeogh/internal/obs/trace"
 	"lbkeogh/internal/stats"
+	"lbkeogh/internal/ts"
 )
 
 // Series is a 1-D signal: a shape's centroid-distance signature, a folded
@@ -158,10 +159,8 @@ func NewQuery(series Series, m Measure, opts ...QueryOption) (*Query, error) {
 	if len(series) < 2 {
 		return nil, fmt.Errorf("lbkeogh: query series needs >= 2 samples, got %d", len(series))
 	}
-	for i, v := range series {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("lbkeogh: query sample %d is %v; every sample must be finite", i, v)
-		}
+	if i := ts.NonFinite(series); i >= 0 {
+		return nil, fmt.Errorf("lbkeogh: query sample %d is %v; every sample must be finite", i, series[i])
 	}
 	cfg := queryConfig{maxShift: -1}
 	for _, o := range opts {

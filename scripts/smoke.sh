@@ -244,13 +244,11 @@ print(f"explain waterfall reconciles: {wf['rotations']} rotations, "
 PY
 fi
 
-# Index-health introspection serves a structural report of both trees.
+# Index-health introspection serves a structural report of the VP-tree.
 curl -fsS "http://$eaddr/debug/index" >"$tmp/index.json" ||
 	fail "/debug/index did not answer 200"
 grep -q '"vp_tree":' "$tmp/index.json" ||
 	fail "/debug/index is missing the VP-tree report"
-grep -q '"r_tree":' "$tmp/index.json" ||
-	fail "/debug/index is missing the R-tree report"
 grep -q '"k_profiles":' "$tmp/index.json" ||
 	fail "/debug/index is missing the wedge K profiles"
 if command -v python3 >/dev/null 2>&1; then
