@@ -169,22 +169,16 @@ func main() {
 	if !*notrace {
 		tlog = lbkeogh.NewTraceLog(lbkeogh.WithSampleRate(*traceSample))
 	}
-	// Storage-plane observability (segment mode): every fetch and lifecycle
-	// event flows into the recorder behind /debug/storage and the
-	// lbkeogh_store_* families.
-	var storeRec *storeobs.Recorder
+	// Segment mode: every lifecycle event flows into the journal behind
+	// /debug/storage and lbkeogh_store_journal_events_total, mirrored to the
+	// log.
 	if store != nil {
-		storeRec = storeobs.NewRecorder(storeobs.Config{
-			JournalSize: *journalSize,
-			Logger:      logger,
-		})
-		store.SetObserver(storeRec)
+		store.SetJournal(storeobs.NewJournal(*journalSize, logger))
 	}
 	srv, err := server.New(server.Config{
 		DB:             db,
 		Labels:         labels,
 		Store:          store,
-		StoreObs:       storeRec,
 		MaxInflight:    *inflight,
 		MaxQueue:       *queue,
 		PoolSize:       *pool,

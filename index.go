@@ -34,10 +34,9 @@ type Index struct {
 }
 
 // SegmentStore returns the underlying segment store for an index opened
-// with OpenSegmentIndex, or nil for every other kind of index. It is how
-// tools attach storage-plane observability (segment.DB.SetObserver) to an
-// index they opened through this package. The store is owned by the index:
-// do not Close it directly.
+// with OpenSegmentIndex, or nil for every other kind of index: its Stats and
+// Reads are the store's view of the fetches the index made. The store is
+// owned by the index: do not Close it directly.
 func (ix *Index) SegmentStore() *segment.DB { return ix.seg }
 
 // Stats returns a snapshot of the index's instrumentation record,
@@ -189,17 +188,11 @@ func (ix *Index) probe(ctx context.Context, q *Query, label string, k int, limit
 		}
 		return nil
 	}
-	res, err := q.search(ctx, label, check, func(ctx context.Context) ([]core.ScanResult, error) {
+	return q.search(ctx, label, check, func(ctx context.Context) ([]core.ScanResult, error) {
 		c := core.NewCollector(k, limit)
 		err := ix.ix.Probe(ctx, label, q.searcher, 0, c, &q.counter)
 		return c.Results(), err
 	})
-	// The trace is the query's: its ID exists only now, once it is finished
-	// and retained, for the store to stamp this search's fetches with.
-	if q.lastTraceID != 0 {
-		ix.ix.LinkTrace(q.lastTraceID)
-	}
-	return res, err
 }
 
 // Search answers the query exactly against the indexed database: same

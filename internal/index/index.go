@@ -37,10 +37,6 @@ type SeriesStore interface {
 	Fetch(id int) []float64
 	// Len returns the collection size.
 	Len() int
-	// LinkTrace hands over the ID of a just-retained query trace, which
-	// exists only once the query has finished, so a store that keeps deferred
-	// fetch exemplars can stamp this query's slow/cold fetches with it.
-	LinkTrace(id int64)
 }
 
 // memStore keeps the collection in memory — the "disk" of the Figure 24
@@ -49,7 +45,6 @@ type memStore [][]float64
 
 func (s memStore) Fetch(id int) []float64 { return s[id] }
 func (s memStore) Len() int               { return len(s) }
-func (memStore) LinkTrace(int64)          {}
 
 // Index is the compressed in-memory representation plus the store. Once
 // configured (SetObserver, SetTraceLog) it is safe for concurrent probes, each
@@ -89,11 +84,6 @@ func (ix *Index) Reads() int { return int(ix.reads.Load()) }
 
 // ResetReads zeroes the fetch counter.
 func (ix *Index) ResetReads() { ix.reads.Store(0) }
-
-// LinkTrace hands the store the ID of a retained trace a caller recorded a
-// probe under (see SeriesStore.LinkTrace); a probe that records its own trace
-// does this itself.
-func (ix *Index) LinkTrace(id int64) { ix.store.LinkTrace(id) }
 
 // Validate reports why Build would refuse db with D retained dimensions: no
 // series, empty series, series of unequal length, a NaN or ±Inf sample
@@ -248,10 +238,7 @@ func (ix *Index) Probe(ctx context.Context, label string, s *core.Searcher, wedg
 		ix.obs.AddCounts(&delta, nil)
 	}
 	if own {
-		// The trace ID exists only once the trace is finished and retained.
-		if id := ix.tlog.Finish(rec, delta); id != 0 {
-			ix.store.LinkTrace(id)
-		}
+		ix.tlog.Finish(rec, delta)
 	}
 	return err
 }

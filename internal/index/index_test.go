@@ -693,8 +693,7 @@ func (s *fleetingStore) Fetch(id int) []float64 {
 	copy(s.buf, s.db[id])
 	return s.buf
 }
-func (s *fleetingStore) Len() int      { return len(s.db) }
-func (*fleetingStore) LinkTrace(int64) {}
+func (s *fleetingStore) Len() int { return len(s.db) }
 
 // Nothing in a probe keeps a fetched row past the comparison it was fetched
 // for — not the collector, not the trace, not the observers — so a store may

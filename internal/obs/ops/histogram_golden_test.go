@@ -5,6 +5,9 @@ import (
 	"math"
 	"runtime/metrics"
 	"testing"
+	"time"
+
+	"lbkeogh/internal/obs"
 )
 
 // Captured at commit 0bf7dc8, before the bucket loop moved into
@@ -28,5 +31,42 @@ func TestRuntimeHistogramGolden(t *testing.T) {
 	writeRuntimeHistogram(&buf, "shapeserver_go_gc_pause_seconds", "GC pauses.", h)
 	if got := buf.String(); got != runtimeHistogramGolden {
 		t.Errorf("writeRuntimeHistogram:\n%s\nwant:\n%s", got, runtimeHistogramGolden)
+	}
+}
+
+// Captured at commit 0bf7dc8 from the segment store's fetch and column-read
+// histograms (since removed), before the bucket loop moved into
+// WriteHistogram; unchanged since it moved on into WriteDurationHistogram,
+// which the serving layer's request histogram shares.
+const durationHistogramGolden = `lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="1e-09"} 1
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="1.024e-06"} 3
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="4.096e-06"} 3 # {trace_id="3"} 3e-06 1.7000000002499998e+09
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="0.000131072"} 5 # {trace_id="4"} 7.0001e-05 1.7000000002499998e+09
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="+Inf"} 6 # {trace_id="5"} 35184.372088832 1.7000000002499998e+09
+lbkeogh_store_fetch_duration_seconds_sum{temperature="cold"} 35184.372230734
+lbkeogh_store_fetch_duration_seconds_count{temperature="cold"} 6
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="1e-09"} 1
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="1.024e-06"} 3
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="0.000131072"} 5
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="+Inf"} 6
+lbkeogh_store_read_duration_seconds_sum{column="raw",temperature="warm"} 35184.372230734
+lbkeogh_store_read_duration_seconds_count{column="raw",temperature="warm"} 6
+`
+
+func TestWriteDurationHistogramGolden(t *testing.T) {
+	var h obs.Histogram
+	for _, v := range []int64{1, 900, 1000, 70000, 70001, 1 << 45} {
+		h.Observe(v)
+	}
+	wall := time.Unix(1700000000, 250000000)
+	var ex [obs.HistogramBuckets + 1]string
+	ex[12] = FormatExemplar(3, 3000, wall)
+	ex[17] = FormatExemplar(4, 70001, wall)
+	ex[obs.HistogramBuckets] = FormatExemplar(5, 1<<45, wall)
+	var buf bytes.Buffer
+	WriteDurationHistogram(&buf, "lbkeogh_store_fetch_duration_seconds", `temperature="cold"`, &h, &ex)
+	WriteDurationHistogram(&buf, "lbkeogh_store_read_duration_seconds", `column="raw",temperature="warm"`, &h, nil)
+	if got := buf.String(); got != durationHistogramGolden {
+		t.Errorf("WriteDurationHistogram:\n%s\nwant:\n%s", got, durationHistogramGolden)
 	}
 }

@@ -1,11 +1,26 @@
+// Package storeobs is the segment store's lifecycle journal: a bounded ring
+// of the events that change what is on disk or what is served — segments
+// created, sealed, compacted, unlinked or found orphaned, manifest swaps,
+// ingest batches, snapshot pins and releases — with per-kind counters that
+// reconcile against the store's own ingest and compaction counters.
+//
+// Reads are not journalled. The index counts and times every fetch it makes
+// (its trace's fetch span and disk_read stage), and the store counts them
+// again in DB.Reads; a cold page cache shows as major page faults.
+//
+// A nil *Journal is a no-op sink, so a store or bulk writer with none
+// attached pays one nil check per event.
 package storeobs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"sync"
 	"time"
+
+	"lbkeogh/internal/obs/ops"
 )
 
 // Storage event kinds. The vocabulary is closed so metric exposition can
@@ -180,4 +195,19 @@ func (j *Journal) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// WriteMetrics emits lbkeogh_store_journal_events_total, zero-filled over the
+// whole kind vocabulary, in Prometheus text form. A nil journal writes
+// nothing.
+func (j *Journal) WriteMetrics(w io.Writer) {
+	if j == nil {
+		return
+	}
+	ops.WriteFamily(w, "lbkeogh_store_journal_events_total", "counter",
+		"Storage event journal entries by kind; reconciles with the store's ingest/compaction counters.")
+	counts := j.Counts()
+	for _, kind := range EventKinds {
+		fmt.Fprintf(w, "lbkeogh_store_journal_events_total{kind=%q} %d\n", kind, counts[kind])
+	}
 }

@@ -3,7 +3,6 @@ package storeobs
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"lbkeogh/internal/obs/expofmt"
 )
@@ -56,107 +55,26 @@ func TestJournalNilSafe(t *testing.T) {
 	}
 }
 
-func TestSegmentAccountColdWarm(t *testing.T) {
-	r := NewRecorder(Config{})
-	a := r.Segment("seg-000001.lbseg", 3*PageSize)
-
-	if a.Covered(0, 512) {
-		t.Fatal("untouched range reports covered")
-	}
-	a.ObserveRead(ColRaw, 0, 512, 1000)
-	if !a.Covered(0, 512) {
-		t.Fatal("touched range not covered")
-	}
-	if a.Covered(PageSize, 8) {
-		t.Fatal("page 1 covered before any touch")
-	}
-	// Same page again: warm, no new pages.
-	a.ObserveRead(ColRaw, 512, 512, 1000)
-	// Straddle pages 1-2: cold, two new pages.
-	a.ObserveRead(ColFFT, PageSize+PageSize/2, PageSize, 1000)
-
-	tot := r.Totals()
-	if tot.FaultedPages != 3 {
-		t.Fatalf("faulted pages = %d, want 3", tot.FaultedPages)
-	}
-	if want := int64(512 + 512 + PageSize); tot.RequestedBytes != want {
-		t.Fatalf("requested bytes = %d, want %d", tot.RequestedBytes, want)
-	}
-	wantAmp := float64(3*PageSize) / float64(512+512+PageSize)
-	if amp := tot.ReadAmplification(); amp < wantAmp-1e-9 || amp > wantAmp+1e-9 {
-		t.Fatalf("read amplification = %v, want %v", amp, wantAmp)
-	}
-
-	segs := r.Segments()
-	if len(segs) != 1 {
-		t.Fatalf("got %d segments, want 1", len(segs))
-	}
-	s := segs[0]
-	if s.Reads[ColRaw] != 2 || s.Reads[ColFFT] != 1 {
-		t.Fatalf("per-column reads = %v", s.Reads)
-	}
-	if s.TouchedPages != 3 || s.Pages != 3 {
-		t.Fatalf("touched/total pages = %d/%d, want 3/3", s.TouchedPages, s.Pages)
-	}
-	if s.LastAccess.IsZero() {
-		t.Fatal("no last-access time")
-	}
-
-	r.DropSegment("seg-000001.lbseg")
-	if len(r.Segments()) != 0 {
-		t.Fatal("dropped segment still listed")
-	}
-}
-
-func TestSegmentAccountIdempotentRegistration(t *testing.T) {
-	r := NewRecorder(Config{})
-	a := r.Segment("x.lbseg", PageSize)
-	if r.Segment("x.lbseg", PageSize) != a {
-		t.Fatal("re-registration returned a different account")
-	}
-}
-
-func TestObserveFetchAndLinkTrace(t *testing.T) {
-	r := NewRecorder(Config{SlowFetchThreshold: time.Hour})
-	r.ObserveFetch(true, 5*time.Millisecond) // cold: pins an exemplar slot
-	r.ObserveFetch(false, time.Microsecond)  // warm, fast: no slot
-	tot := r.Totals()
-	if tot.ColdFetches != 1 || tot.WarmFetches != 1 {
-		t.Fatalf("cold/warm = %d/%d, want 1/1", tot.ColdFetches, tot.WarmFetches)
-	}
-
+// A store with no journal attached scrapes and dumps as nothing.
+func TestNilJournalWritesNothing(t *testing.T) {
+	var j *Journal
+	j.Record(Event{Kind: EventManifestSwap})
 	var sb strings.Builder
-	r.WriteMetrics(&sb)
-	if strings.Contains(sb.String(), "trace_id") {
-		t.Fatal("exemplar emitted before any trace was linked")
-	}
-
-	r.LinkTrace(42)
-	sb.Reset()
-	r.WriteMetrics(&sb)
-	if !strings.Contains(sb.String(), `# {trace_id="42"}`) {
-		t.Fatal("linked exemplar not emitted")
+	j.WriteMetrics(&sb)
+	if err := j.WriteJSONL(&sb); err != nil || sb.Len() != 0 {
+		t.Fatalf("nil journal wrote %q (err %v)", sb.String(), err)
 	}
 }
 
 func TestWriteMetricsParses(t *testing.T) {
-	r := NewRecorder(Config{})
-	a := r.Segment("seg-000001.lbseg", 2*PageSize)
-	a.ObserveRead(ColRaw, 0, 1024, 2500)
-	a.ObserveRead(ColPAA, PageSize, 64, 900)
-	r.ObserveFetch(true, 3*time.Millisecond)
-	r.ObserveFetch(false, 40*time.Microsecond)
-	r.LinkTrace(7)
-	r.Journal().Record(Event{Kind: EventSegmentCreated, Segment: "seg-000001.lbseg"})
+	j := NewJournal(0, nil)
+	j.Record(Event{Kind: EventSegmentCreated, Segment: "seg-000001.lbseg"})
 
 	var sb strings.Builder
-	r.WriteMetrics(&sb)
+	j.WriteMetrics(&sb)
 	exp, err := expofmt.Parse(sb.String())
 	if err != nil {
 		t.Fatalf("exposition does not parse: %v\n%s", err, sb.String())
-	}
-	if got := exp.Counter("lbkeogh_store_fetches_total", map[string]string{"temperature": "cold"}); got != 1 {
-		t.Fatalf("cold fetches = %d, want 1", got)
 	}
 	if got := exp.Counter("lbkeogh_store_journal_events_total", map[string]string{"kind": "segment_created"}); got != 1 {
 		t.Fatalf("journal counter = %d, want 1", got)
@@ -167,27 +85,7 @@ func TestWriteMetricsParses(t *testing.T) {
 			t.Fatalf("journal family missing kind %q", kind)
 		}
 	}
-	if v, ok := exp.Value("lbkeogh_store_read_amplification", nil); !ok || v <= 0 {
-		t.Fatalf("read_amplification = %v, want > 0", v)
-	}
-}
-
-func TestNilRecorderIsNoop(t *testing.T) {
-	var r *Recorder
-	r.ObserveFetch(true, time.Second)
-	r.LinkTrace(9)
-	r.Segment("x", 100).ObserveRead(ColRaw, 0, 8, 1)
-	r.DropSegment("x")
-	r.Journal().Record(Event{Kind: EventManifestSwap})
-	if r.Totals() != (Totals{}) {
-		t.Fatal("nil recorder accumulated totals")
-	}
-	var sb strings.Builder
-	r.WriteMetrics(&sb)
-	if sb.Len() != 0 {
-		t.Fatal("nil recorder wrote metrics")
-	}
-	if s := r.Segments(); s != nil {
-		t.Fatal("nil recorder listed segments")
+	if len(exp.Types) != 1 {
+		t.Fatalf("exposition has %d families, want the journal's one", len(exp.Types))
 	}
 }

@@ -179,9 +179,9 @@ func (s *Snapshot) Features() (mags, paas [][]float64) {
 // Ingest and Compact can swap the live set with a single atomic pointer
 // store: in-flight readers keep their generation mapped until they finish.
 //
-// DB implements the index.SeriesStore contract (Fetch/Len/LinkTrace), and so
-// does its Pinned view; Reads is the store's own count of fetches through
-// either, whoever made them.
+// DB implements the index.SeriesStore contract (Fetch/Len), and so does its
+// Pinned view; Reads is the store's own count of fetches through either,
+// whoever made them.
 type DB struct {
 	dir  string
 	dims int // requested feature dims for the first segment of an empty store
@@ -199,10 +199,9 @@ type DB struct {
 	ingestedRecords atomic.Int64
 	busy            atomic.Int64 // in-flight Ingest/Compact operations
 
-	// obs, when set, is the storage observability recorder (storeobs): the
-	// fetch path loads it once per Fetch — the one nil check the disabled
-	// path pays — and mutators journal lifecycle events through it.
-	obs atomic.Pointer[storeobs.Recorder]
+	// jrn, when set, receives the lifecycle events mutators cause (a nil
+	// journal records nothing).
+	jrn atomic.Pointer[storeobs.Journal]
 
 	// orphans lists .lbseg files present in dir but absent from the manifest
 	// at open — ignored for serving, surfaced via Stats and the journal.
@@ -252,7 +251,7 @@ func OpenDB(dir string, dims int, opts ...OpenOption) (*DB, error) {
 	// Orphaned segment files — debris from a crash between segment write and
 	// manifest swap, or from foreign tooling — are never served: the
 	// manifest is the sole source of truth. They are recorded so operators
-	// (Stats.Orphans, journal events once an observer attaches) see them
+	// (Stats.Orphans, journal events once a journal attaches) see them
 	// instead of silently losing the disk space.
 	known := make(map[string]bool, len(m.Segments))
 	for _, ms := range m.Segments {
@@ -271,24 +270,20 @@ func OpenDB(dir string, dims int, opts ...OpenOption) (*DB, error) {
 	return db, nil
 }
 
-// SetObserver attaches a storage observability recorder: every live segment
-// gets an access account, lifecycle events flow into the recorder's
-// journal, and Fetch classifies cold/warm. Meant to be called once, right
-// after OpenDB and before serving; nil detaches. With no observer attached
-// the fetch path costs one atomic nil check.
-func (db *DB) SetObserver(rec *storeobs.Recorder) {
+// SetJournal attaches a storage event journal: the orphans found at open and
+// the current generation's pin are recorded at once, and every later ingest,
+// compaction, manifest swap, snapshot release and segment unlink as it
+// happens. Meant to be called once, right after OpenDB and before serving;
+// nil detaches.
+func (db *DB) SetJournal(j *storeobs.Journal) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.obs.Store(rec)
+	db.jrn.Store(j)
 	s := db.cur.Load()
-	for _, r := range s.segs {
-		r.setObserver(rec)
-	}
-	if rec == nil {
-		return
-	}
-	j := rec.Journal()
 	s.jrn.Store(j)
+	for _, r := range s.segs {
+		r.jrn.Store(j)
+	}
 	for _, name := range db.orphans {
 		j.Record(storeobs.Event{
 			Kind:    storeobs.EventSegmentOrphaned,
@@ -303,17 +298,8 @@ func (db *DB) SetObserver(rec *storeobs.Recorder) {
 	})
 }
 
-// Observer returns the attached storage recorder (nil when detached).
-func (db *DB) Observer() *storeobs.Recorder { return db.obs.Load() }
-
-// LinkTrace forwards a just-assigned trace ID to the storage recorder's
-// pending fetch exemplars — the seam the index layer's finishTrace uses to
-// attribute slow/cold store fetches to retained query traces.
-func (db *DB) LinkTrace(id int64) {
-	if rec := db.obs.Load(); rec != nil {
-		rec.LinkTrace(id)
-	}
-}
+// Journal returns the attached storage event journal (nil when none is).
+func (db *DB) Journal() *storeobs.Journal { return db.jrn.Load() }
 
 // Acquire returns a reference-counted view of the current generation. The
 // caller must Release it. Never nil, even for an empty store.
@@ -370,31 +356,21 @@ func (db *DB) Fetch(id int) []float64 {
 }
 
 // fetch is one counted read of record id through s, which the caller holds:
-// the row comes back as a view into s's mappings. The clock is read only
-// when a storage observer wants the fetch classified and timed.
+// the row comes back as a view into s's mappings. Timing it is the caller's
+// business (the index's fetch span).
 func (db *DB) fetch(s *Snapshot, id int) []float64 {
 	if id < 0 || id >= s.total {
 		panic(fmt.Sprintf("segment: fetch id %d out of range [0,%d)", id, s.total))
 	}
-	rec := db.obs.Load() // the disabled-observability path pays this nil check only
-	var start time.Time
-	cold := false
 	r, li := s.locate(id)
-	if rec != nil {
-		start = time.Now()
-		cold = !r.rawCovered(li)
-	}
 	v := r.Series(li)
 	db.reads.Add(1)
-	if rec != nil {
-		rec.ObserveFetch(cold, time.Since(start))
-	}
 	return v
 }
 
 // Pinned is the store as one held snapshot shows it — the index.SeriesStore
-// of an index built over that snapshot. Its Fetch counts and observes a read
-// exactly as DB.Fetch does but returns the row as a view, not a copy: it is
+// of an index built over that snapshot. Its Fetch counts a read exactly as
+// DB.Fetch does but returns the row as a view, not a copy: it is
 // valid only until the snapshot is released, and only to read.
 type Pinned struct {
 	db   *DB
@@ -410,9 +386,6 @@ func (p Pinned) Fetch(id int) []float64 { return p.db.fetch(p.snap, id) }
 
 // Len returns the pinned snapshot's record count.
 func (p Pinned) Len() int { return p.snap.total }
-
-// LinkTrace forwards to DB.LinkTrace.
-func (p Pinned) LinkTrace(id int64) { p.db.LinkTrace(id) }
 
 // Reads returns the number of record fetches since the last reset.
 func (db *DB) Reads() int { return int(db.reads.Load()) }
@@ -503,23 +476,21 @@ func (db *DB) Ingest(series [][]float64, labels []int64) (firstID int, err error
 	db.dims = d
 	db.ingests.Add(1)
 	db.ingestedRecords.Add(int64(len(series)))
-	if rec := db.obs.Load(); rec != nil {
-		j := rec.Journal()
-		j.Record(storeobs.Event{
-			Kind:       storeobs.EventSegmentCreated,
-			Segment:    filepath.Base(path),
-			Generation: next.gen,
-			Records:    int64(len(series)),
-			Bytes:      r.size,
-		})
-		j.Record(storeobs.Event{
-			Kind:            storeobs.EventIngestBatch,
-			Generation:      next.gen,
-			Records:         int64(len(series)),
-			Bytes:           r.size,
-			DurationSeconds: time.Since(opStart).Seconds(),
-		})
-	}
+	j := db.jrn.Load()
+	j.Record(storeobs.Event{
+		Kind:       storeobs.EventSegmentCreated,
+		Segment:    filepath.Base(path),
+		Generation: next.gen,
+		Records:    int64(len(series)),
+		Bytes:      r.size,
+	})
+	j.Record(storeobs.Event{
+		Kind:            storeobs.EventIngestBatch,
+		Generation:      next.gen,
+		Records:         int64(len(series)),
+		Bytes:           r.size,
+		DurationSeconds: time.Since(opStart).Seconds(),
+	})
 	return old.total, nil
 }
 
@@ -601,8 +572,7 @@ func (db *DB) Compact(minRecords int64) (merged int, err error) {
 		replacedBytes += r.size
 		replacedRecords += r.m
 	}
-	if rec := db.obs.Load(); rec != nil {
-		j := rec.Journal()
+	if j := db.jrn.Load(); j != nil {
 		var createdBytes int64
 		for _, r := range segs {
 			for _, c := range created {
@@ -674,14 +644,12 @@ func (db *DB) publish(segs []*Reader, old *Snapshot, n, d int) (*Snapshot, error
 		next.Release()
 		return nil, err
 	}
-	if rec := db.obs.Load(); rec != nil {
-		// Segments opened by this mutation get their accounts here (existing
-		// accounts are reused), and the new generation carries the journal so
-		// its eventual retirement is recorded.
+	if j := db.jrn.Load(); j != nil {
+		// Segments opened by this mutation record their eventual unlink, and
+		// the new generation its eventual retirement.
 		for _, r := range segs {
-			r.setObserver(rec)
+			r.jrn.Store(j)
 		}
-		j := rec.Journal()
 		next.jrn.Store(j)
 		j.Record(storeobs.Event{
 			Kind:       storeobs.EventManifestSwap,

@@ -90,7 +90,8 @@ func decodeHeader(buf []byte) (header, error) {
 	h.d = int(binary.LittleEndian.Uint32(buf[20:]))
 	h.count = int64(binary.LittleEndian.Uint64(buf[24:]))
 	h.tableOff = int64(binary.LittleEndian.Uint64(buf[32:]))
-	if h.n <= 0 || h.d <= 0 || h.count < 0 || h.sections != numSections || h.tableOff != headerSize {
+	// The writer never produces n < 2 or d outside [1, n/2] (NewWriter).
+	if h.n < 2 || h.d < 1 || h.d > h.n/2 || h.count < 0 || h.sections != numSections || h.tableOff != headerSize {
 		return h, fmt.Errorf("segment: corrupt header (n=%d d=%d count=%d sections=%d table=%d)",
 			h.n, h.d, h.count, h.sections, h.tableOff)
 	}

@@ -27,104 +27,6 @@ func bulkStore(t *testing.T, dir string, count int, perSegment int64) {
 	}
 }
 
-func TestFetchObservabilityReconciles(t *testing.T) {
-	dir := t.TempDir()
-	bulkStore(t, dir, 64, 32)
-	db, err := OpenDB(dir, testD)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	rec := storeobs.NewRecorder(storeobs.Config{})
-	db.SetObserver(rec)
-	if db.Observer() != rec {
-		t.Fatal("Observer did not return the attached recorder")
-	}
-
-	db.ResetReads()
-	for id := 0; id < 64; id++ {
-		db.Fetch(id)
-	}
-	tot := rec.Totals()
-	if got, want := tot.Fetches(), int64(db.Reads()); got != want {
-		t.Fatalf("storeobs fetches %d != store reads %d", got, want)
-	}
-	if tot.ColdFetches == 0 {
-		t.Fatal("first pass over a fresh store produced no cold fetches")
-	}
-	if tot.RequestedBytes == 0 || tot.FaultedPages == 0 {
-		t.Fatalf("no read-amplification accounting: %+v", tot)
-	}
-
-	// A second pass touches no new pages: cold count must not move.
-	coldAfterFirst := tot.ColdFetches
-	for id := 0; id < 64; id++ {
-		db.Fetch(id)
-	}
-	tot = rec.Totals()
-	if tot.ColdFetches != coldAfterFirst {
-		t.Fatalf("warm re-read grew cold count %d -> %d", coldAfterFirst, tot.ColdFetches)
-	}
-	if got, want := tot.Fetches(), int64(db.Reads()); got != want {
-		t.Fatalf("storeobs fetches %d != store reads %d after second pass", got, want)
-	}
-
-	// Per-segment accounts saw only raw-column reads from Fetch.
-	segs := rec.Segments()
-	if len(segs) != 2 {
-		t.Fatalf("recorder tracks %d segments, want 2", len(segs))
-	}
-	for _, s := range segs {
-		if s.Reads[storeobs.ColRaw] == 0 {
-			t.Fatalf("segment %s has no raw reads", s.Segment)
-		}
-		if s.LastAccess.IsZero() {
-			t.Fatalf("segment %s has no last-access time", s.Segment)
-		}
-	}
-}
-
-// Cold/warm classification is a pure function of the access sequence and the
-// on-disk layout — not of the backend. Two identical passes under pread and
-// one under the default backend must agree exactly (the S6 determinism
-// pin).
-func TestColdWarmDeterministicAcrossBackends(t *testing.T) {
-	dir := t.TempDir()
-	bulkStore(t, dir, 100, 40)
-
-	coldCount := func(opts ...OpenOption) (int64, int64) {
-		db, err := OpenDB(dir, testD, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer db.Close()
-		rec := storeobs.NewRecorder(storeobs.Config{})
-		db.SetObserver(rec)
-		for pass := 0; pass < 2; pass++ {
-			for id := 0; id < 100; id += 3 {
-				db.Fetch(id)
-			}
-		}
-		tot := rec.Totals()
-		return tot.ColdFetches, tot.FaultedPages
-	}
-
-	pread1, pages1 := coldCount(WithoutDataCRC(), WithPread())
-	pread2, pages2 := coldCount(WithoutDataCRC(), WithPread())
-	def, pagesDef := coldCount(WithoutDataCRC())
-	if pread1 != pread2 || pages1 != pages2 {
-		t.Fatalf("pread classification not deterministic: cold %d vs %d, pages %d vs %d",
-			pread1, pread2, pages1, pages2)
-	}
-	if pread1 != def || pages1 != pagesDef {
-		t.Fatalf("pread and default backends disagree: cold %d vs %d, pages %d vs %d",
-			pread1, def, pages1, pagesDef)
-	}
-	if pread1 == 0 {
-		t.Fatal("no cold fetches on a fresh store")
-	}
-}
-
 func TestJournalLifecycleReconciles(t *testing.T) {
 	dir := t.TempDir()
 	db, err := OpenDB(dir, testD)
@@ -132,9 +34,11 @@ func TestJournalLifecycleReconciles(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	rec := storeobs.NewRecorder(storeobs.Config{})
-	db.SetObserver(rec)
-	j := rec.Journal()
+	j := storeobs.NewJournal(0, nil)
+	db.SetJournal(j)
+	if db.Journal() != j {
+		t.Fatal("Journal did not return the attached journal")
+	}
 
 	ingestBatch(t, db, 0, 10)
 	ingestBatch(t, db, 10, 10)
@@ -161,22 +65,13 @@ func TestJournalLifecycleReconciles(t *testing.T) {
 	if got := counts[storeobs.EventSegmentUnlinked]; got != 2 {
 		t.Fatalf("segment_unlinked events = %d, want 2", got)
 	}
-	// Pins: one at SetObserver + one per publish; releases: the two retired
-	// publish generations (the SetObserver-time generation retired too).
+	// Pins: one at SetJournal + one per publish; releases: the two retired
+	// publish generations (the SetJournal-time generation retired too).
 	if got := counts[storeobs.EventSnapshotPin]; got != 4 {
 		t.Fatalf("snapshot_pin events = %d, want 4", got)
 	}
 	if got := counts[storeobs.EventSnapshotRelease]; got != 3 {
 		t.Fatalf("snapshot_release events = %d, want 3", got)
-	}
-
-	// Unlinked segments left the per-segment accounts.
-	if segs := rec.Segments(); len(segs) != 1 {
-		names := make([]string, 0, len(segs))
-		for _, s := range segs {
-			names = append(names, s.Segment)
-		}
-		t.Fatalf("recorder still tracks %v, want only the merged segment", names)
 	}
 
 	// The compaction event carries reclaimed-space accounting.
@@ -325,9 +220,9 @@ func TestManifestRecovery(t *testing.T) {
 			if len(st.Orphans) != tc.orphans {
 				t.Fatalf("Stats.Orphans = %v, want %d entries", st.Orphans, tc.orphans)
 			}
-			rec := storeobs.NewRecorder(storeobs.Config{})
-			db.SetObserver(rec)
-			if got := rec.Journal().Counts()[storeobs.EventSegmentOrphaned]; got != int64(tc.orphans) {
+			j := storeobs.NewJournal(0, nil)
+			db.SetJournal(j)
+			if got := j.Counts()[storeobs.EventSegmentOrphaned]; got != int64(tc.orphans) {
 				t.Fatalf("segment_orphaned events = %d, want %d", got, tc.orphans)
 			}
 		})
@@ -335,23 +230,20 @@ func TestManifestRecovery(t *testing.T) {
 }
 
 // Pinned.Fetch is DB.Fetch minus the Acquire/Release pair and the copy: same
-// rows, same reads count, same cold/warm classification, same range panic —
-// and rows that stay readable through a compaction because the pin outlives
-// it.
+// rows, same reads count, same range panic — and rows that stay readable
+// through a compaction because the pin outlives it.
 func TestPinnedFetchMatchesFetch(t *testing.T) {
 	dir := t.TempDir()
 	bulkStore(t, dir, 100, 40)
 
-	// The access sequence of one store, read through fetch, as the storage
-	// observer classifies it.
-	run := func(fetch func(db *DB) func(id int) []float64) (cold, fetches int64, reads int) {
+	// The reads count of one access sequence over one store, read through
+	// fetch.
+	run := func(fetch func(db *DB) func(id int) []float64) int {
 		db, err := OpenDB(dir, testD)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer db.Close()
-		rec := storeobs.NewRecorder(storeobs.Config{})
-		db.SetObserver(rec)
 		f := fetch(db)
 		for pass := 0; pass < 2; pass++ {
 			for id := 0; id < 100; id += 3 {
@@ -360,18 +252,16 @@ func TestPinnedFetchMatchesFetch(t *testing.T) {
 				}
 			}
 		}
-		tot := rec.Totals()
-		return tot.ColdFetches, tot.Fetches(), db.Reads()
+		return db.Reads()
 	}
-	wantCold, wantFetches, wantReads := run(func(db *DB) func(int) []float64 { return db.Fetch })
-	gotCold, gotFetches, gotReads := run(func(db *DB) func(int) []float64 {
+	wantReads := run(func(db *DB) func(int) []float64 { return db.Fetch })
+	gotReads := run(func(db *DB) func(int) []float64 {
 		snap := db.Acquire()
 		t.Cleanup(snap.Release)
 		return db.Pinned(snap).Fetch
 	})
-	if gotCold != wantCold || gotFetches != wantFetches || gotReads != wantReads {
-		t.Fatalf("pinned: cold %d fetches %d reads %d; DB.Fetch: %d %d %d",
-			gotCold, gotFetches, gotReads, wantCold, wantFetches, wantReads)
+	if gotReads != wantReads || wantReads != 68 {
+		t.Fatalf("pinned: reads %d; DB.Fetch: %d; want 68 (2 passes × 34 ids)", gotReads, wantReads)
 	}
 
 	db, err := OpenDB(dir, testD)

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync/atomic"
-	"time"
 
 	"lbkeogh/internal/obs/storeobs"
 )
@@ -46,8 +45,8 @@ func WithoutDataCRC() OpenOption {
 
 // WithPread forces the positioned-read backend even where mmap is available
 // — the same code path as non-Unix platforms and the lbkeogh_pread build
-// tag. Used by tests pinning cold/warm classification determinism without
-// cross-compiling.
+// tag. Lets tests and the fuzzer read every file through both backends
+// without cross-compiling.
 func WithPread() OpenOption {
 	return func(c *openConfig) { c.forcePread = true }
 }
@@ -74,11 +73,9 @@ type Reader struct {
 	// compaction marks replaced segments with it.
 	removeOnClose atomic.Bool
 
-	// acct/obsRec attach storage observability (storeobs). nil acct — the
-	// default — keeps every accessor on its uninstrumented path behind a
-	// single atomic-pointer nil check.
-	acct   atomic.Pointer[storeobs.SegmentAccount]
-	obsRec atomic.Pointer[storeobs.Recorder]
+	// jrn, when set by the owning DB, receives the segment_unlinked event
+	// when a compaction-replaced file is finally removed.
+	jrn atomic.Pointer[storeobs.Journal]
 }
 
 // Open validates path's header, section table, and (unless WithoutDataCRC)
@@ -125,23 +122,24 @@ func Open(path string, opts ...OpenOption) (*Reader, error) {
 			f.Close()
 			return nil, fmt.Errorf("segment: %s: section %d has kind %d, want %d", path, i, s.kind, want)
 		}
-		var wantLen int64
+		// A section holds count records of recBytes each. Checked by division:
+		// count·recBytes can wrap int64 and match a short section.
+		recBytes := int64(8)
 		switch want {
 		case kindRaw:
-			wantLen = h.count * int64(h.n) * 8
+			recBytes *= int64(h.n)
 		case kindFFT, kindPAA:
-			wantLen = h.count * int64(h.d) * 8
-		case kindMeta:
-			wantLen = h.count * 8
+			recBytes *= int64(h.d)
 		}
-		if s.length != wantLen {
+		if s.length%recBytes != 0 || s.length/recBytes != h.count {
 			f.Close()
-			return nil, fmt.Errorf("segment: %s: section %d length %d, want %d", path, i, s.length, wantLen)
+			return nil, fmt.Errorf("segment: %s: section %d length %d is not %d records of %d bytes",
+				path, i, s.length, h.count, recBytes)
 		}
-		if s.off+s.length > size {
+		if s.off > size || s.length > size-s.off {
 			f.Close()
-			return nil, fmt.Errorf("segment: %s: truncated (section %d ends at %d, file is %d bytes)",
-				path, i, s.off+s.length, size)
+			return nil, fmt.Errorf("segment: %s: truncated (section %d spans %d+%d bytes, file is %d bytes)",
+				path, i, s.off, s.length, size)
 		}
 		r.secs[i] = s
 	}
@@ -214,65 +212,16 @@ func (r *Reader) ZeroCopy() bool { return r.be.zeroCopy() && canViewFloats }
 
 // floatRecord returns record i of a float64 column as a []float64: a
 // zero-copy view when the backend maps and the architecture is
-// little-endian, a decoded heap copy otherwise. With a storeobs account
-// attached it detours to the observed variant; detached, the only extra
-// cost is the acct nil check.
+// little-endian, a decoded heap copy otherwise.
 func (r *Reader) floatRecord(sec int, i int, width int) []float64 {
-	off := r.secs[sec].off + int64(i)*int64(width)*8
-	if acct := r.acct.Load(); acct != nil {
-		return r.observedFloatRecord(acct, sec, off, i, width)
-	}
-	if r.be.zeroCopy() {
-		b, err := r.be.record(off, width*8, nil)
-		if err != nil {
-			panic(fmt.Sprintf("segment: %s record %d: %v", r.path, i, err))
-		}
-		return floatsOf(b, width)
-	}
-	b, err := r.be.record(off, width*8, nil)
+	b, err := r.be.record(r.secs[sec].off+int64(i)*int64(width)*8, width*8, nil)
 	if err != nil {
 		panic(fmt.Sprintf("segment: %s record %d: %v", r.path, i, err))
 	}
-	return decodeFloats(b, width)
-}
-
-// observedFloatRecord is floatRecord with storage accounting: the read is
-// timed with every page of the record forced resident inside the timed
-// region (under mmap the fault otherwise lands outside any measurable span,
-// whenever the caller first dereferences the view), then folded into the
-// account — which classifies it cold or warm by its first-touch page
-// bitmap, a classification deterministic across the mmap and pread
-// backends.
-func (r *Reader) observedFloatRecord(acct *storeobs.SegmentAccount, sec int, off int64, i, width int) []float64 {
-	start := time.Now()
-	b, err := r.be.record(off, width*8, nil)
-	if err != nil {
-		panic(fmt.Sprintf("segment: %s record %d: %v", r.path, i, err))
-	}
-	touchPages(b)
-	acct.ObserveRead(sec, off, int64(width)*8, time.Since(start).Nanoseconds())
 	if r.be.zeroCopy() {
 		return floatsOf(b, width)
 	}
 	return decodeFloats(b, width)
-}
-
-// pageTouchSink keeps touchPages' loads observable so the compiler cannot
-// elide them; atomic, because concurrent readers all write it.
-var pageTouchSink atomic.Uint32
-
-// touchPages reads one byte per accounting page of b (plus the final byte)
-// so that any page faults are taken here, inside the caller's timed region.
-func touchPages(b []byte) {
-	if len(b) == 0 {
-		return
-	}
-	var s byte
-	for j := 0; j < len(b); j += storeobs.PageSize {
-		s += b[j]
-	}
-	s += b[len(b)-1]
-	pageTouchSink.Store(uint32(s))
 }
 
 // Series returns record i's full-resolution series. Zero-copy under mmap on
@@ -306,47 +255,12 @@ func (r *Reader) PAA(i int) []float64 {
 
 // Label returns record i's metadata label.
 func (r *Reader) Label(i int) int64 {
-	off := r.secs[3].off + int64(i)*8
 	var scratch [8]byte
-	if acct := r.acct.Load(); acct != nil {
-		start := time.Now()
-		b, err := r.be.record(off, 8, scratch[:])
-		if err != nil {
-			panic(fmt.Sprintf("segment: %s meta %d: %v", r.path, i, err))
-		}
-		touchPages(b)
-		acct.ObserveRead(storeobs.ColMeta, off, 8, time.Since(start).Nanoseconds())
-		return int64(binary.LittleEndian.Uint64(b))
-	}
-	b, err := r.be.record(off, 8, scratch[:])
+	b, err := r.be.record(r.secs[3].off+int64(i)*8, 8, scratch[:])
 	if err != nil {
 		panic(fmt.Sprintf("segment: %s meta %d: %v", r.path, i, err))
 	}
 	return int64(binary.LittleEndian.Uint64(b))
-}
-
-// rawCovered reports whether record i's raw-column bytes are already fully
-// page-covered — i.e. whether a fetch of it would be warm. Always true with
-// no account attached (everything is "warm" when nobody is measuring).
-func (r *Reader) rawCovered(i int) bool {
-	acct := r.acct.Load()
-	if acct == nil {
-		return true
-	}
-	off := r.secs[0].off + int64(i)*int64(r.n)*8
-	return acct.Covered(off, int64(r.n)*8)
-}
-
-// setObserver attaches (or, with nil, detaches) storage accounting. The
-// account is created against the recorder keyed by the segment's file name.
-func (r *Reader) setObserver(rec *storeobs.Recorder) {
-	if rec == nil {
-		r.acct.Store(nil)
-		r.obsRec.Store(nil)
-		return
-	}
-	r.obsRec.Store(rec)
-	r.acct.Store(rec.Segment(filepath.Base(r.path), r.size))
 }
 
 // retain/release implement the DB-managed share count: a reader held by k
@@ -365,16 +279,12 @@ func (r *Reader) Close() error {
 	err := r.be.close()
 	if r.removeOnClose.Load() {
 		os.Remove(r.path)
-		if rec := r.obsRec.Load(); rec != nil {
-			name := filepath.Base(r.path)
-			rec.DropSegment(name)
-			rec.Journal().Record(storeobs.Event{
-				Kind:    storeobs.EventSegmentUnlinked,
-				Segment: name,
-				Records: r.m,
-				Bytes:   r.size,
-			})
-		}
+		r.jrn.Load().Record(storeobs.Event{
+			Kind:    storeobs.EventSegmentUnlinked,
+			Segment: filepath.Base(r.path),
+			Records: r.m,
+			Bytes:   r.size,
+		})
 	}
 	return err
 }

@@ -1,6 +1,8 @@
 package segment
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -33,7 +35,7 @@ func floatsEqual(a, b []float64) bool {
 	return true
 }
 
-func writeTestSegment(t *testing.T, path string, n, d, count int) {
+func writeTestSegment(t testing.TB, path string, n, d, count int) {
 	t.Helper()
 	w, err := NewWriter(path, n, d)
 	if err != nil {
@@ -174,6 +176,25 @@ func TestOpenRejectsCorruption(t *testing.T) {
 			t.Fatal("truncated file accepted")
 		}
 	})
+	// Headers the writer never produces, with every CRC valid: a section
+	// length that matches count·width·8 only because the product wraps, and
+	// shapes outside n ≥ 2, 1 ≤ d ≤ n/2.
+	for name, b := range map[string][]byte{
+		"count-overflow-n1": craftSegment(1, 1, 1<<61+1),
+		"count-overflow-n2": craftSegment(2, 1, 1<<61+1),
+		"d-above-half-n":    craftSegment(4, 3, 1),
+	} {
+		t.Run(name, func(t *testing.T) {
+			cp := filepath.Join(t.TempDir(), "crafted.lbseg")
+			if err := os.WriteFile(cp, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if r, err := Open(cp); err == nil {
+				r.Close()
+				t.Fatalf("crafted header accepted: Len() = %d", r.Len())
+			}
+		})
+	}
 	t.Run("not-a-segment", func(t *testing.T) {
 		cp := filepath.Join(t.TempDir(), "junk.lbseg")
 		if err := os.WriteFile(cp, []byte("not a segment file at all, sorry"), 0o644); err != nil {
@@ -276,4 +297,70 @@ func TestBulkWriter(t *testing.T) {
 			t.Fatalf("label %d mismatch", id)
 		}
 	}
+}
+
+// craftSegment assembles a 512-byte segment file with valid header, table
+// and section CRCs for an arbitrary header: each of the four sections sits in
+// its own 64-byte slot from offset 256 and records count·width·8 bytes as a
+// wrapping uint64 product, the way a writer with an overflowing multiply
+// would. Widths must keep every length within 64 bytes.
+func craftSegment(n, d int, count uint64) []byte {
+	buf := make([]byte, 512)
+	copy(buf, encodeHeader(header{n: n, d: d, count: int64(count), sections: numSections, tableOff: headerSize}))
+	secs := make([]section, numSections)
+	for i, w := range []int{n, d, d, 1} {
+		length := int64(count * uint64(w) * 8)
+		off := int64(256 + 64*i)
+		secs[i] = section{kind: sectionKinds[i], off: off, length: length, crc: crc32.ChecksumIEEE(buf[off : off+length])}
+	}
+	copy(buf[headerSize:], encodeTable(secs))
+	return buf
+}
+
+// restampCRCs rewrites the header and section-table checksums of a candidate
+// segment file in place, so that fuzzed field values reach the checks behind
+// them instead of stopping at a CRC mismatch.
+func restampCRCs(b []byte) {
+	tableEnd := headerSize + numSections*entrySize
+	if len(b) < tableEnd+4 {
+		return
+	}
+	binary.LittleEndian.PutUint32(b[40:], crc32.ChecksumIEEE(b[:40]))
+	binary.LittleEndian.PutUint32(b[tableEnd:], crc32.ChecksumIEEE(b[headerSize:tableEnd]))
+}
+
+// FuzzOpen holds Open to its contract on arbitrary bytes: a file is either
+// refused or every record of every column reads back without a panic,
+// through the mapping and through positioned reads, with and without the
+// section checksums verified.
+func FuzzOpen(f *testing.F) {
+	seed := filepath.Join(f.TempDir(), "seed.lbseg")
+	writeTestSegment(f, seed, 16, 4, 3)
+	valid, err := os.ReadFile(seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(craftSegment(1, 1, 1<<61+1))
+	f.Add(craftSegment(2, 1, 1<<61+1))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		restampCRCs(data)
+		path := filepath.Join(t.TempDir(), "fuzz.lbseg")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, opts := range [][]OpenOption{nil, {WithPread()}, {WithoutDataCRC()}, {WithoutDataCRC(), WithPread()}} {
+			r, err := Open(path, opts...)
+			if err != nil {
+				continue
+			}
+			for i := 0; i < r.Len(); i++ {
+				r.Series(i)
+				r.Magnitudes(i)
+				r.PAA(i)
+				r.Label(i)
+			}
+			r.Close()
+		}
+	})
 }

@@ -183,9 +183,11 @@ func (s *Server) parse(r *http.Request, kind searchKind, rows []lbkeogh.Series) 
 	}
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
+		// Clamped in milliseconds: converting first overflows a Duration for
+		// a large enough request and turns it into an already-expired one.
+		timeout = s.cfg.MaxTimeout
+		if int64(req.TimeoutMS) <= s.cfg.MaxTimeout.Milliseconds() {
+			timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 		}
 	}
 	spec := QuerySpec{

@@ -57,7 +57,10 @@ func metricsInventory(exp *expofmt.Exposition) string {
 // page-residency sampler's lbkeogh_store_residency_* and
 // lbkeogh_store_resident_bytes (page faults against RSS and mapped bytes
 // answer the same question), then the four derived pruning-waterfall
-// families (explain.FromCounts over the outcome counters above).
+// families (explain.FromCounts over the outcome counters above), then the
+// store's fetch and page accounting — ten lbkeogh_store_ families and five
+// shapeserver_segment_ ones — leaving the journal's (the index's fetch span
+// times a fetch, shapeserver_store_reads_total counts it).
 func TestMetricsInventoryPinned(t *testing.T) {
 	session := func(t *testing.T, ts *httptest.Server, golden string) {
 		var sum obs.Counts
@@ -115,7 +118,7 @@ func TestMetricsInventoryPinned(t *testing.T) {
 		session(t, ts, staticInventoryGolden)
 	})
 	t.Run("store", func(t *testing.T) {
-		_, _, _, ts := newObservedStoreServer(t, Config{TraceLog: lbkeogh.NewTraceLog(lbkeogh.WithSampleRate(1))})
+		_, _, ts := newJournaledStoreServer(t, Config{TraceLog: lbkeogh.NewTraceLog(lbkeogh.WithSampleRate(1))})
 		if code, raw := postJSON(t, ts, "/v1/ingest", ingestBody(storeRows(7, 20, 32)), nil); code != http.StatusOK {
 			t.Fatalf("ingest: status %d body %s", code, raw)
 		}
@@ -249,17 +252,7 @@ lbkeogh_runtime_goroutines · gauge · {}
 lbkeogh_runtime_heap_bytes · gauge · {}
 lbkeogh_runtime_sched_latency_seconds · histogram · {}
 lbkeogh_runtime_total_bytes · gauge · {}
-lbkeogh_store_column_read_bytes_total · counter · {column}
-lbkeogh_store_column_reads_total · counter · {column}
-lbkeogh_store_faulted_pages_total · counter · {}
-lbkeogh_store_fetch_duration_seconds · histogram · {temperature}
-lbkeogh_store_fetches_total · counter · {temperature}
 lbkeogh_store_journal_events_total · counter · {kind}
-lbkeogh_store_read_amplification · gauge · {}
-lbkeogh_store_read_duration_seconds · histogram · {column,temperature}
-lbkeogh_store_requested_bytes_total · counter · {}
-lbkeogh_store_window_fetch_p99_seconds · gauge · {temperature}
-lbkeogh_store_window_fetches · gauge · {temperature}
 shapeserver_admitted_total · counter · {}
 shapeserver_cancelled_members · counter · {}
 shapeserver_comparisons · counter · {}
@@ -285,11 +278,6 @@ shapeserver_rejected_total · counter · {}
 shapeserver_request_duration_seconds · histogram · {endpoint}
 shapeserver_requests_total · counter · {}
 shapeserver_rotations · counter · {}
-shapeserver_segment_file_bytes · gauge · {segment}
-shapeserver_segment_last_access_age_seconds · gauge · {segment}
-shapeserver_segment_read_bytes_total · counter · {segment}
-shapeserver_segment_reads_total · counter · {segment}
-shapeserver_segment_touched_fraction · gauge · {segment}
 shapeserver_slo_error_burn_rate · gauge · {endpoint}
 shapeserver_slo_latency_burn_rate · gauge · {endpoint}
 shapeserver_slo_latency_objective_seconds · gauge · {}

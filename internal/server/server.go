@@ -23,7 +23,6 @@ import (
 	"lbkeogh"
 	"lbkeogh/internal/obs"
 	"lbkeogh/internal/obs/ops"
-	"lbkeogh/internal/obs/storeobs"
 	"lbkeogh/internal/segment"
 )
 
@@ -71,14 +70,6 @@ type Config struct {
 	// against; the zero value selects the ops defaults (250ms @ 99%, 99.9%
 	// non-error).
 	SLO ops.SLO
-
-	// StoreObs, when set alongside Store, is the storage-plane recorder the
-	// owning process attached to the store (segment.DB.SetObserver). The
-	// server surfaces it: its metric families join /metrics, per-segment
-	// heat joins the shapeserver_segment_* families, and /debug/storage
-	// renders the segment heatmap and the event journal. The server never
-	// creates it — the process owns the recorder.
-	StoreObs *storeobs.Recorder
 
 	// ExplainSampleInterval is the bound-tightness sampling interval: one of
 	// every N candidate comparisons across all requests gets its full bound
@@ -136,14 +127,13 @@ const serveDims = 16
 // Create with New, mount Handler, and call BeginDrain before shutting the
 // http.Server down so in-flight requests finish while new ones get 503s.
 type Server struct {
-	cfg      Config
-	n        int         // series length every query must match (static mode)
-	store    *segment.DB // nil in static (heap DB) mode
-	storeObs *storeobs.Recorder
-	pool     *Pool
-	adm      *Admission
-	mux      *http.ServeMux
-	tel      *telemetry
+	cfg   Config
+	n     int         // series length every query must match (static mode)
+	store *segment.DB // nil in static (heap DB) mode
+	pool  *Pool
+	adm   *Admission
+	mux   *http.ServeMux
+	tel   *telemetry
 
 	// ix is the index over Config.DB that static mode answers through, built
 	// once by New and shared by every in-flight session; nil in store mode,
@@ -204,17 +194,13 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	cfg.fillDefaults()
-	if cfg.StoreObs != nil && cfg.Store == nil {
-		return nil, fmt.Errorf("server: Config.StoreObs requires Config.Store (it observes the segment store)")
-	}
 	s := &Server{
-		cfg:      cfg,
-		n:        n,
-		store:    cfg.Store,
-		storeObs: cfg.StoreObs,
-		pool:     NewPool(cfg.PoolSize),
-		adm:      NewAdmission(cfg.MaxInflight, cfg.MaxQueue),
-		tel:      newTelemetry(cfg),
+		cfg:   cfg,
+		n:     n,
+		store: cfg.Store,
+		pool:  NewPool(cfg.PoolSize),
+		adm:   NewAdmission(cfg.MaxInflight, cfg.MaxQueue),
+		tel:   newTelemetry(cfg),
 	}
 	if cfg.ExplainSampleInterval > 0 {
 		s.sampler = lbkeogh.NewBoundSampler(cfg.ExplainSampleInterval)
@@ -330,9 +316,8 @@ func (s *Server) buildMux() *http.ServeMux {
 			s.sampler.WriteMetrics(w)
 		}
 		s.tel.writeMetrics(w)
-		if s.storeObs != nil {
-			s.storeObs.WriteMetrics(w)
-			s.writeSegmentMetrics(w)
+		if s.store != nil {
+			s.store.Journal().WriteMetrics(w)
 		}
 	}))
 	mux.Handle("/debug/lbkeogh", lbkeogh.DebugHandlerWithPanels(sources, logs, s.tel.panel(), s.explainPanel()))

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -544,6 +545,32 @@ func TestServerDefaultTimeoutApplies(t *testing.T) {
 	}
 	if code, _, raw := post(t, ts, "/v1/search", `{"query_index":0,"measure":"dtw","strategy":"brute","timeout_ms":60000}`); code != http.StatusGatewayTimeout {
 		t.Fatalf("clamped deadline: status %d, want 504 (%s)", code, raw)
+	}
+}
+
+// A timeout_ms past what a time.Duration holds in nanoseconds is clamped to
+// MaxTimeout like any other too-large request, not wrapped into an
+// already-expired deadline.
+func TestServerHugeTimeoutClampsToMax(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	for _, tc := range []struct {
+		ms   int64
+		want time.Duration
+	}{
+		{1, time.Millisecond},
+		{60000, 60 * time.Second},
+		{60001, 60 * time.Second},
+		{9300000000000, 60 * time.Second},
+		{math.MaxInt64, 60 * time.Second},
+	} {
+		body := fmt.Sprintf(`{"query_index":0,"timeout_ms":%d}`, tc.ms)
+		_, _, timeout, err := srv.parse(httptest.NewRequest(http.MethodPost, "/v1/search", strings.NewReader(body)), kindNearest, srv.cfg.DB)
+		if err != nil || timeout != tc.want {
+			t.Errorf("timeout_ms %d parsed to %v (err %v), want %v", tc.ms, timeout, err, tc.want)
+		}
+	}
+	if code, _, raw := post(t, ts, "/v1/search", `{"query_index":0,"timeout_ms":9300000000000}`); code != http.StatusOK {
+		t.Fatalf("timeout_ms 9300000000000: status %d, want 200 (%s)", code, raw)
 	}
 }
 

@@ -1,8 +1,8 @@
 package server
 
 // Storage-plane dashboard tests: /debug/storage rendering and formats, the
-// shapeserver_segment_* metric families joining a parseable /metrics, and
-// the snapshot-lifecycle regression — a handler panic must not leak its
+// journal's metric family joining a parseable /metrics, and the
+// snapshot-lifecycle regression — a handler panic must not leak its
 // pinned snapshot, or compaction could never unlink merged-away segments.
 
 import (
@@ -21,9 +21,10 @@ import (
 	"lbkeogh/internal/segment"
 )
 
-// newObservedStoreServer builds a store-backed server with storage-plane
-// observability attached, returning the store directory for on-disk asserts.
-func newObservedStoreServer(t *testing.T, cfg Config) (string, *segment.DB, *storeobs.Recorder, *httptest.Server) {
+// newJournaledStoreServer builds a store-backed server whose store has a
+// storage event journal attached, returning the store directory for on-disk
+// asserts.
+func newJournaledStoreServer(t *testing.T, cfg Config) (string, *storeobs.Journal, *httptest.Server) {
 	t.Helper()
 	dir := t.TempDir()
 	db, err := segment.OpenDB(dir, 4)
@@ -31,17 +32,16 @@ func newObservedStoreServer(t *testing.T, cfg Config) (string, *segment.DB, *sto
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	rec := storeobs.NewRecorder(storeobs.Config{})
-	db.SetObserver(rec)
+	j := storeobs.NewJournal(0, nil)
+	db.SetJournal(j)
 	cfg.Store = db
-	cfg.StoreObs = rec
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	return dir, db, rec, ts
+	return dir, j, ts
 }
 
 func getBody(t *testing.T, ts *httptest.Server, path string) (int, string) {
@@ -59,7 +59,7 @@ func getBody(t *testing.T, ts *httptest.Server, path string) (int, string) {
 }
 
 func TestDebugStoragePage(t *testing.T) {
-	_, db, rec, ts := newObservedStoreServer(t, Config{})
+	_, j, ts := newJournaledStoreServer(t, Config{})
 	if code, raw := postJSON(t, ts, "/v1/ingest", ingestBody(storeRows(21, 6, 32)), nil); code != http.StatusOK {
 		t.Fatalf("ingest: status %d body %s", code, raw)
 	}
@@ -72,24 +72,18 @@ func TestDebugStoragePage(t *testing.T) {
 	if code, raw := postJSON(t, ts, "/v1/compact", `{}`, nil); code != http.StatusOK {
 		t.Fatalf("compact: status %d body %s", code, raw)
 	}
-	// Record fetches (the index path) flow through ObserveFetch; the row
-	// scans above only feed the byte/page accountants.
-	for id := 0; id < 4; id++ {
-		db.Fetch(id)
-	}
-
-	// HTML renders with the heatmap, timeline, and journal sections.
+	// HTML renders with the segment list, timeline, and journal sections.
 	code, page := getBody(t, ts, "/debug/storage")
 	if code != http.StatusOK {
 		t.Fatalf("/debug/storage: status %d", code)
 	}
-	for _, want := range []string{"segment heatmap", "event journal", "ingest timeline", "segment_compacted", ".lbseg"} {
+	for _, want := range []string{"live segments", "event journal", "ingest timeline", "segment_compacted", ".lbseg"} {
 		if !strings.Contains(page, want) {
 			t.Errorf("/debug/storage missing %q", want)
 		}
 	}
 
-	// JSON report carries the joined per-segment rows and journal counts.
+	// JSON report carries the segment list and journal counts.
 	code, raw := getBody(t, ts, "/debug/storage?format=json")
 	if code != http.StatusOK {
 		t.Fatalf("?format=json: status %d", code)
@@ -102,10 +96,7 @@ func TestDebugStoragePage(t *testing.T) {
 		t.Fatalf("segments after compact: %+v", rep.Segments)
 	}
 	if rep.Records != 10 || rep.Segments[0].Records != 10 {
-		t.Fatalf("record join: report %d segment %d", rep.Records, rep.Segments[0].Records)
-	}
-	if rep.Totals.Fetches() != 4 || rep.Totals.RequestedBytes == 0 {
-		t.Fatalf("fetch totals: %+v", rep.Totals)
+		t.Fatalf("records: report %d segment %d", rep.Records, rep.Segments[0].Records)
 	}
 	if rep.JournalCounts[storeobs.EventSegmentCompacted] != 1 ||
 		rep.JournalCounts[storeobs.EventIngestBatch] != 2 {
@@ -121,8 +112,8 @@ func TestDebugStoragePage(t *testing.T) {
 		t.Fatalf("?format=jsonl: status %d", code)
 	}
 	lines := strings.Split(strings.TrimSpace(raw), "\n")
-	if int64(len(lines)) != rec.Journal().Len() {
-		t.Fatalf("jsonl lines %d != journal len %d", len(lines), rec.Journal().Len())
+	if int64(len(lines)) != j.Len() {
+		t.Fatalf("jsonl lines %d != journal len %d", len(lines), j.Len())
 	}
 	for _, line := range lines {
 		var ev storeobs.Event
@@ -132,20 +123,17 @@ func TestDebugStoragePage(t *testing.T) {
 	}
 }
 
-// TestStoreObsMetricsParse pins the composite /metrics page with storage
-// observability enabled: every family — library, server, storeobs, and the
-// per-segment heat — must survive the strict exposition parser, and the
-// store's fetch counter must reconcile exactly with the recorder's.
-func TestStoreObsMetricsParse(t *testing.T) {
-	_, db, rec, ts := newObservedStoreServer(t, Config{})
+// TestStoreMetricsParse pins the composite /metrics page of a store-backed
+// server with a journal attached: every family — library, server, store and
+// journal — must survive the strict exposition parser, and the journal's is
+// the only lbkeogh_store_ family.
+func TestStoreMetricsParse(t *testing.T) {
+	_, _, ts := newJournaledStoreServer(t, Config{})
 	if code, raw := postJSON(t, ts, "/v1/ingest", ingestBody(storeRows(31, 8, 32)), nil); code != http.StatusOK {
 		t.Fatalf("ingest: status %d body %s", code, raw)
 	}
 	if code, raw := postJSON(t, ts, "/v1/search", `{"query_index":3,"strategy":"brute"}`, nil); code != http.StatusOK {
 		t.Fatalf("search: status %d body %s", code, raw)
-	}
-	for id := 0; id < 8; id++ {
-		db.Fetch(id)
 	}
 
 	code, body := getBody(t, ts, "/metrics")
@@ -156,26 +144,12 @@ func TestStoreObsMetricsParse(t *testing.T) {
 	if err != nil {
 		t.Fatalf("exposition does not parse: %v", err)
 	}
-
-	fetches := exp.Counter("lbkeogh_store_fetches_total", map[string]string{"temperature": "cold"}) +
-		exp.Counter("lbkeogh_store_fetches_total", map[string]string{"temperature": "warm"})
-	reads := exp.Counter("shapeserver_store_reads_total", nil)
-	if fetches == 0 || fetches != reads {
-		t.Fatalf("recorder fetches %d != store reads %d", fetches, reads)
+	for fam := range exp.Types {
+		if strings.HasPrefix(fam, "lbkeogh_store_") && fam != "lbkeogh_store_journal_events_total" {
+			t.Errorf("metrics serve %s beside the journal's family", fam)
+		}
 	}
-	if got := rec.Totals().Fetches(); got != fetches {
-		t.Fatalf("recorder totals %d != exposed %d", got, fetches)
-	}
-
-	for _, name := range []string{
-		"shapeserver_segment_reads_total",
-		"shapeserver_segment_read_bytes_total",
-		"shapeserver_segment_file_bytes",
-		"shapeserver_segment_touched_fraction",
-		"lbkeogh_store_requested_bytes_total",
-		"lbkeogh_store_read_amplification",
-		"lbkeogh_store_journal_events_total",
-	} {
+	for _, name := range []string{"shapeserver_store_reads_total", "shapeserver_store_segment_records"} {
 		if len(exp.Find(name)) == 0 {
 			t.Errorf("metrics missing family %s", name)
 		}
@@ -189,7 +163,7 @@ func TestDebugStorageDisabledOutsideStoreObs(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	code, raw := getBody(t, ts, "/debug/storage")
 	if code != http.StatusNotFound || !strings.Contains(raw, "not enabled") {
-		t.Fatalf("/debug/storage without observer: status %d body %s", code, raw)
+		t.Fatalf("/debug/storage without a store: status %d body %s", code, raw)
 	}
 }
 
@@ -200,7 +174,7 @@ func TestDebugStorageDisabledOutsideStoreObs(t *testing.T) {
 // would keep the old generation's readers open forever.
 func TestHandlerPanicReleasesSnapshot(t *testing.T) {
 	panics := make(chan struct{}, 1)
-	dir, _, _, ts := newObservedStoreServer(t, Config{BeforeSearchHook: func(ctx context.Context) context.Context {
+	dir, _, ts := newJournaledStoreServer(t, Config{BeforeSearchHook: func(ctx context.Context) context.Context {
 		select {
 		case <-panics:
 			panic("injected handler failure")
