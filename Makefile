@@ -11,9 +11,10 @@ vet:
 	$(GO) vet ./...
 
 # Repository-specific invariant checks (internal/lint): Tally confinement,
-# nil-sink guards, float equality, hot-path allocations, squared-space bounds,
-# atomic/plain access mixes, lock ordering, lower-bound admissibility, and the
-# BCE baseline. -timing prints per-analyzer finding counts and wall time.
+# float equality, hot-path allocations, squared-space bounds, context
+# conventions, metric names, lower-bound admissibility, and the BCE baseline.
+# Copied locks are go vet's job, races make race's. -timing prints
+# per-analyzer finding counts and wall time.
 lint:
 	$(GO) run ./cmd/lbkeoghvet -timing ./...
 

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	lbkeoghvet [-only tallyescape,nilsink] [-timing] [-bce auto|on|off] [-bce-update] [packages]
+//	lbkeoghvet [-only tallyescape,floateq] [-timing] [-bce auto|on|off] [-bce-update] [packages]
 //
 // With no packages, ./... is checked. The AST analyzers run through
 // lint.Run; the bcebaseline check additionally shells out to the compiler

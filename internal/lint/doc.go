@@ -19,10 +19,6 @@
 //	             passed to or captured by a go statement, and must not be
 //	             stored in a struct field. Cross-goroutine accounting uses
 //	             the atomic *stats.Counter, flushed once per comparison.
-//	nilsink      Exported pointer-receiver methods on the stats/obs sink
-//	             types (stats.Counter, stats.Tally, obs.SearchStats,
-//	             obs.Histogram) must begin with a nil-receiver guard: a nil
-//	             sink is the documented uninstrumented mode.
 //	floateq      ==/!= on floating-point operands is forbidden in
 //	             internal/dist, internal/envelope and internal/wedge
 //	             (tests included). Use epsilon helpers, or math.IsInf and
@@ -40,18 +36,6 @@
 //	             internal/cancel.Checker shape).
 //	metricnames  Metric names written through ops.Write* are snake_case,
 //	             namespaced, and keep counter/unit suffixes last.
-//	atomicmix    A struct field accessed through sync/atomic anywhere must
-//	             be accessed through sync/atomic everywhere (typed atomics
-//	             make the mistake unrepresentable); values containing sync
-//	             locks are never copied (value receivers, by-value
-//	             params/results, plain assignments); WaitGroup.Add never
-//	             runs inside the goroutine it gates.
-//	lockorder    Builds a per-package lock-acquisition graph over
-//	             sync.Mutex/RWMutex fields: inconsistent acquisition order
-//	             between two locks (a deadlock-shaped cycle), re-entrant
-//	             acquisition of a lock already held (including through a
-//	             same-package callee), and channel sends or time.Sleep
-//	             executed while a lock is held.
 //	lbmono       Functions annotated //lbkeogh:lowerbound may only compose
 //	             monotone-admissible operations: other annotated lower
 //	             bounds under max(), no upper-bound-named callees, no
@@ -64,6 +48,11 @@
 //	             (internal/lint/testdata/bce_baseline.txt). Any NEW check
 //	             in a hot-path function fails; regenerate deliberately with
 //	             `make bce-baseline`.
+//
+// Conventions that another gate already enforces have no analyzer here: go
+// vet's copylocks pass catches a copied lock, `make race` a data race or a
+// WaitGroup.Add racing its Wait, and the nilsafe tests in internal/stats and
+// internal/obs call every exported sink method on a nil receiver.
 //
 // # The //lbkeogh:hotpath convention
 //

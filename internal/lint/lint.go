@@ -70,7 +70,8 @@ func (d Diagnostic) String() string {
 // Run applies every analyzer to every package (subject to each analyzer's
 // Applies filter), drops findings suppressed by //lint:ignore directives,
 // and returns the rest sorted by position. Malformed directives are reported
-// as findings of the pseudo-analyzer "directive".
+// as findings of the pseudo-analyzer "directive"; a directive may name any
+// analyzer of the suite (DefaultAnalyzers), not only the ones being run.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	diags, _ := RunWithStats(pkgs, analyzers)
 	return diags
@@ -96,9 +97,10 @@ func RunWithStats(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []Analy
 			elapsed[a.Name] += time.Since(start)
 		}
 	}
+	known := analyzerNames(append(DefaultAnalyzers(), analyzers...))
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
-		sup := newSuppressions(pkg.Fset, pkg.Files, analyzerNames(analyzers))
+		sup := newSuppressions(pkg.Fset, pkg.Files, known)
 		diags = append(diags, sup.malformed...)
 		findings["directive"] += len(sup.malformed)
 		var raw []Diagnostic

@@ -4,7 +4,6 @@ package lint
 // this repository's packages and conventions:
 //
 //	tallyescape  *stats.Tally confinement (no goroutine crossing, no fields)
-//	nilsink      nil-receiver guards on stats/obs sink methods
 //	floateq      no float ==/!= in internal/{dist,envelope,wedge}
 //	hotalloc     no allocations in //lbkeogh:hotpath functions
 //	lbguard      no math.Sqrt in LB*/lowerBound* except //lbkeogh:rootspace
@@ -13,10 +12,6 @@ package lint
 //	metricnames  metric names registered via obs/ops are snake_case,
 //	             lbkeogh_/shapeserver_-namespaced, counters end _total,
 //	             units are base units (_seconds, _bytes) placed last
-//	atomicmix    no mixed atomic/plain field access, no locks copied by
-//	             value, no WaitGroup.Add inside the goroutine it gates
-//	lockorder    no lock-ordering cycles, re-entrant acquisition, or
-//	             channel sends / time.Sleep while a lock is held
 //	lbmono       //lbkeogh:lowerbound functions compose only annotated
 //	             lower bounds and monotone-safe operations
 //
@@ -28,14 +23,11 @@ func DefaultAnalyzers() []*Analyzer {
 	floatEq.Applies = pkgPathIn(FloatEqPackages...)
 	return []*Analyzer{
 		TallyEscape(),
-		NilSink(),
 		floatEq,
 		HotAlloc(),
 		LBGuard(),
 		CtxCheck(),
 		MetricNames(),
-		AtomicMix(),
-		LockOrder(),
 		LBMono(),
 	}
 }

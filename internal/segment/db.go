@@ -227,19 +227,16 @@ func OpenDB(dir string, dims int, opts ...OpenOption) (*DB, error) {
 		segs = make([]*Reader, 0, len(m.Segments))
 		for _, ms := range m.Segments {
 			r, err := Open(filepath.Join(dir, ms.File), opts...)
+			if err == nil {
+				if err = checkSegment(m, ms, r); err != nil {
+					r.Close()
+				}
+			}
 			if err != nil {
 				for _, o := range segs {
 					o.Close()
 				}
 				return nil, err
-			}
-			if int64(r.Len()) != ms.Records {
-				r.Close()
-				for _, o := range segs {
-					o.Close()
-				}
-				return nil, fmt.Errorf("segment: %s: manifest says %d records, file has %d",
-					ms.File, ms.Records, r.Len())
 			}
 			if seq := segSeq(ms.File); seq >= db.nextSeq {
 				db.nextSeq = seq + 1
@@ -268,6 +265,20 @@ func OpenDB(dir string, dims int, opts ...OpenOption) (*DB, error) {
 	sort.Strings(db.orphans)
 	db.cur.Store(newSnapshot(segs, m.Generation))
 	return db, nil
+}
+
+// checkSegment holds an opened segment r to what manifest m says of it: its
+// record count, and the store's one shape, so every segment has the same
+// series length and dims.
+func checkSegment(m Manifest, ms ManifestSegment, r *Reader) error {
+	if int64(r.Len()) != ms.Records {
+		return fmt.Errorf("segment: %s: manifest says %d records, file has %d", ms.File, ms.Records, r.Len())
+	}
+	if r.SeriesLen() != m.SeriesLen || r.Dims() != m.Dims {
+		return fmt.Errorf("segment: %s: series length %d and dims %d disagree with %s (series_len %d, dims %d)",
+			ms.File, r.SeriesLen(), r.Dims(), ManifestName, m.SeriesLen, m.Dims)
+	}
+	return nil
 }
 
 // SetJournal attaches a storage event journal: the orphans found at open and

@@ -56,10 +56,15 @@ func LoadManifest(dir string) (Manifest, bool, error) {
 	if m.Version != manifestVersion {
 		return m, false, fmt.Errorf("segment: %s: unsupported version %d", ManifestName, m.Version)
 	}
+	seen := make(map[string]bool, len(m.Segments))
 	for _, s := range m.Segments {
 		if s.File != filepath.Base(s.File) || !strings.HasSuffix(s.File, segSuffix) {
 			return m, false, fmt.Errorf("segment: %s: bad segment file name %q", ManifestName, s.File)
 		}
+		if seen[s.File] {
+			return m, false, fmt.Errorf("segment: %s: segment file %q is listed twice", ManifestName, s.File)
+		}
+		seen[s.File] = true
 	}
 	return m, true, nil
 }

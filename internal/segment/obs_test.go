@@ -1,6 +1,7 @@
 package segment
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -23,6 +24,19 @@ func bulkStore(t *testing.T, dir string, count int, perSegment int64) {
 		}
 	}
 	if err := bw.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// editManifest rewrites dir's manifest through edit.
+func editManifest(t *testing.T, dir string, edit func(*Manifest)) {
+	t.Helper()
+	m, ok, err := LoadManifest(dir)
+	if err != nil || !ok {
+		t.Fatalf("LoadManifest: ok=%v err=%v", ok, err)
+	}
+	edit(&m)
+	if err := WriteManifest(dir, m); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -181,6 +195,30 @@ func TestManifestRecovery(t *testing.T) {
 			wantErr: "smaller than",
 		},
 		{
+			name: "segment listed twice",
+			corrupt: func(t *testing.T, dir string) {
+				editManifest(t, dir, func(m *Manifest) { m.Segments = append(m.Segments, m.Segments[0]) })
+			},
+			wantErr: `"seg-000000.lbseg" is listed twice`,
+		},
+		{
+			name: "segments of two series lengths",
+			corrupt: func(t *testing.T, dir string) {
+				writeTestSegment(t, filepath.Join(dir, segFileName(2)), 32, testD, 5)
+				editManifest(t, dir, func(m *Manifest) {
+					m.Segments = append(m.Segments, ManifestSegment{File: segFileName(2), Records: 5})
+				})
+			},
+			wantErr: "seg-000002.lbseg: series length 32 and dims 6 disagree",
+		},
+		{
+			name: "manifest shape disagrees with its segments",
+			corrupt: func(t *testing.T, dir string) {
+				editManifest(t, dir, func(m *Manifest) { m.Dims++ })
+			},
+			wantErr: "seg-000000.lbseg: series length 24 and dims 6 disagree",
+		},
+		{
 			name: "orphaned segment is ignored",
 			corrupt: func(t *testing.T, dir string) {
 				buf, err := os.ReadFile(filepath.Join(dir, segFileName(0)))
@@ -227,6 +265,62 @@ func TestManifestRecovery(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzLoadManifest holds OpenDB to its contract on an arbitrary MANIFEST.json
+// beside two valid segments of different series lengths: the open is refused,
+// or the store serves each distinct listed segment's records once and every
+// row at SeriesLen() samples. It never panics.
+func FuzzLoadManifest(f *testing.F) {
+	dir := f.TempDir()
+	records := map[string]int{segFileName(0): 4, segFileName(1): 3}
+	writeTestSegment(f, filepath.Join(dir, segFileName(0)), testN, testD, 4)
+	writeTestSegment(f, filepath.Join(dir, segFileName(1)), 32, testD, 3)
+	a := ManifestSegment{File: segFileName(0), Records: 4}
+	b := ManifestSegment{File: segFileName(1), Records: 3}
+	for _, m := range []Manifest{
+		{SeriesLen: testN, Dims: testD, Segments: []ManifestSegment{a}},     // valid
+		{SeriesLen: testN, Dims: testD, Segments: []ManifestSegment{a, a}},  // listed twice
+		{SeriesLen: testN, Dims: testD, Segments: []ManifestSegment{a, b}},  // two series lengths
+		{SeriesLen: testN, Dims: testD + 1, Segments: []ManifestSegment{a}}, // shape disagrees
+	} {
+		m.Version = manifestVersion
+		buf, err := json.Marshal(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(filepath.Join(dir, ManifestName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		db, err := OpenDB(dir, testD)
+		if err != nil {
+			return
+		}
+		defer db.Close()
+		var m Manifest
+		if err := json.Unmarshal(data, &m); err != nil {
+			t.Fatalf("opened a manifest that does not decode: %v", err)
+		}
+		want := 0
+		seen := map[string]bool{}
+		for _, s := range m.Segments {
+			if !seen[s.File] {
+				seen[s.File] = true
+				want += records[s.File]
+			}
+		}
+		if db.Len() != want {
+			t.Fatalf("Len() = %d, want %d, the records of the distinct listed segments", db.Len(), want)
+		}
+		for id := 0; id < db.Len(); id++ {
+			if got := len(db.Fetch(id)); got != db.SeriesLen() {
+				t.Fatalf("row %d has %d samples, SeriesLen() = %d", id, got, db.SeriesLen())
+			}
+		}
+	})
 }
 
 // Pinned.Fetch is DB.Fetch minus the Acquire/Release pair and the copy: same
