@@ -32,8 +32,8 @@ func DebugHandler(stats map[string]StatsSource, logs map[string]*TraceLog) http.
 
 // DebugPanel is an extra dashboard section rendered between the counter
 // tables and the trace logs. HTML is called per request, so panels can show
-// live state; the serving layer uses this to splice its RED/SLO and
-// pruning-power windows into the same page.
+// live state; the serving layer uses this to splice its per-endpoint request
+// record into the same page.
 type DebugPanel struct {
 	Title string
 	HTML  func() template.HTML

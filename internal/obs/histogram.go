@@ -35,7 +35,7 @@ func bucketIndex(v int64) int {
 }
 
 // BucketIndex returns the bucket index value v falls in — the inverse of
-// BucketBound, shared with the ops rolling windows so every layer buckets
+// BucketBound, shared with the ops exemplars so every layer buckets
 // identically.
 func BucketIndex(v int64) int { return bucketIndex(v) }
 

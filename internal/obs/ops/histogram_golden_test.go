@@ -36,18 +36,93 @@ func TestRuntimeHistogramGolden(t *testing.T) {
 
 // Captured at commit 0bf7dc8 from the segment store's fetch and column-read
 // histograms (since removed), before the bucket loop moved into
-// WriteHistogram; unchanged since it moved on into WriteDurationHistogram,
-// which the serving layer's request histogram shares.
+// WriteHistogram; it moved on into WriteDurationHistogram, which the serving
+// layer's request histogram shares, and gained the empty interior buckets
+// when that stopped eliding them (one le set per family). Every non-empty
+// bucket's line, and every exemplar, is the bytes captured then.
 const durationHistogramGolden = `lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="1e-09"} 1
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="2e-09"} 1
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="4e-09"} 1
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="8e-09"} 1
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="1.6e-08"} 1
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="3.2e-08"} 1
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="6.4e-08"} 1
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="1.28e-07"} 1
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="2.56e-07"} 1
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="5.12e-07"} 1
 lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="1.024e-06"} 3
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="2.048e-06"} 3
 lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="4.096e-06"} 3 # {trace_id="3"} 3e-06 1.7000000002499998e+09
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="8.192e-06"} 3
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="1.6384e-05"} 3
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="3.2768e-05"} 3
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="6.5536e-05"} 3
 lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="0.000131072"} 5 # {trace_id="4"} 7.0001e-05 1.7000000002499998e+09
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="0.000262144"} 5
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="0.000524288"} 5
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="0.001048576"} 5
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="0.002097152"} 5
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="0.004194304"} 5
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="0.008388608"} 5
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="0.016777216"} 5
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="0.033554432"} 5
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="0.067108864"} 5
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="0.134217728"} 5
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="0.268435456"} 5
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="0.536870912"} 5
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="1.073741824"} 5
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="2.147483648"} 5
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="4.294967296"} 5
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="8.589934592"} 5
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="17.179869184"} 5
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="34.359738368"} 5
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="68.719476736"} 5
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="137.438953472"} 5
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="274.877906944"} 5
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="549.755813888"} 5
 lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="+Inf"} 6 # {trace_id="5"} 35184.372088832 1.7000000002499998e+09
 lbkeogh_store_fetch_duration_seconds_sum{temperature="cold"} 35184.372230734
 lbkeogh_store_fetch_duration_seconds_count{temperature="cold"} 6
 lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="1e-09"} 1
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="2e-09"} 1
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="4e-09"} 1
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="8e-09"} 1
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="1.6e-08"} 1
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="3.2e-08"} 1
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="6.4e-08"} 1
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="1.28e-07"} 1
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="2.56e-07"} 1
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="5.12e-07"} 1
 lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="1.024e-06"} 3
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="2.048e-06"} 3
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="4.096e-06"} 3
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="8.192e-06"} 3
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="1.6384e-05"} 3
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="3.2768e-05"} 3
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="6.5536e-05"} 3
 lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="0.000131072"} 5
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="0.000262144"} 5
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="0.000524288"} 5
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="0.001048576"} 5
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="0.002097152"} 5
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="0.004194304"} 5
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="0.008388608"} 5
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="0.016777216"} 5
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="0.033554432"} 5
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="0.067108864"} 5
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="0.134217728"} 5
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="0.268435456"} 5
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="0.536870912"} 5
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="1.073741824"} 5
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="2.147483648"} 5
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="4.294967296"} 5
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="8.589934592"} 5
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="17.179869184"} 5
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="34.359738368"} 5
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="68.719476736"} 5
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="137.438953472"} 5
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="274.877906944"} 5
+lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="549.755813888"} 5
 lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="+Inf"} 6
 lbkeogh_store_read_duration_seconds_sum{column="raw",temperature="warm"} 35184.372230734
 lbkeogh_store_read_duration_seconds_count{column="raw",temperature="warm"} 6

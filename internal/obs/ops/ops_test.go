@@ -8,64 +8,31 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"lbkeogh/internal/obs"
 )
 
-// fakeClock drives a WindowConfig deterministically.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (c *fakeClock) now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
-func testWindow(slots int, slotDur time.Duration) (*fakeClock, WindowConfig) {
-	clk := &fakeClock{t: time.Unix(1_000_000, 0)}
-	return clk, WindowConfig{Slots: slots, SlotDur: slotDur, now: clk.now}
-}
-
-func TestREDWindowRollsObservationsOut(t *testing.T) {
-	clk, cfg := testWindow(4, time.Second)
-	r := NewRED(cfg)
+func TestREDIsCumulative(t *testing.T) {
+	var r RED
 	r.Observe(200, 10*time.Millisecond, 0)
 	r.Observe(504, 20*time.Millisecond, 0)
+	r.Observe(429, time.Millisecond, 0)
 	snap := r.Snapshot()
-	if snap.Requests != 2 || snap.Classes["ok"] != 1 || snap.Classes["timeout"] != 1 {
-		t.Fatalf("fresh window: %+v", snap)
+	want := map[string]int64{"ok": 1, "client": 0, "rejected": 1, "timeout": 1, "server": 0}
+	if snap.Requests != 3 || len(snap.Classes) != len(want) {
+		t.Fatalf("snapshot %+v, want 3 requests over every class", snap)
 	}
-	if snap.Window != 4*time.Second {
-		t.Fatalf("window = %v, want 4s", snap.Window)
+	for class, n := range want {
+		if snap.Classes[class] != n {
+			t.Errorf("class %q = %d, want %d", class, snap.Classes[class], n)
+		}
 	}
-	if want := 2.0 / 4.0; snap.RatePerSec != want {
-		t.Errorf("rate = %v, want %v", snap.RatePerSec, want)
-	}
-	// Advance past the window: everything rolls out.
-	clk.advance(5 * time.Second)
-	if snap := r.Snapshot(); snap.Requests != 0 {
-		t.Fatalf("after expiry: %+v", snap)
-	}
-	// New observations land in a recycled slot, untainted by the old epoch.
-	r.Observe(200, time.Millisecond, 0)
-	if snap := r.Snapshot(); snap.Requests != 1 || snap.Classes["ok"] != 1 {
-		t.Fatalf("after recycle: %+v", snap)
+	if h := r.Histogram(); h.Count() != 3 || h.Sum() != int64(31*time.Millisecond) {
+		t.Errorf("histogram count %d sum %d, want 3 and %d", h.Count(), h.Sum(), int64(31*time.Millisecond))
 	}
 }
 
 func TestREDQuantilesAreBucketResolution(t *testing.T) {
-	_, cfg := testWindow(8, time.Second)
-	r := NewRED(cfg)
-	// 90 fast requests, 10 slow: p50/p90 in the fast bucket, p99 in the slow.
+	var r RED
+	// 90 fast requests, 10 slow: p50 in the fast bucket, p99 in the slow.
 	for i := 0; i < 90; i++ {
 		r.Observe(200, 1000*time.Nanosecond, 0) // bucket bound 1024
 	}
@@ -73,8 +40,8 @@ func TestREDQuantilesAreBucketResolution(t *testing.T) {
 		r.Observe(200, time.Duration(1<<20-1)*time.Nanosecond, 0) // ~1ms, bound 2^20
 	}
 	snap := r.Snapshot()
-	if snap.P50NS != 1024 || snap.P90NS != 1024 {
-		t.Errorf("p50/p90 = %d/%d, want 1024/1024", snap.P50NS, snap.P90NS)
+	if snap.P50NS != 1024 {
+		t.Errorf("p50 = %d, want 1024", snap.P50NS)
 	}
 	if snap.P99NS != 1<<20 {
 		t.Errorf("p99 = %d, want %d", snap.P99NS, int64(1)<<20)
@@ -92,9 +59,8 @@ func TestErrorClass(t *testing.T) {
 	}
 }
 
-func TestExemplarTracksMostRecentTraceAndExpires(t *testing.T) {
-	clk, cfg := testWindow(4, time.Second)
-	r := NewRED(cfg)
+func TestExemplarTracksMostRecentTrace(t *testing.T) {
+	var r RED
 	r.Observe(200, 1000*time.Nanosecond, 7)
 	r.Observe(200, 1001*time.Nanosecond, 9) // same bucket: replaces trace 7
 	snap := r.Snapshot()
@@ -102,91 +68,27 @@ func TestExemplarTracksMostRecentTraceAndExpires(t *testing.T) {
 		t.Fatalf("exemplars = %+v, want exactly one", snap.Exemplars)
 	}
 	ex := snap.Exemplars[0]
-	if ex.TraceID != 9 || ex.UpperBoundNS != 1024 {
-		t.Fatalf("exemplar = %+v, want trace 9 on bound 1024", ex)
+	if ex.TraceID != 9 || ex.UpperBoundNS != 1024 || ex.DurNS != 1001 {
+		t.Fatalf("exemplar = %+v, want trace 9 (1001ns) on bound 1024", ex)
 	}
-	// Untraced observations never clobber an exemplar...
+	// Untraced observations never clobber an exemplar, and another bucket's
+	// traced one adds its own.
 	r.Observe(200, 1002*time.Nanosecond, 0)
-	if snap := r.Snapshot(); len(snap.Exemplars) != 1 || snap.Exemplars[0].TraceID != 9 {
-		t.Fatalf("untraced observation clobbered the exemplar: %+v", snap.Exemplars)
-	}
-	// ...but a stale exemplar (older than the window) stops being reported.
-	clk.advance(10 * time.Second)
-	if snap := r.Snapshot(); len(snap.Exemplars) != 0 {
-		t.Fatalf("stale exemplar still reported: %+v", snap.Exemplars)
-	}
-}
-
-func TestSLOBurnRates(t *testing.T) {
-	_, cfg := testWindow(10, time.Second)
-	r := NewRED(cfg)
-	// 90 within-objective requests, 8 slow, 2 server errors (also slow).
-	for i := 0; i < 90; i++ {
-		r.Observe(200, time.Millisecond, 0)
-	}
-	for i := 0; i < 8; i++ {
-		r.Observe(200, time.Second, 0)
-	}
-	r.Observe(500, time.Second, 0)
-	r.Observe(504, time.Second, 0)
-	slo := SLO{LatencyObjective: 250 * time.Millisecond, LatencyTarget: 0.99, ErrorTarget: 0.999}
-	b := slo.Burn(r.Snapshot())
-	if b.LatencyBadFraction < 0.0999 || b.LatencyBadFraction > 0.1001 {
-		t.Errorf("latency bad fraction = %v, want ~0.10", b.LatencyBadFraction)
-	}
-	if got, want := b.LatencyBurnRate, 0.10/0.01; got < want*0.999 || got > want*1.001 {
-		t.Errorf("latency burn = %v, want ~%v", got, want)
-	}
-	if b.ErrorBadFraction != 0.02 {
-		t.Errorf("error bad fraction = %v, want 0.02", b.ErrorBadFraction)
-	}
-	if got, want := b.ErrorBurnRate, 0.02/0.001; got < want*0.999 || got > want*1.001 {
-		t.Errorf("error burn = %v, want ~%v", got, want)
-	}
-	// Empty window: burn is zero, not NaN.
-	if b := slo.Burn(NewRED(cfg).Snapshot()); b != (Burn{}) {
-		t.Errorf("empty-window burn = %+v, want zero", b)
-	}
-}
-
-func TestPruneWindow(t *testing.T) {
-	clk, cfg := testWindow(4, time.Second)
-	p := NewPruneWindow(cfg)
-	p.Observe(obs.Counts{Rotations: 100, FullDistEvals: 10, FFTRejectedMembers: 30, KChanges: 2},
-		[]int64{40, 20})
-	p.Observe(obs.Counts{Rotations: 100, FullDistEvals: 10}, nil)
-	snap := p.Snapshot()
-	if snap.Counts.Rotations != 200 {
-		t.Fatalf("rotations = %d, want 200", snap.Counts.Rotations)
-	}
-	if snap.PruneRate != 0.9 {
-		t.Errorf("prune rate = %v, want 0.9", snap.PruneRate)
-	}
-	if snap.FFTRejectRate != 0.15 {
-		t.Errorf("fft reject rate = %v, want 0.15", snap.FFTRejectRate)
-	}
-	if len(snap.LevelFraction) != 2 || snap.LevelFraction[0] != 0.2 || snap.LevelFraction[1] != 0.1 {
-		t.Errorf("level fractions = %v, want [0.2 0.1]", snap.LevelFraction)
-	}
-	if snap.KChanges != 2 {
-		t.Errorf("k changes = %d, want 2", snap.KChanges)
-	}
-	clk.advance(10 * time.Second)
-	if snap := p.Snapshot(); snap.Counts.Rotations != 0 || snap.PruneRate != 0 {
-		t.Fatalf("window did not expire: %+v", snap)
+	r.Observe(200, time.Second, 11)
+	snap = r.Snapshot()
+	if len(snap.Exemplars) != 2 || snap.Exemplars[0].TraceID != 9 || snap.Exemplars[1].TraceID != 11 {
+		t.Fatalf("exemplars = %+v, want trace 9 then trace 11", snap.Exemplars)
 	}
 }
 
 func TestNilSinksAreNoOps(t *testing.T) {
 	var r *RED
-	var p *PruneWindow
 	r.Observe(200, time.Second, 1)
-	p.Observe(obs.Counts{Rotations: 1}, nil)
-	if s := r.Snapshot(); s.Requests != 0 {
+	if s := r.Snapshot(); s.Requests != 0 || len(s.Exemplars) != 0 {
 		t.Error("nil RED snapshot not empty")
 	}
-	if s := p.Snapshot(); s.Counts != (obs.Counts{}) {
-		t.Error("nil PruneWindow snapshot not empty")
+	if h := r.Histogram(); h.Count() != 0 {
+		t.Error("nil RED histogram not empty")
 	}
 }
 
@@ -259,11 +161,11 @@ func TestLoggerContextRoundTrip(t *testing.T) {
 	}
 }
 
-// TestREDConcurrentHammer drives one RED window from 8 writers while a
+// TestREDConcurrentHammer drives one RED record from 8 writers while a
 // reader snapshots — the package-level half of the -race coverage (the
 // serving layer repeats it through /metrics).
 func TestREDConcurrentHammer(t *testing.T) {
-	r := NewRED(WindowConfig{Slots: 4, SlotDur: 10 * time.Millisecond})
+	r := &RED{}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < 8; g++ {
@@ -291,7 +193,7 @@ func TestREDConcurrentHammer(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	reader.Wait()
-	if snap := r.Snapshot(); snap.Requests == 0 {
-		t.Error("hammer left an empty window")
+	if snap := r.Snapshot(); snap.Requests != 8*500 || r.Histogram().Count() != 8*500 {
+		t.Errorf("hammer recorded %d requests, %d durations, want %d", snap.Requests, r.Histogram().Count(), 8*500)
 	}
 }

@@ -278,10 +278,12 @@ func (s *Server) begin(w http.ResponseWriter, r *http.Request, ep string) (rq *r
 }
 
 // finish is every terminal outcome's single exit: one RED observation and
-// one log line per request (traceID 0 when it ran no traced search).
+// one log line per request (traceID 0 when it ran no traced search), both of
+// the same duration.
 func (rq *request) finish(status int, traceID int64, msg string, attrs ...any) {
-	rq.s.tel.observeRequest(rq.ep, status, time.Since(rq.began), traceID)
-	attrs = append(attrs, "status", status, "dur_ms", float64(time.Since(rq.began).Microseconds())/1000)
+	dur := time.Since(rq.began)
+	rq.s.tel.endpoints[rq.ep].Observe(status, dur, traceID)
+	attrs = append(attrs, "status", status, "dur_ms", float64(dur.Microseconds())/1000)
 	if status >= 400 {
 		rq.lg.Warn(msg, attrs...)
 	} else {
@@ -292,7 +294,7 @@ func (rq *request) finish(status int, traceID int64, msg string, attrs ...any) {
 // searchEndpoint returns the handler for one /v1 endpoint: admission, pool
 // checkout, the deadline-bounded search, and the stats-bearing response.
 // Every terminal outcome is logged with the request ID and folded into the
-// endpoint's rolling RED window.
+// endpoint's RED record.
 func (s *Server) searchEndpoint(kind searchKind) http.HandlerFunc {
 	ep := endpointName(kind)
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -379,7 +381,6 @@ func (s *Server) searchEndpoint(kind searchKind) http.HandlerFunc {
 		s.stats.AddCounts(&stats.Counts, &levels)
 		traceID := q.LastTraceID()
 		searchDone := func(status int, msg string, attrs ...any) {
-			s.tel.observeSearch(spec.Strategy, status, elapsed, traceID, stats)
 			attrs = append(attrs, "trace_id", traceID, "pool_hit", hit, "comparisons", stats.Comparisons)
 			finish(status, traceID, msg, attrs...)
 		}

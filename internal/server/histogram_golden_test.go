@@ -10,25 +10,63 @@ import (
 )
 
 // Captured at commit 0bf7dc8, before the bucket loop moved into
-// ops.WriteHistogram. Only the _sum line moved since, when the family turned
-// cumulative: it is now the exact sum of the observed durations rather than a
-// window's, and every other line is the bytes the windowed histogram wrote.
+// ops.WriteHistogram. Two things moved since: the _sum line, when the family
+// turned cumulative (it is the exact sum of the observed durations, not a
+// window's), and the empty interior buckets, written since the family keeps
+// one le set on every series. Every line the windowed histogram wrote is
+// still here, byte for byte.
 const redHistogramGolden = `shapeserver_request_duration_seconds_bucket{endpoint="search",le="1e-09"} 1
+shapeserver_request_duration_seconds_bucket{endpoint="search",le="2e-09"} 1
+shapeserver_request_duration_seconds_bucket{endpoint="search",le="4e-09"} 1
+shapeserver_request_duration_seconds_bucket{endpoint="search",le="8e-09"} 1
+shapeserver_request_duration_seconds_bucket{endpoint="search",le="1.6e-08"} 1
+shapeserver_request_duration_seconds_bucket{endpoint="search",le="3.2e-08"} 1
+shapeserver_request_duration_seconds_bucket{endpoint="search",le="6.4e-08"} 1
+shapeserver_request_duration_seconds_bucket{endpoint="search",le="1.28e-07"} 1
+shapeserver_request_duration_seconds_bucket{endpoint="search",le="2.56e-07"} 1
+shapeserver_request_duration_seconds_bucket{endpoint="search",le="5.12e-07"} 1
+shapeserver_request_duration_seconds_bucket{endpoint="search",le="1.024e-06"} 1
+shapeserver_request_duration_seconds_bucket{endpoint="search",le="2.048e-06"} 1
+shapeserver_request_duration_seconds_bucket{endpoint="search",le="4.096e-06"} 1
+shapeserver_request_duration_seconds_bucket{endpoint="search",le="8.192e-06"} 1
+shapeserver_request_duration_seconds_bucket{endpoint="search",le="1.6384e-05"} 1
+shapeserver_request_duration_seconds_bucket{endpoint="search",le="3.2768e-05"} 1
+shapeserver_request_duration_seconds_bucket{endpoint="search",le="6.5536e-05"} 1
+shapeserver_request_duration_seconds_bucket{endpoint="search",le="0.000131072"} 1
+shapeserver_request_duration_seconds_bucket{endpoint="search",le="0.000262144"} 1
+shapeserver_request_duration_seconds_bucket{endpoint="search",le="0.000524288"} 1
 shapeserver_request_duration_seconds_bucket{endpoint="search",le="0.001048576"} 5
 shapeserver_request_duration_seconds_bucket{endpoint="search",le="0.002097152"} 5 # {trace_id="5"} 0.0015 1.7000000005e+09
+shapeserver_request_duration_seconds_bucket{endpoint="search",le="0.004194304"} 5
 shapeserver_request_duration_seconds_bucket{endpoint="search",le="0.008388608"} 7 # {trace_id="6"} 0.008 1.7000000005e+09
+shapeserver_request_duration_seconds_bucket{endpoint="search",le="0.016777216"} 7
+shapeserver_request_duration_seconds_bucket{endpoint="search",le="0.033554432"} 7
+shapeserver_request_duration_seconds_bucket{endpoint="search",le="0.067108864"} 7
+shapeserver_request_duration_seconds_bucket{endpoint="search",le="0.134217728"} 7
+shapeserver_request_duration_seconds_bucket{endpoint="search",le="0.268435456"} 7
+shapeserver_request_duration_seconds_bucket{endpoint="search",le="0.536870912"} 7
+shapeserver_request_duration_seconds_bucket{endpoint="search",le="1.073741824"} 7
+shapeserver_request_duration_seconds_bucket{endpoint="search",le="2.147483648"} 7
+shapeserver_request_duration_seconds_bucket{endpoint="search",le="4.294967296"} 7
+shapeserver_request_duration_seconds_bucket{endpoint="search",le="8.589934592"} 7
+shapeserver_request_duration_seconds_bucket{endpoint="search",le="17.179869184"} 7
+shapeserver_request_duration_seconds_bucket{endpoint="search",le="34.359738368"} 7
+shapeserver_request_duration_seconds_bucket{endpoint="search",le="68.719476736"} 7
+shapeserver_request_duration_seconds_bucket{endpoint="search",le="137.438953472"} 7
+shapeserver_request_duration_seconds_bucket{endpoint="search",le="274.877906944"} 7
+shapeserver_request_duration_seconds_bucket{endpoint="search",le="549.755813888"} 7
 shapeserver_request_duration_seconds_bucket{endpoint="search",le="+Inf"} 8 # {trace_id="8"} 2199.023255552 1.7000000005e+09
 shapeserver_request_duration_seconds_sum{endpoint="search"} 2199.043255553
 shapeserver_request_duration_seconds_count{endpoint="search"} 8
 `
 
 // TestREDHistogramGolden renders the request-duration family the way
-// telemetry.writeMetrics does: the endpoint's cumulative histogram, with the
-// rolling window's exemplars attached.
+// telemetry.writeMetrics does: the endpoint's cumulative histogram, with its
+// bucket exemplars attached.
 func TestREDHistogramGolden(t *testing.T) {
 	tel := newTelemetry(Config{})
 	for _, d := range []time.Duration{1, 1e6, 1e6, 1e6, 1e6, 8e6, 8e6, 1 << 41} {
-		tel.observeRequest("search", 200, d, 0)
+		tel.endpoints["search"].Observe(200, d, 0)
 	}
 	var snap ops.REDSnapshot
 	wall := time.Unix(1700000000, 500000000)
@@ -39,7 +77,7 @@ func TestREDHistogramGolden(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	ops.WriteDurationHistogram(&buf, "shapeserver_request_duration_seconds",
-		fmt.Sprintf("endpoint=%q", "search"), tel.durations["search"], snap.ExemplarText())
+		fmt.Sprintf("endpoint=%q", "search"), tel.endpoints["search"].Histogram(), snap.ExemplarText())
 	if got := buf.String(); got != redHistogramGolden {
 		t.Errorf("request histogram:\n%s\nwant:\n%s", got, redHistogramGolden)
 	}

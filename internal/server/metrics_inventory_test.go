@@ -6,6 +6,7 @@ import (
 	"os"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -60,10 +61,14 @@ func metricsInventory(exp *expofmt.Exposition) string {
 // families (explain.FromCounts over the outcome counters above), then the
 // store's fetch and page accounting — ten lbkeogh_store_ families and five
 // shapeserver_segment_ ones — leaving the journal's (the index's fetch span
-// times a fetch, shapeserver_store_reads_total counts it).
+// times a fetch, shapeserver_store_reads_total counts it), then the rolling
+// windows' thirteen shapeserver_window_* and shapeserver_slo_* gauges, each a
+// ratio or delta of the cumulative families checked here that a scraper takes
+// itself (README "Request accounting, SLOs and burn rates").
 func TestMetricsInventoryPinned(t *testing.T) {
 	session := func(t *testing.T, ts *httptest.Server, golden string) {
 		var sum obs.Counts
+		var levels []int64
 		for _, rq := range []struct {
 			path, body string
 			want       int
@@ -79,8 +84,14 @@ func TestMetricsInventoryPinned(t *testing.T) {
 				t.Fatalf("%s %s: status %d, want %d (%s)", rq.path, rq.body, code, rq.want, raw)
 			}
 			sum = sum.Add(sr.Stats.Counts)
+			for l, v := range sr.Stats.WedgePrunesByLevel {
+				if l == len(levels) {
+					levels = append(levels, 0)
+				}
+				levels[l] += v
+			}
 		}
-		if sum.Comparisons == 0 || sum.WedgePrunedMembers == 0 || !sum.Reconciles() {
+		if sum.Comparisons == 0 || sum.WedgePrunedMembers == 0 || len(levels) == 0 || !sum.Reconciles() {
 			t.Fatalf("the session's summed stats %+v", sum)
 		}
 		exp := scrapeMetrics(t, ts)
@@ -90,8 +101,17 @@ func TestMetricsInventoryPinned(t *testing.T) {
 			}
 		})
 		// The request-duration histogram is cumulative: every terminal request
-		// is in it, whichever class it ended in.
+		// is in it, whichever class it ended in. Every endpoint's series has
+		// the same le set, the histogram's whole layout, so a scraper may sum
+		// by le across endpoints (compact served nothing here).
+		les := map[string][]string{}
+		for _, s := range exp.Find("shapeserver_request_duration_seconds_bucket") {
+			les[s.Labels["endpoint"]] = append(les[s.Labels["endpoint"]], s.Labels["le"])
+		}
 		for _, ep := range telemetryEndpoints {
+			if got, want := strings.Join(les[ep], " "), strings.Join(les["search"], " "); got != want || len(les[ep]) != obs.HistogramBuckets+1 {
+				t.Errorf("request-duration le set of %q:\n%s\nwant %d buckets, the same as search's:\n%s", ep, got, obs.HistogramBuckets+1, want)
+			}
 			var served int64
 			for _, s := range exp.Find("shapeserver_endpoint_requests_total") {
 				if s.Labels["endpoint"] == ep {
@@ -102,12 +122,12 @@ func TestMetricsInventoryPinned(t *testing.T) {
 				t.Errorf("shapeserver_request_duration_seconds_count{endpoint=%q} = %d, shapeserver_endpoint_requests_total sums to %d", ep, n, served)
 			}
 		}
-		var levels int64
-		for _, s := range exp.Find("shapeserver_wedge_prunes_by_level") {
-			levels += int64(s.Value)
-		}
-		if levels == 0 {
-			t.Error("no shapeserver_wedge_prunes_by_level sample after wedge searches")
+		// The per-level prunes, too, are the responses' sum level by level.
+		for l, want := range levels {
+			level := map[string]string{"level": strconv.Itoa(l)}
+			if v, _ := exp.Value("shapeserver_wedge_prunes_by_level", level); int64(v) != want {
+				t.Errorf("shapeserver_wedge_prunes_by_level{level=\"%d\"} = %v, the responses' stats sum to %d", l, v, want)
+			}
 		}
 		if got := metricsInventory(exp); got != golden {
 			t.Errorf("/metrics inventory:\n%s\nwant:\n%s", got, golden)
@@ -127,10 +147,12 @@ func TestMetricsInventoryPinned(t *testing.T) {
 }
 
 // TestReadmeMetricFamiliesServed holds README.md to what /metrics serves:
-// every inline-backticked shapeserver_… or lbkeogh_… token must name a family
-// of the inventories TestMetricsInventoryPinned pins (a histogram's _bucket,
-// _sum and _count count as the histogram), be a prefix of one when written
-// `prefix_*` or a bare `prefix_`, or sit on the allowlist below.
+// every shapeserver_… or lbkeogh_… name in code — an inline-backticked span
+// or a fenced block, anywhere inside it, so a query such as
+// `rate(shapeserver_rotations[5m])` is checked too — must name a family of the
+// inventories TestMetricsInventoryPinned pins (a histogram's _bucket, _sum and
+// _count count as the histogram), be a prefix of one when written `prefix_*`
+// or a bare `prefix_`, or sit on the allowlist below.
 func TestReadmeMetricFamiliesServed(t *testing.T) {
 	readme, err := os.ReadFile("../../README.md")
 	if err != nil {
@@ -169,18 +191,21 @@ func TestReadmeMetricFamiliesServed(t *testing.T) {
 		}
 		return types[tok] != "" || allowed[tok]
 	}
-	tokens := regexp.MustCompile("`((?:shapeserver|lbkeogh)_[^`\n]*)`").FindAllStringSubmatch(string(readme), -1)
-	if len(tokens) == 0 {
-		t.Fatal("README.md names no metric family")
+	fence := regexp.MustCompile("(?s)```.*?```")
+	code := fence.FindAllString(string(readme), -1)
+	code = append(code, regexp.MustCompile("`[^`\n]+`").FindAllString(fence.ReplaceAllString(string(readme), ""), -1)...)
+	name := regexp.MustCompile(`\b(?:shapeserver|lbkeogh)_[a-z0-9_]*\*?`)
+	var tokens int
+	for _, span := range code {
+		for _, tok := range name.FindAllString(span, -1) {
+			tokens++
+			if !served(tok) {
+				t.Errorf("README.md names %q (in %s), which /metrics does not serve", tok, span)
+			}
+		}
 	}
-	for _, m := range tokens {
-		tok := m[1]
-		if i := strings.IndexAny(tok, "{ \t"); i >= 0 {
-			tok = tok[:i]
-		}
-		if !served(tok) {
-			t.Errorf("README.md names %q, which /metrics does not serve", m[1])
-		}
+	if tokens == 0 {
+		t.Fatal("README.md names no metric family")
 	}
 }
 
@@ -219,9 +244,6 @@ shapeserver_rejected_total · counter · {}
 shapeserver_request_duration_seconds · histogram · {endpoint}
 shapeserver_requests_total · counter · {}
 shapeserver_rotations · counter · {}
-shapeserver_slo_error_burn_rate · gauge · {endpoint}
-shapeserver_slo_latency_burn_rate · gauge · {endpoint}
-shapeserver_slo_latency_objective_seconds · gauge · {}
 shapeserver_stage_latency_ns · histogram · {stage}
 shapeserver_steps · counter · {}
 shapeserver_timeouts_total · counter · {}
@@ -230,16 +252,6 @@ shapeserver_wedge_leaf_visits · counter · {}
 shapeserver_wedge_node_visits · counter · {}
 shapeserver_wedge_pruned_members · counter · {}
 shapeserver_wedge_prunes_by_level · counter · {level}
-shapeserver_window_errors · gauge · {class,endpoint}
-shapeserver_window_fft_reject_rate · gauge · {strategy}
-shapeserver_window_k_changes · gauge · {strategy}
-shapeserver_window_level_prune_fraction · gauge · {level,strategy}
-shapeserver_window_prune_rate · gauge · {strategy}
-shapeserver_window_request_rate · gauge · {endpoint}
-shapeserver_window_requests · gauge · {endpoint}
-shapeserver_window_rotations · gauge · {strategy}
-shapeserver_window_strategy_p99_seconds · gauge · {strategy}
-shapeserver_window_strategy_requests · gauge · {strategy}
 `
 
 const storeInventoryGolden = `lbkeogh_explain_comparisons_seen_total · counter · {}
@@ -278,9 +290,6 @@ shapeserver_rejected_total · counter · {}
 shapeserver_request_duration_seconds · histogram · {endpoint}
 shapeserver_requests_total · counter · {}
 shapeserver_rotations · counter · {}
-shapeserver_slo_error_burn_rate · gauge · {endpoint}
-shapeserver_slo_latency_burn_rate · gauge · {endpoint}
-shapeserver_slo_latency_objective_seconds · gauge · {}
 shapeserver_stage_latency_ns · histogram · {stage}
 shapeserver_steps · counter · {}
 shapeserver_store_busy · gauge · {}
@@ -299,14 +308,4 @@ shapeserver_wedge_leaf_visits · counter · {}
 shapeserver_wedge_node_visits · counter · {}
 shapeserver_wedge_pruned_members · counter · {}
 shapeserver_wedge_prunes_by_level · counter · {level}
-shapeserver_window_errors · gauge · {class,endpoint}
-shapeserver_window_fft_reject_rate · gauge · {strategy}
-shapeserver_window_k_changes · gauge · {strategy}
-shapeserver_window_level_prune_fraction · gauge · {level,strategy}
-shapeserver_window_prune_rate · gauge · {strategy}
-shapeserver_window_request_rate · gauge · {endpoint}
-shapeserver_window_requests · gauge · {endpoint}
-shapeserver_window_rotations · gauge · {strategy}
-shapeserver_window_strategy_p99_seconds · gauge · {strategy}
-shapeserver_window_strategy_requests · gauge · {strategy}
 `

@@ -123,9 +123,9 @@ func TestRequestLogCarriesIDs(t *testing.T) {
 	}
 }
 
-// TestRefusalsAreLoggedAndWindowed drives the non-success paths and checks
-// they land in the log and the endpoint RED window with the right classes.
-func TestRefusalsAreLoggedAndWindowed(t *testing.T) {
+// TestRefusalsAreLoggedAndCounted drives the non-success paths and checks
+// they land in the log and the endpoint's RED record with the right classes.
+func TestRefusalsAreLoggedAndCounted(t *testing.T) {
 	var logBuf bytes.Buffer
 	srv, ts := newTestServer(t, Config{Logger: ops.NewLogger(&logBuf, "json", "info")})
 	if code, _, _ := post(t, ts, "/v1/search", `{"bogus":1}`); code != http.StatusBadRequest {
@@ -137,7 +137,7 @@ func TestRefusalsAreLoggedAndWindowed(t *testing.T) {
 	}
 	snap := srv.tel.endpoints["search"].Snapshot()
 	if snap.Classes["client"] != 1 || snap.Classes["server"] != 1 {
-		t.Fatalf("window classes = %+v", snap.Classes)
+		t.Fatalf("record classes = %+v", snap.Classes)
 	}
 	for _, want := range []string{`"msg":"bad request"`, `"msg":"refused: draining"`, `"msg":"drain started"`} {
 		if !strings.Contains(logBuf.String(), want) {
@@ -204,9 +204,8 @@ func TestMetricsUnderConcurrentLoad(t *testing.T) {
 	resp.Body.Close()
 	for _, want := range []string{
 		"shapeserver_request_duration_seconds_bucket",
-		`shapeserver_window_requests{endpoint="search"} 80`,
-		"shapeserver_slo_latency_burn_rate",
-		"shapeserver_window_prune_rate",
+		`shapeserver_endpoint_requests_total{endpoint="search",class="ok"} 80`,
+		`shapeserver_request_duration_seconds_count{endpoint="search"} 80`,
 		"lbkeogh_runtime_goroutines",
 		"# {trace_id=\"",
 	} {

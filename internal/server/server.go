@@ -66,11 +66,6 @@ type Config struct {
 	// outcome, carrying request and trace IDs). Nil discards it.
 	Logger *slog.Logger
 
-	// SLO sets the objectives the rolling latency/error windows are judged
-	// against; the zero value selects the ops defaults (250ms @ 99%, 99.9%
-	// non-error).
-	SLO ops.SLO
-
 	// ExplainSampleInterval is the bound-tightness sampling interval: one of
 	// every N candidate comparisons across all requests gets its full bound
 	// waterfall measured (FFT, PAA, envelope lower bounds vs the true

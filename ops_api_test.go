@@ -18,8 +18,8 @@ import (
 // relies on: a traced request's trace ID must surface as an OpenMetrics
 // exemplar on the request-duration histogram, round-trip through the text
 // exposition parser, and resolve back to a retained entry in the slow-query
-// ring. It also pins the presence of the runtime and rolling-window families
-// on the server's /metrics.
+// ring. It also pins the presence of the runtime and cumulative request
+// families on the server's /metrics.
 func TestServerMetricsExemplarCorrelation(t *testing.T) {
 	tlog := lbkeogh.NewTraceLog(
 		lbkeogh.WithSampleRate(1),
@@ -66,10 +66,9 @@ func TestServerMetricsExemplarCorrelation(t *testing.T) {
 	}
 	for _, fam := range []string{
 		"lbkeogh_runtime_goroutines",
-		"shapeserver_window_requests",
-		"shapeserver_slo_latency_burn_rate",
-		"shapeserver_window_prune_rate",
 		"shapeserver_endpoint_requests_total",
+		"shapeserver_rotations",
+		"shapeserver_wedge_prunes_by_level",
 	} {
 		found := false
 		for _, s := range samples {
