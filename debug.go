@@ -270,12 +270,12 @@ summary { cursor: pointer; }
 <table>
 <tr><th>comparisons</th><th>rotations</th><th>steps</th><th>full dist</th><th>abandons</th>
 <th>wedge pruned</th><th>leaf LB prunes</th><th>fft rejected</th><th>prune rate</th>
-<th>index fetches</th><th>disk reads</th></tr>
+<th>index fetches</th></tr>
 <tr><td>{{.Stats.Comparisons}}</td><td>{{.Stats.Rotations}}</td><td>{{.Stats.Steps}}</td>
 <td>{{.Stats.FullDistEvals}}</td><td>{{.Stats.EarlyAbandons}}</td>
 <td>{{.Stats.WedgePrunedMembers}}</td><td>{{.Stats.WedgeLeafLBPrunes}}</td>
 <td>{{.Stats.FFTRejectedMembers}}</td><td>{{printf "%.4f" .Stats.PruneRate}}</td>
-<td>{{.Stats.IndexFetches}}</td><td>{{.Stats.DiskReads}}</td></tr>
+<td>{{.Stats.IndexFetches}}</td></tr>
 </table>
 {{end}}
 

@@ -51,10 +51,8 @@ func (b *BoundSampler) Snapshot() BoundSamplerSnapshot {
 
 // WriteMetrics writes the sampler's aggregate in Prometheus text exposition
 // format: waterfall sample counters, per-bound check/false-positive/
-// elimination counters, and per-bound tightness-ratio histograms whose
-// buckets carry OpenMetrics exemplars linking to the trace id of a recorded
-// query that landed there. Safe on a nil receiver (writes headers with zero
-// samples).
+// elimination counters, and per-bound tightness-ratio histograms. Safe on a
+// nil receiver (writes headers with zero samples).
 func (b *BoundSampler) WriteMetrics(w io.Writer) {
 	snap := b.Snapshot()
 	ops.WriteCounter(w, "lbkeogh_explain_comparisons_seen_total",
@@ -88,9 +86,6 @@ func (b *BoundSampler) WriteMetrics(w io.Writer) {
 		buckets := make([]ops.HistogramBucket, len(bt.Buckets))
 		for i, bk := range bt.Buckets {
 			buckets[i] = ops.HistogramBucket{LE: fmt.Sprintf("%.2f", float64(i+1)*explain.RatioBucketWidth), Count: bk.Count}
-			if bk.ExemplarTraceID != 0 {
-				buckets[i].Exemplar = fmt.Sprintf("{trace_id=\"%d\"} %s", bk.ExemplarTraceID, ops.FormatFloat(bk.ExemplarValue))
-			}
 		}
 		ops.WriteHistogram(w, "lbkeogh_explain_bound_tightness_ratio", fmt.Sprintf("bound=%q", bt.Bound),
 			buckets, ops.FormatFloat(bt.SumRatio), false)
@@ -145,8 +140,7 @@ func (q *Query) beginExplainOp() {
 }
 
 // endExplainOp keeps the operation's counter delta, from which the plan's
-// waterfall is derived, and correlates the sampler exemplars with the
-// finished trace (tid 0 = untraced).
+// waterfall is derived, and the finished trace's id (0 = untraced).
 func (q *Query) endExplainOp(tid int64, delta obs.Counts) {
 	if q.exp == nil {
 		return
@@ -154,7 +148,6 @@ func (q *Query) endExplainOp(tid int64, delta obs.Counts) {
 	q.expDelta = delta
 	q.expTraceID = tid
 	q.expValid = true
-	q.exp.FinishTrace(tid)
 }
 
 // ExplainWaterfall is the per-stage pruning breakdown of one search.

@@ -3,6 +3,7 @@ package lbkeogh
 import (
 	"context"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -215,9 +216,9 @@ func TestExplainResultsUnperturbed(t *testing.T) {
 }
 
 // TestBoundSamplerMetricsRoundTrip feeds a sampler from a traced query and
-// requires its exposition to parse strictly — HELP/TYPE before samples, the
-// tightness histogram resolving as a histogram family, and the bucket
-// exemplars carrying the query's retained trace id.
+// requires its exposition to parse strictly as 0.0.4 — HELP/TYPE before
+// samples, nothing after a sample value, the tightness histogram resolving
+// as a histogram family with one le set for every bound.
 func TestBoundSamplerMetricsRoundTrip(t *testing.T) {
 	db := demoDB(26, 8, 64)
 	tlog := NewTraceLog(WithSampleRate(1))
@@ -275,14 +276,14 @@ func TestBoundSamplerMetricsRoundTrip(t *testing.T) {
 			t.Errorf("%s +Inf bucket %v != sample count %d", bt.Bound, cum, bt.Samples)
 		}
 	}
-	// At least one exemplar correlates to the retained trace.
-	var exemplars int
+	les := map[string][]string{}
 	for _, s := range exp.Find("lbkeogh_explain_bound_tightness_ratio_bucket") {
-		if s.Exemplar != nil && s.Exemplar["trace_id"] != "" {
-			exemplars++
-		}
+		les[s.Labels["bound"]] = append(les[s.Labels["bound"]], s.Labels["le"])
 	}
-	if exemplars == 0 {
-		t.Fatal("no bucket exemplars after a traced, fully-sampled search")
+	want := les[snap.Bounds[0].Bound]
+	for bound, got := range les {
+		if len(got) != explain.NumRatioBuckets+1 || !slices.Equal(got, want) {
+			t.Errorf("%s le set %v, want the %d of %s: %v", bound, got, explain.NumRatioBuckets+1, snap.Bounds[0].Bound, want)
+		}
 	}
 }

@@ -34,14 +34,15 @@ type Index struct {
 }
 
 // SegmentStore returns the underlying segment store for an index opened
-// with OpenSegmentIndex, or nil for every other kind of index: its Stats and
-// Reads are the store's view of the fetches the index made. The store is
-// owned by the index: do not Close it directly.
+// with OpenSegmentIndex, or nil for every other kind of index: its Stats
+// describe the segments and generation the index reads. The index, not the
+// store, counts the fetches it makes (DiskReads, Stats().IndexFetches). The
+// store is owned by the index: do not Close it directly.
 func (ix *Index) SegmentStore() *segment.DB { return ix.seg }
 
 // Stats returns a snapshot of the index's instrumentation record,
-// cumulative over every query answered: index-level candidate and fetch
-// counts, disk reads, and the verification searches' pruning counters. Each
+// cumulative over every query answered: the rows fetched for verification
+// (IndexFetches) and the verification searches' pruning counters. Each
 // search also lands on its own query's record (Query.Stats), which alone
 // carries the per-level prune breakdown, the steps histogram and the dynamic-K
 // trajectory. When a TraceLog is attached, the snapshot additionally carries

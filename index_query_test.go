@@ -54,8 +54,8 @@ func TestIndexSearchRunsThroughTheQuery(t *testing.T) {
 	if st.Comparisons == 0 || !st.Reconciles() {
 		t.Fatalf("q.Stats() after ix.Search: %+v", st)
 	}
-	if st.IndexFetches != int64(ix.DiskReads()) || st.IndexCandidates != st.IndexFetches || st.Comparisons != st.IndexFetches {
-		t.Fatalf("q.Stats() fetched %d / candidates %d / compared %d, the index read %d", st.IndexFetches, st.IndexCandidates, st.Comparisons, ix.DiskReads())
+	if st.IndexFetches != int64(ix.DiskReads()) || st.Comparisons != st.IndexFetches {
+		t.Fatalf("q.Stats() fetched %d / compared %d, the index read %d", st.IndexFetches, st.Comparisons, ix.DiskReads())
 	}
 	if len(st.StepsHistogram) == 0 {
 		t.Fatal("q.Stats() has no steps histogram after an index search")
@@ -90,7 +90,7 @@ func TestIndexSearchRunsThroughTheQuery(t *testing.T) {
 	}
 
 	sum := st.Counts.Add(fixed.Stats().Counts).Add(es.Counts)
-	if cum := ix.Stats(); cum.Counts != sum || !cum.Reconciles() || cum.DiskReads != int64(ix.DiskReads()) {
+	if cum := ix.Stats(); cum.Counts != sum || !cum.Reconciles() || cum.IndexFetches != int64(ix.DiskReads()) {
 		t.Fatalf("Index.Stats() = %+v, the three queries sum to %+v", cum.Counts, sum)
 	}
 
@@ -198,7 +198,7 @@ func TestIndexConcurrentQueries(t *testing.T) {
 	for _, f := range fetched {
 		total += f
 	}
-	if total == 0 || int64(ix.DiskReads()) < total || !ix.Stats().Reconciles() || ix.Stats().DiskReads != int64(ix.DiskReads()) {
+	if total == 0 || int64(ix.DiskReads()) < total || !ix.Stats().Reconciles() || ix.Stats().IndexFetches != int64(ix.DiskReads()) {
 		t.Fatalf("after the run: DiskReads %d, Stats %+v", ix.DiskReads(), ix.Stats().Counts)
 	}
 }

@@ -193,7 +193,7 @@ type walk func(r float64, visit func(id int, bound, r float64) float64)
 //
 // The probe is s's pass (core.Searcher.Begin/Offer), so it honours s's
 // strategy, wedge-set size and EXPLAIN state, carries its adaptive
-// state on, spends its steps on cnt and its outcomes — candidates and fetches
+// state on, spends its steps on cnt and its outcomes — fetches
 // included — on s's record, and stops with ctx.Err() within one cancellation
 // checkpoint interval of ctx expiring, c then holding a partial answer to
 // discard. Spans nest under the span s's recorder has open; a
@@ -232,7 +232,7 @@ func (ix *Index) Probe(ctx context.Context, label string, s *core.Searcher, wedg
 	rec.End(span)
 	// A fetch is counted here and nowhere else, once per probe.
 	ix.reads.Add(fetched)
-	st.AddCounts(&obs.Counts{IndexCandidates: fetched, IndexFetches: fetched, DiskReads: fetched}, nil)
+	st.AddCounts(&obs.Counts{IndexFetches: fetched}, nil)
 	delta := st.Counts().Sub(before)
 	if st != ix.obs {
 		ix.obs.AddCounts(&delta, nil)

@@ -46,19 +46,17 @@ type Counts struct {
 	// zero for uncancelled searches.
 	CancelledMembers int64 `json:"cancelled_members,omitempty"`
 
-	// IndexCandidates / IndexFetches / DiskReads are populated by indexed
-	// searches: candidates surviving the compressed bound, full-resolution
-	// fetches for verification, and record reads charged by the store.
-	IndexCandidates int64 `json:"index_candidates"`
-	IndexFetches    int64 `json:"index_fetches"`
-	DiskReads       int64 `json:"disk_reads"`
+	// IndexFetches counts the full-resolution rows an indexed search fetched
+	// for exact verification: the rows its compressed bound could not
+	// exclude, each read from the store once — the paper's Figure 24 count.
+	IndexFetches int64 `json:"index_fetches"`
 
 	// KChanges counts dynamic wedge-set-size adjustments.
 	KChanges int64 `json:"k_changes"`
 }
 
 // numCounters is the number of fields in Counts.
-const numCounters = 17
+const numCounters = 15
 
 // fields addresses every counter of c in declaration order: the one field
 // walk Add, Sub, Each and (*SearchStats).Counts share.
@@ -69,7 +67,7 @@ func (c *Counts) fields() [numCounters]*int64 {
 		&c.WedgeNodeVisits, &c.WedgeLeafVisits, &c.WedgePrunedMembers, &c.WedgeLeafLBPrunes,
 		&c.FFTRejects, &c.FFTRejectedMembers, &c.FFTFallbacks,
 		&c.CancelledMembers,
-		&c.IndexCandidates, &c.IndexFetches, &c.DiskReads,
+		&c.IndexFetches,
 		&c.KChanges,
 	}
 }
@@ -82,7 +80,7 @@ func (s *SearchStats) counters() [numCounters]*atomic.Int64 {
 		&s.wedgeNodeVisits, &s.wedgeLeafVisits, &s.wedgePrunedMembers, &s.wedgeLeafLBPrunes,
 		&s.fftRejects, &s.fftRejectedMembers, &s.fftFallbacks,
 		&s.cancelledMembers,
-		&s.indexCandidates, &s.indexFetches, &s.diskReads,
+		&s.indexFetches,
 		&s.kChanges,
 	}
 }
@@ -104,9 +102,7 @@ var counterDocs = [numCounters]struct{ key, help string }{
 	{"fft_rejected_members", "Rotations covered by FFT-rejected comparisons."},
 	{"fft_fallbacks", "Comparisons falling through the FFT filter to early abandoning."},
 	{"cancelled_members", "Rotations left undisposed by cancelled or deadline-bounded searches."},
-	{"index_candidates", "Index candidates surviving the compressed lower bound."},
 	{"index_fetches", "Full-resolution fetches for exact verification."},
-	{"disk_reads", "Record reads charged by the series store."},
 	{"k_changes", "Dynamic wedge-set-size adjustments."},
 }
 

@@ -27,23 +27,12 @@ func bucketFor(v float64) int {
 	return idx
 }
 
-// BucketRef identifies one histogram cell an observation landed in, so a
-// caller can attach an exemplar (the query's trace id) after the trace
-// completes.
-type BucketRef struct {
-	Bound  string
-	Bucket int
-	Value  float64
-}
-
 // boundAgg accumulates one bound's tightness evidence.
 type boundAgg struct {
 	name     string
 	samples  int64
 	sum      float64
 	buckets  [NumRatioBuckets + 1]int64
-	exTrace  [NumRatioBuckets + 1]int64 // exemplar trace id per bucket; 0 = none
-	exValue  [NumRatioBuckets + 1]float64
 	checks   int64
 	falsePos int64
 	elim     int64
@@ -78,10 +67,8 @@ func (a *Agg) boundFor(name string) *boundAgg {
 // the tightness ratio bound/true (when the true distance is finite and
 // positive), a false positive when the bound passed the threshold but the
 // kernel killed the candidate, and the elimination when this bound was the
-// first to reach the threshold. Bucket refs for every histogram cell touched
-// are appended to touched and returned, so the caller can tag exemplars once
-// the trace id is known.
-func (a *Agg) Observe(s Sample, touched []BucketRef) []BucketRef {
+// first to reach the threshold.
+func (a *Agg) Observe(s Sample) {
 	a.samples++
 	switch s.EliminatedBy {
 	case "":
@@ -95,11 +82,9 @@ func (a *Agg) Observe(s Sample, touched []BucketRef) []BucketRef {
 		b.checks++
 		if s.True > 0 && !math.IsInf(s.True, 1) && !math.IsInf(bv.Value, 1) {
 			ratio := bv.Value / s.True
-			bk := bucketFor(ratio)
 			b.samples++
 			b.sum += ratio
-			b.buckets[bk]++
-			touched = append(touched, BucketRef{Bound: bv.Bound, Bucket: bk, Value: ratio})
+			b.buckets[bucketFor(ratio)]++
 		}
 		if killed && bv.Value < s.Threshold {
 			b.falsePos++
@@ -108,31 +93,14 @@ func (a *Agg) Observe(s Sample, touched []BucketRef) []BucketRef {
 			b.elim++
 		}
 	}
-	return touched
-}
-
-// tag attaches trace id tid as the exemplar of every referenced bucket,
-// overwriting older exemplars so the freshest correlated trace wins.
-func (a *Agg) tag(refs []BucketRef, tid int64) {
-	for _, ref := range refs {
-		b := a.byName[ref.Bound]
-		if b == nil || ref.Bucket < 0 || ref.Bucket >= len(b.exTrace) {
-			continue
-		}
-		b.exTrace[ref.Bucket] = tid
-		b.exValue[ref.Bucket] = ref.Value
-	}
 }
 
 // RatioBucket is one cumulative-histogram cell of a tightness summary.
 // UpperBound is the bucket's inclusive upper edge (the exposition `le`);
-// Count is the non-cumulative cell count. ExemplarTraceID, when non-zero,
-// correlates the cell to a recorded trace.
+// Count is the non-cumulative cell count.
 type RatioBucket struct {
-	UpperBound      float64 `json:"le"`
-	Count           int64   `json:"count"`
-	ExemplarTraceID int64   `json:"exemplar_trace_id,omitempty"`
-	ExemplarValue   float64 `json:"exemplar_value,omitempty"`
+	UpperBound float64 `json:"le"`
+	Count      int64   `json:"count"`
 }
 
 // BoundTightness summarizes one bound's evidence: how often it was checked,
@@ -203,12 +171,7 @@ func (b *boundAgg) summary() BoundTightness {
 		if i == NumRatioBuckets {
 			ub = overflowQuantile
 		}
-		t.Buckets = append(t.Buckets, RatioBucket{
-			UpperBound:      ub,
-			Count:           c,
-			ExemplarTraceID: b.exTrace[i],
-			ExemplarValue:   b.exValue[i],
-		})
+		t.Buckets = append(t.Buckets, RatioBucket{UpperBound: ub, Count: c})
 	}
 	return t
 }

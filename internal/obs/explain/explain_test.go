@@ -99,10 +99,7 @@ func TestAggObserveAndSummary(t *testing.T) {
 		True:         10,
 		EliminatedBy: StageEnvelope,
 	}
-	touched := a.Observe(s, nil)
-	if len(touched) != 2 {
-		t.Fatalf("touched %d buckets, want 2", len(touched))
-	}
+	a.Observe(s)
 	// A surviving candidate below the threshold.
 	a.Observe(Sample{
 		Threshold: 20,
@@ -111,7 +108,7 @@ func TestAggObserveAndSummary(t *testing.T) {
 			{Bound: StageEnvelope, Value: 9},
 		},
 		True: 10,
-	}, nil)
+	})
 	if a.Samples() != 2 || a.Survived() != 1 || a.KernelKills() != 0 {
 		t.Fatalf("samples/survived/kills = %d/%d/%d, want 2/1/0",
 			a.Samples(), a.Survived(), a.KernelKills())
@@ -137,19 +134,16 @@ func TestAggObserveAndSummary(t *testing.T) {
 	if env.MeanRatio < 0.84 || env.MeanRatio > 0.86 {
 		t.Errorf("envelope mean ratio = %v, want ~0.85", env.MeanRatio)
 	}
-	// Exemplar tagging lands on the touched buckets.
-	a.tag(touched, 42)
-	sum = a.Summary()
-	var tagged int
+	// Each bound's histogram holds exactly its two ratios.
 	for _, bt := range sum {
+		var n int64
 		for _, bk := range bt.Buckets {
-			if bk.ExemplarTraceID == 42 {
-				tagged++
-			}
+			n += bk.Count
 		}
-	}
-	if tagged != 2 {
-		t.Errorf("tagged %d exemplar buckets, want 2", tagged)
+		if n != 2 || bt.Samples != 2 || len(bt.Buckets) != NumRatioBuckets+1 {
+			t.Errorf("%s: %d observations in %d buckets, samples %d; want 2 in %d",
+				bt.Bound, n, len(bt.Buckets), bt.Samples, NumRatioBuckets+1)
+		}
 	}
 }
 
@@ -168,8 +162,7 @@ func TestRecorderInterval(t *testing.T) {
 	if nilRec.ShouldSample() {
 		t.Fatal("nil recorder must never sample")
 	}
-	nilRec.Observe(Sample{}, nil) // must not panic
-	nilRec.Tag(nil, 1)
+	nilRec.Observe(Sample{}) // must not panic
 	if snap := nilRec.Snapshot(); snap.Seen != 0 {
 		t.Fatalf("nil recorder snapshot = %+v, want zero", snap)
 	}
@@ -305,7 +298,6 @@ func TestOpSamplingAndReset(t *testing.T) {
 	if got := len(op.Comparisons()); got != 5 {
 		t.Fatalf("recorded %d comparisons, want 5", got)
 	}
-	op.FinishTrace(7)
 	op.Reset()
 	if op.LocalSamples() != 0 || len(op.Comparisons()) != 0 {
 		t.Fatal("Reset must clear local state")

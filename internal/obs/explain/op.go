@@ -31,10 +31,9 @@ type Op struct {
 	sink        *Recorder
 	attribution bool
 
-	seen    int64
-	comps   []Comparison
-	local   Agg
-	touched []BucketRef
+	seen  int64
+	comps []Comparison
+	local Agg
 }
 
 // NewOp creates explain state over query context qc. sink (may be nil)
@@ -63,10 +62,10 @@ func (o *Op) BeforeComparison(x []float64, r float64) {
 	s := o.qc.Measure(x, r)
 	s.Ref = int(ord)
 	if sinkWants {
-		o.touched = o.sink.Observe(s, o.touched)
+		o.sink.Observe(s)
 	}
 	if localWants {
-		o.local.Observe(s, nil)
+		o.local.Observe(s)
 	}
 }
 
@@ -83,17 +82,7 @@ func (o *Op) RecordComparison(ref int, delta obs.Counts, dist float64, found, ab
 func (o *Op) Reset() {
 	o.seen = 0
 	o.comps = nil
-	o.touched = o.touched[:0]
 	o.local = Agg{}
-}
-
-// FinishTrace tags the sink exemplars touched during this query with the
-// completed trace's id (0 = untraced, no tagging) and releases the refs.
-func (o *Op) FinishTrace(tid int64) {
-	if len(o.touched) > 0 {
-		o.sink.Tag(o.touched, tid)
-		o.touched = o.touched[:0]
-	}
 }
 
 // Comparisons returns the recorded per-comparison records (attribution only;

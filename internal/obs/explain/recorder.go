@@ -38,28 +38,15 @@ func (r *Recorder) ShouldSample() bool {
 	return r.seen.Add(1)%r.every == 0
 }
 
-// Observe folds one measured sample into the aggregate, appending the
-// touched histogram cells to touched (see Agg.Observe) for later exemplar
-// tagging. Safe on a nil receiver (no-op).
-func (r *Recorder) Observe(s Sample, touched []BucketRef) []BucketRef {
+// Observe folds one measured sample into the aggregate. Safe on a nil
+// receiver (no-op).
+func (r *Recorder) Observe(s Sample) {
 	if r == nil {
-		return touched
+		return
 	}
 	r.sampled.Add(1)
 	r.mu.Lock()
-	touched = r.agg.Observe(s, touched)
-	r.mu.Unlock()
-	return touched
-}
-
-// Tag attaches trace id tid as the exemplar of every referenced bucket,
-// correlating tightness cells to recorded traces. Safe on a nil receiver.
-func (r *Recorder) Tag(refs []BucketRef, tid int64) {
-	if r == nil || len(refs) == 0 || tid == 0 {
-		return
-	}
-	r.mu.Lock()
-	r.agg.tag(refs, tid)
+	r.agg.Observe(s)
 	r.mu.Unlock()
 }
 

@@ -1,13 +1,14 @@
-// Package expofmt parses the Prometheus text exposition format (0.0.4) with
-// OpenMetrics exemplar suffixes — the exact dialect every /metrics surface in
-// this repository emits. Tests scrape the library's and the server's /metrics
-// through it to pin the exemplar round-trip and to reconcile cumulative
-// counters against what a client saw. The parser is deliberately strict:
-// every sample's family must be preceded by its # HELP and # TYPE lines,
-// sample lines must be `name[{labels}] value`, and exemplars must be
-// `# {labels} value [timestamp]` — a malformed exposition is an error, never
-// a silent skip, because a scrape that parses loosely cannot be trusted to
-// verify anything.
+// Package expofmt parses the Prometheus text exposition format, version
+// 0.0.4 — the format every /metrics surface in this repository declares and
+// emits. Tests scrape the library's and the server's /metrics through it to
+// hold each body to that format and to reconcile cumulative counters against
+// what a client saw. The parser is deliberately strict: every sample's family
+// must be preceded by its # HELP and # TYPE lines (each at most once, the
+// type one of the format's five), and a sample line is `name[{labels}] value
+// [timestamp]` with quoted, escaped label values and an integer millisecond
+// timestamp. Anything else after the value — an OpenMetrics
+// `# {trace_id="…"} …` suffix, say — is an error, never a silent skip,
+// because a scrape that parses loosely cannot be trusted to verify anything.
 package expofmt
 
 import (
@@ -17,14 +18,11 @@ import (
 	"strings"
 )
 
-// Sample is one parsed sample line. Exemplar holds the OpenMetrics exemplar
-// labels (e.g. trace_id) when the line carries a `# {labels} value
-// [timestamp]` suffix, nil otherwise.
+// Sample is one parsed sample line.
 type Sample struct {
-	Name     string
-	Labels   map[string]string
-	Value    float64
-	Exemplar map[string]string
+	Name   string
+	Labels map[string]string
+	Value  float64
 }
 
 // Exposition is one fully parsed scrape: the samples in emission order plus
@@ -34,6 +32,9 @@ type Exposition struct {
 	Types   map[string]string
 	Help    map[string]string
 }
+
+// metricTypes are the TYPE values 0.0.4 defines.
+var metricTypes = map[string]bool{"counter": true, "gauge": true, "histogram": true, "summary": true, "untyped": true}
 
 // Parse reads one exposition body, enforcing the format contract described
 // in the package comment. Errors carry the 1-based line number.
@@ -59,13 +60,19 @@ func Parse(body string) (*Exposition, error) {
 			if len(parts) != 2 || parts[1] == "" {
 				return nil, fmt.Errorf("expofmt: line %d: HELP without text: %q", ln+1, line)
 			}
+			if _, dup := e.Help[parts[0]]; dup {
+				return nil, fmt.Errorf("expofmt: line %d: second HELP for %s", ln+1, parts[0])
+			}
 			e.Help[parts[0]] = parts[1]
 			continue
 		}
 		if strings.HasPrefix(line, "# TYPE ") {
 			parts := strings.Fields(line[len("# TYPE "):])
-			if len(parts) != 2 {
+			if len(parts) != 2 || !metricTypes[parts[1]] {
 				return nil, fmt.Errorf("expofmt: line %d: malformed TYPE: %q", ln+1, line)
+			}
+			if _, dup := e.Types[parts[0]]; dup {
+				return nil, fmt.Errorf("expofmt: line %d: second TYPE for %s", ln+1, parts[0])
 			}
 			e.Types[parts[0]] = parts[1]
 			continue
@@ -73,49 +80,9 @@ func Parse(body string) (*Exposition, error) {
 		if strings.HasPrefix(line, "#") {
 			continue
 		}
-		// An OpenMetrics exemplar rides after the sample value as
-		// ` # {labels} value [timestamp]`; split it off before the value parse
-		// below (whose LastIndex would otherwise grab the exemplar's trailing
-		// timestamp).
-		var exemplar map[string]string
-		if i := strings.Index(line, " # {"); i >= 0 {
-			ex := line[i+len(" # "):]
-			end := strings.Index(ex, "}")
-			if end < 0 {
-				return nil, fmt.Errorf("expofmt: line %d: unterminated exemplar labels: %q", ln+1, line)
-			}
-			var err error
-			if exemplar, err = parseLabels(ex[1:end]); err != nil {
-				return nil, fmt.Errorf("expofmt: line %d: exemplar %v", ln+1, err)
-			}
-			fields := strings.Fields(ex[end+1:])
-			if len(fields) < 1 || len(fields) > 2 {
-				return nil, fmt.Errorf("expofmt: line %d: exemplar wants `value [timestamp]`, got %q", ln+1, ex[end+1:])
-			}
-			for _, f := range fields {
-				if _, err := strconv.ParseFloat(f, 64); err != nil {
-					return nil, fmt.Errorf("expofmt: line %d: bad exemplar number %q: %v", ln+1, f, err)
-				}
-			}
-			line = strings.TrimSpace(line[:i])
-		}
-		sp := strings.LastIndex(line, " ")
-		if sp < 0 {
-			return nil, fmt.Errorf("expofmt: line %d: malformed sample: %q", ln+1, line)
-		}
-		nameLabels, valStr := line[:sp], line[sp+1:]
-		val, err := parseValue(valStr)
+		s, err := parseSample(line)
 		if err != nil {
-			return nil, fmt.Errorf("expofmt: line %d: bad sample value %q: %v", ln+1, valStr, err)
-		}
-		s := Sample{Labels: map[string]string{}, Value: val, Exemplar: exemplar}
-		if i := strings.Index(nameLabels, "{"); i >= 0 {
-			s.Name = nameLabels[:i]
-			if s.Labels, err = parseLabels(strings.TrimSuffix(nameLabels[i+1:], "}")); err != nil {
-				return nil, fmt.Errorf("expofmt: line %d: %v", ln+1, err)
-			}
-		} else {
-			s.Name = nameLabels
+			return nil, fmt.Errorf("expofmt: line %d: %v", ln+1, err)
 		}
 		fam := family(s.Name)
 		if !seen[fam] {
@@ -132,6 +99,56 @@ func Parse(body string) (*Exposition, error) {
 	return e, nil
 }
 
+// parseSample parses one `name[{labels}] value [timestamp]` line.
+func parseSample(line string) (Sample, error) {
+	s := Sample{Labels: map[string]string{}}
+	end := strings.IndexAny(line, "{ \t")
+	if end < 0 {
+		return s, fmt.Errorf("malformed sample: %q", line)
+	}
+	s.Name = line[:end]
+	if !validName(s.Name, true) {
+		return s, fmt.Errorf("bad metric name %q", s.Name)
+	}
+	rest := line[end:]
+	if rest[0] == '{' {
+		var err error
+		if s.Labels, rest, err = parseLabels(rest[1:]); err != nil {
+			return s, err
+		}
+		if rest == "" || (rest[0] != ' ' && rest[0] != '\t') {
+			return s, fmt.Errorf("malformed sample: no blank between labels and value: %q", line)
+		}
+	}
+	fields := strings.Fields(rest)
+	if len(fields) == 0 || len(fields) > 2 {
+		return s, fmt.Errorf("want `value [timestamp]` after the name and labels, got %q", rest)
+	}
+	var err error
+	if s.Value, err = parseValue(fields[0]); err != nil {
+		return s, fmt.Errorf("bad sample value %q: %v", fields[0], err)
+	}
+	if len(fields) == 2 {
+		if _, err := strconv.ParseInt(fields[1], 10, 64); err != nil {
+			return s, fmt.Errorf("bad timestamp %q: want integer milliseconds", fields[1])
+		}
+	}
+	return s, nil
+}
+
+// validName reports whether s is a metric name ([a-zA-Z_:][a-zA-Z0-9_:]*)
+// or, without colons, a label name.
+func validName(s string, colons bool) bool {
+	for i, c := range s {
+		ok := c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' ||
+			colons && c == ':' || i > 0 && c >= '0' && c <= '9'
+		if !ok {
+			return false
+		}
+	}
+	return s != ""
+}
+
 // parseValue accepts the sample-value forms the exposition format allows,
 // including +Inf/-Inf/NaN.
 func parseValue(s string) (float64, error) {
@@ -144,20 +161,60 @@ func parseValue(s string) (float64, error) {
 	return strconv.ParseFloat(s, 64)
 }
 
-// parseLabels parses the inside of a {...} label set.
-func parseLabels(inner string) (map[string]string, error) {
+// parseLabels parses a label set from just after its opening brace:
+// `name="value"` pairs separated by commas (a trailing comma allowed),
+// values escaped as \\, \" and \n. It returns the labels and the text after
+// the closing brace.
+func parseLabels(in string) (map[string]string, string, error) {
 	out := map[string]string{}
-	for _, pair := range strings.Split(inner, ",") {
-		if pair == "" {
-			continue
+	for {
+		if strings.HasPrefix(in, "}") {
+			return out, in[1:], nil
 		}
-		kv := strings.SplitN(pair, "=", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("malformed label %q", pair)
+		eq := strings.IndexByte(in, '=')
+		if eq < 0 || !validName(in[:eq], false) || !strings.HasPrefix(in[eq+1:], `"`) {
+			return nil, "", fmt.Errorf("malformed label at %q", in)
 		}
-		out[kv[0]] = strings.Trim(kv[1], `"`)
+		name := in[:eq]
+		in = in[eq+2:]
+		var val strings.Builder
+		closed := false
+		for len(in) > 0 && !closed {
+			c := in[0]
+			in = in[1:]
+			switch c {
+			case '"':
+				closed = true
+			case '\\':
+				if in == "" {
+					return nil, "", fmt.Errorf("label %s: unterminated escape", name)
+				}
+				switch in[0] {
+				case '\\', '"':
+					val.WriteByte(in[0])
+				case 'n':
+					val.WriteByte('\n')
+				default:
+					return nil, "", fmt.Errorf("label %s: bad escape \\%c", name, in[0])
+				}
+				in = in[1:]
+			default:
+				val.WriteByte(c)
+			}
+		}
+		if !closed {
+			return nil, "", fmt.Errorf("label %s: unterminated value", name)
+		}
+		if _, dup := out[name]; dup {
+			return nil, "", fmt.Errorf("label %s repeated", name)
+		}
+		out[name] = val.String()
+		if strings.HasPrefix(in, ",") {
+			in = in[1:]
+		} else if !strings.HasPrefix(in, "}") {
+			return nil, "", fmt.Errorf("malformed label set after %s: %q", name, in)
+		}
 	}
-	return out, nil
 }
 
 // Find returns every sample of the named family (exact name match), in

@@ -78,9 +78,7 @@ type SearchStats struct {
 
 	cancelledMembers atomic.Int64 // rotations left undisposed by a cancelled scan
 
-	indexCandidates atomic.Int64 // index-level bound evaluations that survived
-	indexFetches    atomic.Int64 // full-resolution fetches for exact verification
-	diskReads       atomic.Int64 // record reads charged by the backing store
+	indexFetches atomic.Int64 // full-resolution fetches for exact verification
 
 	kChanges atomic.Int64
 

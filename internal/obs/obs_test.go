@@ -11,7 +11,7 @@ func TestNilSinkIsSafeAndFree(t *testing.T) {
 		st.AddCounts(&Counts{
 			Comparisons: 1, Rotations: 8, Steps: 100, FullDistEvals: 1, EarlyAbandons: 1,
 			WedgeNodeVisits: 1, WedgeLeafVisits: 1, WedgePrunedMembers: 4, FFTRejects: 1, FFTRejectedMembers: 8,
-			IndexCandidates: 1, IndexFetches: 1, DiskReads: 1,
+			IndexFetches: 1,
 		}, &[MaxPruneLevels]int64{3: 2})
 		st.ObserveComparisonSteps(100)
 		st.RecordKChange(4, 8)

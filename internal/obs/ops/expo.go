@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"time"
 
 	"lbkeogh/internal/obs"
 )
@@ -38,9 +37,8 @@ func WriteGaugeFloat(w io.Writer, name, help string, v float64) {
 
 // HistogramBucket is one bucket of a WriteHistogram series.
 type HistogramBucket struct {
-	LE       string // the le label value; ignored on the last bucket, which is +Inf
-	Count    int64  // observations in this bucket alone, not cumulative
-	Exemplar string // OpenMetrics exemplar text following "# ", or empty
+	LE    string // the le label value; ignored on the last bucket, which is +Inf
+	Count int64  // observations in this bucket alone, not cumulative
 }
 
 // WriteHistogram writes one histogram series' sample lines (the family header
@@ -48,9 +46,8 @@ type HistogramBucket struct {
 // ascend by bound and the last one is the overflow bucket, written as
 // le="+Inf" with the same total as _count. labels (`k="v",…`, or empty) are
 // repeated on every line; sum is preformatted because families differ in its
-// unit and type. With elide, an interior bucket that holds nothing and has no
-// exemplar is skipped — never the first, so an idle series still has a finite
-// bucket.
+// unit and type. With elide, an interior bucket that holds nothing is skipped
+// — never the first, so an idle series still has a finite bucket.
 func WriteHistogram(w io.Writer, name, labels string, buckets []HistogramBucket, sum string, elide bool) {
 	sep, braced := "", ""
 	if labels != "" {
@@ -65,7 +62,7 @@ func WriteHistogram(w io.Writer, name, labels string, buckets []HistogramBucket,
 		le := b.LE
 		if i == len(buckets)-1 {
 			le = "+Inf"
-		} else if elide && i > 0 && b.Count == 0 && b.Exemplar == "" {
+		} else if elide && i > 0 && b.Count == 0 {
 			continue
 		}
 		line = append(line, name...)
@@ -76,47 +73,40 @@ func WriteHistogram(w io.Writer, name, labels string, buckets []HistogramBucket,
 		line = strconv.AppendQuote(line, le)
 		line = append(line, "} "...)
 		line = strconv.AppendInt(line, cum, 10)
-		if b.Exemplar != "" {
-			line = append(line, " # "...)
-			line = append(line, b.Exemplar...)
-		}
 		line = append(line, '\n')
 	}
 	w.Write(line) //nolint:errcheck // an exposition write error surfaces as a truncated scrape
 	fmt.Fprintf(w, "%s_sum%s %s\n%s_count%s %d\n", name, braced, sum, name, braced, cum)
 }
 
-// WriteDurationHistogram writes one obs.Histogram of nanosecond durations as
-// a histogram series in seconds — the one renderer of every duration family
-// that carries exemplars. ex, when non-nil, holds each bucket's exemplar text
-// (FormatExemplar; empty for none), indexed like the histogram with the
-// overflow bucket last. Every bucket is written, empty or not: each series of
-// a family then has the same le set at every scrape, which a scraper summing
-// by le across series, or taking a ratio at one le, depends on.
-func WriteDurationHistogram(w io.Writer, name, labels string, h *obs.Histogram, ex *[obs.HistogramBuckets + 1]string) {
-	var buckets [obs.HistogramBuckets + 1]HistogramBucket
-	for i := range buckets {
-		buckets[i].LE = FormatFloat(float64(obs.BucketBound(i)) / 1e9)
-		if ex != nil {
-			buckets[i].Exemplar = ex[i]
-		}
+// LayoutBuckets lays a snapshot of obs's fixed power-of-two layout (its
+// non-empty buckets, as obs.Histogram.Buckets returns them) out for
+// WriteHistogram: every bucket of the layout, empty or not, the overflow
+// bucket last. Each series of a family then has the same le set at every
+// scrape, which a scraper summing by le across series, or taking a ratio at
+// one le, depends on. le renders a finite bucket's upper bound.
+func LayoutBuckets(snap []obs.HistogramBucket, le func(bound int64) string) []HistogramBucket {
+	out := make([]HistogramBucket, obs.HistogramBuckets+1)
+	for i := range obs.HistogramBuckets {
+		out[i].LE = le(obs.BucketBound(i))
 	}
-	for _, b := range h.Buckets() {
+	for _, b := range snap {
 		i := obs.HistogramBuckets // bound -1: the overflow bucket
 		if b.UpperBound >= 0 {
 			i = obs.BucketIndex(b.UpperBound)
 		}
-		buckets[i].Count = b.Count
+		out[i].Count += b.Count
 	}
-	WriteHistogram(w, name, labels, buckets[:], FormatFloat(float64(h.Sum())/1e9), false)
+	return out
 }
 
-// FormatExemplar renders a trace-ID exemplar in OpenMetrics form: the label
-// set, the traced observation's duration in seconds and its wall time.
-func FormatExemplar(traceID, durNS int64, wall time.Time) string {
-	return fmt.Sprintf("{trace_id=\"%d\"} %s %s", traceID,
-		FormatFloat(float64(durNS)/1e9), FormatFloat(float64(wall.UnixNano())/1e9))
+// WriteDurationHistogram writes one obs.Histogram of nanosecond durations as
+// a histogram series in seconds, every bucket of the layout written.
+func WriteDurationHistogram(w io.Writer, name, labels string, h *obs.Histogram) {
+	WriteHistogram(w, name, labels, LayoutBuckets(h.Buckets(), seconds), FormatFloat(float64(h.Sum())/1e9), false)
 }
+
+func seconds(ns int64) string { return FormatFloat(float64(ns) / 1e9) }
 
 // FormatFloat renders a sample value the exposition parsers accept,
 // including NaN (used for histogram sums that have no exact value, matching

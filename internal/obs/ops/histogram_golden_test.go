@@ -5,7 +5,6 @@ import (
 	"math"
 	"runtime/metrics"
 	"testing"
-	"time"
 
 	"lbkeogh/internal/obs"
 )
@@ -38,8 +37,9 @@ func TestRuntimeHistogramGolden(t *testing.T) {
 // histograms (since removed), before the bucket loop moved into
 // WriteHistogram; it moved on into WriteDurationHistogram, which the serving
 // layer's request histogram shares, and gained the empty interior buckets
-// when that stopped eliding them (one le set per family). Every non-empty
-// bucket's line, and every exemplar, is the bytes captured then.
+// when that stopped eliding them (one le set per family), then lost the
+// OpenMetrics trace-ID suffixes the 0.0.4 format has no syntax for. Every
+// non-empty bucket's line is otherwise the bytes captured then.
 const durationHistogramGolden = `lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="1e-09"} 1
 lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="2e-09"} 1
 lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="4e-09"} 1
@@ -52,12 +52,12 @@ lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="2.56e-07"} 1
 lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="5.12e-07"} 1
 lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="1.024e-06"} 3
 lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="2.048e-06"} 3
-lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="4.096e-06"} 3 # {trace_id="3"} 3e-06 1.7000000002499998e+09
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="4.096e-06"} 3
 lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="8.192e-06"} 3
 lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="1.6384e-05"} 3
 lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="3.2768e-05"} 3
 lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="6.5536e-05"} 3
-lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="0.000131072"} 5 # {trace_id="4"} 7.0001e-05 1.7000000002499998e+09
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="0.000131072"} 5
 lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="0.000262144"} 5
 lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="0.000524288"} 5
 lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="0.001048576"} 5
@@ -80,7 +80,7 @@ lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="68.719476736"
 lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="137.438953472"} 5
 lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="274.877906944"} 5
 lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="549.755813888"} 5
-lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="+Inf"} 6 # {trace_id="5"} 35184.372088832 1.7000000002499998e+09
+lbkeogh_store_fetch_duration_seconds_bucket{temperature="cold",le="+Inf"} 6
 lbkeogh_store_fetch_duration_seconds_sum{temperature="cold"} 35184.372230734
 lbkeogh_store_fetch_duration_seconds_count{temperature="cold"} 6
 lbkeogh_store_read_duration_seconds_bucket{column="raw",temperature="warm",le="1e-09"} 1
@@ -133,14 +133,9 @@ func TestWriteDurationHistogramGolden(t *testing.T) {
 	for _, v := range []int64{1, 900, 1000, 70000, 70001, 1 << 45} {
 		h.Observe(v)
 	}
-	wall := time.Unix(1700000000, 250000000)
-	var ex [obs.HistogramBuckets + 1]string
-	ex[12] = FormatExemplar(3, 3000, wall)
-	ex[17] = FormatExemplar(4, 70001, wall)
-	ex[obs.HistogramBuckets] = FormatExemplar(5, 1<<45, wall)
 	var buf bytes.Buffer
-	WriteDurationHistogram(&buf, "lbkeogh_store_fetch_duration_seconds", `temperature="cold"`, &h, &ex)
-	WriteDurationHistogram(&buf, "lbkeogh_store_read_duration_seconds", `column="raw",temperature="warm"`, &h, nil)
+	WriteDurationHistogram(&buf, "lbkeogh_store_fetch_duration_seconds", `temperature="cold"`, &h)
+	WriteDurationHistogram(&buf, "lbkeogh_store_read_duration_seconds", `column="raw",temperature="warm"`, &h)
 	if got := buf.String(); got != durationHistogramGolden {
 		t.Errorf("WriteDurationHistogram:\n%s\nwant:\n%s", got, durationHistogramGolden)
 	}

@@ -12,9 +12,9 @@ import (
 
 func TestREDIsCumulative(t *testing.T) {
 	var r RED
-	r.Observe(200, 10*time.Millisecond, 0)
-	r.Observe(504, 20*time.Millisecond, 0)
-	r.Observe(429, time.Millisecond, 0)
+	r.Observe(200, 10*time.Millisecond)
+	r.Observe(504, 20*time.Millisecond)
+	r.Observe(429, time.Millisecond)
 	snap := r.Snapshot()
 	want := map[string]int64{"ok": 1, "client": 0, "rejected": 1, "timeout": 1, "server": 0}
 	if snap.Requests != 3 || len(snap.Classes) != len(want) {
@@ -34,10 +34,10 @@ func TestREDQuantilesAreBucketResolution(t *testing.T) {
 	var r RED
 	// 90 fast requests, 10 slow: p50 in the fast bucket, p99 in the slow.
 	for i := 0; i < 90; i++ {
-		r.Observe(200, 1000*time.Nanosecond, 0) // bucket bound 1024
+		r.Observe(200, 1000*time.Nanosecond) // bucket bound 1024
 	}
 	for i := 0; i < 10; i++ {
-		r.Observe(200, time.Duration(1<<20-1)*time.Nanosecond, 0) // ~1ms, bound 2^20
+		r.Observe(200, time.Duration(1<<20-1)*time.Nanosecond) // ~1ms, bound 2^20
 	}
 	snap := r.Snapshot()
 	if snap.P50NS != 1024 {
@@ -59,32 +59,10 @@ func TestErrorClass(t *testing.T) {
 	}
 }
 
-func TestExemplarTracksMostRecentTrace(t *testing.T) {
-	var r RED
-	r.Observe(200, 1000*time.Nanosecond, 7)
-	r.Observe(200, 1001*time.Nanosecond, 9) // same bucket: replaces trace 7
-	snap := r.Snapshot()
-	if len(snap.Exemplars) != 1 {
-		t.Fatalf("exemplars = %+v, want exactly one", snap.Exemplars)
-	}
-	ex := snap.Exemplars[0]
-	if ex.TraceID != 9 || ex.UpperBoundNS != 1024 || ex.DurNS != 1001 {
-		t.Fatalf("exemplar = %+v, want trace 9 (1001ns) on bound 1024", ex)
-	}
-	// Untraced observations never clobber an exemplar, and another bucket's
-	// traced one adds its own.
-	r.Observe(200, 1002*time.Nanosecond, 0)
-	r.Observe(200, time.Second, 11)
-	snap = r.Snapshot()
-	if len(snap.Exemplars) != 2 || snap.Exemplars[0].TraceID != 9 || snap.Exemplars[1].TraceID != 11 {
-		t.Fatalf("exemplars = %+v, want trace 9 then trace 11", snap.Exemplars)
-	}
-}
-
 func TestNilSinksAreNoOps(t *testing.T) {
 	var r *RED
-	r.Observe(200, time.Second, 1)
-	if s := r.Snapshot(); s.Requests != 0 || len(s.Exemplars) != 0 {
+	r.Observe(200, time.Second)
+	if s := r.Snapshot(); s.Requests != 0 {
 		t.Error("nil RED snapshot not empty")
 	}
 	if h := r.Histogram(); h.Count() != 0 {
@@ -173,7 +151,7 @@ func TestREDConcurrentHammer(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				r.Observe(200+g, time.Duration(i)*time.Microsecond, int64(i%3))
+				r.Observe(200+g, time.Duration(i)*time.Microsecond)
 			}
 		}(g)
 	}

@@ -1,7 +1,6 @@
 package ops
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -44,45 +43,23 @@ func classIndex(status int) int {
 	}
 }
 
-// Exemplar is the most recent traced observation that landed in a latency
-// bucket: enough to jump from a histogram tail straight to the captured
-// trace (OpenMetrics exemplar semantics).
-type Exemplar struct {
-	TraceID int64
-	DurNS   int64
-	Wall    time.Time
-}
-
 // RED is one endpoint's request record since process start — rate, errors
-// and duration: terminal outcomes by error class, their latencies in a
-// power-of-two histogram, and per latency bucket the most recent traced
-// request as an exemplar. Nothing rolls out; a scraper windows by
+// and duration: terminal outcomes by error class and their latencies in a
+// power-of-two histogram. Nothing rolls out; a scraper windows by
 // differencing two scrapes. The zero value is ready to use, and a nil *RED is
 // a no-op sink. This is per-request accounting, never per-comparison.
 type RED struct {
 	classes   [numClasses]atomic.Int64
 	durations obs.Histogram
-
-	mu        sync.Mutex // guards exemplars; only a traced request takes it
-	exemplars [obs.HistogramBuckets + 1]Exemplar
 }
 
-// Observe records one finished request. traceID links the observation to a
-// retained trace (0 when the request was untraced or sampled away); a
-// non-zero ID replaces the bucket's exemplar.
-func (r *RED) Observe(status int, dur time.Duration, traceID int64) {
+// Observe records one finished request.
+func (r *RED) Observe(status int, dur time.Duration) {
 	if r == nil {
 		return
 	}
-	ns := max(dur.Nanoseconds(), 0)
 	r.classes[classIndex(status)].Add(1)
-	r.durations.Observe(ns)
-	if traceID != 0 {
-		ex := Exemplar{TraceID: traceID, DurNS: ns, Wall: time.Now()}
-		r.mu.Lock()
-		r.exemplars[obs.BucketIndex(ns)] = ex
-		r.mu.Unlock()
-	}
+	r.durations.Observe(max(dur.Nanoseconds(), 0))
 }
 
 // Histogram returns the latency histogram (nanoseconds) Observe feeds.
@@ -91,13 +68,6 @@ func (r *RED) Histogram() *obs.Histogram {
 		return nil
 	}
 	return &r.durations
-}
-
-// BucketExemplar pairs a histogram bucket (by upper bound, -1 for overflow)
-// with its exemplar.
-type BucketExemplar struct {
-	UpperBoundNS int64
-	Exemplar
 }
 
 // REDSnapshot is one read of a RED record.
@@ -110,8 +80,6 @@ type REDSnapshot struct {
 	// upper bound (ns) the quantile falls in, -1 for the overflow bucket, 0
 	// when nothing was observed.
 	P50NS, P99NS int64
-	// Exemplars carries each bucket's exemplar, ascending by bound.
-	Exemplars []BucketExemplar
 }
 
 // Snapshot reads the record.
@@ -128,26 +96,5 @@ func (r *RED) Snapshot() REDSnapshot {
 	buckets := r.durations.Buckets()
 	out.P50NS = obs.BucketQuantile(buckets, 0.50)
 	out.P99NS = obs.BucketQuantile(buckets, 0.99)
-	r.mu.Lock()
-	for b, ex := range r.exemplars {
-		if ex.TraceID != 0 {
-			out.Exemplars = append(out.Exemplars, BucketExemplar{UpperBoundNS: obs.BucketBound(b), Exemplar: ex})
-		}
-	}
-	r.mu.Unlock()
 	return out
-}
-
-// ExemplarText indexes the snapshot's exemplars by histogram bucket, rendered
-// by FormatExemplar for WriteDurationHistogram.
-func (s REDSnapshot) ExemplarText() *[obs.HistogramBuckets + 1]string {
-	var out [obs.HistogramBuckets + 1]string
-	for _, ex := range s.Exemplars {
-		i := obs.HistogramBuckets // bound -1: the overflow bucket
-		if ex.UpperBoundNS >= 0 {
-			i = obs.BucketIndex(ex.UpperBoundNS)
-		}
-		out[i] = FormatExemplar(ex.TraceID, ex.DurNS, ex.Wall)
-	}
-	return &out
 }

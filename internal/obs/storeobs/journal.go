@@ -4,9 +4,9 @@
 // ingest batches, snapshot pins and releases — with per-kind counters that
 // reconcile against the store's own ingest and compaction counters.
 //
-// Reads are not journalled. The index counts and times every fetch it makes
-// (its trace's fetch span and disk_read stage), and the store counts them
-// again in DB.Reads; a cold page cache shows as major page faults.
+// Reads are not journalled, nor counted by the store. The index counts and
+// times every fetch it makes (its probe's index_fetches, its trace's fetch
+// span and disk_read stage); a cold page cache shows as major page faults.
 //
 // A nil *Journal is a no-op sink, so a store or bulk writer with none
 // attached pays one nil check per event.

@@ -180,8 +180,8 @@ func (s *Snapshot) Features() (mags, paas [][]float64) {
 // store: in-flight readers keep their generation mapped until they finish.
 //
 // DB implements the index.SeriesStore contract (Fetch/Len), and so does its
-// Pinned view; Reads is the store's own count of fetches through either,
-// whoever made them.
+// Pinned view. The store keeps no count of fetches: an index counts its own
+// (index.Index.Reads, and the probe's IndexFetches).
 type DB struct {
 	dir  string
 	dims int // requested feature dims for the first segment of an empty store
@@ -193,7 +193,6 @@ type DB struct {
 
 	cur atomic.Pointer[Snapshot]
 
-	reads           atomic.Int64
 	ingests         atomic.Int64
 	compactions     atomic.Int64
 	ingestedRecords atomic.Int64
@@ -350,8 +349,8 @@ func (db *DB) Dims() int {
 // Generation returns the current manifest generation.
 func (db *DB) Generation() int64 { return db.cur.Load().gen }
 
-// Fetch returns a private copy of record id's series, counting the read —
-// the index.SeriesStore contract (panic on a bad ID). The copy is safe to
+// Fetch returns a private copy of record id's series — the
+// index.SeriesStore contract (panic on a bad ID). The copy is safe to
 // hold across compactions, and costs an Acquire/Release pair and an
 // allocation per call; a reader that already holds a snapshot for as long as
 // it reads fetches through Pinned instead.
@@ -360,49 +359,36 @@ func (db *DB) Fetch(id int) []float64 {
 	// Deferred, not inline: a record-access panic (backend I/O error) must
 	// not leak the snapshot reference and pin retired segments forever.
 	defer s.Release()
-	v := db.fetch(s, id)
+	v := s.fetch(id)
 	out := make([]float64, len(v))
 	copy(out, v)
 	return out
 }
 
-// fetch is one counted read of record id through s, which the caller holds:
-// the row comes back as a view into s's mappings. Timing it is the caller's
-// business (the index's fetch span).
-func (db *DB) fetch(s *Snapshot, id int) []float64 {
+// fetch is Series behind the index.SeriesStore range check (panic on a bad
+// ID). Timing it is the caller's business (the index's fetch span).
+func (s *Snapshot) fetch(id int) []float64 {
 	if id < 0 || id >= s.total {
 		panic(fmt.Sprintf("segment: fetch id %d out of range [0,%d)", id, s.total))
 	}
-	r, li := s.locate(id)
-	v := r.Series(li)
-	db.reads.Add(1)
-	return v
+	return s.Series(id)
 }
 
 // Pinned is the store as one held snapshot shows it — the index.SeriesStore
-// of an index built over that snapshot. Its Fetch counts a read exactly as
-// DB.Fetch does but returns the row as a view, not a copy: it is
-// valid only until the snapshot is released, and only to read.
-type Pinned struct {
-	db   *DB
-	snap *Snapshot
-}
+// of an index built over that snapshot. Its Fetch reads what DB.Fetch does
+// but returns the row as a view, not a copy: it is valid only until the
+// snapshot is released, and only to read.
+type Pinned struct{ snap *Snapshot }
 
 // Pinned returns the store as seen through snap, which the caller has
 // acquired from db and must hold for as long as the result is in use.
-func (db *DB) Pinned(snap *Snapshot) Pinned { return Pinned{db: db, snap: snap} }
+func (db *DB) Pinned(snap *Snapshot) Pinned { return Pinned{snap: snap} }
 
 // Fetch returns record id's series as a view into the pinned snapshot.
-func (p Pinned) Fetch(id int) []float64 { return p.db.fetch(p.snap, id) }
+func (p Pinned) Fetch(id int) []float64 { return p.snap.fetch(id) }
 
 // Len returns the pinned snapshot's record count.
 func (p Pinned) Len() int { return p.snap.total }
-
-// Reads returns the number of record fetches since the last reset.
-func (db *DB) Reads() int { return int(db.reads.Load()) }
-
-// ResetReads zeroes the fetch counter.
-func (db *DB) ResetReads() { db.reads.Store(0) }
 
 // Busy reports whether an Ingest or Compact is in flight (the /readyz
 // "ingesting" reason).
@@ -684,7 +670,6 @@ type Stats struct {
 	Records         int
 	MappedBytes     int64
 	ZeroCopy        bool
-	Reads           int64
 	Ingests         int64
 	Compactions     int64
 	IngestedRecords int64
@@ -710,7 +695,6 @@ func (db *DB) Stats() Stats {
 		Records:         s.total,
 		MappedBytes:     s.MappedBytes(),
 		ZeroCopy:        zc,
-		Reads:           db.reads.Load(),
 		Ingests:         db.ingests.Load(),
 		Compactions:     db.compactions.Load(),
 		IngestedRecords: db.ingestedRecords.Load(),

@@ -65,19 +65,16 @@ func TestDBIngestCompactReopen(t *testing.T) {
 		t.Fatalf("stats after ingest: %+v", got)
 	}
 
-	// Fetch contract: copies, counted.
-	db.ResetReads()
+	// Fetch contract: private copies.
 	for id := 0; id < 200; id += 17 {
-		if !floatsEqual(db.Fetch(id), testSeries(id, testN)) {
+		got := db.Fetch(id)
+		if !floatsEqual(got, testSeries(id, testN)) {
 			t.Fatalf("Fetch(%d) mismatch", id)
 		}
-	}
-	wantReads := 0
-	for id := 0; id < 200; id += 17 {
-		wantReads++
-	}
-	if db.Reads() != wantReads {
-		t.Fatalf("reads=%d, want %d", db.Reads(), wantReads)
+		got[0]++
+		if !floatsEqual(db.Fetch(id), testSeries(id, testN)) {
+			t.Fatalf("writing Fetch(%d)'s result changed the store", id)
+		}
 	}
 
 	// Compact everything into one segment; IDs and contents must not move.
@@ -211,7 +208,6 @@ func TestDBConcurrentCompactSwap(t *testing.T) {
 	var fetches atomic.Int64
 	var wg sync.WaitGroup
 
-	db.ResetReads()
 	for g := 0; g < readers; g++ {
 		wg.Add(1)
 		go func(seed int) {
@@ -223,8 +219,8 @@ func TestDBConcurrentCompactSwap(t *testing.T) {
 					return
 				default:
 				}
-				// Alternate the two read planes: one-shot Fetch (copying,
-				// counted) and snapshot views (zero-copy, pinned).
+				// Alternate the two read planes: one-shot Fetch (copying)
+				// and snapshot views (zero-copy, pinned).
 				s := db.Acquire()
 				total := s.Len()
 				id := i % total
@@ -270,8 +266,8 @@ func TestDBConcurrentCompactSwap(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	if got, want := int64(db.Reads()), fetches.Load(); got != want {
-		t.Fatalf("read accounting: store counted %d, readers made %d", got, want)
+	if fetches.Load() == 0 {
+		t.Fatal("no reader completed a Fetch during the swaps")
 	}
 	verifyAll(t, db, next)
 	if db.Stats().Generation < 20 {

@@ -265,24 +265,23 @@ func (s *Server) begin(w http.ResponseWriter, r *http.Request, ep string) (rq *r
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
-		rq.finish(http.StatusMethodNotAllowed, 0, "method not allowed", "method", r.Method)
+		rq.finish(http.StatusMethodNotAllowed, "method not allowed", "method", r.Method)
 		return rq, false
 	}
 	if s.Draining() {
 		s.drained.Add(1)
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		rq.finish(http.StatusServiceUnavailable, 0, "refused: draining")
+		rq.finish(http.StatusServiceUnavailable, "refused: draining")
 		return rq, false
 	}
 	return rq, true
 }
 
 // finish is every terminal outcome's single exit: one RED observation and
-// one log line per request (traceID 0 when it ran no traced search), both of
-// the same duration.
-func (rq *request) finish(status int, traceID int64, msg string, attrs ...any) {
+// one log line per request, both of the same duration.
+func (rq *request) finish(status int, msg string, attrs ...any) {
 	dur := time.Since(rq.began)
-	rq.s.tel.endpoints[rq.ep].Observe(status, dur, traceID)
+	rq.s.tel.endpoints[rq.ep].Observe(status, dur)
 	attrs = append(attrs, "status", status, "dur_ms", float64(dur.Microseconds())/1000)
 	if status >= 400 {
 		rq.lg.Warn(msg, attrs...)
@@ -311,13 +310,13 @@ func (s *Server) searchEndpoint(kind searchKind) http.HandlerFunc {
 		defer view.release()
 		if len(view.rows) == 0 {
 			writeError(w, http.StatusServiceUnavailable, "store is empty: ingest data first")
-			finish(http.StatusServiceUnavailable, 0, "refused: empty store")
+			finish(http.StatusServiceUnavailable, "refused: empty store")
 			return
 		}
 		req, spec, timeout, err := s.parse(r, kind, view.rows)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
-			finish(http.StatusBadRequest, 0, "bad request", "error", err.Error())
+			finish(http.StatusBadRequest, "bad request", "error", err.Error())
 			return
 		}
 		rq.lg = rq.lg.With("strategy", spec.Strategy, "measure", spec.Measure)
@@ -329,27 +328,26 @@ func (s *Server) searchEndpoint(kind searchKind) http.HandlerFunc {
 			case errors.Is(err, ErrSaturated):
 				w.Header().Set("Retry-After", "1")
 				writeError(w, http.StatusTooManyRequests, "%v", err)
-				finish(http.StatusTooManyRequests, 0, "shed: admission queue full")
+				finish(http.StatusTooManyRequests, "shed: admission queue full")
 			case errors.Is(err, context.DeadlineExceeded):
 				s.timeouts.Add(1)
 				writeError(w, http.StatusGatewayTimeout, "deadline expired while queued for admission")
-				finish(http.StatusGatewayTimeout, 0, "timeout while queued")
+				finish(http.StatusGatewayTimeout, "timeout while queued")
 			default: // client went away while queued
 				s.timeouts.Add(1)
 				writeError(w, http.StatusServiceUnavailable, "request cancelled while queued")
-				finish(http.StatusServiceUnavailable, 0, "client gone while queued")
+				finish(http.StatusServiceUnavailable, "client gone while queued")
 			}
 			return
 		}
 		defer s.adm.Release()
-		s.requests.Add(1)
 
 		sess, hit, err := s.pool.Checkout(spec, func() (*lbkeogh.Query, error) { return s.buildQuery(spec) })
 		if err != nil {
 			// The only build failures left after parse are option conflicts
 			// (e.g. fft with a non-Euclidean measure): the client's fault.
 			writeError(w, http.StatusBadRequest, "%v", err)
-			finish(http.StatusBadRequest, 0, "session build failed", "error", err.Error())
+			finish(http.StatusBadRequest, "session build failed", "error", err.Error())
 			return
 		}
 		if !hit {
@@ -382,7 +380,7 @@ func (s *Server) searchEndpoint(kind searchKind) http.HandlerFunc {
 		traceID := q.LastTraceID()
 		searchDone := func(status int, msg string, attrs ...any) {
 			attrs = append(attrs, "trace_id", traceID, "pool_hit", hit, "comparisons", stats.Comparisons)
-			finish(status, traceID, msg, attrs...)
+			finish(status, msg, attrs...)
 		}
 		if err != nil {
 			switch {
@@ -483,7 +481,6 @@ type healthResponse struct {
 	DBSize    int            `json:"db_size"`
 	Admission AdmissionStats `json:"admission"`
 	Pool      PoolStats      `json:"pool"`
-	Requests  int64          `json:"requests"`
 	Timeouts  int64          `json:"timeouts"`
 	// Store is present only in segment-store mode.
 	Store *segment.Stats `json:"store,omitempty"`
@@ -500,7 +497,6 @@ func (s *Server) handleLivez(w http.ResponseWriter, r *http.Request) {
 		DBSize:    s.dbSize(),
 		Admission: s.adm.Stats(),
 		Pool:      s.pool.Stats(),
-		Requests:  s.requests.Load(),
 		Timeouts:  s.timeouts.Load(),
 	}
 	if s.store != nil {

@@ -105,7 +105,7 @@ func TestServerAnswersThroughIndexLikeFlatLibrary(t *testing.T) {
 						}
 					}
 					st := sr.Stats
-					if !st.Reconciles() || st.IndexFetches == 0 || st.IndexFetches != st.Comparisons || st.IndexCandidates != st.IndexFetches {
+					if !st.Reconciles() || st.IndexFetches == 0 || st.IndexFetches != st.Comparisons {
 						t.Fatalf("%s did not go through the index: %+v", name, st.Counts)
 					}
 					if ep.k <= 1 && st.Comparisons >= m {
@@ -198,7 +198,7 @@ func TestServerFlatRequestsStayFlat(t *testing.T) {
 			t.Fatalf("%s: status %d (%s)", c.name, code, text)
 		}
 		// (A parallel scan re-checks the rows before its answer for ties: at least m.)
-		if st := sr.Stats; st.IndexFetches != 0 || st.IndexCandidates != 0 || st.Comparisons < m || !st.Reconciles() {
+		if st := sr.Stats; st.IndexFetches != 0 || st.Comparisons < m || !st.Reconciles() {
 			t.Errorf("%s left the flat scan: %+v", c.name, st.Counts)
 		}
 		if c.name != "fft" && (len(sr.Results) == 0 || sr.Results[0].Index != 4) {
@@ -340,7 +340,7 @@ func TestServerTracedIndexRequestTellsItsStory(t *testing.T) {
 	}
 
 	exp := scrapeMetrics(t, ts)
-	if c, f := exp.Counter("shapeserver_index_candidates", nil), exp.Counter("shapeserver_index_fetches", nil); c != sr.Stats.IndexCandidates || f != sr.Stats.IndexFetches {
-		t.Fatalf("/metrics index counters %d/%d, the request's %d/%d", c, f, sr.Stats.IndexCandidates, sr.Stats.IndexFetches)
+	if f := exp.Counter("shapeserver_index_fetches", nil); f != sr.Stats.IndexFetches {
+		t.Fatalf("/metrics index fetches %d, the request's %d", f, sr.Stats.IndexFetches)
 	}
 }

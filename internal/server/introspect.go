@@ -147,7 +147,7 @@ var explainPanelTemplate = template.Must(template.New("explain").Parse(`
 {{end}}
 </table>
 <p class="meta">ratio = lower bound / true rotation-invariant distance (1 = perfectly tight) &middot;
-full histograms with trace-ID exemplars on /metrics &middot;
+full histograms on /metrics &middot;
 index structure health at <a href="/debug/index">/debug/index</a></p>
 {{end}}{{end}}
 `))

@@ -61,10 +61,12 @@ func metricsInventory(exp *expofmt.Exposition) string {
 // families (explain.FromCounts over the outcome counters above), then the
 // store's fetch and page accounting — ten lbkeogh_store_ families and five
 // shapeserver_segment_ ones — leaving the journal's (the index's fetch span
-// times a fetch, shapeserver_store_reads_total counts it), then the rolling
-// windows' thirteen shapeserver_window_* and shapeserver_slo_* gauges, each a
-// ratio or delta of the cumulative families checked here that a scraper takes
-// itself (README "Request accounting, SLOs and burn rates").
+// times a fetch), then the rolling windows' thirteen shapeserver_window_* and
+// shapeserver_slo_* gauges, each a ratio or delta of the cumulative families
+// checked here that a scraper takes itself (README "Request accounting, SLOs
+// and burn rates"), then four counters that restated another: two index
+// counters and the store's read counter beside shapeserver_index_fetches, and
+// a request counter beside shapeserver_admitted_total.
 func TestMetricsInventoryPinned(t *testing.T) {
 	session := func(t *testing.T, ts *httptest.Server, golden string) {
 		var sum obs.Counts
@@ -222,7 +224,6 @@ lbkeogh_runtime_total_bytes · gauge · {}
 shapeserver_admitted_total · counter · {}
 shapeserver_cancelled_members · counter · {}
 shapeserver_comparisons · counter · {}
-shapeserver_disk_reads · counter · {}
 shapeserver_drained_total · counter · {}
 shapeserver_draining · gauge · {}
 shapeserver_early_abandons · counter · {}
@@ -231,7 +232,6 @@ shapeserver_fft_fallbacks · counter · {}
 shapeserver_fft_rejected_members · counter · {}
 shapeserver_fft_rejects · counter · {}
 shapeserver_full_dist_evals · counter · {}
-shapeserver_index_candidates · counter · {}
 shapeserver_index_fetches · counter · {}
 shapeserver_inflight · gauge · {}
 shapeserver_k_changes · counter · {}
@@ -242,7 +242,6 @@ shapeserver_pool_misses_total · counter · {}
 shapeserver_queue_waiting · gauge · {}
 shapeserver_rejected_total · counter · {}
 shapeserver_request_duration_seconds · histogram · {endpoint}
-shapeserver_requests_total · counter · {}
 shapeserver_rotations · counter · {}
 shapeserver_stage_latency_ns · histogram · {stage}
 shapeserver_steps · counter · {}
@@ -268,7 +267,6 @@ lbkeogh_store_journal_events_total · counter · {kind}
 shapeserver_admitted_total · counter · {}
 shapeserver_cancelled_members · counter · {}
 shapeserver_comparisons · counter · {}
-shapeserver_disk_reads · counter · {}
 shapeserver_drained_total · counter · {}
 shapeserver_draining · gauge · {}
 shapeserver_early_abandons · counter · {}
@@ -277,7 +275,6 @@ shapeserver_fft_fallbacks · counter · {}
 shapeserver_fft_rejected_members · counter · {}
 shapeserver_fft_rejects · counter · {}
 shapeserver_full_dist_evals · counter · {}
-shapeserver_index_candidates · counter · {}
 shapeserver_index_fetches · counter · {}
 shapeserver_inflight · gauge · {}
 shapeserver_k_changes · counter · {}
@@ -288,7 +285,6 @@ shapeserver_pool_misses_total · counter · {}
 shapeserver_queue_waiting · gauge · {}
 shapeserver_rejected_total · counter · {}
 shapeserver_request_duration_seconds · histogram · {endpoint}
-shapeserver_requests_total · counter · {}
 shapeserver_rotations · counter · {}
 shapeserver_stage_latency_ns · histogram · {stage}
 shapeserver_steps · counter · {}
@@ -298,7 +294,6 @@ shapeserver_store_generation · gauge · {}
 shapeserver_store_ingested_records_total · counter · {}
 shapeserver_store_ingests_total · counter · {}
 shapeserver_store_mapped_bytes · gauge · {}
-shapeserver_store_reads_total · counter · {}
 shapeserver_store_records · gauge · {}
 shapeserver_store_segment_records · gauge · {segment}
 shapeserver_store_segments · gauge · {}

@@ -57,15 +57,14 @@ func (s *Server) mutationEndpoint(ep string, body func(w http.ResponseWriter, r 
 		if !ok {
 			return
 		}
-		finish := func(status int, msg string, attrs ...any) { rq.finish(status, 0, msg, attrs...) }
 		if s.store == nil {
 			writeError(w, http.StatusConflict, "server is not store-backed: %s requires -segments mode", r.URL.Path)
-			finish(http.StatusConflict, "refused: no store")
+			rq.finish(http.StatusConflict, "refused: no store")
 			return
 		}
 		s.mutationsIn.Add(1)
 		defer s.mutationsIn.Add(-1)
-		body(w, r, finish)
+		body(w, r, rq.finish)
 	}
 }
 
@@ -98,7 +97,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			finish(http.StatusBadRequest, "ingest failed", "error", err.Error())
 			return
 		}
-		s.ingestRows.Add(int64(len(req.Series)))
 		s.invalidateIntrospection()
 		resp := IngestResponse{
 			FirstID:    int64(firstID),
@@ -131,7 +129,6 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if merged > 0 {
-			s.compactOps.Add(1)
 			s.invalidateIntrospection()
 		}
 		resp := CompactResponse{

@@ -65,10 +65,10 @@ func (t *telemetry) writeMetrics(w io.Writer) {
 	}
 
 	ops.WriteFamily(w, "shapeserver_request_duration_seconds", "histogram",
-		"Request latency since process start, by endpoint; each bucket carries its most recent traced request as an exemplar.")
+		"Request latency since process start, by endpoint.")
 	for _, ep := range eps {
 		ops.WriteDurationHistogram(w, "shapeserver_request_duration_seconds",
-			fmt.Sprintf("endpoint=%q", ep), t.endpoints[ep].Histogram(), snaps[ep].ExemplarText())
+			fmt.Sprintf("endpoint=%q", ep), t.endpoints[ep].Histogram())
 	}
 
 	ops.WriteFamily(w, "shapeserver_endpoint_requests_total", "counter",
@@ -140,5 +140,5 @@ var telemetryPanelTemplate = template.Must(template.New("telemetry").Parse(`
 </table>
 <p class="meta">quantiles are bucket-resolution (power-of-two bounds) since process start;
 rates and windows are the scraper's &middot;
-exemplars on /metrics link latency buckets to retained traces</p>
+a slow request's trace_id (response and log line) finds its trace in the slow ring below</p>
 `))

@@ -196,21 +196,22 @@ func TestMetricsUnderConcurrentLoad(t *testing.T) {
 	close(stop)
 	scraper.Wait()
 
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	for _, want := range []string{
-		"shapeserver_request_duration_seconds_bucket",
-		`shapeserver_endpoint_requests_total{endpoint="search",class="ok"} 80`,
-		`shapeserver_request_duration_seconds_count{endpoint="search"} 80`,
-		"lbkeogh_runtime_goroutines",
-		"# {trace_id=\"",
+	exp := scrapeMetrics(t, ts) // and the body is 0.0.4 text after traced load
+	for _, want := range []struct {
+		name   string
+		labels map[string]string
+		v      int64
+	}{
+		{"shapeserver_endpoint_requests_total", map[string]string{"endpoint": "search", "class": "ok"}, 80},
+		{"shapeserver_request_duration_seconds_count", map[string]string{"endpoint": "search"}, 80},
 	} {
-		if !strings.Contains(string(body), want) {
-			t.Fatalf("/metrics missing %q after load:\n%s", want, body)
+		if got := exp.Counter(want.name, want.labels); got != want.v {
+			t.Errorf("%s%v = %d after load, want %d", want.name, want.labels, got, want.v)
+		}
+	}
+	for _, fam := range []string{"shapeserver_request_duration_seconds_bucket", "lbkeogh_runtime_goroutines"} {
+		if len(exp.Find(fam)) == 0 {
+			t.Errorf("/metrics has no %s after load", fam)
 		}
 	}
 }

@@ -148,11 +148,8 @@ type Server struct {
 	ixErr    error
 
 	draining    atomic.Bool
-	requests    atomic.Int64 // /v1/* requests accepted for processing
 	timeouts    atomic.Int64 // requests ended by deadline or client cancel
 	drained     atomic.Int64 // requests refused because the server was draining
-	ingestRows  atomic.Int64 // rows accepted through /v1/ingest
-	compactOps  atomic.Int64 // /v1/compact requests that merged segments
 	mutationsIn atomic.Int64 // in-flight ingest/compact handlers (readyz reason)
 
 	// stats is the cumulative search record: every served request's delta,
@@ -340,7 +337,6 @@ func (s *Server) writeServerMetrics(w io.Writer) {
 	ops.WriteCounter(w, "shapeserver_pool_hits_total", "Checkouts served by a pooled session.", pl.Hits)
 	ops.WriteCounter(w, "shapeserver_pool_misses_total", "Checkouts that built a fresh session.", pl.Misses)
 	ops.WriteCounter(w, "shapeserver_pool_evictions_total", "Idle sessions evicted by the pool cap.", pl.Evictions)
-	ops.WriteCounter(w, "shapeserver_requests_total", "Search requests accepted for processing.", s.requests.Load())
 	ops.WriteCounter(w, "shapeserver_timeouts_total", "Requests ended by deadline or client cancellation.", s.timeouts.Load())
 	ops.WriteCounter(w, "shapeserver_drained_total", "Requests refused while draining.", s.drained.Load())
 	drainingVal := int64(0)
@@ -352,8 +348,8 @@ func (s *Server) writeServerMetrics(w io.Writer) {
 }
 
 // writeStoreMetrics appends the segment-store families (store mode only):
-// per-segment record counts, mapped bytes, generation, the store's own fetch
-// counter, and page-fault-adjacent process stats — the numbers that show a
+// per-segment record counts, mapped bytes, generation, ingest and compaction
+// counters, and page-fault-adjacent process stats — the numbers that show a
 // mapped million-shape database being paged, not heaped.
 func (s *Server) writeStoreMetrics(w io.Writer) {
 	if s.store == nil {
@@ -369,7 +365,6 @@ func (s *Server) writeStoreMetrics(w io.Writer) {
 		busy = 1
 	}
 	ops.WriteGaugeInt(w, "shapeserver_store_busy", "1 while an ingest or compaction is in flight.", busy)
-	ops.WriteCounter(w, "shapeserver_store_reads_total", "Record fetches served by the segment store.", st.Reads)
 	ops.WriteCounter(w, "shapeserver_store_ingests_total", "Online ingests applied to the store.", st.Ingests)
 	ops.WriteCounter(w, "shapeserver_store_compactions_total", "Compactions applied to the store.", st.Compactions)
 	ops.WriteCounter(w, "shapeserver_store_ingested_records_total", "Records appended through online ingest.", st.IngestedRecords)

@@ -480,7 +480,7 @@ func TestServerDrain(t *testing.T) {
 	resp.Body.Close()
 	// /healthz aliases liveness: it stays "ok" (200) through a drain and
 	// reports the drain as a flag; routing decisions belong to /readyz.
-	if h.Status != "ok" || !h.Draining || h.Requests != 1 {
+	if h.Status != "ok" || !h.Draining || h.Admission.Admitted != 1 {
 		t.Fatalf("healthz = %+v", h)
 	}
 	if srv.drained.Load() == 0 {
@@ -500,7 +500,7 @@ func TestServerMetricsAndDebug(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	for _, want := range []string{
-		"shapeserver_comparisons", "shapeserver_requests_total",
+		"shapeserver_comparisons", "shapeserver_admitted_total",
 		"shapeserver_pool_misses_total", "shapeserver_rejected_total",
 		"shapeserver_inflight", "shapeserver_draining",
 	} {

@@ -149,7 +149,7 @@ func TestStoreMetricsParse(t *testing.T) {
 			t.Errorf("metrics serve %s beside the journal's family", fam)
 		}
 	}
-	for _, name := range []string{"shapeserver_store_reads_total", "shapeserver_store_segment_records"} {
+	for _, name := range []string{"shapeserver_store_ingests_total", "shapeserver_store_segment_records"} {
 		if len(exp.Find(name)) == 0 {
 			t.Errorf("metrics missing family %s", name)
 		}

@@ -271,7 +271,6 @@ func TestStoreMetricsAndIntrospection(t *testing.T) {
 		"shapeserver_store_segments 1",
 		"shapeserver_store_records 8",
 		"shapeserver_store_mapped_bytes",
-		"shapeserver_store_reads_total",
 		"shapeserver_store_ingests_total 1",
 		"shapeserver_store_segment_records{segment=",
 	} {

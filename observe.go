@@ -81,8 +81,9 @@ func MetricsHandler(sources map[string]StatsSource) http.Handler {
 
 // WriteMetrics renders one stats snapshot under the given metric-name prefix
 // in Prometheus text exposition format: every family carries its HELP and
-// TYPE header, histograms emit cumulative buckets with a +Inf bucket equal
-// to _count, and _sum values are the exact observed sums. The counter
+// TYPE header, histograms emit every bucket of obs's power-of-two layout
+// (one le set per family, at every scrape) cumulatively with a +Inf bucket
+// equal to _count, and _sum values are the exact observed sums. The counter
 // families come from the metrics table beside Counts, one per field.
 func WriteMetrics(w io.Writer, name string, s SearchStats) {
 	s.Each(func(key, help string, v int64) {
@@ -102,33 +103,19 @@ func WriteMetrics(w io.Writer, name string, s SearchStats) {
 	}
 	if len(s.StepsHistogram) > 0 {
 		ops.WriteFamily(w, name+"_comparison_steps", "histogram", "Per-comparison num_steps distribution.")
-		ops.WriteHistogram(w, name+"_comparison_steps", "", expoBuckets(s.StepsHistogram),
+		ops.WriteHistogram(w, name+"_comparison_steps", "", ops.LayoutBuckets(s.StepsHistogram, decimal),
 			strconv.FormatInt(s.StepsHistogramSum, 10), false)
 	}
 	if len(s.StageLatencies) > 0 {
 		ops.WriteFamily(w, name+"_stage_latency_ns", "histogram", "Per-stage query latency in nanoseconds.")
 		for _, sl := range s.StageLatencies {
-			ops.WriteHistogram(w, name+"_stage_latency_ns", fmt.Sprintf("stage=%q", sl.Stage), expoBuckets(sl.Buckets),
+			ops.WriteHistogram(w, name+"_stage_latency_ns", fmt.Sprintf("stage=%q", sl.Stage), ops.LayoutBuckets(sl.Buckets, decimal),
 				strconv.FormatInt(sl.SumNS, 10), false)
 		}
 	}
 }
 
-// expoBuckets lays a snapshot's non-empty buckets out for ops.WriteHistogram:
-// the finite bounds in order, then the overflow bucket (UpperBound -1),
-// whether or not the snapshot has one.
-func expoBuckets(in []HistogramBucket) []ops.HistogramBucket {
-	out := make([]ops.HistogramBucket, 0, len(in)+1)
-	var overflow int64
-	for _, b := range in {
-		if b.UpperBound < 0 {
-			overflow += b.Count
-			continue
-		}
-		out = append(out, ops.HistogramBucket{LE: strconv.FormatInt(b.UpperBound, 10), Count: b.Count})
-	}
-	return append(out, ops.HistogramBucket{Count: overflow})
-}
+func decimal(bound int64) string { return strconv.FormatInt(bound, 10) }
 
 // expvar publication bookkeeping (expvar.Publish panics on duplicates).
 var (

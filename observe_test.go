@@ -98,8 +98,8 @@ func TestIndexStatsCountFetches(t *testing.T) {
 	if st.IndexFetches == 0 {
 		t.Fatal("indexed search recorded no fetches")
 	}
-	if st.DiskReads != int64(ix.DiskReads()) {
-		t.Fatalf("stats DiskReads %d != store reads %d", st.DiskReads, ix.DiskReads())
+	if st.IndexFetches != int64(ix.DiskReads()) {
+		t.Fatalf("stats IndexFetches %d != index reads %d", st.IndexFetches, ix.DiskReads())
 	}
 	if !st.Reconciles() {
 		t.Fatalf("index stats do not reconcile: %+v", st)

@@ -209,8 +209,8 @@ func (q *Query) startTrace(label string) (*trace.Recorder, trace.SpanID, obs.Cou
 
 // finishTrace closes the root span with the operation's counter delta and
 // hands the trace to the log for sampling and slow-query screening. The
-// explain op (when armed) finishes on the same delta, so its waterfall and
-// exemplar correlation cover exactly the traced operation.
+// explain op (when armed) finishes on the same delta, so its waterfall covers
+// exactly the traced operation.
 func (q *Query) finishTrace(rec *trace.Recorder, root trace.SpanID, before obs.Counts) {
 	if rec == nil && q.exp == nil {
 		return
@@ -224,8 +224,8 @@ func (q *Query) finishTrace(rec *trace.Recorder, root trace.SpanID, before obs.C
 
 // LastTraceID returns the retained trace ID of the query's most recently
 // finished operation, or 0 when the operation was untraced or not retained
-// by the trace log's sampler. Serving layers attach it to responses and
-// histogram exemplars so a slow request can be chased to its trace.
+// by the trace log's sampler. Serving layers attach it to responses and log
+// lines so a slow request can be chased to its trace.
 func (q *Query) LastTraceID() int64 { return q.lastTraceID }
 
 // Len returns the query's series length; every candidate must match it.

@@ -121,8 +121,8 @@ grep -q 'deadline' "$tmp/timeout.json" ||
 
 curl -fsS "http://$saddr/metrics" >"$tmp/smetrics.txt" ||
 	fail "shapeserver /metrics did not answer 200"
-grep -q '^shapeserver_requests_total ' "$tmp/smetrics.txt" ||
-	fail "shapeserver /metrics is missing requests_total"
+grep -q '^shapeserver_admitted_total ' "$tmp/smetrics.txt" ||
+	fail "shapeserver /metrics is missing admitted_total"
 grep -q '^shapeserver_timeouts_total 1$' "$tmp/smetrics.txt" ||
 	fail "shapeserver /metrics did not count the timeout"
 curl -fsS "http://$saddr/debug/lbkeogh" >/dev/null ||
@@ -208,8 +208,6 @@ import json, sys
 plan = json.load(open(sys.argv[1]))["plan"]
 wf = plan["waterfall"]
 
-# Only these exact names: exemplar-bearing histogram lines end in a float
-# timestamp, not an integer.
 names = ("rotations", "full_dist_evals", "fft_rejected_members",
          "wedge_pruned_members", "wedge_leaf_lb_prunes", "early_abandons",
          "cancelled_members")

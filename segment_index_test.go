@@ -64,8 +64,8 @@ func TestSegmentBackedIndex(t *testing.T) {
 		if ix.DiskReads() == 0 || ix.DiskReads() >= ix.Len() {
 			t.Fatalf("%s: disk reads = %d of %d", m.Name(), ix.DiskReads(), ix.Len())
 		}
-		if st := ix.Stats(); st.DiskReads != int64(ix.DiskReads()) {
-			t.Fatalf("%s: SearchStats.DiskReads=%d, store counted %d", m.Name(), st.DiskReads, ix.DiskReads())
+		if st := ix.Stats(); st.IndexFetches != int64(ix.DiskReads()) {
+			t.Fatalf("%s: SearchStats.IndexFetches=%d, DiskReads()=%d", m.Name(), st.IndexFetches, ix.DiskReads())
 		}
 	}
 	// Range search agrees with the scan plane too.

@@ -231,7 +231,8 @@ func TestTraceLogStageLatencies(t *testing.T) {
 
 // parseExposition parses a /metrics body through internal/obs/expofmt — the
 // supported parser this helper was promoted into — failing the test on any
-// format violation (HELP/TYPE ordering, malformed samples or exemplars).
+// format violation (HELP/TYPE ordering, malformed samples, anything after a
+// sample value but a timestamp).
 func parseExposition(t *testing.T, body string) (samples []expofmt.Sample, types map[string]string) {
 	t.Helper()
 	e, err := expofmt.Parse(body)
