@@ -63,8 +63,7 @@ func TestExplainPlanReconcilesAcrossStrategies(t *testing.T) {
 				t.Fatal("plan before any search must be nil")
 			}
 
-			r, err := q.Search(db)
-			if err != nil {
+			if _, err := q.Search(db); err != nil {
 				t.Fatal(err)
 			}
 			plan := q.Explain()
@@ -75,20 +74,10 @@ func TestExplainPlanReconcilesAcrossStrategies(t *testing.T) {
 			if plan.Measure != "euclidean" {
 				t.Errorf("plan measure %q, want euclidean", plan.Measure)
 			}
-			// The 1-NN improving chain ends at the answer.
-			if len(plan.Survivors) == 0 {
-				t.Fatal("1-NN plan has no survivors")
-			}
-			last := plan.Survivors[len(plan.Survivors)-1]
-			if last.Index != r.Index || math.Float64bits(last.Dist) != math.Float64bits(r.Dist) {
-				t.Errorf("last survivor %+v != search result %+v", last, r)
-			}
-			for _, sv := range plan.Survivors {
-				switch sv.AdmittedBy {
-				case explain.StageFFT, explain.StageEnvelope, explain.StageKernel:
-				default:
-					t.Errorf("survivor %d admitted by unknown stage %q", sv.Index, sv.AdmittedBy)
-				}
+			// The first of every 4 comparisons is measured.
+			if want := (plan.Waterfall.Comparisons + 3) / 4; plan.SampledComparisons != want || len(plan.Tightness) == 0 {
+				t.Errorf("%d comparisons sampled %d times (want %d), tightness %+v",
+					plan.Waterfall.Comparisons, plan.SampledComparisons, want, plan.Tightness)
 			}
 
 			// Top-K and range flavours must reconcile the same way.
@@ -138,7 +127,7 @@ func TestExplainPlanCancelledSearch(t *testing.T) {
 
 // TestExplainParallelWaterfall: parallel scans bypass the per-comparison
 // hooks, but the plan's waterfall still reconciles from the query-level
-// counter delta (with no survivor annotations).
+// counter delta (with no tightness).
 func TestExplainParallelWaterfall(t *testing.T) {
 	db := demoDB(23, 16, 64)
 	q, err := NewQuery(db[0], Euclidean())
@@ -174,6 +163,38 @@ func TestExplainOffReturnsNil(t *testing.T) {
 	q.SetExplain(false)
 	if q.Explain() != nil {
 		t.Fatal("turning EXPLAIN off must drop the plan")
+	}
+}
+
+// TestExplainFeedsOnePrivateSampler: an explained search feeds its own
+// interval-4 sampler, which measures the first of every 4 comparisons, and
+// nothing of it reaches the query's shared sampler; with EXPLAIN off the
+// shared sampler counts again.
+func TestExplainFeedsOnePrivateSampler(t *testing.T) {
+	db := demoDB(27, 30, 64)
+	q, err := NewQuery(db[0], Euclidean())
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := NewBoundSampler(1)
+	q.SetBoundSampler(shared)
+	q.SetExplain(true)
+	if _, err := q.Search(db); err != nil {
+		t.Fatal(err)
+	}
+	if seen := shared.Snapshot().Seen; seen != 0 {
+		t.Fatalf("an explained search moved the shared sampler's Seen to %d", seen)
+	}
+	plan := q.Explain()
+	if plan.Waterfall.Comparisons != 30 || plan.SampledComparisons != (plan.Waterfall.Comparisons+3)/4 || plan.SampledComparisons != 8 {
+		t.Fatalf("%d comparisons sampled %d times, want 30 and 8", plan.Waterfall.Comparisons, plan.SampledComparisons)
+	}
+	q.SetExplain(false)
+	if _, err := q.Search(db); err != nil {
+		t.Fatal(err)
+	}
+	if snap := shared.Snapshot(); snap.Seen != 30 || snap.Sampled != 30 {
+		t.Fatalf("after SetExplain(false) the shared sampler saw %d and sampled %d of 30", snap.Seen, snap.Sampled)
 	}
 }
 

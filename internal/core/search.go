@@ -86,11 +86,11 @@ type Searcher struct {
 	dyn      *wedge.DynamicK
 	fixedK   int // > 0 disables the dynamic controller (ablation)
 	queryMag []float64
-	obs      *obs.SearchStats // nil: the no-op sink
-	rec      *trace.Recorder  // nil: no span recording
-	ref      int              // comparison ordinal within the current trace
-	chk      *cancel.Checker  // nil: uncancellable; Begin attaches, End detaches
-	exp      *explain.Op      // nil: no explain sampling
+	obs      *obs.SearchStats  // nil: the no-op sink
+	rec      *trace.Recorder   // nil: no span recording
+	ref      int               // comparison ordinal within the current trace
+	chk      *cancel.Checker   // nil: uncancellable; Begin attaches, End detaches
+	exp      *explain.Recorder // nil: no bound sampling
 	expCtx   *explain.QueryContext
 
 	// steps and scratch are everything a comparison would otherwise allocate,
@@ -160,22 +160,19 @@ func (s *Searcher) SetRecorder(rec *trace.Recorder) {
 // open span an index probe nests its own.
 func (s *Searcher) Recorder() *trace.Recorder { return s.rec }
 
-// SetExplain attaches (or, with nil, detaches) explain state: sampled
-// bound-waterfall measurement before comparisons and, when the op has
-// attribution on, per-comparison counter-delta recording. Like the recorder,
-// the op is single-goroutine: attach it to at most one searcher. A detached
-// searcher pays one nil check per comparison.
-func (s *Searcher) SetExplain(op *explain.Op) { s.exp = op }
-
-// ExplainContext lazily builds (and caches) the measurement context explain
-// ops need for this searcher's query: rotation members, root envelope and
-// compressed-space features under the searcher's kernel.
-func (s *Searcher) ExplainContext() *explain.QueryContext {
-	if s.expCtx == nil {
+// SetExplain attaches (or, with nil, detaches) the bound sampler: the
+// comparisons it elects get the full bound waterfall measured before they
+// run, never charging the query's counters. A detached searcher pays one nil
+// check per comparison.
+func (s *Searcher) SetExplain(r *explain.Recorder) {
+	if r != nil && s.expCtx == nil {
 		s.expCtx = explain.NewQueryContext(s.rs.Base(), s.rs.Members(), s.rs.Member, s.rs.tree, s.kernel)
 	}
-	return s.expCtx
+	s.exp = r
 }
+
+// Explain returns the attached bound sampler (nil: none).
+func (s *Searcher) Explain() *explain.Recorder { return s.exp }
 
 // Kernel returns the searcher's distance kernel.
 func (s *Searcher) Kernel() wedge.Kernel { return s.kernel }
@@ -210,34 +207,20 @@ func (s *Searcher) MatchSeries(x []float64, r float64, cnt *stats.Counter) Match
 		rec.Drop()
 		rec = nil
 	}
-	if s.exp == nil && rec == nil {
-		return s.matchSeries(x, r, cnt, nil)
+	if s.exp.ShouldSample() {
+		s.exp.Observe(s.expCtx.Measure(x, r))
 	}
-	// Observed: explain sampling first decides whether to measure the full
-	// bound waterfall for this candidate (never charging the query's
-	// counters). A sampler with neither recorder nor attribution wants no
-	// counter delta and stops there.
-	attributed := false
-	if s.exp != nil {
-		s.exp.BeforeComparison(x, r)
-		attributed = s.exp.Attribution()
-	}
-	if rec == nil && !attributed {
+	if rec == nil {
 		return s.matchSeries(x, r, cnt, nil)
 	}
 	// One span per comparison carrying the counter delta it caused; the
 	// hot-path spans (H-Merge walk, kernel evals) nest beneath it by call
-	// order, under the comparison's quota. The same delta annotates the
-	// plan's survivors. A nil recorder makes the span calls no-ops.
+	// order, under the comparison's quota.
 	ref := s.ref
 	s.ref++
 	comp := rec.BeginComparison(ref)
 	m := s.matchSeries(x, r, cnt, rec)
-	delta := s.scratch.Counts // what matchSeries just flushed: this comparison alone
-	rec.EndAttrs(comp, delta)
-	if attributed {
-		s.exp.RecordComparison(ref, delta, m.Dist, m.Found(), m.Aborted())
-	}
+	rec.EndAttrs(comp, s.scratch.Counts) // what matchSeries just flushed: this comparison alone
 	return m
 }
 

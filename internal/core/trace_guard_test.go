@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"lbkeogh/internal/obs"
+	"lbkeogh/internal/obs/explain"
 	"lbkeogh/internal/obs/trace"
 	"lbkeogh/internal/stats"
 	"lbkeogh/internal/ts"
@@ -75,6 +76,20 @@ func scanNilExplain(b *testing.B) {
 	}
 }
 
+// scanSampled is the production entry point with a shared bound sampler at
+// shapeserver's default interval: one full waterfall measurement per 512
+// comparisons, one atomic add for each of the rest.
+func scanSampled(b *testing.B) {
+	rs, db := guardSetup()
+	s := NewSearcher(rs, wedge.ED{}, Wedge, SearcherConfig{})
+	s.SetExplain(explain.NewRecorder(512))
+	var cnt stats.Counter
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.MatchSeries(db[i%len(db)], -1, &cnt)
+	}
+}
+
 // scanSaturated is the production entry point with a recorder whose span
 // buffer is already full — what all but the first ~100 comparisons of a
 // traced server request see. It must cost what a nil recorder costs.
@@ -95,6 +110,7 @@ func scanSaturated(b *testing.B) {
 func BenchmarkMatchSeriesUntraced(b *testing.B)    { scanDirect(b) }
 func BenchmarkMatchSeriesNilRecorder(b *testing.B) { scanNilRecorder(b) }
 func BenchmarkMatchSeriesNilExplain(b *testing.B)  { scanNilExplain(b) }
+func BenchmarkMatchSeriesSampled(b *testing.B)     { scanSampled(b) }
 func BenchmarkMatchSeriesSaturated(b *testing.B)   { scanSaturated(b) }
 
 // BenchmarkMatchSeriesTraced shows the cost of full span recording, for

@@ -209,7 +209,7 @@ func (ix *Index) Probe(ctx context.Context, label string, s *core.Searcher, wedg
 	case wedge.ED:
 		stage, candidates = trace.StageVPProbe, ix.vpWalk(rs)
 	case wedge.DTW:
-		stage, candidates = trace.StagePAAProbe, ix.paaWalk(rs, kern.R, wedges)
+		stage, candidates = trace.StageColumnProbe, ix.paaWalk(rs, kern.R, wedges)
 	}
 	st, rec := s.Stats(), s.Recorder()
 	own := rec == nil

@@ -1,6 +1,10 @@
 package explain
 
-import "math"
+import (
+	"math"
+
+	"lbkeogh/internal/obs"
+)
 
 // Tightness-ratio histogram shape: NumRatioBuckets fixed-width buckets cover
 // ratios in [0, 1] (an admissible bound never exceeds the true distance, so
@@ -40,8 +44,7 @@ type boundAgg struct {
 
 // Agg accumulates waterfall samples: per-bound tightness histograms,
 // false-positive counts, and elimination attribution. Not safe for
-// concurrent use; Recorder adds the locking for the shared sink, while each
-// query's Op keeps a private one.
+// concurrent use; Recorder adds the locking.
 type Agg struct {
 	bounds      []*boundAgg
 	byName      map[string]*boundAgg
@@ -124,26 +127,23 @@ type BoundTightness struct {
 // reports: just past 1, finite so it survives JSON encoding.
 const overflowQuantile = 1.0 + RatioBucketWidth
 
-// quantile returns the nearest-rank q-quantile's bucket upper edge.
+// quantile returns the nearest-rank q-quantile's bucket upper edge. The
+// rank is obs.BucketQuantile's, read over the bucket ordinals with the
+// overflow bucket as its -1.
 func (b *boundAgg) quantile(q float64) float64 {
 	if b.samples == 0 {
 		return 0
 	}
-	rank := int64(math.Floor(q*float64(b.samples) + 0.5))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
+	ords := make([]obs.HistogramBucket, len(b.buckets))
 	for i, c := range b.buckets {
-		cum += c
-		if cum >= rank {
-			if i == NumRatioBuckets {
-				return overflowQuantile
-			}
-			return float64(i+1) * RatioBucketWidth
-		}
+		ords[i] = obs.HistogramBucket{UpperBound: int64(i), Count: c}
 	}
-	return overflowQuantile
+	ords[NumRatioBuckets].UpperBound = -1
+	i := obs.BucketQuantile(ords, q)
+	if i < 0 {
+		return overflowQuantile
+	}
+	return float64(i+1) * RatioBucketWidth
 }
 
 func (b *boundAgg) summary() BoundTightness {

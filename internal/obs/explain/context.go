@@ -5,33 +5,23 @@ import (
 
 	"lbkeogh/internal/envelope"
 	"lbkeogh/internal/fourier"
-	"lbkeogh/internal/paa"
 	"lbkeogh/internal/stats"
 	"lbkeogh/internal/wedge"
 )
 
-// DefaultPAADims is the PAA segment count used for tightness measurement,
-// matching the paper's mid-range compressed dimensionality (D = 8 of the
-// {4, 8, 16, 32} sweep).
-const DefaultPAADims = 8
-
 // QueryContext holds everything needed to re-derive the full bound waterfall
 // for one query against an arbitrary candidate: the exact kernel, the
 // rotation members (for the true rotation-invariant distance), the root
-// wedge envelope already widened for the kernel, and the compressed-space
-// query features. Build one per compiled query and reuse it across sampled
-// comparisons; construction does the feature transforms once.
+// wedge envelope already widened for the kernel, and the query's Fourier
+// magnitudes. Build one per compiled query and reuse it across sampled
+// comparisons; construction does the feature transform once.
 type QueryContext struct {
 	kernel   wedge.Kernel
-	n        int
 	members  int
 	memberAt func(int) []float64
 
 	rootEnv  envelope.Envelope
 	queryMag []float64 // nil unless the FFT bound applies (Euclidean only)
-	box      paa.Box
-	paaDims  int
-	hasPAA   bool
 }
 
 // NewQueryContext prepares measurement state for a query whose rotation set
@@ -40,31 +30,17 @@ type QueryContext struct {
 //
 // Which bounds apply follows the admissibility rules the strategies
 // themselves obey: the FFT-magnitude bound is rotation invariant only for
-// the Euclidean measure; the PAA box bound is admissible for Euclidean and
-// (via the DTW-expanded envelope) DTW, but not for the LCSS similarity; the
-// LB_Keogh envelope bound applies to all three kernels.
+// the Euclidean measure; the LB_Keogh envelope bound applies to all three
+// kernels.
 func NewQueryContext(base []float64, members int, memberAt func(int) []float64, tree *wedge.Tree, kernel wedge.Kernel) *QueryContext {
-	n := len(base)
 	qc := &QueryContext{
 		kernel:   kernel,
-		n:        n,
 		members:  members,
 		memberAt: memberAt,
 		rootEnv:  tree.FrontierEnvelopes(1, kernel.Radius())[0],
 	}
-	switch kernel.(type) {
-	case wedge.ED:
-		qc.queryMag = fourier.Magnitudes(base, n/2)
-		qc.hasPAA = true
-	case wedge.DTW:
-		qc.hasPAA = true
-	}
-	if qc.hasPAA {
-		qc.paaDims = DefaultPAADims
-		if qc.paaDims > n {
-			qc.paaDims = n
-		}
-		qc.box = paa.ReduceEnvelope(qc.rootEnv, qc.paaDims)
+	if _, ok := kernel.(wedge.ED); ok {
+		qc.queryMag = fourier.Magnitudes(base, len(base)/2)
 	}
 	return qc
 }
@@ -80,7 +56,6 @@ type BoundValue struct {
 // threshold in effect, and the first cascade stage that would have
 // eliminated the candidate ("" when it survives every stage).
 type Sample struct {
-	Ref          int          `json:"ref"`
 	Threshold    float64      `json:"threshold"`
 	Bounds       []BoundValue `json:"bounds"`
 	True         float64      `json:"true"`
@@ -99,12 +74,6 @@ func (qc *QueryContext) Measure(x []float64, r float64) Sample {
 		s.Bounds = append(s.Bounds, BoundValue{
 			Bound: fourier.BoundName,
 			Value: fourier.LowerBoundED(qc.queryMag, cm),
-		})
-	}
-	if qc.hasPAA {
-		s.Bounds = append(s.Bounds, BoundValue{
-			Bound: paa.BoundName,
-			Value: paa.LowerBound(paa.Reduce(x, qc.paaDims), qc.box, qc.n),
 		})
 	}
 	lb, _ := qc.kernel.LowerBound(x, qc.rootEnv, -1, &t)

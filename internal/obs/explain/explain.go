@@ -1,7 +1,7 @@
 // Package explain is the pruning-diagnostics layer: it measures, for a
 // sampled subset of candidate comparisons, the full bound waterfall the paper
-// argues from — FFT-magnitude bound, PAA box bound, LB_Keogh envelope bound,
-// then the exact kernel — recording each stage's value, the true
+// argues from — FFT-magnitude bound, LB_Keogh envelope bound, then the exact
+// kernel — recording each stage's value, the true
 // rotation-invariant distance, and which stage eliminated the candidate.
 //
 // Keogh et al.'s case for LB_Keogh rests on the ratio of the lower bound to
@@ -25,7 +25,6 @@ import "lbkeogh/internal/obs"
 // bound package. The canonical definitions live next to each bound.
 const (
 	StageFFT      = "fft"      // fourier.BoundName
-	StagePAA      = "paa"      // paa.BoundName
 	StageEnvelope = "envelope" // envelope.BoundName
 	StageKernel   = "kernel"   // wedge.KernelStageName
 )
@@ -44,10 +43,8 @@ type StageCount struct {
 type Waterfall struct {
 	Comparisons int64 `json:"comparisons"`
 	Rotations   int64 `json:"rotations"`
-	// Eliminated lists the stages in cascade order (fft, paa, envelope,
-	// kernel). The paa stage only eliminates on the disk-index path, so it is
-	// zero for in-memory scans; it stays in the list to keep the cascade
-	// shape stable for dashboards.
+	// Eliminated lists the stages in cascade order (fft, envelope, kernel),
+	// every stage present even when it eliminated nothing.
 	Eliminated []StageCount `json:"eliminated"`
 	// Survivors is the number of rotations whose exact distance was computed
 	// to completion (obs FullDistEvals).
@@ -66,7 +63,6 @@ func FromCounts(c obs.Counts) Waterfall {
 		Rotations:   c.Rotations,
 		Eliminated: []StageCount{
 			{Stage: StageFFT, Members: c.FFTRejectedMembers},
-			{Stage: StagePAA, Members: 0},
 			{Stage: StageEnvelope, Members: c.WedgePrunedMembers + c.WedgeLeafLBPrunes},
 			{Stage: StageKernel, Members: c.EarlyAbandons},
 		},

@@ -1,6 +1,7 @@
 package explain
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -37,14 +38,11 @@ func TestFromCountsReconciles(t *testing.T) {
 	if got := wf.Stage(StageKernel); got != 250 {
 		t.Errorf("kernel stage = %d, want 250", got)
 	}
-	if got := wf.Stage(StagePAA); got != 0 {
-		t.Errorf("paa stage = %d, want 0 for in-memory scans", got)
-	}
 	if wf.Survivors != 100 || wf.Cancelled != 50 {
 		t.Errorf("survivors/cancelled = %d/%d, want 100/50", wf.Survivors, wf.Cancelled)
 	}
-	// Four stages in cascade order, always present.
-	want := []string{StageFFT, StagePAA, StageEnvelope, StageKernel}
+	// Three stages in cascade order, always present.
+	want := []string{StageFFT, StageEnvelope, StageKernel}
 	if len(wf.Eliminated) != len(want) {
 		t.Fatalf("got %d stages, want %d", len(wf.Eliminated), len(want))
 	}
@@ -207,11 +205,10 @@ func TestMeasureAdmissibility(t *testing.T) {
 		name    string
 		k       wedge.Kernel
 		wantFFT bool
-		wantPAA bool
 	}{
-		{"ED", wedge.ED{}, true, true},
-		{"DTW", wedge.DTW{R: 3}, false, true},
-		{"LCSS", wedge.LCSS{Delta: 3, Eps: 0.25}, false, false},
+		{"ED", wedge.ED{}, true},
+		{"DTW", wedge.DTW{R: 3}, false},
+		{"LCSS", wedge.LCSS{Delta: 3, Eps: 0.25}, false},
 	}
 	rng := ts.NewRand(99)
 	for _, kc := range kernels {
@@ -226,13 +223,10 @@ func TestMeasureAdmissibility(t *testing.T) {
 				if s.EliminatedBy != "" {
 					t.Fatalf("no-threshold measurement eliminated by %q", s.EliminatedBy)
 				}
-				var haveFFT, havePAA bool
+				var haveFFT bool
 				for _, b := range s.Bounds {
-					switch b.Bound {
-					case StageFFT:
+					if b.Bound == StageFFT {
 						haveFFT = true
-					case StagePAA:
-						havePAA = true
 					}
 					if b.Value > s.True+1e-9 {
 						t.Errorf("trial %d: %s bound %v exceeds true distance %v",
@@ -241,9 +235,6 @@ func TestMeasureAdmissibility(t *testing.T) {
 				}
 				if haveFFT != kc.wantFFT {
 					t.Errorf("fft bound present=%v, want %v", haveFFT, kc.wantFFT)
-				}
-				if havePAA != kc.wantPAA {
-					t.Errorf("paa bound present=%v, want %v", havePAA, kc.wantPAA)
 				}
 				// The envelope bound always closes the cascade.
 				if s.Bounds[len(s.Bounds)-1].Bound != StageEnvelope {
@@ -280,26 +271,27 @@ func TestMeasureEliminationOrder(t *testing.T) {
 	}
 }
 
-func TestOpSamplingAndReset(t *testing.T) {
+// TestRecorderSamplesFirstOfEachInterval: a recorder elects comparisons
+// 0, n, 2n, … of its stream, so c comparisons give ceil(c/n) samples and a
+// one-comparison stream is measured.
+func TestRecorderSamplesFirstOfEachInterval(t *testing.T) {
 	qc, members := buildContext(t, wedge.ED{}, 16)
-	sink := NewRecorder(1) // sample everything
-	op := NewOp(qc, sink, true)
-	for i := 0; i < 5; i++ {
-		op.BeforeComparison(members[i%len(members)], -1)
-		op.RecordComparison(i, obs.Counts{Rotations: 16}, float64(i), true, false)
+	r := NewRecorder(4)
+	var elected []int
+	for i := 0; i < 9; i++ {
+		if r.ShouldSample() {
+			elected = append(elected, i)
+			r.Observe(qc.Measure(members[i%len(members)], -1))
+		}
 	}
-	if got := sink.Snapshot().Sampled; got != 5 {
-		t.Fatalf("sink sampled %d, want 5", got)
+	if fmt.Sprint(elected) != "[0 4 8]" {
+		t.Fatalf("elected comparisons %v, want [0 4 8]", elected)
 	}
-	// Attribution interval: ordinals 0 and 4 of the 5 comparisons.
-	if got := op.LocalSamples(); got != 2 {
-		t.Fatalf("local samples = %d, want 2 (every %d)", got, DefaultOpInterval)
+	snap := r.Snapshot()
+	if snap.Seen != 9 || snap.Sampled != 3 || snap.Samples != 3 || len(snap.Bounds) != 2 {
+		t.Fatalf("snapshot %+v: want 3 samples of 9 over the fft and envelope bounds", snap)
 	}
-	if got := len(op.Comparisons()); got != 5 {
-		t.Fatalf("recorded %d comparisons, want 5", got)
-	}
-	op.Reset()
-	if op.LocalSamples() != 0 || len(op.Comparisons()) != 0 {
-		t.Fatal("Reset must clear local state")
+	if one := NewRecorder(512); !one.ShouldSample() {
+		t.Fatal("a recorder must measure its stream's first comparison")
 	}
 }

@@ -5,11 +5,13 @@ import (
 	"sync/atomic"
 )
 
-// Recorder is the shared, long-lived tightness sink: queries ask it whether
-// to sample each comparison (every Nth across all queries feeding the
-// recorder) and fold the measured waterfall samples into one aggregate. A
-// nil *Recorder is a valid no-op sink — ShouldSample on nil costs one nil
-// check and returns false, which is the entire disabled-path overhead.
+// Recorder is a tightness sink: the searchers feeding it ask whether to
+// sample each comparison (comparisons 0, n, 2n, … of its stream, across
+// every searcher feeding it) and fold the measured waterfall samples into one
+// aggregate. A query's shared BoundSampler is one; an EXPLAIN-mode search
+// feeds a private one instead. A nil *Recorder is a valid no-op sink —
+// ShouldSample on nil costs one nil check and returns false, which is the
+// entire disabled-path overhead.
 type Recorder struct {
 	every   int64
 	seen    atomic.Int64
@@ -29,13 +31,14 @@ func NewRecorder(n int) *Recorder {
 }
 
 // ShouldSample counts one comparison seen and reports whether it is the
-// recorder's turn to sample it. Safe on a nil receiver (always false) and
-// for concurrent use.
+// recorder's turn to sample it: the first of every n, so a stream of c
+// comparisons yields ceil(c/n) samples and even a one-comparison search is
+// measured. Safe on a nil receiver (always false) and for concurrent use.
 func (r *Recorder) ShouldSample() bool {
 	if r == nil {
 		return false
 	}
-	return r.seen.Add(1)%r.every == 0
+	return (r.seen.Add(1)-1)%r.every == 0
 }
 
 // Observe folds one measured sample into the aggregate. Safe on a nil

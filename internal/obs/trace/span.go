@@ -35,8 +35,8 @@ const (
 	StageFFT
 	// StageVPProbe covers one VP-tree probe of an indexed Euclidean query.
 	StageVPProbe
-	// StagePAAProbe covers one PAA-column walk of an indexed DTW query.
-	StagePAAProbe
+	// StageColumnProbe covers one PAA-column walk of an indexed DTW query.
+	StageColumnProbe
 	// StageFetch covers one full-resolution record fetch for verification.
 	StageFetch
 	// StageDiskRead covers one record read from the series store
@@ -61,7 +61,7 @@ var stageNames = [NumStages]string{
 	StageKernel:         "kernel",
 	StageFFT:            "fft_screen",
 	StageVPProbe:        "vp_probe",
-	StagePAAProbe:       "paa_probe",
+	StageColumnProbe:    "paa_probe",
 	StageFetch:          "fetch",
 	StageDiskRead:       "disk_read",
 	StageMonitorFilter:  "monitor_filter",

@@ -20,10 +20,6 @@ import (
 	"lbkeogh/internal/envelope"
 )
 
-// BoundName is the stable stage tag for the PAA box bound in
-// pruning-waterfall telemetry (explain plans, /metrics labels).
-const BoundName = "paa"
-
 // Bounds returns the D+1 segment boundaries for splitting a length-n series
 // into D near-equal segments: segment s covers [bounds[s], bounds[s+1]).
 func Bounds(n, D int) []int {

@@ -85,8 +85,8 @@ func TestServerExplainSearch(t *testing.T) {
 		t.Errorf("survivors/cancelled %d/%d != stats %d/%d",
 			wf.Survivors, wf.Cancelled, st.FullDistEvals, st.CancelledMembers)
 	}
-	if len(sr.Plan.Survivors) == 0 {
-		t.Error("1-NN explain plan has no survivor annotations")
+	if sr.Plan.SampledComparisons != (wf.Comparisons+3)/4 || len(sr.Plan.Tightness) == 0 {
+		t.Errorf("%d comparisons sampled %d times, tightness %+v", wf.Comparisons, sr.Plan.SampledComparisons, sr.Plan.Tightness)
 	}
 
 	// The /metrics outcome counters moved by exactly this search.
@@ -161,7 +161,7 @@ func TestServerExplainSamplerMetrics(t *testing.T) {
 		t.Fatalf("tightness family type = %q, want histogram", got)
 	}
 	// Negative interval disables the sampler; families must be absent, and
-	// explain requests still work off the query-local aggregate.
+	// explain requests still work off their private sampler.
 	_, tsOff := newTestServer(t, Config{ExplainSampleInterval: -1})
 	expOff := scrapeMetrics(t, tsOff)
 	if len(expOff.Find("lbkeogh_explain_samples_total")) != 0 {
@@ -194,7 +194,7 @@ func TestServerDebugIndex(t *testing.T) {
 	if rep.Wedge.Members == 0 || rep.Wedge.RootArea <= 0 || len(rep.Wedge.KProfiles) == 0 {
 		t.Errorf("wedge stats incomplete: %+v", rep.Wedge)
 	}
-	// Built once, served verbatim after.
+	// Built per request, from the same index: the same report each time.
 	code2, body2 := getStatus(t, ts.URL+"/debug/index")
 	if code2 != http.StatusOK || body2 != body {
 		t.Error("second /debug/index response differs from the first")

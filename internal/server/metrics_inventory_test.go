@@ -171,9 +171,6 @@ func TestReadmeMetricFamiliesServed(t *testing.T) {
 		// The process-stat pair: Linux only, so metricsInventory leaves it out.
 		"shapeserver_page_faults_total": true,
 		"shapeserver_rss_bytes":         true,
-		// Written once the bound sampler has measured a comparison, which the
-		// pinned session's default interval never reaches.
-		"lbkeogh_explain_bound_tightness_ratio": true,
 		// The pread segment reader's build tag, not a family.
 		"lbkeogh_pread": true,
 	}
@@ -211,7 +208,11 @@ func TestReadmeMetricFamiliesServed(t *testing.T) {
 	}
 }
 
-const staticInventoryGolden = `lbkeogh_explain_comparisons_seen_total · counter · {}
+const staticInventoryGolden = `lbkeogh_explain_bound_checks_total · counter · {bound}
+lbkeogh_explain_bound_eliminated_total · counter · {bound}
+lbkeogh_explain_bound_false_positives_total · counter · {bound}
+lbkeogh_explain_bound_tightness_ratio · histogram · {bound}
+lbkeogh_explain_comparisons_seen_total · counter · {}
 lbkeogh_explain_sampled_kernel_kills_total · counter · {}
 lbkeogh_explain_sampled_survivors_total · counter · {}
 lbkeogh_explain_samples_total · counter · {}
@@ -253,7 +254,11 @@ shapeserver_wedge_pruned_members · counter · {}
 shapeserver_wedge_prunes_by_level · counter · {level}
 `
 
-const storeInventoryGolden = `lbkeogh_explain_comparisons_seen_total · counter · {}
+const storeInventoryGolden = `lbkeogh_explain_bound_checks_total · counter · {bound}
+lbkeogh_explain_bound_eliminated_total · counter · {bound}
+lbkeogh_explain_bound_false_positives_total · counter · {bound}
+lbkeogh_explain_bound_tightness_ratio · histogram · {bound}
+lbkeogh_explain_comparisons_seen_total · counter · {}
 lbkeogh_explain_sampled_kernel_kills_total · counter · {}
 lbkeogh_explain_sampled_survivors_total · counter · {}
 lbkeogh_explain_samples_total · counter · {}

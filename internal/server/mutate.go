@@ -97,7 +97,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			finish(http.StatusBadRequest, "ingest failed", "error", err.Error())
 			return
 		}
-		s.invalidateIntrospection()
 		resp := IngestResponse{
 			FirstID:    int64(firstID),
 			Count:      len(req.Series),
@@ -127,9 +126,6 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusInternalServerError, "compact: %v", err)
 			finish(http.StatusInternalServerError, "compact failed", "error", err.Error())
 			return
-		}
-		if merged > 0 {
-			s.invalidateIntrospection()
 		}
 		resp := CompactResponse{
 			Merged:     merged,

@@ -16,7 +16,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -138,14 +137,6 @@ type Server struct {
 	// sampler is the server-owned bound-tightness sink, armed on every
 	// pooled query session (nil when ExplainSampleInterval < 0).
 	sampler *lbkeogh.BoundSampler
-
-	// Lazily built index introspection report behind /debug/index (store
-	// mode), invalidated when the store generation moves.
-	ixMu     sync.Mutex
-	ixBuilt  bool
-	ixGen    int64
-	ixReport IndexReport
-	ixErr    error
 
 	draining    atomic.Bool
 	timeouts    atomic.Int64 // requests ended by deadline or client cancel

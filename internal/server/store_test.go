@@ -242,9 +242,10 @@ func TestStoreModeConcurrentCompactSwap(t *testing.T) {
 }
 
 // TestStoreMetricsAndIntrospection pins the store metric families on
-// /metrics, the livez store block, and /debug/index generation invalidation.
+// /metrics, the livez store block, and /debug/index's 404: store mode scans
+// flat, so no index serves for it to describe.
 func TestStoreMetricsAndIntrospection(t *testing.T) {
-	db, _, ts := newStoreServer(t, Config{})
+	_, _, ts := newStoreServer(t, Config{})
 	if code, raw := postJSON(t, ts, "/v1/ingest", ingestBody(storeRows(7, 8, 32)), nil); code != http.StatusOK {
 		t.Fatalf("ingest: status %d body %s", code, raw)
 	}
@@ -288,22 +289,13 @@ func TestStoreMetricsAndIntrospection(t *testing.T) {
 		t.Fatalf("livez store block: %s", live)
 	}
 
-	var rep1 IndexReport
-	if err := json.Unmarshal([]byte(get("/debug/index")), &rep1); err != nil {
+	resp, err := http.Get(ts.URL + "/debug/index")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if rep1.Rows != 8 || rep1.Generation != db.Generation() {
-		t.Fatalf("index report: %+v", rep1)
-	}
-	// A mutation moves the generation; the cached report rebuilds.
-	if code, raw := postJSON(t, ts, "/v1/ingest", ingestBody(storeRows(9, 3, 32)), nil); code != http.StatusOK {
-		t.Fatalf("second ingest: status %d body %s", code, raw)
-	}
-	var rep2 IndexReport
-	if err := json.Unmarshal([]byte(get("/debug/index")), &rep2); err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Rows != 11 || rep2.Generation != db.Generation() || rep2.Generation == rep1.Generation {
-		t.Fatalf("stale index report after ingest: before %+v after %+v", rep1, rep2)
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound || !strings.Contains(string(raw), "scans flat") {
+		t.Fatalf("/debug/index in store mode: status %d body %s", resp.StatusCode, raw)
 	}
 }

@@ -138,15 +138,11 @@ type Query struct {
 	lastTraceID int64
 	tlog        *trace.Log // nil: untraced
 
-	// Explain state (see explain.go): the per-operation op, the shared
-	// tightness sink, and the last operation's counter delta from which the
-	// plan's waterfall is derived.
-	exp        *explain.Op
-	expSink    *explain.Recorder
-	explainOn  bool
-	expDelta   obs.Counts
-	expTraceID int64
-	expValid   bool
+	// Explain state (see explain.go): the shared bound sampler's recorder,
+	// EXPLAIN mode, and the plan of the last operation run in it.
+	sampler   *explain.Recorder
+	explainOn bool
+	plan      *ExplainPlan
 }
 
 // NewQuery compiles series into a rotation-invariant query under the given
@@ -192,15 +188,18 @@ func NewQuery(series Series, m Measure, opts ...QueryOption) (*Query, error) {
 }
 
 // startTrace begins one observed operation: a recorder with a root search
-// span, attached to the searcher so comparisons record under it, the explain
-// op reset, and the one counter snapshot both are measured against. On a
-// query with neither a trace log nor explain state everything is nil/no-op.
+// span, attached to the searcher so comparisons record under it, in EXPLAIN
+// mode a fresh private sampler, and the one counter snapshot both are
+// measured against. On a query with neither a trace log nor EXPLAIN mode
+// everything is nil/no-op.
 func (q *Query) startTrace(label string) (*trace.Recorder, trace.SpanID, obs.Counts) {
 	rec := q.tlog.StartTrace(label)
-	if rec == nil && q.exp == nil {
+	if rec == nil && !q.explainOn {
 		return nil, -1, obs.Counts{}
 	}
-	q.beginExplainOp()
+	if q.explainOn {
+		q.searcher.SetExplain(explain.NewRecorder(explainInterval))
+	}
 	before := q.obs.Counts()
 	root := rec.Begin(trace.StageSearch, -1)
 	q.searcher.SetRecorder(rec)
@@ -208,11 +207,11 @@ func (q *Query) startTrace(label string) (*trace.Recorder, trace.SpanID, obs.Cou
 }
 
 // finishTrace closes the root span with the operation's counter delta and
-// hands the trace to the log for sampling and slow-query screening. The
-// explain op (when armed) finishes on the same delta, so its waterfall covers
+// hands the trace to the log for sampling and slow-query screening. In
+// EXPLAIN mode the plan is built on the same delta, so its waterfall covers
 // exactly the traced operation.
 func (q *Query) finishTrace(rec *trace.Recorder, root trace.SpanID, before obs.Counts) {
-	if rec == nil && q.exp == nil {
+	if rec == nil && !q.explainOn {
 		return
 	}
 	q.searcher.SetRecorder(nil)

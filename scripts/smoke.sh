@@ -196,8 +196,8 @@ grep -q '"plan":' "$tmp/explain.json" ||
 	fail "explain:true response carries no plan"
 grep -q '"waterfall":' "$tmp/explain.json" ||
 	fail "explain plan carries no waterfall"
-grep -q '"admitted_by":' "$tmp/explain.json" ||
-	fail "explain plan carries no survivor annotations"
+grep -q '"tightness":' "$tmp/explain.json" ||
+	fail "explain plan carries no bound tightness"
 grep -q '^# TYPE shapeserver_rotations counter$' "$tmp/wf_after.txt" ||
 	fail "/metrics is missing the outcome counters"
 
@@ -231,7 +231,7 @@ assert total == wf["rotations"], f"plan waterfall does not reconcile: {wf}"
 assert d["rotations"] == wf["rotations"], f"rotations delta {d} != plan {wf}"
 assert d["full_dist_evals"] == wf["survivors"], f"survivor delta {d} != plan {wf}"
 assert d["cancelled_members"] == wf.get("cancelled", 0), f"cancelled delta {d} != plan {wf}"
-derived = {"fft": d["fft_rejected_members"], "paa": 0,
+derived = {"fft": d["fft_rejected_members"],
            "envelope": d["wedge_pruned_members"] + d["wedge_leaf_lb_prunes"],
            "kernel": d["early_abandons"]}
 for stage, members in stages.items():
