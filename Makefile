@@ -34,7 +34,7 @@ race:
 	$(GO) test -tags lbkeogh_pread . ./internal/segment/... ./internal/index/...
 
 # Focused race pass over the concurrency-heavy packages (server admission and
-# session pooling, streaming ingest, rolling telemetry windows, the parallel
+# session pooling, streaming ingest, the shared cumulative telemetry, the parallel
 # scan's shared best-so-far, the matrix pool every concurrent query build
 # shares, the index every in-flight server session probes at once, and the
 # root package's MetricsHandler / PublishExpvar over a live Query): -count=2

@@ -43,7 +43,7 @@ func main() {
 		radius   = flag.Float64("radius", -1, "range query: report all matches within this distance (with -indexed)")
 		parallel = flag.Int("parallel", 1, "worker goroutines for the linear scan (0 = GOMAXPROCS)")
 		emitStat = flag.Bool("stats", false, "print the search's pruning breakdown as JSON after the results")
-		explain  = flag.Bool("explain", false, "run the search in EXPLAIN mode and print the structured plan (stage waterfall, bound tightness, survivors) as JSON")
+		explain  = flag.Bool("explain", false, "run the search in EXPLAIN mode and print the structured plan (stage waterfall, bound tightness) as JSON")
 		health   = flag.Bool("index-health", false, "print the index structural health report (VP-tree, wedge hierarchy) as JSON; builds the index if -indexed is off")
 		pprofOn  = flag.String("pprof", "", "serve /metrics (Prometheus text), /debug/vars and /debug/pprof/ on this address and block after the search")
 		serveOn  = flag.String("serve", "", "like -pprof, but additionally trace the search (every query sampled) and serve the live /debug/lbkeogh dashboard")

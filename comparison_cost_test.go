@@ -101,7 +101,7 @@ func searchTrace(t *testing.T, tlog *lbkeogh.TraceLog, label string) lbkeogh.Tra
 // query's, the trace keeps exactly its cap, and the drops are counted. With
 // EXPLAIN on, its sampler still sees every comparison.
 func TestSaturatedTraceMatchesUntraced(t *testing.T) {
-	const spanCap = 512 // trace.DefaultSpanCap, the cap shapeserver runs with
+	const spanCap = 512 // trace.SpanCap, the cap shapeserver runs with
 	db := lbkeogh.SyntheticProjectilePoints(23, 8*spanCap+1, 32)
 	query, db := db[0], db[1:]
 

@@ -137,7 +137,6 @@ type debugSpanRow struct {
 	LeftPct  float64
 	WidthPct float64
 	Attrs    string
-	Visits   string
 }
 
 func buildDebugPage(stats map[string]StatsSource, logs map[string]*TraceLog) debugPage {
@@ -231,9 +230,6 @@ func buildDebugTrace(logName string, tr trace.Trace) debugTrace {
 				row.Attrs = string(b)
 			}
 		}
-		if len(sp.VisitsByLevel) > 0 {
-			row.Visits = fmt.Sprint(sp.VisitsByLevel)
-		}
 		out.Rows = append(out.Rows, row)
 	}
 	return out
@@ -255,8 +251,7 @@ th { background: #f2f2f2; }
 td.l, th.l { text-align: left; }
 .wf { width: 30em; position: relative; background: #fafafa; }
 .bar { position: absolute; top: 2px; bottom: 2px; background: #4a90d9; border-radius: 2px; }
-.bar.kernel { background: #d97a4a; } .bar.hmerge { background: #5cb85c; }
-.bar.envelope { background: #b07cc6; } .bar.fetch { background: #c6b30a; }
+.bar.fetch { background: #c6b30a; }
 .slow { color: #b00; font-weight: bold; }
 .meta { color: #777; }
 details { margin: 0.3em 0; }
@@ -327,7 +322,7 @@ slow threshold {{.SlowThreshold}} &middot;
 <td>{{if ge .Ref 0}}{{.Ref}}{{end}}</td>
 <td>{{.Dur}}</td>
 <td class="wf"><div class="bar {{.Stage}}" style="left: {{printf "%.2f" .LeftPct}}%; width: {{printf "%.2f" .WidthPct}}%"></div></td>
-<td class="l">{{.Attrs}}{{if .Visits}} visits={{.Visits}}{{end}}</td>
+<td class="l">{{.Attrs}}</td>
 </tr>
 {{end}}
 </table>

@@ -88,7 +88,7 @@ func (b *BoundSampler) WriteMetrics(w io.Writer) {
 			buckets[i] = ops.HistogramBucket{LE: fmt.Sprintf("%.2f", float64(i+1)*explain.RatioBucketWidth), Count: bk.Count}
 		}
 		ops.WriteHistogram(w, "lbkeogh_explain_bound_tightness_ratio", fmt.Sprintf("bound=%q", bt.Bound),
-			buckets, ops.FormatFloat(bt.SumRatio), false)
+			buckets, ops.FormatFloat(bt.SumRatio))
 	}
 }
 

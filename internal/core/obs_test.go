@@ -177,10 +177,9 @@ func TestMatchFFTUnboundedSkipsTransform(t *testing.T) {
 }
 
 // TestSpansCrossCheckRecord holds a scan's spans to its stats record: with
-// nothing dropped, the H-Merge spans' per-level visits sum to WedgeNodeVisits
-// and there is one kernel span per exact distance evaluation, full or
-// abandoned. Rotations are few enough that no comparison exceeds its span
-// quota.
+// nothing dropped there is one comparison span per row, referring to it, and
+// the spans' count deltas sum to the record's counts. Nothing beneath a
+// comparison records a span.
 func TestSpansCrossCheckRecord(t *testing.T) {
 	db, q := parallelTestDB(15, 80, 16)
 	rs := NewRotationSet(q, DefaultOptions(), nil)
@@ -193,23 +192,19 @@ func TestSpansCrossCheckRecord(t *testing.T) {
 		if rec.Dropped() != 0 {
 			t.Fatalf("%T: %d spans dropped; the cross-check needs all of them", kern, rec.Dropped())
 		}
-		var visits, kernels int64
-		for _, sp := range rec.Spans() {
-			switch sp.Stage {
-			case trace.StageHMerge:
-				for _, v := range sp.VisitsByLevel {
-					visits += v
-				}
-			case trace.StageKernel:
-				kernels++
+		spans := rec.Spans()
+		if len(spans) != len(db) {
+			t.Fatalf("%T: %d spans over %d rows, want one comparison each", kern, len(spans), len(db))
+		}
+		var sum obs.Counts
+		for i, sp := range spans {
+			if sp.Stage != trace.StageComparison || sp.Ref != int32(i) || sp.Parent != -1 {
+				t.Fatalf("%T: span %d = %+v, want the comparison of row %d at the root", kern, i, sp, i)
 			}
+			sum = sum.Add(sp.Attrs)
 		}
-		sn := st.Snapshot()
-		if visits != sn.WedgeNodeVisits {
-			t.Fatalf("%T: H-Merge spans hold %d visits, the record %d", kern, visits, sn.WedgeNodeVisits)
-		}
-		if want := sn.FullDistEvals + sn.EarlyAbandons; kernels != want || kernels == 0 {
-			t.Fatalf("%T: %d kernel spans, the record %d full + %d abandoned", kern, kernels, sn.FullDistEvals, sn.EarlyAbandons)
+		if want := st.Counts(); sum != want || sum.Comparisons == 0 {
+			t.Fatalf("%T: comparison spans sum to %+v, the record holds %+v", kern, sum, want)
 		}
 	}
 }

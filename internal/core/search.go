@@ -211,15 +211,14 @@ func (s *Searcher) MatchSeries(x []float64, r float64, cnt *stats.Counter) Match
 		s.exp.Observe(s.expCtx.Measure(x, r))
 	}
 	if rec == nil {
-		return s.matchSeries(x, r, cnt, nil)
+		return s.matchSeries(x, r, cnt)
 	}
-	// One span per comparison carrying the counter delta it caused; the
-	// hot-path spans (H-Merge walk, kernel evals) nest beneath it by call
-	// order, under the comparison's quota.
+	// One span per comparison carrying the counter delta it caused; nothing
+	// beneath the comparison records a span.
 	ref := s.ref
 	s.ref++
-	comp := rec.BeginComparison(ref)
-	m := s.matchSeries(x, r, cnt, rec)
+	comp := rec.Begin(trace.StageComparison, ref)
+	m := s.matchSeries(x, r, cnt)
 	rec.EndAttrs(comp, s.scratch.Counts) // what matchSeries just flushed: this comparison alone
 	return m
 }
@@ -229,7 +228,7 @@ func (s *Searcher) MatchSeries(x []float64, r float64, cnt *stats.Counter) Match
 // the shared records are touched once, here, after the comparison — and
 // before the dynamic-K controller sees it, because a K change is stamped
 // with the record's comparison count.
-func (s *Searcher) matchSeries(x []float64, r float64, cnt *stats.Counter, rec *trace.Recorder) Match {
+func (s *Searcher) matchSeries(x []float64, r float64, cnt *stats.Counter) Match {
 	s.rs.checkLen(x)
 	sc := &s.scratch
 	s.steps.Reset()
@@ -241,9 +240,9 @@ func (s *Searcher) matchSeries(x []float64, r float64, cnt *stats.Counter, rec *
 	case EarlyAbandon:
 		m = s.matchEarlyAbandon(x, r)
 	case FFTFilter:
-		m = s.matchFFT(x, r, rec)
+		m = s.matchFFT(x, r)
 	default:
-		m = s.matchWedge(x, r, rec)
+		m = s.matchWedge(x, r)
 	}
 	steps := s.steps.Steps()
 	sc.Counts.Steps = steps
@@ -316,20 +315,17 @@ func (s *Searcher) matchEarlyAbandon(x []float64, r float64) Match {
 	return Match{Dist: best, Member: s.rs.MemberID(bestIdx), found: true}
 }
 
-func (s *Searcher) matchFFT(x []float64, r float64, rec *trace.Recorder) Match {
+func (s *Searcher) matchFFT(x []float64, r float64) Match {
 	// The magnitude filter only applies under a finite threshold; an
 	// unbounded match (r < 0 or +Inf, as a scan's first comparisons are)
 	// neither computes the bound nor pays for it.
 	if r >= 0 && !math.IsInf(r, 1) {
 		// Cost model from Section 5.3: n·log2(n) steps for the transform,
 		// plus the magnitude-space Euclidean distance.
-		ft0 := rec.Now()
 		n := s.rs.Len()
 		s.steps.Add(int64(float64(n)*math.Log2(float64(n))) + int64(len(s.queryMag)))
 		xmag := fourier.Magnitudes(x, n/2)
-		rejected := fourier.LowerBoundED(s.queryMag, xmag) >= r
-		rec.Emit(trace.StageFFT, -1, ft0, rec.Now()-ft0)
-		if rejected {
+		if fourier.LowerBoundED(s.queryMag, xmag) >= r {
 			s.scratch.Counts.FFTRejects = 1
 			s.scratch.Counts.FFTRejectedMembers = int64(s.rs.Members())
 			return Match{Dist: math.Inf(1)}
@@ -339,12 +335,12 @@ func (s *Searcher) matchFFT(x []float64, r float64, rec *trace.Recorder) Match {
 	return s.matchEarlyAbandon(x, r)
 }
 
-func (s *Searcher) matchWedge(x []float64, r float64, rec *trace.Recorder) Match {
+func (s *Searcher) matchWedge(x []float64, r float64) Match {
 	K := s.fixedK
 	if K <= 0 {
 		K = s.dyn.K()
 	}
-	res := s.rs.tree.SearchTraced(x, s.kernel, K, r, &s.steps, &s.scratch, rec, s.chk)
+	res := s.rs.tree.SearchInto(x, s.kernel, K, r, &s.steps, &s.scratch, s.chk)
 	if res.Aborted {
 		return Match{Dist: math.Inf(1), aborted: true}
 	}

@@ -61,7 +61,7 @@
 // (dist.Euclidean, dist.EuclideanEA, dtwBanded, dist.LCSS), the envelope
 // lower bounds (envelope.LBKeogh, envelope.LCSSUpperBound), the envelope
 // builders (envelope.New, Merge, ExpandDTW, slidingMax) and the H-Merge
-// traversal (wedge.(*Tree).SearchTraced). The annotation is a standalone
+// traversal (wedge.(*Tree).SearchInto). The annotation is a standalone
 // directive line in the function's doc comment:
 //
 //	// dtwBanded computes ...

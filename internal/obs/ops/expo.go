@@ -46,9 +46,9 @@ type HistogramBucket struct {
 // ascend by bound and the last one is the overflow bucket, written as
 // le="+Inf" with the same total as _count. labels (`k="v",…`, or empty) are
 // repeated on every line; sum is preformatted because families differ in its
-// unit and type. With elide, an interior bucket that holds nothing is skipped
-// — never the first, so an idle series still has a finite bucket.
-func WriteHistogram(w io.Writer, name, labels string, buckets []HistogramBucket, sum string, elide bool) {
+// unit and type. Every bucket is written, empty or not, so a series keeps one
+// le set from scrape to scrape.
+func WriteHistogram(w io.Writer, name, labels string, buckets []HistogramBucket, sum string) {
 	sep, braced := "", ""
 	if labels != "" {
 		sep, braced = ",", "{"+labels+"}"
@@ -62,8 +62,6 @@ func WriteHistogram(w io.Writer, name, labels string, buckets []HistogramBucket,
 		le := b.LE
 		if i == len(buckets)-1 {
 			le = "+Inf"
-		} else if elide && i > 0 && b.Count == 0 {
-			continue
 		}
 		line = append(line, name...)
 		line = append(line, "_bucket{"...)
@@ -103,7 +101,7 @@ func LayoutBuckets(snap []obs.HistogramBucket, le func(bound int64) string) []Hi
 // WriteDurationHistogram writes one obs.Histogram of nanosecond durations as
 // a histogram series in seconds, every bucket of the layout written.
 func WriteDurationHistogram(w io.Writer, name, labels string, h *obs.Histogram) {
-	WriteHistogram(w, name, labels, LayoutBuckets(h.Buckets(), seconds), FormatFloat(float64(h.Sum())/1e9), false)
+	WriteHistogram(w, name, labels, LayoutBuckets(h.Buckets(), seconds), FormatFloat(float64(h.Sum())/1e9))
 }
 
 func seconds(ns int64) string { return FormatFloat(float64(ns) / 1e9) }

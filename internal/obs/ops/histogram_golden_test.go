@@ -10,11 +10,15 @@ import (
 )
 
 // Captured at commit 0bf7dc8, before the bucket loop moved into
-// WriteHistogram.
+// WriteHistogram; it gained the empty interior buckets (le 0.001 and 0.5)
+// when runtime histograms stopped eliding them, so the le set is the
+// runtime's at every scrape. Every other line is the bytes captured then.
 const runtimeHistogramGolden = `# HELP shapeserver_go_gc_pause_seconds GC pauses.
 # TYPE shapeserver_go_gc_pause_seconds histogram
 shapeserver_go_gc_pause_seconds_bucket{le="1e-09"} 0
 shapeserver_go_gc_pause_seconds_bucket{le="1e-06"} 3
+shapeserver_go_gc_pause_seconds_bucket{le="0.001"} 3
+shapeserver_go_gc_pause_seconds_bucket{le="0.5"} 3
 shapeserver_go_gc_pause_seconds_bucket{le="2"} 5
 shapeserver_go_gc_pause_seconds_bucket{le="+Inf"} 6
 shapeserver_go_gc_pause_seconds_sum NaN

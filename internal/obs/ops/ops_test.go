@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"log/slog"
+	"runtime/metrics"
 	"strings"
 	"sync"
 	"testing"
@@ -85,6 +86,34 @@ func TestRuntimeMetricsExposition(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("runtime exposition is missing %q\n%s", want, out)
 		}
+	}
+}
+
+// TestRuntimeHistogramsWriteEveryBucket holds each runtime histogram to the
+// runtime's own layout: one _bucket line per runtime/metrics bucket, empty or
+// not, so the le set cannot change between scrapes.
+func TestRuntimeHistogramsWriteEveryBucket(t *testing.T) {
+	var buf bytes.Buffer
+	WriteRuntimeMetrics(&buf)
+	out := buf.String()
+	histograms := 0
+	for _, rs := range runtimeSamples {
+		if rs.kind != "histogram" {
+			continue
+		}
+		sample := []metrics.Sample{{Name: rs.metric}}
+		metrics.Read(sample)
+		if sample[0].Value.Kind() != metrics.KindFloat64Histogram {
+			continue
+		}
+		histograms++
+		want := len(sample[0].Value.Float64Histogram().Counts)
+		if got := strings.Count(out, rs.name+"_bucket{"); got != want {
+			t.Errorf("%s: %d _bucket lines, runtime/metrics reports %d buckets", rs.name, got, want)
+		}
+	}
+	if histograms == 0 {
+		t.Fatal("no runtime histogram was read; the test checks nothing")
 	}
 }
 

@@ -62,8 +62,9 @@ func WriteRuntimeMetrics(w io.Writer) {
 }
 
 // writeRuntimeHistogram converts a runtime/metrics Float64Histogram to
-// cumulative le-buckets, compacted to the boundaries where the cumulative
-// count changes (plus +Inf) so idle histograms stay small.
+// cumulative le-buckets, one per runtime bucket: those bounded above by +Inf
+// fold into the overflow bucket, so the le set is the runtime's at every
+// scrape.
 func writeRuntimeHistogram(w io.Writer, name, help string, h *metrics.Float64Histogram) {
 	WriteFamily(w, name, "histogram", help)
 	// Buckets[i] .. Buckets[i+1] bound Counts[i]; the first boundary may be
@@ -77,5 +78,5 @@ func writeRuntimeHistogram(w io.Writer, name, help string, h *metrics.Float64His
 			buckets = append(buckets, HistogramBucket{LE: FormatFloat(upper), Count: int64(c)})
 		}
 	}
-	WriteHistogram(w, name, "", append(buckets, HistogramBucket{Count: overflow}), FormatFloat(math.NaN()), true)
+	WriteHistogram(w, name, "", append(buckets, HistogramBucket{Count: overflow}), FormatFloat(math.NaN()))
 }

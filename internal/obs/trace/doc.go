@@ -1,22 +1,20 @@
 // Package trace is the query-lifecycle span layer on top of internal/obs:
 // where the obs counters say *what* a search did (the paper's num_steps
-// accounting), trace says *when* and *how long* — which lower bound the
-// wall-clock actually went to, per query, per stage. That is the
-// observability Lemire's two-pass LB_Keogh work implies you need: which
-// bound dominates runtime shifts with data and band radius, and only a
-// per-stage timeline verifies it on a live workload.
+// accounting), trace says *when* and *how long* — which comparisons, probes
+// and fetches of one query the wall-clock went to. It stops at the
+// comparison: which bound inside a comparison the time goes to is the
+// benchmark's per-layer ladder and a CPU profile, not a span.
 //
 // # Model
 //
 // A Recorder accumulates the Spans of one trace against a monotonic anchor;
 // it is single-goroutine (a Query already is) and a nil *Recorder is a
 // valid no-op sink costing one branch per call, mirroring the nil
-// *obs.SearchStats contract. Hot paths record into it directly — Begin/End
+// *obs.SearchStats contract. Callers record into it directly — Begin/End
 // around a stage, Emit for an already-timed interval — and nesting falls out
-// of call order through its open-span stack. One comparison may record at
-// most a fixed quota of spans beneath its own (BeginComparison), so a walk
-// that reaches many leaves cannot eat the trace; a recorder at its span cap
-// is Full, which callers treat as absent.
+// of call order through its open-span stack. A comparison is one span with
+// nothing beneath it; a recorder at its span cap is Full, which callers
+// treat as absent.
 //
 // Spans carry obs.Counts deltas as attributes, so a comparison span's
 // attrs satisfy the same reconciliation identity as the query's SearchStats
@@ -32,10 +30,10 @@
 // retention is decided at Finish time, when the duration is known:
 //
 //   - a trace whose duration is >= Config.SlowThreshold is ALWAYS retained
-//     in the slow ring (capacity Config.SlowCapacity, oldest evicted first);
+//     in the slow ring (capacity SlowCapacity, oldest evicted first);
 //   - independently, the trace is retained in the sampled ring (capacity
-//     Config.Capacity) with probability Config.SampleRate, decided by a
-//     seeded splitmix64 so runs are reproducible.
+//     Capacity) with probability Config.SampleRate, decided by a
+//     fixed-seed splitmix64 so runs are reproducible.
 //
 // Deciding at completion rather than at start is what makes slow-query
 // capture reliable: a start-time sampling decision would drop exactly the

@@ -39,9 +39,6 @@ func spanArgs(i int, sp Span) map[string]any {
 	if sp.Attrs != (obs.Counts{}) {
 		args["counts"] = sp.Attrs
 	}
-	if len(sp.VisitsByLevel) > 0 {
-		args["visits_by_level"] = sp.VisitsByLevel
-	}
 	return args
 }
 

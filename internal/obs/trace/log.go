@@ -7,20 +7,20 @@ import (
 	"lbkeogh/internal/obs"
 )
 
+// The ring sizes of every Log.
+const (
+	Capacity     = 64 // sampled traces kept
+	SlowCapacity = 32 // slow traces kept
+)
+
 // Defaults for Config fields left zero.
 const (
-	DefaultCapacity      = 64
-	DefaultSlowCapacity  = 32
 	DefaultSampleRate    = 0.25
 	DefaultSlowThreshold = 50 * time.Millisecond
 )
 
 // Config tunes a Log. The zero value selects every default.
 type Config struct {
-	// Capacity is the sampled-trace ring size (<= 0: DefaultCapacity).
-	Capacity int
-	// SlowCapacity is the slow-trace ring size (<= 0: DefaultSlowCapacity).
-	SlowCapacity int
 	// SampleRate is the probability a completed trace is retained in the
 	// ring (0: DefaultSampleRate; negative: keep nothing but slow traces;
 	// >= 1: keep everything).
@@ -29,11 +29,6 @@ type Config struct {
 	// captured, bypassing sampling (0: DefaultSlowThreshold; negative:
 	// disable slow capture).
 	SlowThreshold time.Duration
-	// SpanCap bounds the spans per trace (<= 0: DefaultSpanCap).
-	SpanCap int
-	// Seed seeds the sampling RNG (0 selects a fixed default, so runs are
-	// reproducible unless the caller opts into a varying seed).
-	Seed uint64
 }
 
 // Trace is one completed, retained query trace.
@@ -66,35 +61,22 @@ type Log struct {
 	slow    []Trace // slow traces, ditto
 	slowPos int
 	nextID  int64
-	total   int64 // traces finished
-	kept    int64 // traces retained in the sampled ring
-	rng     uint64
+	total   int64  // traces finished
+	kept    int64  // traces retained in the sampled ring
+	rng     uint64 // splitmix64 state, fixed at creation so runs are reproducible
 
 	lat StageLatencies
 }
 
 // NewLog returns a Log with the given configuration.
 func NewLog(cfg Config) *Log {
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = DefaultCapacity
-	}
-	if cfg.SlowCapacity <= 0 {
-		cfg.SlowCapacity = DefaultSlowCapacity
-	}
 	if cfg.SampleRate == 0 {
 		cfg.SampleRate = DefaultSampleRate
 	}
 	if cfg.SlowThreshold == 0 {
 		cfg.SlowThreshold = DefaultSlowThreshold
 	}
-	if cfg.SpanCap <= 0 {
-		cfg.SpanCap = DefaultSpanCap
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 0x9e3779b97f4a7c15
-	}
-	return &Log{cfg: cfg, rng: seed}
+	return &Log{cfg: cfg, rng: 0x9e3779b97f4a7c15}
 }
 
 // Latencies exposes the per-stage latency histograms (nil-safe).
@@ -121,7 +103,7 @@ func (l *Log) StartTrace(label string) *Recorder {
 	if l == nil {
 		return nil
 	}
-	return NewRecorder(label, l.cfg.SpanCap)
+	return NewRecorder(label, SpanCap)
 }
 
 // splitmix64 advances the sampling RNG (Steele et al.; good enough for
@@ -170,19 +152,19 @@ func (l *Log) Finish(r *Recorder, attrs obs.Counts) int64 {
 	}
 	if sampled {
 		l.kept++
-		if len(l.ring) < l.cfg.Capacity {
+		if len(l.ring) < Capacity {
 			l.ring = append(l.ring, tr)
 		} else {
 			l.ring[l.ringPos] = tr
-			l.ringPos = (l.ringPos + 1) % l.cfg.Capacity
+			l.ringPos = (l.ringPos + 1) % Capacity
 		}
 	}
 	if isSlow {
-		if len(l.slow) < l.cfg.SlowCapacity {
+		if len(l.slow) < SlowCapacity {
 			l.slow = append(l.slow, tr)
 		} else {
 			l.slow[l.slowPos] = tr
-			l.slowPos = (l.slowPos + 1) % l.cfg.SlowCapacity
+			l.slowPos = (l.slowPos + 1) % SlowCapacity
 		}
 	}
 	return tr.ID
@@ -205,7 +187,7 @@ func (l *Log) Recent() []Trace {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return ringInOrder(l.ring, l.ringPos, l.cfg.Capacity)
+	return ringInOrder(l.ring, l.ringPos, Capacity)
 }
 
 // Slow returns the retained slow traces, oldest first.
@@ -215,7 +197,7 @@ func (l *Log) Slow() []Trace {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return ringInOrder(l.slow, l.slowPos, l.cfg.SlowCapacity)
+	return ringInOrder(l.slow, l.slowPos, SlowCapacity)
 }
 
 // Get returns the retained trace with the given ID (sampled or slow).

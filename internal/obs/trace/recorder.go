@@ -6,17 +6,10 @@ import (
 	"lbkeogh/internal/obs"
 )
 
-// DefaultSpanCap bounds the spans of one trace unless the Log overrides it.
-// Beyond the cap spans are dropped (and counted), never reallocated — the
-// recorder does all its allocation up front.
-const DefaultSpanCap = 512
-
-// comparisonQuota bounds the spans one comparison may record beneath its
-// own. A wedge search emits one H-Merge span and one kernel span per leaf it
-// reaches, and a loose Euclidean walk reaches most of them: unbounded, the
-// first handful of comparisons would eat the whole trace. The quota keeps the
-// waterfall informative for typical comparisons; overflow is counted.
-const comparisonQuota = 24
+// SpanCap bounds the spans of one trace a Log starts. Beyond the cap spans
+// are dropped (and counted), never reallocated — the recorder does all its
+// allocation up front.
+const SpanCap = 512
 
 // Recorder accumulates the spans of one trace. It is single-goroutine by
 // design — a Query already is, and parallel scans record only their root
@@ -33,14 +26,6 @@ type Recorder struct {
 	spans   []Span
 	stack   []int32 // indices of open spans
 	dropped int64
-
-	comparison SpanID // the open BeginComparison span; -1 outside one
-	quota      int    // spans that comparison may still record beneath itself
-
-	// H-Merge internal-node visits per dendrogram level since the last
-	// EndVisits. They live here, not in the walk's scratch, so the walk's hot
-	// loop carries no extra indexing of its own.
-	visits [obs.MaxPruneLevels]int64
 }
 
 // SpanID refers to an open span within its recorder. The zero value is not
@@ -49,19 +34,18 @@ type Recorder struct {
 type SpanID int32
 
 // NewRecorder returns a recorder with capacity for spanCap spans, anchored
-// at time.Now (spanCap <= 0 selects DefaultSpanCap). Logs normally construct
+// at time.Now (spanCap <= 0 selects SpanCap). Logs normally construct
 // recorders via StartTrace; NewRecorder exists for tests and for tracing
 // outside any log.
 func NewRecorder(label string, spanCap int) *Recorder {
 	if spanCap <= 0 {
-		spanCap = DefaultSpanCap
+		spanCap = SpanCap
 	}
 	return &Recorder{
-		anchor:     time.Now(),
-		label:      label,
-		spans:      make([]Span, 0, spanCap),
-		stack:      make([]int32, 0, 8),
-		comparison: -1,
+		anchor: time.Now(),
+		label:  label,
+		spans:  make([]Span, 0, spanCap),
+		stack:  make([]int32, 0, 8),
 	}
 }
 
@@ -104,17 +88,12 @@ func (r *Recorder) Drop() {
 	}
 }
 
-// push appends one span under the innermost open span. A trace at its cap,
-// or an open comparison that has spent its quota, drops the span and counts
-// it: -1 comes back.
+// push appends one span under the innermost open span. A trace at its cap
+// drops the span and counts it: -1 comes back.
 func (r *Recorder) push(stage Stage, ref int, start, dur int64) int32 {
-	inComparison := r.comparison >= 0
-	if len(r.spans) == cap(r.spans) || (inComparison && r.quota == 0) {
+	if len(r.spans) == cap(r.spans) {
 		r.dropped++
 		return -1
-	}
-	if inComparison {
-		r.quota--
 	}
 	parent := int32(-1)
 	if n := len(r.stack); n > 0 {
@@ -137,16 +116,6 @@ func (r *Recorder) Begin(stage Stage, ref int) SpanID {
 	return SpanID(id)
 }
 
-// BeginComparison opens the span of one comparison and puts everything
-// recorded beneath it, until its EndAttrs, under comparisonQuota.
-func (r *Recorder) BeginComparison(ref int) SpanID {
-	id := r.Begin(StageComparison, ref)
-	if id >= 0 {
-		r.comparison, r.quota = id, comparisonQuota
-	}
-	return id
-}
-
 // End closes the span opened by Begin. Ending a no-op SpanID is a no-op.
 func (r *Recorder) End(id SpanID) {
 	r.EndAttrs(id, obs.Counts{})
@@ -160,9 +129,6 @@ func (r *Recorder) EndAttrs(id SpanID, attrs obs.Counts) {
 	sp := &r.spans[id]
 	sp.Dur = r.Now() - sp.Start
 	sp.Attrs = attrs
-	if id == r.comparison {
-		r.comparison = -1
-	}
 	// Pop the open stack down to (and including) this span; mismatched End
 	// order unwinds rather than corrupting parentage.
 	for n := len(r.stack); n > 0; n-- {
@@ -180,39 +146,6 @@ func (r *Recorder) Emit(stage Stage, ref int, start, dur int64) {
 	if r != nil {
 		r.push(stage, ref, start, dur)
 	}
-}
-
-// CountVisit charges one H-Merge internal-node visit at the given dendrogram
-// level to the walk in progress.
-func (r *Recorder) CountVisit(level int) {
-	if r == nil {
-		return
-	}
-	r.visits[obs.PruneLevel(level)]++
-}
-
-// EndVisits is End for an H-Merge span: the visits counted since the last
-// call become its VisitsByLevel (the non-empty prefix) and are cleared —
-// also when the span itself was dropped, so they never leak into the next
-// walk's.
-func (r *Recorder) EndVisits(id SpanID) {
-	if r == nil {
-		return
-	}
-	r.End(id)
-	top := -1
-	for i, v := range r.visits {
-		if v != 0 {
-			top = i
-		}
-	}
-	if top < 0 {
-		return
-	}
-	if id >= 0 {
-		r.spans[id].VisitsByLevel = append([]int64(nil), r.visits[:top+1]...)
-	}
-	r.visits = [obs.MaxPruneLevels]int64{}
 }
 
 // Spans returns the recorded spans (shared slice; callers must not mutate).

@@ -22,17 +22,6 @@ const (
 	// StageComparison covers one MatchSeries call: one database series
 	// matched against every admitted rotation.
 	StageComparison
-	// StageEnvelope covers a searcher fetching its wedge tree's envelopes
-	// widened for the kernel's radius: once per query, in its first
-	// comparison. The first DTW/LCSS query to use a tree pays the real build;
-	// every other fetch is a cache hit, a near-zero-duration span.
-	StageEnvelope
-	// StageHMerge covers the H-Merge traversal of one comparison.
-	StageHMerge
-	// StageKernel covers one exact kernel evaluation (full or abandoned).
-	StageKernel
-	// StageFFT covers the Fourier-magnitude screen of one comparison.
-	StageFFT
 	// StageVPProbe covers one VP-tree probe of an indexed Euclidean query.
 	StageVPProbe
 	// StageColumnProbe covers one PAA-column walk of an indexed DTW query.
@@ -56,10 +45,6 @@ var stageNames = [NumStages]string{
 	StageRotationMatrix: "rotation_matrix",
 	StageWedgeBuild:     "wedge_build",
 	StageComparison:     "comparison",
-	StageEnvelope:       "envelope",
-	StageHMerge:         "hmerge",
-	StageKernel:         "kernel",
-	StageFFT:            "fft_screen",
 	StageVPProbe:        "vp_probe",
 	StageColumnProbe:    "paa_probe",
 	StageFetch:          "fetch",
@@ -90,8 +75,8 @@ func StageFromName(name string) Stage {
 // Span is one timed region of a trace. Start is nanoseconds since the
 // trace's monotonic anchor; Dur its length in nanoseconds. Parent indexes
 // the trace's span slice (-1 for roots). Ref carries a stage-specific id:
-// the database index of a comparison, the record id of a fetch, the member
-// id of a kernel evaluation, -1 when meaningless.
+// the database index of a comparison, the record id of a fetch, -1 when
+// meaningless.
 type Span struct {
 	Parent int32      `json:"parent"`
 	Stage  Stage      `json:"-"`
@@ -99,9 +84,6 @@ type Span struct {
 	Start  int64      `json:"start_ns"`
 	Dur    int64      `json:"dur_ns"`
 	Attrs  obs.Counts `json:"attrs,omitempty"`
-	// VisitsByLevel breaks an H-Merge span's internal-node visits down by
-	// dendrogram depth (nil for every other stage).
-	VisitsByLevel []int64 `json:"visits_by_level,omitempty"`
 }
 
 // End returns the span's end offset in nanoseconds.

@@ -12,9 +12,9 @@ import (
 func TestRecorderNesting(t *testing.T) {
 	r := NewRecorder("search", 16)
 	root := r.Begin(StageSearch, -1)
-	comp := r.Begin(StageComparison, 3)
-	r.Emit(StageFFT, -1, r.Now(), 0)
-	r.End(comp)
+	probe := r.Begin(StageVPProbe, -1)
+	r.Emit(StageFetch, 3, r.Now(), 0)
+	r.End(probe)
 	comp2 := r.Begin(StageComparison, 4)
 	r.EndAttrs(comp2, obs.Counts{Comparisons: 1})
 	r.End(root)
@@ -26,14 +26,14 @@ func TestRecorderNesting(t *testing.T) {
 	if spans[root].Parent != -1 {
 		t.Errorf("root parent = %d, want -1", spans[root].Parent)
 	}
-	if spans[comp].Parent != int32(root) {
-		t.Errorf("comparison parent = %d, want %d", spans[comp].Parent, root)
+	if spans[probe].Parent != int32(root) {
+		t.Errorf("probe parent = %d, want %d", spans[probe].Parent, root)
 	}
-	if spans[2].Stage != StageFFT || spans[2].Parent != int32(comp) {
-		t.Errorf("emitted span = %+v, want fft under comparison %d", spans[2], comp)
+	if spans[2].Stage != StageFetch || spans[2].Parent != int32(probe) {
+		t.Errorf("emitted span = %+v, want fetch under probe %d", spans[2], probe)
 	}
 	if spans[comp2].Parent != int32(root) {
-		t.Errorf("second comparison parent = %d, want %d (stack must have popped)", spans[comp2].Parent, root)
+		t.Errorf("comparison parent = %d, want %d (stack must have popped)", spans[comp2].Parent, root)
 	}
 	if spans[comp2].Attrs.Comparisons != 1 {
 		t.Errorf("EndAttrs did not attach attributes: %+v", spans[comp2].Attrs)
@@ -61,8 +61,8 @@ func TestRecorderDropCounting(t *testing.T) {
 	if c != -1 {
 		t.Fatalf("saturated Begin = %d, want -1", c)
 	}
-	r.Emit(StageKernel, 0, 0, 1) // also dropped
-	r.End(c)                     // no-op, must not panic
+	r.Emit(StageFetch, 0, 0, 1) // also dropped
+	r.End(c)                    // no-op, must not panic
 	r.End(b)
 	r.End(a)
 	if got := r.Dropped(); got != 2 {
@@ -78,126 +78,15 @@ func TestNilRecorderIsNoop(t *testing.T) {
 	if id := r.Begin(StageSearch, -1); id != -1 {
 		t.Fatalf("nil Begin = %d, want -1", id)
 	}
-	if id := r.BeginComparison(0); id != -1 {
-		t.Fatalf("nil BeginComparison = %d, want -1", id)
-	}
 	r.End(-1)
 	r.EndAttrs(0, obs.Counts{})
-	r.Emit(StageKernel, 0, 0, 1)
-	r.CountVisit(3)
-	r.EndVisits(0)
+	r.Emit(StageFetch, 0, 0, 1)
 	r.Drop()
 	if r.Full() {
 		t.Error("a nil recorder is absent, not full")
 	}
 	if r.Now() != 0 || r.Dropped() != 0 || r.Spans() != nil || r.Label() != "" {
 		t.Error("nil recorder accessors must return zero values")
-	}
-}
-
-// The hot path records straight into the recorder, in call order: the walk
-// opens under the comparison, kernels are emitted under the walk.
-func TestHotPathSpansNestByCallOrder(t *testing.T) {
-	r := NewRecorder("search", 64)
-	comp := r.BeginComparison(0)
-	env := r.Begin(StageEnvelope, -1)
-	r.End(env)
-	hm := r.Begin(StageHMerge, -1)
-	r.CountVisit(0)
-	r.CountVisit(1)
-	r.CountVisit(1)
-	r.Emit(StageKernel, 7, r.Now(), 5)
-	r.EndVisits(hm)
-	r.EndAttrs(comp, obs.Counts{Comparisons: 1})
-
-	spans := r.Spans()
-	if len(spans) != 4 {
-		t.Fatalf("got %d spans, want 4", len(spans))
-	}
-	envelope, hmerge, kernel := spans[env], spans[hm], spans[3]
-	if envelope.Stage != StageEnvelope || envelope.Parent != int32(comp) {
-		t.Errorf("envelope parent = %d, want %d (the comparison)", envelope.Parent, comp)
-	}
-	if hmerge.Stage != StageHMerge || hmerge.Parent != int32(comp) {
-		t.Errorf("hmerge parent = %d, want %d (the comparison, beside the envelope)", hmerge.Parent, comp)
-	}
-	if kernel.Stage != StageKernel || kernel.Parent != int32(hm) {
-		t.Errorf("kernel parent = %d, want %d (the hmerge span)", kernel.Parent, hm)
-	}
-	if got := hmerge.VisitsByLevel; len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Errorf("hmerge VisitsByLevel = %v, want [1 2]", got)
-	}
-	if kernel.VisitsByLevel != nil || envelope.VisitsByLevel != nil || spans[comp].VisitsByLevel != nil {
-		t.Error("visit counts must attach to the hmerge span only")
-	}
-
-	// The counts were cleared: a walk that visits nothing carries none, and a
-	// walk whose span was dropped does not leak its visits into the next.
-	hm2 := r.Begin(StageHMerge, -1)
-	r.EndVisits(hm2)
-	if spans = r.Spans(); spans[hm2].VisitsByLevel != nil {
-		t.Errorf("second walk inherited visits %v", spans[hm2].VisitsByLevel)
-	}
-	r.CountVisit(2)
-	r.EndVisits(-1)
-	hm3 := r.Begin(StageHMerge, -1)
-	r.EndVisits(hm3)
-	if spans = r.Spans(); spans[hm3].VisitsByLevel != nil {
-		t.Errorf("visits of a dropped walk leaked: %v", spans[hm3].VisitsByLevel)
-	}
-}
-
-// One comparison may record comparisonQuota spans beneath its own, so a walk
-// that reaches many leaves cannot eat the trace.
-func TestComparisonQuota(t *testing.T) {
-	r := NewRecorder("search", 256)
-	root := r.Begin(StageSearch, -1)
-	comp := r.BeginComparison(0)
-	hm := r.Begin(StageHMerge, -1) // 1 of the quota
-	for i := 1; i < comparisonQuota+3; i++ {
-		r.Emit(StageKernel, i, r.Now(), 1)
-	}
-	if over := r.Begin(StageFFT, -1); over != -1 {
-		t.Errorf("Begin past the quota = %d, want -1", over)
-	}
-	if got, want := len(r.Spans()), 2+comparisonQuota; got != want {
-		t.Fatalf("recorded %d spans, want %d (root, comparison and the quota)", got, want)
-	}
-	if got := r.Dropped(); got != 4 {
-		t.Errorf("Dropped = %d, want 4 (three kernels and the fft span)", got)
-	}
-	if last := r.Spans()[len(r.Spans())-1]; last.Ref != comparisonQuota-1 {
-		t.Errorf("last kept kernel has ref %d, want %d: the 25th descendant is the first dropped", last.Ref, comparisonQuota-1)
-	}
-	time.Sleep(time.Microsecond)
-	r.EndVisits(hm)
-	if sp := r.Spans()[hm]; sp.Dur <= 0 {
-		t.Errorf("an hmerge span opened before the quota ran out must still close: %+v", sp)
-	}
-	r.EndAttrs(comp, obs.Counts{})
-
-	// Lifted: the next comparison, and spans outside any, record again.
-	r.Emit(StageFetch, 1, r.Now(), 1)
-	comp2 := r.BeginComparison(1)
-	r.Emit(StageKernel, 0, r.Now(), 1)
-	r.EndAttrs(comp2, obs.Counts{})
-	spans := r.Spans()
-	if n := len(spans); n != 5+comparisonQuota {
-		t.Fatalf("after the quota lifted: %d spans, want %d", n, 5+comparisonQuota)
-	}
-	if spans[comp2].Parent != int32(root) || spans[len(spans)-1].Parent != int32(comp2) {
-		t.Error("spans after the quota lifted are mis-parented")
-	}
-	if r.Dropped() != 4 {
-		t.Errorf("Dropped moved to %d after the quota lifted", r.Dropped())
-	}
-
-	// Outside a comparison only the trace's own cap applies.
-	for i := 0; i < 2*comparisonQuota; i++ {
-		r.Emit(StageFetch, i, r.Now(), 1)
-	}
-	if r.Dropped() != 4 {
-		t.Errorf("spans outside a comparison were charged a quota: Dropped = %d", r.Dropped())
 	}
 }
 
@@ -225,34 +114,35 @@ func TestLogSlowCaptureBypassesSampling(t *testing.T) {
 }
 
 func TestLogRingEviction(t *testing.T) {
-	l := NewLog(Config{Capacity: 4, SampleRate: 1, SlowThreshold: -1})
-	for i := 0; i < 10; i++ {
+	l := NewLog(Config{SampleRate: 1, SlowThreshold: -1})
+	const n = Capacity + 6
+	for i := 0; i < n; i++ {
 		rec := l.StartTrace("search")
 		rec.End(rec.Begin(StageSearch, -1))
 		l.Finish(rec, obs.Counts{})
 	}
 	got := l.Recent()
-	if len(got) != 4 {
-		t.Fatalf("ring has %d traces, want 4", len(got))
+	if len(got) != Capacity {
+		t.Fatalf("ring has %d traces, want %d", len(got), Capacity)
 	}
 	for i, tr := range got {
-		if want := int64(7 + i); tr.ID != want {
+		if want := int64(n - Capacity + 1 + i); tr.ID != want {
 			t.Errorf("ring[%d].ID = %d, want %d (oldest first)", i, tr.ID, want)
 		}
 		if tr.Slow {
 			t.Errorf("trace %d marked slow with slow capture disabled", tr.ID)
 		}
 	}
-	if _, ok := l.Get(10); !ok {
+	if _, ok := l.Get(n); !ok {
 		t.Error("Get must find a retained trace")
 	}
-	if _, ok := l.Get(1); ok {
+	if _, ok := l.Get(n - Capacity); ok {
 		t.Error("Get must miss an evicted trace")
 	}
 }
 
 func TestLogSamplingRate(t *testing.T) {
-	l := NewLog(Config{Capacity: 2000, SampleRate: 0.25, SlowThreshold: -1, Seed: 42})
+	l := NewLog(Config{SampleRate: 0.25, SlowThreshold: -1})
 	const n = 2000
 	for i := 0; i < n; i++ {
 		rec := l.StartTrace("search")
@@ -301,24 +191,23 @@ func TestLogObserveStageAndNil(t *testing.T) {
 func TestStageLatenciesSnapshotAndQuantile(t *testing.T) {
 	var lat StageLatencies
 	for i := 0; i < 50; i++ {
-		lat.Observe(StageKernel, 1)
+		lat.Observe(StageFetch, 1)
 	}
 	for i := 0; i < 50; i++ {
-		lat.Observe(StageKernel, 1000)
+		lat.Observe(StageFetch, 1000)
 	}
-	lat.Observe(StageHMerge, 7)
+	lat.Observe(StageComparison, 7)
 	snap := lat.Snapshot()
 	if len(snap) != 2 {
 		t.Fatalf("snapshot has %d stages, want 2", len(snap))
 	}
-	// Stage order: hmerge (7) precedes kernel (8)? No — snapshot walks the
-	// enum, and StageHMerge < StageKernel.
-	if snap[0].Stage != "hmerge" || snap[1].Stage != "kernel" {
+	// Snapshot walks the enum, not the order of observation.
+	if snap[0].Stage != "comparison" || snap[1].Stage != "fetch" {
 		t.Fatalf("snapshot order = %s, %s", snap[0].Stage, snap[1].Stage)
 	}
 	k := snap[1]
 	if k.Count != 100 || k.SumNS != 50*1+50*1000 {
-		t.Errorf("kernel count/sum = %d/%d, want 100/%d", k.Count, k.SumNS, 50+50*1000)
+		t.Errorf("fetch count/sum = %d/%d, want 100/%d", k.Count, k.SumNS, 50+50*1000)
 	}
 	if k.P50NS != 1 {
 		t.Errorf("p50 = %d, want 1", k.P50NS)
@@ -335,7 +224,7 @@ func TestStageLatenciesSnapshotAndQuantile(t *testing.T) {
 	// same bucket ops.RED reports for the same data; flooring q·count would
 	// land on the smallest.
 	for _, ns := range []int64{1, 100, 10000} {
-		lat.Observe(StageKernel, ns)
+		lat.Observe(StageFetch, ns)
 	}
 	if p50 := lat.Snapshot()[0].P50NS; p50 != 128 {
 		t.Errorf("3-sample p50 = %d, want 128 (the middle sample's bucket)", p50)
@@ -351,8 +240,8 @@ func TestStageLatenciesSnapshotAndQuantile(t *testing.T) {
 		t.Errorf("empty quantile = %d, want 0", got)
 	}
 	var nilLat *StageLatencies
-	nilLat.Observe(StageKernel, 1)
-	if nilLat.Snapshot() != nil || nilLat.Histogram(StageKernel) != nil {
+	nilLat.Observe(StageFetch, 1)
+	if nilLat.Snapshot() != nil || nilLat.Histogram(StageFetch) != nil {
 		t.Error("nil StageLatencies must be a no-op sink")
 	}
 }
@@ -384,9 +273,9 @@ func sampleTrace() Trace {
 		Slow:  true,
 		Attrs: obs.Counts{Comparisons: 2, Rotations: 10, FullDistEvals: 10},
 		Spans: []Span{
-			{Parent: -1, Stage: StageComparison, Ref: 0, Start: 0, Dur: 50_000, Attrs: obs.Counts{Comparisons: 1}},
-			{Parent: 0, Stage: StageHMerge, Ref: -1, Start: 1_000, Dur: 40_000, VisitsByLevel: []int64{1, 2}},
-			{Parent: 1, Stage: StageKernel, Ref: 3, Start: 2_000, Dur: 10_000},
+			{Parent: -1, Stage: StageVPProbe, Ref: -1, Start: 0, Dur: 50_000},
+			{Parent: 0, Stage: StageFetch, Ref: 3, Start: 1_000, Dur: 1_000},
+			{Parent: 0, Stage: StageComparison, Ref: 3, Start: 2_000, Dur: 10_000, Attrs: obs.Counts{Comparisons: 1}},
 		},
 	}
 }
@@ -410,22 +299,20 @@ func TestWriteChrome(t *testing.T) {
 	if root.Args["trace_id"] != float64(7) || root.Args["dropped_spans"] != float64(0) || root.Args["counts"] == nil {
 		t.Errorf("root args = %v, want the trace id, its counts and its drops", root.Args)
 	}
-	kernel := f.TraceEvents[3]
-	if kernel.Name != "kernel" || kernel.Ts != 2 || kernel.Dur != 10 {
-		t.Errorf("kernel event = %+v", kernel)
+	comp := f.TraceEvents[3]
+	if comp.Name != "comparison" || comp.Ts != 2 || comp.Dur != 10 {
+		t.Errorf("comparison event = %+v", comp)
 	}
-	if kernel.Args["ref"] == nil {
-		t.Error("kernel event must carry its ref arg")
+	if comp.Args["ref"] != float64(3) || comp.Args["counts"] == nil {
+		t.Errorf("comparison args = %v, want its ref and its counts", comp.Args)
 	}
-	if f.TraceEvents[1].Args["counts"] == nil {
-		t.Error("comparison event must carry its counts arg")
+	probe := f.TraceEvents[1]
+	if probe.Args["ref"] != nil || probe.Args["counts"] != nil {
+		t.Errorf("vp_probe args = %v, want no ref (-1) and no counts (zero)", probe.Args)
 	}
-	hmerge := f.TraceEvents[2]
-	if hmerge.Args["visits_by_level"] == nil {
-		t.Error("hmerge event must carry visits_by_level")
-	}
-	if hmerge.Args["span"] != float64(1) || hmerge.Args["parent"] != float64(0) {
-		t.Errorf("hmerge args = %v, want span 1 under parent 0", hmerge.Args)
+	fetch := f.TraceEvents[2]
+	if fetch.Name != "fetch" || fetch.Args["span"] != float64(1) || fetch.Args["parent"] != float64(0) {
+		t.Errorf("fetch event = %+v, want span 1 under parent 0", fetch)
 	}
 }
 

@@ -60,9 +60,9 @@ type SearchRequest struct {
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 
 	// Explain runs the search in EXPLAIN mode: the response additionally
-	// carries a structured plan (stage waterfall, sampled bound tightness,
-	// survivors annotated with the admitting bound). Costs roughly one extra
-	// waterfall measurement every few comparisons; meant for diagnostics, not
+	// carries a structured plan (the stage waterfall, and the bound
+	// tightness sampled on every fourth comparison). Costs one extra
+	// waterfall measurement per four comparisons; meant for diagnostics, not
 	// steady-state traffic.
 	Explain bool `json:"explain,omitempty"`
 }

@@ -67,8 +67,8 @@ type Config struct {
 
 	// ExplainSampleInterval is the bound-tightness sampling interval: one of
 	// every N candidate comparisons across all requests gets its full bound
-	// waterfall measured (FFT, PAA, envelope lower bounds vs the true
-	// distance), feeding the tightness histograms on /metrics and the
+	// waterfall measured (the FFT-magnitude bound under Euclidean distance
+	// and the LB_Keogh envelope bound, against the true distance), feeding the tightness histograms on /metrics and the
 	// explain panel on /debug/lbkeogh. Default 512; negative disables the
 	// sampler entirely.
 	ExplainSampleInterval int

@@ -9,7 +9,6 @@ import (
 	"lbkeogh/internal/cluster"
 	"lbkeogh/internal/envelope"
 	"lbkeogh/internal/obs"
-	"lbkeogh/internal/obs/trace"
 	"lbkeogh/internal/stats"
 )
 
@@ -241,15 +240,13 @@ type Scratch struct {
 
 // prepare points the scratch at tree t, radius and K. The widened envelopes
 // are fetched once per tree and radius — so the search that first builds them
-// is charged the build on steps, as ever, and its trace holds the one
-// envelope span — the leaf buffer once per tree, and the frontier once per
-// change of K; a steady-state comparison takes neither lock nor allocates.
-func (sc *Scratch) prepare(t *Tree, radius, K int, steps *stats.Tally, rec *trace.Recorder) {
+// is charged the build on steps, as ever — the leaf buffer once per tree,
+// and the frontier once per change of K; a steady-state comparison takes
+// neither lock nor allocates.
+func (sc *Scratch) prepare(t *Tree, radius, K int, steps *stats.Tally) {
 	if sc.tree != t || sc.radius != radius {
 		sc.tree, sc.radius, sc.frontier = t, radius, nil
-		env := rec.Begin(trace.StageEnvelope, -1)
 		sc.envs = t.envelopesFor(radius, steps)
-		rec.End(env)
 		if n := t.Len() + 1; cap(sc.cb) < n {
 			sc.cb = make([]float64, n)
 		} else {
@@ -269,31 +266,29 @@ func (sc *Scratch) prepare(t *Tree, radius, K int, steps *stats.Tally, rec *trac
 func (t *Tree) Search(q []float64, k Kernel, K int, r float64, _ Traversal, cnt *stats.Tally) Result {
 	var sc Scratch
 	var steps stats.Tally
-	res := t.SearchTraced(q, k, K, r, &steps, &sc, nil, nil)
+	res := t.SearchInto(q, k, K, r, &steps, &sc, nil)
 	cnt.Add(res.Steps)
 	return res
 }
 
-// SearchTraced is Search over a caller-owned scratch, with span recording
-// and cooperative cancellation. The steps the walk spends are added to steps
-// (never nil: Result.Steps is read off it), and every rotation it disposes
-// of is attributed to exactly one outcome in sc.Counts (internal-wedge prune
+// SearchInto is Search over a caller-owned scratch, with cooperative
+// cancellation. The steps the walk spends are added to steps (never nil:
+// Result.Steps is read off it), and every rotation it disposes of is
+// attributed to exactly one outcome in sc.Counts (internal-wedge prune
 // weighted by subtree size, singleton-wedge LB prune, early abandon, or full
-// distance evaluation). The H-Merge walk, the exact kernel evaluations at
-// surviving leaves and the per-level node-visit counts are recorded into rec,
-// nested under whatever span the caller holds open. The walk polls chk once
-// per wedge visit — a cancellation is observed within one checkpoint interval
-// of visits, at which point every undisposed member is attributed to the
-// cancelled bucket and the Result comes back Aborted. rec and chk may each be
-// nil — the nil path costs one predictable branch per event.
+// distance evaluation). The walk polls chk once per wedge visit — a
+// cancellation is observed within one checkpoint interval of visits, at which
+// point every undisposed member is attributed to the cancelled bucket and the
+// Result comes back Aborted. chk may be nil — the nil path costs one
+// predictable branch per visit.
 //
 //lbkeogh:hotpath
-func (t *Tree) SearchTraced(q []float64, k Kernel, K int, r float64, steps *stats.Tally, sc *Scratch, rec *trace.Recorder, chk *cancel.Checker) Result {
+func (t *Tree) SearchInto(q []float64, k Kernel, K int, r float64, steps *stats.Tally, sc *Scratch, chk *cancel.Checker) Result {
 	if len(q) != t.Len() {
 		panic(fmt.Sprintf("wedge: query length %d != member length %d", len(q), t.Len()))
 	}
 	steps0 := steps.Steps()
-	sc.prepare(t, k.Radius(), K, steps, rec)
+	sc.prepare(t, k.Radius(), K, steps)
 	envs, st, cb := sc.envs, &sc.Counts, sc.cb
 
 	best := math.Inf(1)
@@ -302,7 +297,6 @@ func (t *Tree) SearchTraced(q []float64, k Kernel, K int, r float64, steps *stat
 	}
 	bestMember := -1
 
-	hm := rec.Begin(trace.StageHMerge, -1)
 	aborted := false
 	// The stack grows to a walk's high-water mark (at most one entry per
 	// member: it holds disjoint unvisited subtrees) and is handed back to the
@@ -332,22 +326,18 @@ func (t *Tree) SearchTraced(q []float64, k Kernel, K int, r float64, steps *stat
 				continue
 			}
 			st.WedgeNodeVisits++
-			rec.CountVisit(t.depth[id])
 			stack = append(stack, node.Left, node.Right) //lint:ignore hotalloc grows a few times over a scratch's life, not per search
 			continue
 		}
 		st.WedgeLeafVisits++
 		// The kernel runs its leaf cascade in one call: the distance for
 		// Euclidean (LB against a singleton wedge IS the distance), bound then
-		// distance for the warped measures. A leaf the bound prunes emits no
-		// kernel span.
-		kt0 := rec.Now()
+		// distance for the warped measures.
 		d, out := k.Leaf(q, t.members[id], envs[id], best, cb, steps)
 		if out == LeafLBPruned {
 			st.WedgeLeafLBPrunes++
 			continue
 		}
-		rec.Emit(trace.StageKernel, id, kt0, rec.Now()-kt0)
 		if out == LeafAbandoned {
 			st.EarlyAbandons++
 			continue
@@ -359,7 +349,6 @@ func (t *Tree) SearchTraced(q []float64, k Kernel, K int, r float64, steps *stat
 	}
 	sc.stack = stack[:0]
 
-	rec.EndVisits(hm)
 	spent := steps.Steps() - steps0
 	if aborted || bestMember < 0 {
 		return Result{Dist: math.Inf(1), BestMember: -1, Steps: spent, Aborted: aborted}

@@ -104,13 +104,13 @@ func WriteMetrics(w io.Writer, name string, s SearchStats) {
 	if len(s.StepsHistogram) > 0 {
 		ops.WriteFamily(w, name+"_comparison_steps", "histogram", "Per-comparison num_steps distribution.")
 		ops.WriteHistogram(w, name+"_comparison_steps", "", ops.LayoutBuckets(s.StepsHistogram, decimal),
-			strconv.FormatInt(s.StepsHistogramSum, 10), false)
+			strconv.FormatInt(s.StepsHistogramSum, 10))
 	}
 	if len(s.StageLatencies) > 0 {
 		ops.WriteFamily(w, name+"_stage_latency_ns", "histogram", "Per-stage query latency in nanoseconds.")
 		for _, sl := range s.StageLatencies {
 			ops.WriteHistogram(w, name+"_stage_latency_ns", fmt.Sprintf("stage=%q", sl.Stage), ops.LayoutBuckets(sl.Buckets, decimal),
-				strconv.FormatInt(sl.SumNS, 10), false)
+				strconv.FormatInt(sl.SumNS, 10))
 		}
 	}
 }

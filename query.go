@@ -109,7 +109,7 @@ func WithFixedWedgeCount(k int) QueryOption {
 
 // WithTraceLog attaches a TraceLog: the query's construction and every
 // subsequent search record a span trace — rotation-matrix and wedge builds,
-// per-comparison H-Merge walks, kernel evaluations — which the log samples,
+// one span per comparison carrying its counter deltas — which the log samples,
 // screens for slow queries, and aggregates into per-stage latency
 // histograms (surfaced through Stats). The log is safe to share across
 // queries, including concurrent ones — each query records into its own

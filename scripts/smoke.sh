@@ -2,7 +2,8 @@
 # Serving smoke test. Part 1: boot shapeserver on a synthetic database,
 # exercise nearest-neighbour and top-K search plus a deliberately timed-out
 # request, check the structured request log correlates with response trace
-# IDs, and /readyz flips while the server drains gracefully on SIGTERM.
+# IDs and that the trace holds nothing beneath a comparison, and /readyz
+# flips while the server drains gracefully on SIGTERM.
 # Part 2: boot a shapeserver, run an EXPLAIN search, and assert the plan
 # parses, its stage waterfall reconciles exactly with the deltas of the
 # /metrics outcome counters, and /debug/index serves the index-health report.
@@ -98,6 +99,17 @@ tid=$(grep -o '"trace_id": *[0-9]*' "$tmp/search.json" | grep -o '[0-9]*$')
 	fail "/v1/search response has no trace_id"
 grep "\"request_id\":\"$rid\"" "$tmp/shapeserver.log" | grep -q "\"trace_id\":$tid" ||
 	fail "no log line carries both request_id $rid and trace_id $tid"
+
+# That trace stops at the comparison: after its root event, every span is the
+# search, the index probe, a fetch or a comparison — nothing beneath one.
+curl -fsS "http://$saddr/debug/lbkeogh?log=shapeserver&trace=$tid&format=chrome" >"$tmp/trace.json" ||
+	fail "trace $tid did not download from /debug/lbkeogh"
+grep -o '"name":"[^"]*"' "$tmp/trace.json" | sed 's/^"name":"//; s/"$//' | tail -n +2 >"$tmp/spans.txt"
+grep -qx 'comparison' "$tmp/spans.txt" ||
+	fail "trace $tid holds no comparison span"
+if grep -vxE 'search|vp_probe|fetch|comparison' "$tmp/spans.txt" >"$tmp/stray.txt"; then
+	fail "trace $tid holds spans other than search, vp_probe, fetch and comparison: $(sort -u "$tmp/stray.txt" | tr '\n' ' ')"
+fi
 
 # The same query again must hit the session pool.
 curl -fsS "http://$saddr/v1/search" -d '{"query_index":3}' >"$tmp/search2.json" ||

@@ -71,11 +71,10 @@ func eventContains(outer, inner chromeEvent) bool {
 	return outer.Ts <= inner.Ts+eps && inner.Ts+inner.Dur <= outer.Ts+outer.Dur+eps
 }
 
-// TestChromeExportNestsStagesAndReconciles is the issue's acceptance check: a
-// traced Query.Search exports a Chrome trace-event JSON whose span tree nests
-// comparison -> H-Merge -> kernel stages (the query's one envelope fetch
-// beside the first walk), and whose per-span counter attributes satisfy the
-// same Reconciles identity as SearchStats.
+// TestChromeExportNestsStagesAndReconciles: a traced Query.Search exports a
+// Chrome trace-event JSON whose span tree nests every comparison in the search
+// span, with nothing beneath a comparison, and whose per-span counter
+// attributes satisfy the same Reconciles identity as SearchStats.
 func TestChromeExportNestsStagesAndReconciles(t *testing.T) {
 	_, tlog, tr := tracedSearch(t)
 	var buf bytes.Buffer
@@ -89,7 +88,7 @@ func TestChromeExportNestsStagesAndReconciles(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
 		t.Fatalf("chrome export is not valid JSON: %v", err)
 	}
-	if len(file.TraceEvents) < 5 {
+	if len(file.TraceEvents) < 3 {
 		t.Fatalf("only %d events exported", len(file.TraceEvents))
 	}
 
@@ -100,10 +99,8 @@ func TestChromeExportNestsStagesAndReconciles(t *testing.T) {
 		}
 		byStage[e.Name] = append(byStage[e.Name], e)
 	}
-	for _, stage := range []string{"search", "comparison", "envelope", "hmerge", "kernel"} {
-		if len(byStage[stage]) == 0 {
-			t.Fatalf("export has no %q spans (stages present: %v)", stage, stageNamesOf(byStage))
-		}
+	if got := stageNamesOf(byStage); !reflect.DeepEqual(got, []string{"comparison", "search", "search#" + strconv.FormatInt(tr.ID, 10)}) {
+		t.Fatalf("export holds stages %v, want the root, search and comparison spans only", got)
 	}
 
 	// Span-tree nesting, checked structurally by interval containment: a
@@ -125,17 +122,6 @@ func TestChromeExportNestsStagesAndReconciles(t *testing.T) {
 		}
 	}
 	requireNested("comparison", "search")
-	requireNested("hmerge", "comparison")
-	requireNested("kernel", "hmerge")
-	// The envelopes are fetched once per query: one span, in the first
-	// comparison, over before that comparison's walk begins.
-	if n := len(byStage["envelope"]); n != 1 {
-		t.Fatalf("%d envelope spans, want 1 per query", n)
-	}
-	env, firstComp, firstWalk := byStage["envelope"][0], byStage["comparison"][0], byStage["hmerge"][0]
-	if !eventContains(firstComp, env) || env.Ts+env.Dur > firstWalk.Ts+1e-6 {
-		t.Fatalf("envelope span %+v is not in the first comparison %+v before its walk %+v", env, firstComp, firstWalk)
-	}
 
 	// Counter attributes: the root reconciles, every comparison reconciles,
 	// and the comparisons sum back to the root — the SearchStats identity.
@@ -206,7 +192,11 @@ func TestTraceLogStageLatencies(t *testing.T) {
 	for _, sl := range lats {
 		got[sl.Stage] = sl
 	}
-	for _, stage := range []string{"search", "comparison", "envelope", "hmerge", "kernel"} {
+	stages := []string{"build", "rotation_matrix", "wedge_build", "search", "comparison"}
+	if len(got) != len(stages) {
+		t.Errorf("latency histograms for %d stages, want %v", len(got), stages)
+	}
+	for _, stage := range stages {
 		sl, ok := got[stage]
 		if !ok {
 			t.Fatalf("no latency histogram for stage %q", stage)
@@ -339,8 +329,8 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 	}
 
 	// Stage-latency histograms must appear with the stage label.
-	if _, ok := buckets[key{"lbkeogh_query_stage_latency_ns", "stage=hmerge"}]; !ok {
-		t.Error("no stage_latency_ns histogram for stage=hmerge")
+	if _, ok := buckets[key{"lbkeogh_query_stage_latency_ns", "stage=comparison"}]; !ok {
+		t.Error("no stage_latency_ns histogram for stage=comparison")
 	}
 }
 
@@ -386,7 +376,7 @@ func TestDebugHandlerRoutes(t *testing.T) {
 		t.Fatalf("dashboard: status %d", rr.Code)
 	}
 	body := rr.Body.String()
-	for _, want := range []string{"<h1>lbkeogh observability</h1>", "trace log: test_query", "hmerge"} {
+	for _, want := range []string{"<h1>lbkeogh observability</h1>", "trace log: test_query", "comparison"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("dashboard HTML is missing %q", want)
 		}
@@ -402,14 +392,14 @@ func TestDebugHandlerRoutes(t *testing.T) {
 	if err := json.Unmarshal(rr.Body.Bytes(), &all); err != nil {
 		t.Fatalf("chrome export is not valid JSON: %v", err)
 	}
-	hmerge := 0
+	comparisons := 0
 	for _, e := range all.TraceEvents {
-		if e.Name == "hmerge" {
-			hmerge++
+		if e.Name == "comparison" {
+			comparisons++
 		}
 	}
-	if hmerge == 0 {
-		t.Fatalf("chrome export of the whole log has no hmerge spans (%d events)", len(all.TraceEvents))
+	if comparisons == 0 {
+		t.Fatalf("chrome export of the whole log has no comparison spans (%d events)", len(all.TraceEvents))
 	}
 
 	rr = get("/debug/lbkeogh?log=test_query&trace=" + strconv.FormatInt(tr.ID, 10) + "&format=chrome")
@@ -440,10 +430,7 @@ func TestDebugHandlerRoutes(t *testing.T) {
 // TestTraceCompositionPinned pins what one retained trace is made of — span
 // count, drops and spans per stage — for two fixed scans. The composition
 // depends on the walk (which comparisons reach which leaves), not the clock,
-// so a change that moves a literal here has changed what a trace records. (The
-// windowed dynamic-K controller did, by changing the walk: under the paper's
-// the ED trace held 85 comparisons / 341 kernel spans and dropped 5654, the
-// DTW one 170 / 171 and 893.)
+// so a change that moves a literal here has changed what a trace records.
 func TestTraceCompositionPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -453,10 +440,10 @@ func TestTraceCompositionPinned(t *testing.T) {
 		dropped int64
 		stages  map[string]int
 	}{
-		{"ed", lbkeogh.SyntheticProjectilePoints(7, 4097, 251), lbkeogh.Euclidean(), 512, 3906,
-			map[string]int{"search": 1, "comparison": 220, "envelope": 1, "hmerge": 220, "kernel": 70}},
-		{"dtw5", lbkeogh.SyntheticHeterogeneous(7, 1025, 256), lbkeogh.DTW(5), 512, 899,
-			map[string]int{"search": 1, "comparison": 168, "envelope": 1, "hmerge": 167, "kernel": 175}},
+		{"ed", lbkeogh.SyntheticProjectilePoints(7, 4097, 251), lbkeogh.Euclidean(), 512, 3585,
+			map[string]int{"search": 1, "comparison": 511}},
+		{"dtw5", lbkeogh.SyntheticHeterogeneous(7, 1025, 256), lbkeogh.DTW(5), 512, 513,
+			map[string]int{"search": 1, "comparison": 511}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tlog := lbkeogh.NewTraceLog(lbkeogh.WithSampleRate(1))
@@ -491,6 +478,58 @@ func TestTraceCompositionPinned(t *testing.T) {
 			}
 			if !reflect.DeepEqual(stages, tc.stages) {
 				t.Errorf("spans per stage = %v, want %v", stages, tc.stages)
+			}
+		})
+	}
+}
+
+// TestComparisonSpansAreLeaves holds tracing to the comparison: in a traced
+// wedge scan, ED or DTW, no span has a comparison span as its parent — the
+// H-Merge walk, its bounds and its kernels record nothing of their own.
+func TestComparisonSpansAreLeaves(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		db      []lbkeogh.Series
+		measure lbkeogh.Measure
+	}{
+		{"ed", lbkeogh.SyntheticProjectilePoints(5, 65, 64), lbkeogh.Euclidean()},
+		{"dtw3", lbkeogh.SyntheticHeterogeneous(5, 65, 64), lbkeogh.DTW(3)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tlog := lbkeogh.NewTraceLog(lbkeogh.WithSampleRate(1))
+			q, err := lbkeogh.NewQuery(tc.db[0], tc.measure, lbkeogh.WithTraceLog(tlog))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := q.Search(tc.db[1:]); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := tlog.WriteChromeTrace(&buf, q.LastTraceID()); err != nil {
+				t.Fatal(err)
+			}
+			var file struct {
+				TraceEvents []chromeEvent `json:"traceEvents"`
+			}
+			if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
+				t.Fatal(err)
+			}
+			spans := file.TraceEvents[1:]
+			comparisons := 0
+			for i, e := range spans {
+				if e.Name == "comparison" {
+					comparisons++
+				}
+				var parent int
+				if err := json.Unmarshal(e.Args["parent"], &parent); err != nil {
+					t.Fatalf("span %d carries no parent: %v", i, err)
+				}
+				if parent >= 0 && spans[parent].Name == "comparison" {
+					t.Errorf("span %d (%s) is a child of comparison span %d", i, e.Name, parent)
+				}
+			}
+			if comparisons != len(tc.db)-1 {
+				t.Fatalf("%d comparison spans over %d rows", comparisons, len(tc.db)-1)
 			}
 		})
 	}
