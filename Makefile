@@ -11,10 +11,11 @@ vet:
 	$(GO) vet ./...
 
 # Repository-specific invariant checks (internal/lint): Tally confinement,
-# float equality, hot-path allocations, squared-space bounds, context
-# conventions, metric names, lower-bound admissibility, and the BCE baseline.
-# Copied locks are go vet's job, races make race's. -timing prints
-# per-analyzer finding counts and wall time.
+# float equality, hot-path allocations, context conventions, lower-bound
+# admissibility (squared space included), and the BCE baseline. Copied locks
+# are go vet's job, races make race's, metric names the /metrics format test's
+# (TestMetricsBodiesAreTextFormat). -timing prints per-analyzer finding
+# counts and wall time.
 lint:
 	$(GO) run ./cmd/lbkeoghvet -timing ./...
 

@@ -73,9 +73,11 @@
 //
 // The repository enforces its own invariants with a custom analyzer suite,
 // cmd/lbkeoghvet (see internal/lint): stats.Tally goroutine confinement,
-// nil-guarded observability sinks, no floating-point equality in the
-// admissibility-critical packages, allocation-free //lbkeogh:hotpath
-// kernels, and squared-space lower bounds outside //lbkeogh:rootspace
-// boundaries. Run it with `make lint`; it also runs inside `make ci` and,
-// via internal/lint's self-check test, inside `go test ./...`.
+// no floating-point equality in the admissibility-critical packages,
+// allocation-free //lbkeogh:hotpath kernels that amortize their context
+// polls and keep their bounds-check baseline, and //lbkeogh:lowerbound
+// functions that compose only admissible bounds, in squared space outside
+// //lbkeogh:rootspace boundaries. Run it with `make lint`; it also runs
+// inside `make ci` and, via internal/lint's self-check test, inside
+// `go test ./...`.
 package lbkeogh

@@ -18,59 +18,62 @@ import (
 // /metrics text is byte-identical and the stats JSON key set unchanged for a
 // fixed snapshot. Since then the histograms write every bucket of the fixed
 // layout, not only the non-empty ones (one le set per family, at every
-// scrape), the index_fetches counter is the only index counter, and the
-// tightness histogram's lines lost their OpenMetrics trace-ID suffixes. Every
-// other line, and every non-empty bucket's line, is the bytes captured then.
+// scrape), the index_fetches counter is the only index counter, the
+// tightness histogram's lines lost their OpenMetrics trace-ID suffixes, the
+// counter families gained their _total suffix and the stage-latency family
+// went from nanoseconds to seconds (stage_latency_seconds, le and _sum in
+// seconds). Every other line, and every non-empty bucket's line, is the
+// bytes captured then.
 
-const observeMetricsGolden = `# HELP x_comparisons Rotation-invariant comparisons (one per database series matched).
-# TYPE x_comparisons counter
-x_comparisons 101
-# HELP x_rotations Rotation-matrix rows covered by the comparisons.
-# TYPE x_rotations counter
-x_rotations 102
-# HELP x_steps num_steps spent: real-value subtractions, the paper's cost metric.
-# TYPE x_steps counter
-x_steps 103
-# HELP x_full_dist_evals Exact kernel distances computed to completion.
-# TYPE x_full_dist_evals counter
-x_full_dist_evals 104
-# HELP x_early_abandons Exact distance computations cut short by the best-so-far.
-# TYPE x_early_abandons counter
-x_early_abandons 105
-# HELP x_wedge_node_visits Internal wedges whose children were explored.
-# TYPE x_wedge_node_visits counter
-x_wedge_node_visits 106
-# HELP x_wedge_leaf_visits Rotations H-Merge reached individually.
-# TYPE x_wedge_leaf_visits counter
-x_wedge_leaf_visits 107
-# HELP x_wedge_pruned_members Rotations excluded wholesale by an internal-wedge lower bound.
-# TYPE x_wedge_pruned_members counter
-x_wedge_pruned_members 108
-# HELP x_wedge_leaf_lb_prunes Rotations excluded by their singleton-wedge lower bound.
-# TYPE x_wedge_leaf_lb_prunes counter
-x_wedge_leaf_lb_prunes 109
-# HELP x_fft_rejects Comparisons rejected whole by the Fourier-magnitude bound.
-# TYPE x_fft_rejects counter
-x_fft_rejects 110
-# HELP x_fft_rejected_members Rotations covered by FFT-rejected comparisons.
-# TYPE x_fft_rejected_members counter
-x_fft_rejected_members 111
-# HELP x_fft_fallbacks Comparisons falling through the FFT filter to early abandoning.
-# TYPE x_fft_fallbacks counter
-x_fft_fallbacks 112
-# HELP x_cancelled_members Rotations left undisposed by cancelled or deadline-bounded searches.
-# TYPE x_cancelled_members counter
-x_cancelled_members 113
-# HELP x_index_fetches Full-resolution fetches for exact verification.
-# TYPE x_index_fetches counter
-x_index_fetches 115
-# HELP x_k_changes Dynamic wedge-set-size adjustments.
-# TYPE x_k_changes counter
-x_k_changes 117
-# HELP x_wedge_prunes_by_level Internal-wedge prunes by dendrogram depth (0 = root).
-# TYPE x_wedge_prunes_by_level counter
-x_wedge_prunes_by_level{level="0"} 3
-x_wedge_prunes_by_level{level="2"} 5
+const observeMetricsGolden = `# HELP x_comparisons_total Rotation-invariant comparisons (one per database series matched).
+# TYPE x_comparisons_total counter
+x_comparisons_total 101
+# HELP x_rotations_total Rotation-matrix rows covered by the comparisons.
+# TYPE x_rotations_total counter
+x_rotations_total 102
+# HELP x_steps_total num_steps spent: real-value subtractions, the paper's cost metric.
+# TYPE x_steps_total counter
+x_steps_total 103
+# HELP x_full_dist_evals_total Exact kernel distances computed to completion.
+# TYPE x_full_dist_evals_total counter
+x_full_dist_evals_total 104
+# HELP x_early_abandons_total Exact distance computations cut short by the best-so-far.
+# TYPE x_early_abandons_total counter
+x_early_abandons_total 105
+# HELP x_wedge_node_visits_total Internal wedges whose children were explored.
+# TYPE x_wedge_node_visits_total counter
+x_wedge_node_visits_total 106
+# HELP x_wedge_leaf_visits_total Rotations H-Merge reached individually.
+# TYPE x_wedge_leaf_visits_total counter
+x_wedge_leaf_visits_total 107
+# HELP x_wedge_pruned_members_total Rotations excluded wholesale by an internal-wedge lower bound.
+# TYPE x_wedge_pruned_members_total counter
+x_wedge_pruned_members_total 108
+# HELP x_wedge_leaf_lb_prunes_total Rotations excluded by their singleton-wedge lower bound.
+# TYPE x_wedge_leaf_lb_prunes_total counter
+x_wedge_leaf_lb_prunes_total 109
+# HELP x_fft_rejects_total Comparisons rejected whole by the Fourier-magnitude bound.
+# TYPE x_fft_rejects_total counter
+x_fft_rejects_total 110
+# HELP x_fft_rejected_members_total Rotations covered by FFT-rejected comparisons.
+# TYPE x_fft_rejected_members_total counter
+x_fft_rejected_members_total 111
+# HELP x_fft_fallbacks_total Comparisons falling through the FFT filter to early abandoning.
+# TYPE x_fft_fallbacks_total counter
+x_fft_fallbacks_total 112
+# HELP x_cancelled_members_total Rotations left undisposed by cancelled or deadline-bounded searches.
+# TYPE x_cancelled_members_total counter
+x_cancelled_members_total 113
+# HELP x_index_fetches_total Full-resolution fetches for exact verification.
+# TYPE x_index_fetches_total counter
+x_index_fetches_total 115
+# HELP x_k_changes_total Dynamic wedge-set-size adjustments.
+# TYPE x_k_changes_total counter
+x_k_changes_total 117
+# HELP x_wedge_prunes_by_level_total Internal-wedge prunes by dendrogram depth (0 = root).
+# TYPE x_wedge_prunes_by_level_total counter
+x_wedge_prunes_by_level_total{level="0"} 3
+x_wedge_prunes_by_level_total{level="2"} 5
 # HELP x_comparison_steps Per-comparison num_steps distribution.
 # TYPE x_comparison_steps histogram
 x_comparison_steps_bucket{le="1"} 0
@@ -116,94 +119,94 @@ x_comparison_steps_bucket{le="549755813888"} 7
 x_comparison_steps_bucket{le="+Inf"} 8
 x_comparison_steps_sum 1234
 x_comparison_steps_count 8
-# HELP x_stage_latency_ns Per-stage query latency in nanoseconds.
-# TYPE x_stage_latency_ns histogram
-x_stage_latency_ns_bucket{stage="fetch",le="1"} 0
-x_stage_latency_ns_bucket{stage="fetch",le="2"} 0
-x_stage_latency_ns_bucket{stage="fetch",le="4"} 0
-x_stage_latency_ns_bucket{stage="fetch",le="8"} 0
-x_stage_latency_ns_bucket{stage="fetch",le="16"} 0
-x_stage_latency_ns_bucket{stage="fetch",le="32"} 0
-x_stage_latency_ns_bucket{stage="fetch",le="64"} 0
-x_stage_latency_ns_bucket{stage="fetch",le="128"} 1
-x_stage_latency_ns_bucket{stage="fetch",le="256"} 1
-x_stage_latency_ns_bucket{stage="fetch",le="512"} 3
-x_stage_latency_ns_bucket{stage="fetch",le="1024"} 3
-x_stage_latency_ns_bucket{stage="fetch",le="2048"} 3
-x_stage_latency_ns_bucket{stage="fetch",le="4096"} 3
-x_stage_latency_ns_bucket{stage="fetch",le="8192"} 3
-x_stage_latency_ns_bucket{stage="fetch",le="16384"} 3
-x_stage_latency_ns_bucket{stage="fetch",le="32768"} 3
-x_stage_latency_ns_bucket{stage="fetch",le="65536"} 3
-x_stage_latency_ns_bucket{stage="fetch",le="131072"} 3
-x_stage_latency_ns_bucket{stage="fetch",le="262144"} 3
-x_stage_latency_ns_bucket{stage="fetch",le="524288"} 3
-x_stage_latency_ns_bucket{stage="fetch",le="1048576"} 3
-x_stage_latency_ns_bucket{stage="fetch",le="2097152"} 3
-x_stage_latency_ns_bucket{stage="fetch",le="4194304"} 3
-x_stage_latency_ns_bucket{stage="fetch",le="8388608"} 3
-x_stage_latency_ns_bucket{stage="fetch",le="16777216"} 3
-x_stage_latency_ns_bucket{stage="fetch",le="33554432"} 3
-x_stage_latency_ns_bucket{stage="fetch",le="67108864"} 3
-x_stage_latency_ns_bucket{stage="fetch",le="134217728"} 3
-x_stage_latency_ns_bucket{stage="fetch",le="268435456"} 3
-x_stage_latency_ns_bucket{stage="fetch",le="536870912"} 3
-x_stage_latency_ns_bucket{stage="fetch",le="1073741824"} 3
-x_stage_latency_ns_bucket{stage="fetch",le="2147483648"} 3
-x_stage_latency_ns_bucket{stage="fetch",le="4294967296"} 3
-x_stage_latency_ns_bucket{stage="fetch",le="8589934592"} 3
-x_stage_latency_ns_bucket{stage="fetch",le="17179869184"} 3
-x_stage_latency_ns_bucket{stage="fetch",le="34359738368"} 3
-x_stage_latency_ns_bucket{stage="fetch",le="68719476736"} 3
-x_stage_latency_ns_bucket{stage="fetch",le="137438953472"} 3
-x_stage_latency_ns_bucket{stage="fetch",le="274877906944"} 3
-x_stage_latency_ns_bucket{stage="fetch",le="549755813888"} 3
-x_stage_latency_ns_bucket{stage="fetch",le="+Inf"} 3
-x_stage_latency_ns_sum{stage="fetch"} 700
-x_stage_latency_ns_count{stage="fetch"} 3
-x_stage_latency_ns_bucket{stage="disk_read",le="1"} 0
-x_stage_latency_ns_bucket{stage="disk_read",le="2"} 0
-x_stage_latency_ns_bucket{stage="disk_read",le="4"} 0
-x_stage_latency_ns_bucket{stage="disk_read",le="8"} 0
-x_stage_latency_ns_bucket{stage="disk_read",le="16"} 0
-x_stage_latency_ns_bucket{stage="disk_read",le="32"} 0
-x_stage_latency_ns_bucket{stage="disk_read",le="64"} 0
-x_stage_latency_ns_bucket{stage="disk_read",le="128"} 0
-x_stage_latency_ns_bucket{stage="disk_read",le="256"} 0
-x_stage_latency_ns_bucket{stage="disk_read",le="512"} 0
-x_stage_latency_ns_bucket{stage="disk_read",le="1024"} 3
-x_stage_latency_ns_bucket{stage="disk_read",le="2048"} 3
-x_stage_latency_ns_bucket{stage="disk_read",le="4096"} 3
-x_stage_latency_ns_bucket{stage="disk_read",le="8192"} 3
-x_stage_latency_ns_bucket{stage="disk_read",le="16384"} 3
-x_stage_latency_ns_bucket{stage="disk_read",le="32768"} 3
-x_stage_latency_ns_bucket{stage="disk_read",le="65536"} 3
-x_stage_latency_ns_bucket{stage="disk_read",le="131072"} 3
-x_stage_latency_ns_bucket{stage="disk_read",le="262144"} 3
-x_stage_latency_ns_bucket{stage="disk_read",le="524288"} 3
-x_stage_latency_ns_bucket{stage="disk_read",le="1048576"} 3
-x_stage_latency_ns_bucket{stage="disk_read",le="2097152"} 3
-x_stage_latency_ns_bucket{stage="disk_read",le="4194304"} 3
-x_stage_latency_ns_bucket{stage="disk_read",le="8388608"} 3
-x_stage_latency_ns_bucket{stage="disk_read",le="16777216"} 3
-x_stage_latency_ns_bucket{stage="disk_read",le="33554432"} 3
-x_stage_latency_ns_bucket{stage="disk_read",le="67108864"} 3
-x_stage_latency_ns_bucket{stage="disk_read",le="134217728"} 3
-x_stage_latency_ns_bucket{stage="disk_read",le="268435456"} 3
-x_stage_latency_ns_bucket{stage="disk_read",le="536870912"} 3
-x_stage_latency_ns_bucket{stage="disk_read",le="1073741824"} 3
-x_stage_latency_ns_bucket{stage="disk_read",le="2147483648"} 3
-x_stage_latency_ns_bucket{stage="disk_read",le="4294967296"} 3
-x_stage_latency_ns_bucket{stage="disk_read",le="8589934592"} 3
-x_stage_latency_ns_bucket{stage="disk_read",le="17179869184"} 3
-x_stage_latency_ns_bucket{stage="disk_read",le="34359738368"} 3
-x_stage_latency_ns_bucket{stage="disk_read",le="68719476736"} 3
-x_stage_latency_ns_bucket{stage="disk_read",le="137438953472"} 3
-x_stage_latency_ns_bucket{stage="disk_read",le="274877906944"} 3
-x_stage_latency_ns_bucket{stage="disk_read",le="549755813888"} 3
-x_stage_latency_ns_bucket{stage="disk_read",le="+Inf"} 4
-x_stage_latency_ns_sum{stage="disk_read"} 9000
-x_stage_latency_ns_count{stage="disk_read"} 4
+# HELP x_stage_latency_seconds Per-stage query latency in seconds.
+# TYPE x_stage_latency_seconds histogram
+x_stage_latency_seconds_bucket{stage="fetch",le="1e-09"} 0
+x_stage_latency_seconds_bucket{stage="fetch",le="2e-09"} 0
+x_stage_latency_seconds_bucket{stage="fetch",le="4e-09"} 0
+x_stage_latency_seconds_bucket{stage="fetch",le="8e-09"} 0
+x_stage_latency_seconds_bucket{stage="fetch",le="1.6e-08"} 0
+x_stage_latency_seconds_bucket{stage="fetch",le="3.2e-08"} 0
+x_stage_latency_seconds_bucket{stage="fetch",le="6.4e-08"} 0
+x_stage_latency_seconds_bucket{stage="fetch",le="1.28e-07"} 1
+x_stage_latency_seconds_bucket{stage="fetch",le="2.56e-07"} 1
+x_stage_latency_seconds_bucket{stage="fetch",le="5.12e-07"} 3
+x_stage_latency_seconds_bucket{stage="fetch",le="1.024e-06"} 3
+x_stage_latency_seconds_bucket{stage="fetch",le="2.048e-06"} 3
+x_stage_latency_seconds_bucket{stage="fetch",le="4.096e-06"} 3
+x_stage_latency_seconds_bucket{stage="fetch",le="8.192e-06"} 3
+x_stage_latency_seconds_bucket{stage="fetch",le="1.6384e-05"} 3
+x_stage_latency_seconds_bucket{stage="fetch",le="3.2768e-05"} 3
+x_stage_latency_seconds_bucket{stage="fetch",le="6.5536e-05"} 3
+x_stage_latency_seconds_bucket{stage="fetch",le="0.000131072"} 3
+x_stage_latency_seconds_bucket{stage="fetch",le="0.000262144"} 3
+x_stage_latency_seconds_bucket{stage="fetch",le="0.000524288"} 3
+x_stage_latency_seconds_bucket{stage="fetch",le="0.001048576"} 3
+x_stage_latency_seconds_bucket{stage="fetch",le="0.002097152"} 3
+x_stage_latency_seconds_bucket{stage="fetch",le="0.004194304"} 3
+x_stage_latency_seconds_bucket{stage="fetch",le="0.008388608"} 3
+x_stage_latency_seconds_bucket{stage="fetch",le="0.016777216"} 3
+x_stage_latency_seconds_bucket{stage="fetch",le="0.033554432"} 3
+x_stage_latency_seconds_bucket{stage="fetch",le="0.067108864"} 3
+x_stage_latency_seconds_bucket{stage="fetch",le="0.134217728"} 3
+x_stage_latency_seconds_bucket{stage="fetch",le="0.268435456"} 3
+x_stage_latency_seconds_bucket{stage="fetch",le="0.536870912"} 3
+x_stage_latency_seconds_bucket{stage="fetch",le="1.073741824"} 3
+x_stage_latency_seconds_bucket{stage="fetch",le="2.147483648"} 3
+x_stage_latency_seconds_bucket{stage="fetch",le="4.294967296"} 3
+x_stage_latency_seconds_bucket{stage="fetch",le="8.589934592"} 3
+x_stage_latency_seconds_bucket{stage="fetch",le="17.179869184"} 3
+x_stage_latency_seconds_bucket{stage="fetch",le="34.359738368"} 3
+x_stage_latency_seconds_bucket{stage="fetch",le="68.719476736"} 3
+x_stage_latency_seconds_bucket{stage="fetch",le="137.438953472"} 3
+x_stage_latency_seconds_bucket{stage="fetch",le="274.877906944"} 3
+x_stage_latency_seconds_bucket{stage="fetch",le="549.755813888"} 3
+x_stage_latency_seconds_bucket{stage="fetch",le="+Inf"} 3
+x_stage_latency_seconds_sum{stage="fetch"} 7e-07
+x_stage_latency_seconds_count{stage="fetch"} 3
+x_stage_latency_seconds_bucket{stage="disk_read",le="1e-09"} 0
+x_stage_latency_seconds_bucket{stage="disk_read",le="2e-09"} 0
+x_stage_latency_seconds_bucket{stage="disk_read",le="4e-09"} 0
+x_stage_latency_seconds_bucket{stage="disk_read",le="8e-09"} 0
+x_stage_latency_seconds_bucket{stage="disk_read",le="1.6e-08"} 0
+x_stage_latency_seconds_bucket{stage="disk_read",le="3.2e-08"} 0
+x_stage_latency_seconds_bucket{stage="disk_read",le="6.4e-08"} 0
+x_stage_latency_seconds_bucket{stage="disk_read",le="1.28e-07"} 0
+x_stage_latency_seconds_bucket{stage="disk_read",le="2.56e-07"} 0
+x_stage_latency_seconds_bucket{stage="disk_read",le="5.12e-07"} 0
+x_stage_latency_seconds_bucket{stage="disk_read",le="1.024e-06"} 3
+x_stage_latency_seconds_bucket{stage="disk_read",le="2.048e-06"} 3
+x_stage_latency_seconds_bucket{stage="disk_read",le="4.096e-06"} 3
+x_stage_latency_seconds_bucket{stage="disk_read",le="8.192e-06"} 3
+x_stage_latency_seconds_bucket{stage="disk_read",le="1.6384e-05"} 3
+x_stage_latency_seconds_bucket{stage="disk_read",le="3.2768e-05"} 3
+x_stage_latency_seconds_bucket{stage="disk_read",le="6.5536e-05"} 3
+x_stage_latency_seconds_bucket{stage="disk_read",le="0.000131072"} 3
+x_stage_latency_seconds_bucket{stage="disk_read",le="0.000262144"} 3
+x_stage_latency_seconds_bucket{stage="disk_read",le="0.000524288"} 3
+x_stage_latency_seconds_bucket{stage="disk_read",le="0.001048576"} 3
+x_stage_latency_seconds_bucket{stage="disk_read",le="0.002097152"} 3
+x_stage_latency_seconds_bucket{stage="disk_read",le="0.004194304"} 3
+x_stage_latency_seconds_bucket{stage="disk_read",le="0.008388608"} 3
+x_stage_latency_seconds_bucket{stage="disk_read",le="0.016777216"} 3
+x_stage_latency_seconds_bucket{stage="disk_read",le="0.033554432"} 3
+x_stage_latency_seconds_bucket{stage="disk_read",le="0.067108864"} 3
+x_stage_latency_seconds_bucket{stage="disk_read",le="0.134217728"} 3
+x_stage_latency_seconds_bucket{stage="disk_read",le="0.268435456"} 3
+x_stage_latency_seconds_bucket{stage="disk_read",le="0.536870912"} 3
+x_stage_latency_seconds_bucket{stage="disk_read",le="1.073741824"} 3
+x_stage_latency_seconds_bucket{stage="disk_read",le="2.147483648"} 3
+x_stage_latency_seconds_bucket{stage="disk_read",le="4.294967296"} 3
+x_stage_latency_seconds_bucket{stage="disk_read",le="8.589934592"} 3
+x_stage_latency_seconds_bucket{stage="disk_read",le="17.179869184"} 3
+x_stage_latency_seconds_bucket{stage="disk_read",le="34.359738368"} 3
+x_stage_latency_seconds_bucket{stage="disk_read",le="68.719476736"} 3
+x_stage_latency_seconds_bucket{stage="disk_read",le="137.438953472"} 3
+x_stage_latency_seconds_bucket{stage="disk_read",le="274.877906944"} 3
+x_stage_latency_seconds_bucket{stage="disk_read",le="549.755813888"} 3
+x_stage_latency_seconds_bucket{stage="disk_read",le="+Inf"} 4
+x_stage_latency_seconds_sum{stage="disk_read"} 9e-06
+x_stage_latency_seconds_count{stage="disk_read"} 4
 `
 
 // The sorted JSON keys of goldenStats() and of the zero SearchStats: the

@@ -142,7 +142,7 @@ func BenchmarkMatchSeriesTraced(b *testing.B) {
 // a rung on trial or moves to it, because NewSearcher cut the whole ladder.
 func TestMatchSeriesDoesNotAllocate(t *testing.T) {
 	rs, db := guardSetup()
-	for _, kernel := range []wedge.Kernel{wedge.ED{}, wedge.DTW{R: 5}} {
+	for _, kernel := range []wedge.Kernel{wedge.ED{}, wedge.DTW{R: 5}, wedge.LCSS{Delta: 5, Eps: 0.5}} {
 		s := NewSearcher(rs, kernel, Wedge, SearcherConfig{Obs: new(obs.SearchStats)})
 		var cnt stats.Counter
 		best := s.Scan(db, &cnt).Dist

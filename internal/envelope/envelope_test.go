@@ -175,6 +175,20 @@ func TestExpandDTWWidens(t *testing.T) {
 	}
 }
 
+// TestExpandDTWAllocatesOnlyItsResult pins ExpandDTW at a narrow band to its
+// one result buffer: the deque ring stays on the stack and slidingMax, which
+// the scan tests reach only during a first DTW search, allocates nothing.
+func TestExpandDTWAllocatesOnlyItsResult(t *testing.T) {
+	e := New(randomSet(9, 2, 64)...)
+	var x Envelope
+	if a := int(testing.AllocsPerRun(100, func() { x = e.ExpandDTW(5) })); a != 1 {
+		t.Errorf("ExpandDTW(5) allocates %d times per call, want 1 (its result buffer)", a)
+	}
+	if x.Len() != e.Len() {
+		t.Fatalf("expanded length %d, want %d", x.Len(), e.Len())
+	}
+}
+
 // The deque-based expansion must match a naive O(nR) reference exactly, at
 // narrow bands (deque ring on the stack) and wide ones (ring on the heap),
 // and on monotone and constant series, where the deque fills a whole window

@@ -63,8 +63,8 @@ func a() {
 		{"suppression window is two lines, not three", diag(8, "floateq"), false},
 		{"listed analyzer suppressed (first of two)", diag(10, "floateq"), true},
 		{"listed analyzer suppressed (second of two)", diag(10, "hotalloc"), true},
-		{"unlisted analyzer not suppressed", diag(10, "lbguard"), false},
-		{"wildcard suppresses any analyzer", diag(12, "metricnames"), true},
+		{"unlisted analyzer not suppressed", diag(10, "lbmono"), false},
+		{"wildcard suppresses any analyzer", diag(12, "ctxcheck"), true},
 		{"missing reason suppresses nothing", diag(14, "floateq"), false},
 		{"unknown analyzer suppresses nothing", diag(16, "unknownalyzer"), false},
 		{"bare directive suppresses nothing", diag(18, "floateq"), false},

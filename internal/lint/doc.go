@@ -26,21 +26,16 @@
 //	hotalloc     Functions annotated //lbkeogh:hotpath must not contain
 //	             syntactic allocation sites: make, new, append, slice/map
 //	             composite literals, &-literals, or closures.
-//	lbguard      Functions named LB*, LowerBound* or lowerBound* must not
-//	             call math.Sqrt, keeping pruning comparisons in squared
-//	             space, unless annotated //lbkeogh:rootspace.
 //	ctxcheck     Exported functions that accept a context.Context take it
 //	             as the first parameter, and //lbkeogh:hotpath loops never
 //	             call ctx.Err() on every iteration — cancellation polls are
 //	             amortized behind an integer checkpoint counter (the
 //	             internal/cancel.Checker shape).
-//	metricnames  Metric names written through ops.Write* are snake_case,
-//	             namespaced, and keep counter/unit suffixes last.
 //	lbmono       Functions annotated //lbkeogh:lowerbound may only compose
 //	             monotone-admissible operations: other annotated lower
 //	             bounds under max(), no upper-bound-named callees, no
-//	             unannotated float-returning callees, and math.Sqrt at an
-//	             exported boundary only together with //lbkeogh:rootspace.
+//	             unannotated float-returning callees, and math.Sqrt only
+//	             together with //lbkeogh:rootspace.
 //	bcebaseline  Not an AST analyzer: cmd/lbkeoghvet drives the compiler
 //	             with -gcflags=-d=ssa/check_bce over every package that
 //	             contains a //lbkeogh:hotpath function and diffs the
@@ -83,8 +78,8 @@
 // that early abandoning never pays a square root. The few exported bounds
 // that return distances in root units for API symmetry (envelope.LBKeogh,
 // paa.LowerBound, fourier.LowerBoundED) declare that boundary with a
-// //lbkeogh:rootspace directive line in their doc comment; lbguard flags
-// any other math.Sqrt inside a lower-bound function.
+// //lbkeogh:rootspace directive line in their doc comment; lbmono flags any
+// other math.Sqrt inside a //lbkeogh:lowerbound function.
 //
 // # The //lbkeogh:lowerbound convention
 //

@@ -151,16 +151,8 @@ func TestHotAllocGolden(t *testing.T) {
 	runGolden(t, loadFixture(t, "hotalloc", "hotalloc_fixture"), HotAlloc())
 }
 
-func TestLBGuardGolden(t *testing.T) {
-	runGolden(t, loadFixture(t, "lbguard", "lbguard_fixture"), LBGuard())
-}
-
 func TestCtxCheckGolden(t *testing.T) {
 	runGolden(t, loadFixture(t, "ctxcheck", "ctxcheck_fixture"), CtxCheck())
-}
-
-func TestMetricNamesGolden(t *testing.T) {
-	runGolden(t, loadFixture(t, "metricnames", "metricnames_fixture"), MetricNames())
 }
 
 func TestLBMonoGolden(t *testing.T) {

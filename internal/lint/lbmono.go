@@ -6,6 +6,11 @@ import (
 	"strings"
 )
 
+// RootspaceDirective marks a lower-bound function as a documented API
+// boundary that intentionally converts its result from squared space to
+// root ("distance") units on return. See internal/lint/doc.go.
+const RootspaceDirective = "//lbkeogh:rootspace"
+
 // LowerBoundDirective marks a function as an admissible lower bound: for
 // every input it returns a value ≤ the true distance its cascade guards
 // (LB_Keogh ≤ DTW, the FFT magnitude bound ≤ ED, the PAA bound ≤ LB_Keogh —
@@ -37,9 +42,10 @@ var lbMonoAllowedPkgs = []string{
 //     flagged as contamination outright (an intentional inversion — e.g. an
 //     LCSS match-count upper bound inverting to a distance lower bound —
 //     must carry a //lint:ignore with its admissibility argument);
-//   - an exported annotated function calling math.Sqrt must also carry
-//     //lbkeogh:rootspace, so root-space results at API boundaries stay a
-//     documented contract (squared-space pruning is the default);
+//   - an annotated function calling math.Sqrt, in its body or in a closure
+//     inside it, must also carry //lbkeogh:rootspace: pruning comparisons
+//     stay in squared space, where the accumulate-and-compare loop is exact
+//     and cheap, and a root-space result is a documented API contract;
 //   - an annotated function must return a float: the annotation on anything
 //     else is a mistake.
 //
@@ -51,7 +57,7 @@ func LBMono() *Analyzer {
 		Name: "lbmono",
 		Doc: "functions annotated //lbkeogh:lowerbound may only compose annotated lower bounds " +
 			"and monotone-safe operations; flag max-with-non-bound contamination, upper-bound " +
-			"calls, unannotated float-returning callees, and undeclared root-space boundaries",
+			"calls, unannotated float-returning callees, and math.Sqrt without //lbkeogh:rootspace",
 	}
 	annotated := map[string]bool{}
 	a.Prepare = func(pkgs []*Package) {
@@ -129,9 +135,9 @@ func checkLowerBound(pass *Pass, fd *ast.FuncDecl, annotated map[string]bool) {
 			return true
 		}
 		if callee.Pkg() != nil && callee.Pkg().Path() == "math" && callee.Name() == "Sqrt" {
-			if fd.Name.IsExported() && !rootspace {
+			if !rootspace {
 				pass.Reportf(call.Pos(),
-					"exported lower bound %s calls math.Sqrt without %s; root-space results at an API boundary must be a documented contract",
+					"lower bound %s calls math.Sqrt without %s; keep pruning comparisons in squared space, or declare the root-space result a documented contract",
 					fd.Name.Name, RootspaceDirective)
 			}
 			return true
@@ -238,6 +244,12 @@ func inModuleScope(pass *Pass, fn *types.Func) bool {
 	}
 	path := fn.Pkg().Path()
 	return path == "lbkeogh" || strings.HasPrefix(path, "lbkeogh/")
+}
+
+func isLowerBoundName(name string) bool {
+	return strings.HasPrefix(name, "LB") ||
+		strings.HasPrefix(name, "LowerBound") ||
+		strings.HasPrefix(name, "lowerBound")
 }
 
 func isUpperBoundName(name string) bool {

@@ -1,9 +1,10 @@
 // Package lbmono_fixture is the golden fixture for the lbmono analyzer. It
 // models a lower-bound cascade in miniature: annotated admissible stages
 // composed with max (accepted), plus each contamination the analyzer must
-// catch — max over a non-bound, an upper-bound call inside a lower bound, an
-// undeclared root-space API boundary, an unannotated float callee, and the
-// annotation on a non-float function.
+// catch — max over a non-bound, an upper-bound call inside a lower bound, a
+// square root without a declared root-space boundary (in the body or in a
+// closure), an unannotated float callee, and the annotation on a non-float
+// function.
 package lbmono_fixture
 
 import "math"
@@ -83,7 +84,7 @@ func lbInvertedUpper(q, c []float64) float64 {
 //
 //lbkeogh:lowerbound
 func LBRooted(q, c []float64) float64 {
-	return math.Sqrt(lbPAA(q, c)) // want `exported lower bound LBRooted calls math\.Sqrt without //lbkeogh:rootspace`
+	return math.Sqrt(lbPAA(q, c)) // want `lower bound LBRooted calls math\.Sqrt without //lbkeogh:rootspace`
 }
 
 // LBRootedDocumented declares the same conversion as a documented API
@@ -95,11 +96,51 @@ func LBRootedDocumented(q, c []float64) float64 {
 	return math.Sqrt(lbPAA(q, c))
 }
 
-// lbRootedInternal is unexported: not an API boundary, free to convert.
+// lbRootedInternal is unexported, and still held to squared space: a pruning
+// comparison pays no square root whoever calls it.
 //
 //lbkeogh:lowerbound
 func lbRootedInternal(q, c []float64) float64 {
+	return math.Sqrt(lbPAA(q, c)) // want `lower bound lbRootedInternal calls math\.Sqrt without //lbkeogh:rootspace`
+}
+
+// lbRootedNested hides the square root in a closure; still flagged.
+//
+//lbkeogh:lowerbound
+func lbRootedNested(q, c []float64) float64 {
+	f := func() float64 { return math.Sqrt(lbPAA(q, c)) } // want `lower bound lbRootedNested calls math\.Sqrt without //lbkeogh:rootspace`
+	return f()
+}
+
+// lbRootedInternalDocumented declares the conversion on an unexported bound.
+//
+//lbkeogh:lowerbound
+//lbkeogh:rootspace
+func lbRootedInternalDocumented(q, c []float64) float64 {
 	return math.Sqrt(lbPAA(q, c))
+}
+
+// lbSquared is the sanctioned shape: accumulate and compare squared.
+//
+//lbkeogh:lowerbound
+func lbSquared(q, u, l []float64) float64 {
+	acc := 0.0
+	for i := range q {
+		switch {
+		case q[i] > u[i]:
+			d := q[i] - u[i]
+			acc += d * d
+		case q[i] < l[i]:
+			d := q[i] - l[i]
+			acc += d * d
+		}
+	}
+	return acc
+}
+
+// distance is not a lower bound; a square root is its job.
+func distance(acc float64) float64 {
+	return math.Sqrt(acc)
 }
 
 // lbDrifted feeds a non-bound helper into the result arithmetic.
@@ -157,6 +198,10 @@ var (
 	_ = LBRooted
 	_ = LBRootedDocumented
 	_ = lbRootedInternal
+	_ = lbRootedNested
+	_ = lbRootedInternalDocumented
+	_ = lbSquared
+	_ = distance
 	_ = lbDrifted
 	_ = lbMatchCount
 	_ = lbDispatch

@@ -11,8 +11,7 @@ import (
 // WriteFamily writes one family's # HELP and # TYPE header in Prometheus
 // text exposition format (0.0.4). Sample lines follow from the caller. Every
 // family the serving layer exports funnels its name through WriteFamily or
-// one of the Write* helpers below; the metricnames analyzer checks the name
-// literal at each call site.
+// one of the Write* helpers below.
 func WriteFamily(w io.Writer, name, kind, help string) {
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
 }
@@ -98,10 +97,11 @@ func LayoutBuckets(snap []obs.HistogramBucket, le func(bound int64) string) []Hi
 	return out
 }
 
-// WriteDurationHistogram writes one obs.Histogram of nanosecond durations as
-// a histogram series in seconds, every bucket of the layout written.
-func WriteDurationHistogram(w io.Writer, name, labels string, h *obs.Histogram) {
-	WriteHistogram(w, name, labels, LayoutBuckets(h.Buckets(), seconds), FormatFloat(float64(h.Sum())/1e9))
+// WriteDurationHistogram writes a snapshot of an obs.Histogram of nanosecond
+// durations (its non-empty buckets and its exact sum) as a histogram series
+// in seconds, every bucket of the layout written.
+func WriteDurationHistogram(w io.Writer, name, labels string, buckets []obs.HistogramBucket, sumNS int64) {
+	WriteHistogram(w, name, labels, LayoutBuckets(buckets, seconds), seconds(sumNS))
 }
 
 func seconds(ns int64) string { return FormatFloat(float64(ns) / 1e9) }

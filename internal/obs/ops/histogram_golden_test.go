@@ -138,8 +138,8 @@ func TestWriteDurationHistogramGolden(t *testing.T) {
 		h.Observe(v)
 	}
 	var buf bytes.Buffer
-	WriteDurationHistogram(&buf, "lbkeogh_store_fetch_duration_seconds", `temperature="cold"`, &h)
-	WriteDurationHistogram(&buf, "lbkeogh_store_read_duration_seconds", `column="raw",temperature="warm"`, &h)
+	WriteDurationHistogram(&buf, "lbkeogh_store_fetch_duration_seconds", `temperature="cold"`, h.Buckets(), h.Sum())
+	WriteDurationHistogram(&buf, "lbkeogh_store_read_duration_seconds", `column="raw",temperature="warm"`, h.Buckets(), h.Sum())
 	if got := buf.String(); got != durationHistogramGolden {
 		t.Errorf("WriteDurationHistogram:\n%s\nwant:\n%s", got, durationHistogramGolden)
 	}

@@ -31,7 +31,7 @@ func scrapeMetrics(t *testing.T, ts *httptest.Server) *expofmt.Exposition {
 func waterfallCounters(t *testing.T, ts *httptest.Server) (rot, surv, canc int64, stages map[string]int64) {
 	t.Helper()
 	exp := scrapeMetrics(t, ts)
-	counter := func(key string) int64 { return exp.Counter("shapeserver_"+key, nil) }
+	counter := func(key string) int64 { return exp.Counter("shapeserver_"+key+"_total", nil) }
 	wf := explain.FromCounts(obs.Counts{
 		Rotations:          counter("rotations"),
 		FullDistEvals:      counter("full_dist_evals"),

@@ -69,8 +69,9 @@ func TestREDHistogramGolden(t *testing.T) {
 		tel.endpoints["search"].Observe(200, d)
 	}
 	var buf bytes.Buffer
+	h := tel.endpoints["search"].Histogram()
 	ops.WriteDurationHistogram(&buf, "shapeserver_request_duration_seconds",
-		fmt.Sprintf("endpoint=%q", "search"), tel.endpoints["search"].Histogram())
+		fmt.Sprintf("endpoint=%q", "search"), h.Buckets(), h.Sum())
 	if got := buf.String(); got != redHistogramGolden {
 		t.Errorf("request histogram:\n%s\nwant:\n%s", got, redHistogramGolden)
 	}

@@ -337,7 +337,7 @@ func TestServerTracedIndexRequestTellsItsStory(t *testing.T) {
 	}
 
 	exp := scrapeMetrics(t, ts)
-	if f := exp.Counter("shapeserver_index_fetches", nil); f != sr.Stats.IndexFetches {
+	if f := exp.Counter("shapeserver_index_fetches_total", nil); f != sr.Stats.IndexFetches {
 		t.Fatalf("/metrics index fetches %d, the request's %d", f, sr.Stats.IndexFetches)
 	}
 }

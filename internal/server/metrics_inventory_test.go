@@ -51,7 +51,7 @@ func metricsInventory(exp *expofmt.Exposition) string {
 // TestMetricsInventoryPinned pins the families, types and label keys /metrics
 // serves after one fixed session — a search, a top-K, a range, a refused
 // request and an EXPLAIN search — in static and in store mode, and holds every
-// shapeserver_<counter> family to the sum of that counter over the responses'
+// shapeserver_<counter>_total family to the sum of that counter over the responses'
 // own stats: the server's cumulative record is its requests' deltas and
 // nothing else. Both goldens were captured at 2c81433, before the server's
 // aggregate became an obs.SearchStats, and have since only lost lines: the
@@ -66,7 +66,10 @@ func metricsInventory(exp *expofmt.Exposition) string {
 // checked here that a scraper takes itself (README "Request accounting, SLOs
 // and burn rates"), then four counters that restated another: two index
 // counters and the store's read counter beside shapeserver_index_fetches, and
-// a request counter beside shapeserver_admitted_total.
+// a request counter beside shapeserver_admitted_total. Two sets of lines were
+// renamed, not lost: the counters WriteMetrics builds from obs.Counts gained
+// their _total suffix, and shapeserver_stage_latency_ns became
+// shapeserver_stage_latency_seconds.
 func TestMetricsInventoryPinned(t *testing.T) {
 	session := func(t *testing.T, ts *httptest.Server, golden string) {
 		var sum obs.Counts
@@ -98,8 +101,8 @@ func TestMetricsInventoryPinned(t *testing.T) {
 		}
 		exp := scrapeMetrics(t, ts)
 		sum.Each(func(key, _ string, want int64) {
-			if v, ok := exp.Value("shapeserver_"+key, nil); !ok || int64(v) != want {
-				t.Errorf("shapeserver_%s = %v (present %v), the responses' stats sum to %d", key, v, ok, want)
+			if v, ok := exp.Value("shapeserver_"+key+"_total", nil); !ok || int64(v) != want {
+				t.Errorf("shapeserver_%s_total = %v (present %v), the responses' stats sum to %d", key, v, ok, want)
 			}
 		})
 		// The request-duration histogram is cumulative: every terminal request
@@ -127,8 +130,8 @@ func TestMetricsInventoryPinned(t *testing.T) {
 		// The per-level prunes, too, are the responses' sum level by level.
 		for l, want := range levels {
 			level := map[string]string{"level": strconv.Itoa(l)}
-			if v, _ := exp.Value("shapeserver_wedge_prunes_by_level", level); int64(v) != want {
-				t.Errorf("shapeserver_wedge_prunes_by_level{level=\"%d\"} = %v, the responses' stats sum to %d", l, v, want)
+			if v, _ := exp.Value("shapeserver_wedge_prunes_by_level_total", level); int64(v) != want {
+				t.Errorf("shapeserver_wedge_prunes_by_level_total{level=\"%d\"} = %v, the responses' stats sum to %d", l, v, want)
 			}
 		}
 		if got := metricsInventory(exp); got != golden {
@@ -151,7 +154,7 @@ func TestMetricsInventoryPinned(t *testing.T) {
 // TestReadmeMetricFamiliesServed holds README.md to what /metrics serves:
 // every shapeserver_… or lbkeogh_… name in code — an inline-backticked span
 // or a fenced block, anywhere inside it, so a query such as
-// `rate(shapeserver_rotations[5m])` is checked too — must name a family of the
+// `rate(shapeserver_rotations_total[5m])` is checked too — must name a family of the
 // inventories TestMetricsInventoryPinned pins (a histogram's _bucket, _sum and
 // _count count as the histogram), be a prefix of one when written `prefix_*`
 // or a bare `prefix_`, or sit on the allowlist below.
@@ -223,19 +226,19 @@ lbkeogh_runtime_heap_bytes · gauge · {}
 lbkeogh_runtime_sched_latency_seconds · histogram · {}
 lbkeogh_runtime_total_bytes · gauge · {}
 shapeserver_admitted_total · counter · {}
-shapeserver_cancelled_members · counter · {}
-shapeserver_comparisons · counter · {}
+shapeserver_cancelled_members_total · counter · {}
+shapeserver_comparisons_total · counter · {}
 shapeserver_drained_total · counter · {}
 shapeserver_draining · gauge · {}
-shapeserver_early_abandons · counter · {}
+shapeserver_early_abandons_total · counter · {}
 shapeserver_endpoint_requests_total · counter · {class,endpoint}
-shapeserver_fft_fallbacks · counter · {}
-shapeserver_fft_rejected_members · counter · {}
-shapeserver_fft_rejects · counter · {}
-shapeserver_full_dist_evals · counter · {}
-shapeserver_index_fetches · counter · {}
+shapeserver_fft_fallbacks_total · counter · {}
+shapeserver_fft_rejected_members_total · counter · {}
+shapeserver_fft_rejects_total · counter · {}
+shapeserver_full_dist_evals_total · counter · {}
+shapeserver_index_fetches_total · counter · {}
 shapeserver_inflight · gauge · {}
-shapeserver_k_changes · counter · {}
+shapeserver_k_changes_total · counter · {}
 shapeserver_pool_evictions_total · counter · {}
 shapeserver_pool_hits_total · counter · {}
 shapeserver_pool_idle · gauge · {}
@@ -243,15 +246,15 @@ shapeserver_pool_misses_total · counter · {}
 shapeserver_queue_waiting · gauge · {}
 shapeserver_rejected_total · counter · {}
 shapeserver_request_duration_seconds · histogram · {endpoint}
-shapeserver_rotations · counter · {}
-shapeserver_stage_latency_ns · histogram · {stage}
-shapeserver_steps · counter · {}
+shapeserver_rotations_total · counter · {}
+shapeserver_stage_latency_seconds · histogram · {stage}
+shapeserver_steps_total · counter · {}
 shapeserver_timeouts_total · counter · {}
-shapeserver_wedge_leaf_lb_prunes · counter · {}
-shapeserver_wedge_leaf_visits · counter · {}
-shapeserver_wedge_node_visits · counter · {}
-shapeserver_wedge_pruned_members · counter · {}
-shapeserver_wedge_prunes_by_level · counter · {level}
+shapeserver_wedge_leaf_lb_prunes_total · counter · {}
+shapeserver_wedge_leaf_visits_total · counter · {}
+shapeserver_wedge_node_visits_total · counter · {}
+shapeserver_wedge_pruned_members_total · counter · {}
+shapeserver_wedge_prunes_by_level_total · counter · {level}
 `
 
 const storeInventoryGolden = `lbkeogh_explain_bound_checks_total · counter · {bound}
@@ -270,19 +273,19 @@ lbkeogh_runtime_sched_latency_seconds · histogram · {}
 lbkeogh_runtime_total_bytes · gauge · {}
 lbkeogh_store_journal_events_total · counter · {kind}
 shapeserver_admitted_total · counter · {}
-shapeserver_cancelled_members · counter · {}
-shapeserver_comparisons · counter · {}
+shapeserver_cancelled_members_total · counter · {}
+shapeserver_comparisons_total · counter · {}
 shapeserver_drained_total · counter · {}
 shapeserver_draining · gauge · {}
-shapeserver_early_abandons · counter · {}
+shapeserver_early_abandons_total · counter · {}
 shapeserver_endpoint_requests_total · counter · {class,endpoint}
-shapeserver_fft_fallbacks · counter · {}
-shapeserver_fft_rejected_members · counter · {}
-shapeserver_fft_rejects · counter · {}
-shapeserver_full_dist_evals · counter · {}
-shapeserver_index_fetches · counter · {}
+shapeserver_fft_fallbacks_total · counter · {}
+shapeserver_fft_rejected_members_total · counter · {}
+shapeserver_fft_rejects_total · counter · {}
+shapeserver_full_dist_evals_total · counter · {}
+shapeserver_index_fetches_total · counter · {}
 shapeserver_inflight · gauge · {}
-shapeserver_k_changes · counter · {}
+shapeserver_k_changes_total · counter · {}
 shapeserver_pool_evictions_total · counter · {}
 shapeserver_pool_hits_total · counter · {}
 shapeserver_pool_idle · gauge · {}
@@ -290,9 +293,9 @@ shapeserver_pool_misses_total · counter · {}
 shapeserver_queue_waiting · gauge · {}
 shapeserver_rejected_total · counter · {}
 shapeserver_request_duration_seconds · histogram · {endpoint}
-shapeserver_rotations · counter · {}
-shapeserver_stage_latency_ns · histogram · {stage}
-shapeserver_steps · counter · {}
+shapeserver_rotations_total · counter · {}
+shapeserver_stage_latency_seconds · histogram · {stage}
+shapeserver_steps_total · counter · {}
 shapeserver_store_busy · gauge · {}
 shapeserver_store_compactions_total · counter · {}
 shapeserver_store_generation · gauge · {}
@@ -303,9 +306,9 @@ shapeserver_store_records · gauge · {}
 shapeserver_store_segment_records · gauge · {segment}
 shapeserver_store_segments · gauge · {}
 shapeserver_timeouts_total · counter · {}
-shapeserver_wedge_leaf_lb_prunes · counter · {}
-shapeserver_wedge_leaf_visits · counter · {}
-shapeserver_wedge_node_visits · counter · {}
-shapeserver_wedge_pruned_members · counter · {}
-shapeserver_wedge_prunes_by_level · counter · {level}
+shapeserver_wedge_leaf_lb_prunes_total · counter · {}
+shapeserver_wedge_leaf_visits_total · counter · {}
+shapeserver_wedge_node_visits_total · counter · {}
+shapeserver_wedge_pruned_members_total · counter · {}
+shapeserver_wedge_prunes_by_level_total · counter · {level}
 `

@@ -67,8 +67,9 @@ func (t *telemetry) writeMetrics(w io.Writer) {
 	ops.WriteFamily(w, "shapeserver_request_duration_seconds", "histogram",
 		"Request latency since process start, by endpoint.")
 	for _, ep := range eps {
+		h := t.endpoints[ep].Histogram()
 		ops.WriteDurationHistogram(w, "shapeserver_request_duration_seconds",
-			fmt.Sprintf("endpoint=%q", ep), t.endpoints[ep].Histogram())
+			fmt.Sprintf("endpoint=%q", ep), h.Buckets(), h.Sum())
 	}
 
 	ops.WriteFamily(w, "shapeserver_endpoint_requests_total", "counter",

@@ -500,7 +500,7 @@ func TestServerMetricsAndDebug(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	for _, want := range []string{
-		"shapeserver_comparisons", "shapeserver_admitted_total",
+		"shapeserver_comparisons_total", "shapeserver_admitted_total",
 		"shapeserver_pool_misses_total", "shapeserver_rejected_total",
 		"shapeserver_inflight", "shapeserver_draining",
 	} {

@@ -2,9 +2,11 @@ package lbkeogh_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"slices"
 	"sort"
 	"strings"
@@ -22,10 +24,12 @@ import (
 // expofmt parse (nothing after a sample value but an integer timestamp) and
 // one le set for every series of a histogram family — the whole power-of-two
 // layout for each family an obs.Histogram feeds, so the set cannot change
-// between scrapes either. The bodies are the library's MetricsHandler over a
-// traced query and index with a BoundSampler attached, and the server's in
-// static and in store mode after an ingest, a search, a top-K, a range and
-// an EXPLAIN search, every request traced and every comparison sampled.
+// between scrapes either — and every family it serves, names built at run
+// time included, to the naming contract (metricNameProblems). The bodies are
+// the library's MetricsHandler over a traced query and index with a
+// BoundSampler attached, and the server's in static and in store mode after
+// an ingest, a search, a top-K, a range and an EXPLAIN search, every request
+// traced and every comparison sampled.
 func TestMetricsBodiesAreTextFormat(t *testing.T) {
 	db := lbkeogh.SyntheticProjectilePoints(11, 40, 48)
 
@@ -62,7 +66,7 @@ func TestMetricsBodiesAreTextFormat(t *testing.T) {
 			ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
 		sampler.WriteMetrics(rr.Body) // as a serving process appends it
 		checkTextFormat(t, rr.Header().Get("Content-Type"), rr.Body.String(),
-			"lbkeogh_query_comparison_steps", "lbkeogh_query_stage_latency_ns", "lbkeogh_index_stage_latency_ns",
+			"lbkeogh_query_comparison_steps", "lbkeogh_query_stage_latency_seconds", "lbkeogh_index_stage_latency_seconds",
 			"lbkeogh_explain_bound_tightness_ratio")
 	})
 
@@ -117,17 +121,17 @@ func TestMetricsBodiesAreTextFormat(t *testing.T) {
 			body, _ := io.ReadAll(resp.Body)
 			resp.Body.Close()
 			checkTextFormat(t, resp.Header.Get("Content-Type"), string(body),
-				"shapeserver_request_duration_seconds", "shapeserver_stage_latency_ns",
+				"shapeserver_request_duration_seconds", "shapeserver_stage_latency_seconds",
 				"lbkeogh_explain_bound_tightness_ratio")
 		})
 	}
 }
 
 // checkTextFormat holds one /metrics body to the 0.0.4 text format: its
-// content type, the strict parse, and one le set per histogram family. Each
-// of the named families must be present; the ones an obs.Histogram feeds
-// (all but the tightness histogram, whose layout is its own) must write the
-// whole layout.
+// content type, the strict parse, the naming contract on every family, and
+// one le set per histogram family. Each of the named families must be
+// present; the ones an obs.Histogram feeds (all but the tightness histogram,
+// whose layout is its own) must write the whole layout.
 func checkTextFormat(t *testing.T, contentType, body string, families ...string) {
 	t.Helper()
 	if !strings.HasPrefix(contentType, "text/plain; version=0.0.4") {
@@ -142,6 +146,11 @@ func checkTextFormat(t *testing.T, contentType, body string, families ...string)
 	for _, line := range strings.Split(body, "\n") {
 		if !strings.HasPrefix(line, "#") && strings.Contains(line, "#") {
 			t.Errorf("a sample line carries more than its value: %q", line)
+		}
+	}
+	for fam, kind := range exp.Types {
+		for _, problem := range metricNameProblems(fam, kind) {
+			t.Errorf("%s %s: %s", kind, fam, problem)
 		}
 	}
 	les := map[string]map[string][]string{} // family → series → le set
@@ -188,4 +197,45 @@ func checkTextFormat(t *testing.T, contentType, body string, families ...string)
 			}
 		}
 	}
+}
+
+var metricNameRE = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
+
+// metricBadUnits are unit components the naming contract bans: durations
+// are seconds and sizes bytes, with any scaling left to the consumer.
+var metricBadUnits = map[string]bool{
+	"ns": true, "nanoseconds": true,
+	"ms": true, "milliseconds": true,
+	"us": true, "microseconds": true,
+	"kb": true, "mb": true,
+}
+
+// metricNameProblems holds one family name to the repository's naming
+// contract: snake_case; the lbkeogh_ or shapeserver_ namespace; _total on
+// counters and only on counters; base units (_seconds, _bytes), placed last
+// (only _total may follow).
+func metricNameProblems(name, kind string) []string {
+	if !metricNameRE.MatchString(name) {
+		return []string{"not snake_case (lowercase [a-z0-9_], no doubled or trailing underscores)"}
+	}
+	var out []string
+	if !strings.HasPrefix(name, "lbkeogh_") && !strings.HasPrefix(name, "shapeserver_") {
+		out = append(out, "lacks the lbkeogh_ or shapeserver_ prefix")
+	}
+	if total := strings.HasSuffix(name, "_total"); kind == "counter" && !total {
+		out = append(out, "a counter must end in _total")
+	} else if kind != "counter" && total {
+		out = append(out, "only a counter may end in _total")
+	}
+	parts := strings.Split(name, "_")
+	for i, p := range parts {
+		if metricBadUnits[p] {
+			out = append(out, fmt.Sprintf("unit %q is not a base unit (_seconds, _bytes)", p))
+		} else if p == "seconds" || p == "bytes" {
+			if rest := parts[i+1:]; len(rest) > 1 || len(rest) == 1 && rest[0] != "total" {
+				out = append(out, fmt.Sprintf("unit %q is not last (only _total may follow)", p))
+			}
+		}
+	}
+	return out
 }

@@ -59,8 +59,8 @@ type StatsSource interface {
 
 // MetricsHandler returns an http.Handler that renders the given sources in
 // Prometheus text exposition format, one metric family per counter named
-// `<name>_<field>` plus a `<name>_comparison_steps` histogram. Mount it at
-// /metrics to scrape live pruning telemetry:
+// `<name>_<field>_total` plus a `<name>_comparison_steps` histogram. Mount it
+// at /metrics to scrape live pruning telemetry:
 //
 //	http.Handle("/metrics", lbkeogh.MetricsHandler(map[string]lbkeogh.StatsSource{
 //	        "lbkeogh_query": q,
@@ -87,9 +87,9 @@ func MetricsHandler(sources map[string]StatsSource) http.Handler {
 // families come from the metrics table beside Counts, one per field.
 func WriteMetrics(w io.Writer, name string, s SearchStats) {
 	s.Each(func(key, help string, v int64) {
-		ops.WriteCounter(w, name+"_"+key, help, v)
+		ops.WriteCounter(w, name+"_"+key+"_total", help, v)
 	})
-	levels := name + "_wedge_prunes_by_level"
+	levels := name + "_wedge_prunes_by_level_total"
 	headed := false
 	for lvl, v := range s.WedgePrunesByLevel {
 		if v == 0 {
@@ -107,10 +107,10 @@ func WriteMetrics(w io.Writer, name string, s SearchStats) {
 			strconv.FormatInt(s.StepsHistogramSum, 10))
 	}
 	if len(s.StageLatencies) > 0 {
-		ops.WriteFamily(w, name+"_stage_latency_ns", "histogram", "Per-stage query latency in nanoseconds.")
+		ops.WriteFamily(w, name+"_stage_latency_seconds", "histogram", "Per-stage query latency in seconds.")
 		for _, sl := range s.StageLatencies {
-			ops.WriteHistogram(w, name+"_stage_latency_ns", fmt.Sprintf("stage=%q", sl.Stage), ops.LayoutBuckets(sl.Buckets, decimal),
-				strconv.FormatInt(sl.SumNS, 10))
+			ops.WriteDurationHistogram(w, name+"_stage_latency_seconds", fmt.Sprintf("stage=%q", sl.Stage),
+				sl.Buckets, sl.SumNS)
 		}
 	}
 }

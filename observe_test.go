@@ -153,9 +153,9 @@ func TestMetricsHandlerServesPrometheusText(t *testing.T) {
 	}
 	body := rec.Body.String()
 	for _, want := range []string{
-		"# HELP test_query_comparisons ",
-		"# TYPE test_query_comparisons counter",
-		"test_query_comparisons 20",
+		"# HELP test_query_comparisons_total ",
+		"# TYPE test_query_comparisons_total counter",
+		"test_query_comparisons_total 20",
 		"# TYPE test_query_comparison_steps histogram",
 		`test_query_comparison_steps_bucket{le="+Inf"} 20`,
 		"test_query_comparison_steps_count 20",
@@ -198,7 +198,7 @@ func TestScrapeDuringParallelSearch(t *testing.T) {
 		}
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-		if !strings.Contains(rec.Body.String(), "# TYPE live_query_comparisons counter") {
+		if !strings.Contains(rec.Body.String(), "# TYPE live_query_comparisons_total counter") {
 			t.Fatalf("scrape lost the comparisons family:\n%s", rec.Body.String())
 		}
 		if !json.Valid([]byte(expvar.Get("lbkeogh_test_live").String())) {
@@ -243,7 +243,7 @@ func TestReadmeListsEveryCounter(t *testing.T) {
 	}
 	readme := string(raw)
 	lbkeogh.Counts{}.Each(func(key, _ string, _ int64) {
-		if row := "| `" + key + "` | `<prefix>_" + key + "` |"; !strings.Contains(readme, row) {
+		if row := "| `" + key + "` | `<prefix>_" + key + "_total` |"; !strings.Contains(readme, row) {
 			t.Errorf("README.md has no SearchStats fields row starting %q", row)
 		}
 	})

@@ -108,8 +108,8 @@ func TestServerTraceIDCorrelation(t *testing.T) {
 	for _, fam := range []string{
 		"lbkeogh_runtime_goroutines",
 		"shapeserver_endpoint_requests_total",
-		"shapeserver_rotations",
-		"shapeserver_wedge_prunes_by_level",
+		"shapeserver_rotations_total",
+		"shapeserver_wedge_prunes_by_level_total",
 	} {
 		found := false
 		for _, s := range samples {

@@ -210,7 +210,7 @@ grep -q '"waterfall":' "$tmp/explain.json" ||
 	fail "explain plan carries no waterfall"
 grep -q '"tightness":' "$tmp/explain.json" ||
 	fail "explain plan carries no bound tightness"
-grep -q '^# TYPE shapeserver_rotations counter$' "$tmp/wf_after.txt" ||
+grep -q '^# TYPE shapeserver_rotations_total counter$' "$tmp/wf_after.txt" ||
 	fail "/metrics is missing the outcome counters"
 
 if command -v python3 >/dev/null 2>&1; then
@@ -228,7 +228,7 @@ def counters(path):
     out = {}
     for line in open(path):
         name, _, value = line.partition(" ")
-        key = name.removeprefix("shapeserver_")
+        key = name.removeprefix("shapeserver_").removesuffix("_total")
         if key != name and key in names:
             out[key] = int(value)
     return out

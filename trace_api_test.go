@@ -329,8 +329,8 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 	}
 
 	// Stage-latency histograms must appear with the stage label.
-	if _, ok := buckets[key{"lbkeogh_query_stage_latency_ns", "stage=comparison"}]; !ok {
-		t.Error("no stage_latency_ns histogram for stage=comparison")
+	if _, ok := buckets[key{"lbkeogh_query_stage_latency_seconds", "stage=comparison"}]; !ok {
+		t.Error("no stage_latency_seconds histogram for stage=comparison")
 	}
 }
 
