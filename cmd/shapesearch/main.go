@@ -22,7 +22,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"sync"
 
 	"lbkeogh"
 	"lbkeogh/internal/seriesio"
@@ -44,7 +43,6 @@ func main() {
 		parallel = flag.Int("parallel", 1, "worker goroutines for the linear scan (0 = GOMAXPROCS)")
 		emitStat = flag.Bool("stats", false, "print the search's pruning breakdown as JSON after the results")
 		explain  = flag.Bool("explain", false, "run the search in EXPLAIN mode and print the structured plan (stage waterfall, bound tightness) as JSON")
-		health   = flag.Bool("index-health", false, "print the index structural health report (VP-tree, wedge hierarchy) as JSON; builds the index if -indexed is off")
 		pprofOn  = flag.String("pprof", "", "serve /metrics (Prometheus text), /debug/vars and /debug/pprof/ on this address and block after the search")
 		serveOn  = flag.String("serve", "", "like -pprof, but additionally trace the search (every query sampled) and serve the live /debug/lbkeogh dashboard")
 	)
@@ -111,15 +109,12 @@ func main() {
 		q.SetExplain(true)
 	}
 
-	sources := newSourceSet()
-	sources.add("shapesearch_query", q, tlog)
 	if addr != "" {
 		lbkeogh.PublishExpvar("shapesearch_query", q)
-		go serveObs(addr, sources)
+		go serveObs(addr, q, tlog)
 	}
 
 	var results []lbkeogh.SearchResult
-	var statIx *lbkeogh.Index
 	switch {
 	case *indexed:
 		ix, err := lbkeogh.NewIndex(db, *dims)
@@ -127,9 +122,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "shapesearch: %v\n", err)
 			os.Exit(1)
 		}
-		statIx = ix
-		ix.SetTraceLog(tlog) // nil when untraced: a no-op attach
-		sources.add("shapesearch_index", ix, nil)
 		if *radius > 0 {
 			results, err = ix.SearchRange(q, *radius)
 		} else {
@@ -177,23 +169,6 @@ func main() {
 		fmt.Printf("explain plan (waterfall reconciles: %v):\n", plan.Waterfall.Reconciles())
 		emitJSON("-explain", plan)
 	}
-	if *health {
-		ix := statIx
-		if ix == nil {
-			ix, err = lbkeogh.NewIndex(db, *dims)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "shapesearch: -index-health: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		report := struct {
-			Dims  int                    `json:"dims"`
-			Index lbkeogh.IndexHealth    `json:"index"`
-			Wedge lbkeogh.WedgeTreeStats `json:"wedge"`
-		}{Dims: ix.Dims(), Index: ix.Health(), Wedge: q.WedgeStats()}
-		fmt.Println("index health:")
-		emitJSON("-index-health", report)
-	}
 	if *emitStat {
 		emitJSON("-stats", q.Stats()) // an indexed search runs through the query too
 	}
@@ -213,56 +188,18 @@ func emitJSON(what string, v any) {
 	}
 }
 
-// sourceSet is a mutex-guarded set of stats sources and trace logs: the
-// index source is registered after the metrics server is already running.
-type sourceSet struct {
-	mu   sync.Mutex
-	m    map[string]lbkeogh.StatsSource
-	logs map[string]*lbkeogh.TraceLog
-}
-
-func newSourceSet() *sourceSet {
-	return &sourceSet{
-		m:    map[string]lbkeogh.StatsSource{},
-		logs: map[string]*lbkeogh.TraceLog{},
-	}
-}
-
-func (s *sourceSet) add(name string, src lbkeogh.StatsSource, t *lbkeogh.TraceLog) {
-	s.mu.Lock()
-	s.m[name] = src
-	if t != nil {
-		s.logs[name] = t
-	}
-	s.mu.Unlock()
-}
-
-func (s *sourceSet) snapshot() (map[string]lbkeogh.StatsSource, map[string]*lbkeogh.TraceLog) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]lbkeogh.StatsSource, len(s.m))
-	for k, v := range s.m {
-		out[k] = v
-	}
-	logs := make(map[string]*lbkeogh.TraceLog, len(s.logs))
-	for k, v := range s.logs {
-		logs[k] = v
-	}
-	return out, logs
-}
-
-// serveObs serves the public metrics handler, the trace dashboard, expvar
+// serveObs serves the public metrics handler over the query's record (an
+// indexed search runs through the query too), the trace dashboard, expvar
 // and the pprof profiles on a private mux.
-func serveObs(addr string, sources *sourceSet) {
+func serveObs(addr string, q *lbkeogh.Query, tlog *lbkeogh.TraceLog) {
+	sources := map[string]lbkeogh.StatsSource{"shapesearch_query": q}
+	logs := map[string]*lbkeogh.TraceLog{}
+	if tlog != nil {
+		logs["shapesearch_query"] = tlog
+	}
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		src, _ := sources.snapshot()
-		lbkeogh.MetricsHandler(src).ServeHTTP(w, r)
-	}))
-	mux.Handle("/debug/lbkeogh", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		src, logs := sources.snapshot()
-		lbkeogh.DebugHandler(src, logs).ServeHTTP(w, r)
-	}))
+	mux.Handle("/metrics", lbkeogh.MetricsHandler(sources))
+	mux.Handle("/debug/lbkeogh", lbkeogh.DebugHandler(sources, logs))
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

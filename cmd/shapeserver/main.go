@@ -201,7 +201,7 @@ func main() {
 	}
 	logger.Info("serving",
 		"series", size, "series_len", srv.Len(), "addr", ln.Addr().String(),
-		"endpoints", "/v1/search /v1/topk /v1/range /v1/ingest /v1/compact /livez /readyz /metrics /debug/lbkeogh /debug/index /debug/storage /debug/pprof/")
+		"endpoints", "/v1/search /v1/topk /v1/range /v1/ingest /v1/compact /livez /readyz /metrics /debug/lbkeogh /debug/storage /debug/pprof/")
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -22,7 +22,8 @@ import (
 // An Index is safe for concurrent use by distinct Query values: searching
 // changes nothing in it but atomic counters, so one index serves any number
 // of goroutines, each with its own query (a Query itself is not safe for
-// concurrent use). Attach a trace log (SetTraceLog) before sharing it.
+// concurrent use). A search is traced into its query's log (WithTraceLog),
+// never into one of the index's own.
 type Index struct {
 	ix     *index.Index
 	n      int
@@ -30,7 +31,6 @@ type Index struct {
 	closer func() error // set for segment-backed indexes
 	seg    *segment.DB  // set for segment-backed indexes
 	obs    obs.SearchStats
-	tlog   *TraceLog
 }
 
 // SegmentStore returns the underlying segment store for an index opened
@@ -45,25 +45,8 @@ func (ix *Index) SegmentStore() *segment.DB { return ix.seg }
 // (IndexFetches) and the verification searches' pruning counters. Each
 // search also lands on its own query's record (Query.Stats), which alone
 // carries the per-level prune breakdown, the steps histogram and the dynamic-K
-// trajectory. When a TraceLog is attached, the snapshot additionally carries
-// the log's per-stage latency summaries.
-func (ix *Index) Stats() SearchStats {
-	s := ix.obs.Snapshot()
-	s.StageLatencies = ix.tlog.inner().Latencies().Snapshot()
-	return s
-}
-
-// SetTraceLog attaches a TraceLog (nil detaches): every fetch's duration
-// feeds the log's disk_read histogram, and every subsequent search by a query
-// that carries no trace log of its own records its span trace — index probe,
-// per-candidate disk fetch, and the verification comparisons — here, sampled
-// and screened for slow queries by the log. A query built WithTraceLog
-// records the same spans into its own log, under its search span. Not safe to
-// call concurrently with queries.
-func (ix *Index) SetTraceLog(t *TraceLog) {
-	ix.tlog = t
-	ix.ix.SetTraceLog(t.inner())
-}
+// trajectory.
+func (ix *Index) Stats() SearchStats { return ix.obs.Snapshot() }
 
 // ResetStats zeroes the instrumentation record (the DiskReads counter is
 // independent; see ResetDiskReads).
@@ -191,7 +174,7 @@ func (ix *Index) probe(ctx context.Context, q *Query, label string, k int, limit
 	}
 	return q.search(ctx, label, check, func(ctx context.Context) ([]core.ScanResult, error) {
 		c := core.NewCollector(k, limit)
-		err := ix.ix.Probe(ctx, label, q.searcher, 0, c, &q.counter)
+		err := ix.ix.Probe(ctx, q.searcher, 0, c, &q.counter)
 		return c.Results(), err
 	})
 }

@@ -20,9 +20,10 @@ func oracleDB() []Series {
 // TestIndexPathOracle is the index-path slice of the differential oracle:
 // every store kind x measure x query kind answers exactly what the flat scan
 // answers over the same rows, the instrumentation reconciles, a fetch is
-// counted once everywhere it is reported (the disk_read stage histogram
-// included), every query is traced, and num_steps is pinned per cell so a
-// refactor that moves a step count fails here rather than in review.
+// counted once everywhere it is reported (the query trace's fetch spans
+// included), every query is traced into its own log, and num_steps is pinned
+// per cell so a refactor that moves a step count fails here rather than in
+// review.
 func TestIndexPathOracle(t *testing.T) {
 	db := oracleDB()
 	dir := filepath.Join(t.TempDir(), "store")
@@ -81,7 +82,6 @@ func TestIndexPathOracle(t *testing.T) {
 		}
 		defer ix.Close()
 		tlog := NewTraceLog()
-		ix.SetTraceLog(tlog)
 		var traced, fetched int64
 		for _, ms := range measures {
 			for _, kind := range []string{"search", "range"} {
@@ -91,7 +91,8 @@ func TestIndexPathOracle(t *testing.T) {
 				var steps int64
 				for qi, qs := range queries {
 					flat, _ := NewQuery(qs, ms.m)
-					q, _ := NewQuery(qs, ms.m)
+					q, _ := NewQuery(qs, ms.m, WithTraceLog(tlog))
+					traced++ // the build trace
 					var res, ref []SearchResult
 					var err, refErr error
 					if kind == "search" {
@@ -142,16 +143,16 @@ func TestIndexPathOracle(t *testing.T) {
 			}
 		}
 		if finished, _ := tlog.Totals(); finished != traced {
-			t.Errorf("%s: %d traces finished for %d index queries", st.name, finished, traced)
+			t.Errorf("%s: %d traces finished for %d query builds and searches", st.name, finished, traced)
 		}
-		var diskReads int64
-		for _, sl := range ix.Stats().StageLatencies {
-			if sl.Stage == "disk_read" {
-				diskReads = sl.Count
+		var fetchSpans int64
+		for _, sl := range tlog.StageLatencies() {
+			if sl.Stage == "fetch" {
+				fetchSpans = sl.Count
 			}
 		}
-		if diskReads != fetched {
-			t.Errorf("%s: disk_read histogram counts %d fetches of %d", st.name, diskReads, fetched)
+		if fetchSpans != fetched {
+			t.Errorf("%s: the fetch spans count %d fetches of %d", st.name, fetchSpans, fetched)
 		}
 	}
 	for cell, g := range got {

@@ -152,7 +152,7 @@ func TestIndexConcurrentQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix.SetTraceLog(NewTraceLog(WithSampleRate(1)))
+	tlog := NewTraceLog(WithSampleRate(1))
 	workers := max(4, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	fetched := make([]int64, workers)
@@ -170,6 +170,9 @@ func TestIndexConcurrentQueries(t *testing.T) {
 				if err != nil {
 					t.Error(err)
 					return
+				}
+				if round%3 == 0 {
+					opts = append(opts, WithTraceLog(tlog))
 				}
 				q, _ := NewQuery(series, Euclidean(), opts...)
 				nn, err1 := ix.Search(q)
@@ -200,6 +203,11 @@ func TestIndexConcurrentQueries(t *testing.T) {
 	}
 	if total == 0 || int64(ix.DiskReads()) < total || !ix.Stats().Reconciles() || ix.Stats().IndexFetches != int64(ix.DiskReads()) {
 		t.Fatalf("after the run: DiskReads %d, Stats %+v", ix.DiskReads(), ix.Stats().Counts)
+	}
+	// Rounds 0 and 3 built their query with the shared log: a build and three
+	// searches each. The untraced rounds' index searches finished no trace.
+	if finished, _ := tlog.Totals(); finished != int64(workers*2*4) {
+		t.Fatalf("%d traces finished, want %d from the traced queries alone", finished, workers*2*4)
 	}
 }
 

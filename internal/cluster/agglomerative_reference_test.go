@@ -17,7 +17,7 @@ import (
 	"lbkeogh/internal/ts"
 )
 
-func refAgglomerativeMatrix(matrix []float64, m int, linkage Linkage) *Dendrogram {
+func refAgglomerativeMatrix(matrix []float64, m int) *Dendrogram {
 	dd := &Dendrogram{NLeaves: m, Nodes: make([]Node, m, 2*m-1)}
 	for i := 0; i < m; i++ {
 		dd.Nodes[i] = Node{Left: -1, Right: -1, Size: 1}
@@ -65,7 +65,7 @@ func refAgglomerativeMatrix(matrix []float64, m int, linkage Linkage) *Dendrogra
 			}
 			if best == prev && prev >= 0 {
 				chain = chain[:len(chain)-2]
-				refMergeClusters(dd, matrix, m, active, size, alive, tip, prev, bestDist, linkage)
+				refMergeClusters(dd, matrix, m, active, size, alive, tip, prev, bestDist)
 				nAlive--
 				break
 			}
@@ -75,7 +75,7 @@ func refAgglomerativeMatrix(matrix []float64, m int, linkage Linkage) *Dendrogra
 	return dd
 }
 
-func refMergeClusters(dd *Dendrogram, matrix []float64, m int, active, size []int, alive []bool, a, b int, h float64, linkage Linkage) {
+func refMergeClusters(dd *Dendrogram, matrix []float64, m int, active, size []int, alive []bool, a, b int, h float64) {
 	newID := len(dd.Nodes)
 	dd.Nodes = append(dd.Nodes, Node{
 		Left:   active[a],
@@ -90,15 +90,7 @@ func refMergeClusters(dd *Dendrogram, matrix []float64, m int, active, size []in
 		}
 		dak := matrix[a*m+k]
 		dbk := matrix[b*m+k]
-		var v float64
-		switch linkage {
-		case Single:
-			v = math.Min(dak, dbk)
-		case Complete:
-			v = math.Max(dak, dbk)
-		default: // Average
-			v = (na*dak + nb*dbk) / (na + nb)
-		}
+		v := (na*dak + nb*dbk) / (na + nb)
 		matrix[a*m+k] = v
 		matrix[k*m+a] = v
 	}
@@ -109,17 +101,17 @@ func refMergeClusters(dd *Dendrogram, matrix []float64, m int, active, size []in
 
 // checkAgglomerativeAgainstReference clusters two copies of matrix, one with
 // each implementation, and demands the same nodes with the same height bits.
-func checkAgglomerativeAgainstReference(t *testing.T, name string, matrix []float64, m int, linkage Linkage) {
+func checkAgglomerativeAgainstReference(t *testing.T, name string, matrix []float64, m int) {
 	t.Helper()
-	want := refAgglomerativeMatrix(append([]float64(nil), matrix...), m, linkage)
-	got := AgglomerativeMatrix(append([]float64(nil), matrix...), m, linkage)
+	want := refAgglomerativeMatrix(append([]float64(nil), matrix...), m)
+	got := AgglomerativeMatrix(append([]float64(nil), matrix...), m)
 	if got.NLeaves != want.NLeaves || len(got.Nodes) != len(want.Nodes) {
-		t.Fatalf("%s/%v: %d leaves, %d nodes; reference %d, %d", name, linkage, got.NLeaves, len(got.Nodes), want.NLeaves, len(want.Nodes))
+		t.Fatalf("%s: %d leaves, %d nodes; reference %d, %d", name, got.NLeaves, len(got.Nodes), want.NLeaves, len(want.Nodes))
 	}
 	for id, w := range want.Nodes {
 		g := got.Nodes[id]
 		if g.Left != w.Left || g.Right != w.Right || g.Size != w.Size || math.Float64bits(g.Height) != math.Float64bits(w.Height) {
-			t.Fatalf("%s/%v: node %d is %+v, reference %+v", name, linkage, id, g, w)
+			t.Fatalf("%s: node %d is %+v, reference %+v", name, id, g, w)
 		}
 	}
 }
@@ -155,13 +147,10 @@ func rotationMatrix(n int, mirror bool, maxShift int) ([]float64, int) {
 }
 
 func TestAgglomerativeMatchesReference(t *testing.T) {
-	linkages := []Linkage{Average, Single, Complete}
 	for seed := int64(1); seed <= 50; seed++ {
 		m := 2 + int(seed*7%60)
 		_, df := testDistances(seed, m, 16)
-		for _, linkage := range linkages {
-			checkAgglomerativeAgainstReference(t, "random", symmetric(m, df), m, linkage)
-		}
+		checkAgglomerativeAgainstReference(t, "random", symmetric(m, df), m)
 	}
 	// Exact ties: few distinct values, so nearly every neighbour search and
 	// every reciprocal-pair test is decided by the tie-breaking rules.
@@ -169,9 +158,7 @@ func TestAgglomerativeMatchesReference(t *testing.T) {
 		rng := ts.NewRand(seed)
 		m := 5 + int(seed*11%40)
 		ties := symmetric(m, func(i, j int) float64 { return float64(1 + rng.Intn(3)) })
-		for _, linkage := range linkages {
-			checkAgglomerativeAgainstReference(t, "ties", ties, m, linkage)
-		}
+		checkAgglomerativeAgainstReference(t, "ties", ties, m)
 	}
 	for _, n := range []int{2, 3, 47, 251} {
 		for _, c := range []struct {
@@ -180,7 +167,7 @@ func TestAgglomerativeMatchesReference(t *testing.T) {
 			maxShift int
 		}{{"plain", false, -1}, {"mirror", true, -1}, {"limited", false, 5}} {
 			matrix, m := rotationMatrix(n, c.mirror, c.maxShift)
-			checkAgglomerativeAgainstReference(t, "rotations/"+c.name, matrix, m, Average)
+			checkAgglomerativeAgainstReference(t, "rotations/"+c.name, matrix, m)
 		}
 	}
 }
@@ -196,7 +183,7 @@ func TestAgglomerativeMatrixNonFinitePanics(t *testing.T) {
 					t.Errorf("%s matrix: panic %q does not name the non-finite distance", name, msg)
 				}
 			}()
-			AgglomerativeMatrix(symmetric(4, func(i, j int) float64 { return v }), 4, Average)
+			AgglomerativeMatrix(symmetric(4, func(i, j int) float64 { return v }), 4)
 		}()
 	}
 }

@@ -1,5 +1,6 @@
 // Package cluster implements agglomerative hierarchical clustering with the
-// nearest-neighbour-chain algorithm and Lance-Williams linkage updates.
+// nearest-neighbour-chain algorithm and the group-average (Lance-Williams)
+// update.
 //
 // The paper (Section 4.1, Figures 9–10) derives its wedge sets from a
 // hierarchical clustering of the query's rotations under group-average
@@ -13,31 +14,6 @@ import (
 	"fmt"
 	"math"
 )
-
-// Linkage selects the cluster-distance update rule.
-type Linkage int
-
-const (
-	// Average is group-average linkage (UPGMA) — the linkage the paper uses.
-	Average Linkage = iota
-	// Single is nearest-neighbour linkage.
-	Single
-	// Complete is furthest-neighbour linkage.
-	Complete
-)
-
-func (l Linkage) String() string {
-	switch l {
-	case Average:
-		return "average"
-	case Single:
-		return "single"
-	case Complete:
-		return "complete"
-	default:
-		return fmt.Sprintf("Linkage(%d)", int(l))
-	}
-}
 
 // Node is one vertex of a dendrogram. Leaves have Left == Right == -1 and
 // Height 0. Internal nodes record the linkage distance at which their two
@@ -56,16 +32,17 @@ type Dendrogram struct {
 	Nodes   []Node
 }
 
-// Agglomerative clusters m items given a pairwise distance function, which
-// must be symmetric with d(i,i) = 0. It runs the NN-chain algorithm in
-// O(m²) time and O(m²) memory (the distance matrix).
-func Agglomerative(m int, d func(i, j int) float64, linkage Linkage) *Dendrogram {
+// Agglomerative clusters m items under group-average linkage (UPGMA, the
+// linkage the paper uses) given a pairwise distance function, which must be
+// symmetric with d(i,i) = 0. It runs the NN-chain algorithm in O(m²) time
+// and O(m²) memory (the distance matrix).
+func Agglomerative(m int, d func(i, j int) float64) *Dendrogram {
 	if m <= 0 {
 		panic("cluster: need at least one item")
 	}
 	matrix := make([]float64, m*m)
 	FillMatrix(matrix, m, d)
-	return AgglomerativeMatrix(matrix, m, linkage)
+	return AgglomerativeMatrix(matrix, m)
 }
 
 // FillMatrix writes d(i, j), i < j, to entries (i, j) and (j, i) of the
@@ -81,11 +58,12 @@ func FillMatrix(matrix []float64, m int, d func(i, j int) float64) {
 	}
 }
 
-// AgglomerativeMatrix clusters m items from a row-major m×m distance matrix,
-// which must be symmetric; the diagonal is ignored. The matrix is consumed
+// AgglomerativeMatrix clusters m items under group-average linkage from a
+// row-major m×m distance matrix, which must be symmetric; the diagonal is
+// ignored. The matrix is consumed
 // (overwritten) during clustering. Distances must be finite: a neighbour
 // search that finds nothing below +Inf, or compares against NaN, panics.
-func AgglomerativeMatrix(matrix []float64, m int, linkage Linkage) *Dendrogram {
+func AgglomerativeMatrix(matrix []float64, m int) *Dendrogram {
 	if m <= 0 {
 		panic("cluster: need at least one item")
 	}
@@ -143,7 +121,7 @@ func AgglomerativeMatrix(matrix []float64, m int, linkage Linkage) *Dendrogram {
 			if best == prev {
 				// Reciprocal nearest neighbours: merge tip and prev.
 				chain = chain[:len(chain)-2]
-				mergeClusters(dd, matrix, m, active, size, tip, prev, bestDist, linkage)
+				mergeClusters(dd, matrix, m, active, size, tip, prev, bestDist)
 				break
 			}
 			chain = append(chain, best)
@@ -152,7 +130,7 @@ func AgglomerativeMatrix(matrix []float64, m int, linkage Linkage) *Dendrogram {
 	return dd
 }
 
-func mergeClusters(dd *Dendrogram, matrix []float64, m int, active, size []int, a, b int, h float64, linkage Linkage) {
+func mergeClusters(dd *Dendrogram, matrix []float64, m int, active, size []int, a, b int, h float64) {
 	newID := len(dd.Nodes)
 	dd.Nodes = append(dd.Nodes, Node{
 		Left:   active[a],
@@ -167,17 +145,7 @@ func mergeClusters(dd *Dendrogram, matrix []float64, m int, active, size []int, 
 		if sk == 0 || k == a || k == b {
 			continue
 		}
-		dak := matrix[a*m+k]
-		dbk := matrix[b*m+k]
-		var v float64
-		switch linkage {
-		case Single:
-			v = math.Min(dak, dbk)
-		case Complete:
-			v = math.Max(dak, dbk)
-		default: // Average
-			v = (na*dak + nb*dbk) / (na + nb)
-		}
+		v := (na*matrix[a*m+k] + nb*matrix[b*m+k]) / (na + nb)
 		matrix[a*m+k] = v
 		matrix[k*m+a] = v
 		matrix[k*m+b] = math.Inf(1)

@@ -12,9 +12,9 @@ import (
 )
 
 // naiveAgglomerative is an O(m³) reference implementation: repeatedly merge
-// the pair of clusters with the smallest linkage distance, recomputing
-// linkage distances from the full pairwise matrix.
-func naiveAgglomerative(m int, d func(i, j int) float64, linkage Linkage) ([]float64, [][]int) {
+// the pair of clusters with the smallest group-average distance, recomputing
+// it from the full pairwise matrix.
+func naiveAgglomerative(m int, d func(i, j int) float64) ([]float64, [][]int) {
 	type clust struct {
 		members []int
 	}
@@ -28,32 +28,13 @@ func naiveAgglomerative(m int, d func(i, j int) float64, linkage Linkage) ([]flo
 		}
 	}
 	link := func(a, b clust) float64 {
-		switch linkage {
-		case Single:
-			best := math.Inf(1)
-			for _, i := range a.members {
-				for _, j := range b.members {
-					best = math.Min(best, base[i][j])
-				}
+		var s float64
+		for _, i := range a.members {
+			for _, j := range b.members {
+				s += base[i][j]
 			}
-			return best
-		case Complete:
-			best := math.Inf(-1)
-			for _, i := range a.members {
-				for _, j := range b.members {
-					best = math.Max(best, base[i][j])
-				}
-			}
-			return best
-		default:
-			var s float64
-			for _, i := range a.members {
-				for _, j := range b.members {
-					s += base[i][j]
-				}
-			}
-			return s / float64(len(a.members)*len(b.members))
 		}
+		return s / float64(len(a.members)*len(b.members))
 	}
 	clusters := make([]clust, m)
 	for i := range clusters {
@@ -116,7 +97,7 @@ func testDistances(seed int64, m, n int) ([][]float64, func(i, j int) float64) {
 }
 
 func TestSingleItem(t *testing.T) {
-	d := Agglomerative(1, func(i, j int) float64 { return 0 }, Average)
+	d := Agglomerative(1, func(i, j int) float64 { return 0 })
 	if d.Root() != 0 || d.NLeaves != 1 {
 		t.Fatalf("singleton dendrogram malformed: %+v", d)
 	}
@@ -127,7 +108,7 @@ func TestSingleItem(t *testing.T) {
 
 func TestDendrogramShape(t *testing.T) {
 	_, df := testDistances(1, 17, 24)
-	d := Agglomerative(17, df, Average)
+	d := Agglomerative(17, df)
 	if len(d.Nodes) != 2*17-1 {
 		t.Fatalf("node count = %d, want %d", len(d.Nodes), 2*17-1)
 	}
@@ -155,36 +136,34 @@ func TestDendrogramShape(t *testing.T) {
 }
 
 func TestMatchesNaiveReference(t *testing.T) {
-	for _, linkage := range []Linkage{Average, Single, Complete} {
-		for seed := int64(0); seed < 4; seed++ {
-			m := 12
-			_, df := testDistances(seed+10, m, 16)
-			d := Agglomerative(m, df, linkage)
+	for seed := int64(0); seed < 4; seed++ {
+		m := 12
+		_, df := testDistances(seed+10, m, 16)
+		d := Agglomerative(m, df)
 
-			wantHeights, wantPartitions := naiveAgglomerative(m, df, linkage)
+		wantHeights, wantPartitions := naiveAgglomerative(m, df)
 
-			gotHeights := d.CutHeights()
-			sortedGot := append([]float64{}, gotHeights...)
-			sortedWant := append([]float64{}, wantHeights...)
-			sort.Float64s(sortedGot)
-			sort.Float64s(sortedWant)
-			for i := range sortedGot {
-				if math.Abs(sortedGot[i]-sortedWant[i]) > 1e-9 {
-					t.Fatalf("%v seed %d: heights differ: %v vs %v", linkage, seed, sortedGot, sortedWant)
-				}
+		gotHeights := d.CutHeights()
+		sortedGot := append([]float64{}, gotHeights...)
+		sortedWant := append([]float64{}, wantHeights...)
+		sort.Float64s(sortedGot)
+		sort.Float64s(sortedWant)
+		for i := range sortedGot {
+			if math.Abs(sortedGot[i]-sortedWant[i]) > 1e-9 {
+				t.Fatalf("seed %d: heights differ: %v vs %v", seed, sortedGot, sortedWant)
 			}
-			// Partitions at every K must match the greedy reference.
-			for k := 1; k < m; k++ {
-				frontier := d.Frontier(k)
-				groups := make([][]int, len(frontier))
-				for i, id := range frontier {
-					groups[i] = d.Leaves(id)
-				}
-				got := canonicalPartition(groups)
-				want := wantPartitions[m-1-k]
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%v seed %d K=%d: partition %v != %v", linkage, seed, k, got, want)
-				}
+		}
+		// Partitions at every K must match the greedy reference.
+		for k := 1; k < m; k++ {
+			frontier := d.Frontier(k)
+			groups := make([][]int, len(frontier))
+			for i, id := range frontier {
+				groups[i] = d.Leaves(id)
+			}
+			got := canonicalPartition(groups)
+			want := wantPartitions[m-1-k]
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d K=%d: partition %v != %v", seed, k, got, want)
 			}
 		}
 	}
@@ -192,7 +171,7 @@ func TestMatchesNaiveReference(t *testing.T) {
 
 func TestFrontierSizes(t *testing.T) {
 	_, df := testDistances(3, 20, 16)
-	d := Agglomerative(20, df, Average)
+	d := Agglomerative(20, df)
 	for k := 1; k <= 20; k++ {
 		f := d.Frontier(k)
 		if len(f) != k {
@@ -216,7 +195,7 @@ func TestFrontierSizes(t *testing.T) {
 
 func TestFrontierClamps(t *testing.T) {
 	_, df := testDistances(4, 5, 8)
-	d := Agglomerative(5, df, Average)
+	d := Agglomerative(5, df)
 	if len(d.Frontier(0)) != 1 {
 		t.Fatal("Frontier(0) should clamp to 1")
 	}
@@ -227,7 +206,7 @@ func TestFrontierClamps(t *testing.T) {
 
 func TestAverageLinkageMonotone(t *testing.T) {
 	_, df := testDistances(5, 40, 32)
-	d := Agglomerative(40, df, Average)
+	d := Agglomerative(40, df)
 	// Parent height >= child height (reducibility of group-average linkage).
 	for id := 40; id < len(d.Nodes); id++ {
 		n := d.Nodes[id]
@@ -256,7 +235,7 @@ func TestClustersSeparateObviousGroups(t *testing.T) {
 	}
 	d := Agglomerative(len(items), func(i, j int) float64 {
 		return dist.Euclidean(items[i], items[j], nil)
-	}, Average)
+	})
 	f := d.Frontier(2)
 	got := map[int][]int{}
 	for gi, id := range f {
@@ -279,12 +258,12 @@ func TestAgglomerativeMatrixPanics(t *testing.T) {
 			t.Fatal("want panic on bad matrix size")
 		}
 	}()
-	AgglomerativeMatrix(make([]float64, 3), 2, Average)
+	AgglomerativeMatrix(make([]float64, 3), 2)
 }
 
 func TestRender(t *testing.T) {
 	_, df := testDistances(30, 4, 8)
-	d := Agglomerative(4, df, Average)
+	d := Agglomerative(4, df)
 	out := d.Render([]string{"a", "b", "c", "d"})
 	for _, want := range []string{"- a", "- b", "- c", "- d", "+ (height"} {
 		if !strings.Contains(out, want) {
@@ -301,17 +280,8 @@ func TestRender(t *testing.T) {
 		t.Fatal("render not deterministic")
 	}
 	// Singleton renders its one leaf.
-	s := Agglomerative(1, func(i, j int) float64 { return 0 }, Average)
+	s := Agglomerative(1, func(i, j int) float64 { return 0 })
 	if got := s.Render(nil); !strings.Contains(got, "leaf 0") {
 		t.Fatalf("singleton render: %q", got)
-	}
-}
-
-func TestLinkageString(t *testing.T) {
-	if Average.String() != "average" || Single.String() != "single" || Complete.String() != "complete" {
-		t.Fatal("Linkage.String broken")
-	}
-	if Linkage(9).String() != "Linkage(9)" {
-		t.Fatal("unknown linkage String broken")
 	}
 }

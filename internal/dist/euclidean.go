@@ -73,18 +73,3 @@ func EuclideanEA(q, c []float64, r float64, cnt *stats.Tally) (float64, bool) {
 	cnt.Add(int64(len(q)))
 	return math.Sqrt(acc), false
 }
-
-// SquaredEuclidean returns the squared Euclidean distance (no square root).
-// Used by clustering, where only relative order matters.
-//
-//lbkeogh:hotpath
-func SquaredEuclidean(q, c []float64, cnt *stats.Tally) float64 {
-	checkSameLength(q, c)
-	var acc float64
-	for i := range q {
-		d := q[i] - c[i]
-		acc += d * d
-	}
-	cnt.Add(int64(len(q)))
-	return acc
-}

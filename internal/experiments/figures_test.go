@@ -7,7 +7,6 @@ package experiments
 import (
 	"testing"
 
-	"lbkeogh/internal/cluster"
 	"lbkeogh/internal/core"
 	"lbkeogh/internal/mining"
 	"lbkeogh/internal/shape"
@@ -36,7 +35,7 @@ func TestArticulationClustering(t *testing.T) {
 		rng := ts.NewRand(int64(n))
 		db = append(db, ts.Rotate(plain, rng.Intn(n)), ts.Rotate(bentSig, rng.Intn(n)))
 	}
-	dend := mining.Cluster(db, wedge.ED{}, core.DefaultOptions(), cluster.Average, nil)
+	dend := mining.Cluster(db, wedge.ED{}, core.DefaultOptions(), nil)
 	for _, id := range dend.Frontier(3) {
 		leaves := dend.Leaves(id)
 		if len(leaves) != 2 || leaves[0]/2 != leaves[1]/2 {
@@ -70,7 +69,7 @@ func TestDTWClusteringDiverse(t *testing.T) {
 			db = append(db, ts.Rotate(sig, rng.Intn(n)))
 		}
 	}
-	dend := mining.Cluster(db, wedge.DTW{R: 4}, core.DefaultOptions(), cluster.Average, nil)
+	dend := mining.Cluster(db, wedge.DTW{R: 4}, core.DefaultOptions(), nil)
 	for _, id := range dend.Frontier(pairs) {
 		leaves := dend.Leaves(id)
 		if len(leaves) != 2 || leaves[0]/2 != leaves[1]/2 {

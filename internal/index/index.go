@@ -47,8 +47,8 @@ func (s memStore) Fetch(id int) []float64 { return s[id] }
 func (s memStore) Len() int               { return len(s) }
 
 // Index is the compressed in-memory representation plus the store. Once
-// configured (SetObserver, SetTraceLog) it is safe for concurrent probes, each
-// through its own searcher: the feature columns and the tree are immutable, and
+// configured (SetObserver) it is safe for concurrent probes, each through its
+// own searcher: the feature columns and the tree are immutable, and
 // a probe writes nothing here but the fetch counter and the observer record,
 // both atomic.
 type Index struct {
@@ -62,8 +62,7 @@ type Index struct {
 	paas [][]float64 // PAA means for the DTW path, walked whole by each probe
 	segW []float64   // PAA segment widths (the bound weights)
 
-	obs  *obs.SearchStats // nil: the no-op sink
-	tlog *trace.Log       // nil: no trace recording
+	obs *obs.SearchStats // nil: the no-op sink
 }
 
 // SetObserver installs (or with nil removes) the index's cumulative
@@ -71,13 +70,6 @@ type Index struct {
 // whichever searcher ran it. Call it before the index is shared: it is not
 // safe concurrently with queries.
 func (ix *Index) SetObserver(st *obs.SearchStats) { ix.obs = st }
-
-// SetTraceLog attaches (or with nil detaches) a trace log: every fetch's
-// duration feeds its disk_read stage histogram, and a probe whose searcher
-// carries no recorder of its own records its span trace — index probe,
-// per-candidate fetch, and the verification comparisons — into it. Call it
-// before the index is shared: it is not safe concurrently with queries.
-func (ix *Index) SetTraceLog(l *trace.Log) { ix.tlog = l }
 
 // Reads reports the number of full series fetched since the last ResetReads.
 func (ix *Index) Reads() int { return int(ix.reads.Load()) }
@@ -196,9 +188,10 @@ type walk func(r float64, visit func(id int, bound, r float64) float64)
 // state on, spends its steps on cnt and its outcomes — fetches
 // included — on s's record, and stops with ctx.Err() within one cancellation
 // checkpoint interval of ctx expiring, c then holding a partial answer to
-// discard. Spans nest under the span s's recorder has open; a
-// searcher without one is traced into the index's own log under label.
-func (ix *Index) Probe(ctx context.Context, label string, s *core.Searcher, wedges int, c *core.Collector, cnt *stats.Counter) error {
+// discard. Its spans — the walk and one fetch per fetched row, the
+// comparisons beneath — go to s's recorder under the span it has open; a
+// searcher without one records none.
+func (ix *Index) Probe(ctx context.Context, s *core.Searcher, wedges int, c *core.Collector, cnt *stats.Counter) error {
 	if err := s.Begin(ctx); err != nil {
 		return err
 	}
@@ -212,12 +205,6 @@ func (ix *Index) Probe(ctx context.Context, label string, s *core.Searcher, wedg
 		stage, candidates = trace.StageColumnProbe, ix.paaWalk(rs, kern.R, wedges)
 	}
 	st, rec := s.Stats(), s.Recorder()
-	own := rec == nil
-	if own {
-		rec = ix.tlog.StartTrace(label)
-		s.SetRecorder(rec)
-		defer s.SetRecorder(nil)
-	}
 	before := st.Counts()
 	span := rec.Begin(stage, -1)
 	var fetched int64
@@ -233,34 +220,28 @@ func (ix *Index) Probe(ctx context.Context, label string, s *core.Searcher, wedg
 	// A fetch is counted here and nowhere else, once per probe.
 	ix.reads.Add(fetched)
 	st.AddCounts(&obs.Counts{IndexFetches: fetched}, nil)
-	delta := st.Counts().Sub(before)
 	if st != ix.obs {
+		delta := st.Counts().Sub(before)
 		ix.obs.AddCounts(&delta, nil)
-	}
-	if own {
-		ix.tlog.Finish(rec, delta)
 	}
 	return err
 }
 
-// fetch retrieves one full series for verification. It is the only place a
-// fetch is timed: one interval is both the trace's fetch span and the
-// disk_read stage sample.
+// fetch retrieves one full series for verification, timed as the trace's
+// fetch span: the only place a fetch is timed.
 func (ix *Index) fetch(rec *trace.Recorder, id int) []float64 {
 	start := rec.Now()
 	series := ix.store.Fetch(id)
-	dur := rec.Now() - start
-	rec.Emit(trace.StageFetch, id, start, dur)
-	ix.tlog.ObserveStage(trace.StageDiskRead, dur)
+	rec.Emit(trace.StageFetch, id, start, rec.Now()-start)
 	return series
 }
 
 // probeDefault is Probe through the searcher the rotation-set–taking queries
 // share: H-Merge under kern with the dynamic wedge-set size, recording
 // straight into the index's observer, uncancellable.
-func (ix *Index) probeDefault(label string, rs *core.RotationSet, kern wedge.Kernel, wedges int, c *core.Collector, cnt *stats.Counter) *core.Collector {
+func (ix *Index) probeDefault(rs *core.RotationSet, kern wedge.Kernel, wedges int, c *core.Collector, cnt *stats.Counter) *core.Collector {
 	s := core.NewSearcher(rs, kern, core.Wedge, core.SearcherConfig{Obs: ix.obs})
-	_ = ix.Probe(context.Background(), label, s, wedges, c, cnt) // uncancellable: never errs
+	_ = ix.Probe(context.Background(), s, wedges, c, cnt) // uncancellable: never errs
 	return c
 }
 
@@ -329,12 +310,12 @@ func nearest() *core.Collector { return core.NewCollector(1, math.Inf(1)) }
 // fetching only the objects whose magnitude-feature bound beats the
 // best-so-far.
 func (ix *Index) SearchED(rs *core.RotationSet, cnt *stats.Counter) Result {
-	return ix.probeDefault("index_search_ed", rs, wedge.ED{}, 0, nearest(), cnt).Best()
+	return ix.probeDefault(rs, wedge.ED{}, 0, nearest(), cnt).Best()
 }
 
 // SearchDTW answers an exact 1-NN rotation-invariant DTW query with band R,
 // verifying candidates until the smallest outstanding PAA envelope bound
 // reaches the best-so-far. wedges is paaWalk's K.
 func (ix *Index) SearchDTW(rs *core.RotationSet, R int, wedges int, cnt *stats.Counter) Result {
-	return ix.probeDefault("index_search_dtw", rs, wedge.DTW{R: R}, wedges, nearest(), cnt).Best()
+	return ix.probeDefault(rs, wedge.DTW{R: R}, wedges, nearest(), cnt).Best()
 }

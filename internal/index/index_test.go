@@ -116,7 +116,7 @@ func TestSingleRowIndex(t *testing.T) {
 	rs := core.NewRotationSet(ts.ZNorm(ts.RandomWalk(rng, 32)), core.DefaultOptions(), nil)
 	for _, kern := range []wedge.Kernel{wedge.ED{}, wedge.DTW{R: 2}} {
 		_, want := linearScan(rs, db, kern)
-		got := ix.probeDefault("test_single", rs, kern, 0, nearest(), nil).Best()
+		got := ix.probeDefault(rs, kern, 0, nearest(), nil).Best()
 		if got.Index != 0 || math.Abs(got.Dist-want) > 1e-9 {
 			t.Fatalf("%T: (%d,%v), want (0,%v)", kern, got.Index, got.Dist, want)
 		}
@@ -455,7 +455,7 @@ func TestProbeFetchesOnlyRowsBoundedBelowTheAnswer(t *testing.T) {
 			}
 			for _, k := range []int{1, 5} {
 				store.fetched = nil
-				res := ix.probeDefault("test_topk", rs, kc.kern, 0, core.NewCollector(k, math.Inf(1)), nil).Results()
+				res := ix.probeDefault(rs, kc.kern, 0, core.NewCollector(k, math.Inf(1)), nil).Results()
 				if wantIdx, wantDist := linearScan(rs, db, kc.kern); res[0].Index != wantIdx || math.Abs(res[0].Dist-wantDist) > 1e-9 {
 					t.Fatalf("trial %d %T k %d: nearest (%d,%v), linear (%d,%v)", trial, kc.kern, k, res[0].Index, res[0].Dist, wantIdx, wantDist)
 				}
@@ -509,7 +509,7 @@ func TestProbeFetchesOnlyRowsBoundedBelowTheAnswer(t *testing.T) {
 // rangeProbe answers a range query — every object strictly below r under
 // kern — through the default searcher, in ascending index order.
 func rangeProbe(ix *Index, rs *core.RotationSet, kern wedge.Kernel, r float64) []Result {
-	out := ix.probeDefault("test_range", rs, kern, 0, core.NewCollector(0, r), nil).Results()
+	out := ix.probeDefault(rs, kern, 0, core.NewCollector(0, r), nil).Results()
 	sort.Slice(out, func(a, b int) bool { return out[a].Index < out[b].Index })
 	return out
 }
@@ -517,7 +517,7 @@ func rangeProbe(ix *Index, rs *core.RotationSet, kern wedge.Kernel, r float64) [
 // scanProbe answers a 1-NN query under a kernel the index has no compressed
 // bound for: the walk that proposes every object.
 func scanProbe(ix *Index, rs *core.RotationSet, kern wedge.Kernel) Result {
-	return ix.probeDefault("test_scan", rs, kern, 0, nearest(), nil).Best()
+	return ix.probeDefault(rs, kern, 0, nearest(), nil).Best()
 }
 
 // bruteRange is the reference: every item with exact RED < r.
@@ -709,21 +709,38 @@ func TestProbeDoesNotRetainFetchedRows(t *testing.T) {
 	var st obs.SearchStats
 	tlog := trace.NewLog(trace.Config{SampleRate: 1})
 	fleeting.SetObserver(&st)
-	fleeting.SetTraceLog(tlog)
 	rng := ts.NewRand(52)
 	for _, opts := range []core.Options{core.DefaultOptions(), {Mirror: true, MaxShift: 3}} {
 		rs := core.NewRotationSet(ts.ZNorm(ts.AddNoise(rng, db[7], 0.05)), opts, nil)
+		// traced probes the index through a searcher carrying a recorder, so
+		// the trace sees every fetched row too.
+		traced := func(ix *Index, kern wedge.Kernel, c *core.Collector) []Result {
+			s := core.NewSearcher(rs, kern, core.Wedge, core.SearcherConfig{})
+			rec := tlog.StartTrace("probe")
+			s.SetRecorder(rec)
+			if err := ix.Probe(context.Background(), s, 0, c, nil); err != nil {
+				t.Fatal(err)
+			}
+			tlog.Finish(rec, obs.Counts{})
+			return c.Results()
+		}
 		for name, search := range map[string]func(*Index) []Result{
-			"SearchED":  func(ix *Index) []Result { return []Result{ix.SearchED(rs, nil)} },
-			"SearchDTW": func(ix *Index) []Result { return []Result{ix.SearchDTW(rs, 3, 0, nil)} },
-			"scan LCSS": func(ix *Index) []Result { return []Result{scanProbe(ix, rs, wedge.LCSS{Delta: 3, Eps: 0.5})} },
-			"range ED":  func(ix *Index) []Result { return rangeProbe(ix, rs, wedge.ED{}, 4) },
-			"range DTW": func(ix *Index) []Result { return rangeProbe(ix, rs, wedge.DTW{R: 3}, 3) },
+			"SearchED":    func(ix *Index) []Result { return []Result{ix.SearchED(rs, nil)} },
+			"SearchDTW":   func(ix *Index) []Result { return []Result{ix.SearchDTW(rs, 3, 0, nil)} },
+			"scan LCSS":   func(ix *Index) []Result { return []Result{scanProbe(ix, rs, wedge.LCSS{Delta: 3, Eps: 0.5})} },
+			"range ED":    func(ix *Index) []Result { return rangeProbe(ix, rs, wedge.ED{}, 4) },
+			"range DTW":   func(ix *Index) []Result { return rangeProbe(ix, rs, wedge.DTW{R: 3}, 3) },
+			"traced ED":   func(ix *Index) []Result { return traced(ix, wedge.ED{}, nearest()) },
+			"traced DTW":  func(ix *Index) []Result { return traced(ix, wedge.DTW{R: 3}, core.NewCollector(0, 3)) },
+			"traced LCSS": func(ix *Index) []Result { return traced(ix, wedge.LCSS{Delta: 3, Eps: 0.5}, nearest()) },
 		} {
 			if got, want := search(fleeting), search(direct); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s %+v over fleeting rows: %+v, over stable rows %+v", name, opts, got, want)
 			}
 		}
+	}
+	if finished, _ := tlog.Totals(); finished == 0 || tlog.Latencies().Histogram(trace.StageFetch).Count() == 0 {
+		t.Fatalf("%d traces finished, fetch spans %d", finished, tlog.Latencies().Histogram(trace.StageFetch).Count())
 	}
 }
 
@@ -737,7 +754,7 @@ func TestProbeConcurrentSearchers(t *testing.T) {
 	ix := Build(db, 8)
 	var cum obs.SearchStats
 	ix.SetObserver(&cum)
-	ix.SetTraceLog(trace.NewLog(trace.Config{SampleRate: 1}))
+	tlog := trace.NewLog(trace.Config{SampleRate: 1})
 	workers := max(4, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	fetched := make([]int64, workers)
@@ -752,10 +769,13 @@ func TestProbeConcurrentSearchers(t *testing.T) {
 				wantIdx, wantDist := linearScan(rs, db, wedge.ED{})
 				var st obs.SearchStats
 				s := core.NewSearcher(rs, wedge.ED{}, core.Wedge, core.SearcherConfig{Obs: &st})
+				rec := tlog.StartTrace("probe")
+				s.SetRecorder(rec)
 				c := nearest()
-				if err := ix.Probe(context.Background(), "test", s, 0, c, nil); err != nil {
+				if err := ix.Probe(context.Background(), s, 0, c, nil); err != nil {
 					t.Errorf("worker %d round %d: %v", w, round, err)
 				}
+				tlog.Finish(rec, st.Counts())
 				if got := c.Best(); got.Index != wantIdx || math.Abs(got.Dist-wantDist) > 1e-9 {
 					t.Errorf("worker %d round %d: index (%d,%v) != linear (%d,%v)", w, round, got.Index, got.Dist, wantIdx, wantDist)
 				}

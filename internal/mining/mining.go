@@ -78,9 +78,9 @@ func DistanceMatrix(db [][]float64, kern wedge.Kernel, opts core.Options, cnt *s
 // Cluster runs group-average hierarchical clustering over the exact
 // rotation-invariant distances and returns the dendrogram — the engine
 // behind the paper's Figures 3, 16, 17 and 18.
-func Cluster(db [][]float64, kern wedge.Kernel, opts core.Options, linkage cluster.Linkage, cnt *stats.Counter) *cluster.Dendrogram {
+func Cluster(db [][]float64, kern wedge.Kernel, opts core.Options, cnt *stats.Counter) *cluster.Dendrogram {
 	d := DistanceMatrix(db, kern, opts, cnt)
-	return cluster.Agglomerative(len(db), func(i, j int) float64 { return d[i][j] }, linkage)
+	return cluster.Agglomerative(len(db), func(i, j int) float64 { return d[i][j] })
 }
 
 // Medoid returns the index of the series with the smallest sum of exact

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"lbkeogh/internal/cluster"
 	"lbkeogh/internal/core"
 	"lbkeogh/internal/ts"
 	"lbkeogh/internal/wedge"
@@ -119,7 +118,7 @@ func TestClusterRecoversPlantedGroups(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		db = append(db, ts.ZNorm(ts.AddNoise(rng, ts.Rotate(baseB, rng.Intn(32)), 0.05)))
 	}
-	dend := Cluster(db, wedge.ED{}, core.DefaultOptions(), cluster.Average, nil)
+	dend := Cluster(db, wedge.ED{}, core.DefaultOptions(), nil)
 	front := dend.Frontier(2)
 	for _, id := range front {
 		leaves := dend.Leaves(id)

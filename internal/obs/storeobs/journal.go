@@ -5,8 +5,8 @@
 // reconcile against the store's own ingest and compaction counters.
 //
 // Reads are not journalled, nor counted by the store. The index counts and
-// times every fetch it makes (its probe's index_fetches, its trace's fetch
-// span and disk_read stage); a cold page cache shows as major page faults.
+// times every fetch it makes (its probe's index_fetches, its query's fetch
+// span); a cold page cache shows as major page faults.
 //
 // A nil *Journal is a no-op sink, so a store or bulk writer with none
 // attached pays one nil check per event.

@@ -14,7 +14,9 @@
 // around a stage, Emit for an already-timed interval — and nesting falls out
 // of call order through its open-span stack. A comparison is one span with
 // nothing beneath it; a recorder at its span cap is Full, which callers
-// treat as absent.
+// treat as absent. A recorder belongs to one query: an index probe records
+// its walk and fetches into its caller's recorder and keeps no log of its
+// own, so an untraced query leaves no trace anywhere.
 //
 // Spans carry obs.Counts deltas as attributes, so a comparison span's
 // attrs satisfy the same reconciliation identity as the query's SearchStats

@@ -28,9 +28,6 @@ const (
 	StageColumnProbe
 	// StageFetch covers one full-resolution record fetch for verification.
 	StageFetch
-	// StageDiskRead covers one record read from the series store
-	// (histogram-only: the index feeds it each fetch span's duration).
-	StageDiskRead
 	// StageMonitorFilter covers one full-window filter pass of a stream
 	// monitor (histogram-only).
 	StageMonitorFilter
@@ -48,7 +45,6 @@ var stageNames = [NumStages]string{
 	StageVPProbe:        "vp_probe",
 	StageColumnProbe:    "paa_probe",
 	StageFetch:          "fetch",
-	StageDiskRead:       "disk_read",
 	StageMonitorFilter:  "monitor_filter",
 }
 

@@ -170,15 +170,15 @@ func TestLogFeedsHistogramsForUnretainedTraces(t *testing.T) {
 
 func TestLogObserveStageAndNil(t *testing.T) {
 	l := NewLog(Config{})
-	l.ObserveStage(StageDiskRead, 1234)
-	if got := l.Latencies().Histogram(StageDiskRead).Count(); got != 1 {
-		t.Errorf("disk_read count = %d, want 1", got)
+	l.ObserveStage(StageMonitorFilter, 1234)
+	if got := l.Latencies().Histogram(StageMonitorFilter).Count(); got != 1 {
+		t.Errorf("monitor_filter count = %d, want 1", got)
 	}
 	var nilLog *Log
 	if nilLog.StartTrace("x") != nil {
 		t.Error("nil log must start nil recorders")
 	}
-	nilLog.ObserveStage(StageDiskRead, 1)
+	nilLog.ObserveStage(StageMonitorFilter, 1)
 	nilLog.Finish(nil, obs.Counts{})
 	if nilLog.Recent() != nil || nilLog.Slow() != nil || nilLog.Latencies() != nil {
 		t.Error("nil log accessors must return nil")

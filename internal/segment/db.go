@@ -89,9 +89,6 @@ func (s *Snapshot) Len() int { return s.total }
 // Generation returns the manifest generation this snapshot reflects.
 func (s *Snapshot) Generation() int64 { return s.gen }
 
-// NumSegments returns how many segment files back this snapshot.
-func (s *Snapshot) NumSegments() int { return len(s.segs) }
-
 // MappedBytes sums the live mappings across the snapshot's segments.
 func (s *Snapshot) MappedBytes() int64 {
 	var n int64
@@ -397,13 +394,14 @@ func (db *DB) Busy() bool { return db.busy.Load() > 0 }
 // Ingest appends a batch of series (with optional labels; nil labels default
 // to each record's global ID, matching shapeingest) as one new segment and
 // publishes the next generation. Returns the global ID of the first appended
-// record.
+// record. An error the batch itself causes wraps ErrInvalidRecords; any other
+// is the store's failure to commit it.
 func (db *DB) Ingest(series [][]float64, labels []int64) (firstID int, err error) {
 	if len(series) == 0 {
-		return 0, fmt.Errorf("segment: ingest of zero records")
+		return 0, invalid("ingest of zero records")
 	}
 	if labels != nil && len(labels) != len(series) {
-		return 0, fmt.Errorf("segment: %d labels for %d records", len(labels), len(series))
+		return 0, invalid("%d labels for %d records", len(labels), len(series))
 	}
 	db.busy.Add(1)
 	defer db.busy.Add(-1)
@@ -430,7 +428,7 @@ func (db *DB) Ingest(series [][]float64, labels []int64) (firstID int, err error
 	}
 	for i, row := range series {
 		if len(row) != n {
-			return 0, fmt.Errorf("segment: record %d has length %d, want %d", i, len(row), n)
+			return 0, invalid("record %d has length %d, want %d", i, len(row), n)
 		}
 	}
 

@@ -1,6 +1,8 @@
 package segment
 
 import (
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -272,5 +274,40 @@ func TestDBConcurrentCompactSwap(t *testing.T) {
 	verifyAll(t, db, next)
 	if db.Stats().Generation < 20 {
 		t.Fatalf("generation %d, want >= 20 swaps", db.Stats().Generation)
+	}
+}
+
+// An ingest the records themselves make impossible wraps ErrInvalidRecords;
+// one the store cannot commit does not, so a server can tell the client's
+// fault from its own.
+func TestIngestErrorsNameTheFault(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenDB(dir, testD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	row := testSeries(0, testN)
+	nan := testSeries(1, testN)
+	nan[3] = math.NaN()
+	for name, batch := range map[string]struct {
+		series [][]float64
+		labels []int64
+	}{
+		"zero records":   {nil, nil},
+		"label count":    {[][]float64{row, row}, []int64{1}},
+		"row length":     {[][]float64{row, row[1:]}, nil},
+		"shorter than 2": {[][]float64{{1}, {2}}, nil},
+		"non-finite":     {[][]float64{row, nan}, nil},
+	} {
+		if _, err := db.Ingest(batch.series, batch.labels); !errors.Is(err, ErrInvalidRecords) {
+			t.Errorf("%s: err = %v, want ErrInvalidRecords", name, err)
+		}
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Ingest([][]float64{row, row}, nil); err == nil || errors.Is(err, ErrInvalidRecords) {
+		t.Fatalf("ingest into a vanished directory: err = %v, want a commit failure", err)
 	}
 }

@@ -169,7 +169,7 @@ func (r *Reader) verifySections() error {
 	for i, s := range r.secs {
 		h := crc32.NewIEEE()
 		for off := int64(0); off < s.length; off += chunk {
-			size := int(min64(chunk, s.length-off))
+			size := int(min(chunk, s.length-off))
 			b, err := r.be.record(s.off+off, size, scratch[:size])
 			if err != nil {
 				return err
@@ -182,13 +182,6 @@ func (r *Reader) verifySections() error {
 		}
 	}
 	return nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Len returns the number of records.
@@ -230,17 +223,6 @@ func (r *Reader) floatRecord(sec int, i int, width int) []float64 {
 //lbkeogh:hotpath
 func (r *Reader) Series(i int) []float64 {
 	return r.floatRecord(0, i, r.n)
-}
-
-// CopySeries decodes record i's series into dst (grown as needed) and
-// returns it — the always-safe form whose result outlives any snapshot.
-func (r *Reader) CopySeries(i int, dst []float64) []float64 {
-	if cap(dst) < r.n {
-		dst = make([]float64, r.n)
-	}
-	dst = dst[:r.n]
-	copy(dst, r.Series(i))
-	return dst
 }
 
 // Magnitudes returns record i's rotation-invariant Fourier magnitudes.

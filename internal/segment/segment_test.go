@@ -70,9 +70,6 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 		if got := r.Series(i); !floatsEqual(got, want) {
 			t.Fatalf("Series(%d) mismatch", i)
 		}
-		if got := r.CopySeries(i, nil); !floatsEqual(got, want) {
-			t.Fatalf("CopySeries(%d) mismatch", i)
-		}
 		if got := r.Magnitudes(i); !floatsEqual(got, fourier.Magnitudes(want, d)) {
 			t.Fatalf("Magnitudes(%d) mismatch", i)
 		}

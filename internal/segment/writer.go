@@ -3,6 +3,7 @@ package segment
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash"
 	"hash/crc32"
@@ -15,6 +16,17 @@ import (
 	"lbkeogh/internal/paa"
 	"lbkeogh/internal/ts"
 )
+
+// ErrInvalidRecords is wrapped by every error the records handed to a store
+// cause themselves — none at all, a label count that does not match them, a
+// length that does not match the store's or is below 2, a NaN or ±Inf sample
+// — and by no error the store meets writing them.
+var ErrInvalidRecords = errors.New("invalid records")
+
+// invalid formats an error wrapping ErrInvalidRecords.
+func invalid(format string, args ...any) error {
+	return fmt.Errorf("segment: %w: "+format, append([]any{ErrInvalidRecords}, args...)...)
+}
 
 // Features computes the per-record compressed columns a segment stores
 // alongside the raw series: the rotation-invariant Fourier magnitudes and
@@ -76,7 +88,7 @@ type Writer struct {
 // one filesystem.
 func NewWriter(path string, n, d int) (*Writer, error) {
 	if n < 2 {
-		return nil, fmt.Errorf("segment: series length %d < 2", n)
+		return nil, invalid("series length %d < 2", n)
 	}
 	if d < 1 || d > n/2 {
 		return nil, fmt.Errorf("segment: dims %d outside [1, n/2=%d]", d, n/2)
@@ -98,7 +110,7 @@ func NewWriter(path string, n, d int) (*Writer, error) {
 // when features were computed elsewhere (e.g. by ingest workers).
 func (w *Writer) Add(series []float64, label int64) error {
 	if len(series) != w.n {
-		return fmt.Errorf("segment: series length %d != %d", len(series), w.n)
+		return invalid("series length %d != %d", len(series), w.n)
 	}
 	mags, paas := Features(series, w.d)
 	return w.AddPrecomputed(series, mags, paas, label)
@@ -113,10 +125,10 @@ func (w *Writer) AddPrecomputed(series, mags, paas []float64, label int64) error
 		return fmt.Errorf("segment: writer already closed")
 	}
 	if len(series) != w.n {
-		return fmt.Errorf("segment: series length %d != %d", len(series), w.n)
+		return invalid("series length %d != %d", len(series), w.n)
 	}
 	if i := ts.NonFinite(series); i >= 0 {
-		return fmt.Errorf("segment: record %d sample %d is %v; every sample must be finite", w.count, i, series[i])
+		return invalid("record %d sample %d is %v; every sample must be finite", w.count, i, series[i])
 	}
 	if len(mags) != w.d || len(paas) != w.d {
 		return fmt.Errorf("segment: feature lengths %d/%d != dims %d", len(mags), len(paas), w.d)

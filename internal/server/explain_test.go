@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -172,32 +171,17 @@ func TestServerExplainSamplerMetrics(t *testing.T) {
 	}
 }
 
-// TestServerDebugIndex: the introspection endpoint serves a stable JSON
-// report of the structural health of the index's VP-tree and the wedge
-// hierarchy.
+// TestServerDebugIndex: no structure report is served — the query's trace,
+// its index_fetches and EXPLAIN's envelope tightness describe the index on
+// the traffic it serves — so /debug/index is an unknown path in static and
+// in store mode alike.
 func TestServerDebugIndex(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	code, body := getStatus(t, ts.URL+"/debug/index")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/index: %d (%s)", code, body)
-	}
-	var rep IndexReport
-	if err := json.Unmarshal([]byte(body), &rep); err != nil {
-		t.Fatalf("/debug/index JSON: %v\n%s", err, body)
-	}
-	if rep.Dims != serveDims {
-		t.Errorf("dims = %d, want %d", rep.Dims, serveDims)
-	}
-	if rep.Index.Objects != 20 || rep.Index.VPTree.Points != 20 {
-		t.Errorf("object/tree point counts = %d/%d, want 20 each", rep.Index.Objects, rep.Index.VPTree.Points)
-	}
-	if rep.Wedge.Members == 0 || rep.Wedge.RootArea <= 0 || len(rep.Wedge.KProfiles) == 0 {
-		t.Errorf("wedge stats incomplete: %+v", rep.Wedge)
-	}
-	// Built per request, from the same index: the same report each time.
-	code2, body2 := getStatus(t, ts.URL+"/debug/index")
-	if code2 != http.StatusOK || body2 != body {
-		t.Error("second /debug/index response differs from the first")
+	_, static := newTestServer(t, Config{})
+	_, _, store := newStoreServer(t, Config{})
+	for name, ts := range map[string]*httptest.Server{"static": static, "store": store} {
+		if code, body := getStatus(t, ts.URL+"/debug/index"); code != http.StatusNotFound {
+			t.Errorf("%s mode: /debug/index answered %d (%s), want 404", name, code, body)
+		}
 	}
 }
 

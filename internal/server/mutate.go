@@ -11,6 +11,8 @@ import (
 	"io"
 	"net/http"
 	"time"
+
+	"lbkeogh/internal/segment"
 )
 
 // IngestRequest is the /v1/ingest body: a batch of series, all the store's
@@ -78,23 +80,18 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			finish(http.StatusBadRequest, "bad request", "error", err.Error())
 			return
 		}
-		if len(req.Series) == 0 {
-			writeError(w, http.StatusBadRequest, "series must carry at least one row")
-			finish(http.StatusBadRequest, "bad request", "error", "empty series")
-			return
-		}
-		if req.Labels != nil && len(req.Labels) != len(req.Series) {
-			writeError(w, http.StatusBadRequest, "%d labels for %d series", len(req.Labels), len(req.Series))
-			finish(http.StatusBadRequest, "bad request", "error", "label count mismatch")
-			return
-		}
 		start := time.Now()
 		firstID, err := s.store.Ingest(req.Series, req.Labels)
 		if err != nil {
-			// Shape errors (length mismatch, too-short rows) are the client's;
-			// anything the store could not commit is ours.
-			writeError(w, http.StatusBadRequest, "ingest: %v", err)
-			finish(http.StatusBadRequest, "ingest failed", "error", err.Error())
+			// Records the store refuses (no rows, a label count or length that
+			// does not match, a non-finite sample) are the client's; anything
+			// the store could not commit is ours.
+			code := http.StatusInternalServerError
+			if errors.Is(err, segment.ErrInvalidRecords) {
+				code = http.StatusBadRequest
+			}
+			writeError(w, code, "ingest: %v", err)
+			finish(code, "ingest failed", "error", err.Error())
 			return
 		}
 		resp := IngestResponse{

@@ -304,7 +304,6 @@ func (s *Server) buildMux() *http.ServeMux {
 		}
 	}))
 	mux.Handle("/debug/lbkeogh", lbkeogh.DebugHandlerWithPanels(sources, logs, s.tel.panel(), s.explainPanel()))
-	mux.HandleFunc("/debug/index", s.handleDebugIndex)
 	mux.HandleFunc("/debug/storage", s.handleDebugStorage)
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

@@ -11,6 +11,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -242,8 +243,7 @@ func TestStoreModeConcurrentCompactSwap(t *testing.T) {
 }
 
 // TestStoreMetricsAndIntrospection pins the store metric families on
-// /metrics, the livez store block, and /debug/index's 404: store mode scans
-// flat, so no index serves for it to describe.
+// /metrics and the livez store block.
 func TestStoreMetricsAndIntrospection(t *testing.T) {
 	_, _, ts := newStoreServer(t, Config{})
 	if code, raw := postJSON(t, ts, "/v1/ingest", ingestBody(storeRows(7, 8, 32)), nil); code != http.StatusOK {
@@ -289,13 +289,40 @@ func TestStoreMetricsAndIntrospection(t *testing.T) {
 		t.Fatalf("livez store block: %s", live)
 	}
 
-	resp, err := http.Get(ts.URL + "/debug/index")
+}
+
+// TestIngestStatusNamesTheFault: a batch the store refuses is the client's
+// fault and answers 400; a valid batch the store cannot commit — its
+// directory vanished under it — is the server's and answers 500.
+func TestIngestStatusNamesTheFault(t *testing.T) {
+	dir := t.TempDir()
+	db, err := segment.OpenDB(dir, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound || !strings.Contains(string(raw), "scans flat") {
-		t.Fatalf("/debug/index in store mode: status %d body %s", resp.StatusCode, raw)
+	t.Cleanup(func() { db.Close() })
+	srv, err := New(Config{Store: db})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	rows := storeRows(9, 2, 16)
+	for name, body := range map[string]string{
+		"zero rows":   `{"series":[]}`,
+		"label count": `{"series":[[1,2,3,4],[4,3,2,1]],"labels":[7]}`,
+		"row length":  `{"series":[[1,2,3,4],[4,3,2]]}`,
+		"too short":   `{"series":[[1],[2]]}`,
+	} {
+		if code, raw := postJSON(t, ts, "/v1/ingest", body, nil); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d body %s, want 400", name, code, raw)
+		}
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if code, raw := postJSON(t, ts, "/v1/ingest", ingestBody(rows), nil); code != http.StatusInternalServerError {
+		t.Fatalf("ingest into a vanished store: status %d body %s, want 500", code, raw)
 	}
 }

@@ -49,7 +49,15 @@ type Monitor struct {
 	pos    int
 	seen   int // total values consumed
 
-	steps stats.Counter   // cumulative num_steps; Push flushes a stack-local Tally
+	// win, stack and local are the working memory of one full-window Push —
+	// the window in stream order, the wedge walk's stack and its step tally —
+	// so a Push that matches nothing allocates nothing.
+	win   []float64
+	stack []int
+	//lint:ignore tallyescape a Monitor is confined to one goroutine; a stack Tally would escape through the Kernel interface and cost an allocation per window
+	local stats.Tally
+
+	steps stats.Counter   // cumulative num_steps; Push flushes local into it
 	obs   obs.SearchStats // per-window pruning breakdowns
 	tlog  *trace.Log      // nil: no filter-latency histograms
 }
@@ -94,6 +102,7 @@ func NewMonitor(patterns [][]float64, kern wedge.Kernel, threshold float64) (*Mo
 		n:         n,
 		envs:      envs,
 		buf:       make([]float64, n),
+		win:       make([]float64, n),
 	}, nil
 }
 
@@ -114,13 +123,11 @@ func (m *Monitor) Stats() *obs.SearchStats { return &m.obs }
 // millions of values; the histogram is the useful granularity.
 func (m *Monitor) SetTraceLog(l *trace.Log) { m.tlog = l }
 
-// window materializes the current ring buffer in stream order.
+// window copies the ring buffer into m.win in stream order and returns it.
 func (m *Monitor) window() []float64 {
-	out := make([]float64, m.n)
-	for i := 0; i < m.n; i++ {
-		out[i] = m.buf[(m.pos+i)%m.n]
-	}
-	return out
+	copy(m.win, m.buf[m.pos:])
+	copy(m.win[m.n-m.pos:], m.buf[:m.pos])
+	return m.win
 }
 
 // Push consumes one stream value and returns the patterns matching the
@@ -149,20 +156,21 @@ func (m *Monitor) Push(v float64) []Match {
 	var out []Match
 	// The window's steps, outcomes and per-level prunes are tallied here with
 	// plain increments and flushed into the shared record once, below.
-	var local stats.Tally
+	local := &m.local
+	*local = stats.Tally{}
 	var levels [obs.MaxPruneLevels]int64
 	counts := obs.Counts{Comparisons: 1, Rotations: int64(m.tree.Members())}
 
 	// Depth-first over the wedge hierarchy with threshold pruning.
 	d := m.tree.Dendrogram()
-	stack := []int{d.Root()}
+	stack := append(m.stack[:0], d.Root())
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		node := d.Nodes[id]
 		if node.Left < 0 {
 			counts.WedgeLeafVisits++
-			dd, abandoned := m.kernel.Distance(w, m.tree.Member(id), m.threshold, &local)
+			dd, abandoned := m.kernel.Distance(w, m.tree.Member(id), m.threshold, local)
 			if abandoned {
 				counts.EarlyAbandons++
 				continue
@@ -173,7 +181,7 @@ func (m *Monitor) Push(v float64) []Match {
 			}
 			continue
 		}
-		lb, abandoned := m.kernel.LowerBound(w, m.envs[id], m.threshold, &local)
+		lb, abandoned := m.kernel.LowerBound(w, m.envs[id], m.threshold, local)
 		if abandoned || lb >= m.threshold {
 			counts.WedgePrunedMembers += int64(node.Size)
 			levels[obs.PruneLevel(m.tree.Depth(id))]++
@@ -182,6 +190,7 @@ func (m *Monitor) Push(v float64) []Match {
 		counts.WedgeNodeVisits++
 		stack = append(stack, node.Left, node.Right)
 	}
+	m.stack = stack
 	counts.Steps = local.Steps()
 	m.steps.Add(counts.Steps)
 	m.obs.AddCounts(&counts, &levels)

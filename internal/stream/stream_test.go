@@ -174,3 +174,27 @@ func TestMonitorValidation(t *testing.T) {
 		t.Fatalf("WindowLen = %d", m.WindowLen())
 	}
 }
+
+// Once the window is full, a Push that matches nothing allocates nothing:
+// the window and the wedge walk's stack live on the Monitor.
+func TestMonitorPushDoesNotAllocate(t *testing.T) {
+	patterns := makePatterns(10, 8, 32)
+	for _, kern := range []wedge.Kernel{wedge.ED{}, wedge.DTW{R: 3}} {
+		m, err := NewMonitor(patterns, kern, 1e-3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream := ts.RandomSeries(ts.NewRand(11), 256)
+		m.PushAll(stream[:64])
+		i := 64
+		allocs := testing.AllocsPerRun(100, func() {
+			if got := m.Push(stream[i%len(stream)]); got != nil {
+				t.Fatalf("unexpected match %v", got)
+			}
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("%T: %v allocations per non-matching Push, want 0", kern, allocs)
+		}
+	}
+}

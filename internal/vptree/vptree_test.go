@@ -118,7 +118,7 @@ func TestSingletonAndDuplicates(t *testing.T) {
 	// All-duplicate points must not loop forever.
 	dup := [][]float64{{2, 2}, {2, 2}, {2, 2}, {2, 2}, {2, 2}}
 	tree = New(dup, 1, 0)
-	if tree.Inspect().Points != 5 {
+	if len(tree.points) != 5 {
 		t.Fatal("size wrong")
 	}
 	idx, d := searchNN(tree, []float64{2, 2})

@@ -1,107 +1,18 @@
 package wedge
 
-// KProfile describes one candidate wedge-set size K: the frontier the
-// dendrogram cut yields, its total envelope area (the paper's W figure of
-// merit — smaller wedges bound tighter), and how unevenly members are packed
-// into wedges.
-type KProfile struct {
-	K int `json:"k"`
-	// Wedges is the actual frontier size (the cut clamps to at most K).
-	Wedges int `json:"wedges"`
-	// TotalArea is the summed base-envelope area of the frontier wedges;
-	// MeanArea divides by the wedge count.
-	TotalArea float64 `json:"total_area"`
-	MeanArea  float64 `json:"mean_area"`
-	// MaxMembers is the largest member count packed under a single wedge of
-	// this frontier.
-	MaxMembers int `json:"max_members"`
-}
-
-// TreeStats is a structural self-report of a built wedge hierarchy, serving
-// the index introspection endpoint: wedge sizes across candidate K cuts and
-// the quality of the agglomerative merges (how much area each merge added —
-// bad merges produce fat wedges that never prune).
+// TreeStats is a structural summary of a built wedge hierarchy.
 type TreeStats struct {
-	// Members is the number of candidate series (rotations); Nodes counts all
-	// dendrogram nodes, leaves included; Len is the series length.
-	Members int `json:"members"`
-	Nodes   int `json:"nodes"`
-	Len     int `json:"len"`
 	// MaxDepth is the deepest leaf's dendrogram depth (root = 0).
 	MaxDepth int `json:"max_depth"`
-	// RootArea is the root wedge's base envelope area — the widest the
-	// hierarchy ever gets; per-sample that is RootArea/Len.
-	RootArea float64 `json:"root_area"`
-	// Merge quality: per merge, the area the merged wedge adds over its
-	// larger child, normalized per sample (so it is comparable across series
-	// lengths). Mean and max over all merges; a large max flags one merge
-	// that glued dissimilar rotations together.
-	MeanMergeInflation float64 `json:"mean_merge_inflation"`
-	MaxMergeInflation  float64 `json:"max_merge_inflation"`
-	// KProfiles samples the K-cut trade-off at powers of two up to MaxK
-	// (always including K = MaxK, the all-singletons cut).
-	KProfiles []KProfile `json:"k_profiles"`
 }
 
-// Stats walks the built hierarchy and returns its structural report. It uses
-// the same locked frontier cache as searches, so it is safe to call
-// concurrently with them (the extra cuts it materializes stay cached).
+// Stats walks the built hierarchy's leaves and returns its summary. It reads
+// only what the build fixed, so it is safe to call concurrently with
+// searches.
 func (t *Tree) Stats() TreeStats {
-	m := len(t.members)
-	st := TreeStats{
-		Members:  m,
-		Nodes:    len(t.dend.Nodes),
-		Len:      t.Len(),
-		RootArea: t.env[len(t.env)-1].Area(),
-	}
-	for i := 0; i < m; i++ {
-		if t.depth[i] > st.MaxDepth {
-			st.MaxDepth = t.depth[i]
-		}
-	}
-	n := float64(t.Len())
-	merges := 0
-	for id := m; id < len(t.dend.Nodes); id++ {
-		node := t.dend.Nodes[id]
-		childMax := t.env[node.Left].Area()
-		if a := t.env[node.Right].Area(); a > childMax {
-			childMax = a
-		}
-		infl := (t.env[id].Area() - childMax) / n
-		st.MeanMergeInflation += infl
-		if infl > st.MaxMergeInflation {
-			st.MaxMergeInflation = infl
-		}
-		merges++
-	}
-	if merges > 0 {
-		st.MeanMergeInflation /= float64(merges)
-	}
-	for k := 1; ; k *= 2 {
-		if k >= m {
-			st.KProfiles = append(st.KProfiles, t.kProfile(m))
-			break
-		}
-		st.KProfiles = append(st.KProfiles, t.kProfile(k))
+	var st TreeStats
+	for i := range t.members {
+		st.MaxDepth = max(st.MaxDepth, t.depth[i])
 	}
 	return st
-}
-
-func (t *Tree) kProfile(k int) KProfile {
-	frontier := t.frontierFor(k)
-	p := KProfile{K: k, Wedges: len(frontier)}
-	for _, id := range frontier {
-		p.TotalArea += t.env[id].Area()
-		size := 1
-		if id >= len(t.members) {
-			size = t.dend.Nodes[id].Size
-		}
-		if size > p.MaxMembers {
-			p.MaxMembers = size
-		}
-	}
-	if len(frontier) > 0 {
-		p.MeanArea = p.TotalArea / float64(len(frontier))
-	}
-	return p
 }

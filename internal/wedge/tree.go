@@ -74,7 +74,7 @@ func BuildFilled(members [][]float64, fill func(matrix []float64), cnt *stats.Ta
 	}
 	matrix := (*buf)[:m*m]
 	fill(matrix)
-	dend := cluster.AgglomerativeMatrix(matrix, m, cluster.Average)
+	dend := cluster.AgglomerativeMatrix(matrix, m)
 	matrixPool.Put(buf)
 
 	env := make([]envelope.Envelope, len(dend.Nodes))

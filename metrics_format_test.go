@@ -45,7 +45,6 @@ func TestMetricsBodiesAreTextFormat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ix.SetTraceLog(tlog)
 		if _, err := q.Search(db); err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +65,7 @@ func TestMetricsBodiesAreTextFormat(t *testing.T) {
 			ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
 		sampler.WriteMetrics(rr.Body) // as a serving process appends it
 		checkTextFormat(t, rr.Header().Get("Content-Type"), rr.Body.String(),
-			"lbkeogh_query_comparison_steps", "lbkeogh_query_stage_latency_seconds", "lbkeogh_index_stage_latency_seconds",
+			"lbkeogh_query_comparison_steps", "lbkeogh_query_stage_latency_seconds",
 			"lbkeogh_explain_bound_tightness_ratio")
 	})
 

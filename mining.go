@@ -121,7 +121,7 @@ func Cluster(db []Series, m Measure, opts ...QueryOption) (*Dendrogram, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Dendrogram{d: mining.Cluster(db, m.kern, copts, cluster.Average, nil)}, nil
+	return &Dendrogram{d: mining.Cluster(db, m.kern, copts, nil)}, nil
 }
 
 // Medoid returns the index of the most central series of db — smallest sum

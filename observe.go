@@ -27,8 +27,8 @@ import (
 // reset.
 //
 // SearchStats and the four types below are aliases of the internal record
-// every layer fills in, exactly as IndexHealth is: the public API needs no
-// copy of the field list and no conversion.
+// every layer fills in: the public API needs no copy of the field list and
+// no conversion.
 type SearchStats = obs.Snapshot
 
 // Counts is the scalar-counter record embedded in SearchStats (and carried

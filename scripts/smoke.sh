@@ -5,8 +5,8 @@
 # IDs and that the trace holds nothing beneath a comparison, and /readyz
 # flips while the server drains gracefully on SIGTERM.
 # Part 2: boot a shapeserver, run an EXPLAIN search, and assert the plan
-# parses, its stage waterfall reconciles exactly with the deltas of the
-# /metrics outcome counters, and /debug/index serves the index-health report.
+# parses and its stage waterfall reconciles exactly with the deltas of the
+# /metrics outcome counters.
 # Part 3: the segment-store ingest smoke.
 set -eu
 
@@ -254,23 +254,11 @@ print(f"explain waterfall reconciles: {wf['rotations']} rotations, "
 PY
 fi
 
-# Index-health introspection serves a structural report of the VP-tree.
-curl -fsS "http://$eaddr/debug/index" >"$tmp/index.json" ||
-	fail "/debug/index did not answer 200"
-grep -q '"vp_tree":' "$tmp/index.json" ||
-	fail "/debug/index is missing the VP-tree report"
-grep -q '"k_profiles":' "$tmp/index.json" ||
-	fail "/debug/index is missing the wedge K profiles"
-if command -v python3 >/dev/null 2>&1; then
-	python3 -m json.tool "$tmp/index.json" >/dev/null ||
-		fail "/debug/index is not valid JSON"
-fi
-
 kill -TERM "$spid" 2>/dev/null || true
 wait "$spid" 2>/dev/null || true
 spid=""
 
-echo "smoke: ok ($eaddr: explain plan reconciles with /metrics, /debug/index serves)"
+echo "smoke: ok ($eaddr: explain plan reconciles with /metrics)"
 
 # ---- Part 3: segment-store ingest, serve, compact ------------------------
 
