@@ -38,7 +38,7 @@ race:
 # session pooling, streaming ingest, the shared cumulative telemetry, the parallel
 # scan's shared best-so-far, the matrix pool every concurrent query build
 # shares, the index every in-flight server session probes at once, and the
-# root package's MetricsHandler / PublishExpvar over a live Query): -count=2
+# root package's MetricsHandler over a live parallel Query): -count=2
 # reruns shake out init-order-dependent interleavings that a single -race pass
 # can miss.
 race-concurrency:

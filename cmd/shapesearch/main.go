@@ -9,14 +9,13 @@
 //	shapesearch -db db.csv -query 3 -mirror -maxdeg 45
 //	shapesearch -db db.csv -query 4 -indexed -dims 16
 //	shapesearch -db db.csv -query 4 -stats          # pruning breakdown as JSON
-//	shapesearch -db db.csv -query 4 -pprof :8080    # serve /metrics + pprof
-//	shapesearch -db db.csv -query 4 -serve :8080    # trace the search and serve
-//	                                                # the /debug/lbkeogh dashboard
+//	shapesearch -db db.csv -query 4 -serve :8080    # trace the search, then serve
+//	                                                # /metrics, /debug/lbkeogh and
+//	                                                # /debug/pprof/
 package main
 
 import (
 	"encoding/json"
-	"expvar"
 	"flag"
 	"fmt"
 	"net/http"
@@ -43,8 +42,7 @@ func main() {
 		parallel = flag.Int("parallel", 1, "worker goroutines for the linear scan (0 = GOMAXPROCS)")
 		emitStat = flag.Bool("stats", false, "print the search's pruning breakdown as JSON after the results")
 		explain  = flag.Bool("explain", false, "run the search in EXPLAIN mode and print the structured plan (stage waterfall, bound tightness) as JSON")
-		pprofOn  = flag.String("pprof", "", "serve /metrics (Prometheus text), /debug/vars and /debug/pprof/ on this address and block after the search")
-		serveOn  = flag.String("serve", "", "like -pprof, but additionally trace the search (every query sampled) and serve the live /debug/lbkeogh dashboard")
+		serveOn  = flag.String("serve", "", "trace the search (every query sampled), then serve /metrics (Prometheus text), /debug/lbkeogh (the trace log as JSON and Chrome trace-event files) and /debug/pprof/ on this address and block")
 	)
 	flag.Parse()
 	if *dbPath == "" {
@@ -80,10 +78,6 @@ func main() {
 	if *maxDeg >= 0 {
 		opts = append(opts, lbkeogh.WithMaxRotationDegrees(*maxDeg))
 	}
-	addr := *serveOn
-	if addr == "" {
-		addr = *pprofOn
-	}
 	var tlog *lbkeogh.TraceLog
 	if *serveOn != "" {
 		tlog = lbkeogh.NewTraceLog(lbkeogh.WithSampleRate(1))
@@ -109,9 +103,8 @@ func main() {
 		q.SetExplain(true)
 	}
 
-	if addr != "" {
-		lbkeogh.PublishExpvar("shapesearch_query", q)
-		go serveObs(addr, q, tlog)
+	if *serveOn != "" {
+		go serveObs(*serveOn, q, tlog)
 	}
 
 	var results []lbkeogh.SearchResult
@@ -172,8 +165,8 @@ func main() {
 	if *emitStat {
 		emitJSON("-stats", q.Stats()) // an indexed search runs through the query too
 	}
-	if addr != "" {
-		fmt.Printf("search done; serving /metrics, /debug/lbkeogh and /debug/pprof/ on %s (interrupt to stop)\n", addr)
+	if *serveOn != "" {
+		fmt.Printf("search done; serving /metrics, /debug/lbkeogh and /debug/pprof/ on %s (interrupt to stop)\n", *serveOn)
 		select {}
 	}
 }
@@ -189,18 +182,12 @@ func emitJSON(what string, v any) {
 }
 
 // serveObs serves the public metrics handler over the query's record (an
-// indexed search runs through the query too), the trace dashboard, expvar
-// and the pprof profiles on a private mux.
+// indexed search runs through the query too), the trace log and the pprof
+// profiles on a private mux.
 func serveObs(addr string, q *lbkeogh.Query, tlog *lbkeogh.TraceLog) {
-	sources := map[string]lbkeogh.StatsSource{"shapesearch_query": q}
-	logs := map[string]*lbkeogh.TraceLog{}
-	if tlog != nil {
-		logs["shapesearch_query"] = tlog
-	}
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", lbkeogh.MetricsHandler(sources))
-	mux.Handle("/debug/lbkeogh", lbkeogh.DebugHandler(sources, logs))
-	mux.Handle("/debug/vars", expvar.Handler())
+	mux.Handle("/metrics", lbkeogh.MetricsHandler(map[string]lbkeogh.StatsSource{"shapesearch_query": q}))
+	mux.Handle("/debug/lbkeogh", tlog)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

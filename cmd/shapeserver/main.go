@@ -22,11 +22,13 @@
 //
 // The process emits a structured request log (JSON by default; see -log and
 // -log-level) and binds the listener before the database load so /livez
-// answers immediately (/readyz stays 503 until the database is in). The live
-// dashboard is at /debug/lbkeogh (traces downloadable as Chrome trace-event
-// JSON for ui.perfetto.dev), expvar at /debug/vars, and CPU and heap profiles,
-// taken on demand, at /debug/pprof/. The server starts no background
-// telemetry goroutine.
+// answers immediately (/readyz stays 503 until the database is in). Counters
+// and histograms are at /metrics. The trace log is at /debug/lbkeogh: its
+// summaries as JSON, and with ?format=chrome its traces as Chrome trace-event
+// JSON for ui.perfetto.dev (404 under -notrace). A segment store reports its
+// storage plane as JSON at /debug/storage. CPU and heap profiles, taken on
+// demand, are at /debug/pprof/. The server starts no background telemetry
+// goroutine.
 package main
 
 import (
@@ -69,7 +71,7 @@ func main() {
 		maxTO       = flag.Duration("max-timeout", 60*time.Second, "cap on client-requested timeout_ms")
 		grace       = flag.Duration("grace", 15*time.Second, "shutdown grace period for draining in-flight requests")
 		drainWait   = flag.Duration("drain-wait", 2*time.Second, "pause between flipping /readyz and closing the listener, so load balancers observe the flip")
-		notrace     = flag.Bool("notrace", false, "disable query tracing (smaller overhead, empty dashboard)")
+		notrace     = flag.Bool("notrace", false, "disable query tracing (smaller overhead; /debug/lbkeogh answers 404)")
 		traceSample = flag.Float64("trace-sample", 1.0, "fraction of non-slow traces the trace log retains")
 		logFormat   = flag.String("log", "json", "structured log format: json or text")
 		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error")
@@ -193,15 +195,19 @@ func main() {
 		logger.Error("server build failed", "error", err)
 		os.Exit(1)
 	}
-	lbkeogh.PublishExpvar("shapeserver", srv)
 	handler.Store(srv.Handler())
 	size := len(db)
+	endpoints := "/v1/search /v1/topk /v1/range /v1/ingest /v1/compact /livez /readyz /metrics"
+	if tlog != nil {
+		endpoints += " /debug/lbkeogh"
+	}
 	if store != nil {
 		size = store.Len()
+		endpoints += " /debug/storage"
 	}
 	logger.Info("serving",
 		"series", size, "series_len", srv.Len(), "addr", ln.Addr().String(),
-		"endpoints", "/v1/search /v1/topk /v1/range /v1/ingest /v1/compact /livez /readyz /metrics /debug/lbkeogh /debug/storage /debug/pprof/")
+		"endpoints", endpoints+" /debug/pprof/")
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

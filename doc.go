@@ -63,8 +63,9 @@
 // rotation was either fully evaluated or pruned by exactly one mechanism.
 // Collection uses atomic counters and is safe under SearchParallel; with no
 // consumer the sink is a nil pointer and costs only a branch.
-// MetricsHandler / PublishExpvar export live counters in Prometheus text and
-// expvar form. SearchStats, Counts, KChange, HistogramBucket and
+// MetricsHandler exports live counters in Prometheus text form, and a
+// TraceLog serves its traces over HTTP as JSON summaries and Chrome
+// trace-event files. SearchStats, Counts, KChange, HistogramBucket and
 // StageLatency are aliases of the internal/obs types every layer fills in:
 // internal/obs owns the record, the list of its counters and the table that
 // names their metric families, so the public API carries no copy of them.

@@ -68,14 +68,6 @@ func AngularSubstCost(a, b byte) float64 {
 	return float64(d) / 4
 }
 
-// UnitSubstCost is 0/1 substitution.
-func UnitSubstCost(a, b byte) float64 {
-	if a == b {
-		return 0
-	}
-	return 1
-}
-
 // EditDistance is the classic string edit distance between a and b with the
 // given substitution cost and insertion/deletion cost.
 func EditDistance(a, b []byte, sub func(x, y byte) float64, indel float64) float64 {

@@ -66,26 +66,31 @@ func TestSubstCosts(t *testing.T) {
 	if AngularSubstCost(0, 7) != 0.25 || AngularSubstCost(7, 0) != 0.25 {
 		t.Fatal("adjacent directions must cost 0.25 (cyclic)")
 	}
-	if UnitSubstCost(1, 1) != 0 || UnitSubstCost(1, 2) != 1 {
-		t.Fatal("unit cost broken")
+}
+
+// unitSubst is 0/1 substitution: the classic string edit distance.
+func unitSubst(a, b byte) float64 {
+	if a == b {
+		return 0
 	}
+	return 1
 }
 
 func TestEditDistanceKnown(t *testing.T) {
 	a := []byte{0, 1, 2, 3}
-	if d := EditDistance(a, a, UnitSubstCost, 1); d != 0 {
+	if d := EditDistance(a, a, unitSubst, 1); d != 0 {
 		t.Fatalf("self distance %v", d)
 	}
 	// One substitution.
 	b := []byte{0, 1, 7, 3}
-	if d := EditDistance(a, b, UnitSubstCost, 1); d != 1 {
+	if d := EditDistance(a, b, unitSubst, 1); d != 1 {
 		t.Fatalf("one-subst distance %v", d)
 	}
 	// Pure indels.
-	if d := EditDistance(a, a[:2], UnitSubstCost, 1); d != 2 {
+	if d := EditDistance(a, a[:2], unitSubst, 1); d != 2 {
 		t.Fatalf("deletion distance %v", d)
 	}
-	if d := EditDistance(nil, a, UnitSubstCost, 1); d != 4 {
+	if d := EditDistance(nil, a, unitSubst, 1); d != 4 {
 		t.Fatalf("empty-vs-full distance %v", d)
 	}
 }
@@ -97,9 +102,9 @@ func TestEditDistanceTriangle(t *testing.T) {
 	for _, a := range strs {
 		for _, b := range strs {
 			for _, c := range strs {
-				ab := EditDistance(a, b, UnitSubstCost, 1)
-				bc := EditDistance(b, c, UnitSubstCost, 1)
-				ac := EditDistance(a, c, UnitSubstCost, 1)
+				ab := EditDistance(a, b, unitSubst, 1)
+				bc := EditDistance(b, c, unitSubst, 1)
+				ac := EditDistance(a, c, unitSubst, 1)
 				if ac > ab+bc+1e-12 {
 					t.Fatalf("triangle violated: %v > %v + %v", ac, ab, bc)
 				}
@@ -120,7 +125,7 @@ func TestCyclicEditDistanceRotationInvariant(t *testing.T) {
 	}
 	// A rotated copy is at distance 0.
 	rot := append(append([]byte{}, a[4:]...), a[:4]...)
-	if d := CyclicEditDistance(rot, a, UnitSubstCost, 1); d != 0 {
+	if d := CyclicEditDistance(rot, a, unitSubst, 1); d != 0 {
 		t.Fatalf("rotated copy distance %v", d)
 	}
 }
@@ -161,7 +166,7 @@ func TestReferenceSteps(t *testing.T) {
 }
 
 func TestCyclicEmpty(t *testing.T) {
-	if d := CyclicEditDistance(nil, []byte{1, 2}, UnitSubstCost, 1); d != 2 {
+	if d := CyclicEditDistance(nil, []byte{1, 2}, unitSubst, 1); d != 2 {
 		t.Fatalf("empty cyclic distance %v", d)
 	}
 }

@@ -140,16 +140,3 @@ func Split(series [][]float64, labels []int) (trainS [][]float64, trainL []int, 
 	}
 	return
 }
-
-// Evaluate classifies every test instance against the training set and
-// returns the error rate.
-func Evaluate(trainS [][]float64, trainL []int, testS [][]float64, testL []int, kern wedge.Kernel, opts core.Options, cnt *stats.Counter) float64 {
-	errs := 0
-	for i, q := range testS {
-		nn, _ := NearestNeighbour(q, trainS, -1, kern, opts, cnt)
-		if trainL[nn] != testL[i] {
-			errs++
-		}
-	}
-	return float64(errs) / float64(len(testS))
-}

@@ -89,15 +89,6 @@ func TestSplitPreservesAll(t *testing.T) {
 	}
 }
 
-func TestEvaluateOnSplit(t *testing.T) {
-	series, labels := smallDataset(t)
-	trS, trL, teS, teL := Split(series, labels)
-	err := Evaluate(trS, trL, teS, teL, wedge.ED{}, core.DefaultOptions(), nil)
-	if err > 0.4 {
-		t.Fatalf("holdout error %v too high", err)
-	}
-}
-
 func TestLeaveOneOutAligned(t *testing.T) {
 	// Aligned classification on pre-aligned data is exactly pairwise 1-NN;
 	// rotating instances randomly must hurt it but not the rotation-

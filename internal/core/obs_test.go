@@ -116,10 +116,8 @@ func TestScanParallelSharedStats(t *testing.T) {
 		var cnt stats.Counter
 		ScanParallel(rs, wedge.ED{}, strat, SearcherConfig{Obs: st}, db, 4, &cnt)
 		sn := st.Snapshot()
-		// The tie-resolution pass may re-check earlier items, so the record can
-		// hold more comparisons than series — never fewer.
-		if sn.Comparisons < int64(len(db)) {
-			t.Fatalf("strategy %v: Comparisons = %d, want >= %d", strat, sn.Comparisons, len(db))
+		if sn.Comparisons != int64(len(db)) {
+			t.Fatalf("strategy %v: Comparisons = %d, want %d", strat, sn.Comparisons, len(db))
 		}
 		if !sn.Reconciles() {
 			t.Fatalf("strategy %v: shared record does not reconcile: %+v", strat, sn)

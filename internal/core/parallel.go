@@ -16,7 +16,7 @@ import (
 // best-so-far threshold is shared through a mutex so all workers prune
 // against the global best. The result is identical to the serial scan: the
 // database series with the minimum rotation-invariant distance, with ties
-// broken towards the lowest index.
+// broken towards the lowest index. Each series is matched exactly once.
 //
 // Work is handed out in contiguous chunks via an atomic-style cursor under
 // the same mutex that guards the best-so-far; the per-item work dwarfs the
@@ -78,7 +78,7 @@ func ScanParallelContext(ctx context.Context, rs *RotationSet, kernel wedge.Kern
 				mu.Lock()
 				lo := next
 				next += chunk
-				threshold := best.Dist
+				threshold := tieLimit(best.Dist)
 				mu.Unlock()
 				if lo >= len(db) {
 					break
@@ -100,7 +100,7 @@ func ScanParallelContext(ctx context.Context, rs *RotationSet, kernel wedge.Kern
 					if m.Dist < best.Dist || (m.Dist == best.Dist && i < best.Index) {
 						best = m
 					}
-					threshold = best.Dist
+					threshold = tieLimit(best.Dist)
 					mu.Unlock()
 				}
 			}
@@ -111,28 +111,12 @@ func ScanParallelContext(ctx context.Context, rs *RotationSet, kernel wedge.Kern
 	if err := ctx.Err(); err != nil {
 		return ScanResult{Index: -1, Dist: math.Inf(1)}, err
 	}
-	if best.Index < 0 {
-		return best, nil
-	}
-	// Ties at exactly equal distance across workers may resolve to a higher
-	// index than the serial scan would report, because a worker that found
-	// the tie first blocks the equal-distance match at a lower index (its
-	// threshold comparison is strict). Resolve by re-checking all earlier
-	// items at an epsilon-loosened threshold.
-	searcher := NewSearcher(rs, kernel, strategy, cfg)
-	if err := searcher.Begin(ctx); err != nil {
-		return ScanResult{Index: -1, Dist: math.Inf(1)}, err
-	}
-	defer searcher.End()
-	for i := 0; i < best.Index; i++ {
-		if err := ctx.Err(); err != nil {
-			return ScanResult{Index: -1, Dist: math.Inf(1)}, err
-		}
-		m := searcher.MatchSeries(db[i], best.Dist*(1+1e-12)+1e-300, cnt)
-		if m.Found() && m.Dist <= best.Dist {
-			best = ScanResult{Index: i, Dist: m.Dist, Member: m.Member}
-			break
-		}
-	}
 	return best, nil
 }
+
+// tieLimit loosens a best-so-far into a worker's match threshold. The
+// collector keeps only strictly closer matches, so without the loosening a
+// worker that learned of a best at a higher index would prune an exact tie
+// at a lower one; with it the tie is matched and the (dist, index) merge
+// resolves it as the serial scan does.
+func tieLimit(best float64) float64 { return best*(1+1e-12) + 1e-300 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"lbkeogh/internal/obs"
 	"lbkeogh/internal/stats"
 	"lbkeogh/internal/ts"
 	"lbkeogh/internal/wedge"
@@ -68,13 +69,33 @@ func TestScanParallelTieBreaksToLowestIndex(t *testing.T) {
 	}
 }
 
+// TestScanParallelStepsAccounted: a parallel scan charges its steps and
+// matches every series exactly once — no second pass over the rows below the
+// answer — and still answers what the serial scan does, an exact tie below
+// the answer included.
 func TestScanParallelStepsAccounted(t *testing.T) {
 	db, q := parallelTestDB(4, 120, 32)
 	rs := NewRotationSet(q, DefaultOptions(), nil)
-	var cnt stats.Counter
-	ScanParallel(rs, wedge.ED{}, Wedge, SearcherConfig{}, db, 4, &cnt)
-	if cnt.Steps() == 0 {
-		t.Fatal("parallel scan charged no steps")
+	serial := NewSearcher(rs, wedge.ED{}, Wedge, SearcherConfig{}).Scan(db, nil)
+	if serial.Index < 2 {
+		t.Fatalf("serial answer is row %d; the test needs rows below it", serial.Index)
+	}
+	tied := append([][]float64{}, db...)
+	tied = append(tied, db[serial.Index])
+	tied[serial.Index-1] = db[serial.Index]
+	for _, workers := range []int{2, 4} {
+		st := &obs.SearchStats{}
+		var cnt stats.Counter
+		got := ScanParallel(rs, wedge.ED{}, Wedge, SearcherConfig{Obs: st}, tied, workers, &cnt)
+		if cnt.Steps() == 0 {
+			t.Fatal("parallel scan charged no steps")
+		}
+		if c := st.Snapshot().Comparisons; c != int64(len(tied)) {
+			t.Fatalf("workers=%d: %d comparisons over %d rows", workers, c, len(tied))
+		}
+		if got.Index != serial.Index-1 || got.Dist != serial.Dist { //lint:ignore floateq the tie is the same row, so the same bits
+			t.Fatalf("workers=%d: parallel (%d,%v), want the tie (%d,%v)", workers, got.Index, got.Dist, serial.Index-1, serial.Dist)
+		}
 	}
 }
 

@@ -89,17 +89,6 @@ func Merge(a, b Envelope) Envelope {
 // Len returns the series length covered by the envelope.
 func (e Envelope) Len() int { return len(e.U) }
 
-// Area returns the total vertical extent sum(U_i - L_i). The paper observes
-// (Figure 8) that a wedge's pruning utility is inversely related to its area;
-// the wedge-producing clustering minimizes exactly this quantity.
-func (e Envelope) Area() float64 {
-	var a float64
-	for i := range e.U {
-		a += e.U[i] - e.L[i]
-	}
-	return a
-}
-
 // Contains reports whether series s lies inside the envelope everywhere,
 // within tolerance tol.
 func (e Envelope) Contains(s []float64, tol float64) bool {

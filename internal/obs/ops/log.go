@@ -67,24 +67,6 @@ func Or(l *slog.Logger) *slog.Logger {
 	return l
 }
 
-type loggerKey struct{}
-
-// WithLogger returns a context carrying the request-scoped logger. Handlers
-// install a logger annotated with request_id (and later trace_id) so every
-// layer below logs with the same correlation fields.
-func WithLogger(ctx context.Context, l *slog.Logger) context.Context {
-	return context.WithValue(ctx, loggerKey{}, l)
-}
-
-// FromContext returns the request-scoped logger, or the discard logger when
-// none is installed — never nil.
-func FromContext(ctx context.Context) *slog.Logger {
-	if l, ok := ctx.Value(loggerKey{}).(*slog.Logger); ok && l != nil {
-		return l
-	}
-	return Discard()
-}
-
 // IDSource mints process-unique request IDs: a fixed prefix derived from the
 // process identity (so IDs from different processes don't collide in shared
 // log storage) plus an atomic sequence number. Safe for concurrent use.

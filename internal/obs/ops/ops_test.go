@@ -2,13 +2,14 @@ package ops
 
 import (
 	"bytes"
-	"context"
 	"log/slog"
 	"runtime/metrics"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"lbkeogh/internal/obs"
 )
 
 func TestREDIsCumulative(t *testing.T) {
@@ -40,12 +41,12 @@ func TestREDQuantilesAreBucketResolution(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.Observe(200, time.Duration(1<<20-1)*time.Nanosecond) // ~1ms, bound 2^20
 	}
-	snap := r.Snapshot()
-	if snap.P50NS != 1024 {
-		t.Errorf("p50 = %d, want 1024", snap.P50NS)
+	buckets := r.Histogram().Buckets()
+	if p50 := obs.BucketQuantile(buckets, 0.50); p50 != 1024 {
+		t.Errorf("p50 = %d, want 1024", p50)
 	}
-	if snap.P99NS != 1<<20 {
-		t.Errorf("p99 = %d, want %d", snap.P99NS, int64(1)<<20)
+	if p99 := obs.BucketQuantile(buckets, 0.99); p99 != 1<<20 {
+		t.Errorf("p99 = %d, want %d", p99, int64(1)<<20)
 	}
 }
 
@@ -54,8 +55,10 @@ func TestErrorClass(t *testing.T) {
 		200: "ok", 302: "ok", 400: "client", 404: "client",
 		429: "rejected", 504: "timeout", 500: "server", 503: "server",
 	} {
-		if got := ErrorClass(status); got != want {
-			t.Errorf("ErrorClass(%d) = %q, want %q", status, got, want)
+		var r RED
+		r.Observe(status, time.Millisecond)
+		if got := r.Snapshot().Classes[want]; got != 1 {
+			t.Errorf("status %d: class %q holds %d requests, want 1", status, want, got)
 		}
 	}
 }
@@ -143,13 +146,12 @@ func TestIDSourceIsUniqueAndConcurrent(t *testing.T) {
 }
 
 func TestLoggerContextRoundTrip(t *testing.T) {
-	if FromContext(context.Background()) != Discard() {
-		t.Error("background context does not yield the discard logger")
+	if Or(nil) != Discard() {
+		t.Error("a nil logger does not yield the discard logger")
 	}
 	var buf bytes.Buffer
 	l := NewLogger(&buf, "json", "info")
-	ctx := WithLogger(context.Background(), l.With("request_id", "r-1"))
-	FromContext(ctx).Info("hello", "k", "v")
+	Or(l.With("request_id", "r-1")).Info("hello", "k", "v")
 	line := buf.String()
 	for _, want := range []string{`"msg":"hello"`, `"request_id":"r-1"`, `"k":"v"`} {
 		if !strings.Contains(line, want) {

@@ -22,9 +22,6 @@ const (
 // classNames indexes the class constants for label emission.
 var classNames = [numClasses]string{"ok", "client", "rejected", "timeout", "server"}
 
-// ErrorClass buckets an HTTP status code into its error-class label.
-func ErrorClass(status int) string { return classNames[classIndex(status)] }
-
 // ClassNames returns the error-class label vocabulary in emission order.
 func ClassNames() []string { return append([]string(nil), classNames[:]...) }
 
@@ -76,10 +73,6 @@ type REDSnapshot struct {
 	// ("ok", "client", "rejected", "timeout", "server"; every class present).
 	Requests int64
 	Classes  map[string]int64
-	// Bucket-resolution latency quantiles since process start: the bucket
-	// upper bound (ns) the quantile falls in, -1 for the overflow bucket, 0
-	// when nothing was observed.
-	P50NS, P99NS int64
 }
 
 // Snapshot reads the record.
@@ -93,8 +86,5 @@ func (r *RED) Snapshot() REDSnapshot {
 		out.Classes[classNames[c]] = n
 		out.Requests += n
 	}
-	buckets := r.durations.Buckets()
-	out.P50NS = obs.BucketQuantile(buckets, 0.50)
-	out.P99NS = obs.BucketQuantile(buckets, 0.99)
 	return out
 }

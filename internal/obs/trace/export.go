@@ -12,7 +12,7 @@ import (
 // Timestamps and durations are microseconds, as the format requires; span
 // nesting is implied by interval containment within one pid/tid, which is
 // exactly how the recorder's parentage was derived, so Perfetto and
-// chrome://tracing render the same tree the dashboard does.
+// chrome://tracing render the recorder's span tree.
 type chromeEvent struct {
 	Name string         `json:"name"`
 	Ph   string         `json:"ph"`

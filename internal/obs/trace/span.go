@@ -48,24 +48,13 @@ var stageNames = [NumStages]string{
 	StageMonitorFilter:  "monitor_filter",
 }
 
-// String returns the stable lowercase stage name used in exports, metrics
-// and the dashboard.
+// String returns the stable lowercase stage name used in exports and
+// metrics.
 func (s Stage) String() string {
 	if s < NumStages {
 		return stageNames[s]
 	}
 	return "unknown"
-}
-
-// StageFromName returns the Stage with the given String(), or NumStages when
-// no stage matches.
-func StageFromName(name string) Stage {
-	for s, n := range stageNames {
-		if n == name {
-			return Stage(s)
-		}
-	}
-	return NumStages
 }
 
 // Span is one timed region of a trace. Start is nanoseconds since the

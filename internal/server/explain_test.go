@@ -3,7 +3,6 @@ package server
 import (
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"lbkeogh/internal/obs"
@@ -182,26 +181,5 @@ func TestServerDebugIndex(t *testing.T) {
 		if code, body := getStatus(t, ts.URL+"/debug/index"); code != http.StatusNotFound {
 			t.Errorf("%s mode: /debug/index answered %d (%s), want 404", name, code, body)
 		}
-	}
-}
-
-// TestDebugPanelShowsTightness: the /debug/lbkeogh page carries the bound
-// tightness panel in both sampler states.
-func TestDebugPanelShowsTightness(t *testing.T) {
-	_, ts := newTestServer(t, Config{ExplainSampleInterval: 1})
-	if code, _, raw := post(t, ts, "/v1/search", `{"query_index":0}`); code != http.StatusOK {
-		t.Fatalf("search: %d (%s)", code, raw)
-	}
-	code, body := getStatus(t, ts.URL+"/debug/lbkeogh")
-	if code != http.StatusOK || !strings.Contains(body, "bound tightness") {
-		t.Fatalf("/debug/lbkeogh missing tightness panel: %d", code)
-	}
-	if !strings.Contains(body, "envelope") {
-		t.Error("tightness panel lists no envelope bound after a sampled search")
-	}
-	_, tsOff := newTestServer(t, Config{ExplainSampleInterval: -1})
-	code, body = getStatus(t, tsOff.URL+"/debug/lbkeogh")
-	if code != http.StatusOK || !strings.Contains(body, "sampling is disabled") {
-		t.Fatalf("disabled-sampler panel wrong: %d", code)
 	}
 }

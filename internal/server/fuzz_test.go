@@ -3,11 +3,13 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
 	"lbkeogh"
+	"lbkeogh/internal/segment"
 )
 
 // FuzzSearchRequest sends arbitrary bodies to the three search endpoints of
@@ -71,4 +73,100 @@ func FuzzSearchRequest(f *testing.F) {
 func ownDeadline(body []byte) bool {
 	var req SearchRequest
 	return json.Unmarshal(body, &req) == nil && req.TimeoutMS > 0
+}
+
+// FuzzMutateRequest sends arbitrary bodies to /v1/ingest and /v1/compact on a
+// server over one temp-dir segment store, opened once per fuzz process, so
+// the store carries every accepted batch into the next input: the first
+// accepted ingest fixes the series length the later ones must match. Nothing
+// may panic or answer 5xx. A 200 from ingest grows the store by exactly its
+// count, and the rows read back bit for bit; a 200 from compact leaves the
+// rows and reports the live segments.
+func FuzzMutateRequest(f *testing.F) {
+	rows := func(seed int64, m, n int) string {
+		b, _ := json.Marshal(lbkeogh.SyntheticProjectilePoints(seed, m, n))
+		return string(b)
+	}
+	for _, seed := range []struct {
+		endpoint uint8
+		body     string
+	}{
+		{0, `{"series":` + rows(1, 3, 16) + `}`}, // the first ingest fixes the length
+		{0, `{"series":` + rows(2, 2, 16) + `,"labels":[7,8]}`},
+		{0, `{"series":` + rows(3, 2, 16) + `,"labels":[7]}`},
+		{0, `{"series":` + rows(4, 1, 12) + `}`},
+		{0, `{"series":[[1,2,3],[4,5]]}`},
+		{0, `{"series":[[1]]}`},
+		{0, `{"series":[]}`},
+		{0, `{"series":[[1e400,2]]}`},
+		{0, `{"rows":[[1,2]]}`},
+		{1, `{}`},
+		{1, `{"min_records":0}`},
+		{1, `{"min_records":-3}`},
+		{1, `{"min_records":4}`},
+		{1, ``},
+		{1, `{"min_records":"x"}`},
+		{0, `null`},
+		{1, `[]`},
+	} {
+		f.Add(seed.endpoint, []byte(seed.body))
+	}
+	db, err := segment.OpenDB(f.TempDir(), 4)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { db.Close() })
+	srv, err := New(Config{Store: db})
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := srv.Handler()
+	paths := [...]string{"/v1/ingest", "/v1/compact"}
+	f.Fuzz(func(t *testing.T, endpoint uint8, body []byte) {
+		path := paths[int(endpoint)%len(paths)]
+		before := db.Len()
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if rr.Code >= 500 {
+			t.Fatalf("%s %q: status %d: %s", path, body, rr.Code, rr.Body)
+		}
+		if rr.Code != http.StatusOK {
+			if db.Len() != before {
+				t.Fatalf("%s %q: refused with %d, yet the store went from %d to %d rows", path, body, rr.Code, before, db.Len())
+			}
+			return
+		}
+		if path == "/v1/compact" {
+			var cr CompactResponse
+			if err := json.Unmarshal(rr.Body.Bytes(), &cr); err != nil {
+				t.Fatalf("compact %q: 200 whose body does not decode: %v", body, err)
+			}
+			if db.Len() != before || cr.Segments != len(db.Stats().Segments) {
+				t.Fatalf("compact %q: %d rows -> %d, reports %d segments of %d", body, before, db.Len(), cr.Segments, len(db.Stats().Segments))
+			}
+			return
+		}
+		var ir IngestResponse
+		if err := json.Unmarshal(rr.Body.Bytes(), &ir); err != nil {
+			t.Fatalf("ingest %q: 200 whose body does not decode: %v", body, err)
+		}
+		if db.Len() != before+ir.Count || ir.FirstID != int64(before) {
+			t.Fatalf("ingest %q: %d rows -> %d, response first_id %d count %d", body, before, db.Len(), ir.FirstID, ir.Count)
+		}
+		var req IngestRequest
+		if err := json.Unmarshal(body, &req); err != nil || len(req.Series) != ir.Count {
+			t.Fatalf("ingest %q: accepted a body that decodes to %d rows (%v), response count %d", body, len(req.Series), err, ir.Count)
+		}
+		for i, want := range req.Series {
+			got := db.Fetch(before + i)
+			if len(got) != len(want) {
+				t.Fatalf("ingest %q: row %d reads back %d samples, want %d", body, i, len(got), len(want))
+			}
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("ingest %q: row %d sample %d reads back %v, want %v", body, i, j, got[j], want[j])
+				}
+			}
+		}
+	})
 }

@@ -12,7 +12,6 @@ import (
 
 	"lbkeogh"
 	"lbkeogh/internal/obs"
-	"lbkeogh/internal/obs/ops"
 	"lbkeogh/internal/segment"
 )
 
@@ -302,7 +301,7 @@ func (s *Server) searchEndpoint(kind searchKind) http.HandlerFunc {
 			return
 		}
 		finish := rq.finish
-		ctx := ops.WithLogger(r.Context(), rq.lg)
+		ctx := r.Context()
 		// Pin this request's database view: in store mode a refcounted
 		// snapshot whose mappings survive any concurrent compaction; the
 		// search, query_index resolution, and labels all read one generation.

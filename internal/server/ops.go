@@ -2,14 +2,10 @@ package server
 
 import (
 	"fmt"
-	"html/template"
 	"io"
 	"log/slog"
 	"sort"
-	"strings"
-	"time"
 
-	"lbkeogh"
 	"lbkeogh/internal/obs/ops"
 )
 
@@ -92,54 +88,3 @@ func sortedKeys[V any](m map[string]V) []string {
 	sort.Strings(out)
 	return out
 }
-
-// panel renders the per-endpoint records as a dashboard section for
-// /debug/lbkeogh.
-func (t *telemetry) panel() lbkeogh.DebugPanel {
-	return lbkeogh.DebugPanel{
-		Title: "requests by endpoint (since start)",
-		HTML:  t.panelHTML,
-	}
-}
-
-type endpointRow struct {
-	Endpoint string
-	Snap     ops.REDSnapshot
-	P50, P99 time.Duration
-}
-
-func (t *telemetry) panelHTML() template.HTML {
-	var rows []endpointRow
-	for _, ep := range sortedKeys(t.endpoints) {
-		snap := t.endpoints[ep].Snapshot()
-		rows = append(rows, endpointRow{
-			Endpoint: ep,
-			Snap:     snap,
-			P50:      time.Duration(max(snap.P50NS, 0)),
-			P99:      time.Duration(max(snap.P99NS, 0)),
-		})
-	}
-	var b strings.Builder
-	if err := telemetryPanelTemplate.Execute(&b, rows); err != nil {
-		return template.HTML(template.HTMLEscapeString(err.Error()))
-	}
-	return template.HTML(b.String())
-}
-
-var telemetryPanelTemplate = template.Must(template.New("telemetry").Parse(`
-<table>
-<tr><th class="l">endpoint</th><th>requests</th>
-<th>ok</th><th>client</th><th>rejected</th><th>timeout</th><th>server</th>
-<th>p50</th><th>p99</th></tr>
-{{range .}}
-<tr><td class="l">{{.Endpoint}}</td><td>{{.Snap.Requests}}</td>
-<td>{{index .Snap.Classes "ok"}}</td><td>{{index .Snap.Classes "client"}}</td>
-<td>{{index .Snap.Classes "rejected"}}</td><td>{{index .Snap.Classes "timeout"}}</td>
-<td>{{index .Snap.Classes "server"}}</td>
-<td>{{.P50}}</td><td>{{.P99}}</td></tr>
-{{end}}
-</table>
-<p class="meta">quantiles are bucket-resolution (power-of-two bounds) since process start;
-rates and windows are the scraper's &middot;
-a slow request's trace_id (response and log line) finds its trace in the slow ring below</p>
-`))

@@ -5,12 +5,13 @@
 // fill), and an LRU pool of compiled query sessions so repeated queries skip
 // the O(n²) rotation-set build. Every response carries the request's own
 // pruning breakdown (SearchStats), and the server aggregates those into a
-// record served at /metrics and /debug/lbkeogh.
+// record served at /metrics. Traces are served as JSON and Chrome trace-event
+// files at /debug/lbkeogh, and a store-backed server reports its storage
+// plane as JSON at /debug/storage.
 package server
 
 import (
 	"context"
-	"expvar"
 	"fmt"
 	"io"
 	"log/slog"
@@ -57,8 +58,10 @@ type Config struct {
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
 
-	// TraceLog, when set, traces every pooled query session; the dashboard
-	// and Perfetto export at /debug/lbkeogh read from it.
+	// TraceLog, when set, traces every pooled query session and is served
+	// at /debug/lbkeogh (its summaries as JSON, its traces as Chrome
+	// trace-event files for Perfetto). Nil leaves tracing off, and
+	// /debug/lbkeogh answers 404.
 	TraceLog *lbkeogh.TraceLog
 
 	// Logger receives the structured request log (one line per terminal
@@ -68,9 +71,9 @@ type Config struct {
 	// ExplainSampleInterval is the bound-tightness sampling interval: one of
 	// every N candidate comparisons across all requests gets its full bound
 	// waterfall measured (the FFT-magnitude bound under Euclidean distance
-	// and the LB_Keogh envelope bound, against the true distance), feeding the tightness histograms on /metrics and the
-	// explain panel on /debug/lbkeogh. Default 512; negative disables the
-	// sampler entirely.
+	// and the LB_Keogh envelope bound, against the true distance), feeding
+	// the lbkeogh_explain_* families on /metrics. Default 512; negative
+	// disables the sampler entirely.
 	ExplainSampleInterval int
 
 	// BeforeSearchHook, when non-nil, runs after a request is admitted and
@@ -242,7 +245,7 @@ func (s *Server) acquireView() dbView {
 }
 
 // Handler returns the server's full mux: the /v1 search endpoints, healthz,
-// and the observability surface (/metrics, /debug/lbkeogh, /debug/vars,
+// and the observability surface (/metrics, /debug/lbkeogh, /debug/storage,
 // /debug/pprof/).
 func (s *Server) Handler() http.Handler { return s.mux }
 
@@ -263,8 +266,7 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // served request's pruning breakdown (so the same reconciling outcome
 // buckets as a single query's stats), with the trace log's per-stage
 // latencies attached when tracing is on. Server implements
-// lbkeogh.StatsSource, so it plugs straight into MetricsHandler and
-// DebugHandler.
+// lbkeogh.StatsSource, so it plugs straight into MetricsHandler.
 func (s *Server) Stats() lbkeogh.SearchStats {
 	out := s.stats.Snapshot()
 	if s.cfg.TraceLog != nil {
@@ -288,10 +290,6 @@ func (s *Server) buildMux() *http.ServeMux {
 	mux.HandleFunc("/healthz", s.handleLivez)
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	sources := map[string]lbkeogh.StatsSource{"shapeserver": s}
-	logs := map[string]*lbkeogh.TraceLog{}
-	if s.cfg.TraceLog != nil {
-		logs["shapeserver"] = s.cfg.TraceLog
-	}
 	mux.Handle("/metrics", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		lbkeogh.MetricsHandler(sources).ServeHTTP(w, r)
 		s.writeServerMetrics(w)
@@ -303,9 +301,8 @@ func (s *Server) buildMux() *http.ServeMux {
 			s.store.Journal().WriteMetrics(w)
 		}
 	}))
-	mux.Handle("/debug/lbkeogh", lbkeogh.DebugHandlerWithPanels(sources, logs, s.tel.panel(), s.explainPanel()))
+	mux.Handle("/debug/lbkeogh", s.cfg.TraceLog) // a nil log answers 404
 	mux.HandleFunc("/debug/storage", s.handleDebugStorage)
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -508,14 +508,26 @@ func TestServerMetricsAndDebug(t *testing.T) {
 			t.Fatalf("/metrics missing %q:\n%s", want, body)
 		}
 	}
-	resp, err = http.Get(ts.URL + "/debug/lbkeogh")
-	if err != nil {
-		t.Fatal(err)
+	// /debug/lbkeogh is the trace log: JSON summaries whose every id
+	// downloads as a Chrome trace. An untraced server answers 404.
+	var log struct {
+		Recent []lbkeogh.TraceSummary `json:"recent"`
+		Slow   []lbkeogh.TraceSummary `json:"slow"`
 	}
-	dash, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(dash), "shapeserver") {
-		t.Fatalf("/debug/lbkeogh: status %d", resp.StatusCode)
+	code, raw := getStatus(t, ts.URL+"/debug/lbkeogh")
+	if code != http.StatusOK || json.Unmarshal([]byte(raw), &log) != nil || len(log.Recent) == 0 {
+		t.Fatalf("/debug/lbkeogh: status %d: %s", code, raw)
+	}
+	for _, tr := range append(log.Recent, log.Slow...) {
+		if code, raw := getStatus(t, fmt.Sprintf("%s/debug/lbkeogh?format=chrome&trace=%d", ts.URL, tr.ID)); code != http.StatusOK || !json.Valid([]byte(raw)) {
+			t.Fatalf("trace %d: status %d: %s", tr.ID, code, raw)
+		}
+	}
+	_, untraced := newTestServer(t, Config{})
+	for _, path := range []string{"/debug/lbkeogh", "/debug/vars"} {
+		if code, _ := getStatus(t, untraced.URL+path); code != http.StatusNotFound {
+			t.Errorf("untraced %s: status %d, want 404", path, code)
+		}
 	}
 }
 

@@ -145,17 +145,6 @@ func (b *Bitmap) Rotate(angle float64) *Bitmap {
 	return out
 }
 
-// MirrorX returns the bitmap flipped horizontally (the enantiomorphic form).
-func (b *Bitmap) MirrorX() *Bitmap {
-	out := NewBitmap(b.W, b.H)
-	for y := 0; y < b.H; y++ {
-		for x := 0; x < b.W; x++ {
-			out.Set(b.W-1-x, y, b.Get(x, y))
-		}
-	}
-	return out
-}
-
 // Centroid returns the area centroid of the foreground, or an error for an
 // empty bitmap.
 func (b *Bitmap) Centroid() (cx, cy float64, err error) {

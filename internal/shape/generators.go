@@ -61,15 +61,6 @@ func (rs *RadialShape) Radius(theta float64) float64 {
 	return r
 }
 
-// WithHarmonic adds a sinusoidal radial perturbation of the given order,
-// amplitude and phase — cheap per-instance individuality.
-func (rs *RadialShape) WithHarmonic(order int, amp, phase float64) *RadialShape {
-	rs.mods = append(rs.mods, func(theta, r float64) (float64, float64) {
-		return theta, r * (1 + amp*math.Sin(float64(order)*theta+phase))
-	})
-	return rs
-}
-
 // WithArticulation bends the region around angle at by locally warping the
 // angular coordinate — the "tweaked hindwing" of Figure 18: features move
 // along the contour without appearing or vanishing.

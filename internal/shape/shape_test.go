@@ -278,18 +278,6 @@ func TestLetterPanicsOnUnknown(t *testing.T) {
 	Letter('z', 64)
 }
 
-func TestMirrorXInvolution(t *testing.T) {
-	bmp := Letter('b', 64)
-	back := bmp.MirrorX().MirrorX()
-	for y := 0; y < 64; y++ {
-		for x := 0; x < 64; x++ {
-			if bmp.Get(x, y) != back.Get(x, y) {
-				t.Fatal("MirrorX twice must be identity")
-			}
-		}
-	}
-}
-
 func TestRadialShapeDistortions(t *testing.T) {
 	base := Superformula{M: 4, N1: 3, N2: 8, N3: 8, A: 1, B: 1}
 	plain := RadialSignature(base.Radius, 64)
@@ -312,11 +300,6 @@ func TestRadialShapeDistortions(t *testing.T) {
 	b := RadialSignature(noisy.Radius, 64)
 	if !ts.Equal(a, b, 1e-12) {
 		t.Fatal("noise must be fixed per instance, not per evaluation")
-	}
-
-	harm := NewRadialShape(base.Radius).WithHarmonic(3, 0.1, 0.5)
-	if ts.Equal(plain, RadialSignature(harm.Radius, 64), 1e-9) {
-		t.Fatal("harmonic must change the signature")
 	}
 }
 

@@ -86,11 +86,8 @@ func TestMeanStdDev(t *testing.T) {
 	if m := Mean(xs); math.Abs(m-5) > 1e-12 {
 		t.Fatalf("Mean = %v, want 5", m)
 	}
-	if s := StdDev(xs); math.Abs(s-2) > 1e-12 {
-		t.Fatalf("StdDev = %v, want 2", s)
-	}
-	if Mean(nil) != 0 || StdDev(nil) != 0 {
-		t.Fatal("empty-slice Mean/StdDev should be 0")
+	if Mean(nil) != 0 {
+		t.Fatal("empty-slice Mean should be 0")
 	}
 }
 

@@ -1,13 +1,11 @@
 package lbkeogh
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
 	"strconv"
-	"sync"
 
 	"lbkeogh/internal/obs"
 	"lbkeogh/internal/obs/ops"
@@ -116,22 +114,3 @@ func WriteMetrics(w io.Writer, name string, s SearchStats) {
 }
 
 func decimal(bound int64) string { return strconv.FormatInt(bound, 10) }
-
-// expvar publication bookkeeping (expvar.Publish panics on duplicates).
-var (
-	expvarMu   sync.Mutex
-	expvarSeen = map[string]bool{}
-)
-
-// PublishExpvar exposes a StatsSource under the given expvar name (visible
-// at /debug/vars once expvar's handler is mounted). Re-publishing the same
-// name is a no-op.
-func PublishExpvar(name string, src StatsSource) {
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	if expvarSeen[name] {
-		return
-	}
-	expvarSeen[name] = true
-	expvar.Publish(name, expvar.Func(func() any { return src.Stats() }))
-}

@@ -102,7 +102,7 @@ grep "\"request_id\":\"$rid\"" "$tmp/shapeserver.log" | grep -q "\"trace_id\":$t
 
 # That trace stops at the comparison: after its root event, every span is the
 # search, the index probe, a fetch or a comparison — nothing beneath one.
-curl -fsS "http://$saddr/debug/lbkeogh?log=shapeserver&trace=$tid&format=chrome" >"$tmp/trace.json" ||
+curl -fsS "http://$saddr/debug/lbkeogh?format=chrome&trace=$tid" >"$tmp/trace.json" ||
 	fail "trace $tid did not download from /debug/lbkeogh"
 grep -o '"name":"[^"]*"' "$tmp/trace.json" | sed 's/^"name":"//; s/"$//' | tail -n +2 >"$tmp/spans.txt"
 grep -qx 'comparison' "$tmp/spans.txt" ||
@@ -137,8 +137,14 @@ grep -q '^shapeserver_admitted_total ' "$tmp/smetrics.txt" ||
 	fail "shapeserver /metrics is missing admitted_total"
 grep -q '^shapeserver_timeouts_total 1$' "$tmp/smetrics.txt" ||
 	fail "shapeserver /metrics did not count the timeout"
-curl -fsS "http://$saddr/debug/lbkeogh" >/dev/null ||
-	fail "shapeserver dashboard did not answer 200"
+# The trace log's JSON summary lists the search's trace among the recent
+# ones (shapeserver retains every trace by default).
+curl -fsS "http://$saddr/debug/lbkeogh" >"$tmp/tracelog.json" ||
+	fail "shapeserver /debug/lbkeogh did not answer 200"
+grep -q '"finished":[1-9]' "$tmp/tracelog.json" ||
+	fail "/debug/lbkeogh counts no finished trace"
+grep -q "\"id\":$tid," "$tmp/tracelog.json" ||
+	fail "/debug/lbkeogh does not list trace $tid"
 
 # Graceful shutdown: SIGTERM flips /readyz to 503 (the -drain-wait window),
 # then the process drains and reports it in the log.

@@ -1,8 +1,11 @@
 package lbkeogh
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
+	"strconv"
 	"time"
 
 	"lbkeogh/internal/obs"
@@ -101,9 +104,6 @@ func summarize(tr trace.Trace) TraceSummary {
 }
 
 func summarizeAll(trs []trace.Trace) []TraceSummary {
-	if len(trs) == 0 {
-		return nil
-	}
 	out := make([]TraceSummary, len(trs))
 	for i, tr := range trs {
 		out[i] = summarize(tr)
@@ -159,4 +159,47 @@ func (t *TraceLog) WriteChromeTraces(w io.Writer) error {
 		}
 	}
 	return trace.WriteChrome(w, traces)
+}
+
+// ServeHTTP serves the log; mount it at /debug/lbkeogh. A bare GET answers
+// JSON: {"finished", "sampled", "slow_threshold_ns", "recent", "slow"}, the
+// last two the retained traces' summaries, oldest first. ?format=chrome
+// downloads every retained trace as one Chrome trace-event file, and
+// &trace=<id> narrows it to that trace (404 once the rings have evicted it).
+// A nil log answers 404: tracing is off.
+func (t *TraceLog) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if t == nil {
+		http.Error(w, "tracing is off", http.StatusNotFound)
+		return
+	}
+	switch r.URL.Query().Get("format") {
+	case "":
+		finished, sampled := t.Totals()
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(struct {
+			Finished        int64          `json:"finished"`
+			Sampled         int64          `json:"sampled"`
+			SlowThresholdNS int64          `json:"slow_threshold_ns"`
+			Recent          []TraceSummary `json:"recent"`
+			Slow            []TraceSummary `json:"slow"`
+		}{finished, sampled, int64(t.SlowThreshold()), t.Recent(), t.Slow()})
+	case "chrome":
+		w.Header().Set("Content-Type", "application/json")
+		idStr := r.URL.Query().Get("trace")
+		if idStr == "" {
+			t.WriteChromeTraces(w)
+			return
+		}
+		id, err := strconv.ParseInt(idStr, 10, 64)
+		if err != nil {
+			http.Error(w, "bad trace id", http.StatusBadRequest)
+			return
+		}
+		// Only an evicted trace fails before the first byte is written.
+		if err := t.WriteChromeTrace(w, id); err != nil {
+			http.Error(w, err.Error(), http.StatusNotFound)
+		}
+	default:
+		http.Error(w, "format must be chrome", http.StatusBadRequest)
+	}
 }

@@ -3,6 +3,7 @@ package lbkeogh_test
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sort"
@@ -338,14 +339,6 @@ type staticStats lbkeogh.SearchStats
 
 func (s staticStats) Stats() lbkeogh.SearchStats { return lbkeogh.SearchStats(s) }
 
-func TestPublishExpvarRepublishIsNoop(t *testing.T) {
-	src := staticStats{Counts: lbkeogh.Counts{Comparisons: 1}}
-	lbkeogh.PublishExpvar("lbkeogh_test_republish", src)
-	// A second publication under the same name must not panic (expvar.Publish
-	// panics on duplicates; the wrapper must swallow the re-publish).
-	lbkeogh.PublishExpvar("lbkeogh_test_republish", staticStats{Counts: lbkeogh.Counts{Comparisons: 2}})
-}
-
 func TestMetricsHandlerEmptyAndNilSources(t *testing.T) {
 	for _, sources := range []map[string]lbkeogh.StatsSource{nil, {}} {
 		rr := httptest.NewRecorder()
@@ -359,30 +352,59 @@ func TestMetricsHandlerEmptyAndNilSources(t *testing.T) {
 	}
 }
 
+// TestDebugHandlerRoutes drives the trace log as the /debug/lbkeogh handler:
+// a bare GET summarizes the log as JSON, every listed id downloads as a
+// Chrome trace, and a bad id, a bad format, an evicted trace and a nil log
+// are refused.
 func TestDebugHandlerRoutes(t *testing.T) {
-	q, tlog, tr := tracedSearch(t)
-	h := lbkeogh.DebugHandler(
-		map[string]lbkeogh.StatsSource{"test_query": q},
-		map[string]*lbkeogh.TraceLog{"test_query": tlog},
-	)
-	get := func(target string) *httptest.ResponseRecorder {
+	_, tlog, tr := tracedSearch(t)
+	get := func(h http.Handler, target string) *httptest.ResponseRecorder {
 		rr := httptest.NewRecorder()
 		h.ServeHTTP(rr, httptest.NewRequest("GET", target, nil))
 		return rr
 	}
 
-	rr := get("/debug/lbkeogh")
-	if rr.Code != 200 {
-		t.Fatalf("dashboard: status %d", rr.Code)
+	rr := get(tlog, "/debug/lbkeogh")
+	if rr.Code != 200 || rr.Header().Get("Content-Type") != "application/json" {
+		t.Fatalf("summary: status %d, content type %q", rr.Code, rr.Header().Get("Content-Type"))
 	}
-	body := rr.Body.String()
-	for _, want := range []string{"<h1>lbkeogh observability</h1>", "trace log: test_query", "comparison"} {
-		if !strings.Contains(body, want) {
-			t.Errorf("dashboard HTML is missing %q", want)
+	var sum struct {
+		Finished        int64                  `json:"finished"`
+		Sampled         int64                  `json:"sampled"`
+		SlowThresholdNS int64                  `json:"slow_threshold_ns"`
+		Recent          []lbkeogh.TraceSummary `json:"recent"`
+		Slow            []lbkeogh.TraceSummary `json:"slow"`
+	}
+	if err := json.Unmarshal(rr.Body.Bytes(), &sum); err != nil {
+		t.Fatalf("summary is not JSON: %v\n%s", err, rr.Body.String())
+	}
+	finished, sampled := tlog.Totals()
+	if sum.Finished != finished || sum.Sampled != sampled || sum.SlowThresholdNS != int64(tlog.SlowThreshold()) {
+		t.Errorf("summary totals %+v, want finished %d, sampled %d, threshold %v", sum, finished, sampled, tlog.SlowThreshold())
+	}
+	ids := func(ss []lbkeogh.TraceSummary) (out []int64) {
+		for _, s := range ss {
+			out = append(out, s.ID)
+		}
+		return out
+	}
+	if !reflect.DeepEqual(ids(sum.Recent), ids(tlog.Recent())) || sum.Slow == nil {
+		t.Errorf("summary lists recent %v slow %v, want recent %v and a non-null slow list", ids(sum.Recent), sum.Slow, ids(tlog.Recent()))
+	}
+	for _, s := range append(sum.Recent, sum.Slow...) {
+		rr := get(tlog, "/debug/lbkeogh?format=chrome&trace="+strconv.FormatInt(s.ID, 10))
+		var one struct {
+			TraceEvents []chromeEvent `json:"traceEvents"`
+		}
+		if rr.Code != 200 || json.Unmarshal(rr.Body.Bytes(), &one) != nil {
+			t.Fatalf("trace %d: status %d: %s", s.ID, rr.Code, rr.Body.String())
+		}
+		if len(one.TraceEvents) != s.Spans+1 {
+			t.Fatalf("trace %d exports %d events, want the root and %d spans", s.ID, len(one.TraceEvents), s.Spans)
 		}
 	}
 
-	rr = get("/debug/lbkeogh?log=test_query&format=chrome")
+	rr = get(tlog, "/debug/lbkeogh?format=chrome")
 	if rr.Code != 200 {
 		t.Fatalf("chrome export: status %d: %s", rr.Code, rr.Body.String())
 	}
@@ -402,28 +424,18 @@ func TestDebugHandlerRoutes(t *testing.T) {
 		t.Fatalf("chrome export of the whole log has no comparison spans (%d events)", len(all.TraceEvents))
 	}
 
-	rr = get("/debug/lbkeogh?log=test_query&trace=" + strconv.FormatInt(tr.ID, 10) + "&format=chrome")
-	if rr.Code != 200 {
-		t.Fatalf("one-trace chrome export: status %d: %s", rr.Code, rr.Body.String())
+	for target, want := range map[string]int{
+		"/debug/lbkeogh?format=chrome&trace=" + strconv.FormatInt(tr.ID+1000, 10): 404,
+		"/debug/lbkeogh?format=chrome&trace=x":                                    400,
+		"/debug/lbkeogh?format=bogus":                                             400,
+		"/debug/lbkeogh?format=jsonl&trace=" + strconv.FormatInt(tr.ID, 10):       400,
+	} {
+		if rr := get(tlog, target); rr.Code != want {
+			t.Errorf("%s: status %d, want %d", target, rr.Code, want)
+		}
 	}
-	var one struct {
-		TraceEvents []chromeEvent `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(rr.Body.Bytes(), &one); err != nil {
-		t.Fatalf("one-trace chrome export is not valid JSON: %v", err)
-	}
-	if len(one.TraceEvents) != tr.Spans+1 {
-		t.Fatalf("one-trace chrome export holds %d events, want the root and %d spans", len(one.TraceEvents), tr.Spans)
-	}
-
-	if rr := get("/debug/lbkeogh?log=nope"); rr.Code != 404 {
-		t.Errorf("unknown log: status %d, want 404", rr.Code)
-	}
-	if rr := get("/debug/lbkeogh?log=test_query&format=bogus"); rr.Code != 400 {
-		t.Errorf("bad format: status %d, want 400", rr.Code)
-	}
-	if rr := get("/debug/lbkeogh?log=test_query&trace=" + strconv.FormatInt(tr.ID, 10) + "&format=jsonl"); rr.Code != 400 {
-		t.Errorf("jsonl export: status %d, want 400 (the Chrome export is the one format)", rr.Code)
+	if rr := get((*lbkeogh.TraceLog)(nil), "/debug/lbkeogh"); rr.Code != 404 {
+		t.Errorf("nil log: status %d, want 404", rr.Code)
 	}
 }
 
