@@ -578,6 +578,11 @@ func TestIndexValidation(t *testing.T) {
 	if _, err := NewIndex([]Series{{1, 2, 3, 4}}, 0); err == nil {
 		t.Fatal("want error for dims < 1")
 	}
+	// One-sample series used to pass the row check and clamp dims to n/2 = 0,
+	// which the tree build then panicked on.
+	if _, err := NewIndex([]Series{{1}, {2}}, 16); err == nil || !strings.Contains(err.Error(), "need >= 2") {
+		t.Fatalf("one-sample series: want a refusal, got %v", err)
+	}
 	db := demoDB(11, 5, 32)
 	ix, _ := NewIndex(db, 4)
 	q, _ := NewQuery(make(Series, 16), Euclidean())

@@ -77,26 +77,14 @@ func (ix *Index) Reads() int { return int(ix.reads.Load()) }
 // ResetReads zeroes the fetch counter.
 func (ix *Index) ResetReads() { ix.reads.Store(0) }
 
-// Validate reports why Build would refuse db with D retained dimensions: no
-// series, empty series, series of unequal length, a NaN or ±Inf sample
-// (every bound over its series would be NaN, so the VP-tree would never
-// propose it or the subtree filed under it), or D < 1. Nil means Build
-// accepts it.
+// Validate reports why Build would refuse db with D retained dimensions:
+// what ts.CheckRows refuses — no series, series shorter than 2 samples or of
+// unequal length, a NaN or ±Inf sample (every bound over its series would be
+// NaN, so the VP-tree would never propose it or the subtree filed under it) —
+// or D < 1. Nil means Build accepts it.
 func Validate(db [][]float64, D int) error {
-	if len(db) == 0 {
-		return fmt.Errorf("empty database")
-	}
-	n := len(db[0])
-	if n == 0 {
-		return fmt.Errorf("database series have no samples")
-	}
-	for i, s := range db {
-		if len(s) != n {
-			return fmt.Errorf("database series %d length %d != %d", i, len(s), n)
-		}
-		if j := ts.NonFinite(s); j >= 0 {
-			return fmt.Errorf("database series %d sample %d is %v; every sample must be finite", i, j, s[j])
-		}
+	if _, err := ts.CheckRows(db, "database series"); err != nil {
+		return err
 	}
 	if D < 1 {
 		return fmt.Errorf("dims must be >= 1, got %d", D)

@@ -192,12 +192,13 @@ func TestValidate(t *testing.T) {
 		db [][]float64
 		D  int
 	}{
-		"empty":    {nil, 4},
-		"emptyRow": {[][]float64{{}}, 4},
-		"ragged":   {[][]float64{{1, 2}, {1}}, 1},
-		"badD":     {[][]float64{{1, 2}}, 0},
-		"nan":      {[][]float64{{1, 2}, {math.NaN(), 2}}, 1},
-		"inf":      {[][]float64{{1, math.Inf(-1)}}, 1},
+		"empty":     {nil, 4},
+		"emptyRow":  {[][]float64{{}}, 4},
+		"oneSample": {[][]float64{{1}, {2}}, 1},
+		"ragged":    {[][]float64{{1, 2}, {1}}, 1},
+		"badD":      {[][]float64{{1, 2}}, 0},
+		"nan":       {[][]float64{{1, 2}, {math.NaN(), 2}}, 1},
+		"inf":       {[][]float64{{1, math.Inf(-1)}}, 1},
 	} {
 		if err := Validate(tc.db, tc.D); err == nil {
 			t.Fatalf("%s: Validate accepted it", name)

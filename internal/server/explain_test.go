@@ -127,17 +127,17 @@ func TestServerExplainTopKAndRange(t *testing.T) {
 	}
 }
 
-// TestServerExplainPlanNamesRequestStrategy: a plan spells its strategy the
-// way the request, the log line and the strategy window do.
-func TestServerExplainPlanNamesRequestStrategy(t *testing.T) {
+// TestServerExplainPlanNamesWedgeStrategy: every request runs the wedge
+// strategy, whatever its measure, and its plan says so.
+func TestServerExplainPlanNamesWedgeStrategy(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	for _, strategy := range []string{"wedge", "brute", "early_abandon", "fft"} {
-		code, sr, raw := post(t, ts, "/v1/search", `{"query_index":1,"explain":true,"strategy":"`+strategy+`"}`)
+	for _, measure := range []string{"euclidean", "dtw", "lcss"} {
+		code, sr, raw := post(t, ts, "/v1/search", `{"query_index":1,"explain":true,"measure":"`+measure+`"}`)
 		if code != http.StatusOK || sr.Plan == nil {
-			t.Fatalf("%s: status %d plan %v (%s)", strategy, code, sr.Plan, raw)
+			t.Fatalf("%s: status %d plan %v (%s)", measure, code, sr.Plan, raw)
 		}
-		if sr.Plan.Strategy != strategy {
-			t.Errorf("request strategy %q, plan strategy %q", strategy, sr.Plan.Strategy)
+		if sr.Plan.Strategy != "wedge" || sr.Plan.Measure != measure {
+			t.Errorf("%s request: plan strategy %q, measure %q", measure, sr.Plan.Strategy, sr.Plan.Measure)
 		}
 	}
 }

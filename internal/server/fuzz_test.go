@@ -13,10 +13,11 @@ import (
 )
 
 // FuzzSearchRequest sends arbitrary bodies to the three search endpoints of
-// a small static server — the request decoder, its validation and the search
-// behind it. Nothing may panic or answer 5xx, except 504 for a request that
-// set its own deadline (timeout_ms) and ran out of it; every 200 decodes
-// into a response whose stats reconcile.
+// a small static server — the request decoder, its validation, the library's
+// refusals of what the server leaves to it (rotation limit, range threshold,
+// top-K clamp) and the search behind it. Nothing may panic or answer 5xx,
+// except 504 for a request that set its own deadline (timeout_ms) and ran
+// out of it; every 200 decodes into a response whose stats reconcile.
 func FuzzSearchRequest(f *testing.F) {
 	db := lbkeogh.SyntheticProjectilePoints(7, 12, 24)
 	series, _ := json.Marshal(db[5])
@@ -26,8 +27,17 @@ func FuzzSearchRequest(f *testing.F) {
 	}{
 		{0, `{"query_index":0}`},
 		{0, `{"query_index":3,"measure":"dtw","r":4,"explain":true}`},
-		{0, `{"query_index":2,"strategy":"brute","parallel":4}`},
-		{0, `{"series":` + string(series) + `,"strategy":"fft","mirror":true}`},
+		{0, `{"query_index":2,"strategy":"brute"}`},
+		{0, `{"query_index":2,"parallel":4}`},
+		{0, `{"series":` + string(series) + `,"mirror":true}`},
+		{0, `{"query_index":1,"max_degrees":180}`},
+		{0, `{"query_index":1,"max_degrees":-1}`},
+		{2, `{"query_index":6,"threshold":0}`},
+		{2, `{"query_index":6,"measure":"dtw","threshold":-2}`},
+		{1, `{"query_index":4,"k":-3}`},
+		{0, `{"query_index":3,"measure":"dtw","r":-1}`},
+		{1, `{"query_index":3,"measure":"lcss","r":-1,"k":2}`},
+		{1, `{"query_index":5,"measure":"lcss","eps":0,"k":2}`},
 		{1, `{"query_index":1,"k":3,"measure":"lcss","r":2,"eps":0.5}`},
 		{1, `{"query_index":4,"k":-7,"max_degrees":30}`},
 		{2, `{"query_index":6,"threshold":5}`},

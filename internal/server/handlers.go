@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"runtime"
 	"time"
 
 	"lbkeogh"
@@ -24,9 +23,11 @@ const (
 	kindRange
 )
 
-// SearchRequest is the JSON body of the /v1 search endpoints. Exactly one of
-// Series and QueryIndex identifies the query shape; the rest parameterize
-// the measure, invariances, strategy, and the endpoint-specific knobs.
+// SearchRequest is the JSON body of the /v1 search endpoints: the question
+// and nothing about how to answer it. Exactly one of Series and QueryIndex
+// identifies the query shape; the rest parameterize the measure, the
+// invariances and the endpoint-specific knobs. How the search runs — index
+// or scan, under the wedge strategy on one goroutine — is the server's.
 type SearchRequest struct {
 	// Series is the query signature (must match the database series length).
 	Series []float64 `json:"series,omitempty"`
@@ -34,25 +35,21 @@ type SearchRequest struct {
 	QueryIndex *int `json:"query_index,omitempty"`
 
 	// Measure is euclidean (default), dtw, or lcss; R is the DTW Sakoe-Chiba
-	// radius / LCSS window (default 5), Eps the LCSS threshold (default 0.25).
-	Measure string  `json:"measure,omitempty"`
-	R       *int    `json:"r,omitempty"`
-	Eps     float64 `json:"eps,omitempty"`
+	// radius / LCSS window (default 5), Eps the LCSS threshold (default 0.25;
+	// an explicit 0 asks for exact matches).
+	Measure string   `json:"measure,omitempty"`
+	R       *int     `json:"r,omitempty"`
+	Eps     *float64 `json:"eps,omitempty"`
 
 	// Mirror enables mirror-image invariance; MaxDegrees limits rotations to
 	// ±deg of the original orientation.
 	Mirror     bool     `json:"mirror,omitempty"`
 	MaxDegrees *float64 `json:"max_degrees,omitempty"`
 
-	// Strategy is wedge (default), brute, early_abandon, or fft.
-	Strategy string `json:"strategy,omitempty"`
-
-	// K is the neighbour count for /v1/topk (default 1); Threshold the
-	// strict distance cutoff for /v1/range (required there); Parallel the
-	// worker count for /v1/search (0 or 1: serial; clamped to GOMAXPROCS).
+	// K is the neighbour count for /v1/topk (clamped to [1, rows]);
+	// Threshold the strict distance cutoff for /v1/range (required there).
 	K         int     `json:"k,omitempty"`
 	Threshold float64 `json:"threshold,omitempty"`
-	Parallel  int     `json:"parallel,omitempty"`
 
 	// TimeoutMS bounds this request's search; 0 uses the server default, and
 	// values above the server maximum are clamped to it.
@@ -110,10 +107,15 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// parse validates the body and resolves it into the query series, its pool
+// parse decodes the body and resolves it into the query series, its pool
 // spec, and the request deadline. rows is the request's database view (for
 // query_index resolution against the same generation the search will scan).
-func (s *Server) parse(r *http.Request, kind searchKind, rows []lbkeogh.Series) (SearchRequest, QuerySpec, time.Duration, error) {
+// It checks only what the library cannot: the body's shape, which row or
+// series is the query, its length (before the O(n²) session build), the
+// measure's name and the deadline. Every other rule — the rotation limit's
+// domain, the range threshold, the top-K clamp — is the library's, and its
+// refusal reaches the client as a 400 with the library's message.
+func (s *Server) parse(r *http.Request, rows []lbkeogh.Series) (SearchRequest, QuerySpec, time.Duration, error) {
 	var req SearchRequest
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 64<<20))
 	dec.DisallowUnknownFields()
@@ -147,38 +149,16 @@ func (s *Server) parse(r *http.Request, kind searchKind, rows []lbkeogh.Series) 
 	default:
 		return req, QuerySpec{}, 0, fmt.Errorf("unknown measure %q", req.Measure)
 	}
-	if req.Strategy == "" {
-		req.Strategy = "wedge"
-	}
-	switch req.Strategy {
-	case "wedge", "brute", "early_abandon", "fft":
-	default:
-		return req, QuerySpec{}, 0, fmt.Errorf("unknown strategy %q", req.Strategy)
-	}
-	if kind == kindRange && !(req.Threshold > 0) {
-		return req, QuerySpec{}, 0, fmt.Errorf("range search requires threshold > 0")
-	}
 	if req.TimeoutMS < 0 {
 		return req, QuerySpec{}, 0, fmt.Errorf("timeout_ms must be >= 0")
 	}
-	// One admitted request holds one in-flight slot whatever it asks for:
-	// workers beyond the schedulable CPUs would only add goroutines and
-	// per-worker searchers.
-	req.Parallel = min(req.Parallel, runtime.GOMAXPROCS(0))
 	radius := 5
 	if req.R != nil {
 		radius = *req.R
 	}
-	eps := req.Eps
-	if eps == 0 {
-		eps = 0.25
-	}
-	maxDeg := -1.0
-	if req.MaxDegrees != nil {
-		maxDeg = *req.MaxDegrees
-		if !(maxDeg >= 0 && maxDeg < 180) {
-			return req, QuerySpec{}, 0, fmt.Errorf("max_degrees %v outside [0, 180)", maxDeg)
-		}
+	eps := 0.25
+	if req.Eps != nil {
+		eps = *req.Eps
 	}
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
@@ -190,19 +170,20 @@ func (s *Server) parse(r *http.Request, kind searchKind, rows []lbkeogh.Series) 
 		}
 	}
 	spec := QuerySpec{
-		Measure:  req.Measure,
-		R:        radius,
-		Eps:      eps,
-		Mirror:   req.Mirror,
-		MaxDeg:   maxDeg,
-		Strategy: req.Strategy,
-		Series:   series,
+		Measure: req.Measure,
+		R:       radius,
+		Eps:     eps,
+		Mirror:  req.Mirror,
+		MaxDeg:  req.MaxDegrees,
+		Series:  series,
 	}
 	return req, spec, timeout, nil
 }
 
-// buildQuery compiles the spec into a query session, tracing it through the
-// server's log when one is configured.
+// buildQuery compiles the spec into a query session under the default wedge
+// strategy, tracing it through the server's log when one is configured. A
+// set rotation limit goes to WithMaxRotationDegrees whatever its value, so
+// NewQuery, not the server, decides its domain.
 func (s *Server) buildQuery(spec QuerySpec) (*lbkeogh.Query, error) {
 	var m lbkeogh.Measure
 	switch spec.Measure {
@@ -213,23 +194,12 @@ func (s *Server) buildQuery(spec QuerySpec) (*lbkeogh.Query, error) {
 	default:
 		m = lbkeogh.Euclidean()
 	}
-	var strat lbkeogh.Strategy
-	switch spec.Strategy {
-	case "brute":
-		strat = lbkeogh.BruteForceSearch
-	case "early_abandon":
-		strat = lbkeogh.EarlyAbandonSearch
-	case "fft":
-		strat = lbkeogh.FFTSearch
-	default:
-		strat = lbkeogh.WedgeSearch
-	}
-	opts := []lbkeogh.QueryOption{lbkeogh.WithStrategy(strat)}
+	var opts []lbkeogh.QueryOption
 	if spec.Mirror {
 		opts = append(opts, lbkeogh.WithMirrorInvariance())
 	}
-	if spec.MaxDeg >= 0 {
-		opts = append(opts, lbkeogh.WithMaxRotationDegrees(spec.MaxDeg))
+	if spec.MaxDeg != nil {
+		opts = append(opts, lbkeogh.WithMaxRotationDegrees(*spec.MaxDeg))
 	}
 	if s.cfg.TraceLog != nil {
 		opts = append(opts, lbkeogh.WithTraceLog(s.cfg.TraceLog))
@@ -312,13 +282,13 @@ func (s *Server) searchEndpoint(kind searchKind) http.HandlerFunc {
 			finish(http.StatusServiceUnavailable, "refused: empty store")
 			return
 		}
-		req, spec, timeout, err := s.parse(r, kind, view.rows)
+		req, spec, timeout, err := s.parse(r, view.rows)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			finish(http.StatusBadRequest, "bad request", "error", err.Error())
 			return
 		}
-		rq.lg = rq.lg.With("strategy", spec.Strategy, "measure", spec.Measure)
+		rq.lg = rq.lg.With("measure", spec.Measure)
 		ctx, cancel := context.WithTimeout(ctx, timeout)
 		defer cancel()
 
@@ -343,8 +313,8 @@ func (s *Server) searchEndpoint(kind searchKind) http.HandlerFunc {
 
 		sess, hit, err := s.pool.Checkout(spec, func() (*lbkeogh.Query, error) { return s.buildQuery(spec) })
 		if err != nil {
-			// The only build failures left after parse are option conflicts
-			// (e.g. fft with a non-Euclidean measure): the client's fault.
+			// A build failure is the library refusing the client's options
+			// (e.g. a max_degrees outside its domain): the client's fault.
 			writeError(w, http.StatusBadRequest, "%v", err)
 			finish(http.StatusBadRequest, "session build failed", "error", err.Error())
 			return
@@ -413,24 +383,23 @@ func (s *Server) searchEndpoint(kind searchKind) http.HandlerFunc {
 }
 
 // runSearch executes the request's search and makes the server's one routing
-// decision, read off the request and never set by a user: a Euclidean query
-// under the wedge strategy on one goroutine goes through the serving index —
-// a VP-tree probe over magnitude features whose survivors the session's own
-// searcher verifies, so the answer, the adaptive state, the trace and the
-// per-request stats are the flat scan's, minus the rows the bound excluded.
-// Everything else scans rows flat: DTW (the index's PAA bound fetches most of
-// the database and loses to a scan), LCSS (no compressed bound), the brute /
-// early-abandon / fft ablation strategies (a request for one is a request for
-// that scan), parallel searches, and store mode (no index per generation).
+// decision, read off the request and never set by a user: in static mode a
+// Euclidean query goes through the serving index — a VP-tree probe over
+// magnitude features whose survivors the session's own searcher verifies, so
+// the answer, the adaptive state, the trace and the per-request stats are
+// the flat scan's, minus the rows the bound excluded. Everything else is the
+// session's serial scan: DTW (the index's PAA bound fetches most of the
+// database and loses to a scan), LCSS (no compressed bound) and store mode
+// (no index per generation). The library clamps k and refuses a threshold
+// that is not positive.
 func (s *Server) runSearch(ctx context.Context, q *lbkeogh.Query, kind searchKind, req SearchRequest, rows []lbkeogh.Series) ([]lbkeogh.SearchResult, error) {
-	indexed := s.ix != nil && req.Measure == "euclidean" && req.Strategy == "wedge" && req.Parallel <= 1
+	indexed := s.ix != nil && req.Measure == "euclidean"
 	switch kind {
 	case kindTopK:
-		k := max(req.K, 1)
 		if indexed {
-			return s.ix.SearchTopKContext(ctx, q, k)
+			return s.ix.SearchTopKContext(ctx, q, req.K)
 		}
-		return q.SearchTopKContext(ctx, rows, k)
+		return q.SearchTopKContext(ctx, rows, req.K)
 	case kindRange:
 		if indexed {
 			return s.ix.SearchRangeContext(ctx, q, req.Threshold)
@@ -439,12 +408,9 @@ func (s *Server) runSearch(ctx context.Context, q *lbkeogh.Query, kind searchKin
 	}
 	var res lbkeogh.SearchResult
 	var err error
-	switch {
-	case indexed:
+	if indexed {
 		res, err = s.ix.SearchContext(ctx, q)
-	case req.Parallel > 1: // serial unless explicitly parallel
-		res, err = q.SearchParallelContext(ctx, rows, req.Parallel)
-	default:
+	} else {
 		res, err = q.SearchContext(ctx, rows)
 	}
 	if err != nil {

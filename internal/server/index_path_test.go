@@ -117,23 +117,25 @@ func TestServerAnswersThroughIndexLikeFlatLibrary(t *testing.T) {
 	}
 }
 
-// TestServerMaxDegreesRange holds max_degrees to the library's range: a value
-// outside [0, 180) is the client's error, named as such, not a request for
-// every rotation; one inside it answers as WithMaxRotationDegrees does.
+// TestServerMaxDegreesRange holds max_degrees to the library's range: every
+// set value reaches WithMaxRotationDegrees, so one NewQuery refuses — a
+// negative one too, which is not a request for every rotation — answers 400
+// with NewQuery's message, and one it accepts answers as the library does.
 func TestServerMaxDegreesRange(t *testing.T) {
 	db := lbkeogh.SyntheticProjectilePoints(5, 40, 48)
 	_, srv := newTestServer(t, Config{DB: db})
 	for _, c := range []struct {
 		deg  float64
 		want int
-	}{{-5, http.StatusBadRequest}, {180, http.StatusBadRequest}, {0, http.StatusOK}, {40, http.StatusOK}} {
+	}{{-1, http.StatusBadRequest}, {-5, http.StatusBadRequest}, {180, http.StatusBadRequest}, {0, http.StatusOK}, {40, http.StatusOK}} {
 		code, sr, text := post(t, srv, "/v1/search", fmt.Sprintf(`{"query_index":3,"max_degrees":%v}`, c.deg))
 		if code != c.want {
 			t.Fatalf("max_degrees %v: status %d, want %d (%s)", c.deg, code, c.want, text)
 		}
 		if code != http.StatusOK {
-			if !strings.Contains(text, "max_degrees") {
-				t.Fatalf("max_degrees %v: the error does not name the field: %s", c.deg, text)
+			_, err := lbkeogh.NewQuery(db[3], lbkeogh.Euclidean(), lbkeogh.WithMaxRotationDegrees(c.deg))
+			if err == nil || !strings.Contains(text, err.Error()) {
+				t.Fatalf("max_degrees %v: the error is not NewQuery's (%v): %s", c.deg, err, text)
 			}
 			continue
 		}
@@ -188,20 +190,17 @@ func TestServerFlatRequestsStayFlat(t *testing.T) {
 	for _, c := range []struct{ name, path, body string }{
 		{"dtw", "/v1/search", `{"query_index":4,"measure":"dtw","r":3}`},
 		{"lcss", "/v1/search", `{"query_index":4,"measure":"lcss"}`},
-		{"brute", "/v1/search", `{"query_index":4,"strategy":"brute"}`},
-		{"early_abandon", "/v1/topk", `{"query_index":4,"strategy":"early_abandon","k":3}`},
-		{"fft", "/v1/range", `{"query_index":4,"strategy":"fft","threshold":2}`},
-		{"parallel", "/v1/search", `{"query_index":4,"parallel":2}`},
+		{"dtw topk", "/v1/topk", `{"query_index":4,"measure":"dtw","k":3}`},
+		{"lcss range", "/v1/range", `{"query_index":4,"measure":"lcss","threshold":0.5}`},
 	} {
 		code, sr, text := post(t, srv, c.path, c.body)
 		if code != http.StatusOK {
 			t.Fatalf("%s: status %d (%s)", c.name, code, text)
 		}
-		// (A parallel scan re-checks the rows before its answer for ties: at least m.)
-		if st := sr.Stats; st.IndexFetches != 0 || st.Comparisons < m || !st.Reconciles() {
+		if st := sr.Stats; st.IndexFetches != 0 || st.Comparisons != m || !st.Reconciles() {
 			t.Errorf("%s left the flat scan: %+v", c.name, st.Counts)
 		}
-		if c.name != "fft" && (len(sr.Results) == 0 || sr.Results[0].Index != 4) {
+		if len(sr.Results) == 0 || sr.Results[0].Index != 4 {
 			t.Errorf("%s: results %+v", c.name, sr.Results)
 		}
 	}

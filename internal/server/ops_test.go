@@ -88,7 +88,7 @@ func TestRequestLogCarriesIDs(t *testing.T) {
 		RequestID string  `json:"request_id"`
 		TraceID   int64   `json:"trace_id"`
 		Endpoint  string  `json:"endpoint"`
-		Strategy  string  `json:"strategy"`
+		Measure   string  `json:"measure"`
 		Status    int     `json:"status"`
 		DurMS     float64 `json:"dur_ms"`
 		PoolHit   *bool   `json:"pool_hit"`
@@ -115,7 +115,7 @@ func TestRequestLogCarriesIDs(t *testing.T) {
 	if entry.TraceID != sr.TraceID {
 		t.Errorf("log trace_id %d != response %d", entry.TraceID, sr.TraceID)
 	}
-	if entry.Endpoint != "search" || entry.Strategy != "wedge" || entry.Status != 200 {
+	if entry.Endpoint != "search" || entry.Measure != "euclidean" || entry.Status != 200 {
 		t.Errorf("log fields wrong: %+v", entry)
 	}
 	if entry.PoolHit == nil || entry.DurMS <= 0 {

@@ -14,13 +14,12 @@ import (
 // into NewQuery. Two requests with the same spec can reuse the same built
 // rotation set and wedge hierarchy — the O(n²) part of serving a query.
 type QuerySpec struct {
-	Measure  string
-	R        int
-	Eps      float64
-	Mirror   bool
-	MaxDeg   float64 // < 0: unlimited
-	Strategy string
-	Series   []float64
+	Measure string
+	R       int
+	Eps     float64
+	Mirror  bool
+	MaxDeg  *float64 // nil: unlimited
+	Series  []float64
 }
 
 // Key hashes the spec (FNV-64a over the exact float bits; no collisions are
@@ -34,8 +33,6 @@ func (sp QuerySpec) Key() uint64 {
 	}
 	h.Write([]byte(sp.Measure))
 	h.Write([]byte{0})
-	h.Write([]byte(sp.Strategy))
-	h.Write([]byte{0})
 	writeU64(uint64(int64(sp.R)))
 	writeU64(math.Float64bits(sp.Eps))
 	if sp.Mirror {
@@ -43,7 +40,12 @@ func (sp QuerySpec) Key() uint64 {
 	} else {
 		writeU64(0)
 	}
-	writeU64(math.Float64bits(sp.MaxDeg))
+	if sp.MaxDeg != nil {
+		writeU64(1)
+		writeU64(math.Float64bits(*sp.MaxDeg))
+	} else {
+		writeU64(0)
+	}
 	writeU64(uint64(len(sp.Series)))
 	for _, v := range sp.Series {
 		writeU64(math.Float64bits(v))
@@ -141,8 +143,8 @@ func (p *Pool) Checkin(s *Session) {
 }
 
 func specEqual(a, b QuerySpec) bool {
-	if a.Measure != b.Measure || a.Strategy != b.Strategy || a.R != b.R ||
-		a.Eps != b.Eps || a.Mirror != b.Mirror || a.MaxDeg != b.MaxDeg ||
+	if a.Measure != b.Measure || a.R != b.R || a.Eps != b.Eps || a.Mirror != b.Mirror ||
+		(a.MaxDeg == nil) != (b.MaxDeg == nil) || a.MaxDeg != nil && *a.MaxDeg != *b.MaxDeg ||
 		len(a.Series) != len(b.Series) {
 		return false
 	}

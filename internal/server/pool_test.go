@@ -7,7 +7,7 @@ import (
 )
 
 func testSpec(series []float64) QuerySpec {
-	return QuerySpec{Measure: "euclidean", R: 5, Eps: 0.25, MaxDeg: -1, Strategy: "wedge", Series: series}
+	return QuerySpec{Measure: "euclidean", R: 5, Eps: 0.25, Series: series}
 }
 
 func buildFor(spec QuerySpec) func() (*lbkeogh.Query, error) {
@@ -50,12 +50,15 @@ func TestPoolHitMissEvict(t *testing.T) {
 
 func TestQuerySpecKeyDistinguishesParams(t *testing.T) {
 	base := testSpec([]float64{1, 2, 3, 4})
-	variants := []QuerySpec{base, base, base, base, base, base}
+	zero, forty := 0.0, 40.0
+	variants := []QuerySpec{base, base, base, base, base, base, base, base}
 	variants[1].Measure = "dtw"
 	variants[2].R = 6
 	variants[3].Mirror = true
-	variants[4].Strategy = "brute"
-	variants[5].Series = []float64{1, 2, 3, 5}
+	variants[4].MaxDeg = &zero // a limit of 0 degrees is not "unlimited"
+	variants[5].MaxDeg = &forty
+	variants[6].Series = []float64{1, 2, 3, 5}
+	variants[7].Eps = 0
 	keys := map[uint64]bool{}
 	for _, v := range variants {
 		keys[v.Key()] = true

@@ -154,6 +154,7 @@ type Server struct {
 // New validates the database and builds the server.
 func New(cfg Config) (*Server, error) {
 	var n int
+	var ix *lbkeogh.Index
 	if cfg.Store != nil {
 		if cfg.DB != nil {
 			return nil, fmt.Errorf("server: Config.DB and Config.Store are mutually exclusive")
@@ -163,18 +164,15 @@ func New(cfg Config) (*Server, error) {
 		}
 		n = cfg.Store.SeriesLen() // 0 for an empty store: fixed by the first ingest
 	} else {
-		if len(cfg.DB) == 0 {
-			return nil, fmt.Errorf("server: empty database")
+		// The database is fixed for the life of the process: compute its
+		// magnitude features and raise the tree over them once, here, and no
+		// request ever compares against a row the bound could have excluded.
+		// NewIndex is also the rows' check.
+		var err error
+		if ix, err = lbkeogh.NewIndex(cfg.DB, serveDims); err != nil {
+			return nil, fmt.Errorf("server: indexing the database: %w", err)
 		}
 		n = len(cfg.DB[0])
-		if n < 2 {
-			return nil, fmt.Errorf("server: database series need >= 2 samples, got %d", n)
-		}
-		for i, row := range cfg.DB {
-			if len(row) != n {
-				return nil, fmt.Errorf("server: database series %d length %d != %d", i, len(row), n)
-			}
-		}
 		if cfg.Labels != nil && len(cfg.Labels) != len(cfg.DB) {
 			return nil, fmt.Errorf("server: %d labels for %d series", len(cfg.Labels), len(cfg.DB))
 		}
@@ -184,22 +182,13 @@ func New(cfg Config) (*Server, error) {
 		cfg:   cfg,
 		n:     n,
 		store: cfg.Store,
+		ix:    ix,
 		pool:  NewPool(cfg.PoolSize),
 		adm:   NewAdmission(cfg.MaxInflight, cfg.MaxQueue),
 		tel:   newTelemetry(cfg),
 	}
 	if cfg.ExplainSampleInterval > 0 {
 		s.sampler = lbkeogh.NewBoundSampler(cfg.ExplainSampleInterval)
-	}
-	if s.store == nil {
-		// The database is fixed for the life of the process: compute its
-		// magnitude features and raise the tree over them once, here, and no
-		// request ever compares against a row the bound could have excluded.
-		ix, err := lbkeogh.NewIndex(cfg.DB, serveDims)
-		if err != nil {
-			return nil, fmt.Errorf("server: indexing the database: %w", err)
-		}
-		s.ix = ix
 	}
 	s.mux = s.buildMux()
 	return s, nil

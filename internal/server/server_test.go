@@ -8,8 +8,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -86,11 +84,6 @@ func TestServerSearchBasicAndPoolHit(t *testing.T) {
 	if sr2.Stats.Comparisons != sr.Stats.Comparisons {
 		t.Fatalf("per-request comparisons drifted: %d then %d", sr.Stats.Comparisons, sr2.Stats.Comparisons)
 	}
-	// The parallel path answers identically.
-	code, sp, raw := post(t, ts, "/v1/search", `{"query_index":0,"parallel":2}`)
-	if code != http.StatusOK || sp.Results[0].Index != 0 {
-		t.Fatalf("parallel search: status %d %+v (%s)", code, sp.Results, raw)
-	}
 }
 
 func TestServerTopKAndRange(t *testing.T) {
@@ -130,8 +123,6 @@ func TestServerBadRequests(t *testing.T) {
 		{"/v1/search", `{"query_index":99}`, http.StatusBadRequest},
 		{"/v1/search", `{"series":[1,2,3]}`, http.StatusBadRequest}, // length mismatch
 		{"/v1/search", `{"query_index":0,"measure":"cosine"}`, http.StatusBadRequest},
-		{"/v1/search", `{"query_index":0,"strategy":"magic"}`, http.StatusBadRequest},
-		{"/v1/search", `{"query_index":0,"measure":"dtw","strategy":"fft"}`, http.StatusBadRequest},
 		{"/v1/search", `{"query_index":0,"timeout_ms":-5}`, http.StatusBadRequest},
 		{"/v1/search", `{"query_index":0,"bogus_field":1}`, http.StatusBadRequest},
 		{"/v1/search", `not json`, http.StatusBadRequest},
@@ -149,6 +140,83 @@ func TestServerBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/search: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// A request names the question, not how to answer it: a body that picks a
+// strategy or a worker count is refused as an unknown field.
+func TestServerRefusesHowToAnswer(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, body := range []string{
+		`{"query_index":0,"strategy":"wedge"}`,
+		`{"query_index":0,"strategy":"brute"}`,
+		`{"query_index":0,"parallel":2}`,
+	} {
+		code, _, raw := post(t, ts, "/v1/search", body)
+		if code != http.StatusBadRequest || !strings.Contains(raw, "unknown field") {
+			t.Errorf("%s: status %d, want 400 unknown field (%s)", body, code, raw)
+		}
+	}
+}
+
+// The rules the library enforces are left to it: /v1/range refuses a
+// threshold that is not positive with checkRangeThreshold's message, on the
+// index path and the scan alike, and /v1/topk clamps k as SearchTopK does.
+func TestServerLeavesLibraryRulesToTheLibrary(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	q, err := lbkeogh.NewQuery(srv.cfg.DB[0], lbkeogh.Euclidean())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, threshold := range []float64{0, -2} {
+		_, want := q.SearchRange(srv.cfg.DB, threshold)
+		if want == nil {
+			t.Fatalf("SearchRange accepted threshold %v", threshold)
+		}
+		for _, measure := range []string{"euclidean", "dtw"} {
+			body := fmt.Sprintf(`{"query_index":0,"measure":%q,"threshold":%v}`, measure, threshold)
+			code, _, raw := post(t, ts, "/v1/range", body)
+			var er errorResponse
+			if code != http.StatusBadRequest || json.Unmarshal([]byte(raw), &er) != nil || er.Error != want.Error() {
+				t.Errorf("%s: status %d, want 400 %q (%s)", body, code, want, raw)
+			}
+		}
+	}
+	for _, k := range []int{-3, 0, 1} {
+		code, sr, raw := post(t, ts, "/v1/topk", fmt.Sprintf(`{"query_index":0,"k":%d}`, k))
+		if code != http.StatusOK || len(sr.Results) != 1 || sr.Results[0].Index != 0 {
+			t.Errorf("k %d: status %d %+v, want the one nearest row (%s)", k, code, sr.Results, raw)
+		}
+	}
+}
+
+// An explicit "eps": 0 reaches LCSS(δ, 0) instead of being read as unset and
+// replaced by the default 0.25.
+func TestServerLCSSExplicitZeroEps(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	top2 := func(body string) [2]float64 {
+		t.Helper()
+		code, sr, raw := post(t, ts, "/v1/topk", body)
+		if code != http.StatusOK || len(sr.Results) != 2 {
+			t.Fatalf("%s: status %d (%s)", body, code, raw)
+		}
+		return [2]float64{sr.Results[0].Dist, sr.Results[1].Dist}
+	}
+	zero := top2(`{"query_index":2,"k":2,"measure":"lcss","eps":0}`)
+	def := top2(`{"query_index":2,"k":2,"measure":"lcss"}`)
+	if zero == def {
+		t.Fatalf("eps 0 and the default eps give the same top-2 distances %v", zero)
+	}
+	q, err := lbkeogh.NewQuery(srv.cfg.DB[2], lbkeogh.LCSS(5, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := q.SearchTopK(srv.cfg.DB, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zero != [2]float64{want[0].Dist, want[1].Dist} {
+		t.Fatalf("eps 0 answered %v, LCSS(5, 0) %v", zero, want)
 	}
 }
 
@@ -194,7 +262,7 @@ func TestServerDeadline(t *testing.T) {
 		DB:               lbkeogh.SyntheticProjectilePoints(11, 150, 64),
 		BeforeSearchHook: pastDeadline,
 	})
-	code, _, raw := post(t, ts, "/v1/search", `{"query_index":0,"measure":"dtw","strategy":"brute","timeout_ms":1}`)
+	code, _, raw := post(t, ts, "/v1/search", `{"query_index":0,"measure":"dtw","timeout_ms":1}`)
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504 (%s)", code, raw)
 	}
@@ -211,7 +279,7 @@ func TestServerDeadline(t *testing.T) {
 	// The pooled session survived the cancellation: the same spec without a
 	// deadline (10 s by default, so the hook's hold is harmless) must succeed
 	// and reuse the session.
-	code, sr, raw := post(t, ts, "/v1/search", `{"query_index":0,"measure":"dtw","strategy":"brute"}`)
+	code, sr, raw := post(t, ts, "/v1/search", `{"query_index":0,"measure":"dtw"}`)
 	if code != http.StatusOK || !sr.PoolHit || sr.Results[0].Index != 0 {
 		t.Fatalf("post-timeout reuse: status %d pool_hit %v %+v (%s)", code, sr.PoolHit, sr.Results, raw)
 	}
@@ -230,7 +298,7 @@ func TestServerCancelledMidScan(t *testing.T) {
 		DB:               lbkeogh.SyntheticProjectilePoints(11, 150, 64),
 		BeforeSearchHook: func(ctx context.Context) context.Context { return cancelAtPoll(ctx, 8) },
 	})
-	const body = `{"query_index":0,"measure":"dtw","strategy":"early_abandon"}`
+	const body = `{"query_index":0,"measure":"dtw"}`
 	rec := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/search", strings.NewReader(body)))
 	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "cancelled") {
@@ -274,7 +342,7 @@ func TestServerConcurrentSaturation(t *testing.T) {
 	for i := 0; i < clients; i++ {
 		go func() {
 			resp, err := http.Post(ts.URL+"/v1/search", "application/json",
-				strings.NewReader(`{"query_index":0,"measure":"dtw","strategy":"brute"}`))
+				strings.NewReader(`{"query_index":0,"measure":"dtw"}`))
 			if err != nil {
 				t.Error(err)
 				codes <- 0
@@ -552,10 +620,10 @@ func TestServerDefaultTimeoutApplies(t *testing.T) {
 		MaxTimeout:       2 * time.Millisecond,
 		BeforeSearchHook: pastDeadline,
 	})
-	if code, _, raw := post(t, ts, "/v1/search", `{"query_index":0,"measure":"dtw","strategy":"brute"}`); code != http.StatusGatewayTimeout {
+	if code, _, raw := post(t, ts, "/v1/search", `{"query_index":0,"measure":"dtw"}`); code != http.StatusGatewayTimeout {
 		t.Fatalf("default deadline: status %d, want 504 (%s)", code, raw)
 	}
-	if code, _, raw := post(t, ts, "/v1/search", `{"query_index":0,"measure":"dtw","strategy":"brute","timeout_ms":60000}`); code != http.StatusGatewayTimeout {
+	if code, _, raw := post(t, ts, "/v1/search", `{"query_index":0,"measure":"dtw","timeout_ms":60000}`); code != http.StatusGatewayTimeout {
 		t.Fatalf("clamped deadline: status %d, want 504 (%s)", code, raw)
 	}
 }
@@ -576,7 +644,7 @@ func TestServerHugeTimeoutClampsToMax(t *testing.T) {
 		{math.MaxInt64, 60 * time.Second},
 	} {
 		body := fmt.Sprintf(`{"query_index":0,"timeout_ms":%d}`, tc.ms)
-		_, _, timeout, err := srv.parse(httptest.NewRequest(http.MethodPost, "/v1/search", strings.NewReader(body)), kindNearest, srv.cfg.DB)
+		_, _, timeout, err := srv.parse(httptest.NewRequest(http.MethodPost, "/v1/search", strings.NewReader(body)), srv.cfg.DB)
 		if err != nil || timeout != tc.want {
 			t.Errorf("timeout_ms %d parsed to %v (err %v), want %v", tc.ms, timeout, err, tc.want)
 		}
@@ -584,55 +652,4 @@ func TestServerHugeTimeoutClampsToMax(t *testing.T) {
 	if code, _, raw := post(t, ts, "/v1/search", `{"query_index":0,"timeout_ms":9300000000000}`); code != http.StatusOK {
 		t.Fatalf("timeout_ms 9300000000000: status %d, want 200 (%s)", code, raw)
 	}
-}
-
-// TestServerParallelClamped pins the body's parallel knob: whatever worker
-// count a request asks for, it is clamped to GOMAXPROCS before the search,
-// answers exactly like the serial path, reconciles, and leaves no goroutine
-// behind.
-func TestServerParallelClamped(t *testing.T) {
-	srv, ts := newTestServer(t, Config{DB: lbkeogh.SyntheticProjectilePoints(11, 300, 32)})
-	code, serial, raw := post(t, ts, "/v1/search", `{"series":`+seriesJSON(srv.cfg.DB[3], 0.01)+`}`)
-	if code != http.StatusOK {
-		t.Fatalf("serial: status %d (%s)", code, raw)
-	}
-	baseline := runtime.NumGoroutine() // after the keep-alive connection exists
-	for _, parallel := range []int{2, 1 << 30} {
-		body := fmt.Sprintf(`{"series":%s,"parallel":%d}`, seriesJSON(srv.cfg.DB[3], 0.01), parallel)
-		req, _, _, err := srv.parse(httptest.NewRequest(http.MethodPost, "/v1/search", strings.NewReader(body)), kindNearest, srv.cfg.DB)
-		if err != nil || req.Parallel > runtime.GOMAXPROCS(0) {
-			t.Fatalf("parallel %d parsed to %d workers (err %v), GOMAXPROCS %d", parallel, req.Parallel, err, runtime.GOMAXPROCS(0))
-		}
-		code, sr, raw := post(t, ts, "/v1/search", body)
-		if code != http.StatusOK {
-			t.Fatalf("parallel %d: status %d (%s)", parallel, code, raw)
-		}
-		if !reflect.DeepEqual(sr.Results, serial.Results) {
-			t.Errorf("parallel %d answered %+v, serial %+v", parallel, sr.Results, serial.Results)
-		}
-		// The parallel scan re-checks the rows before its answer for an
-		// equal-distance tie, so it runs a few comparisons more than serial.
-		if !sr.Stats.Reconciles() || sr.Stats.Comparisons < serial.Stats.Comparisons {
-			t.Errorf("parallel %d stats: reconciles %v, %d comparisons (serial %d)",
-				parallel, sr.Stats.Reconciles(), sr.Stats.Comparisons, serial.Stats.Comparisons)
-		}
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > baseline {
-		t.Errorf("%d goroutines after the parallel searches, %d before", n, baseline)
-	}
-}
-
-// seriesJSON renders row shifted by delta, so the query is near but not equal
-// to a database row.
-func seriesJSON(row lbkeogh.Series, delta float64) string {
-	shifted := make([]float64, len(row))
-	for i, v := range row {
-		shifted[i] = v + delta*float64(i%3)
-	}
-	raw, _ := json.Marshal(shifted)
-	return string(raw)
 }

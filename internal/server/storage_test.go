@@ -66,7 +66,7 @@ func TestDebugStoragePage(t *testing.T) {
 	if code, raw := postJSON(t, ts, "/v1/ingest", ingestBody(storeRows(22, 4, 32)), nil); code != http.StatusOK {
 		t.Fatalf("ingest: status %d body %s", code, raw)
 	}
-	if code, raw := postJSON(t, ts, "/v1/search", `{"query_index":0,"strategy":"brute"}`, nil); code != http.StatusOK {
+	if code, raw := postJSON(t, ts, "/v1/search", `{"query_index":0}`, nil); code != http.StatusOK {
 		t.Fatalf("search: status %d body %s", code, raw)
 	}
 	if code, raw := postJSON(t, ts, "/v1/compact", `{}`, nil); code != http.StatusOK {
@@ -121,7 +121,7 @@ func TestStoreMetricsParse(t *testing.T) {
 	if code, raw := postJSON(t, ts, "/v1/ingest", ingestBody(storeRows(31, 8, 32)), nil); code != http.StatusOK {
 		t.Fatalf("ingest: status %d body %s", code, raw)
 	}
-	if code, raw := postJSON(t, ts, "/v1/search", `{"query_index":3,"strategy":"brute"}`, nil); code != http.StatusOK {
+	if code, raw := postJSON(t, ts, "/v1/search", `{"query_index":3}`, nil); code != http.StatusOK {
 		t.Fatalf("search: status %d body %s", code, raw)
 	}
 

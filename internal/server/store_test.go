@@ -195,7 +195,7 @@ func TestStoreModeConcurrentCompactSwap(t *testing.T) {
 				qi := (r*7 + i) % len(seedRows) // seed rows: present in every generation
 				var sr SearchResponse
 				code, raw := postJSON(t, ts, "/v1/search",
-					fmt.Sprintf(`{"query_index":%d,"strategy":"early_abandon"}`, qi), &sr)
+					fmt.Sprintf(`{"query_index":%d}`, qi), &sr)
 				searches.Add(1)
 				if code != http.StatusOK {
 					failed.Add(1)

@@ -66,20 +66,9 @@ type Monitor struct {
 // hierarchy for threshold filtering under kern. A window matches pattern p
 // when the kernel distance is strictly below threshold.
 func NewMonitor(patterns [][]float64, kern wedge.Kernel, threshold float64) (*Monitor, error) {
-	if len(patterns) == 0 {
-		return nil, fmt.Errorf("stream: no patterns")
-	}
-	n := len(patterns[0])
-	if n < 2 {
-		return nil, fmt.Errorf("stream: patterns need >= 2 samples")
-	}
-	for i, p := range patterns {
-		if len(p) != n {
-			return nil, fmt.Errorf("stream: pattern %d length %d != %d", i, len(p), n)
-		}
-		if j := ts.NonFinite(p); j >= 0 {
-			return nil, fmt.Errorf("stream: pattern %d sample %d is %v; every sample must be finite", i, j, p[j])
-		}
+	n, err := ts.CheckRows(patterns, "pattern")
+	if err != nil {
+		return nil, fmt.Errorf("stream: %w", err)
 	}
 	if !(threshold > 0) {
 		return nil, fmt.Errorf("stream: threshold %v must be positive", threshold)

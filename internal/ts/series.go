@@ -159,6 +159,30 @@ func NonFinite(s []float64) int {
 	return -1
 }
 
+// CheckRows is the one check of a row set that a search structure is built
+// over — an index's database, a mining collection, a monitor's patterns: at
+// least one row, every row as long as the first and at least 2 samples long,
+// every sample finite. It returns the common length, or an error naming the
+// first row (as what, e.g. "pattern") and sample at fault.
+func CheckRows(rows [][]float64, what string) (int, error) {
+	if len(rows) == 0 {
+		return 0, fmt.Errorf("no %s given", what)
+	}
+	n := len(rows[0])
+	if n < 2 {
+		return 0, fmt.Errorf("%s 0 has %d samples; need >= 2", what, n)
+	}
+	for i, row := range rows {
+		if len(row) != n {
+			return 0, fmt.Errorf("%s %d length %d != %d", what, i, len(row), n)
+		}
+		if j := NonFinite(row); j >= 0 {
+			return 0, fmt.Errorf("%s %d sample %d is %v; every sample must be finite", what, i, j, row[j])
+		}
+	}
+	return n, nil
+}
+
 // MinMax returns the minimum and maximum values of s. It panics on empty
 // input, since there is no sensible zero answer.
 func MinMax(s []float64) (lo, hi float64) {

@@ -6,6 +6,7 @@ import (
 	"lbkeogh/internal/cluster"
 	"lbkeogh/internal/core"
 	"lbkeogh/internal/mining"
+	"lbkeogh/internal/ts"
 )
 
 // Motif is the closest pair in a collection under a rotation-invariant
@@ -20,52 +21,31 @@ type Motif struct {
 	Rotation Rotation
 }
 
-// miningConfig reuses the query options that make sense for whole-collection
-// operations (strategy and K tuning are internal to the scan).
-func miningConfig(opts []QueryOption) (core.Options, error) {
-	cfg := queryConfig{maxShift: -1}
-	for _, o := range opts {
-		o(&cfg)
+// miningInput checks db and resolves the options for it (strategy and K
+// tuning are internal to the scan): the row check every search structure
+// makes and NewQuery's reading of the options, against db's series length.
+func miningInput(db []Series, m Measure, opts []QueryOption) (int, core.Options, error) {
+	if err := m.validate(); err != nil {
+		return 0, core.Options{}, err
 	}
-	if cfg.maxShift == -2 {
-		return core.Options{}, fmt.Errorf("lbkeogh: degree-based rotation limits need a series length; use WithMaxRotationSamples for mining operations")
+	n, err := ts.CheckRows(db, "database series")
+	if err != nil {
+		return 0, core.Options{}, fmt.Errorf("lbkeogh: %w", err)
 	}
-	return core.Options{Mirror: cfg.mirror, MaxShift: cfg.maxShift}, nil
-}
-
-func validateDB(db []Series) (int, error) {
-	if len(db) == 0 {
-		return 0, fmt.Errorf("lbkeogh: empty database")
-	}
-	n := len(db[0])
-	if n < 2 {
-		return 0, fmt.Errorf("lbkeogh: series need >= 2 samples")
-	}
-	for i, s := range db {
-		if len(s) != n {
-			return 0, fmt.Errorf("lbkeogh: database series %d length %d != %d", i, len(s), n)
-		}
-	}
-	return n, nil
+	_, copts, err := resolveOptions(opts, n)
+	return n, copts, err
 }
 
 // ClosestPair returns the exact motif of db: the pair of series with the
-// smallest rotation-invariant distance under m. Options WithMirrorInvariance
-// and WithMaxRotationSamples apply.
+// smallest rotation-invariant distance under m. Options WithMirrorInvariance,
+// WithMaxRotationSamples and WithMaxRotationDegrees apply.
 func ClosestPair(db []Series, m Measure, opts ...QueryOption) (Motif, error) {
-	if err := m.validate(); err != nil {
-		return Motif{}, err
-	}
-	n, err := validateDB(db)
+	n, copts, err := miningInput(db, m, opts)
 	if err != nil {
 		return Motif{}, err
 	}
 	if len(db) < 2 {
 		return Motif{}, fmt.Errorf("lbkeogh: closest pair needs >= 2 series")
-	}
-	copts, err := miningConfig(opts)
-	if err != nil {
-		return Motif{}, err
 	}
 	p, err := mining.ClosestPair(db, m.kern, copts, nil)
 	if err != nil {
@@ -111,13 +91,7 @@ func (dd *Dendrogram) Render(labels []string) string { return dd.d.Render(labels
 // measure m with group-average linkage — the engine behind the paper's
 // skull, reptile and butterfly dendrograms (Figures 3, 16, 17, 18).
 func Cluster(db []Series, m Measure, opts ...QueryOption) (*Dendrogram, error) {
-	if err := m.validate(); err != nil {
-		return nil, err
-	}
-	if _, err := validateDB(db); err != nil {
-		return nil, err
-	}
-	copts, err := miningConfig(opts)
+	_, copts, err := miningInput(db, m, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -127,13 +101,7 @@ func Cluster(db []Series, m Measure, opts ...QueryOption) (*Dendrogram, error) {
 // Medoid returns the index of the most central series of db — smallest sum
 // of rotation-invariant distances to all others.
 func Medoid(db []Series, m Measure, opts ...QueryOption) (int, error) {
-	if err := m.validate(); err != nil {
-		return -1, err
-	}
-	if _, err := validateDB(db); err != nil {
-		return -1, err
-	}
-	copts, err := miningConfig(opts)
+	_, copts, err := miningInput(db, m, opts)
 	if err != nil {
 		return -1, err
 	}
@@ -145,13 +113,7 @@ func Medoid(db []Series, m Measure, opts ...QueryOption) (int, error) {
 // distance. This is the outlier-scan primitive used on star light curves
 // (Section 2.4, reference [29]).
 func Discord(db []Series, m Measure, opts ...QueryOption) (int, float64, error) {
-	if err := m.validate(); err != nil {
-		return -1, 0, err
-	}
-	if _, err := validateDB(db); err != nil {
-		return -1, 0, err
-	}
-	copts, err := miningConfig(opts)
+	_, copts, err := miningInput(db, m, opts)
 	if err != nil {
 		return -1, 0, err
 	}

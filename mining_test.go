@@ -41,8 +41,65 @@ func TestClosestPairValidation(t *testing.T) {
 	if _, err := ClosestPair([]Series{{1, 2}, {1, 2, 3}}, Euclidean()); err == nil {
 		t.Fatal("want error for ragged db")
 	}
-	if _, err := ClosestPair([]Series{{1, 2}, {2, 1}}, Euclidean(), WithMaxRotationDegrees(10)); err == nil {
-		t.Fatal("want error for degree limits in mining ops")
+	if _, err := ClosestPair([]Series{{1}, {2}}, Euclidean()); err == nil {
+		t.Fatal("want error for one-sample series")
+	}
+}
+
+// The mining operations read the options as NewQuery does: a rotation limit
+// NewQuery refuses is refused with its message — a negative sample count
+// used to be read as "unlimited" — and a degree limit, once refused for want
+// of a series length, answers as the sample limit it rounds to.
+func TestMiningReadsOptionsLikeNewQuery(t *testing.T) {
+	db := demoDB(26, 10, 40)
+	for _, opt := range []QueryOption{WithMaxRotationSamples(-5), WithMaxRotationDegrees(-1), WithMaxRotationDegrees(180)} {
+		_, want := NewQuery(db[0], Euclidean(), opt)
+		if want == nil {
+			t.Fatal("NewQuery accepted an out-of-domain rotation limit")
+		}
+		if _, err := ClosestPair(db, Euclidean(), opt); err == nil || err.Error() != want.Error() {
+			t.Errorf("ClosestPair: error %v, NewQuery's %v", err, want)
+		}
+	}
+	// 27 degrees of 40 samples round to 3 samples.
+	byDeg, err := ClosestPair(db, Euclidean(), WithMaxRotationDegrees(27))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bySamples, err := ClosestPair(db, Euclidean(), WithMaxRotationSamples(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if byDeg != bySamples {
+		t.Fatalf("27 degrees %+v, 3 samples %+v", byDeg, bySamples)
+	}
+	unlimited, err := ClosestPair(db, Euclidean())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if byDeg.Dist < unlimited.Dist {
+		t.Fatalf("a limited motif %v beats the unlimited one %v", byDeg.Dist, unlimited.Dist)
+	}
+}
+
+// A non-finite sample in the collection is refused by every mining
+// operation, naming the row and the sample; it used to reach the clustering
+// and panic there ("non-finite distance").
+func TestMiningRefusesNonFiniteRows(t *testing.T) {
+	calls := map[string]func([]Series) error{
+		"ClosestPair": func(db []Series) error { _, err := ClosestPair(db, Euclidean()); return err },
+		"Cluster":     func(db []Series) error { _, err := Cluster(db, Euclidean()); return err },
+		"Medoid":      func(db []Series) error { _, err := Medoid(db, Euclidean()); return err },
+		"Discord":     func(db []Series) error { _, _, err := Discord(db, Euclidean()); return err },
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for name, call := range calls {
+			db := demoDB(27, 8, 32)
+			db[3][5] = bad
+			if err := call(db); err == nil || !strings.Contains(err.Error(), "series 3 sample 5 ") {
+				t.Errorf("%s with a %v sample: want an error naming series 3 sample 5, got %v", name, bad, err)
+			}
+		}
 	}
 }
 

@@ -64,12 +64,32 @@ type Rotation struct {
 
 // queryConfig collects the functional options.
 type queryConfig struct {
-	mirror   bool
-	maxShift int // -1 unlimited, -2 "use maxDeg"
-	maxDeg   float64
+	mirror bool
+	// limit resolves the rotation limit in samples for series of length n;
+	// nil is unlimited.
+	limit    func(n int) (int, error)
 	strategy Strategy
 	fixedK   int
 	tlog     *TraceLog
+}
+
+// resolveOptions is the one reading of the options, shared by NewQuery and
+// the mining operations: it applies opts and resolves the rotation limit
+// against the series length n.
+func resolveOptions(opts []QueryOption, n int) (queryConfig, core.Options, error) {
+	var cfg queryConfig
+	for _, o := range opts {
+		o(&cfg)
+	}
+	copts := core.Options{Mirror: cfg.mirror, MaxShift: -1}
+	if cfg.limit != nil {
+		k, err := cfg.limit(n)
+		if err != nil {
+			return cfg, copts, err
+		}
+		copts.MaxShift = k
+	}
+	return cfg, copts, nil
 }
 
 // QueryOption customizes NewQuery.
@@ -84,14 +104,29 @@ func WithMirrorInvariance() QueryOption {
 // WithMaxRotationSamples restricts matching to circular shifts within
 // ±k samples (rotation-limited queries). k must be non-negative.
 func WithMaxRotationSamples(k int) QueryOption {
-	return func(c *queryConfig) { c.maxShift = k }
+	return func(c *queryConfig) {
+		c.limit = func(int) (int, error) {
+			if k < 0 {
+				return 0, fmt.Errorf("lbkeogh: negative rotation limit %d samples", k)
+			}
+			return k, nil
+		}
+	}
 }
 
 // WithMaxRotationDegrees restricts matching to rotations within ±deg degrees
 // of the query's original orientation — the paper's "find the best match to
-// this shape allowing a maximum rotation of 15 degrees".
+// this shape allowing a maximum rotation of 15 degrees". deg must lie in
+// [0, 180).
 func WithMaxRotationDegrees(deg float64) QueryOption {
-	return func(c *queryConfig) { c.maxShift = -2; c.maxDeg = deg }
+	return func(c *queryConfig) {
+		c.limit = func(n int) (int, error) {
+			if !(deg >= 0 && deg < 180) {
+				return 0, fmt.Errorf("lbkeogh: rotation limit %v degrees outside [0, 180)", deg)
+			}
+			return int(math.Round(deg / 360 * float64(n))), nil
+		}
+	}
 }
 
 // WithStrategy overrides the search strategy (default WedgeSearch). All
@@ -158,19 +193,9 @@ func NewQuery(series Series, m Measure, opts ...QueryOption) (*Query, error) {
 	if i := ts.NonFinite(series); i >= 0 {
 		return nil, fmt.Errorf("lbkeogh: query sample %d is %v; every sample must be finite", i, series[i])
 	}
-	cfg := queryConfig{maxShift: -1}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	maxShift := cfg.maxShift
-	if maxShift == -2 { // degrees requested
-		if cfg.maxDeg < 0 || cfg.maxDeg >= 180 {
-			return nil, fmt.Errorf("lbkeogh: rotation limit %v degrees outside [0, 180)", cfg.maxDeg)
-		}
-		maxShift = int(math.Round(cfg.maxDeg / 360 * float64(len(series))))
-	}
-	if maxShift < -1 {
-		return nil, fmt.Errorf("lbkeogh: negative rotation limit")
+	cfg, copts, err := resolveOptions(opts, len(series))
+	if err != nil {
+		return nil, err
 	}
 	if cfg.strategy == FFTSearch && m.Name() != "euclidean" {
 		return nil, fmt.Errorf("lbkeogh: FFTSearch supports only the Euclidean measure (the magnitude bound is not admissible for %s)", m.Name())
@@ -180,7 +205,7 @@ func NewQuery(series Series, m Measure, opts ...QueryOption) (*Query, error) {
 	q.searchCfg = core.SearcherConfig{FixedK: cfg.fixedK, Obs: &q.obs}
 	rec := q.tlog.StartTrace("build")
 	buildSpan := rec.Begin(trace.StageBuild, -1)
-	q.rs = core.NewRotationSetTraced(series, core.Options{Mirror: cfg.mirror, MaxShift: maxShift}, &q.counter, rec)
+	q.rs = core.NewRotationSetTraced(series, copts, &q.counter, rec)
 	q.searcher = core.NewSearcher(q.rs, m.kern, q.strategy, q.searchCfg)
 	rec.End(buildSpan)
 	q.tlog.Finish(rec, obs.Counts{})
@@ -320,7 +345,10 @@ type SearchResult struct {
 }
 
 // validateDB rejects an empty database and any series whose length differs
-// from the query's, with the offending index in the error.
+// from the query's, with the offending index in the error. It checks lengths
+// only, not ts.CheckRows' finite samples: that pass would read every sample
+// on every search, as much as the scan itself, and a row with a non-finite
+// sample never matches (every distance to it is NaN, which compares false).
 func (q *Query) validateDB(db []Series) error {
 	if len(db) == 0 {
 		return fmt.Errorf("lbkeogh: empty database")
