@@ -409,12 +409,15 @@ func TestBandedKernelsMatchReference(t *testing.T) {
 	}
 }
 
-// The kernels run thousands of times per rotation-invariant comparison; at
-// the paper's band they must not touch the heap.
+// The kernels run thousands of times per rotation-invariant comparison;
+// Euclidean, and DTW and LCSS at the paper's band, must not touch the heap.
 func TestBandedKernelsDoNotAllocate(t *testing.T) {
 	rng := ts.NewRand(107)
 	q, c := ts.RandomWalk(rng, 256), ts.RandomWalk(rng, 256)
 	var cnt stats.Tally
+	if a := testing.AllocsPerRun(100, func() { Euclidean(q, c, &cnt) }); a > 0 {
+		t.Errorf("Euclidean(n=256) allocates %v times per call", a)
+	}
 	if a := testing.AllocsPerRun(100, func() { dtwBanded(q, c, 5, 3, nil, &cnt) }); a > 0 {
 		t.Errorf("dtwBanded(n=256, R=5) allocates %v times per call", a)
 	}

@@ -186,6 +186,17 @@ func TestExpandDTWAllocatesOnlyItsResult(t *testing.T) {
 	}
 }
 
+func TestNewAllocatesOnlyItsResult(t *testing.T) {
+	set := randomSet(11, 4, 64)
+	var e Envelope
+	if a := int(testing.AllocsPerRun(100, func() { e = New(set...) })); a != 2 {
+		t.Errorf("New allocates %d times per call, want 2 (its upper and lower buffers)", a)
+	}
+	if e.Len() != 64 {
+		t.Fatalf("envelope length %d, want 64", e.Len())
+	}
+}
+
 // The deque-based expansion must match a naive O(nR) reference exactly, at
 // narrow bands (deque ring on the stack) and wide ones (ring on the heap),
 // and on monotone and constant series, where the deque fills a whole window

@@ -14,6 +14,15 @@
 // to its first D coefficients only discards non-negative terms, so the bound
 // stays admissible at any dimensionality — which is what makes it usable
 // inside a spatial index.
+//
+// Magnitudes computes the D coefficients it keeps in one of two ways: by
+// direct real-input DFT sums against a per-length cos/sin table, O(n·D)
+// with no scratch, or from the whole transform, O(n log n) plus its
+// buffers. A fixed operation count picks the cheaper (directCheaper): the
+// paper's D ≤ 32 at its n = 251 takes the direct sums, a full spectrum
+// (D = n/2) the transform. The two agree within the absolute rounding bound
+// of DESIGN.md §6, so features stored from one path bound queries whose
+// features come from the other.
 package fourier
 
 import (
@@ -119,14 +128,21 @@ type chirpPlan struct {
 // so the cache is never evicted.
 var chirpPlans sync.Map // int -> *chirpPlan
 
-func chirpPlanFor(n int) *chirpPlan {
-	if p, ok := chirpPlans.Load(n); ok {
-		return p.(*chirpPlan)
-	}
+// bluesteinLen is the power-of-two convolution length of a length-n
+// Bluestein transform: the least m ≥ 2n−1.
+func bluesteinLen(n int) int {
 	m := 1
 	for m < 2*n-1 {
 		m <<= 1
 	}
+	return m
+}
+
+func chirpPlanFor(n int) *chirpPlan {
+	if p, ok := chirpPlans.Load(n); ok {
+		return p.(*chirpPlan)
+	}
+	m := bluesteinLen(n)
 	// k² mod 2n avoids precision loss for large k.
 	chirp := make([]complex128, n)
 	for k := 0; k < n; k++ {
@@ -177,35 +193,120 @@ func bluestein(x []complex128) []complex128 {
 // plain Euclidean distance between two feature vectors lower-bounds the
 // Euclidean distance between the series under every relative rotation (see
 // LowerBoundED). D must satisfy 1 <= D <= n/2; larger requests are clamped.
+//
+// The coefficients come from direct DFT sums when D·n/2 multiply-add pairs
+// are at most three per butterfly of the transform — D ≤ 3·log₂n at a
+// power-of-two n, D·n ≤ 6·m·log₂m under Bluestein's length-m convolution —
+// and from the transform otherwise (see directCheaper). The path depends on
+// (n, D) alone, so every caller gets the same bits for the same series; the
+// direct path allocates only the result.
 func Magnitudes(x []float64, D int) []float64 {
 	n := len(x)
 	if n == 0 {
 		return nil
 	}
-	maxD := n / 2
-	if maxD < 1 {
-		maxD = 1
-	}
-	if D < 1 {
-		D = 1
-	}
-	if D > maxD {
-		D = maxD
-	}
-	X := FFTReal(x)
+	D = max(1, min(D, n/2))
 	out := make([]float64, D)
-	for j := 0; j < D; j++ {
-		k := j + 1
-		// Coefficients k and n-k are conjugates for real input; both terms
-		// appear in Parseval's sum, so each magnitude counts twice except at
-		// the Nyquist frequency k = n/2 (for even n), which is its own mirror.
-		weight := 2.0
-		if 2*k == n {
-			weight = 1.0
-		}
-		out[j] = math.Sqrt(weight/float64(n)) * cmplx.Abs(X[k])
+	if directCheaper(n, D) {
+		magnitudesDirect(x, out)
+	} else {
+		magnitudesTransform(x, out)
 	}
 	return out
+}
+
+// directCheaper is the rule that picks Magnitudes' path, an operation
+// count. The direct sums cost D·n/2 multiply-add pairs; the transform costs
+// (n/2)·log₂n butterflies at a power-of-two n, and under Bluestein two FFTs
+// of length m, the power of two ≥ 2n−1, so m·log₂m. A butterfly, with the
+// transform's buffers, costs about three multiply-add pairs: calibrated at
+// n ∈ {64, 251, 256, 1024}, where the measured paths tie near D = 24, 115,
+// 24 and 30, the rule switches at D = 18, 110, 24 and 30
+// (BenchmarkMagnitudesPaths re-measures it).
+func directCheaper(n, D int) bool {
+	if n&(n-1) == 0 {
+		return D*n <= 3*n*bits.Len(uint(n)-1)
+	}
+	m := bluesteinLen(n)
+	return D*n <= 6*m*bits.Len(uint(m)-1)
+}
+
+// magScale is the Parseval factor of coefficient k: coefficients k and n-k
+// are conjugates for real input and both appear in Parseval's sum, so each
+// magnitude counts twice except at the Nyquist frequency k = n/2 (for even
+// n), which is its own mirror.
+func magScale(n, k int) float64 {
+	if 2*k == n {
+		return math.Sqrt(1 / float64(n))
+	}
+	return math.Sqrt(2 / float64(n))
+}
+
+// magnitudesTransform fills out from the whole spectrum.
+func magnitudesTransform(x, out []float64) {
+	n := len(x)
+	X := FFTReal(x)
+	for j := range out {
+		out[j] = magScale(n, j+1) * cmplx.Abs(X[j+1])
+	}
+}
+
+// magnitudesDirect fills out with one real-input DFT sum per coefficient,
+// reading the length's twiddle table: O(n·len(out)), no scratch. Samples t
+// and n-t share cos(2πkt/n) and negate sin(2πkt/n), so each sum runs over
+// the pairs (x[t] ± x[n-t]) for 0 < t < n/2, plus x[0] and, for even n, the
+// Nyquist sample x[n/2].
+func magnitudesDirect(x, out []float64) {
+	n := len(x)
+	tw := twiddlesFor(n)
+	cos, sin := tw.cos[:n], tw.sin[:n]
+	for j := range out {
+		k := j + 1
+		re, im := x[0], 0.0
+		idx := 0 // k·t mod n
+		for t := 1; 2*t < n; t++ {
+			idx += k
+			if idx >= n {
+				idx -= n
+			}
+			a, b := x[t], x[n-t]
+			re += (a + b) * cos[idx]
+			im += (a - b) * sin[idx]
+		}
+		if n%2 == 0 { // cos(πk) = ±1, sin(πk) = 0
+			if k%2 == 0 {
+				re += x[n/2]
+			} else {
+				re -= x[n/2]
+			}
+		}
+		out[j] = magScale(n, k) * math.Hypot(re, im)
+	}
+}
+
+// twiddles is the part of the direct path that depends only on the length
+// n: cos and sin of 2πj/n for j in [0, n). Read-only once built. Only the
+// angles up to π are evaluated, so each is rounded at half the magnitude,
+// and the table is exactly symmetric: cos(2π(n−j)/n) = cos(2πj/n),
+// sin(2π(n−j)/n) = −sin(2πj/n).
+type twiddles struct{ cos, sin []float64 }
+
+// twiddleTables caches one table per length, as chirpPlans does.
+var twiddleTables sync.Map // int -> *twiddles
+
+func twiddlesFor(n int) *twiddles {
+	if t, ok := twiddleTables.Load(n); ok {
+		return t.(*twiddles)
+	}
+	tw := &twiddles{cos: make([]float64, n), sin: make([]float64, n)}
+	for j := 0; 2*j <= n; j++ {
+		tw.sin[j], tw.cos[j] = math.Sincos(2 * math.Pi * float64(j) / float64(n))
+	}
+	for j := n/2 + 1; j < n; j++ { // angles past π mirror those below it
+		tw.sin[j], tw.cos[j] = -tw.sin[n-j], tw.cos[n-j]
+	}
+	t, _ := twiddleTables.LoadOrStore(n, tw)
+	return t.(*twiddles)
 }
 
 // LowerBoundED returns the Euclidean distance between two magnitude feature

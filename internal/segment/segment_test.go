@@ -361,3 +361,98 @@ func FuzzOpen(f *testing.F) {
 		}
 	})
 }
+
+// Every feature producer computes the stored magnitudes through the one
+// fourier.Magnitudes, so the path it takes depends only on (n, d): rows
+// stored by BulkWriter.Add and by DB.Ingest are fourier.Magnitudes' bits,
+// at a d the direct sums serve and at n/2, which the transform serves.
+func TestStoredMagnitudesAreMagnitudes(t *testing.T) {
+	const n, count = 251, 40
+	for _, d := range []int{8, n / 2} {
+		bulkDir, ingestDir := t.TempDir(), t.TempDir()
+		b, err := NewBulkWriter(bulkDir, n, d, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make([][]float64, count)
+		for i := range rows {
+			rows[i] = testSeries(i, n)
+			if err := b.Add(rows[i], int64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := b.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ing, err := OpenDB(ingestDir, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ing.Ingest(rows[:count/2], nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ing.Ingest(rows[count/2:], nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := ing.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, dir := range []string{bulkDir, ingestDir} {
+			db, err := OpenDB(dir, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := db.Acquire()
+			mags, _ := snap.Features()
+			if len(mags) != count {
+				t.Fatalf("d=%d: %d magnitude rows, want %d", d, len(mags), count)
+			}
+			for id, m := range mags {
+				if !floatsEqual(m, fourier.Magnitudes(rows[id], d)) {
+					t.Fatalf("d=%d %s: stored magnitudes of row %d are not fourier.Magnitudes' bits", d, dir, id)
+				}
+			}
+			snap.Release()
+			db.Close()
+		}
+	}
+}
+
+// Reader.Series and Snapshot.Series are views under mmap and allocate
+// nothing. Under WithPread each call is a private copy: a read buffer and
+// the decoded row.
+func TestSeriesAllocations(t *testing.T) {
+	dir := t.TempDir()
+	bulkStore(t, dir, 100, 40)
+	for _, pread := range []bool{false, true} {
+		var opts []OpenOption
+		if pread {
+			opts = append(opts, WithPread())
+		}
+		db, err := OpenDB(dir, testD, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := db.Acquire()
+		r := snap.segs[1]
+		want := 0
+		if !r.ZeroCopy() {
+			want = 2
+		}
+		if pread && want == 0 {
+			t.Fatal("WithPread reader reports zero-copy views")
+		}
+		var row []float64
+		if a := int(testing.AllocsPerRun(100, func() { row = r.Series(3) })); a != want {
+			t.Errorf("pread=%v: Reader.Series allocates %d times per call, want %d", pread, a, want)
+		}
+		if a := int(testing.AllocsPerRun(100, func() { row = snap.Series(77) })); a != want {
+			t.Errorf("pread=%v: Snapshot.Series allocates %d times per call, want %d", pread, a, want)
+		}
+		if view := &snap.Series(77)[0] == &row[0]; view != (want == 0) {
+			t.Errorf("pread=%v: two Series(77) calls share memory: %v, want %v", pread, view, want == 0)
+		}
+		snap.Release()
+		db.Close()
+	}
+}

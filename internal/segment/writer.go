@@ -32,7 +32,10 @@ func invalid(format string, args ...any) error {
 // alongside the raw series: the rotation-invariant Fourier magnitudes and
 // the PAA means, both at dimensionality d. Ingest pipelines call it from
 // worker goroutines and hand the results to Writer.AddPrecomputed so the
-// single writer goroutine only streams bytes.
+// single writer goroutine only streams bytes. The magnitudes are
+// fourier.Magnitudes' bits, so at the usual d they cost O(n·d) direct sums,
+// not a transform; a store whose column came from the transform answers
+// exactly too, within the rounding bound of DESIGN.md §6.
 func Features(series []float64, d int) (mags, paas []float64) {
 	return fourier.Magnitudes(series, d), paa.Reduce(series, d)
 }

@@ -416,3 +416,17 @@ func TestKernelLeafCascade(t *testing.T) {
 		}
 	}
 }
+
+// A kernel's exact distance runs once per surviving member of every
+// comparison: in steady state it allocates nothing.
+func TestKernelDistanceDoesNotAllocate(t *testing.T) {
+	rng := ts.NewRand(109)
+	q, c := ts.RandomWalk(rng, 251), ts.RandomWalk(rng, 251)
+	var cnt stats.Tally
+	for _, k := range []Kernel{ED{}, DTW{R: 5}} {
+		k.Distance(q, c, math.Inf(1), &cnt) // steady state: any lazy setup is done
+		if a := int(testing.AllocsPerRun(100, func() { k.Distance(q, c, math.Inf(1), &cnt) })); a != 0 {
+			t.Errorf("%T.Distance(n=251) allocates %d times per call, want 0", k, a)
+		}
+	}
+}
