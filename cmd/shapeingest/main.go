@@ -13,11 +13,11 @@
 // loaders: sequential ingest first, index construction off the load path.
 //
 // Progress is reported as structured log events on stderr (JSON by default;
-// see -log): every sealed segment and the final manifest swap come from the
-// storage event journal, interleaved with periodic row-count progress. On
-// success the process prints a single-line JSON run summary to stdout —
-// rows, throughput, bytes written, per-stage durations, and the journal's
-// per-kind event counts — for scripts to consume.
+// see -log): periodic row counts, then one line per stage as it completes.
+// On success the process prints a single-line JSON run summary to stdout —
+// rows, throughput, bytes written, the segments the load added (read from
+// the manifest it published), and per-stage durations — for scripts to
+// consume.
 //
 // Typical sessions:
 //
@@ -38,7 +38,6 @@ import (
 
 	"lbkeogh"
 	"lbkeogh/internal/obs/ops"
-	"lbkeogh/internal/obs/storeobs"
 	"lbkeogh/internal/segment"
 	"lbkeogh/internal/synth"
 )
@@ -85,11 +84,9 @@ type runSummary struct {
 	Rows         int64              `json:"rows"`
 	RowsPerS     float64            `json:"rows_per_s"`
 	BytesWritten int64              `json:"bytes_written"`
-	Segments     int64              `json:"segments"` // sealed by this run
+	Segments     int                `json:"segments"` // added by this run
 	StoreRows    int64              `json:"store_rows"`
 	StageSeconds map[string]float64 `json:"stage_seconds"`
-	// JournalEvents is the storage journal's per-kind count for this run.
-	JournalEvents map[string]int64 `json:"journal_events"`
 }
 
 func run(logger *slog.Logger, dir string, count int64, n, dims int, batch int, workers int,
@@ -124,14 +121,16 @@ func run(logger *slog.Logger, dir string, count int64, n, dims int, batch int, w
 		d = n / 2
 	}
 
+	// The segments the load adds are the published manifest's count less
+	// this one's.
+	m0, _, err := segment.LoadManifest(dir)
+	if err != nil {
+		return err
+	}
 	b, err := segment.NewBulkWriter(dir, n, d, segRecords)
 	if err != nil {
 		return err
 	}
-	// The journal turns segment seals and the manifest swap into structured
-	// progress events on the same logger as the row-count ticker.
-	journal := storeobs.NewJournal(256, logger)
-	b.SetJournal(journal)
 	if have := b.Total(); have+count > maxRows {
 		b.Abort()
 		return fmt.Errorf("load would put the store at %d rows, over the -max-rows cap %d", have+count, maxRows)
@@ -220,23 +219,25 @@ func run(logger *slog.Logger, dir string, count int64, n, dims int, batch int, w
 		return err
 	}
 	ingestSecs := time.Since(start).Seconds()
+	m, ok, err := segment.LoadManifest(dir)
+	if err != nil || !ok {
+		return fmt.Errorf("published manifest: ok=%v err=%v", ok, err)
+	}
 	summary := runSummary{
 		Rows:         count,
 		RowsPerS:     float64(count) / ingestSecs,
 		BytesWritten: b.BytesWritten(),
+		Segments:     len(m.Segments) - len(m0.Segments),
 		StoreRows:    firstID + count,
 		StageSeconds: map[string]float64{"generate_ingest": ingestSecs},
 	}
 	logger.Info("ingest complete", "rows", count, "seconds", ingestSecs,
 		"rows_per_s", summary.RowsPerS, "bytes_written", summary.BytesWritten,
+		"segments", summary.Segments, "generation", m.Generation,
 		"store_rows", summary.StoreRows, "dir", dir)
 
 	if verify {
 		vStart := time.Now()
-		m, ok, err := segment.LoadManifest(dir)
-		if err != nil || !ok {
-			return fmt.Errorf("verify: manifest: ok=%v err=%v", ok, err)
-		}
 		var total int64
 		for _, ms := range m.Segments {
 			r, err := segment.Open(dir + "/" + ms.File) // full CRC verification
@@ -272,9 +273,6 @@ func run(logger *slog.Logger, dir string, count int64, n, dims int, batch int, w
 		logger.Info("indexes deferred", "hint", "build at serve time or rerun with -defer-indexes=false")
 	}
 
-	counts := journal.Counts()
-	summary.Segments = counts[storeobs.EventSegmentSealed]
-	summary.JournalEvents = counts
 	out, err := json.Marshal(summary)
 	if err != nil {
 		return err

@@ -25,10 +25,11 @@
 // answers immediately (/readyz stays 503 until the database is in). Counters
 // and histograms are at /metrics. The trace log is at /debug/lbkeogh: its
 // summaries as JSON, and with ?format=chrome its traces as Chrome trace-event
-// JSON for ui.perfetto.dev (404 under -notrace). A segment store reports its
-// storage plane as JSON at /debug/storage. CPU and heap profiles, taken on
-// demand, are at /debug/pprof/. The server starts no background telemetry
-// goroutine.
+// JSON for ui.perfetto.dev (404 under -notrace). A segment store's
+// generation, segments and orphans are in the /livez store block; each
+// ingest and compaction logs one line with its generation. CPU and heap
+// profiles, taken on demand, are at /debug/pprof/. The server starts no
+// background telemetry goroutine.
 package main
 
 import (
@@ -48,7 +49,6 @@ import (
 
 	"lbkeogh"
 	"lbkeogh/internal/obs/ops"
-	"lbkeogh/internal/obs/storeobs"
 	"lbkeogh/internal/segment"
 	"lbkeogh/internal/seriesio"
 	"lbkeogh/internal/server"
@@ -61,7 +61,6 @@ func main() {
 		segments    = flag.String("segments", "", "memory-mapped segment store directory (see shapeingest); enables /v1/ingest and /v1/compact")
 		segDims     = flag.Int("segment-dims", 8, "feature dims for segments created by online ingest into an empty store")
 		segVerify   = flag.Bool("verify-on-open", false, "recompute every segment section CRC while mapping the store (faults the whole file in; default trusts shapeingest -verify and checks headers only)")
-		journalSize = flag.Int("journal-size", 512, "storage event journal ring size in segment mode")
 		synthetic   = flag.String("synthetic", "", "generate a synthetic database instead: m,n (series,samples)")
 		seed        = flag.Int64("seed", 42, "synthetic dataset seed")
 		inflight    = flag.Int("inflight", 4, "max concurrent searches")
@@ -171,12 +170,6 @@ func main() {
 	if !*notrace {
 		tlog = lbkeogh.NewTraceLog(lbkeogh.WithSampleRate(*traceSample))
 	}
-	// Segment mode: every lifecycle event flows into the journal behind
-	// /debug/storage and lbkeogh_store_journal_events_total, mirrored to the
-	// log.
-	if store != nil {
-		store.SetJournal(storeobs.NewJournal(*journalSize, logger))
-	}
 	srv, err := server.New(server.Config{
 		DB:             db,
 		Labels:         labels,
@@ -203,7 +196,6 @@ func main() {
 	}
 	if store != nil {
 		size = store.Len()
-		endpoints += " /debug/storage"
 	}
 	logger.Info("serving",
 		"series", size, "series_len", srv.Len(), "addr", ln.Addr().String(),

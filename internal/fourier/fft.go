@@ -193,6 +193,8 @@ func bluestein(x []complex128) []complex128 {
 // plain Euclidean distance between two feature vectors lower-bounds the
 // Euclidean distance between the series under every relative rotation (see
 // LowerBoundED). D must satisfy 1 <= D <= n/2; larger requests are clamped.
+// A series of fewer than two samples has no such coefficient: the result is
+// nil.
 //
 // The coefficients come from direct DFT sums when D·n/2 multiply-add pairs
 // are at most three per butterfly of the transform — D ≤ 3·log₂n at a
@@ -202,7 +204,7 @@ func bluestein(x []complex128) []complex128 {
 // direct path allocates only the result.
 func Magnitudes(x []float64, D int) []float64 {
 	n := len(x)
-	if n == 0 {
+	if n < 2 {
 		return nil
 	}
 	D = max(1, min(D, n/2))

@@ -128,6 +128,7 @@ func TestMagnitudesAllocatesOnlyItsResult(t *testing.T) {
 // rotation of the first row.
 func FuzzMagnitudes(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4}, uint8(0), uint16(1), int8(0))
+	f.Add([]byte{200, 9}, uint8(3), uint16(0), int8(0)) // one sample: no coefficient past DC
 	f.Add([]byte{9, 0, 250, 7, 7, 3, 128, 127, 1, 0, 0, 5}, uint8(5), uint16(4), int8(-30))
 	seed := make([]byte, 2*251)
 	for i := range seed {
@@ -137,6 +138,9 @@ func FuzzMagnitudes(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, d uint8, shift uint16, exp int8) {
 		n := min(len(data)/2, 512)
 		if n < 2 {
+			if got := Magnitudes(make([]float64, n), 1+int(d)); got != nil {
+				t.Fatalf("n=%d: Magnitudes = %v, want nil", n, got)
+			}
 			return
 		}
 		scale := math.Ldexp(1, int(exp)%64)

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
-
-	"lbkeogh/internal/obs/storeobs"
 )
 
 // BulkWriter streams a large ingest into a store directory, cutting a new
@@ -31,15 +28,8 @@ type BulkWriter struct {
 	preexist int64 // records already in the store when the run began
 	done     bool
 
-	jrn          *storeobs.Journal
-	segStart     time.Time
 	bytesWritten int64 // finished segment files, this run
 }
-
-// SetJournal attaches a storage event journal: every sealed segment and the
-// final manifest swap are recorded (and mirrored to the journal's logger),
-// which is how shapeingest reports bulk progress structurally.
-func (b *BulkWriter) SetJournal(j *storeobs.Journal) { b.jrn = j }
 
 // BytesWritten returns the bytes of finished segment files this run wrote.
 func (b *BulkWriter) BytesWritten() int64 { return b.bytesWritten }
@@ -69,12 +59,10 @@ func NewBulkWriter(dir string, n, d int, perSegment int64) (*BulkWriter, error) 
 		b.segs = append(b.segs, m.Segments...)
 		for _, s := range m.Segments {
 			b.total += s.Records
-			if seq := segSeq(s.File); seq >= b.seq {
-				b.seq = seq + 1
-			}
 		}
 		b.preexist = b.total
 	}
+	b.seq, _ = scanSegments(dir, m)
 	return b, nil
 }
 
@@ -124,7 +112,6 @@ func (b *BulkWriter) roll() error {
 			return err
 		}
 		b.cur = w
-		b.segStart = time.Now()
 	}
 	return nil
 }
@@ -144,13 +131,6 @@ func (b *BulkWriter) finishSegment() error {
 		size = info.Size()
 	}
 	b.bytesWritten += size
-	b.jrn.Record(storeobs.Event{
-		Kind:            storeobs.EventSegmentSealed,
-		Segment:         name,
-		Records:         count,
-		Bytes:           size,
-		DurationSeconds: time.Since(b.segStart).Seconds(),
-	})
 	return nil
 }
 
@@ -194,11 +174,5 @@ func (b *BulkWriter) Close() error {
 	}); err != nil {
 		return err
 	}
-	b.jrn.Record(storeobs.Event{
-		Kind:       storeobs.EventManifestSwap,
-		Generation: b.gen + 1,
-		Records:    b.total,
-		Note:       fmt.Sprintf("%d segments", len(b.segs)),
-	})
 	return nil
 }

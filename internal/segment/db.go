@@ -5,12 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"lbkeogh/internal/obs/storeobs"
 )
 
 // Snapshot is an immutable view of the store at one generation: an ordered
@@ -25,11 +21,6 @@ type Snapshot struct {
 
 	refs atomic.Int64
 
-	// jrn, when set, receives the snapshot_release event as this generation
-	// retires (last reference released). born anchors its lifetime.
-	jrn  atomic.Pointer[storeobs.Journal]
-	born time.Time
-
 	rowsOnce sync.Once
 	rows     [][]float64
 	labels   []int
@@ -40,7 +31,7 @@ type Snapshot struct {
 }
 
 func newSnapshot(segs []*Reader, gen int64) *Snapshot {
-	s := &Snapshot{segs: segs, gen: gen, starts: make([]int, len(segs)), born: time.Now()}
+	s := &Snapshot{segs: segs, gen: gen, starts: make([]int, len(segs))}
 	for i, r := range segs {
 		r.retain()
 		s.starts[i] = s.total
@@ -71,14 +62,6 @@ func (s *Snapshot) Release() {
 	if s.refs.Add(-1) == 0 {
 		for _, r := range s.segs {
 			r.release()
-		}
-		if j := s.jrn.Load(); j != nil {
-			j.Record(storeobs.Event{
-				Kind:            storeobs.EventSnapshotRelease,
-				Generation:      s.gen,
-				Records:         int64(s.total),
-				DurationSeconds: time.Since(s.born).Seconds(),
-			})
 		}
 	}
 }
@@ -195,12 +178,8 @@ type DB struct {
 	ingestedRecords atomic.Int64
 	busy            atomic.Int64 // in-flight Ingest/Compact operations
 
-	// jrn, when set, receives the lifecycle events mutators cause (a nil
-	// journal records nothing).
-	jrn atomic.Pointer[storeobs.Journal]
-
 	// orphans lists .lbseg files present in dir but absent from the manifest
-	// at open — ignored for serving, surfaced via Stats and the journal.
+	// at open — ignored for serving, surfaced via Stats.
 	orphans []string
 }
 
@@ -234,31 +213,11 @@ func OpenDB(dir string, dims int, opts ...OpenOption) (*DB, error) {
 				}
 				return nil, err
 			}
-			if seq := segSeq(ms.File); seq >= db.nextSeq {
-				db.nextSeq = seq + 1
-			}
 			segs = append(segs, r)
 		}
 		db.dims = m.Dims
 	}
-	// Orphaned segment files — debris from a crash between segment write and
-	// manifest swap, or from foreign tooling — are never served: the
-	// manifest is the sole source of truth. They are recorded so operators
-	// (Stats.Orphans, journal events once a journal attaches) see them
-	// instead of silently losing the disk space.
-	known := make(map[string]bool, len(m.Segments))
-	for _, ms := range m.Segments {
-		known[ms.File] = true
-	}
-	if ents, err := os.ReadDir(dir); err == nil {
-		for _, e := range ents {
-			name := e.Name()
-			if strings.HasSuffix(name, segSuffix) && !known[name] {
-				db.orphans = append(db.orphans, name)
-			}
-		}
-	}
-	sort.Strings(db.orphans)
+	db.nextSeq, db.orphans = scanSegments(dir, m)
 	db.cur.Store(newSnapshot(segs, m.Generation))
 	return db, nil
 }
@@ -276,37 +235,6 @@ func checkSegment(m Manifest, ms ManifestSegment, r *Reader) error {
 	}
 	return nil
 }
-
-// SetJournal attaches a storage event journal: the orphans found at open and
-// the current generation's pin are recorded at once, and every later ingest,
-// compaction, manifest swap, snapshot release and segment unlink as it
-// happens. Meant to be called once, right after OpenDB and before serving;
-// nil detaches.
-func (db *DB) SetJournal(j *storeobs.Journal) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.jrn.Store(j)
-	s := db.cur.Load()
-	s.jrn.Store(j)
-	for _, r := range s.segs {
-		r.jrn.Store(j)
-	}
-	for _, name := range db.orphans {
-		j.Record(storeobs.Event{
-			Kind:    storeobs.EventSegmentOrphaned,
-			Segment: name,
-			Note:    "not named by MANIFEST.json; ignored",
-		})
-	}
-	j.Record(storeobs.Event{
-		Kind:       storeobs.EventSnapshotPin,
-		Generation: s.gen,
-		Records:    int64(s.total),
-	})
-}
-
-// Journal returns the attached storage event journal (nil when none is).
-func (db *DB) Journal() *storeobs.Journal { return db.jrn.Load() }
 
 // Acquire returns a reference-counted view of the current generation. The
 // caller must Release it. Never nil, even for an empty store.
@@ -410,8 +338,6 @@ func (db *DB) Ingest(series [][]float64, labels []int64) (firstID int, err error
 	if db.closed {
 		return 0, fmt.Errorf("segment: store is closed")
 	}
-	opStart := time.Now()
-
 	old := db.cur.Load()
 	n := db.SeriesLen()
 	d := db.dims
@@ -471,21 +397,6 @@ func (db *DB) Ingest(series [][]float64, labels []int64) (firstID int, err error
 	db.dims = d
 	db.ingests.Add(1)
 	db.ingestedRecords.Add(int64(len(series)))
-	j := db.jrn.Load()
-	j.Record(storeobs.Event{
-		Kind:       storeobs.EventSegmentCreated,
-		Segment:    filepath.Base(path),
-		Generation: next.gen,
-		Records:    int64(len(series)),
-		Bytes:      r.size,
-	})
-	j.Record(storeobs.Event{
-		Kind:            storeobs.EventIngestBatch,
-		Generation:      next.gen,
-		Records:         int64(len(series)),
-		Bytes:           r.size,
-		DurationSeconds: time.Since(opStart).Seconds(),
-	})
 	return old.total, nil
 }
 
@@ -502,8 +413,6 @@ func (db *DB) Compact(minRecords int64) (merged int, err error) {
 	if db.closed {
 		return 0, fmt.Errorf("segment: store is closed")
 	}
-	opStart := time.Now()
-
 	old := db.cur.Load()
 	small := func(r *Reader) bool {
 		return minRecords <= 0 || int64(r.Len()) < minRecords
@@ -561,37 +470,8 @@ func (db *DB) Compact(minRecords int64) (merged int, err error) {
 	// Mark before releasing the old generation: the replaced files unlink
 	// once the last snapshot holding them lets go (on Unix their mappings
 	// stay valid until then).
-	var replacedBytes, replacedRecords int64
 	for _, r := range replaced {
 		r.removeOnClose.Store(true)
-		replacedBytes += r.size
-		replacedRecords += r.m
-	}
-	if j := db.jrn.Load(); j != nil {
-		var createdBytes int64
-		for _, r := range segs {
-			for _, c := range created {
-				if r.Path() == c {
-					createdBytes += r.size
-					j.Record(storeobs.Event{
-						Kind:       storeobs.EventSegmentCreated,
-						Segment:    filepath.Base(c),
-						Generation: next.gen,
-						Records:    r.m,
-						Bytes:      r.size,
-					})
-				}
-			}
-		}
-		j.Record(storeobs.Event{
-			Kind:            storeobs.EventSegmentCompacted,
-			Generation:      next.gen,
-			Records:         replacedRecords,
-			Bytes:           createdBytes,
-			ReclaimedBytes:  replacedBytes - createdBytes,
-			DurationSeconds: time.Since(opStart).Seconds(),
-			Note:            fmt.Sprintf("%d segments -> %d", len(replaced), len(created)),
-		})
 	}
 	db.cur.Store(next)
 	old.Release()
@@ -638,25 +518,6 @@ func (db *DB) publish(segs []*Reader, old *Snapshot, n, d int) (*Snapshot, error
 	if err := WriteManifest(db.dir, m); err != nil {
 		next.Release()
 		return nil, err
-	}
-	if j := db.jrn.Load(); j != nil {
-		// Segments opened by this mutation record their eventual unlink, and
-		// the new generation its eventual retirement.
-		for _, r := range segs {
-			r.jrn.Store(j)
-		}
-		next.jrn.Store(j)
-		j.Record(storeobs.Event{
-			Kind:       storeobs.EventManifestSwap,
-			Generation: next.gen,
-			Records:    int64(next.total),
-			Note:       fmt.Sprintf("%d segments", len(segs)),
-		})
-		j.Record(storeobs.Event{
-			Kind:       storeobs.EventSnapshotPin,
-			Generation: next.gen,
-			Records:    int64(next.total),
-		})
 	}
 	return next, nil
 }

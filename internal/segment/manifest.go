@@ -120,6 +120,29 @@ func segSeq(name string) int64 {
 	return seq
 }
 
+// scanSegments reads dir's segment files against its manifest m. Orphans are
+// the .lbseg files m does not name — debris from a crash between a segment's
+// rename and the manifest swap, or from foreign tooling — sorted by name;
+// they are never served, since the manifest is the sole source of truth.
+// next is the first segment number past every seg-N.lbseg in m or in dir,
+// orphans included, so a new segment never renames over one of them.
+func scanSegments(dir string, m Manifest) (next int64, orphans []string) {
+	known := make(map[string]bool, len(m.Segments))
+	for _, ms := range m.Segments {
+		known[ms.File] = true
+		next = max(next, segSeq(ms.File)+1)
+	}
+	ents, _ := os.ReadDir(dir) // sorted by name
+	for _, e := range ents {
+		name := e.Name()
+		if strings.HasSuffix(name, segSuffix) && !known[name] {
+			orphans = append(orphans, name)
+			next = max(next, segSeq(name)+1)
+		}
+	}
+	return next, orphans
+}
+
 // cleanTemp removes leftover spill/assembly temp files from a crashed writer.
 // Live segments and the manifest are never dot-prefixed, so this touches only
 // debris.

@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"lbkeogh/internal/obs/storeobs"
 )
 
 // bulkStore writes count records into dir as segments of perSegment records,
@@ -38,69 +36,6 @@ func editManifest(t *testing.T, dir string, edit func(*Manifest)) {
 	edit(&m)
 	if err := WriteManifest(dir, m); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestJournalLifecycleReconciles(t *testing.T) {
-	dir := t.TempDir()
-	db, err := OpenDB(dir, testD)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	j := storeobs.NewJournal(0, nil)
-	db.SetJournal(j)
-	if db.Journal() != j {
-		t.Fatal("Journal did not return the attached journal")
-	}
-
-	ingestBatch(t, db, 0, 10)
-	ingestBatch(t, db, 10, 10)
-	if merged, err := db.Compact(0); err != nil || merged != 2 {
-		t.Fatalf("Compact = %d, %v; want 2 merged", merged, err)
-	}
-	st := db.Stats()
-	counts := j.Counts()
-
-	if got, want := counts[storeobs.EventIngestBatch], st.Ingests; got != want {
-		t.Fatalf("ingest_batch events %d != ingests counter %d", got, want)
-	}
-	if got, want := counts[storeobs.EventSegmentCompacted], st.Compactions; got != want {
-		t.Fatalf("segment_compacted events %d != compactions counter %d", got, want)
-	}
-	if got, want := counts[storeobs.EventManifestSwap], st.Ingests+st.Compactions; got != want {
-		t.Fatalf("manifest_swap events %d != ingests+compactions %d", got, want)
-	}
-	// 3 created (2 ingest + 1 merge), 2 unlinked as the merged-away readers
-	// closed when the old generation released (nothing else held it).
-	if got := counts[storeobs.EventSegmentCreated]; got != 3 {
-		t.Fatalf("segment_created events = %d, want 3", got)
-	}
-	if got := counts[storeobs.EventSegmentUnlinked]; got != 2 {
-		t.Fatalf("segment_unlinked events = %d, want 2", got)
-	}
-	// Pins: one at SetJournal + one per publish; releases: the two retired
-	// publish generations (the SetJournal-time generation retired too).
-	if got := counts[storeobs.EventSnapshotPin]; got != 4 {
-		t.Fatalf("snapshot_pin events = %d, want 4", got)
-	}
-	if got := counts[storeobs.EventSnapshotRelease]; got != 3 {
-		t.Fatalf("snapshot_release events = %d, want 3", got)
-	}
-
-	// The compaction event carries reclaimed-space accounting.
-	var compacted *storeobs.Event
-	for _, ev := range j.Events() {
-		if ev.Kind == storeobs.EventSegmentCompacted {
-			e := ev
-			compacted = &e
-		}
-	}
-	if compacted == nil {
-		t.Fatal("no segment_compacted event in the ring")
-	}
-	if compacted.Records != 20 || compacted.Bytes <= 0 {
-		t.Fatalf("compaction event bookkeeping: %+v", compacted)
 	}
 }
 
@@ -257,11 +192,6 @@ func TestManifestRecovery(t *testing.T) {
 			st := db.Stats()
 			if len(st.Orphans) != tc.orphans {
 				t.Fatalf("Stats.Orphans = %v, want %d entries", st.Orphans, tc.orphans)
-			}
-			j := storeobs.NewJournal(0, nil)
-			db.SetJournal(j)
-			if got := j.Counts()[storeobs.EventSegmentOrphaned]; got != int64(tc.orphans) {
-				t.Fatalf("segment_orphaned events = %d, want %d", got, tc.orphans)
 			}
 		})
 	}

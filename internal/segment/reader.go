@@ -6,10 +6,7 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
-	"path/filepath"
 	"sync/atomic"
-
-	"lbkeogh/internal/obs/storeobs"
 )
 
 // backend abstracts how an open segment's bytes are reached: a whole-file
@@ -60,7 +57,6 @@ type Reader struct {
 	path string
 	n, d int
 	m    int64
-	size int64
 	secs [numSections]section // indexed by sectionKinds order
 	be   backend
 
@@ -72,10 +68,6 @@ type Reader struct {
 	// removeOnClose unlinks the file when the reader finally closes —
 	// compaction marks replaced segments with it.
 	removeOnClose atomic.Bool
-
-	// jrn, when set by the owning DB, receives the segment_unlinked event
-	// when a compaction-replaced file is finally removed.
-	jrn atomic.Pointer[storeobs.Journal]
 }
 
 // Open validates path's header, section table, and (unless WithoutDataCRC)
@@ -115,7 +107,7 @@ func Open(path string, opts ...OpenOption) (*Reader, error) {
 		f.Close()
 		return nil, fmt.Errorf("segment: %s: %w", path, err)
 	}
-	r := &Reader{path: path, n: h.n, d: h.d, m: h.count, size: size}
+	r := &Reader{path: path, n: h.n, d: h.d, m: h.count}
 	for i, want := range sectionKinds {
 		s := secs[i]
 		if s.kind != want {
@@ -261,12 +253,6 @@ func (r *Reader) Close() error {
 	err := r.be.close()
 	if r.removeOnClose.Load() {
 		os.Remove(r.path)
-		r.jrn.Load().Record(storeobs.Event{
-			Kind:    storeobs.EventSegmentUnlinked,
-			Segment: filepath.Base(r.path),
-			Records: r.m,
-			Bytes:   r.size,
-		})
 	}
 	return err
 }

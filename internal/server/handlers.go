@@ -490,7 +490,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reason := "serving"
-	if s.store != nil && (s.store.Busy() || s.mutationsIn.Load() > 0) {
+	if s.store != nil && s.store.Busy() {
 		reason = "ingesting"
 	}
 	writeJSON(w, http.StatusOK, readyResponse{Status: "ready", Reason: reason})

@@ -66,7 +66,10 @@ func metricsInventory(exp *expofmt.Exposition) string {
 // checked here that a scraper takes itself (README "Request accounting, SLOs
 // and burn rates"), then four counters that restated another: two index
 // counters and the store's read counter beside shapeserver_index_fetches, and
-// a request counter beside shapeserver_admitted_total. Two sets of lines were
+// a request counter beside shapeserver_admitted_total, then the store
+// journal's lbkeogh_store_journal_events_total, whose per-kind counts
+// restated shapeserver_store_ingests_total, shapeserver_store_compactions_total
+// and the ingest and compact request logs. Two sets of lines were
 // renamed, not lost: the counters WriteMetrics builds from obs.Counts gained
 // their _total suffix, and shapeserver_stage_latency_ns became
 // shapeserver_stage_latency_seconds.
@@ -143,7 +146,7 @@ func TestMetricsInventoryPinned(t *testing.T) {
 		session(t, ts, staticInventoryGolden)
 	})
 	t.Run("store", func(t *testing.T) {
-		_, _, ts := newJournaledStoreServer(t, Config{TraceLog: lbkeogh.NewTraceLog(lbkeogh.WithSampleRate(1))})
+		_, _, ts := newStoreServer(t, Config{TraceLog: lbkeogh.NewTraceLog(lbkeogh.WithSampleRate(1))})
 		if code, raw := postJSON(t, ts, "/v1/ingest", ingestBody(storeRows(7, 20, 32)), nil); code != http.StatusOK {
 			t.Fatalf("ingest: status %d body %s", code, raw)
 		}
@@ -271,7 +274,6 @@ lbkeogh_runtime_goroutines · gauge · {}
 lbkeogh_runtime_heap_bytes · gauge · {}
 lbkeogh_runtime_sched_latency_seconds · histogram · {}
 lbkeogh_runtime_total_bytes · gauge · {}
-lbkeogh_store_journal_events_total · counter · {kind}
 shapeserver_admitted_total · counter · {}
 shapeserver_cancelled_members_total · counter · {}
 shapeserver_comparisons_total · counter · {}

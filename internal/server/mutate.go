@@ -50,9 +50,9 @@ type CompactResponse struct {
 
 // mutationEndpoint wraps a store-mutation handler with the checks and
 // accounting every mutation shares: the request prologue (POST-only, 503
-// while draining), 409 without a store, the in-flight mutation gauge
-// (surfaced by /readyz as "ingesting"), and one RED observation + log line
-// per terminal outcome.
+// while draining), 409 without a store, and one RED observation + log line
+// per terminal outcome. The store counts the mutation in flight itself
+// (segment.DB.Busy, surfaced by /readyz as "ingesting").
 func (s *Server) mutationEndpoint(ep string, body func(w http.ResponseWriter, r *http.Request, finish func(status int, msg string, attrs ...any))) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		rq, ok := s.begin(w, r, ep)
@@ -64,8 +64,6 @@ func (s *Server) mutationEndpoint(ep string, body func(w http.ResponseWriter, r 
 			rq.finish(http.StatusConflict, "refused: no store")
 			return
 		}
-		s.mutationsIn.Add(1)
-		defer s.mutationsIn.Add(-1)
 		body(w, r, rq.finish)
 	}
 }

@@ -6,8 +6,7 @@
 // the O(n²) rotation-set build. Every response carries the request's own
 // pruning breakdown (SearchStats), and the server aggregates those into a
 // record served at /metrics. Traces are served as JSON and Chrome trace-event
-// files at /debug/lbkeogh, and a store-backed server reports its storage
-// plane as JSON at /debug/storage.
+// files at /debug/lbkeogh.
 package server
 
 import (
@@ -141,10 +140,9 @@ type Server struct {
 	// pooled query session (nil when ExplainSampleInterval < 0).
 	sampler *lbkeogh.BoundSampler
 
-	draining    atomic.Bool
-	timeouts    atomic.Int64 // requests ended by deadline or client cancel
-	drained     atomic.Int64 // requests refused because the server was draining
-	mutationsIn atomic.Int64 // in-flight ingest/compact handlers (readyz reason)
+	draining atomic.Bool
+	timeouts atomic.Int64 // requests ended by deadline or client cancel
+	drained  atomic.Int64 // requests refused because the server was draining
 
 	// stats is the cumulative search record: every served request's delta,
 	// flushed in by searchEndpoint.
@@ -234,8 +232,7 @@ func (s *Server) acquireView() dbView {
 }
 
 // Handler returns the server's full mux: the /v1 search endpoints, healthz,
-// and the observability surface (/metrics, /debug/lbkeogh, /debug/storage,
-// /debug/pprof/).
+// and the observability surface (/metrics, /debug/lbkeogh, /debug/pprof/).
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // BeginDrain puts the server into draining mode: search endpoints answer 503
@@ -286,12 +283,8 @@ func (s *Server) buildMux() *http.ServeMux {
 			s.sampler.WriteMetrics(w)
 		}
 		s.tel.writeMetrics(w)
-		if s.store != nil {
-			s.store.Journal().WriteMetrics(w)
-		}
 	}))
 	mux.Handle("/debug/lbkeogh", s.cfg.TraceLog) // a nil log answers 404
-	mux.HandleFunc("/debug/storage", s.handleDebugStorage)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -337,7 +330,7 @@ func (s *Server) writeStoreMetrics(w io.Writer) {
 	ops.WriteGaugeInt(w, "shapeserver_store_records", "Records visible in the current generation.", int64(st.Records))
 	ops.WriteGaugeInt(w, "shapeserver_store_mapped_bytes", "Bytes of segment data currently memory-mapped.", st.MappedBytes)
 	busy := int64(0)
-	if st.Busy || s.mutationsIn.Load() > 0 {
+	if st.Busy {
 		busy = 1
 	}
 	ops.WriteGaugeInt(w, "shapeserver_store_busy", "1 while an ingest or compaction is in flight.", busy)

@@ -23,7 +23,14 @@ import (
 
 func newStoreServer(t *testing.T, cfg Config) (*segment.DB, *Server, *httptest.Server) {
 	t.Helper()
-	db, err := segment.OpenDB(t.TempDir(), 4)
+	return newStoreServerIn(t, t.TempDir(), cfg)
+}
+
+// newStoreServerIn is newStoreServer over a store in dir, for tests that
+// look at the files on disk.
+func newStoreServerIn(t *testing.T, dir string, cfg Config) (*segment.DB, *Server, *httptest.Server) {
+	t.Helper()
+	db, err := segment.OpenDB(dir, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
