@@ -6,11 +6,9 @@
 // -segment-records rows, and commits the whole load with one atomic
 // manifest swap.
 //
-// By default indexes are deferred (-defer-indexes): the load writes raw and
-// feature columns only, and the VP-tree is built later — at server
-// start, on first query, or here with -defer-indexes=false, which reports
-// the build time separately. This is the two-phase pattern of large-scale
-// loaders: sequential ingest first, index construction off the load path.
+// The load writes the raw and feature columns and builds no index: a
+// -segments server flat-scans the store, and lbkeogh.OpenSegmentIndex builds
+// a VP-tree from the stored feature columns when a program asks for one.
 //
 // Progress is reported as structured log events on stderr (JSON by default;
 // see -log): periodic row counts, then one line per stage as it completes.
@@ -22,7 +20,7 @@
 // Typical sessions:
 //
 //	shapeingest -dir /data/shapes -count 1000000 -n 64
-//	shapeingest -dir /data/shapes -count 50000 -n 64 -defer-indexes=false -verify
+//	shapeingest -dir /data/shapes -count 50000 -n 64 -verify
 //	shapeserver -addr :8321 -segments /data/shapes
 package main
 
@@ -36,7 +34,6 @@ import (
 	"sync"
 	"time"
 
-	"lbkeogh"
 	"lbkeogh/internal/obs/ops"
 	"lbkeogh/internal/segment"
 	"lbkeogh/internal/synth"
@@ -54,7 +51,6 @@ func main() {
 		maxRows    = flag.Int64("max-rows", 10_000_000, "safety cap on total store rows after the load")
 		dataset    = flag.String("dataset", "projectile", "generator: projectile | heterogeneous")
 		seed       = flag.Int64("seed", 1, "generator seed")
-		deferIx    = flag.Bool("defer-indexes", true, "skip index build; raw+feature columns only")
 		progress   = flag.Duration("progress", 2*time.Second, "progress report interval (0 disables)")
 		verify     = flag.Bool("verify", false, "reopen the store with full checksum verification after the load")
 		logFormat  = flag.String("log", "json", "structured log format: json or text")
@@ -63,7 +59,7 @@ func main() {
 	flag.Parse()
 	logger := ops.NewLogger(os.Stderr, *logFormat, *logLevel)
 	if err := run(logger, *dir, *count, *n, *dims, *batch, *workers, *segRecords, *maxRows,
-		*dataset, *seed, *deferIx, *progress, *verify); err != nil {
+		*dataset, *seed, *progress, *verify); err != nil {
 		logger.Error("ingest failed", "error", err.Error())
 		os.Exit(1)
 	}
@@ -90,7 +86,7 @@ type runSummary struct {
 }
 
 func run(logger *slog.Logger, dir string, count int64, n, dims int, batch int, workers int,
-	segRecords, maxRows int64, dataset string, seed int64, deferIx bool,
+	segRecords, maxRows int64, dataset string, seed int64,
 	progress time.Duration, verify bool) error {
 	if dir == "" {
 		return fmt.Errorf("-dir is required")
@@ -257,20 +253,6 @@ func run(logger *slog.Logger, dir string, count int64, n, dims int, batch int, w
 		summary.StageSeconds["verify"] = time.Since(vStart).Seconds()
 		logger.Info("verify complete", "segments", len(m.Segments), "rows", total,
 			"checksums", "good", "seconds", summary.StageSeconds["verify"])
-	}
-
-	if !deferIx {
-		ixStart := time.Now()
-		ix, err := lbkeogh.OpenSegmentIndex(dir, d)
-		if err != nil {
-			return fmt.Errorf("index build: %w", err)
-		}
-		defer ix.Close()
-		summary.StageSeconds["index_build"] = time.Since(ixStart).Seconds()
-		logger.Info("index build complete", "m", ix.Len(), "dims", ix.Dims(),
-			"seconds", summary.StageSeconds["index_build"])
-	} else {
-		logger.Info("indexes deferred", "hint", "build at serve time or rerun with -defer-indexes=false")
 	}
 
 	out, err := json.Marshal(summary)

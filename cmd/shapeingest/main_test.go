@@ -10,8 +10,8 @@ import (
 )
 
 // TestRunPipeline drives the whole pipeline — several workers generating and
-// featurizing batches, the ordered single-writer commit, segment cuts, the
-// verify pass and the index build — with a count that is not a multiple of
+// featurizing batches, the ordered single-writer commit, segment cuts and the
+// verify pass — with a count that is not a multiple of
 // the batch, then appends a second load to the same store. The reopened
 // store must hold every row once, in generation order: label i on row i, and
 // row i the generator's row for its batch. Run under -race it also gates the
@@ -25,7 +25,7 @@ func TestRunPipeline(t *testing.T) {
 	loads := []int64{250, 61} // 6 full batches + 28, then 1 full batch + 24
 	for i, count := range loads {
 		if err := run(ops.Discard(), dir, count, n, dims, batch, workers, 64, 10_000,
-			"projectile", seed+int64(i), i == 0, 0, true); err != nil {
+			"projectile", seed+int64(i), 0, true); err != nil {
 			t.Fatalf("load %d: %v", i, err)
 		}
 	}

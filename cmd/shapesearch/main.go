@@ -9,6 +9,7 @@
 //	shapesearch -db db.csv -query 3 -mirror -maxdeg 45
 //	shapesearch -db db.csv -query 4 -indexed -dims 16
 //	shapesearch -db db.csv -query 4 -stats          # pruning breakdown as JSON
+//	shapesearch -db db.csv -query 4 -explain        # per-bound tightness as JSON
 //	shapesearch -db db.csv -query 4 -serve :8080    # trace the search, then serve
 //	                                                # /metrics, /debug/lbkeogh and
 //	                                                # /debug/pprof/
@@ -41,12 +42,16 @@ func main() {
 		radius   = flag.Float64("radius", -1, "range query: report all matches within this distance (with -indexed)")
 		parallel = flag.Int("parallel", 1, "worker goroutines for the linear scan (0 = GOMAXPROCS)")
 		emitStat = flag.Bool("stats", false, "print the search's pruning breakdown as JSON after the results")
-		explain  = flag.Bool("explain", false, "run the search in EXPLAIN mode and print the structured plan (stage waterfall, bound tightness) as JSON")
+		explain  = flag.Bool("explain", false, "measure every lower bound and the true distance on every comparison and print the per-bound tightness as JSON after the results and -stats (-parallel scans are not sampled)")
 		serveOn  = flag.String("serve", "", "trace the search (every query sampled), then serve /metrics (Prometheus text), /debug/lbkeogh (the trace log as JSON and Chrome trace-event files) and /debug/pprof/ on this address and block")
 	)
 	flag.Parse()
 	if *dbPath == "" {
 		fmt.Fprintln(os.Stderr, "shapesearch: -db is required")
+		os.Exit(2)
+	}
+	if *parallel != 1 && !*indexed && *k > 1 {
+		fmt.Fprintln(os.Stderr, "shapesearch: -parallel answers the nearest neighbour only; drop -k or -parallel")
 		os.Exit(2)
 	}
 	labels, series, err := seriesio.ReadCSV(*dbPath)
@@ -99,8 +104,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "shapesearch: %v\n", err)
 		os.Exit(1)
 	}
+	var sampler *lbkeogh.BoundSampler
 	if *explain {
-		q.SetExplain(true)
+		sampler = lbkeogh.NewBoundSampler(1)
+		q.SetBoundSampler(sampler)
 	}
 
 	if *serveOn != "" {
@@ -118,9 +125,7 @@ func main() {
 		if *radius > 0 {
 			results, err = ix.SearchRange(q, *radius)
 		} else {
-			var res lbkeogh.SearchResult
-			res, err = ix.Search(q)
-			results = []lbkeogh.SearchResult{res}
+			results, err = ix.SearchTopK(q, *k)
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "shapesearch: %v\n", err)
@@ -153,17 +158,11 @@ func main() {
 			rank+1, dbRows[res.Index], labels[dbRows[res.Index]], res.Dist, res.Rotation.Degrees, mir)
 	}
 
-	if *explain {
-		plan := q.Explain()
-		if plan == nil {
-			fmt.Fprintln(os.Stderr, "shapesearch: -explain: no plan recorded")
-			os.Exit(1)
-		}
-		fmt.Printf("explain plan (waterfall reconciles: %v):\n", plan.Waterfall.Reconciles())
-		emitJSON("-explain", plan)
-	}
 	if *emitStat {
 		emitJSON("-stats", q.Stats()) // an indexed search runs through the query too
+	}
+	if *explain {
+		emitJSON("-explain", sampler.Snapshot())
 	}
 	if *serveOn != "" {
 		fmt.Printf("search done; serving /metrics, /debug/lbkeogh and /debug/pprof/ on %s (interrupt to stop)\n", *serveOn)

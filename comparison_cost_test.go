@@ -148,9 +148,10 @@ func TestSaturatedTraceMatchesUntraced(t *testing.T) {
 		t.Errorf("trace delta %+v, want the whole search %+v", tr.Stats.Counts, ps.Counts)
 	}
 
-	// EXPLAIN on: a saturated recorder does not hide a comparison from the
+	// A saturated recorder does not hide a comparison from an attached
 	// sampler, which measures the first of every 4.
-	traced.SetExplain(true)
+	sampler := lbkeogh.NewBoundSampler(4)
+	traced.SetBoundSampler(sampler)
 	hits, err := traced.SearchRange(db, 1e9)
 	if err != nil {
 		t.Fatal(err)
@@ -158,14 +159,11 @@ func TestSaturatedTraceMatchesUntraced(t *testing.T) {
 	if len(hits) != len(db) {
 		t.Fatalf("range search admitted %d of %d", len(hits), len(db))
 	}
-	plan := traced.Explain()
-	if plan == nil {
-		t.Fatal("no explain plan after an EXPLAIN-mode search")
-	}
-	if n := int64(len(db)); plan.Waterfall.Comparisons != n || plan.SampledComparisons != (n+3)/4 {
-		t.Errorf("explain sampled %d of %d comparisons, want %d of %d", plan.SampledComparisons, plan.Waterfall.Comparisons, (n+3)/4, n)
+	plan := sampler.Snapshot()
+	if n := int64(len(db)); plan.Seen != n || plan.Sampled != (n+3)/4 {
+		t.Errorf("sampler sampled %d of %d comparisons, want %d of %d", plan.Sampled, plan.Seen, (n+3)/4, n)
 	}
 	if tr := searchTrace(t, tlog, "search_range"); tr.Spans != spanCap || tr.DroppedSpans == 0 {
-		t.Errorf("EXPLAIN-mode trace: %d spans, %d dropped; want %d and > 0", tr.Spans, tr.DroppedSpans, spanCap)
+		t.Errorf("sampled search's trace: %d spans, %d dropped; want %d and > 0", tr.Spans, tr.DroppedSpans, spanCap)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"lbkeogh/internal/obs"
 	"lbkeogh/internal/obs/explain"
 	"lbkeogh/internal/obs/ops"
 )
@@ -92,79 +91,12 @@ func (b *BoundSampler) WriteMetrics(w io.Writer) {
 	}
 }
 
-// SetBoundSampler attaches (or with nil detaches) a shared bound-tightness
-// sampler: every subsequent search feeds its sampled comparisons into the
-// sampler's aggregate, except while EXPLAIN mode is on (see SetExplain). Not
-// safe to call concurrently with searches.
+// SetBoundSampler attaches (or with nil detaches) a bound-tightness
+// sampler: every subsequent comparison the query runs — Distance, Match and
+// the serial searches, flat or through an index — is offered to it. A query
+// feeds one sampler at a time; attaching another replaces it.
+// SearchParallel* comparisons run on per-worker searchers and are not
+// sampled. Not safe to call concurrently with searches.
 func (q *Query) SetBoundSampler(b *BoundSampler) {
-	q.sampler = b.recorder()
-	if !q.explainOn {
-		q.searcher.SetExplain(q.sampler)
-	}
+	q.searcher.SetExplain(b.recorder())
 }
-
-// explainInterval is EXPLAIN mode's sampling interval: the first of every 4
-// comparisons gets the full waterfall measurement, enough for a stable
-// per-search tightness summary without quadrupling the search's cost.
-const explainInterval = 4
-
-// SetExplain turns per-query EXPLAIN mode on or off. While on, every search
-// feeds a private bound sampler at interval 4 in place of the shared one
-// (which sees none of its comparisons), and Explain returns the structured
-// plan of the most recent search. EXPLAIN mode costs roughly one extra
-// waterfall measurement per four comparisons; leave it off outside
-// diagnostics. Turning it on or off drops the last plan. Not safe to call
-// concurrently with searches.
-//
-// Parallel searches (SearchParallel*) bypass the per-comparison hooks — the
-// plan still carries the reconciling stage waterfall, but no tightness.
-func (q *Query) SetExplain(on bool) {
-	q.explainOn = on
-	q.plan = nil
-	if !on {
-		q.searcher.SetExplain(q.sampler)
-	}
-}
-
-// endExplainOp builds the plan of an EXPLAIN-mode operation from its counter
-// delta, its private sampler and the finished trace's id (0 = untraced).
-func (q *Query) endExplainOp(tid int64, delta obs.Counts) {
-	if !q.explainOn {
-		return
-	}
-	snap := q.searcher.Explain().Snapshot()
-	q.plan = &ExplainPlan{
-		Strategy:           q.strategy.String(),
-		Measure:            q.measure.Name(),
-		TraceID:            tid,
-		Waterfall:          explain.FromCounts(delta),
-		SampledComparisons: snap.Sampled,
-		Tightness:          snap.Bounds,
-	}
-}
-
-// ExplainWaterfall is the per-stage pruning breakdown of one search.
-type ExplainWaterfall = explain.Waterfall
-
-// ExplainStage is one waterfall stage with its eliminated-rotation count.
-type ExplainStage = explain.StageCount
-
-// ExplainPlan is the structured result of a search run in EXPLAIN mode: the
-// stage waterfall (whose counts reconcile with the search's SearchStats
-// delta by construction) and the tightness of the bounds over the
-// comparisons it sampled.
-type ExplainPlan struct {
-	Strategy string `json:"strategy"`
-	Measure  string `json:"measure"`
-	// TraceID correlates the plan to the recorded trace of the same search
-	// (0 when untraced or sampled away).
-	TraceID            int64            `json:"trace_id,omitempty"`
-	Waterfall          ExplainWaterfall `json:"waterfall"`
-	SampledComparisons int64            `json:"sampled_comparisons"`
-	Tightness          []BoundTightness `json:"tightness,omitempty"`
-}
-
-// Explain returns the plan of the query's most recent search, or nil when
-// EXPLAIN mode was off (see SetExplain) or no search has run since it was
-// turned on.
-func (q *Query) Explain() *ExplainPlan { return q.plan }

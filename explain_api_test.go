@@ -3,6 +3,7 @@ package lbkeogh
 import (
 	"context"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -11,45 +12,41 @@ import (
 	"lbkeogh/internal/obs/expofmt"
 )
 
-// assertPlanMatchesStats checks the satellite contract: every waterfall
-// stage count in the plan reconciles term-by-term with the search's own
-// SearchStats record.
-func assertPlanMatchesStats(t *testing.T, plan *ExplainPlan, st SearchStats) {
+// explainInterval is the interval the serving layer's explain requests
+// sample at: an explained search is an ordinary search with a fresh sampler
+// of its own attached.
+const explainInterval = 4
+
+// assertPlanMatchesStats checks what an explained search's plan — its own
+// sampler's snapshot — holds against the search's SearchStats: the sampler
+// was offered exactly the search's comparisons and measured the first of
+// every interval, each with one check per applicable bound (the FFT and
+// envelope bounds, both applicable to the Euclidean measure).
+func assertPlanMatchesStats(t *testing.T, plan BoundSamplerSnapshot, st SearchStats) {
 	t.Helper()
-	if plan == nil {
-		t.Fatal("EXPLAIN mode on but plan is nil")
+	if !st.Reconciles() {
+		t.Fatalf("stats do not reconcile: %+v", st.Counts)
 	}
-	if !plan.Waterfall.Reconciles() {
-		t.Fatalf("plan waterfall does not reconcile: %+v", plan.Waterfall)
+	if plan.Seen != st.Comparisons {
+		t.Errorf("sampler saw %d comparisons, stats %d", plan.Seen, st.Comparisons)
 	}
-	if plan.Waterfall.Comparisons != st.Comparisons {
-		t.Errorf("plan comparisons %d != stats %d", plan.Waterfall.Comparisons, st.Comparisons)
+	if want := (st.Comparisons + plan.Interval - 1) / plan.Interval; plan.Sampled != want {
+		t.Errorf("%d comparisons sampled %d times at interval %d, want %d", st.Comparisons, plan.Sampled, plan.Interval, want)
 	}
-	if plan.Waterfall.Rotations != st.Rotations {
-		t.Errorf("plan rotations %d != stats %d", plan.Waterfall.Rotations, st.Rotations)
+	if len(plan.Bounds) != 2 {
+		t.Fatalf("plan bounds %+v, want fft and envelope", plan.Bounds)
 	}
-	if got := plan.Waterfall.Stage(explain.StageFFT); got != st.FFTRejectedMembers {
-		t.Errorf("fft stage %d != FFTRejectedMembers %d", got, st.FFTRejectedMembers)
-	}
-	if got := plan.Waterfall.Stage(explain.StageEnvelope); got != st.WedgePrunedMembers+st.WedgeLeafLBPrunes {
-		t.Errorf("envelope stage %d != wedge prunes %d",
-			got, st.WedgePrunedMembers+st.WedgeLeafLBPrunes)
-	}
-	if got := plan.Waterfall.Stage(explain.StageKernel); got != st.EarlyAbandons {
-		t.Errorf("kernel stage %d != EarlyAbandons %d", got, st.EarlyAbandons)
-	}
-	if plan.Waterfall.Survivors != st.FullDistEvals {
-		t.Errorf("survivors %d != FullDistEvals %d", plan.Waterfall.Survivors, st.FullDistEvals)
-	}
-	if plan.Waterfall.Cancelled != st.CancelledMembers {
-		t.Errorf("cancelled %d != CancelledMembers %d", plan.Waterfall.Cancelled, st.CancelledMembers)
+	for _, bt := range plan.Bounds {
+		if bt.Checks != plan.Sampled {
+			t.Errorf("%s bound checked %d times over %d samples", bt.Bound, bt.Checks, plan.Sampled)
+		}
 	}
 }
 
-// TestExplainPlanReconcilesAcrossStrategies runs every search flavour in
-// EXPLAIN mode under every strategy: a fresh query's SearchStats after one
-// operation IS that operation's delta, so the plan waterfall must match it
-// exactly.
+// TestExplainPlanReconcilesAcrossStrategies runs every search flavour with a
+// fresh interval-4 sampler under every strategy: a fresh query's SearchStats
+// after one operation IS that operation's record, and the sampler must have
+// seen exactly its comparisons.
 func TestExplainPlanReconcilesAcrossStrategies(t *testing.T) {
 	db := demoDB(21, 12, 64)
 	for _, s := range allStrategies() {
@@ -58,49 +55,30 @@ func TestExplainPlanReconcilesAcrossStrategies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			q.SetExplain(true)
-			if q.Explain() != nil {
-				t.Fatal("plan before any search must be nil")
+			explained := func(search func() error) {
+				t.Helper()
+				sampler := NewBoundSampler(explainInterval)
+				q.SetBoundSampler(sampler)
+				q.ResetStats()
+				if err := search(); err != nil {
+					t.Fatal(err)
+				}
+				assertPlanMatchesStats(t, sampler.Snapshot(), q.Stats())
 			}
-
-			if _, err := q.Search(db); err != nil {
-				t.Fatal(err)
-			}
-			plan := q.Explain()
-			assertPlanMatchesStats(t, plan, q.Stats())
-			if plan.Strategy != s.internal().String() {
-				t.Errorf("plan strategy %q, want %q", plan.Strategy, s.internal().String())
-			}
-			if plan.Measure != "euclidean" {
-				t.Errorf("plan measure %q, want euclidean", plan.Measure)
-			}
-			// The first of every 4 comparisons is measured.
-			if want := (plan.Waterfall.Comparisons + 3) / 4; plan.SampledComparisons != want || len(plan.Tightness) == 0 {
-				t.Errorf("%d comparisons sampled %d times (want %d), tightness %+v",
-					plan.Waterfall.Comparisons, plan.SampledComparisons, want, plan.Tightness)
-			}
-
-			// Top-K and range flavours must reconcile the same way.
-			q.ResetStats()
-			top, err := q.SearchTopK(db, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertPlanMatchesStats(t, q.Explain(), q.Stats())
-
-			// The query is db[0], so r.Dist is 0: the range reaches out to the
-			// fourth neighbour instead (a range threshold must be positive).
-			q.ResetStats()
-			if _, err := q.SearchRange(db, top[3].Dist); err != nil {
-				t.Fatal(err)
-			}
-			assertPlanMatchesStats(t, q.Explain(), q.Stats())
+			explained(func() error { _, err := q.Search(db); return err })
+			var top []SearchResult
+			explained(func() (err error) { top, err = q.SearchTopK(db, 4); return err })
+			// The query is db[0], so its nearest distance is 0: the range
+			// reaches out to the fourth neighbour instead (a range threshold
+			// must be positive).
+			explained(func() error { _, err := q.SearchRange(db, top[3].Dist); return err })
 		})
 	}
 }
 
-// TestExplainPlanCancelledSearch cancels mid-scan: the plan's waterfall must
-// carry the CancelledMembers bucket and still reconcile.
+// TestExplainPlanCancelledSearch cancels mid-scan: the stats carry the
+// CancelledMembers bucket and still reconcile, and the sampler saw exactly
+// the comparisons the search began.
 func TestExplainPlanCancelledSearch(t *testing.T) {
 	const n = 512
 	db := demoDB(22, 1, n)
@@ -113,63 +91,45 @@ func TestExplainPlanCancelledSearch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q.SetExplain(true)
+		sampler := NewBoundSampler(explainInterval)
+		q.SetBoundSampler(sampler)
 		if _, err := q.SearchContext(newFlipCtx(4), db); err != context.Canceled {
 			t.Fatalf("strategy %v: want context.Canceled, got %v", s, err)
 		}
-		plan := q.Explain()
-		assertPlanMatchesStats(t, plan, q.Stats())
-		if plan.Waterfall.Cancelled == 0 {
-			t.Errorf("strategy %v: cancelled mid-scan but plan.Cancelled = 0", s)
+		st := q.Stats()
+		assertPlanMatchesStats(t, sampler.Snapshot(), st)
+		if st.CancelledMembers == 0 {
+			t.Errorf("strategy %v: cancelled mid-scan but CancelledMembers = 0", s)
 		}
 	}
 }
 
-// TestExplainParallelWaterfall: parallel scans bypass the per-comparison
-// hooks, but the plan's waterfall still reconciles from the query-level
-// counter delta (with no tightness).
+// TestExplainParallelWaterfall: parallel scans run on per-worker searchers
+// and bypass the attached sampler, but the query's stats still reconcile.
 func TestExplainParallelWaterfall(t *testing.T) {
 	db := demoDB(23, 16, 64)
 	q, err := NewQuery(db[0], Euclidean())
 	if err != nil {
 		t.Fatal(err)
 	}
-	q.SetExplain(true)
+	sampler := NewBoundSampler(explainInterval)
+	q.SetBoundSampler(sampler)
 	if _, err := q.SearchParallel(db, 4); err != nil {
 		t.Fatal(err)
 	}
-	assertPlanMatchesStats(t, q.Explain(), q.Stats())
-}
-
-func TestExplainOffReturnsNil(t *testing.T) {
-	db := demoDB(24, 4, 48)
-	q, err := NewQuery(db[0], Euclidean())
-	if err != nil {
-		t.Fatal(err)
+	if st := q.Stats(); st.Comparisons != int64(len(db)) || !st.Reconciles() {
+		t.Fatalf("parallel stats %+v over %d rows", st.Counts, len(db))
 	}
-	if _, err := q.Search(db); err != nil {
-		t.Fatal(err)
-	}
-	if q.Explain() != nil {
-		t.Fatal("plan must be nil with EXPLAIN off")
-	}
-	q.SetExplain(true)
-	if _, err := q.Search(db); err != nil {
-		t.Fatal(err)
-	}
-	if q.Explain() == nil {
-		t.Fatal("plan must be recorded with EXPLAIN on")
-	}
-	q.SetExplain(false)
-	if q.Explain() != nil {
-		t.Fatal("turning EXPLAIN off must drop the plan")
+	if snap := sampler.Snapshot(); snap.Seen != 0 || snap.Sampled != 0 {
+		t.Fatalf("a parallel search fed the sampler: %+v", snap)
 	}
 }
 
-// TestExplainFeedsOnePrivateSampler: an explained search feeds its own
-// interval-4 sampler, which measures the first of every 4 comparisons, and
-// nothing of it reaches the query's shared sampler; with EXPLAIN off the
-// shared sampler counts again.
+// TestExplainFeedsOnePrivateSampler: a query feeds one sampler at a time.
+// Swapping a private interval-4 sampler in for a search, as the serving
+// layer does for an explain request, measures the first of every 4
+// comparisons and leaves the shared sampler untouched; once the shared one
+// is restored it counts again and the private one stops.
 func TestExplainFeedsOnePrivateSampler(t *testing.T) {
 	db := demoDB(27, 30, 64)
 	q, err := NewQuery(db[0], Euclidean())
@@ -178,28 +138,31 @@ func TestExplainFeedsOnePrivateSampler(t *testing.T) {
 	}
 	shared := NewBoundSampler(1)
 	q.SetBoundSampler(shared)
-	q.SetExplain(true)
+	private := NewBoundSampler(explainInterval)
+	q.SetBoundSampler(private)
 	if _, err := q.Search(db); err != nil {
 		t.Fatal(err)
 	}
 	if seen := shared.Snapshot().Seen; seen != 0 {
 		t.Fatalf("an explained search moved the shared sampler's Seen to %d", seen)
 	}
-	plan := q.Explain()
-	if plan.Waterfall.Comparisons != 30 || plan.SampledComparisons != (plan.Waterfall.Comparisons+3)/4 || plan.SampledComparisons != 8 {
-		t.Fatalf("%d comparisons sampled %d times, want 30 and 8", plan.Waterfall.Comparisons, plan.SampledComparisons)
+	if snap := private.Snapshot(); snap.Seen != 30 || snap.Sampled != 8 {
+		t.Fatalf("private sampler saw %d and sampled %d, want 30 and 8", snap.Seen, snap.Sampled)
 	}
-	q.SetExplain(false)
+	q.SetBoundSampler(shared)
 	if _, err := q.Search(db); err != nil {
 		t.Fatal(err)
 	}
 	if snap := shared.Snapshot(); snap.Seen != 30 || snap.Sampled != 30 {
-		t.Fatalf("after SetExplain(false) the shared sampler saw %d and sampled %d of 30", snap.Seen, snap.Sampled)
+		t.Fatalf("after restoring it the shared sampler saw %d and sampled %d of 30", snap.Seen, snap.Sampled)
+	}
+	if seen := private.Snapshot().Seen; seen != 30 {
+		t.Fatalf("the detached private sampler went on counting: %d", seen)
 	}
 }
 
-// TestExplainResultsUnperturbed: EXPLAIN mode and an attached sampler must
-// not change what a search returns or how its stats reconcile.
+// TestExplainResultsUnperturbed: an attached sampler must not change what a
+// search returns or its stats record.
 func TestExplainResultsUnperturbed(t *testing.T) {
 	db := demoDB(25, 10, 96)
 	for _, s := range allStrategies() {
@@ -211,7 +174,6 @@ func TestExplainResultsUnperturbed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		expQ.SetExplain(true)
 		expQ.SetBoundSampler(NewBoundSampler(1))
 		want, err := plainQ.Search(db)
 		if err != nil {
@@ -223,15 +185,13 @@ func TestExplainResultsUnperturbed(t *testing.T) {
 		}
 		if got.Index != want.Index || math.Float64bits(got.Dist) != math.Float64bits(want.Dist) ||
 			got.Rotation != want.Rotation {
-			t.Fatalf("strategy %v: explained search %+v != plain %+v", s, got, want)
+			t.Fatalf("strategy %v: sampled search %+v != plain %+v", s, got, want)
 		}
-		ps, es := plainQ.Stats(), expQ.Stats()
-		if ps.Comparisons != es.Comparisons || ps.Rotations != es.Rotations ||
-			ps.FullDistEvals != es.FullDistEvals || ps.EarlyAbandons != es.EarlyAbandons ||
-			ps.WedgePrunedMembers != es.WedgePrunedMembers ||
-			ps.WedgeLeafLBPrunes != es.WedgeLeafLBPrunes ||
-			ps.FFTRejectedMembers != es.FFTRejectedMembers {
-			t.Fatalf("strategy %v: explained stats %+v != plain %+v", s, es, ps)
+		if ps, es := plainQ.Stats(), expQ.Stats(); !reflect.DeepEqual(ps, es) {
+			t.Fatalf("strategy %v: sampled stats %+v != plain %+v", s, es, ps)
+		}
+		if plainQ.Steps() != expQ.Steps() {
+			t.Fatalf("strategy %v: sampled steps %d != plain %d", s, expQ.Steps(), plainQ.Steps())
 		}
 	}
 }

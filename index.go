@@ -185,7 +185,7 @@ func (ix *Index) probe(ctx context.Context, q *Query, label string, k int, limit
 // and DTW measures (LCSS queries fall back to a full scan).
 //
 // The search runs through the query's own searcher: its strategy and options
-// (WithFixedWedgeCount, WithTraceLog, SetExplain) apply, and its
+// (WithFixedWedgeCount, WithTraceLog, SetBoundSampler) apply, and its
 // steps and statistics land on q.Steps and q.Stats as well as on the index's
 // cumulative record.
 //

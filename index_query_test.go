@@ -95,10 +95,11 @@ func TestIndexSearchRunsThroughTheQuery(t *testing.T) {
 	}
 
 	// A query's trace log holds the probe under the search's root span, and
-	// EXPLAIN measures the bounds on the first of every 4 comparisons it runs.
+	// an attached sampler sees exactly the comparisons of the rows it fetched.
 	tlog := NewTraceLog(WithSampleRate(1))
 	traced, _ := NewQuery(series, Euclidean(), WithTraceLog(tlog))
-	traced.SetExplain(true)
+	sampler := NewBoundSampler(4)
+	traced.SetBoundSampler(sampler)
 	got, err = ix.Search(traced)
 	if err != nil {
 		t.Fatal(err)
@@ -133,12 +134,9 @@ func TestIndexSearchRunsThroughTheQuery(t *testing.T) {
 	if fetchSpans != tr.Attrs.IndexFetches || comparisons != tr.Attrs.Comparisons {
 		t.Fatalf("%d fetch and %d comparison spans for %d fetches and %d comparisons", fetchSpans, comparisons, tr.Attrs.IndexFetches, tr.Attrs.Comparisons)
 	}
-	plan := traced.Explain()
-	if plan == nil || !plan.Waterfall.Reconciles() || plan.TraceID != tr.ID {
-		t.Fatalf("explain plan after an index search: %+v", plan)
-	}
-	if n := plan.Waterfall.Comparisons; plan.SampledComparisons != (n+3)/4 || len(plan.Tightness) == 0 {
-		t.Fatalf("%d comparisons sampled %d times, tightness %+v", n, plan.SampledComparisons, plan.Tightness)
+	plan := sampler.Snapshot()
+	if n := tr.Attrs.IndexFetches; plan.Seen != n || plan.Sampled != (n+3)/4 || len(plan.Bounds) != 2 {
+		t.Fatalf("%d fetched rows, sampler %+v", n, plan)
 	}
 }
 

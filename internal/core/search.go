@@ -171,9 +171,6 @@ func (s *Searcher) SetExplain(r *explain.Recorder) {
 	s.exp = r
 }
 
-// Explain returns the attached bound sampler (nil: none).
-func (s *Searcher) Explain() *explain.Recorder { return s.exp }
-
 // Kernel returns the searcher's distance kernel.
 func (s *Searcher) Kernel() wedge.Kernel { return s.kernel }
 

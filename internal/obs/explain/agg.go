@@ -48,7 +48,6 @@ type boundAgg struct {
 type Agg struct {
 	bounds      []*boundAgg
 	byName      map[string]*boundAgg
-	samples     int64
 	kernelKills int64
 	survived    int64
 }
@@ -72,7 +71,6 @@ func (a *Agg) boundFor(name string) *boundAgg {
 // kernel killed the candidate, and the elimination when this bound was the
 // first to reach the threshold.
 func (a *Agg) Observe(s Sample) {
-	a.samples++
 	switch s.EliminatedBy {
 	case "":
 		a.survived++
@@ -185,9 +183,6 @@ func (a *Agg) Summary() []BoundTightness {
 	}
 	return out
 }
-
-// Samples reports how many waterfall samples were folded in.
-func (a *Agg) Samples() int64 { return a.samples }
 
 // KernelKills reports samples whose candidate passed every bound but was
 // killed by the exact kernel.

@@ -5,60 +5,12 @@ import (
 	"math"
 	"testing"
 
-	"lbkeogh/internal/obs"
+	"lbkeogh/internal/envelope"
+	"lbkeogh/internal/fourier"
 	"lbkeogh/internal/stats"
 	"lbkeogh/internal/ts"
 	"lbkeogh/internal/wedge"
 )
-
-func TestFromCountsReconciles(t *testing.T) {
-	c := obs.Counts{
-		Comparisons:        10,
-		Rotations:          1000,
-		FFTRejectedMembers: 120,
-		WedgePrunedMembers: 400,
-		WedgeLeafLBPrunes:  80,
-		EarlyAbandons:      250,
-		FullDistEvals:      100,
-		CancelledMembers:   50,
-	}
-	if !c.Reconciles() {
-		t.Fatal("test fixture counts must reconcile")
-	}
-	wf := FromCounts(c)
-	if !wf.Reconciles() {
-		t.Fatalf("waterfall from reconciling counts must reconcile: %+v", wf)
-	}
-	if got := wf.Stage(StageFFT); got != 120 {
-		t.Errorf("fft stage = %d, want 120", got)
-	}
-	if got := wf.Stage(StageEnvelope); got != 480 {
-		t.Errorf("envelope stage = %d, want 480", got)
-	}
-	if got := wf.Stage(StageKernel); got != 250 {
-		t.Errorf("kernel stage = %d, want 250", got)
-	}
-	if wf.Survivors != 100 || wf.Cancelled != 50 {
-		t.Errorf("survivors/cancelled = %d/%d, want 100/50", wf.Survivors, wf.Cancelled)
-	}
-	// Three stages in cascade order, always present.
-	want := []string{StageFFT, StageEnvelope, StageKernel}
-	if len(wf.Eliminated) != len(want) {
-		t.Fatalf("got %d stages, want %d", len(wf.Eliminated), len(want))
-	}
-	for i, s := range wf.Eliminated {
-		if s.Stage != want[i] {
-			t.Errorf("stage %d = %q, want %q", i, s.Stage, want[i])
-		}
-	}
-}
-
-func TestFromCountsBrokenDelta(t *testing.T) {
-	wf := FromCounts(obs.Counts{Rotations: 10, FullDistEvals: 3})
-	if wf.Reconciles() {
-		t.Fatal("waterfall over a non-reconciling delta must not reconcile")
-	}
-}
 
 func TestBucketFor(t *testing.T) {
 	cases := []struct {
@@ -91,32 +43,31 @@ func TestAggObserveAndSummary(t *testing.T) {
 	s := Sample{
 		Threshold: 5,
 		Bounds: []BoundValue{
-			{Bound: StageFFT, Value: 4},      // ratio 0.4, false positive
-			{Bound: StageEnvelope, Value: 8}, // ratio 0.8, eliminated here
+			{Bound: fourier.BoundName, Value: 4},  // ratio 0.4, false positive
+			{Bound: envelope.BoundName, Value: 8}, // ratio 0.8, eliminated here
 		},
 		True:         10,
-		EliminatedBy: StageEnvelope,
+		EliminatedBy: envelope.BoundName,
 	}
 	a.Observe(s)
 	// A surviving candidate below the threshold.
 	a.Observe(Sample{
 		Threshold: 20,
 		Bounds: []BoundValue{
-			{Bound: StageFFT, Value: 5},
-			{Bound: StageEnvelope, Value: 9},
+			{Bound: fourier.BoundName, Value: 5},
+			{Bound: envelope.BoundName, Value: 9},
 		},
 		True: 10,
 	})
-	if a.Samples() != 2 || a.Survived() != 1 || a.KernelKills() != 0 {
-		t.Fatalf("samples/survived/kills = %d/%d/%d, want 2/1/0",
-			a.Samples(), a.Survived(), a.KernelKills())
+	if a.Survived() != 1 || a.KernelKills() != 0 {
+		t.Fatalf("survived/kills = %d/%d, want 1/0", a.Survived(), a.KernelKills())
 	}
 	sum := a.Summary()
 	if len(sum) != 2 {
 		t.Fatalf("got %d bound summaries, want 2", len(sum))
 	}
 	fft := sum[0]
-	if fft.Bound != StageFFT {
+	if fft.Bound != fourier.BoundName {
 		t.Fatalf("first-seen order broken: %q first", fft.Bound)
 	}
 	if fft.Checks != 2 || fft.FalsePositives != 1 {
@@ -225,7 +176,7 @@ func TestMeasureAdmissibility(t *testing.T) {
 				}
 				var haveFFT bool
 				for _, b := range s.Bounds {
-					if b.Bound == StageFFT {
+					if b.Bound == fourier.BoundName {
 						haveFFT = true
 					}
 					if b.Value > s.True+1e-9 {
@@ -237,7 +188,7 @@ func TestMeasureAdmissibility(t *testing.T) {
 					t.Errorf("fft bound present=%v, want %v", haveFFT, kc.wantFFT)
 				}
 				// The envelope bound always closes the cascade.
-				if s.Bounds[len(s.Bounds)-1].Bound != StageEnvelope {
+				if s.Bounds[len(s.Bounds)-1].Bound != envelope.BoundName {
 					t.Errorf("last bound = %q, want envelope", s.Bounds[len(s.Bounds)-1].Bound)
 				}
 			}
@@ -288,7 +239,7 @@ func TestRecorderSamplesFirstOfEachInterval(t *testing.T) {
 		t.Fatalf("elected comparisons %v, want [0 4 8]", elected)
 	}
 	snap := r.Snapshot()
-	if snap.Seen != 9 || snap.Sampled != 3 || snap.Samples != 3 || len(snap.Bounds) != 2 {
+	if snap.Seen != 9 || snap.Sampled != 3 || len(snap.Bounds) != 2 {
 		t.Fatalf("snapshot %+v: want 3 samples of 9 over the fft and envelope bounds", snap)
 	}
 	if one := NewRecorder(512); !one.ShouldSample() {

@@ -8,8 +8,7 @@ import (
 // Recorder is a tightness sink: the searchers feeding it ask whether to
 // sample each comparison (comparisons 0, n, 2n, … of its stream, across
 // every searcher feeding it) and fold the measured waterfall samples into one
-// aggregate. A query's shared BoundSampler is one; an EXPLAIN-mode search
-// feeds a private one instead. A nil *Recorder is a valid no-op sink —
+// aggregate. Every BoundSampler is one. A nil *Recorder is a valid no-op sink —
 // ShouldSample on nil costs one nil check and returns false, which is the
 // entire disabled-path overhead.
 type Recorder struct {
@@ -58,7 +57,6 @@ type RecorderSnapshot struct {
 	Seen        int64            `json:"seen"`
 	Sampled     int64            `json:"sampled"`
 	Interval    int64            `json:"interval"`
-	Samples     int64            `json:"samples"`
 	KernelKills int64            `json:"kernel_kills"`
 	Survived    int64            `json:"survived"`
 	Bounds      []BoundTightness `json:"bounds,omitempty"`
@@ -76,7 +74,6 @@ func (r *Recorder) Snapshot() RecorderSnapshot {
 		Interval: r.every,
 	}
 	r.mu.Lock()
-	snap.Samples = r.agg.Samples()
 	snap.KernelKills = r.agg.KernelKills()
 	snap.Survived = r.agg.Survived()
 	snap.Bounds = r.agg.Summary()

@@ -1,12 +1,13 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
-	"lbkeogh/internal/obs"
-	"lbkeogh/internal/obs/explain"
 	"lbkeogh/internal/obs/expofmt"
 )
 
@@ -23,121 +24,120 @@ func scrapeMetrics(t *testing.T, ts *httptest.Server) *expofmt.Exposition {
 	return exp
 }
 
-// waterfallCounters rebuilds the server's cumulative pruning waterfall from
-// the shapeserver_<counter> outcome families, the way a dashboard would:
-// every stage is one counter or the sum of two.
-func waterfallCounters(t *testing.T, ts *httptest.Server) (rot, surv, canc int64, stages map[string]int64) {
+// sharedSeen reads the shared sampler's comparisons-seen counter.
+func sharedSeen(t *testing.T, ts *httptest.Server) int64 {
 	t.Helper()
-	exp := scrapeMetrics(t, ts)
-	counter := func(key string) int64 { return exp.Counter("shapeserver_"+key+"_total", nil) }
-	wf := explain.FromCounts(obs.Counts{
-		Rotations:          counter("rotations"),
-		FullDistEvals:      counter("full_dist_evals"),
-		EarlyAbandons:      counter("early_abandons"),
-		WedgePrunedMembers: counter("wedge_pruned_members"),
-		WedgeLeafLBPrunes:  counter("wedge_leaf_lb_prunes"),
-		FFTRejectedMembers: counter("fft_rejected_members"),
-		CancelledMembers:   counter("cancelled_members"),
-	})
-	stages = map[string]int64{}
-	for _, st := range wf.Eliminated {
-		stages[st.Stage] = st.Members
-	}
-	return wf.Rotations, wf.Survivors, wf.Cancelled, stages
+	return scrapeMetrics(t, ts).Counter("lbkeogh_explain_comparisons_seen_total", nil)
 }
 
-// TestServerExplainSearch: an explain:true request returns a plan whose
-// waterfall reconciles exactly with the response's own per-request stats AND
-// with the waterfall the /metrics outcome counters' deltas give for that
-// request.
-func TestServerExplainSearch(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	rot0, surv0, canc0, st0 := waterfallCounters(t, ts)
-
-	code, sr, raw := post(t, ts, "/v1/search", `{"query_index":1,"explain":true}`)
+// checkExplained posts body with explain:true to one fresh server and
+// without it to another, and holds the explained response to the contract:
+// 200; a plan that is the request's own interval-4 sampler snapshot —
+// offered exactly the search's comparisons, sampling ceil(comparisons/4) of
+// them, with one bounds entry per applicable bound; a shared sampler that
+// did not move; and results and stats byte-identical to the plain request's.
+func checkExplained(t *testing.T, path, body string, bounds []string) SearchResponse {
+	t.Helper()
+	_, ets := newTestServer(t, Config{})
+	_, pts := newTestServer(t, Config{})
+	seen0 := sharedSeen(t, ets)
+	explained := body[:len(body)-1] + `,"explain":true}`
+	code, sr, eraw := post(t, ets, path, explained)
 	if code != http.StatusOK {
-		t.Fatalf("status %d: %s", code, raw)
+		t.Fatalf("%s %s: status %d (%s)", path, explained, code, eraw)
 	}
-	if sr.Plan == nil {
-		t.Fatalf("explain:true returned no plan: %s", raw)
+	if seen := sharedSeen(t, ets); seen != seen0 {
+		t.Errorf("%s: the shared sampler saw %d comparisons of an explained request", path, seen-seen0)
 	}
-	wf := sr.Plan.Waterfall
-	if !wf.Reconciles() {
-		t.Fatalf("plan waterfall does not reconcile: %+v", wf)
+	plan, st := sr.Plan, sr.Stats
+	if plan == nil {
+		t.Fatalf("%s: explain:true returned no plan: %s", path, eraw)
 	}
-	st := sr.Stats
-	if wf.Rotations != st.Rotations || wf.Comparisons != st.Comparisons {
-		t.Fatalf("waterfall rotations/comparisons %d/%d != stats %d/%d",
-			wf.Rotations, wf.Comparisons, st.Rotations, st.Comparisons)
+	if plan.Interval != explainInterval || plan.Seen != st.Comparisons || plan.Sampled != (st.Comparisons+3)/4 {
+		t.Errorf("%s: plan seen %d sampled %d at interval %d; stats %d comparisons", path, plan.Seen, plan.Sampled, plan.Interval, st.Comparisons)
 	}
-	if got := wf.Stage(explain.StageFFT); got != st.FFTRejectedMembers {
-		t.Errorf("fft stage %d != FFTRejectedMembers %d", got, st.FFTRejectedMembers)
-	}
-	if got := wf.Stage(explain.StageEnvelope); got != st.WedgePrunedMembers+st.WedgeLeafLBPrunes {
-		t.Errorf("envelope stage %d != wedge prunes %d", got, st.WedgePrunedMembers+st.WedgeLeafLBPrunes)
-	}
-	if got := wf.Stage(explain.StageKernel); got != st.EarlyAbandons {
-		t.Errorf("kernel stage %d != EarlyAbandons %d", got, st.EarlyAbandons)
-	}
-	if wf.Survivors != st.FullDistEvals || wf.Cancelled != st.CancelledMembers {
-		t.Errorf("survivors/cancelled %d/%d != stats %d/%d",
-			wf.Survivors, wf.Cancelled, st.FullDistEvals, st.CancelledMembers)
-	}
-	if sr.Plan.SampledComparisons != (wf.Comparisons+3)/4 || len(sr.Plan.Tightness) == 0 {
-		t.Errorf("%d comparisons sampled %d times, tightness %+v", wf.Comparisons, sr.Plan.SampledComparisons, sr.Plan.Tightness)
-	}
-
-	// The /metrics outcome counters moved by exactly this search.
-	rot1, surv1, canc1, st1 := waterfallCounters(t, ts)
-	if rot1-rot0 != wf.Rotations || surv1-surv0 != wf.Survivors || canc1-canc0 != wf.Cancelled {
-		t.Errorf("metrics deltas rot/surv/canc %d/%d/%d != plan %d/%d/%d",
-			rot1-rot0, surv1-surv0, canc1-canc0, wf.Rotations, wf.Survivors, wf.Cancelled)
-	}
-	for _, stage := range wf.Eliminated {
-		if got := st1[stage.Stage] - st0[stage.Stage]; got != stage.Members {
-			t.Errorf("stage %q metrics delta %d != plan %d", stage.Stage, got, stage.Members)
+	var got []string
+	for _, bt := range plan.Bounds {
+		got = append(got, bt.Bound)
+		if bt.Checks != plan.Sampled {
+			t.Errorf("%s: %s bound checked %d times over %d samples", path, bt.Bound, bt.Checks, plan.Sampled)
 		}
 	}
+	if !slices.Equal(got, bounds) {
+		t.Errorf("%s: plan bounds %v, want %v", path, got, bounds)
+	}
 
-	// A pooled re-use of the same session without explain must NOT carry a
-	// plan (the per-request arm/disarm contract).
-	code, sr2, raw := post(t, ts, "/v1/search", `{"query_index":1}`)
+	code, _, praw := post(t, pts, path, body)
+	if code != http.StatusOK {
+		t.Fatalf("%s %s: status %d (%s)", path, body, code, praw)
+	}
+	type answer struct {
+		Results json.RawMessage `json:"results"`
+		Stats   json.RawMessage `json:"stats"`
+	}
+	var ea, pa answer
+	if err := json.Unmarshal([]byte(eraw), &ea); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(praw), &pa); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ea.Results, pa.Results) || !bytes.Equal(ea.Stats, pa.Stats) {
+		t.Errorf("%s: explained answer differs from the plain one\nexplained %s %s\nplain     %s %s", path, ea.Results, ea.Stats, pa.Results, pa.Stats)
+	}
+	return sr
+}
+
+// TestServerExplainSearch: an explain:true search — Euclidean through the
+// serving index, DTW and LCSS through the session's scan — answers with its
+// own sampler's snapshot as the plan and the plain request's answer. A
+// pooled re-use of the session without explain carries no plan and feeds
+// the shared sampler again.
+func TestServerExplainSearch(t *testing.T) {
+	sr := checkExplained(t, "/v1/search", `{"query_index":1}`, []string{"fft", "envelope"})
+	if sr.Stats.IndexFetches == 0 {
+		t.Fatalf("Euclidean search did not go through the index: %+v", sr.Stats.Counts)
+	}
+	checkExplained(t, "/v1/search", `{"query_index":1,"measure":"dtw","r":2}`, []string{"envelope"})
+	checkExplained(t, "/v1/search", `{"query_index":1,"measure":"lcss"}`, []string{"envelope"})
+
+	_, ts := newTestServer(t, Config{})
+	if code, _, raw := post(t, ts, "/v1/search", `{"query_index":1,"measure":"dtw","explain":true}`); code != http.StatusOK {
+		t.Fatalf("explained search: status %d (%s)", code, raw)
+	}
+	seen0 := sharedSeen(t, ts)
+	code, sr2, raw := post(t, ts, "/v1/search", `{"query_index":1,"measure":"dtw"}`)
 	if code != http.StatusOK || !sr2.PoolHit {
 		t.Fatalf("second request: status %d pool_hit %v (%s)", code, sr2.PoolHit, raw)
 	}
 	if sr2.Plan != nil {
 		t.Fatal("plan leaked into a non-explain request on a pooled session")
 	}
+	if seen := sharedSeen(t, ts) - seen0; seen != sr2.Stats.Comparisons {
+		t.Fatalf("the shared sampler saw %d of the pooled request's %d comparisons", seen, sr2.Stats.Comparisons)
+	}
 }
 
-// TestServerExplainTopKAndRange: the other search flavours carry reconciling
-// plans too.
+// TestServerExplainTopKAndRange: the other search flavours answer explain
+// the same way.
 func TestServerExplainTopKAndRange(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	code, tk, raw := post(t, ts, "/v1/topk", `{"query_index":2,"k":4,"explain":true}`)
-	if code != http.StatusOK || tk.Plan == nil || !tk.Plan.Waterfall.Reconciles() {
-		t.Fatalf("topk explain: status %d plan %+v (%s)", code, tk.Plan, raw)
-	}
-	if tk.Plan.Waterfall.Rotations != tk.Stats.Rotations {
-		t.Fatalf("topk plan rotations %d != stats %d", tk.Plan.Waterfall.Rotations, tk.Stats.Rotations)
-	}
-	code, rg, raw := post(t, ts, "/v1/range", `{"query_index":2,"threshold":5,"explain":true}`)
-	if code != http.StatusOK || rg.Plan == nil || !rg.Plan.Waterfall.Reconciles() {
-		t.Fatalf("range explain: status %d plan %+v (%s)", code, rg.Plan, raw)
-	}
+	checkExplained(t, "/v1/topk", `{"query_index":2,"k":4}`, []string{"fft", "envelope"})
+	checkExplained(t, "/v1/range", `{"query_index":2,"threshold":5}`, []string{"fft", "envelope"})
+	checkExplained(t, "/v1/topk", `{"query_index":2,"k":4,"measure":"dtw","r":2}`, []string{"envelope"})
 }
 
-// TestServerExplainPlanNamesWedgeStrategy: every request runs the wedge
-// strategy, whatever its measure, and its plan says so.
-func TestServerExplainPlanNamesWedgeStrategy(t *testing.T) {
+// TestServerRequestsRunWedgeStrategy: every request runs the wedge
+// strategy, whatever its measure, and its stats say so — the H-Merge walk
+// visited wedge leaves.
+func TestServerRequestsRunWedgeStrategy(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for _, measure := range []string{"euclidean", "dtw", "lcss"} {
 		code, sr, raw := post(t, ts, "/v1/search", `{"query_index":1,"explain":true,"measure":"`+measure+`"}`)
 		if code != http.StatusOK || sr.Plan == nil {
 			t.Fatalf("%s: status %d plan %v (%s)", measure, code, sr.Plan, raw)
 		}
-		if sr.Plan.Strategy != "wedge" || sr.Plan.Measure != measure {
-			t.Errorf("%s request: plan strategy %q, measure %q", measure, sr.Plan.Strategy, sr.Plan.Measure)
+		if sr.Stats.WedgeLeafVisits == 0 || !sr.Stats.Reconciles() {
+			t.Errorf("%s request did not walk the wedges: %+v", measure, sr.Stats.Counts)
 		}
 	}
 }
@@ -171,7 +171,7 @@ func TestServerExplainSamplerMetrics(t *testing.T) {
 }
 
 // TestServerDebugIndex: no structure report is served — the query's trace,
-// its index_fetches and EXPLAIN's envelope tightness describe the index on
+// its index_fetches and an explain plan's envelope tightness describe the index on
 // the traffic it serves — so /debug/index is an unknown path in static and
 // in store mode alike.
 func TestServerDebugIndex(t *testing.T) {

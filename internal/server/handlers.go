@@ -55,10 +55,9 @@ type SearchRequest struct {
 	// values above the server maximum are clamped to it.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 
-	// Explain runs the search in EXPLAIN mode: the response additionally
-	// carries a structured plan (the stage waterfall, and the bound
-	// tightness sampled on every fourth comparison). Costs one extra
-	// waterfall measurement per four comparisons; meant for diagnostics, not
+	// Explain attaches a bound sampler of this request's own to its search
+	// (see explainInterval): the response additionally carries the
+	// sampler's snapshot as its plan. Meant for diagnostics, not
 	// steady-state traffic.
 	Explain bool `json:"explain,omitempty"`
 }
@@ -86,10 +85,18 @@ type SearchResponse struct {
 	// TraceID is the retained trace of this search (0 when tracing is off or
 	// the sampler dropped it); resolve it at /debug/lbkeogh.
 	TraceID int64 `json:"trace_id"`
-	// Plan is the structured EXPLAIN output, present only when the request
-	// set explain. Its waterfall counts reconcile with Stats exactly.
-	Plan *lbkeogh.ExplainPlan `json:"plan,omitempty"`
+	// Plan is the snapshot of the request's own bound sampler, present only
+	// when the request set explain: the bound tightness, false positives and
+	// eliminations over the comparisons it sampled. Stats is the search's
+	// stage waterfall.
+	Plan *lbkeogh.BoundSamplerSnapshot `json:"plan,omitempty"`
 }
+
+// explainInterval is an explain request's sampling interval: its sampler
+// measures the first of every 4 comparisons. One measurement costs about one
+// brute-force comparison, so the interval bounds what explain adds to a
+// request at about a quarter of a brute-force scan of the rows it compares.
+const explainInterval = 4
 
 type errorResponse struct {
 	Error string `json:"error"`
@@ -326,11 +333,13 @@ func (s *Server) searchEndpoint(kind searchKind) http.HandlerFunc {
 		// guarantees its adaptive state is not polluted), so it goes back to
 		// the pool on every path.
 		defer s.pool.Checkin(sess)
+		var explain *lbkeogh.BoundSampler
 		if req.Explain {
-			sess.Q.SetExplain(true)
-			// Disarm before Checkin (defers run LIFO) so a pooled session
-			// never carries EXPLAIN cost into another request.
-			defer sess.Q.SetExplain(false)
+			explain = lbkeogh.NewBoundSampler(explainInterval)
+			sess.Q.SetBoundSampler(explain)
+			// Restore the shared sampler before Checkin (defers run LIFO) so
+			// a pooled session never carries this request's into another.
+			defer sess.Q.SetBoundSampler(s.sampler)
 		}
 
 		if hook := s.cfg.BeforeSearchHook; hook != nil {
@@ -374,8 +383,9 @@ func (s *Server) searchEndpoint(kind searchKind) http.HandlerFunc {
 			ElapsedMS: float64(elapsed.Microseconds()) / 1000,
 			TraceID:   traceID,
 		}
-		if req.Explain {
-			resp.Plan = q.Explain()
+		if explain != nil {
+			plan := explain.Snapshot()
+			resp.Plan = &plan
 		}
 		writeJSON(w, http.StatusOK, resp)
 		searchDone(http.StatusOK, "search served", "results", len(resp.Results))

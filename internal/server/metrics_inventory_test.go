@@ -58,7 +58,7 @@ func metricsInventory(exp *expofmt.Exposition) string {
 // page-residency sampler's lbkeogh_store_residency_* and
 // lbkeogh_store_resident_bytes (page faults against RSS and mapped bytes
 // answer the same question), then the four derived pruning-waterfall
-// families (explain.FromCounts over the outcome counters above), then the
+// families (each stage one outcome counter above or the sum of two), then the
 // store's fetch and page accounting — ten lbkeogh_store_ families and five
 // shapeserver_segment_ ones — leaving the journal's (the index's fetch span
 // times a fetch), then the rolling windows' thirteen shapeserver_window_* and

@@ -71,8 +71,9 @@ type Config struct {
 	// every N candidate comparisons across all requests gets its full bound
 	// waterfall measured (the FFT-magnitude bound under Euclidean distance
 	// and the LB_Keogh envelope bound, against the true distance), feeding
-	// the lbkeogh_explain_* families on /metrics. Default 512; negative
-	// disables the sampler entirely.
+	// the lbkeogh_explain_* families on /metrics. An explain request feeds
+	// a sampler of its own instead. Default 512; negative disables the
+	// shared sampler; explain requests still work.
 	ExplainSampleInterval int
 
 	// BeforeSearchHook, when non-nil, runs after a request is admitted and

@@ -11,8 +11,8 @@ import (
 )
 
 // KernelStageName is the stable stage tag for the exact-kernel stage — the
-// final, non-bound stage of the pruning waterfall — in explain plans and
-// /metrics labels.
+// final, non-bound stage of the pruning waterfall — in the bound sampler's
+// measurements.
 const KernelStageName = "kernel"
 
 // Kernel abstracts a distance measure for H-Merge: an exact (early

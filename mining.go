@@ -37,8 +37,8 @@ func miningInput(db []Series, m Measure, opts []QueryOption) (int, core.Options,
 }
 
 // ClosestPair returns the exact motif of db: the pair of series with the
-// smallest rotation-invariant distance under m. Options WithMirrorInvariance,
-// WithMaxRotationSamples and WithMaxRotationDegrees apply.
+// smallest rotation-invariant distance under m. Options WithMirrorInvariance
+// and WithMaxRotationDegrees apply.
 func ClosestPair(db []Series, m Measure, opts ...QueryOption) (Motif, error) {
 	n, copts, err := miningInput(db, m, opts)
 	if err != nil {

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"lbkeogh/internal/core"
+	"lbkeogh/internal/mining"
 	"lbkeogh/internal/ts"
 )
 
@@ -47,12 +49,12 @@ func TestClosestPairValidation(t *testing.T) {
 }
 
 // The mining operations read the options as NewQuery does: a rotation limit
-// NewQuery refuses is refused with its message — a negative sample count
-// used to be read as "unlimited" — and a degree limit, once refused for want
-// of a series length, answers as the sample limit it rounds to.
+// NewQuery refuses is refused with its message, and a degree limit, once
+// refused for want of a series length, answers as the sample limit it rounds
+// to.
 func TestMiningReadsOptionsLikeNewQuery(t *testing.T) {
 	db := demoDB(26, 10, 40)
-	for _, opt := range []QueryOption{WithMaxRotationSamples(-5), WithMaxRotationDegrees(-1), WithMaxRotationDegrees(180)} {
+	for _, opt := range []QueryOption{WithMaxRotationDegrees(-1), WithMaxRotationDegrees(180)} {
 		_, want := NewQuery(db[0], Euclidean(), opt)
 		if want == nil {
 			t.Fatal("NewQuery accepted an out-of-domain rotation limit")
@@ -66,11 +68,12 @@ func TestMiningReadsOptionsLikeNewQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bySamples, err := ClosestPair(db, Euclidean(), WithMaxRotationSamples(3))
+	bySamples, err := mining.ClosestPair(db, Euclidean().kern, core.Options{MaxShift: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if byDeg != bySamples {
+	if byDeg.I != bySamples.I || byDeg.J != bySamples.J || math.Float64bits(byDeg.Dist) != math.Float64bits(bySamples.Dist) ||
+		byDeg.Rotation.Shift != bySamples.Member.Shift || byDeg.Rotation.Mirrored != bySamples.Member.Mirrored {
 		t.Fatalf("27 degrees %+v, 3 samples %+v", byDeg, bySamples)
 	}
 	unlimited, err := ClosestPair(db, Euclidean())

@@ -7,7 +7,6 @@ import (
 
 	"lbkeogh/internal/core"
 	"lbkeogh/internal/obs"
-	"lbkeogh/internal/obs/explain"
 	"lbkeogh/internal/obs/trace"
 	"lbkeogh/internal/stats"
 	"lbkeogh/internal/ts"
@@ -65,9 +64,8 @@ type Rotation struct {
 // queryConfig collects the functional options.
 type queryConfig struct {
 	mirror bool
-	// limit resolves the rotation limit in samples for series of length n;
-	// nil is unlimited.
-	limit    func(n int) (int, error)
+	// maxDeg is the rotation limit in degrees; nil is unlimited.
+	maxDeg   *float64
 	strategy Strategy
 	fixedK   int
 	tlog     *TraceLog
@@ -82,12 +80,11 @@ func resolveOptions(opts []QueryOption, n int) (queryConfig, core.Options, error
 		o(&cfg)
 	}
 	copts := core.Options{Mirror: cfg.mirror, MaxShift: -1}
-	if cfg.limit != nil {
-		k, err := cfg.limit(n)
-		if err != nil {
-			return cfg, copts, err
+	if d := cfg.maxDeg; d != nil {
+		if !(*d >= 0 && *d < 180) {
+			return cfg, copts, fmt.Errorf("lbkeogh: rotation limit %v degrees outside [0, 180)", *d)
 		}
-		copts.MaxShift = k
+		copts.MaxShift = int(math.Round(*d / 360 * float64(n)))
 	}
 	return cfg, copts, nil
 }
@@ -101,32 +98,13 @@ func WithMirrorInvariance() QueryOption {
 	return func(c *queryConfig) { c.mirror = true }
 }
 
-// WithMaxRotationSamples restricts matching to circular shifts within
-// ±k samples (rotation-limited queries). k must be non-negative.
-func WithMaxRotationSamples(k int) QueryOption {
-	return func(c *queryConfig) {
-		c.limit = func(int) (int, error) {
-			if k < 0 {
-				return 0, fmt.Errorf("lbkeogh: negative rotation limit %d samples", k)
-			}
-			return k, nil
-		}
-	}
-}
-
 // WithMaxRotationDegrees restricts matching to rotations within ±deg degrees
 // of the query's original orientation — the paper's "find the best match to
 // this shape allowing a maximum rotation of 15 degrees". deg must lie in
-// [0, 180).
+// [0, 180); for a series of n samples the limit is deg·n/360 rounded to the
+// nearest sample, so a limit of k < n/2 samples is k·360/n degrees.
 func WithMaxRotationDegrees(deg float64) QueryOption {
-	return func(c *queryConfig) {
-		c.limit = func(n int) (int, error) {
-			if !(deg >= 0 && deg < 180) {
-				return 0, fmt.Errorf("lbkeogh: rotation limit %v degrees outside [0, 180)", deg)
-			}
-			return int(math.Round(deg / 360 * float64(n))), nil
-		}
-	}
+	return func(c *queryConfig) { c.maxDeg = &deg }
 }
 
 // WithStrategy overrides the search strategy (default WedgeSearch). All
@@ -172,12 +150,6 @@ type Query struct {
 	// a plain field is race-free.
 	lastTraceID int64
 	tlog        *trace.Log // nil: untraced
-
-	// Explain state (see explain.go): the shared bound sampler's recorder,
-	// EXPLAIN mode, and the plan of the last operation run in it.
-	sampler   *explain.Recorder
-	explainOn bool
-	plan      *ExplainPlan
 }
 
 // NewQuery compiles series into a rotation-invariant query under the given
@@ -213,17 +185,13 @@ func NewQuery(series Series, m Measure, opts ...QueryOption) (*Query, error) {
 }
 
 // startTrace begins one observed operation: a recorder with a root search
-// span, attached to the searcher so comparisons record under it, in EXPLAIN
-// mode a fresh private sampler, and the one counter snapshot both are
-// measured against. On a query with neither a trace log nor EXPLAIN mode
-// everything is nil/no-op.
+// span, attached to the searcher so comparisons record under it, and the
+// counter snapshot it is measured against. On an untraced query everything
+// is nil/no-op.
 func (q *Query) startTrace(label string) (*trace.Recorder, trace.SpanID, obs.Counts) {
 	rec := q.tlog.StartTrace(label)
-	if rec == nil && !q.explainOn {
+	if rec == nil {
 		return nil, -1, obs.Counts{}
-	}
-	if q.explainOn {
-		q.searcher.SetExplain(explain.NewRecorder(explainInterval))
 	}
 	before := q.obs.Counts()
 	root := rec.Begin(trace.StageSearch, -1)
@@ -232,18 +200,15 @@ func (q *Query) startTrace(label string) (*trace.Recorder, trace.SpanID, obs.Cou
 }
 
 // finishTrace closes the root span with the operation's counter delta and
-// hands the trace to the log for sampling and slow-query screening. In
-// EXPLAIN mode the plan is built on the same delta, so its waterfall covers
-// exactly the traced operation.
+// hands the trace to the log for sampling and slow-query screening.
 func (q *Query) finishTrace(rec *trace.Recorder, root trace.SpanID, before obs.Counts) {
-	if rec == nil && !q.explainOn {
+	if rec == nil {
 		return
 	}
 	q.searcher.SetRecorder(nil)
 	delta := q.obs.Counts().Sub(before)
 	rec.EndAttrs(root, delta)
 	q.lastTraceID = q.tlog.Finish(rec, delta)
-	q.endExplainOp(q.lastTraceID, delta)
 }
 
 // LastTraceID returns the retained trace ID of the query's most recently

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Segment-store ingest smoke test: bulk-ingest 50k shapes into an mmap-backed
-# segment store with shapeingest (indexes deferred, full checksum verify),
+# segment store with shapeingest (no index build, full checksum verify),
 # serve the store with shapeserver -segments, then exercise the online path —
 # search a stored row (self-match), POST /v1/ingest two more rows, POST
 # /v1/compact down to one segment, and assert the record counts on /livez and
@@ -31,7 +31,7 @@ n=64
 count=50000
 
 # Bulk ingest: 50k shapes, segments rolled every 16k records (so compaction
-# below has real work), indexes deferred, then a full-checksum reopen.
+# below has real work), then a full-checksum reopen.
 # Progress is structured slog JSON on stderr; the run summary is one JSON
 # line on stdout.
 "$tmp/shapeingest" -dir "$store" -count $count -n $n -segment-records 16384 \

@@ -4,10 +4,11 @@
 # request, check the structured request log correlates with response trace
 # IDs and that the trace holds nothing beneath a comparison, and /readyz
 # flips while the server drains gracefully on SIGTERM.
-# Part 2: boot a shapeserver, run an EXPLAIN search, and assert the plan
-# parses and its stage waterfall reconciles exactly with the deltas of the
-# /metrics outcome counters.
-# Part 3: the segment-store ingest smoke.
+# Part 2: boot a shapeserver, run an explained search, and assert that its
+# stats reconcile exactly with the deltas of the /metrics outcome counters and
+# that its plan is the request's own interval-4 bound sampler.
+# Part 3: shapesearch lists the same k neighbours flat and through the index.
+# Part 4: the segment-store ingest smoke.
 set -eu
 
 GO=${GO:-go}
@@ -171,7 +172,7 @@ grep -q '"msg":"drained"' "$tmp/shapeserver.log" ||
 
 echo "smoke: ok ($saddr: search, topk, pool hit, 504 deadline, log correlation, readyz drain)"
 
-# ---- Part 2: query EXPLAIN and index introspection -----------------------
+# ---- Part 2: an explained search ----------------------------------------
 
 eok=""
 for try in 0 1 2 3 4; do
@@ -202,31 +203,31 @@ done
 	exit 1
 }
 
-# Snapshot the outcome counters, run one EXPLAIN search, snapshot again: each
-# of the plan's stage counts must equal the delta of one counter or the sum
-# of two.
+# Snapshot the outcome counters, run one explained search, snapshot again:
+# each stage of the response's stats must equal the delta of one counter or
+# the sum of two, and the plan is the request's own sampler, so the shared
+# one does not move. A DTW search scans all 400 rows, so the plan samples
+# 100 of them.
 curl -fsS "http://$eaddr/metrics" >"$tmp/wf_before.txt" ||
 	fail "explain server /metrics did not answer 200"
-curl -fsS "http://$eaddr/v1/search" -d '{"query_index":5,"explain":true}' >"$tmp/explain.json" ||
+curl -fsS "http://$eaddr/v1/search" -d '{"query_index":5,"measure":"dtw","r":4,"explain":true}' >"$tmp/explain.json" ||
 	fail "explain search did not answer 200"
 curl -fsS "http://$eaddr/metrics" >"$tmp/wf_after.txt" ||
 	fail "explain server /metrics did not answer 200 after the search"
 
 grep -q '"plan":' "$tmp/explain.json" ||
 	fail "explain:true response carries no plan"
-grep -q '"waterfall":' "$tmp/explain.json" ||
-	fail "explain plan carries no waterfall"
-grep -q '"tightness":' "$tmp/explain.json" ||
+grep -q '"bounds":' "$tmp/explain.json" ||
 	fail "explain plan carries no bound tightness"
 grep -q '^# TYPE shapeserver_rotations_total counter$' "$tmp/wf_after.txt" ||
 	fail "/metrics is missing the outcome counters"
 
 if command -v python3 >/dev/null 2>&1; then
-	python3 - "$tmp/explain.json" "$tmp/wf_before.txt" "$tmp/wf_after.txt" <<'PY' || fail "explain plan does not reconcile with the /metrics outcome counter deltas"
+	python3 - "$tmp/explain.json" "$tmp/wf_before.txt" "$tmp/wf_after.txt" <<'PY' || fail "explained stats do not reconcile with the /metrics outcome counter deltas"
 import json, sys
 
-plan = json.load(open(sys.argv[1]))["plan"]
-wf = plan["waterfall"]
+resp = json.load(open(sys.argv[1]))
+st, plan = resp["stats"], resp["plan"]
 
 names = ("rotations", "full_dist_evals", "fft_rejected_members",
          "wedge_pruned_members", "wedge_leaf_lb_prunes", "early_abandons",
@@ -236,6 +237,8 @@ def counters(path):
     out = {}
     for line in open(path):
         name, _, value = line.partition(" ")
+        if name == "lbkeogh_explain_comparisons_seen_total":
+            out["shared_seen"] = int(value)
         key = name.removeprefix("shapeserver_").removesuffix("_total")
         if key != name and key in names:
             out[key] = int(value)
@@ -243,22 +246,23 @@ def counters(path):
 
 before, after = counters(sys.argv[2]), counters(sys.argv[3])
 d = {n: after[n] - before[n] for n in names}
+for n in names:
+    assert d[n] == st.get(n, 0), f"{n}: metrics delta {d[n]} != stats {st.get(n, 0)}"
 
-stages = {s["stage"]: s["members"] for s in wf["eliminated"]}
-eliminated = sum(stages.values())
-total = eliminated + wf["survivors"] + wf.get("cancelled", 0)
-assert total == wf["rotations"], f"plan waterfall does not reconcile: {wf}"
-assert d["rotations"] == wf["rotations"], f"rotations delta {d} != plan {wf}"
-assert d["full_dist_evals"] == wf["survivors"], f"survivor delta {d} != plan {wf}"
-assert d["cancelled_members"] == wf.get("cancelled", 0), f"cancelled delta {d} != plan {wf}"
-derived = {"fft": d["fft_rejected_members"],
-           "envelope": d["wedge_pruned_members"] + d["wedge_leaf_lb_prunes"],
-           "kernel": d["early_abandons"]}
-for stage, members in stages.items():
-    got = derived[stage]
-    assert got == members, f"stage {stage}: metrics delta {got} != plan {members}"
-print(f"explain waterfall reconciles: {wf['rotations']} rotations, "
-      f"{eliminated} eliminated, {wf['survivors']} survivors")
+# The waterfall: each stage one counter or the sum of two.
+stages = {"fft": st["fft_rejected_members"],
+          "envelope": st["wedge_pruned_members"] + st["wedge_leaf_lb_prunes"],
+          "kernel": st["early_abandons"]}
+total = sum(stages.values()) + st["full_dist_evals"] + st.get("cancelled_members", 0)
+assert total == st["rotations"], f"stats waterfall does not reconcile: {st}"
+
+c = st["comparisons"]
+assert plan["seen"] == c, f"plan saw {plan['seen']} of {c} comparisons"
+assert plan["sampled"] == (c + 3) // 4, f"plan sampled {plan['sampled']} of {c}, want ceil({c}/4)"
+assert plan["bounds"], f"plan carries no bounds: {plan}"
+assert after["shared_seen"] == before["shared_seen"], "an explained search fed the shared sampler"
+print(f"explained stats reconcile: {st['rotations']} rotations, stages {stages}, "
+      f"{st['full_dist_evals']} survivors; plan sampled {plan['sampled']} of {c}")
 PY
 fi
 
@@ -266,8 +270,30 @@ kill -TERM "$spid" 2>/dev/null || true
 wait "$spid" 2>/dev/null || true
 spid=""
 
-echo "smoke: ok ($eaddr: explain plan reconciles with /metrics)"
+echo "smoke: ok ($eaddr: explained stats reconcile with /metrics, plan is the request's sampler)"
 
-# ---- Part 3: segment-store ingest, serve, compact ------------------------
+# ---- Part 3: shapesearch -k, flat and through the index ------------------
+
+# Both paths answer the k nearest rows: the same three rows at the same
+# distances.
+$GO build -o "$tmp/mkdata" ./cmd/mkdata
+$GO build -o "$tmp/shapesearch" ./cmd/shapesearch
+"$tmp/mkdata" -dataset projectile -m 60 -n 64 >"$tmp/db.csv" ||
+	fail "mkdata failed"
+neighbours() {
+	"$tmp/shapesearch" -db "$tmp/db.csv" -query 17 -k 3 "$@" >"$tmp/ss.txt" ||
+		fail "shapesearch $* failed"
+	sed -n 's/^ *#[0-9]*: \(row [0-9]* .*dist [0-9.]*\) .*/\1/p' "$tmp/ss.txt"
+}
+neighbours >"$tmp/flat.txt"
+neighbours -indexed >"$tmp/indexed.txt"
+[ "$(wc -l <"$tmp/flat.txt")" = 3 ] ||
+	fail "shapesearch -k 3 listed $(wc -l <"$tmp/flat.txt") neighbours: $(cat "$tmp/flat.txt")"
+cmp -s "$tmp/flat.txt" "$tmp/indexed.txt" ||
+	fail "shapesearch -indexed -k 3 lists $(cat "$tmp/indexed.txt"), the flat scan $(cat "$tmp/flat.txt")"
+
+echo "smoke: ok (shapesearch -k 3 lists the same neighbours flat and indexed)"
+
+# ---- Part 4: segment-store ingest, serve, compact ------------------------
 
 ./scripts/ingest-smoke.sh || fail "segment-store ingest smoke failed"
