@@ -30,9 +30,7 @@ import (
 	"lbkeogh/internal/fourier"
 	"lbkeogh/internal/index"
 	"lbkeogh/internal/lightcurve"
-	"lbkeogh/internal/mining"
 	"lbkeogh/internal/stats"
-	"lbkeogh/internal/stream"
 	"lbkeogh/internal/synth"
 	"lbkeogh/internal/ts"
 	"lbkeogh/internal/wedge"
@@ -163,17 +161,15 @@ func benchIndexSearch(b *testing.B, dtw bool, dims int) {
 	loadBenchData()
 	ix := index.Build(benchData.projDB, dims)
 	rs := core.NewRotationSet(benchData.projQuery, core.DefaultOptions(), nil)
-	var reads int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.ResetReads()
 		if dtw {
 			ix.SearchDTW(rs, 5, 0, nil)
 		} else {
 			ix.SearchED(rs, nil)
 		}
-		reads += ix.Reads()
 	}
+	reads := ix.Stats().Counts().IndexFetches
 	b.ReportMetric(float64(reads)/float64(b.N)/float64(len(benchData.projDB)), "fetched-fraction")
 }
 
@@ -315,12 +311,11 @@ func BenchmarkAblationIndexWedges(b *testing.B) {
 	rs := core.NewRotationSet(benchData.projQuery, core.DefaultOptions(), nil)
 	for _, k := range []int{4, 16, 64, 251} {
 		b.Run(map[bool]string{true: "K" + itoa(k)}[true], func(b *testing.B) {
-			var reads int
+			ix.Stats().Reset()
 			for i := 0; i < b.N; i++ {
-				ix.ResetReads()
 				ix.SearchDTW(rs, 5, k, nil)
-				reads += ix.Reads()
 			}
+			reads := ix.Stats().Counts().IndexFetches
 			b.ReportMetric(float64(reads)/float64(b.N)/float64(len(benchData.projDB)), "fetched-fraction")
 		})
 	}
@@ -333,7 +328,7 @@ func BenchmarkMiningClosestPair(b *testing.B) {
 	db := benchData.projDB[:64]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mining.ClosestPair(db, wedge.ED{}, core.DefaultOptions(), nil); err != nil {
+		if _, err := ClosestPair(db, Euclidean()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -346,7 +341,7 @@ func BenchmarkStreamFilter(b *testing.B) {
 	streamVals := ts.RandomSeries(rng, 4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := stream.NewMonitor(patterns, wedge.ED{}, 1.0)
+		m, err := NewMonitor(patterns, Euclidean(), 1.0)
 		if err != nil {
 			b.Fatal(err)
 		}

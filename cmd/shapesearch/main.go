@@ -39,8 +39,8 @@ func main() {
 		maxDeg   = flag.Float64("maxdeg", -1, "rotation limit in degrees (<0: unlimited)")
 		indexed  = flag.Bool("indexed", false, "search through the compressed disk index")
 		dims     = flag.Int("dims", 16, "index dimensionality (with -indexed)")
-		radius   = flag.Float64("radius", -1, "range query: report all matches within this distance (with -indexed)")
-		parallel = flag.Int("parallel", 1, "worker goroutines for the linear scan (0 = GOMAXPROCS)")
+		radius   = flag.Float64("radius", -1, "range query: report every match strictly within this distance (>0), flat or with -indexed")
+		parallel = flag.Int("parallel", 1, "worker goroutines for a flat nearest-neighbour scan (0 = GOMAXPROCS); not with -indexed, -k > 1 or -radius")
 		emitStat = flag.Bool("stats", false, "print the search's pruning breakdown as JSON after the results")
 		explain  = flag.Bool("explain", false, "measure every lower bound and the true distance on every comparison and print the per-bound tightness as JSON after the results and -stats (-parallel scans are not sampled)")
 		serveOn  = flag.String("serve", "", "trace the search (every query sampled), then serve /metrics (Prometheus text), /debug/lbkeogh (the trace log as JSON and Chrome trace-event files) and /debug/pprof/ on this address and block")
@@ -50,9 +50,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "shapesearch: -db is required")
 		os.Exit(2)
 	}
-	if *parallel != 1 && !*indexed && *k > 1 {
-		fmt.Fprintln(os.Stderr, "shapesearch: -parallel answers the nearest neighbour only; drop -k or -parallel")
-		os.Exit(2)
+	if *parallel != 1 {
+		for _, c := range []struct {
+			flag string
+			set  bool
+		}{{"-indexed", *indexed}, {"-k", *k > 1}, {"-radius", *radius > 0}} {
+			if c.set {
+				fmt.Fprintf(os.Stderr, "shapesearch: -parallel answers the nearest neighbour by a flat scan only; drop %s or -parallel\n", c.flag)
+				os.Exit(2)
+			}
+		}
 	}
 	labels, series, err := seriesio.ReadCSV(*dbPath)
 	if err != nil {
@@ -139,6 +146,12 @@ func main() {
 			os.Exit(1)
 		}
 		results = []lbkeogh.SearchResult{res}
+	case *radius > 0:
+		results, err = q.SearchRange(db, *radius)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "shapesearch: %v\n", err)
+			os.Exit(1)
+		}
 	default:
 		results, err = q.SearchTopK(db, *k)
 		if err != nil {

@@ -7,7 +7,6 @@ import (
 
 	"lbkeogh/internal/core"
 	"lbkeogh/internal/index"
-	"lbkeogh/internal/obs"
 	"lbkeogh/internal/segment"
 	"lbkeogh/internal/wedge"
 )
@@ -30,7 +29,6 @@ type Index struct {
 	m      int
 	closer func() error // set for segment-backed indexes
 	seg    *segment.DB  // set for segment-backed indexes
-	obs    obs.SearchStats
 }
 
 // SegmentStore returns the underlying segment store for an index opened
@@ -46,11 +44,10 @@ func (ix *Index) SegmentStore() *segment.DB { return ix.seg }
 // search also lands on its own query's record (Query.Stats), which alone
 // carries the per-level prune breakdown, the steps histogram and the dynamic-K
 // trajectory.
-func (ix *Index) Stats() SearchStats { return ix.obs.Snapshot() }
+func (ix *Index) Stats() SearchStats { return ix.ix.Stats().Snapshot() }
 
-// ResetStats zeroes the instrumentation record (the DiskReads counter is
-// independent; see ResetDiskReads).
-func (ix *Index) ResetStats() { ix.obs.Reset() }
+// ResetStats zeroes the instrumentation record, DiskReads included.
+func (ix *Index) ResetStats() { ix.ix.Stats().Reset() }
 
 // NewIndex builds an index over db, keeping dims compressed dimensions per
 // object (the paper evaluates dims in {4, 8, 16, 32}). All series must share
@@ -64,9 +61,7 @@ func NewIndex(db []Series, dims int) (*Index, error) {
 	if dims > n/2 {
 		dims = n / 2
 	}
-	out := &Index{ix: index.Build(db, dims), n: n, m: len(db)}
-	out.ix.SetObserver(&out.obs)
-	return out, nil
+	return &Index{ix: index.Build(db, dims), n: n, m: len(db)}, nil
 }
 
 // WriteSegmentStore persists db as a segment store in dir, which must not
@@ -131,12 +126,10 @@ func OpenSegmentIndex(dir string, dims int) (*Index, error) {
 		store.Close()
 		return nil, err
 	}
-	out := &Index{ix: inner, n: store.SeriesLen(), m: store.Len(), seg: store, closer: func() error {
+	return &Index{ix: inner, n: store.SeriesLen(), m: store.Len(), seg: store, closer: func() error {
 		snap.Release()
 		return store.Close()
-	}}
-	out.ix.SetObserver(&out.obs)
-	return out, nil
+	}}, nil
 }
 
 // Close releases the resources of a segment-backed index; it is a no-op for
@@ -155,11 +148,13 @@ func (ix *Index) Len() int { return ix.m }
 func (ix *Index) Dims() int { return ix.ix.D() }
 
 // DiskReads reports how many full series have been fetched from the store
-// since the last ResetDiskReads — the metric of the paper's Figure 24.
-func (ix *Index) DiskReads() int { return ix.ix.Reads() }
+// since the last ResetDiskReads or ResetStats — the metric of the paper's
+// Figure 24, read from the instrumentation record (Stats().IndexFetches).
+func (ix *Index) DiskReads() int { return int(ix.ix.Stats().Counts().IndexFetches) }
 
-// ResetDiskReads zeroes the disk-access counter.
-func (ix *Index) ResetDiskReads() { ix.ix.ResetReads() }
+// ResetDiskReads zeroes the instrumentation record, whose IndexFetches is
+// the disk-access count: it is ResetStats.
+func (ix *Index) ResetDiskReads() { ix.ResetStats() }
 
 // probe is every index search: Query.search's bracket around the internal
 // probe, which runs through the query's own searcher — so under its strategy,

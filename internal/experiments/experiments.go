@@ -238,15 +238,16 @@ func DiskAccesses(cfg DiskConfig) ([]DiskCurve, error) {
 	dtw := DiskCurve{Label: "wedge-dtw", Dims: cfg.Dims, Fraction: make([]float64, len(cfg.Dims))}
 	for di, D := range cfg.Dims {
 		ix := index.Build(db, D)
-		var edReads, dtwReads int
+		fetches := func(search func()) int64 {
+			ix.Stats().Reset()
+			search()
+			return ix.Stats().Counts().IndexFetches
+		}
+		var edReads, dtwReads int64
 		for _, q := range queries {
 			rs := core.NewRotationSet(q, core.DefaultOptions(), nil)
-			ix.ResetReads()
-			ix.SearchED(rs, nil)
-			edReads += ix.Reads()
-			ix.ResetReads()
-			ix.SearchDTW(rs, cfg.R, 0, nil)
-			dtwReads += ix.Reads()
+			edReads += fetches(func() { ix.SearchED(rs, nil) })
+			dtwReads += fetches(func() { ix.SearchDTW(rs, cfg.R, 0, nil) })
 		}
 		ed.Fraction[di] = float64(edReads) / float64(cfg.M*cfg.Queries)
 		dtw.Fraction[di] = float64(dtwReads) / float64(cfg.M*cfg.Queries)

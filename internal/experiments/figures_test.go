@@ -7,11 +7,9 @@ package experiments
 import (
 	"testing"
 
-	"lbkeogh/internal/core"
-	"lbkeogh/internal/mining"
+	"lbkeogh"
 	"lbkeogh/internal/shape"
 	"lbkeogh/internal/ts"
-	"lbkeogh/internal/wedge"
 )
 
 // TestArticulationClustering reproduces Figure 18: three Lepidoptera-like
@@ -35,9 +33,11 @@ func TestArticulationClustering(t *testing.T) {
 		rng := ts.NewRand(int64(n))
 		db = append(db, ts.Rotate(plain, rng.Intn(n)), ts.Rotate(bentSig, rng.Intn(n)))
 	}
-	dend := mining.Cluster(db, wedge.ED{}, core.DefaultOptions(), nil)
-	for _, id := range dend.Frontier(3) {
-		leaves := dend.Leaves(id)
+	dend, err := lbkeogh.Cluster(db, lbkeogh.Euclidean())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, leaves := range dend.Clusters(3) {
 		if len(leaves) != 2 || leaves[0]/2 != leaves[1]/2 {
 			t.Fatalf("articulated pair split: K=3 cut contains %v", leaves)
 		}
@@ -69,9 +69,11 @@ func TestDTWClusteringDiverse(t *testing.T) {
 			db = append(db, ts.Rotate(sig, rng.Intn(n)))
 		}
 	}
-	dend := mining.Cluster(db, wedge.DTW{R: 4}, core.DefaultOptions(), nil)
-	for _, id := range dend.Frontier(pairs) {
-		leaves := dend.Leaves(id)
+	dend, err := lbkeogh.Cluster(db, lbkeogh.DTW(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, leaves := range dend.Clusters(pairs) {
 		if len(leaves) != 2 || leaves[0]/2 != leaves[1]/2 {
 			t.Fatalf("DTW clustering split a related pair: %v", leaves)
 		}

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync/atomic"
 
 	"lbkeogh/internal/core"
 	"lbkeogh/internal/fourier"
@@ -46,36 +45,27 @@ type memStore [][]float64
 func (s memStore) Fetch(id int) []float64 { return s[id] }
 func (s memStore) Len() int               { return len(s) }
 
-// Index is the compressed in-memory representation plus the store. Once
-// configured (SetObserver) it is safe for concurrent probes, each through its
-// own searcher: the feature columns and the tree are immutable, and
-// a probe writes nothing here but the fetch counter and the observer record,
-// both atomic.
+// Index is the compressed in-memory representation plus the store. It is
+// safe for concurrent probes, each through its own searcher: the feature
+// columns and the tree are immutable, and a probe writes nothing here but
+// the record, which is atomic.
 type Index struct {
 	store SeriesStore
-	reads atomic.Int64 // fetches since the last ResetReads
-	n     int          // series length
-	d     int          // retained dimensionality D
+	n     int // series length
+	d     int // retained dimensionality D
 
 	mags [][]float64 // Fourier magnitude features (rotation invariant)
 	vpt  *vptree.Tree
 	paas [][]float64 // PAA means for the DTW path, walked whole by each probe
 	segW []float64   // PAA segment widths (the bound weights)
 
-	obs *obs.SearchStats // nil: the no-op sink
+	obs obs.SearchStats // every probe's counter delta, whichever searcher ran it
 }
 
-// SetObserver installs (or with nil removes) the index's cumulative
-// instrumentation record: every probe's counter delta is added to it,
-// whichever searcher ran it. Call it before the index is shared: it is not
-// safe concurrently with queries.
-func (ix *Index) SetObserver(st *obs.SearchStats) { ix.obs = st }
-
-// Reads reports the number of full series fetched since the last ResetReads.
-func (ix *Index) Reads() int { return int(ix.reads.Load()) }
-
-// ResetReads zeroes the fetch counter.
-func (ix *Index) ResetReads() { ix.reads.Store(0) }
+// Stats returns the index's cumulative record: every probe's counter delta,
+// whichever searcher ran it. Its IndexFetches is the one count of the full
+// series fetched, the metric of Figure 24; Reset zeroes it.
+func (ix *Index) Stats() *obs.SearchStats { return &ix.obs }
 
 // Validate reports why Build would refuse db with D retained dimensions:
 // what ts.CheckRows refuses — no series, series shorter than 2 samples or of
@@ -206,9 +196,8 @@ func (ix *Index) Probe(ctx context.Context, s *core.Searcher, wedges int, c *cor
 	})
 	rec.End(span)
 	// A fetch is counted here and nowhere else, once per probe.
-	ix.reads.Add(fetched)
 	st.AddCounts(&obs.Counts{IndexFetches: fetched}, nil)
-	if st != ix.obs {
+	if st != &ix.obs {
 		delta := st.Counts().Sub(before)
 		ix.obs.AddCounts(&delta, nil)
 	}
@@ -226,9 +215,9 @@ func (ix *Index) fetch(rec *trace.Recorder, id int) []float64 {
 
 // probeDefault is Probe through the searcher the rotation-set–taking queries
 // share: H-Merge under kern with the dynamic wedge-set size, recording
-// straight into the index's observer, uncancellable.
+// straight into the index's record, uncancellable.
 func (ix *Index) probeDefault(rs *core.RotationSet, kern wedge.Kernel, wedges int, c *core.Collector, cnt *stats.Counter) *core.Collector {
-	s := core.NewSearcher(rs, kern, core.Wedge, core.SearcherConfig{Obs: ix.obs})
+	s := core.NewSearcher(rs, kern, core.Wedge, core.SearcherConfig{Obs: &ix.obs})
 	_ = ix.Probe(context.Background(), s, wedges, c, cnt) // uncancellable: never errs
 	return c
 }

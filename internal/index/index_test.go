@@ -42,6 +42,9 @@ func linearScan(rs *core.RotationSet, db [][]float64, kern wedge.Kernel) (int, f
 	return res.Index, res.Dist
 }
 
+// fetches reads the index record's count of full series fetched.
+func fetches(ix *Index) int { return int(ix.Stats().Counts().IndexFetches) }
+
 func TestSearchEDExact(t *testing.T) {
 	n := 64
 	db := syntheticDB(1, 60, n)
@@ -51,7 +54,7 @@ func TestSearchEDExact(t *testing.T) {
 		q := ts.ZNorm(ts.AddNoise(rng, db[trial*3], 0.05))
 		rs := core.NewRotationSet(q, core.DefaultOptions(), nil)
 		wantIdx, wantDist := linearScan(rs, db, wedge.ED{})
-		ix.ResetReads()
+		ix.Stats().Reset()
 		got := ix.SearchED(rs, nil)
 		if got.Index != wantIdx || math.Abs(got.Dist-wantDist) > 1e-9 {
 			t.Fatalf("trial %d: index (%d,%v) != linear (%d,%v)", trial, got.Index, got.Dist, wantIdx, wantDist)
@@ -66,9 +69,9 @@ func TestSearchEDPrunesReads(t *testing.T) {
 	rng := ts.NewRand(4)
 	q := ts.ZNorm(ts.AddNoise(rng, db[0], 0.02))
 	rs := core.NewRotationSet(q, core.DefaultOptions(), nil)
-	ix.ResetReads()
+	ix.Stats().Reset()
 	ix.SearchED(rs, nil)
-	if r := ix.Reads(); r >= 200 {
+	if r := fetches(ix); r >= 200 {
 		t.Fatalf("index read everything: %d of 200", r)
 	}
 }
@@ -83,7 +86,7 @@ func TestSearchEDReadsShrinkWithD(t *testing.T) {
 	for _, D := range []int{4, 32} {
 		ix := Build(db, D)
 		ix.SearchED(rs, nil)
-		reads[D] = ix.Reads()
+		reads[D] = fetches(ix)
 	}
 	if reads[32] > reads[4] {
 		t.Fatalf("higher D should not read more: D=4 %d, D=32 %d", reads[4], reads[32])
@@ -134,7 +137,7 @@ func TestSearchDTWPrunesReads(t *testing.T) {
 	q := ts.ZNorm(ts.AddNoise(rng, db[0], 0.02))
 	rs := core.NewRotationSet(q, core.DefaultOptions(), nil)
 	ix.SearchDTW(rs, 3, 16, nil)
-	if r := ix.Reads(); r >= 150 {
+	if r := fetches(ix); r >= 150 {
 		t.Fatalf("DTW index read everything: %d of 150", r)
 	}
 }
@@ -557,13 +560,13 @@ func TestRangeEDExact(t *testing.T) {
 		}
 	}
 	// Fewer fetches than the database when the radius is selective.
-	ix.ResetReads()
+	ix.Stats().Reset()
 	tight := rangeProbe(ix, rs, wedge.ED{}, nn.Dist*1.05)
 	if len(tight) < 1 {
 		t.Fatal("tight range should still contain the NN")
 	}
-	if ix.Reads() >= len(db) {
-		t.Fatalf("tight range fetched everything: %d", ix.Reads())
+	if fetches(ix) >= len(db) {
+		t.Fatalf("tight range fetched everything: %d", fetches(ix))
 	}
 }
 
@@ -595,20 +598,20 @@ func TestStoreAccounting(t *testing.T) {
 	db := syntheticDB(41, 30, 32)
 	ix := Build(db, 8)
 	rs := core.NewRotationSet(db[2], core.DefaultOptions(), nil)
-	if ix.Reads() != 0 {
+	if fetches(ix) != 0 {
 		t.Fatal("fresh index has reads")
 	}
 	// The bound-less walk — the one a kernel without a compressed bound gets —
 	// fetches every object exactly once.
-	if got := scanProbe(ix, rs, wedge.LCSS{Delta: 3, Eps: 0.5}); got.Index != 2 || ix.Reads() != len(db) {
-		t.Fatalf("scan found %d with %d reads, want 2 with %d", got.Index, ix.Reads(), len(db))
+	if got := scanProbe(ix, rs, wedge.LCSS{Delta: 3, Eps: 0.5}); got.Index != 2 || fetches(ix) != len(db) {
+		t.Fatalf("scan found %d with %d reads, want 2 with %d", got.Index, fetches(ix), len(db))
 	}
 	ix.SearchED(rs, nil)
-	if r := ix.Reads(); r <= len(db) || r >= 2*len(db) {
+	if r := fetches(ix); r <= len(db) || r >= 2*len(db) {
 		t.Fatalf("reads = %d after a pruned search on top of %d", r, len(db))
 	}
-	ix.ResetReads()
-	if ix.Reads() != 0 {
+	ix.Stats().Reset()
+	if fetches(ix) != 0 {
 		t.Fatal("reset failed")
 	}
 }
@@ -630,7 +633,7 @@ func TestBuildFromColumns(t *testing.T) {
 	rs := core.NewRotationSet(q, core.DefaultOptions(), nil)
 	a := ix.SearchED(rs, nil)
 	b := direct.SearchED(rs, nil)
-	if a.Index != b.Index || a.Dist != b.Dist || ix.Reads() != direct.Reads() {
+	if a.Index != b.Index || a.Dist != b.Dist || fetches(ix) != fetches(direct) {
 		t.Fatalf("column-built index disagrees: (%d,%v) vs (%d,%v)", a.Index, a.Dist, b.Index, b.Dist)
 	}
 	// Validation.
@@ -707,9 +710,7 @@ func TestProbeDoesNotRetainFetchedRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st obs.SearchStats
 	tlog := trace.NewLog(trace.Config{SampleRate: 1})
-	fleeting.SetObserver(&st)
 	rng := ts.NewRand(52)
 	for _, opts := range []core.Options{core.DefaultOptions(), {Mirror: true, MaxShift: 3}} {
 		rs := core.NewRotationSet(ts.ZNorm(ts.AddNoise(rng, db[7], 0.05)), opts, nil)
@@ -747,14 +748,12 @@ func TestProbeDoesNotRetainFetchedRows(t *testing.T) {
 
 // One index serves concurrent probes, each through its caller's searcher:
 // GOMAXPROCS goroutines (at least four) with distinct queries, every answer
-// the flat scan's, the shared observer and trace log written only atomically.
+// the flat scan's, the index record and the shared trace log written only atomically.
 // Run under -race (make race-concurrency).
 func TestProbeConcurrentSearchers(t *testing.T) {
 	n := 48
 	db := syntheticDB(61, 200, n)
 	ix := Build(db, 8)
-	var cum obs.SearchStats
-	ix.SetObserver(&cum)
 	tlog := trace.NewLog(trace.Config{SampleRate: 1})
 	workers := max(4, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
@@ -793,7 +792,7 @@ func TestProbeConcurrentSearchers(t *testing.T) {
 	for _, f := range fetched {
 		total += f
 	}
-	if got := cum.Counts(); int64(ix.Reads()) != total || got.IndexFetches != total || !got.Reconciles() {
-		t.Fatalf("%d fetches by the searchers' records, Reads() %d, the index record %+v", total, ix.Reads(), got)
+	if got := ix.Stats().Counts(); got.IndexFetches != total || !got.Reconciles() {
+		t.Fatalf("%d fetches by the searchers' records, the index record %+v", total, got)
 	}
 }

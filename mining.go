@@ -2,10 +2,10 @@ package lbkeogh
 
 import (
 	"fmt"
+	"math"
 
 	"lbkeogh/internal/cluster"
 	"lbkeogh/internal/core"
-	"lbkeogh/internal/mining"
 	"lbkeogh/internal/ts"
 )
 
@@ -39,6 +39,12 @@ func miningInput(db []Series, m Measure, opts []QueryOption) (int, core.Options,
 // ClosestPair returns the exact motif of db: the pair of series with the
 // smallest rotation-invariant distance under m. Options WithMirrorInvariance
 // and WithMaxRotationDegrees apply.
+//
+// One rotation set is built per series, and the remaining suffix is scanned
+// with the global best-so-far as the abandoning threshold, so later rows get
+// cheaper as the motif distance tightens. The first comparison, (0, 1)
+// under +Inf, sets the motif unless that distance overflows to +Inf; a
+// collection whose every distance overflows answers (0, 1) at +Inf.
 func ClosestPair(db []Series, m Measure, opts ...QueryOption) (Motif, error) {
 	n, copts, err := miningInput(db, m, opts)
 	if err != nil {
@@ -47,18 +53,46 @@ func ClosestPair(db []Series, m Measure, opts ...QueryOption) (Motif, error) {
 	if len(db) < 2 {
 		return Motif{}, fmt.Errorf("lbkeogh: closest pair needs >= 2 series")
 	}
-	p, err := mining.ClosestPair(db, m.kern, copts, nil)
-	if err != nil {
-		return Motif{}, err
+	best := Motif{I: 0, J: 1, Dist: math.Inf(1)}
+	var member core.Member
+	for i := 0; i < len(db)-1; i++ {
+		s := rowSearcher(db[i], m, copts)
+		for j := i + 1; j < len(db); j++ {
+			if match := s.MatchSeries(db[j], best.Dist, nil); match.Found() && match.Dist < best.Dist {
+				best.I, best.J, best.Dist, member = i, j, match.Dist, match.Member
+			}
+		}
 	}
-	return Motif{
-		I: p.I, J: p.J, Dist: p.Dist,
-		Rotation: Rotation{
-			Shift:    p.Member.Shift,
-			Mirrored: p.Member.Mirrored,
-			Degrees:  float64(p.Member.Shift) / float64(n) * 360,
-		},
-	}, nil
+	best.Rotation = Rotation{
+		Shift:    member.Shift,
+		Mirrored: member.Mirrored,
+		Degrees:  float64(member.Shift) / float64(n) * 360,
+	}
+	return best, nil
+}
+
+// rowSearcher is the H-Merge searcher every mining operation compares one
+// row of the collection through.
+func rowSearcher(x Series, m Measure, opts core.Options) *core.Searcher {
+	return core.NewSearcher(core.NewRotationSet(x, opts, nil), m.kern, core.Wedge, core.SearcherConfig{})
+}
+
+// distanceMatrix computes the full symmetric m×m exact rotation-invariant
+// distance matrix with a zero diagonal. The rotation set of each row is
+// built once and amortized over the whole row.
+func distanceMatrix(db []Series, m Measure, opts core.Options) [][]float64 {
+	out := make([][]float64, len(db))
+	for i := range out {
+		out[i] = make([]float64, len(db))
+	}
+	for i := range db {
+		s := rowSearcher(db[i], m, opts)
+		for j := i + 1; j < len(db); j++ {
+			d := s.MatchSeries(db[j], -1, nil).Dist
+			out[i][j], out[j][i] = d, d
+		}
+	}
+	return out
 }
 
 // Dendrogram is the merge tree of a hierarchical clustering: Leaves()
@@ -95,17 +129,29 @@ func Cluster(db []Series, m Measure, opts ...QueryOption) (*Dendrogram, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Dendrogram{d: mining.Cluster(db, m.kern, copts, nil)}, nil
+	d := distanceMatrix(db, m, copts)
+	return &Dendrogram{d: cluster.Agglomerative(len(db), func(i, j int) float64 { return d[i][j] })}, nil
 }
 
 // Medoid returns the index of the most central series of db — smallest sum
-// of rotation-invariant distances to all others.
+// of rotation-invariant distances to all others, the cluster-representative
+// primitive of k-medoids-style shape mining.
 func Medoid(db []Series, m Measure, opts ...QueryOption) (int, error) {
 	_, copts, err := miningInput(db, m, opts)
 	if err != nil {
 		return -1, err
 	}
-	return mining.Medoid(db, m.kern, copts, nil)
+	best, bestSum := -1, math.Inf(1)
+	for i, row := range distanceMatrix(db, m, copts) {
+		var sum float64
+		for _, d := range row {
+			sum += d
+		}
+		if sum < bestSum {
+			best, bestSum = i, sum
+		}
+	}
+	return best, nil
 }
 
 // Discord returns the index of the most anomalous series of db — the one
@@ -117,5 +163,24 @@ func Discord(db []Series, m Measure, opts ...QueryOption) (int, float64, error) 
 	if err != nil {
 		return -1, 0, err
 	}
-	return mining.Discord(db, m.kern, copts, nil)
+	if len(db) < 2 {
+		return -1, 0, fmt.Errorf("lbkeogh: discord needs >= 2 series")
+	}
+	bestIdx, bestNN := -1, -1.0
+	for i := range db {
+		s := rowSearcher(db[i], m, copts)
+		nn := math.Inf(1)
+		for j := range db {
+			if j == i {
+				continue
+			}
+			if match := s.MatchSeries(db[j], nn, nil); match.Found() && match.Dist < nn {
+				nn = match.Dist
+			}
+		}
+		if nn > bestNN {
+			bestIdx, bestNN = i, nn
+		}
+	}
+	return bestIdx, bestNN, nil
 }

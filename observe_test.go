@@ -129,8 +129,8 @@ func TestMonitorStatsReconcile(t *testing.T) {
 		t.Fatalf("stats steps %d != monitor steps %d", st.Steps, mon.Steps())
 	}
 	mon.ResetStats()
-	if st := mon.Stats(); st.Comparisons != 0 {
-		t.Fatalf("ResetStats left data: %+v", st)
+	if st := mon.Stats(); st.Comparisons != 0 || mon.Steps() != 0 {
+		t.Fatalf("ResetStats left data: %+v, %d steps", st, mon.Steps())
 	}
 }
 

@@ -7,7 +7,8 @@
 # Part 2: boot a shapeserver, run an explained search, and assert that its
 # stats reconcile exactly with the deltas of the /metrics outcome counters and
 # that its plan is the request's own interval-4 bound sampler.
-# Part 3: shapesearch lists the same k neighbours flat and through the index.
+# Part 3: shapesearch lists the same k neighbours, and the same range, flat
+# and through the index.
 # Part 4: the segment-store ingest smoke.
 set -eu
 
@@ -272,27 +273,35 @@ spid=""
 
 echo "smoke: ok ($eaddr: explained stats reconcile with /metrics, plan is the request's sampler)"
 
-# ---- Part 3: shapesearch -k, flat and through the index ------------------
+# ---- Part 3: shapesearch -k and -radius, flat and through the index ------
 
 # Both paths answer the k nearest rows: the same three rows at the same
-# distances.
+# distances. Both answer a range query: every row strictly within the radius,
+# taken just above the third distance so that it holds at least three rows.
 $GO build -o "$tmp/mkdata" ./cmd/mkdata
 $GO build -o "$tmp/shapesearch" ./cmd/shapesearch
 "$tmp/mkdata" -dataset projectile -m 60 -n 64 >"$tmp/db.csv" ||
 	fail "mkdata failed"
 neighbours() {
-	"$tmp/shapesearch" -db "$tmp/db.csv" -query 17 -k 3 "$@" >"$tmp/ss.txt" ||
+	"$tmp/shapesearch" -db "$tmp/db.csv" -query 17 "$@" >"$tmp/ss.txt" ||
 		fail "shapesearch $* failed"
 	sed -n 's/^ *#[0-9]*: \(row [0-9]* .*dist [0-9.]*\) .*/\1/p' "$tmp/ss.txt"
 }
-neighbours >"$tmp/flat.txt"
-neighbours -indexed >"$tmp/indexed.txt"
+neighbours -k 3 >"$tmp/flat.txt"
+neighbours -k 3 -indexed >"$tmp/indexed.txt"
 [ "$(wc -l <"$tmp/flat.txt")" = 3 ] ||
 	fail "shapesearch -k 3 listed $(wc -l <"$tmp/flat.txt") neighbours: $(cat "$tmp/flat.txt")"
 cmp -s "$tmp/flat.txt" "$tmp/indexed.txt" ||
 	fail "shapesearch -indexed -k 3 lists $(cat "$tmp/indexed.txt"), the flat scan $(cat "$tmp/flat.txt")"
+radius=$(awk 'NR == 3 { print $NF + 0.0001 }' "$tmp/flat.txt")
+neighbours -radius "$radius" >"$tmp/flat-range.txt"
+neighbours -radius "$radius" -indexed >"$tmp/indexed-range.txt"
+[ "$(wc -l <"$tmp/flat-range.txt")" -ge 3 ] ||
+	fail "shapesearch -radius $radius listed $(wc -l <"$tmp/flat-range.txt") rows: $(cat "$tmp/flat-range.txt")"
+cmp -s "$tmp/flat-range.txt" "$tmp/indexed-range.txt" ||
+	fail "shapesearch -indexed -radius $radius lists $(cat "$tmp/indexed-range.txt"), the flat scan $(cat "$tmp/flat-range.txt")"
 
-echo "smoke: ok (shapesearch -k 3 lists the same neighbours flat and indexed)"
+echo "smoke: ok (shapesearch -k 3 and -radius $radius list the same rows flat and indexed)"
 
 # ---- Part 4: segment-store ingest, serve, compact ------------------------
 
