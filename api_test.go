@@ -41,6 +41,36 @@ func TestNewQueryValidation(t *testing.T) {
 	}
 }
 
+// alternating is n samples alternating between v and -v.
+func alternating(v float64, n int) Series {
+	s := make(Series, n)
+	for i := range s {
+		s[i] = v * float64(1-2*(i%2))
+	}
+	return s
+}
+
+// Finite samples whose squares overflow are refused where a query is built:
+// their squared distances are +Inf, and the clustering of the rotations used
+// to panic with "non-finite distance". Large samples whose squared norm stays
+// below ts.MaxSquaredNorm still build.
+func TestNewQueryRefusesOverflowingNorm(t *testing.T) {
+	if _, err := NewQuery(alternating(1e200, 32), Euclidean()); err == nil || !strings.Contains(err.Error(), "overflow") {
+		t.Errorf("NewQuery over ±1e200: want an overflow error, got %v", err)
+	}
+	if _, err := NewQuery(alternating(1e150, 32), Euclidean()); err != nil {
+		t.Errorf("NewQuery over ±1e150: %v", err)
+	}
+}
+
+// The same holds for a monitor's patterns, whose clustering panicked alike.
+func TestNewMonitorRefusesOverflowingNorm(t *testing.T) {
+	patterns := []Series{alternating(1e200, 16), alternating(-1e200, 16), alternating(1, 16)}
+	if _, err := NewMonitor(patterns, Euclidean(), 0.5); err == nil || !strings.Contains(err.Error(), "pattern 0 has") {
+		t.Errorf("NewMonitor over ±1e200 patterns: want an error naming pattern 0, got %v", err)
+	}
+}
+
 // A database row with a non-finite sample is refused wherever rows enter an
 // index or a store, with an error naming the row and the sample. Such a row
 // used to reach the VP-tree, whose NaN bounds hid whole subtrees: over these

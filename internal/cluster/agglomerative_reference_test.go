@@ -4,9 +4,11 @@ package cluster
 // every num_steps the search reports, and the NN-chain's tie-breaking (scan
 // order, strict <, prefer the previous chain element) decides the dendrogram
 // wherever distances tie — which the circulant matrix of a shape's rotations
-// does everywhere. The implementation AgglomerativeMatrix replaced — an
-// `alive` test per neighbour instead of +Inf retirement — lives on here as
-// the reference it must reproduce node for node and bit for bit.
+// does everywhere. AgglomerativeMatrix walks an ascending list of live slots
+// and never reads a retired one. The reference below scans every slot of the
+// row with an `alive` test per neighbour, in the same order under the same
+// strict <, and AgglomerativeMatrix must reproduce it node for node and bit
+// for bit.
 
 import (
 	"math"
@@ -125,7 +127,11 @@ func symmetric(m int, d func(i, j int) float64) []float64 {
 // rotationMatrix is the distance matrix a query build clusters: the admitted
 // rotations of one shape, then (mirror) those of its mirror image.
 func rotationMatrix(n int, mirror bool, maxShift int) ([]float64, int) {
-	base := ts.ZNorm(ts.RandomWalk(ts.NewRand(int64(n)), n))
+	return rotationMatrixSeeded(n, mirror, maxShift, int64(n))
+}
+
+func rotationMatrixSeeded(n int, mirror bool, maxShift int, seed int64) ([]float64, int) {
+	base := ts.ZNorm(ts.RandomWalk(ts.NewRand(seed), n))
 	sources := [][]float64{base}
 	if mirror {
 		sources = append(sources, ts.Mirror(base))
@@ -170,6 +176,37 @@ func TestAgglomerativeMatchesReference(t *testing.T) {
 			checkAgglomerativeAgainstReference(t, "rotations/"+c.name, matrix, m)
 		}
 	}
+}
+
+// FuzzAgglomerativeMatrix holds AgglomerativeMatrix to the reference on the
+// two kinds of matrix whose ties decide the dendrogram: tie-heavy integer
+// matrices (levels distinct values, 1 upward) and the rotation matrices a
+// query build clusters.
+func FuzzAgglomerativeMatrix(f *testing.F) {
+	f.Add(false, uint8(17), uint8(3), int64(1))
+	f.Add(false, uint8(40), uint8(1), int64(2))
+	f.Add(true, uint8(47), uint8(0), int64(3))
+	f.Add(true, uint8(31), uint8(1), int64(4))
+	f.Add(true, uint8(64), uint8(7), int64(5))
+	f.Fuzz(func(t *testing.T, rotations bool, size, shape uint8, seed int64) {
+		if !rotations {
+			// m in [1, 64] with 1–4 distinct distances.
+			m, levels := 1+int(size%64), 1+int(shape%4)
+			rng := ts.NewRand(seed)
+			matrix := symmetric(m, func(i, j int) float64 { return float64(1 + rng.Intn(levels)) })
+			checkAgglomerativeAgainstReference(t, "ties", matrix, m)
+			return
+		}
+		// n in [2, 65]; shape picks mirror and a rotation limit (none, or
+		// 0–2 shifts either side).
+		n := 2 + int(size%64)
+		maxShift := -1
+		if s := int(shape>>1) % 4; s > 0 {
+			maxShift = s - 1
+		}
+		matrix, m := rotationMatrixSeeded(n, shape&1 == 1, maxShift, seed)
+		checkAgglomerativeAgainstReference(t, "rotations", matrix, m)
+	})
 }
 
 // A matrix no neighbour search can order — the all-NaN rows a NaN query

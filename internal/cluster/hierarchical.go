@@ -78,27 +78,22 @@ func AgglomerativeMatrix(matrix []float64, m int) *Dendrogram {
 		return dd
 	}
 
-	// active[c] is the dendrogram node currently representing matrix slot c;
-	// size[c] its leaf count, 0 once the slot is retired. A live slot's row
-	// holds +Inf on the diagonal and in every retired slot's column, so the
-	// neighbour search below is a bare scan of the row: no entry it must skip
-	// can win a strict <.
-	active := make([]int, m)
-	size := make([]int, m)
+	// active[c] is the dendrogram node currently representing matrix slot c
+	// and size[c] its leaf count; live lists the slots still in play, in
+	// ascending order. The neighbour search and the Lance–Williams update
+	// walk live alone, so a retired slot's stale column is never read. The
+	// diagonal holds +Inf, so the tip itself cannot win a strict <. The
+	// four work lists share one allocation.
+	work := make([]int, 4*m)
+	active, size, live, chain := work[:m], work[m:2*m], work[2*m:3*m], work[3*m:3*m:4*m]
 	for i := range active {
-		active[i], size[i] = i, 1
+		active[i], size[i], live[i] = i, 1, i
 		matrix[i*m+i] = math.Inf(1)
 	}
 
-	chain := make([]int, 0, m)
-	for nAlive := m; nAlive > 1; nAlive-- {
+	for len(live) > 1 {
 		if len(chain) == 0 {
-			for i, s := range size {
-				if s > 0 {
-					chain = append(chain, i)
-					break
-				}
-			}
+			chain = append(chain, live[0])
 		}
 		for {
 			tip := chain[len(chain)-1]
@@ -110,8 +105,8 @@ func AgglomerativeMatrix(matrix []float64, m int) *Dendrogram {
 				prev = chain[len(chain)-2]
 				best, bestDist = prev, row[prev]
 			}
-			for j, v := range row {
-				if v < bestDist {
+			for _, j := range live {
+				if v := row[j]; v < bestDist {
 					best, bestDist = j, v
 				}
 			}
@@ -121,7 +116,7 @@ func AgglomerativeMatrix(matrix []float64, m int) *Dendrogram {
 			if best == prev {
 				// Reciprocal nearest neighbours: merge tip and prev.
 				chain = chain[:len(chain)-2]
-				mergeClusters(dd, matrix, m, active, size, tip, prev, bestDist)
+				live = mergeClusters(dd, matrix, m, active, size, live, tip, prev, bestDist)
 				break
 			}
 			chain = append(chain, best)
@@ -130,7 +125,9 @@ func AgglomerativeMatrix(matrix []float64, m int) *Dendrogram {
 	return dd
 }
 
-func mergeClusters(dd *Dendrogram, matrix []float64, m int, active, size []int, a, b int, h float64) {
+// mergeClusters records the merge of slots a and b at height h, reuses slot a
+// for the merged cluster and returns live without slot b.
+func mergeClusters(dd *Dendrogram, matrix []float64, m int, active, size, live []int, a, b int, h float64) []int {
 	newID := len(dd.Nodes)
 	dd.Nodes = append(dd.Nodes, Node{
 		Left:   active[a],
@@ -138,22 +135,25 @@ func mergeClusters(dd *Dendrogram, matrix []float64, m int, active, size []int, 
 		Height: h,
 		Size:   size[a] + size[b],
 	})
-	// Reuse slot a for the merged cluster; retire slot b, whose column goes
-	// to +Inf in every live row (its own row is never scanned again).
 	na, nb := float64(size[a]), float64(size[b])
-	for k, sk := range size {
-		if sk == 0 || k == a || k == b {
+	rowA, rowB := matrix[a*m:a*m+m], matrix[b*m:b*m+m]
+	drop := 0
+	for i, k := range live {
+		if k == b {
+			drop = i
 			continue
 		}
-		v := (na*matrix[a*m+k] + nb*matrix[b*m+k]) / (na + nb)
-		matrix[a*m+k] = v
+		if k == a {
+			continue
+		}
+		v := (na*rowA[k] + nb*rowB[k]) / (na + nb)
+		rowA[k] = v
 		matrix[k*m+a] = v
-		matrix[k*m+b] = math.Inf(1)
 	}
-	matrix[a*m+b] = math.Inf(1)
 	active[a] = newID
 	size[a] += size[b]
-	size[b] = 0
+	copy(live[drop:], live[drop+1:])
+	return live[:len(live)-1]
 }
 
 // Root returns the index of the root node.

@@ -44,6 +44,7 @@ func FuzzSearchRequest(f *testing.F) {
 		{2, `{"series":` + string(series) + `,"measure":"dtw","threshold":1e300,"timeout_ms":1}`},
 		{0, `{"query_index":99}`},
 		{0, `{"series":[1,2]}`},
+		{0, `{"series":[1e200,-1e200,1e200,-1e200,1e200,-1e200,1e200,-1e200,1e200,-1e200,1e200,-1e200]}`},
 		{1, `{"k":1e400}`},
 		{2, `{"threshold":"x"}`},
 		{0, `null`},

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sync"
 
 	"lbkeogh"
@@ -60,19 +61,34 @@ type Session struct {
 	Q    *lbkeogh.Query
 	Spec QuerySpec
 	key  uint64
+	// repeated marks a session whose spec has come back: it has served a
+	// hit, or it was built for a key the pool had recently evicted.
+	repeated bool
 }
 
-// Pool is an LRU pool of idle query sessions keyed by QuerySpec hash.
-// Checkout pops the most recently used idle session for the spec (building a
-// fresh one on miss); Checkin returns it, evicting the least recently used
-// idle session when the pool is over capacity. Repeated queries — the common
-// serving pattern the paper's batch experiments simulate — skip the rotation
-// matrix and wedge-tree build entirely.
+// Pool is a pool of idle query sessions keyed by QuerySpec hash. Checkout
+// pops the most recently used idle session for the spec (building a fresh
+// one on miss); Checkin returns it. Repeated queries — the common serving
+// pattern the paper's batch experiments simulate — skip the rotation matrix
+// and wedge-tree build entirely.
+//
+// Over capacity, Checkin evicts the least recently used idle session whose
+// spec has not repeated, and only when every idle session has repeated the
+// least recently used of those. A stream of one-off specs therefore cycles
+// through the pool without flushing the hot sessions, however many one-offs
+// arrive between two uses of a hot spec. A session counts as repeated once it
+// serves a hit, or when it is built for a key among the last max keys the
+// pool evicted (the ghost list): a spec evicted as a one-off and asked for
+// again is hot, and that is how a new hot set takes over a pool still full
+// of the old one.
 type Pool struct {
 	mu        sync.Mutex
 	max       int
 	lru       *list.List // of *Session; front = least recently used idle
 	byKey     map[uint64][]*list.Element
+	ghost     []uint64 // ring of the last max evicted keys
+	ghostNext int
+	ghostN    map[uint64]int // occurrences of each key in ghost
 	hits      int64
 	misses    int64
 	evictions int64
@@ -83,7 +99,13 @@ func NewPool(max int) *Pool {
 	if max < 1 {
 		max = 1
 	}
-	return &Pool{max: max, lru: list.New(), byKey: map[uint64][]*list.Element{}}
+	return &Pool{
+		max:    max,
+		lru:    list.New(),
+		byKey:  map[uint64][]*list.Element{},
+		ghost:  make([]uint64, 0, max),
+		ghostN: map[uint64]int{},
+	}
 }
 
 // Checkout returns an exclusive session for the spec, reusing an idle one
@@ -100,23 +122,25 @@ func (p *Pool) Checkout(spec QuerySpec, build func() (*lbkeogh.Query, error)) (s
 		if !specEqual(cand.Spec, spec) {
 			continue // hash collision: leave the stranger alone
 		}
-		p.byKey[key] = append(elems[:i], elems[i+1:]...)
+		p.byKey[key] = slices.Delete(elems, i, i+1)
 		p.lru.Remove(el)
+		cand.repeated = true
 		p.hits++
 		p.mu.Unlock()
 		return cand, true, nil
 	}
 	p.misses++
+	repeated := p.ghostN[key] > 0
 	p.mu.Unlock()
 	q, err := build() // outside the lock: building is the expensive part
 	if err != nil {
 		return nil, false, err
 	}
-	return &Session{Q: q, Spec: spec, key: key}, false, nil
+	return &Session{Q: q, Spec: spec, key: key, repeated: repeated}, false, nil
 }
 
-// Checkin returns a session to the idle pool, evicting the least recently
-// used idle session if the pool is over capacity.
+// Checkin returns a session to the idle pool and, while the pool is over
+// capacity, evicts as the Pool comment describes.
 func (p *Pool) Checkin(s *Session) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -124,12 +148,18 @@ func (p *Pool) Checkin(s *Session) {
 	p.byKey[s.key] = append(p.byKey[s.key], el)
 	for p.lru.Len() > p.max {
 		old := p.lru.Front()
+		for e := old; e != nil; e = e.Next() {
+			if !e.Value.(*Session).repeated {
+				old = e
+				break
+			}
+		}
 		p.lru.Remove(old)
 		victim := old.Value.(*Session)
 		elems := p.byKey[victim.key]
 		for i, e := range elems {
 			if e == old {
-				elems = append(elems[:i], elems[i+1:]...)
+				elems = slices.Delete(elems, i, i+1)
 				break
 			}
 		}
@@ -138,8 +168,25 @@ func (p *Pool) Checkin(s *Session) {
 		} else {
 			p.byKey[victim.key] = elems
 		}
+		p.remember(victim.key)
 		p.evictions++
 	}
+}
+
+// remember puts an evicted key on the ghost list, dropping the oldest key
+// once the list holds max.
+func (p *Pool) remember(key uint64) {
+	if len(p.ghost) < p.max {
+		p.ghost = append(p.ghost, key)
+	} else {
+		old := p.ghost[p.ghostNext]
+		if p.ghostN[old]--; p.ghostN[old] == 0 {
+			delete(p.ghostN, old)
+		}
+		p.ghost[p.ghostNext] = key
+		p.ghostNext = (p.ghostNext + 1) % p.max
+	}
+	p.ghostN[key]++
 }
 
 func specEqual(a, b QuerySpec) bool {

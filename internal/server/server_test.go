@@ -190,6 +190,30 @@ func TestServerLeavesLibraryRulesToTheLibrary(t *testing.T) {
 	}
 }
 
+// A series of finite samples whose squared distances overflow is refused
+// by NewQuery, and the handler answers 400 with its message. It used to
+// panic the handler in the query build, and the client saw the connection
+// drop.
+func TestServerRefusesOverflowingSeries(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	series := make([]float64, 32)
+	for i := range series {
+		series[i] = 1e200 * float64(1-2*(i%2))
+	}
+	raw, _ := json.Marshal(series)
+	_, want := lbkeogh.NewQuery(series, lbkeogh.Euclidean())
+	if want == nil {
+		t.Fatal("NewQuery accepted the overflowing series")
+	}
+	for _, path := range []string{"/v1/search", "/v1/topk", "/v1/range"} {
+		code, _, body := post(t, ts, path, `{"series":`+string(raw)+`,"threshold":1}`)
+		var er errorResponse
+		if code != http.StatusBadRequest || json.Unmarshal([]byte(body), &er) != nil || er.Error != want.Error() {
+			t.Errorf("%s: status %d, want 400 %q (%s)", path, code, want, body)
+		}
+	}
+}
+
 // An explicit "eps": 0 reaches LCSS(δ, 0) instead of being read as unset and
 // replaced by the default 0.25.
 func TestServerLCSSExplicitZeroEps(t *testing.T) {

@@ -159,11 +159,31 @@ func NonFinite(s []float64) int {
 	return -1
 }
 
+// MaxSquaredNorm bounds ‖x‖² for a series a search structure is built from.
+// Finite samples can still overflow a squared distance to +Inf, and an
+// infinite distance leaves the NN-chain clustering of a query's rotations or
+// a monitor's patterns without a nearest neighbour. Below this bound every
+// squared Euclidean distance between two accepted series is finite, since
+// ‖a−b‖² ≤ 2‖a‖² + 2‖b‖², with margin for rounding; a DTW path costs no more
+// than the diagonal, and LCSS squares nothing.
+const MaxSquaredNorm = math.MaxFloat64 / 8
+
+// Oversized reports whether ‖s‖² is not below MaxSquaredNorm (an overflowing
+// sum is +Inf, which is not below it either).
+func Oversized(s []float64) bool {
+	var ss float64
+	for _, v := range s {
+		ss += v * v
+	}
+	return !(ss < MaxSquaredNorm)
+}
+
 // CheckRows is the one check of a row set that a search structure is built
 // over — an index's database, a mining collection, a monitor's patterns: at
 // least one row, every row as long as the first and at least 2 samples long,
-// every sample finite. It returns the common length, or an error naming the
-// first row (as what, e.g. "pattern") and sample at fault.
+// every sample finite, every squared norm below MaxSquaredNorm. It returns
+// the common length, or an error naming the first row (as what, e.g.
+// "pattern") and sample at fault.
 func CheckRows(rows [][]float64, what string) (int, error) {
 	if len(rows) == 0 {
 		return 0, fmt.Errorf("no %s given", what)
@@ -178,6 +198,9 @@ func CheckRows(rows [][]float64, what string) (int, error) {
 		}
 		if j := NonFinite(row); j >= 0 {
 			return 0, fmt.Errorf("%s %d sample %d is %v; every sample must be finite", what, i, j, row[j])
+		}
+		if Oversized(row) {
+			return 0, fmt.Errorf("%s %d has a squared norm of at least MaxFloat64/8; its distances would overflow", what, i)
 		}
 	}
 	return n, nil

@@ -2,6 +2,7 @@ package ts
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -200,5 +201,29 @@ func TestNonFinite(t *testing.T) {
 		if i := NonFinite([]float64{1, 2, bad, 3, bad}); i != 2 {
 			t.Fatalf("%v at 2 and 4: NonFinite = %d, want 2", bad, i)
 		}
+	}
+}
+
+// Oversized draws its line at MaxSquaredNorm, and an overflowing sum of
+// squares counts as over it; CheckRows refuses such a row by number.
+func TestOversized(t *testing.T) {
+	big := math.Sqrt(MaxSquaredNorm / 2)
+	for _, c := range []struct {
+		s    []float64
+		want bool
+	}{
+		{[]float64{1, -2, 3}, false},
+		{[]float64{big, big * 0.999}, false},
+		{[]float64{big, big * 1.001}, true},
+		{[]float64{math.MaxFloat64, -math.MaxFloat64}, true},
+		{[]float64{1e200, -1e200}, true},
+	} {
+		if got := Oversized(c.s); got != c.want {
+			t.Errorf("Oversized(%v) = %v, want %v", c.s, got, c.want)
+		}
+	}
+	rows := [][]float64{{1, 2}, {3, 4}, {1e200, -1e200}}
+	if _, err := CheckRows(rows, "row"); err == nil || !strings.Contains(err.Error(), "row 2 has") {
+		t.Errorf("CheckRows: want an error naming row 2, got %v", err)
 	}
 }

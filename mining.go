@@ -43,8 +43,8 @@ func miningInput(db []Series, m Measure, opts []QueryOption) (int, core.Options,
 // One rotation set is built per series, and the remaining suffix is scanned
 // with the global best-so-far as the abandoning threshold, so later rows get
 // cheaper as the motif distance tightens. The first comparison, (0, 1)
-// under +Inf, sets the motif unless that distance overflows to +Inf; a
-// collection whose every distance overflows answers (0, 1) at +Inf.
+// under +Inf, sets the motif: ts.CheckRows refuses the rows whose distances
+// could overflow to +Inf.
 func ClosestPair(db []Series, m Measure, opts ...QueryOption) (Motif, error) {
 	n, copts, err := miningInput(db, m, opts)
 	if err != nil {

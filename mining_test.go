@@ -203,16 +203,12 @@ func TestMiningWithMirrorOption(t *testing.T) {
 	}
 }
 
-// Two finite rows can be +Inf apart: the squared differences overflow. No
-// comparison then beats +Inf, and the motif is the first pair at +Inf.
+// Two finite rows can be +Inf apart: the squared differences overflow.
+// Such rows are refused, naming the first one, before any comparison.
 func TestClosestPairOverflowingDistance(t *testing.T) {
-	db := []Series{{1e200, 1e200, 1e200, 1e200}, {-1e200, -1e200, -1e200, -1e200}}
-	got, err := ClosestPair(db, Euclidean())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.I != 0 || got.J != 1 || !math.IsInf(got.Dist, 1) {
-		t.Fatalf("overflowing pair answered %+v, want (0, 1) at +Inf", got)
+	db := []Series{{1, 2, 3, 4}, {1e200, 1e200, 1e200, 1e200}, {-1e200, -1e200, -1e200, -1e200}}
+	if _, err := ClosestPair(db, Euclidean()); err == nil || !strings.Contains(err.Error(), "series 1 has") {
+		t.Fatalf("overflowing rows: want an error naming series 1, got %v", err)
 	}
 }
 

@@ -153,8 +153,10 @@ type Query struct {
 }
 
 // NewQuery compiles series into a rotation-invariant query under the given
-// measure. The series must have at least 2 samples; callers normally
-// z-normalize first (shape.Signature and the dataset generators already do).
+// measure. The series must have at least 2 samples, all finite, with a
+// squared norm below MaxFloat64/8 so that no squared distance overflows;
+// callers normally z-normalize first (shape.Signature and the dataset
+// generators already do).
 func NewQuery(series Series, m Measure, opts ...QueryOption) (*Query, error) {
 	if err := m.validate(); err != nil {
 		return nil, err
@@ -164,6 +166,9 @@ func NewQuery(series Series, m Measure, opts ...QueryOption) (*Query, error) {
 	}
 	if i := ts.NonFinite(series); i >= 0 {
 		return nil, fmt.Errorf("lbkeogh: query sample %d is %v; every sample must be finite", i, series[i])
+	}
+	if ts.Oversized(series) {
+		return nil, fmt.Errorf("lbkeogh: query series has a squared norm of at least MaxFloat64/8; its distances would overflow")
 	}
 	cfg, copts, err := resolveOptions(opts, len(series))
 	if err != nil {
