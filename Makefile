@@ -48,12 +48,13 @@ race-concurrency:
 # The pinned tables (one scan's whole stats record, the index-path oracle's
 # steps per cell, the collector's scans, a trace's composition, a monitor's
 # record over one stream, the /metrics inventory after one session, a scan's
-# dynamic-K trajectory against the controller it narrates) run three times
+# dynamic-K trajectory against the controller it narrates, the efficiency
+# experiments' num_steps) run three times
 # over: a pin that moves between runs of one binary is not a pin. Nothing the
 # dynamic-K controller decides may depend on a clock, a map order or a
 # goroutine schedule.
 pins:
-	$(GO) test -count=3 -run 'TestPinned|TestIndexPathOracle|TestCollectorScanInto|TestTraceCompositionPinned|TestMetricsInventoryPinned|TestKTrajectoryChains' . ./internal/core ./internal/stream ./internal/server
+	$(GO) test -count=3 -run 'TestPinned|TestIndexPathOracle|TestCollectorScanInto|TestTraceCompositionPinned|TestMetricsInventoryPinned|TestKTrajectoryChains' . ./internal/core ./internal/stream ./internal/server ./internal/experiments
 
 # Short benchmark pass: one iteration of every benchmark, no unit tests. It
 # checks that they run; a performance number comes from the repo benchmark

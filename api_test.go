@@ -1,6 +1,7 @@
 package lbkeogh
 
 import (
+	"errors"
 	"math"
 	"path/filepath"
 	"strings"
@@ -117,6 +118,36 @@ func TestNonFiniteRowsRefused(t *testing.T) {
 				t.Errorf("%s with a %v sample: want an error naming row 3 sample 5, got %v", e.name, bad, err)
 			}
 		}
+	}
+}
+
+// A row whose squared norm overflows is refused by the same one row rule
+// wherever rows enter an index or a store, naming the row; a store's ingest
+// wraps segment.ErrInvalidRecords. Such a row used to be written to a store
+// and served, at +Inf from every query.
+func TestOverflowingRowsRefused(t *testing.T) {
+	rows := SyntheticProjectilePoints(3, 40, 64)
+	rows[3] = alternating(1e200, 64)
+	if _, err := NewIndex(rows, 8); err == nil || !strings.Contains(err.Error(), "series 3 has a squared norm") {
+		t.Errorf("NewIndex: want an error naming series 3, got %v", err)
+	}
+	dir := filepath.Join(t.TempDir(), "store")
+	if err := WriteSegmentStore(dir, rows, 8); err == nil || !strings.Contains(err.Error(), "record 3 has a squared norm") {
+		t.Errorf("WriteSegmentStore: want an error naming record 3, got %v", err)
+	}
+	if _, err := OpenSegmentIndex(dir, 8); err == nil {
+		t.Error("a refused write left an openable store")
+	}
+	db, err := segment.OpenDB(t.TempDir(), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.Ingest(rows, nil); !errors.Is(err, segment.ErrInvalidRecords) || !strings.Contains(err.Error(), "record 3 has a squared norm") {
+		t.Errorf("DB.Ingest: want ErrInvalidRecords naming record 3, got %v", err)
+	}
+	if n := db.Len(); n != 0 {
+		t.Errorf("a refused ingest published %d records", n)
 	}
 }
 

@@ -66,14 +66,13 @@ func benchScanStats(b *testing.B, db [][]float64, query []float64, kern wedge.Ke
 	var steps int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var cnt stats.Counter
-		rs := core.NewRotationSet(query, core.DefaultOptions(), &cnt)
+		rs := core.NewRotationSet(query, core.DefaultOptions(), nil)
 		s := core.NewSearcher(rs, kern, strat, core.SearcherConfig{})
-		res := s.Scan(db, &cnt)
+		res := s.Scan(db, nil)
 		if res.Index < 0 {
 			b.Fatal("scan found nothing")
 		}
-		steps += cnt.Steps()
+		steps += rs.SetupSteps + s.Steps()
 	}
 	b.ReportMetric(float64(steps)/float64(b.N)/float64(len(db)), "steps/comparison")
 }
@@ -187,7 +186,7 @@ func BenchmarkTable8Classification(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		errRate, _ := classify.LeaveOneOut(d.Series, d.Labels, wedge.ED{}, core.DefaultOptions(), nil)
+		errRate, _ := classify.LeaveOneOut(d.Series, d.Labels, wedge.ED{}, core.DefaultOptions())
 		if errRate > 1 {
 			b.Fatal("impossible error rate")
 		}
@@ -228,11 +227,10 @@ func BenchmarkAblationDynamicK(b *testing.B) {
 				var steps int64
 				for i := 0; i < b.N; i++ {
 					for _, query := range db[tc.m:] {
-						var cnt stats.Counter
-						rs := core.NewRotationSet(query, core.DefaultOptions(), &cnt)
+						rs := core.NewRotationSet(query, core.DefaultOptions(), nil)
 						s := core.NewSearcher(rs, tc.kernel, core.Wedge, core.SearcherConfig{FixedK: fixedK})
-						s.Scan(db[:tc.m], &cnt)
-						steps += cnt.Steps()
+						s.Scan(db[:tc.m], nil)
+						steps += rs.SetupSteps + s.Steps()
 					}
 				}
 				b.ReportMetric(float64(steps)/float64(b.N)/float64(queries*tc.m), "steps/comparison")

@@ -169,7 +169,7 @@ func (ix *Index) probe(ctx context.Context, q *Query, label string, k int, limit
 	}
 	return q.search(ctx, label, check, func(ctx context.Context) ([]core.ScanResult, error) {
 		c := core.NewCollector(k, limit)
-		err := ix.ix.Probe(ctx, q.searcher, 0, c, &q.counter)
+		err := ix.ix.Probe(ctx, q.searcher, 0, c)
 		return c.Results(), err
 	})
 }

@@ -9,22 +9,21 @@ import (
 	"math"
 
 	"lbkeogh/internal/core"
-	"lbkeogh/internal/stats"
 	"lbkeogh/internal/wedge"
 )
 
 // NearestNeighbour returns the index of the series in db (excluding
 // `exclude`; pass -1 to exclude nothing) with the smallest rotation-invariant
 // kernel distance to q, along with that distance.
-func NearestNeighbour(q []float64, db [][]float64, exclude int, kern wedge.Kernel, opts core.Options, cnt *stats.Counter) (int, float64) {
-	rs := core.NewRotationSet(q, opts, cnt)
+func NearestNeighbour(q []float64, db [][]float64, exclude int, kern wedge.Kernel, opts core.Options) (int, float64) {
+	rs := core.NewRotationSet(q, opts, nil)
 	s := core.NewSearcher(rs, kern, core.Wedge, core.SearcherConfig{})
 	best, bestIdx := math.Inf(1), -1
 	for j, x := range db {
 		if j == exclude {
 			continue
 		}
-		m := s.MatchSeries(x, best, cnt)
+		m := s.MatchSeries(x, best, nil)
 		if m.Found() && m.Dist < best {
 			best, bestIdx = m.Dist, j
 		}
@@ -35,7 +34,7 @@ func NearestNeighbour(q []float64, db [][]float64, exclude int, kern wedge.Kerne
 // LeaveOneOut runs leave-one-out 1-NN classification over the labelled
 // dataset and returns the error rate in [0, 1] and the raw error count —
 // the protocol behind every row of Table 8.
-func LeaveOneOut(series [][]float64, labels []int, kern wedge.Kernel, opts core.Options, cnt *stats.Counter) (float64, int) {
+func LeaveOneOut(series [][]float64, labels []int, kern wedge.Kernel, opts core.Options) (float64, int) {
 	if len(series) != len(labels) {
 		panic(fmt.Sprintf("classify: %d series vs %d labels", len(series), len(labels)))
 	}
@@ -44,7 +43,7 @@ func LeaveOneOut(series [][]float64, labels []int, kern wedge.Kernel, opts core.
 	}
 	errs := 0
 	for i, q := range series {
-		nn, _ := NearestNeighbour(q, series, i, kern, opts, cnt)
+		nn, _ := NearestNeighbour(q, series, i, kern, opts)
 		if labels[nn] != labels[i] {
 			errs++
 		}
@@ -56,13 +55,13 @@ func LeaveOneOut(series [][]float64, labels []int, kern wedge.Kernel, opts core.
 // minimizes leave-one-out error on the given (training) data — the paper's
 // "single parameter ... learned by looking only at the training data". Ties
 // prefer the smaller R (cheaper and less prone to pathological warping).
-func BestWarpingWindow(series [][]float64, labels []int, candidates []int, opts core.Options, cnt *stats.Counter) (bestR int, bestErr float64) {
+func BestWarpingWindow(series [][]float64, labels []int, candidates []int, opts core.Options) (bestR int, bestErr float64) {
 	if len(candidates) == 0 {
 		panic("classify: no warping-window candidates")
 	}
 	bestR, bestErr = candidates[0], math.Inf(1)
 	for _, r := range candidates {
-		e, _ := LeaveOneOut(series, labels, wedge.DTW{R: r}, opts, cnt)
+		e, _ := LeaveOneOut(series, labels, wedge.DTW{R: r}, opts)
 		if e < bestErr {
 			bestR, bestErr = r, e
 		}
@@ -76,7 +75,7 @@ func BestWarpingWindow(series [][]float64, labels []int, candidates []int, opts 
 // landmark baseline — the Yoga experiment of Section 5.1, where replacing
 // human-annotated landmarks with exact rotation invariance cut the error by
 // a factor of three.
-func LeaveOneOutAligned(series [][]float64, labels []int, kern wedge.Kernel, cnt *stats.Counter) (float64, int) {
+func LeaveOneOutAligned(series [][]float64, labels []int, kern wedge.Kernel) (float64, int) {
 	if len(series) != len(labels) {
 		panic(fmt.Sprintf("classify: %d series vs %d labels", len(series), len(labels)))
 	}
@@ -84,14 +83,13 @@ func LeaveOneOutAligned(series [][]float64, labels []int, kern wedge.Kernel, cnt
 		panic("classify: need at least two instances")
 	}
 	errs := 0
-	var local stats.Tally
 	for i, q := range series {
 		best, bestJ := math.Inf(1), -1
 		for j, x := range series {
 			if j == i {
 				continue
 			}
-			d, abandoned := kern.Distance(q, x, best, &local)
+			d, abandoned := kern.Distance(q, x, best, nil)
 			if !abandoned && d < best {
 				best, bestJ = d, j
 			}
@@ -100,29 +98,7 @@ func LeaveOneOutAligned(series [][]float64, labels []int, kern wedge.Kernel, cnt
 			errs++
 		}
 	}
-	cnt.Add(local.Steps())
 	return float64(errs) / float64(len(series)), errs
-}
-
-// TuneLCSS grid-searches LCSS's two parameters (matching window delta and
-// threshold eps) by leave-one-out error on training data — the automation
-// the paper leaves as future work ("Automatically choosing the correct
-// parameters for LCSS is a matter for future research"). Ties prefer the
-// smaller delta, then the smaller eps.
-func TuneLCSS(series [][]float64, labels []int, deltas []int, epss []float64, opts core.Options, cnt *stats.Counter) (bestDelta int, bestEps, bestErr float64) {
-	if len(deltas) == 0 || len(epss) == 0 {
-		panic("classify: empty LCSS parameter grid")
-	}
-	bestDelta, bestEps, bestErr = deltas[0], epss[0], math.Inf(1)
-	for _, d := range deltas {
-		for _, e := range epss {
-			err, _ := LeaveOneOut(series, labels, wedge.LCSS{Delta: d, Eps: e}, opts, cnt)
-			if err < bestErr {
-				bestDelta, bestEps, bestErr = d, e, err
-			}
-		}
-	}
-	return bestDelta, bestEps, bestErr
 }
 
 // Split partitions a labelled dataset into train and test halves

@@ -17,7 +17,7 @@ func smallDataset(t *testing.T) ([][]float64, []int) {
 
 func TestLeaveOneOutLowErrorOnSeparableData(t *testing.T) {
 	series, labels := smallDataset(t)
-	errRate, errs := LeaveOneOut(series, labels, wedge.ED{}, core.DefaultOptions(), nil)
+	errRate, errs := LeaveOneOut(series, labels, wedge.ED{}, core.DefaultOptions())
 	if errRate > 0.25 {
 		t.Fatalf("LOO error %v (%d errs) too high for separable synthetic classes", errRate, errs)
 	}
@@ -30,8 +30,8 @@ func TestLeaveOneOutDTWNotWorseOnArticulatedData(t *testing.T) {
 	cfg := synth.DefaultInstanceConfig()
 	cfg.Articulation = 0.3 // strong articulation: DTW should shine
 	d := synth.MakeClassDataset("art", 12, 3, 8, 64, false, cfg)
-	edErr, _ := LeaveOneOut(d.Series, d.Labels, wedge.ED{}, core.DefaultOptions(), nil)
-	dtwErr, _ := LeaveOneOut(d.Series, d.Labels, wedge.DTW{R: 3}, core.DefaultOptions(), nil)
+	edErr, _ := LeaveOneOut(d.Series, d.Labels, wedge.ED{}, core.DefaultOptions())
+	dtwErr, _ := LeaveOneOut(d.Series, d.Labels, wedge.DTW{R: 3}, core.DefaultOptions())
 	if dtwErr > edErr+1e-9 {
 		t.Fatalf("DTW error %v worse than ED %v on articulated data", dtwErr, edErr)
 	}
@@ -39,14 +39,14 @@ func TestLeaveOneOutDTWNotWorseOnArticulatedData(t *testing.T) {
 
 func TestNearestNeighbourExcludesSelf(t *testing.T) {
 	series, _ := smallDataset(t)
-	nn, dist := NearestNeighbour(series[0], series, 0, wedge.ED{}, core.DefaultOptions(), nil)
+	nn, dist := NearestNeighbour(series[0], series, 0, wedge.ED{}, core.DefaultOptions())
 	if nn == 0 {
 		t.Fatal("self must be excluded")
 	}
 	if dist <= 0 {
 		t.Fatalf("distance to non-self should be positive, got %v", dist)
 	}
-	nnAll, distAll := NearestNeighbour(series[0], series, -1, wedge.ED{}, core.DefaultOptions(), nil)
+	nnAll, distAll := NearestNeighbour(series[0], series, -1, wedge.ED{}, core.DefaultOptions())
 	if nnAll != 0 || distAll > 1e-9 {
 		t.Fatalf("without exclusion the self-match must win: (%d, %v)", nnAll, distAll)
 	}
@@ -69,7 +69,7 @@ func TestBestWarpingWindowPrefersSmallOnTies(t *testing.T) {
 		series = append(series, ts.AddNoise(rng, base1, 0.01))
 		labels = append(labels, 1)
 	}
-	r, e := BestWarpingWindow(series, labels, []int{0, 1, 2, 3}, core.DefaultOptions(), nil)
+	r, e := BestWarpingWindow(series, labels, []int{0, 1, 2, 3}, core.DefaultOptions())
 	if e != 0 {
 		t.Fatalf("expected zero training error, got %v", e)
 	}
@@ -96,12 +96,12 @@ func TestLeaveOneOutAligned(t *testing.T) {
 	cfg := synth.DefaultInstanceConfig()
 	cfg.Rotate = false
 	aligned := synth.MakeClassDataset("al", 31, 3, 8, 64, false, cfg)
-	errAligned, _ := LeaveOneOutAligned(aligned.Series, aligned.Labels, wedge.ED{}, nil)
+	errAligned, _ := LeaveOneOutAligned(aligned.Series, aligned.Labels, wedge.ED{})
 
 	cfg.Rotate = true
 	rotated := synth.MakeClassDataset("al", 31, 3, 8, 64, false, cfg)
-	errRotNaive, _ := LeaveOneOutAligned(rotated.Series, rotated.Labels, wedge.ED{}, nil)
-	errRotInv, _ := LeaveOneOut(rotated.Series, rotated.Labels, wedge.ED{}, core.DefaultOptions(), nil)
+	errRotNaive, _ := LeaveOneOutAligned(rotated.Series, rotated.Labels, wedge.ED{})
+	errRotInv, _ := LeaveOneOut(rotated.Series, rotated.Labels, wedge.ED{}, core.DefaultOptions())
 
 	if errRotNaive < errRotInv {
 		t.Fatalf("naive alignment (%v) should not beat rotation invariance (%v) on rotated data",
@@ -112,44 +112,12 @@ func TestLeaveOneOutAligned(t *testing.T) {
 	}
 }
 
-func TestTuneLCSS(t *testing.T) {
-	series, labels := smallDataset(t)
-	d, e, errRate := TuneLCSS(series, labels, []int{1, 3}, []float64{0.2, 0.6}, core.DefaultOptions(), nil)
-	if d != 1 && d != 3 {
-		t.Fatalf("tuned delta = %d", d)
-	}
-	if e != 0.2 && e != 0.6 {
-		t.Fatalf("tuned eps = %v", e)
-	}
-	if errRate < 0 || errRate > 1 {
-		t.Fatalf("tuned error = %v", errRate)
-	}
-	// The tuned setting must not be worse than any grid point.
-	for _, dd := range []int{1, 3} {
-		for _, ee := range []float64{0.2, 0.6} {
-			got, _ := LeaveOneOut(series, labels, wedge.LCSS{Delta: dd, Eps: ee}, core.DefaultOptions(), nil)
-			if got < errRate-1e-12 {
-				t.Fatalf("grid point (%d,%v)=%v beats tuned %v", dd, ee, got, errRate)
-			}
-		}
-	}
-}
-
-func TestTuneLCSSPanicsOnEmptyGrid(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic")
-		}
-	}()
-	TuneLCSS([][]float64{{1}, {2}}, []int{0, 1}, nil, nil, core.DefaultOptions(), nil)
-}
-
 func TestLeaveOneOutPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"mismatch": func() { LeaveOneOut([][]float64{{1}}, []int{0, 1}, wedge.ED{}, core.DefaultOptions(), nil) },
-		"tiny":     func() { LeaveOneOut([][]float64{{1}}, []int{0}, wedge.ED{}, core.DefaultOptions(), nil) },
+		"mismatch": func() { LeaveOneOut([][]float64{{1}}, []int{0, 1}, wedge.ED{}, core.DefaultOptions()) },
+		"tiny":     func() { LeaveOneOut([][]float64{{1}}, []int{0}, wedge.ED{}, core.DefaultOptions()) },
 		"noCands": func() {
-			BestWarpingWindow([][]float64{{1}, {2}}, []int{0, 1}, nil, core.DefaultOptions(), nil)
+			BestWarpingWindow([][]float64{{1}, {2}}, []int{0, 1}, nil, core.DefaultOptions())
 		},
 	} {
 		func() {

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"lbkeogh/internal/stats"
 	"lbkeogh/internal/synth"
 	"lbkeogh/internal/wedge"
 )
@@ -94,17 +93,16 @@ func TestCollectorScanInto(t *testing.T) {
 		{"top-3", 3, math.Inf(1), hits[:3], 24966},
 		{"range 0.3", 0, 0.3, hits, 6815},
 	} {
-		var cnt stats.Counter
 		c := NewCollector(tc.k, tc.limit)
 		s := NewSearcher(rs, wedge.ED{}, Wedge, SearcherConfig{})
-		if err := s.ScanInto(context.Background(), db[1:], c, &cnt); err != nil {
+		if err := s.ScanInto(context.Background(), db[1:], c); err != nil {
 			t.Fatal(err)
 		}
 		if got := c.Results(); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: got %+v, want %+v", tc.name, got, tc.want)
 		}
-		if cnt.Steps() != tc.steps {
-			t.Errorf("%s: %d steps, want %d", tc.name, cnt.Steps(), tc.steps)
+		if s.Steps() != tc.steps {
+			t.Errorf("%s: %d steps, want %d", tc.name, s.Steps(), tc.steps)
 		}
 	}
 }

@@ -295,16 +295,16 @@ func TestWedgeStepsBeatBruteOnScan(t *testing.T) {
 		db[i] = ts.ZNorm(ts.RandomWalk(rng, n))
 	}
 	rs := NewRotationSet(q, DefaultOptions(), nil)
-	var bruteCnt, wedgeCnt stats.Counter
-	resB := NewSearcher(rs, wedge.ED{}, BruteForce, SearcherConfig{}).Scan(db, &bruteCnt)
-	resW := NewSearcher(rs, wedge.ED{}, Wedge, SearcherConfig{}).Scan(db, &wedgeCnt)
+	brute := NewSearcher(rs, wedge.ED{}, BruteForce, SearcherConfig{})
+	wedged := NewSearcher(rs, wedge.ED{}, Wedge, SearcherConfig{})
+	resB, resW := brute.Scan(db, nil), wedged.Scan(db, nil)
 	if resB.Index != resW.Index {
 		t.Fatalf("strategies disagree: %d vs %d", resB.Index, resW.Index)
 	}
 	// Include the setup cost in the wedge ledger as the paper does.
-	total := wedgeCnt.Steps() + rs.SetupSteps
-	if total >= bruteCnt.Steps() {
-		t.Fatalf("wedge total %d not below brute %d on m=100", total, bruteCnt.Steps())
+	total := wedged.Steps() + rs.SetupSteps
+	if total >= brute.Steps() {
+		t.Fatalf("wedge total %d not below brute %d on m=100", total, brute.Steps())
 	}
 }
 
@@ -319,7 +319,7 @@ func TestScanTopK(t *testing.T) {
 	rs := NewRotationSet(q, DefaultOptions(), nil)
 	s := NewSearcher(rs, wedge.ED{}, Wedge, SearcherConfig{})
 	c := NewCollector(5, math.Inf(1))
-	if err := s.ScanInto(context.Background(), db, c, nil); err != nil {
+	if err := s.ScanInto(context.Background(), db, c); err != nil {
 		t.Fatal(err)
 	}
 	top := c.Results()

@@ -29,9 +29,8 @@ func TestPruningCountsReconcile(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			st := &obs.SearchStats{}
-			var cnt stats.Counter
 			s := NewSearcher(rs, wedge.ED{}, c.strategy, SearcherConfig{Obs: st})
-			s.Scan(db, &cnt)
+			s.Scan(db, nil)
 			sn := st.Snapshot()
 			if sn.Comparisons != int64(len(db)) {
 				t.Fatalf("Comparisons = %d, want %d", sn.Comparisons, len(db))
@@ -42,8 +41,8 @@ func TestPruningCountsReconcile(t *testing.T) {
 			if !sn.Reconciles() {
 				t.Fatalf("outcome buckets do not sum to rotations: %+v", sn)
 			}
-			if sn.Steps != cnt.Steps() {
-				t.Fatalf("stats steps %d != counter steps %d", sn.Steps, cnt.Steps())
+			if sn.Steps != s.Steps() {
+				t.Fatalf("stats steps %d != searcher steps %d", sn.Steps, s.Steps())
 			}
 			if got := int64(0); true {
 				for _, b := range sn.StepsHistogram {
@@ -91,18 +90,25 @@ func TestPruningCountsReconcile(t *testing.T) {
 
 // TestWedgeReconcilesUnderDTW covers the warped-measure path, where leaves
 // carry their own LB_Keogh bound (WedgeLeafLBPrunes) before the exact DTW.
+// Scan and MatchSeries add to their counter exactly the steps the searcher
+// and its record gained.
 func TestWedgeReconcilesUnderDTW(t *testing.T) {
 	db, q := parallelTestDB(12, 60, 40)
 	rs := NewRotationSet(q, DefaultOptions(), nil)
 	st := &obs.SearchStats{}
 	var cnt stats.Counter
-	NewSearcher(rs, wedge.DTW{R: 3}, Wedge, SearcherConfig{Obs: st}).Scan(db, &cnt)
+	s := NewSearcher(rs, wedge.DTW{R: 3}, Wedge, SearcherConfig{Obs: st})
+	s.Scan(db, &cnt)
 	sn := st.Snapshot()
 	if !sn.Reconciles() {
 		t.Fatalf("DTW wedge scan does not reconcile: %+v", sn)
 	}
-	if sn.Steps != cnt.Steps() {
-		t.Fatalf("stats steps %d != counter steps %d", sn.Steps, cnt.Steps())
+	if sn.Steps != cnt.Steps() || sn.Steps != s.Steps() {
+		t.Fatalf("stats steps %d, counter steps %d, searcher steps %d", sn.Steps, cnt.Steps(), s.Steps())
+	}
+	s.MatchSeries(db[0], -1, &cnt)
+	if got := st.Steps(); got != cnt.Steps() || got != s.Steps() || got == sn.Steps {
+		t.Fatalf("after MatchSeries: stats steps %d, counter steps %d, searcher steps %d", got, cnt.Steps(), s.Steps())
 	}
 }
 
@@ -142,34 +148,34 @@ func TestMatchFFTUnboundedSkipsTransform(t *testing.T) {
 	ea := NewSearcher(rs, wedge.ED{}, EarlyAbandon, SearcherConfig{})
 	var me Match
 	for _, r := range []float64{-1, math.Inf(1)} {
-		var fftCnt, eaCnt stats.Counter
-		mf := fft.MatchSeries(x, r, &fftCnt)
-		me = ea.MatchSeries(x, r, &eaCnt)
+		fft0, ea0 := fft.Steps(), ea.Steps()
+		mf := fft.MatchSeries(x, r, nil)
+		me = ea.MatchSeries(x, r, nil)
 		if mf.Dist != me.Dist { //lint:ignore floateq both strategies run the one early-abandoning kernel
 			t.Fatalf("r=%v: distances differ: fft %v vs early-abandon %v", r, mf.Dist, me.Dist)
 		}
-		if fftCnt.Steps() != eaCnt.Steps() {
-			t.Fatalf("r=%v: unbounded FFT match charged %d steps, early abandon %d — transform should be skipped",
-				r, fftCnt.Steps(), eaCnt.Steps())
+		if f, e := fft.Steps()-fft0, ea.Steps()-ea0; f != e {
+			t.Fatalf("r=%v: unbounded FFT match charged %d steps, early abandon %d — transform should be skipped", r, f, e)
 		}
 	}
 
 	// A one-row scan is one comparison under the collector's +Inf radius.
 	st := &obs.SearchStats{}
-	var scanCnt, eaScanCnt stats.Counter
-	NewSearcher(rs, wedge.ED{}, FFTFilter, SearcherConfig{Obs: st}).Scan(db, &scanCnt)
-	ea.Scan(db, &eaScanCnt)
-	if scanCnt.Steps() != eaScanCnt.Steps() {
-		t.Fatalf("an fft scan's first comparison charged %d steps, early abandon %d", scanCnt.Steps(), eaScanCnt.Steps())
+	scanner := NewSearcher(rs, wedge.ED{}, FFTFilter, SearcherConfig{Obs: st})
+	scanner.Scan(db, nil)
+	ea0 := ea.Steps()
+	ea.Scan(db, nil)
+	if f, e := scanner.Steps(), ea.Steps()-ea0; f != e {
+		t.Fatalf("an fft scan's first comparison charged %d steps, early abandon %d", f, e)
 	}
 	if sn := st.Snapshot(); sn.FFTFallbacks != 1 || sn.FFTRejects != 0 || !sn.Reconciles() {
 		t.Fatalf("first comparison's record: %+v", sn)
 	}
 
 	// With a finite threshold the transform is charged again.
-	var boundedCnt stats.Counter
-	fft.MatchSeries(x, me.Dist, &boundedCnt)
-	if boundedCnt.Steps() == 0 {
+	fft0 := fft.Steps()
+	fft.MatchSeries(x, me.Dist, nil)
+	if fft.Steps() == fft0 {
 		t.Fatal("bounded FFT match should charge the transform")
 	}
 }

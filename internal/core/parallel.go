@@ -31,7 +31,8 @@ func ScanParallel(rs *RotationSet, kernel wedge.Kernel, strategy Strategy, cfg S
 // and polls it per comparison: a cancellation stops all workers within one
 // checkpoint interval each, and the WaitGroup then joins them before the
 // error is returned — a cancelled scan leaks no goroutines. An uncancelled
-// ScanParallelContext is identical to ScanParallel.
+// ScanParallelContext is identical to ScanParallel. The num_steps spent,
+// a cancelled scan's included, are added to cnt (nil: not accumulated).
 func ScanParallelContext(ctx context.Context, rs *RotationSet, kernel wedge.Kernel, strategy Strategy, cfg SearcherConfig, db [][]float64, workers int, cnt *stats.Counter) (ScanResult, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -40,8 +41,11 @@ func ScanParallelContext(ctx context.Context, rs *RotationSet, kernel wedge.Kern
 		workers = len(db)
 	}
 	if workers <= 1 {
+		s := NewSearcher(rs, kernel, strategy, cfg)
 		c := NewCollector(1, math.Inf(1))
-		if err := NewSearcher(rs, kernel, strategy, cfg).ScanInto(ctx, db, c, cnt); err != nil {
+		err := s.ScanInto(ctx, db, c)
+		cnt.Add(s.Steps())
+		if err != nil {
 			return ScanResult{Index: -1, Dist: math.Inf(1)}, err
 		}
 		return c.Best(), nil
@@ -63,12 +67,13 @@ func ScanParallelContext(ctx context.Context, rs *RotationSet, kernel wedge.Kern
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Workers share cnt (atomic) and any cfg.Obs record directly;
-			// MatchSeries flushes its stack-local counter once per series, so
-			// the shared atomics are touched O(1) times per comparison. Each
-			// comparison is offered to a one-slot collector whose limit is the
-			// worker's copy of the global best-so-far.
+			// Each worker's searcher keeps its own step tally, added to cnt
+			// once when the worker stops, cancelled or not; any cfg.Obs
+			// record is shared and flushed once per comparison. Each
+			// comparison is offered to a one-slot collector whose limit is
+			// the worker's copy of the global best-so-far.
 			searcher := NewSearcher(rs, kernel, strategy, cfg)
+			defer func() { cnt.Add(searcher.Steps()) }()
 			if searcher.Begin(ctx) != nil {
 				return
 			}
@@ -89,7 +94,7 @@ func ScanParallelContext(ctx context.Context, rs *RotationSet, kernel wedge.Kern
 				}
 				for i := lo; i < hi; i++ {
 					c.limit, c.res = threshold, c.res[:0]
-					if searcher.Offer(i, db[i], c, cnt) != nil {
+					if searcher.Offer(i, db[i], c) != nil {
 						return
 					}
 					if len(c.res) == 0 {

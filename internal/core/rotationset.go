@@ -70,16 +70,19 @@ type RotationSet struct {
 // of the rotation matrix: the Euclidean distance between two rotations of
 // the same series depends only on their relative shift, and the distance
 // between a rotation and a mirrored rotation depends only on the sum of the
-// indices, so n + n profile entries suffice for the full matrix.
+// indices, so n + n profile entries suffice for the full matrix. SetupSteps
+// is added to cnt (nil: not accumulated).
 func NewRotationSet(base []float64, opts Options, cnt *stats.Counter) *RotationSet {
-	return NewRotationSetTraced(base, opts, cnt, nil)
+	rs := NewRotationSetTraced(base, opts, nil)
+	cnt.Add(rs.SetupSteps)
+	return rs
 }
 
 // NewRotationSetTraced is NewRotationSet with build-phase span recording:
 // the rotation-matrix expansion (including the circulant distance profiles)
 // and the wedge-hierarchy construction each get a span on rec. A nil rec is
 // the untraced path.
-func NewRotationSetTraced(base []float64, opts Options, cnt *stats.Counter, rec *trace.Recorder) *RotationSet {
+func NewRotationSetTraced(base []float64, opts Options, rec *trace.Recorder) *RotationSet {
 	n := len(base)
 	if n == 0 {
 		panic("core: empty query series")
@@ -109,7 +112,6 @@ func NewRotationSetTraced(base []float64, opts Options, cnt *stats.Counter, rec 
 	rs.tree = wedge.BuildFilled(rs.members, func(matrix []float64) { fillCirculant(matrix, rs.ids, same, cross) }, &local)
 	rec.End(wedgeSpan)
 	rs.SetupSteps = local.Steps()
-	cnt.Add(local.Steps())
 	return rs
 }
 

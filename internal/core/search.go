@@ -94,9 +94,10 @@ type Searcher struct {
 	expCtx   *explain.QueryContext
 
 	// steps and scratch are everything a comparison would otherwise allocate,
-	// lock or atomically add to per candidate: the plain step and outcome
-	// tallies matchSeries flushes once per comparison, and H-Merge's working
-	// memory.
+	// lock or atomically add to per candidate: the searcher's cumulative step
+	// tally (each comparison's steps are its delta, read by Steps), the
+	// outcome tallies matchSeries flushes once per comparison, and H-Merge's
+	// working memory.
 	//lint:ignore tallyescape a Searcher is confined to one goroutine; a stack Tally would escape through the Kernel interface and cost an allocation per comparison
 	steps   stats.Tally
 	scratch wedge.Scratch
@@ -181,6 +182,12 @@ func (s *Searcher) RotationSet() *RotationSet { return s.rs }
 // the no-op sink); an index probe counts its fetches on it too.
 func (s *Searcher) Stats() *obs.SearchStats { return s.obs }
 
+// Steps returns the num_steps every comparison of this searcher has spent.
+// It is the searcher's own tally, kept whether or not a record is attached;
+// an attached record holds the same steps (plus those of any other searcher
+// sharing it).
+func (s *Searcher) Steps() int64 { return s.steps.Steps() }
+
 // Strategy returns the searcher's strategy.
 func (s *Searcher) Strategy() Strategy { return s.strategy }
 
@@ -195,7 +202,7 @@ func (s *Searcher) CurrentK() int {
 // MatchSeries returns the exact rotation-invariant match of x against the
 // query, subject to threshold r (r < 0 or +Inf: unbounded). The returned
 // Match.Dist is +Inf when every rotation provably exceeds r. The num_steps
-// spent are charged to cnt.
+// spent are added to cnt (nil: not accumulated; Steps has them either way).
 func (s *Searcher) MatchSeries(x []float64, r float64, cnt *stats.Counter) Match {
 	rec := s.rec
 	if rec.Full() {
@@ -207,28 +214,31 @@ func (s *Searcher) MatchSeries(x []float64, r float64, cnt *stats.Counter) Match
 	if s.exp.ShouldSample() {
 		s.exp.Observe(s.expCtx.Measure(x, r))
 	}
+	var m Match
 	if rec == nil {
-		return s.matchSeries(x, r, cnt)
+		m = s.matchSeries(x, r)
+	} else {
+		// One span per comparison carrying the counter delta it caused;
+		// nothing beneath the comparison records a span.
+		ref := s.ref
+		s.ref++
+		comp := rec.Begin(trace.StageComparison, ref)
+		m = s.matchSeries(x, r)
+		rec.EndAttrs(comp, s.scratch.Counts) // what matchSeries just flushed: this comparison alone
 	}
-	// One span per comparison carrying the counter delta it caused; nothing
-	// beneath the comparison records a span.
-	ref := s.ref
-	s.ref++
-	comp := rec.Begin(trace.StageComparison, ref)
-	m := s.matchSeries(x, r, cnt)
-	rec.EndAttrs(comp, s.scratch.Counts) // what matchSeries just flushed: this comparison alone
+	cnt.Add(s.scratch.Counts.Steps)
 	return m
 }
 
-// matchSeries is one comparison. The strategies spend their steps on, and
-// attribute every rotation in, the searcher's scratch with plain increments;
-// the shared records are touched once, here, after the comparison — and
-// before the dynamic-K controller sees it, because a K change is stamped
-// with the record's comparison count.
-func (s *Searcher) matchSeries(x []float64, r float64, cnt *stats.Counter) Match {
+// matchSeries is one comparison. The strategies spend their steps on the
+// searcher's tally, whose growth is the comparison's steps, and attribute
+// every rotation in its scratch with plain increments; the record is touched
+// once, here, after the comparison — and before the dynamic-K controller
+// sees it, because a K change is stamped with the record's comparison count.
+func (s *Searcher) matchSeries(x []float64, r float64) Match {
 	s.rs.checkLen(x)
 	sc := &s.scratch
-	s.steps.Reset()
+	steps0 := s.steps.Steps()
 	sc.Counts = obs.Counts{Comparisons: 1, Rotations: int64(s.rs.Members())}
 	var m Match
 	switch s.strategy {
@@ -241,9 +251,8 @@ func (s *Searcher) matchSeries(x []float64, r float64, cnt *stats.Counter) Match
 	default:
 		m = s.matchWedge(x, r)
 	}
-	steps := s.steps.Steps()
+	steps := s.steps.Steps() - steps0
 	sc.Counts.Steps = steps
-	cnt.Add(steps)
 	s.obs.AddCounts(&sc.Counts, &sc.PruneByLevel)
 	s.obs.ObserveComparisonSteps(steps)
 	// A cancelled comparison must not feed the dynamic-K controller: its
@@ -422,10 +431,13 @@ func (c *Collector) Best() ScanResult {
 
 // Scan is Search_Database_for_Rotated_Match (Table 3): a linear scan that
 // finds the database series with the smallest rotation-invariant distance to
-// the query, propagating the best-so-far as the early-abandon threshold.
+// the query, propagating the best-so-far as the early-abandon threshold. The
+// num_steps spent are added to cnt (nil: not accumulated).
 func (s *Searcher) Scan(db [][]float64, cnt *stats.Counter) ScanResult {
+	steps0 := s.steps.Steps()
 	c := NewCollector(1, math.Inf(1))
-	_ = s.ScanInto(context.Background(), db, c, cnt) // uncancellable: never errs
+	_ = s.ScanInto(context.Background(), db, c) // uncancellable: never errs
+	cnt.Add(s.steps.Steps() - steps0)
 	return c.Best()
 }
 
@@ -435,13 +447,13 @@ func (s *Searcher) Scan(db [][]float64, cnt *stats.Counter) ScanResult {
 // visit), so ctx.Err() is returned within one checkpoint interval of the
 // cancellation — c then holds a partial answer to discard. An already-expired
 // ctx returns before any work is done; an uncancellable one costs nothing.
-func (s *Searcher) ScanInto(ctx context.Context, db [][]float64, c *Collector, cnt *stats.Counter) error {
+func (s *Searcher) ScanInto(ctx context.Context, db [][]float64, c *Collector) error {
 	if err := s.Begin(ctx); err != nil {
 		return err
 	}
 	defer s.End()
 	for i, x := range db {
-		if err := s.Offer(i, x, c, cnt); err != nil {
+		if err := s.Offer(i, x, c); err != nil {
 			return err
 		}
 	}
@@ -466,15 +478,15 @@ func (s *Searcher) Begin(ctx context.Context) error {
 func (s *Searcher) End() { s.chk = nil }
 
 // Offer is one candidate of a pass: the checkpoint is polled, series x —
-// database row i, which the comparison's span and EXPLAIN record are named
-// after — is matched under c's current radius and the match offered to c. A
-// comparison the cancellation cut short is discarded, not offered.
-func (s *Searcher) Offer(i int, x []float64, c *Collector, cnt *stats.Counter) error {
+// database row i, which the comparison's span is named after — is matched
+// under c's current radius and the match offered to c. A comparison the
+// cancellation cut short is discarded, not offered.
+func (s *Searcher) Offer(i int, x []float64, c *Collector) error {
 	if err := s.chk.Stop(); err != nil {
 		return err
 	}
 	s.ref = i
-	m := s.MatchSeries(x, c.Radius(), cnt)
+	m := s.MatchSeries(x, c.Radius(), nil)
 	if err := s.chk.Err(); err != nil {
 		return err
 	}

@@ -9,7 +9,6 @@ import (
 	"lbkeogh/internal/obs"
 	"lbkeogh/internal/obs/explain"
 	"lbkeogh/internal/obs/trace"
-	"lbkeogh/internal/stats"
 	"lbkeogh/internal/ts"
 	"lbkeogh/internal/wedge"
 )
@@ -40,11 +39,10 @@ func guardSetup() (*RotationSet, [][]float64) {
 func scanDirect(b *testing.B) {
 	rs, db := guardSetup()
 	s := NewSearcher(rs, wedge.ED{}, Wedge, SearcherConfig{})
-	var cnt stats.Counter
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.matchSeries(db[i%len(db)], -1, &cnt)
+		s.matchSeries(db[i%len(db)], -1)
 	}
 }
 
@@ -54,10 +52,9 @@ func scanNilRecorder(b *testing.B) {
 	rs, db := guardSetup()
 	s := NewSearcher(rs, wedge.ED{}, Wedge, SearcherConfig{})
 	s.SetRecorder(nil)
-	var cnt stats.Counter
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.MatchSeries(db[i%len(db)], -1, &cnt)
+		s.MatchSeries(db[i%len(db)], -1, nil)
 	}
 }
 
@@ -69,10 +66,9 @@ func scanNilExplain(b *testing.B) {
 	s := NewSearcher(rs, wedge.ED{}, Wedge, SearcherConfig{})
 	s.SetRecorder(nil)
 	s.SetExplain(nil)
-	var cnt stats.Counter
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.MatchSeries(db[i%len(db)], -1, &cnt)
+		s.MatchSeries(db[i%len(db)], -1, nil)
 	}
 }
 
@@ -83,10 +79,9 @@ func scanSampled(b *testing.B) {
 	rs, db := guardSetup()
 	s := NewSearcher(rs, wedge.ED{}, Wedge, SearcherConfig{})
 	s.SetExplain(explain.NewRecorder(512))
-	var cnt stats.Counter
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.MatchSeries(db[i%len(db)], -1, &cnt)
+		s.MatchSeries(db[i%len(db)], -1, nil)
 	}
 }
 
@@ -99,11 +94,10 @@ func scanSaturated(b *testing.B) {
 	rec := trace.NewRecorder("bench", 1)
 	rec.Begin(trace.StageSearch, -1)
 	s.SetRecorder(rec)
-	var cnt stats.Counter
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.MatchSeries(db[i%len(db)], -1, &cnt)
+		s.MatchSeries(db[i%len(db)], -1, nil)
 	}
 }
 
@@ -124,14 +118,13 @@ const tracedBatch = 128
 func BenchmarkMatchSeriesTraced(b *testing.B) {
 	rs, db := guardSetup()
 	s := NewSearcher(rs, wedge.ED{}, Wedge, SearcherConfig{})
-	var cnt stats.Counter
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%tracedBatch == 0 {
 			s.SetRecorder(trace.NewRecorder("bench", trace.SpanCap))
 		}
-		s.MatchSeries(db[i%len(db)], -1, &cnt)
+		s.MatchSeries(db[i%len(db)], -1, nil)
 	}
 }
 
@@ -144,14 +137,13 @@ func TestMatchSeriesDoesNotAllocate(t *testing.T) {
 	rs, db := guardSetup()
 	for _, kernel := range []wedge.Kernel{wedge.ED{}, wedge.DTW{R: 5}, wedge.LCSS{Delta: 5, Eps: 0.5}} {
 		s := NewSearcher(rs, kernel, Wedge, SearcherConfig{Obs: new(obs.SearchStats)})
-		var cnt stats.Counter
-		best := s.Scan(db, &cnt).Dist
+		best := s.Scan(db, nil).Dist
 		visits := s.obs.Counts().WedgeNodeVisits
 		usedK := make([]bool, rs.Members()+1)
 		rescan := func() {
 			for _, x := range db {
 				usedK[s.dyn.K()] = true
-				s.MatchSeries(x, best, &cnt)
+				s.MatchSeries(x, best, nil)
 			}
 		}
 		rescan() // grows the H-Merge stack to its high-water mark

@@ -38,11 +38,11 @@ func LandmarkVsRotation(name string, sizeScale float64, r int) (*LandmarkResult,
 	for i, s := range d.Series {
 		aligned[i] = ts.AlignToMax(s)
 	}
-	lmED, _ := classify.LeaveOneOutAligned(aligned, d.Labels, wedge.ED{}, nil)
-	lmDTW, _ := classify.LeaveOneOutAligned(aligned, d.Labels, wedge.DTW{R: r}, nil)
+	lmED, _ := classify.LeaveOneOutAligned(aligned, d.Labels, wedge.ED{})
+	lmDTW, _ := classify.LeaveOneOutAligned(aligned, d.Labels, wedge.DTW{R: r})
 	opts := core.DefaultOptions()
-	riED, _ := classify.LeaveOneOut(d.Series, d.Labels, wedge.ED{}, opts, nil)
-	riDTW, _ := classify.LeaveOneOut(d.Series, d.Labels, wedge.DTW{R: r}, opts, nil)
+	riED, _ := classify.LeaveOneOut(d.Series, d.Labels, wedge.ED{}, opts)
+	riDTW, _ := classify.LeaveOneOut(d.Series, d.Labels, wedge.DTW{R: r}, opts)
 	return &LandmarkResult{
 		Dataset:     name,
 		LandmarkED:  100 * lmED,
@@ -106,7 +106,7 @@ func ImageSpaceBaselines(seed int64, classes, perClass, size, rotations, sigLen 
 		}
 		sigs[i] = sig
 	}
-	edErr, _ := classify.LeaveOneOut(sigs, labels, wedge.ED{}, core.DefaultOptions(), nil)
+	edErr, _ := classify.LeaveOneOut(sigs, labels, wedge.ED{}, core.DefaultOptions())
 	res.SignatureEuclideanErr = 100 * edErr
 	return res, nil
 }
@@ -133,7 +133,7 @@ func SamplingAblation(name string, sizeScale float64, sampledLen int) (*Sampling
 		return nil, fmt.Errorf("experiments: sampledLen %d outside [4, %d)", sampledLen, d.N)
 	}
 	opts := core.DefaultOptions()
-	fullErr, _ := classify.LeaveOneOut(d.Series, d.Labels, wedge.ED{}, opts, nil)
+	fullErr, _ := classify.LeaveOneOut(d.Series, d.Labels, wedge.ED{}, opts)
 	down := make([][]float64, len(d.Series))
 	for i, s := range d.Series {
 		r, err := ts.Resample(s, sampledLen)
@@ -142,7 +142,7 @@ func SamplingAblation(name string, sizeScale float64, sampledLen int) (*Sampling
 		}
 		down[i] = ts.ZNorm(r)
 	}
-	dsErr, _ := classify.LeaveOneOut(down, d.Labels, wedge.ED{}, opts, nil)
+	dsErr, _ := classify.LeaveOneOut(down, d.Labels, wedge.ED{}, opts)
 	return &SamplingResult{
 		Dataset: name, FullLen: d.N, SampledLen: sampledLen,
 		FullErr: 100 * fullErr, SampledErr: 100 * dsErr,
@@ -168,9 +168,9 @@ func OcclusionRobustness(seed int64, classes, perClass, n int, occlusionP float6
 	cfg.Articulation = 0.05
 	d := synth.MakeClassDataset("occlusion", seed, classes, perClass, n, false, cfg)
 	opts := core.DefaultOptions()
-	edErr, _ := classify.LeaveOneOut(d.Series, d.Labels, wedge.ED{}, opts, nil)
-	dtwErr, _ := classify.LeaveOneOut(d.Series, d.Labels, wedge.DTW{R: r}, opts, nil)
-	lcssErr, _ := classify.LeaveOneOut(d.Series, d.Labels, wedge.LCSS{Delta: r, Eps: eps}, opts, nil)
+	edErr, _ := classify.LeaveOneOut(d.Series, d.Labels, wedge.ED{}, opts)
+	dtwErr, _ := classify.LeaveOneOut(d.Series, d.Labels, wedge.DTW{R: r}, opts)
+	lcssErr, _ := classify.LeaveOneOut(d.Series, d.Labels, wedge.LCSS{Delta: r, Eps: eps}, opts)
 	return &OcclusionResult{EDErr: 100 * edErr, DTWErr: 100 * dtwErr, LCSSErr: 100 * lcssErr}, nil
 }
 

@@ -345,12 +345,12 @@ func Table8(name string, sizeScale float64) (*Table8Row, error) {
 		return nil, err
 	}
 	opts := core.DefaultOptions()
-	edErr, _ := classify.LeaveOneOut(d.Series, d.Labels, wedge.ED{}, opts, nil)
+	edErr, _ := classify.LeaveOneOut(d.Series, d.Labels, wedge.ED{}, opts)
 	// Learn R on the training half only, then evaluate LOO on everything
 	// with the chosen R (the paper's protocol).
 	trS, trL, _, _ := classify.Split(d.Series, d.Labels)
-	bestR, _ := classify.BestWarpingWindow(trS, trL, []int{1, 2, 3, 4}, opts, nil)
-	dtwErr, _ := classify.LeaveOneOut(d.Series, d.Labels, wedge.DTW{R: bestR}, opts, nil)
+	bestR, _ := classify.BestWarpingWindow(trS, trL, []int{1, 2, 3, 4}, opts)
+	dtwErr, _ := classify.LeaveOneOut(d.Series, d.Labels, wedge.DTW{R: bestR}, opts)
 	row := &Table8Row{
 		Name:         name,
 		Classes:      d.NumClasses,

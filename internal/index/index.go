@@ -162,14 +162,14 @@ type walk func(r float64, visit func(id int, bound, r float64) float64)
 // skips an object only on an admissible bound that reaches the radius.
 //
 // The probe is s's pass (core.Searcher.Begin/Offer), so it honours s's
-// strategy, wedge-set size and EXPLAIN state, carries its adaptive
-// state on, spends its steps on cnt and its outcomes — fetches
+// strategy, wedge-set size and bound sampler, carries its adaptive state
+// on, spends its steps on s's tally and its steps and outcomes — fetches
 // included — on s's record, and stops with ctx.Err() within one cancellation
 // checkpoint interval of ctx expiring, c then holding a partial answer to
 // discard. Its spans — the walk and one fetch per fetched row, the
 // comparisons beneath — go to s's recorder under the span it has open; a
 // searcher without one records none.
-func (ix *Index) Probe(ctx context.Context, s *core.Searcher, wedges int, c *core.Collector, cnt *stats.Counter) error {
+func (ix *Index) Probe(ctx context.Context, s *core.Searcher, wedges int, c *core.Collector) error {
 	if err := s.Begin(ctx); err != nil {
 		return err
 	}
@@ -189,7 +189,7 @@ func (ix *Index) Probe(ctx context.Context, s *core.Searcher, wedges int, c *cor
 	var err error
 	candidates(c.Radius(), func(id int, _, _ float64) float64 {
 		fetched++
-		if err = s.Offer(id, ix.fetch(rec, id), c, cnt); err != nil {
+		if err = s.Offer(id, ix.fetch(rec, id), c); err != nil {
 			return math.Inf(-1)
 		}
 		return c.Radius()
@@ -215,10 +215,12 @@ func (ix *Index) fetch(rec *trace.Recorder, id int) []float64 {
 
 // probeDefault is Probe through the searcher the rotation-set–taking queries
 // share: H-Merge under kern with the dynamic wedge-set size, recording
-// straight into the index's record, uncancellable.
+// straight into the index's record, uncancellable. The probe's num_steps are
+// added to cnt (nil: not accumulated).
 func (ix *Index) probeDefault(rs *core.RotationSet, kern wedge.Kernel, wedges int, c *core.Collector, cnt *stats.Counter) *core.Collector {
 	s := core.NewSearcher(rs, kern, core.Wedge, core.SearcherConfig{Obs: &ix.obs})
-	_ = ix.Probe(context.Background(), s, wedges, c, cnt) // uncancellable: never errs
+	_ = ix.Probe(context.Background(), s, wedges, c) // uncancellable: never errs
+	cnt.Add(s.Steps())
 	return c
 }
 

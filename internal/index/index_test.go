@@ -677,8 +677,12 @@ func TestSearchChargesSteps(t *testing.T) {
 	rs := core.NewRotationSet(q, core.DefaultOptions(), nil)
 	var cnt stats.Counter
 	ix.SearchED(rs, &cnt)
-	if cnt.Steps() == 0 {
-		t.Fatal("verification steps not charged")
+	if cnt.Steps() == 0 || cnt.Steps() != ix.Stats().Steps() {
+		t.Fatalf("SearchED charged %d steps, its record holds %d", cnt.Steps(), ix.Stats().Steps())
+	}
+	ix.SearchDTW(rs, 3, 0, &cnt)
+	if cnt.Steps() != ix.Stats().Steps() {
+		t.Fatalf("SearchED+SearchDTW charged %d steps, the record holds %d", cnt.Steps(), ix.Stats().Steps())
 	}
 }
 
@@ -720,7 +724,7 @@ func TestProbeDoesNotRetainFetchedRows(t *testing.T) {
 			s := core.NewSearcher(rs, kern, core.Wedge, core.SearcherConfig{})
 			rec := tlog.StartTrace("probe")
 			s.SetRecorder(rec)
-			if err := ix.Probe(context.Background(), s, 0, c, nil); err != nil {
+			if err := ix.Probe(context.Background(), s, 0, c); err != nil {
 				t.Fatal(err)
 			}
 			tlog.Finish(rec, obs.Counts{})
@@ -772,7 +776,7 @@ func TestProbeConcurrentSearchers(t *testing.T) {
 				rec := tlog.StartTrace("probe")
 				s.SetRecorder(rec)
 				c := nearest()
-				if err := ix.Probe(context.Background(), s, 0, c, nil); err != nil {
+				if err := ix.Probe(context.Background(), s, 0, c); err != nil {
 					t.Errorf("worker %d round %d: %v", w, round, err)
 				}
 				tlog.Finish(rec, st.Counts())

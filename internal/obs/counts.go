@@ -1,7 +1,5 @@
 package obs
 
-import "sync/atomic"
-
 // Counts is the scalar half of the instrumentation record, and the only
 // place its counters are listed: a plain value the search hot paths tally
 // one comparison into before publishing it (AddCounts), attached to trace
@@ -9,8 +7,8 @@ import "sync/atomic"
 // an operation (one atomic load per field, no allocation), summed by the
 // serving layer, and embedded in Snapshot. All counters are cumulative since
 // the record was created or last reset. Adding a counter means a field here, a
-// slot in fields, counters and counterDocs, and — if it disposes of
-// rotations — a term in Reconciles; TestCountsFieldGuard fails on a miss.
+// slot in fields and counterDocs, and — if it disposes of rotations — a term
+// in Reconciles; TestCountsFieldGuard fails on a miss.
 type Counts struct {
 	// Comparisons counts rotation-invariant comparisons (one per database
 	// series matched); Rotations the rotation-matrix rows they covered.
@@ -58,8 +56,16 @@ type Counts struct {
 // numCounters is the number of fields in Counts.
 const numCounters = 15
 
+// The slots of SearchStats.counters that the record reads by name.
+const (
+	slotComparisons = 0
+	slotSteps       = 2
+	slotKChanges    = numCounters - 1
+)
+
 // fields addresses every counter of c in declaration order: the one field
-// walk Add, Sub, Each and (*SearchStats).Counts share.
+// walk Add, Sub, Each, (*SearchStats).Counts and AddCounts share, and the
+// order of the record's counter array.
 func (c *Counts) fields() [numCounters]*int64 {
 	return [numCounters]*int64{
 		&c.Comparisons, &c.Rotations, &c.Steps,
@@ -69,19 +75,6 @@ func (c *Counts) fields() [numCounters]*int64 {
 		&c.CancelledMembers,
 		&c.IndexFetches,
 		&c.KChanges,
-	}
-}
-
-// counters addresses the record's atomics in the same order as Counts.fields.
-func (s *SearchStats) counters() [numCounters]*atomic.Int64 {
-	return [numCounters]*atomic.Int64{
-		&s.comparisons, &s.rotations, &s.steps,
-		&s.fullDistEvals, &s.earlyAbandons,
-		&s.wedgeNodeVisits, &s.wedgeLeafVisits, &s.wedgePrunedMembers, &s.wedgeLeafLBPrunes,
-		&s.fftRejects, &s.fftRejectedMembers, &s.fftFallbacks,
-		&s.cancelledMembers,
-		&s.indexFetches,
-		&s.kChanges,
 	}
 }
 
@@ -119,9 +112,8 @@ func (s *SearchStats) Counts() (c Counts) {
 	if s == nil {
 		return c
 	}
-	dst := c.fields()
-	for i, a := range s.counters() {
-		*dst[i] = a.Load()
+	for i, p := range c.fields() {
+		*p = s.counters[i].Load()
 	}
 	return c
 }
@@ -136,10 +128,9 @@ func (s *SearchStats) AddCounts(c *Counts, levels *[MaxPruneLevels]int64) {
 	if s == nil {
 		return
 	}
-	dst := s.counters()
 	for i, p := range c.fields() {
 		if *p != 0 {
-			dst[i].Add(*p)
+			s.counters[i].Add(*p)
 		}
 	}
 	if levels == nil {

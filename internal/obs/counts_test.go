@@ -81,6 +81,20 @@ func TestCountsFieldGuard(t *testing.T) {
 	if levels != [MaxPruneLevels]int64{} {
 		t.Errorf("AddCounts left levels %v behind", levels)
 	}
+	// The slots the record reads by name address the fields they are named for.
+	if got, want := flushed.Steps(), 2*distinct.Steps; got != want {
+		t.Errorf("Steps() = %d, want %d", got, want)
+	}
+	if got, want := flushed.Comparisons(), 2*distinct.Comparisons; got != want {
+		t.Errorf("Comparisons() = %d, want %d", got, want)
+	}
+	flushed.RecordKChange(1, 2)
+	if got, want := flushed.Counts().KChanges, 2*distinct.KChanges+1; got != want {
+		t.Errorf("KChanges after RecordKChange = %d, want %d", got, want)
+	}
+	if got := flushed.Snapshot().KTrajectory; len(got) != 1 || got[0].Comparison != 2*distinct.Comparisons {
+		t.Errorf("RecordKChange stamped %+v, want comparison %d", got, 2*distinct.Comparisons)
+	}
 
 	// Add and Sub cover every field.
 	if got := (Counts{}).Add(distinct); got != distinct {

@@ -59,28 +59,8 @@ type KChange struct {
 // SearchStats accumulates the structured per-query/per-scan record. All
 // methods are safe for concurrent use and on a nil receiver (the no-op sink).
 type SearchStats struct {
-	comparisons atomic.Int64 // MatchSeries-level comparisons
-	rotations   atomic.Int64 // rotation-matrix rows those comparisons covered
-	steps       atomic.Int64 // num_steps (real-value subtractions)
-
-	fullDistEvals atomic.Int64 // exact kernel distances computed to completion
-	earlyAbandons atomic.Int64 // exact kernel distances abandoned mid-way
-
-	wedgeNodeVisits    atomic.Int64 // internal wedges whose children were explored
-	wedgeLeafVisits    atomic.Int64 // individual rotations reached by H-Merge
-	wedgePrunedMembers atomic.Int64 // rotations excluded by an internal-wedge LB
-	wedgeLeafLBPrunes  atomic.Int64 // rotations excluded by a singleton-wedge LB
-	wedgePruneByLevel  [MaxPruneLevels]atomic.Int64
-
-	fftRejects         atomic.Int64 // comparisons rejected whole by the magnitude bound
-	fftRejectedMembers atomic.Int64 // rotations those rejections covered
-	fftFallbacks       atomic.Int64 // comparisons that fell through to early abandoning
-
-	cancelledMembers atomic.Int64 // rotations left undisposed by a cancelled scan
-
-	indexFetches atomic.Int64 // full-resolution fetches for exact verification
-
-	kChanges atomic.Int64
+	counters          [numCounters]atomic.Int64 // the Counts fields, in the order of Counts.fields
+	wedgePruneByLevel [MaxPruneLevels]atomic.Int64
 
 	stepsHist Histogram // per-comparison num_steps distribution
 
@@ -103,10 +83,10 @@ func (s *SearchStats) RecordKChange(from, to int) {
 	if s == nil {
 		return
 	}
-	s.kChanges.Add(1)
+	s.counters[slotKChanges].Add(1)
 	s.mu.Lock()
 	if len(s.kTraj) < maxKTrajectory {
-		s.kTraj = append(s.kTraj, KChange{Comparison: s.comparisons.Load(), From: from, To: to})
+		s.kTraj = append(s.kTraj, KChange{Comparison: s.Comparisons(), From: from, To: to})
 	}
 	s.mu.Unlock()
 }
@@ -116,7 +96,7 @@ func (s *SearchStats) Steps() int64 {
 	if s == nil {
 		return 0
 	}
-	return s.steps.Load()
+	return s.counters[slotSteps].Load()
 }
 
 // Comparisons reports the accumulated comparison count.
@@ -124,7 +104,7 @@ func (s *SearchStats) Comparisons() int64 {
 	if s == nil {
 		return 0
 	}
-	return s.comparisons.Load()
+	return s.counters[slotComparisons].Load()
 }
 
 // Reset zeroes every counter, the histogram and the trajectory.
@@ -132,8 +112,8 @@ func (s *SearchStats) Reset() {
 	if s == nil {
 		return
 	}
-	for _, a := range s.counters() {
-		a.Store(0)
+	for i := range s.counters {
+		s.counters[i].Store(0)
 	}
 	for i := range s.wedgePruneByLevel {
 		s.wedgePruneByLevel[i].Store(0)

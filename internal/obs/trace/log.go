@@ -87,16 +87,6 @@ func (l *Log) Latencies() *StageLatencies {
 	return &l.lat
 }
 
-// ObserveStage feeds one duration straight into the stage histograms — the
-// path for histogram-only stages (disk reads, stream filter windows) that
-// record no spans.
-func (l *Log) ObserveStage(stage Stage, ns int64) {
-	if l == nil {
-		return
-	}
-	l.lat.Observe(stage, ns)
-}
-
 // StartTrace returns a fresh recorder for one query. A nil Log returns a
 // nil Recorder — the no-op path.
 func (l *Log) StartTrace(label string) *Recorder {

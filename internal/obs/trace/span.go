@@ -28,9 +28,6 @@ const (
 	StageColumnProbe
 	// StageFetch covers one full-resolution record fetch for verification.
 	StageFetch
-	// StageMonitorFilter covers one full-window filter pass of a stream
-	// monitor (histogram-only).
-	StageMonitorFilter
 
 	// NumStages bounds the Stage enum; keep it last.
 	NumStages
@@ -45,7 +42,6 @@ var stageNames = [NumStages]string{
 	StageVPProbe:        "vp_probe",
 	StageColumnProbe:    "paa_probe",
 	StageFetch:          "fetch",
-	StageMonitorFilter:  "monitor_filter",
 }
 
 // String returns the stable lowercase stage name used in exports and

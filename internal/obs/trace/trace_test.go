@@ -90,6 +90,20 @@ func TestNilRecorderIsNoop(t *testing.T) {
 	}
 }
 
+func TestNilLogIsNoop(t *testing.T) {
+	var l *Log
+	if l.StartTrace("x") != nil {
+		t.Error("nil log must start nil recorders")
+	}
+	l.Finish(nil, obs.Counts{})
+	if l.Recent() != nil || l.Slow() != nil || l.Latencies() != nil {
+		t.Error("nil log accessors must return nil")
+	}
+	if th := l.SlowThreshold(); th != 0 {
+		t.Errorf("nil SlowThreshold = %v, want 0", th)
+	}
+}
+
 func TestLogSlowCaptureBypassesSampling(t *testing.T) {
 	// Negative sample rate: nothing sampled; 1ns threshold: everything slow.
 	l := NewLog(Config{SampleRate: -1, SlowThreshold: 1})
@@ -165,26 +179,6 @@ func TestLogFeedsHistogramsForUnretainedTraces(t *testing.T) {
 	}
 	if got := l.Latencies().Histogram(StageSearch).Count(); got != 1 {
 		t.Errorf("search histogram count = %d, want 1 (histograms see every trace)", got)
-	}
-}
-
-func TestLogObserveStageAndNil(t *testing.T) {
-	l := NewLog(Config{})
-	l.ObserveStage(StageMonitorFilter, 1234)
-	if got := l.Latencies().Histogram(StageMonitorFilter).Count(); got != 1 {
-		t.Errorf("monitor_filter count = %d, want 1", got)
-	}
-	var nilLog *Log
-	if nilLog.StartTrace("x") != nil {
-		t.Error("nil log must start nil recorders")
-	}
-	nilLog.ObserveStage(StageMonitorFilter, 1)
-	nilLog.Finish(nil, obs.Counts{})
-	if nilLog.Recent() != nil || nilLog.Slow() != nil || nilLog.Latencies() != nil {
-		t.Error("nil log accessors must return nil")
-	}
-	if th := nilLog.SlowThreshold(); th != 0 {
-		t.Errorf("nil SlowThreshold = %v, want 0", th)
 	}
 }
 

@@ -160,8 +160,8 @@ func (s *Snapshot) Features() (mags, paas [][]float64) {
 // store: in-flight readers keep their generation mapped until they finish.
 //
 // DB implements the index.SeriesStore contract (Fetch/Len), and so does its
-// Pinned view. The store keeps no count of fetches: an index counts its own
-// (index.Index.Reads, and the probe's IndexFetches).
+// Pinned view. The store keeps no count of fetches: an index counts its own,
+// as IndexFetches in its record and the probing query's.
 type DB struct {
 	dir  string
 	dims int // requested feature dims for the first segment of an empty store

@@ -120,9 +120,10 @@ func (w *Writer) Add(series []float64, label int64) error {
 }
 
 // AddPrecomputed appends one record with caller-computed feature columns. A
-// series with a NaN or ±Inf sample is refused, naming the record (counted
-// from the start of this segment) and the sample: its bounds would be NaN,
-// and an index over the store would never propose it or its neighbours.
+// series ts.CheckRow refuses is refused, naming the record (counted from the
+// start of this segment): a NaN or ±Inf sample makes its bounds NaN, so an
+// index over the store would never propose it or its neighbours, and a
+// squared norm that overflows puts it at +Inf from every query.
 func (w *Writer) AddPrecomputed(series, mags, paas []float64, label int64) error {
 	if w.done {
 		return fmt.Errorf("segment: writer already closed")
@@ -130,8 +131,8 @@ func (w *Writer) AddPrecomputed(series, mags, paas []float64, label int64) error
 	if len(series) != w.n {
 		return invalid("series length %d != %d", len(series), w.n)
 	}
-	if i := ts.NonFinite(series); i >= 0 {
-		return invalid("record %d sample %d is %v; every sample must be finite", w.count, i, series[i])
+	if err := ts.CheckRow(series); err != nil {
+		return invalid("record %d %w", w.count, err)
 	}
 	if len(mags) != w.d || len(paas) != w.d {
 		return fmt.Errorf("segment: feature lengths %d/%d != dims %d", len(mags), len(paas), w.d)

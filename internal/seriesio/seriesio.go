@@ -15,8 +15,10 @@ import (
 )
 
 // ReadCSV parses the file at path into parallel label and series slices. A
-// dataset needs at least 2 rows of at least 2 values each; blank lines are
-// skipped. Errors carry the path and 1-based line number.
+// dataset needs at least 2 rows, which ts.CheckRows accepts: equally long, at
+// least 2 values each, every value finite, no squared norm that overflows.
+// Blank lines are skipped. Parse errors carry the path and 1-based line
+// number; a row CheckRows refuses is named by its 0-based row index.
 func ReadCSV(path string) ([]int, [][]float64, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -48,9 +50,6 @@ func ReadCSV(path string) ([]int, [][]float64, error) {
 			}
 			row[i] = v
 		}
-		if i := ts.NonFinite(row); i >= 0 {
-			return nil, nil, fmt.Errorf("%s:%d: value %d is %v; every sample must be finite", path, line, i, row[i])
-		}
 		labels = append(labels, label)
 		series = append(series, row)
 	}
@@ -59,6 +58,9 @@ func ReadCSV(path string) ([]int, [][]float64, error) {
 	}
 	if len(series) < 2 {
 		return nil, nil, fmt.Errorf("%s: need at least 2 rows", path)
+	}
+	if _, err := ts.CheckRows(series, "row"); err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return labels, series, nil
 }

@@ -41,9 +41,11 @@ func TestReadCSVErrors(t *testing.T) {
 		{"x,1,2\n3,4,5\n", "bad label"},
 		{"1,2,zzz\n3,4,5\n", "bad value"},
 		{"1,2,3\n", "at least 2 rows"},
-		{"1,2,3\n4,5,NaN\n", "db.csv:2: value 1 is NaN"},
-		{"1,-Inf,3\n4,5,6\n", "db.csv:1: value 0 is -Inf"},
-		{"1,2,3\n\n4,inf,6\n", "db.csv:3: value 0 is +Inf"},
+		{"1,2,3\n4,5,NaN\n", "db.csv: row 1 sample 1 is NaN"},
+		{"1,-Inf,3\n4,5,6\n", "db.csv: row 0 sample 0 is -Inf"},
+		{"1,2,3\n\n4,inf,6\n", "db.csv: row 1 sample 0 is +Inf"},
+		{"1,2,3\n4,1e200,-1e200\n", "db.csv: row 1 has a squared norm"},
+		{"1,2,3\n4,5,6,7\n", "db.csv: row 1 length 3 != 2"},
 	}
 	for _, c := range cases {
 		if _, _, err := ReadCSV(write(t, c.content)); err == nil || !strings.Contains(err.Error(), c.wantSub) {
@@ -56,8 +58,8 @@ func TestReadCSVErrors(t *testing.T) {
 }
 
 // FuzzReadCSV holds ReadCSV to its contract on arbitrary bytes: an input is
-// refused, or it yields at least 2 rows of at least 2 finite values, one
-// label each, that read back bit for bit after re-serialising in the layout
+// refused, or it yields at least 2 equally long rows of at least 2 finite
+// values, one label each, that read back bit for bit after re-serialising in the layout
 // mkdata writes. No input panics.
 func FuzzReadCSV(f *testing.F) {
 	for _, seed := range []string{
@@ -84,8 +86,8 @@ func FuzzReadCSV(f *testing.F) {
 		}
 		var b strings.Builder
 		for i, row := range series {
-			if len(row) < 2 {
-				t.Fatalf("row %d has %d values", i, len(row))
+			if len(row) < 2 || len(row) != len(series[0]) {
+				t.Fatalf("row %d has %d values, row 0 %d", i, len(row), len(series[0]))
 			}
 			b.WriteString(strconv.Itoa(labels[i]))
 			for j, v := range row {

@@ -125,6 +125,16 @@ func TestStoreModeIngestFirstWorkflow(t *testing.T) {
 	if code != http.StatusBadRequest {
 		t.Fatalf("mismatched ingest: status %d body %s", code, raw)
 	}
+	// So is a row whose squared norm overflows: every query would be +Inf
+	// from it.
+	huge := storeRows(4, 2, 32)
+	for i := range huge[1] {
+		huge[1][i] = 1e200 * float64(1-2*(i%2))
+	}
+	code, raw = postJSON(t, ts, "/v1/ingest", ingestBody(huge), nil)
+	if code != http.StatusBadRequest || !strings.Contains(raw, "record 1 has a squared norm") {
+		t.Fatalf("overflowing ingest: status %d body %s", code, raw)
+	}
 
 	// Second ingest appends with continuing IDs; compact merges to one segment.
 	code, raw = postJSON(t, ts, "/v1/ingest", ingestBody(storeRows(5, 4, 32)), &ing)

@@ -5,9 +5,11 @@
 // The paper (Section 5.3) argues that comparing approaches by CPU time is
 // subject to implementation bias, and instead counts "num_steps": the number
 // of real-value subtractions performed by a distance or lower-bound kernel.
-// Every kernel in this repository threads a *Counter through and adds the
-// steps it performs, so experiments can report exactly the metric the paper
-// reports.
+// Every kernel in this repository takes a *Tally and adds the steps it
+// performs to it; a searcher keeps one Tally as its record of the steps its
+// comparisons spent, so experiments can report exactly the metric the paper
+// reports. A Counter is the caller's accumulator across searches and
+// queries.
 package stats
 
 import "sync/atomic"
@@ -15,11 +17,9 @@ import "sync/atomic"
 // Counter accumulates num_steps as defined in the paper: one step per
 // real-value subtraction performed by a distance or lower-bound kernel.
 //
-// A nil *Counter is valid everywhere and records nothing, so hot kernels can
-// be called without accounting overhead mattering to the caller. Add is
-// atomic, so parallel scans may share one counter without racing; hot loops
-// that would be bound by the atomic keep a stack-local Counter and flush it
-// once per call, as the kernels already do.
+// A nil *Counter is valid everywhere and records nothing. Add is atomic, so
+// the workers of a parallel scan may share one counter without racing; each
+// adds its steps once, when it stops. Hot loops keep a Tally instead.
 type Counter struct {
 	steps atomic.Int64
 }
@@ -52,7 +52,8 @@ func (c *Counter) Reset() {
 // distance evaluation would dominate the cost of short early-abandoned
 // kernels. A Tally must never be shared across goroutines; owners keep one
 // on the stack (or in scratch confined to their goroutine, as wedge.Scratch
-// is) and flush it into a Counter (or an obs record) once per comparison. A nil *Tally records nothing, mirroring Counter's contract.
+// is) and flush it into a Counter (or an obs record) once per comparison or
+// per call. A nil *Tally records nothing, mirroring Counter's contract.
 type Tally struct {
 	steps int64
 }

@@ -10,6 +10,7 @@
 package ts
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
@@ -178,12 +179,25 @@ func Oversized(s []float64) bool {
 	return !(ss < MaxSquaredNorm)
 }
 
+// CheckRow is the one rule every row obeys wherever it enters — a query, an
+// index, a store, a CSV file, a monitor's patterns: every sample finite and
+// the squared norm below MaxSquaredNorm. Its error names the sample at fault
+// and reads as the continuation of the row's name ("query " + err).
+func CheckRow(row []float64) error {
+	if !Oversized(row) {
+		return nil // one pass: a NaN or ±Inf sample makes the squared norm NaN or +Inf
+	}
+	if j := NonFinite(row); j >= 0 {
+		return fmt.Errorf("sample %d is %v; every sample must be finite", j, row[j])
+	}
+	return errors.New("has a squared norm of at least MaxFloat64/8; its distances would overflow")
+}
+
 // CheckRows is the one check of a row set that a search structure is built
 // over — an index's database, a mining collection, a monitor's patterns: at
 // least one row, every row as long as the first and at least 2 samples long,
-// every sample finite, every squared norm below MaxSquaredNorm. It returns
-// the common length, or an error naming the first row (as what, e.g.
-// "pattern") and sample at fault.
+// and every row passing CheckRow. It returns the common length, or an error
+// naming the first row (as what, e.g. "pattern") and sample at fault.
 func CheckRows(rows [][]float64, what string) (int, error) {
 	if len(rows) == 0 {
 		return 0, fmt.Errorf("no %s given", what)
@@ -196,11 +210,8 @@ func CheckRows(rows [][]float64, what string) (int, error) {
 		if len(row) != n {
 			return 0, fmt.Errorf("%s %d length %d != %d", what, i, len(row), n)
 		}
-		if j := NonFinite(row); j >= 0 {
-			return 0, fmt.Errorf("%s %d sample %d is %v; every sample must be finite", what, i, j, row[j])
-		}
-		if Oversized(row) {
-			return 0, fmt.Errorf("%s %d has a squared norm of at least MaxFloat64/8; its distances would overflow", what, i)
+		if err := CheckRow(row); err != nil {
+			return 0, fmt.Errorf("%s %d %w", what, i, err)
 		}
 	}
 	return n, nil

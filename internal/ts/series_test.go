@@ -226,4 +226,19 @@ func TestOversized(t *testing.T) {
 	if _, err := CheckRows(rows, "row"); err == nil || !strings.Contains(err.Error(), "row 2 has") {
 		t.Errorf("CheckRows: want an error naming row 2, got %v", err)
 	}
+	// CheckRow names a non-finite sample before it reports the norm.
+	for _, c := range []struct {
+		s    []float64
+		want string
+	}{
+		{[]float64{1, -2, 3}, ""},
+		{[]float64{1e200, math.NaN(), 3}, "sample 1 is NaN"},
+		{[]float64{1, 2, math.Inf(-1)}, "sample 2 is -Inf"},
+		{[]float64{1e200, -1e200}, "has a squared norm"},
+	} {
+		err := CheckRow(c.s)
+		if (err == nil) != (c.want == "") || err != nil && !strings.Contains(err.Error(), c.want) {
+			t.Errorf("CheckRow(%v) = %v, want %q", c.s, err, c.want)
+		}
+	}
 }

@@ -8,7 +8,6 @@ import (
 	"lbkeogh/internal/core"
 	"lbkeogh/internal/obs"
 	"lbkeogh/internal/obs/trace"
-	"lbkeogh/internal/stats"
 	"lbkeogh/internal/ts"
 )
 
@@ -142,8 +141,11 @@ type Query struct {
 	strategy  core.Strategy
 	searchCfg core.SearcherConfig
 	n         int
-	counter   stats.Counter
-	obs       obs.SearchStats
+	// carry is what Steps adds to the record's steps: the build's
+	// SetupSteps, less what ResetSteps discarded, plus what ResetStats
+	// cleared from the record.
+	carry int64
+	obs   obs.SearchStats
 	// lastTraceID is the retained trace ID of the most recently finished
 	// operation (0 when untraced or sampled away). Queries are single-use
 	// per operation — the server pool checks sessions out exclusively — so
@@ -164,11 +166,8 @@ func NewQuery(series Series, m Measure, opts ...QueryOption) (*Query, error) {
 	if len(series) < 2 {
 		return nil, fmt.Errorf("lbkeogh: query series needs >= 2 samples, got %d", len(series))
 	}
-	if i := ts.NonFinite(series); i >= 0 {
-		return nil, fmt.Errorf("lbkeogh: query sample %d is %v; every sample must be finite", i, series[i])
-	}
-	if ts.Oversized(series) {
-		return nil, fmt.Errorf("lbkeogh: query series has a squared norm of at least MaxFloat64/8; its distances would overflow")
+	if err := ts.CheckRow(series); err != nil {
+		return nil, fmt.Errorf("lbkeogh: query %w", err)
 	}
 	cfg, copts, err := resolveOptions(opts, len(series))
 	if err != nil {
@@ -182,7 +181,8 @@ func NewQuery(series Series, m Measure, opts ...QueryOption) (*Query, error) {
 	q.searchCfg = core.SearcherConfig{FixedK: cfg.fixedK, Obs: &q.obs}
 	rec := q.tlog.StartTrace("build")
 	buildSpan := rec.Begin(trace.StageBuild, -1)
-	q.rs = core.NewRotationSetTraced(series, copts, &q.counter, rec)
+	q.rs = core.NewRotationSetTraced(series, copts, rec)
+	q.carry = q.rs.SetupSteps
 	q.searcher = core.NewSearcher(q.rs, m.kern, q.strategy, q.searchCfg)
 	rec.End(buildSpan)
 	q.tlog.Finish(rec, obs.Counts{})
@@ -231,12 +231,13 @@ func (q *Query) Rotations() int { return q.rs.Members() }
 
 // Steps returns the cumulative num_steps (real-value subtractions) this
 // query has spent, including its construction cost — the paper's
-// implementation-free efficiency metric.
-func (q *Query) Steps() int64 { return q.counter.Steps() }
+// implementation-free efficiency metric. It is the build's SetupSteps plus
+// the steps of the instrumentation record, and ResetStats does not change it.
+func (q *Query) Steps() int64 { return q.carry + q.obs.Steps() }
 
-// ResetSteps zeroes the step counter (construction cost included — call
-// right after NewQuery to exclude it).
-func (q *Query) ResetSteps() { q.counter.Reset() }
+// ResetSteps zeroes Steps (construction cost included — call right after
+// NewQuery to exclude it); the instrumentation record is unaffected.
+func (q *Query) ResetSteps() { q.carry = -q.obs.Steps() }
 
 // Stats returns a snapshot of the query's instrumentation record: the
 // pruning breakdown per bound, the per-comparison steps histogram, and the
@@ -250,9 +251,12 @@ func (q *Query) Stats() SearchStats {
 	return s
 }
 
-// ResetStats zeroes the instrumentation record (the Steps counter is
-// independent and unaffected).
-func (q *Query) ResetStats() { q.obs.Reset() }
+// ResetStats zeroes the instrumentation record; Steps is unaffected, since
+// the record's steps move into what Steps carries.
+func (q *Query) ResetStats() {
+	q.carry += q.obs.Steps()
+	q.obs.Reset()
+}
 
 func (q *Query) rotation(m core.Member) Rotation {
 	return Rotation{
@@ -277,7 +281,7 @@ func (q *Query) Distance(x Series) (float64, Rotation, error) {
 		return 0, Rotation{}, err
 	}
 	rec, root, before := q.startTrace("distance")
-	m := q.searcher.MatchSeries(x, -1, &q.counter)
+	m := q.searcher.MatchSeries(x, -1, nil)
 	q.finishTrace(rec, root, before)
 	return m.Dist, q.rotation(m.Member), nil
 }
@@ -296,7 +300,7 @@ func (q *Query) Match(x Series, threshold float64) (dist float64, rot Rotation, 
 		return 0, Rotation{}, false, fmt.Errorf("lbkeogh: match threshold must be >= 0, got %v", threshold)
 	}
 	rec, root, before := q.startTrace("match")
-	m := q.searcher.MatchSeries(x, threshold, &q.counter)
+	m := q.searcher.MatchSeries(x, threshold, nil)
 	q.finishTrace(rec, root, before)
 	if !m.Found() {
 		return math.Inf(1), Rotation{}, false, nil
@@ -379,7 +383,7 @@ func (q *Query) results(rs []core.ScanResult) []SearchResult {
 func (q *Query) scan(ctx context.Context, db []Series, label string, k int, limit float64) ([]SearchResult, error) {
 	return q.search(ctx, label, func() error { return q.validateDB(db) }, func(ctx context.Context) ([]core.ScanResult, error) {
 		c := core.NewCollector(k, limit)
-		err := q.searcher.ScanInto(ctx, db, c, &q.counter)
+		err := q.searcher.ScanInto(ctx, db, c)
 		return c.Results(), err
 	})
 }
@@ -427,7 +431,7 @@ func (q *Query) SearchParallelContext(ctx context.Context, db []Series, workers 
 	// single-goroutine, and the per-worker searchers are built from the
 	// config, recorder-less.
 	rs, err := q.search(ctx, "search_parallel", func() error { return q.validateDB(db) }, func(ctx context.Context) ([]core.ScanResult, error) {
-		r, err := core.ScanParallelContext(ctx, q.rs, q.measure.kern, q.strategy, q.searchCfg, db, workers, &q.counter)
+		r, err := core.ScanParallelContext(ctx, q.rs, q.measure.kern, q.strategy, q.searchCfg, db, workers, nil)
 		return []core.ScanResult{r}, err
 	})
 	if err != nil {

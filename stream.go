@@ -2,12 +2,10 @@ package lbkeogh
 
 import (
 	"fmt"
-	"time"
 
 	"lbkeogh/internal/dist"
 	"lbkeogh/internal/envelope"
 	"lbkeogh/internal/obs"
-	"lbkeogh/internal/obs/trace"
 	"lbkeogh/internal/stats"
 	"lbkeogh/internal/ts"
 	"lbkeogh/internal/wedge"
@@ -52,8 +50,7 @@ type Monitor struct {
 	//lint:ignore tallyescape a Monitor is confined to one goroutine; a stack Tally would escape through the Kernel interface and cost an allocation per window
 	local stats.Tally
 
-	obs  obs.SearchStats // per-window pruning breakdowns and steps
-	tlog *TraceLog       // nil: no filter-latency histograms
+	obs obs.SearchStats // per-window pruning breakdowns and steps
 }
 
 // NewMonitor compiles the patterns (equal length n) for streaming threshold
@@ -103,21 +100,8 @@ func (mo *Monitor) Steps() int64 { return mo.obs.Counts().Steps }
 
 // Stats returns a snapshot of the monitor's instrumentation record: each
 // full window is one comparison, and every pattern in it was either
-// wedge-pruned, abandoned early, or fully evaluated. When a TraceLog is
-// attached, the snapshot additionally carries the monitor_filter latency
-// summary.
-func (mo *Monitor) Stats() SearchStats {
-	s := mo.obs.Snapshot()
-	s.StageLatencies = mo.tlog.inner().Latencies().Snapshot()
-	return s
-}
-
-// SetTraceLog attaches a TraceLog whose monitor_filter stage histogram
-// receives the wall duration of every full-window filter pass (nil
-// detaches). Per-window spans are not recorded: a monitor pushes millions of
-// values, and the histogram is the useful granularity. Not safe to call
-// concurrently with Push.
-func (mo *Monitor) SetTraceLog(t *TraceLog) { mo.tlog = t }
+// wedge-pruned, abandoned early, or fully evaluated.
+func (mo *Monitor) Stats() SearchStats { return mo.obs.Snapshot() }
 
 // ResetStats zeroes the instrumentation record, Steps included.
 func (mo *Monitor) ResetStats() { mo.obs.Reset() }
@@ -146,11 +130,6 @@ func (mo *Monitor) Push(v float64) []StreamMatch {
 		if mo.filled < mo.n {
 			return nil
 		}
-	}
-	tlog := mo.tlog.inner()
-	var t0 time.Time
-	if tlog != nil {
-		t0 = time.Now()
 	}
 	w := mo.window()
 	var out []StreamMatch
@@ -194,9 +173,6 @@ func (mo *Monitor) Push(v float64) []StreamMatch {
 	counts.Steps = local.Steps()
 	mo.obs.AddCounts(&counts, &levels)
 	mo.obs.ObserveComparisonSteps(counts.Steps)
-	if tlog != nil {
-		tlog.ObserveStage(trace.StageMonitorFilter, int64(time.Since(t0)))
-	}
 	return out
 }
 

@@ -45,9 +45,8 @@ func WithSlowThreshold(d time.Duration) TraceOption {
 // ring of slow queries (always captured at or above the slow threshold —
 // retention is decided when the query finishes, so outliers cannot be
 // sampled away). Attach one to queries with WithTraceLog — a query's index
-// searches are traced there too — and to monitors with Monitor.SetTraceLog;
-// one log may serve several sources. A nil *TraceLog is a valid no-op
-// everywhere.
+// searches are traced there too; one log may serve many queries. A nil
+// *TraceLog is a valid no-op everywhere.
 type TraceLog struct {
 	log *trace.Log
 }
