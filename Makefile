@@ -35,15 +35,16 @@ race:
 	$(GO) test -tags lbkeogh_pread . ./internal/segment/... ./internal/index/...
 
 # Focused race pass over the concurrency-heavy packages (server admission and
-# session pooling, streaming ingest, the shared cumulative telemetry, the parallel
-# scan's shared best-so-far, the matrix pool every concurrent query build
-# shares, the index every in-flight server session probes at once, the
-# segment store's refcounted snapshot swap under concurrent Ingest/Compact,
-# and the root package's MetricsHandler over a live parallel Query): -count=2
-# reruns shake out init-order-dependent interleavings that a single -race pass
-# can miss.
+# session pooling, streaming ingest (shapeingest's worker pool and ordered
+# commit), the shared cumulative telemetry, the parallel scan's shared
+# best-so-far, the matrix pool every concurrent query build shares, the index
+# every in-flight server session probes at once, the segment store's
+# refcounted snapshot swap under concurrent Ingest/Compact, and the root
+# package's MetricsHandler over a live parallel Query): the packages of CI's
+# race matrix. -count=2 reruns shake out init-order-dependent interleavings
+# that a single -race pass can miss.
 race-concurrency:
-	$(GO) test -race -count=2 . ./internal/server/... ./internal/obs/... ./internal/core/... ./internal/wedge/... ./internal/cluster/... ./internal/index/... ./internal/segment/... ./internal/vptree/...
+	$(GO) test -race -count=2 . ./internal/server/... ./internal/obs/... ./internal/core/... ./internal/wedge/... ./internal/cluster/... ./internal/index/... ./internal/segment/... ./internal/vptree/... ./cmd/shapeingest/...
 
 # The pinned tables (one scan's whole stats record, the index-path oracle's
 # steps per cell, the collector's scans, a trace's composition, a monitor's

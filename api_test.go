@@ -15,6 +15,22 @@ func demoDB(seed int64, m, n int) []Series {
 	return SyntheticProjectilePoints(seed, m, n)
 }
 
+// TestStrategyZeroValueIsWedge: the default a query gets without
+// WithStrategy is the zero Strategy, and it is the paper's wedge search.
+func TestStrategyZeroValueIsWedge(t *testing.T) {
+	var s Strategy
+	if s != WedgeSearch || s.String() != "wedge" {
+		t.Fatalf("zero Strategy = %v (%d), want WedgeSearch printing \"wedge\"", s, int(s))
+	}
+	q, err := NewQuery([]float64{1, 2, 3, 4}, Euclidean())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := q.searcher.Strategy(); got != WedgeSearch {
+		t.Fatalf("a query without WithStrategy runs %v", got)
+	}
+}
+
 func TestNewQueryValidation(t *testing.T) {
 	if _, err := NewQuery(nil, Euclidean()); err == nil {
 		t.Fatal("want error for empty series")
@@ -25,8 +41,11 @@ func TestNewQueryValidation(t *testing.T) {
 	if _, err := NewQuery([]float64{1, 2, 3}, Measure{}); err == nil {
 		t.Fatal("want error for zero Measure")
 	}
-	if _, err := NewQuery([]float64{1, 2, 3}, DTW(1), WithStrategy(FFTSearch)); err == nil {
-		t.Fatal("want error for FFTSearch+DTW")
+	for _, m := range []Measure{DTW(3), LCSS(3, 0.25)} {
+		_, err := NewQuery([]float64{1, 2, 3}, m, WithStrategy(FFTSearch))
+		if err == nil || !strings.Contains(err.Error(), "FFTSearch") || !strings.Contains(err.Error(), m.Name()) {
+			t.Fatalf("FFTSearch with %s: got %v, want an error naming FFTSearch and the measure", m.Name(), err)
+		}
 	}
 	if _, err := NewQuery([]float64{1, 2, 3, 4}, Euclidean(), WithMaxRotationDegrees(200)); err == nil {
 		t.Fatal("want error for degree limit >= 180")
@@ -69,6 +88,25 @@ func TestNewMonitorRefusesOverflowingNorm(t *testing.T) {
 	patterns := []Series{alternating(1e200, 16), alternating(-1e200, 16), alternating(1, 16)}
 	if _, err := NewMonitor(patterns, Euclidean(), 0.5); err == nil || !strings.Contains(err.Error(), "pattern 0 has") {
 		t.Errorf("NewMonitor over ±1e200 patterns: want an error naming pattern 0, got %v", err)
+	}
+}
+
+// TestNonFiniteCandidateNeverMatches: a candidate with a NaN sample is at no
+// finite distance under any strategy, so Distance answers +Inf. Brute force
+// used to panic on it: no distance compares below NaN, so no rotation was
+// kept, and it looked up rotation -1.
+func TestNonFiniteCandidateNeverMatches(t *testing.T) {
+	db := demoDB(25, 3, 32)
+	x := append(Series(nil), db[1]...)
+	x[3] = math.NaN()
+	for _, s := range allStrategies() {
+		q, err := NewQuery(db[0], Euclidean(), WithStrategy(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d, _, err := q.Distance(x); err != nil || !math.IsInf(d, 1) {
+			t.Fatalf("%v: Distance to a NaN candidate = %v, %v; want +Inf", s, d, err)
+		}
 	}
 }
 

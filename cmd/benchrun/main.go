@@ -27,6 +27,7 @@ import (
 
 	"lbkeogh/internal/experiments"
 	"lbkeogh/internal/obs/ops"
+	"lbkeogh/internal/synth"
 )
 
 func main() {
@@ -124,7 +125,7 @@ func main() {
 	run("table8", func() error {
 		tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(tw, "   dataset\tclasses\tm (paper m)\tED err%\tDTW err% {R}\tpaper ED\tpaper DTW {R}")
-		for _, name := range listTable8() {
+		for _, name := range synth.Table8Names() {
 			row, err := experiments.Table8(name, *scale)
 			if err != nil {
 				return err
@@ -310,16 +311,4 @@ func efficiency(cfg experiments.EfficiencyConfig) error {
 	fmt.Printf("   wedge speedup over brute force at m=%d: %.0fx\n",
 		cfg.Sizes[len(cfg.Sizes)-1], experiments.SpeedupAtLargestM(curves))
 	return nil
-}
-
-func listTable8() []string {
-	return []string{"Face", "Swedish Leaves", "Chicken", "MixedBag", "OSU Leaves",
-		"Diatoms", "Aircraft", "Fish", "Light-Curve", "Yoga"}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

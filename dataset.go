@@ -2,6 +2,7 @@ package lbkeogh
 
 import (
 	"fmt"
+	"sort"
 
 	"lbkeogh/internal/lightcurve"
 	"lbkeogh/internal/synth"
@@ -9,23 +10,10 @@ import (
 )
 
 // Dataset is a labelled collection of equal-length series, as produced by
-// the synthetic generators that reproduce the paper's evaluation workloads.
-type Dataset struct {
-	// Name identifies the dataset.
-	Name string
-	// Series holds the instances (all of length N).
-	Series []Series
-	// Labels holds the class label of each instance.
-	Labels []int
-	// NumClasses is the number of distinct classes.
-	NumClasses int
-	// N is the series length.
-	N int
-}
-
-func fromInternal(d *synth.Dataset) *Dataset {
-	return &Dataset{Name: d.Name, Series: d.Series, Labels: d.Labels, NumClasses: d.NumClasses, N: d.N}
-}
+// the synthetic generators that reproduce the paper's evaluation workloads:
+// Name, Series (all of length N), Labels (each instance's class) and
+// NumClasses.
+type Dataset = synth.Dataset
 
 // SyntheticProjectilePoints generates the homogeneous projectile-point
 // workload of the paper's Figures 19–20: m spiky contour signatures of
@@ -63,26 +51,12 @@ func Table8Names() []string { return synth.Table8Names() }
 // Table 8 datasets (same class count, scaled instance count). sizeScale
 // multiplies the default per-class instance count; pass 1 for defaults.
 func Table8Dataset(name string, sizeScale float64) (*Dataset, error) {
-	d, err := synth.Table8Dataset(name, sizeScale)
-	if err != nil {
-		return nil, err
-	}
-	return fromInternal(d), nil
+	return synth.Table8Dataset(name, sizeScale)
 }
 
 // Glyphs returns signatures of the demo glyphs 'b', 'd', 'p', 'q', '6', '9'
 // rendered through the full raster pipeline at signature length n.
-func Glyphs(n int) (map[byte]Series, error) {
-	g, err := synth.Glyphs(n)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[byte]Series, len(g))
-	for k, v := range g {
-		out[k] = v
-	}
-	return out, nil
-}
+func Glyphs(n int) (map[byte]Series, error) { return synth.Glyphs(n) }
 
 // SkullDataset generates the procedural primate-skull collection used by
 // the clustering demos (Figures 3 and 16 of the paper): instances per named
@@ -97,12 +71,7 @@ func SkullDataset(seed int64, perSpecies, n int, noise float64) (*Dataset, []str
 	for name := range species {
 		names = append(names, name)
 	}
-	// Sort for determinism.
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
+	sort.Strings(names) // for determinism
 	rng := ts.NewRand(seed)
 	d := &Dataset{Name: "skulls", NumClasses: len(names), N: n}
 	for li, name := range names {

@@ -50,7 +50,7 @@ func assertPlanMatchesStats(t *testing.T, plan BoundSamplerSnapshot, st SearchSt
 func TestExplainPlanReconcilesAcrossStrategies(t *testing.T) {
 	db := demoDB(21, 12, 64)
 	for _, s := range allStrategies() {
-		t.Run(s.internal().String(), func(t *testing.T) {
+		t.Run(s.String(), func(t *testing.T) {
 			q, err := NewQuery(db[0], Euclidean(), WithStrategy(s))
 			if err != nil {
 				t.Fatal(err)

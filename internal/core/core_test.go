@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -187,15 +188,30 @@ func TestAllStrategiesAgreeDTW(t *testing.T) {
 	}
 }
 
+// TestFFTRequiresEuclidean: CheckStrategy is the one statement of the rule,
+// and NewSearcher panics on what it refuses.
 func TestFFTRequiresEuclidean(t *testing.T) {
 	rng := ts.NewRand(8)
 	rs := NewRotationSet(ts.RandomWalk(rng, 16), DefaultOptions(), nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("FFTFilter with DTW kernel must panic")
+	for _, k := range []wedge.Kernel{wedge.DTW{R: 2}, wedge.LCSS{Delta: 2, Eps: 0.5}} {
+		err := CheckStrategy(FFTFilter, k)
+		if err == nil || !strings.Contains(err.Error(), k.Name()) {
+			t.Fatalf("CheckStrategy(FFTFilter, %s) = %v, want an error naming the measure", k.Name(), err)
 		}
-	}()
-	NewSearcher(rs, wedge.DTW{R: 2}, FFTFilter, SearcherConfig{})
+		func() {
+			defer func() {
+				if p := recover(); p != "core: "+err.Error() {
+					t.Fatalf("NewSearcher(FFTFilter, %s) panicked with %v, want CheckStrategy's error", k.Name(), p)
+				}
+			}()
+			NewSearcher(rs, k, FFTFilter, SearcherConfig{})
+		}()
+	}
+	for _, strat := range allStrategies() {
+		if err := CheckStrategy(strat, wedge.ED{}); err != nil {
+			t.Fatalf("CheckStrategy(%v, ED) = %v", strat, err)
+		}
+	}
 }
 
 func TestMatchSeriesRotationInvariance(t *testing.T) {
@@ -404,6 +420,10 @@ func TestStrategyString(t *testing.T) {
 	if BruteForce.String() != "brute" || EarlyAbandon.String() != "early_abandon" ||
 		FFTFilter.String() != "fft" || Wedge.String() != "wedge" {
 		t.Fatal("Strategy.String broken")
+	}
+	var zero Strategy
+	if zero != Wedge {
+		t.Fatalf("the zero Strategy is %v, want wedge", zero)
 	}
 	if Strategy(42).String() != "Strategy(42)" {
 		t.Fatal("unknown Strategy.String broken")

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"lbkeogh/internal/cancel"
+	"lbkeogh/internal/envelope"
 	"lbkeogh/internal/fourier"
 	"lbkeogh/internal/obs"
 	"lbkeogh/internal/obs/explain"
@@ -24,39 +25,50 @@ import (
 const CancelCheckInterval = cancel.DefaultInterval
 
 // Strategy selects how a RotationSet is matched against database series.
+// The zero value is Wedge, the paper's contribution.
 type Strategy int
 
 const (
+	// Wedge is H-Merge over the hierarchical wedge set with the dynamic-K
+	// controller (Section 4.1; the paper's contribution).
+	Wedge Strategy = iota
 	// BruteForce computes the full kernel distance for every rotation with no
 	// early abandoning (the paper's "Brute force" baseline, Table 2 with
 	// r = infinity throughout).
-	BruteForce Strategy = iota
+	BruteForce
 	// EarlyAbandon is Test_All_Rotations with early abandoning and
 	// best-so-far propagation (Tables 1–3; the "Early abandon" baseline).
 	EarlyAbandon
 	// FFTFilter computes the rotation-invariant Fourier-magnitude lower bound
 	// per database item first (cost model: n·log2(n) steps, as in Section 5.3)
 	// and falls back to EarlyAbandon when the bound cannot prune. Euclidean
-	// only — magnitudes do not lower-bound DTW.
+	// only — magnitudes do not lower-bound DTW or LCSS (CheckStrategy).
 	FFTFilter
-	// Wedge is H-Merge over the hierarchical wedge set with the dynamic-K
-	// controller (Section 4.1; the paper's contribution).
-	Wedge
 )
 
 func (s Strategy) String() string {
 	switch s {
+	case Wedge:
+		return "wedge"
 	case BruteForce:
 		return "brute"
 	case EarlyAbandon:
 		return "early_abandon"
 	case FFTFilter:
 		return "fft"
-	case Wedge:
-		return "wedge"
 	default:
 		return fmt.Sprintf("Strategy(%d)", int(s))
 	}
+}
+
+// CheckStrategy is the one rule a strategy places on the kernel: FFTFilter
+// needs the Euclidean kernel, because the magnitude bound is not admissible
+// for the others.
+func CheckStrategy(strategy Strategy, kernel wedge.Kernel) error {
+	if _, ed := kernel.(wedge.ED); strategy == FFTFilter && !ed {
+		return fmt.Errorf("the Fourier-magnitude filter supports only the Euclidean measure (the magnitude bound is not admissible for %s)", kernel.Name())
+	}
+	return nil
 }
 
 // Match is the result of matching one database series against the rotation
@@ -84,14 +96,14 @@ type Searcher struct {
 	kernel   wedge.Kernel
 	strategy Strategy
 	dyn      *wedge.DynamicK
-	fixedK   int // > 0 disables the dynamic controller (ablation)
-	queryMag []float64
+	fixedK   int               // > 0 disables the dynamic controller (ablation)
+	queryMag []float64         // the query's n/2 magnitudes; nil until magnitudes first computes them
 	obs      *obs.SearchStats  // nil: the no-op sink
 	rec      *trace.Recorder   // nil: no span recording
 	ref      int               // comparison ordinal within the current trace
 	chk      *cancel.Checker   // nil: uncancellable; Begin attaches, End detaches
 	exp      *explain.Recorder // nil: no bound sampling
-	expCtx   *explain.QueryContext
+	root     envelope.Envelope // the root wedge widened for the kernel; fetched by the first SetExplain
 
 	// steps and scratch are everything a comparison would otherwise allocate,
 	// lock or atomically add to per candidate: the searcher's cumulative step
@@ -119,14 +131,11 @@ type SearcherConfig struct {
 	Obs *obs.SearchStats
 }
 
-// NewSearcher builds a Searcher. FFTFilter requires a Euclidean kernel;
-// anything else panics, because the magnitude bound is not admissible for
-// warped measures.
+// NewSearcher builds a Searcher. A strategy the kernel does not admit
+// (CheckStrategy) panics.
 func NewSearcher(rs *RotationSet, kernel wedge.Kernel, strategy Strategy, cfg SearcherConfig) *Searcher {
-	if strategy == FFTFilter {
-		if _, ok := kernel.(wedge.ED); !ok {
-			panic("core: FFTFilter strategy requires the Euclidean kernel")
-		}
+	if err := CheckStrategy(strategy, kernel); err != nil {
+		panic("core: " + err.Error())
 	}
 	intervals := cfg.ProbeIntervals
 	if intervals <= 0 {
@@ -142,9 +151,6 @@ func NewSearcher(rs *RotationSet, kernel wedge.Kernel, strategy Strategy, cfg Se
 	}
 	if strategy == Wedge && cfg.FixedK <= 0 {
 		rs.tree.CutFrontiers(s.dyn.Ladder())
-	}
-	if strategy == FFTFilter {
-		s.queryMag = fourier.Magnitudes(rs.Base(), rs.Len()/2)
 	}
 	return s
 }
@@ -163,11 +169,13 @@ func (s *Searcher) Recorder() *trace.Recorder { return s.rec }
 
 // SetExplain attaches (or, with nil, detaches) the bound sampler: the
 // comparisons it elects get the full bound waterfall measured before they
-// run, never charging the query's counters. A detached searcher pays one nil
-// check per comparison.
+// run (measure), never charging the query's counters. A detached searcher
+// pays one nil check per comparison. The first attach fetches the root wedge
+// the waterfall bounds with; under DTW and LCSS that widens the tree's
+// wedges off the searcher's tally, so no comparison is charged the widening.
 func (s *Searcher) SetExplain(r *explain.Recorder) {
-	if r != nil && s.expCtx == nil {
-		s.expCtx = explain.NewQueryContext(s.rs.Base(), s.rs.Members(), s.rs.Member, s.rs.tree, s.kernel)
+	if r != nil && s.root.U == nil {
+		s.root = s.rs.tree.FrontierEnvelopes(1, s.kernel.Radius())[0]
 	}
 	s.exp = r
 }
@@ -212,7 +220,7 @@ func (s *Searcher) MatchSeries(x []float64, r float64, cnt *stats.Counter) Match
 		rec = nil
 	}
 	if s.exp.ShouldSample() {
-		s.exp.Observe(s.expCtx.Measure(x, r))
+		s.exp.Observe(s.measure(x, r))
 	}
 	var m Match
 	if rec == nil {
@@ -242,10 +250,8 @@ func (s *Searcher) matchSeries(x []float64, r float64) Match {
 	sc.Counts = obs.Counts{Comparisons: 1, Rotations: int64(s.rs.Members())}
 	var m Match
 	switch s.strategy {
-	case BruteForce:
-		m = s.matchBrute(x, r)
-	case EarlyAbandon:
-		m = s.matchEarlyAbandon(x, r)
+	case BruteForce, EarlyAbandon:
+		m = s.matchRotations(x, r, s.strategy == EarlyAbandon, &s.steps, s.chk, &sc.Counts)
 	case FFTFilter:
 		m = s.matchFFT(x, r)
 	default:
@@ -271,46 +277,34 @@ func (s *Searcher) matchSeries(x []float64, r float64) Match {
 	return m
 }
 
-func (s *Searcher) matchBrute(x []float64, r float64) Match {
-	sc := &s.scratch
-	best := math.Inf(1)
-	bestIdx := -1
-	for i := 0; i < s.rs.Members(); i++ {
-		if s.chk.Stop() != nil {
-			sc.Counts.FullDistEvals = int64(i)
-			sc.Counts.CancelledMembers = int64(s.rs.Members() - i)
-			return Match{Dist: math.Inf(1), aborted: true}
-		}
-		d, _ := s.kernel.Distance(x, s.rs.Member(i), -1, &s.steps)
-		if d < best {
-			best, bestIdx = d, i
-		}
-	}
-	sc.Counts.FullDistEvals = int64(s.rs.Members())
-	if r >= 0 && best >= r {
-		return Match{Dist: math.Inf(1)}
-	}
-	return Match{Dist: best, Member: s.rs.MemberID(bestIdx), found: true}
-}
-
-func (s *Searcher) matchEarlyAbandon(x []float64, r float64) Match {
-	sc := &s.scratch
+// matchRotations is Test_All_Rotations (Table 2): x against every rotation,
+// keeping the nearest strictly below r (r < 0 or +Inf: unbounded). With
+// abandon set, each kernel call abandons at the best so far, r to begin with
+// (EarlyAbandon); without it, every rotation is evaluated in full
+// (BruteForce). The steps go to steps and every rotation is attributed in c,
+// the rotations left when chk (nil: uncancellable) stops the loop as
+// cancelled.
+func (s *Searcher) matchRotations(x []float64, r float64, abandon bool, steps *stats.Tally, chk *cancel.Checker, c *obs.Counts) Match {
 	best := math.Inf(1)
 	if r >= 0 {
 		best = r
 	}
 	bestIdx := -1
 	for i := 0; i < s.rs.Members(); i++ {
-		if s.chk.Stop() != nil {
-			sc.Counts.CancelledMembers = int64(s.rs.Members() - i)
+		if chk.Stop() != nil {
+			c.CancelledMembers = int64(s.rs.Members() - i)
 			return Match{Dist: math.Inf(1), aborted: true}
 		}
-		d, abandoned := s.kernel.Distance(x, s.rs.Member(i), best, &s.steps)
+		limit := -1.0
+		if abandon {
+			limit = best
+		}
+		d, abandoned := s.kernel.Distance(x, s.rs.Member(i), limit, steps)
 		if abandoned {
-			sc.Counts.EarlyAbandons++
+			c.EarlyAbandons++
 			continue
 		}
-		sc.Counts.FullDistEvals++
+		c.FullDistEvals++
 		if d < best {
 			best, bestIdx = d, i
 		}
@@ -321,6 +315,15 @@ func (s *Searcher) matchEarlyAbandon(x []float64, r float64) Match {
 	return Match{Dist: best, Member: s.rs.MemberID(bestIdx), found: true}
 }
 
+// magnitudes returns the query's n/2 Fourier magnitudes, computed the first
+// time the FFT filter or the bound sampler needs them.
+func (s *Searcher) magnitudes() []float64 {
+	if s.queryMag == nil {
+		s.queryMag = fourier.Magnitudes(s.rs.Base(), s.rs.Len()/2)
+	}
+	return s.queryMag
+}
+
 func (s *Searcher) matchFFT(x []float64, r float64) Match {
 	// The magnitude filter only applies under a finite threshold; an
 	// unbounded match (r < 0 or +Inf, as a scan's first comparisons are)
@@ -329,16 +332,38 @@ func (s *Searcher) matchFFT(x []float64, r float64) Match {
 		// Cost model from Section 5.3: n·log2(n) steps for the transform,
 		// plus the magnitude-space Euclidean distance.
 		n := s.rs.Len()
-		s.steps.Add(int64(float64(n)*math.Log2(float64(n))) + int64(len(s.queryMag)))
-		xmag := fourier.Magnitudes(x, n/2)
-		if fourier.LowerBoundED(s.queryMag, xmag) >= r {
+		qmag := s.magnitudes()
+		s.steps.Add(int64(float64(n)*math.Log2(float64(n))) + int64(len(qmag)))
+		if fourier.LowerBoundED(qmag, fourier.Magnitudes(x, n/2)) >= r {
 			s.scratch.Counts.FFTRejects = 1
 			s.scratch.Counts.FFTRejectedMembers = int64(s.rs.Members())
 			return Match{Dist: math.Inf(1)}
 		}
 	}
 	s.scratch.Counts.FFTFallbacks = 1
-	return s.matchEarlyAbandon(x, r)
+	return s.matchRotations(x, r, true, &s.steps, s.chk, &s.scratch.Counts)
+}
+
+// measure is the bound sampler's waterfall for candidate x under threshold r
+// (r < 0: no threshold, nothing is eliminated): the Fourier-magnitude bound
+// (Euclidean only, the one kernel it is admissible for), LB_Keogh against
+// the root wedge, and the true rotation-invariant distance by brute force.
+// Its steps go to a private tally and its attribution to a throwaway record,
+// so sampling charges nothing to the query's counters; it polls no
+// checkpoint, so it moves no cancellation either.
+func (s *Searcher) measure(x []float64, r float64) explain.Sample {
+	var steps stats.Tally
+	var c obs.Counts
+	sm := explain.Sample{Threshold: r}
+	if _, ed := s.kernel.(wedge.ED); ed {
+		lb := fourier.LowerBoundED(s.magnitudes(), fourier.Magnitudes(x, s.rs.Len()/2))
+		sm.Bounds = append(sm.Bounds, explain.BoundValue{Bound: explain.StageFFT, Value: lb})
+	}
+	lb, _ := s.kernel.LowerBound(x, s.root, -1, &steps)
+	sm.Bounds = append(sm.Bounds, explain.BoundValue{Bound: explain.StageEnvelope, Value: lb})
+	sm.True = s.matchRotations(x, -1, false, &steps, nil, &c).Dist
+	sm.EliminatedBy = explain.EliminatedBy(sm)
+	return sm
 }
 
 func (s *Searcher) matchWedge(x []float64, r float64) Match {

@@ -16,10 +16,6 @@ import (
 	"lbkeogh/internal/stats"
 )
 
-// BoundName is the stable stage tag for the LB_Keogh envelope bound in
-// pruning-waterfall telemetry (explain plans, /metrics labels).
-const BoundName = "envelope"
-
 // Envelope is a wedge W = {U, L}: for every member series C enclosed by the
 // wedge and every position i, L[i] <= C[i] <= U[i].
 type Envelope struct {

@@ -33,10 +33,6 @@ import (
 	"sync"
 )
 
-// BoundName is the stable stage tag for the Fourier-magnitude bound in
-// pruning-waterfall telemetry (explain plans, /metrics labels).
-const BoundName = "fft"
-
 // FFT returns the discrete Fourier transform of x:
 // X[k] = sum_t x[t] * exp(-2πi·kt/n). Any length is supported; powers of two
 // use radix-2 Cooley-Tukey and other lengths use Bluestein's algorithm.

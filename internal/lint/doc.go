@@ -17,8 +17,10 @@
 //
 //	tallyescape  A *stats.Tally is single-goroutine scratch. It must not be
 //	             passed to or captured by a go statement, and must not be
-//	             stored in a struct field. Cross-goroutine accounting uses
-//	             the atomic *stats.Counter, flushed once per comparison.
+//	             stored in a struct field. A tally that outlives one call
+//	             lives in a goroutine-confined owner (core.Searcher,
+//	             Monitor) and is read through its Steps(); a
+//	             *stats.Counter is only a caller's accumulator.
 //	floateq      ==/!= on floating-point operands is forbidden in
 //	             internal/dist, internal/envelope and internal/wedge
 //	             (tests included). Use epsilon helpers, or math.IsInf and

@@ -128,7 +128,7 @@ func checkLowerBound(pass *Pass, fd *ast.FuncDecl, annotated map[string]bool) {
 		if callee == nil || insideMax[call] {
 			return true
 		}
-		if isUpperBoundName(callee.Name()) && !annotated[callee.FullName()] {
+		if namesUpperBound(callee.Name()) && !annotated[callee.FullName()] {
 			pass.Reportf(call.Pos(),
 				"lower bound %s calls %s, which names an upper bound; if the inversion is admissible, document it with a //lint:ignore lbmono reason",
 				fd.Name.Name, calleeLabel(callee))
@@ -209,7 +209,7 @@ func isAdmissibleCallee(fn *types.Func, annotated map[string]bool) bool {
 			}
 		}
 	}
-	if isInterfaceMethod(fn) && isLowerBoundName(fn.Name()) {
+	if isInterfaceMethod(fn) && namesLowerBound(fn.Name()) {
 		return true
 	}
 	return false
@@ -246,13 +246,13 @@ func inModuleScope(pass *Pass, fn *types.Func) bool {
 	return path == "lbkeogh" || strings.HasPrefix(path, "lbkeogh/")
 }
 
-func isLowerBoundName(name string) bool {
+func namesLowerBound(name string) bool {
 	return strings.HasPrefix(name, "LB") ||
 		strings.HasPrefix(name, "LowerBound") ||
 		strings.HasPrefix(name, "lowerBound")
 }
 
-func isUpperBoundName(name string) bool {
+func namesUpperBound(name string) bool {
 	return strings.HasPrefix(name, "Upper") ||
 		strings.HasPrefix(name, "upperBound") ||
 		strings.HasPrefix(name, "UB") ||

@@ -14,13 +14,16 @@ const tallyTypeKey = "lbkeogh/internal/stats.Tally"
 // must not be referenced from a go-statement — neither passed as an argument
 // nor captured by the spawned closure — and must not be stored in a struct
 // field, where it could outlive its owning goroutine. Goroutine-local
-// tallies declared inside the spawned function are fine; shared accounting
-// goes through the atomic *stats.Counter, flushed once per comparison.
+// tallies declared inside the spawned function are fine. A tally that must
+// outlive one call lives in a goroutine-confined owner (core.Searcher,
+// Monitor), under a //lint:ignore that names the confinement, and is read
+// through the owner's Steps(); a *stats.Counter is only a caller's
+// accumulator, which an owner's steps are added to once, after the call.
 func TallyEscape() *Analyzer {
 	a := &Analyzer{
 		Name: "tallyescape",
 		Doc: "check that *stats.Tally values never cross goroutines or hide in struct fields; " +
-			"share a *stats.Counter (atomic) instead and flush per comparison",
+			"a tally that outlives one call belongs to a goroutine-confined owner, read through its Steps()",
 	}
 	a.Run = func(pass *Pass) {
 		for _, f := range pass.Files {
@@ -57,7 +60,7 @@ func checkGoStmt(pass *Pass, g *ast.GoStmt) {
 			return true // declared inside the go statement: goroutine-local
 		}
 		pass.Reportf(id.Pos(),
-			"%s (a *stats.Tally) crosses into a goroutine; Tally is single-goroutine scratch — use a *stats.Counter or a goroutine-local Tally flushed into one", id.Name)
+			"%s (a *stats.Tally) crosses into a goroutine; Tally is single-goroutine scratch — give each goroutine its own (a local Tally or a confined owner such as a core.Searcher) and read its Steps() after the join", id.Name)
 		return true
 	})
 }
@@ -76,6 +79,6 @@ func checkStructFields(pass *Pass, s *ast.StructType) {
 			continue
 		}
 		pass.Reportf(field.Pos(),
-			"struct field holds a stats.Tally; keep tallies on the stack of their owning goroutine and flush into a *stats.Counter")
+			"struct field holds a stats.Tally; keep the tally on its goroutine's stack, or in a goroutine-confined owner (core.Searcher, Monitor) under a //lint:ignore naming the confinement, read through Steps()")
 	}
 }

@@ -104,13 +104,19 @@ func instance(rng *rand.Rand, base func(float64) float64, n int, cfg InstanceCon
 	return ts.ZNorm(sig)
 }
 
-// Dataset is a labelled collection of equal-length series.
+// Dataset is a labelled collection of equal-length series, as produced by
+// the synthetic generators that reproduce the paper's evaluation workloads.
 type Dataset struct {
-	Name       string
-	Series     [][]float64
-	Labels     []int
+	// Name identifies the dataset.
+	Name string
+	// Series holds the instances (all of length N).
+	Series [][]float64
+	// Labels holds the class label of each instance.
+	Labels []int
+	// NumClasses is the number of distinct classes.
 	NumClasses int
-	N          int
+	// N is the series length.
+	N int
 }
 
 // MakeClassDataset builds `classes` classes with `perClass` instances each,

@@ -10,11 +10,6 @@ import (
 	"lbkeogh/internal/stats"
 )
 
-// KernelStageName is the stable stage tag for the exact-kernel stage — the
-// final, non-bound stage of the pruning waterfall — in the bound sampler's
-// measurements.
-const KernelStageName = "kernel"
-
 // Kernel abstracts a distance measure for H-Merge: an exact (early
 // abandoning) pairwise distance plus an admissible lower bound against a
 // wedge that encloses a group of candidates. The three kernels mirror the

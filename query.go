@@ -18,34 +18,22 @@ type Series = []float64
 
 // Strategy selects the search algorithm. All strategies return identical,
 // exact results; they differ only in cost. The zero value (WedgeSearch) is
-// the paper's contribution and the right default.
-type Strategy int
+// the paper's contribution and the right default. A Strategy prints as
+// "wedge", "brute", "early_abandon" or "fft".
+type Strategy = core.Strategy
 
 const (
 	// WedgeSearch is H-Merge over hierarchically nested wedges with the
 	// dynamic wedge-set-size controller (Section 4 of the paper).
-	WedgeSearch Strategy = iota
+	WedgeSearch = core.Wedge
 	// BruteForceSearch evaluates the full distance for every rotation.
-	BruteForceSearch
+	BruteForceSearch = core.BruteForce
 	// EarlyAbandonSearch evaluates every rotation with early abandoning.
-	EarlyAbandonSearch
+	EarlyAbandonSearch = core.EarlyAbandon
 	// FFTSearch filters with the rotation-invariant Fourier-magnitude lower
 	// bound before falling back to early abandoning (Euclidean only).
-	FFTSearch
+	FFTSearch = core.FFTFilter
 )
-
-func (s Strategy) internal() core.Strategy {
-	switch s {
-	case BruteForceSearch:
-		return core.BruteForce
-	case EarlyAbandonSearch:
-		return core.EarlyAbandon
-	case FFTSearch:
-		return core.FFTFilter
-	default:
-		return core.Wedge
-	}
-}
 
 // Rotation describes the alignment at which a match was found.
 type Rotation struct {
@@ -138,7 +126,6 @@ type Query struct {
 	rs        *core.RotationSet
 	searcher  *core.Searcher
 	measure   Measure
-	strategy  core.Strategy
 	searchCfg core.SearcherConfig
 	n         int
 	// carry is what Steps adds to the record's steps: the build's
@@ -173,17 +160,16 @@ func NewQuery(series Series, m Measure, opts ...QueryOption) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.strategy == FFTSearch && m.Name() != "euclidean" {
-		return nil, fmt.Errorf("lbkeogh: FFTSearch supports only the Euclidean measure (the magnitude bound is not admissible for %s)", m.Name())
+	if err := core.CheckStrategy(cfg.strategy, m.kern); err != nil {
+		return nil, fmt.Errorf("lbkeogh: FFTSearch: %w", err)
 	}
 	q := &Query{measure: m, n: len(series), tlog: cfg.tlog.inner()}
-	q.strategy = cfg.strategy.internal()
 	q.searchCfg = core.SearcherConfig{FixedK: cfg.fixedK, Obs: &q.obs}
 	rec := q.tlog.StartTrace("build")
 	buildSpan := rec.Begin(trace.StageBuild, -1)
 	q.rs = core.NewRotationSetTraced(series, copts, rec)
 	q.carry = q.rs.SetupSteps
-	q.searcher = core.NewSearcher(q.rs, m.kern, q.strategy, q.searchCfg)
+	q.searcher = core.NewSearcher(q.rs, m.kern, cfg.strategy, q.searchCfg)
 	rec.End(buildSpan)
 	q.tlog.Finish(rec, obs.Counts{})
 	return q, nil
@@ -431,7 +417,7 @@ func (q *Query) SearchParallelContext(ctx context.Context, db []Series, workers 
 	// single-goroutine, and the per-worker searchers are built from the
 	// config, recorder-less.
 	rs, err := q.search(ctx, "search_parallel", func() error { return q.validateDB(db) }, func(ctx context.Context) ([]core.ScanResult, error) {
-		r, err := core.ScanParallelContext(ctx, q.rs, q.measure.kern, q.strategy, q.searchCfg, db, workers, nil)
+		r, err := core.ScanParallelContext(ctx, q.rs, q.measure.kern, q.searcher.Strategy(), q.searchCfg, db, workers, nil)
 		return []core.ScanResult{r}, err
 	})
 	if err != nil {

@@ -28,7 +28,7 @@ func TestQueryStepsIsOneRecord(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			name := m.Name() + "/" + s.internal().String()
+			name := m.Name() + "/" + s.String()
 			if got := q.Steps(); got != q.rs.SetupSteps || got <= 0 {
 				t.Fatalf("%s: Steps after NewQuery = %d, want SetupSteps %d > 0", name, got, q.rs.SetupSteps)
 			}
