@@ -110,6 +110,34 @@ func TestNonFiniteCandidateNeverMatches(t *testing.T) {
 	}
 }
 
+// TestParallelSearchOfNonFiniteRows: a database in which every row holds a
+// NaN has no series at a finite distance. Search answers it {-1, +Inf} with
+// no error (a flat scan checks lengths only), and SearchParallel must answer
+// the same at every worker count; it used to report an internal invariant
+// violation instead.
+func TestParallelSearchOfNonFiniteRows(t *testing.T) {
+	db := demoDB(25, 4, 32)
+	rows := make([]Series, 3)
+	for i := range rows {
+		rows[i] = append(Series(nil), db[i+1]...)
+		rows[i][5*i] = math.NaN()
+	}
+	q, err := NewQuery(db[0], Euclidean())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := q.Search(rows)
+	if err != nil || want.Index != -1 || !math.IsInf(want.Dist, 1) {
+		t.Fatalf("Search = %+v, %v; want {-1, +Inf} and no error", want, err)
+	}
+	for _, workers := range []int{1, 2, 3} {
+		got, err := q.SearchParallel(rows, workers)
+		if err != nil || got != want {
+			t.Fatalf("SearchParallel(%d workers) = %+v, %v; want %+v and no error", workers, got, err, want)
+		}
+	}
+}
+
 // A database row with a non-finite sample is refused wherever rows enter an
 // index or a store, with an error naming the row and the sample. Such a row
 // used to reach the VP-tree, whose NaN bounds hid whole subtrees: over these
@@ -582,7 +610,7 @@ func TestIndexSearchRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []Measure{Euclidean(), DTW(2)} {
+	for _, m := range []Measure{Euclidean(), DTW(2), LCSS(2, 0.3)} {
 		q, _ := NewQuery(ts.Rotate(db[11], 5), m)
 		nn, err := q.Search(db)
 		if err != nil {
@@ -617,10 +645,6 @@ func TestIndexSearchRange(t *testing.T) {
 	qShort, _ := NewQuery(make(Series, 16), Euclidean())
 	if _, err := ix.SearchRange(qShort, 1); err == nil {
 		t.Fatal("want error for length mismatch")
-	}
-	qLCSS, _ := NewQuery(db[0], LCSS(2, 0.3))
-	if _, err := ix.SearchRange(qLCSS, 1); err == nil {
-		t.Fatal("want error for LCSS range search")
 	}
 }
 

@@ -302,23 +302,6 @@ func BenchmarkAblationEarlyAbandon(b *testing.B) {
 	})
 }
 
-// Index wedge count for the DTW path: K envelopes per query (Section 4.2).
-func BenchmarkAblationIndexWedges(b *testing.B) {
-	loadBenchData()
-	ix := index.Build(benchData.projDB, 16)
-	rs := core.NewRotationSet(benchData.projQuery, core.DefaultOptions(), nil)
-	for _, k := range []int{4, 16, 64, 251} {
-		b.Run(map[bool]string{true: "K" + itoa(k)}[true], func(b *testing.B) {
-			ix.Stats().Reset()
-			for i := 0; i < b.N; i++ {
-				ix.SearchDTW(rs, 5, k, nil)
-			}
-			reads := ix.Stats().Counts().IndexFetches
-			b.ReportMetric(float64(reads)/float64(b.N)/float64(len(benchData.projDB)), "fetched-fraction")
-		})
-	}
-}
-
 // --- Extensions: mining, streaming, parallel scan -----------------------------
 
 func BenchmarkMiningClosestPair(b *testing.B) {

@@ -162,36 +162,93 @@ func TestExplainFeedsOnePrivateSampler(t *testing.T) {
 }
 
 // TestExplainResultsUnperturbed: an attached sampler must not change what a
-// search returns or its stats record.
+// search returns, its stats record or its steps, under every measure and
+// every strategy the measure admits. Under DTW and LCSS the sampler reads
+// its root wedge from the widened tree, which the wedge strategy's plain
+// search also builds: whichever builds it charges the query once.
 func TestExplainResultsUnperturbed(t *testing.T) {
 	db := demoDB(25, 10, 96)
-	for _, s := range allStrategies() {
-		plainQ, err := NewQuery(db[0], Euclidean(), WithStrategy(s))
-		if err != nil {
-			t.Fatal(err)
+	for _, m := range []Measure{Euclidean(), DTW(3), LCSS(3, 0.25)} {
+		for _, s := range allStrategies() {
+			if s == FFTSearch && m.Name() != "euclidean" {
+				continue // the magnitude filter admits the Euclidean measure only
+			}
+			t.Run(m.Name()+"/"+s.String(), func(t *testing.T) {
+				plainQ, err := NewQuery(db[0], m, WithStrategy(s))
+				if err != nil {
+					t.Fatal(err)
+				}
+				expQ, err := NewQuery(db[0], m, WithStrategy(s))
+				if err != nil {
+					t.Fatal(err)
+				}
+				expQ.SetBoundSampler(NewBoundSampler(1))
+				want, err := plainQ.Search(db)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := expQ.Search(db)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Index != want.Index || math.Float64bits(got.Dist) != math.Float64bits(want.Dist) ||
+					got.Rotation != want.Rotation {
+					t.Fatalf("sampled search %+v != plain %+v", got, want)
+				}
+				if ps, es := plainQ.Stats(), expQ.Stats(); !reflect.DeepEqual(ps, es) {
+					t.Fatalf("sampled stats %+v != plain %+v", es, ps)
+				}
+				if plainQ.Steps() != expQ.Steps() {
+					t.Fatalf("sampled steps %d != plain %d", expQ.Steps(), plainQ.Steps())
+				}
+			})
 		}
-		expQ, err := NewQuery(db[0], Euclidean(), WithStrategy(s))
-		if err != nil {
-			t.Fatal(err)
+	}
+}
+
+// TestWideningChargedOnEveryPath: one comparison costs the same steps
+// whichever door reaches it — a flat search of one row, an index search over
+// that row alone, and a flat search with a bound sampler attached. Under DTW
+// and LCSS the first reader of the query's widened wedges (the comparison,
+// the index's DTW walk, the sampler) is charged the widening, so each path
+// pays it exactly once.
+func TestWideningChargedOnEveryPath(t *testing.T) {
+	db := demoDB(25, 10, 96)
+	row := db[1:2]
+	ix, err := NewIndex(row, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []Measure{Euclidean(), DTW(3), LCSS(3, 0.25)} {
+		paths := []struct {
+			name   string
+			search func(q *Query) (SearchResult, error)
+		}{
+			{"flat", func(q *Query) (SearchResult, error) { return q.Search(row) }},
+			{"index", ix.Search},
+			{"sampled", func(q *Query) (SearchResult, error) {
+				q.SetBoundSampler(NewBoundSampler(1000))
+				return q.Search(row)
+			}},
 		}
-		expQ.SetBoundSampler(NewBoundSampler(1))
-		want, err := plainQ.Search(db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := expQ.Search(db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Index != want.Index || math.Float64bits(got.Dist) != math.Float64bits(want.Dist) ||
-			got.Rotation != want.Rotation {
-			t.Fatalf("strategy %v: sampled search %+v != plain %+v", s, got, want)
-		}
-		if ps, es := plainQ.Stats(), expQ.Stats(); !reflect.DeepEqual(ps, es) {
-			t.Fatalf("strategy %v: sampled stats %+v != plain %+v", s, es, ps)
-		}
-		if plainQ.Steps() != expQ.Steps() {
-			t.Fatalf("strategy %v: sampled steps %d != plain %d", s, expQ.Steps(), plainQ.Steps())
+		var want int64
+		for i, p := range paths {
+			q, err := NewQuery(db[0], m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q.ResetSteps()
+			if _, err := p.search(q); err != nil {
+				t.Fatalf("%s/%s: %v", m.Name(), p.name, err)
+			}
+			if got := q.Stats().Steps; got != q.Steps() {
+				t.Fatalf("%s/%s: the record holds %d steps of %d", m.Name(), p.name, got, q.Steps())
+			}
+			if i == 0 {
+				want = q.Steps()
+			} else if q.Steps() != want {
+				t.Errorf("%s/%s: %d steps, flat %d", m.Name(), p.name, q.Steps(), want)
+			}
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"lbkeogh/internal/core"
 	"lbkeogh/internal/index"
 	"lbkeogh/internal/segment"
-	"lbkeogh/internal/wedge"
 )
 
 // Index is the exact disk-backed rotation-invariant index of Section 4.2:
@@ -169,15 +168,15 @@ func (ix *Index) probe(ctx context.Context, q *Query, label string, k int, limit
 	}
 	return q.search(ctx, label, check, func(ctx context.Context) ([]core.ScanResult, error) {
 		c := core.NewCollector(k, limit)
-		err := ix.ix.Probe(ctx, q.searcher, 0, c)
+		err := ix.ix.Probe(ctx, q.searcher, c)
 		return c.Results(), err
 	})
 }
 
 // Search answers the query exactly against the indexed database: same
 // result as Query.Search over the same data, but touching only the objects
-// whose compressed lower bound cannot rule them out. Supports the Euclidean
-// and DTW measures (LCSS queries fall back to a full scan).
+// whose compressed lower bound cannot rule them out; LCSS has no compressed
+// bound, so an LCSS query verifies every row, as the flat scan does.
 //
 // The search runs through the query's own searcher: its strategy and options
 // (WithFixedWedgeCount, WithTraceLog, SetBoundSampler) apply, and its
@@ -223,8 +222,8 @@ func (ix *Index) SearchTopKContext(ctx context.Context, q *Query, k int) ([]Sear
 // SearchRange returns every indexed series whose exact rotation-invariant
 // distance to the query is strictly below radius, in ascending distance
 // order like Query.SearchRange — the "range" search of the paper's Section 3.
-// Supports the Euclidean and DTW measures. The radius must be positive (+Inf:
-// every series); anything else is an error.
+// Every measure is supported, as for Search: LCSS verifies every row. The
+// radius must be positive (+Inf: every series); anything else is an error.
 func (ix *Index) SearchRange(q *Query, radius float64) ([]SearchResult, error) {
 	return ix.SearchRangeContext(context.Background(), q, radius)
 }
@@ -233,11 +232,6 @@ func (ix *Index) SearchRange(q *Query, radius float64) ([]SearchResult, error) {
 func (ix *Index) SearchRangeContext(ctx context.Context, q *Query, radius float64) ([]SearchResult, error) {
 	if err := checkRangeThreshold(radius); err != nil {
 		return nil, err
-	}
-	switch q.searcher.Kernel().(type) {
-	case wedge.ED, wedge.DTW:
-	default:
-		return nil, fmt.Errorf("lbkeogh: range search supports Euclidean and DTW measures, not %s", q.measure.Name())
 	}
 	return ix.probe(ctx, q, "index_search_range", 0, radius)
 }

@@ -2,7 +2,6 @@ package lbkeogh
 
 import (
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"lbkeogh/internal/ts"
@@ -57,21 +56,25 @@ func TestIndexPathOracle(t *testing.T) {
 	// on its LB_Keogh suffix sums. Both search rows were re-pinned when the
 	// trees began queueing points beside subtrees, verifying in exact
 	// ascending-bound order (ed {26423, 17}, dtw5 {257509, 38} before); a
-	// range keeps its fetches and steps, only their order moved.
+	// range keeps its fetches and steps, only their order moved. The dtw5
+	// cells rose by 3 x 93 x 47 = 13 113 when the DTW walk's widening of each
+	// query's 93 wedges began to be charged ({170282, 15} and {406742, 101}
+	// before), and the lcss range cells hold an answer since the index
+	// stopped refusing LCSS ranges ({12972, 0}: the builds alone).
 	type pin struct{ steps, reads int64 }
 	want := map[string]pin{
 		"mem/ed/search":       {19439, 3},
 		"mem/ed/range":        {20806, 26},
-		"mem/dtw5/search":     {170282, 15},
-		"mem/dtw5/range":      {406742, 101},
+		"mem/dtw5/search":     {183395, 15},
+		"mem/dtw5/range":      {419855, 101},
 		"mem/lcss/search":     {221672, 120},
-		"mem/lcss/range":      {12972, 0},
+		"mem/lcss/range":      {1108578, 120},
 		"segment/ed/search":   {19439, 3},
 		"segment/ed/range":    {20806, 26},
-		"segment/dtw5/search": {170282, 15},
-		"segment/dtw5/range":  {406742, 101},
+		"segment/dtw5/search": {183395, 15},
+		"segment/dtw5/range":  {419855, 101},
 		"segment/lcss/search": {221672, 120},
-		"segment/lcss/range":  {12972, 0},
+		"segment/lcss/range":  {1108578, 120},
 	}
 
 	got := map[string]pin{}
@@ -107,26 +110,22 @@ func TestIndexPathOracle(t *testing.T) {
 					if refErr != nil {
 						t.Fatalf("%s q%d: flat scan: %v", cell, qi, refErr)
 					}
-					if ms.name == "lcss" && kind == "range" {
-						if err == nil || !strings.Contains(err.Error(), "supports Euclidean and DTW") {
-							t.Fatalf("%s q%d: err = %v, want the unsupported-measure error", cell, qi, err)
-						}
-					} else {
-						if err != nil {
-							t.Fatalf("%s q%d: %v", cell, qi, err)
-						}
-						if len(res) != len(ref) {
-							t.Fatalf("%s q%d: %d answers, flat scan %d", cell, qi, len(res), len(ref))
-						}
-						for i := range res {
-							if res[i].Index != ref[i].Index || res[i].Dist != ref[i].Dist {
-								t.Fatalf("%s q%d answer %d: index (%d,%v) != flat (%d,%v)",
-									cell, qi, i, res[i].Index, res[i].Dist, ref[i].Index, ref[i].Dist)
-							}
+					if err != nil {
+						t.Fatalf("%s q%d: %v", cell, qi, err)
+					}
+					if len(res) != len(ref) {
+						t.Fatalf("%s q%d: %d answers, flat scan %d", cell, qi, len(res), len(ref))
+					}
+					for i := range res {
+						if res[i].Index != ref[i].Index || res[i].Dist != ref[i].Dist {
+							t.Fatalf("%s q%d answer %d: index (%d,%v) != flat (%d,%v)",
+								cell, qi, i, res[i].Index, res[i].Dist, ref[i].Index, ref[i].Dist)
 						}
 					}
-					if err == nil {
-						traced++
+					traced++
+					if ms.name == "lcss" && q.Steps() != flat.Steps() {
+						// No compressed bound: the walk is the scan, row by row.
+						t.Fatalf("%s q%d: %d steps, flat scan %d", cell, qi, q.Steps(), flat.Steps())
 					}
 					s := ix.Stats()
 					if !s.Reconciles() {

@@ -109,16 +109,16 @@ func TestScanParallelSmallDB(t *testing.T) {
 	}
 }
 
-// The index asks the shared wedge tree for widened frontier envelopes while
-// parallel scans build and read the same tree's widened cache. Run under
-// -race: the frontier must be the same before, during and after the scans
-// populate the cache, for mirror and rotation-limited trees too.
-func TestFrontierEnvelopesDuringParallelScan(t *testing.T) {
+// The index walk and the bound sampler read the shared wedge tree's widened
+// envelopes while parallel scans build and read the same cache. Run under
+// -race: the widened array must be the same before, during and after the
+// scans populate the cache, for mirror and rotation-limited trees too.
+func TestWidenedEnvelopesDuringParallelScan(t *testing.T) {
 	db, q := parallelTestDB(4, 120, 40)
-	const R, K = 3, 8
+	const R = 3
 	for _, opts := range []Options{DefaultOptions(), {Mirror: true, MaxShift: -1}, {MaxShift: 5}} {
 		rs := NewRotationSet(q, opts, nil)
-		want := rs.Tree().FrontierEnvelopes(K, R)
+		want := rs.Tree().Widened(R, nil)
 		done := make(chan ScanResult)
 		go func() {
 			done <- ScanParallel(rs, wedge.DTW{R: R}, Wedge, SearcherConfig{}, db, 4, nil)
@@ -130,10 +130,10 @@ func TestFrontierEnvelopesDuringParallelScan(t *testing.T) {
 				scanning = false
 			default:
 			}
-			envs := rs.Tree().FrontierEnvelopes(K, R)
+			envs := rs.Tree().Widened(R, nil)
 			for i := range want {
 				if !ts.Equal(envs[i].U, want[i].U, 0) || !ts.Equal(envs[i].L, want[i].L, 0) {
-					t.Fatalf("%+v: frontier envelope %d changed while scanning", opts, i)
+					t.Fatalf("%+v: widened envelope %d changed while scanning", opts, i)
 				}
 			}
 		}

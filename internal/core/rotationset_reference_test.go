@@ -183,7 +183,7 @@ func TestCirculantFillMatchesClosureFill(t *testing.T) {
 				t.Fatalf("n=%d %+v: dendrogram differs from the reference build", n, opts)
 			}
 			for id := range refTree.Dendrogram().Nodes {
-				g, w := rs.Tree().Envelope(id), refTree.Envelope(id)
+				g, w := rs.Tree().Widened(0, nil)[id], refTree.Widened(0, nil)[id]
 				if !sameBits(g.U, w.U) || !sameBits(g.L, w.L) {
 					t.Fatalf("n=%d %+v: envelope %d differs from the reference build", n, opts, id)
 				}

@@ -103,15 +103,15 @@ type Searcher struct {
 	ref      int               // comparison ordinal within the current trace
 	chk      *cancel.Checker   // nil: uncancellable; Begin attaches, End detaches
 	exp      *explain.Recorder // nil: no bound sampling
-	root     envelope.Envelope // the root wedge widened for the kernel; fetched by the first SetExplain
 
 	// steps and scratch are everything a comparison would otherwise allocate,
 	// lock or atomically add to per candidate: the searcher's cumulative step
-	// tally (each comparison's steps are its delta, read by Steps), the
+	// tally (read by Steps; its first flushed steps are in the record), the
 	// outcome tallies matchSeries flushes once per comparison, and H-Merge's
 	// working memory.
 	//lint:ignore tallyescape a Searcher is confined to one goroutine; a stack Tally would escape through the Kernel interface and cost an allocation per comparison
 	steps   stats.Tally
+	flushed int64
 	scratch wedge.Scratch
 }
 
@@ -169,22 +169,22 @@ func (s *Searcher) Recorder() *trace.Recorder { return s.rec }
 
 // SetExplain attaches (or, with nil, detaches) the bound sampler: the
 // comparisons it elects get the full bound waterfall measured before they
-// run (measure), never charging the query's counters. A detached searcher
-// pays one nil check per comparison. The first attach fetches the root wedge
-// the waterfall bounds with; under DTW and LCSS that widens the tree's
-// wedges off the searcher's tally, so no comparison is charged the widening.
-func (s *Searcher) SetExplain(r *explain.Recorder) {
-	if r != nil && s.root.U == nil {
-		s.root = s.rs.tree.FrontierEnvelopes(1, s.kernel.Radius())[0]
-	}
-	s.exp = r
-}
+// run (measure), charging the query's counters nothing the comparison would
+// not have spent anyway. A detached searcher pays one nil check per
+// comparison, and attaching one does no work.
+func (s *Searcher) SetExplain(r *explain.Recorder) { s.exp = r }
 
 // Kernel returns the searcher's distance kernel.
 func (s *Searcher) Kernel() wedge.Kernel { return s.kernel }
 
 // RotationSet returns the query's rotation set.
 func (s *Searcher) RotationSet() *RotationSet { return s.rs }
+
+// Widened is wedge.Tree.Widened for the searcher's kernel, a first build
+// charged to the searcher's tally.
+func (s *Searcher) Widened() []envelope.Envelope {
+	return s.rs.tree.Widened(s.kernel.Radius(), &s.steps)
+}
 
 // Stats returns the record the searcher's comparisons are flushed into (nil:
 // the no-op sink); an index probe counts its fetches on it too.
@@ -239,14 +239,14 @@ func (s *Searcher) MatchSeries(x []float64, r float64, cnt *stats.Counter) Match
 }
 
 // matchSeries is one comparison. The strategies spend their steps on the
-// searcher's tally, whose growth is the comparison's steps, and attribute
-// every rotation in its scratch with plain increments; the record is touched
-// once, here, after the comparison — and before the dynamic-K controller
-// sees it, because a K change is stamped with the record's comparison count.
+// searcher's tally, whose growth since the last flush — a widening built
+// just before it included — is the comparison's steps, and attribute every
+// rotation in its scratch with plain increments; the record is touched once,
+// here, after the comparison — and before the dynamic-K controller sees it,
+// because a K change is stamped with the record's comparison count.
 func (s *Searcher) matchSeries(x []float64, r float64) Match {
 	s.rs.checkLen(x)
 	sc := &s.scratch
-	steps0 := s.steps.Steps()
 	sc.Counts = obs.Counts{Comparisons: 1, Rotations: int64(s.rs.Members())}
 	var m Match
 	switch s.strategy {
@@ -257,7 +257,7 @@ func (s *Searcher) matchSeries(x []float64, r float64) Match {
 	default:
 		m = s.matchWedge(x, r)
 	}
-	steps := s.steps.Steps() - steps0
+	steps := s.flush()
 	sc.Counts.Steps = steps
 	s.obs.AddCounts(&sc.Counts, &sc.PruneByLevel)
 	s.obs.ObserveComparisonSteps(steps)
@@ -350,7 +350,9 @@ func (s *Searcher) matchFFT(x []float64, r float64) Match {
 // the root wedge, and the true rotation-invariant distance by brute force.
 // Its steps go to a private tally and its attribution to a throwaway record,
 // so sampling charges nothing to the query's counters; it polls no
-// checkpoint, so it moves no cancellation either.
+// checkpoint, so it moves no cancellation either. A first widening of the
+// root wedge is the exception under the wedge strategy: the comparison about
+// to run would pay it, so the searcher's tally does.
 func (s *Searcher) measure(x []float64, r float64) explain.Sample {
 	var steps stats.Tally
 	var c obs.Counts
@@ -359,7 +361,12 @@ func (s *Searcher) measure(x []float64, r float64) explain.Sample {
 		lb := fourier.LowerBoundED(s.magnitudes(), fourier.Magnitudes(x, s.rs.Len()/2))
 		sm.Bounds = append(sm.Bounds, explain.BoundValue{Bound: explain.StageFFT, Value: lb})
 	}
-	lb, _ := s.kernel.LowerBound(x, s.root, -1, &steps)
+	widen := &steps
+	if s.strategy == Wedge {
+		widen = &s.steps
+	}
+	envs := s.rs.tree.Widened(s.kernel.Radius(), widen)
+	lb, _ := s.kernel.LowerBound(x, envs[len(envs)-1], -1, &steps)
 	sm.Bounds = append(sm.Bounds, explain.BoundValue{Bound: explain.StageEnvelope, Value: lb})
 	sm.True = s.matchRotations(x, -1, false, &steps, nil, &c).Dist
 	sm.EliminatedBy = explain.EliminatedBy(sm)
@@ -499,8 +506,19 @@ func (s *Searcher) Begin(ctx context.Context) error {
 	return nil
 }
 
-// End closes the pass Begin opened.
-func (s *Searcher) End() { s.chk = nil }
+// End closes the pass Begin opened, flushing into the record any steps no
+// comparison carried (a widening that no comparison followed).
+func (s *Searcher) End() {
+	s.chk = nil
+	s.obs.AddCounts(&obs.Counts{Steps: s.flush()}, nil)
+}
+
+// flush returns, and marks flushed, the tally's growth since the last flush.
+func (s *Searcher) flush() int64 {
+	steps := s.steps.Steps() - s.flushed
+	s.flushed += steps
+	return steps
+}
 
 // Offer is one candidate of a pass: the checkpoint is polled, series x —
 // database row i, which the comparison's span is named after — is matched

@@ -18,6 +18,7 @@ import (
 	"slices"
 
 	"lbkeogh/internal/core"
+	"lbkeogh/internal/envelope"
 	"lbkeogh/internal/fourier"
 	"lbkeogh/internal/obs"
 	"lbkeogh/internal/obs/trace"
@@ -155,35 +156,33 @@ type walk func(r float64, visit func(id int, bound, r float64) float64)
 
 // Probe is the one index query path: each object the walk for s's kernel
 // proposes — the VP-tree's under the Euclidean kernel, the PAA column's
-// against wedges envelopes (see paaWalk) under DTW, every object under a
-// kernel with no compressed bound — is fetched, verified exactly by s and
+// against the widened rotations (see paaWalk) under DTW, every object under
+// LCSS, which has no compressed bound — is fetched, verified exactly by s and
 // offered to c, whose radius — shrinking for a nearest or top-K query, fixed
 // for a range — is what the walk continues with. No false dismissals: a walk
 // skips an object only on an admissible bound that reaches the radius.
 //
-// The probe is s's pass (core.Searcher.Begin/Offer), so it honours s's
+// The probe is s's pass (core.Searcher.Begin/Offer/End), so it honours s's
 // strategy, wedge-set size and bound sampler, carries its adaptive state
-// on, spends its steps on s's tally and its steps and outcomes — fetches
-// included — on s's record, and stops with ctx.Err() within one cancellation
-// checkpoint interval of ctx expiring, c then holding a partial answer to
-// discard. Its spans — the walk and one fetch per fetched row, the
-// comparisons beneath — go to s's recorder under the span it has open; a
-// searcher without one records none.
-func (ix *Index) Probe(ctx context.Context, s *core.Searcher, wedges int, c *core.Collector) error {
+// on, spends its steps (a widening the DTW walk is first to build included)
+// on s's tally and its steps and outcomes — fetches included — on s's record,
+// and stops with ctx.Err() within one cancellation checkpoint interval of ctx
+// expiring, c then holding a partial answer to discard. Its spans — the walk
+// and one fetch per fetched row, the comparisons beneath — go to s's recorder
+// under the span it has open; a searcher without one records none.
+func (ix *Index) Probe(ctx context.Context, s *core.Searcher, c *core.Collector) error {
 	if err := s.Begin(ctx); err != nil {
 		return err
 	}
-	defer s.End()
-	rs := s.RotationSet()
-	stage, candidates := trace.StageSearch, walk(ix.scanWalk)
-	switch kern := s.Kernel().(type) {
-	case wedge.ED:
-		stage, candidates = trace.StageVPProbe, ix.vpWalk(rs)
-	case wedge.DTW:
-		stage, candidates = trace.StageColumnProbe, ix.paaWalk(rs, kern.R, wedges)
-	}
 	st, rec := s.Stats(), s.Recorder()
 	before := st.Counts()
+	stage, candidates := trace.StageSearch, walk(ix.scanWalk)
+	switch s.Kernel().(type) {
+	case wedge.ED:
+		stage, candidates = trace.StageVPProbe, ix.vpWalk(s.RotationSet())
+	case wedge.DTW:
+		stage, candidates = trace.StageColumnProbe, ix.paaWalk(s.Widened()[:s.RotationSet().Members()])
+	}
 	span := rec.Begin(stage, -1)
 	var fetched int64
 	var err error
@@ -195,6 +194,7 @@ func (ix *Index) Probe(ctx context.Context, s *core.Searcher, wedges int, c *cor
 		return c.Radius()
 	})
 	rec.End(span)
+	s.End() // flushes a widening no comparison carried into the record
 	// A fetch is counted here and nowhere else, once per probe.
 	st.AddCounts(&obs.Counts{IndexFetches: fetched}, nil)
 	if st != &ix.obs {
@@ -217,9 +217,9 @@ func (ix *Index) fetch(rec *trace.Recorder, id int) []float64 {
 // share: H-Merge under kern with the dynamic wedge-set size, recording
 // straight into the index's record, uncancellable. The probe's num_steps are
 // added to cnt (nil: not accumulated).
-func (ix *Index) probeDefault(rs *core.RotationSet, kern wedge.Kernel, wedges int, c *core.Collector, cnt *stats.Counter) *core.Collector {
+func (ix *Index) probeDefault(rs *core.RotationSet, kern wedge.Kernel, c *core.Collector, cnt *stats.Counter) *core.Collector {
 	s := core.NewSearcher(rs, kern, core.Wedge, core.SearcherConfig{Obs: &ix.obs})
-	_ = ix.Probe(context.Background(), s, wedges, c) // uncancellable: never errs
+	_ = ix.Probe(context.Background(), s, c) // uncancellable: never errs
 	cnt.Add(s.Steps())
 	return c
 }
@@ -233,23 +233,17 @@ func (ix *Index) vpWalk(rs *core.RotationSet) walk {
 }
 
 // paaWalk enumerates candidates in one sorted pass over the PAA column: each
-// object's means are lower-bounded against the K DTW-expanded envelopes of
-// the query's wedge set (paa.MinLowerBound), the objects bounded below the
-// starting radius are sorted by (bound, id), and they are proposed in that
-// order while the bound stays below the current radius. With DTW's loose
-// bound a probe fetches most of the store, so a tree over the column would
-// save few bound computations; the sort is the whole of the ordering.
-// wedges selects K, clamped to the rotation count; 0 picks one envelope per
-// rotation (classic per-rotation LB_Keogh boxes): index-space bounds are
-// cheap relative to a disk fetch, and fat merged wedges prune dramatically
-// worse here — see BenchmarkAblationIndexWedges.
-func (ix *Index) paaWalk(rs *core.RotationSet, R, wedges int) walk {
-	if wedges <= 0 || wedges > rs.Members() {
-		wedges = rs.Members()
-	}
-	envs := rs.Tree().FrontierEnvelopes(wedges, R)
-	boxes := make([]paa.Box, len(envs))
-	for i, e := range envs {
+// object's means are lower-bounded against the widened wedges' PAA boxes
+// (paa.MinLowerBound, which box order does not change), the objects bounded
+// below the starting radius are sorted by (bound, id), and they are proposed
+// in that order while the bound stays below the current radius. With DTW's
+// loose bound a probe fetches most of the store, so a tree over the column
+// would save few bound computations; the sort is the whole of the ordering.
+// Probe passes one box per rotation (the widened tree's leaves): merged
+// wedges fetched no fewer rows (EXPERIMENTS.md, "index wedge count K").
+func (ix *Index) paaWalk(wedges []envelope.Envelope) walk {
+	boxes := make([]paa.Box, len(wedges))
+	for i, e := range wedges {
 		boxes[i] = paa.ReduceEnvelope(e, ix.d)
 	}
 	return func(r float64, visit func(int, float64, float64) float64) {
@@ -289,12 +283,13 @@ func nearest() *core.Collector { return core.NewCollector(1, math.Inf(1)) }
 // fetching only the objects whose magnitude-feature bound beats the
 // best-so-far.
 func (ix *Index) SearchED(rs *core.RotationSet, cnt *stats.Counter) Result {
-	return ix.probeDefault(rs, wedge.ED{}, 0, nearest(), cnt).Best()
+	return ix.probeDefault(rs, wedge.ED{}, nearest(), cnt).Best()
 }
 
 // SearchDTW answers an exact 1-NN rotation-invariant DTW query with band R,
 // verifying candidates until the smallest outstanding PAA envelope bound
-// reaches the best-so-far. wedges is paaWalk's K.
-func (ix *Index) SearchDTW(rs *core.RotationSet, R int, wedges int, cnt *stats.Counter) Result {
-	return ix.probeDefault(rs, wedge.DTW{R: R}, wedges, nearest(), cnt).Best()
+// reaches the best-so-far. The third argument, once the walk's wedge count,
+// is ignored; benchmark/ still passes it, and a benchmark-only PR retires it.
+func (ix *Index) SearchDTW(rs *core.RotationSet, R int, _ int, cnt *stats.Counter) Result {
+	return ix.probeDefault(rs, wedge.DTW{R: R}, nearest(), cnt).Best()
 }

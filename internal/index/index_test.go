@@ -11,6 +11,7 @@ import (
 	"testing/quick"
 
 	"lbkeogh/internal/core"
+	"lbkeogh/internal/envelope"
 	"lbkeogh/internal/fourier"
 	"lbkeogh/internal/obs"
 	"lbkeogh/internal/obs/trace"
@@ -103,7 +104,7 @@ func TestSearchDTWExact(t *testing.T) {
 		R := 1 + trial
 		wantIdx, wantDist := linearScan(rs, db, wedge.DTW{R: R})
 		ix := Build(db, 8)
-		got := ix.SearchDTW(rs, R, 8, nil)
+		got := ix.SearchDTW(rs, R, 0, nil)
 		if got.Index != wantIdx || math.Abs(got.Dist-wantDist) > 1e-9 {
 			t.Fatalf("trial %d R=%d: index (%d,%v) != linear (%d,%v)", trial, R, got.Index, got.Dist, wantIdx, wantDist)
 		}
@@ -119,7 +120,7 @@ func TestSingleRowIndex(t *testing.T) {
 	rs := core.NewRotationSet(ts.ZNorm(ts.RandomWalk(rng, 32)), core.DefaultOptions(), nil)
 	for _, kern := range []wedge.Kernel{wedge.ED{}, wedge.DTW{R: 2}} {
 		_, want := linearScan(rs, db, kern)
-		got := ix.probeDefault(rs, kern, 0, nearest(), nil).Best()
+		got := ix.probeDefault(rs, kern, nearest(), nil).Best()
 		if got.Index != 0 || math.Abs(got.Dist-want) > 1e-9 {
 			t.Fatalf("%T: (%d,%v), want (0,%v)", kern, got.Index, got.Dist, want)
 		}
@@ -136,7 +137,7 @@ func TestSearchDTWPrunesReads(t *testing.T) {
 	rng := ts.NewRand(10)
 	q := ts.ZNorm(ts.AddNoise(rng, db[0], 0.02))
 	rs := core.NewRotationSet(q, core.DefaultOptions(), nil)
-	ix.SearchDTW(rs, 3, 16, nil)
+	ix.SearchDTW(rs, 3, 0, nil)
 	if r := fetches(ix); r >= 150 {
 		t.Fatalf("DTW index read everything: %d of 150", r)
 	}
@@ -153,8 +154,8 @@ func randomRows(seed int64, m, n int) [][]float64 {
 	return db
 }
 
-// On unstructured rows and unrelated queries, across bands and wedge-set
-// sizes, the DTW walk finds the linear scan's nearest row.
+// On unstructured rows and unrelated queries, across bands, the DTW walk
+// finds the linear scan's nearest row.
 func TestSearchDTWMatchesLinearOnRandomRows(t *testing.T) {
 	n := 24
 	db := randomRows(51, 300, n)
@@ -162,25 +163,25 @@ func TestSearchDTWMatchesLinearOnRandomRows(t *testing.T) {
 	rng := ts.NewRand(52)
 	for trial := 0; trial < 20; trial++ {
 		rs := core.NewRotationSet(ts.RandomWalk(rng, n), core.DefaultOptions(), nil)
-		R, wedges := trial%4, trial%3
+		R := trial % 4
 		wantIdx, wantDist := linearScan(rs, db, wedge.DTW{R: R})
-		got := ix.SearchDTW(rs, R, wedges, nil)
+		got := ix.SearchDTW(rs, R, 0, nil)
 		if got.Index != wantIdx || math.Abs(got.Dist-wantDist) > 1e-9 {
-			t.Fatalf("trial %d R=%d wedges=%d: index (%d,%v) != linear (%d,%v)", trial, R, wedges, got.Index, got.Dist, wantIdx, wantDist)
+			t.Fatalf("trial %d R=%d: index (%d,%v) != linear (%d,%v)", trial, R, got.Index, got.Dist, wantIdx, wantDist)
 		}
 	}
 }
 
 // Property: the DTW walk's answer is exact for random database sizes,
-// dimensionalities, bands and wedge-set sizes.
+// dimensionalities and bands.
 func TestSearchDTWExactProperty(t *testing.T) {
 	n := 16
-	f := func(seed int64, mSeed, dSeed, rSeed, kSeed uint8) bool {
+	f := func(seed int64, mSeed, dSeed, rSeed uint8) bool {
 		db := randomRows(seed, 2+int(mSeed)%60, n)
-		D, R, wedges := 1+int(dSeed)%(n/2), int(rSeed)%5, int(kSeed)%4
+		D, R := 1+int(dSeed)%(n/2), int(rSeed)%5
 		rs := core.NewRotationSet(ts.RandomWalk(ts.NewRand(seed+1), n), core.DefaultOptions(), nil)
 		wantIdx, wantDist := linearScan(rs, db, wedge.DTW{R: R})
-		got := Build(db, D).SearchDTW(rs, R, wedges, nil)
+		got := Build(db, D).SearchDTW(rs, R, 0, nil)
 		return got.Index == wantIdx && math.Abs(got.Dist-wantDist) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -232,7 +233,8 @@ func TestPAAWalkPrunes(t *testing.T) {
 	s := core.NewSearcher(rs, wedge.DTW{R: R}, core.BruteForce, core.SearcherConfig{})
 	proposed := map[int]bool{}
 	best := math.Inf(1)
-	ix.paaWalk(rs, R, 0)(best, func(id int, _, r float64) float64 {
+	leaves := rs.Tree().Widened(R, nil)[:rs.Members()]
+	ix.paaWalk(leaves)(best, func(id int, _, r float64) float64 {
 		proposed[id] = true
 		best = math.Min(r, s.MatchSeries(db[id], -1, nil).Dist)
 		return best
@@ -244,7 +246,7 @@ func TestPAAWalkPrunes(t *testing.T) {
 		t.Fatalf("walk ended at %v, linear scan's nearest %v", best, want)
 	}
 	var boxes []paa.Box
-	for _, env := range rs.Tree().FrontierEnvelopes(rs.Members(), R) {
+	for _, env := range leaves {
 		boxes = append(boxes, paa.ReduceEnvelope(env, D))
 	}
 	for id, x := range db {
@@ -286,14 +288,17 @@ func TestPAAWalkOrderIsSortedBounds(t *testing.T) {
 		}
 		ix := Build(db, D)
 		rs := core.NewRotationSet(intRow(2, 4), core.DefaultOptions(), nil)
+		widened := rs.Tree().Widened(R, nil)
 		for _, wedges := range []int{0, 2} {
 			k := wedges
 			if k == 0 {
 				k = rs.Members()
 			}
+			var envs []envelope.Envelope
 			var boxes []paa.Box
-			for _, env := range rs.Tree().FrontierEnvelopes(k, R) {
-				boxes = append(boxes, paa.ReduceEnvelope(env, D))
+			for _, id := range rs.Tree().Dendrogram().Frontier(k) {
+				envs = append(envs, widened[id])
+				boxes = append(boxes, paa.ReduceEnvelope(widened[id], D))
 			}
 			bounds := make([]float64, len(db))
 			for i, x := range db {
@@ -329,7 +334,7 @@ func TestPAAWalkOrderIsSortedBounds(t *testing.T) {
 					}
 				}
 				final = start
-				ix.paaWalk(rs, R, wedges)(start, collect(&got))
+				ix.paaWalk(envs)(start, collect(&got))
 				gotFinal := final
 				visit, r := collect(&want), start
 				for _, id := range ids {
@@ -420,7 +425,9 @@ func TestProbeFetchesOnlyRowsBoundedBelowTheAnswer(t *testing.T) {
 		}},
 		{wedge.DTW{R: R}, func(rs *core.RotationSet) []float64 {
 			var boxes []paa.Box
-			for _, env := range rs.Tree().FrontierEnvelopes(rs.Members(), R) {
+			for i := 0; i < rs.Members(); i++ {
+				rot := rs.Member(i)
+				env := envelope.Envelope{U: rot, L: rot}.ExpandDTW(R)
 				boxes = append(boxes, paa.ReduceEnvelope(env, D))
 			}
 			out := make([]float64, len(db))
@@ -459,7 +466,7 @@ func TestProbeFetchesOnlyRowsBoundedBelowTheAnswer(t *testing.T) {
 			}
 			for _, k := range []int{1, 5} {
 				store.fetched = nil
-				res := ix.probeDefault(rs, kc.kern, 0, core.NewCollector(k, math.Inf(1)), nil).Results()
+				res := ix.probeDefault(rs, kc.kern, core.NewCollector(k, math.Inf(1)), nil).Results()
 				if wantIdx, wantDist := linearScan(rs, db, kc.kern); res[0].Index != wantIdx || math.Abs(res[0].Dist-wantDist) > 1e-9 {
 					t.Fatalf("trial %d %T k %d: nearest (%d,%v), linear (%d,%v)", trial, kc.kern, k, res[0].Index, res[0].Dist, wantIdx, wantDist)
 				}
@@ -513,7 +520,7 @@ func TestProbeFetchesOnlyRowsBoundedBelowTheAnswer(t *testing.T) {
 // rangeProbe answers a range query — every object strictly below r under
 // kern — through the default searcher, in ascending index order.
 func rangeProbe(ix *Index, rs *core.RotationSet, kern wedge.Kernel, r float64) []Result {
-	out := ix.probeDefault(rs, kern, 0, core.NewCollector(0, r), nil).Results()
+	out := ix.probeDefault(rs, kern, core.NewCollector(0, r), nil).Results()
 	sort.Slice(out, func(a, b int) bool { return out[a].Index < out[b].Index })
 	return out
 }
@@ -521,7 +528,7 @@ func rangeProbe(ix *Index, rs *core.RotationSet, kern wedge.Kernel, r float64) [
 // scanProbe answers a 1-NN query under a kernel the index has no compressed
 // bound for: the walk that proposes every object.
 func scanProbe(ix *Index, rs *core.RotationSet, kern wedge.Kernel) Result {
-	return ix.probeDefault(rs, kern, 0, nearest(), nil).Best()
+	return ix.probeDefault(rs, kern, nearest(), nil).Best()
 }
 
 // bruteRange is the reference: every item with exact RED < r.
@@ -724,7 +731,7 @@ func TestProbeDoesNotRetainFetchedRows(t *testing.T) {
 			s := core.NewSearcher(rs, kern, core.Wedge, core.SearcherConfig{})
 			rec := tlog.StartTrace("probe")
 			s.SetRecorder(rec)
-			if err := ix.Probe(context.Background(), s, 0, c); err != nil {
+			if err := ix.Probe(context.Background(), s, c); err != nil {
 				t.Fatal(err)
 			}
 			tlog.Finish(rec, obs.Counts{})
@@ -776,7 +783,7 @@ func TestProbeConcurrentSearchers(t *testing.T) {
 				rec := tlog.StartTrace("probe")
 				s.SetRecorder(rec)
 				c := nearest()
-				if err := ix.Probe(context.Background(), s, 0, c); err != nil {
+				if err := ix.Probe(context.Background(), s, c); err != nil {
 					t.Errorf("worker %d round %d: %v", w, round, err)
 				}
 				tlog.Finish(rec, st.Counts())

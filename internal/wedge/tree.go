@@ -119,15 +119,16 @@ func (t *Tree) Len() int { return len(t.members[0]) }
 // examples that print dendrograms).
 func (t *Tree) Dendrogram() *cluster.Dendrogram { return t.dend }
 
-// Envelope returns the base envelope of the given node.
-func (t *Tree) Envelope(node int) envelope.Envelope { return t.env[node] }
-
-// envelopesFor returns the per-node envelopes widened by radius, building and
-// caching them on first use (the paper widens wedges by the Sakoe-Chiba R for
-// DTW, Figure 13). Only the leaves are widened; an internal node is the Merge
-// of its widened children, which is bit-identical to widening its own
-// envelope because a sliding max distributes over max (and min over min).
-func (t *Tree) envelopesFor(radius int, cnt *stats.Tally) []envelope.Envelope {
+// Widened returns every node's envelope widened by radius (by the band R for
+// DTW, Figure 13; by the window for LCSS), in node order, the root last; radius
+// 0 is the base envelopes Build paid for. It is the one widened form of a
+// wedge, cached for the tree's life: the call that first builds a radius
+// charges cnt one step per sample per node, and every later call is free.
+// Only the leaves are widened; an internal node is the Merge of its widened
+// children, which is bit-identical to widening its own envelope because a
+// sliding max distributes over max (and min over min). Never write through
+// the result.
+func (t *Tree) Widened(radius int, cnt *stats.Tally) []envelope.Envelope {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if e, ok := t.expanded[radius]; ok {
@@ -182,20 +183,6 @@ func (t *Tree) MaxK() int { return len(t.members) }
 // Depth returns the dendrogram depth of the given node (root = 0).
 func (t *Tree) Depth(node int) int { return t.depth[node] }
 
-// FrontierEnvelopes returns the envelopes of the K-wedge dendrogram cut,
-// widened by radius (0 for Euclidean, the band R for DTW). The index layer
-// reduces these to its compressed representation ("search for the best match
-// to K envelopes in the wedge set W", Section 4.2).
-func (t *Tree) FrontierEnvelopes(K, radius int) []envelope.Envelope {
-	envs := t.envelopesFor(radius, nil)
-	frontier := t.frontierFor(K)
-	out := make([]envelope.Envelope, len(frontier))
-	for i, id := range frontier {
-		out[i] = envs[id]
-	}
-	return out
-}
-
 // Result reports the outcome of an H-Merge search.
 type Result struct {
 	// Dist is the exact minimum kernel distance from the probe to any member,
@@ -239,14 +226,14 @@ type Scratch struct {
 }
 
 // prepare points the scratch at tree t, radius and K. The widened envelopes
-// are fetched once per tree and radius — so the search that first builds them
-// is charged the build on steps, as ever — the leaf buffer once per tree,
+// are fetched once per tree and radius — so a search that is the first to
+// widen the tree is charged the build on steps — the leaf buffer once per tree,
 // and the frontier once per change of K; a steady-state comparison takes
 // neither lock nor allocates.
 func (sc *Scratch) prepare(t *Tree, radius, K int, steps *stats.Tally) {
 	if sc.tree != t || sc.radius != radius {
 		sc.tree, sc.radius, sc.frontier = t, radius, nil
-		sc.envs = t.envelopesFor(radius, steps)
+		sc.envs = t.Widened(radius, steps)
 		if n := t.Len() + 1; cap(sc.cb) < n {
 			sc.cb = make([]float64, n)
 		} else {
@@ -256,19 +243,6 @@ func (sc *Scratch) prepare(t *Tree, radius, K int, steps *stats.Tally) {
 	if sc.k != K || sc.frontier == nil {
 		sc.k, sc.frontier = K, t.frontierFor(K)
 	}
-}
-
-// Search runs H-Merge (Table 6): it returns the exact minimum distance from
-// q to any member of the tree, provided that minimum is strictly below r
-// (r < 0 or +Inf means unbounded). K is the wedge-set size to start from. The
-// result is exact: H-Merge returns precisely what brute force over all members
-// would, as long as the caller treats Dist = +Inf as "no member beats r".
-func (t *Tree) Search(q []float64, k Kernel, K int, r float64, _ Traversal, cnt *stats.Tally) Result {
-	var sc Scratch
-	var steps stats.Tally
-	res := t.SearchInto(q, k, K, r, &steps, &sc, nil)
-	cnt.Add(res.Steps)
-	return res
 }
 
 // SearchInto is Search over a caller-owned scratch, with cooperative
@@ -354,4 +328,17 @@ func (t *Tree) SearchInto(q []float64, k Kernel, K int, r float64, steps *stats.
 		return Result{Dist: math.Inf(1), BestMember: -1, Steps: spent, Aborted: aborted}
 	}
 	return Result{Dist: best, BestMember: bestMember, Steps: spent}
+}
+
+// Search runs H-Merge (Table 6): it returns the exact minimum distance from
+// q to any member of the tree, provided that minimum is strictly below r
+// (r < 0 or +Inf means unbounded). K is the wedge-set size to start from. The
+// result is exact: H-Merge returns precisely what brute force over all members
+// would, as long as the caller treats Dist = +Inf as "no member beats r".
+func (t *Tree) Search(q []float64, k Kernel, K int, r float64, _ Traversal, cnt *stats.Tally) Result {
+	var sc Scratch
+	var steps stats.Tally
+	res := t.SearchInto(q, k, K, r, &steps, &sc, nil)
+	cnt.Add(res.Steps)
+	return res
 }

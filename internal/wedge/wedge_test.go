@@ -45,7 +45,7 @@ func TestTreeStructure(t *testing.T) {
 	// Every node's envelope contains all leaves below it.
 	d := tree.Dendrogram()
 	for id := range d.Nodes {
-		env := tree.Envelope(id)
+		env := tree.Widened(0, nil)[id]
 		for _, leaf := range d.Leaves(id) {
 			if !env.Contains(members[leaf], 1e-12) {
 				t.Fatalf("node %d envelope misses leaf %d", id, leaf)
@@ -251,9 +251,9 @@ func sameEnvelope(a, b envelope.Envelope) bool {
 // The widened tree is built by widening the leaves and merging upward; every
 // node must come out exactly equal to widening that node's own envelope, the
 // set-up must cost what it always did (one step per sample per node, charged
-// to the first comparison only, and to nobody when the index's uncharged
-// FrontierEnvelopes call built the radius first), and FrontierEnvelopes must
-// hand the index the same envelopes whether or not a scan ran before it.
+// exactly once, whichever reader builds it: the first comparison, or a
+// direct Widened call before any), and Widened must hand every reader the
+// same envelopes whether or not a scan ran before it.
 func TestWidenedEnvelopesMatchExpandDTW(t *testing.T) {
 	const n = 24
 	rng := ts.NewRand(20)
@@ -311,27 +311,30 @@ func TestWidenedEnvelopesMatchExpandDTW(t *testing.T) {
 			if got := first - second; got != setup {
 				t.Errorf("%s R=%d: first search charged %d widening steps, want %d", tc.name, R, got, setup)
 			}
-			envs := scanned.envelopesFor(R, nil)
+			var late stats.Tally
+			envs := scanned.Widened(R, &late)
+			if late.Steps() != 0 {
+				t.Errorf("%s R=%d: Widened after a search charged %d steps, want 0", tc.name, R, late.Steps())
+			}
 			for id := range envs {
-				if want := scanned.Envelope(id).ExpandDTW(R); !sameEnvelope(envs[id], want) {
+				if want := scanned.Widened(0, nil)[id].ExpandDTW(R); !sameEnvelope(envs[id], want) {
 					t.Fatalf("%s R=%d: node %d differs from its own envelope widened", tc.name, R, id)
 				}
 			}
 
 			fresh := build()
-			for K := 1; K <= m; K++ {
-				before, after := fresh.FrontierEnvelopes(K, R), scanned.FrontierEnvelopes(K, R)
-				if len(before) != len(after) {
-					t.Fatalf("%s R=%d K=%d: %d envelopes before a scan, %d after", tc.name, R, K, len(before), len(after))
-				}
-				for i := range before {
-					if !sameEnvelope(before[i], after[i]) {
-						t.Fatalf("%s R=%d K=%d: envelope %d depends on whether a scan ran first", tc.name, R, K, i)
-					}
+			var direct stats.Tally
+			before := fresh.Widened(R, &direct)
+			if direct.Steps() != setup {
+				t.Errorf("%s R=%d: a first Widened call charged %d steps, want %d", tc.name, R, direct.Steps(), setup)
+			}
+			for id := range before {
+				if !sameEnvelope(before[id], envs[id]) {
+					t.Fatalf("%s R=%d: node %d depends on whether a scan ran first", tc.name, R, id)
 				}
 			}
 			if f, s := charged(fresh); f != s || s != second {
-				t.Errorf("%s R=%d: searches after FrontierEnvelopes charged %d then %d steps, want %d both times", tc.name, R, f, s, second)
+				t.Errorf("%s R=%d: searches after a Widened call charged %d then %d steps, want %d both times", tc.name, R, f, s, second)
 			}
 		}
 	}
@@ -347,7 +350,7 @@ func TestScratchReuseMatchesFreshSearch(t *testing.T) {
 	// Widen each tree once up front, so neither side of a comparison below
 	// is the one charged for building the envelopes.
 	for _, tree := range []*Tree{treeA, treeB} {
-		tree.FrontierEnvelopes(1, 3)
+		tree.Widened(3, nil)
 	}
 	rng := ts.NewRand(23)
 	var sc Scratch

@@ -423,13 +423,7 @@ func (q *Query) SearchParallelContext(ctx context.Context, db []Series, workers 
 	if err != nil {
 		return SearchResult{}, err
 	}
-	if rs[0].Index < 0 {
-		// Unreachable through the public API: validateDB guarantees a
-		// non-empty database of query-length series, and an uncancelled
-		// exact scan of such a database always yields a finite minimum.
-		return SearchResult{}, fmt.Errorf("lbkeogh: internal invariant violated: uncancelled parallel scan over %d series returned no result", len(db))
-	}
-	return rs[0], nil
+	return rs[0], nil // Index -1, Dist +Inf when no series is at a finite distance, as Search
 }
 
 // SearchTopK returns the k exact nearest neighbours in ascending distance

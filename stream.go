@@ -69,23 +69,16 @@ func NewMonitor(patterns []Series, m Measure, threshold float64) (*Monitor, erro
 	if !(threshold > 0) {
 		return nil, fmt.Errorf("stream: threshold %v must be positive", threshold)
 	}
+	// The tree and its widening are uncharged: Steps counts filtering only.
 	tree := wedge.Build(patterns, func(i, j int) float64 {
 		return dist.Euclidean(patterns[i], patterns[j], nil)
 	}, nil)
-	d := tree.Dendrogram()
-	envs := make([]envelope.Envelope, len(d.Nodes))
-	for id := range d.Nodes {
-		envs[id] = tree.Envelope(id)
-		if r := m.kern.Radius(); r != 0 {
-			envs[id] = envs[id].ExpandDTW(r)
-		}
-	}
 	return &Monitor{
 		tree:      tree,
 		kernel:    m.kern,
 		threshold: threshold,
 		n:         n,
-		envs:      envs,
+		envs:      tree.Widened(m.kern.Radius(), nil),
 		buf:       make([]float64, n),
 		win:       make([]float64, n),
 	}, nil
