@@ -37,7 +37,7 @@ race:
 # Focused race pass over the concurrency-heavy packages (server admission and
 # session pooling, streaming ingest (shapeingest's worker pool and ordered
 # commit), the shared cumulative telemetry, the parallel scan's shared
-# best-so-far, the matrix pool every concurrent query build shares, the index
+# collector, the matrix pool every concurrent query build shares, the index
 # every in-flight server session probes at once, the segment store's
 # refcounted snapshot swap under concurrent Ingest/Compact, and the root
 # package's MetricsHandler over a live parallel Query): the packages of CI's

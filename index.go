@@ -182,13 +182,6 @@ func (ix *Index) probe(ctx context.Context, q *Query, label string, k int, limit
 // (WithFixedWedgeCount, WithTraceLog, SetBoundSampler) apply, and its
 // steps and statistics land on q.Steps and q.Stats as well as on the index's
 // cumulative record.
-//
-// Ties: candidates are verified in ascending order of their compressed bound
-// (equal bounds by row), not in database order, so among rows at exactly the
-// same distance but with different bounds the one reported — or, for top-K
-// and range, their relative order — may differ from the flat scan's "lowest
-// index first". Duplicate rows share their bound and resolve to the lowest
-// index, as the scan does. Distances never differ.
 func (ix *Index) Search(q *Query) (SearchResult, error) {
 	return ix.SearchContext(context.Background(), q)
 }
@@ -221,7 +214,8 @@ func (ix *Index) SearchTopKContext(ctx context.Context, q *Query, k int) ([]Sear
 
 // SearchRange returns every indexed series whose exact rotation-invariant
 // distance to the query is strictly below radius, in ascending distance
-// order like Query.SearchRange — the "range" search of the paper's Section 3.
+// order with ties towards the lower index, like Query.SearchRange — the
+// "range" search of the paper's Section 3.
 // Every measure is supported, as for Search: LCSS verifies every row. The
 // radius must be positive (+Inf: every series); anything else is an error.
 func (ix *Index) SearchRange(q *Query, radius float64) ([]SearchResult, error) {

@@ -5,6 +5,7 @@
 package classify
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -14,21 +15,21 @@ import (
 
 // NearestNeighbour returns the index of the series in db (excluding
 // `exclude`; pass -1 to exclude nothing) with the smallest rotation-invariant
-// kernel distance to q, along with that distance.
+// kernel distance to q, ties towards the lowest index, along with that
+// distance (-1 and +Inf when no series is at a finite distance).
 func NearestNeighbour(q []float64, db [][]float64, exclude int, kern wedge.Kernel, opts core.Options) (int, float64) {
 	rs := core.NewRotationSet(q, opts, nil)
 	s := core.NewSearcher(rs, kern, core.Wedge, core.SearcherConfig{})
-	best, bestIdx := math.Inf(1), -1
+	c := core.NewCollector(1, math.Inf(1))
+	_ = s.Begin(context.Background()) // uncancellable: never errs
 	for j, x := range db {
-		if j == exclude {
-			continue
-		}
-		m := s.MatchSeries(x, best, nil)
-		if m.Found() && m.Dist < best {
-			best, bestIdx = m.Dist, j
+		if j != exclude {
+			_ = s.Offer(j, x, c)
 		}
 	}
-	return bestIdx, best
+	s.End()
+	best := c.Best()
+	return best.Index, best.Dist
 }
 
 // LeaveOneOut runs leave-one-out 1-NN classification over the labelled

@@ -20,17 +20,28 @@ func parallelTestDB(seed int64, m, n int) ([][]float64, []float64) {
 	return db, q
 }
 
+// TestScanParallelMatchesSerial: every worker count answers the serial scan,
+// and one worker, which offers the rows in id order under the same radii,
+// spends exactly its steps.
 func TestScanParallelMatchesSerial(t *testing.T) {
 	db, q := parallelTestDB(1, 200, 48)
 	rs := NewRotationSet(q, DefaultOptions(), nil)
 	for _, kern := range []wedge.Kernel{wedge.ED{}, wedge.DTW{R: 3}} {
-		serial := NewSearcher(rs, kern, Wedge, SearcherConfig{}).Scan(db, nil)
+		var serialSteps stats.Counter
+		serial := NewSearcher(rs, kern, Wedge, SearcherConfig{}).Scan(db, &serialSteps) // the first to widen rs by kern
 		for _, workers := range []int{0, 1, 2, 4, 7} {
 			got := ScanParallel(rs, kern, Wedge, SearcherConfig{}, db, workers, nil)
 			if got.Index != serial.Index || math.Abs(got.Dist-serial.Dist) > 1e-9 {
 				t.Fatalf("%s workers=%d: parallel (%d,%v) != serial (%d,%v)",
 					kern.Name(), workers, got.Index, got.Dist, serial.Index, serial.Dist)
 			}
+		}
+		// On a fresh rotation set: the first reader of a widened tree pays
+		// its widening.
+		var steps stats.Counter
+		ScanParallel(NewRotationSet(q, DefaultOptions(), nil), kern, Wedge, SearcherConfig{}, db, 1, &steps)
+		if steps.Steps() != serialSteps.Steps() {
+			t.Fatalf("%s: one worker spent %d steps, the serial scan %d", kern.Name(), steps.Steps(), serialSteps.Steps())
 		}
 	}
 }

@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"lbkeogh/internal/cancel"
 	"lbkeogh/internal/envelope"
@@ -396,15 +397,18 @@ type ScanResult struct {
 	Member Member
 }
 
-// Collector is the keep policy of a database scan: the k nearest matches
-// strictly below a limit (k = 0: every match below it). Nearest neighbour is
-// k = 1 under +Inf, top-K is k under +Inf, a range query is k = 0 under its
-// threshold — one policy, because all three differ only in when the
-// abandoning threshold starts to shrink.
+// Collector is the keep policy of a database scan and the one owner of its
+// tie rule: the k nearest matches strictly below a limit (k = 0: every match
+// below it), ordered by (distance, row id) whatever order the rows are
+// offered in — id order by a flat scan, worker order by a parallel one,
+// bound order by an index probe — so every path keeps the flat scan's rows.
+// Nearest neighbour is k = 1 under +Inf, top-K is k under +Inf, a range query
+// is k = 0 under its threshold: one policy, because all three differ only in
+// when the abandoning threshold starts to shrink.
 type Collector struct {
 	k     int
 	limit float64
-	res   []ScanResult // k > 0: ascending distance, ties in offer order
+	res   []ScanResult // k > 0: ascending (distance, row id)
 }
 
 // NewCollector returns an empty collector keeping the k nearest matches
@@ -413,18 +417,32 @@ func NewCollector(k int, limit float64) *Collector {
 	return &Collector{k: max(k, 0), limit: limit}
 }
 
-// Radius is the abandoning threshold for the next comparison: only a match
-// strictly below it would be kept. It never rises.
-func (c *Collector) Radius() float64 {
-	if c.k > 0 && len(c.res) == c.k {
-		return c.res[c.k-1].Dist
+// Radius is the abandoning threshold for matching row i: a match at or above
+// it could not be kept. It is the limit until k matches are kept, then the
+// k-th kept distance — loosened by tieLimit when i is below the k-th kept
+// row's id, because an exact tie would then displace that row and must be
+// matched in full rather than abandoned. For a given i it never rises. In an
+// id-order scan every later row has a higher id, so it is never loosened.
+func (c *Collector) Radius(i int) float64 {
+	if c.k == 0 || len(c.res) < c.k {
+		return c.limit
 	}
-	return c.limit
+	last := c.res[c.k-1]
+	if i < last.Index {
+		return min(tieLimit(last.Dist), c.limit)
+	}
+	return last.Dist
 }
 
-// Offer keeps series i's match if it beats Radius, evicting the k-th.
+// tieLimit loosens a kept distance d into a threshold strictly above it, so
+// that a comparison abandoning at the threshold matches an exact tie at d in
+// full.
+func tieLimit(d float64) float64 { return d*(1+1e-12) + 1e-300 }
+
+// Offer keeps row i's match if it is below the limit and, once k are kept,
+// before the k-th in (distance, row id) order, which it then evicts.
 func (c *Collector) Offer(i int, m Match) {
-	if !m.Found() || !(m.Dist < c.Radius()) { // a NaN limit keeps nothing
+	if !m.Found() || !(m.Dist < c.limit) { // a NaN limit keeps nothing
 		return
 	}
 	r := ScanResult{Index: i, Dist: m.Dist, Member: m.Member}
@@ -433,8 +451,11 @@ func (c *Collector) Offer(i int, m Match) {
 		return
 	}
 	pos := len(c.res)
-	for pos > 0 && c.res[pos-1].Dist > r.Dist {
+	for pos > 0 && byDistThenID(r, c.res[pos-1]) < 0 {
 		pos--
+	}
+	if pos == c.k {
+		return // not before the k-th
 	}
 	if len(c.res) < c.k {
 		c.res = append(c.res, ScanResult{})
@@ -443,11 +464,15 @@ func (c *Collector) Offer(i int, m Match) {
 	c.res[pos] = r
 }
 
-// Results returns what was kept in ascending distance order, equal distances
-// in offer order.
+// byDistThenID is the tie rule: ascending distance, equal distances by row id.
+func byDistThenID(a, b ScanResult) int {
+	return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Index, b.Index))
+}
+
+// Results returns what was kept in (distance, row id) order.
 func (c *Collector) Results() []ScanResult {
 	if c.k == 0 {
-		sort.SliceStable(c.res, func(a, b int) bool { return c.res[a].Dist < c.res[b].Dist })
+		slices.SortFunc(c.res, byDistThenID)
 	}
 	return c.res
 }
@@ -520,19 +545,25 @@ func (s *Searcher) flush() int64 {
 	return steps
 }
 
-// Offer is one candidate of a pass: the checkpoint is polled, series x —
-// database row i, which the comparison's span is named after — is matched
-// under c's current radius and the match offered to c. A comparison the
-// cancellation cut short is discarded, not offered.
+// Offer is one candidate of a pass: database row i, series x, is matched
+// under c's radius for it and the match offered to c.
 func (s *Searcher) Offer(i int, x []float64, c *Collector) error {
+	m, err := s.match(i, x, c.Radius(i))
+	if err == nil {
+		c.Offer(i, m)
+	}
+	return err
+}
+
+// match is Offer's comparison under threshold r: the checkpoint is polled and
+// series x — database row i, which the comparison's span is named after — is
+// matched. A comparison the cancellation cut short returns the error, its
+// match to be discarded.
+func (s *Searcher) match(i int, x []float64, r float64) (Match, error) {
 	if err := s.chk.Stop(); err != nil {
-		return err
+		return Match{}, err
 	}
 	s.ref = i
-	m := s.MatchSeries(x, c.Radius(), nil)
-	if err := s.chk.Err(); err != nil {
-		return err
-	}
-	c.Offer(i, m)
-	return nil
+	m := s.MatchSeries(x, r, nil)
+	return m, s.chk.Err()
 }

@@ -147,7 +147,7 @@ type Result = core.ScanResult
 // every object its compressed bound cannot exclude at the current radius r,
 // in ascending order of bound with ties by id, and continues with the radius
 // visit returns — vptree.Search's shape (its one queue of subtrees and points
-// makes the order exact; paaWalk sorts; scanWalk's bounds are all 0). So the
+// makes the order exact; paaWalk sorts; scanWalk has no bound, -Inf). So the
 // first verified row is the one most likely to be the answer, it sets the
 // radius every later comparison abandons against, and a nearest or top-K
 // probe fetches exactly the rows bounded below its answer. No bound is below
@@ -157,10 +157,14 @@ type walk func(r float64, visit func(id int, bound, r float64) float64)
 // Probe is the one index query path: each object the walk for s's kernel
 // proposes — the VP-tree's under the Euclidean kernel, the PAA column's
 // against the widened rotations (see paaWalk) under DTW, every object under
-// LCSS, which has no compressed bound — is fetched, verified exactly by s and
-// offered to c, whose radius — shrinking for a nearest or top-K query, fixed
-// for a range — is what the walk continues with. No false dismissals: a walk
-// skips an object only on an admissible bound that reaches the radius.
+// LCSS, which has no compressed bound — is fetched if its bound is below c's
+// radius for its row, verified exactly by s and offered to c. The walk
+// continues with c.Radius(0) — shrinking for a nearest or top-K query, fixed
+// for a range — the radius of a row below every kept one, because a row
+// bounded at a kept distance may still displace a kept row it ties with at
+// a higher id. No false dismissals: an object is skipped only on an
+// admissible bound that reaches its radius, so the probe keeps the flat
+// scan's rows, ties included (core.Collector's tie rule).
 //
 // The probe is s's pass (core.Searcher.Begin/Offer/End), so it honours s's
 // strategy, wedge-set size and bound sampler, carries its adaptive state
@@ -186,12 +190,14 @@ func (ix *Index) Probe(ctx context.Context, s *core.Searcher, c *core.Collector)
 	span := rec.Begin(stage, -1)
 	var fetched int64
 	var err error
-	candidates(c.Radius(), func(id int, _, _ float64) float64 {
-		fetched++
-		if err = s.Offer(id, ix.fetch(rec, id), c); err != nil {
-			return math.Inf(-1)
+	candidates(c.Radius(0), func(id int, bound, _ float64) float64 {
+		if bound < c.Radius(id) {
+			fetched++
+			if err = s.Offer(id, ix.fetch(rec, id), c); err != nil {
+				return math.Inf(-1)
+			}
 		}
-		return c.Radius()
+		return c.Radius(0)
 	})
 	rec.End(span)
 	s.End() // flushes a widening no comparison carried into the record
@@ -269,11 +275,11 @@ func (ix *Index) paaWalk(wedges []envelope.Envelope) walk {
 	}
 }
 
-// scanWalk proposes every object in index order: the walk for measures with
-// no admissible compressed bound.
+// scanWalk proposes every object in index order, bounded by -Inf: the walk
+// for measures with no admissible compressed bound.
 func (ix *Index) scanWalk(r float64, visit func(int, float64, float64) float64) {
 	for id := 0; id < len(ix.mags) && !math.IsInf(r, -1); id++ {
-		r = visit(id, 0, r)
+		r = visit(id, math.Inf(-1), r)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -146,37 +145,60 @@ func TestServerMaxDegreesRange(t *testing.T) {
 	}
 }
 
-// On a database with duplicated rows the distances are the flat scan's and
-// only rows at exactly the same distance may differ in index: the probe
-// verifies in ascending order of bound, and "lowest index wins" is the flat
-// scan's promise, not the index's. Duplicates share their bound, though, so
-// they come back in index order here too and the answer is the scan's.
+// On a database with duplicated rows, and with integer rows whose rotations
+// sit at higher ids — each tying exactly with its original while its
+// magnitude bound rounds differently — every Euclidean request answers the
+// flat library call's rows, distances and order: the index probe verifies
+// rows in ascending order of bound, not by row, but the collector it offers
+// to resolves exact ties towards the lower row as the flat scan does.
 func TestServerIndexTieRule(t *testing.T) {
 	db := lbkeogh.SyntheticProjectilePoints(3, 40, 32)
 	db = append(db, db[7], db[7], db[21], db[7])
+	rng := ts.NewRand(78)
+	queries := []lbkeogh.Series{ts.Rotate(db[7], 3)}
+	ints := make([]lbkeogh.Series, 10)
+	for i := range ints {
+		ints[i] = make(lbkeogh.Series, 32)
+		for j := range ints[i] {
+			ints[i][j] = float64(rng.Intn(9))
+		}
+		q := ts.Rotate(ints[i], 5+i)
+		q[i]++ // a rotation of the row with one sample changed
+		queries = append(queries, q)
+	}
+	db = append(db, ints...)
+	for i, row := range ints {
+		db = append(db, ts.Rotate(row, 3+i))
+	}
 	_, srv := newTestServer(t, Config{DB: db})
-	series := ts.Rotate(db[7], 3)
-	raw, _ := json.Marshal(map[string]any{"series": series, "k": 12})
-	code, sr, text := post(t, srv, "/v1/topk", string(raw))
-	if code != http.StatusOK {
-		t.Fatalf("status %d (%s)", code, text)
-	}
-	want := flatAnswer(t, db, series, "topk", 12, 0)
-	if len(sr.Results) != len(want) {
-		t.Fatalf("%d hits, the flat library %d", len(sr.Results), len(want))
-	}
-	seen := map[int]bool{}
-	for i, h := range sr.Results {
-		if !closeRel(h.Dist, want[i].Dist) {
-			t.Fatalf("hit %d: dist %v, the flat library %v", i, h.Dist, want[i].Dist)
+	for qi, series := range queries {
+		threshold := flatAnswer(t, db, series, "topk", 8, 0)[7].Dist + 1e-9 // a range ending on or just past a tie
+		for _, c := range []struct {
+			endpoint string
+			body     map[string]any
+		}{
+			{"search", map[string]any{"series": series}},
+			{"topk", map[string]any{"series": series, "k": 12}},
+			{"range", map[string]any{"series": series, "threshold": threshold}},
+		} {
+			raw, _ := json.Marshal(c.body)
+			code, sr, text := post(t, srv, "/v1/"+c.endpoint, string(raw))
+			if code != http.StatusOK {
+				t.Fatalf("q%d %s: status %d (%s)", qi, c.endpoint, code, text)
+			}
+			if sr.Stats.IndexFetches == 0 {
+				t.Fatalf("q%d %s did not go through the index: %+v", qi, c.endpoint, sr.Stats.Counts)
+			}
+			want := flatAnswer(t, db, series, c.endpoint, 12, threshold)
+			if len(sr.Results) != len(want) {
+				t.Fatalf("q%d %s: %d hits, the flat library %d", qi, c.endpoint, len(sr.Results), len(want))
+			}
+			for i, h := range sr.Results {
+				if h.Index != want[i].Index || !closeRel(h.Dist, want[i].Dist) {
+					t.Fatalf("q%d %s hit %d: (%d, %v), the flat library (%d, %v)", qi, c.endpoint, i, h.Index, h.Dist, want[i].Index, want[i].Dist)
+				}
+			}
 		}
-		if h.Index != want[i].Index {
-			t.Fatalf("hit %d: row %d, the flat library row %d (duplicates: %v)", i, h.Index, want[i].Index, slices.Equal(db[h.Index], db[want[i].Index]))
-		}
-		if seen[h.Index] {
-			t.Fatalf("row %d reported twice: %+v", h.Index, sr.Results)
-		}
-		seen[h.Index] = true
 	}
 }
 

@@ -402,8 +402,9 @@ func (q *Query) SearchContext(ctx context.Context, db []Series) (SearchResult, e
 // SearchParallel is Search distributed across the given number of worker
 // goroutines (0 selects GOMAXPROCS). The rotation set and its wedge
 // hierarchy are shared (they are concurrency-safe); each worker owns its
-// adaptive search state, and all workers prune against the shared
-// best-so-far. The result is identical to Search.
+// adaptive search state, and all workers offer their matches to one shared
+// collector and prune against its best-so-far. The result is identical to
+// Search, ties towards the lowest index included.
 func (q *Query) SearchParallel(db []Series, workers int) (SearchResult, error) {
 	return q.SearchParallelContext(context.Background(), db, workers)
 }
