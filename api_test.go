@@ -526,15 +526,14 @@ func TestSixVsNine(t *testing.T) {
 func TestStepsAccounting(t *testing.T) {
 	db := demoDB(8, 20, 64)
 	q, _ := NewQuery(db[0], Euclidean())
-	setup := q.Steps()
-	if setup == 0 {
-		t.Fatal("construction should charge steps")
+	if q.Steps() != 0 {
+		t.Fatal("construction should charge nothing: the first wedge comparison builds the tree")
 	}
 	if _, err := q.Search(db); err != nil {
 		t.Fatal(err)
 	}
-	if q.Steps() <= setup {
-		t.Fatal("search should add steps")
+	if q.Steps() <= q.rs.SetupSteps {
+		t.Fatal("search should charge the build and its comparisons")
 	}
 	q.ResetSteps()
 	if q.Steps() != 0 {

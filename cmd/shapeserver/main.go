@@ -4,8 +4,8 @@
 // its own pruning breakdown. The server bounds concurrency with admission
 // control (429 once the wait queue fills), bounds every search with a
 // deadline wired into the library's cooperative cancellation (504 on
-// expiry), pools compiled query sessions so repeated queries skip the O(n²)
-// rotation-set build, and drains gracefully on SIGINT/SIGTERM.
+// expiry), pools compiled query sessions so repeated queries keep their
+// O(n²) wedge hierarchy once built, and drains gracefully on SIGINT/SIGTERM.
 //
 // Usage:
 //

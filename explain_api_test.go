@@ -211,7 +211,9 @@ func TestExplainResultsUnperturbed(t *testing.T) {
 // that row alone, and a flat search with a bound sampler attached. Under DTW
 // and LCSS the first reader of the query's widened wedges (the comparison,
 // the index's DTW walk, the sampler) is charged the widening, so each path
-// pays it exactly once.
+// pays it exactly once. Each query's tree is built before it searches, off
+// its steps, so that the index path walks it from its first row too (a
+// fresh query's probe verifies by early abandoning until the tree pays).
 func TestWideningChargedOnEveryPath(t *testing.T) {
 	db := demoDB(25, 10, 96)
 	row := db[1:2]
@@ -237,6 +239,7 @@ func TestWideningChargedOnEveryPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			q.rs.Tree()
 			q.ResetSteps()
 			if _, err := p.search(q); err != nil {
 				t.Fatalf("%s/%s: %v", m.Name(), p.name, err)

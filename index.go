@@ -181,7 +181,10 @@ func (ix *Index) probe(ctx context.Context, q *Query, label string, k int, limit
 // The search runs through the query's own searcher: its strategy and options
 // (WithFixedWedgeCount, WithTraceLog, SetBoundSampler) apply, and its
 // steps and statistics land on q.Steps and q.Stats as well as on the index's
-// cumulative record.
+// cumulative record. A wedge query whose tree is not yet built verifies the
+// fetched rows by early abandoning until that has spent twice the tree's
+// build, over all the query's index searches, and then builds it and walks
+// it; the rows returned are the same either way.
 func (ix *Index) Search(q *Query) (SearchResult, error) {
 	return ix.SearchContext(context.Background(), q)
 }

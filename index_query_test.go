@@ -42,8 +42,12 @@ func TestIndexSearchRunsThroughTheQuery(t *testing.T) {
 	}
 
 	// The query's own record holds the search — index counters included —
-	// and the index's record stays the sum over every query answered.
+	// and the index's record stays the sum over every query answered. The
+	// wedge queries have their trees built first, so the probe walks H-Merge
+	// from its first row (a fresh query's probe verifies by early abandoning
+	// until its tree pays: TestLazyProbeKeepsTheFlatScansRows).
 	q, _ := NewQuery(series, Euclidean())
+	q.rs.Tree()
 	got, err := ix.Search(q)
 	if err != nil {
 		t.Fatal(err)
@@ -64,6 +68,7 @@ func TestIndexSearchRunsThroughTheQuery(t *testing.T) {
 	// singleton wedge per rotation H-Merge never opens an internal wedge,
 	// which the dynamic controller (starting at K = 2) always does.
 	fixed, _ := NewQuery(series, Euclidean(), WithFixedWedgeCount(64))
+	fixed.rs.Tree()
 	got, err = ix.Search(fixed)
 	if err != nil {
 		t.Fatal(err)

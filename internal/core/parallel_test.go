@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"lbkeogh/internal/obs"
@@ -151,6 +152,36 @@ func TestWidenedEnvelopesDuringParallelScan(t *testing.T) {
 		serial := NewSearcher(rs, wedge.DTW{R: R}, Wedge, SearcherConfig{}).Scan(db, nil)
 		if got.Index != serial.Index {
 			t.Fatalf("%+v: parallel scan answers %d, serial %d", opts, got.Index, serial.Index)
+		}
+	}
+}
+
+// TestTreeBuiltOnceByConcurrentReaders: goroutines racing for a fresh set's
+// first Tree (as a parallel scan's workers do) wait for one build and share
+// its tree, which is the eager build's dendrogram; run under -race.
+func TestTreeBuiltOnceByConcurrentReaders(t *testing.T) {
+	_, q := parallelTestDB(6, 1, 40)
+	for _, opts := range []Options{DefaultOptions(), {Mirror: true, MaxShift: -1}, {MaxShift: 5}} {
+		rs := NewRotationSetTraced(q, opts, nil)
+		if rs.Built() {
+			t.Fatal("a traced set was built before its first read")
+		}
+		trees := make(chan *wedge.Tree, 4)
+		for range cap(trees) {
+			go func() { trees <- rs.Tree() }()
+		}
+		first := <-trees
+		for range cap(trees) - 1 {
+			if tr := <-trees; tr != first {
+				t.Fatalf("%+v: two readers got two trees", opts)
+			}
+		}
+		if !rs.Built() || rs.Tree() != first {
+			t.Fatalf("%+v: the set forgot its tree", opts)
+		}
+		eager := NewRotationSet(q, opts, nil)
+		if !reflect.DeepEqual(first.Dendrogram(), eager.Tree().Dendrogram()) || rs.SetupSteps != eager.SetupSteps {
+			t.Fatalf("%+v: the first read's tree differs from the eager build", opts)
 		}
 	}
 }

@@ -13,6 +13,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"lbkeogh/internal/obs/trace"
 	"lbkeogh/internal/stats"
@@ -45,9 +47,11 @@ type Member struct {
 }
 
 // RotationSet is the expanded rotation matrix of one query series together
-// with its wedge hierarchy. Building one costs O(n²) — the set-up cost the
-// paper charges against the wedge strategy — but it is built once per query
-// and amortized over the whole database scan.
+// with its wedge hierarchy. The matrix is views and costs O(n) to lay out;
+// the hierarchy costs O(n²) — the set-up the paper charges to the wedge
+// strategy alone (§4.1) — and is built on its first read (Tree), once,
+// whichever of the goroutines sharing the set reads it first. A query whose
+// comparisons never walk a wedge never pays for one.
 //
 // The rows are not copies: rotation s of x is the window [s, s+n) of x‖x, so
 // every row is a view (cap == len) of one doubled buffer, two with Mirror.
@@ -55,47 +59,50 @@ type Member struct {
 type RotationSet struct {
 	base    []float64
 	n       int
+	halves  [][]float64 // x‖x, and the mirror's, of which the rows are windows
 	members [][]float64
 	ids     []Member
-	tree    *wedge.Tree
 
-	// SetupSteps is the num_steps charged for construction (circulant
-	// distance profile + envelope building).
+	once sync.Once
+	tree atomic.Pointer[wedge.Tree] // nil until the first Tree
+
+	// SetupSteps is the num_steps the wedge hierarchy's build costs
+	// (circulant distance profiles + node envelopes), known before it runs:
+	// n(n−1+|cross|) + n(m−1) for m rows, 125 500 at n = 251. It is charged
+	// once, when the build happens (Built).
 	SetupSteps int64
 }
 
 // NewRotationSet expands base into its rotation matrix per opts and builds
-// the hierarchical wedge structure over it. The pairwise distances needed by
-// the clustering are computed in O(n²) total using the circulant structure
-// of the rotation matrix: the Euclidean distance between two rotations of
-// the same series depends only on their relative shift, and the distance
-// between a rotation and a mirrored rotation depends only on the sum of the
-// indices, so n + n profile entries suffice for the full matrix. SetupSteps
-// is added to cnt (nil: not accumulated).
+// the hierarchical wedge structure over it at once, adding SetupSteps to cnt
+// (nil: not accumulated). The pairwise distances needed by the clustering are
+// computed in O(n²) total using the circulant structure of the rotation
+// matrix: the Euclidean distance between two rotations of the same series
+// depends only on their relative shift, and the distance between a rotation
+// and a mirrored rotation depends only on the sum of the indices, so n + n
+// profile entries suffice for the full matrix.
 func NewRotationSet(base []float64, opts Options, cnt *stats.Counter) *RotationSet {
 	rs := NewRotationSetTraced(base, opts, nil)
+	rs.Tree()
 	cnt.Add(rs.SetupSteps)
 	return rs
 }
 
-// NewRotationSetTraced is NewRotationSet with build-phase span recording:
-// the rotation-matrix expansion (including the circulant distance profiles)
-// and the wedge-hierarchy construction each get a span on rec. A nil rec is
-// the untraced path.
+// NewRotationSetTraced expands base into its rotation matrix per opts,
+// recording the expansion as a span on rec (nil: untraced), and leaves the
+// wedge hierarchy to its first read: NewQuery's set.
 func NewRotationSetTraced(base []float64, opts Options, rec *trace.Recorder) *RotationSet {
 	n := len(base)
 	if n == 0 {
 		panic("core: empty query series")
 	}
-	var local stats.Tally
 	rotSpan := rec.Begin(trace.StageRotationMatrix, -1)
-
 	shifts := allowedShifts(n, opts.MaxShift)
 	halves := [][]float64{doubled(base)}
 	if opts.Mirror {
 		halves = append(halves, doubled(ts.Mirror(base)))
 	}
-	rs := &RotationSet{base: halves[0][:n:n], n: n}
+	rs := &RotationSet{base: halves[0][:n:n], n: n, halves: halves}
 	rs.members = make([][]float64, 0, len(halves)*len(shifts))
 	rs.ids = make([]Member, 0, cap(rs.members))
 	for h, dbl := range halves {
@@ -104,16 +111,32 @@ func NewRotationSetTraced(base []float64, opts Options, rec *trace.Recorder) *Ro
 			rs.ids = append(rs.ids, Member{Shift: s, Mirrored: h == 1})
 		}
 	}
-
-	same, cross := circulantProfiles(halves)
-	local.Add(int64(n) * int64(n-1+len(cross)))
+	cross := 0
+	if opts.Mirror {
+		cross = n
+	}
+	rs.SetupSteps = int64(n)*int64(n-1+cross) + int64(n)*int64(len(rs.members)-1)
 	rec.End(rotSpan)
-	wedgeSpan := rec.Begin(trace.StageWedgeBuild, -1)
-	rs.tree = wedge.BuildFilled(rs.members, func(matrix []float64) { fillCirculant(matrix, rs.ids, same, cross) }, &local)
-	rec.End(wedgeSpan)
-	rs.SetupSteps = local.Steps()
 	return rs
 }
+
+// build returns the wedge hierarchy, building it first if no goroutine has:
+// the circulant profiles, the clustering and every node's envelope, recorded
+// as one wedge-build span on rec (nil: untraced) by the goroutine that builds.
+// Concurrent callers wait for that one build.
+func (rs *RotationSet) build(rec *trace.Recorder) *wedge.Tree {
+	rs.once.Do(func() {
+		span := rec.Begin(trace.StageWedgeBuild, -1)
+		same, cross := circulantProfiles(rs.halves)
+		rs.tree.Store(wedge.BuildFilled(rs.members, func(matrix []float64) { fillCirculant(matrix, rs.ids, same, cross) }, nil))
+		rec.End(span)
+	})
+	return rs.tree.Load()
+}
+
+// Built reports whether the wedge hierarchy has been built, and so whether
+// SetupSteps has been spent.
+func (rs *RotationSet) Built() bool { return rs.tree.Load() != nil }
 
 // circulantProfiles returns, for halves = {base‖base} or {base‖base,
 // mirror‖mirror}, the two rows the whole distance matrix is read out of:
@@ -222,8 +245,8 @@ func (rs *RotationSet) Member(i int) []float64 { return rs.members[i] }
 // MemberID describes the i-th row (shift and mirroredness).
 func (rs *RotationSet) MemberID(i int) Member { return rs.ids[i] }
 
-// Tree exposes the wedge hierarchy (for the index layer and diagnostics).
-func (rs *RotationSet) Tree() *wedge.Tree { return rs.tree }
+// Tree is the wedge hierarchy, built untraced on the first read.
+func (rs *RotationSet) Tree() *wedge.Tree { return rs.build(nil) }
 
 // Base returns the original query series.
 func (rs *RotationSet) Base() []float64 { return rs.base }

@@ -114,6 +114,14 @@ type Searcher struct {
 	steps   stats.Tally
 	flushed int64
 	scratch wedge.Scratch
+
+	// tree is the set's wedge tree from this searcher's first read of it
+	// (useTree) on; nil before. probe marks a pass BeginProbe opened, and
+	// lazy is what early abandoning has spent, over the searcher's life,
+	// verifying probed rows in place of a tree not yet bought (walkTree).
+	tree  *wedge.Tree
+	probe bool
+	lazy  int64
 }
 
 // SearcherConfig tunes a Searcher beyond its strategy.
@@ -150,10 +158,41 @@ func NewSearcher(rs *RotationSet, kernel wedge.Kernel, strategy Strategy, cfg Se
 		dyn:      wedge.NewDynamicK(rs.Members(), intervals),
 		obs:      cfg.Obs,
 	}
-	if strategy == Wedge && cfg.FixedK <= 0 {
-		rs.tree.CutFrontiers(s.dyn.Ladder())
-	}
 	return s
+}
+
+// buyAt is the rule by which an index probe buys its wedge tree: a wedge
+// searcher verifies probed rows by early abandoning until that has spent
+// buyAt × SetupSteps, then builds the tree and walks H-Merge from the next
+// row on. An index probe verifies the paper's few-comparison regime (Fig 19's
+// left end), where the tree's set-up need not pay. 2 is the break-even of a
+// purchase that cuts the per-row cost from a to b, a/(a−b), with the wedge
+// spending 0.44 of early abandoning's steps per verified row on index-ed's
+// rows (DESIGN.md, "The index buys its tree").
+const buyAt = 2
+
+// walkTree decides, before a comparison, whether it walks the wedge tree,
+// reading the tree (a build recorded on rec if this is the first reader)
+// when it does: under the wedge strategy, in a flat pass from the first
+// comparison, and in an index probe once the tree is built or early
+// abandoning has spent buyAt × SetupSteps in its place.
+func (s *Searcher) walkTree(rec *trace.Recorder) {
+	if s.tree == nil && s.strategy == Wedge && (!s.probe || s.rs.Built() || s.lazy >= buyAt*s.rs.SetupSteps) {
+		s.useTree(rec)
+	}
+}
+
+// useTree is the searcher's first read of the set's tree, building it on rec
+// if no one has: the dynamic controller's whole K ladder is cut at once, so
+// that no comparison pays for (or allocates) a cut.
+func (s *Searcher) useTree(rec *trace.Recorder) *wedge.Tree {
+	if s.tree == nil {
+		s.tree = s.rs.build(rec)
+		if s.strategy == Wedge && s.fixedK <= 0 {
+			s.tree.CutFrontiers(s.dyn.Ladder())
+		}
+	}
+	return s.tree
 }
 
 // SetRecorder attaches (or, with nil, detaches) a span recorder for the next
@@ -181,10 +220,12 @@ func (s *Searcher) Kernel() wedge.Kernel { return s.kernel }
 // RotationSet returns the query's rotation set.
 func (s *Searcher) RotationSet() *RotationSet { return s.rs }
 
-// Widened is wedge.Tree.Widened for the searcher's kernel, a first build
-// charged to the searcher's tally.
+// Widened is wedge.Tree.Widened for the searcher's kernel, a first widening
+// charged to the searcher's tally. It reads the tree, so the first call
+// builds it whatever the strategy: the DTW index walk reads the widened
+// leaves before its first comparison.
 func (s *Searcher) Widened() []envelope.Envelope {
-	return s.rs.tree.Widened(s.kernel.Radius(), &s.steps)
+	return s.useTree(s.rec).Widened(s.kernel.Radius(), &s.steps)
 }
 
 // Stats returns the record the searcher's comparisons are flushed into (nil:
@@ -213,6 +254,7 @@ func (s *Searcher) CurrentK() int {
 // Match.Dist is +Inf when every rotation provably exceeds r. The num_steps
 // spent are added to cnt (nil: not accumulated; Steps has them either way).
 func (s *Searcher) MatchSeries(x []float64, r float64, cnt *stats.Counter) Match {
+	s.walkTree(s.rec) // a build is the operation's span, not the comparison's
 	rec := s.rec
 	if rec.Full() {
 		// Saturated: no span of this comparison could be kept, so it pays
@@ -256,7 +298,13 @@ func (s *Searcher) matchSeries(x []float64, r float64) Match {
 	case FFTFilter:
 		m = s.matchFFT(x, r)
 	default:
-		m = s.matchWedge(x, r)
+		if s.tree == nil { // a probed row verified before the tree is bought
+			before := s.steps.Steps()
+			m = s.matchRotations(x, r, true, &s.steps, s.chk, &sc.Counts)
+			s.lazy += s.steps.Steps() - before
+		} else {
+			m = s.matchWedge(x, r)
+		}
 	}
 	steps := s.flush()
 	sc.Counts.Steps = steps
@@ -266,8 +314,9 @@ func (s *Searcher) matchSeries(x []float64, r float64) Match {
 	// partial step count would bias the wedge-set size and leave the query in
 	// a different adaptive state than an uncancelled run. A move of the
 	// settled K lands after the flush: the record counts the change itself,
-	// the tally carries it into the comparison's traced delta.
-	if s.strategy == Wedge && s.fixedK <= 0 && !m.aborted {
+	// the tally carries it into the comparison's traced delta. Nor does an
+	// early-abandoning comparison in place of the tree: it walked no K.
+	if s.strategy == Wedge && s.tree != nil && s.fixedK <= 0 && !m.aborted {
 		old := s.dyn.Current()
 		s.dyn.Observe(steps)
 		if k := s.dyn.Current(); k != old {
@@ -353,7 +402,10 @@ func (s *Searcher) matchFFT(x []float64, r float64) Match {
 // so sampling charges nothing to the query's counters; it polls no
 // checkpoint, so it moves no cancellation either. A first widening of the
 // root wedge is the exception under the wedge strategy: the comparison about
-// to run would pay it, so the searcher's tally does.
+// to run would pay it, so the searcher's tally does. A searcher that has not
+// read the tree takes the root wedge as the rows' envelope instead, widened
+// the same way — max and min are exact, so it is the root node's envelope bit
+// for bit — and so never buys a tree to sample.
 func (s *Searcher) measure(x []float64, r float64) explain.Sample {
 	var steps stats.Tally
 	var c obs.Counts
@@ -362,12 +414,18 @@ func (s *Searcher) measure(x []float64, r float64) explain.Sample {
 		lb := fourier.LowerBoundED(s.magnitudes(), fourier.Magnitudes(x, s.rs.Len()/2))
 		sm.Bounds = append(sm.Bounds, explain.BoundValue{Bound: explain.StageFFT, Value: lb})
 	}
-	widen := &steps
-	if s.strategy == Wedge {
-		widen = &s.steps
+	var root envelope.Envelope
+	if s.tree != nil {
+		widen := &steps
+		if s.strategy == Wedge {
+			widen = &s.steps
+		}
+		envs := s.tree.Widened(s.kernel.Radius(), widen)
+		root = envs[len(envs)-1]
+	} else if root = envelope.New(s.rs.members...); s.kernel.Radius() > 0 {
+		root = root.ExpandDTW(s.kernel.Radius())
 	}
-	envs := s.rs.tree.Widened(s.kernel.Radius(), widen)
-	lb, _ := s.kernel.LowerBound(x, envs[len(envs)-1], -1, &steps)
+	lb, _ := s.kernel.LowerBound(x, root, -1, &steps)
 	sm.Bounds = append(sm.Bounds, explain.BoundValue{Bound: explain.StageEnvelope, Value: lb})
 	sm.True = s.matchRotations(x, -1, false, &steps, nil, &c).Dist
 	sm.EliminatedBy = explain.EliminatedBy(sm)
@@ -379,7 +437,7 @@ func (s *Searcher) matchWedge(x []float64, r float64) Match {
 	if K <= 0 {
 		K = s.dyn.K()
 	}
-	res := s.rs.tree.SearchInto(x, s.kernel, K, r, &s.steps, &s.scratch, s.chk)
+	res := s.tree.SearchInto(x, s.kernel, K, r, &s.steps, &s.scratch, s.chk)
 	if res.Aborted {
 		return Match{Dist: math.Inf(1), aborted: true}
 	}
@@ -517,10 +575,10 @@ func (s *Searcher) ScanInto(ctx context.Context, db [][]float64, c *Collector) e
 	return nil
 }
 
-// Begin opens one pass of candidates — a scan's rows or an index probe's
-// fetches — under ctx: it fails with ctx.Err() when ctx has already expired
-// and otherwise attaches the pass's cancellation checkpoint, which End
-// detaches.
+// Begin opens one pass of candidates — a scan's rows, or an index probe's
+// fetches (BeginProbe) — under ctx: it fails with ctx.Err() when ctx has
+// already expired and otherwise attaches the pass's cancellation checkpoint,
+// which End detaches.
 func (s *Searcher) Begin(ctx context.Context) error {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -531,10 +589,19 @@ func (s *Searcher) Begin(ctx context.Context) error {
 	return nil
 }
 
-// End closes the pass Begin opened, flushing into the record any steps no
-// comparison carried (a widening that no comparison followed).
+// BeginProbe is Begin for an index probe's pass, whose rows a wedge
+// searcher verifies by early abandoning until its tree pays (walkTree).
+func (s *Searcher) BeginProbe(ctx context.Context) error {
+	err := s.Begin(ctx)
+	s.probe = err == nil
+	return err
+}
+
+// End closes the pass Begin or BeginProbe opened, flushing into the record
+// any steps no comparison carried (a widening that no comparison followed).
 func (s *Searcher) End() {
 	s.chk = nil
+	s.probe = false
 	s.obs.AddCounts(&obs.Counts{Steps: s.flush()}, nil)
 }
 

@@ -35,10 +35,11 @@ func guardSetup() (*RotationSet, [][]float64) {
 }
 
 // scanDirect is the untraced baseline: matchSeries with no recorder plumbing
-// at all.
+// at all, on the tree MatchSeries reads before its first comparison.
 func scanDirect(b *testing.B) {
 	rs, db := guardSetup()
 	s := NewSearcher(rs, wedge.ED{}, Wedge, SearcherConfig{})
+	s.walkTree(nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -166,16 +166,18 @@ type walk func(r float64, visit func(id int, bound, r float64) float64)
 // admissible bound that reaches its radius, so the probe keeps the flat
 // scan's rows, ties included (core.Collector's tie rule).
 //
-// The probe is s's pass (core.Searcher.Begin/Offer/End), so it honours s's
-// strategy, wedge-set size and bound sampler, carries its adaptive state
-// on, spends its steps (a widening the DTW walk is first to build included)
-// on s's tally and its steps and outcomes — fetches included — on s's record,
+// The probe is s's pass (core.Searcher.BeginProbe/Offer/End), so it honours
+// s's strategy, wedge-set size and bound sampler, carries its adaptive state
+// on — a wedge searcher whose set has no tree verifies by early abandoning
+// until that has spent twice the tree's set-up, then buys it — spends its
+// steps (a widening the DTW walk is first to build included) on s's tally
+// and its steps and outcomes — fetches included — on s's record,
 // and stops with ctx.Err() within one cancellation checkpoint interval of ctx
 // expiring, c then holding a partial answer to discard. Its spans — the walk
 // and one fetch per fetched row, the comparisons beneath — go to s's recorder
 // under the span it has open; a searcher without one records none.
 func (ix *Index) Probe(ctx context.Context, s *core.Searcher, c *core.Collector) error {
-	if err := s.Begin(ctx); err != nil {
+	if err := s.BeginProbe(ctx); err != nil {
 		return err
 	}
 	st, rec := s.Stats(), s.Recorder()

@@ -11,13 +11,16 @@ const (
 	// StageSearch is the root span of one public search call (Search,
 	// SearchTopK, SearchParallel, Distance, Match, or an index query).
 	StageSearch Stage = iota
-	// StageBuild is the root span of one query compilation (NewQuery).
+	// StageBuild is the root span of one query compilation (NewQuery),
+	// which lays out the rotation matrix and builds no wedge.
 	StageBuild
-	// StageRotationMatrix covers expanding the rotation matrix and computing
-	// the circulant distance profiles.
+	// StageRotationMatrix covers expanding the rotation matrix into views.
 	StageRotationMatrix
-	// StageWedgeBuild covers agglomerative clustering plus merging the
-	// per-node envelopes of the wedge hierarchy.
+	// StageWedgeBuild covers the circulant distance profiles, agglomerative
+	// clustering and merging the per-node envelopes of the wedge hierarchy.
+	// The operation whose comparison first needs the tree records it, beside
+	// its comparisons: a flat search at its first, an index search once its
+	// early abandoning has spent twice the build's price.
 	StageWedgeBuild
 	// StageComparison covers one MatchSeries call: one database series
 	// matched against every admitted rotation.

@@ -127,8 +127,10 @@ func TestServerExplainTopKAndRange(t *testing.T) {
 }
 
 // TestServerRequestsRunWedgeStrategy: every request runs the wedge
-// strategy, whatever its measure, and its stats say so — the H-Merge walk
-// visited wedge leaves.
+// strategy, whatever its measure, and its stats say so. The flat scans (DTW,
+// LCSS) walk H-Merge from their first row; a fresh session's Euclidean
+// request goes through the index, whose probe verifies by early abandoning
+// until the tree pays (TestServerSessionBuysItsTreeOnce).
 func TestServerRequestsRunWedgeStrategy(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for _, measure := range []string{"euclidean", "dtw", "lcss"} {
@@ -136,8 +138,50 @@ func TestServerRequestsRunWedgeStrategy(t *testing.T) {
 		if code != http.StatusOK || sr.Plan == nil {
 			t.Fatalf("%s: status %d plan %v (%s)", measure, code, sr.Plan, raw)
 		}
-		if sr.Stats.WedgeLeafVisits == 0 || !sr.Stats.Reconciles() {
+		if !sr.Stats.Reconciles() {
+			t.Errorf("%s request's stats do not reconcile: %+v", measure, sr.Stats.Counts)
+		}
+		if measure == "euclidean" {
+			if c := sr.Stats.Counts; c.IndexFetches == 0 || c.WedgeLeafVisits != 0 || c.EarlyAbandons+c.FullDistEvals != c.Rotations {
+				t.Errorf("fresh euclidean request did not verify its fetches by early abandoning: %+v", c)
+			}
+		} else if sr.Stats.WedgeLeafVisits == 0 {
 			t.Errorf("%s request did not walk the wedges: %+v", measure, sr.Stats.Counts)
+		}
+	}
+}
+
+// TestServerSessionBuysItsTreeOnce: a pooled session's searcher counts the
+// early-abandoning steps its index probes spend across requests, so a fresh
+// session's second request continues the first's count; the request during
+// which the count reaches twice the tree's set-up buys the tree, and every
+// later request on the hot session walks it from its first row.
+func TestServerSessionBuysItsTreeOnce(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const n = 32                  // newTestServer's series length
+	const setup = 2 * n * (n - 1) // circulant profile + one merge per internal node
+	var lazy, last int64
+	bought := -1
+	for i := 0; i < 200 && bought < 0; i++ {
+		code, sr, raw := post(t, ts, "/v1/search", `{"query_index":1}`)
+		if code != http.StatusOK || sr.PoolHit != (i > 0) || sr.Stats.IndexFetches == 0 {
+			t.Fatalf("request %d: status %d pool_hit %v (%s)", i, code, sr.PoolHit, raw)
+		}
+		if sr.Stats.WedgeLeafVisits > 0 {
+			bought = i
+			break
+		}
+		last = sr.Stats.Steps
+		lazy += last
+	}
+	if bought < 2 || lazy < 2*setup || lazy-last >= 2*setup {
+		// Each request spends a few dozen steps, so the count crosses
+		// 2 × setup during one of many requests, the one before the buy.
+		t.Fatalf("the tree was bought at request %d after %d early-abandoning steps; want the first request at or past %d", bought, lazy, 2*setup)
+	}
+	for i := 0; i < 3; i++ {
+		if _, sr, _ := post(t, ts, "/v1/search", `{"query_index":1}`); !sr.PoolHit || sr.Stats.WedgeLeafVisits == 0 || sr.Stats.EarlyAbandons+sr.Stats.FullDistEvals == sr.Stats.Rotations {
+			t.Fatalf("hot session request %d did not walk its tree: %+v", i, sr.Stats.Counts)
 		}
 	}
 }

@@ -78,8 +78,8 @@ type SearchResponse struct {
 	// Stats is this request's own pruning breakdown (its outcome buckets
 	// reconcile); the server-wide aggregate lives at /metrics.
 	Stats lbkeogh.SearchStats `json:"stats"`
-	// PoolHit reports whether a pooled session served the request (the
-	// rotation-set build was skipped).
+	// PoolHit reports whether a pooled session served the request (its
+	// compiled query, and any wedge hierarchy a search built, were reused).
 	PoolHit   bool    `json:"pool_hit"`
 	ElapsedMS float64 `json:"elapsed_ms"`
 	// TraceID is the retained trace of this search (0 when tracing is off or

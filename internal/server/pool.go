@@ -12,8 +12,10 @@ import (
 )
 
 // QuerySpec identifies a compiled query for pooling: everything that goes
-// into NewQuery. Two requests with the same spec can reuse the same built
-// rotation set and wedge hierarchy — the O(n²) part of serving a query.
+// into NewQuery. Two requests with the same spec can reuse the same query:
+// its rotation set and, once a search has bought it, its wedge hierarchy —
+// the O(n²) part of serving a query — and the early-abandoning steps its
+// index probes have spent towards that purchase.
 type QuerySpec struct {
 	Measure string
 	R       int

@@ -2,8 +2,8 @@
 // front end over a loaded series database, with per-request deadlines wired
 // into the library's cooperative cancellation, admission control (a bounded
 // in-flight set plus a bounded wait queue, shedding load with 429s once both
-// fill), and an LRU pool of compiled query sessions so repeated queries skip
-// the O(n²) rotation-set build. Every response carries the request's own
+// fill), and an LRU pool of compiled query sessions so repeated queries keep
+// their O(n²) wedge hierarchy once a search has built it. Every response carries the request's own
 // pruning breakdown (SearchStats), and the server aggregates those into a
 // record served at /metrics. Traces are served as JSON and Chrome trace-event
 // files at /debug/lbkeogh.

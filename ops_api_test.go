@@ -90,6 +90,14 @@ func TestServerTraceIDCorrelation(t *testing.T) {
 		t.Errorf("response trace_id %d does not resolve to a slow-query ring entry", sr.TraceID)
 	}
 
+	// A flat DTW scan walks the wedges from its first row (the Euclidean
+	// request's index probe verified its one row without), so the per-level
+	// prune family has samples.
+	if resp, err := http.Post(ts.URL+"/v1/search", "application/json", strings.NewReader(`{"query_index":0,"measure":"dtw"}`)); err != nil {
+		t.Fatal(err)
+	} else {
+		resp.Body.Close()
+	}
 	scrape, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)

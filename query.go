@@ -119,18 +119,21 @@ func WithTraceLog(t *TraceLog) QueryOption {
 }
 
 // Query is a compiled rotation-invariant query: the expanded rotation matrix
-// of one series plus its hierarchical wedge structure. Build once (O(n²)),
-// then match against any number of candidate series. A Query is not safe for
-// concurrent use (it carries adaptive search state); build one per goroutine.
+// of one series plus its hierarchical wedge structure, built (O(n²)) once, by
+// the first comparison that walks it — a flat search's first, an index
+// search's once early abandoning has spent twice the build's price — and
+// never under a strategy that walks no wedge. Match it against any number of
+// candidate series. A Query is not safe for concurrent use (it carries
+// adaptive search state); make one per goroutine.
 type Query struct {
 	rs        *core.RotationSet
 	searcher  *core.Searcher
 	measure   Measure
 	searchCfg core.SearcherConfig
 	n         int
-	// carry is what Steps adds to the record's steps: the build's
-	// SetupSteps, less what ResetSteps discarded, plus what ResetStats
-	// cleared from the record.
+	// carry is what Steps adds to the record's steps and the build's
+	// SetupSteps (once spent): minus what ResetSteps discarded, plus what
+	// ResetStats cleared from the record.
 	carry int64
 	obs   obs.SearchStats
 	// lastTraceID is the retained trace ID of the most recently finished
@@ -142,10 +145,11 @@ type Query struct {
 }
 
 // NewQuery compiles series into a rotation-invariant query under the given
-// measure. The series must have at least 2 samples, all finite, with a
-// squared norm below MaxFloat64/8 so that no squared distance overflows;
-// callers normally z-normalize first (shape.Signature and the dataset
-// generators already do).
+// measure: it lays out the rotation matrix (O(n) views) and leaves the wedge
+// hierarchy to the first comparison that walks it. The series must have at
+// least 2 samples, all finite, with a squared norm below MaxFloat64/8 so that
+// no squared distance overflows; callers normally z-normalize first
+// (shape.Signature and the dataset generators already do).
 func NewQuery(series Series, m Measure, opts ...QueryOption) (*Query, error) {
 	if err := m.validate(); err != nil {
 		return nil, err
@@ -168,7 +172,6 @@ func NewQuery(series Series, m Measure, opts ...QueryOption) (*Query, error) {
 	rec := q.tlog.StartTrace("build")
 	buildSpan := rec.Begin(trace.StageBuild, -1)
 	q.rs = core.NewRotationSetTraced(series, copts, rec)
-	q.carry = q.rs.SetupSteps
 	q.searcher = core.NewSearcher(q.rs, m.kern, cfg.strategy, q.searchCfg)
 	rec.End(buildSpan)
 	q.tlog.Finish(rec, obs.Counts{})
@@ -216,21 +219,34 @@ func (q *Query) Len() int { return q.n }
 func (q *Query) Rotations() int { return q.rs.Members() }
 
 // Steps returns the cumulative num_steps (real-value subtractions) this
-// query has spent, including its construction cost — the paper's
-// implementation-free efficiency metric. It is the build's SetupSteps plus
-// the steps of the instrumentation record, and ResetStats does not change it.
-func (q *Query) Steps() int64 { return q.carry + q.obs.Steps() }
+// query has spent, the wedge hierarchy's build included once it has happened
+// — the paper's implementation-free efficiency metric. It is the steps of the
+// instrumentation record plus the build's SetupSteps, charged by the
+// operation that builds (so never under a strategy that walks no wedge), and
+// ResetStats does not change it.
+func (q *Query) Steps() int64 { return q.carry + q.obs.Steps() + q.setup() }
 
-// ResetSteps zeroes Steps (construction cost included — call right after
-// NewQuery to exclude it); the instrumentation record is unaffected.
-func (q *Query) ResetSteps() { q.carry = -q.obs.Steps() }
+// setup is the build's SetupSteps once it has been spent, 0 before.
+func (q *Query) setup() int64 {
+	if q.rs.Built() {
+		return q.rs.SetupSteps
+	}
+	return 0
+}
+
+// ResetSteps zeroes Steps, a build already done included; a build that
+// happens later adds its SetupSteps then. The instrumentation record is
+// unaffected.
+func (q *Query) ResetSteps() { q.carry = -q.obs.Steps() - q.setup() }
 
 // Stats returns a snapshot of the query's instrumentation record: the
 // pruning breakdown per bound, the per-comparison steps histogram, and the
 // dynamic-K trajectory, cumulative over every comparison this query has run
-// (including through SearchParallel). Unlike Steps, it excludes the
-// construction cost — it covers matching only. When a TraceLog is attached,
-// the snapshot additionally carries the log's per-stage latency summaries.
+// (including through SearchParallel). Unlike Steps, it excludes the wedge
+// hierarchy's build — it covers matching only, so an operation that builds
+// moves Steps by SetupSteps more than it moves Stats().Steps. When a TraceLog
+// is attached, the snapshot additionally carries the log's per-stage latency
+// summaries.
 func (q *Query) Stats() SearchStats {
 	s := q.obs.Snapshot()
 	s.StageLatencies = q.tlog.Latencies().Snapshot()

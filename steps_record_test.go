@@ -6,12 +6,16 @@ import (
 )
 
 // TestQueryStepsIsOneRecord holds Query.Steps to the query's own records of
-// cost: the build's SetupSteps plus the num_steps its SearchStats holds. On
+// cost: the num_steps its SearchStats holds plus the build's SetupSteps once
+// the build has happened. NewQuery builds nothing and charges nothing. On
 // every path — each strategy under each measure; Distance, Match, flat
 // search, top-K, range and parallel; index search, top-K and range; searches
 // cancelled before they start and mid-scan — an operation moves Steps by
-// exactly what it moves Stats().Steps. ResetStats leaves Steps alone, and
-// ResetSteps zeroes Steps and leaves Stats alone, however they interleave.
+// exactly what it moves Stats().Steps, plus SetupSteps if it is the one that
+// built the wedge tree. Only a strategy that walks wedges, or a DTW index
+// walk (it reads the widened tree), builds one. ResetStats leaves Steps
+// alone, and ResetSteps zeroes Steps and leaves Stats alone, however they
+// interleave.
 func TestQueryStepsIsOneRecord(t *testing.T) {
 	const n = 48
 	db := demoDB(21, 24, n)
@@ -29,8 +33,8 @@ func TestQueryStepsIsOneRecord(t *testing.T) {
 				t.Fatal(err)
 			}
 			name := m.Name() + "/" + s.String()
-			if got := q.Steps(); got != q.rs.SetupSteps || got <= 0 {
-				t.Fatalf("%s: Steps after NewQuery = %d, want SetupSteps %d > 0", name, got, q.rs.SetupSteps)
+			if got := q.Steps(); got != 0 || q.rs.Built() {
+				t.Fatalf("%s: Steps after NewQuery = %d (tree built: %v), want 0 and no tree", name, got, q.rs.Built())
 			}
 			pre, stop := context.WithCancel(context.Background())
 			stop()
@@ -52,13 +56,7 @@ func TestQueryStepsIsOneRecord(t *testing.T) {
 				{"parallel", func() error { _, err := q.SearchParallel(db, 2); return err }},
 				{"index", func() error { _, err := ix.Search(q); return err }},
 				{"index_topk", func() error { _, err := ix.SearchTopK(q, 3); return err }},
-				{"index_range", func() error {
-					if m.Name() == "lcss" {
-						return nil // the index answers range queries under ED and DTW only
-					}
-					_, err := ix.SearchRange(q, 4)
-					return err
-				}},
+				{"index_range", func() error { _, err := ix.SearchRange(q, 4); return err }},
 				{"cancelled_before", func() error { _, err := q.SearchContext(pre, db); return cancelled("cancelled_before", err) }},
 				{"cancelled_before_index", func() error { _, err := ix.SearchContext(pre, q); return cancelled("cancelled_before_index", err) }},
 				{"cancelled_mid", func() error { _, err := q.SearchContext(newFlipCtx(3), db); return cancelled("cancelled_mid", err) }},
@@ -72,22 +70,33 @@ func TestQueryStepsIsOneRecord(t *testing.T) {
 				}},
 			}
 			// runAll runs every operation and checks each moves Steps by
-			// exactly its own num_steps.
+			// exactly its own num_steps, the build's included.
 			runAll := func(round string) {
 				for _, op := range ops {
-					steps, rec := q.Steps(), q.Stats().Steps
+					steps, rec, built := q.Steps(), q.Stats().Steps, q.rs.Built()
 					if err := op.run(); err != nil {
 						t.Fatalf("%s %s %s: %v", name, round, op.name, err)
 					}
-					if ds, dr := q.Steps()-steps, q.Stats().Steps-rec; ds != dr {
-						t.Errorf("%s %s %s: Steps moved %d, Stats().Steps %d", name, round, op.name, ds, dr)
+					build := int64(0)
+					if !built && q.rs.Built() {
+						build = q.rs.SetupSteps
+					}
+					if ds, dr := q.Steps()-steps, q.Stats().Steps-rec; ds != dr+build {
+						t.Errorf("%s %s %s: Steps moved %d, Stats().Steps %d, build %d", name, round, op.name, ds, dr, build)
 					}
 				}
 			}
 
 			runAll("first")
-			if got, want := q.Steps(), q.rs.SetupSteps+q.obs.Steps(); got != want {
-				t.Errorf("%s: Steps = %d, want SetupSteps + record = %d", name, got, want)
+			if wantBuilt := s == WedgeSearch || m.Name() == "dtw"; q.rs.Built() != wantBuilt {
+				t.Errorf("%s: tree built %v, want %v", name, q.rs.Built(), wantBuilt)
+			}
+			setup := int64(0)
+			if q.rs.Built() {
+				setup = q.rs.SetupSteps
+			}
+			if got, want := q.Steps(), setup+q.obs.Steps(); got != want {
+				t.Errorf("%s: Steps = %d, want SetupSteps if built + record = %d", name, got, want)
 			}
 			before := q.Steps()
 			q.ResetStats()

@@ -73,9 +73,10 @@ func eventContains(outer, inner chromeEvent) bool {
 }
 
 // TestChromeExportNestsStagesAndReconciles: a traced Query.Search exports a
-// Chrome trace-event JSON whose span tree nests every comparison in the search
-// span, with nothing beneath a comparison, and whose per-span counter
-// attributes satisfy the same Reconciles identity as SearchStats.
+// Chrome trace-event JSON whose span tree nests every comparison — and the
+// wedge build the first comparison needed — in the search span, with nothing
+// beneath a comparison, and whose per-span counter attributes satisfy the
+// same Reconciles identity as SearchStats.
 func TestChromeExportNestsStagesAndReconciles(t *testing.T) {
 	_, tlog, tr := tracedSearch(t)
 	var buf bytes.Buffer
@@ -100,8 +101,11 @@ func TestChromeExportNestsStagesAndReconciles(t *testing.T) {
 		}
 		byStage[e.Name] = append(byStage[e.Name], e)
 	}
-	if got := stageNamesOf(byStage); !reflect.DeepEqual(got, []string{"comparison", "search", "search#" + strconv.FormatInt(tr.ID, 10)}) {
-		t.Fatalf("export holds stages %v, want the root, search and comparison spans only", got)
+	if got := stageNamesOf(byStage); !reflect.DeepEqual(got, []string{"comparison", "search", "search#" + strconv.FormatInt(tr.ID, 10), "wedge_build"}) {
+		t.Fatalf("export holds stages %v, want the root, search, wedge build and comparison spans only", got)
+	}
+	if len(byStage["wedge_build"]) != 1 {
+		t.Fatalf("%d wedge builds, want the first comparison's one", len(byStage["wedge_build"]))
 	}
 
 	// Span-tree nesting, checked structurally by interval containment: a
@@ -123,6 +127,7 @@ func TestChromeExportNestsStagesAndReconciles(t *testing.T) {
 		}
 	}
 	requireNested("comparison", "search")
+	requireNested("wedge_build", "search")
 
 	// Counter attributes: the root reconciles, every comparison reconciles,
 	// and the comparisons sum back to the root — the SearchStats identity.
@@ -443,6 +448,9 @@ func TestDebugHandlerRoutes(t *testing.T) {
 // count, drops and spans per stage — for two fixed scans. The composition
 // depends on the walk (which comparisons reach which leaves), not the clock,
 // so a change that moves a literal here has changed what a trace records.
+// The scan's first comparison builds the query's wedge tree, so its trace
+// holds the one wedge-build span (NewQuery's build trace held it, and the
+// scan's one more comparison: 511 comparisons, 3 585 and 513 dropped).
 func TestTraceCompositionPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -452,10 +460,10 @@ func TestTraceCompositionPinned(t *testing.T) {
 		dropped int64
 		stages  map[string]int
 	}{
-		{"ed", lbkeogh.SyntheticProjectilePoints(7, 4097, 251), lbkeogh.Euclidean(), 512, 3585,
-			map[string]int{"search": 1, "comparison": 511}},
-		{"dtw5", lbkeogh.SyntheticHeterogeneous(7, 1025, 256), lbkeogh.DTW(5), 512, 513,
-			map[string]int{"search": 1, "comparison": 511}},
+		{"ed", lbkeogh.SyntheticProjectilePoints(7, 4097, 251), lbkeogh.Euclidean(), 512, 3586,
+			map[string]int{"search": 1, "wedge_build": 1, "comparison": 510}},
+		{"dtw5", lbkeogh.SyntheticHeterogeneous(7, 1025, 256), lbkeogh.DTW(5), 512, 514,
+			map[string]int{"search": 1, "wedge_build": 1, "comparison": 510}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tlog := lbkeogh.NewTraceLog(lbkeogh.WithSampleRate(1))
@@ -490,6 +498,32 @@ func TestTraceCompositionPinned(t *testing.T) {
 			}
 			if !reflect.DeepEqual(stages, tc.stages) {
 				t.Errorf("spans per stage = %v, want %v", stages, tc.stages)
+			}
+
+			// NewQuery's build trace lays out the rotation matrix and nothing
+			// else (it held the wedge build too before the scan bought it).
+			var built []lbkeogh.TraceSummary
+			for _, tr := range tlog.Recent() {
+				if tr.Label == "build" {
+					built = append(built, tr)
+				}
+			}
+			if len(built) != 1 {
+				t.Fatalf("%d build traces, want NewQuery's one", len(built))
+			}
+			buf.Reset()
+			if err := tlog.WriteChromeTrace(&buf, built[0].ID); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
+				t.Fatal(err)
+			}
+			stages = map[string]int{}
+			for _, e := range file.TraceEvents[1:] {
+				stages[e.Name]++
+			}
+			if want := map[string]int{"build": 1, "rotation_matrix": 1}; !reflect.DeepEqual(stages, want) {
+				t.Errorf("build trace spans per stage = %v, want %v", stages, want)
 			}
 		})
 	}
