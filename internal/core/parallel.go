@@ -54,7 +54,7 @@ func ScanParallelContext(ctx context.Context, rs *RotationSet, kernel wedge.Kern
 			defer wg.Done()
 			// Each worker's searcher keeps its own step tally, added to cnt
 			// once when the worker stops, cancelled or not; any cfg.Obs
-			// record is shared and flushed once per comparison.
+			// record is shared, and each worker publishes to it at End.
 			searcher := NewSearcher(rs, kernel, strategy, cfg)
 			defer func() { cnt.Add(searcher.Steps()) }()
 			if searcher.Begin(ctx) != nil {

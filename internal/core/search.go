@@ -8,6 +8,7 @@ import (
 	"slices"
 
 	"lbkeogh/internal/cancel"
+	"lbkeogh/internal/dist"
 	"lbkeogh/internal/envelope"
 	"lbkeogh/internal/fourier"
 	"lbkeogh/internal/obs"
@@ -91,10 +92,13 @@ func (m Match) Aborted() bool { return m.aborted }
 
 // Searcher matches database series against one query's rotation set under a
 // fixed kernel and strategy. It carries the dynamic-K state across calls so
-// a database scan behaves exactly as in the paper.
+// a database scan behaves exactly as in the paper. Its record (Stats)
+// receives a pass's comparisons when the pass ends (End), and a comparison
+// outside a pass (MatchSeries) as soon as it returns.
 type Searcher struct {
 	rs       *RotationSet
 	kernel   wedge.Kernel
+	ed       bool // kernel is wedge.ED
 	strategy Strategy
 	dyn      *wedge.DynamicK
 	fixedK   int               // > 0 disables the dynamic controller (ablation)
@@ -105,15 +109,18 @@ type Searcher struct {
 	chk      *cancel.Checker   // nil: uncancellable; Begin attaches, End detaches
 	exp      *explain.Recorder // nil: no bound sampling
 
-	// steps and scratch are everything a comparison would otherwise allocate,
-	// lock or atomically add to per candidate: the searcher's cumulative step
-	// tally (read by Steps; its first flushed steps are in the record), the
-	// outcome tallies matchSeries flushes once per comparison, and H-Merge's
-	// working memory.
+	// steps, scratch and batch are everything a comparison would otherwise
+	// allocate, lock or atomically add to per candidate: the searcher's
+	// cumulative step tally (read by Steps; what flush has taken of it is the
+	// comparisons' steps), H-Merge's working memory with the comparison's
+	// outcome tallies and the wedge prunes per level, and the comparisons not
+	// yet published to the record (publish).
 	//lint:ignore tallyescape a Searcher is confined to one goroutine; a stack Tally would escape through the Kernel interface and cost an allocation per comparison
 	steps   stats.Tally
 	flushed int64
 	scratch wedge.Scratch
+	batch   obs.Batch
+	pass    bool // between Begin (or BeginProbe) and End
 
 	// tree is the set's wedge tree from this searcher's first read of it
 	// (useTree) on; nil before. probe marks a pass BeginProbe opened, and
@@ -135,8 +142,8 @@ type SearcherConfig struct {
 	// and so does this controller. <= 0 selects 5.
 	ProbeIntervals int
 	// Obs, when non-nil, receives the structured pruning/cost record of
-	// every comparison. It is safe to share one record across the searchers
-	// of a parallel scan.
+	// every comparison, published once per pass (Searcher.End). It is safe
+	// to share one record across the searchers of a parallel scan.
 	Obs *obs.SearchStats
 }
 
@@ -150,9 +157,11 @@ func NewSearcher(rs *RotationSet, kernel wedge.Kernel, strategy Strategy, cfg Se
 	if intervals <= 0 {
 		intervals = 5
 	}
+	_, ed := kernel.(wedge.ED)
 	s := &Searcher{
 		rs:       rs,
 		kernel:   kernel,
+		ed:       ed,
 		strategy: strategy,
 		fixedK:   cfg.FixedK,
 		dyn:      wedge.NewDynamicK(rs.Members(), intervals),
@@ -228,8 +237,9 @@ func (s *Searcher) Widened() []envelope.Envelope {
 	return s.useTree(s.rec).Widened(s.kernel.Radius(), &s.steps)
 }
 
-// Stats returns the record the searcher's comparisons are flushed into (nil:
-// the no-op sink); an index probe counts its fetches on it too.
+// Stats returns the record the searcher's comparisons are published to
+// (nil: the no-op sink); an index probe counts its fetches on it too, after
+// End.
 func (s *Searcher) Stats() *obs.SearchStats { return s.obs }
 
 // Steps returns the num_steps every comparison of this searcher has spent.
@@ -253,6 +263,8 @@ func (s *Searcher) CurrentK() int {
 // query, subject to threshold r (r < 0 or +Inf: unbounded). The returned
 // Match.Dist is +Inf when every rotation provably exceeds r. The num_steps
 // spent are added to cnt (nil: not accumulated; Steps has them either way).
+// Called outside a pass, it publishes the comparison to the record before
+// it returns; inside one, End does.
 func (s *Searcher) MatchSeries(x []float64, r float64, cnt *stats.Counter) Match {
 	s.walkTree(s.rec) // a build is the operation's span, not the comparison's
 	rec := s.rec
@@ -284,9 +296,10 @@ func (s *Searcher) MatchSeries(x []float64, r float64, cnt *stats.Counter) Match
 // matchSeries is one comparison. The strategies spend their steps on the
 // searcher's tally, whose growth since the last flush — a widening built
 // just before it included — is the comparison's steps, and attribute every
-// rotation in its scratch with plain increments; the record is touched once,
-// here, after the comparison — and before the dynamic-K controller sees it,
-// because a K change is stamped with the record's comparison count.
+// rotation in its scratch with plain increments; the comparison then joins
+// the batch, which the record receives at End, or at once outside a pass.
+// A K change publishes the batch first, because it is stamped with the
+// record's comparison count, which must include this comparison.
 func (s *Searcher) matchSeries(x []float64, r float64) Match {
 	s.rs.checkLen(x)
 	sc := &s.scratch
@@ -308,23 +321,33 @@ func (s *Searcher) matchSeries(x []float64, r float64) Match {
 	}
 	steps := s.flush()
 	sc.Counts.Steps = steps
-	s.obs.AddCounts(&sc.Counts, &sc.PruneByLevel)
-	s.obs.ObserveComparisonSteps(steps)
+	s.batch.Add(&sc.Counts)
 	// A cancelled comparison must not feed the dynamic-K controller: its
 	// partial step count would bias the wedge-set size and leave the query in
 	// a different adaptive state than an uncancelled run. A move of the
-	// settled K lands after the flush: the record counts the change itself,
-	// the tally carries it into the comparison's traced delta. Nor does an
-	// early-abandoning comparison in place of the tree: it walked no K.
+	// settled K lands after the comparison joined the batch: the record
+	// counts the change itself, the tally carries it into the comparison's
+	// traced delta. Nor does an early-abandoning comparison in place of the
+	// tree feed it: it walked no K.
 	if s.strategy == Wedge && s.tree != nil && s.fixedK <= 0 && !m.aborted {
 		old := s.dyn.Current()
 		s.dyn.Observe(steps)
 		if k := s.dyn.Current(); k != old {
 			sc.Counts.KChanges++
+			s.publish()
 			s.obs.RecordKChange(old, k)
 		}
 	}
+	if !s.pass {
+		s.publish()
+	}
 	return m
+}
+
+// publish hands the batch, and the wedge prunes per level its comparisons
+// made, to the record.
+func (s *Searcher) publish() {
+	s.obs.Publish(&s.batch, &s.scratch.PruneByLevel)
 }
 
 // matchRotations is Test_All_Rotations (Table 2): x against every rotation,
@@ -349,7 +372,13 @@ func (s *Searcher) matchRotations(x []float64, r float64, abandon bool, steps *s
 		if abandon {
 			limit = best
 		}
-		d, abandoned := s.kernel.Distance(x, s.rs.Member(i), limit, steps)
+		var d float64
+		var abandoned bool
+		if s.ed { // ED's Distance, without the interface hop
+			d, abandoned = dist.EuclideanEA(x, s.rs.Member(i), limit, steps)
+		} else {
+			d, abandoned = s.kernel.Distance(x, s.rs.Member(i), limit, steps)
+		}
 		if abandoned {
 			c.EarlyAbandons++
 			continue
@@ -410,7 +439,7 @@ func (s *Searcher) measure(x []float64, r float64) explain.Sample {
 	var steps stats.Tally
 	var c obs.Counts
 	sm := explain.Sample{Threshold: r}
-	if _, ed := s.kernel.(wedge.ED); ed {
+	if s.ed {
 		lb := fourier.LowerBoundED(s.magnitudes(), fourier.Magnitudes(x, s.rs.Len()/2))
 		sm.Bounds = append(sm.Bounds, explain.BoundValue{Bound: explain.StageFFT, Value: lb})
 	}
@@ -578,7 +607,9 @@ func (s *Searcher) ScanInto(ctx context.Context, db [][]float64, c *Collector) e
 // Begin opens one pass of candidates — a scan's rows, or an index probe's
 // fetches (BeginProbe) — under ctx: it fails with ctx.Err() when ctx has
 // already expired and otherwise attaches the pass's cancellation checkpoint,
-// which End detaches.
+// which End detaches. The pass's comparisons reach the record when End
+// publishes them (or a K change does, stamped exactly), not one by one, so
+// the record does not show a pass still running.
 func (s *Searcher) Begin(ctx context.Context) error {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -586,6 +617,7 @@ func (s *Searcher) Begin(ctx context.Context) error {
 		}
 	}
 	s.chk = cancel.New(ctx, CancelCheckInterval)
+	s.pass = true
 	return nil
 }
 
@@ -597,12 +629,14 @@ func (s *Searcher) BeginProbe(ctx context.Context) error {
 	return err
 }
 
-// End closes the pass Begin or BeginProbe opened, flushing into the record
-// any steps no comparison carried (a widening that no comparison followed).
+// End closes the pass Begin or BeginProbe opened, cancelled or not, and
+// publishes it to the record: its comparisons, and any steps no comparison
+// carried (a widening that no comparison followed). A caller reads the
+// pass's record after End.
 func (s *Searcher) End() {
-	s.chk = nil
-	s.probe = false
-	s.obs.AddCounts(&obs.Counts{Steps: s.flush()}, nil)
+	s.chk, s.probe, s.pass = nil, false, false
+	s.batch.Counts.Steps += s.flush()
+	s.publish()
 }
 
 // flush returns, and marks flushed, the tally's growth since the last flush.

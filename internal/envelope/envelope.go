@@ -203,7 +203,7 @@ func LBKeogh(q []float64, e Envelope, r float64, cnt *stats.Tally) (float64, boo
 	// every i < len(q), so the inner loop carries no bounds checks.
 	u, l := e.U, e.L
 	if len(q) != len(u) || len(l) != len(u) {
-		panic(fmt.Sprintf("envelope: LBKeogh length mismatch q %d vs U %d L %d", len(q), len(u), len(l)))
+		panic(lengthMismatch("LBKeogh", len(q), len(u), len(l), -1))
 	}
 	r2 := math.Inf(1)
 	if r >= 0 {
@@ -211,13 +211,10 @@ func LBKeogh(q []float64, e Envelope, r float64, cnt *stats.Tally) (float64, boo
 	}
 	var acc float64
 	for i, v := range q {
-		if v > u[i] {
-			d := v - u[i]
-			acc += d * d
-		} else if v < l[i] {
-			d := v - l[i]
-			acc += d * d
-		}
+		// Branch-free, and exact: with l <= u at most one term is non-zero,
+		// and adding +0 leaves acc's bits as they are.
+		d := max(v-u[i], 0) + min(v-l[i], 0)
+		acc += d * d
 		if acc > r2 {
 			cnt.Add(int64(i + 1))
 			return math.Inf(1), true
@@ -245,7 +242,7 @@ func LBKeoghSuffix(q []float64, e Envelope, r float64, cb []float64, cnt *stats.
 	u, l := e.U, e.L
 	n := len(q)
 	if len(u) != n || len(l) != n || len(cb)-1 != n {
-		panic(fmt.Sprintf("envelope: LBKeoghSuffix length mismatch q %d vs U %d L %d cb %d", n, len(u), len(l), len(cb)))
+		panic(lengthMismatch("LBKeoghSuffix", n, len(u), len(l), len(cb)))
 	}
 	r2 := math.Inf(1)
 	if r >= 0 {
@@ -256,13 +253,8 @@ func LBKeoghSuffix(q []float64, e Envelope, r float64, cb []float64, cnt *stats.
 	var acc float64
 	for i := n - 1; i >= 0; i-- {
 		v := q[i]
-		if v > u[i] {
-			d := v - u[i]
-			acc += d * d
-		} else if v < l[i] {
-			d := v - l[i]
-			acc += d * d
-		}
+		d := max(v-u[i], 0) + min(v-l[i], 0) // LBKeogh's term
+		acc += d * d
 		sums[i] = acc
 		if acc > r2 {
 			cnt.Add(int64(n - i))
@@ -271,6 +263,19 @@ func LBKeoghSuffix(q []float64, e Envelope, r float64, cb []float64, cnt *stats.
 	}
 	cnt.Add(int64(n))
 	return math.Sqrt(acc), false
+}
+
+// lengthMismatch is the message of a bound called on mismatched lengths
+// (cb < 0: no suffix buffer). It is built out of line, so that a bound's
+// hot loop does not keep its arguments spilled for the message.
+//
+//go:noinline
+func lengthMismatch(fn string, q, u, l, cb int) string {
+	msg := fmt.Sprintf("envelope: %s length mismatch q %d vs U %d L %d", fn, q, u, l)
+	if cb >= 0 {
+		msg += fmt.Sprintf(" cb %d", cb)
+	}
+	return msg
 }
 
 // LCSSUpperBound returns an upper bound on the LCSS similarity between q and

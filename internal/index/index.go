@@ -202,7 +202,7 @@ func (ix *Index) Probe(ctx context.Context, s *core.Searcher, c *core.Collector)
 		return c.Radius(0)
 	})
 	rec.End(span)
-	s.End() // flushes a widening no comparison carried into the record
+	s.End() // publishes the pass, a widening no comparison carried included, before the delta is read
 	// A fetch is counted here and nowhere else, once per probe.
 	st.AddCounts(&obs.Counts{IndexFetches: fetched}, nil)
 	if st != &ix.obs {

@@ -2,7 +2,8 @@ package obs
 
 // Counts is the scalar half of the instrumentation record, and the only
 // place its counters are listed: a plain value the search hot paths tally
-// one comparison into before publishing it (AddCounts), attached to trace
+// one comparison into, summed into a Batch published once per pass
+// (Publish, AddCounts), attached to trace
 // spans as that comparison's delta, loaded from the record before and after
 // an operation (one atomic load per field, no allocation), summed by the
 // serving layer, and embedded in Snapshot. All counters are cumulative since
@@ -118,12 +119,13 @@ func (s *SearchStats) Counts() (c Counts) {
 	return c
 }
 
-// AddCounts adds one comparison's locally tallied counters to the record:
-// the search hot paths count into a goroutine-confined Counts (and per-level
-// prune tally, which may be nil) with plain increments and publish them here
-// once, so a comparison touches only the shared atomics it actually moved.
-// The flushed levels are zeroed for the next comparison; c is left as it is,
-// because it doubles as the comparison's delta for trace spans and EXPLAIN.
+// AddCounts adds locally tallied counters to the record: the search hot
+// paths count into a goroutine-confined Counts (and per-level prune tally,
+// which may be nil) with plain increments and publish them here once — a
+// searcher once per pass (Publish), a monitor once per window, the server
+// once per request — so the shared atomics are touched per publication, not
+// per comparison. The flushed levels are zeroed; c is left as it is, because
+// it doubles as a delta for trace spans and EXPLAIN.
 func (s *SearchStats) AddCounts(c *Counts, levels *[MaxPruneLevels]int64) {
 	if s == nil {
 		return
@@ -144,19 +146,60 @@ func (s *SearchStats) AddCounts(c *Counts, levels *[MaxPruneLevels]int64) {
 	}
 }
 
+// Batch is a run of comparisons one goroutine has tallied and not yet
+// published: their summed Counts and their per-comparison num_steps
+// histogram, in plain fields. A searcher adds each comparison to its batch
+// (Add) and publishes the batch to its record once per pass (Publish), so a
+// comparison pays a few plain adds where it paid an atomic add per counter
+// it moved. Its fields are exported plain values, like Counts'.
+type Batch struct {
+	Counts Counts
+	// StepsHist counts the comparisons per Histogram bucket of their steps;
+	// StepsSum is the sum of those steps.
+	StepsHist [HistogramBuckets + 1]int64
+	StepsSum  int64
+}
+
+// Add tallies one comparison: its counters (c.Steps its num_steps) into the
+// batch's Counts and its steps into the histogram.
+func (b *Batch) Add(c *Counts) {
+	b.Counts.accumulate(c, 1)
+	b.StepsHist[bucketIndex(c.Steps)]++
+	b.StepsSum += c.Steps
+}
+
+// Publish adds a batch and the per-level prunes its comparisons made (nil:
+// none) to the record, then empties both: what the record would hold had
+// each comparison been added as it ended. A nil record publishes nothing
+// and leaves them as they are.
+func (s *SearchStats) Publish(b *Batch, levels *[MaxPruneLevels]int64) {
+	if s == nil {
+		return
+	}
+	s.AddCounts(&b.Counts, levels)
+	s.stepsHist.add(&b.StepsHist, b.StepsSum)
+	*b = Batch{}
+}
+
 // Add returns the field-wise sum c + other.
-func (c Counts) Add(other Counts) Counts { return c.combine(other, 1) }
+func (c Counts) Add(other Counts) Counts {
+	c.accumulate(&other, 1)
+	return c
+}
 
 // Sub returns the field-wise difference c - prev: the counter deltas spent
 // between two Counts() calls on the same record.
-func (c Counts) Sub(prev Counts) Counts { return c.combine(prev, -1) }
+func (c Counts) Sub(prev Counts) Counts {
+	c.accumulate(&prev, -1)
+	return c
+}
 
-func (c Counts) combine(o Counts, sign int64) Counts {
+// accumulate adds sign × o to c, field by field.
+func (c *Counts) accumulate(o *Counts, sign int64) {
 	dst, src := c.fields(), o.fields()
 	for i := range dst {
 		*dst[i] += sign * *src[i]
 	}
-	return c
 }
 
 // Reconciles reports whether the outcome buckets account for every rotation

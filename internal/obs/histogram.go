@@ -61,6 +61,20 @@ func (h *Histogram) Observe(v int64) {
 	h.count.Add(1)
 }
 
+// add records a batch of observations already bucketed: counts[i] of them
+// in bucket i, summing to sum.
+func (h *Histogram) add(counts *[HistogramBuckets + 1]int64, sum int64) {
+	var n int64
+	for i, c := range counts {
+		if c != 0 {
+			h.counts[i].Add(c)
+			n += c
+		}
+	}
+	h.sum.Add(sum)
+	h.count.Add(n)
+}
+
 // Count reports the number of observations.
 func (h *Histogram) Count() int64 {
 	if h == nil {

@@ -18,6 +18,13 @@
 // histogram buckets are atomics, and the dynamic-K trajectory is guarded by
 // a small mutex on a bounded slice. A nil *SearchStats is a valid no-op sink
 // everywhere — uninstrumented hot paths pay one predictable branch per call.
+//
+// The hot paths do not touch those atomics per comparison: a searcher
+// tallies its comparisons in a goroutine-confined Batch and publishes it
+// once per pass (a scan, a parallel scan's worker, an index probe) —
+// earlier only for a dynamic-K change, whose stamp must count the
+// comparisons before it, or at once for a comparison outside any pass. A
+// record therefore shows a pass when it has ended, not while it runs.
 package obs
 
 import (

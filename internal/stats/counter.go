@@ -52,8 +52,8 @@ func (c *Counter) Reset() {
 // distance evaluation would dominate the cost of short early-abandoned
 // kernels. A Tally must never be shared across goroutines; owners keep one
 // on the stack (or in scratch confined to their goroutine, as wedge.Scratch
-// is) and flush it into a Counter (or an obs record) once per comparison or
-// per call. A nil *Tally records nothing, mirroring Counter's contract.
+// is) and flush it into a Counter (or an obs record) once per comparison,
+// per pass or per call. A nil *Tally records nothing, mirroring Counter's contract.
 type Tally struct {
 	steps int64
 }

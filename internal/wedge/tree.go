@@ -205,9 +205,9 @@ type Result struct {
 // Search's throwaway) is a single goroutine; a Scratch must never be shared.
 //
 // Counts and PruneByLevel accumulate how the searches run with this scratch
-// disposed of each rotation; the owner reads and clears them between
-// comparisons and flushes them into the shared record
-// (obs.SearchStats.AddCounts). The rest is cached per-query state: the tree's
+// disposed of each rotation: the owner reads and clears Counts between
+// comparisons, and lets PruneByLevel run on until it publishes its record
+// (obs.SearchStats.Publish zeroes it). The rest is cached per-query state: the tree's
 // envelopes widened for the kernel's radius, the frontier cut for the last K
 // used, the walk's stack, and the leaf kernel's per-position buffer. (The
 // step tally travels beside the scratch, not in it: a pointer into the
@@ -263,7 +263,14 @@ func (t *Tree) SearchInto(q []float64, k Kernel, K int, r float64, steps *stats.
 	}
 	steps0 := steps.Steps()
 	sc.prepare(t, k.Radius(), K, steps)
-	envs, st, cb := sc.envs, &sc.Counts, sc.cb
+	envs, st, cb, nodes := sc.envs, &sc.Counts, sc.cb, t.dend.Nodes
+	// An internal node's bound is LB_Keogh for the Euclidean and DTW kernels
+	// (their LowerBound is that call), made here without the interface hop:
+	// most calls abandon within a few dozen positions, so a call's fixed
+	// cost is a good part of its price.
+	_, ed := k.(ED)
+	_, dtw := k.(DTW)
+	keogh := ed || dtw
 
 	best := math.Inf(1)
 	if r >= 0 {
@@ -282,16 +289,22 @@ func (t *Tree) SearchInto(q []float64, k Kernel, K int, r float64, steps *stats.
 			// stack is undisposed (pops either dispose or push children,
 			// so the stack is exactly the undisposed partition).
 			for _, rest := range stack {
-				st.CancelledMembers += int64(t.dend.Nodes[rest].Size)
+				st.CancelledMembers += int64(nodes[rest].Size)
 			}
 			aborted = true
 			break
 		}
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		node := t.dend.Nodes[id]
+		node, env := &nodes[id], &envs[id]
 		if node.Left >= 0 {
-			lb, abandoned := k.LowerBound(q, envs[id], best, steps)
+			var lb float64
+			var abandoned bool
+			if keogh {
+				lb, abandoned = envelope.LBKeogh(q, *env, best, steps)
+			} else {
+				lb, abandoned = k.LowerBound(q, *env, best, steps)
+			}
 			if abandoned || lb >= best {
 				// Prune the whole wedge: every rotation under it goes to the
 				// wedge-LB-prune bucket at the wedge's dendrogram level.
@@ -307,7 +320,7 @@ func (t *Tree) SearchInto(q []float64, k Kernel, K int, r float64, steps *stats.
 		// The kernel runs its leaf cascade in one call: the distance for
 		// Euclidean (LB against a singleton wedge IS the distance), bound then
 		// distance for the warped measures.
-		d, out := k.Leaf(q, t.members[id], envs[id], best, cb, steps)
+		d, out := k.Leaf(q, t.members[id], *env, best, cb, steps)
 		if out == LeafLBPruned {
 			st.WedgeLeafLBPrunes++
 			continue

@@ -246,3 +246,41 @@ func TestReadmeListsEveryCounter(t *testing.T) {
 		}
 	})
 }
+
+// TestMatchOutsideAPassIsPublishedAtOnce: a search publishes its record when
+// its pass ends, but Distance and Match run no pass, so each comparison is in
+// Stats() — counters, steps histogram and Steps — as soon as it returns.
+func TestMatchOutsideAPassIsPublishedAtOnce(t *testing.T) {
+	db := obsTestDB(t, 31, 64)
+	q, db := db[0], db[1:]
+	query, err := lbkeogh.NewQuery(q, lbkeogh.Euclidean())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var setup int64
+	for i, x := range db {
+		if i%2 == 0 {
+			_, _, err = query.Distance(x)
+		} else {
+			_, _, _, err = query.Match(x, 0.5)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := query.Stats()
+		var hist int64
+		for _, b := range st.StepsHistogram {
+			hist += b.Count
+		}
+		if st.Comparisons != int64(i+1) || hist != st.Comparisons || st.StepsHistogramSum != st.Steps || !st.Reconciles() {
+			t.Fatalf("after comparison %d: %+v", i+1, st)
+		}
+		// Steps is the record's plus the tree's set-up, bought at the first.
+		if i == 0 {
+			setup = query.Steps() - st.Steps
+		}
+		if query.Steps() != st.Steps+setup {
+			t.Fatalf("after comparison %d: query steps %d, record %d + set-up %d", i+1, query.Steps(), st.Steps, setup)
+		}
+	}
+}

@@ -242,7 +242,9 @@ func (q *Query) ResetSteps() { q.carry = -q.obs.Steps() - q.setup() }
 // Stats returns a snapshot of the query's instrumentation record: the
 // pruning breakdown per bound, the per-comparison steps histogram, and the
 // dynamic-K trajectory, cumulative over every comparison this query has run
-// (including through SearchParallel). Unlike Steps, it excludes the wedge
+// (including through SearchParallel). A search's comparisons are in it once
+// the search returns, cancelled or not; Distance's and Match's at once.
+// Unlike Steps, it excludes the wedge
 // hierarchy's build — it covers matching only, so an operation that builds
 // moves Steps by SetupSteps more than it moves Stats().Steps. When a TraceLog
 // is attached, the snapshot additionally carries the log's per-stage latency
