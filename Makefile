@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint bce-baseline test race race-concurrency pins bench smoke ingest-smoke govulncheck ci clean
+.PHONY: all build vet lint bce-baseline test race race-concurrency pins bench smoke ingest-smoke govulncheck loc ci clean
 
 all: build
 
@@ -36,12 +36,12 @@ race:
 
 # Focused race pass over the concurrency-heavy packages (server admission and
 # session pooling, streaming ingest (shapeingest's worker pool and ordered
-# commit), the shared cumulative telemetry, the parallel scan's shared
+# commit), the atomic cumulative search records, the parallel scan's shared
 # collector, the matrix pool every concurrent query build shares, the index
 # every in-flight server session probes at once, the segment store's
 # refcounted snapshot swap under concurrent Ingest/Compact, and the root
-# package's MetricsHandler over a live parallel Query): the packages of CI's
-# race matrix. -count=2 reruns shake out init-order-dependent interleavings
+# package's TraceLog shared by concurrent queries and MetricsHandler over a
+# live parallel Query): the packages of CI's race matrix. -count=2 reruns shake out init-order-dependent interleavings
 # that a single -race pass can miss.
 race-concurrency:
 	$(GO) test -race -count=2 . ./internal/server/... ./internal/obs/... ./internal/core/... ./internal/wedge/... ./internal/cluster/... ./internal/index/... ./internal/segment/... ./internal/vptree/... ./cmd/shapeingest/...
@@ -85,6 +85,14 @@ govulncheck:
 	fi
 
 ci: build vet lint race race-concurrency pins bench smoke govulncheck
+
+# Non-test Go lines per package and the module total, the count CHANGES.md
+# and ROADMAP.md quote: every non-test .go file, outside internal/lint/testdata
+# (the linter's fixtures) and dot-directories such as .bench_build.
+loc:
+	@find . -path ./internal/lint/testdata -prune -o -path '*/.*' -prune -o -name '*.go' ! -name '*_test.go' -print | \
+		xargs awk '{ d = FILENAME; sub(/\/[^\/]*$$/, "", d); sub(/^\./, "lbkeogh", d); n[d]++; t++ } \
+			END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t }'
 
 # Removes what the repo benchmark builds; nothing committed lives there.
 clean:

@@ -198,7 +198,11 @@ func emitJSON(what string, v any) {
 // profiles on a private mux.
 func serveObs(addr string, q *lbkeogh.Query, tlog *lbkeogh.TraceLog) {
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", lbkeogh.MetricsHandler(map[string]lbkeogh.StatsSource{"shapesearch_query": q}))
+	metrics := lbkeogh.MetricsHandler(map[string]lbkeogh.StatsSource{"shapesearch_query": q})
+	mux.Handle("/metrics", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		metrics.ServeHTTP(w, r)
+		tlog.WriteMetrics(w, "shapesearch_query")
+	}))
 	mux.Handle("/debug/lbkeogh", tlog)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

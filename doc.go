@@ -65,8 +65,10 @@
 // consumer the sink is a nil pointer and costs only a branch.
 // MetricsHandler exports live counters in Prometheus text form, and a
 // TraceLog serves its traces over HTTP as JSON summaries and Chrome
-// trace-event files. SearchStats, Counts, KChange, HistogramBucket and
-// StageLatency are aliases of the internal/obs types every layer fills in:
+// trace-event files and writes its per-stage latency histograms (the only
+// wall-clock telemetry: SearchStats carries none) with its own
+// WriteMetrics. SearchStats, Counts, KChange and HistogramBucket are
+// aliases of the internal/obs types every layer fills in:
 // internal/obs owns the record, the list of its counters and the table that
 // names their metric families, so the public API carries no copy of them.
 //

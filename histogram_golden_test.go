@@ -23,7 +23,10 @@ import (
 // counter families gained their _total suffix and the stage-latency family
 // went from nanoseconds to seconds (stage_latency_seconds, le and _sum in
 // seconds). Every other line, and every non-empty bucket's line, is the
-// bytes captured then.
+// bytes captured then. The stage latencies have since left the snapshot for
+// the trace log, which writes them after it: the golden text is WriteMetrics
+// followed by the log's stage writer, and the JSON key set lost
+// stage_latencies.
 
 const observeMetricsGolden = `# HELP x_comparisons_total Rotation-invariant comparisons (one per database series matched).
 # TYPE x_comparisons_total counter
@@ -212,7 +215,7 @@ x_stage_latency_seconds_count{stage="disk_read"} 4
 // The sorted JSON keys of goldenStats() and of the zero SearchStats: the
 // scalar counters are present when zero, except cancelled_members.
 var (
-	statsJSONKeysGolden     = []string{"cancelled_members", "comparisons", "early_abandons", "fft_fallbacks", "fft_rejected_members", "fft_rejects", "full_dist_evals", "index_fetches", "k_changes", "k_trajectory", "prune_rate", "rotations", "stage_latencies", "steps", "steps_histogram", "steps_histogram_sum", "steps_per_comparison", "wedge_leaf_lb_prunes", "wedge_leaf_visits", "wedge_node_visits", "wedge_pruned_members", "wedge_prunes_by_level"}
+	statsJSONKeysGolden     = []string{"cancelled_members", "comparisons", "early_abandons", "fft_fallbacks", "fft_rejected_members", "fft_rejects", "full_dist_evals", "index_fetches", "k_changes", "k_trajectory", "prune_rate", "rotations", "steps", "steps_histogram", "steps_histogram_sum", "steps_per_comparison", "wedge_leaf_lb_prunes", "wedge_leaf_visits", "wedge_node_visits", "wedge_pruned_members", "wedge_prunes_by_level"}
 	zeroStatsJSONKeysGolden = []string{"comparisons", "early_abandons", "fft_fallbacks", "fft_rejected_members", "fft_rejects", "full_dist_evals", "index_fetches", "k_changes", "prune_rate", "rotations", "steps", "steps_per_comparison", "wedge_leaf_lb_prunes", "wedge_leaf_visits", "wedge_node_visits", "wedge_pruned_members"}
 )
 
@@ -269,19 +272,25 @@ func goldenStats() SearchStats {
 	s.StepsPerComparison = 1.5
 	s.StepsHistogram = []HistogramBucket{{UpperBound: 4, Count: 2}, {UpperBound: 64, Count: 5}, {UpperBound: -1, Count: 1}}
 	s.StepsHistogramSum = 1234
-	s.StageLatencies = []StageLatency{
+	return s
+}
+
+// goldenStageLatencies are the stage summaries a trace log writes after the
+// golden snapshot.
+func goldenStageLatencies() []StageLatency {
+	return []StageLatency{
 		{Stage: "fetch", Count: 3, SumNS: 700, Buckets: []HistogramBucket{{UpperBound: 128, Count: 1}, {UpperBound: 512, Count: 2}}},
 		{Stage: "disk_read", Count: 4, SumNS: 9000, Buckets: []HistogramBucket{{UpperBound: 1024, Count: 3}, {UpperBound: -1, Count: 1}}},
 	}
-	return s
 }
 
 func TestHistogramExpositionGolden(t *testing.T) {
 	s := goldenStats()
 	var buf bytes.Buffer
 	WriteMetrics(&buf, "x", s)
+	writeStageLatencies(&buf, "x", goldenStageLatencies())
 	if got := buf.String(); got != observeMetricsGolden {
-		t.Errorf("WriteMetrics:\n%s\nwant:\n%s", got, observeMetricsGolden)
+		t.Errorf("WriteMetrics, then the stage latencies:\n%s\nwant:\n%s", got, observeMetricsGolden)
 	}
 	for _, c := range []struct {
 		name string

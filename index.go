@@ -194,14 +194,7 @@ func (ix *Index) Search(q *Query) (SearchResult, error) {
 // undisposed rotations reported in CancelledMembers, the query reusable and
 // the index untouched; an already-expired ctx does no work.
 func (ix *Index) SearchContext(ctx context.Context, q *Query) (SearchResult, error) {
-	rs, err := ix.probe(ctx, q, "index_search", 1, math.Inf(1))
-	if err != nil {
-		return SearchResult{}, err
-	}
-	if len(rs) == 0 {
-		return SearchResult{}, fmt.Errorf("lbkeogh: index search found no result")
-	}
-	return rs[0], nil
+	return nearest(ix.probe(ctx, q, "index_search", 1, math.Inf(1)))
 }
 
 // SearchTopK returns the k exact nearest indexed series in ascending distance

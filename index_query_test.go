@@ -109,18 +109,18 @@ func TestIndexSearchRunsThroughTheQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResults(t, "traced", []SearchResult{got}, []SearchResult{want})
-	recent := tlog.inner().Recent()
+	recent := tlog.sampled.inOrder()
 	tr := recent[len(recent)-1]
-	if tr.ID != traced.LastTraceID() || tr.Label != "index_search" || !tr.Attrs.Reconciles() || tr.Attrs.IndexFetches == 0 {
-		t.Fatalf("trace %d (%q, %+v), query's last %d", tr.ID, tr.Label, tr.Attrs, traced.LastTraceID())
+	if tr.ID != traced.LastTraceID() || tr.Label != "index_search" || !tr.Stats.Counts.Reconciles() || tr.Stats.Counts.IndexFetches == 0 {
+		t.Fatalf("trace %d (%q, %+v), query's last %d", tr.ID, tr.Label, tr.Stats.Counts, traced.LastTraceID())
 	}
 	var probe int32 = -1
 	var fetchSpans, comparisons int64
-	for i, sp := range tr.Spans {
+	for i, sp := range tr.spans {
 		switch sp.Stage {
 		case trace.StageVPProbe:
-			if tr.Spans[sp.Parent].Stage != trace.StageSearch {
-				t.Fatalf("probe span under %v, want the search root", tr.Spans[sp.Parent].Stage)
+			if tr.spans[sp.Parent].Stage != trace.StageSearch {
+				t.Fatalf("probe span under %v, want the search root", tr.spans[sp.Parent].Stage)
 			}
 			probe = int32(i)
 		case trace.StageFetch:
@@ -135,11 +135,11 @@ func TestIndexSearchRunsThroughTheQuery(t *testing.T) {
 			}
 		}
 	}
-	if fetchSpans != tr.Attrs.IndexFetches || comparisons != tr.Attrs.Comparisons {
-		t.Fatalf("%d fetch and %d comparison spans for %d fetches and %d comparisons", fetchSpans, comparisons, tr.Attrs.IndexFetches, tr.Attrs.Comparisons)
+	if fetchSpans != tr.Stats.Counts.IndexFetches || comparisons != tr.Stats.Counts.Comparisons {
+		t.Fatalf("%d fetch and %d comparison spans for %d fetches and %d comparisons", fetchSpans, comparisons, tr.Stats.Counts.IndexFetches, tr.Stats.Counts.Comparisons)
 	}
 	plan := sampler.Snapshot()
-	if n := tr.Attrs.IndexFetches; plan.Seen != n || plan.Sampled != (n+3)/4 || len(plan.Bounds) != 2 {
+	if n := tr.Stats.Counts.IndexFetches; plan.Seen != n || plan.Sampled != (n+3)/4 || len(plan.Bounds) != 2 {
 		t.Fatalf("%d fetched rows, sampler %+v", n, plan)
 	}
 }

@@ -721,7 +721,7 @@ func TestProbeDoesNotRetainFetchedRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tlog := trace.NewLog(trace.Config{SampleRate: 1})
+	var traces, fetchSpans int
 	rng := ts.NewRand(52)
 	for _, opts := range []core.Options{core.DefaultOptions(), {Mirror: true, MaxShift: 3}} {
 		rs := core.NewRotationSet(ts.ZNorm(ts.AddNoise(rng, db[7], 0.05)), opts, nil)
@@ -729,12 +729,17 @@ func TestProbeDoesNotRetainFetchedRows(t *testing.T) {
 		// the trace sees every fetched row too.
 		traced := func(ix *Index, kern wedge.Kernel, c *core.Collector) []Result {
 			s := core.NewSearcher(rs, kern, core.Wedge, core.SearcherConfig{})
-			rec := tlog.StartTrace("probe")
+			rec := trace.NewRecorder("probe", trace.SpanCap)
 			s.SetRecorder(rec)
 			if err := ix.Probe(context.Background(), s, c); err != nil {
 				t.Fatal(err)
 			}
-			tlog.Finish(rec, obs.Counts{})
+			traces++
+			for _, sp := range rec.Spans() {
+				if sp.Stage == trace.StageFetch {
+					fetchSpans++
+				}
+			}
 			return c.Results()
 		}
 		for name, search := range map[string]func(*Index) []Result{
@@ -752,20 +757,21 @@ func TestProbeDoesNotRetainFetchedRows(t *testing.T) {
 			}
 		}
 	}
-	if finished, _ := tlog.Totals(); finished == 0 || tlog.Latencies().Histogram(trace.StageFetch).Count() == 0 {
-		t.Fatalf("%d traces finished, fetch spans %d", finished, tlog.Latencies().Histogram(trace.StageFetch).Count())
+	if traces == 0 || fetchSpans == 0 {
+		t.Fatalf("%d traces recorded, fetch spans %d", traces, fetchSpans)
 	}
 }
 
 // One index serves concurrent probes, each through its caller's searcher:
 // GOMAXPROCS goroutines (at least four) with distinct queries, every answer
-// the flat scan's, the index record and the shared trace log written only atomically.
-// Run under -race (make race-concurrency).
+// the flat scan's, the index record written only atomically, and each probe
+// tracing into its own searcher's recorder, whose fetch spans are the fetches
+// of its record. Run under -race (make race-concurrency); the root package's
+// TestIndexConcurrentQueries shares one trace log across such probes.
 func TestProbeConcurrentSearchers(t *testing.T) {
 	n := 48
 	db := syntheticDB(61, 200, n)
 	ix := Build(db, 8)
-	tlog := trace.NewLog(trace.Config{SampleRate: 1})
 	workers := max(4, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	fetched := make([]int64, workers)
@@ -780,19 +786,27 @@ func TestProbeConcurrentSearchers(t *testing.T) {
 				wantIdx, wantDist := linearScan(rs, db, wedge.ED{})
 				var st obs.SearchStats
 				s := core.NewSearcher(rs, wedge.ED{}, core.Wedge, core.SearcherConfig{Obs: &st})
-				rec := tlog.StartTrace("probe")
+				rec := trace.NewRecorder("probe", trace.SpanCap)
 				s.SetRecorder(rec)
 				c := nearest()
 				if err := ix.Probe(context.Background(), s, c); err != nil {
 					t.Errorf("worker %d round %d: %v", w, round, err)
 				}
-				tlog.Finish(rec, st.Counts())
 				if got := c.Best(); got.Index != wantIdx || math.Abs(got.Dist-wantDist) > 1e-9 {
 					t.Errorf("worker %d round %d: index (%d,%v) != linear (%d,%v)", w, round, got.Index, got.Dist, wantIdx, wantDist)
 				}
 				counts := st.Counts()
 				if !counts.Reconciles() || counts.IndexFetches == 0 || counts.IndexFetches != counts.Comparisons {
 					t.Errorf("worker %d round %d: searcher record %+v", w, round, counts)
+				}
+				var fetchSpans int64
+				for _, sp := range rec.Spans() {
+					if sp.Stage == trace.StageFetch {
+						fetchSpans++
+					}
+				}
+				if rec.Dropped() == 0 && fetchSpans != counts.IndexFetches {
+					t.Errorf("worker %d round %d: %d fetch spans for %d fetches", w, round, fetchSpans, counts.IndexFetches)
 				}
 				fetched[w] += counts.IndexFetches
 			}

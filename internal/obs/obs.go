@@ -75,14 +75,6 @@ type SearchStats struct {
 	kTraj []KChange
 }
 
-// ObserveComparisonSteps records one comparison's num_steps in the
-// fixed-bucket histogram.
-func (s *SearchStats) ObserveComparisonSteps(n int64) {
-	if s != nil {
-		s.stepsHist.Observe(n)
-	}
-}
-
 // RecordKChange appends one dynamic-K adjustment to the trajectory, stamped
 // with the current comparison count. The trajectory is capped; the change
 // counter keeps counting past the cap.
@@ -131,20 +123,6 @@ func (s *SearchStats) Reset() {
 	s.mu.Unlock()
 }
 
-// StageLatency is one pipeline stage's latency summary: exact observation
-// count and nanosecond sum, the non-empty power-of-two buckets, and
-// bucket-resolution quantiles (the bucket upper bound each quantile falls
-// in; -1 means the overflow bucket).
-type StageLatency struct {
-	Stage   string            `json:"stage"`
-	Count   int64             `json:"count"`
-	SumNS   int64             `json:"sum_ns"`
-	Buckets []HistogramBucket `json:"buckets,omitempty"`
-	P50NS   int64             `json:"p50_ns"`
-	P90NS   int64             `json:"p90_ns"`
-	P99NS   int64             `json:"p99_ns"`
-}
-
 // Snapshot is a point-in-time copy of a query's (or index's, or monitor's,
 // or server's) instrumentation record in plain values suitable for JSON
 // export: where the search spent its num_steps and how each rotation was
@@ -175,10 +153,6 @@ type Snapshot struct {
 	// work outside any comparison.
 	StepsHistogram    []HistogramBucket `json:"steps_histogram,omitempty"`
 	StepsHistogramSum int64             `json:"steps_histogram_sum,omitempty"`
-
-	// StageLatencies holds per-stage wall-clock latency summaries, present
-	// when a trace log is attached to the source.
-	StageLatencies []StageLatency `json:"stage_latencies,omitempty"`
 }
 
 // SnapshotOf lifts a counter record or delta into a Snapshot with the derived

@@ -13,7 +13,7 @@ func TestNilSinkIsSafeAndFree(t *testing.T) {
 			WedgeNodeVisits: 1, WedgeLeafVisits: 1, WedgePrunedMembers: 4, FFTRejects: 1, FFTRejectedMembers: 8,
 			IndexFetches: 1,
 		}, &[MaxPruneLevels]int64{3: 2})
-		st.ObserveComparisonSteps(100)
+		st.Publish(&Batch{Counts: Counts{Comparisons: 1, Steps: 100}}, nil)
 		st.RecordKChange(4, 8)
 		st.Reset()
 	}
@@ -145,9 +145,9 @@ func TestSearchStatsConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				st.AddCounts(&Counts{Comparisons: 1, Rotations: 4, FullDistEvals: 1, EarlyAbandons: 1, WedgePrunedMembers: 2},
-					&[MaxPruneLevels]int64{1: 1})
-				st.ObserveComparisonSteps(int64(i + 1))
+				var b Batch
+				b.Add(&Counts{Comparisons: 1, Rotations: 4, Steps: int64(i + 1), FullDistEvals: 1, EarlyAbandons: 1, WedgePrunedMembers: 2})
+				st.Publish(&b, &[MaxPruneLevels]int64{1: 1})
 			}
 		}()
 	}

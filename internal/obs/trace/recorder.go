@@ -6,9 +6,9 @@ import (
 	"lbkeogh/internal/obs"
 )
 
-// SpanCap bounds the spans of one trace a Log starts. Beyond the cap spans
-// are dropped (and counted), never reallocated — the recorder does all its
-// allocation up front.
+// SpanCap bounds the spans of one trace a traced query records. Beyond the
+// cap spans are dropped (and counted), never reallocated — the recorder does
+// all its allocation up front.
 const SpanCap = 512
 
 // Recorder accumulates the spans of one trace. It is single-goroutine by
@@ -34,9 +34,7 @@ type Recorder struct {
 type SpanID int32
 
 // NewRecorder returns a recorder with capacity for spanCap spans, anchored
-// at time.Now (spanCap <= 0 selects SpanCap). Logs normally construct
-// recorders via StartTrace; NewRecorder exists for tests and for tracing
-// outside any log.
+// at time.Now (spanCap <= 0 selects SpanCap).
 func NewRecorder(label string, spanCap int) *Recorder {
 	if spanCap <= 0 {
 		spanCap = SpanCap
@@ -55,6 +53,15 @@ func (r *Recorder) Label() string {
 		return ""
 	}
 	return r.label
+}
+
+// Anchor returns the wall-clock time the trace began (the zero time on a
+// nil recorder).
+func (r *Recorder) Anchor() time.Time {
+	if r == nil {
+		return time.Time{}
+	}
+	return r.anchor
 }
 
 // Now returns nanoseconds since the trace anchor (0 on a nil recorder).

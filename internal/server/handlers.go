@@ -351,7 +351,6 @@ func (s *Server) searchEndpoint(kind searchKind) http.HandlerFunc {
 		results, err := s.runSearch(ctx, q, kind, req, view.rows)
 		elapsed := time.Since(start)
 		stats := q.Stats()
-		stats.StageLatencies = nil // log-global, not per-request; see /metrics
 		var levels [obs.MaxPruneLevels]int64
 		copy(levels[:], stats.WedgePrunesByLevel)
 		s.stats.AddCounts(&stats.Counts, &levels)

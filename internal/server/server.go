@@ -251,16 +251,11 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Stats returns the server's cumulative search record: the sum of every
 // served request's pruning breakdown (so the same reconciling outcome
-// buckets as a single query's stats), with the trace log's per-stage
-// latencies attached when tracing is on. Server implements
-// lbkeogh.StatsSource, so it plugs straight into MetricsHandler.
-func (s *Server) Stats() lbkeogh.SearchStats {
-	out := s.stats.Snapshot()
-	if s.cfg.TraceLog != nil {
-		out.StageLatencies = s.cfg.TraceLog.StageLatencies()
-	}
-	return out
-}
+// buckets as a single query's stats). The trace log's per-stage latencies
+// are the log's own: /metrics writes them after this record
+// (TraceLog.WriteMetrics). Server implements lbkeogh.StatsSource, so it
+// plugs straight into MetricsHandler.
+func (s *Server) Stats() lbkeogh.SearchStats { return s.stats.Snapshot() }
 
 func (s *Server) buildMux() *http.ServeMux {
 	mux := http.NewServeMux()
@@ -279,6 +274,7 @@ func (s *Server) buildMux() *http.ServeMux {
 	sources := map[string]lbkeogh.StatsSource{"shapeserver": s}
 	mux.Handle("/metrics", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		lbkeogh.MetricsHandler(sources).ServeHTTP(w, r)
+		s.cfg.TraceLog.WriteMetrics(w, "shapeserver")
 		s.writeServerMetrics(w)
 		if s.sampler != nil {
 			s.sampler.WriteMetrics(w)

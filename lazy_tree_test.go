@@ -70,18 +70,18 @@ func builtQuery(t testing.TB, series Series, m Measure, db []Series) *Query {
 // build span is the probe's, never a comparison's child.
 func earlySteps(t testing.TB, tlog *TraceLog) (early, last int64, built bool) {
 	t.Helper()
-	recent := tlog.inner().Recent()
+	recent := tlog.sampled.inOrder()
 	tr := recent[len(recent)-1]
-	if tr.Dropped != 0 {
-		t.Fatalf("trace dropped %d spans", tr.Dropped)
+	if tr.DroppedSpans != 0 {
+		t.Fatalf("trace dropped %d spans", tr.DroppedSpans)
 	}
-	for _, sp := range tr.Spans {
+	for _, sp := range tr.spans {
 		switch sp.Stage {
 		case trace.StageWedgeBuild:
 			if built {
 				t.Fatal("two wedge builds in one search")
 			}
-			if p := tr.Spans[sp.Parent].Stage; p != trace.StageVPProbe && p != trace.StageSearch {
+			if p := tr.spans[sp.Parent].Stage; p != trace.StageVPProbe && p != trace.StageSearch {
 				t.Fatalf("wedge build under a %v span", p)
 			}
 			built = true

@@ -63,7 +63,8 @@ func TestMetricsBodiesAreTextFormat(t *testing.T) {
 		rr := httptest.NewRecorder()
 		lbkeogh.MetricsHandler(map[string]lbkeogh.StatsSource{"lbkeogh_query": q, "lbkeogh_index": ix}).
 			ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
-		sampler.WriteMetrics(rr.Body) // as a serving process appends it
+		tlog.WriteMetrics(rr.Body, "lbkeogh_query") // as a serving process appends them
+		sampler.WriteMetrics(rr.Body)
 		checkTextFormat(t, rr.Header().Get("Content-Type"), rr.Body.String(),
 			"lbkeogh_query_comparison_steps", "lbkeogh_query_stage_latency_seconds",
 			"lbkeogh_explain_bound_tightness_ratio")

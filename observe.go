@@ -43,12 +43,6 @@ type KChange = obs.KChange
 // for the overflow bucket.
 type HistogramBucket = obs.HistogramBucket
 
-// StageLatency is one pipeline stage's latency summary: exact observation
-// count and nanosecond sum, the non-empty power-of-two buckets, and
-// bucket-resolution quantiles (the bucket upper bound each quantile falls
-// in; -1 means the overflow bucket).
-type StageLatency = obs.StageLatency
-
 // StatsSource is anything exposing an instrumentation snapshot: *Query,
 // *Index and *Monitor all qualify.
 type StatsSource interface {
@@ -103,13 +97,6 @@ func WriteMetrics(w io.Writer, name string, s SearchStats) {
 		ops.WriteFamily(w, name+"_comparison_steps", "histogram", "Per-comparison num_steps distribution.")
 		ops.WriteHistogram(w, name+"_comparison_steps", "", ops.LayoutBuckets(s.StepsHistogram, decimal),
 			strconv.FormatInt(s.StepsHistogramSum, 10))
-	}
-	if len(s.StageLatencies) > 0 {
-		ops.WriteFamily(w, name+"_stage_latency_seconds", "histogram", "Per-stage query latency in seconds.")
-		for _, sl := range s.StageLatencies {
-			ops.WriteDurationHistogram(w, name+"_stage_latency_seconds", fmt.Sprintf("stage=%q", sl.Stage),
-				sl.Buckets, sl.SumNS)
-		}
 	}
 }
 

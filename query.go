@@ -110,10 +110,10 @@ func WithFixedWedgeCount(k int) QueryOption {
 // WithTraceLog attaches a TraceLog: the query's construction and every
 // subsequent search record a span trace — rotation-matrix and wedge builds,
 // one span per comparison carrying its counter deltas — which the log samples,
-// screens for slow queries, and aggregates into per-stage latency
-// histograms (surfaced through Stats). The log is safe to share across
-// queries, including concurrent ones — each query records into its own
-// buffer and only completed traces enter the log.
+// screens for slow queries, and aggregates into its per-stage latency
+// histograms (TraceLog.StageLatencies, TraceLog.WriteMetrics). The log is
+// safe to share across queries, including concurrent ones — each query
+// records into its own buffer and only completed traces enter the log.
 func WithTraceLog(t *TraceLog) QueryOption {
 	return func(c *queryConfig) { c.tlog = t }
 }
@@ -141,7 +141,7 @@ type Query struct {
 	// per operation — the server pool checks sessions out exclusively — so
 	// a plain field is race-free.
 	lastTraceID int64
-	tlog        *trace.Log // nil: untraced
+	tlog        *TraceLog // nil: untraced
 }
 
 // NewQuery compiles series into a rotation-invariant query under the given
@@ -167,14 +167,14 @@ func NewQuery(series Series, m Measure, opts ...QueryOption) (*Query, error) {
 	if err := core.CheckStrategy(cfg.strategy, m.kern); err != nil {
 		return nil, fmt.Errorf("lbkeogh: FFTSearch: %w", err)
 	}
-	q := &Query{measure: m, n: len(series), tlog: cfg.tlog.inner()}
+	q := &Query{measure: m, n: len(series), tlog: cfg.tlog}
 	q.searchCfg = core.SearcherConfig{FixedK: cfg.fixedK, Obs: &q.obs}
-	rec := q.tlog.StartTrace("build")
+	rec := q.tlog.startTrace("build")
 	buildSpan := rec.Begin(trace.StageBuild, -1)
 	q.rs = core.NewRotationSetTraced(series, copts, rec)
 	q.searcher = core.NewSearcher(q.rs, m.kern, cfg.strategy, q.searchCfg)
 	rec.End(buildSpan)
-	q.tlog.Finish(rec, obs.Counts{})
+	q.tlog.finish(rec, obs.Counts{})
 	return q, nil
 }
 
@@ -183,7 +183,7 @@ func NewQuery(series Series, m Measure, opts ...QueryOption) (*Query, error) {
 // counter snapshot it is measured against. On an untraced query everything
 // is nil/no-op.
 func (q *Query) startTrace(label string) (*trace.Recorder, trace.SpanID, obs.Counts) {
-	rec := q.tlog.StartTrace(label)
+	rec := q.tlog.startTrace(label)
 	if rec == nil {
 		return nil, -1, obs.Counts{}
 	}
@@ -202,7 +202,7 @@ func (q *Query) finishTrace(rec *trace.Recorder, root trace.SpanID, before obs.C
 	q.searcher.SetRecorder(nil)
 	delta := q.obs.Counts().Sub(before)
 	rec.EndAttrs(root, delta)
-	q.lastTraceID = q.tlog.Finish(rec, delta)
+	q.lastTraceID = q.tlog.finish(rec, delta)
 }
 
 // LastTraceID returns the retained trace ID of the query's most recently
@@ -246,14 +246,11 @@ func (q *Query) ResetSteps() { q.carry = -q.obs.Steps() - q.setup() }
 // the search returns, cancelled or not; Distance's and Match's at once.
 // Unlike Steps, it excludes the wedge
 // hierarchy's build — it covers matching only, so an operation that builds
-// moves Steps by SetupSteps more than it moves Stats().Steps. When a TraceLog
-// is attached, the snapshot additionally carries the log's per-stage latency
-// summaries.
-func (q *Query) Stats() SearchStats {
-	s := q.obs.Snapshot()
-	s.StageLatencies = q.tlog.Latencies().Snapshot()
-	return s
-}
+// moves Steps by SetupSteps more than it moves Stats().Steps. It carries no
+// wall-clock data: an attached TraceLog's per-stage latencies are the log's
+// (TraceLog.StageLatencies, TraceLog.WriteMetrics), shared by every query
+// that records into it.
+func (q *Query) Stats() SearchStats { return q.obs.Snapshot() }
 
 // ResetStats zeroes the instrumentation record; Steps is unaffected, since
 // the record's steps move into what Steps carries.
@@ -407,11 +404,17 @@ func (q *Query) Search(db []Series) (SearchResult, error) {
 // SearchStats.CancelledMembers, so the stats record still reconciles. With
 // an uncancelled ctx the result is identical to Search.
 func (q *Query) SearchContext(ctx context.Context, db []Series) (SearchResult, error) {
-	rs, err := q.scan(ctx, db, "search", 1, math.Inf(1))
+	return nearest(q.scan(ctx, db, "search", 1, math.Inf(1)))
+}
+
+// nearest is a nearest-neighbour search's answer from its k = 1 search, a
+// scan's or an index probe's: the one result, or Index -1 at +Inf when no
+// series is at a finite distance.
+func nearest(rs []SearchResult, err error) (SearchResult, error) {
 	if err != nil {
 		return SearchResult{}, err
 	}
-	if len(rs) == 0 { // no series at a finite distance
+	if len(rs) == 0 {
 		return SearchResult{Index: -1, Dist: math.Inf(1)}, nil
 	}
 	return rs[0], nil

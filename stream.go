@@ -50,7 +50,8 @@ type Monitor struct {
 	//lint:ignore tallyescape a Monitor is confined to one goroutine; a stack Tally would escape through the Kernel interface and cost an allocation per window
 	local stats.Tally
 
-	obs obs.SearchStats // per-window pruning breakdowns and steps
+	obs   obs.SearchStats // per-window pruning breakdowns and steps
+	batch obs.Batch       // one window's record until Push publishes it
 }
 
 // NewMonitor compiles the patterns (equal length n) for streaming threshold
@@ -127,7 +128,8 @@ func (mo *Monitor) Push(v float64) []StreamMatch {
 	w := mo.window()
 	var out []StreamMatch
 	// The window's steps, outcomes and per-level prunes are tallied here with
-	// plain increments and flushed into the shared record once, below.
+	// plain increments and published to the shared record once, below, as a
+	// searcher publishes its pass.
 	local := &mo.local
 	*local = stats.Tally{}
 	var levels [obs.MaxPruneLevels]int64
@@ -164,8 +166,8 @@ func (mo *Monitor) Push(v float64) []StreamMatch {
 	}
 	mo.stack = stack
 	counts.Steps = local.Steps()
-	mo.obs.AddCounts(&counts, &levels)
-	mo.obs.ObserveComparisonSteps(counts.Steps)
+	mo.batch.Add(&counts)
+	mo.obs.Publish(&mo.batch, &levels)
 	return out
 }
 

@@ -218,10 +218,11 @@ func TestTraceLogStageLatencies(t *testing.T) {
 			t.Errorf("stage %q buckets sum to %d, count is %d", stage, bucketTotal, sl.Count)
 		}
 	}
-	// The query's Stats carries the same summaries once a log is attached.
-	q, _, _ := tracedSearch(t)
-	if len(q.Stats().StageLatencies) == 0 {
-		t.Error("Query.Stats() does not surface stage latencies with a TraceLog attached")
+	// The log's metrics writer renders the same summaries, one series each.
+	var buf bytes.Buffer
+	tlog.WriteMetrics(&buf, "lbkeogh_query")
+	if got := strings.Count(buf.String(), "lbkeogh_query_stage_latency_seconds_count{"); got != len(lats) {
+		t.Errorf("WriteMetrics wrote %d stage series for %d stages", got, len(lats))
 	}
 }
 
@@ -244,10 +245,10 @@ func parseExposition(t *testing.T, body string) (samples []expofmt.Sample, types
 // histogram's _sum is the exact observed sum (not the global Steps counter).
 func TestMetricsExpositionWellFormed(t *testing.T) {
 	q, tlog, _ := tracedSearch(t)
-	_ = tlog
 	h := lbkeogh.MetricsHandler(map[string]lbkeogh.StatsSource{"lbkeogh_query": q})
 	rr := httptest.NewRecorder()
 	h.ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
+	tlog.WriteMetrics(rr.Body, "lbkeogh_query") // as a serving process appends it
 	if rr.Code != 200 {
 		t.Fatalf("status %d", rr.Code)
 	}
