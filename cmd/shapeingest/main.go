@@ -109,13 +109,7 @@ func run(logger *slog.Logger, dir string, count int64, n, dims int, batch int, w
 	default:
 		return fmt.Errorf("unknown -dataset %q (projectile | heterogeneous)", dataset)
 	}
-	d := dims
-	if d < 1 {
-		d = 8
-	}
-	if d > n/2 {
-		d = n / 2
-	}
+	d := segment.FeatureDims(dims, n)
 
 	// The segments the load adds are the published manifest's count less
 	// this one's.

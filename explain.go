@@ -11,31 +11,23 @@ import (
 // BoundSampler is the shared bound-tightness sink: attach one to any number
 // of queries with Query.SetBoundSampler and it measures, for every n-th
 // comparison across all of them (comparisons 0, n, 2n, … of the stream they
-// feed it), the full bound waterfall — the FFT-magnitude and LB_Keogh
-// envelope lower bounds plus the true rotation-invariant distance — yielding
-// per-bound tightness-ratio histograms, false-positive attribution and
-// elimination counts. The measurement never charges the queries' own
-// counters, so the statistics it explains stay unperturbed. Safe for
-// concurrent use; a nil *BoundSampler is a valid "off" value everywhere.
-type BoundSampler struct {
-	rec *explain.Recorder
-}
+// feed it), the bound waterfall in the paper's cascade order — the
+// FFT-magnitude bound (Euclidean only), LB_Keogh on the root wedge, then the
+// true rotation-invariant distance — into per-bound tightness-ratio
+// histograms, false-positive attribution and elimination counts. Sampling
+// never charges the queries' own counters. Safe for concurrent use; a nil
+// *BoundSampler is a valid "off" value everywhere.
+type BoundSampler explain.Recorder
 
 // NewBoundSampler returns a sampler measuring every n-th comparison (n < 1
 // samples every comparison). A few hundred is a good serving default: one
 // waterfall measurement costs roughly one brute-force comparison.
 func NewBoundSampler(n int) *BoundSampler {
-	return &BoundSampler{rec: explain.NewRecorder(n)}
+	return (*BoundSampler)(explain.NewRecorder(n))
 }
 
-func (b *BoundSampler) recorder() *explain.Recorder {
-	if b == nil {
-		return nil
-	}
-	return b.rec
-}
-
-// BoundSamplerSnapshot is a point-in-time copy of a sampler's aggregate.
+// BoundSamplerSnapshot is a point-in-time copy of a sampler's aggregate, its
+// Bounds in cascade order whatever order the measures feeding it came in.
 type BoundSamplerSnapshot = explain.RecorderSnapshot
 
 // BoundTightness summarizes one bound's sampled evidence: tightness-ratio
@@ -45,7 +37,7 @@ type BoundTightness = explain.BoundTightness
 
 // Snapshot copies the sampler's aggregate out. Safe on a nil receiver.
 func (b *BoundSampler) Snapshot() BoundSamplerSnapshot {
-	return b.recorder().Snapshot()
+	return (*explain.Recorder)(b).Snapshot()
 }
 
 // WriteMetrics writes the sampler's aggregate in Prometheus text exposition
@@ -63,20 +55,21 @@ func (b *BoundSampler) WriteMetrics(w io.Writer) {
 	ops.WriteCounter(w, "lbkeogh_explain_sampled_kernel_kills_total",
 		"Sampled candidates that passed every bound but were killed by the exact kernel.", snap.KernelKills)
 
-	ops.WriteFamily(w, "lbkeogh_explain_bound_checks_total", "counter",
-		"Sampled bound evaluations, per waterfall stage.")
-	for _, bt := range snap.Bounds {
-		fmt.Fprintf(w, "lbkeogh_explain_bound_checks_total{bound=%q} %d\n", bt.Bound, bt.Checks)
-	}
-	ops.WriteFamily(w, "lbkeogh_explain_bound_false_positives_total", "counter",
-		"Sampled candidates a bound passed that the exact kernel then killed.")
-	for _, bt := range snap.Bounds {
-		fmt.Fprintf(w, "lbkeogh_explain_bound_false_positives_total{bound=%q} %d\n", bt.Bound, bt.FalsePositives)
-	}
-	ops.WriteFamily(w, "lbkeogh_explain_bound_eliminated_total", "counter",
-		"Sampled candidates first eliminated by each waterfall stage.")
-	for _, bt := range snap.Bounds {
-		fmt.Fprintf(w, "lbkeogh_explain_bound_eliminated_total{bound=%q} %d\n", bt.Bound, bt.Eliminated)
+	for _, f := range []struct {
+		name, help string
+		count      func(BoundTightness) int64
+	}{
+		{"lbkeogh_explain_bound_checks_total", "Sampled bound evaluations, per waterfall stage.",
+			func(bt BoundTightness) int64 { return bt.Checks }},
+		{"lbkeogh_explain_bound_false_positives_total", "Sampled candidates a bound passed that the exact kernel then killed.",
+			func(bt BoundTightness) int64 { return bt.FalsePositives }},
+		{"lbkeogh_explain_bound_eliminated_total", "Sampled candidates first eliminated by each waterfall stage.",
+			func(bt BoundTightness) int64 { return bt.Eliminated }},
+	} {
+		ops.WriteFamily(w, f.name, "counter", f.help)
+		for _, bt := range snap.Bounds {
+			fmt.Fprintf(w, "%s{bound=%q} %d\n", f.name, bt.Bound, f.count(bt))
+		}
 	}
 
 	ops.WriteFamily(w, "lbkeogh_explain_bound_tightness_ratio", "histogram",
@@ -98,5 +91,5 @@ func (b *BoundSampler) WriteMetrics(w io.Writer) {
 // SearchParallel* comparisons run on per-worker searchers and are not
 // sampled. Not safe to call concurrently with searches.
 func (q *Query) SetBoundSampler(b *BoundSampler) {
-	q.searcher.SetExplain(b.recorder())
+	q.searcher.SetExplain((*explain.Recorder)(b))
 }

@@ -3,6 +3,7 @@ package lbkeogh
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"sort"
 	"strings"
@@ -26,7 +27,9 @@ import (
 // bytes captured then. The stage latencies have since left the snapshot for
 // the trace log, which writes them after it: the golden text is WriteMetrics
 // followed by the log's stage writer, and the JSON key set lost
-// stage_latencies.
+// stage_latencies. The tightness histogram's samples were once of a "paa"
+// bound; the sampler's stages are now a closed set, so the same three ratios
+// are the envelope stage's.
 
 const observeMetricsGolden = `# HELP x_comparisons_total Rotation-invariant comparisons (one per database series matched).
 # TYPE x_comparisons_total counter
@@ -221,29 +224,29 @@ var (
 
 const explainHistogramGolden = `# HELP lbkeogh_explain_bound_tightness_ratio Distribution of lower bound / true rotation-invariant distance, per bound (1 = perfectly tight).
 # TYPE lbkeogh_explain_bound_tightness_ratio histogram
-lbkeogh_explain_bound_tightness_ratio_bucket{bound="paa",le="0.05"} 0
-lbkeogh_explain_bound_tightness_ratio_bucket{bound="paa",le="0.10"} 0
-lbkeogh_explain_bound_tightness_ratio_bucket{bound="paa",le="0.15"} 0
-lbkeogh_explain_bound_tightness_ratio_bucket{bound="paa",le="0.20"} 0
-lbkeogh_explain_bound_tightness_ratio_bucket{bound="paa",le="0.25"} 0
-lbkeogh_explain_bound_tightness_ratio_bucket{bound="paa",le="0.30"} 1
-lbkeogh_explain_bound_tightness_ratio_bucket{bound="paa",le="0.35"} 1
-lbkeogh_explain_bound_tightness_ratio_bucket{bound="paa",le="0.40"} 1
-lbkeogh_explain_bound_tightness_ratio_bucket{bound="paa",le="0.45"} 1
-lbkeogh_explain_bound_tightness_ratio_bucket{bound="paa",le="0.50"} 1
-lbkeogh_explain_bound_tightness_ratio_bucket{bound="paa",le="0.55"} 1
-lbkeogh_explain_bound_tightness_ratio_bucket{bound="paa",le="0.60"} 1
-lbkeogh_explain_bound_tightness_ratio_bucket{bound="paa",le="0.65"} 1
-lbkeogh_explain_bound_tightness_ratio_bucket{bound="paa",le="0.70"} 1
-lbkeogh_explain_bound_tightness_ratio_bucket{bound="paa",le="0.75"} 1
-lbkeogh_explain_bound_tightness_ratio_bucket{bound="paa",le="0.80"} 1
-lbkeogh_explain_bound_tightness_ratio_bucket{bound="paa",le="0.85"} 1
-lbkeogh_explain_bound_tightness_ratio_bucket{bound="paa",le="0.90"} 1
-lbkeogh_explain_bound_tightness_ratio_bucket{bound="paa",le="0.95"} 2
-lbkeogh_explain_bound_tightness_ratio_bucket{bound="paa",le="1.00"} 2
-lbkeogh_explain_bound_tightness_ratio_bucket{bound="paa",le="+Inf"} 3
-lbkeogh_explain_bound_tightness_ratio_sum{bound="paa"} 2.45
-lbkeogh_explain_bound_tightness_ratio_count{bound="paa"} 3
+lbkeogh_explain_bound_tightness_ratio_bucket{bound="envelope",le="0.05"} 0
+lbkeogh_explain_bound_tightness_ratio_bucket{bound="envelope",le="0.10"} 0
+lbkeogh_explain_bound_tightness_ratio_bucket{bound="envelope",le="0.15"} 0
+lbkeogh_explain_bound_tightness_ratio_bucket{bound="envelope",le="0.20"} 0
+lbkeogh_explain_bound_tightness_ratio_bucket{bound="envelope",le="0.25"} 0
+lbkeogh_explain_bound_tightness_ratio_bucket{bound="envelope",le="0.30"} 1
+lbkeogh_explain_bound_tightness_ratio_bucket{bound="envelope",le="0.35"} 1
+lbkeogh_explain_bound_tightness_ratio_bucket{bound="envelope",le="0.40"} 1
+lbkeogh_explain_bound_tightness_ratio_bucket{bound="envelope",le="0.45"} 1
+lbkeogh_explain_bound_tightness_ratio_bucket{bound="envelope",le="0.50"} 1
+lbkeogh_explain_bound_tightness_ratio_bucket{bound="envelope",le="0.55"} 1
+lbkeogh_explain_bound_tightness_ratio_bucket{bound="envelope",le="0.60"} 1
+lbkeogh_explain_bound_tightness_ratio_bucket{bound="envelope",le="0.65"} 1
+lbkeogh_explain_bound_tightness_ratio_bucket{bound="envelope",le="0.70"} 1
+lbkeogh_explain_bound_tightness_ratio_bucket{bound="envelope",le="0.75"} 1
+lbkeogh_explain_bound_tightness_ratio_bucket{bound="envelope",le="0.80"} 1
+lbkeogh_explain_bound_tightness_ratio_bucket{bound="envelope",le="0.85"} 1
+lbkeogh_explain_bound_tightness_ratio_bucket{bound="envelope",le="0.90"} 1
+lbkeogh_explain_bound_tightness_ratio_bucket{bound="envelope",le="0.95"} 2
+lbkeogh_explain_bound_tightness_ratio_bucket{bound="envelope",le="1.00"} 2
+lbkeogh_explain_bound_tightness_ratio_bucket{bound="envelope",le="+Inf"} 3
+lbkeogh_explain_bound_tightness_ratio_sum{bound="envelope"} 2.45
+lbkeogh_explain_bound_tightness_ratio_count{bound="envelope"} 3
 `
 
 // goldenStats is a snapshot with every scalar counter set to a distinct
@@ -316,12 +319,9 @@ func TestHistogramExpositionGolden(t *testing.T) {
 	}
 
 	sampler := NewBoundSampler(1)
-	paa := func(v float64) explain.Sample {
-		return explain.Sample{Threshold: -1, True: 2, Bounds: []explain.BoundValue{{Bound: "paa", Value: v}}}
+	for _, v := range []float64{0.5, 1.9, 2.5} {
+		(*explain.Recorder)(sampler).Observe(explain.Sample{Threshold: -1, True: 2, Bounds: [explain.NumBounds]float64{math.NaN(), v}})
 	}
-	sampler.rec.Observe(paa(0.5))
-	sampler.rec.Observe(paa(1.9))
-	sampler.rec.Observe(paa(2.5))
 	buf.Reset()
 	sampler.WriteMetrics(&buf)
 	got := buf.String()

@@ -57,10 +57,7 @@ func NewIndex(db []Series, dims int) (*Index, error) {
 		return nil, fmt.Errorf("lbkeogh: %w", err)
 	}
 	n := len(db[0])
-	if dims > n/2 {
-		dims = n / 2
-	}
-	return &Index{ix: index.Build(db, dims), n: n, m: len(db)}, nil
+	return &Index{ix: index.Build(db, segment.FeatureDims(dims, n)), n: n, m: len(db)}, nil
 }
 
 // WriteSegmentStore persists db as a segment store in dir, which must not
@@ -80,7 +77,7 @@ func WriteSegmentStore(dir string, db []Series, dims int) error {
 		return fmt.Errorf("lbkeogh: %s already holds a segment store", dir)
 	}
 	n := len(db[0])
-	b, err := segment.NewBulkWriter(dir, n, min(dims, n/2), int64(len(db)))
+	b, err := segment.NewBulkWriter(dir, n, segment.FeatureDims(dims, n), int64(len(db)))
 	if err != nil {
 		return err
 	}
@@ -184,7 +181,8 @@ func (ix *Index) probe(ctx context.Context, q *Query, label string, k int, limit
 // cumulative record. A wedge query whose tree is not yet built verifies the
 // fetched rows by early abandoning until that has spent twice the tree's
 // build, over all the query's index searches, and then builds it and walks
-// it; the rows returned are the same either way.
+// it; the rows returned are the same either way. A query under a strategy
+// that walks no wedge never builds one, under DTW included.
 func (ix *Index) Search(q *Query) (SearchResult, error) {
 	return ix.SearchContext(context.Background(), q)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"lbkeogh/internal/fourier"
@@ -50,28 +51,24 @@ func TestMeasureAdmissibility(t *testing.T) {
 					x[i] = rng.Float64()*2 - 1
 				}
 				sm := s.measure(x, -1)
-				if sm.EliminatedBy != "" {
-					t.Fatalf("no-threshold measurement eliminated by %q", sm.EliminatedBy)
+				if by := sm.EliminatedBy(); by != explain.StageNone {
+					t.Fatalf("no-threshold measurement eliminated by %v", by)
 				}
 				if want := s.MatchSeries(x, -1, nil).Dist; sm.True != want { //lint:ignore floateq the same kernel over the same rotations
 					t.Errorf("trial %d: measured true distance %v, the search's %v", trial, sm.True, want)
 				}
-				var haveFFT bool
-				for _, b := range sm.Bounds {
-					if b.Bound == explain.StageFFT {
-						haveFFT = true
-					}
-					if b.Value > sm.True+1e-9 {
-						t.Errorf("trial %d: %s bound %v exceeds true distance %v",
-							trial, b.Bound, b.Value, sm.True)
+				for st, v := range sm.Bounds {
+					if v > sm.True+1e-9 {
+						t.Errorf("trial %d: %v bound %v exceeds true distance %v",
+							trial, explain.Stage(st), v, sm.True)
 					}
 				}
-				if haveFFT != kc.wantFFT {
+				if haveFFT := !math.IsNaN(sm.Bounds[explain.StageFFT]); haveFFT != kc.wantFFT {
 					t.Errorf("fft bound present=%v, want %v", haveFFT, kc.wantFFT)
 				}
-				// The envelope bound always closes the cascade.
-				if last := sm.Bounds[len(sm.Bounds)-1].Bound; last != explain.StageEnvelope {
-					t.Errorf("last bound = %q, want envelope", last)
+				// The envelope bound is measured under every kernel.
+				if math.IsNaN(sm.Bounds[explain.StageEnvelope]) {
+					t.Error("envelope bound not measured")
 				}
 			}
 		})
@@ -89,8 +86,8 @@ func TestMeasureEliminationOrder(t *testing.T) {
 	if sm.True > 1e-9 {
 		t.Fatalf("rotation's true distance = %v, want ~0", sm.True)
 	}
-	if sm.EliminatedBy != "" {
-		t.Fatalf("rotation eliminated by %q, want survival", sm.EliminatedBy)
+	if by := sm.EliminatedBy(); by != explain.StageNone {
+		t.Fatalf("rotation eliminated by %v, want survival", by)
 	}
 	// An unrelated far candidate with a tiny threshold dies at the first
 	// applicable stage with a positive bound.
@@ -99,8 +96,8 @@ func TestMeasureEliminationOrder(t *testing.T) {
 		far[i] = 100
 	}
 	sm = s.measure(far, 1e-6)
-	if sm.EliminatedBy == "" || sm.EliminatedBy == explain.StageKernel {
-		t.Fatalf("far candidate eliminated by %q, want a bound stage", sm.EliminatedBy)
+	if by := sm.EliminatedBy(); by >= explain.StageKernel {
+		t.Fatalf("far candidate eliminated by %v, want a bound stage", by)
 	}
 }
 
@@ -170,6 +167,34 @@ func TestSpectrumComputedOnce(t *testing.T) {
 		}
 		if !sameBits(s.queryMag, want) {
 			t.Fatal("the shared spectrum is not the query's")
+		}
+	}
+}
+
+// TestWidenedWithoutATreeIsTheLeaves: a searcher whose strategy walks no
+// wedge widens the rotations' own envelopes for the DTW index walk — bit
+// for bit the tree's widened leaves, in member order — at one step per
+// sample each, and builds no tree.
+func TestWidenedWithoutATreeIsTheLeaves(t *testing.T) {
+	_, q := parallelTestDB(23, 1, 40)
+	for _, kernel := range []wedge.Kernel{wedge.DTW{R: 3}, wedge.DTW{R: 0}, wedge.LCSS{Delta: 2, Eps: 0.5}} {
+		rs := NewRotationSetTraced(q, DefaultOptions(), nil)
+		flat := NewSearcher(rs, kernel, EarlyAbandon, SearcherConfig{})
+		got := flat.Widened()
+		if rs.Built() {
+			t.Fatalf("%s: an early-abandoning searcher built the tree", kernel.Name())
+		}
+		if want := int64(rs.Members() * rs.Len()); flat.Steps() != want {
+			t.Errorf("%s: widening charged %d steps, want %d", kernel.Name(), flat.Steps(), want)
+		}
+		want := NewSearcher(rs, kernel, Wedge, SearcherConfig{}).Widened()
+		if len(got) != rs.Members() || len(want) != rs.Members() {
+			t.Fatalf("%s: %d and %d envelopes for %d rotations", kernel.Name(), len(got), len(want), rs.Members())
+		}
+		for i := range got {
+			if !sameBits(got[i].U, want[i].U) || !sameBits(got[i].L, want[i].L) {
+				t.Fatalf("%s: rotation %d's envelope is not the tree's leaf", kernel.Name(), i)
+			}
 		}
 	}
 }

@@ -86,13 +86,11 @@ type Match struct {
 // Found reports whether any rotation beat the threshold.
 func (m Match) Found() bool { return m.found }
 
-// Aborted reports whether a cancellation checkpoint stopped the comparison
-// before every rotation was disposed of.
-func (m Match) Aborted() bool { return m.aborted }
-
 // Searcher matches database series against one query's rotation set under a
 // fixed kernel and strategy. It carries the dynamic-K state across calls so
-// a database scan behaves exactly as in the paper. Its record (Stats)
+// a database scan behaves exactly as in the paper. Only the wedge strategy
+// reads the set's wedge tree; a searcher under another never builds it, not
+// even for the DTW index walk (Widened). Its record (Stats)
 // receives a pass's comparisons when the pass ends (End), and a comparison
 // outside a pass (MatchSeries) as soon as it returns.
 type Searcher struct {
@@ -229,12 +227,24 @@ func (s *Searcher) Kernel() wedge.Kernel { return s.kernel }
 // RotationSet returns the query's rotation set.
 func (s *Searcher) RotationSet() *RotationSet { return s.rs }
 
-// Widened is wedge.Tree.Widened for the searcher's kernel, a first widening
-// charged to the searcher's tally. It reads the tree, so the first call
-// builds it whatever the strategy: the DTW index walk reads the widened
-// leaves before its first comparison.
+// Widened returns one envelope per rotation, in member order, widened for
+// the searcher's kernel, a first widening charged to the searcher's tally:
+// under the wedge strategy the tree's leaves (wedge.Tree.Widened, so the
+// first call builds the tree), and under a strategy that walks no wedge the
+// rotations' own envelopes widened the same way — the leaves bit for bit —
+// at one step per sample each, building no tree. The DTW index walk reads
+// them before its first comparison.
 func (s *Searcher) Widened() []envelope.Envelope {
-	return s.useTree(s.rec).Widened(s.kernel.Radius(), &s.steps)
+	R := s.kernel.Radius()
+	if s.strategy == Wedge {
+		return s.useTree(s.rec).Widened(R, &s.steps)[:s.rs.Members()]
+	}
+	out := make([]envelope.Envelope, s.rs.Members())
+	for i := range out {
+		out[i] = envelope.Envelope{U: s.rs.Member(i), L: s.rs.Member(i)}.ExpandDTW(R)
+		s.steps.Add(int64(s.rs.Len()))
+	}
+	return out
 }
 
 // Stats returns the record the searcher's comparisons are published to
@@ -424,40 +434,35 @@ func (s *Searcher) matchFFT(x []float64, r float64) Match {
 }
 
 // measure is the bound sampler's waterfall for candidate x under threshold r
-// (r < 0: no threshold, nothing is eliminated): the Fourier-magnitude bound
-// (Euclidean only, the one kernel it is admissible for), LB_Keogh against
-// the root wedge, and the true rotation-invariant distance by brute force.
-// Its steps go to a private tally and its attribution to a throwaway record,
-// so sampling charges nothing to the query's counters; it polls no
-// checkpoint, so it moves no cancellation either. A first widening of the
-// root wedge is the exception under the wedge strategy: the comparison about
+// (r < 0: no threshold, nothing is eliminated), one slot per bound stage:
+// the Fourier-magnitude bound (Euclidean only, the one kernel it is
+// admissible for; NaN otherwise), LB_Keogh against the root wedge, and then
+// the true rotation-invariant distance by brute force. Its steps go to a
+// private tally and its attribution to a throwaway record, so sampling
+// charges nothing to the query's counters; it polls no checkpoint, so it
+// moves no cancellation either. A first widening of the tree is the
+// exception: only a wedge searcher reads the tree, and the comparison about
 // to run would pay it, so the searcher's tally does. A searcher that has not
 // read the tree takes the root wedge as the rows' envelope instead, widened
-// the same way — max and min are exact, so it is the root node's envelope bit
-// for bit — and so never buys a tree to sample.
+// the same way — max and min are exact, so it is the root node's envelope
+// bit for bit — and so never buys a tree to sample.
 func (s *Searcher) measure(x []float64, r float64) explain.Sample {
 	var steps stats.Tally
 	var c obs.Counts
 	sm := explain.Sample{Threshold: r}
+	sm.Bounds[explain.StageFFT] = math.NaN() // not admissible outside Euclidean
 	if s.ed {
-		lb := fourier.LowerBoundED(s.magnitudes(), fourier.Magnitudes(x, s.rs.Len()/2))
-		sm.Bounds = append(sm.Bounds, explain.BoundValue{Bound: explain.StageFFT, Value: lb})
+		sm.Bounds[explain.StageFFT] = fourier.LowerBoundED(s.magnitudes(), fourier.Magnitudes(x, s.rs.Len()/2))
 	}
 	var root envelope.Envelope
 	if s.tree != nil {
-		widen := &steps
-		if s.strategy == Wedge {
-			widen = &s.steps
-		}
-		envs := s.tree.Widened(s.kernel.Radius(), widen)
+		envs := s.tree.Widened(s.kernel.Radius(), &s.steps)
 		root = envs[len(envs)-1]
 	} else if root = envelope.New(s.rs.members...); s.kernel.Radius() > 0 {
 		root = root.ExpandDTW(s.kernel.Radius())
 	}
-	lb, _ := s.kernel.LowerBound(x, root, -1, &steps)
-	sm.Bounds = append(sm.Bounds, explain.BoundValue{Bound: explain.StageEnvelope, Value: lb})
+	sm.Bounds[explain.StageEnvelope], _ = s.kernel.LowerBound(x, root, -1, &steps)
 	sm.True = s.matchRotations(x, -1, false, &steps, nil, &c).Dist
-	sm.EliminatedBy = explain.EliminatedBy(sm)
 	return sm
 }
 

@@ -187,7 +187,7 @@ func (ix *Index) Probe(ctx context.Context, s *core.Searcher, c *core.Collector)
 	case wedge.ED:
 		stage, candidates = trace.StageVPProbe, ix.vpWalk(s.RotationSet())
 	case wedge.DTW:
-		stage, candidates = trace.StageColumnProbe, ix.paaWalk(s.Widened()[:s.RotationSet().Members()])
+		stage, candidates = trace.StageColumnProbe, ix.paaWalk(s.Widened())
 	}
 	span := rec.Begin(stage, -1)
 	var fetched int64
@@ -247,8 +247,10 @@ func (ix *Index) vpWalk(rs *core.RotationSet) walk {
 // in that order while the bound stays below the current radius. With DTW's
 // loose bound a probe fetches most of the store, so a tree over the column
 // would save few bound computations; the sort is the whole of the ordering.
-// Probe passes one box per rotation (the widened tree's leaves): merged
-// wedges fetched no fewer rows (EXPERIMENTS.md, "index wedge count K").
+// Probe passes one box per rotation (Searcher.Widened: the widened tree's
+// leaves, or under a strategy that walks no wedge the same envelopes without
+// a tree): merged wedges fetched no fewer rows (EXPERIMENTS.md, "index wedge
+// count K").
 func (ix *Index) paaWalk(wedges []envelope.Envelope) walk {
 	boxes := make([]paa.Box, len(wedges))
 	for i, e := range wedges {

@@ -8,7 +8,7 @@ import (
 
 // SpanCap bounds the spans of one trace a traced query records. Beyond the
 // cap spans are dropped (and counted), never reallocated — the recorder does
-// all its allocation up front.
+// all its allocation up front, and a TraceLog reuses its recorders.
 const SpanCap = 512
 
 // Recorder accumulates the spans of one trace. It is single-goroutine by
@@ -47,7 +47,15 @@ func NewRecorder(label string, spanCap int) *Recorder {
 	}
 }
 
-// Label returns the trace label given at construction.
+// Reset empties the recorder for a new trace labelled label, anchored at
+// time.Now, keeping its span buffer and capacity: the next trace's spans
+// overwrite the last one's, so a caller keeping those copies them first.
+func (r *Recorder) Reset(label string) {
+	r.anchor, r.label = time.Now(), label
+	r.spans, r.stack, r.dropped = r.spans[:0], r.stack[:0], 0
+}
+
+// Label returns the trace label given at construction (or the last Reset).
 func (r *Recorder) Label() string {
 	if r == nil {
 		return ""

@@ -69,6 +69,3 @@ type Span struct {
 	Dur    int64      `json:"dur_ns"`
 	Attrs  obs.Counts `json:"attrs,omitempty"`
 }
-
-// End returns the span's end offset in nanoseconds.
-func (s Span) End() int64 { return s.Start + s.Dur }

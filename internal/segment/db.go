@@ -343,12 +343,7 @@ func (db *DB) Ingest(series [][]float64, labels []int64) (firstID int, err error
 	d := db.dims
 	if n == 0 { // first ingest fixes the store's shape
 		n = len(series[0])
-		if d < 1 {
-			d = 8
-		}
-		if d > n/2 {
-			d = n / 2
-		}
+		d = FeatureDims(d, n)
 	} else {
 		d = old.segs[0].Dims()
 	}

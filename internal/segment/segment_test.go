@@ -456,3 +456,16 @@ func TestSeriesAllocations(t *testing.T) {
 		db.Close()
 	}
 }
+
+// TestFeatureDims: the one feature-dimensionality rule — d < 1 selects 8,
+// then at most n/2 — for every caller that sizes a feature column.
+func TestFeatureDims(t *testing.T) {
+	for _, c := range []struct{ d, n, want int }{
+		{0, 64, 8}, {-3, 64, 8}, {8, 64, 8}, {16, 64, 16}, {40, 64, 32},
+		{0, 10, 5}, {1, 2, 1}, {0, 2, 1}, {4, 9, 4}, {5, 9, 4},
+	} {
+		if got := FeatureDims(c.d, c.n); got != c.want {
+			t.Errorf("FeatureDims(%d, %d) = %d, want %d", c.d, c.n, got, c.want)
+		}
+	}
+}

@@ -40,6 +40,16 @@ func Features(series []float64, d int) (mags, paas []float64) {
 	return fourier.Magnitudes(series, d), paa.Reduce(series, d)
 }
 
+// FeatureDims is the one rule for a store's feature dimensionality: d
+// requested dimensions (d < 1 selects 8) for series of length n, clamped to
+// n/2, the magnitudes a length-n series has.
+func FeatureDims(d, n int) int {
+	if d < 1 {
+		d = 8
+	}
+	return min(d, n/2)
+}
+
 // colSpill is one column's spill state: a temporary file written through a
 // buffered writer, with the section CRC accumulated as bytes stream through.
 type colSpill struct {

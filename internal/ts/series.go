@@ -216,21 +216,3 @@ func CheckRows(rows [][]float64, what string) (int, error) {
 	}
 	return n, nil
 }
-
-// MinMax returns the minimum and maximum values of s. It panics on empty
-// input, since there is no sensible zero answer.
-func MinMax(s []float64) (lo, hi float64) {
-	if len(s) == 0 {
-		panic("ts: MinMax of empty series")
-	}
-	lo, hi = s[0], s[0]
-	for _, v := range s[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return lo, hi
-}

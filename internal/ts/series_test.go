@@ -126,13 +126,6 @@ func TestResampleErrors(t *testing.T) {
 	_, _ = Resample([]float64{1}, 0)
 }
 
-func TestMinMax(t *testing.T) {
-	lo, hi := MinMax([]float64{3, -1, 4, 1, 5})
-	if lo != -1 || hi != 5 {
-		t.Fatalf("MinMax = (%v,%v), want (-1,5)", lo, hi)
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
 	s := []float64{1, 2}
 	c := Clone(s)

@@ -340,3 +340,60 @@ func FuzzLazyProbeMatchesBuilt(f *testing.F) {
 		}
 	})
 }
+
+// TestOnlyTheWedgeStrategyBuildsATree holds Query's contract over every
+// strategy, measure and path: the wedge tree is built under the wedge
+// strategy (by a flat search at once, by an index search once it pays), and
+// never under one that walks no wedge — the DTW index walk included, which
+// then widens the rotations' own envelopes, bit for bit the tree's leaves. Every cell answers the flat
+// wedge scan's rows, and every index cell of a measure fetches the same
+// rows as its wedge cell. A query with no tree is charged no set-up: its
+// Steps are its record's.
+func TestOnlyTheWedgeStrategyBuildsATree(t *testing.T) {
+	db := demoDB(64, 64, 64)
+	ix, err := NewIndex(db, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := ts.Rotate(db[5], 11)
+	for _, m := range []Measure{Euclidean(), DTW(3), LCSS(3, 0.5)} {
+		var want []SearchResult
+		var wantReads int
+		for _, s := range []Strategy{WedgeSearch, EarlyAbandonSearch, BruteForceSearch} {
+			for _, indexed := range []bool{false, true} {
+				name := fmt.Sprintf("%s/%v/indexed=%v", m.Name(), s, indexed)
+				q, err := NewQuery(series, m, WithStrategy(s))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ix.ResetDiskReads()
+				var got []SearchResult
+				if indexed {
+					got, err = ix.SearchTopK(q, 3)
+				} else {
+					got, err = q.SearchTopK(db, 3)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = got
+				}
+				sameRowsBitwise(t, name, got, want)
+				if indexed {
+					if s == WedgeSearch {
+						wantReads = ix.DiskReads()
+					} else if ix.DiskReads() != wantReads {
+						t.Errorf("%s: %d disk reads, the wedge strategy's %d", name, ix.DiskReads(), wantReads)
+					}
+				}
+				if built := q.rs.Built(); built && s != WedgeSearch || !built && s == WedgeSearch && !indexed {
+					t.Errorf("%s: tree built %v", name, built)
+				}
+				if !q.rs.Built() && q.Steps() != q.Stats().Steps {
+					t.Errorf("%s: Steps %d, record %d: a query with no tree paid a set-up", name, q.Steps(), q.Stats().Steps)
+				}
+			}
+		}
+	}
+}

@@ -121,10 +121,11 @@ func WithTraceLog(t *TraceLog) QueryOption {
 // Query is a compiled rotation-invariant query: the expanded rotation matrix
 // of one series plus its hierarchical wedge structure, built (O(n²)) once, by
 // the first comparison that walks it — a flat search's first, an index
-// search's once early abandoning has spent twice the build's price — and
-// never under a strategy that walks no wedge. Match it against any number of
-// candidate series. A Query is not safe for concurrent use (it carries
-// adaptive search state); make one per goroutine.
+// search's once early abandoning has spent twice the build's price (a DTW
+// index search's before its column walk, which reads the widened leaves) —
+// and never under a strategy that walks no wedge. Match it against any
+// number of candidate series. A Query is not safe for concurrent use (it
+// carries adaptive search state); make one per goroutine.
 type Query struct {
 	rs        *core.RotationSet
 	searcher  *core.Searcher

@@ -12,8 +12,8 @@ import (
 // search, top-K, range and parallel; index search, top-K and range; searches
 // cancelled before they start and mid-scan — an operation moves Steps by
 // exactly what it moves Stats().Steps, plus SetupSteps if it is the one that
-// built the wedge tree. Only a strategy that walks wedges, or a DTW index
-// walk (it reads the widened tree), builds one. ResetStats leaves Steps
+// built the wedge tree. Only a strategy that walks wedges builds one; a DTW
+// index walk under any other widens the rotations without a tree. ResetStats leaves Steps
 // alone, and ResetSteps zeroes Steps and leaves Stats alone, however they
 // interleave.
 func TestQueryStepsIsOneRecord(t *testing.T) {
@@ -88,7 +88,7 @@ func TestQueryStepsIsOneRecord(t *testing.T) {
 			}
 
 			runAll("first")
-			if wantBuilt := s == WedgeSearch || m.Name() == "dtw"; q.rs.Built() != wantBuilt {
+			if wantBuilt := s == WedgeSearch; q.rs.Built() != wantBuilt {
 				t.Errorf("%s: tree built %v, want %v", name, q.rs.Built(), wantBuilt)
 			}
 			setup := int64(0)

@@ -73,6 +73,10 @@ type TraceLog struct {
 	slowThreshold time.Duration
 	lat           [trace.NumStages]obs.Histogram // span durations in ns, lock-free
 
+	// free holds the recorders of finished operations for the next ones to
+	// reuse: a retained trace keeps a copy of its spans, never the buffer.
+	free sync.Pool
+
 	mu       sync.Mutex
 	sampled  traceRing
 	slow     traceRing
@@ -123,11 +127,16 @@ func (r *traceRing) inOrder() []loggedTrace {
 	return append(slices.Clone(r.traces[r.next:]), r.traces[:r.next]...)
 }
 
-// startTrace returns a fresh recorder for one operation; a nil log returns
-// a nil recorder, the no-op path.
+// startTrace returns an empty recorder for one operation, a finished
+// operation's when one is free; a nil log returns a nil recorder, the no-op
+// path.
 func (t *TraceLog) startTrace(label string) *trace.Recorder {
 	if t == nil {
 		return nil
+	}
+	if r, _ := t.free.Get().(*trace.Recorder); r != nil {
+		r.Reset(label)
+		return r
 	}
 	return trace.NewRecorder(label, trace.SpanCap)
 }
@@ -142,15 +151,17 @@ func (t *TraceLog) splitmix64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// finish completes the recorder's trace: every span's duration feeds the
-// stage histograms, then the trace is retained in the slow ring and/or the
-// sampled ring. attrs are the whole-trace counter deltas. It returns the
-// trace ID when the trace was retained anywhere, 0 otherwise (and on a nil
-// log or recorder).
+// finish completes the trace of r, which startTrace returned: every span's
+// duration feeds the stage histograms, then the trace is retained in the
+// slow ring and/or the sampled ring, as a copy of exactly its spans, and r
+// is free for the next operation — its caller must not touch it again.
+// attrs are the whole-trace counter deltas. It returns the trace ID when the
+// trace was retained anywhere, 0 otherwise (and on a nil log or recorder).
 func (t *TraceLog) finish(r *trace.Recorder, attrs obs.Counts) int64 {
 	if t == nil || r == nil {
 		return 0
 	}
+	defer t.free.Put(r)
 	dur := r.Now()
 	spans := r.Spans()
 	for _, sp := range spans {
@@ -176,7 +187,7 @@ func (t *TraceLog) finish(r *trace.Recorder, attrs obs.Counts) int64 {
 		Spans:        len(spans),
 		DroppedSpans: r.Dropped(),
 		Stats:        obs.SnapshotOf(attrs),
-	}, spans}
+	}, append(make([]trace.Span, 0, len(spans)), spans...)}
 	if sampled {
 		t.kept++
 		t.sampled.add(tr)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -347,5 +348,88 @@ func TestWriteChromeTracks(t *testing.T) {
 	}
 	if len(tids) != 2 {
 		t.Errorf("got %d distinct tids, want 2 (one track per trace)", len(tids))
+	}
+}
+
+// TestRetainedTracesOwnTheirSpans runs traced queries concurrently on one
+// log that retains every trace (run under -race, as make race-concurrency
+// does): a retained trace holds exactly its spans (cap == len), and none of
+// them changes after its operation returned, although the finished
+// operations' recorders are reused by the next ones.
+func TestRetainedTracesOwnTheirSpans(t *testing.T) {
+	const workers, ops = 4, 12 // 48 traces: none leaves the 64-trace ring
+	l := NewTraceLog(WithSampleRate(1), WithSlowThreshold(0))
+	db := demoDB(8, 24, 32)
+	seen := make([]map[int64][]trace.Span, workers)
+	done := make(chan int, workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			defer func() { done <- w }()
+			seen[w] = map[int64][]trace.Span{}
+			q, err := NewQuery(db[w], Euclidean(), WithTraceLog(l))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i := 0; i < ops; i++ {
+				if i%2 == 0 {
+					_, _, err = q.Distance(db[i])
+				} else {
+					_, err = q.SearchTopK(db, 1+i%3)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				id := q.LastTraceID()
+				for _, tr := range l.retained() {
+					if tr.ID == id {
+						if cap(tr.spans) != len(tr.spans) {
+							t.Errorf("trace %d keeps %d spans in a buffer of %d", id, len(tr.spans), cap(tr.spans))
+						}
+						seen[w][id] = slices.Clone(tr.spans)
+					}
+				}
+				if seen[w][id] == nil {
+					t.Errorf("worker %d op %d: trace %d not retained", w, i, id)
+				}
+			}
+		}(w)
+	}
+	for range workers {
+		<-done
+	}
+	var checked int
+	for _, tr := range l.retained() {
+		for _, s := range seen {
+			if want, ok := s[tr.ID]; ok {
+				checked++
+				if !slices.Equal(tr.spans, want) {
+					t.Fatalf("trace %d (%s) changed after its operation returned", tr.ID, tr.Label)
+				}
+			}
+		}
+	}
+	if checked != workers*ops {
+		t.Fatalf("checked %d retained traces, want %d", checked, workers*ops)
+	}
+}
+
+// BenchmarkTracedDistance prices one traced one-comparison Distance on a log
+// that retains every trace, as a server tracing every request does: its
+// B/op is the recorder's buffer when each operation allocates one, and the
+// retained copy of its two spans when recorders are reused.
+func BenchmarkTracedDistance(b *testing.B) {
+	db := demoDB(8, 2, 64)
+	q, err := NewQuery(db[0], Euclidean(), WithTraceLog(NewTraceLog(WithSampleRate(1))))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := q.Distance(db[1]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
