@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint bce-baseline test race race-concurrency pins bench smoke ingest-smoke govulncheck loc ci clean
+.PHONY: all build vet lint bce-baseline test race race-concurrency pins bench hot-align smoke ingest-smoke govulncheck loc ci clean
 
 all: build
 
@@ -62,6 +62,13 @@ pins:
 # (`bash benchmark/run.sh --workload <w>`, see benchmark/README.md).
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# Entry address modulo 64 of each hot kernel (dist.dtwBanded,
+# dist.EuclideanEA, envelope.LBKeogh, wedge.(*Tree).SearchInto) in the repo
+# benchmark's binary, or in BIN=<binary>: their speed moves with their
+# 64-byte alignment, so a scan claim reports both sides' (ROADMAP item 17).
+hot-align:
+	GO=$(GO) ./scripts/hot-align.sh $(BIN)
 
 # Serving smoke test: boot shapeserver, drive search/top-K/deadline/drain and
 # an EXPLAIN search whose plan must reconcile with /metrics. Part 3 runs the

@@ -40,17 +40,20 @@ func BenchmarkExpandDTW(b *testing.B) {
 // reads before it abandons.
 const abandonAt = 26
 
-// BenchmarkLBKeoghAbandoning is LB_Keogh's own rung: a bound call that
-// abandons after abandonAt positions, as most calls of a wedge walk do,
-// beside calls that read the whole row. There are 64 wedges, each around
-// four noisy copies (σ = 0.3) of one z-normalised random walk, n = 251, and
-// 512 rows, eight more noisy copies of each walk, so that a row crosses its
-// wedge's sides as a database row crosses a tight wedge of the query's
-// rotations. The calls run through 4096 (row, own wedge) pairs in random
-// order, too many for a branch predictor to learn; each pair's row leaves the
-// wedge at position abandonAt, and an abandoning call's threshold is the root
-// of its bound over the positions before, so it stops exactly there. ns/call
-// beside ns/position shows what a call costs beyond the positions it reads.
+// BenchmarkLBKeoghAbandoning is LB_Keogh's own rung: bound calls that abandon
+// after 1, 2, 4 and abandonAt positions, beside calls that read the whole
+// row. In a scan-ed trace most calls abandon within a few positions (30 %
+// within 2, half within 8), and those are the calls where a test once per
+// block of four reads the most positions past the abandon. There are 64
+// wedges, each around four noisy copies (σ = 0.3) of one z-normalised random
+// walk, n = 251, and 512 rows, eight more noisy copies of each walk, so that
+// a row crosses its wedge's sides as a database row crosses a tight wedge of
+// the query's rotations. The calls run through 4096 (row, own wedge) pairs
+// in random order, too many for a branch predictor to learn; for an abandon
+// point k each pair's row leaves the wedge at position k, and the threshold
+// is the root of its bound over the positions before, so the call stops
+// exactly there. ns/call beside ns/position shows what a call costs beyond
+// the positions it reads.
 func BenchmarkLBKeoghAbandoning(b *testing.B) {
 	const n, walks, copies, pairs = 251, 64, 8, 4096
 	rng := ts.NewRand(251)
@@ -70,33 +73,47 @@ func BenchmarkLBKeoghAbandoning(b *testing.B) {
 		}
 	}
 	type pair struct {
-		q     []float64
-		e     Envelope
-		short float64
+		q []float64
+		e Envelope
+		r float64
 	}
-	ps := make([]pair, 0, pairs)
-	for len(ps) < pairs {
-		row := rng.Intn(len(rows))
-		q, e, k := rows[row], envs[row/copies], abandonAt-1
-		if e.L[k] <= q[k] && q[k] <= e.U[k] {
-			continue
+	// pairsAt draws the pairs of a call that abandons after k positions, or
+	// reads the whole row (r < 0) for k = 0.
+	pairsAt := func(k int) []pair {
+		ps := make([]pair, 0, pairs)
+		for len(ps) < pairs {
+			row := rng.Intn(len(rows))
+			q, e := rows[row], envs[row/copies]
+			if k == 0 {
+				ps = append(ps, pair{q, e, -1})
+				continue
+			}
+			if e.L[k-1] <= q[k-1] && q[k-1] <= e.U[k-1] {
+				continue
+			}
+			r, _ := LBKeogh(q[:k-1], Envelope{U: e.U[:k-1], L: e.L[:k-1]}, -1, nil)
+			// Squaring the root can round below the bound it came from, and
+			// then the call stops a position early: draw again.
+			var steps stats.Tally
+			if _, a := LBKeogh(q, e, r, &steps); !a || steps.Steps() != int64(k) {
+				continue
+			}
+			ps = append(ps, pair{q, e, r})
 		}
-		short, _ := LBKeogh(q[:k], Envelope{U: e.U[:k], L: e.L[:k]}, -1, nil)
-		ps = append(ps, pair{q, e, short})
+		return ps
 	}
-	for _, c := range []struct {
-		name string
-		r    func(p pair) float64
-	}{
-		{"abandoning", func(p pair) float64 { return p.short }},
-		{"full-row", func(pair) float64 { return -1 }},
-	} {
-		b.Run(c.name, func(b *testing.B) {
+	for _, k := range []int{1, 2, 4, abandonAt, 0} {
+		name := fmt.Sprintf("abandon-at-%d", k)
+		if k == 0 {
+			name = "full-row"
+		}
+		ps := pairsAt(k)
+		b.Run(name, func(b *testing.B) {
 			var steps stats.Tally
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				p := &ps[i%pairs]
-				lb, _ := LBKeogh(p.q, p.e, c.r(*p), &steps)
+				lb, _ := LBKeogh(p.q, p.e, p.r, &steps)
 				benchFloat += lb
 			}
 			ns := float64(b.Elapsed().Nanoseconds())

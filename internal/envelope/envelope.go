@@ -187,7 +187,9 @@ func slidingMax(out, s []float64, R int, wantMax bool, ring []windowEntry) {
 // lower bound between query series q and wedge e. It returns (Inf, true) as
 // soon as the accumulated squared error exceeds r²; otherwise the exact
 // LB_Keogh value and false. r < 0 disables abandoning. Steps are charged per
-// sample examined.
+// sample examined, up to and including the one at which the sum exceeds r²;
+// the loop tests for that once per four positions, so an abandoning call may
+// read up to three positions past it, uncharged.
 //
 // When e encloses a single series, LBKeogh degenerates to the Euclidean
 // distance (the paper's first observation about LB_Keogh).
@@ -199,28 +201,65 @@ func slidingMax(out, s []float64, R int, wantMax bool, ring []windowEntry) {
 //lbkeogh:rootspace
 //lbkeogh:lowerbound
 func LBKeogh(q []float64, e Envelope, r float64, cnt *stats.Tally) (float64, bool) {
-	// Locals + a combined length check make u[i]/l[i] provably in bounds for
-	// every i < len(q), so the inner loop carries no bounds checks.
 	u, l := e.U, e.L
-	if len(q) != len(u) || len(l) != len(u) {
-		panic(lengthMismatch("LBKeogh", len(q), len(u), len(l), -1))
+	n := len(q)
+	if len(u) != n || len(l) != n {
+		panic(lengthMismatch("LBKeogh", n, len(u), len(l), -1))
 	}
 	r2 := math.Inf(1)
 	if r >= 0 {
 		r2 = r * r
 	}
+	// The term is exact: with l <= u at most one of u-v and v-l is negative,
+	// and its square is the branching form's; an in-band position adds +0,
+	// which leaves acc's bits as they are.
 	var acc float64
-	for i, v := range q {
-		// Branch-free, and exact: with l <= u at most one term is non-zero,
-		// and adding +0 leaves acc's bits as they are.
-		d := max(v-u[i], 0) + min(v-l[i], 0)
-		acc += d * d
-		if acc > r2 {
-			cnt.Add(int64(i + 1))
+	// Four positions per abandon test, with sums a0..a3 taken in the serial
+	// order. The test is !(a3 <= r2), not a3 > r2: a NaN sample (flat scans
+	// pass non-finite rows) turns a3 NaN and would hide an earlier abandon,
+	// so a block that fails it abandons if any of its sums exceeds r2. A sum
+	// of squares never falls, so the sums at or below r2 come first and the
+	// next one is where a test per position stops; counting them needs no
+	// branch. The >= 8 guard, not >= 4, lets the compiler drop every bounds
+	// check and advance the slices without masking them.
+	for len(q) >= 8 && len(u) >= 8 && len(l) >= 8 {
+		v0, v1, v2, v3 := q[0], q[1], q[2], q[3]
+		d0 := min(u[0]-v0, v0-l[0], 0)
+		d1 := min(u[1]-v1, v1-l[1], 0)
+		d2 := min(u[2]-v2, v2-l[2], 0)
+		d3 := min(u[3]-v3, v3-l[3], 0)
+		a0 := acc + d0*d0
+		a1 := a0 + d1*d1
+		a2 := a1 + d2*d2
+		a3 := a2 + d3*d3
+		if !(a3 <= r2) && (a3 > r2 || a2 > r2 || a1 > r2 || a0 > r2) {
+			read := n - len(q) + 1
+			if a0 <= r2 {
+				read++
+			}
+			if a1 <= r2 {
+				read++
+			}
+			if a2 <= r2 {
+				read++
+			}
+			cnt.Add(int64(read))
 			return math.Inf(1), true
 		}
+		acc = a3
+		q, u, l = q[4:], u[4:], l[4:]
 	}
-	cnt.Add(int64(len(q)))
+	for len(q) > 0 && len(u) > 0 && len(l) > 0 {
+		v := q[0]
+		d := min(u[0]-v, v-l[0], 0)
+		acc += d * d
+		if acc > r2 {
+			cnt.Add(int64(n - len(q) + 1))
+			return math.Inf(1), true
+		}
+		q, u, l = q[1:], u[1:], l[1:]
+	}
+	cnt.Add(int64(n))
 	return math.Sqrt(acc), false
 }
 
@@ -253,7 +292,7 @@ func LBKeoghSuffix(q []float64, e Envelope, r float64, cb []float64, cnt *stats.
 	var acc float64
 	for i := n - 1; i >= 0; i-- {
 		v := q[i]
-		d := max(v-u[i], 0) + min(v-l[i], 0) // LBKeogh's term
+		d := min(u[i]-v, v-l[i], 0) // LBKeogh's term
 		acc += d * d
 		sums[i] = acc
 		if acc > r2 {
