@@ -40,7 +40,7 @@ race:
 # collector, the matrix pool every concurrent query build shares, the index
 # every in-flight server session probes at once, the segment store's
 # refcounted snapshot swap under concurrent Ingest/Compact, and the root
-# package's TraceLog shared by concurrent queries and MetricsHandler over a
+# package's TraceLog shared by concurrent queries and /metrics scraped over a
 # live parallel Query): the packages of CI's race matrix. -count=2 reruns shake out init-order-dependent interleavings
 # that a single -race pass can miss.
 race-concurrency:
@@ -48,14 +48,14 @@ race-concurrency:
 
 # The pinned tables (one scan's whole stats record, the index-path oracle's
 # steps per cell, the collector's scans, a trace's composition, a monitor's
-# record over one stream, the /metrics inventory after one session, a scan's
-# dynamic-K trajectory against the controller it narrates, the efficiency
-# experiments' num_steps) run three times
-# over: a pin that moves between runs of one binary is not a pin. Nothing the
-# dynamic-K controller decides may depend on a clock, a map order or a
-# goroutine schedule.
+# record over one stream, the /metrics inventory and family order after one
+# session, a scan's dynamic-K trajectory against the controller it narrates,
+# the efficiency experiments' num_steps) run three times over: a pin that
+# moves between runs of one binary is not a pin. Nothing the dynamic-K
+# controller decides may depend on a clock, a map order or a goroutine
+# schedule.
 pins:
-	$(GO) test -count=3 -run 'TestPinned|TestIndexPathOracle|TestCollectorScanInto|TestTraceCompositionPinned|TestMetricsInventoryPinned|TestKTrajectoryChains' . ./internal/core ./internal/stream ./internal/server ./internal/experiments
+	$(GO) test -count=3 -run 'TestPinned|TestIndexPathOracle|TestCollectorScanInto|TestTraceCompositionPinned|TestMetricsInventoryPinned|TestMetricsFamilyOrderPinned|TestKTrajectoryChains' . ./internal/core ./internal/stream ./internal/server ./internal/experiments
 
 # Short benchmark pass: one iteration of every benchmark, no unit tests. It
 # checks that they run; a performance number comes from the repo benchmark

@@ -19,8 +19,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
-	"net/http/pprof"
 	"os"
 
 	"lbkeogh"
@@ -118,7 +118,11 @@ func main() {
 	}
 
 	if *serveOn != "" {
-		go serveObs(*serveOn, q, tlog)
+		go func() {
+			err := http.ListenAndServe(*serveOn, obsMux(q, tlog))
+			fmt.Fprintf(os.Stderr, "shapesearch: serve %s: %v\n", *serveOn, err)
+			os.Exit(1)
+		}()
 	}
 
 	var results []lbkeogh.SearchResult
@@ -193,24 +197,12 @@ func emitJSON(what string, v any) {
 	}
 }
 
-// serveObs serves the public metrics handler over the query's record (an
-// indexed search runs through the query too), the trace log and the pprof
-// profiles on a private mux.
-func serveObs(addr string, q *lbkeogh.Query, tlog *lbkeogh.TraceLog) {
+// obsMux mounts the observability surface over the query's record (an
+// indexed search runs through the query too) and the trace log.
+func obsMux(q *lbkeogh.Query, tlog *lbkeogh.TraceLog) *http.ServeMux {
 	mux := http.NewServeMux()
-	metrics := lbkeogh.MetricsHandler(map[string]lbkeogh.StatsSource{"shapesearch_query": q})
-	mux.Handle("/metrics", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		metrics.ServeHTTP(w, r)
-		tlog.WriteMetrics(w, "shapesearch_query")
-	}))
-	mux.Handle("/debug/lbkeogh", tlog)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	if err := http.ListenAndServe(addr, mux); err != nil {
-		fmt.Fprintf(os.Stderr, "shapesearch: serve %s: %v\n", addr, err)
-		os.Exit(1)
-	}
+	lbkeogh.HandleObs(mux, tlog,
+		func(w io.Writer) { lbkeogh.WriteMetrics(w, "shapesearch_query", q.Stats()) },
+		func(w io.Writer) { tlog.WriteMetrics(w, "shapesearch_query") })
+	return mux
 }

@@ -63,11 +63,13 @@
 // rotation was either fully evaluated or pruned by exactly one mechanism.
 // Collection uses atomic counters and is safe under SearchParallel; with no
 // consumer the sink is a nil pointer and costs only a branch.
-// MetricsHandler exports live counters in Prometheus text form, and a
+// WriteMetrics exports live counters in Prometheus text form, and a
 // TraceLog serves its traces over HTTP as JSON summaries and Chrome
 // trace-event files and writes its per-stage latency histograms (the only
 // wall-clock telemetry: SearchStats carries none) with its own
-// WriteMetrics. SearchStats, Counts, KChange and HistogramBucket are
+// WriteMetrics. HandleObs mounts the one surface — /metrics over an ordered
+// list of writers, /debug/lbkeogh and /debug/pprof/ — on a caller's mux;
+// both binaries and a library user serve theirs through it. SearchStats, Counts, KChange and HistogramBucket are
 // aliases of the internal/obs types every layer fills in:
 // internal/obs owns the record, the list of its counters and the table that
 // names their metric families, so the public API carries no copy of them.

@@ -40,6 +40,10 @@ func BenchmarkExpandDTW(b *testing.B) {
 // reads before it abandons.
 const abandonAt = 26
 
+// mixedSpread is the last abandon position BenchmarkLBKeoghAbandoning's mixed
+// case draws.
+const mixedSpread = 32
+
 // BenchmarkLBKeoghAbandoning is LB_Keogh's own rung: bound calls that abandon
 // after 1, 2, 4 and abandonAt positions, beside calls that read the whole
 // row. In a scan-ed trace most calls abandon within a few positions (30 %
@@ -52,8 +56,11 @@ const abandonAt = 26
 // in random order, too many for a branch predictor to learn; for an abandon
 // point k each pair's row leaves the wedge at position k, and the threshold
 // is the root of its bound over the positions before, so the call stops
-// exactly there. ns/call beside ns/position shows what a call costs beyond
-// the positions it reads.
+// exactly there. Those cases each stop at one position, so a branch
+// predictor learns where a kernel exits; the mixed case draws each pair's k
+// uniformly from 0–mixedSpread (0 reads the whole row, one pair in 33), so
+// consecutive calls exit at different positions, as a scan's do. ns/call
+// beside ns/position shows what a call costs beyond the positions it reads.
 func BenchmarkLBKeoghAbandoning(b *testing.B) {
 	const n, walks, copies, pairs = 251, 64, 8, 4096
 	rng := ts.NewRand(251)
@@ -77,16 +84,14 @@ func BenchmarkLBKeoghAbandoning(b *testing.B) {
 		e Envelope
 		r float64
 	}
-	// pairsAt draws the pairs of a call that abandons after k positions, or
-	// reads the whole row (r < 0) for k = 0.
-	pairsAt := func(k int) []pair {
-		ps := make([]pair, 0, pairs)
-		for len(ps) < pairs {
+	// pairAt draws a pair whose call abandons after k positions, or reads the
+	// whole row (r < 0) for k = 0.
+	pairAt := func(k int) pair {
+		for {
 			row := rng.Intn(len(rows))
 			q, e := rows[row], envs[row/copies]
 			if k == 0 {
-				ps = append(ps, pair{q, e, -1})
-				continue
+				return pair{q, e, -1}
 			}
 			if e.L[k-1] <= q[k-1] && q[k-1] <= e.U[k-1] {
 				continue
@@ -95,19 +100,24 @@ func BenchmarkLBKeoghAbandoning(b *testing.B) {
 			// Squaring the root can round below the bound it came from, and
 			// then the call stops a position early: draw again.
 			var steps stats.Tally
-			if _, a := LBKeogh(q, e, r, &steps); !a || steps.Steps() != int64(k) {
-				continue
+			if _, a := LBKeogh(q, e, r, &steps); a && steps.Steps() == int64(k) {
+				return pair{q, e, r}
 			}
-			ps = append(ps, pair{q, e, r})
 		}
-		return ps
 	}
-	for _, k := range []int{1, 2, 4, abandonAt, 0} {
-		name := fmt.Sprintf("abandon-at-%d", k)
-		if k == 0 {
+	const mixed = -1
+	for _, k := range []int{1, 2, 4, abandonAt, 0, mixed} {
+		name, draw := fmt.Sprintf("abandon-at-%d", k), func() int { return k }
+		switch k {
+		case 0:
 			name = "full-row"
+		case mixed:
+			name, draw = "mixed", func() int { return rng.Intn(mixedSpread + 1) }
 		}
-		ps := pairsAt(k)
+		ps := make([]pair, pairs)
+		for i := range ps {
+			ps[i] = pairAt(draw())
+		}
 		b.Run(name, func(b *testing.B) {
 			var steps stats.Tally
 			b.ResetTimer()

@@ -14,15 +14,6 @@ import (
 	"lbkeogh/internal/segment"
 )
 
-// searchKind selects which search a /v1 endpoint runs.
-type searchKind int
-
-const (
-	kindNearest searchKind = iota
-	kindTopK
-	kindRange
-)
-
 // SearchRequest is the JSON body of the /v1 search endpoints: the question
 // and nothing about how to answer it. Exactly one of Series and QueryIndex
 // identifies the query shape; the rest parameterize the measure, the
@@ -224,7 +215,7 @@ func (s *Server) buildQuery(spec QuerySpec) (*lbkeogh.Query, error) {
 // request is one /v1 request's identity and its single exit.
 type request struct {
 	s     *Server
-	ep    string
+	ep    endpoint
 	began time.Time
 	lg    *slog.Logger // carries request_id and endpoint; handlers narrow it as they learn more
 }
@@ -233,11 +224,11 @@ type request struct {
 // X-Request-ID header), derives the request logger, and answers the two
 // refusals no endpoint body needs to see — 405 for anything but POST, 503
 // once the server is draining. ok is false when begin already answered.
-func (s *Server) begin(w http.ResponseWriter, r *http.Request, ep string) (rq *request, ok bool) {
+func (s *Server) begin(w http.ResponseWriter, r *http.Request, ep endpoint) (rq *request, ok bool) {
 	rq = &request{s: s, ep: ep, began: time.Now()}
 	rid := s.tel.ids.Next()
 	w.Header().Set("X-Request-ID", rid)
-	rq.lg = s.tel.logger.With("request_id", rid, "endpoint", ep)
+	rq.lg = s.tel.logger.With("request_id", rid, "endpoint", telemetryEndpoints[ep])
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
@@ -270,8 +261,7 @@ func (rq *request) finish(status int, msg string, attrs ...any) {
 // checkout, the deadline-bounded search, and the stats-bearing response.
 // Every terminal outcome is logged with the request ID and folded into the
 // endpoint's RED record.
-func (s *Server) searchEndpoint(kind searchKind) http.HandlerFunc {
-	ep := endpointName(kind)
+func (s *Server) searchEndpoint(ep endpoint) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		rq, ok := s.begin(w, r, ep)
 		if !ok {
@@ -348,7 +338,7 @@ func (s *Server) searchEndpoint(kind searchKind) http.HandlerFunc {
 		q := sess.Q
 		q.ResetStats() // per-request delta: the response carries only this search
 		start := time.Now()
-		results, err := s.runSearch(ctx, q, kind, req, view.rows)
+		results, err := s.runSearch(ctx, q, ep, req, view.rows)
 		elapsed := time.Since(start)
 		stats := q.Stats()
 		var levels [obs.MaxPruneLevels]int64
@@ -401,15 +391,15 @@ func (s *Server) searchEndpoint(kind searchKind) http.HandlerFunc {
 // database and loses to a scan), LCSS (no compressed bound) and store mode
 // (no index per generation). The library clamps k and refuses a threshold
 // that is not positive.
-func (s *Server) runSearch(ctx context.Context, q *lbkeogh.Query, kind searchKind, req SearchRequest, rows []lbkeogh.Series) ([]lbkeogh.SearchResult, error) {
+func (s *Server) runSearch(ctx context.Context, q *lbkeogh.Query, ep endpoint, req SearchRequest, rows []lbkeogh.Series) ([]lbkeogh.SearchResult, error) {
 	indexed := s.ix != nil && req.Measure == "euclidean"
-	switch kind {
-	case kindTopK:
+	switch ep {
+	case epTopK:
 		if indexed {
 			return s.ix.SearchTopKContext(ctx, q, req.K)
 		}
 		return q.SearchTopKContext(ctx, rows, req.K)
-	case kindRange:
+	case epRange:
 		if indexed {
 			return s.ix.SearchRangeContext(ctx, q, req.Threshold)
 		}

@@ -66,10 +66,10 @@ shapeserver_request_duration_seconds_count{endpoint="search"} 8
 func TestREDHistogramGolden(t *testing.T) {
 	tel := newTelemetry(Config{})
 	for _, d := range []time.Duration{1, 1e6, 1e6, 1e6, 1e6, 8e6, 8e6, 1 << 41} {
-		tel.endpoints["search"].Observe(200, d)
+		tel.endpoints[epSearch].Observe(200, d)
 	}
 	var buf bytes.Buffer
-	h := tel.endpoints["search"].Histogram()
+	h := tel.endpoints[epSearch].Histogram()
 	ops.WriteDurationHistogram(&buf, "shapeserver_request_duration_seconds",
 		fmt.Sprintf("endpoint=%q", "search"), h.Buckets(), h.Sum())
 	if got := buf.String(); got != redHistogramGolden {

@@ -53,7 +53,7 @@ type CompactResponse struct {
 // while draining), 409 without a store, and one RED observation + log line
 // per terminal outcome. The store counts the mutation in flight itself
 // (segment.DB.Busy, surfaced by /readyz as "ingesting").
-func (s *Server) mutationEndpoint(ep string, body func(w http.ResponseWriter, r *http.Request, finish func(status int, msg string, attrs ...any))) http.HandlerFunc {
+func (s *Server) mutationEndpoint(ep endpoint, body func(w http.ResponseWriter, r *http.Request, finish func(status int, msg string, attrs ...any))) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		rq, ok := s.begin(w, r, ep)
 		if !ok {
@@ -69,7 +69,7 @@ func (s *Server) mutationEndpoint(ep string, body func(w http.ResponseWriter, r 
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	s.mutationEndpoint("ingest", func(w http.ResponseWriter, r *http.Request, finish func(int, string, ...any)) {
+	s.mutationEndpoint(epIngest, func(w http.ResponseWriter, r *http.Request, finish func(int, string, ...any)) {
 		var req IngestRequest
 		dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 256<<20))
 		dec.DisallowUnknownFields()
@@ -105,7 +105,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
-	s.mutationEndpoint("compact", func(w http.ResponseWriter, r *http.Request, finish func(int, string, ...any)) {
+	s.mutationEndpoint(epCompact, func(w http.ResponseWriter, r *http.Request, finish func(int, string, ...any)) {
 		var req CompactRequest
 		dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
 		dec.DisallowUnknownFields()

@@ -4,26 +4,27 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"sort"
 
 	"lbkeogh/internal/obs/ops"
 )
 
-// The /v1 endpoints requests are accounted under. Eager creation keeps every
-// series present on /metrics from the first scrape, so absence never has to
-// be disambiguated from zero.
-var telemetryEndpoints = []string{"search", "topk", "range", "ingest", "compact"}
+// endpoint is a /v1 endpoint requests are accounted under, numbered in
+// exposition order: it indexes telemetryEndpoints and telemetry.endpoints.
+type endpoint int
 
-func endpointName(kind searchKind) string {
-	switch kind {
-	case kindTopK:
-		return "topk"
-	case kindRange:
-		return "range"
-	default:
-		return "search"
-	}
-}
+const (
+	epCompact endpoint = iota
+	epIngest
+	epRange
+	epSearch
+	epTopK
+	numEndpoints
+)
+
+// telemetryEndpoints names each endpoint on /metrics and in the request log.
+// Every series is written from the first scrape, so absence never has to be
+// disambiguated from zero.
+var telemetryEndpoints = [numEndpoints]string{"compact", "ingest", "range", "search", "topk"}
 
 // telemetry is the server's operational-telemetry state: the request logger,
 // the request-ID source, and one cumulative RED record per endpoint (every
@@ -36,55 +37,33 @@ func endpointName(kind searchKind) string {
 type telemetry struct {
 	logger    *slog.Logger
 	ids       *ops.IDSource
-	endpoints map[string]*ops.RED
+	endpoints [numEndpoints]ops.RED
 }
 
 func newTelemetry(cfg Config) *telemetry {
-	t := &telemetry{
-		logger:    ops.Or(cfg.Logger),
-		ids:       ops.NewIDSource(),
-		endpoints: map[string]*ops.RED{},
-	}
-	for _, ep := range telemetryEndpoints {
-		t.endpoints[ep] = &ops.RED{}
-	}
-	return t
+	return &telemetry{logger: ops.Or(cfg.Logger), ids: ops.NewIDSource()}
 }
 
 // writeMetrics appends the per-endpoint request families and the runtime
 // telemetry to the /metrics exposition.
 func (t *telemetry) writeMetrics(w io.Writer) {
-	eps := sortedKeys(t.endpoints)
-	snaps := map[string]ops.REDSnapshot{}
-	for _, ep := range eps {
-		snaps[ep] = t.endpoints[ep].Snapshot()
-	}
-
 	ops.WriteFamily(w, "shapeserver_request_duration_seconds", "histogram",
 		"Request latency since process start, by endpoint.")
-	for _, ep := range eps {
+	for ep, name := range telemetryEndpoints {
 		h := t.endpoints[ep].Histogram()
 		ops.WriteDurationHistogram(w, "shapeserver_request_duration_seconds",
-			fmt.Sprintf("endpoint=%q", ep), h.Buckets(), h.Sum())
+			fmt.Sprintf("endpoint=%q", name), h.Buckets(), h.Sum())
 	}
 
 	ops.WriteFamily(w, "shapeserver_endpoint_requests_total", "counter",
 		"Terminal request outcomes since process start, by endpoint and error class (cumulative: delta two scrapes to reconcile against a client's own tally).")
-	for _, ep := range eps {
+	for ep, name := range telemetryEndpoints {
+		classes := t.endpoints[ep].Snapshot().Classes
 		for _, class := range ops.ClassNames() {
 			fmt.Fprintf(w, "shapeserver_endpoint_requests_total{endpoint=%q,class=%q} %d\n",
-				ep, class, snaps[ep].Classes[class])
+				name, class, classes[class])
 		}
 	}
 
 	ops.WriteRuntimeMetrics(w)
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

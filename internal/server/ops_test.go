@@ -135,7 +135,7 @@ func TestRefusalsAreLoggedAndCounted(t *testing.T) {
 	if code, _, _ := post(t, ts, "/v1/search", `{"query_index":0}`); code != http.StatusServiceUnavailable {
 		t.Fatalf("draining: %d", code)
 	}
-	snap := srv.tel.endpoints["search"].Snapshot()
+	snap := srv.tel.endpoints[epSearch].Snapshot()
 	if snap.Classes["client"] != 1 || snap.Classes["server"] != 1 {
 		t.Fatalf("record classes = %+v", snap.Classes)
 	}

@@ -15,7 +15,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"net/http/pprof"
 	"sync/atomic"
 	"time"
 
@@ -253,15 +252,14 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // served request's pruning breakdown (so the same reconciling outcome
 // buckets as a single query's stats). The trace log's per-stage latencies
 // are the log's own: /metrics writes them after this record
-// (TraceLog.WriteMetrics). Server implements lbkeogh.StatsSource, so it
-// plugs straight into MetricsHandler.
+// (TraceLog.WriteMetrics).
 func (s *Server) Stats() lbkeogh.SearchStats { return s.stats.Snapshot() }
 
 func (s *Server) buildMux() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/search", s.searchEndpoint(kindNearest))
-	mux.HandleFunc("/v1/topk", s.searchEndpoint(kindTopK))
-	mux.HandleFunc("/v1/range", s.searchEndpoint(kindRange))
+	mux.HandleFunc("/v1/search", s.searchEndpoint(epSearch))
+	mux.HandleFunc("/v1/topk", s.searchEndpoint(epTopK))
+	mux.HandleFunc("/v1/range", s.searchEndpoint(epRange))
 	mux.HandleFunc("/v1/ingest", s.handleIngest)
 	mux.HandleFunc("/v1/compact", s.handleCompact)
 	// Kubernetes-style probe split: /livez answers 200 for as long as the
@@ -271,22 +269,15 @@ func (s *Server) buildMux() *http.ServeMux {
 	mux.HandleFunc("/livez", s.handleLivez)
 	mux.HandleFunc("/healthz", s.handleLivez)
 	mux.HandleFunc("/readyz", s.handleReadyz)
-	sources := map[string]lbkeogh.StatsSource{"shapeserver": s}
-	mux.Handle("/metrics", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		lbkeogh.MetricsHandler(sources).ServeHTTP(w, r)
-		s.cfg.TraceLog.WriteMetrics(w, "shapeserver")
-		s.writeServerMetrics(w)
-		if s.sampler != nil {
-			s.sampler.WriteMetrics(w)
-		}
-		s.tel.writeMetrics(w)
-	}))
-	mux.Handle("/debug/lbkeogh", s.cfg.TraceLog) // a nil log answers 404
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	metrics := []func(io.Writer){
+		func(w io.Writer) { lbkeogh.WriteMetrics(w, "shapeserver", s.Stats()) },
+		func(w io.Writer) { s.cfg.TraceLog.WriteMetrics(w, "shapeserver") },
+		s.writeServerMetrics,
+	}
+	if s.sampler != nil { // a nil sampler would write its zero-sample headers
+		metrics = append(metrics, s.sampler.WriteMetrics)
+	}
+	lbkeogh.HandleObs(mux, s.cfg.TraceLog, append(metrics, s.tel.writeMetrics)...) // a nil log answers 404
 	return mux
 }
 

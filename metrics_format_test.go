@@ -26,7 +26,7 @@ import (
 // layout for each family an obs.Histogram feeds, so the set cannot change
 // between scrapes either — and every family it serves, names built at run
 // time included, to the naming contract (metricNameProblems). The bodies are
-// the library's MetricsHandler over a traced query and index with a
+// the library's HandleObs surface over a traced query and index with a
 // BoundSampler attached, and the server's in static and in store mode after
 // an ingest, a search, a top-K, a range and an EXPLAIN search, every request
 // traced and every comparison sampled.
@@ -60,11 +60,14 @@ func TestMetricsBodiesAreTextFormat(t *testing.T) {
 		if q.LastTraceID() == 0 || sampler.Snapshot().Sampled == 0 {
 			t.Fatal("the query kept no trace or sampled no comparison")
 		}
+		mux := http.NewServeMux()
+		lbkeogh.HandleObs(mux, tlog,
+			func(w io.Writer) { lbkeogh.WriteMetrics(w, "lbkeogh_index", ix.Stats()) },
+			func(w io.Writer) { lbkeogh.WriteMetrics(w, "lbkeogh_query", q.Stats()) },
+			func(w io.Writer) { tlog.WriteMetrics(w, "lbkeogh_query") },
+			sampler.WriteMetrics)
 		rr := httptest.NewRecorder()
-		lbkeogh.MetricsHandler(map[string]lbkeogh.StatsSource{"lbkeogh_query": q, "lbkeogh_index": ix}).
-			ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
-		tlog.WriteMetrics(rr.Body, "lbkeogh_query") // as a serving process appends them
-		sampler.WriteMetrics(rr.Body)
+		mux.ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
 		checkTextFormat(t, rr.Header().Get("Content-Type"), rr.Body.String(),
 			"lbkeogh_query_comparison_steps", "lbkeogh_query_stage_latency_seconds",
 			"lbkeogh_explain_bound_tightness_ratio")

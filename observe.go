@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
+	"net/http/pprof"
 	"strconv"
 
 	"lbkeogh/internal/obs"
@@ -43,32 +43,34 @@ type KChange = obs.KChange
 // for the overflow bucket.
 type HistogramBucket = obs.HistogramBucket
 
-// StatsSource is anything exposing an instrumentation snapshot: *Query,
-// *Index and *Monitor all qualify.
-type StatsSource interface {
-	Stats() SearchStats
-}
-
-// MetricsHandler returns an http.Handler that renders the given sources in
-// Prometheus text exposition format, one metric family per counter named
-// `<name>_<field>_total` plus a `<name>_comparison_steps` histogram. Mount it
-// at /metrics to scrape live pruning telemetry:
+// HandleObs mounts the observability surface on mux: /metrics, which writes
+// the given writers' families in the order given under the text exposition
+// format's content type; /debug/lbkeogh, the trace log (a nil log answers
+// 404); and net/http/pprof's five /debug/pprof/ routes. Both binaries mount
+// theirs through it; a library user serves a query's counters and the log's
+// stage latencies with
 //
-//	http.Handle("/metrics", lbkeogh.MetricsHandler(map[string]lbkeogh.StatsSource{
-//	        "lbkeogh_query": q,
-//	}))
-func MetricsHandler(sources map[string]StatsSource) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+//	mux := http.NewServeMux()
+//	lbkeogh.HandleObs(mux, tlog,
+//	        func(w io.Writer) { lbkeogh.WriteMetrics(w, "myquery", q.Stats()) },
+//	        func(w io.Writer) { tlog.WriteMetrics(w, "myquery") })
+//
+// net/http/pprof's init also registers the profiles on http.DefaultServeMux,
+// so a program importing this package keeps them private by serving a mux
+// of its own.
+func HandleObs(mux *http.ServeMux, tlog *TraceLog, metrics ...func(io.Writer)) {
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		names := make([]string, 0, len(sources))
-		for n := range sources {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			WriteMetrics(w, n, sources[n].Stats())
+		for _, write := range metrics {
+			write(w)
 		}
 	})
+	mux.Handle("/debug/lbkeogh", tlog)
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
 // WriteMetrics renders one stats snapshot under the given metric-name prefix

@@ -2,6 +2,8 @@ package lbkeogh_test
 
 import (
 	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
@@ -134,7 +136,17 @@ func TestMonitorStatsReconcile(t *testing.T) {
 	}
 }
 
-func TestMetricsHandlerServesPrometheusText(t *testing.T) {
+// queryObs mounts the observability surface over one query's record and its
+// log under prefix, as shapesearch -serve does.
+func queryObs(prefix string, q *lbkeogh.Query, tlog *lbkeogh.TraceLog) *http.ServeMux {
+	mux := http.NewServeMux()
+	lbkeogh.HandleObs(mux, tlog,
+		func(w io.Writer) { lbkeogh.WriteMetrics(w, prefix, q.Stats()) },
+		func(w io.Writer) { tlog.WriteMetrics(w, prefix) })
+	return mux
+}
+
+func TestHandleObsServesPrometheusText(t *testing.T) {
 	db := obsTestDB(t, 21, 64)
 	q, db := db[0], db[1:]
 	query, err := lbkeogh.NewQuery(q, lbkeogh.Euclidean())
@@ -144,7 +156,7 @@ func TestMetricsHandlerServesPrometheusText(t *testing.T) {
 	if _, err := query.Search(db); err != nil {
 		t.Fatal(err)
 	}
-	h := lbkeogh.MetricsHandler(map[string]lbkeogh.StatsSource{"test_query": query})
+	h := queryObs("test_query", query, nil)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
@@ -165,7 +177,7 @@ func TestMetricsHandlerServesPrometheusText(t *testing.T) {
 	}
 }
 
-// TestScrapeDuringParallelSearch scrapes MetricsHandler and encodes the
+// TestScrapeDuringParallelSearch scrapes /metrics and encodes the
 // stats record while a parallel search is feeding it — the documented
 // live-telemetry use, and the root package's share of
 // `make race-concurrency`.
@@ -176,7 +188,7 @@ func TestScrapeDuringParallelSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := lbkeogh.MetricsHandler(map[string]lbkeogh.StatsSource{"live_query": query})
+	h := queryObs("live_query", query, nil)
 	done := make(chan error, 1)
 	go func() {
 		var err error

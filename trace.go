@@ -310,8 +310,8 @@ func (t *TraceLog) StageLatencies() []StageLatency {
 // WriteMetrics renders the per-stage latency histograms in Prometheus text
 // exposition format as one `<prefix>_stage_latency_seconds` family, a
 // stage label per series; it writes nothing before the first traced
-// operation, or on a nil log. A serving process appends it to the
-// MetricsHandler body it serves.
+// operation, or on a nil log. A serving process passes it to HandleObs
+// after its stats writer.
 func (t *TraceLog) WriteMetrics(w io.Writer, prefix string) {
 	writeStageLatencies(w, prefix, t.StageLatencies())
 }

@@ -245,10 +245,8 @@ func parseExposition(t *testing.T, body string) (samples []expofmt.Sample, types
 // histogram's _sum is the exact observed sum (not the global Steps counter).
 func TestMetricsExpositionWellFormed(t *testing.T) {
 	q, tlog, _ := tracedSearch(t)
-	h := lbkeogh.MetricsHandler(map[string]lbkeogh.StatsSource{"lbkeogh_query": q})
 	rr := httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
-	tlog.WriteMetrics(rr.Body, "lbkeogh_query") // as a serving process appends it
+	queryObs("lbkeogh_query", q, tlog).ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
 	if rr.Code != 200 {
 		t.Fatalf("status %d", rr.Code)
 	}
@@ -341,20 +339,20 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 	}
 }
 
-type staticStats lbkeogh.SearchStats
-
-func (s staticStats) Stats() lbkeogh.SearchStats { return lbkeogh.SearchStats(s) }
-
-func TestMetricsHandlerEmptyAndNilSources(t *testing.T) {
-	for _, sources := range []map[string]lbkeogh.StatsSource{nil, {}} {
-		rr := httptest.NewRecorder()
-		lbkeogh.MetricsHandler(sources).ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
-		if rr.Code != 200 {
-			t.Errorf("sources=%v: status %d, want 200", sources, rr.Code)
-		}
-		if rr.Body.Len() != 0 {
-			t.Errorf("sources=%v: non-empty body %q", sources, rr.Body.String())
-		}
+// TestHandleObsWithoutWriters mounts the surface with no writers and no log:
+// /metrics answers an empty text-format body, /debug/lbkeogh 404.
+func TestHandleObsWithoutWriters(t *testing.T) {
+	mux := http.NewServeMux()
+	lbkeogh.HandleObs(mux, nil)
+	rr := httptest.NewRecorder()
+	mux.ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
+	if rr.Code != 200 || rr.Body.Len() != 0 || !strings.HasPrefix(rr.Header().Get("Content-Type"), "text/plain; version=0.0.4") {
+		t.Errorf("/metrics: status %d, content type %q, body %q", rr.Code, rr.Header().Get("Content-Type"), rr.Body.String())
+	}
+	rr = httptest.NewRecorder()
+	mux.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/lbkeogh", nil))
+	if rr.Code != http.StatusNotFound {
+		t.Errorf("/debug/lbkeogh without a log: status %d, want 404", rr.Code)
 	}
 }
 

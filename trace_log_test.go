@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net/http/httptest"
 	"slices"
 	"strings"
 	"testing"
@@ -93,12 +92,13 @@ func TestStageLatenciesAreReportedOnce(t *testing.T) {
 	if _, err := a.Search(db[2:]); err != nil {
 		t.Fatal(err)
 	}
-	rr := httptest.NewRecorder()
-	MetricsHandler(map[string]StatsSource{"a": a, "b": b}).ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
-	if body := rr.Body.String(); strings.Contains(body, "_stage_latency_seconds") {
+	var buf bytes.Buffer
+	WriteMetrics(&buf, "a", a.Stats())
+	WriteMetrics(&buf, "b", b.Stats())
+	if body := buf.String(); strings.Contains(body, "_stage_latency_seconds") {
 		t.Errorf("a query prefix carries the log's stage latencies:\n%s", body)
 	}
-	var buf bytes.Buffer
+	buf.Reset()
 	tlog.WriteMetrics(&buf, "lbkeogh_trace")
 	body := buf.String()
 	if got := strings.Count(body, "# TYPE "); got != 1 || !strings.Contains(body, "# TYPE lbkeogh_trace_stage_latency_seconds histogram") {
